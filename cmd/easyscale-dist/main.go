@@ -6,14 +6,17 @@
 //
 //	easyscale-dist coordinator -addr 127.0.0.1:7070 -workers 2 -steps 20 \
 //	    -model bert -ests 4 -gpus V100:1,P100:1 -out /tmp/job.ckpt -verify
-//	easyscale-dist worker -coord 127.0.0.1:7070 -model bert -ests 4 -gpus V100:1,P100:1
-//	easyscale-dist worker -coord 127.0.0.1:7070 -model bert -ests 4 -gpus V100:1,P100:1
+//	easyscale-dist worker -coord 127.0.0.1:7070 -model bert -ests 4
+//	easyscale-dist worker -coord 127.0.0.1:7070 -model bert -ests 4
 //
-// Every process is handed the same job definition (model, ESTs, placement) —
-// the "training script plus launcher args" convention — and learns its rank,
-// the leader address, the step budget, and the restore checkpoint from the
-// coordinator's membership frame. The coordinator optionally verifies the
-// resulting checkpoint bitwise against an in-process fixed-DoP reference.
+// Every process is handed the same job definition (model, ESTs, batch, seed) —
+// the "training script plus launcher args" convention. The coordinator alone
+// knows the placement: a worker learns its slot, the placement, the leader
+// address, the step budget, and its restore state from the coordinator's
+// reconfigure frame. A second coordinator run with -in /tmp/job.ckpt (and a
+// fresh set of workers, under any placement) resumes from that checkpoint.
+// The coordinator optionally verifies the resulting checkpoint bitwise
+// against an in-process fixed-DoP reference.
 package main
 
 import (
@@ -22,7 +25,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/device"
@@ -58,28 +60,23 @@ func die(err error) {
 	}
 }
 
-// jobFlags registers the shared job-definition flags.
-func jobFlags(fs *flag.FlagSet) (model *string, ests, batch *int, gpus *string, seed *uint64, epoch *uint64, timeout *time.Duration) {
+// jobFlags registers the job-definition flags every process shares and
+// returns a builder for the resulting config.
+func jobFlags(fs *flag.FlagSet) (model *string, epoch *uint64, config func() core.Config) {
 	model = fs.String("model", "bert", "workload name")
-	ests = fs.Int("ests", 4, "number of logical workers (ESTs)")
-	batch = fs.Int("batch", 4, "per-EST mini-batch size")
-	gpus = fs.String("gpus", "V100:2", "placement, e.g. V100:1,P100:1 (one worker process per GPU entry)")
-	seed = fs.Uint64("seed", 42, "job master seed")
+	ests := fs.Int("ests", 4, "number of logical workers (ESTs)")
+	batch := fs.Int("batch", 4, "per-EST mini-batch size")
+	seed := fs.Uint64("seed", 42, "job master seed")
 	epoch = fs.Uint64("epoch", 1, "rendezvous epoch; the coordinator rejects workers from any other epoch")
-	timeout = fs.Duration("timeout", 0, "network operation deadline (0: EASYSCALE_DIST_TIMEOUT or the built-in default)")
-	return
-}
-
-func buildSpec(model string, ests, batch int, gpus string, seed uint64, epoch uint64, timeout time.Duration, coord string) (dist.WorkerSpec, error) {
-	p, err := parsePlacement(gpus, ests)
-	if err != nil {
-		return dist.WorkerSpec{}, err
+	timeout := fs.Duration("timeout", 0, "network operation deadline (0: EASYSCALE_DIST_TIMEOUT or the built-in default)")
+	config = func() core.Config {
+		cfg := core.DefaultConfig(*ests)
+		cfg.BatchPerEST = *batch
+		cfg.Seed = *seed
+		cfg.DistTimeout = *timeout
+		return cfg
 	}
-	cfg := core.DefaultConfig(ests)
-	cfg.BatchPerEST = batch
-	cfg.Seed = seed
-	cfg.DistTimeout = timeout
-	return dist.WorkerSpec{Cfg: cfg, Workload: model, Placement: p, CoordAddr: coord, Epoch: epoch}, nil
+	return
 }
 
 func parsePlacement(spec string, ests int) (core.Placement, error) {
@@ -116,31 +113,35 @@ func runCoordinator(args []string) {
 	fs := flag.NewFlagSet("coordinator", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:7070", "rendezvous address")
 	workers := fs.Int("workers", 2, "worker processes to admit")
-	steps := fs.Int("steps", 20, "global steps this generation")
+	steps := fs.Int("steps", 20, "global steps this phase")
+	gpus := fs.String("gpus", "V100:2", "placement, e.g. V100:1,P100:1 (one worker process per GPU entry)")
 	out := fs.String("out", "", "file to write the resulting on-demand checkpoint to")
-	in := fs.String("in", "", "checkpoint file to restore the generation from")
+	in := fs.String("in", "", "checkpoint file to restore the phase from")
 	verify := fs.Bool("verify", false, "verify the result bitwise against an in-process fixed-DoP run")
-	model, ests, batch, gpus, seed, epoch, timeout := jobFlags(fs)
+	model, epoch, config := jobFlags(fs)
 	die(fs.Parse(args))
 
+	cfg := config()
+	placement, err := parsePlacement(*gpus, cfg.NumESTs)
+	die(err)
+	if n := len(placement.Assignment); n != *workers {
+		die(fmt.Errorf("-gpus %s places %d workers, -workers says %d", *gpus, n, *workers))
+	}
 	var ckptIn []byte
 	if *in != "" {
-		data, err := os.ReadFile(*in)
+		ckptIn, err = os.ReadFile(*in)
 		die(err)
-		ckptIn = data
 	}
 
 	coord, err := dist.NewCoordinatorAddr(*addr)
 	die(err)
 	defer coord.Close()
-	if *timeout > 0 {
-		coord.SetTimeout(*timeout)
-	}
+	coord.SetTimeout(cfg.DistTimeout)
 	fmt.Printf("coordinator listening on %s, waiting for %d workers (epoch %d)...\n", coord.Addr(), *workers, *epoch)
 
-	ckpt, err := coord.RunGeneration(*epoch, *workers, *steps, ckptIn)
+	ckpt, err := coord.RunPhase(cfg, *epoch, dist.Phase{Placement: placement, Steps: *steps}, ckptIn)
 	die(err)
-	fmt.Printf("generation complete: %d steps across %d worker processes\n", *steps, *workers)
+	fmt.Printf("phase complete: %d steps across %d worker processes\n", *steps, *workers)
 
 	if *out != "" {
 		die(os.WriteFile(*out, ckpt, 0o644))
@@ -148,20 +149,18 @@ func runCoordinator(args []string) {
 	}
 
 	if *verify {
-		spec, err := buildSpec(*model, *ests, *batch, *gpus, *seed, *epoch, *timeout, "")
+		got, err := core.RestoreJob(cfg, ckpt)
 		die(err)
-		got, err := core.RestoreJob(spec.Cfg, ckpt)
+		ref, err := core.NewJob(cfg, *model)
 		die(err)
-		ref, err := core.NewJob(spec.Cfg, *model)
-		die(err)
-		homog := make([]device.Type, *ests)
+		homog := make([]device.Type, cfg.NumESTs)
 		for i := range homog {
 			homog[i] = device.V100
 		}
-		die(ref.Attach(core.EvenPlacement(*ests, homog...)))
+		die(ref.Attach(core.EvenPlacement(cfg.NumESTs, homog...)))
 		die(ref.RunSteps(got.GlobalStep()))
 		if core.ParamsEqual(got, ref) {
-			fmt.Printf("verify: BITWISE IDENTICAL to in-process DDP on %d V100s\n", *ests)
+			fmt.Printf("verify: BITWISE IDENTICAL to in-process DDP on %d V100s after %d steps\n", cfg.NumESTs, got.GlobalStep())
 		} else {
 			fmt.Println("verify: DIVERGED")
 			fmt.Print(core.Diagnose(ref, got))
@@ -173,12 +172,10 @@ func runCoordinator(args []string) {
 func runWorker(args []string) {
 	fs := flag.NewFlagSet("worker", flag.ExitOnError)
 	coord := fs.String("coord", "127.0.0.1:7070", "coordinator rendezvous address")
-	model, ests, batch, gpus, seed, epoch, timeout := jobFlags(fs)
+	model, epoch, config := jobFlags(fs)
 	die(fs.Parse(args))
 
-	spec, err := buildSpec(*model, *ests, *batch, *gpus, *seed, *epoch, *timeout, *coord)
-	die(err)
-	die(dist.RunWorker(spec))
+	die(dist.RunWorker(dist.WorkerSpec{Cfg: config(), Workload: *model, CoordAddr: *coord, Epoch: *epoch}))
 	fmt.Println("worker done")
 }
 

@@ -9,7 +9,7 @@ import (
 	"log"
 
 	easyscale "repro"
-	"repro/internal/cluster"
+	"repro/internal/controlplane"
 	"repro/internal/core"
 	"repro/internal/models"
 )
@@ -25,7 +25,7 @@ func main() {
 		fmt.Printf("%s: relies on vendor kernels = %v → heterogeneous GPUs allowed = %v\n",
 			name, w.UsesVendorKernels, d2OK)
 
-		cp := easyscale.NewCompanion(maxP, cluster.CapabilityFor(name))
+		cp := easyscale.NewCompanion(maxP, controlplane.CapabilityFor(name))
 		intra := easyscale.NewIntraJob(name, cp, !d2OK)
 		candidates := []easyscale.Resources{
 			{easyscale.V100: 2},

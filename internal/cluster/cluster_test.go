@@ -3,6 +3,7 @@ package cluster
 import (
 	"testing"
 
+	"repro/internal/controlplane"
 	"repro/internal/device"
 	"repro/internal/sched"
 	"repro/internal/workload"
@@ -18,17 +19,17 @@ func testTrace() []workload.JobSpec {
 }
 
 func TestCapabilityOrdering(t *testing.T) {
-	c := CapabilityFor("resnet50")
+	c := controlplane.CapabilityFor("resnet50")
 	if !(c[device.V100] > c[device.P100] && c[device.P100] > c[device.T4]) {
 		t.Fatalf("capability should follow GPU speed: %v", c)
 	}
 	// cached: second call returns same map values
-	c2 := CapabilityFor("resnet50")
+	c2 := controlplane.CapabilityFor("resnet50")
 	if c2[device.V100] != c[device.V100] {
 		t.Fatal("capability cache broken")
 	}
 	// lighter models have higher step rates
-	if CapabilityFor("neumf")[device.V100] <= CapabilityFor("vgg19")[device.V100] {
+	if controlplane.CapabilityFor("neumf")[device.V100] <= controlplane.CapabilityFor("vgg19")[device.V100] {
 		t.Fatal("neumf should step faster than vgg19")
 	}
 }

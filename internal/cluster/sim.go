@@ -1,3 +1,8 @@
+// Package cluster implements the discrete-event cluster simulator behind the
+// paper's trace experiment (§5.2: YARN-CS vs EasyScale-homo vs
+// EasyScale-heter on 64 GPUs) and the production co-location experiment
+// (§5.3: elastic training soaking the idle GPUs of a 3,000+ GPU online
+// serving cluster), plus the §2.1 motivation statistics.
 package cluster
 
 import (
@@ -146,7 +151,7 @@ func simulateYARN(cfg Config, jobs []workload.JobSpec) Result {
 			for tt := range j.gang {
 				t = tt
 			}
-			rate := float64(j.spec.MaxP) * CapabilityFor(j.spec.Model)[t]
+			rate := float64(j.spec.MaxP) * controlplane.CapabilityFor(j.spec.Model)[t]
 			j.remaining -= rate * cfg.TickSec
 			if j.remaining <= 0 {
 				j.finishSec = now + cfg.TickSec

@@ -1,28 +1,26 @@
 package dist
 
 import (
-	"errors"
 	"fmt"
 	"net"
 	"time"
 
 	"repro/internal/checkpoint"
 	"repro/internal/core"
-	"repro/internal/faults"
-	"repro/internal/obs"
 )
 
 // Coordinator is the rendezvous and elasticity controller (the AIMaster
-// analog): workers register, receive rank / leader address / restore
-// checkpoint, and at the end of each generation the leader deposits the
-// assembled on-demand checkpoint for the next generation to restore from.
+// analog): workers register with a hello and are then driven through
+// reconfigure frames that carry slot, leader address, placement, step budget
+// and the phase-entry state; at the end of each phase the leader ships the new
+// boundary state into the coordinator's shard directory.
 //
 // Every blocking operation — accepting a worker, reading its hello, waiting
-// for the leader's checkpoint — is bounded by the coordinator's timeout, so
-// a hung or vanished worker surfaces as a deadline error instead of wedging
-// the generation. Rendezvous is epoch-tagged: a generation admits only
-// hellos carrying its own epoch, so a straggler from a crashed attempt can
-// never be admitted into the retry generation.
+// for a phase to complete — is bounded by the coordinator's timeout, so a
+// hung or vanished worker surfaces as a deadline error instead of wedging the
+// run. Rendezvous is epoch-tagged: a phase attempt admits only hellos
+// carrying its own epoch, so a straggler from a crashed attempt can never be
+// admitted into the retry.
 type Coordinator struct {
 	ln      net.Listener
 	timeout time.Duration
@@ -59,46 +57,54 @@ func (c *Coordinator) SetTimeout(d time.Duration) {
 // Close shuts the rendezvous listener down.
 func (c *Coordinator) Close() { c.ln.Close() }
 
-// BeginEpoch advances to and returns the next rendezvous epoch. The elastic
-// drivers call it once per generation attempt, so every retry gets a fresh
-// epoch and stale workers are fenced out.
-func (c *Coordinator) BeginEpoch() uint64 {
+// beginEpoch advances to and returns the next rendezvous epoch. The driver
+// calls it once per phase attempt, so every retry gets a fresh epoch and
+// stale workers are fenced out.
+func (c *Coordinator) beginEpoch() uint64 {
 	c.epoch++
 	return c.epoch
 }
 
 // admit accepts worker connections until `workers` hellos carrying `epoch`
-// have arrived, returning the connections and listen addresses in admission
-// order. Hellos from any other epoch are answered with MsgReject and do not
-// consume a slot. On error the already-admitted connections are returned for
-// the caller to close.
-func (c *Coordinator) admit(epoch uint64, workers int) ([]net.Conn, []string, error) {
-	conns := make([]net.Conn, 0, workers)
-	addrs := make([]string, 0, workers)
-	deadline := time.Now().Add(c.timeout)
-	for len(conns) < workers {
-		if time.Now().After(deadline) {
-			return conns, addrs, fmt.Errorf("dist: epoch %d: admitted %d of %d workers before rendezvous deadline", epoch, len(conns), workers)
-		}
-		cn, err := acceptTimeout(c.ln, c.timeout)
+// have arrived and returns a handle per worker in admission order. Hellos
+// from any other epoch are answered with MsgReject and do not consume a
+// slot. On error everything admitted so far is closed.
+func (c *Coordinator) admit(epoch uint64, workers int) (hs []*handle, err error) {
+	defer func() {
 		if err != nil {
-			return conns, addrs, fmt.Errorf("dist: epoch %d: admitted %d of %d workers: %w", epoch, len(conns), workers, err)
+			for _, h := range hs {
+				h.ctrl.Close()
+			}
+			hs = nil
+		}
+	}()
+	deadline := time.Now().Add(c.timeout)
+	for len(hs) < workers {
+		// one timeout covers the whole rendezvous: each accept (and the hello
+		// read behind it) gets only what is left of it
+		left := time.Until(deadline)
+		if left <= 0 {
+			return hs, fmt.Errorf("dist: epoch %d: admitted %d of %d workers before rendezvous deadline", epoch, len(hs), workers)
+		}
+		cn, err := acceptTimeout(c.ln, left)
+		if err != nil {
+			return hs, fmt.Errorf("dist: epoch %d: admitted %d of %d workers: %w", epoch, len(hs), workers, err)
 		}
 		payload, err := Expect(cn, MsgHello)
 		if err != nil {
 			cn.Close()
-			return conns, addrs, err
+			return hs, err
 		}
 		r := checkpoint.NewReader(payload)
 		helloEpoch, err := r.Uint64()
 		if err != nil {
 			cn.Close()
-			return conns, addrs, err
+			return hs, err
 		}
 		addr, err := r.String()
 		if err != nil {
 			cn.Close()
-			return conns, addrs, err
+			return hs, err
 		}
 		if helloEpoch != epoch {
 			// a straggler from a crashed earlier attempt (or a worker
@@ -108,98 +114,36 @@ func (c *Coordinator) admit(epoch uint64, workers int) ([]net.Conn, []string, er
 			cn.Close()
 			continue
 		}
-		conns, addrs = append(conns, cn), append(addrs, addr)
+		// admitted: from here on every operation gets the full timeout again
+		hs = append(hs, &handle{ctrl: withDeadline(cn, c.timeout), addr: addr})
 	}
-	return conns, addrs, nil
+	return hs, nil
 }
 
-// RunGeneration admits `workers` workers whose hellos carry `epoch`, assigns
-// ranks in connection order (rank 0 is the leader), distributes membership
-// with the restore checkpoint (nil for a fresh job) and the step budget,
-// then waits for completion and returns the new on-demand checkpoint
-// produced by the leader. Hellos from any other epoch are answered with
-// MsgReject and do not consume an admission slot.
-func (c *Coordinator) RunGeneration(epoch uint64, workers, steps int, ckpt []byte) ([]byte, error) {
-	if workers <= 0 {
-		return nil, fmt.Errorf("dist: generation needs at least one worker")
-	}
-	conns, addrs, err := c.admit(epoch, workers)
-	defer func() {
-		for _, cn := range conns {
-			cn.Close()
-		}
-	}()
-	if err != nil {
-		return nil, err
-	}
-	for rank, cn := range conns {
-		w := checkpoint.NewWriter()
-		w.PutUint64(epoch)
-		w.PutInt(rank)
-		w.PutString(addrs[0]) // rank 0 is the leader
-		w.PutInt(steps)
-		w.PutString(string(ckpt))
-		if err := WriteFrame(cn, MsgMembership, w.Bytes()); err != nil {
-			return nil, err
-		}
-	}
-	// the leader deposits the checkpoint, then everyone reports done
-	newCkpt, err := Expect(conns[0], MsgCkpt)
-	if err != nil {
-		return nil, err
-	}
-	for _, cn := range conns {
-		if _, err := Expect(cn, MsgDone); err != nil {
-			return nil, err
-		}
-	}
-	return newCkpt, nil
-}
-
-// Phase is one resource generation of an elastic run.
+// Phase is one resource allocation of an elastic run: a placement and the
+// global steps to train on it.
 type Phase struct {
 	Placement core.Placement
 	Steps     int
 }
 
-// runPhase spawns one networked worker per placement entry under a fresh
-// rendezvous epoch and runs one generation. Each worker derives its own
-// deterministic fault injector from the plan (nil for no injection) and
-// shares the run's tracer (nil for no tracing).
-func runPhase(coord *Coordinator, cfg core.Config, workload string, ph Phase, ckpt []byte, plan *faults.Plan, tr *obs.Tracer) ([]byte, error) {
-	workers := len(ph.Placement.Assignment)
-	epoch := coord.BeginEpoch()
-	errCh := make(chan error, workers)
-	for w := 0; w < workers; w++ {
-		spec := WorkerSpec{
-			Cfg:       cfg,
-			Workload:  workload,
-			Placement: ph.Placement,
-			CoordAddr: coord.Addr(),
-			Epoch:     epoch,
-			Faults:    plan.Injector(epoch, w),
-			Tracer:    tr,
+// RunPhase drives one phase on workers launched by someone else — separate OS
+// processes running RunWorker with this coordinator's address and the given
+// rendezvous epoch. It admits one worker per placement entry, bootstraps them
+// from container (a checkpoint container of an earlier phase; nil starts a
+// fresh job), trains the phase, departs the set, and returns the new
+// checkpoint container. It is Run's driver without a spawner and with no
+// retries: a launcher that can relaunch workers retries by calling it again
+// under the next epoch.
+func (c *Coordinator) RunPhase(cfg core.Config, epoch uint64, ph Phase, container []byte) ([]byte, error) {
+	d := newDriver(c, cfg, runOptions{})
+	if container != nil {
+		var err error
+		if d.dirM, d.dirSet, err = checkpoint.DecodeContainer(container); err != nil {
+			return nil, fmt.Errorf("dist: restore container: %w", err)
 		}
-		go func() { errCh <- RunWorker(spec) }()
+		d.dirHas = true
 	}
-	next, err := coord.RunGeneration(epoch, workers, ph.Steps, ckpt)
-	var firstErr error
-	for w := 0; w < workers; w++ {
-		if werr := <-errCh; werr != nil && firstErr == nil {
-			//detlint:ignore chanorder -- error triage only, never numeric: any injected-crash error outranks the rest below, and which secondary error surfaces first is diagnostic noise
-			firstErr = werr
-		}
-	}
-	// an injected crash is the root cause of whatever secondary error the
-	// coordinator observed (EOF, deadline) — surface it first
-	if firstErr != nil && errors.Is(firstErr, faults.ErrInjectedCrash) {
-		return nil, firstErr
-	}
-	if err != nil {
-		return nil, err
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return next, nil
+	c.epoch = epoch - 1 // the single attempt begins exactly epoch
+	return d.run([]Phase{ph})
 }

@@ -103,7 +103,7 @@ func backoff(attempt int, base, max time.Duration, jit *rng.Stream) time.Duratio
 // dialRetry dials addr with jittered exponential backoff until it connects
 // or the overall timeout elapses, then wraps the connection in per-operation
 // deadlines. This is what lets worker processes be launched before the
-// coordinator (or a retried generation's leader) is listening.
+// coordinator (or a retried attempt's leader) is listening.
 func dialRetry(addr string, timeout time.Duration, seed uint64) (net.Conn, error) {
 	jit := rng.NewNamed(seed, "dist-dial:"+addr)
 	deadline := time.Now().Add(timeout)

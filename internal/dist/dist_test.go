@@ -2,8 +2,10 @@ package dist
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -55,44 +57,97 @@ func restore(t *testing.T, cfg core.Config, ckpt []byte) *core.Job {
 	return j
 }
 
-// TestTCPClusterMatchesInProcess: a 2-worker TCP cluster trains 4 ESTs and
-// must produce bitwise-identical parameters to the single-process engine.
-func TestTCPClusterMatchesInProcess(t *testing.T) {
+// policies is the boundary-policy axis of the table tests: the one runtime
+// under stop-restart (Run's default) and under live migration.
+var policies = []struct {
+	name string
+	opts []Option
+}{
+	{"restart", nil},
+	{"live", []Option{WithLiveMigration()}},
+}
+
+// TestClusterMatchesInProcess: a 2-worker TCP cluster trains 4 ESTs and must
+// produce bitwise-identical parameters to the single-process engine, under
+// either boundary policy.
+func TestClusterMatchesInProcess(t *testing.T) {
 	cfg := distCfg(4)
 	phases := []Phase{{Placement: core.EvenPlacement(4, device.V100, device.V100), Steps: 8}}
-	ckpt, err := Run(cfg, "electra", phases)
-	if err != nil {
-		t.Fatal(err)
-	}
-	distJob := restore(t, cfg, ckpt)
 	ref := inProcessReference(t, cfg, "electra", phases)
-	if !core.ParamsEqual(distJob, ref) {
-		t.Fatal("TCP cluster diverged from the in-process engine (must be bitwise identical)")
-	}
-	if distJob.GlobalStep() != 8 {
-		t.Fatalf("progress %d, want 8", distJob.GlobalStep())
+	for _, pol := range policies {
+		t.Run(pol.name, func(t *testing.T) {
+			ckpt, err := Run(cfg, "electra", phases, pol.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			distJob := restore(t, cfg, ckpt)
+			if !core.ParamsEqual(distJob, ref) {
+				t.Fatal("TCP cluster diverged from the in-process engine (must be bitwise identical)")
+			}
+			if distJob.GlobalStep() != 8 {
+				t.Fatalf("progress %d, want 8", distJob.GlobalStep())
+			}
+		})
 	}
 }
 
-// TestTCPElasticScaleMatchesFixedDDP: scale 4 workers → 1 worker → 2
-// heterogeneous workers across TCP generations; bitwise equal to fixed DDP.
-func TestTCPElasticScaleMatchesFixedDDP(t *testing.T) {
+// TestElasticScaleMatchesFixedDDP: scale 4 workers → 1 worker → 2
+// heterogeneous workers; bitwise equal to fixed DDP. Under restart every
+// boundary is a fresh worker set restored from the directory's container;
+// under live it is a scale-in (leavers serving their shards out), then a
+// scale-out (a joiner restoring from its peer) into a heterogeneous mix.
+func TestElasticScaleMatchesFixedDDP(t *testing.T) {
 	cfg := distCfg(4)
 	phases := []Phase{
 		{Placement: core.EvenPlacement(4, device.V100, device.V100, device.V100, device.V100), Steps: 6},
 		{Placement: core.EvenPlacement(4, device.V100), Steps: 6},
 		{Placement: core.EvenPlacement(4, device.V100, device.P100), Steps: 6},
 	}
-	ckpt, err := Run(cfg, "bert", phases)
-	if err != nil {
-		t.Fatal(err)
-	}
-	distJob := restore(t, cfg, ckpt)
-
 	fixed := []Phase{{Placement: core.EvenPlacement(4, device.V100, device.V100, device.V100, device.V100), Steps: 18}}
 	ref := inProcessReference(t, cfg, "bert", fixed)
-	if !core.ParamsEqual(distJob, ref) {
-		t.Fatal("TCP elastic run diverged from fixed-DoP DDP (must be bitwise identical)")
+	for _, pol := range policies {
+		t.Run(pol.name, func(t *testing.T) {
+			ckpt, err := Run(cfg, "bert", phases, pol.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !core.ParamsEqual(restore(t, cfg, ckpt), ref) {
+				t.Fatal("TCP elastic run diverged from fixed-DoP DDP (must be bitwise identical)")
+			}
+		})
+	}
+}
+
+// TestPoliciesMatchBitwise is the migrate-vs-restart equivalence on the one
+// runtime: the same elastic schedule under the restart policy and under live
+// migration must produce bitwise-identical final checkpoints, both equal to
+// the in-process engine scaling along the same schedule. vgg19 puts dropout
+// RNG and BatchNorm stats — the state that physically migrates between
+// workers — under the comparison.
+func TestPoliciesMatchBitwise(t *testing.T) {
+	cfg := distCfg(4)
+	phases := []Phase{
+		{Placement: core.EvenPlacement(4, device.V100, device.V100), Steps: 4},
+		{Placement: core.EvenPlacement(4, device.V100, device.V100, device.V100), Steps: 4},
+		{Placement: core.EvenPlacement(4, device.V100), Steps: 4},
+	}
+	ref := inProcessReference(t, cfg, "vgg19", phases)
+	jobs := make([]*core.Job, len(policies))
+	for i, pol := range policies {
+		ckpt, err := Run(cfg, "vgg19", phases, pol.opts...)
+		if err != nil {
+			t.Fatalf("%s: %v", pol.name, err)
+		}
+		jobs[i] = restore(t, cfg, ckpt)
+		if got, want := jobs[i].GlobalStep(), ref.GlobalStep(); got != want {
+			t.Fatalf("%s: progress %d, want %d", pol.name, got, want)
+		}
+		if !core.ParamsEqual(jobs[i], ref) {
+			t.Fatalf("%s policy diverged from the in-process engine (must be bitwise identical)", pol.name)
+		}
+	}
+	if !core.ParamsEqual(jobs[0], jobs[1]) {
+		t.Fatal("live migration diverged from stop-restart (must be bitwise identical)")
 	}
 }
 
@@ -114,7 +169,7 @@ func TestTCPUnevenESTDistribution(t *testing.T) {
 
 // TestTCPCheckpointCarriesESTContexts: a model with dropout and BatchNorm
 // exercises RNG and implicit-state gathering across workers; the next
-// generation must continue bitwise-exactly.
+// phase's fresh worker set must continue bitwise-exactly.
 func TestTCPCheckpointCarriesESTContexts(t *testing.T) {
 	cfg := distCfg(4)
 	phases := []Phase{
@@ -130,10 +185,12 @@ func TestTCPCheckpointCarriesESTContexts(t *testing.T) {
 		{Placement: core.EvenPlacement(4, device.V100, device.V100), Steps: 10},
 	})
 	if !core.ParamsEqual(distJob, ref) {
-		t.Fatal("EST contexts (dropout RNG / BatchNorm stats) not carried bitwise across generations")
+		t.Fatal("EST contexts (dropout RNG / BatchNorm stats) not carried bitwise across phases")
 	}
 }
 
+// TestRunWorkerRejectsNonD1: the one worker entry point enforces the
+// runtime's determinism floor before it opens a socket.
 func TestRunWorkerRejectsNonD1(t *testing.T) {
 	cfg := distCfg(2)
 	cfg.Level = core.D0
@@ -176,8 +233,11 @@ func TestCoordinatorValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.RunGeneration(1, 0, 1, nil); err == nil {
+	if _, err := c.RunPhase(distCfg(2), 1, Phase{Steps: 1}, nil); err == nil {
 		t.Fatal("zero workers must error")
+	}
+	if _, err := c.RunPhase(distCfg(2), 1, Phase{Placement: core.EvenPlacement(2, device.V100), Steps: 1}, []byte("junk")); err == nil {
+		t.Fatal("a corrupt restore container must error")
 	}
 	if c.Addr() == "" {
 		t.Fatal("empty coordinator address")
@@ -254,29 +314,75 @@ func TestResilientExhaustsRetries(t *testing.T) {
 	}
 }
 
+// sendHello plays a worker's rendezvous hello on a raw connection.
+func sendHello(c net.Conn, epoch uint64) error {
+	w := checkpoint.NewWriter()
+	w.PutUint64(epoch)
+	w.PutString("127.0.0.1:9") // a listen address nobody dials in a one-worker phase
+	return WriteFrame(c, MsgHello, w.Bytes())
+}
+
 // TestCoordinatorDeadlineOnHungWorker: a worker that connects and then goes
-// silent must surface as a deadline error, not block RunGeneration forever.
+// silent must surface as a deadline error within the rendezvous timeout, not
+// block the phase forever — and the timeout is one budget for the whole
+// rendezvous, not one per accept and hello read: a straggler's stale hello
+// late in the window must not buy the epoch a fresh accept timeout, inside
+// which a silent connection then buys a hello-read timeout on top.
 func TestCoordinatorDeadlineOnHungWorker(t *testing.T) {
-	coord, err := NewCoordinator()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-	coord.SetTimeout(300 * time.Millisecond)
+	const timeout = 300 * time.Millisecond
+	one := Phase{Placement: core.EvenPlacement(2, device.V100), Steps: 1}
+	for _, tc := range []struct {
+		name string
+		// staleAfter > 0 sends a stale-epoch hello that late into the window
+		// and opens the silent connection as much later again
+		staleAfter time.Duration
+	}{
+		{"silent-from-the-start", 0},
+		{"silent-after-a-late-stale-hello", 250 * time.Millisecond},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			coord, err := NewCoordinator()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer coord.Close()
+			coord.SetTimeout(timeout)
 
-	hung, err := net.Dial("tcp", coord.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hung.Close() // connects, never sends a hello
+			release := make(chan struct{})
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if tc.staleAfter > 0 {
+					time.Sleep(tc.staleAfter)
+					if stale, err := net.Dial("tcp", coord.Addr()); err == nil {
+						defer stale.Close()
+						if err := sendHello(stale, 6); err != nil {
+							t.Error(err)
+						}
+					}
+					time.Sleep(tc.staleAfter)
+				}
+				// connects, never sends a hello; by now a coordinator that
+				// honours its deadline may already have given up
+				if hung, err := net.Dial("tcp", coord.Addr()); err == nil {
+					defer hung.Close()
+				}
+				<-release
+			}()
 
-	start := time.Now()
-	_, err = coord.RunGeneration(1, 1, 1, nil)
-	if err == nil {
-		t.Fatal("hung worker must produce an error")
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("coordinator took %v to give up on a hung worker", elapsed)
+			start := time.Now()
+			_, err = coord.RunPhase(distCfg(2), 7, one, nil)
+			elapsed := time.Since(start)
+			close(release)
+			wg.Wait()
+			if err == nil {
+				t.Fatal("hung worker must produce an error")
+			}
+			if elapsed > 2*timeout {
+				t.Fatalf("coordinator took %v to give up on a hung worker (timeout %v)", elapsed, timeout)
+			}
+		})
 	}
 }
 
@@ -287,7 +393,6 @@ func TestWorkerDialDeadCoordinatorFailsFast(t *testing.T) {
 	cfg.DistTimeout = 300 * time.Millisecond
 	spec := WorkerSpec{
 		Cfg: cfg, Workload: "neumf",
-		Placement: core.EvenPlacement(2, device.V100),
 		CoordAddr: "127.0.0.1:1", // reserved port: nothing listens here
 		Epoch:     1,
 	}
@@ -301,9 +406,10 @@ func TestWorkerDialDeadCoordinatorFailsFast(t *testing.T) {
 	}
 }
 
-// TestStaleEpochRejected: a straggler hello from a previous generation is
+// TestStaleEpochRejected: a straggler hello from a previous attempt is
 // answered with MsgReject and does not consume an admission slot; the
-// current-epoch worker is still admitted.
+// current-epoch worker is still admitted, and is reconfigured under the
+// current epoch.
 func TestStaleEpochRejected(t *testing.T) {
 	coord, err := NewCoordinator()
 	if err != nil {
@@ -311,20 +417,11 @@ func TestStaleEpochRejected(t *testing.T) {
 	}
 	defer coord.Close()
 	coord.SetTimeout(2 * time.Second)
-	coord.BeginEpoch() // epoch 1 (the "crashed attempt")
-	epoch := coord.BeginEpoch()
-
-	sendHello := func(c net.Conn, e uint64) {
-		w := checkpoint.NewWriter()
-		w.PutUint64(e)
-		w.PutString("127.0.0.1:9") // never dialed: single-worker generation
-		if err := WriteFrame(c, MsgHello, w.Bytes()); err != nil {
-			t.Error(err)
-		}
-	}
+	const epoch = 2 // epoch 1 is the "crashed attempt"
+	one := Phase{Placement: core.EvenPlacement(2, device.V100), Steps: 3}
 
 	staleErr := make(chan error, 1)
-	genDone := make(chan error, 1)
+	phaseDone := make(chan error, 1)
 	go func() {
 		// straggler from epoch 1
 		c, err := net.Dial("tcp", coord.Addr())
@@ -333,60 +430,69 @@ func TestStaleEpochRejected(t *testing.T) {
 			return
 		}
 		defer c.Close()
-		sendHello(c, epoch-1)
+		if err := sendHello(c, epoch-1); err != nil {
+			staleErr <- err
+			return
+		}
 		typ, payload, err := ReadFrame(c)
 		if err != nil {
 			staleErr <- err
 			return
 		}
-		if typ != MsgReject {
-			staleErr <- errFrame(typ)
-			return
-		}
-		if !strings.Contains(string(payload), "stale epoch") {
+		if typ != MsgReject || !strings.Contains(string(payload), "stale epoch") {
 			staleErr <- errFrame(typ)
 			return
 		}
 		staleErr <- nil
 
 		// now the legitimate epoch-2 worker joins and plays a minimal
-		// single-worker generation: hello → membership → ckpt → done
-		c2, err := net.Dial("tcp", coord.Addr())
-		if err != nil {
-			genDone <- err
-			return
-		}
-		defer c2.Close()
-		sendHello(c2, epoch)
-		mem, err := Expect(c2, MsgMembership)
-		if err != nil {
-			genDone <- err
-			return
-		}
-		mr := checkpoint.NewReader(mem)
-		gotEpoch, _ := mr.Uint64()
-		if gotEpoch != epoch {
-			genDone <- errFrame(MsgMembership)
-			return
-		}
-		if err := WriteFrame(c2, MsgCkpt, []byte("ckpt-bytes")); err != nil {
-			genDone <- err
-			return
-		}
-		genDone <- WriteFrame(c2, MsgDone, nil)
+		// single-worker phase: hello → reconfigure → ready → (empty)
+		// directory ship → phase done → depart
+		phaseDone <- func() error {
+			c2, err := net.Dial("tcp", coord.Addr())
+			if err != nil {
+				return err
+			}
+			defer c2.Close()
+			if err := sendHello(c2, epoch); err != nil {
+				return err
+			}
+			raw, err := Expect(c2, MsgReconfigure)
+			if err != nil {
+				return err
+			}
+			rc, err := decodeReconfig(raw)
+			if err != nil {
+				return err
+			}
+			if rc.Epoch != epoch || rc.Slot != 0 || rc.Kind != kindFresh || rc.Steps != one.Steps {
+				return fmt.Errorf("reconfigure epoch=%d slot=%d kind=%d steps=%d", rc.Epoch, rc.Slot, rc.Kind, rc.Steps)
+			}
+			if err := WriteFrame(c2, MsgReady, nil); err != nil {
+				return err
+			}
+			if _, err := shipShards(c2, checkpoint.Manifest{}, checkpoint.NewShardSet()); err != nil {
+				return err
+			}
+			if err := WriteFrame(c2, MsgPhaseDone, nil); err != nil {
+				return err
+			}
+			_, err = Expect(c2, MsgDepart)
+			return err
+		}()
 	}()
 
-	ckpt, err := coord.RunGeneration(epoch, 1, 3, nil)
+	container, err := coord.RunPhase(distCfg(2), epoch, one, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(ckpt) != "ckpt-bytes" {
-		t.Fatalf("generation returned %q", ckpt)
+	if m, _, err := checkpoint.DecodeContainer(container); err != nil || len(m.Entries) != 0 {
+		t.Fatalf("phase returned manifest %v, err %v; want the worker's empty one", m, err)
 	}
 	if err := <-staleErr; err != nil {
 		t.Fatalf("stale worker: %v", err)
 	}
-	if err := <-genDone; err != nil {
+	if err := <-phaseDone; err != nil {
 		t.Fatalf("fresh worker: %v", err)
 	}
 }

@@ -13,10 +13,18 @@ import (
 	"repro/internal/rng"
 )
 
-// The live elastic driver. Unlike the generation runtime — which kills every
-// worker at a phase boundary and restarts the next generation from a
-// monolithic checkpoint — the live driver keeps workers across boundaries
-// and reconfigures them in place. At a scale event:
+// The elastic driver. Every phase runs on a set of persistent workers; the
+// two boundary policies differ in one decision — what happens to the set when
+// a phase completes.
+//
+// Stop-restart (the default, the paper's on-demand checkpoint plus restart):
+// the whole set is departed and reaped, so the next phase bootstraps a fresh
+// one from the coordinator's shard directory — new worker processes, new
+// listeners and dials, a full container decode per worker, nothing kept and
+// nothing pre-dialled.
+//
+// Live migration (WithLiveMigration): the set survives the boundary and is
+// reconfigured in place. At a scale event:
 //
 //   - staying workers keep their live job and fetch only the EST context
 //     shards newly assigned to them, straight from the workers that hosted
@@ -29,27 +37,30 @@ import (
 //
 // The coordinator keeps a shard directory — manifest plus content-addressed
 // store — updated by an incremental ship from the leader at the end of every
-// phase. It exists purely for crash recovery: when any worker of the live
-// set dies, the whole set is torn down and the phase retried by
-// bootstrapping a fresh set from the directory, which always holds exactly
-// the last phase boundary. A retried phase therefore reproduces bitwise what
-// the uninterrupted phase would have computed.
+// phase, so it always holds exactly the last phase boundary. The restart
+// policy restores from it at every boundary; under either policy it is the
+// crash-recovery state: when any worker of the set dies, the whole set is torn
+// down and the phase retried by bootstrapping a fresh set from the directory.
+// A retried phase therefore reproduces bitwise what the uninterrupted phase
+// would have computed.
 
-// liveHandle is the driver's view of one live worker slot: its control
-// connection and its shard-serving listen address.
-type liveHandle struct {
+// handle is the driver's view of one worker slot: its control connection and
+// its shard-serving listen address.
+type handle struct {
 	ctrl net.Conn
 	addr string
 }
 
-// liveDriver is the state of one runLive call.
-type liveDriver struct {
-	coord    *Coordinator
-	cfg      core.Config
-	workload string
-	o        runOptions
-	tr       *obs.Tracer
-	track    int
+// driver is the state of one elastic run.
+type driver struct {
+	coord *Coordinator
+	cfg   core.Config
+	o     runOptions
+	// spawn launches worker idx of an admission epoch and returns the
+	// channel its exit error will arrive on (buffered, exactly one send). It
+	// is nil when workers are launched externally and simply dial in.
+	spawn func(epoch uint64, idx int) <-chan error
+	track int // the driver's trace track
 
 	// the coordinator shard directory: the canonical state of the last
 	// completed phase boundary
@@ -57,40 +68,44 @@ type liveDriver struct {
 	dirSet *checkpoint.ShardSet
 	dirHas bool
 
-	// the current live set, indexed by slot, and its placement
-	workers   []*liveHandle
+	// the current worker set, indexed by slot, and its placement
+	workers   []*handle
 	placement core.Placement
 
-	// one done channel per spawned worker goroutine not yet reaped; each
-	// goroutine sends exactly one value (buffered), so reaping never blocks
-	// on a worker that already exited
-	doneBag []chan error
+	// one done channel per spawned worker not yet reaped; reaping never
+	// blocks on a worker that already exited
+	doneBag []<-chan error
 }
 
-// runLive executes the phases on the live elastic runtime and returns the
-// final checkpoint container from the coordinator directory.
-func runLive(coord *Coordinator, cfg core.Config, workload string, phases []Phase, o runOptions, jit *rng.Stream) ([]byte, error) {
-	tr := o.tracer
-	d := &liveDriver{
-		coord:    coord,
-		cfg:      cfg,
-		workload: workload,
-		o:        o,
-		tr:       tr,
-		track:    tr.Track("driver"),
-		dirSet:   checkpoint.NewShardSet(),
+func newDriver(coord *Coordinator, cfg core.Config, o runOptions) *driver {
+	return &driver{
+		coord:  coord,
+		cfg:    cfg,
+		o:      o,
+		track:  o.tracer.Track("driver"),
+		dirSet: checkpoint.NewShardSet(),
 	}
+}
+
+// run executes the phases and returns the final checkpoint container from the
+// coordinator directory. This is the runtime's one retry loop: a failed phase
+// attempt is retried, after a jittered exponential backoff and under a fresh
+// rendezvous epoch, from the directory's last completed boundary.
+func (d *driver) run(phases []Phase) ([]byte, error) {
+	tr, o := d.o.tracer, d.o
+	jit := rng.NewNamed(d.cfg.Seed, "dist-retry")
 	for pi, ph := range phases {
-		if err := ph.Placement.Validate(cfg.NumESTs); err != nil {
+		if err := ph.Placement.Validate(d.cfg.NumESTs); err != nil {
 			d.abort()
 			return nil, fmt.Errorf("dist: phase %d: %w", pi, err)
 		}
 		tPhase := tr.Now()
+		// the downtime clock starts here: the elasticity decision is made and
+		// the boundary policy's reconfiguration machinery begins
 		tr.Event(d.track, obs.CatPhase, "dist.scale-trigger", "", int64(pi), int64(ph.Steps))
 		var lastErr error
 		for attempt := 0; ; attempt++ {
 			if attempt > o.retry.MaxRetries {
-				d.abort()
 				if o.retry.MaxRetries > 0 {
 					return nil, fmt.Errorf("dist: phase %d exhausted retries: %w", pi, lastErr)
 				}
@@ -100,7 +115,7 @@ func runLive(coord *Coordinator, cfg core.Config, workload string, phases []Phas
 				tr.Event(d.track, obs.CatFault, "dist.retry", lastErr.Error(), int64(pi), int64(attempt))
 				time.Sleep(backoff(attempt-1, o.retry.BaseBackoff, o.retry.MaxBackoff, jit))
 			}
-			lastErr = d.runLivePhase(ph)
+			lastErr = d.runPhase(ph)
 			if lastErr == nil {
 				break
 			}
@@ -112,6 +127,12 @@ func runLive(coord *Coordinator, cfg core.Config, workload string, phases []Phas
 				lastErr = inj
 			}
 		}
+		if !o.live {
+			// stop-restart: nothing of this set survives into the next phase
+			if err := d.shutdown(); err != nil {
+				return nil, err
+			}
+		}
 		tr.Span(d.track, obs.CatPhase, "dist.phase", tPhase, int64(pi), int64(ph.Steps))
 	}
 	if err := d.shutdown(); err != nil {
@@ -120,50 +141,46 @@ func runLive(coord *Coordinator, cfg core.Config, workload string, phases []Phas
 	return checkpoint.EncodeContainer(d.dirM, d.dirSet)
 }
 
-// spawn launches one live worker goroutine for the given admission epoch.
-func (d *liveDriver) spawn(epoch uint64) {
-	done := make(chan error, 1)
-	spec := LiveSpec{
-		Cfg:       d.cfg,
-		Workload:  d.workload,
-		CoordAddr: d.coord.Addr(),
-		Epoch:     epoch,
-		Faults:    d.o.faults,
-		Tracer:    d.tr,
+// admitWorkers launches n workers (when the driver is the launcher) and
+// admits n hellos carrying epoch.
+func (d *driver) admitWorkers(epoch uint64, n int) ([]*handle, error) {
+	if d.spawn != nil {
+		for i := 0; i < n; i++ {
+			d.doneBag = append(d.doneBag, d.spawn(epoch, i))
+		}
 	}
-	go func() { done <- RunLiveWorker(spec) }()
-	d.doneBag = append(d.doneBag, done)
+	return d.coord.admit(epoch, n)
 }
 
-// reap waits for every outstanding worker goroutine and returns the first
-// injected-crash error among them, if any.
-func (d *liveDriver) reap() error {
-	var inj error
+// reap waits for every outstanding worker and returns the first error among
+// them — only an injected crash when injectedOnly, which is what a teardown
+// after a failed attempt cares about.
+func (d *driver) reap(injectedOnly bool) error {
+	var first error
 	for _, done := range d.doneBag {
-		if werr := <-done; werr != nil && inj == nil && errors.Is(werr, faults.ErrInjectedCrash) {
+		if werr := <-done; werr != nil && first == nil && (!injectedOnly || errors.Is(werr, faults.ErrInjectedCrash)) {
 			//detlint:ignore chanorder -- one receive per distinct buffered channel, drained in slice order; "first" means first in bag order, which is deterministic
-			inj = werr
+			first = werr
 		}
 	}
 	d.doneBag = nil
-	return inj
+	return first
 }
 
-// abort tears the live set down hard: close every control connection, wait
+// abort tears the worker set down hard: close every control connection, wait
 // for every worker goroutine to exit (their per-operation deadlines bound
 // the wait), and report any injected crash found among their errors.
-func (d *liveDriver) abort() error {
+func (d *driver) abort() error {
 	for _, h := range d.workers {
-		if h != nil {
-			h.ctrl.Close()
-		}
+		h.ctrl.Close()
 	}
 	d.workers = nil
-	return d.reap()
+	return d.reap(true)
 }
 
-// shutdown ends a completed run gracefully: every live worker departs.
-func (d *liveDriver) shutdown() error {
+// shutdown ends a completed phase (restart policy) or run gracefully: every
+// worker of the set departs and is reaped.
+func (d *driver) shutdown() error {
 	for _, h := range d.workers {
 		if err := WriteFrame(h.ctrl, MsgDepart, nil); err != nil {
 			d.abort()
@@ -174,56 +191,30 @@ func (d *liveDriver) shutdown() error {
 		h.ctrl.Close()
 	}
 	d.workers = nil
-	var first error
-	for _, done := range d.doneBag {
-		if werr := <-done; werr != nil && first == nil {
-			//detlint:ignore chanorder -- one receive per distinct buffered channel, drained in slice order; "first" means first in bag order, which is deterministic
-			first = werr
-		}
-	}
-	d.doneBag = nil
-	return first
+	return d.reap(false)
 }
 
-// runLivePhase drives one phase attempt: reconfigure (bootstrap or migrate),
+// runPhase drives one phase attempt: reconfigure (bootstrap or migrate),
 // release, then collect completions and run the directory ship.
-func (d *liveDriver) runLivePhase(ph Phase) error {
-	epoch := d.coord.BeginEpoch()
+func (d *driver) runPhase(ph Phase) error {
+	epoch := d.coord.beginEpoch()
 	newN := len(ph.Placement.Assignment)
 	oldN := len(d.workers)
+	rc := reconfig{Epoch: epoch, Steps: ph.Steps, Kind: kindFresh, Placement: ph.Placement}
 
-	var next []*liveHandle
-	var leavers []*liveHandle
+	var next, leavers []*handle
+	var err error
 	if oldN == 0 {
-		// bootstrap: a fresh set, from nothing or from the directory
-		for i := 0; i < newN; i++ {
-			d.spawn(epoch)
-		}
-		conns, addrs, err := d.coord.admit(epoch, newN)
-		if err != nil {
-			for _, cn := range conns {
-				cn.Close()
-			}
-			return err
-		}
-		next = make([]*liveHandle, newN)
-		for slot := range next {
-			next[slot] = &liveHandle{ctrl: conns[slot], addr: addrs[slot]}
-		}
-		rc := reconfig{Epoch: epoch, Steps: ph.Steps, Kind: kindFresh, LeaderAddr: addrs[0], Placement: ph.Placement, WarmAddrs: addrs}
+		// bootstrap: a fresh set, from nothing or from the directory. Under
+		// the restart policy every phase comes through here.
 		if d.dirHas {
 			rc.Kind = kindContainer
-			container, err := checkpoint.EncodeContainer(d.dirM, d.dirSet)
-			if err != nil {
+			if rc.Container, err = checkpoint.EncodeContainer(d.dirM, d.dirSet); err != nil {
 				return fmt.Errorf("dist: directory container: %w", err)
 			}
-			rc.Container = container
 		}
-		for slot, h := range next {
-			rc.Slot = slot
-			if err := WriteFrame(h.ctrl, MsgReconfigure, encodeReconfig(rc)); err != nil {
-				return err
-			}
+		if next, err = d.admitWorkers(epoch, newN); err != nil {
+			return err
 		}
 	} else {
 		// migrate: stayers keep their slots, joiners are admitted into the
@@ -231,57 +222,47 @@ func (d *liveDriver) runLivePhase(ph Phase) error {
 		if !d.dirHas {
 			return fmt.Errorf("dist: migrating with an empty shard directory")
 		}
-		stay := oldN
-		if newN < stay {
-			stay = newN
+		rc.Kind, rc.Manifest = kindMigrate, d.dirM
+		if rc.Sources, err = d.sourceTable(oldN); err != nil {
+			return err
 		}
-		next = make([]*liveHandle, newN)
+		rc.PeerAddrs = make([]string, oldN)
+		for i, h := range d.workers {
+			rc.PeerAddrs[i] = h.addr
+		}
+		stay := min(oldN, newN)
+		next = make([]*handle, newN)
 		copy(next, d.workers[:stay])
 		leavers = d.workers[stay:]
 		if newN > oldN {
-			for i := oldN; i < newN; i++ {
-				d.spawn(epoch)
-			}
-			conns, addrs, err := d.coord.admit(epoch, newN-oldN)
+			joiners, err := d.admitWorkers(epoch, newN-oldN)
 			if err != nil {
-				for _, cn := range conns {
-					cn.Close()
-				}
 				return err
 			}
-			for i, cn := range conns {
-				next[oldN+i] = &liveHandle{ctrl: cn, addr: addrs[i]}
-			}
-		}
-		sources, err := d.sourceTable(oldN)
-		if err != nil {
-			return err
-		}
-		peers := make([]string, oldN)
-		for i, h := range d.workers {
-			peers[i] = h.addr
-		}
-		warm := make([]string, newN)
-		for i, h := range next {
-			warm[i] = h.addr
-		}
-		rc := reconfig{
-			Epoch: epoch, Steps: ph.Steps, Kind: kindMigrate,
-			LeaderAddr: next[0].addr, Placement: ph.Placement,
-			Manifest: d.dirM, PeerAddrs: peers, Sources: sources,
-			WarmAddrs: warm,
-		}
-		for slot, h := range next {
-			rc.Slot = slot
-			if err := WriteFrame(h.ctrl, MsgReconfigure, encodeReconfig(rc)); err != nil {
-				return err
-			}
+			copy(next[oldN:], joiners)
 		}
 	}
 	// the new set is live from here on: any failure below must close every
 	// control connection, including the leavers', which abort() does
 	d.workers = append(next, leavers...)
 	d.placement = ph.Placement
+
+	rc.LeaderAddr = next[0].addr
+	if d.o.live {
+		// this set may see another boundary: have every worker pre-dial its
+		// peers' shard servers at phase end, off the downtime path. A set the
+		// restart policy is about to reap gets no such head start.
+		rc.WarmAddrs = make([]string, newN)
+		for i, h := range next {
+			rc.WarmAddrs[i] = h.addr
+		}
+	}
+	for slot, h := range next {
+		rc.Slot = slot
+		if err := WriteFrame(h.ctrl, MsgReconfigure, encodeReconfig(rc)); err != nil {
+			return err
+		}
+	}
 
 	// every worker reports ready only after its fetches completed, so once
 	// all are ready nothing references the leavers any more. There is no
@@ -316,12 +297,12 @@ func (d *liveDriver) runLivePhase(ph Phase) error {
 	if err != nil {
 		return err
 	}
-	tShip := d.tr.Now()
+	tShip := d.o.tracer.Now()
 	missing := len(d.dirSet.Missing(m))
 	if err := receiveShards(next[0].ctrl, m, d.dirSet); err != nil {
 		return err
 	}
-	d.tr.Span(d.track, obs.CatShard, "dir.shard-receive", tShip, int64(missing), int64(len(m.Entries)))
+	d.o.tracer.Span(d.track, obs.CatShard, "dir.shard-receive", tShip, int64(missing), int64(len(m.Entries)))
 	if _, err := Expect(next[0].ctrl, MsgPhaseDone); err != nil {
 		return err
 	}
@@ -348,7 +329,7 @@ func (d *liveDriver) runLivePhase(ph Phase) error {
 // after its end-of-phase publish), the meta shard to the leader, and the
 // parameter/moment shards round-robin across the whole old set — every
 // worker holds identical copies of those, so spreading the load is free.
-func (d *liveDriver) sourceTable(oldN int) ([]int, error) {
+func (d *driver) sourceTable(oldN int) ([]int, error) {
 	rankHost := map[int]int{}
 	for slot, ranks := range d.placement.Assignment {
 		for _, r := range ranks {

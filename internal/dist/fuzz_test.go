@@ -121,10 +121,10 @@ func TestReadFrameRandomCorruption(t *testing.T) {
 }
 
 // TestExpectSurfacesReject: Expect on a frame-type mismatch (e.g. a MsgReject
-// where membership was expected) errors rather than misinterpreting payload.
+// where a reconfigure was expected) errors rather than misinterpreting payload.
 func TestExpectSurfacesReject(t *testing.T) {
 	c := &byteConn{r: bytes.NewReader(frameBytes(MsgReject, []byte("stale epoch 1 (current 2)")))}
-	if _, err := Expect(c, MsgMembership); err == nil {
+	if _, err := Expect(c, MsgReconfigure); err == nil {
 		t.Fatal("Expect must reject a mismatched frame type")
 	}
 }

@@ -11,91 +11,6 @@ import (
 	"repro/internal/obs"
 )
 
-// TestLiveClusterMatchesInProcess: the live runtime's single-phase numerics
-// must be bitwise identical to the in-process engine, like the generation
-// runtime's.
-func TestLiveClusterMatchesInProcess(t *testing.T) {
-	cfg := distCfg(4)
-	phases := []Phase{{Placement: core.EvenPlacement(4, device.V100, device.V100), Steps: 8}}
-	ckpt, err := Run(cfg, "electra", phases, WithLiveMigration())
-	if err != nil {
-		t.Fatal(err)
-	}
-	liveJob := restore(t, cfg, ckpt)
-	ref := inProcessReference(t, cfg, "electra", phases)
-	if !core.ParamsEqual(liveJob, ref) {
-		t.Fatal("live cluster diverged from the in-process engine (must be bitwise identical)")
-	}
-	if liveJob.GlobalStep() != 8 {
-		t.Fatalf("progress %d, want 8", liveJob.GlobalStep())
-	}
-}
-
-// TestLiveElasticScaleMatchesFixedDDP: scale-in (leavers serving their shards
-// out), scale-out (joiners restoring from multiple peers), and a
-// heterogeneous mix — all without a stop-restart — must stay bitwise equal
-// to fixed-DoP DDP.
-func TestLiveElasticScaleMatchesFixedDDP(t *testing.T) {
-	cfg := distCfg(4)
-	phases := []Phase{
-		{Placement: core.EvenPlacement(4, device.V100, device.V100, device.V100, device.V100), Steps: 6},
-		{Placement: core.EvenPlacement(4, device.V100), Steps: 6},
-		{Placement: core.EvenPlacement(4, device.V100, device.P100), Steps: 6},
-	}
-	ckpt, err := Run(cfg, "bert", phases, WithLiveMigration())
-	if err != nil {
-		t.Fatal(err)
-	}
-	liveJob := restore(t, cfg, ckpt)
-
-	fixed := []Phase{{Placement: core.EvenPlacement(4, device.V100, device.V100, device.V100, device.V100), Steps: 18}}
-	ref := inProcessReference(t, cfg, "bert", fixed)
-	if !core.ParamsEqual(liveJob, ref) {
-		t.Fatal("live elastic run diverged from fixed-DoP DDP (must be bitwise identical)")
-	}
-}
-
-// TestLiveMatchesGenerationBitwise is the migrate-vs-restart equivalence at
-// the runtime level: the same elastic schedule through the live runtime and
-// through the stop-restart generation runtime must produce bitwise-identical
-// final checkpoints. vgg19 puts dropout RNG and BatchNorm stats — the state
-// that physically migrates between workers — under the comparison.
-func TestLiveMatchesGenerationBitwise(t *testing.T) {
-	cfg := distCfg(4)
-	phases := []Phase{
-		{Placement: core.EvenPlacement(4, device.V100, device.V100), Steps: 4},
-		{Placement: core.EvenPlacement(4, device.V100, device.V100, device.V100), Steps: 4},
-		{Placement: core.EvenPlacement(4, device.V100), Steps: 4},
-	}
-	genCkpt, err := Run(cfg, "vgg19", phases)
-	if err != nil {
-		t.Fatal(err)
-	}
-	liveCkpt, err := Run(cfg, "vgg19", phases, WithLiveMigration())
-	if err != nil {
-		t.Fatal(err)
-	}
-	genJob := restore(t, cfg, genCkpt)
-	liveJob := restore(t, cfg, liveCkpt)
-	if genJob.GlobalStep() != liveJob.GlobalStep() {
-		t.Fatalf("progress: generation %d, live %d", genJob.GlobalStep(), liveJob.GlobalStep())
-	}
-	if !core.ParamsEqual(genJob, liveJob) {
-		t.Fatal("live migration diverged from stop-restart (must be bitwise identical)")
-	}
-}
-
-// TestLiveRejectsNonD1: the live runtime has the same determinism floor as
-// the generation runtime.
-func TestLiveRejectsNonD1(t *testing.T) {
-	cfg := distCfg(2)
-	cfg.Level = core.D0
-	err := RunLiveWorker(LiveSpec{Cfg: cfg, Workload: "neumf", CoordAddr: "127.0.0.1:1"})
-	if err == nil {
-		t.Fatal("live worker accepted a non-D1 config")
-	}
-}
-
 // TestLiveSoakCrashRecoveryBitwise extends the soak matrix to the live
 // runtime and its two new fault sites: a crash during the end-of-phase shard
 // ship to the directory, and a crash in the middle of a live migration. Every
@@ -250,7 +165,7 @@ func scaleDowntimes(t *testing.T, tr *obs.Tracer) []time.Duration {
 // TestLiveDowntimeSpeedup pins the point of the whole subsystem: on the
 // largest model (vgg19), the wall clock a scale event steals — from the
 // elasticity trigger to the first post-scale global step — must drop at
-// least 5× under live migration versus the stop-restart generation runtime.
+// least 5× under live migration versus the stop-restart policy.
 //
 // The schedule's scale events are the ones elasticity actually produces on a
 // shared cluster: scale-in when resources are reclaimed, and a heterogeneous

@@ -13,9 +13,11 @@
 // the averaged buckets; tests assert bitwise equality against the
 // single-process engine.
 //
-// Elasticity works as in the paper: at a scale event the leader emits an
-// on-demand checkpoint, the coordinator holds it, and the next generation of
-// workers restores from it under a new placement.
+// Elasticity works as in the paper: at a scale event the phase leader's
+// on-demand checkpoint — a manifest of content-addressed shards — lands in the
+// coordinator's directory, and the next phase's workers take their state from
+// it under a new placement, either by restarting from the container or, with
+// live migration, by moving only the shards that change hands.
 package dist
 
 import (
@@ -30,39 +32,39 @@ type MsgType uint8
 
 // Protocol frames.
 const (
-	// MsgHello registers a worker with the coordinator: payload is the
-	// worker's listen address (leader) or empty.
+	// MsgHello opens a connection: to the coordinator it carries the worker's
+	// rendezvous epoch and listen address, to a phase leader the dialing
+	// follower's slot.
 	MsgHello MsgType = iota + 1
-	// MsgMembership tells a worker its rank, the leader address, and the
-	// (possibly empty) checkpoint to restore from.
-	MsgMembership
-	// MsgGrads carries one EST's flattened bucket buffers to the leader.
+	// MsgGrads carries one worker's flattened bucket buffers, tagged by
+	// virtual rank, to the leader.
 	MsgGrads
 	// MsgReduced carries the averaged bucket buffers from the leader.
 	MsgReduced
-	// MsgCkpt carries an on-demand checkpoint (leader → coordinator).
+	// MsgCkpt carries one hosted EST context (follower → leader) for the
+	// end-of-phase checkpoint assembly.
 	MsgCkpt
-	// MsgDone signals a worker finished its phase cleanly.
+	// MsgDone closes a follower's EST-context ship.
 	MsgDone
 	// MsgReject refuses a rendezvous hello (payload: reason string); the
 	// coordinator sends it to a worker whose epoch is stale.
 	MsgReject
 
-	// Live-migration control frames (driver ↔ persistent worker, see live.go).
+	// Control frames (driver ↔ worker, see driver.go).
 
-	// MsgReconfigure tells a live worker its slot, steps, and placement for
-	// the next phase, plus how to obtain state: fresh, from a container, or
-	// by migrating shards off its peers.
+	// MsgReconfigure tells a worker its slot, steps, and placement for the
+	// next phase, plus how to obtain state: fresh, from a container, or by
+	// migrating shards off its peers.
 	MsgReconfigure
-	// MsgReady reports a live worker reconfigured, attached, and ready to
+	// MsgReady reports a worker reconfigured, attached, and ready to
 	// train. There is deliberately no "go" frame behind it: a ready worker
 	// enters its phase immediately, halving the control round trips on the
 	// reconfiguration path.
 	MsgReady
-	// MsgDepart tells a live worker its slot no longer exists; it serves
+	// MsgDepart tells a worker its slot no longer exists; it serves
 	// shards until this frame, then exits cleanly.
 	MsgDepart
-	// MsgPhaseDone reports a live worker finished its phase (the leader
+	// MsgPhaseDone reports a worker finished its phase (the leader
 	// sends it after the directory ship completes).
 	MsgPhaseDone
 

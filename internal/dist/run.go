@@ -1,32 +1,34 @@
 package dist
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/obs"
-	"repro/internal/rng"
 )
 
 // Run is the single entry point of the distributed elastic runtime: it
-// executes an elastic training job across TCP worker generations — each
-// phase spawns one networked worker per placement entry, trains for the
-// phase's steps, and hands the on-demand checkpoint to the next generation —
-// and returns the final checkpoint.
+// executes an elastic training job on networked workers over loopback TCP —
+// one worker per placement entry, gradients synchronized through the phase
+// leader, the state of every phase boundary shipped into the coordinator's
+// shard directory — and returns the final checkpoint container.
 //
-// The zero-option call is the plain elastic run. Crash recovery, fault
-// injection, and execution tracing are layered on through options:
+// The zero-option call is the plain stop-restart elastic run, the paper's
+// on-demand checkpoint plus restart: when a phase completes every worker is
+// departed and reaped, and the next phase bootstraps a fresh worker set from
+// the directory's container. WithLiveMigration changes that boundary policy
+// and nothing else. Crash recovery, fault injection, and execution tracing
+// are layered on through the other options:
 //
 //	ckpt, err := dist.Run(cfg, "electra", phases,
 //		dist.WithRetryPolicy(dist.RetryPolicy{MaxRetries: 3}),
 //		dist.WithFaultPlan(plan),
 //		dist.WithTracer(tr))
 //
-// With a retry policy, a phase whose worker generation dies is retried —
-// after a jittered exponential backoff — from the last on-demand checkpoint.
-// A phase is all-or-nothing, so a retried phase reproduces exactly what the
+// With a retry policy, a phase whose worker set dies is retried — after a
+// jittered exponential backoff — from the last completed phase boundary. A
+// phase is all-or-nothing, so a retried phase reproduces exactly what the
 // uninterrupted phase would have computed: training never loses consistency,
 // only time. Every attempt runs under a fresh rendezvous epoch, fencing out
 // stragglers of the dead attempt.
@@ -42,53 +44,30 @@ func Run(cfg core.Config, workload string, phases []Phase, opts ...Option) ([]by
 	defer coord.Close()
 	coord.SetTimeout(resolveTimeout(cfg.DistTimeout))
 
-	tr := o.tracer
-	driver := tr.Track("driver")
-	if o.faults != nil && tr != nil && o.faults.OnFire == nil {
+	d := newDriver(coord, cfg, o)
+	if tr := o.tracer; o.faults != nil && tr != nil && o.faults.OnFire == nil {
 		// Surface every fired fault in the trace. The hook only observes —
 		// firing decisions stay a pure function of (plan seed, epoch, worker).
 		o.faults.OnFire = func(s faults.Site, a faults.Action) {
-			tr.Event(driver, obs.CatFault, "fault.fire", string(s)+":"+a.String(), int64(a), 0)
+			tr.Event(d.track, obs.CatFault, "fault.fire", string(s)+":"+a.String(), int64(a), 0)
 		}
 	}
-	jit := rng.NewNamed(cfg.Seed, "dist-retry")
-
-	if o.live {
-		return runLive(coord, cfg, workload, phases, o, jit)
+	// the in-process launcher: one worker goroutine per admission slot
+	d.spawn = func(epoch uint64, idx int) <-chan error {
+		done := make(chan error, 1)
+		spec := WorkerSpec{
+			Cfg:       cfg,
+			Workload:  workload,
+			CoordAddr: coord.Addr(),
+			Epoch:     epoch,
+			Index:     idx,
+			Faults:    o.faults,
+			Tracer:    o.tracer,
+		}
+		go func() { done <- RunWorker(spec) }()
+		return done
 	}
-
-	var ckpt []byte
-	for pi, ph := range phases {
-		if err := ph.Placement.Validate(cfg.NumESTs); err != nil {
-			return nil, fmt.Errorf("dist: phase %d: %w", pi, err)
-		}
-		tPhase := tr.Now()
-		// the downtime clock starts here: the elasticity decision is made and
-		// the reconfiguration machinery (restart in generation mode, live
-		// migration in live mode) begins
-		tr.Event(driver, obs.CatPhase, "dist.scale-trigger", "", int64(pi), int64(ph.Steps))
-		var next []byte
-		var lastErr error
-		for attempt := 0; attempt <= o.retry.MaxRetries; attempt++ {
-			if attempt > 0 {
-				tr.Event(driver, obs.CatFault, "dist.retry", lastErr.Error(), int64(pi), int64(attempt))
-				time.Sleep(backoff(attempt-1, o.retry.BaseBackoff, o.retry.MaxBackoff, jit))
-			}
-			next, lastErr = runPhase(coord, cfg, workload, ph, ckpt, o.faults, tr)
-			if lastErr == nil {
-				break
-			}
-		}
-		if lastErr != nil {
-			if o.retry.MaxRetries > 0 {
-				return nil, fmt.Errorf("dist: phase %d exhausted retries: %w", pi, lastErr)
-			}
-			return nil, fmt.Errorf("dist: phase %d: %w", pi, lastErr)
-		}
-		ckpt = next
-		tr.Span(driver, obs.CatPhase, "dist.phase", tPhase, int64(pi), int64(ph.Steps))
-	}
-	return ckpt, nil
+	return d.run(phases)
 }
 
 // runOptions is the resolved option set of one Run call.
@@ -103,7 +82,7 @@ type runOptions struct {
 type Option func(*runOptions)
 
 // WithRetryPolicy enables crash recovery: a failed phase attempt is retried
-// up to p.MaxRetries times from the last on-demand checkpoint.
+// up to p.MaxRetries times from the last completed phase boundary.
 func WithRetryPolicy(p RetryPolicy) Option { return func(o *runOptions) { o.retry = p } }
 
 // WithFaultPlan injects the seeded fault campaign into every worker of every
@@ -112,18 +91,18 @@ func WithRetryPolicy(p RetryPolicy) Option { return func(o *runOptions) { o.retr
 func WithFaultPlan(plan *faults.Plan) Option { return func(o *runOptions) { o.faults = plan } }
 
 // WithTracer records the run's execution trace: phase spans and retry events
-// on the driver track, per-worker network spans (gather, broadcast,
-// checkpoint shipping), and fault-fire events. Tracing never touches the
+// on the driver track, per-worker reconfigure and network spans (gather,
+// broadcast, context and shard shipping), and fault-fire events. Tracing never touches the
 // training numerics.
 func WithTracer(tr *obs.Tracer) Option { return func(o *runOptions) { o.tracer = tr } }
 
-// WithLiveMigration switches Run to the live elastic runtime: workers persist
-// across phases, a scale event migrates only the EST contexts that change
-// hands (as content-addressed shards fetched peer-to-peer), joiners restore
-// in parallel from multiple peers, and the coordinator keeps an incrementally
-// shipped shard directory for crash recovery. Numerics are bitwise identical
-// to the generation runtime — the tests pin it — only the reconfiguration
-// mechanics change.
+// WithLiveMigration switches the boundary policy from stop-restart to live
+// migration: workers persist across phases, a scale event migrates only the
+// EST contexts that change hands (as content-addressed shards fetched
+// peer-to-peer), joiners restore in parallel from multiple peers, and data-
+// plane connections are kept and pre-dialled across the boundary. Numerics
+// are bitwise identical under both policies — the tests pin it — only the
+// reconfiguration mechanics change.
 func WithLiveMigration() Option { return func(o *runOptions) { o.live = true } }
 
 // RetryPolicy shapes the phase retry loop of Run.

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"maps"
 	"testing"
 	"time"
 
@@ -31,40 +32,80 @@ func TestRunTracedMatchesUntraced(t *testing.T) {
 		{Placement: core.EvenPlacement(4, device.V100, device.V100), Steps: 4},
 		{Placement: core.EvenPlacement(4, device.V100), Steps: 4},
 	}
-	plain, err := Run(cfg, "neumf", phases)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := obs.New()
-	traced, err := Run(cfg, "neumf", phases, WithTracer(tr))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !core.ParamsEqual(restore(t, cfg, plain), restore(t, cfg, traced)) {
-		t.Fatal("traced distributed run diverged from the untraced run")
-	}
+	for _, pol := range policies {
+		t.Run(pol.name, func(t *testing.T) {
+			plain, err := Run(cfg, "neumf", phases, pol.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr := obs.New()
+			traced, err := Run(cfg, "neumf", phases, append([]Option{WithTracer(tr)}, pol.opts...)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !core.ParamsEqual(restore(t, cfg, plain), restore(t, cfg, traced)) {
+				t.Fatal("traced distributed run diverged from the untraced run")
+			}
 
-	tracks := map[string]bool{}
-	for _, n := range tr.TrackNames() {
-		tracks[n] = true
+			tracks := map[string]bool{}
+			for _, n := range tr.TrackNames() {
+				tracks[n] = true
+			}
+			for _, want := range []string{"driver", "worker-0", "worker-1"} {
+				if !tracks[want] {
+					t.Errorf("track %q missing (got %v)", want, tr.TrackNames())
+				}
+			}
+			names := spanNames(tr)
+			if names["dist.phase"] != len(phases) {
+				t.Errorf("dist.phase spans = %d, want %d", names["dist.phase"], len(phases))
+			}
+			// leader-side and follower-side network seams (phase 0 has a follower)
+			for _, want := range []string{
+				"net.gather", "net.reduce", "net.broadcast", "net.ckpt-ship",
+				"net.send-grads", "net.wait-reduced", "net.shard-ship", "live.reconfigure",
+			} {
+				if names[want] == 0 {
+					t.Errorf("no %q spans recorded (got %v)", want, names)
+				}
+			}
+		})
 	}
-	for _, want := range []string{"driver", "worker-0", "worker-1"} {
-		if !tracks[want] {
-			t.Errorf("track %q missing (got %v)", want, tr.TrackNames())
+}
+
+// TestRestartPolicyBootstrapsEveryPhase pins that the default policy is a
+// real stop-restart and not a relabelled migration: every worker of every
+// phase is reconfigured exactly once, from nothing (phase 0) or from the
+// directory's container (every later phase) and never by migrating, while
+// the same schedule under the live policy reconfigures by migration at every
+// boundary it can.
+func TestRestartPolicyBootstrapsEveryPhase(t *testing.T) {
+	cfg := distCfg(4)
+	phases := []Phase{
+		{Placement: core.EvenPlacement(4, device.V100, device.V100), Steps: 2},
+		{Placement: core.EvenPlacement(4, device.V100, device.V100, device.V100), Steps: 2},
+		{Placement: core.EvenPlacement(4, device.V100), Steps: 2},
+	}
+	kinds := func(opts ...Option) map[int]int {
+		tr := obs.New()
+		if _, err := Run(cfg, "neumf", phases, append(opts, WithTracer(tr))...); err != nil {
+			t.Fatal(err)
 		}
-	}
-	names := spanNames(tr)
-	if names["dist.phase"] != len(phases) {
-		t.Errorf("dist.phase spans = %d, want %d", names["dist.phase"], len(phases))
-	}
-	// leader-side and follower-side network seams (phase 1 has a follower)
-	for _, want := range []string{
-		"net.gather", "net.reduce", "net.broadcast", "net.ckpt-ship",
-		"net.send-grads", "net.wait-reduced",
-	} {
-		if names[want] == 0 {
-			t.Errorf("no %q spans recorded (got %v)", want, names)
+		byKind := map[int]int{}
+		for _, track := range tr.Spans() {
+			for _, s := range track {
+				if s.Name == "live.reconfigure" {
+					byKind[int(s.A0)]++
+				}
+			}
 		}
+		return byKind
+	}
+	if got, want := kinds(), (map[int]int{kindFresh: 2, kindContainer: 3 + 1}); !maps.Equal(got, want) {
+		t.Errorf("restart policy reconfigure kinds %v, want %v", got, want)
+	}
+	if got, want := kinds(WithLiveMigration()), (map[int]int{kindFresh: 2, kindMigrate: 3 + 1}); !maps.Equal(got, want) {
+		t.Errorf("live policy reconfigure kinds %v, want %v", got, want)
 	}
 }
 

@@ -14,12 +14,13 @@ import (
 // Everything decodes through the checkpoint reader with the same
 // allocation-bomb bounds as the gradient codecs.
 
-// reconfigure kinds: how a live worker obtains its phase-entry state.
+// reconfigure kinds: how a worker obtains its phase-entry state.
 const (
 	// kindFresh builds a new job (first phase of a run).
 	kindFresh = iota
-	// kindContainer restores from a self-contained shard container
-	// (bootstrap after a failure, from the coordinator directory).
+	// kindContainer restores from a self-contained shard container of the
+	// coordinator directory: every boundary of the restart policy, and the
+	// re-bootstrap after a failure under either policy.
 	kindContainer
 	// kindMigrate assembles state live: stayers keep their job and fetch
 	// only migrating EST shards; joiners fetch the full manifest off their
@@ -44,10 +45,11 @@ type reconfig struct {
 	Manifest  checkpoint.Manifest
 	PeerAddrs []string
 	Sources   []int
-	// WarmAddrs lists the phase's worker set (every kind): at phase end each
-	// worker pre-dials these shard servers into its peer-connection cache,
-	// so the next boundary's migration fetch starts with zero dials on the
-	// downtime path.
+	// WarmAddrs lists the phase's worker set under the live policy (every
+	// kind): at phase end each worker pre-dials these shard servers into its
+	// peer-connection cache, so the next boundary's migration fetch starts
+	// with zero dials on the downtime path. The restart policy leaves it
+	// empty — its sets never see a second boundary.
 	WarmAddrs []string
 }
 

@@ -9,8 +9,8 @@ import (
 	"repro/internal/faults"
 )
 
-// soakPhases is the elastic schedule every soak campaign runs: six
-// generations sweeping scale-out, scale-in, and a heterogeneous mix.
+// soakPhases is the elastic schedule every soak campaign runs: six phases
+// sweeping scale-out, scale-in, and a heterogeneous mix.
 func soakPhases() []Phase {
 	return []Phase{
 		{Placement: core.EvenPlacement(4, device.V100, device.V100), Steps: 3},
@@ -33,10 +33,11 @@ func soakTotalSteps() int {
 // TestSoakCrashRecoveryBitwise is the capstone of the fault-hardened
 // runtime: seeded fault campaigns — crashes at the dial, gather, and
 // checkpoint-ship sites, connection drops, and a mixed randomized sweep —
-// are injected into a six-phase elastic TCP run. Every campaign must
-// recover via epoch-fenced, backoff-retried phase attempts and finish with
-// a checkpoint bitwise identical to an uninterrupted in-process run: the
-// paper's consistency guarantee extended to the failure path.
+// are injected into a six-phase elastic TCP run under the restart policy.
+// Every campaign must recover via epoch-fenced, backoff-retried phase
+// attempts and finish with a checkpoint bitwise identical to an
+// uninterrupted in-process run: the paper's consistency guarantee extended
+// to the failure path.
 //
 // Convergence is provable, not probabilistic: each fired fault dooms at
 // most one phase attempt, and every campaign keeps Budget ≤ MaxRetries.
@@ -47,8 +48,8 @@ func TestSoakCrashRecoveryBitwise(t *testing.T) {
 		plan    *faults.Plan
 	}{
 		{
-			// a worker that dies before rendezvous: the generation times
-			// out admitting workers and the phase retries under a new epoch
+			// a worker that dies before rendezvous: admission times out and
+			// the phase retries under a new epoch
 			name:    "dial-crash",
 			timeout: 1500 * time.Millisecond,
 			plan: &faults.Plan{

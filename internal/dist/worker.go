@@ -3,78 +3,418 @@ package dist
 import (
 	"fmt"
 	"net"
+	"sync"
 	"time"
 
 	"repro/internal/checkpoint"
-	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/obs"
-	"repro/internal/pool"
 )
+
+// A worker is persistent: it rendezvouses once, then serves reconfigure
+// frames until the driver departs it. The boundary policies (driver.go)
+// differ only in how long the driver lets it live: under live migration it
+// survives scale events, keeping its job, its connections and every shard
+// that does not change hands; under stop-restart it is departed when its phase
+// completes, so it sees exactly one bootstrap reconfigure and none of the
+// kept-connection paths below is ever taken. Either way the manifest — not
+// shard arrival order — defines the decoded layout, so peer scheduling cannot
+// affect numerics.
 
 // WorkerSpec is what the launcher hands every worker process: the job
 // definition (identical everywhere, like a training script plus launcher
-// args) and the coordinator rendezvous address. Rank, leader address, steps,
-// and the restore checkpoint arrive over the wire in the membership frame.
+// args) and the coordinator rendezvous address. Slot, placement, steps and
+// the phase-entry state arrive over the wire in reconfigure frames.
 type WorkerSpec struct {
 	Cfg       core.Config
 	Workload  string
-	Placement core.Placement
 	CoordAddr string
-	// Epoch is the rendezvous generation this worker belongs to; the
-	// coordinator rejects hellos from any other epoch, fencing stragglers
-	// of a crashed attempt out of the retry generation.
+	// Epoch is the admission epoch of the rendezvous hello; the coordinator
+	// rejects hellos from any other epoch, fencing stragglers of a crashed
+	// attempt out of the retry.
 	Epoch uint64
-	// Faults, when non-nil, is this worker's deterministic fault injector
-	// (derived from a faults.Plan per epoch and worker index).
-	Faults *faults.Injector
-	// Tracer, when non-nil, records this worker's network spans (gather,
-	// broadcast, checkpoint shipping) on a per-worker track. Tracing is
-	// observation only — it never touches gradient bytes or frame contents.
+	// Index is the launcher's spawn index within Epoch. With Epoch it seeds
+	// the pre-rendezvous fault injector, which exists before the worker has
+	// been assigned a slot.
+	Index int
+	// Faults is the run's shared fault campaign; the worker derives a fresh
+	// deterministic injector from it for every (phase epoch, slot) pair.
+	Faults *faults.Plan
+	// Tracer, when non-nil, records this worker's network spans on a
+	// per-slot track. Tracing is observation only — it never touches
+	// gradient bytes or frame contents.
 	Tracer *obs.Tracer
 }
 
-// injectFault consults the worker's injector at a site. A Crash closes the
-// given connections and returns an error wrapping faults.ErrInjectedCrash; a
-// ConnDrop closes them silently so the failure surfaces on the next I/O; a
-// Delay stalls in place.
-func injectFault(in *faults.Injector, site faults.Site, conns ...net.Conn) error {
-	act, d := in.Check(site)
-	switch act {
-	case faults.Crash:
-		for _, c := range conns {
-			if c != nil {
-				c.Close()
-			}
-		}
-		return fmt.Errorf("dist: %w at %s", faults.ErrInjectedCrash, site)
-	case faults.ConnDrop:
-		for _, c := range conns {
-			if c != nil {
-				c.Close()
-			}
-		}
-	case faults.Delay:
-		time.Sleep(d)
-	}
-	return nil
+// helloConn is an accepted connection whose first frame was a MsgHello —
+// a next-phase follower for the training loop to adopt.
+type helloConn struct {
+	conn    net.Conn
+	payload []byte
 }
 
-// fnvHash folds a string FNV-64 style, for deriving per-worker jitter seeds.
-func fnvHash(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
+// worker is one worker's process state: its listener (owned by the
+// background server goroutine), the published shard snapshot it serves to
+// peers, the hello queue feeding the leader's follower admission, and the
+// data-plane connections kept alive across phases.
+type worker struct {
+	spec    WorkerSpec
+	ln      net.Listener
+	timeout time.Duration
+	helloCh chan helloConn
+
+	mu     sync.Mutex
+	pubSet *checkpoint.ShardSet
+
+	// prevRanks is the virtual-rank set this worker hosted in the phase
+	// that just ended — the stay-set of the next migration diff.
+	prevRanks map[int]bool
+
+	// followers (on the leader) and leaderConn/leaderAddr (on a follower)
+	// are the gradient-plane connections of the last phase, kept open so a
+	// scale event between two surviving endpoints costs no dial at all.
+	followers  []follower
+	leaderConn net.Conn
+	leaderAddr string
+
+	// peerConns caches shard-fetch connections by peer address across
+	// boundaries; the peer's shard-server loop keeps its end open, so a
+	// stayer's next migration fetch skips the dial too.
+	peerMu    sync.Mutex
+	peerConns map[string]net.Conn
 }
 
-// RunWorker executes one worker process: rendezvous with the coordinator,
-// build (or restore) the job, run the phase's global steps with gradient
-// synchronization over TCP, then ship the hosted EST contexts (and, on the
-// leader, the assembled on-demand checkpoint) back.
+// peerConn checks a cached shard-fetch connection out of the pool (at most
+// one goroutine uses a peer connection at a time).
+func (w *worker) peerConn(addr string) net.Conn {
+	w.peerMu.Lock()
+	defer w.peerMu.Unlock()
+	c := w.peerConns[addr]
+	delete(w.peerConns, addr)
+	return c
+}
+
+// warmPeers pre-dials the given shard servers into the peer-connection
+// cache. It runs at phase end, off the reconfiguration critical path, so the
+// next boundary's migration fetch starts with zero dials inside the downtime
+// window. Best effort: a failed warm dial just means the fetch path dials
+// fresh, as before.
+func (w *worker) warmPeers(addrs []string) {
+	self := w.ln.Addr().String()
+	for _, a := range addrs {
+		if a == self {
+			continue
+		}
+		w.peerMu.Lock()
+		_, ok := w.peerConns[a]
+		w.peerMu.Unlock()
+		if ok {
+			continue
+		}
+		c, err := net.DialTimeout("tcp", a, w.timeout)
+		if err != nil {
+			continue
+		}
+		w.keepPeerConn(a, withDeadline(c, w.timeout))
+	}
+}
+
+// keepPeerConn returns a healthy shard-fetch connection to the pool.
+func (w *worker) keepPeerConn(addr string, c net.Conn) {
+	w.peerMu.Lock()
+	defer w.peerMu.Unlock()
+	if w.peerConns == nil {
+		w.peerConns = map[string]net.Conn{}
+	}
+	if _, ok := w.peerConns[addr]; ok {
+		c.Close()
+		return
+	}
+	w.peerConns[addr] = c
+}
+
+// publish installs the worker's end-of-phase shard snapshot for peer
+// serving. The previous snapshot stays served until replaced: its byte
+// slices are immutable and content-addressed, so a peer that is still
+// fetching off it by hash can never observe anything but the exact bytes it
+// asked for.
+func (w *worker) publish(set *checkpoint.ShardSet) {
+	w.mu.Lock()
+	w.pubSet = set
+	w.mu.Unlock()
+}
+
+// lookup resolves a content hash against the published snapshot.
+func (w *worker) lookup(hash uint64) ([]byte, bool) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.pubSet == nil {
+		return nil, false
+	}
+	return w.pubSet.Get(hash)
+}
+
+// closeDataPlane shuts every kept gradient-plane and shard-fetch connection,
+// on worker exit.
+func (w *worker) closeDataPlane() {
+	for _, f := range w.followers {
+		f.conn.Close()
+	}
+	w.followers = nil
+	if w.leaderConn != nil {
+		w.leaderConn.Close()
+		w.leaderConn = nil
+	}
+	w.peerMu.Lock()
+	for _, c := range w.peerConns {
+		c.Close()
+	}
+	w.peerConns = nil
+	w.peerMu.Unlock()
+}
+
+// serve owns the worker's listener for the worker's whole lifetime, routing
+// each accepted connection by its first frame: hellos go to the training
+// loop (next-phase followers dialing their leader), shard requests are
+// answered from the published snapshot. It exits when the listener closes.
+func (w *worker) serve() {
+	for {
+		c, err := w.ln.Accept()
+		if err != nil {
+			return
+		}
+		go w.serveConn(withDeadline(c, w.timeout))
+	}
+}
+
+func (w *worker) serveConn(c net.Conn) {
+	for {
+		t, payload, err := ReadFrame(c)
+		if err != nil {
+			c.Close()
+			return
+		}
+		switch t {
+		case MsgHello:
+			select {
+			case w.helloCh <- helloConn{conn: c, payload: payload}:
+				// ownership transferred to the training loop
+			default:
+				c.Close()
+			}
+			return
+		case MsgShardGet:
+			r := checkpoint.NewReader(payload)
+			hash, err := r.Uint64()
+			if err != nil {
+				c.Close()
+				return
+			}
+			b, ok := w.lookup(hash)
+			if !ok {
+				if WriteFrame(c, MsgReject, []byte(fmt.Sprintf("shard %016x not held", hash))) != nil {
+					c.Close()
+					return
+				}
+				continue
+			}
+			if WriteFrame(c, MsgShard, encodeShard(hash, b)) != nil {
+				c.Close()
+				return
+			}
+		default:
+			c.Close()
+			return
+		}
+	}
+}
+
+// adoptFollowers assembles the leader's follower set for the next phase.
+// Connections kept from the previous phase are reused for every slot that
+// survives into the new placement (their workers are the same processes —
+// slots are stable across a scale event); conns to departing slots are
+// closed, and only genuinely new slots are awaited on the hello queue.
+// Expect sets are always recomputed from the new placement. The resulting
+// set is stored on the worker for the next phase; closeDataPlane reaps it
+// on worker exit, so errors here simply propagate.
+func (w *worker) adoptFollowers(p core.Placement, stayed bool) ([]follower, error) {
+	n := len(p.Assignment) - 1
+	// bySlot[slot] receives each connection into its claimed slot, so the
+	// assembled follower order is slot order no matter in which order hellos
+	// arrive (or which connections are reused).
+	bySlot := make([]net.Conn, n+1)
+	have := 0
+	// keep w.followers current while collecting: on an error return the
+	// worker exits and closeDataPlane reaps exactly these connections
+	sync := func() {
+		fs := make([]follower, 0, have)
+		for slot := 1; slot <= n; slot++ {
+			if bySlot[slot] != nil {
+				fs = append(fs, follower{conn: bySlot[slot], worker: slot})
+			}
+		}
+		w.followers = fs
+	}
+	for _, f := range w.followers {
+		if stayed && f.worker >= 1 && f.worker <= n && bySlot[f.worker] == nil {
+			bySlot[f.worker] = f.conn
+			have++
+		} else {
+			f.conn.Close()
+		}
+	}
+	sync()
+	deadline := time.NewTimer(w.timeout)
+	defer deadline.Stop()
+	for have < n {
+		var hc helloConn
+		select {
+		case hc = <-w.helloCh:
+		case <-deadline.C:
+			return nil, fmt.Errorf("dist: leader adopted %d of %d followers before deadline", have, n)
+		}
+		r := checkpoint.NewReader(hc.payload)
+		slot, err := r.Int()
+		if err != nil {
+			hc.conn.Close()
+			return nil, err
+		}
+		if slot < 1 || slot >= len(p.Assignment) {
+			hc.conn.Close()
+			return nil, fmt.Errorf("dist: follower claims worker rank %d outside [1,%d)", slot, len(p.Assignment))
+		}
+		if bySlot[slot] != nil {
+			hc.conn.Close()
+			return nil, fmt.Errorf("dist: duplicate follower for worker rank %d", slot)
+		}
+		bySlot[slot] = hc.conn
+		have++
+		sync()
+	}
+	out := make([]follower, 0, n)
+	for slot := 1; slot <= n; slot++ {
+		expect := make(map[int]bool, len(p.Assignment[slot]))
+		for _, v := range p.Assignment[slot] {
+			expect[v] = true
+		}
+		out = append(out, follower{conn: bySlot[slot], worker: slot, expect: expect})
+	}
+	w.followers = out
+	return out, nil
+}
+
+// fetchShards performs the parallel multi-peer fetch: the wanted manifest
+// entries, grouped by their source peer, are pulled over one connection per
+// peer concurrently, verified against their content addresses, and merged
+// into one store. want filters the manifest (joiners take everything,
+// stayers only their migrating EST shards).
+func (w *worker) fetchShards(m checkpoint.Manifest, sources []int, peers []string, want func(checkpoint.ManifestEntry) bool, jitterSeed uint64) (*checkpoint.ShardSet, error) {
+	perPeer := make([][]uint64, len(peers))
+	seen := map[uint64]bool{}
+	for i, e := range m.Entries {
+		if !want(e) || seen[e.Hash] {
+			continue
+		}
+		seen[e.Hash] = true
+		perPeer[sources[i]] = append(perPeer[sources[i]], e.Hash)
+	}
+
+	type result struct {
+		shards map[uint64][]byte
+		err    error
+	}
+	var wg sync.WaitGroup
+	results := make([]result, len(peers))
+	for pi, hashes := range perPeer {
+		if len(hashes) == 0 {
+			continue
+		}
+		wg.Add(1)
+		go func(pi int, hashes []uint64) {
+			defer wg.Done()
+			got, err := w.fetchFromPeer(peers[pi], hashes, jitterSeed^uint64(pi))
+			results[pi] = result{shards: got, err: err}
+		}(pi, hashes)
+	}
+	wg.Wait()
+
+	set := checkpoint.NewShardSet()
+	for pi, res := range results {
+		if res.err != nil {
+			return nil, fmt.Errorf("dist: fetch from peer %d (%s): %w", pi, peers[pi], res.err)
+		}
+		for h, b := range res.shards {
+			if err := set.Add(h, b); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return set, nil
+}
+
+// fetchFromPeer pulls a hash list off one peer over a single connection,
+// preferring a cached connection from an earlier boundary. A stale cached
+// connection (idle past the peer's serve deadline, or the peer departed)
+// fails fast and falls back to a fresh dial.
+func (w *worker) fetchFromPeer(addr string, hashes []uint64, jitterSeed uint64) (map[uint64][]byte, error) {
+	if c := w.peerConn(addr); c != nil {
+		out, err := requestShards(c, hashes)
+		if err == nil {
+			w.keepPeerConn(addr, c)
+			return out, nil
+		}
+		c.Close()
+	}
+	c, err := dialRetry(addr, w.timeout, jitterSeed)
+	if err != nil {
+		return nil, err
+	}
+	out, err := requestShards(c, hashes)
+	if err != nil {
+		c.Close()
+		return nil, err
+	}
+	w.keepPeerConn(addr, c)
+	return out, nil
+}
+
+// requestShards runs the MsgShardGet dialog for a hash list on one
+// connection, verifying every answer against its content address.
+func requestShards(c net.Conn, hashes []uint64) (map[uint64][]byte, error) {
+	out := make(map[uint64][]byte, len(hashes))
+	for _, h := range hashes {
+		req := checkpoint.NewWriter()
+		req.PutUint64(h)
+		if err := WriteFrame(c, MsgShardGet, req.Bytes()); err != nil {
+			return nil, err
+		}
+		t, payload, err := ReadFrame(c)
+		if err != nil {
+			return nil, err
+		}
+		if t == MsgReject {
+			return nil, fmt.Errorf("dist: peer rejected shard %016x: %s", h, payload)
+		}
+		if t != MsgShard {
+			return nil, fmt.Errorf("dist: expected shard frame, got %d", t)
+		}
+		gotHash, b, err := decodeShard(payload)
+		if err != nil {
+			return nil, err
+		}
+		if gotHash != h {
+			return nil, fmt.Errorf("dist: peer answered shard %016x with %016x", h, gotHash)
+		}
+		out[h] = b
+	}
+	return out, nil
+}
+
+// RunWorker executes one worker process: rendezvous with the coordinator
+// once, then loop on control frames — reconfigure (obtain state, attach, train
+// one phase with gradient synchronization over TCP, publish shards) until the
+// driver sends MsgDepart.
 //
 // Every network operation is bounded by the configured timeout
 // (core.Config.DistTimeout / EASYSCALE_DIST_TIMEOUT / DefaultTimeout): dials
@@ -91,526 +431,264 @@ func RunWorker(spec WorkerSpec) error {
 		return fmt.Errorf("dist: distributed runtime requires D1 determinism (got %v)", spec.Cfg.Level)
 	}
 	timeout := resolveTimeout(spec.Cfg.DistTimeout)
-
-	// every worker opens a listener; the coordinator elects rank 0 leader
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return err
 	}
 	defer ln.Close()
+	w := &worker{
+		spec:    spec,
+		ln:      ln,
+		timeout: timeout,
+		helloCh: make(chan helloConn, 64),
+	}
+	defer w.closeDataPlane()
+	go w.serve()
+
+	// the pre-rendezvous crash site: a worker that dies here never says
+	// hello, so the driver's admission times out and the attempt is retried
+	// under a fresh epoch
+	if err := injectFault(spec.Faults.Injector(spec.Epoch, spec.Index), faults.Dial); err != nil {
+		return err
+	}
 	// the listener address is unique per worker, so it doubles as the
 	// per-worker jitter discriminator for dial backoff
 	jitterSeed := spec.Cfg.Seed ^ spec.Epoch ^ fnvHash(ln.Addr().String())
-
-	if err := injectFault(spec.Faults, faults.Dial); err != nil {
-		return err
-	}
-	coord, err := dialRetry(spec.CoordAddr, timeout, jitterSeed)
+	ctrl, err := dialRetry(spec.CoordAddr, timeout, jitterSeed)
 	if err != nil {
 		return fmt.Errorf("dist: dial coordinator: %w", err)
 	}
-	defer coord.Close()
-
+	defer ctrl.Close()
 	hello := checkpoint.NewWriter()
 	hello.PutUint64(spec.Epoch)
 	hello.PutString(ln.Addr().String())
-	if err := WriteFrame(coord, MsgHello, hello.Bytes()); err != nil {
+	if err := WriteFrame(ctrl, MsgHello, hello.Bytes()); err != nil {
 		return err
-	}
-	t, memRaw, err := ReadFrame(coord)
-	if err != nil {
-		return err
-	}
-	if t == MsgReject {
-		return fmt.Errorf("dist: rendezvous rejected: %s", memRaw)
-	}
-	if t != MsgMembership {
-		return fmt.Errorf("dist: expected membership frame, got %d", t)
-	}
-	mr := checkpoint.NewReader(memRaw)
-	memEpoch, err := mr.Uint64()
-	if err != nil {
-		return err
-	}
-	if memEpoch != spec.Epoch {
-		return fmt.Errorf("dist: membership epoch %d does not match worker epoch %d", memEpoch, spec.Epoch)
-	}
-	rank, err := mr.Int()
-	if err != nil {
-		return err
-	}
-	leaderAddr, err := mr.String()
-	if err != nil {
-		return err
-	}
-	steps, err := mr.Int()
-	if err != nil {
-		return err
-	}
-	ckptStr, err := mr.String()
-	if err != nil {
-		return err
-	}
-	var ckpt []byte
-	if len(ckptStr) > 0 {
-		ckpt = []byte(ckptStr)
 	}
 
-	// build the job
 	var job *core.Job
-	if ckpt != nil {
-		job, err = core.RestoreJob(spec.Cfg, ckpt)
-	} else {
-		job, err = core.NewJob(spec.Cfg, spec.Workload)
-	}
-	if err != nil {
-		return err
-	}
-	if err := job.Attach(spec.Placement); err != nil {
-		return err
-	}
-	// one trace track per worker rank; Track is a no-op (-1) on a nil tracer
-	track := spec.Tracer.Track(fmt.Sprintf("worker-%d", rank))
-
-	if rank == 0 {
-		return runLeader(job, spec, ln, coord, steps, timeout, track)
-	}
-	ln.Close()
-	return runFollower(job, spec, rank, leaderAddr, coord, steps, timeout, jitterSeed, track)
-}
-
-// myRanks returns the virtual ranks a placement worker hosts.
-func myRanks(p core.Placement, worker int) []int { return p.Assignment[worker] }
-
-// encodeGrads packs one worker's full contribution for a step: every hosted
-// EST's flattened bucket buffers, tagged by virtual rank.
-func encodeGrads(step int, bufs map[int][][]float32, order []int) []byte {
-	w := checkpoint.NewWriter()
-	w.PutInt(step)
-	w.PutInt(len(order))
-	for _, vrank := range order {
-		w.PutInt(vrank)
-		buckets := bufs[vrank]
-		w.PutInt(len(buckets))
-		for _, b := range buckets {
-			w.PutFloat32s(b)
+	for {
+		t, payload, err := ReadFrame(ctrl)
+		if err != nil {
+			return err
 		}
-	}
-	return w.Bytes()
-}
-
-func decodeGrads(data []byte) (step int, byRank map[int][][]float32, err error) {
-	r := checkpoint.NewReader(data)
-	if step, err = r.Int(); err != nil {
-		return
-	}
-	var nr int
-	if nr, err = r.Int(); err != nil {
-		return
-	}
-	// every rank entry needs at least its vrank and bucket-count words, so
-	// a count beyond Remaining()/16 is corruption, not data — reject it
-	// before it turns into an allocation bomb
-	if nr < 0 || nr > r.Remaining()/16 {
-		return 0, nil, fmt.Errorf("dist: grads frame declares %d ranks in %d bytes", nr, r.Remaining())
-	}
-	byRank = make(map[int][][]float32, nr)
-	for i := 0; i < nr; i++ {
-		var vrank, nb int
-		if vrank, err = r.Int(); err != nil {
-			return
-		}
-		if _, dup := byRank[vrank]; dup {
-			return 0, nil, fmt.Errorf("dist: duplicate virtual rank %d in grads frame", vrank)
-		}
-		if nb, err = r.Int(); err != nil {
-			return
-		}
-		if nb < 0 || nb > r.Remaining()/8 {
-			return 0, nil, fmt.Errorf("dist: grads frame declares %d buckets in %d bytes", nb, r.Remaining())
-		}
-		buckets := make([][]float32, nb)
-		for b := range buckets {
-			if buckets[b], err = r.Float32s(); err != nil {
-				return
+		switch t {
+		case MsgReject:
+			return fmt.Errorf("dist: rendezvous rejected: %s", payload)
+		case MsgDepart:
+			return nil
+		case MsgReconfigure:
+			rc, err := decodeReconfig(payload)
+			if err != nil {
+				return err
 			}
+			inj := spec.Faults.Injector(rc.Epoch, rc.Slot)
+			// a stayer keeps its process, its job, and its data-plane
+			// connections across the boundary; decided before reconfigure
+			// mutates the job pointer
+			stayed := rc.Kind == kindMigrate && job != nil
+			// one trace track per slot; Track is a no-op (-1) on a nil tracer
+			track := spec.Tracer.Track(fmt.Sprintf("worker-%d", rc.Slot))
+			tRec := spec.Tracer.Now()
+			if job, err = w.reconfigure(job, rc, inj, ctrl, track, jitterSeed); err != nil {
+				return err
+			}
+			spec.Tracer.Span(track, obs.CatPhase, "live.reconfigure", tRec, int64(rc.Kind), int64(rc.Slot))
+			if err := WriteFrame(ctrl, MsgReady, nil); err != nil {
+				return err
+			}
+			// no go-barrier: the worker enters the phase straight off Ready.
+			// That is safe because every cross-worker fetch of the boundary
+			// happened inside reconfigure (before Ready), the driver departs
+			// leavers only after collecting every Ready, and published shard
+			// snapshots are immutable content-addressed bytes — a peer still
+			// reading the old snapshot gets exactly the bytes it asked for.
+			if err := w.runPhase(job, rc, inj, ctrl, stayed, track, jitterSeed); err != nil {
+				return err
+			}
+		default:
+			return fmt.Errorf("dist: unexpected control frame %d", t)
 		}
-		byRank[vrank] = buckets
 	}
-	return
 }
 
-func encodeBuckets(buckets [][]float32) []byte {
-	w := checkpoint.NewWriter()
-	w.PutInt(len(buckets))
-	for _, b := range buckets {
-		w.PutFloat32s(b)
-	}
-	return w.Bytes()
-}
-
-func decodeBuckets(data []byte) ([][]float32, error) {
-	r := checkpoint.NewReader(data)
-	n, err := r.Int()
-	if err != nil {
-		return nil, err
-	}
-	if n < 0 || n > r.Remaining()/8 {
-		return nil, fmt.Errorf("dist: buckets frame declares %d buckets in %d bytes", n, r.Remaining())
-	}
-	out := make([][]float32, n)
-	for i := range out {
-		if out[i], err = r.Float32s(); err != nil {
+// reconfigure brings the worker's job to the next phase's entry state.
+// Stayers keep their live job — only the EST contexts newly assigned to this
+// slot migrate in, fetched from the workers that hosted them — and re-attach
+// via core.ScaleLive, skipping the encode/decode/rebuild round trip
+// entirely. Joiners assemble the full state from their peers.
+func (w *worker) reconfigure(job *core.Job, rc reconfig, inj *faults.Injector, ctrl net.Conn, track int, jitterSeed uint64) (*core.Job, error) {
+	spec := w.spec
+	tr := spec.Tracer
+	var err error
+	switch rc.Kind {
+	case kindFresh, kindContainer:
+		if job != nil {
+			return nil, fmt.Errorf("dist: bootstrap reconfigure on a live worker")
+		}
+		if rc.Kind == kindFresh {
+			job, err = core.NewJob(spec.Cfg, spec.Workload)
+		} else {
+			job, err = core.RestoreJob(spec.Cfg, rc.Container)
+		}
+		if err != nil {
 			return nil, err
 		}
-	}
-	return out, nil
-}
-
-// localBuckets flattens the bucket buffers of every EST this worker hosts.
-func localBuckets(job *core.Job, ranks []int) map[int][][]float32 {
-	ddp := job.DDP()
-	out := map[int][][]float32{}
-	for _, r := range ranks {
-		set := job.ESTGradientSet(r)
-		bufs := make([][]float32, ddp.NumBuckets())
-		for b := range bufs {
-			bufs[b] = ddp.FlattenBucket(b, set)
+		if err := job.Attach(rc.Placement); err != nil {
+			return nil, err
 		}
-		out[r] = bufs
-	}
-	return out
-}
-
-// follower is a leader-side handle on one admitted follower: its connection
-// and the exact virtual-rank set it is responsible for.
-type follower struct {
-	conn   net.Conn
-	worker int
-	expect map[int]bool
-}
-
-// acceptFollowers admits every follower, identified by the worker-rank hello
-// each sends after dialing, and pins the virtual ranks it must contribute.
-func acceptFollowers(ln net.Listener, p core.Placement, timeout time.Duration) ([]follower, error) {
-	n := len(p.Assignment) - 1
-	out := make([]follower, 0, n)
-	seen := map[int]bool{}
-	for len(out) < n {
-		c, err := acceptTimeout(ln, timeout)
-		if err != nil {
-			return out, err
+	case kindMigrate:
+		// the mid-migration crash site: fires after the reconfigure frame is
+		// decoded and before any shard moves, so a crashed worker leaves the
+		// boundary half-migrated and the driver must tear down and retry
+		if err := injectFault(inj, faults.Migrate, ctrl); err != nil {
+			return nil, err
 		}
-		payload, err := Expect(c, MsgHello)
-		if err != nil {
-			c.Close()
-			return out, fmt.Errorf("dist: follower hello: %w", err)
-		}
-		r := checkpoint.NewReader(payload)
-		w, err := r.Int()
-		if err != nil {
-			c.Close()
-			return out, err
-		}
-		if w < 1 || w >= len(p.Assignment) {
-			c.Close()
-			return out, fmt.Errorf("dist: follower claims worker rank %d outside [1,%d)", w, len(p.Assignment))
-		}
-		if seen[w] {
-			c.Close()
-			return out, fmt.Errorf("dist: duplicate follower for worker rank %d", w)
-		}
-		seen[w] = true
-		expect := make(map[int]bool, len(p.Assignment[w]))
-		for _, v := range p.Assignment[w] {
-			expect[v] = true
-		}
-		out = append(out, follower{conn: c, worker: w, expect: expect})
-	}
-	return out, nil
-}
-
-// mergeGrads validates one follower's decoded contribution against its
-// assigned virtual ranks — exactly its own set, no duplicates (decodeGrads
-// rejects those), nothing missing, every rank with the full bucket count —
-// and merges it into sets. Without this, a misbehaving or misrouted frame
-// could silently overwrite another EST's gradients or leave a nil slot that
-// panics in the reduce loop.
-func mergeGrads(f follower, byRank map[int][][]float32, sets map[int][][]float32, numBuckets int) error {
-	if len(byRank) != len(f.expect) {
-		return fmt.Errorf("dist: worker %d sent %d EST contributions, expected %d", f.worker, len(byRank), len(f.expect))
-	}
-	for vrank, bufs := range byRank {
-		if !f.expect[vrank] {
-			return fmt.Errorf("dist: worker %d sent gradients for virtual rank %d it does not host", f.worker, vrank)
-		}
-		if len(bufs) != numBuckets {
-			return fmt.Errorf("dist: worker %d rank %d sent %d buckets, expected %d", f.worker, vrank, len(bufs), numBuckets)
-		}
-		sets[vrank] = bufs
-	}
-	return nil
-}
-
-// leaderSteps runs the leader's side of a phase's global steps over an
-// admitted follower set: per step gather every EST's buckets, reduce in
-// canonical virtual order, broadcast, finish. extraConns (coordinator or
-// control connections) are closed alongside follower connections when an
-// injected crash fires. Shared verbatim between the generation runtime and
-// the live-migration runtime — the gradient numerics have exactly one
-// implementation.
-func leaderSteps(job *core.Job, tr *obs.Tracer, inj *faults.Injector, p core.Placement, followers []follower, extraConns []net.Conn, steps, track, world int) error {
-	own := myRanks(p, 0)
-	allConns := func() []net.Conn {
-		cs := append([]net.Conn(nil), extraConns...)
-		for _, f := range followers {
-			cs = append(cs, f.conn)
-		}
-		return cs
-	}
-
-	ddp := job.DDP()
-	for s := 0; s < steps; s++ {
-		if s == 0 {
-			// the downtime clock stops at the earliest dist.first-step across
-			// all workers: the cluster is no longer idle once any reconfigured
-			// worker begins the first post-scale step (each worker emits this
-			// only after it is restored and attached). Scale-event downtime =
-			// that minus the driver's dist.scale-trigger timestamp; followers
-			// emit the same instant in followerSteps, in both runtimes.
-			tr.Instant(track, obs.CatPhase, "dist.first-step", int64(job.GlobalStep()), 0)
-		}
-		if err := job.RunLocalPhase(0); err != nil {
-			return err
-		}
-		sets := localBuckets(job, own)
-		if err := injectFault(inj, faults.Gather, allConns()...); err != nil {
-			return err
-		}
-		// gather: exactly one MsgGrads frame per follower per step
-		tGather := tr.Now()
-		for _, f := range followers {
-			payload, err := Expect(f.conn, MsgGrads)
+		if job == nil {
+			// joiner: parallel multi-peer restore of the full manifest
+			tFetch := tr.Now()
+			set, err := w.fetchShards(rc.Manifest, rc.Sources, rc.PeerAddrs, func(checkpoint.ManifestEntry) bool { return true }, jitterSeed)
 			if err != nil {
-				return fmt.Errorf("dist: leader gather: %w", err)
+				return nil, err
 			}
-			step, byRank, err := decodeGrads(payload)
-			if err != nil {
-				return err
+			tr.Span(track, obs.CatShard, "net.shard-fetch", tFetch, int64(set.Len()), int64(rc.Manifest.TotalLen()))
+			if job, err = core.RestoreJobShards(spec.Cfg, rc.Manifest, set); err != nil {
+				return nil, err
 			}
-			if step != s {
-				return fmt.Errorf("dist: step skew: follower at %d, leader at %d", step, s)
+			if err := job.Attach(rc.Placement); err != nil {
+				return nil, err
 			}
-			if err := mergeGrads(f, byRank, sets, ddp.NumBuckets()); err != nil {
-				return err
+		} else {
+			// stayer: live migration — fetch only the EST shards whose
+			// virtual ranks move onto this slot, straight from their old
+			// hosts, and keep everything else in place
+			need := map[string]bool{}
+			for _, r := range rc.Placement.Assignment[rc.Slot] {
+				if !w.prevRanks[r] {
+					need[core.ESTShardID(r)] = true
+				}
 			}
-		}
-		// the placement covers every virtual rank, and each follower was
-		// validated against its own slice of it — but verify closure before
-		// the reduce indexes into the sets
-		for v := 0; v < world; v++ {
-			if sets[v] == nil {
-				return fmt.Errorf("dist: no gradient contribution for virtual rank %d", v)
+			if len(need) > 0 {
+				tFetch := tr.Now()
+				set, err := w.fetchShards(rc.Manifest, rc.Sources, rc.PeerAddrs, func(e checkpoint.ManifestEntry) bool { return need[e.ID] }, jitterSeed)
+				if err != nil {
+					return nil, err
+				}
+				for _, e := range rc.Manifest.Entries {
+					if !need[e.ID] {
+						continue
+					}
+					b, ok := set.Get(e.Hash)
+					if !ok {
+						return nil, fmt.Errorf("dist: migration fetch missed shard %q", e.ID)
+					}
+					if err := job.ImportESTContext(b); err != nil {
+						return nil, err
+					}
+				}
+				tr.Span(track, obs.CatShard, "net.migrate", tFetch, int64(len(need)), int64(rc.Slot))
 			}
-		}
-		tr.Span(track, obs.CatNet, "net.gather", tGather, int64(s), int64(len(followers)))
-		// reduce each bucket over virtual ranks 0..W-1 in canonical order
-		tReduce := tr.Now()
-		reduced := make([][]float32, ddp.NumBuckets())
-		inv := 1 / float32(world)
-		for b := range reduced {
-			contribs := make([][]float32, world)
-			for v := 0; v < world; v++ {
-				contribs[v] = sets[v][b]
-			}
-			sum := comm.RingReduce(contribs)
-			for i := range sum {
-				sum[i] *= inv
-			}
-			reduced[b] = sum
-		}
-		// the local flatten buffers are arena-backed (FlattenBucket) and done
-		// with; follower buffers were decoded from network frames and are not
-		for _, r := range own {
-			for _, buf := range sets[r] {
-				pool.Put(buf)
-			}
-		}
-		tr.Span(track, obs.CatComm, "net.reduce", tReduce, int64(s), int64(world))
-		if err := injectFault(inj, faults.Broadcast, allConns()...); err != nil {
-			return err
-		}
-		tBcast := tr.Now()
-		payload := encodeBuckets(reduced)
-		for _, f := range followers {
-			if err := WriteFrame(f.conn, MsgReduced, payload); err != nil {
-				return err
+			if err := job.ScaleLive(rc.Placement); err != nil {
+				return nil, err
 			}
 		}
-		tr.Span(track, obs.CatNet, "net.broadcast", tBcast, int64(s), int64(len(payload)))
-		if err := job.FinishStepReduced(reduced); err != nil {
-			return err
-		}
+	default:
+		return nil, fmt.Errorf("dist: unknown reconfigure kind %d", rc.Kind)
 	}
-	return nil
+	w.prevRanks = make(map[int]bool, len(rc.Placement.Assignment[rc.Slot]))
+	for _, r := range rc.Placement.Assignment[rc.Slot] {
+		w.prevRanks[r] = true
+	}
+	return job, nil
 }
 
-// leaderCollectContexts imports every follower's hosted EST contexts (one
-// MsgCkpt frame each, closed by MsgDone) and brings the data loader to the
-// canonical cursor — after it, the leader's job state is the full canonical
-// job state of the global step.
-func leaderCollectContexts(job *core.Job, followers []follower) error {
-	for _, f := range followers {
-		for {
-			t, payload, err := ReadFrame(f.conn)
-			if err != nil {
-				return err
-			}
-			if t == MsgDone {
-				break
-			}
-			if t != MsgCkpt {
-				return fmt.Errorf("dist: leader expected EST context, got %d", t)
-			}
-			if err := job.ImportESTContext(payload); err != nil {
-				return err
-			}
-		}
-	}
-	job.SyncDataCursors()
-	return nil
-}
-
-// runLeader drives rank 0 of a generation-mode phase: accept follower
-// connections, run the steps, then assemble and ship the monolithic
-// on-demand checkpoint to the coordinator.
-func runLeader(job *core.Job, spec WorkerSpec, ln net.Listener, coord net.Conn, steps int, timeout time.Duration, track int) error {
+// runPhase trains one phase on an already-attached job, then publishes the
+// end-of-phase shard snapshot for peer fetching. The leader additionally
+// assembles the canonical state (importing follower EST contexts) and runs
+// the incremental directory ship; followers just sync their data cursors so
+// their published meta/param/moment shards are bitwise the canonical ones.
+func (w *worker) runPhase(job *core.Job, rc reconfig, inj *faults.Injector, ctrl net.Conn, stayed bool, track int, jitterSeed uint64) error {
+	spec := w.spec
 	tr := spec.Tracer
-	followers, err := acceptFollowers(ln, spec.Placement, timeout)
-	defer func() {
+	if rc.Slot == 0 {
+		followers, err := w.adoptFollowers(rc.Placement, stayed)
+		if err != nil {
+			return err
+		}
+		if err := leaderSteps(job, tr, inj, rc.Placement, followers, []net.Conn{ctrl}, rc.Steps, track, spec.Cfg.NumESTs); err != nil {
+			return err
+		}
+		conns := []net.Conn{ctrl}
 		for _, f := range followers {
-			f.conn.Close()
+			conns = append(conns, f.conn)
 		}
-	}()
-	if err != nil {
-		return err
-	}
-	if err := leaderSteps(job, tr, spec.Faults, spec.Placement, followers, []net.Conn{coord}, steps, track, spec.Cfg.NumESTs); err != nil {
-		return err
-	}
-
-	// assemble the on-demand checkpoint: import every remote EST context,
-	// bring the data loader to the canonical cursor, serialize, ship.
-	conns := []net.Conn{coord}
-	for _, f := range followers {
-		conns = append(conns, f.conn)
-	}
-	if err := injectFault(spec.Faults, faults.CkptShip, conns...); err != nil {
-		return err
-	}
-	tShip := tr.Now()
-	if err := leaderCollectContexts(job, followers); err != nil {
-		return err
-	}
-	if err := WriteFrame(coord, MsgCkpt, job.Checkpoint()); err != nil {
-		return err
-	}
-	tr.Span(track, obs.CatNet, "net.ckpt-ship", tShip, int64(len(followers)), 0)
-	return WriteFrame(coord, MsgDone, nil)
-}
-
-// followerSteps runs a non-leader's side of a phase's global steps against
-// an established leader connection. Shared between the generation and
-// live-migration runtimes.
-func followerSteps(job *core.Job, tr *obs.Tracer, inj *faults.Injector, p core.Placement, rank int, leader net.Conn, extraConns []net.Conn, steps, track int) error {
-	own := myRanks(p, rank)
-	conns := append([]net.Conn{leader}, extraConns...)
-	for s := 0; s < steps; s++ {
-		if s == 0 {
-			// see leaderSteps: the earliest first-step across all workers ends
-			// the scale event's downtime window
-			tr.Instant(track, obs.CatPhase, "dist.first-step", int64(job.GlobalStep()), 0)
-		}
-		if err := job.RunLocalPhase(rank); err != nil {
+		if err := injectFault(inj, faults.CkptShip, conns...); err != nil {
 			return err
 		}
-		bufs := localBuckets(job, own)
-		if err := injectFault(inj, faults.Gather, conns...); err != nil {
+		tCollect := tr.Now()
+		if err := leaderCollectContexts(job, followers); err != nil {
 			return err
 		}
-		tSend := tr.Now()
-		frame := encodeGrads(s, bufs, own)
-		// encodeGrads copied the buckets into the frame; return the
-		// arena-backed flatten buffers before the write
-		for _, bs := range bufs {
-			for _, buf := range bs {
-				pool.Put(buf)
+		tr.Span(track, obs.CatNet, "net.ckpt-ship", tCollect, int64(len(followers)), 0)
+		m, set := job.BuildShards()
+		w.publish(set)
+		// incremental directory ship: offer the manifest, upload only what
+		// the directory lacks. Runs while peers are already fetching off the
+		// published snapshot — the upload is off the reconfiguration path.
+		if err := injectFault(inj, faults.ShardShip, ctrl); err != nil {
+			return err
+		}
+		tShip := tr.Now()
+		sent, err := shipShards(ctrl, m, set)
+		if err != nil {
+			return err
+		}
+		tr.Span(track, obs.CatShard, "net.shard-ship", tShip, int64(sent), int64(m.TotalLen()))
+	} else {
+		// reuse the kept leader connection when both endpoints survived the
+		// boundary: the previous phase drained it fully (the leader read
+		// through this follower's MsgDone), so the stream is at a frame
+		// boundary and the first MsgGrads of the new phase is unambiguous.
+		// Only a real dial passes the Dial fault site.
+		leader := w.leaderConn
+		if !stayed || leader == nil || rc.LeaderAddr != w.leaderAddr {
+			if w.leaderConn != nil {
+				w.leaderConn.Close()
+				w.leaderConn = nil
 			}
+			if err := injectFault(inj, faults.Dial, ctrl); err != nil {
+				return err
+			}
+			c, err := dialRetry(rc.LeaderAddr, w.timeout, jitterSeed^uint64(rc.Slot))
+			if err != nil {
+				return fmt.Errorf("dist: dial leader: %w", err)
+			}
+			w.leaderConn, w.leaderAddr = c, rc.LeaderAddr
+			hello := checkpoint.NewWriter()
+			hello.PutInt(rc.Slot)
+			if err := WriteFrame(c, MsgHello, hello.Bytes()); err != nil {
+				return err
+			}
+			leader = c
 		}
-		if err := WriteFrame(leader, MsgGrads, frame); err != nil {
+		if err := followerSteps(job, tr, inj, rc.Placement, rc.Slot, leader, []net.Conn{ctrl}, rc.Steps, track); err != nil {
 			return err
 		}
-		tr.Span(track, obs.CatNet, "net.send-grads", tSend, int64(s), int64(len(frame)))
-		if err := injectFault(inj, faults.Broadcast, conns...); err != nil {
+		if err := injectFault(inj, faults.CkptShip, leader, ctrl); err != nil {
 			return err
 		}
-		tWait := tr.Now()
-		payload, err := Expect(leader, MsgReduced)
-		if err != nil {
+		own := myRanks(rc.Placement, rc.Slot)
+		tShip := tr.Now()
+		if err := followerShipContexts(job, leader, own); err != nil {
 			return err
 		}
-		tr.Span(track, obs.CatNet, "net.wait-reduced", tWait, int64(s), int64(len(payload)))
-		reduced, err := decodeBuckets(payload)
-		if err != nil {
-			return err
-		}
-		if err := job.FinishStepReduced(reduced); err != nil {
-			return err
-		}
+		tr.Span(track, obs.CatNet, "net.ckpt-ship", tShip, int64(len(own)), int64(rc.Slot))
+		// syncing the cursors makes this worker's meta shard bitwise the
+		// canonical one, so any peer can serve it during the next migration
+		job.SyncDataCursors()
+		_, set := job.BuildShards()
+		w.publish(set)
 	}
-	return nil
-}
-
-// followerShipContexts ships the hosted EST contexts to the leader for
-// checkpoint assembly, closing with MsgDone.
-func followerShipContexts(job *core.Job, leader net.Conn, own []int) error {
-	for _, r := range own {
-		if err := WriteFrame(leader, MsgCkpt, job.ExportESTContext(r)); err != nil {
-			return err
-		}
-	}
-	return WriteFrame(leader, MsgDone, nil)
-}
-
-// runFollower drives a non-leader rank of a generation-mode phase.
-func runFollower(job *core.Job, spec WorkerSpec, rank int, leaderAddr string, coord net.Conn, steps int, timeout time.Duration, jitterSeed uint64, track int) error {
-	tr := spec.Tracer
-	if err := injectFault(spec.Faults, faults.Dial, coord); err != nil {
-		return err
-	}
-	leader, err := dialRetry(leaderAddr, timeout, jitterSeed^uint64(rank))
-	if err != nil {
-		return fmt.Errorf("dist: dial leader: %w", err)
-	}
-	defer leader.Close()
-	// identify ourselves so the leader can pin our virtual-rank set
-	hello := checkpoint.NewWriter()
-	hello.PutInt(rank)
-	if err := WriteFrame(leader, MsgHello, hello.Bytes()); err != nil {
-		return err
-	}
-	if err := followerSteps(job, tr, spec.Faults, spec.Placement, rank, leader, []net.Conn{coord}, steps, track); err != nil {
-		return err
-	}
-	// ship hosted EST contexts for the leader's checkpoint
-	if err := injectFault(spec.Faults, faults.CkptShip, leader, coord); err != nil {
-		return err
-	}
-	own := myRanks(spec.Placement, rank)
-	tShip := tr.Now()
-	if err := followerShipContexts(job, leader, own); err != nil {
-		return err
-	}
-	tr.Span(track, obs.CatNet, "net.ckpt-ship", tShip, int64(len(own)), int64(rank))
-	return WriteFrame(coord, MsgDone, nil)
+	w.warmPeers(rc.WarmAddrs)
+	return WriteFrame(ctrl, MsgPhaseDone, nil)
 }

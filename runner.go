@@ -3,7 +3,7 @@ package easyscale
 import (
 	"fmt"
 
-	"repro/internal/cluster"
+	"repro/internal/controlplane"
 	"repro/internal/sched"
 )
 
@@ -28,7 +28,7 @@ type AutoScaler struct {
 // homogeneity policy follows the model scanner unless the config already
 // enables D2.
 func NewAutoScaler(job *Job, free Resources) *AutoScaler {
-	caps := cluster.CapabilityFor(job.Workload.Name)
+	caps := controlplane.CapabilityFor(job.Workload.Name)
 	homogOnly := !job.Cfg.D2
 	cp := NewCompanion(job.Cfg.NumESTs, caps)
 	return &AutoScaler{
