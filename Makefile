@@ -7,7 +7,11 @@
 #                  hotalloc); fails on unsuppressed diagnostics
 #   make lint-audit — list every //detlint:ignore site with its cited reason
 #   make race    — race detector over the concurrency-bearing packages
-#                  (the persistent kernel worker pool must stay race-clean)
+#                  (the per-GPU fan-out of a training step, the async data
+#                  loader, dist, serve and the tracer must stay race-clean)
+#   make test-cpu — the placement / consistency / fan-out / loader tests at
+#                  GOMAXPROCS 1, 2 and 4: the bitwise contract may not depend
+#                  on how many cores the GPU goroutines get
 #   make bench   — the training-step benchmarks with allocation reporting
 #   make trace-smoke — end-to-end observability check: run a traced elastic
 #                  job and schema-validate the exported Chrome trace
@@ -18,9 +22,9 @@
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: check vet fmt lint lint-audit build test test-isa race fuzz bench benchsmoke bench-check trace-smoke serve-smoke loc
+.PHONY: check vet fmt lint lint-audit build test test-isa test-cpu race fuzz bench benchsmoke bench-check trace-smoke serve-smoke loc
 
-check: vet fmt lint build test test-isa race fuzz benchsmoke bench-check trace-smoke serve-smoke
+check: vet fmt lint build test test-isa test-cpu race fuzz benchsmoke bench-check trace-smoke serve-smoke
 
 vet:
 	$(GO) vet ./...
@@ -61,6 +65,12 @@ test: build
 test-isa:
 	EASYSCALE_FORCE_SSE2=1 $(GO) test -count=1 ./internal/kernels/... ./internal/nn/... ./internal/comm/... ./internal/optim/... ./internal/core/...
 	EASYSCALE_FORCE_GENERIC=1 $(GO) test -count=1 ./internal/kernels/... ./internal/nn/... ./internal/comm/... ./internal/optim/... ./internal/core/...
+
+# core-count lane: RunStep fans out over min(GOMAXPROCS, 8, GPUs) goroutines
+# by default, so the tests that compare placements bitwise run once per core
+# count (-cpu sets GOMAXPROCS), with the loader's concurrent-rank tests
+test-cpu:
+	$(GO) test -count=1 -cpu 1,2,4 -run 'Consistency|Placement|Invariance|Invisible|FanOut|RunStepPanic|ScaleLive|Loader' ./internal/core/... ./internal/data/...
 
 race:
 	$(GO) test -race ./internal/kernels/... ./internal/comm/... ./internal/checkpoint/... ./internal/data/... ./internal/dist/... ./internal/faults/... ./internal/core/... ./internal/elastic/... ./internal/obs/... ./internal/serve/... ./internal/sched/... ./internal/controlplane/...

@@ -112,7 +112,6 @@ func main() {
 	var tr *easyscale.Tracer
 	if *traceOut != "" || *traceSummary {
 		tr = easyscale.NewTracer()
-		easyscale.SetDefaultTracer(tr) // kernel-dispatch spans
 		job.SetTracer(tr)
 	}
 
@@ -133,10 +132,7 @@ func main() {
 	eval := job.Evaluate()
 	fmt.Printf("validation accuracy: %.4f\n", eval.Overall)
 
-	// export the trace before the reference run below, so the kernel spans
-	// of the verification pass don't dilute the job's own timeline
 	if tr != nil {
-		easyscale.SetDefaultTracer(nil)
 		if *traceOut != "" {
 			f, err := os.Create(*traceOut)
 			die(err)

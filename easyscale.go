@@ -90,20 +90,14 @@ type DivergenceReport = core.DivergenceReport
 func Diagnose(a, b *Job) DivergenceReport { return core.Diagnose(a, b) }
 
 // Tracer records execution spans, counters, and scheduler decision events
-// for one run. Attach it with Job.SetTracer (and SetDefaultTracer for the
-// kernel-dispatch spans), then export with Tracer.WriteChromeTrace — the
-// output loads in ui.perfetto.dev — or Tracer.Summary. Tracing is provably
-// invisible to numerics: a traced run is bitwise identical to an untraced
-// one.
+// for one run. Attach it with Job.SetTracer, then export with
+// Tracer.WriteChromeTrace — the output loads in ui.perfetto.dev — or
+// Tracer.Summary. Tracing is provably invisible to numerics: a traced run is
+// bitwise identical to an untraced one.
 type Tracer = obs.Tracer
 
 // NewTracer builds an execution tracer.
 func NewTracer() *Tracer { return obs.New() }
-
-// SetDefaultTracer installs (or, with nil, clears) the process-default
-// tracer consulted by instrumentation sites with no job handle, such as the
-// kernel worker-pool dispatch.
-func SetDefaultTracer(t *Tracer) { obs.SetDefault(t) }
 
 // Scheduler types re-exported for cluster-level use.
 type (

@@ -12,7 +12,7 @@ import (
 // loop — is a diagnostic. The scheduler decides which goroutine finishes
 // first, so the fold order differs run to run; the deterministic pattern is
 // to receive into an indexed slot (results[msg.Index] = msg) and combine in
-// fixed index order afterwards, as the kernel worker pool does.
+// fixed index order afterwards, as the per-GPU fan-out of core.Job.RunStep does.
 func ChanOrder() *Analyzer {
 	a := &Analyzer{
 		Name: "chanorder",

@@ -89,8 +89,10 @@ type Config struct {
 	StepLRGamma float64
 
 	// DisableContextSwitch turns off EST context save/restore — the
-	// ablation of Figure 11. Training is then NOT accuracy-consistent; it
-	// exists only to measure the switching overhead.
+	// ablation of Figure 11: ESTs on the same GPU then share that GPU's
+	// implicit-state buffers instead of each carrying its own. Training is
+	// then NOT accuracy-consistent; it exists only to measure the switching
+	// overhead.
 	DisableContextSwitch bool
 
 	// DistTimeout bounds every blocking network operation of the

@@ -17,13 +17,10 @@ const (
 	// network operation of the distributed runtime when
 	// Config.DistTimeout is zero.
 	EnvDistTimeout = "EASYSCALE_DIST_TIMEOUT"
-	// EnvKernelWorkers overrides the kernel worker-pool size
-	// (kernels.SetParallelism). Provably invisible to numerics.
+	// EnvKernelWorkers overrides how many simulated GPUs of a placement
+	// compute at once in Job.RunStep (kernels.SetParallelism; the name
+	// predates the per-GPU fan-out). Provably invisible to numerics.
 	EnvKernelWorkers = "EASYSCALE_KERNEL_WORKERS"
-	// EnvParallelThreshold overrides the FLOP count below which kernels
-	// run sequentially (kernels.SetParallelThreshold). Also invisible to
-	// numerics.
-	EnvParallelThreshold = "EASYSCALE_PARALLEL_THRESHOLD"
 	// EnvForceSSE2 / EnvForceGeneric (any non-empty value) pin the GEMM
 	// micro-kernel and elementwise dispatch to the SSE2 4×4 variant or the
 	// pure-Go executable spec, disabling the AVX2 path — the kill switches
@@ -38,21 +35,19 @@ const (
 	EnvForceGeneric = "EASYSCALE_FORCE_GENERIC"
 )
 
-// init applies the process-wide kernel overrides at startup, preserving the
-// historical behaviour of the env-reading init that lived in
-// internal/kernels: any binary that trains (they all import core) honours
-// EASYSCALE_KERNEL_WORKERS / EASYSCALE_PARALLEL_THRESHOLD without calling
+// init applies the process-wide override at startup: any binary that trains
+// (they all import core) honours EASYSCALE_KERNEL_WORKERS without calling
 // ConfigFromEnv explicitly.
 func init() { ConfigFromEnv(Config{}) }
 
 // ConfigFromEnv is the single resolution point for environment overrides:
 // it returns cfg with every field still at its zero value filled from the
 // corresponding EASYSCALE_* variable, and (re)applies the process-wide
-// kernel overrides. Explicit config values always win over the
-// environment; malformed or non-positive environment values are ignored
-// (the documented fallback-to-default behaviour). None of these overrides
-// participate in checkpoint identity — timeouts and kernel dispatch shape
-// never affect numerics.
+// fan-out width. Explicit config values always win over the environment;
+// malformed or non-positive environment values are ignored (the documented
+// fallback-to-default behaviour). None of these overrides participate in
+// checkpoint identity — timeouts and how many GPUs compute at once never
+// affect numerics.
 func ConfigFromEnv(cfg Config) Config {
 	if cfg.DistTimeout == 0 {
 		if d, ok := envDuration(EnvDistTimeout); ok {
@@ -61,9 +56,6 @@ func ConfigFromEnv(cfg Config) Config {
 	}
 	if n, ok := envInt(EnvKernelWorkers); ok {
 		kernels.SetParallelism(n)
-	}
-	if n, ok := envInt(EnvParallelThreshold); ok {
-		kernels.SetParallelThreshold(n)
 	}
 	return cfg
 }

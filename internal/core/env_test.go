@@ -8,28 +8,21 @@ import (
 )
 
 // TestConfigFromEnvRoundTrip: every EASYSCALE_* override fills only zero
-// config fields, applies the kernel knobs process-wide, and explicit values
+// config fields, applies the fan-out width process-wide, and explicit values
 // always win.
 func TestConfigFromEnvRoundTrip(t *testing.T) {
-	// restore the process-wide kernel knobs whatever happens below
-	t.Cleanup(func() {
-		kernels.SetParallelism(0)
-		kernels.SetParallelThreshold(0)
-	})
+	// restore the process-wide fan-out width whatever happens below
+	t.Cleanup(func() { kernels.SetParallelism(0) })
 
 	t.Setenv(EnvDistTimeout, "7s")
 	t.Setenv(EnvKernelWorkers, "3")
-	t.Setenv(EnvParallelThreshold, "123456")
 
 	cfg := ConfigFromEnv(Config{})
 	if cfg.DistTimeout != 7*time.Second {
 		t.Fatalf("DistTimeout = %v, want 7s from env", cfg.DistTimeout)
 	}
 	if got := kernels.Parallelism(); got != 3 {
-		t.Fatalf("kernel workers = %d, want 3 from env", got)
-	}
-	if got := kernels.ParallelThreshold(); got != 123456 {
-		t.Fatalf("parallel threshold = %d, want 123456 from env", got)
+		t.Fatalf("fan-out width = %d, want 3 from env", got)
 	}
 
 	// explicit config wins over the environment
@@ -42,18 +35,12 @@ func TestConfigFromEnvRoundTrip(t *testing.T) {
 // TestConfigFromEnvIgnoresBadValues: malformed or non-positive overrides are
 // ignored — the documented fallback-to-default behaviour.
 func TestConfigFromEnvIgnoresBadValues(t *testing.T) {
-	t.Cleanup(func() {
-		kernels.SetParallelism(0)
-		kernels.SetParallelThreshold(0)
-	})
+	t.Cleanup(func() { kernels.SetParallelism(0) })
 	kernels.SetParallelism(0)
-	kernels.SetParallelThreshold(0)
 	defWorkers := kernels.Parallelism()
-	defThreshold := kernels.ParallelThreshold()
 
 	t.Setenv(EnvDistTimeout, "not-a-duration")
 	t.Setenv(EnvKernelWorkers, "-2")
-	t.Setenv(EnvParallelThreshold, "zero")
 
 	cfg := ConfigFromEnv(Config{})
 	if cfg.DistTimeout != 0 {
@@ -61,9 +48,6 @@ func TestConfigFromEnvIgnoresBadValues(t *testing.T) {
 	}
 	if got := kernels.Parallelism(); got != defWorkers {
 		t.Fatalf("non-positive worker count applied: %d (default %d)", got, defWorkers)
-	}
-	if got := kernels.ParallelThreshold(); got != defThreshold {
-		t.Fatalf("malformed threshold applied: %d (default %d)", got, defThreshold)
 	}
 
 	// negative durations are rejected too

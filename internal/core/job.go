@@ -28,6 +28,11 @@ type Job struct {
 	sched   optim.LRScheduler
 	ests    []*ESTContext
 
+	// replicas[i] is what GPU i of a placement computes on; replicas[0]
+	// wraps Workload and always exists, the rest grow on demand and live as
+	// long as the job (see replica.go).
+	replicas []*replica
+
 	// live physical attachment
 	placement Placement
 	devices   []*device.Device
@@ -43,12 +48,10 @@ type Job struct {
 	// step, indexed by virtual rank (Figure 13 instrumentation).
 	estTimes []time.Duration
 
-	// scratch feeds pooled activation/gradient buffers to one EST's local
-	// step and is drained at the end of it; stepScratch holds buffers that
-	// must survive until the global step completes (D0 per-worker gradient
-	// accumulations). Buffer reuse never changes accumulation order, so
-	// pooling is invisible to the consistency hashes.
-	scratch     *pool.Scope
+	// stepScratch holds pooled buffers that must survive until the global
+	// step completes (D0 per-worker gradient accumulations); the per-EST
+	// scratch lives in each replica. Buffer reuse never changes accumulation
+	// order, so pooling is invisible to the consistency hashes.
 	stepScratch *pool.Scope
 
 	// obs is the attached execution-tracer state (nil = tracing off; every
@@ -75,7 +78,8 @@ func NewJob(cfg Config, workloadName string) (*Job, error) {
 	j.sampler = data.NewElasticSampler(w.Dataset.Len(), cfg.NumESTs, cfg.BatchPerEST, cfg.Seed)
 	j.loader = data.NewLoader(w.Dataset, j.sampler, cfg.DataWorkersPerEST, cfg.Seed)
 
-	params := w.Params()
+	j.replicas = []*replica{newReplica(w.Net, w.Loss)}
+	params := j.replicas[0].params
 	sizes := make([]int, len(params))
 	shapes := make([][]int, len(params))
 	for i, p := range params {
@@ -88,14 +92,12 @@ func NewJob(cfg Config, workloadName string) (*Job, error) {
 		j.sched = optim.NewStepLR(j.opt, cfg.StepLRSize, cfg.StepLRGamma)
 	}
 
-	modelState := w.StateTensors()
 	j.ests = make([]*ESTContext, cfg.NumESTs)
 	for r := 0; r < cfg.NumESTs; r++ {
-		j.ests[r] = newESTContext(cfg.Seed, r, modelState, shapes)
+		j.ests[r] = newESTContext(cfg.Seed, r, j.replicas[0].state, shapes)
 	}
 	j.lastLosses = make([]float32, cfg.NumESTs)
 	j.estTimes = make([]time.Duration, cfg.NumESTs)
-	j.scratch = pool.NewScope()
 	j.stepScratch = pool.NewScope()
 	return j, nil
 }
@@ -180,7 +182,9 @@ func (j *Job) Attach(p Placement) error {
 }
 
 // AttachDevices binds the job to caller-provided devices (used by experiments
-// that need to inspect or share device state). Memory admission applies.
+// that need to inspect or share device state). Memory admission applies. Each
+// slot needs a device of its own: the slots compute concurrently, each
+// charging its device's clock.
 func (j *Job) AttachDevices(p Placement, devs []*device.Device) error {
 	if j.attached {
 		return fmt.Errorf("core: job already attached")
@@ -190,6 +194,13 @@ func (j *Job) AttachDevices(p Placement, devs []*device.Device) error {
 	}
 	if len(devs) != len(p.Devices) {
 		return fmt.Errorf("core: %d devices for %d slots", len(devs), len(p.Devices))
+	}
+	for i, d := range devs {
+		for k := 0; k < i; k++ {
+			if devs[k] == d {
+				return fmt.Errorf("core: device given for both slot %d and slot %d", k, i)
+			}
+		}
 	}
 	j.placement = p
 	j.devices = append([]*device.Device(nil), devs...)
@@ -229,16 +240,18 @@ func (j *Job) Detach() {
 // gradBytes returns the total gradient size in bytes (simulated scale).
 func (j *Job) gradBytes() float64 { return j.Workload.Memory().ParamsMB * 1e6 }
 
-// localStep executes one EST's mini-batch on its device and swaps the
-// gradients out.
-func (j *Job) localStep(est *ESTContext, dev *device.Device, lastOnWorker bool, soloOnWorker bool) {
+// localStep executes one EST's mini-batch on its device, in the buffers of
+// that device's replica, and swaps the gradients out. It writes nothing
+// outside rep, dev, est and the job's rank-indexed slots, so local steps of
+// different GPUs may run concurrently.
+func (j *Job) localStep(rep *replica, est *ESTContext, dev *device.Device, lastOnWorker bool, soloOnWorker bool) {
 	o := j.obs
-	ctx := &nn.Context{Dev: dev, RNG: est.RNG.Torch, Training: true, Scratch: j.scratch}
+	ctx := &nn.Context{Dev: dev, RNG: est.RNG.Torch, Training: true, Scratch: rep.scratch}
 	stepStart := dev.Now()
 	tLocal := o.now()
 
 	// context switch in: implicit model state of this EST's replica
-	modelState := j.Workload.StateTensors()
+	modelState := rep.state
 	if !j.Cfg.DisableContextSwitch {
 		tSw := o.now()
 		est.switchIn(modelState)
@@ -249,13 +262,15 @@ func (j *Job) localStep(est *ESTContext, dev *device.Device, lastOnWorker bool, 
 
 	x, labels := j.loader.Batch(j.step, est.VirtualRank)
 
-	j.opt.ZeroGrad()
+	for _, p := range rep.params {
+		p.ZeroGrad()
+	}
 	before := dev.Now()
 	tComp := o.now()
 	dev.ChargeTime(KernelLaunchOverhead)
-	out := j.Workload.Net.Forward(ctx, x)
-	loss := j.Workload.Loss.Forward(ctx, out, labels)
-	j.Workload.Net.Backward(ctx, j.Workload.Loss.Backward(ctx))
+	out := rep.net.Forward(ctx, x)
+	loss := rep.loss.Forward(ctx, out, labels)
+	rep.net.Backward(ctx, rep.loss.Backward(ctx))
 	computeDur := dev.Now() - before
 	o.estSpan(est.VirtualRank, obs.CatStep, "core.compute", tComp, int64(computeDur), int64(j.step))
 	j.lastLosses[est.VirtualRank] = loss
@@ -275,7 +290,7 @@ func (j *Job) localStep(est *ESTContext, dev *device.Device, lastOnWorker bool, 
 			dev.ChargeTime(copyDur - hidden)
 		}
 	}
-	for i, p := range j.Workload.Params() {
+	for i, p := range rep.params {
 		est.Gradients[i].CopyFrom(p.Grad)
 	}
 
@@ -290,7 +305,7 @@ func (j *Job) localStep(est *ESTContext, dev *device.Device, lastOnWorker bool, 
 
 	// Every activation and gradient buffer borrowed during this local step is
 	// dead now (gradients were copied to the EST's host buffers above).
-	j.scratch.ReleaseAll()
+	rep.scratch.ReleaseAll()
 	// A0 carries the simulated (device-clock) duration so the trace shows
 	// both wall and simulated time per EST local step (Fig. 11).
 	o.estSpan(est.VirtualRank, obs.CatStep, "core.local-step", tLocal,
@@ -311,9 +326,10 @@ func (j *Job) layerParamCounts() []int {
 }
 
 // RunLocalPhase executes the local steps of the ESTs hosted by placement
-// worker workerIdx for the current global step. The single-process engine
-// calls it for every worker; a distributed worker calls it only for its own
-// index and then synchronizes through the networked ring.
+// worker workerIdx for the current global step, on replica 0 and on the
+// calling goroutine. It is what a distributed worker calls for its own index
+// before synchronizing through the networked ring; the single-process engine
+// (RunStep) runs every worker of the placement, each on its own replica.
 func (j *Job) RunLocalPhase(workerIdx int) error {
 	if !j.attached {
 		return fmt.Errorf("core: job is not attached to GPUs")
@@ -321,12 +337,17 @@ func (j *Job) RunLocalPhase(workerIdx int) error {
 	if workerIdx < 0 || workerIdx >= len(j.placement.Assignment) {
 		return fmt.Errorf("core: worker index %d out of placement", workerIdx)
 	}
-	ranks := j.placement.Assignment[workerIdx]
-	dev := j.devices[workerIdx]
-	for li, r := range ranks {
-		j.localStep(j.ests[r], dev, li == len(ranks)-1, len(ranks) == 1)
-	}
+	j.localPhase(workerIdx, j.replicas[0])
 	return nil
+}
+
+// localPhase time-slices worker wi's ESTs through rep in hosting order.
+func (j *Job) localPhase(wi int, rep *replica) {
+	ranks := j.placement.Assignment[wi]
+	dev := j.devices[wi]
+	for li, r := range ranks {
+		j.localStep(rep, j.ests[r], dev, li == len(ranks)-1, len(ranks) == 1)
+	}
 }
 
 // ESTGradientSet returns the gradient tensors EST rank produced in its last
@@ -392,7 +413,7 @@ func (j *Job) FinishStepReduced(buckets [][]float32) error {
 	if !j.attached {
 		return fmt.Errorf("core: job is not attached to GPUs")
 	}
-	params := j.Workload.Params()
+	params := j.replicas[0].params
 	if len(buckets) != j.ddp.NumBuckets() {
 		return fmt.Errorf("core: %d reduced buckets for %d-bucket plan", len(buckets), j.ddp.NumBuckets())
 	}
@@ -416,9 +437,10 @@ func (j *Job) FinishStepReduced(buckets [][]float32) error {
 	return nil
 }
 
-// RunStep executes one global data-parallel step: every EST runs a local
-// step in the time-slicing order, gradients are synchronized through
-// ElasticDDP, and the shared parameters are updated once.
+// RunStep executes one global data-parallel step: the GPUs of the placement
+// run concurrently, each time-slicing its ESTs' local steps on its own
+// replica; after they join, gradients are synchronized through ElasticDDP and
+// the shared parameters are updated once.
 func (j *Job) RunStep() error {
 	if !j.attached {
 		return fmt.Errorf("core: job is not attached to GPUs")
@@ -426,12 +448,10 @@ func (j *Job) RunStep() error {
 	o := j.obs
 	t0 := o.now()
 	stepIdx := int64(j.globalStep)
-	params := j.Workload.Params()
+	params := j.replicas[0].params
 
-	for wi := range j.placement.Assignment {
-		if err := j.RunLocalPhase(wi); err != nil {
-			return err
-		}
+	if err := j.runLocalPhases(); err != nil {
+		return err
 	}
 
 	// gradient synchronization

@@ -184,6 +184,28 @@ func TestAttachOOMRollsBack(t *testing.T) {
 	}
 }
 
+// TestAttachDevicesRejectsRepeatedDevice: the slots of a placement compute
+// concurrently, so one *device.Device in two of them would have its clock
+// charged from two goroutines. The attach fails before allocating anything.
+func TestAttachDevicesRejectsRepeatedDevice(t *testing.T) {
+	cfg := testCfg(D1, false, 2)
+	j, err := NewJob(cfg, "neumf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := device.New(device.V100, cfg.DeviceConfig())
+	p := EvenPlacement(2, device.V100, device.V100)
+	if err := j.AttachDevices(p, []*device.Device{d, d}); err == nil {
+		t.Fatal("the same device in two slots must be rejected")
+	}
+	if j.Attached() || d.UsedMB() != 0 {
+		t.Fatalf("rejected attach left state behind: attached=%v used=%v MB", j.Attached(), d.UsedMB())
+	}
+	if err := j.AttachDevices(p, []*device.Device{d, device.New(device.V100, cfg.DeviceConfig())}); err != nil {
+		t.Fatalf("distinct devices must attach: %v", err)
+	}
+}
+
 func TestEpochAdvancesAndSchedulerSteps(t *testing.T) {
 	cfg := testCfg(D1, false, 4)
 	cfg.BatchPerEST = 8 // 1024/(4*8) = 32 steps per epoch

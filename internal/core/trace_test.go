@@ -4,16 +4,19 @@ import (
 	"testing"
 
 	"repro/internal/device"
+	"repro/internal/kernels"
 	"repro/internal/obs"
 	"repro/internal/pool"
 )
 
 // tracedElasticHash runs the same two-phase elastic schedule (2 V100 → 1
-// V100, with a mid-run Scale) and returns the final params hash. attach
-// installs a per-job tracer; def additionally installs it as the process
-// default (covering the kernel-dispatch sites).
-func tracedElasticHash(t *testing.T, attach, def bool) uint64 {
+// V100, with a mid-run Scale) and returns the final params hash. The first
+// phase's two GPUs compute concurrently, so with attach set their goroutines
+// record into the per-job tracer at the same time.
+func tracedElasticHash(t *testing.T, attach bool) uint64 {
 	t.Helper()
+	kernels.SetParallelism(2)
+	defer kernels.SetParallelism(0)
 	cfg := DefaultConfig(4)
 	cfg.BatchPerEST = 4
 	j, err := NewJob(cfg, "neumf")
@@ -21,12 +24,7 @@ func tracedElasticHash(t *testing.T, attach, def bool) uint64 {
 		t.Fatal(err)
 	}
 	if attach {
-		tr := obs.New()
-		j.SetTracer(tr)
-		if def {
-			obs.SetDefault(tr)
-			defer obs.SetDefault(nil)
-		}
+		j.SetTracer(obs.New())
 	}
 	if err := j.Attach(EvenPlacement(4, device.V100, device.V100)); err != nil {
 		t.Fatal(err)
@@ -45,14 +43,11 @@ func tracedElasticHash(t *testing.T, attach, def bool) uint64 {
 
 // TestTracingInvisibleToNumerics is the observability layer's core contract:
 // the final parameters of an elastic run are bitwise identical with tracing
-// absent, attached to the job, and attached plus installed process-wide.
+// absent and attached to the job.
 func TestTracingInvisibleToNumerics(t *testing.T) {
-	base := tracedElasticHash(t, false, false)
-	if got := tracedElasticHash(t, true, false); got != base {
+	base := tracedElasticHash(t, false)
+	if got := tracedElasticHash(t, true); got != base {
 		t.Fatalf("job-attached tracing changed the params hash: %x vs %x", got, base)
-	}
-	if got := tracedElasticHash(t, true, true); got != base {
-		t.Fatalf("process-default tracing changed the params hash: %x vs %x", got, base)
 	}
 }
 
@@ -94,7 +89,7 @@ func TestTracerSurvivesScale(t *testing.T) {
 	// covers it
 	for _, want := range []string{
 		"core.attach", "core.scale", "core.local-step", "core.compute",
-		"core.switch-in", "core.switch-out", "core.global-step",
+		"core.switch-in", "core.switch-out", "core.local-phases", "core.global-step",
 	} {
 		if names[want] == 0 {
 			t.Errorf("no %q spans recorded (got %v)", want, names)
@@ -153,9 +148,9 @@ func TestSetTracerDetaches(t *testing.T) {
 }
 
 // TestTrainStepAllocRegressionTraced re-runs the steady-state allocation
-// bound of TestTrainStepAllocRegression with tracing fully enabled (job
-// tracer + process default) and the same bounds: the enabled hot path writes
-// into pre-allocated rings and must not add a single steady-state allocation.
+// bound of TestTrainStepAllocRegression with the job tracer attached and the
+// same bounds: the enabled hot path writes into pre-allocated rings and must
+// not add a single steady-state allocation.
 func TestTrainStepAllocRegressionTraced(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation regression needs steady-state warmup")
@@ -164,16 +159,14 @@ func TestTrainStepAllocRegressionTraced(t *testing.T) {
 		t.Skip("race-detector instrumentation allocates; counts are only meaningful uninstrumented")
 	}
 	bounds := map[string]float64{
-		"vgg19":    700,
-		"resnet50": 1600,
+		"vgg19":    600,
+		"resnet50": 850,
 	}
 	for name, bound := range bounds {
 		t.Run(name, func(t *testing.T) {
 			j := benchJob(t, name)
 			tr := obs.New(obs.WithRingCap(1 << 16))
 			j.SetTracer(tr)
-			obs.SetDefault(tr)
-			defer obs.SetDefault(nil)
 			if err := j.RunSteps(2); err != nil {
 				t.Fatal(err)
 			}

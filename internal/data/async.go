@@ -49,10 +49,9 @@ func NewAsyncLoader(l *Loader, physicalWorkers, depth int) *AsyncLoader {
 		quit:     make(chan struct{}),
 	}
 	a.cond = sync.NewCond(&a.bufMu)
-	copy(a.produced, l.nextStep)
-	// the epoch permutation is lazily cached inside the sampler; prime it
-	// before concurrency starts
-	l.Sampler.Prime(l.epoch)
+	for r := range a.produced {
+		a.produced[r] = l.nextStep[r] + len(l.pending[r])
+	}
 
 	for w := 0; w < physicalWorkers; w++ {
 		a.wg.Add(1)
@@ -108,7 +107,7 @@ func (a *AsyncLoader) prefetchOne(r int) {
 	p := a.l.materialize(step, r)
 
 	a.bufMu.Lock()
-	a.l.pending[a.l.Sampler.GlobalOrder(step, r)] = p
+	a.l.pending[r] = append(a.l.pending[r], p) // rankMu keeps these in step order
 	a.cond.Broadcast()
 	a.bufMu.Unlock()
 
@@ -124,17 +123,14 @@ func (a *AsyncLoader) Batch(step, rank int) (*tensor.Tensor, []int) {
 		a.bufMu.Unlock()
 		panic(fmt.Sprintf("data: async EST %d consuming step %d, expected %d", rank, step, a.l.nextStep[rank]))
 	}
-	o := a.l.Sampler.GlobalOrder(step, rank)
-	for {
-		if p, ok := a.l.pending[o]; ok {
-			delete(a.l.pending, o)
-			a.l.nextStep[rank]++
-			a.bufMu.Unlock()
-			a.kick(rank)
-			return p.x, p.labels
-		}
+	for len(a.l.pending[rank]) == 0 {
 		a.cond.Wait()
 	}
+	p := a.l.popPending(rank)
+	a.l.nextStep[rank]++
+	a.bufMu.Unlock()
+	a.kick(rank)
+	return p.x, p.labels
 }
 
 // Close stops the pool and waits for in-flight pre-processing; after Close

@@ -1,6 +1,8 @@
 package data
 
 import (
+	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -244,6 +246,53 @@ func TestLoaderConsumptionOrderIrrelevantAcrossRanks(t *testing.T) {
 		if got2[k] != v {
 			t.Fatalf("batch %v differs across consumption orders", k)
 		}
+	}
+}
+
+// TestLoaderConcurrentRanksBitwiseEqualsSerial: Batch is safe for concurrent
+// calls on distinct ranks — what core.Job.RunStep does when the GPUs of a
+// placement compute at once. Every rank draws its batches of two epochs from
+// its own goroutine (one of them through the prefetch queue); inputs, labels
+// and the final loader state must be bitwise those of a serial loader. Run
+// under -race by `make race`.
+func TestLoaderConcurrentRanksBitwiseEqualsSerial(t *testing.T) {
+	const world = 4
+	type drawn struct {
+		x      uint64
+		labels []int
+	}
+	ref, l := newLoader(world, 4, 2), newLoader(world, 4, 2)
+	steps := l.Sampler.StepsPerEpoch()
+	for epoch := 0; epoch < 2; epoch++ {
+		if epoch > 0 {
+			ref.SetEpoch(epoch)
+			l.SetEpoch(epoch)
+		}
+		l.Prefetch(1, 3)
+		got := make([][]drawn, world)
+		var wg sync.WaitGroup
+		for r := 0; r < world; r++ {
+			wg.Add(1)
+			go func(r int) {
+				defer wg.Done()
+				for step := 0; step < steps; step++ {
+					x, labels := l.Batch(step, r)
+					got[r] = append(got[r], drawn{x.Hash64(), labels})
+				}
+			}(r)
+		}
+		wg.Wait()
+		for step := 0; step < steps; step++ {
+			for r := 0; r < world; r++ {
+				x, labels := ref.Batch(step, r)
+				if g := got[r][step]; g.x != x.Hash64() || !reflect.DeepEqual(g.labels, labels) {
+					t.Fatalf("epoch %d: concurrent batch (%d,%d) differs from serial", epoch, step, r)
+				}
+			}
+		}
+	}
+	if !reflect.DeepEqual(l.State(), ref.State()) {
+		t.Fatal("loader state after concurrent consumption differs from serial")
 	}
 }
 

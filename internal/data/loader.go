@@ -32,10 +32,16 @@ type Loader struct {
 	Seed  uint64
 	epoch int
 
+	// Everything below is indexed by EST rank first, and Batch touches only
+	// its own rank's entries — so ESTs on different GPUs may draw their
+	// batches concurrently (core.Job.RunStep does). Everything else on a
+	// Loader wants the ranks quiescent.
+
 	// virtual worker streams: [world][K]
 	streams [][]*rng.Stream
-	// queuing buffer: prefetched, unconsumed batches keyed by global order
-	pending map[int]*prepared
+	// queuing buffer: pending[r] holds EST r's prefetched, unconsumed
+	// batches in step order, starting at nextStep[r]
+	pending [][]*prepared
 	// per-EST next step to consume (ESTs consume their own steps in order)
 	nextStep []int
 }
@@ -52,15 +58,18 @@ func NewLoader(ds Dataset, sampler *ElasticSampler, workersPerEST int, seed uint
 	if workersPerEST <= 0 {
 		panic("data: WorkersPerEST must be positive")
 	}
-	l := &Loader{DS: ds, Sampler: sampler, WorkersPerEST: workersPerEST, Seed: seed, pending: map[int]*prepared{}}
+	l := &Loader{DS: ds, Sampler: sampler, WorkersPerEST: workersPerEST, Seed: seed}
 	l.SetEpoch(0)
 	return l
 }
 
 // SetEpoch reseeds all virtual worker streams for the epoch and resets the
-// consumption cursors, matching per-epoch DataLoader worker reseeding.
+// consumption cursors, matching per-epoch DataLoader worker reseeding. It
+// also primes the sampler's epoch permutation, so every later Indices call
+// of the epoch is a pure read.
 func (l *Loader) SetEpoch(epoch int) {
 	l.epoch = epoch
+	l.Sampler.Prime(epoch)
 	w := l.Sampler.World
 	l.streams = make([][]*rng.Stream, w)
 	for r := 0; r < w; r++ {
@@ -69,7 +78,7 @@ func (l *Loader) SetEpoch(epoch int) {
 			l.streams[r][j] = rng.NewNamed(l.Seed, fmt.Sprintf("dw-e%d-r%d-j%d", epoch, r, j))
 		}
 	}
-	l.pending = map[int]*prepared{}
+	l.pending = make([][]*prepared, w)
 	l.nextStep = make([]int, w)
 }
 
@@ -96,29 +105,34 @@ func (l *Loader) Prefetch(rank, ahead int) {
 	if max := l.Sampler.StepsPerEpoch(); limit > max {
 		limit = max
 	}
-	for step := l.nextStep[rank]; step < limit; step++ {
-		o := l.Sampler.GlobalOrder(step, rank)
-		if _, ok := l.pending[o]; !ok {
-			l.pending[o] = l.materialize(step, rank)
-		}
+	for step := l.nextStep[rank] + len(l.pending[rank]); step < limit; step++ {
+		l.pending[rank] = append(l.pending[rank], l.materialize(step, rank))
 	}
 }
 
 // Batch returns the mini-batch of EST `rank` at `step`. ESTs consume their
-// steps strictly in order.
+// steps strictly in order. Safe for concurrent calls on distinct ranks.
 func (l *Loader) Batch(step, rank int) (*tensor.Tensor, []int) {
 	if step != l.nextStep[rank] {
 		panic(fmt.Sprintf("data: EST %d consuming step %d, expected %d (in-order consumption)", rank, step, l.nextStep[rank]))
 	}
-	o := l.Sampler.GlobalOrder(step, rank)
-	p, ok := l.pending[o]
-	if !ok {
-		p = l.materialize(step, rank)
+	var p *prepared
+	if len(l.pending[rank]) > 0 {
+		p = l.popPending(rank)
 	} else {
-		delete(l.pending, o)
+		p = l.materialize(step, rank)
 	}
 	l.nextStep[rank]++
 	return p.x, p.labels
+}
+
+// popPending dequeues EST rank's oldest prefetched batch.
+func (l *Loader) popPending(rank int) *prepared {
+	q := l.pending[rank]
+	p := q[0]
+	q[0] = nil
+	l.pending[rank] = q[1:]
+	return p
 }
 
 // AdvanceTo materializes-and-discards batches of `rank` until its cursor
@@ -152,16 +166,11 @@ func (l *Loader) State() State {
 		for j := range l.streams[r] {
 			st.Streams[r][j] = l.streams[r][j].State()
 		}
-		// Prefetch fills contiguously from the cursor, so pending steps form
-		// a run [nextStep, nextStep+m). The first pending step owned by each
-		// virtual worker carries the state to roll back to.
+		// The first pending step owned by each virtual worker carries the
+		// state to roll back to.
 		rolled := make([]bool, l.WorkersPerEST)
-		for step := l.nextStep[r]; ; step++ {
-			p, ok := l.pending[l.Sampler.GlobalOrder(step, r)]
-			if !ok {
-				break
-			}
-			if j := l.worker(step); !rolled[j] {
+		for i, p := range l.pending[r] {
+			if j := l.worker(l.nextStep[r] + i); !rolled[j] {
 				st.Streams[r][j] = p.preState
 				rolled[j] = true
 			}
@@ -177,6 +186,7 @@ func (l *Loader) Restore(st State) {
 		panic("data: Restore with mismatched world size")
 	}
 	l.epoch = st.Epoch
+	l.Sampler.Prime(st.Epoch)
 	l.nextStep = append([]int(nil), st.NextStep...)
 	l.streams = make([][]*rng.Stream, len(st.Streams))
 	for r := range st.Streams {
@@ -188,7 +198,7 @@ func (l *Loader) Restore(st State) {
 			l.streams[r][j] = rng.Restore(st.Streams[r][j])
 		}
 	}
-	l.pending = map[int]*prepared{}
+	l.pending = make([][]*prepared, len(st.Streams))
 }
 
 // Worker-pool launch cost model for the data-worker sharing experiment

@@ -51,7 +51,8 @@ func (s *ElasticSampler) permutation(epoch int) []int {
 }
 
 // Prime materializes the epoch's permutation cache so subsequent Indices
-// calls are read-only — required before concurrent use.
+// calls are read-only — required before concurrent use. Loader.SetEpoch and
+// Loader.Restore call it for the epoch they install.
 func (s *ElasticSampler) Prime(epoch int) { s.permutation(epoch) }
 
 // Indices returns the dataset indices of EST `rank` at global step `step` of
@@ -69,8 +70,3 @@ func (s *ElasticSampler) Indices(epoch, step, rank int) []int {
 	copy(out, perm[base:base+s.Batch])
 	return out
 }
-
-// GlobalOrder returns the sequence number of (step, rank) in the time-sliced
-// consumption order: all ranks of step 0, then all ranks of step 1, … . The
-// queuing buffer and data-worker rotation follow this order.
-func (s *ElasticSampler) GlobalOrder(step, rank int) int { return step*s.World + rank }

@@ -160,7 +160,7 @@ func Conv2D(dst, src, weight, bias []float32, d ConvDims, kc int) {
 	for b := 0; b < d.Batch; b++ {
 		out := dst[b*imgOut : (b+1)*imgOut]
 		bsrc := bPanelSrc{kind: bIm2Col, data: src[b*imgIn : (b+1)*imgIn], dims: d}
-		gemmRange(out, spatial, &pa, &bsrc, 0, pa.mtiles, 0, spatial, nil)
+		gemmTiled(out, spatial, &pa, &bsrc)
 		if bias != nil {
 			addBias(out, bias, d.COut, spatial)
 		}
@@ -221,7 +221,7 @@ func Conv2DBackward(gradSrc, gradWeight, gradBias, src, weight, gradOut []float3
 			// dW += dOut · colsᵀ : [CO, spatial]·[spatial, kdim] = [CO, kdim]
 			paD := packA(dout, d.COut, spatial, kcW, spatial, 1)
 			bsrc := bPanelSrc{kind: bIm2ColT, data: src[b*imgIn : (b+1)*imgIn], dims: d}
-			gemmRange(wpart, kdim, &paD, &bsrc, 0, paD.mtiles, 0, kdim, nil)
+			gemmTiled(wpart, kdim, &paD, &bsrc)
 			paD.release()
 			AddF32(gradWeight, wpart)
 		}
@@ -234,7 +234,7 @@ func Conv2DBackward(gradSrc, gradWeight, gradBias, src, weight, gradOut []float3
 		if gradSrc != nil {
 			// dCols = Wᵀ · dOut : [kdim, CO]·[CO, spatial]
 			bsrc := bPanelSrc{kind: bRowMajor, data: dout, ld: spatial}
-			gemmRange(dcols, spatial, &paT, &bsrc, 0, paT.mtiles, 0, spatial, nil)
+			gemmTiled(dcols, spatial, &paT, &bsrc)
 			Col2Im(gradSrc[b*imgIn:(b+1)*imgIn], dcols, d)
 		}
 	}

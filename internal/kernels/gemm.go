@@ -95,10 +95,7 @@ func packA(a []float32, m, k, kc, rs, cs int) packedA {
 func (pa *packedA) release() { pool.Put(pa.buf) }
 
 // bPanelSrc describes where B panels are packed from. A plain struct (not a
-// closure) so per-image conv packs do not allocate; all fields are held by
-// value because pack-overlap jobs copy the source into a heap-resident
-// pipeline slot — a pointer field would force the caller's locals to escape
-// on every GEMM call.
+// closure) so per-image conv packs do not allocate.
 type bPanelSrc struct {
 	kind int
 	data []float32 // matrix for row/col-major kinds, the source image for im2col kinds
@@ -115,10 +112,7 @@ const (
 
 // pack fills bp with the (k0..k0+kb) × (j0..j0+jw) block of B in nr-wide
 // column strips, kk-major within a strip, zero-padded past jw. Pure data
-// movement: the layout change is invisible to numerics, and the panel bits
-// are a function of (source, block coordinates, nr) only — which is what
-// makes the pack/compute overlap handoff deterministic regardless of which
-// goroutine runs the pack.
+// movement: the layout change is invisible to numerics.
 func (s *bPanelSrc) pack(bp []float32, k0, kb, j0, jw, nr int) {
 	switch s.kind {
 	case bRowMajor:
@@ -333,160 +327,76 @@ func packBIm2ColT(bp, src []float32, d *ConvDims, k0, kb, j0, jw, nr int) {
 	}
 }
 
-// gemmRange computes the output sub-rectangle rows [s0·mr, min(m, s1·mr)) ×
-// cols [j0, j1) of C = A·B from packed A and a B-panel source. Per output
-// element the kc blocks are visited in ascending order and accumulated
-// exactly as the reference loops do, so any rectangle decomposition (the
-// parallel dispatch unit) is bitwise invisible. dst is fully overwritten in
-// the covered rectangle.
-//
-// B panels are consumed in a fixed sequence — column blocks ascending, kc
-// blocks ascending within each — flattened into one panel index. When ov is
-// non-nil (the parallel path), the next panel in the sequence is packed on a
-// pool worker while the current one feeds the micro-kernel, double-buffered;
-// ov == nil packs each panel inline. Both modes produce identical bits: a
-// panel's contents are a pure function of its coordinates (see
-// bPanelSrc.pack), and the compute loop never observes who packed it.
-func gemmRange(dst []float32, n int, pa *packedA, bsrc *bPanelSrc, s0, s1, j0, j1 int, ov *packAhead) {
+// gemmTiled computes C = A·B (m×n, row-major with stride n) from packed A and
+// a B-panel source. Per output element the kc blocks are visited in ascending
+// order and accumulated exactly as the reference loops do; dst is fully
+// overwritten. B panels are packed and consumed one at a time — column blocks
+// ascending, kc blocks ascending within each — into a single pooled buffer.
+func gemmTiled(dst []float32, n int, pa *packedA, bsrc *bPanelSrc) {
 	m, k, kc := pa.m, pa.k, pa.kc
 	mk := pa.mk
 	mr, nr := mk.mr, mk.nr
-	if j1 > j0 && k == 0 {
+	if m <= 0 || n <= 0 {
+		return
+	}
+	if k == 0 {
 		// no k-partials: the reference zeroes the output
-		iEnd := min(m, s1*mr)
-		for i := s0 * mr; i < iEnd; i++ {
-			zeroFill(dst[i*n+j0 : i*n+j1])
-		}
+		zeroFill(dst[:m*n])
 		return
 	}
-	if j1 <= j0 || s1 <= s0 {
-		return
-	}
-	panelElems := ((min(gemmNC, j1-j0) + nr - 1) / nr) * nr * min(kc, k)
-	nk := (k + kc - 1) / kc
-	njc := (j1 - j0 + gemmNC - 1) / gemmNC
-	npanels := njc * nk
-
-	var bufs [2][]float32
-	bufs[0] = pool.GetUninit(panelElems)
-	if ov != nil && npanels > 1 {
-		bufs[1] = pool.GetUninit(panelElems)
-	} else {
-		ov = nil
-	}
-
-	// desc derives panel p's coordinates from the flattened index — the same
-	// (jc outer, k0 inner) order the nested loops used to walk.
-	desc := func(p int) (jc, jcw, k0, kb int) {
-		jc = j0 + (p/nk)*gemmNC
-		jcw = min(gemmNC, j1-jc)
-		k0 = (p % nk) * kc
-		kb = min(kc, k-k0)
-		return
-	}
-	if ov != nil {
-		jc, jcw, k0, kb := desc(0)
-		ov.submit(0, panelJob{dst: bufs[0], src: *bsrc, k0: k0, kb: kb, j0: jc, jw: jcw, nr: nr})
-	}
-
+	bp := pool.GetUninit(((min(gemmNC, n) + nr - 1) / nr) * nr * min(kc, k))
 	// Edge-tile scratch comes from the arena, not the stack: it is passed to
 	// the micro-kernel through a func value, and escape analysis would heap-
 	// allocate a stack array on every call through that indirection.
 	tile := pool.GetUninit(maxMR * maxNR)
-	for p := 0; p < npanels; p++ {
-		jc, jcw, k0, kb := desc(p)
-		slot := 0
-		if ov != nil {
-			slot = p & 1
-		}
-		bp := bufs[slot]
-		if ov != nil {
-			ov.await(slot)
-			if p+1 < npanels {
-				// The other buffer was consumed at panel p-1 (compute below is
-				// synchronous), so packing panel p+1 into it now overlaps with
-				// this panel's micro-kernel loop.
-				njc2, njcw2, nk02, nkb2 := desc(p + 1)
-				ov.submit(slot^1, panelJob{dst: bufs[slot^1], src: *bsrc, k0: nk02, kb: nkb2, j0: njc2, jw: njcw2, nr: nr})
-			}
-		} else {
+	for jc := 0; jc < n; jc += gemmNC {
+		jcw := min(gemmNC, n-jc)
+		for k0 := 0; k0 < k; k0 += kc {
+			kb := min(kc, k-k0)
 			bsrc.pack(bp, k0, kb, jc, jcw, nr)
-		}
 
-		add := k0 > 0
-		aBlock := k0 * pa.mtiles * mr
-		for sc := s0; sc < s1; sc += gemmMCStrips {
-			scEnd := min(s1, sc+gemmMCStrips)
-			for t := 0; t*nr < jcw; t++ {
-				bpOff := t * kb * nr
-				jt := jc + t*nr
-				cols := min(nr, jcw-t*nr)
-				for s := sc; s < scEnd; s++ {
-					apOff := aBlock + s*kb*mr
-					i0 := s * mr
-					if i0+mr <= m && cols == nr {
-						mk.fn(dst, i0*n+jt, n, pa.buf[apOff:], bp[bpOff:], kb, add)
-						continue
-					}
-					// edge tile: compute the full register tile into
-					// scratch, then store/add only the valid region —
-					// padded lanes (zero-filled operands) never reach dst
-					mk.fn(tile, 0, nr, pa.buf[apOff:], bp[bpOff:], kb, false)
-					rows := min(mr, m-i0)
-					if add {
-						for r := 0; r < rows; r++ {
-							row := dst[(i0+r)*n+jt:]
-							for c := 0; c < cols; c++ {
-								row[c] += tile[r*nr+c]
-							}
+			add := k0 > 0
+			aBlock := k0 * pa.mtiles * mr
+			for sc := 0; sc < pa.mtiles; sc += gemmMCStrips {
+				scEnd := min(pa.mtiles, sc+gemmMCStrips)
+				for t := 0; t*nr < jcw; t++ {
+					bpOff := t * kb * nr
+					jt := jc + t*nr
+					cols := min(nr, jcw-t*nr)
+					for s := sc; s < scEnd; s++ {
+						apOff := aBlock + s*kb*mr
+						i0 := s * mr
+						if i0+mr <= m && cols == nr {
+							mk.fn(dst, i0*n+jt, n, pa.buf[apOff:], bp[bpOff:], kb, add)
+							continue
 						}
-					} else {
-						for r := 0; r < rows; r++ {
-							row := dst[(i0+r)*n+jt:]
-							for c := 0; c < cols; c++ {
-								row[c] = tile[r*nr+c]
+						// edge tile: compute the full register tile into
+						// scratch, then store/add only the valid region —
+						// padded lanes (zero-filled operands) never reach dst
+						mk.fn(tile, 0, nr, pa.buf[apOff:], bp[bpOff:], kb, false)
+						rows := min(mr, m-i0)
+						if add {
+							for r := 0; r < rows; r++ {
+								row := dst[(i0+r)*n+jt:]
+								for c := 0; c < cols; c++ {
+									row[c] += tile[r*nr+c]
+								}
+							}
+						} else {
+							for r := 0; r < rows; r++ {
+								row := dst[(i0+r)*n+jt:]
+								for c := 0; c < cols; c++ {
+									row[c] = tile[r*nr+c]
+								}
 							}
 						}
 					}
 				}
 			}
 		}
-		if ov != nil {
-			ov.consumed(slot)
-		}
 	}
 	pool.Put(tile)
-	pool.Put(bufs[0])
-	if bufs[1] != nil {
-		pool.Put(bufs[1])
-	}
-}
-
-// gemmParallel dispatches whole cache blocks of the output rectangle to the
-// worker pool: contiguous runs of row strips when the matrix is tall,
-// contiguous runs of column strips when it is wide. Each unit runs its own
-// ascending kc loop and packs its own B panels — overlapped with compute via
-// a per-unit packAhead pipeline when helpers are available — so units are
-// disjoint in their outputs and bitwise independent of the worker count.
-func gemmParallel(dst []float32, n int, pa *packedA, bsrc *bPanelSrc) {
-	workers := maxWorkers()
-	if pa.m >= n {
-		chunk, nchunks := chunksFor(pa.mtiles, workers)
-		parallelChunks(pa.mtiles, chunk, nchunks, func(_, lo, hi int) {
-			ov := takePackAhead()
-			gemmRange(dst, n, pa, bsrc, lo, hi, 0, n, ov)
-			putPackAhead(ov)
-		})
-		return
-	}
-	nr := pa.mk.nr
-	ntiles := (n + nr - 1) / nr
-	chunk, nchunks := chunksFor(ntiles, workers)
-	parallelChunks(ntiles, chunk, nchunks, func(_, lo, hi int) {
-		ov := takePackAhead()
-		gemmRange(dst, n, pa, bsrc, 0, pa.mtiles, lo*nr, min(n, hi*nr), ov)
-		putPackAhead(ov)
-	})
+	pool.Put(bp)
 }
 
 // normKC normalizes the accumulation block: kc <= 0 or kc > k means a single
@@ -503,7 +413,7 @@ func matMulTiled(dst, a, b []float32, m, k, n, kc int) {
 	kc = normKC(kc, k)
 	pa := packA(a, m, k, kc, k, 1)
 	bsrc := bPanelSrc{kind: bRowMajor, data: b, ld: n}
-	gemmRange(dst, n, &pa, &bsrc, 0, pa.mtiles, 0, n, nil)
+	gemmTiled(dst, n, &pa, &bsrc)
 	pa.release()
 }
 
@@ -512,7 +422,7 @@ func matMulATBTiled(dst, a, b []float32, m, k, n, kc int) {
 	kc = normKC(kc, k)
 	pa := packA(a, m, k, kc, 1, m)
 	bsrc := bPanelSrc{kind: bRowMajor, data: b, ld: n}
-	gemmRange(dst, n, &pa, &bsrc, 0, pa.mtiles, 0, n, nil)
+	gemmTiled(dst, n, &pa, &bsrc)
 	pa.release()
 }
 
@@ -521,6 +431,6 @@ func matMulABTTiled(dst, a, b []float32, m, k, n, kc int) {
 	kc = normKC(kc, k)
 	pa := packA(a, m, k, kc, k, 1)
 	bsrc := bPanelSrc{kind: bColMajor, data: b, ld: k}
-	gemmRange(dst, n, &pa, &bsrc, 0, pa.mtiles, 0, n, nil)
+	gemmTiled(dst, n, &pa, &bsrc)
 	pa.release()
 }

@@ -58,7 +58,7 @@ type mkDesc struct {
 }
 
 // maxMR/maxNR bound the register tile across all variants; the edge-tile
-// scratch in gemmRange is sized by them.
+// scratch in gemmTiled is sized by them.
 const (
 	maxMR = 8
 	maxNR = 8

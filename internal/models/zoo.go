@@ -44,21 +44,35 @@ func (w *Workload) StateTensors() []*tensor.Tensor {
 	return nil
 }
 
-// imageGeom is the common synthetic-image geometry.
+// Synthetic-dataset geometry shared between a workload's network and its
+// training set: images, token sequences (bert, electra), and the neumf
+// interaction matrix.
 const (
 	imgC, imgH, imgW = 3, 8, 8
 	imgClasses       = 10
 	datasetSize      = 1024
+
+	tokVocab, tokSeqLen, tokClasses = 64, 8, 4
+	neumfUsers, neumfItems          = 64, 128
 )
 
+// builder describes one registered workload. The network and the training
+// set have separate constructors so BuildNet can produce a model replica
+// without generating a dataset.
 type builder struct {
-	task, dataset string
-	vendor        bool
-	build         func(seed uint64) (nn.Layer, LossFn, data.Dataset, int, int)
+	task, dataset  string
+	vendor         bool
+	classes, batch int
+	net            func(init *rng.Stream) (nn.Layer, LossFn)
+	data           func(seed uint64) data.Dataset
 }
 
 func imgDataset(seed uint64) data.Dataset {
 	return data.NewSyntheticImages(datasetSize, imgClasses, imgC, imgH, imgW, seed)
+}
+
+func tokenDataset(seed uint64) data.Dataset {
+	return data.NewSyntheticTokens(datasetSize, tokVocab, tokSeqLen, tokClasses, seed)
 }
 
 // transformerBlock is a pre-norm transformer block: x += MHA(LN(x));
@@ -81,8 +95,8 @@ func transformerBlock(d, heads int, init *rng.Stream) []nn.Layer {
 
 var registry = map[string]builder{
 	"shufflenetv2": {task: "Image Classification", dataset: "ImageNet(synthetic)", vendor: true,
-		build: func(seed uint64) (nn.Layer, LossFn, data.Dataset, int, int) {
-			init := rng.NewNamed(seed, "shufflenetv2")
+		classes: imgClasses, batch: 8, data: imgDataset,
+		net: func(init *rng.Stream) (nn.Layer, LossFn) {
 			net := nn.NewSequential(
 				nn.NewConv2D(imgC, 8, 3, 1, 1, false, init),
 				nn.NewBatchNorm2D(8),
@@ -93,11 +107,11 @@ var registry = map[string]builder{
 				nn.NewGlobalAvgPool(),
 				nn.NewLinear(16, imgClasses, true, init),
 			)
-			return net, NewCrossEntropyLoss(), imgDataset(seed), imgClasses, 8
+			return net, NewCrossEntropyLoss()
 		}},
 	"resnet50": {task: "Image Classification", dataset: "ImageNet(synthetic)", vendor: true,
-		build: func(seed uint64) (nn.Layer, LossFn, data.Dataset, int, int) {
-			init := rng.NewNamed(seed, "resnet50")
+		classes: imgClasses, batch: 8, data: imgDataset,
+		net: func(init *rng.Stream) (nn.Layer, LossFn) {
 			block := func() nn.Layer {
 				return nn.NewResidual(nn.NewSequential(
 					nn.NewConv2D(8, 8, 3, 1, 1, false, init),
@@ -118,11 +132,11 @@ var registry = map[string]builder{
 				nn.NewGlobalAvgPool(),
 				nn.NewLinear(8, imgClasses, true, init),
 			)
-			return net, NewCrossEntropyLoss(), imgDataset(seed), imgClasses, 8
+			return net, NewCrossEntropyLoss()
 		}},
 	"vgg19": {task: "Image Classification", dataset: "ImageNet(synthetic)", vendor: true,
-		build: func(seed uint64) (nn.Layer, LossFn, data.Dataset, int, int) {
-			init := rng.NewNamed(seed, "vgg19")
+		classes: imgClasses, batch: 8, data: imgDataset,
+		net: func(init *rng.Stream) (nn.Layer, LossFn) {
 			net := nn.NewSequential(
 				nn.NewConv2D(imgC, 8, 3, 1, 1, true, init),
 				nn.NewReLU(),
@@ -136,11 +150,11 @@ var registry = map[string]builder{
 				nn.NewDropout(0.5),
 				nn.NewLinear(32, imgClasses, true, init),
 			)
-			return net, NewCrossEntropyLoss(), imgDataset(seed), imgClasses, 8
+			return net, NewCrossEntropyLoss()
 		}},
 	"yolov3": {task: "Object Detection", dataset: "PASCAL(synthetic)", vendor: true,
-		build: func(seed uint64) (nn.Layer, LossFn, data.Dataset, int, int) {
-			init := rng.NewNamed(seed, "yolov3")
+		classes: imgClasses, batch: 8, data: imgDataset,
+		net: func(init *rng.Stream) (nn.Layer, LossFn) {
 			net := nn.NewSequential(
 				nn.NewConv2D(imgC, 8, 3, 1, 1, false, init),
 				nn.NewBatchNorm2D(8),
@@ -154,11 +168,11 @@ var registry = map[string]builder{
 				nn.NewGlobalAvgPool(),
 				nn.NewLinear(16, imgClasses, true, init),
 			)
-			return net, NewCrossEntropyLoss(), imgDataset(seed), imgClasses, 8
+			return net, NewCrossEntropyLoss()
 		}},
 	"mlp": {task: "Image Classification", dataset: "ImageNet(synthetic)", vendor: false,
-		build: func(seed uint64) (nn.Layer, LossFn, data.Dataset, int, int) {
-			init := rng.NewNamed(seed, "mlp")
+		classes: imgClasses, batch: 8, data: imgDataset,
+		net: func(init *rng.Stream) (nn.Layer, LossFn) {
 			net := nn.NewSequential(
 				nn.NewFlatten(),
 				nn.NewLinear(imgC*imgH*imgW, 64, true, init),
@@ -167,45 +181,44 @@ var registry = map[string]builder{
 				nn.NewReLU(),
 				nn.NewLinear(32, imgClasses, true, init),
 			)
-			return net, NewCrossEntropyLoss(), imgDataset(seed), imgClasses, 8
+			return net, NewCrossEntropyLoss()
 		}},
 	"neumf": {task: "Recommendation", dataset: "MovieLens(synthetic)", vendor: false,
-		build: func(seed uint64) (nn.Layer, LossFn, data.Dataset, int, int) {
-			init := rng.NewNamed(seed, "neumf")
-			const users, items = 64, 128
-			net := NewNeuMF(users, items, 16, init)
-			return net, NewBCELoss(), data.NewSyntheticInteractions(datasetSize, users, items, seed), 2, 16
+		classes: 2, batch: 16,
+		data: func(seed uint64) data.Dataset {
+			return data.NewSyntheticInteractions(datasetSize, neumfUsers, neumfItems, seed)
+		},
+		net: func(init *rng.Stream) (nn.Layer, LossFn) {
+			return NewNeuMF(neumfUsers, neumfItems, 16, init), NewBCELoss()
 		}},
 	"bert": {task: "Question Answering", dataset: "SQuAD(synthetic)", vendor: false,
-		build: func(seed uint64) (nn.Layer, LossFn, data.Dataset, int, int) {
-			init := rng.NewNamed(seed, "bert")
-			const vocab, seqLen, d, classes = 64, 8, 16, 4
-			layers := []nn.Layer{nn.NewEmbedding(vocab, d, init)}
+		classes: tokClasses, batch: 8, data: tokenDataset,
+		net: func(init *rng.Stream) (nn.Layer, LossFn) {
+			const d = 16
+			layers := []nn.Layer{nn.NewEmbedding(tokVocab, d, init)}
 			layers = append(layers, transformerBlock(d, 2, init)...)
 			layers = append(layers, transformerBlock(d, 2, init)...)
-			layers = append(layers, nn.NewMeanPool(), nn.NewLinear(d, classes, true, init))
-			return nn.NewSequential(layers...), NewCrossEntropyLoss(),
-				data.NewSyntheticTokens(datasetSize, vocab, seqLen, classes, seed), classes, 8
+			layers = append(layers, nn.NewMeanPool(), nn.NewLinear(d, tokClasses, true, init))
+			return nn.NewSequential(layers...), NewCrossEntropyLoss()
 		}},
 	"electra": {task: "Question Answering", dataset: "SQuAD(synthetic)", vendor: false,
-		build: func(seed uint64) (nn.Layer, LossFn, data.Dataset, int, int) {
-			init := rng.NewNamed(seed, "electra")
-			const vocab, seqLen, d, classes = 64, 8, 12, 4
-			layers := []nn.Layer{nn.NewEmbedding(vocab, d, init)}
+		classes: tokClasses, batch: 8, data: tokenDataset,
+		net: func(init *rng.Stream) (nn.Layer, LossFn) {
+			const d = 12
+			layers := []nn.Layer{nn.NewEmbedding(tokVocab, d, init)}
 			layers = append(layers, transformerBlock(d, 2, init)...)
-			layers = append(layers, nn.NewMeanPool(), nn.NewLinear(d, classes, true, init))
-			return nn.NewSequential(layers...), NewCrossEntropyLoss(),
-				data.NewSyntheticTokens(datasetSize, vocab, seqLen, classes, seed), classes, 8
+			layers = append(layers, nn.NewMeanPool(), nn.NewLinear(d, tokClasses, true, init))
+			return nn.NewSequential(layers...), NewCrossEntropyLoss()
 		}},
 	"swintransformer": {task: "Image Classification", dataset: "ImageNet(synthetic)", vendor: false,
-		build: func(seed uint64) (nn.Layer, LossFn, data.Dataset, int, int) {
-			init := rng.NewNamed(seed, "swintransformer")
+		classes: imgClasses, batch: 8, data: imgDataset,
+		net: func(init *rng.Stream) (nn.Layer, LossFn) {
 			const d = 16
 			layers := []nn.Layer{nn.NewPatchEmbed(imgC, 2, d, init)}
 			layers = append(layers, transformerBlock(d, 2, init)...)
 			layers = append(layers, transformerBlock(d, 2, init)...)
 			layers = append(layers, nn.NewMeanPool(), nn.NewLinear(d, imgClasses, true, init))
-			return nn.NewSequential(layers...), NewCrossEntropyLoss(), imgDataset(seed), imgClasses, 8
+			return nn.NewSequential(layers...), NewCrossEntropyLoss()
 		}},
 }
 
@@ -228,20 +241,32 @@ func TableNames() []string {
 	return []string{"bert", "electra", "neumf", "resnet50", "shufflenetv2", "swintransformer", "vgg19", "yolov3"}
 }
 
+// BuildNet instantiates only a workload's network and loss, with the same
+// seed-derived initialization as Build and none of its datasets — what a
+// per-GPU model replica needs (core.Job), at a cost of microseconds.
+func BuildNet(name string, seed uint64) (nn.Layer, LossFn, error) {
+	b, ok := registry[name]
+	if !ok {
+		return nil, nil, fmt.Errorf("models: unknown workload %q (have %v)", name, Names())
+	}
+	net, loss := b.net(rng.NewNamed(seed, name))
+	return net, loss, nil
+}
+
 // Build instantiates a workload with deterministic, seed-derived
 // initialization: two Build calls with the same (name, seed) produce
 // bitwise-identical parameters.
 func Build(name string, seed uint64) (*Workload, error) {
-	b, ok := registry[name]
-	if !ok {
-		return nil, fmt.Errorf("models: unknown workload %q (have %v)", name, Names())
+	net, loss, err := BuildNet(name, seed)
+	if err != nil {
+		return nil, err
 	}
-	net, loss, ds, classes, batch := b.build(seed)
+	b := registry[name]
 	return &Workload{
 		Name: name, Task: b.task, DatasetName: b.dataset,
 		UsesVendorKernels: b.vendor,
-		Classes:           classes, DefaultBatch: batch,
-		Net: net, Loss: loss, Dataset: ds,
+		Classes:           b.classes, DefaultBatch: b.batch,
+		Net: net, Loss: loss, Dataset: b.data(seed),
 		EvalDataset: evalDataset(name, seed),
 	}, nil
 }
@@ -253,10 +278,10 @@ func evalDataset(name string, seed uint64) data.Dataset {
 	const evalSize = 512
 	switch name {
 	case "neumf":
-		base := data.NewSyntheticInteractions(datasetSize+evalSize, 64, 128, seed)
+		base := data.NewSyntheticInteractions(datasetSize+evalSize, neumfUsers, neumfItems, seed)
 		return data.NewSlice(base, datasetSize, evalSize)
 	case "bert", "electra":
-		base := data.NewSyntheticTokens(datasetSize+evalSize, 64, 8, 4, seed)
+		base := data.NewSyntheticTokens(datasetSize+evalSize, tokVocab, tokSeqLen, tokClasses, seed)
 		return data.NewSlice(base, datasetSize, evalSize)
 	default:
 		base := data.NewSyntheticImages(datasetSize+evalSize, imgClasses, imgC, imgH, imgW, seed)

@@ -60,7 +60,7 @@ func (c *Conv2D) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 	if c.B != nil {
 		bias = c.B.Value.Data
 	}
-	kernels.Conv2DParallel(y.Data, x.Data, c.W.Value.Data, bias, d, ctx.Dev.KernelBlock())
+	kernels.Conv2D(y.Data, x.Data, c.W.Value.Data, bias, d, ctx.Dev.KernelBlock())
 	return y
 }
 
@@ -75,7 +75,7 @@ func (c *Conv2D) Backward(ctx *Context, grad *tensor.Tensor) *tensor.Tensor {
 	if c.B != nil {
 		db = pool.GetUninit(d.COut)
 	}
-	kernels.Conv2DBackwardParallel(dx.Data, dw, db, c.x.Data, c.W.Value.Data, grad.Data, d, ctx.Dev.KernelBlock())
+	kernels.Conv2DBackward(dx.Data, dw, db, c.x.Data, c.W.Value.Data, grad.Data, d, ctx.Dev.KernelBlock())
 	for i, v := range dw {
 		c.W.Grad.Data[i] += v
 	}

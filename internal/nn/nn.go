@@ -193,7 +193,7 @@ func reduceMeanVar(ctx *Context, xs []float32) (mean, variance float32) {
 func gemm(ctx *Context, dst, a, b []float32, m, k, n int) {
 	ctx.Dev.ChargeFLOPs(2*float64(m)*float64(k)*float64(n), ctx.Dev.GemmEfficiency())
 	if ctx.Dev.DeterministicKernels() {
-		kernels.MatMulParallel(dst, a, b, m, k, n, ctx.Dev.KernelBlock())
+		kernels.MatMul(dst, a, b, m, k, n, ctx.Dev.KernelBlock())
 		return
 	}
 	kernels.MatMulAtomicSplitK(dst, a, b, m, k, n, ctx.Dev.AtomicWorkers())
@@ -201,12 +201,12 @@ func gemm(ctx *Context, dst, a, b []float32, m, k, n int) {
 
 func gemmATB(ctx *Context, dst, a, b []float32, m, k, n int) {
 	ctx.Dev.ChargeFLOPs(2*float64(m)*float64(k)*float64(n), ctx.Dev.GemmEfficiency())
-	kernels.MatMulATBParallel(dst, a, b, m, k, n, ctx.Dev.KernelBlock())
+	kernels.MatMulATB(dst, a, b, m, k, n, ctx.Dev.KernelBlock())
 }
 
 func gemmABT(ctx *Context, dst, a, b []float32, m, k, n int) {
 	ctx.Dev.ChargeFLOPs(2*float64(m)*float64(k)*float64(n), ctx.Dev.GemmEfficiency())
-	kernels.MatMulABTParallel(dst, a, b, m, k, n, ctx.Dev.KernelBlock())
+	kernels.MatMulABT(dst, a, b, m, k, n, ctx.Dev.KernelBlock())
 }
 
 func shapeCheck(cond bool, format string, args ...any) {

@@ -23,18 +23,13 @@ var update = flag.Bool("update", false, "rewrite golden files")
 //
 //	go test ./internal/obs -run TestGoldenElasticTrace -update
 func TestGoldenElasticTrace(t *testing.T) {
-	// Kernel dispatch shape (whether parallelChunks fires, and with how many
-	// chunks) depends on the worker count and the parallel threshold; pin
-	// both so the recording sequence does not vary with GOMAXPROCS or
-	// EASYSCALE_* environment overrides.
-	kernels.SetParallelism(2)
-	kernels.SetParallelThreshold(1 << 14)
+	// A FixedClock numbers Now() calls in sequence, and two GPUs computing
+	// at once would interleave theirs differently from run to run: pin the
+	// step to one GPU at a time.
+	kernels.SetParallelism(1)
 	defer kernels.SetParallelism(0)
-	defer kernels.SetParallelThreshold(0)
-	// The dispatch span arguments count micro-tile work items, and the
-	// micro-tile shape differs per ISA (8×8 AVX2 vs 4×4 elsewhere). Pin the
-	// generic kernel — available everywhere — so the golden is
-	// machine-independent.
+	// The cpu.avx2 counter records the active ISA. Pin the generic kernel —
+	// available everywhere — so the golden is machine-independent.
 	prevISA := kernels.ActiveISA()
 	if err := kernels.SetISA(kernels.ISAGeneric); err != nil {
 		t.Fatal(err)
@@ -42,8 +37,6 @@ func TestGoldenElasticTrace(t *testing.T) {
 	defer kernels.SetISA(prevISA)
 
 	tr := obs.New(obs.WithClock(&obs.FixedClock{}), obs.WithRingCap(1<<15))
-	obs.SetDefault(tr) // kernel-dispatch spans
-	defer obs.SetDefault(nil)
 
 	cfg := core.DefaultConfig(2)
 	cfg.BatchPerEST = 2

@@ -22,7 +22,7 @@
 // Concurrency model: track and counter registration are mutex-guarded cold
 // paths; recording is lock-free. Each span record claims a unique ring slot
 // with an atomic fetch-add, so concurrent writers (distributed workers, the
-// kernel worker pool's dispatch sites) never contend on a lock. When a ring
+// per-GPU goroutines of a training step) never contend on a lock. When a ring
 // wraps, the oldest spans are overwritten and counted in Dropped(). Readers
 // (exporters) must run at quiescence — after the traced run — which is the
 // only time the repo exports traces.
@@ -44,7 +44,8 @@ const (
 	CatStep Cat = iota
 	// CatSwitch is an EST context switch in or out (core, Fig. 11).
 	CatSwitch
-	// CatKernel is a kernel dispatch to the worker pool (kernels).
+	// CatKernel is a compute-kernel span (no in-tree site records one;
+	// kernels run on their caller's goroutine, inside core.compute).
 	CatKernel
 	// CatComm is a bucket flatten or all-reduce round (comm, Fig. 13).
 	CatComm
@@ -181,8 +182,8 @@ func (c *Counter) Value() int64 {
 }
 
 // RuntimeTrack is the pre-registered track id shared by process-wide
-// runtime instrumentation (kernel dispatch, communication rounds) that has
-// no natural per-EST or per-worker home.
+// runtime instrumentation (communication rounds) that has no natural
+// per-EST or per-worker home.
 const RuntimeTrack = 0
 
 // DefaultRingCap is the per-track span capacity when WithRingCap is not
@@ -236,18 +237,6 @@ func New(opts ...TracerOption) *Tracer {
 	t.Track("runtime") // == RuntimeTrack
 	return t
 }
-
-// The process-default tracer, consulted by instrumentation sites that have
-// no handle to thread one through (the kernel dispatch path). Nil when
-// tracing is off — the common case — so the disabled cost is one atomic
-// load and a nil test.
-var defaultTracer atomic.Pointer[Tracer]
-
-// Default returns the process-default tracer (nil when tracing is off).
-func Default() *Tracer { return defaultTracer.Load() }
-
-// SetDefault installs (or, with nil, clears) the process-default tracer.
-func SetDefault(t *Tracer) { defaultTracer.Store(t) }
 
 // Now reads the tracer clock (0 on a nil tracer).
 func (t *Tracer) Now() int64 {

@@ -179,24 +179,6 @@ func TestFixedClockDeterministic(t *testing.T) {
 	}
 }
 
-// TestDefaultTracer: the process default is settable, clearable, and starts
-// cleared in tests.
-func TestDefaultTracer(t *testing.T) {
-	if obs.Default() != nil {
-		t.Fatal("default tracer should start nil")
-	}
-	tr := obs.New()
-	obs.SetDefault(tr)
-	defer obs.SetDefault(nil)
-	if obs.Default() != tr {
-		t.Fatal("SetDefault did not install")
-	}
-	obs.SetDefault(nil)
-	if obs.Default() != nil {
-		t.Fatal("SetDefault(nil) did not clear")
-	}
-}
-
 // TestChromeExportRoundTrip: an export of spans, instants, events, and
 // counters passes the schema checker and contains the expected structure.
 func TestChromeExportRoundTrip(t *testing.T) {
