@@ -96,13 +96,11 @@ fuzz:
 bench:
 	$(GO) test ./internal/core/ -run '^$$' -bench 'BenchmarkTrainStep$$' -benchmem -benchtime 30x
 	$(GO) test . -run '^$$' -bench 'BenchmarkFig09LossDiff$$' -benchmem -benchtime 2x
-	$(GO) test ./internal/controlplane/ -run '^$$' -bench 'BenchmarkControlPlaneAdmission$$' -benchmem -benchtime 3x
 
 # one-iteration short-mode smoke of the kernel benchmarks: catches benchmark
 # rot (signature drift, panics on the bench path) without the full run
 benchsmoke:
 	$(GO) test ./internal/core/ -run '^$$' -bench 'BenchmarkTrainStep$$' -benchtime 1x -short
-	$(GO) test ./internal/controlplane/ -run '^$$' -bench 'BenchmarkControlPlaneAdmission$$' -benchtime 1x -short
 
 # cmd/bench is a separate module that the root build never descends into, so
 # deleting an exported identifier it calls would otherwise surface only at the

@@ -16,11 +16,13 @@
 //
 // Every placement, reservation, borrow, and preemption appends a
 // why-explained entry to the decision log (mirrored to the obs tracer under
-// CatPlane); identical submissions yield byte-identical logs.
+// CatPlane); identical submissions yield byte-identical logs. The log is kept
+// as fixed-size records and rendered to text on demand (record.go).
 package controlplane
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -110,6 +112,7 @@ func (c *Config) defaults() {
 type job struct {
 	spec      workload.JobSpec
 	team      string
+	env       *envelope // the team's
 	intra     *sched.IntraJob
 	leases    []*Lease
 	resv      *Reservation
@@ -122,29 +125,44 @@ type job struct {
 	// pausedUtil is the restart-pause debt in seconds: reconfiguration
 	// (admission, scale, preemption) costs RestartSec of training time.
 	pausedUtil float64
-	submitSeq  int
+	submitSeq  int // index into Plane.order
+	// grantedRound is the last scale-out round that accepted a proposal of
+	// this job (at most one per job per round).
+	grantedRound int
 }
 
 // Plane is the control plane. Not safe for concurrent use: it models one
 // deterministic cluster-scheduling loop.
 type Plane struct {
-	cfg          Config
-	free         sched.Resources
-	teams        map[string]*envelope
-	teamNames    []string
-	jobs         map[string]*job
-	order        []*job
-	nodes        []*Node
-	nodesByID    map[string]*Node
-	leases       map[string]*Lease
-	activeLeases []*Lease
-	leaseSeq     int
-	nowSec       float64
-	track        int
-	log          []string
-	utilSum      float64
-	utilTicks    int
-	stats        struct {
+	cfg   Config
+	free  sched.Resources
+	teams map[string]*envelope
+	// envs is teams in name order: a team's index in it is how records and
+	// sponsor selection name the team.
+	envs []*envelope
+	jobs map[string]*job
+	// order is the registry of every job ever submitted, in submission order
+	// (JobStats, OpenReservations, and every record's job index read it).
+	// Tick walks only live — admitted and not done, in submission order — and
+	// waiting — not yet admitted, by (priority desc, submission).
+	order, live, waiting []*job
+	nodes                []*Node
+	typeNodes            [device.NumTypes][]*Node // nodes by type, in node order
+	activeLeases         []*Lease
+	leaseSeq             int
+	round                int
+	nowSec               float64
+	track                int
+	recs                 [][]record // the decision log, in chunks; see record.go
+	nrecs                int
+	spill                []string         // messages of the spilled kinds
+	shares               []share          // node shares of every minted lease
+	head                 []perType        // sponsorFor's scratch: the live headroom view
+	avail                sched.Resources  // availFor's scratch
+	proposals            []sched.Proposal // Tick's scratch: one round's proposals
+	utilSum              float64
+	utilTicks            int
+	stats                struct {
 		borrows, reclaims, minted, finished, admitted, decisions int
 	}
 }
@@ -153,59 +171,60 @@ type Plane struct {
 func New(cfg Config) *Plane {
 	cfg.defaults()
 	p := &Plane{
-		cfg:       cfg,
-		free:      cfg.Inventory.Clone(),
-		teams:     map[string]*envelope{},
-		jobs:      map[string]*job{},
-		nodesByID: map[string]*Node{},
-		leases:    map[string]*Lease{},
-		track:     -1,
+		cfg:   cfg,
+		free:  cfg.Inventory.Clone(),
+		teams: map[string]*envelope{},
+		jobs:  map[string]*job{},
+		avail: sched.Resources{},
 	}
 	for _, tc := range cfg.Teams {
 		if _, dup := p.teams[tc.Name]; dup {
 			continue
 		}
 		p.teams[tc.Name] = newEnvelope(tc)
-		p.teamNames = append(p.teamNames, tc.Name)
+		p.envs = append(p.envs, p.teams[tc.Name])
 	}
-	sort.Strings(p.teamNames)
+	sort.Slice(p.envs, func(i, k int) bool { return p.envs[i].cfg.Name < p.envs[k].cfg.Name })
+	for i, e := range p.envs {
+		e.idx = i
+	}
+	p.head = make([]perType, len(p.envs))
 	p.nodes = buildNodes(cfg.Inventory, cfg.NodeGPUs)
 	for _, n := range p.nodes {
-		p.nodesByID[n.ID] = n
+		p.typeNodes[n.Type] = append(p.typeNodes[n.Type], n)
 	}
-	if cfg.Trace != nil {
-		p.track = cfg.Trace.Track("controlplane")
-	}
+	p.track = cfg.Trace.Track("controlplane") // -1 on a nil tracer
 	return p
-}
-
-// logf appends one why-explained entry to the decision log and mirrors it to
-// the tracer. name must be a static string (it becomes the span name).
-func (p *Plane) logf(name string, a0, a1 int64, format string, args ...any) {
-	msg := fmt.Sprintf(format, args...)
-	p.log = append(p.log, fmt.Sprintf("%10.1f %-13s %s", p.nowSec, name, msg))
-	if p.cfg.Trace != nil {
-		p.cfg.Trace.Event(p.track, obs.CatPlane, name, msg, a0, a1)
-	}
 }
 
 // Submit registers a job and attempts admission. Exactly one return is
 // non-nil: a Lease when the job is admitted (a zero-count admission ticket
 // for fully elastic jobs, which start at zero GPUs and grow by proposals),
-// or a Reservation with ETA, deficit, and remedies when it must wait.
+// or a Reservation with ETA, deficit, and remedies when it must wait. A job
+// ID can be registered once: a second Submit of it changes nothing and is
+// answered with a reservation that can never be met.
 func (p *Plane) Submit(spec workload.JobSpec) (*Lease, *Reservation) {
+	if _, dup := p.jobs[spec.ID]; dup {
+		p.emitText(record{kind: kAnomaly}, fmt.Sprintf("job %s is already registered; resubmission ignored", spec.ID))
+		return nil, &Reservation{
+			JobID: spec.ID, Team: spec.Team, Type: spec.RequestedType, Need: spec.MinGPUs, ETASec: -1,
+			Remedies: []string{fmt.Sprintf("resubmit under another ID: %s is taken", spec.ID)},
+			SinceSec: p.nowSec,
+		}
+	}
 	team := spec.Team
 	if _, ok := p.teams[team]; !ok {
 		if team != "" {
-			p.logf("plane.anomaly", 0, 0, "job %s names unknown team %q; assigning to %s",
-				spec.ID, team, p.teamNames[0])
+			p.emitText(record{kind: kAnomaly}, fmt.Sprintf("job %s names unknown team %q; assigning to %s",
+				spec.ID, team, p.envs[0].cfg.Name))
 		}
-		team = p.teamNames[0]
+		team = p.envs[0].cfg.Name
 	}
 	homog := p.cfg.HomogeneousOnly || spec.HomogeneousOnly
 	j := &job{
 		spec:      spec,
 		team:      team,
+		env:       p.teams[team],
 		intra:     sched.NewIntraJob(spec.ID, sched.NewCompanion(spec.MaxP, CapabilityFor(spec.Model)), homog),
 		remaining: spec.WorkSteps,
 		submitSeq: len(p.order),
@@ -215,18 +234,27 @@ func (p *Plane) Submit(spec workload.JobSpec) (*Lease, *Reservation) {
 	p.order = append(p.order, j)
 	p.stats.decisions++
 	if spec.MinGPUs <= 0 {
-		j.admitted = true
-		p.stats.admitted++
-		p.logf("plane.admit", 0, int64(j.submitSeq),
-			"job %s (team %s, maxP %d) admitted elastic at zero GPUs; grows by proposals",
-			spec.ID, team, spec.MaxP)
+		p.admit(j)
+		p.emit(record{kind: kAdmitElastic, job: int32(j.submitSeq)})
 		return &Lease{ID: "admit-" + spec.ID, JobID: spec.ID, Team: team, Sponsor: team}, nil
 	}
 	if l := p.tryAdmit(j); l != nil {
 		return l, nil
 	}
 	p.updateReservation(j)
+	// waiting is kept in retry order: priority first, then submission
+	i := sort.Search(len(p.waiting), func(i int) bool { return p.waiting[i].spec.Priority < spec.Priority })
+	p.waiting = slices.Insert(p.waiting, i, j)
 	return nil, j.resv
+}
+
+// admit marks j admitted and enters it in the live list at its submission
+// rank. A job leaves waiting where the caller walks it (Tick).
+func (p *Plane) admit(j *job) {
+	j.admitted, j.resv = true, nil
+	p.stats.admitted++
+	i := sort.Search(len(p.live), func(i int) bool { return p.live[i].submitSeq > j.submitSeq })
+	p.live = slices.Insert(p.live, i, j)
 }
 
 // tryAdmit attempts to fund and place a gang job's admission floor
@@ -234,24 +262,20 @@ func (p *Plane) Submit(spec workload.JobSpec) (*Lease, *Reservation) {
 // team lent out (and, failing that, other teams' borrowed leases).
 func (p *Plane) tryAdmit(j *job) *Lease {
 	t, need := j.spec.RequestedType, j.spec.MinGPUs
-	own := p.teams[j.team]
+	own := j.env
 	// Lent-out capacity still belongs to the quota: a demand the quota can
 	// cover after calling in the team's loans is quota-backed and may
 	// preempt borrowed leases — the team's own first (restoring both the
 	// physical pool and the envelope headroom), then other sponsors'.
 	if p.cfg.AllowBorrowing && own.headroom(t)+own.lent[t] >= need {
-		short := need - p.free[t]
-		if f := need - own.headroom(t); f > short {
-			short = f
-		}
-		if short > 0 {
+		if short := max(need-p.free[t], need-own.headroom(t)); short > 0 {
 			p.reclaim(j, t, short)
 		}
 	}
 	if p.free[t] < need {
 		return nil
 	}
-	sponsor, ok := p.sponsorFor(j.team, t, need)
+	sponsor, ok := p.sponsorFor(own.idx, t, need)
 	if !ok {
 		return nil
 	}
@@ -260,16 +284,13 @@ func (p *Plane) tryAdmit(j *job) *Lease {
 	}
 	p.free[t] -= need
 	l := p.mintLease(j, t, need, sponsor)
-	j.admitted, j.resv = true, nil
+	p.admit(j)
 	j.pausedUtil = p.cfg.RestartSec
 	if !j.started {
 		j.started, j.startSec = true, p.nowSec
 	}
-	p.stats.admitted++
-	waited := p.nowSec - j.spec.ArrivalSec
-	p.logf("plane.admit", int64(need), int64(j.submitSeq),
-		"job %s (team %s) admitted with gang %dx%s under lease %s after %.0fs wait",
-		j.spec.ID, j.team, need, t, l.ID, waited)
+	p.emit(record{kind: kAdmitGang, typ: int8(t), count: int32(need), job: int32(j.submitSeq), lease: int32(l.seq),
+		f0: p.nowSec - j.spec.ArrivalSec})
 	return l
 }
 
@@ -297,17 +318,13 @@ func (p *Plane) reclaim(requester *job, t device.Type, n int) {
 			return
 		}
 		holder := p.jobs[l.JobID]
-		take := l.Count
-		if take > n {
-			take = n
-		}
+		take := min(l.Count, n)
 		p.stats.reclaims++
-		p.logf("plane.preempt", int64(take), int64(l.seq),
-			"preempt %dx%s of lease %s (job %s, team %s): quota-backed demand by job %s of team %s reclaims sponsor %s's capacity",
-			take, t, l.ID, l.JobID, l.Team, requester.spec.ID, requester.team, l.Sponsor)
+		p.emit(record{kind: kPreempt, typ: int8(t), sponsor: int16(p.teams[l.Sponsor].idx), count: int32(take),
+			job: int32(holder.submitSeq), lease: int32(l.seq), aux: int32(requester.submitSeq)})
 		released, fellIdle := holder.intra.Preempt(sched.Resources{t: take})
 		freedT := released[t]
-		p.releaseFromJob(holder, released, "preempted", l)
+		p.releaseFromJob(holder, released, preempted, l)
 		if fellIdle {
 			holder.pausedUtil = 0
 		} else {
@@ -322,15 +339,11 @@ func (p *Plane) reclaim(requester *job, t device.Type, n int) {
 func (p *Plane) updateReservation(j *job) {
 	t, need := j.spec.RequestedType, j.spec.MinGPUs
 	avail := p.free[t]
-	deficit := need - avail
-	if deficit < 0 {
-		deficit = 0
-	}
-	if _, ok := p.sponsorFor(j.team, t, need); !ok {
+	deficit := max(need-avail, 0)
+	_, funded := p.sponsorFor(j.env.idx, t, need)
+	if !funded {
 		// funding, not capacity, is the binding constraint
-		if d := need - p.teams[j.team].headroom(t); d > deficit {
-			deficit = d
-		}
+		deficit = max(deficit, need-j.env.headroom(t))
 	}
 	eta := -1.0
 	var remedies []string
@@ -350,24 +363,21 @@ func (p *Plane) updateReservation(j *job) {
 	if covered < need {
 		eta = -1
 	}
-	if _, ok := p.sponsorFor(j.team, t, need); !ok {
+	if !funded {
 		if !p.cfg.AllowBorrowing {
-			for _, name := range p.teamNames {
-				if name == j.team {
-					continue
-				}
-				if h := p.teams[name].headroom(t); h >= need {
+			for _, e := range p.envs {
+				if h := e.headroom(t); e != j.env && h >= need {
 					remedies = append(remedies, fmt.Sprintf(
-						"enable borrowing: team %s has %dx%s idle envelope headroom", name, h, t))
+						"enable borrowing: team %s has %dx%s idle envelope headroom", e.cfg.Name, h, t))
 					break
 				}
 			}
 		} else {
 			remedies = append(remedies, fmt.Sprintf(
 				"raise team %s quota: need %dx%s, headroom %d and no sponsor covers it",
-				j.team, need, t, p.teams[j.team].headroom(t)))
+				j.team, need, t, j.env.headroom(t)))
 		}
-	} else if lent := p.teams[j.team].lent[t]; lent > 0 && avail < need {
+	} else if lent := j.env.lent[t]; lent > 0 && avail < need {
 		remedies = append(remedies, fmt.Sprintf(
 			"reclaim %dx%s team %s lent out (quota-backed preemption)", lent, t, j.team))
 	}
@@ -379,9 +389,9 @@ func (p *Plane) updateReservation(j *job) {
 	j.resv.ETASec = eta
 	j.resv.Remedies = remedies
 	if changed {
-		p.logf("plane.reserve", int64(deficit), int64(j.submitSeq),
+		p.emitText(record{kind: kReserve, count: int32(deficit), job: int32(j.submitSeq)}, fmt.Sprintf(
 			"job %s (team %s) waits for %dx%s: deficit %d, eta %.0fs; remedies: %s",
-			j.spec.ID, j.team, need, t, deficit, eta, strings.Join(remedies, "; "))
+			j.spec.ID, j.team, need, t, deficit, eta, strings.Join(remedies, "; ")))
 	}
 }
 
@@ -395,32 +405,36 @@ type fundedPolicy struct{ p *Plane }
 
 // Decide implements sched.Policy.
 func (fp fundedPolicy) Decide(free sched.Resources, proposals []sched.Proposal) []sched.Proposal {
-	sorted := append([]sched.Proposal(nil), proposals...)
-	sort.SliceStable(sorted, func(i, j int) bool {
-		if sorted[i].SpeedupPerGPU != sorted[j].SpeedupPerGPU {
-			return sorted[i].SpeedupPerGPU > sorted[j].SpeedupPerGPU
+	p := fp.p
+	// sorted in place: the proposals are Tick's own buffer, whose order
+	// nobody reads afterwards
+	slices.SortStableFunc(proposals, sched.CompareProposals)
+	// the funding snapshot the pass debits hypothetically before any lease is
+	// minted, so one round cannot oversubscribe an envelope across several jobs
+	var pool perType
+	for t := range pool {
+		pool[t] = free[device.Type(t)]
+	}
+	head := make([]perType, len(p.envs))
+	for i, e := range p.envs {
+		for t := range head[i] {
+			head[i][t] = e.headroom(device.Type(t))
 		}
-		if sorted[i].Count != sorted[j].Count {
-			return sorted[i].Count > sorted[j].Count
-		}
-		return sorted[i].JobID < sorted[j].JobID
-	})
-	pool := free.Clone()
-	head := fp.p.headroomSnapshot()
-	granted := map[string]bool{}
+	}
+	p.round++
 	var out []sched.Proposal
-	for _, pr := range sorted {
-		if granted[pr.JobID] || pool[pr.Type] < pr.Count {
+	for _, pr := range proposals {
+		j := p.jobs[pr.JobID]
+		if j.grantedRound == p.round || pool[pr.Type] < pr.Count {
 			continue
 		}
-		team := fp.p.jobs[pr.JobID].team
-		sponsor, ok := pickSponsor(head, fp.p.teamNames, team, pr.Type, pr.Count, fp.p.cfg.AllowBorrowing)
+		sponsor, ok := pickSponsor(head, pr.Type, j.env.idx, pr.Count, p.cfg.AllowBorrowing)
 		if !ok {
 			continue
 		}
 		head[sponsor][pr.Type] -= pr.Count
 		pool[pr.Type] -= pr.Count
-		granted[pr.JobID] = true
+		j.grantedRound = p.round
 		out = append(out, pr)
 	}
 	return out
@@ -428,31 +442,19 @@ func (fp fundedPolicy) Decide(free sched.Resources, proposals []sched.Proposal) 
 
 // availFor bounds a job's scale-out exploration: per type, the physical free
 // pool capped by the best envelope headroom that could fund the job (its
-// own, or — with borrowing — the most idle sponsor's).
+// own, or — with borrowing — the most idle sponsor's). The returned map is
+// the plane's scratch, overwritten by the next call.
 func (p *Plane) availFor(j *job, free sched.Resources) sched.Resources {
-	out := sched.Resources{}
-	own := p.teams[j.team]
 	for _, t := range device.AllTypes() {
-		h := own.headroom(t)
+		h := j.env.headroom(t)
 		if p.cfg.AllowBorrowing {
-			for _, name := range p.teamNames {
-				if name == j.team {
-					continue
-				}
-				if hh := p.teams[name].headroom(t); hh > h {
-					h = hh
-				}
+			for _, e := range p.envs {
+				h = max(h, e.headroom(t))
 			}
 		}
-		a := free[t]
-		if a > h {
-			a = h
-		}
-		if a > 0 {
-			out[t] = a
-		}
+		p.avail[t] = min(free[t], h)
 	}
-	return out
+	return p.avail
 }
 
 // Tick advances the plane to nowSec: accrue GPU-hours, retry reservations
@@ -460,66 +462,50 @@ func (p *Plane) availFor(j *job, free sched.Resources) sched.Resources {
 // job progress, and sample utilization. The caller drives Tick once per
 // TickSec of simulated time.
 func (p *Plane) Tick(nowSec float64) {
-	dt := nowSec - p.nowSec
-	if dt < 0 {
-		dt = 0
-	}
+	dt := max(nowSec-p.nowSec, 0)
 	p.nowSec = nowSec
 	// 1. GPU-hour accrual; an exhausted envelope stops funding new leases
-	for _, name := range p.teamNames {
-		for _, t := range p.teams[name].accrue(dt) {
-			p.logf("plane.exhaust", int64(p.teams[name].inUse[t]), 0,
+	for _, e := range p.envs {
+		for _, t := range e.accrue(dt) {
+			p.emitText(record{kind: kExhaust, count: int32(e.inUse[t])}, fmt.Sprintf(
 				"team %s exhausted its %s GPU-hour budget (%.1fh): envelope stops funding new leases",
-				name, t, p.teams[name].cfg.GPUHourBudget[t])
+				e.cfg.Name, t, e.cfg.GPUHourBudget[t]))
 		}
 	}
-	// 2. reservation retries
-	var waiting []*job
-	for _, j := range p.order {
-		if !j.admitted && !j.done {
-			waiting = append(waiting, j)
-		}
-	}
-	sort.SliceStable(waiting, func(i, k int) bool {
-		if waiting[i].spec.Priority != waiting[k].spec.Priority {
-			return waiting[i].spec.Priority > waiting[k].spec.Priority
-		}
-		return waiting[i].submitSeq < waiting[k].submitSeq
-	})
-	for _, j := range waiting {
+	// 2. reservation retries; a job that gets in leaves the waiting list
+	still := p.waiting[:0]
+	for _, j := range p.waiting {
 		p.stats.decisions++
 		if p.tryAdmit(j) == nil {
 			p.updateReservation(j)
+			still = append(still, j)
 		}
 	}
+	p.waiting = still
 	// 3. scale-out round: proposals against one free-pool snapshot, decided
 	// by the funded greedy pass, granted through the intra-job schedulers
 	freeSnap := p.free.Clone()
-	var proposals []sched.Proposal
-	for _, j := range p.order {
-		if !j.admitted || j.done {
-			continue
-		}
-		proposals = append(proposals, j.intra.Proposals(p.availFor(j, freeSnap), p.cfg.ProposalTopK)...)
+	p.proposals = p.proposals[:0]
+	for _, j := range p.live {
+		p.proposals = append(p.proposals, j.intra.Proposals(p.availFor(j, freeSnap), p.cfg.ProposalTopK)...)
 	}
-	for _, pr := range sched.RoundPass(fundedPolicy{p}, p.free, proposals, p.cfg.Trace) {
+	for _, pr := range sched.RoundPass(fundedPolicy{p}, p.free, p.proposals, p.cfg.Trace) {
 		j := p.jobs[pr.JobID]
 		p.stats.decisions++
 		if _, ok := j.intra.Grant(pr); ok {
-			sponsor, ok := p.sponsorFor(j.team, pr.Type, pr.Count)
+			sponsor, ok := p.sponsorFor(j.env.idx, pr.Type, pr.Count)
 			if !ok {
 				// cannot happen: the funded pass only accepts fundable
 				// proposals and intervening grants only add headroom
-				sponsor = j.team
-				p.logf("plane.anomaly", int64(pr.Count), 0,
-					"grant to %s not fundable at mint time; charging own envelope", pr.JobID)
+				sponsor = j.env.idx
+				p.emitText(record{kind: kAnomaly, count: int32(pr.Count)}, fmt.Sprintf(
+					"grant to %s not fundable at mint time; charging own envelope", pr.JobID))
 			}
 			l := p.mintLease(j, pr.Type, pr.Count, sponsor)
-			p.logf("plane.place", int64(pr.Count), int64(l.seq),
-				"job %s +%dx%s (est. speedup %.3fx, %.4f/GPU): best speedup-per-GPU among fundable proposals; lease %s funded by %s",
-				pr.JobID, pr.Count, pr.Type, pr.SpeedupTotal, pr.SpeedupPerGPU, l.ID, sponsor)
+			p.emit(record{kind: kPlace, typ: int8(pr.Type), sponsor: int16(sponsor), count: int32(pr.Count),
+				job: int32(j.submitSeq), lease: int32(l.seq), f0: pr.SpeedupTotal, f1: pr.SpeedupPerGPU})
 			if unused := j.intra.TrimUnused(); unused != nil {
-				p.releaseFromJob(j, unused, "trimmed: plan assigns no ESTs to these GPUs", nil)
+				p.releaseFromJob(j, unused, trimmed, nil)
 			}
 			j.pausedUtil = p.cfg.RestartSec
 			if !j.started {
@@ -529,11 +515,10 @@ func (p *Plane) Tick(nowSec float64) {
 			p.free[pr.Type] += pr.Count
 		}
 	}
-	// 4. progress and completion (same arithmetic as the pre-plane sim)
-	for _, j := range p.order {
-		if !j.admitted || j.done {
-			continue
-		}
+	// 4. progress and completion (same arithmetic as the pre-plane sim); a
+	// finished job leaves the live list
+	running := p.live[:0]
+	for _, j := range p.live {
 		plan := j.intra.CurrentPlan()
 		step := p.cfg.TickSec
 		if j.pausedUtil > 0 {
@@ -546,16 +531,19 @@ func (p *Plane) Tick(nowSec float64) {
 			}
 		}
 		j.remaining -= plan.Throughput * step
-		if j.remaining <= 0 && j.started {
-			j.done = true
-			j.finishSec = nowSec + p.cfg.TickSec
-			p.stats.finished++
-			held := j.intra.Current()
-			p.releaseFromJob(j, held, "job finished", nil)
-			p.logf("plane.finish", int64(held.Total()), int64(j.submitSeq),
-				"job %s finished at %.0fs releasing %s", j.spec.ID, j.finishSec, held.Key())
+		if !(j.remaining <= 0 && j.started) {
+			running = append(running, j)
+			continue
 		}
+		j.done = true
+		j.finishSec = nowSec + p.cfg.TickSec
+		p.stats.finished++
+		held := j.intra.Current()
+		p.releaseFromJob(j, held, finished, nil)
+		p.emitText(record{kind: kFinish, count: int32(held.Total()), job: int32(j.submitSeq)}, fmt.Sprintf(
+			"job %s finished at %.0fs releasing %s", j.spec.ID, j.finishSec, held.Key()))
 	}
+	p.live = running
 	// 5. utilization sample
 	total := p.cfg.Inventory.Total()
 	if total > 0 {
@@ -569,15 +557,16 @@ func (p *Plane) Tick(nowSec float64) {
 // pool. The admission tickets of fully elastic jobs ("admit-*") are not
 // releasable.
 func (p *Plane) Release(leaseID string) error {
-	l, ok := p.leases[leaseID]
-	if !ok {
+	i := slices.IndexFunc(p.activeLeases, func(l *Lease) bool { return l.ID == leaseID })
+	if i < 0 {
 		return fmt.Errorf("controlplane: no active lease %q", leaseID)
 	}
+	l := p.activeLeases[i]
 	j := p.jobs[l.JobID]
 	released, fellIdle := j.intra.Preempt(sched.Resources{l.Type: l.Count})
-	p.logf("plane.release", int64(l.Count), int64(l.seq),
-		"manual release of lease %s (%dx%s, job %s)", l.ID, l.Count, l.Type, l.JobID)
-	p.releaseFromJob(j, released, "manually released", l)
+	p.emitText(record{kind: kRelease, count: int32(l.Count), lease: int32(l.seq)}, fmt.Sprintf(
+		"manual release of lease %s (%dx%s, job %s)", l.ID, l.Count, l.Type, l.JobID))
+	p.releaseFromJob(j, released, manual, l)
 	if !fellIdle {
 		j.pausedUtil = p.cfg.RestartSec
 	}
@@ -604,9 +593,6 @@ func (p *Plane) Decisions() int { return p.stats.decisions }
 
 // FinishedCount returns how many jobs have completed.
 func (p *Plane) FinishedCount() int { return p.stats.finished }
-
-// DecisionLog returns the append-only decision log.
-func (p *Plane) DecisionLog() []string { return append([]string(nil), p.log...) }
 
 // JobStat is one job's lifecycle summary.
 type JobStat struct {
@@ -690,8 +676,7 @@ func (p *Plane) Report() Report {
 	if p.utilTicks > 0 {
 		r.Utilization = p.utilSum / float64(p.utilTicks)
 	}
-	for _, name := range p.teamNames {
-		e := p.teams[name]
+	for _, e := range p.envs {
 		hours := map[device.Type]float64{}
 		for _, t := range device.AllTypes() {
 			if e.hoursUsed[t] > 0 {
@@ -699,9 +684,9 @@ func (p *Plane) Report() Report {
 			}
 		}
 		r.Teams = append(r.Teams, TeamReport{
-			Name:  name,
-			Quota: e.cfg.Quota.Clone(), InUse: e.inUse.Clone(),
-			Lent: e.lent.Clone(), Borrowed: e.borrowed.Clone(),
+			Name:  e.cfg.Name,
+			Quota: e.quota.resources(), InUse: e.inUse.resources(),
+			Lent: e.lent.resources(), Borrowed: e.borrowed.resources(),
 			GPUHours: hours,
 		})
 	}

@@ -1,6 +1,9 @@
 package controlplane
 
 import (
+	"fmt"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -9,13 +12,29 @@ import (
 	"repro/internal/workload"
 )
 
-// checkInvariants asserts the lease-accounting contract after any sequence
-// of operations: active leases + free pool == inventory; every running job's
-// leases sum to exactly what its intra-job scheduler holds; node occupancy
-// and envelope funding both match the lease set.
+// checkInvariants asserts the plane's conservation laws after any sequence of
+// operations; see invariants.
 func checkInvariants(t *testing.T, p *Plane) {
 	t.Helper()
-	leased := sched.Resources{}
+	if err := invariants(p); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// invariants is the plane's accounting contract: active leases + free pool ==
+// inventory; every running job's leases sum to exactly what its intra-job
+// scheduler holds, and no active lease belongs to a finished job; node
+// occupancy matches the lease set; each envelope's inUse / lent / borrowed are
+// the sums over the active leases it sponsors / lends / holds; and the lists
+// Tick walks are what they claim to be — live is {admitted, not done} in
+// submission order, waiting is {not admitted} by (priority desc, submission).
+func invariants(p *Plane) error {
+	var leased perType
+	type books struct{ inUse, lent, borrowed perType }
+	funds := map[string]*books{}
+	for _, e := range p.envs {
+		funds[e.cfg.Name] = &books{}
+	}
 	for _, l := range p.activeLeases {
 		leased[l.Type] += l.Count
 		n := 0
@@ -23,56 +42,69 @@ func checkInvariants(t *testing.T, p *Plane) {
 			n += s.Count
 		}
 		if n != l.Count {
-			t.Fatalf("lease %s: node shares sum %d != count %d", l.ID, n, l.Count)
+			return fmt.Errorf("lease %s: node shares sum %d != count %d", l.ID, n, l.Count)
+		}
+		if j := p.jobs[l.JobID]; j == nil || j.done || !slices.Contains(j.leases, l) {
+			return fmt.Errorf("lease %s is active but job %s is finished, unknown, or does not list it", l.ID, l.JobID)
+		}
+		funds[l.Sponsor].inUse[l.Type] += l.Count
+		if l.Borrowed() {
+			funds[l.Sponsor].lent[l.Type] += l.Count
+			funds[l.Team].borrowed[l.Type] += l.Count
 		}
 	}
-	for _, ty := range device.AllTypes() {
-		if leased[ty]+p.free[ty] != p.cfg.Inventory[ty] {
-			t.Fatalf("%s: leased %d + free %d != inventory %d",
-				ty, leased[ty], p.free[ty], p.cfg.Inventory[ty])
+	for _, e := range p.envs {
+		if b := funds[e.cfg.Name]; e.inUse != b.inUse || e.lent != b.lent || e.borrowed != b.borrowed {
+			return fmt.Errorf("team %s: envelope says inUse %v lent %v borrowed %v, its active leases say %v %v %v",
+				e.cfg.Name, e.inUse, e.lent, e.borrowed, b.inUse, b.lent, b.borrowed)
 		}
 	}
+	var live, waiting []*job
 	for _, j := range p.order {
+		if !j.admitted {
+			waiting = append(waiting, j)
+		}
 		if j.done {
+			if len(j.leases) != 0 {
+				return fmt.Errorf("finished job %s still lists %d leases", j.spec.ID, len(j.leases))
+			}
 			continue
 		}
-		held := sched.Resources{}
+		if j.admitted {
+			live = append(live, j)
+		}
+		var held perType
 		for _, l := range j.leases {
 			held[l.Type] += l.Count
 		}
 		cur := j.intra.Current()
 		for _, ty := range device.AllTypes() {
 			if held[ty] != cur[ty] {
-				t.Fatalf("job %s: leases hold %d %s but scheduler holds %d",
-					j.spec.ID, held[ty], ty, cur[ty])
+				return fmt.Errorf("job %s: leases hold %d %s but scheduler holds %d", j.spec.ID, held[ty], ty, cur[ty])
 			}
 		}
 	}
-	nodeUsed := sched.Resources{}
+	sort.SliceStable(waiting, func(i, k int) bool { return waiting[i].spec.Priority > waiting[k].spec.Priority })
+	if !slices.Equal(p.live, live) || !slices.Equal(p.waiting, waiting) {
+		return fmt.Errorf("tick lists drifted: live has %d jobs, want %d; waiting has %d, want %d (or their order differs)",
+			len(p.live), len(live), len(p.waiting), len(waiting))
+	}
+	var nodeUsed perType
 	for _, n := range p.nodes {
 		if n.Used < 0 || n.Used > n.Cap {
-			t.Fatalf("node %s used %d out of [0,%d]", n.ID, n.Used, n.Cap)
+			return fmt.Errorf("node %s used %d out of [0,%d]", n.ID, n.Used, n.Cap)
 		}
 		nodeUsed[n.Type] += n.Used
 	}
-	funded := sched.Resources{}
-	for _, name := range p.teamNames {
-		e := p.teams[name]
-		for _, ty := range device.AllTypes() {
-			funded[ty] += e.inUse[ty]
-			if e.inUse[ty] < 0 || e.lent[ty] < 0 || e.borrowed[ty] < 0 {
-				t.Fatalf("team %s: negative accounting for %s", name, ty)
-			}
-		}
-	}
 	for _, ty := range device.AllTypes() {
-		if nodeUsed[ty] != leased[ty] {
-			t.Fatalf("%s: nodes hold %d but leases say %d", ty, nodeUsed[ty], leased[ty])
+		if leased[ty]+p.free[ty] != p.cfg.Inventory[ty] {
+			return fmt.Errorf("%s: leased %d + free %d != inventory %d", ty, leased[ty], p.free[ty], p.cfg.Inventory[ty])
 		}
-		if funded[ty] != leased[ty] {
-			t.Fatalf("%s: envelopes fund %d but leases say %d", ty, funded[ty], leased[ty])
+		if nodeUsed[ty] != leased[ty] {
+			return fmt.Errorf("%s: nodes hold %d but leases say %d", ty, nodeUsed[ty], leased[ty])
 		}
 	}
+	return nil
 }
 
 func elasticJob(id, model string, maxP int, arrival float64, team string) workload.JobSpec {

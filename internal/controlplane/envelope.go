@@ -16,41 +16,53 @@ type TeamConfig struct {
 	GPUHourBudget map[device.Type]float64
 }
 
+// perType is a per-GPU-type vector in the plane's internal form: a fixed
+// array, so reading it is an index and copying it is a clone. It becomes a
+// sched.Resources at the exported boundary (Report).
+type perType [device.NumTypes]int
+
+func (v perType) resources() sched.Resources {
+	out := sched.Resources{}
+	for t, n := range v {
+		if n != 0 {
+			out[device.Type(t)] = n
+		}
+	}
+	return out
+}
+
 // envelope is a team's live funding state. inUse counts every GPU funded by
 // this envelope, whether held by the team's own jobs or lent to another
 // team's; lent is the subset held elsewhere; borrowed counts GPUs this
 // team's jobs hold on someone else's budget.
 type envelope struct {
 	cfg       TeamConfig
-	inUse     sched.Resources
-	lent      sched.Resources
-	borrowed  sched.Resources
-	hoursUsed map[device.Type]float64
-	exhausted map[device.Type]bool
+	idx       int // position in Plane.envs
+	quota     perType
+	inUse     perType
+	lent      perType
+	borrowed  perType
+	hoursUsed [device.NumTypes]float64
+	exhausted [device.NumTypes]bool
 }
 
 func newEnvelope(cfg TeamConfig) *envelope {
-	return &envelope{
-		cfg:       cfg,
-		inUse:     sched.Resources{},
-		lent:      sched.Resources{},
-		borrowed:  sched.Resources{},
-		hoursUsed: map[device.Type]float64{},
-		exhausted: map[device.Type]bool{},
+	e := &envelope{cfg: cfg}
+	for t := range e.quota {
+		e.quota[t] = cfg.Quota[device.Type(t)]
 	}
+	return e
 }
 
 // headroom is the envelope's remaining funding capacity for one type: quota
 // minus funded leases, zero once the GPU-hour budget is spent.
+//
+//easyscale:hotpath
 func (e *envelope) headroom(t device.Type) int {
 	if e.exhausted[t] {
 		return 0
 	}
-	h := e.cfg.Quota[t] - e.inUse[t]
-	if h < 0 {
-		h = 0
-	}
-	return h
+	return max(e.quota[t]-e.inUse[t], 0)
 }
 
 // accrue charges dt seconds of every funded GPU against the hour budget and
@@ -71,55 +83,35 @@ func (e *envelope) accrue(dtSec float64) []device.Type {
 	return newly
 }
 
-// headroomView is a funding snapshot the grant-decision pass debits
-// hypothetically before any lease is minted, so one round cannot
-// oversubscribe an envelope across several jobs.
-type headroomView map[string]sched.Resources
-
-func (p *Plane) headroomSnapshot() headroomView {
-	v := headroomView{}
-	for _, name := range p.teamNames {
-		e := p.teams[name]
-		r := sched.Resources{}
-		for _, t := range device.AllTypes() {
-			if h := e.headroom(t); h > 0 {
-				r[t] = h
-			}
-		}
-		v[name] = r
-	}
-	return v
-}
-
-// pickSponsor resolves which envelope funds a request: the requesting team's
-// own when its headroom suffices, otherwise — when borrowing is on — the
-// other team with the most idle headroom (ties to the lexicographically
-// first name, iterating the sorted team list). Both the hypothetical
-// grant-decision pass and the real lease mint call this same function on a
-// headroom view, so they cannot disagree.
-func pickSponsor(head headroomView, names []string, team string, t device.Type, count int, borrow bool) (string, bool) {
-	if head[team][t] >= count {
-		return team, true
+// pickSponsor resolves which envelope funds a request of count GPUs of type
+// t against a headroom view (one row per envelope, indexed like Plane.envs):
+// the requesting team's own when its headroom suffices, otherwise — when
+// borrowing is on — the other team with the most idle headroom (ties to the
+// lexicographically first name: envs is in name order). Both the
+// hypothetical grant-decision pass and the real lease mint call this same
+// function, so they cannot disagree.
+//
+//easyscale:hotpath
+func pickSponsor(head []perType, t device.Type, own, count int, borrow bool) (int, bool) {
+	if head[own][t] >= count {
+		return own, true
 	}
 	if !borrow {
-		return "", false
+		return 0, false
 	}
-	best, bestH := "", -1
-	for _, n := range names {
-		if n == team {
-			continue
-		}
-		if h := head[n][t]; h >= count && h > bestH {
-			best, bestH = n, h
+	best, bestH := -1, -1
+	for i := range head {
+		if h := head[i][t]; i != own && h >= count && h > bestH {
+			best, bestH = i, h
 		}
 	}
-	if best == "" {
-		return "", false
-	}
-	return best, true
+	return best, best >= 0
 }
 
 // sponsorFor is pickSponsor against the live envelopes.
-func (p *Plane) sponsorFor(team string, t device.Type, count int) (string, bool) {
-	return pickSponsor(p.headroomSnapshot(), p.teamNames, team, t, count, p.cfg.AllowBorrowing)
+func (p *Plane) sponsorFor(own int, t device.Type, count int) (int, bool) {
+	for i, e := range p.envs {
+		p.head[i][t] = e.headroom(t)
+	}
+	return pickSponsor(p.head, t, own, count, p.cfg.AllowBorrowing)
 }

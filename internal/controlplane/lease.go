@@ -2,8 +2,8 @@ package controlplane
 
 import (
 	"fmt"
+	"slices"
 	"sort"
-	"strings"
 
 	"repro/internal/device"
 	"repro/internal/sched"
@@ -52,123 +52,105 @@ type Reservation struct {
 	SinceSec float64
 }
 
-// mintLease allocates nodes, charges the sponsoring envelope, and records
-// the lease. The caller has already debited the physical free pool.
-func (p *Plane) mintLease(j *job, t device.Type, count int, sponsor string) *Lease {
-	p.leaseSeq++
-	l := &Lease{
-		ID:       fmt.Sprintf("L%04d", p.leaseSeq),
-		JobID:    j.spec.ID,
+// mintLease allocates nodes, charges the sponsoring envelope (an index into
+// envs), and records the lease. The caller has already debited the physical
+// free pool.
+func (p *Plane) mintLease(j *job, t device.Type, count, sponsor int) *Lease {
+	sp := p.envs[sponsor]
+	l := p.addLease(j, &Lease{
 		Team:     j.team,
-		Sponsor:  sponsor,
+		Sponsor:  sp.cfg.Name,
 		Type:     t,
 		Count:    count,
 		Nodes:    p.place(t, count),
 		StartSec: p.nowSec,
-		seq:      p.leaseSeq,
-	}
-	p.leases[l.ID] = l
-	p.activeLeases = append(p.activeLeases, l)
-	j.leases = append(j.leases, l)
-	sp := p.teams[sponsor]
+	})
 	sp.inUse[t] += count
+	r := record{typ: int8(t), sponsor: int16(sponsor), count: int32(count), job: int32(j.submitSeq), lease: int32(l.seq)}
 	if l.Borrowed() {
 		sp.lent[t] += count
-		p.teams[j.team].borrowed[t] += count
+		j.env.borrowed[t] += count
 		p.stats.borrows++
-		p.logf("plane.borrow", int64(count), int64(l.seq),
-			"lease %s: job %s (team %s) borrows %dx%s from team %s's idle envelope",
-			l.ID, j.spec.ID, j.team, count, t, sponsor)
+		r.kind = kBorrow
+		p.emit(r)
 	}
 	p.stats.minted++
-	p.logf("plane.lease", int64(count), int64(l.seq),
-		"mint %s: %dx%s -> job %s team %s funded-by %s on [%s]",
-		l.ID, count, t, j.spec.ID, j.team, sponsor, shareKey(l.Nodes))
+	r.kind, r.aux, r.n = kLease, int32(len(p.shares)), int32(len(l.Nodes))
+	for _, s := range l.Nodes {
+		p.shares = append(p.shares, share{int32(s.node.idx), int32(s.Count)})
+	}
+	p.emit(r)
+	return l
+}
+
+// addLease gives l the next sequence number and ID and enters it in the
+// active set and its job's lease list.
+func (p *Plane) addLease(j *job, l *Lease) *Lease {
+	p.leaseSeq++
+	l.ID, l.JobID, l.seq = leaseID(p.leaseSeq), j.spec.ID, p.leaseSeq
+	p.activeLeases = append(p.activeLeases, l)
+	j.leases = append(j.leases, l)
 	return l
 }
 
 // retireFromLease returns n ≤ l.Count GPUs from lease l: envelope credit,
 // node unplacement, physical free-pool credit. When n < l.Count the lease is
-// split — fully retired, with the residual re-minted under a fresh ID so
-// leases stay immutable.
-func (p *Plane) retireFromLease(l *Lease, n int, reason string) {
-	t := l.Type
-	// give the released GPUs back to their nodes, last share first
-	left := n
-	for i := len(l.Nodes) - 1; i >= 0 && left > 0; i-- {
-		s := &l.Nodes[i]
-		take := s.Count
-		if take > left {
-			take = left
+// split — fully retired, with the residual re-minted under a fresh ID. The
+// retired lease itself is never written: the caller that got it from Submit,
+// and every log line that described it, still see what was minted.
+func (p *Plane) retireFromLease(l *Lease, n int, why reason) {
+	t, j := l.Type, p.jobs[l.JobID]
+	// the leading l.Count-n GPUs, in share order, stay placed (they are the
+	// residual's when this is a split); the rest go back to their nodes
+	var rest []NodeShare
+	keep := l.Count - n
+	for _, s := range l.Nodes {
+		k := min(s.Count, keep)
+		keep -= k
+		s.node.Used -= s.Count - k
+		if s.Count = k; k > 0 {
+			rest = append(rest, s)
 		}
-		s.Count -= take
-		left -= take
-		p.nodesByID[s.NodeID].Used -= take
 	}
 	sp := p.teams[l.Sponsor]
 	sp.inUse[t] -= n
 	if l.Borrowed() {
 		sp.lent[t] -= n
-		p.teams[l.Team].borrowed[t] -= n
+		j.env.borrowed[t] -= n
 	}
 	p.free[t] += n
-	p.removeLease(l)
-	p.logf("plane.retire", int64(n), int64(l.seq),
-		"retire %s (%dx%s, job %s): %s", l.ID, n, t, l.JobID, reason)
-	if rest := l.Count - n; rest > 0 {
-		p.leaseSeq++
-		res := &Lease{
-			ID:       fmt.Sprintf("L%04d", p.leaseSeq),
-			JobID:    l.JobID,
-			Team:     l.Team,
-			Sponsor:  l.Sponsor,
-			Type:     t,
-			Count:    rest,
-			StartSec: l.StartSec,
-			seq:      p.leaseSeq,
-		}
-		for _, s := range l.Nodes {
-			if s.Count > 0 {
-				res.Nodes = append(res.Nodes, s)
-			}
-		}
-		p.leases[res.ID] = res
-		p.activeLeases = append(p.activeLeases, res)
-		j := p.jobs[l.JobID]
-		j.leases = append(j.leases, res)
-		p.logf("plane.split", int64(rest), int64(res.seq),
-			"split %s -> residual %s (%dx%s, job %s)", l.ID, res.ID, rest, t, l.JobID)
+	p.activeLeases, j.leases = without(p.activeLeases, l), without(j.leases, l)
+	p.emit(record{kind: kRetire, typ: int8(t), count: int32(n), job: int32(j.submitSeq), lease: int32(l.seq), aux: int32(why)})
+	if n < l.Count {
+		res := p.addLease(j, &Lease{
+			Team: l.Team, Sponsor: l.Sponsor, Type: t, Count: l.Count - n,
+			Nodes: rest, StartSec: l.StartSec,
+		})
+		p.emit(record{kind: kSplit, typ: int8(t), count: int32(res.Count), job: int32(j.submitSeq), lease: int32(res.seq), aux: int32(l.seq)})
 	}
 }
 
-// removeLease drops l from the active set and its job's lease list.
-func (p *Plane) removeLease(l *Lease) {
-	delete(p.leases, l.ID)
-	for i, a := range p.activeLeases {
-		if a == l {
-			p.activeLeases = append(p.activeLeases[:i], p.activeLeases[i+1:]...)
-			break
+// without returns list minus l. Most retirements take a lease minted
+// moments ago, so the scan starts at the newest end.
+func without(list []*Lease, l *Lease) []*Lease {
+	for i := len(list) - 1; i >= 0; i-- {
+		if list[i] == l {
+			return append(list[:i], list[i+1:]...)
 		}
 	}
-	j := p.jobs[l.JobID]
-	for i, a := range j.leases {
-		if a == l {
-			j.leases = append(j.leases[:i], j.leases[i+1:]...)
-			break
-		}
-	}
+	return list
 }
 
 // releaseFromJob settles a resource release reported by a job's intra-job
 // scheduler (trim, fallback, preemption, completion) against the job's
 // leases, retiring newest-first; prefer, when non-nil and matching, is
 // retired ahead of the LIFO order (the manual Release path).
-func (p *Plane) releaseFromJob(j *job, released sched.Resources, reason string, prefer *Lease) {
+func (p *Plane) releaseFromJob(j *job, released sched.Resources, why reason, prefer *Lease) {
 	for _, t := range device.AllTypes() {
 		m := released[t]
 		for m > 0 {
 			var l *Lease
-			if prefer != nil && prefer.Type == t && p.leases[prefer.ID] == prefer {
+			if prefer != nil && prefer.Type == t && slices.Contains(j.leases, prefer) {
 				l = prefer
 			} else {
 				for i := len(j.leases) - 1; i >= 0; i-- {
@@ -182,57 +164,41 @@ func (p *Plane) releaseFromJob(j *job, released sched.Resources, reason string, 
 				// released GPUs with no covering lease: accounting anomaly —
 				// return them to the pool and say so rather than leak
 				p.free[t] += m
-				p.logf("plane.anomaly", int64(m), 0,
-					"job %s released %dx%s not covered by any lease (%s)", j.spec.ID, m, t, reason)
+				p.emitText(record{kind: kAnomaly, count: int32(m)}, fmt.Sprintf(
+					"job %s released %dx%s not covered by any lease (%s)", j.spec.ID, m, t, reasonText[why]))
 				break
 			}
-			n := l.Count
-			if n > m {
-				n = m
-			}
-			p.retireFromLease(l, n, reason)
+			n := min(l.Count, m)
+			p.retireFromLease(l, n, why)
 			m -= n
 		}
 	}
 }
 
 // place picks nodes for count GPUs of type t per the configured strategy and
-// marks them used. The caller guarantees count ≤ the type's free capacity.
+// marks them used: one scan of the type's nodes per share, taking the
+// strategy's most preferred node that still has room. A picked node is either
+// filled or ends the loop, so this is sort-then-fill without the sort. The
+// caller guarantees count ≤ the type's free capacity.
 func (p *Plane) place(t device.Type, count int) []NodeShare {
-	var cands []*Node
-	for _, n := range p.nodes {
-		if n.Type == t && n.Free() > 0 {
-			cands = append(cands, n)
-		}
-	}
-	p.cfg.Strategy.Order(cands)
 	var shares []NodeShare
-	left := count
-	for _, n := range cands {
-		if left <= 0 {
+	for left := count; left > 0; {
+		var best *Node
+		for _, n := range p.typeNodes[t] {
+			if n.Free() > 0 && (best == nil || p.cfg.Strategy.Less(n, best)) {
+				best = n
+			}
+		}
+		if best == nil {
+			p.emitText(record{kind: kAnomaly, count: int32(left)}, fmt.Sprintf("placement short %d GPUs of %s", left, t))
 			break
 		}
-		take := n.Free()
-		if take > left {
-			take = left
-		}
-		n.Used += take
-		shares = append(shares, NodeShare{NodeID: n.ID, Count: take})
+		take := min(best.Free(), left)
+		best.Used += take
+		shares = append(shares, NodeShare{NodeID: best.ID, Count: take, node: best})
 		left -= take
 	}
-	if left > 0 {
-		p.logf("plane.anomaly", int64(left), 0, "placement short %d GPUs of %s", left, t)
-	}
 	return shares
-}
-
-// shareKey renders node shares canonically for logs.
-func shareKey(shares []NodeShare) string {
-	parts := make([]string, 0, len(shares))
-	for _, s := range shares {
-		parts = append(parts, fmt.Sprintf("%s:%d", s.NodeID, s.Count))
-	}
-	return strings.Join(parts, " ")
 }
 
 // leaseETAs lists the active leases of one type with each holder's estimated

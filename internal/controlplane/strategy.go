@@ -16,6 +16,7 @@ type Node struct {
 	Type device.Type
 	Cap  int
 	Used int
+	idx  int // position in Plane.nodes
 }
 
 // Free returns the node's unallocated GPUs.
@@ -25,14 +26,17 @@ func (n *Node) Free() int { return n.Cap - n.Used }
 type NodeShare struct {
 	NodeID string
 	Count  int
+	node   *Node
 }
 
-// Strategy is the pluggable bin-packing policy: it orders same-type candidate
-// nodes into placement preference; the plane then fills them greedily. An
-// implementation must order deterministically (ties broken by node ID).
+// Strategy is the pluggable bin-packing policy, stated as a preference
+// between two same-type candidate nodes; the plane fills the most preferred
+// node that has free capacity, then the next. An implementation must be a
+// strict total order (ties broken by node ID), so placement is deterministic.
 type Strategy interface {
 	Name() string
-	Order(nodes []*Node)
+	// Less reports whether a is preferred over b.
+	Less(a, b *Node) bool
 }
 
 // BestFit packs the most-utilized node first, consolidating jobs onto few
@@ -42,14 +46,12 @@ type BestFit struct{}
 // Name implements Strategy.
 func (BestFit) Name() string { return "bestfit" }
 
-// Order implements Strategy.
-func (BestFit) Order(nodes []*Node) {
-	sort.SliceStable(nodes, func(i, j int) bool {
-		if nodes[i].Used != nodes[j].Used {
-			return nodes[i].Used > nodes[j].Used
-		}
-		return nodes[i].ID < nodes[j].ID
-	})
+// Less implements Strategy.
+func (BestFit) Less(a, b *Node) bool {
+	if a.Used != b.Used {
+		return a.Used > b.Used
+	}
+	return a.ID < b.ID
 }
 
 // FirstFit packs nodes in inventory order.
@@ -58,10 +60,8 @@ type FirstFit struct{}
 // Name implements Strategy.
 func (FirstFit) Name() string { return "firstfit" }
 
-// Order implements Strategy.
-func (FirstFit) Order(nodes []*Node) {
-	sort.SliceStable(nodes, func(i, j int) bool { return nodes[i].ID < nodes[j].ID })
-}
+// Less implements Strategy.
+func (FirstFit) Less(a, b *Node) bool { return a.ID < b.ID }
 
 // WorstFit packs the least-utilized node first, spreading load (lower
 // per-node contention at the cost of fragmentation).
@@ -70,14 +70,12 @@ type WorstFit struct{}
 // Name implements Strategy.
 func (WorstFit) Name() string { return "worstfit" }
 
-// Order implements Strategy.
-func (WorstFit) Order(nodes []*Node) {
-	sort.SliceStable(nodes, func(i, j int) bool {
-		if nodes[i].Used != nodes[j].Used {
-			return nodes[i].Used < nodes[j].Used
-		}
-		return nodes[i].ID < nodes[j].ID
-	})
+// Less implements Strategy.
+func (WorstFit) Less(a, b *Node) bool {
+	if a.Used != b.Used {
+		return a.Used < b.Used
+	}
+	return a.ID < b.ID
 }
 
 // StrategyByName resolves a strategy flag value.
@@ -147,12 +145,7 @@ func fragmentation(nodes []*Node) []TypeFrag {
 		}
 		// fewest nodes that could host the allocated GPUs: fill the
 		// most-utilized nodes first; everything on the remainder must move
-		sort.SliceStable(perType, func(i, j int) bool {
-			if perType[i].Used != perType[j].Used {
-				return perType[i].Used > perType[j].Used
-			}
-			return perType[i].ID < perType[j].ID
-		})
+		sort.SliceStable(perType, func(i, j int) bool { return BestFit{}.Less(perType[i], perType[j]) })
 		remaining := used
 		for _, n := range perType {
 			if remaining <= 0 {
@@ -177,7 +170,7 @@ func buildNodes(inv sched.Resources, nodeGPUs int) []*Node {
 			if c > left {
 				c = left
 			}
-			out = append(out, &Node{ID: fmt.Sprintf("%s-%03d", t, i), Type: t, Cap: c})
+			out = append(out, &Node{ID: fmt.Sprintf("%s-%03d", t, i), Type: t, Cap: c, idx: len(out)})
 			left -= c
 		}
 	}

@@ -27,7 +27,9 @@ const (
 	V100 Type = iota
 	P100
 	T4
-	numTypes
+	// NumTypes is the number of modeled types: the length of a per-type
+	// array indexed by Type.
+	NumTypes
 )
 
 // String returns the marketing name.
@@ -64,7 +66,7 @@ type Spec struct {
 // Specs of the paper's three GPU types. Memory follows the 16 GB V100 the
 // packing experiment references (a 32 GB V100 variant is constructed by
 // overriding MemoryMB); FP32 peaks are the published numbers.
-var specs = [numTypes]Spec{
+var specs = [NumTypes]Spec{
 	V100: {Type: V100, MemoryMB: 16 * 1024, SMCount: 80, PeakGFLOPS: 15700, KernelBlock: 64, ContextMB: 750},
 	P100: {Type: P100, MemoryMB: 16 * 1024, SMCount: 56, PeakGFLOPS: 10600, KernelBlock: 32, ContextMB: 750},
 	T4:   {Type: T4, MemoryMB: 16 * 1024, SMCount: 40, PeakGFLOPS: 8100, KernelBlock: 16, ContextMB: 750},
@@ -72,7 +74,7 @@ var specs = [numTypes]Spec{
 
 // SpecOf returns the spec for a GPU type.
 func SpecOf(t Type) Spec {
-	if t < 0 || t >= numTypes {
+	if t < 0 || t >= NumTypes {
 		panic(fmt.Sprintf("device: unknown type %d", int(t)))
 	}
 	return specs[t]

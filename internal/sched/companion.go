@@ -7,6 +7,7 @@ package sched
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 
 	"repro/internal/device"
@@ -65,6 +66,37 @@ func (r Resources) Key() string {
 	return s
 }
 
+// counts is the scheduler's internal form of Resources: a fixed per-type
+// array, so it is a map key without rendering a string and copying it is a
+// clone. Resources stays the exported type, converted at the boundary.
+type counts [device.NumTypes]int
+
+func countsOf(r Resources) counts {
+	var c counts
+	for t := range c {
+		c[t] = r[device.Type(t)]
+	}
+	return c
+}
+
+func (c counts) resources() Resources {
+	out := Resources{}
+	for t, n := range c {
+		if n != 0 {
+			out[device.Type(t)] = n
+		}
+	}
+	return out
+}
+
+func (c counts) total() int {
+	n := 0
+	for _, k := range c {
+		n += k
+	}
+	return n
+}
+
 // Capability is the workload-specific compute capability C_i: mini-batches
 // per second one EST achieves on one GPU of each type.
 type Capability map[device.Type]float64
@@ -89,72 +121,76 @@ type Companion struct {
 	MaxP int
 	Caps Capability
 
-	plans map[string]Plan // keyed by Resources.Key()
+	plans map[counts]Plan
+	// gen counts capability updates: whatever remembers an answer derived
+	// from the performance model (IntraJob.Proposals) keys it on gen.
+	gen uint64
 }
 
-// NewCompanion builds a companion module for a job with maxP ESTs.
+// NewCompanion builds a companion module for a job with maxP ESTs. The
+// companion owns its performance model: caps is copied, so feedback one job
+// measures never reaches another job's companion or the caller's map.
 func NewCompanion(maxP int, caps Capability) *Companion {
 	if maxP <= 0 {
 		panic("sched: maxP must be positive")
 	}
-	cp := &Companion{MaxP: maxP, Caps: caps, plans: map[string]Plan{}}
-	return cp
+	return &Companion{MaxP: maxP, Caps: maps.Clone(caps), plans: map[counts]Plan{}}
 }
 
 // assign computes the EST-to-GPU mapping for a resource vector by greedy
 // load balancing: repeatedly give one more EST per GPU to the type whose
 // per-EST slowdown (A_i+1)/C_i is smallest, until Σ N_i·A_i ≥ maxP — the
 // quantum property (integer ESTs) over consecutive computing capabilities.
-func (cp *Companion) assign(gpus Resources) (map[device.Type]int, int) {
-	a := map[device.Type]int{}
-	nEST := 0
+// ok is false when the vector holds no usable GPUs.
+func (cp *Companion) assign(gpus counts) (a counts, nEST int, ok bool) {
 	for nEST < cp.MaxP {
-		best := device.Type(-1)
+		best := -1
 		bestCost := 0.0
-		for _, t := range device.AllTypes() {
-			if gpus[t] == 0 || cp.Caps[t] <= 0 {
+		for t, n := range gpus {
+			c := cp.Caps[device.Type(t)]
+			if n == 0 || c <= 0 {
 				continue
 			}
-			cost := float64(a[t]+1) / cp.Caps[t]
+			cost := float64(a[t]+1) / c
 			if best < 0 || cost < bestCost {
 				best, bestCost = t, cost
 			}
 		}
 		if best < 0 {
-			return nil, 0 // no usable GPUs
+			return a, 0, false
 		}
 		a[best]++
 		nEST += gpus[best]
 	}
-	return a, nEST
+	return a, nEST, true
 }
 
 // evaluate applies the waste model (Eq. 1a–1d) to a mapping.
-func (cp *Companion) evaluate(gpus Resources, a map[device.Type]int, nEST int) Plan {
+func (cp *Companion) evaluate(gpus, a counts, nEST int) Plan {
 	// fixed type order: the float max over a map range would let Go's
 	// randomized iteration order pick between ±0-style ties run to run
 	f := 0.0
-	for _, t := range device.AllTypes() {
-		if ai := a[t]; ai > 0 {
-			if v := float64(ai) / cp.Caps[t]; v > f {
+	for t, ai := range a {
+		if ai > 0 {
+			if v := float64(ai) / cp.Caps[device.Type(t)]; v > f {
 				f = v
 			}
 		}
 	}
 	sumCap := 0.0
 	waste := 0.0
-	for _, t := range device.AllTypes() {
-		n := gpus[t]
+	for t, n := range gpus {
 		if n == 0 {
 			continue
 		}
-		sumCap += float64(n) * cp.Caps[t]
-		waste += float64(n) * (cp.Caps[t] - float64(a[t])/f)
+		c := cp.Caps[device.Type(t)]
+		sumCap += float64(n) * c
+		waste += float64(n) * (c - float64(a[t])/f)
 	}
 	waste += float64(nEST-cp.MaxP) / f
 	return Plan{
-		GPUs:       gpus.Clone(),
-		ESTsPerGPU: a,
+		GPUs:       gpus.resources(),
+		ESTsPerGPU: a.resources(),
 		NEST:       nEST,
 		Overload:   f,
 		Waste:      waste,
@@ -166,30 +202,37 @@ func (cp *Companion) evaluate(gpus Resources, a map[device.Type]int, nEST int) P
 // and memoizing it on first use. ok is false when the vector cannot host the
 // job (no usable GPUs).
 func (cp *Companion) PlanFor(gpus Resources) (Plan, bool) {
-	if gpus.Total() == 0 {
-		return Plan{}, false
-	}
-	key := gpus.Key()
-	if p, ok := cp.plans[key]; ok {
+	return cp.planAt(countsOf(gpus))
+}
+
+// planAt is PlanFor on the internal vector: a database hit is one map probe
+// on an integer key.
+func (cp *Companion) planAt(gpus counts) (Plan, bool) {
+	if p, ok := cp.plans[gpus]; ok {
 		return p, true
 	}
-	a, nEST := cp.assign(gpus)
-	if a == nil {
+	if gpus.total() == 0 {
+		return Plan{}, false
+	}
+	a, nEST, ok := cp.assign(gpus)
+	if !ok {
 		return Plan{}, false
 	}
 	p := cp.evaluate(gpus, a, nEST)
-	cp.plans[key] = p
+	cp.plans[gpus] = p
 	return p, true
 }
 
 // UpdateCapability refreshes the performance model when the monitored
-// throughput biases from the estimate, invalidating the plan database.
+// throughput biases from the estimate, invalidating the plan database and
+// every answer remembered from it.
 func (cp *Companion) UpdateCapability(t device.Type, observed float64) {
 	if observed <= 0 {
 		return
 	}
 	cp.Caps[t] = observed
-	cp.plans = map[string]Plan{}
+	cp.plans = map[counts]Plan{}
+	cp.gen++
 }
 
 // sortTypesByCapability returns GPU types fastest-first for deterministic

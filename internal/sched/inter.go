@@ -1,8 +1,9 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/device"
 	"repro/internal/obs"
@@ -21,18 +22,23 @@ type Policy interface {
 // per round.
 type GreedyPolicy struct{}
 
+// CompareProposals is the greedy grant order: speedup-per-GPU descending,
+// then more GPUs, then job ID. Policies sort stably by it, so proposals it
+// ties keep the order they were submitted in.
+func CompareProposals(a, b Proposal) int {
+	if a.SpeedupPerGPU != b.SpeedupPerGPU {
+		return cmp.Compare(b.SpeedupPerGPU, a.SpeedupPerGPU)
+	}
+	if a.Count != b.Count {
+		return cmp.Compare(b.Count, a.Count)
+	}
+	return cmp.Compare(a.JobID, b.JobID)
+}
+
 // Decide implements Policy.
 func (GreedyPolicy) Decide(free Resources, proposals []Proposal) []Proposal {
 	sorted := append([]Proposal(nil), proposals...)
-	sort.SliceStable(sorted, func(i, j int) bool {
-		if sorted[i].SpeedupPerGPU != sorted[j].SpeedupPerGPU {
-			return sorted[i].SpeedupPerGPU > sorted[j].SpeedupPerGPU
-		}
-		if sorted[i].Count != sorted[j].Count {
-			return sorted[i].Count > sorted[j].Count
-		}
-		return sorted[i].JobID < sorted[j].JobID
-	})
+	slices.SortStableFunc(sorted, CompareProposals)
 	pool := free.Clone()
 	granted := map[string]bool{}
 	var out []Proposal
@@ -106,11 +112,11 @@ func RoundPass(policy Policy, free Resources, proposals []Proposal, trace *obs.T
 	accepted := policy.Decide(free, proposals)
 	for _, pr := range accepted {
 		free[pr.Type] -= pr.Count
-		logDecision(trace, "sched.accept", proposalDetail(pr), int64(pr.Count), 0)
+		logDecision(trace, "sched.accept", int64(pr.Count), 0, func() string { return proposalDetail(pr) })
 	}
-	logDecision(trace, "sched.round",
-		fmt.Sprintf("accepted %d of %d proposals; free=%s", len(accepted), len(proposals), free.Key()),
-		int64(len(accepted)), int64(len(proposals)))
+	logDecision(trace, "sched.round", int64(len(accepted)), int64(len(proposals)), func() string {
+		return fmt.Sprintf("accepted %d of %d proposals; free=%s", len(accepted), len(proposals), free.Key())
+	})
 	return accepted
 }
 

@@ -34,13 +34,32 @@ type IntraJob struct {
 	// trace.go). Decisions never depend on it.
 	Trace *obs.Tracer
 
-	cur     Resources
+	cur     counts
 	curPlan Plan
 	// prev remembers the pre-scale-out state for the slowdown fallback.
-	prev        Resources
+	prev        counts
 	prevPlan    Plan
 	scaledOut   bool
 	FallbackTol float64 // observed/estimated ratio below which we fall back
+
+	// memo is the last Proposals answer and memoKey everything it is a
+	// function of; see Proposals.
+	memoKey proposalKey
+	memo    []Proposal
+}
+
+// proposalKey is everything one Proposals answer depends on. The free pool
+// enters only through addable (per type, what may be explored after the MaxP
+// and free caps), so a pool that moved without moving those caps still hits;
+// gen covers the performance model, and curThr the active plan (which a
+// capability update leaves stale until the next Apply).
+type proposalKey struct {
+	cp            *Companion
+	gen           uint64
+	jobID         string
+	held, addable counts
+	curThr        float64
+	k             int
 }
 
 // NewIntraJob builds the intra-job scheduler.
@@ -49,19 +68,18 @@ func NewIntraJob(jobID string, cp *Companion, homogeneousOnly bool) *IntraJob {
 		JobID:           jobID,
 		Companion:       cp,
 		HomogeneousOnly: homogeneousOnly,
-		cur:             Resources{},
 		FallbackTol:     0.8,
 	}
 }
 
 // Current returns the held resources.
-func (s *IntraJob) Current() Resources { return s.cur.Clone() }
+func (s *IntraJob) Current() Resources { return s.cur.resources() }
 
 // CurrentPlan returns the active plan.
 func (s *IntraJob) CurrentPlan() Plan { return s.curPlan }
 
 // admissible filters a resource vector through the homogeneity policy.
-func (s *IntraJob) admissible(r Resources) bool {
+func (s *IntraJob) admissible(r counts) bool {
 	if !s.HomogeneousOnly {
 		return true
 	}
@@ -77,25 +95,27 @@ func (s *IntraJob) admissible(r Resources) bool {
 // Apply is Role-1/Role-3: accept a (possibly changed) resource allocation
 // and select the best EST-to-GPU configuration for it. Returns false when
 // the job cannot run on the given resources (it then holds zero GPUs).
-func (s *IntraJob) Apply(r Resources) (Plan, bool) {
+func (s *IntraJob) Apply(r Resources) (Plan, bool) { return s.apply(countsOf(r)) }
+
+func (s *IntraJob) apply(r counts) (Plan, bool) {
 	if !s.admissible(r) {
-		logDecision(s.Trace, "sched.reject",
-			fmt.Sprintf("job=%s res=%s violates homogeneity policy", s.JobID, r.Key()),
-			int64(r.Total()), 0)
+		logDecision(s.Trace, "sched.reject", int64(r.total()), 0, func() string {
+			return fmt.Sprintf("job=%s res=%s violates homogeneity policy", s.JobID, r.resources().Key())
+		})
 		return Plan{}, false
 	}
-	p, ok := s.Companion.PlanFor(r)
+	p, ok := s.Companion.planAt(r)
 	if !ok {
-		s.cur, s.curPlan = Resources{}, Plan{}
-		logDecision(s.Trace, "sched.reject",
-			fmt.Sprintf("job=%s res=%s has no feasible plan", s.JobID, r.Key()),
-			int64(r.Total()), 0)
+		s.cur, s.curPlan = counts{}, Plan{}
+		logDecision(s.Trace, "sched.reject", int64(r.total()), 0, func() string {
+			return fmt.Sprintf("job=%s res=%s has no feasible plan", s.JobID, r.resources().Key())
+		})
 		return Plan{}, false
 	}
-	s.cur, s.curPlan = r.Clone(), p
-	logDecision(s.Trace, "sched.apply",
-		fmt.Sprintf("job=%s res=%s est-throughput=%.3f", s.JobID, r.Key(), p.Throughput),
-		int64(r.Total()), int64(p.NEST))
+	s.cur, s.curPlan = r, p
+	logDecision(s.Trace, "sched.apply", int64(r.total()), int64(p.NEST), func() string {
+		return fmt.Sprintf("job=%s res=%s est-throughput=%.3f", s.JobID, r.resources().Key(), p.Throughput)
+	})
 	return p, true
 }
 
@@ -103,37 +123,40 @@ func (s *IntraJob) Apply(r Resources) (Plan, bool) {
 // capability would be pure waste) and returns them for release to the
 // cluster pool.
 func (s *IntraJob) TrimUnused() Resources {
-	released := Resources{}
+	var released counts
+	next := s.cur
 	for t, n := range s.cur {
-		if n > 0 && s.curPlan.ESTsPerGPU[t] == 0 {
-			released[t] = n
+		if n > 0 && s.curPlan.ESTsPerGPU[device.Type(t)] == 0 {
+			released[t], next[t] = n, 0
 		}
 	}
-	if len(released) == 0 {
+	if released.total() == 0 {
 		return nil
 	}
-	logDecision(s.Trace, "sched.trim",
-		fmt.Sprintf("job=%s releasing unused %s", s.JobID, released.Key()),
-		int64(released.Total()), 0)
-	next := s.cur.Clone()
-	for t := range released {
-		delete(next, t)
-	}
-	s.Apply(next)
-	return released
+	logDecision(s.Trace, "sched.trim", int64(released.total()), 0, func() string {
+		return fmt.Sprintf("job=%s releasing unused %s", s.JobID, released.resources().Key())
+	})
+	s.apply(next)
+	return released.resources()
 }
 
 // Proposals is Role-2: explore incremental homogeneous scale-outs against
 // the free pool and return the top-K by estimated speedup.
+//
+// It is a pure function of proposalKey, and between control-plane ticks most
+// jobs' keys do not move, so the last answer is remembered and returned while
+// the key is unchanged. Nothing invalidates it: every input is in the key.
+// The caller owns the returned slice.
 func (s *IntraJob) Proposals(free Resources, k int) []Proposal {
-	var out []Proposal
-	curThr := s.curPlan.Throughput
-	for _, t := range device.AllTypes() {
-		if s.HomogeneousOnly {
-			// only the type we already hold (or any single type if idle)
-			if s.cur.Total() > 0 && s.cur[t] == 0 {
-				continue
-			}
+	key := proposalKey{
+		cp: s.Companion, gen: s.Companion.gen, jobID: s.JobID,
+		held: s.cur, curThr: s.curPlan.Throughput, k: k,
+	}
+	idle := s.cur.total() == 0
+	for t := range key.addable {
+		// homogeneous-only: the type we already hold (or any single type if idle)
+		if s.HomogeneousOnly && !idle && s.cur[t] == 0 {
+			continue
 		}
 		// Exploration is bounded per type at maxP GPUs: each GPU of a type
 		// the plan uses runs at least one EST, so holding more than maxP of
@@ -142,14 +165,26 @@ func (s *IntraJob) Proposals(free Resources, k int) []Proposal {
 		// This bounds a round to O(types × maxP) plan evaluations instead of
 		// O(types × pool), which is what keeps thousand-GPU free pools (the
 		// control plane's regime) schedulable.
-		maxAdd := s.Companion.MaxP - s.cur[t]
-		if maxAdd > free[t] {
-			maxAdd = free[t]
+		if n := min(s.Companion.MaxP-s.cur[t], free[device.Type(t)]); n > 0 {
+			key.addable[t] = n
 		}
+	}
+	if key != s.memoKey {
+		s.memoKey, s.memo = key, s.explore(key.addable, k)
+	}
+	return append([]Proposal(nil), s.memo...) // nil when there are none
+}
+
+// explore evaluates every add of 1..addable[t] GPUs of each type against the
+// plan database and ranks the ones that speed the job up.
+func (s *IntraJob) explore(addable counts, k int) []Proposal {
+	var out []Proposal
+	curThr := s.curPlan.Throughput
+	for t, maxAdd := range addable {
 		for add := 1; add <= maxAdd; add++ {
-			next := s.cur.Clone()
+			next := s.cur
 			next[t] += add
-			p, ok := s.Companion.PlanFor(next)
+			p, ok := s.Companion.planAt(next)
 			if !ok || p.Throughput <= 0 {
 				continue
 			}
@@ -170,7 +205,7 @@ func (s *IntraJob) Proposals(free Resources, k int) []Proposal {
 				perGPU = 1e6 * p.Throughput / float64(add)
 			}
 			out = append(out, Proposal{
-				JobID: s.JobID, Type: t, Count: add,
+				JobID: s.JobID, Type: device.Type(t), Count: add,
 				SpeedupTotal:  speedup,
 				SpeedupPerGPU: perGPU,
 			})
@@ -191,13 +226,13 @@ func (s *IntraJob) Proposals(free Resources, k int) []Proposal {
 // Grant is Role-3 for an accepted proposal: scale out onto the granted GPUs,
 // remembering the previous state for the slowdown fallback.
 func (s *IntraJob) Grant(pr Proposal) (Plan, bool) {
-	s.prev, s.prevPlan = s.cur.Clone(), s.curPlan
-	next := s.cur.Clone()
+	s.prev, s.prevPlan = s.cur, s.curPlan
+	next := s.cur
 	next[pr.Type] += pr.Count
-	p, ok := s.Apply(next)
+	p, ok := s.apply(next)
 	if ok {
 		s.scaledOut = true
-		logDecision(s.Trace, "sched.grant", proposalDetail(pr), int64(pr.Count), 1)
+		logDecision(s.Trace, "sched.grant", int64(pr.Count), 1, func() string { return proposalDetail(pr) })
 	}
 	return p, ok
 }
@@ -214,45 +249,38 @@ func (s *IntraJob) Grant(pr Proposal) (Plan, bool) {
 // GPUs, plus the whole remainder when no feasible plan survives on it (the
 // job then falls idle and fellIdle is true).
 func (s *IntraJob) Preempt(take Resources) (release Resources, fellIdle bool) {
-	release = Resources{}
-	next := s.cur.Clone()
-	for _, t := range device.AllTypes() {
-		n := take[t]
-		if n > next[t] {
-			n = next[t]
-		}
-		if n > 0 {
-			release[t] = n
+	var rel counts
+	next := s.cur
+	for t := range next {
+		if n := min(take[device.Type(t)], next[t]); n > 0 {
+			rel[t] = n
 			next[t] -= n
-			if next[t] == 0 {
-				delete(next, t)
-			}
 		}
 	}
 	// a preemption invalidates the fallback snapshot even when it takes
 	// nothing the job holds — the caller has decided the old state is gone
 	s.scaledOut = false
-	if release.Total() == 0 {
+	if rel.total() == 0 {
 		return Resources{}, false
 	}
-	logDecision(s.Trace, "sched.preempt",
-		fmt.Sprintf("job=%s reclaimed %s keeping %s", s.JobID, release.Key(), next.Key()),
-		int64(release.Total()), int64(next.Total()))
-	if next.Total() == 0 {
-		s.cur, s.curPlan = Resources{}, Plan{}
-		return release, true
+	logDecision(s.Trace, "sched.preempt", int64(rel.total()), int64(next.total()), func() string {
+		return fmt.Sprintf("job=%s reclaimed %s keeping %s", s.JobID, rel.resources().Key(), next.resources().Key())
+	})
+	if next.total() == 0 {
+		s.cur, s.curPlan = counts{}, Plan{}
+		return rel.resources(), true
 	}
-	if _, ok := s.Apply(next); !ok {
+	if _, ok := s.apply(next); !ok {
 		// the remainder cannot host the job: everything comes back
-		for _, t := range device.AllTypes() {
-			if n := next[t]; n > 0 {
-				release[t] += n
+		for t, n := range next {
+			if n > 0 {
+				rel[t] += n
 			}
 		}
-		s.cur, s.curPlan = Resources{}, Plan{}
-		return release, true
+		s.cur, s.curPlan = counts{}, Plan{}
+		return rel.resources(), true
 	}
-	return release, false
+	return rel.resources(), false
 }
 
 // ObserveThroughput feeds a measured aggregate throughput back. If the job
@@ -273,22 +301,22 @@ func (s *IntraJob) ObserveThroughput(measured float64) (release Resources, fellB
 		}
 	}
 	if s.scaledOut && s.curPlan.Throughput > 0 && measured < s.curPlan.Throughput*s.FallbackTol {
-		logDecision(s.Trace, "sched.fallback",
-			fmt.Sprintf("job=%s measured=%.3f below %.0f%% of estimate %.3f: reverting to %s",
-				s.JobID, measured, s.FallbackTol*100, s.curPlan.Throughput, s.prev.Key()),
-			int64(s.cur.Total()), int64(s.prev.Total()))
-		release = Resources{}
+		logDecision(s.Trace, "sched.fallback", int64(s.cur.total()), int64(s.prev.total()), func() string {
+			return fmt.Sprintf("job=%s measured=%.3f below %.0f%% of estimate %.3f: reverting to %s",
+				s.JobID, measured, s.FallbackTol*100, s.curPlan.Throughput, s.prev.resources().Key())
+		})
 		// clamp at zero per type: after an intervening preemption (which
 		// clears scaledOut, so this is defensive) cur can be below prev, and
 		// a negative release would corrupt the caller's pool accounting
-		for _, t := range device.AllTypes() {
+		var rel counts
+		for t := range rel {
 			if d := s.cur[t] - s.prev[t]; d > 0 {
-				release[t] = d
+				rel[t] = d
 			}
 		}
-		s.cur, s.curPlan = s.prev.Clone(), s.prevPlan
+		s.cur, s.curPlan = s.prev, s.prevPlan
 		s.scaledOut = false
-		return release, true
+		return rel.resources(), true
 	}
 	s.scaledOut = false
 	return nil, false

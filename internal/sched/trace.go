@@ -12,14 +12,15 @@ import (
 // Scheduling decisions are pure functions of their inputs; the log only
 // observes them, so traced and untraced passes decide identically.
 
-// logDecision appends one decision-log entry. No-op when tr is nil. This is
-// a cold path (a handful of events per scheduling round), so rendering the
-// detail string may allocate.
-func logDecision(tr *obs.Tracer, name, detail string, a0, a1 int64) {
+// logDecision appends one decision-log entry; no-op when tr is nil. The
+// detail is a function because Go evaluates arguments before the call: a
+// string argument would be formatted first and discarded by the nil check
+// after, on every decision of an untraced plane.
+func logDecision(tr *obs.Tracer, name string, a0, a1 int64, detail func() string) {
 	if tr == nil {
 		return
 	}
-	tr.Event(tr.Track("sched"), obs.CatSched, name, detail, a0, a1)
+	tr.Event(tr.Track("sched"), obs.CatSched, name, detail(), a0, a1)
 }
 
 // proposalDetail renders a proposal for the decision log.

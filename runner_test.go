@@ -2,6 +2,8 @@ package easyscale
 
 import (
 	"testing"
+
+	"repro/internal/controlplane"
 )
 
 // TestAutoScaledBitwiseConsistent: the scheduler-driven live loop — job
@@ -205,5 +207,36 @@ func TestAutoScalerObserveFallback(t *testing.T) {
 	// healthy observation: no fallback
 	if fell, _ := a.Observe(a.Intra.CurrentPlan().Throughput); fell {
 		t.Fatal("healthy throughput must not fall back")
+	}
+}
+
+// TestThroughputFeedbackStaysWithItsJob: a measurement biased enough to
+// refresh one live job's performance model changes that job's companion and
+// nothing else — not the process-wide capability every later plane job and
+// cluster.Simulate read through CapabilityFor.
+func TestThroughputFeedbackStaysWithItsJob(t *testing.T) {
+	before := controlplane.CapabilityFor("neumf")[V100]
+	cfg := DefaultConfig(2)
+	cfg.BatchPerEST = 2
+	job, err := NewJob(cfg, "neumf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := NewAutoScaler(job, Resources{V100: 2})
+	if _, err := a.Rebalance(); err != nil {
+		t.Fatal(err)
+	}
+	// a healthy measurement first, so the biased one refreshes the model
+	// without also falling back to the zero GPUs the job started from
+	for _, ratio := range []float64{1, 0.1} {
+		if _, err := a.Observe(a.Intra.CurrentPlan().Throughput * ratio); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if a.Intra.Companion.Caps[V100] == before {
+		t.Fatal("setup: the measurement did not refresh the job's own model")
+	}
+	if got := controlplane.CapabilityFor("neumf")[V100]; got != before {
+		t.Fatalf("CapabilityFor(neumf)[V100] moved from %v to %v on one job's feedback", before, got)
 	}
 }
