@@ -7,12 +7,12 @@
 #                  hotalloc); fails on unsuppressed diagnostics
 #   make lint-audit — list every //detlint:ignore site with its cited reason
 #   make race    — race detector over the concurrency-bearing packages
-#                  (the per-GPU fan-out of a training step, the async data
-#                  loader, dist, serve and the tracer must stay race-clean)
+#                  (the per-GPU fan-out of a training step and the loader
+#                  reads under it, dist, serve and the tracer must stay
+#                  race-clean)
 #   make test-cpu — the placement / consistency / fan-out / loader tests at
 #                  GOMAXPROCS 1, 2 and 4: the bitwise contract may not depend
 #                  on how many cores the GPU goroutines get
-#   make bench   — the training-step benchmarks with allocation reporting
 #   make trace-smoke — end-to-end observability check: run a traced elastic
 #                  job and schema-validate the exported Chrome trace
 #   make bench-check — vet and toy-size test the frozen benchmark module
@@ -22,9 +22,9 @@
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: check vet fmt lint lint-audit build test test-isa test-cpu race fuzz bench benchsmoke bench-check trace-smoke serve-smoke loc
+.PHONY: check vet fmt lint lint-audit build test test-isa test-cpu race fuzz bench-check trace-smoke serve-smoke loc
 
-check: vet fmt lint build test test-isa test-cpu race fuzz benchsmoke bench-check trace-smoke serve-smoke
+check: vet fmt lint build test test-isa test-cpu race fuzz bench-check trace-smoke serve-smoke
 
 vet:
 	$(GO) vet ./...
@@ -57,13 +57,11 @@ test: build
 	$(GO) test ./...
 
 # forced-ISA lane: the kernel-consuming packages run again with the AVX2
-# dispatch killed (SSE2 4×4 kernels, scalar elementwise loops) and once more
-# on the pure-Go executable spec. The in-process differential suites already
-# sweep every variant; this lane proves the init-time kill switches
-# themselves and the full consumer stack (nn, comm, optim, core) on the
-# fallback paths.
+# dispatch killed, on the pure-Go executable spec and the scalar elementwise
+# loops. The in-process differential suites already sweep both variants; this
+# lane proves the init-time kill switch itself and the full consumer stack
+# (nn, comm, optim, core) on the fallback path.
 test-isa:
-	EASYSCALE_FORCE_SSE2=1 $(GO) test -count=1 ./internal/kernels/... ./internal/nn/... ./internal/comm/... ./internal/optim/... ./internal/core/...
 	EASYSCALE_FORCE_GENERIC=1 $(GO) test -count=1 ./internal/kernels/... ./internal/nn/... ./internal/comm/... ./internal/optim/... ./internal/core/...
 
 # core-count lane: RunStep fans out over min(GOMAXPROCS, 8, GPUs) goroutines
@@ -90,17 +88,6 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodePredict$$' -fuzztime $(FUZZTIME) ./internal/dist
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodePredictReply$$' -fuzztime $(FUZZTIME) ./internal/dist
 	$(GO) test -run '^$$' -fuzz 'FuzzBatchEquivalence$$' -fuzztime $(FUZZTIME) ./internal/serve
-
-# benchstat-comparable output (fixed iteration count, -benchmem); run before
-# and after a kernels change and record the pair in BENCH_prN.json
-bench:
-	$(GO) test ./internal/core/ -run '^$$' -bench 'BenchmarkTrainStep$$' -benchmem -benchtime 30x
-	$(GO) test . -run '^$$' -bench 'BenchmarkFig09LossDiff$$' -benchmem -benchtime 2x
-
-# one-iteration short-mode smoke of the kernel benchmarks: catches benchmark
-# rot (signature drift, panics on the bench path) without the full run
-benchsmoke:
-	$(GO) test ./internal/core/ -run '^$$' -bench 'BenchmarkTrainStep$$' -benchtime 1x -short
 
 # cmd/bench is a separate module that the root build never descends into, so
 # deleting an exported identifier it calls would otherwise surface only at the

@@ -6,18 +6,15 @@
 // Subcommands:
 //
 //	serve  — train-or-load checkpoints, listen, and serve until killed
-//	bench  — batched-vs-unbatched closed-loop benchmark (writes JSON)
 //	smoke  — small end-to-end run asserting batched == unbatched outputs
 //
 // Examples:
 //
 //	easyscale-serve serve -addr 127.0.0.1:9090 -models neumf,mlp
-//	easyscale-serve bench -requests 102400 -out BENCH_pr8.json
 //	easyscale-serve smoke
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"net"
@@ -36,8 +33,6 @@ func main() {
 	switch os.Args[1] {
 	case "serve":
 		runServe(os.Args[2:])
-	case "bench":
-		runBench(os.Args[2:])
 	case "smoke":
 		runSmoke(os.Args[2:])
 	default:
@@ -46,7 +41,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: easyscale-serve {serve|bench|smoke} [flags]")
+	fmt.Fprintln(os.Stderr, "usage: easyscale-serve {serve|smoke} [flags]")
 	os.Exit(2)
 }
 
@@ -100,37 +95,6 @@ func runServe(args []string) {
 	srv.Serve(ln)
 }
 
-func runBench(args []string) {
-	fs := flag.NewFlagSet("bench", flag.ExitOnError)
-	modelsFlag := fs.String("models", "neumf,mlp", "comma-separated zoo models")
-	requests := fs.Int("requests", 102400, "total requests per mode (rounded up to workers)")
-	workers := fs.Int("workers", 64, "closed-loop workers per model")
-	maxBatch := fs.Int("max-batch", 32, "batched mode's coalescing bound")
-	out := fs.String("out", "", "write the outcome JSON here (default: stdout only)")
-	die(fs.Parse(args))
-
-	names := splitModels(*modelsFlag)
-	perWorker := (*requests + len(names)**workers - 1) / (len(names) * *workers)
-	outcome, err := serve.RunBench(serve.BenchConfig{
-		Models: names, Workers: *workers, PerWorker: perWorker, MaxBatch: *maxBatch,
-	}, nil)
-	die(err)
-
-	blob, err := json.MarshalIndent(outcome, "", "  ")
-	die(err)
-	fmt.Println(string(blob))
-	if *out != "" {
-		die(os.WriteFile(*out, append(blob, '\n'), 0o644))
-	}
-	if !outcome.ChecksumsEqual {
-		die(fmt.Errorf("batched checksum %016x != unbatched %016x",
-			outcome.Batched.Checksum, outcome.Unbatched.Checksum))
-	}
-	fmt.Printf("saturation speedup: %.2fx (%.0f vs %.0f req/s in-process); TCP end-to-end: %.2fx (%.0f vs %.0f req/s); checksums equal\n",
-		outcome.SpeedupX, outcome.SaturationBatched.ThroughputRPS, outcome.SaturationUnbatched.ThroughputRPS,
-		outcome.TCPSpeedupX, outcome.Batched.ThroughputRPS, outcome.Unbatched.ThroughputRPS)
-}
-
 // runSmoke is the `make serve-smoke` entry: a small two-model run that
 // fails unless every request is answered and batched outputs are bitwise
 // the unbatched ones.
@@ -142,18 +106,10 @@ func runSmoke(args []string) {
 	names := []string{"neumf", "mlp"}
 	workers := 8
 	perWorker := (*requests + len(names)*workers - 1) / (len(names) * workers)
-	outcome, err := serve.RunBench(serve.BenchConfig{
-		Models: names, Workers: workers, PerWorker: perWorker, MaxBatch: 16, TrainSteps: 1,
-	}, nil)
+	containers, err := serve.TrainContainers(names, 1, 17)
 	die(err)
-	if outcome.Batched.Errors != 0 || outcome.Unbatched.Errors != 0 {
-		die(fmt.Errorf("dropped requests: batched %d, unbatched %d",
-			outcome.Batched.Errors, outcome.Unbatched.Errors))
-	}
-	if !outcome.ChecksumsEqual {
-		die(fmt.Errorf("batched checksum %016x != unbatched %016x",
-			outcome.Batched.Checksum, outcome.Unbatched.Checksum))
-	}
-	fmt.Printf("serve smoke ok: %d requests × 2 modes through %v, checksums equal (%016x)\n",
-		outcome.Batched.Requests, names, outcome.Batched.Checksum)
+	rep, err := serve.Smoke(containers, serve.LoadGen{Models: names, Workers: workers, PerWorker: perWorker}, 16)
+	die(err)
+	fmt.Printf("serve smoke ok: %d requests × 4 modes through %v, checksums equal (%016x)\n",
+		rep.Requests, names, rep.Checksum)
 }

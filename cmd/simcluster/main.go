@@ -49,26 +49,26 @@ func main() {
 
 	tr := workload.Generate(*jobs, *gap, *seed)
 	run := func(m cluster.Mode) cluster.Result {
-		return cluster.Simulate(cluster.Config{Mode: m, Inventory: inv}, tr)
-	}
-	print := func(r cluster.Result) {
+		r := cluster.Simulate(cluster.Config{Mode: m, Inventory: inv}, tr)
 		fmt.Printf("%-16s avgJCT %9.0fs  queue %9.0fs  makespan %9.0fs  finished %d/%d\n",
 			r.Mode, r.AvgJCT, r.AvgQueue, r.Makespan, r.Finished, *jobs)
+		return r
 	}
 	switch *mode {
 	case "yarn":
-		print(run(cluster.YARNCS))
+		run(cluster.YARNCS)
 	case "homo":
-		print(run(cluster.EasyScaleHomo))
+		run(cluster.EasyScaleHomo)
 	case "heter":
-		print(run(cluster.EasyScaleHeter))
+		run(cluster.EasyScaleHeter)
 	case "compare":
 		y := run(cluster.YARNCS)
 		h := run(cluster.EasyScaleHomo)
 		x := run(cluster.EasyScaleHeter)
-		print(y)
-		print(h)
-		print(x)
+		if y.Finished == 0 || h.Finished == 0 || x.Finished == 0 {
+			fmt.Println("gains vs YARN-CS: n/a (a policy finished no job)")
+			break
+		}
 		fmt.Printf("gains vs YARN-CS: homo %.1fx JCT / %.1fx makespan; heter %.1fx / %.1fx\n",
 			y.AvgJCT/h.AvgJCT, y.Makespan/h.Makespan, y.AvgJCT/x.AvgJCT, y.Makespan/x.Makespan)
 	default:

@@ -15,7 +15,7 @@ var floatHotPkgs = []string{"internal/kernels", "internal/nn", "internal/tensor"
 // flags float32→float64 *accumulation* — a float64 scalar folded over
 // widened float32 values — and any math.FMA call. Both produce results no
 // float32-accumulating reference can reproduce bitwise, across GOARCHes or
-// against the SSE2 micro-kernel. Pointwise widening (float32(math.Exp(
+// against the vector micro-kernel. Pointwise widening (float32(math.Exp(
 // float64(x)))) is exempt: it rounds through the same software path on every
 // host, element by element.
 func FloatWiden(hot ...string) *Analyzer {

@@ -43,6 +43,20 @@ func TestModeNames(t *testing.T) {
 	}
 }
 
+// TestEmptyTrace: nothing to schedule is a result, not a panic — every mode
+// returns its zero Result, which is what `simcluster -jobs 0` prints.
+func TestEmptyTrace(t *testing.T) {
+	for _, m := range []Mode{YARNCS, EasyScaleHomo, EasyScaleHeter} {
+		res := Simulate(Config{Mode: m, Inventory: paperInventory()}, nil)
+		if res.Mode != m {
+			t.Errorf("%s: result carries mode %s", m, res.Mode)
+		}
+		if res.Finished != 0 || res.Unstarted != 0 || res.AvgJCT != 0 || res.Makespan != 0 || len(res.Timeline) != 0 {
+			t.Errorf("%s: empty trace produced %+v", m, res)
+		}
+	}
+}
+
 func TestYARNCompletesAllJobs(t *testing.T) {
 	jobs := testTrace()
 	res := Simulate(Config{Mode: YARNCS, Inventory: paperInventory()}, jobs)

@@ -10,7 +10,6 @@ import (
 	"sort"
 
 	"repro/internal/controlplane"
-	"repro/internal/device"
 	"repro/internal/sched"
 	"repro/internal/workload"
 )
@@ -95,14 +94,15 @@ type Result struct {
 type simJob struct {
 	spec      workload.JobSpec
 	remaining float64
-	started   bool
 	startSec  float64
-	finishSec float64
-	gang      sched.Resources
 }
 
-// Simulate runs the trace under the configured policy and returns metrics.
+// Simulate runs the trace under the configured policy and returns metrics;
+// an empty trace yields the zero Result of that mode.
 func Simulate(cfg Config, jobs []workload.JobSpec) Result {
+	if len(jobs) == 0 {
+		return Result{Mode: cfg.Mode}
+	}
 	cfg.defaults()
 	switch cfg.Mode {
 	case YARNCS:
@@ -139,24 +139,19 @@ func simulateYARN(cfg Config, jobs []workload.JobSpec) Result {
 				break
 			}
 			free[t] -= j.spec.MaxP
-			j.gang = sched.Resources{t: j.spec.MaxP}
-			j.started, j.startSec = true, now
+			j.startSec = now
 			running = append(running, j)
 			queue = queue[1:]
 		}
 		// progress
 		var still []*simJob
 		for _, j := range running {
-			var t device.Type
-			for tt := range j.gang {
-				t = tt
-			}
+			t := j.spec.RequestedType // the gang is MaxP GPUs of this one type
 			rate := float64(j.spec.MaxP) * controlplane.CapabilityFor(j.spec.Model)[t]
 			j.remaining -= rate * cfg.TickSec
 			if j.remaining <= 0 {
-				j.finishSec = now + cfg.TickSec
 				free[t] += j.spec.MaxP
-				res.JCTs[j.spec.ID] = j.finishSec - j.spec.ArrivalSec
+				res.JCTs[j.spec.ID] = now + cfg.TickSec - j.spec.ArrivalSec
 				res.AvgQueue += j.startSec - j.spec.ArrivalSec
 				res.Finished++
 			} else {

@@ -13,11 +13,6 @@ import (
 // NumBuckets returns the bucket count of the current plan.
 func (d *ElasticDDP) NumBuckets() int { return len(d.plan.Buckets) }
 
-// BucketParams returns the parameter indices of bucket b in flattening order.
-func (d *ElasticDDP) BucketParams(b int) []int {
-	return append([]int(nil), d.plan.Buckets[b]...)
-}
-
 // BucketLen returns the element count of bucket b.
 func (d *ElasticDDP) BucketLen(b int) int { return d.bucketLen(d.plan.Buckets[b]) }
 

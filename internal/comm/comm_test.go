@@ -325,10 +325,10 @@ func TestBucketAccessors(t *testing.T) {
 	}
 	total := 0
 	for b := 0; b < d.NumBuckets(); b++ {
-		total += d.BucketLen(b)
-		if len(d.BucketParams(b)) == 0 {
+		if d.BucketLen(b) == 0 {
 			t.Fatal("empty bucket")
 		}
+		total += d.BucketLen(b)
 	}
 	if total != 10 {
 		t.Fatalf("bucket lengths sum to %d, want 10", total)

@@ -10,9 +10,9 @@ import (
 
 // TestSingleTenantBitwiseMatchesDeprecatedShim pins the api_redesign
 // contract: a single-tenant control plane makes bitwise-identical allocation
-// decisions to the pre-plane scheduler loop (IntraJob proposals through the
-// deprecated InterJob.Round). Jobs never finish (huge WorkSteps), so every
-// tick's holdings and free pool must match exactly.
+// decisions to the pre-plane scheduler loop (IntraJob proposals through
+// sched.RoundPass on one bare pool). Jobs never finish (huge WorkSteps), so
+// every tick's holdings and free pool must match exactly.
 func TestSingleTenantBitwiseMatchesDeprecatedShim(t *testing.T) {
 	inv := sched.Resources{device.V100: 12, device.P100: 8, device.T4: 6}
 	const topK = 3
@@ -26,9 +26,8 @@ func TestSingleTenantBitwiseMatchesDeprecatedShim(t *testing.T) {
 	// new path: single-tenant plane
 	plane := New(Config{Inventory: inv, TickSec: 10, ProposalTopK: topK, RestartSec: 5})
 
-	// old path: the loop cluster/sim.go ran before the plane existed, on the
-	// deprecated InterJob.Round shim
-	inter := sched.NewInterJob(inv)
+	// old path: the loop cluster/sim.go ran before the plane existed
+	free := inv.Clone()
 	intras := map[string]*sched.IntraJob{}
 	var active []string
 
@@ -46,19 +45,19 @@ func TestSingleTenantBitwiseMatchesDeprecatedShim(t *testing.T) {
 
 		var proposals []sched.Proposal
 		for _, id := range active {
-			proposals = append(proposals, intras[id].Proposals(inter.Free(), topK)...)
+			proposals = append(proposals, intras[id].Proposals(free, topK)...)
 		}
-		for _, pr := range inter.Round(proposals) {
+		for _, pr := range sched.RoundPass(sched.GreedyPolicy{}, free, proposals, nil) {
 			if _, ok := intras[pr.JobID].Grant(pr); ok {
 				if unused := intras[pr.JobID].TrimUnused(); unused != nil {
-					inter.Release(unused)
+					free = free.Add(unused)
 				}
 			} else {
-				inter.Release(sched.Resources{pr.Type: pr.Count})
+				free[pr.Type] += pr.Count
 			}
 		}
 
-		if got, want := plane.Free().Key(), inter.Free().Key(); got != want {
+		if got, want := plane.Free().Key(), free.Key(); got != want {
 			t.Fatalf("tick %d: plane free %s != shim free %s", tick, got, want)
 		}
 		for _, id := range active {

@@ -8,8 +8,7 @@ import (
 )
 
 // benchJob builds an attached 4-EST job on one simulated V100 for the named
-// workload — the configuration the training-step benchmarks and the
-// allocation-regression tests share.
+// workload — the configuration the allocation-regression tests share.
 func benchJob(tb testing.TB, name string) *Job {
 	tb.Helper()
 	cfg := DefaultConfig(4)
@@ -22,24 +21,6 @@ func benchJob(tb testing.TB, name string) *Job {
 		tb.Fatal(err)
 	}
 	return j
-}
-
-// BenchmarkTrainStep measures one global training step (4 ESTs, one V100) per
-// workload, with allocation reporting — the hot path the pooled arena
-// targets. One GPU means no fan-out: this is the serial step.
-func BenchmarkTrainStep(b *testing.B) {
-	for _, name := range []string{"vgg19", "resnet50"} {
-		b.Run(name, func(b *testing.B) {
-			j := benchJob(b, name)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := j.RunStep(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // TestTrainStepAllocRegression pins the steady-state allocation count of a

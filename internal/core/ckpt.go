@@ -6,6 +6,7 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/obs"
 	"repro/internal/rng"
+	"repro/internal/tensor"
 )
 
 // ckptMagic guards against foreign byte streams; ckptVersion against format
@@ -44,77 +45,36 @@ func ESTShardRank(id string) (r int, ok bool) {
 	return n, true
 }
 
-// shardCacheEntry remembers one group's encoding from the previous
-// BuildShards call: a cheap hash of the live state it was encoded from, and
-// the resulting bytes with their content address. When the state hash is
-// unchanged, the bytes are reused instead of re-encoded — the incremental
-// delta write.
-type shardCacheEntry struct {
-	stateHash uint64
-	hash      uint64
-	data      []byte
-}
-
-// fnvMix folds v into h (FNV-1a step), the state-hash accumulator used for
-// delta detection.
-func fnvMix(h, v uint64) uint64 {
-	h ^= v
-	h *= 1099511628211
-	return h
-}
-
-const fnvOffset = 14695981039346656037
-
 // BuildShards cuts the job's full checkpoint state into content-addressed
 // shards and returns the manifest plus a store holding every referenced
-// shard. Groups whose cheap state hash is unchanged since the previous call
-// on this job reuse their cached encoding (and therefore keep their content
-// address), so a steady-state snapshot re-encodes only what training
-// actually touched — for a mid-epoch step that is the parameters and
-// moments, while EST shards go untouched between phase boundaries.
+// shard. Every group is encoded on every call and addressed by the hash of
+// its bytes; the encoder is deterministic, so unchanged state yields an
+// identical manifest and a peer holding the previous shards needs only
+// Manifest.Diff — the job remembers nothing between calls.
 func (j *Job) BuildShards() (checkpoint.Manifest, *checkpoint.ShardSet) {
-	if j.shardCache == nil {
-		j.shardCache = make(map[string]shardCacheEntry)
-	}
 	set := checkpoint.NewShardSet()
 	m := checkpoint.Manifest{Progress: int64(j.globalStep)}
-	add := func(id string, stateHash uint64, encode func() []byte) {
-		e, ok := j.shardCache[id]
-		if !ok || e.stateHash != stateHash {
-			data := encode()
-			e = shardCacheEntry{stateHash: stateHash, hash: checkpoint.HashBytes(data), data: data}
-			j.shardCache[id] = e
-		}
-		_ = set.Add(e.hash, e.data) // hash just computed from data; cannot mismatch
-		m.Entries = append(m.Entries, checkpoint.ManifestEntry{ID: id, Hash: e.hash, Len: len(e.data)})
+	add := func(id string, data []byte) {
+		h := checkpoint.HashBytes(data)
+		_ = set.Add(h, data) // hash just computed from data; cannot mismatch
+		m.Entries = append(m.Entries, checkpoint.ManifestEntry{ID: id, Hash: h, Len: len(data)})
+	}
+	tensorBytes := func(t *tensor.Tensor) []byte {
+		w := checkpoint.NewWriter()
+		w.PutTensor(t)
+		return w.Bytes()
 	}
 
-	// meta is tiny and carries the progress counters, so it changes every
-	// step — always re-encode rather than hash-check
-	meta := j.encodeMetaGroup()
-	mh := checkpoint.HashBytes(meta)
-	_ = set.Add(mh, meta)
-	m.Entries = append(m.Entries, checkpoint.ManifestEntry{ID: metaGroup, Hash: mh, Len: len(meta)})
-
+	add(metaGroup, j.encodeMetaGroup())
 	for i, p := range j.Workload.Params() {
-		add(paramGroup(i), p.Value.Hash64(), func() []byte {
-			w := checkpoint.NewWriter()
-			w.PutTensor(p.Value)
-			return w.Bytes()
-		})
+		add(paramGroup(i), tensorBytes(p.Value))
 	}
 	for i, mom := range j.opt.StateTensors() {
-		add(momentGroup(i), mom.Hash64(), func() []byte {
-			w := checkpoint.NewWriter()
-			w.PutTensor(mom)
-			return w.Bytes()
-		})
+		add(momentGroup(i), tensorBytes(mom))
 	}
 	cursors := j.loader.State().NextStep
 	for r, est := range j.ests {
-		add(estGroup(r), estStateHash(est, cursors[r]), func() []byte {
-			return encodeESTGroup(est, cursors[r])
-		})
+		add(estGroup(r), encodeESTGroup(est, cursors[r]))
 	}
 	return m, set
 }

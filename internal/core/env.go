@@ -21,17 +21,16 @@ const (
 	// compute at once in Job.RunStep (kernels.SetParallelism; the name
 	// predates the per-GPU fan-out). Provably invisible to numerics.
 	EnvKernelWorkers = "EASYSCALE_KERNEL_WORKERS"
-	// EnvForceSSE2 / EnvForceGeneric (any non-empty value) pin the GEMM
-	// micro-kernel and elementwise dispatch to the SSE2 4×4 variant or the
-	// pure-Go executable spec, disabling the AVX2 path — the kill switches
-	// for suspected SIMD miscompiles. They are the one documented exception
-	// to "only ConfigFromEnv reads the environment": the kernels package
-	// resolves them in its own init, because the ISA must be selected before
-	// the first kernel call and kernels cannot import core. All variants are
+	// EnvForceGeneric (any non-empty value) pins the GEMM micro-kernel and
+	// elementwise dispatch to the pure-Go executable spec, disabling the
+	// AVX2 path — the kill switch for suspected SIMD miscompiles. It is the
+	// one documented exception to "only ConfigFromEnv reads the
+	// environment": the kernels package resolves it in its own init, because
+	// the ISA must be selected before the first kernel call and kernels
+	// cannot import core. The two variants (AVX2 8×8, pure-Go 4×4) are
 	// bitwise identical (the dispatch is provably invisible to numerics);
-	// the switches trade only speed. kernels.SetISA changes the selection at
+	// the switch trades only speed. kernels.SetISA changes the selection at
 	// runtime.
-	EnvForceSSE2    = "EASYSCALE_FORCE_SSE2"
 	EnvForceGeneric = "EASYSCALE_FORCE_GENERIC"
 )
 

@@ -124,15 +124,6 @@ func (p Placement) Validate(numESTs int) error {
 	return nil
 }
 
-// GPUCounts returns the number of GPUs per type in the placement.
-func (p Placement) GPUCounts() map[device.Type]int {
-	out := map[device.Type]int{}
-	for _, t := range p.Devices {
-		out[t]++
-	}
-	return out
-}
-
 // Homogeneous reports whether all devices share one type.
 func (p Placement) Homogeneous() bool {
 	for _, t := range p.Devices[1:] {

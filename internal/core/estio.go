@@ -66,23 +66,6 @@ func decodeESTGroup(r *checkpoint.Reader, est *ESTContext) (rank, cursor int, er
 	return rank, cursor, nil
 }
 
-// estStateHash cheaply fingerprints the live state behind an EST shard for
-// delta detection: RNG words, model-state tensors, and the data cursor.
-func estStateHash(est *ESTContext, cursor int) uint64 {
-	h := uint64(fnvOffset)
-	h = fnvMix(h, uint64(est.VirtualRank))
-	bs := est.RNG.State()
-	for _, st := range []rng.State{bs.Python, bs.NumPy, bs.Torch} {
-		for _, w := range st.S {
-			h = fnvMix(h, w)
-		}
-	}
-	for _, st := range est.ModelState {
-		h = fnvMix(h, st.Hash64())
-	}
-	return fnvMix(h, uint64(cursor))
-}
-
 // ExportESTContext serializes EST rank's context — the payload of the
 // est/NNNN shard: RNG bundle, implicit model state, and data cursor.
 func (j *Job) ExportESTContext(rank int) []byte {

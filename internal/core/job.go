@@ -57,11 +57,6 @@ type Job struct {
 	// obs is the attached execution-tracer state (nil = tracing off; every
 	// instrumentation helper is then a single pointer test). See trace.go.
 	obs *jobObs
-
-	// shardCache remembers each checkpoint group's previous encoding keyed
-	// by a cheap state hash, so BuildShards re-encodes only groups training
-	// actually touched (see ckpt.go). Never read by the training path.
-	shardCache map[string]shardCacheEntry
 }
 
 // NewJob builds a job for the named workload. The model, data order, and all
@@ -123,11 +118,6 @@ func (j *Job) StepsPerEpoch() int { return j.sampler.StepsPerEpoch() }
 // LastLosses returns the per-EST losses of the last completed global step,
 // indexed by virtual rank.
 func (j *Job) LastLosses() []float32 { return j.lastLosses }
-
-// LastESTTimes returns each EST's simulated local-step duration (including
-// context switching and any unhidden gradient copy) for the last completed
-// global step, indexed by virtual rank.
-func (j *Job) LastESTTimes() []time.Duration { return j.estTimes }
 
 // Devices returns the attached simulated devices.
 func (j *Job) Devices() []*device.Device { return j.devices }

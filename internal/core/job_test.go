@@ -83,10 +83,6 @@ func TestEvenPlacement(t *testing.T) {
 	if !EvenPlacement(2, device.T4, device.T4).Homogeneous() {
 		t.Fatal("same-type placement should be homogeneous")
 	}
-	counts := p.GPUCounts()
-	if counts[device.V100] != 1 || counts[device.P100] != 1 {
-		t.Fatalf("GPUCounts %v", counts)
-	}
 }
 
 func TestEvenPlacementProperty(t *testing.T) {

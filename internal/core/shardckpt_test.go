@@ -8,7 +8,7 @@ import (
 )
 
 // TestBuildShardsDeltaReuse pins the incremental-write contract: rebuilding
-// shards from unchanged state reuses every cached encoding (identical
+// shards from unchanged state re-encodes to the same bytes (identical
 // manifest, empty delta), and after a training step the delta plus the
 // previous shard set is sufficient to restore — the bytes a worker already
 // holds never need re-shipping.
@@ -66,6 +66,61 @@ func TestBuildShardsDeltaReuse(t *testing.T) {
 	if !ParamsEqual(j, r) || r.GlobalStep() != j.GlobalStep() {
 		t.Fatal("restore from incrementally assembled shards diverged from the live job")
 	}
+}
+
+// TestBuildShardsSharesNoState: a BuildShards result is the caller's to keep
+// or destroy. Scribbling over every shard byte of one build changes neither
+// the next build of the same state nor the build after a training step — the
+// job holds no encoding between calls for a caller to alias.
+func TestBuildShardsSharesNoState(t *testing.T) {
+	cfg := testCfg(D1, false, 4)
+	place := EvenPlacement(4, device.V100, device.V100)
+	j := mustJob(t, cfg, "vgg19", place)
+	twin := mustJob(t, cfg, "vgg19", place)
+	for _, job := range []*Job{j, twin} {
+		if err := job.RunSteps(2); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	scribble := func(m checkpoint.Manifest, s *checkpoint.ShardSet) {
+		for _, e := range m.Entries {
+			b, _ := s.Get(e.Hash)
+			for i := range b {
+				b[i] ^= 0xA5
+			}
+		}
+	}
+	intact := func(m checkpoint.Manifest, s *checkpoint.ShardSet) {
+		t.Helper()
+		for _, e := range m.Entries {
+			if b, ok := s.Get(e.Hash); !ok || checkpoint.HashBytes(b) != e.Hash {
+				t.Fatalf("shard %q no longer matches its address", e.ID)
+			}
+		}
+	}
+
+	m1, s1 := j.BuildShards()
+	want := string(m1.Encode())
+	scribble(m1, s1)
+	m2, s2 := j.BuildShards()
+	if string(m2.Encode()) != want {
+		t.Fatal("scribbling over one build's shards changed the next build's manifest")
+	}
+	intact(m2, s2)
+	scribble(m2, s2)
+
+	for _, job := range []*Job{j, twin} {
+		if err := job.RunStep(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m3, s3 := j.BuildShards()
+	ref, _ := twin.BuildShards()
+	if string(m3.Encode()) != string(ref.Encode()) {
+		t.Fatal("manifest after a step differs from a twin job that never had its shards scribbled")
+	}
+	intact(m3, s3)
 }
 
 // TestShardRestoreMatchesBlobRestore: the sharded restore path and the

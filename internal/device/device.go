@@ -207,13 +207,6 @@ func NewWithMemory(t Type, memMB int, cfg Config) *Device {
 // Config returns the device configuration.
 func (d *Device) Config() Config { return d.cfg }
 
-// SetConfig replaces the device configuration (e.g. when the determinism
-// level changes between runs).
-func (d *Device) SetConfig(cfg Config) {
-	d.cfg = cfg
-	d.profiled = false
-}
-
 // KernelBlock returns the accumulation block size the current selection
 // policy dictates. This value is handed to the blocked kernels and is the
 // single knob through which hardware heterogeneity, profiling noise, and D2
@@ -323,9 +316,6 @@ func (d *Device) UsedMB() float64 { return d.usedMB }
 // PeakMB returns the high-water mark of device memory usage.
 func (d *Device) PeakMB() float64 { return d.peakMB }
 
-// ResetPeak clears the high-water mark (used between experiment phases).
-func (d *Device) ResetPeak() { d.peakMB = d.usedMB }
-
 // --- simulated time ------------------------------------------------------
 
 // Efficiency factors of kernel families under each selection policy. The
@@ -394,6 +384,3 @@ func (d *Device) ChargeTime(dt time.Duration) {
 
 // Now returns the simulated elapsed time on this device.
 func (d *Device) Now() time.Duration { return d.clock }
-
-// ResetClock zeroes the simulated clock.
-func (d *Device) ResetClock() { d.clock = 0 }

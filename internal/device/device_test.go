@@ -58,11 +58,6 @@ func TestProfiledSelectionReturnsCandidate(t *testing.T) {
 	if d.KernelBlock() != b {
 		t.Fatal("profiled selection should be cached per device")
 	}
-	// reset on config change
-	d.SetConfig(Config{Selection: SelectFixedAlgo})
-	if d.KernelBlock() != AgnosticBlock {
-		t.Fatal("SetConfig should re-resolve the selection")
-	}
 }
 
 func TestMemoryAccounting(t *testing.T) {
@@ -79,10 +74,6 @@ func TestMemoryAccounting(t *testing.T) {
 	d.Free(2500)
 	if d.UsedMB() != 500 || d.PeakMB() != 3000 {
 		t.Fatalf("after free: used=%v peak=%v", d.UsedMB(), d.PeakMB())
-	}
-	d.ResetPeak()
-	if d.PeakMB() != 500 {
-		t.Fatalf("ResetPeak: %v", d.PeakMB())
 	}
 }
 
@@ -170,12 +161,8 @@ func TestChargeTimeAndReset(t *testing.T) {
 	if d.Now() != 5*time.Millisecond {
 		t.Fatalf("Now=%v", d.Now())
 	}
-	d.ResetClock()
-	if d.Now() != 0 {
-		t.Fatal("ResetClock failed")
-	}
 	d.ChargeFLOPs(-5, 1) // ignored
-	if d.Now() != 0 {
+	if d.Now() != 5*time.Millisecond {
 		t.Fatal("negative flops must not charge")
 	}
 }

@@ -55,8 +55,6 @@ func (f Framework) String() string {
 		return "Pollux"
 	case VirtualFlow:
 		return "VirtualFlow"
-	case EasyScale:
-		return "EasyScale"
 	}
 	return fmt.Sprintf("Framework(%d)", int(f))
 }
@@ -142,7 +140,7 @@ func NewBaselineJob(cfg BaselineConfig, workload string, world int) (*BaselineJo
 		return nil, err
 	}
 	b := &BaselineJob{Cfg: cfg, Workload: w, world: world}
-	b.configureWorld(world, 0, 0)
+	b.configureWorld(world)
 	params := w.Params()
 	sizes := make([]int, len(params))
 	for i, p := range params {
@@ -156,11 +154,9 @@ func NewBaselineJob(cfg BaselineConfig, workload string, world int) (*BaselineJo
 	return b, nil
 }
 
-// configureWorld rebuilds the data pipeline and per-worker RNGs for a world
-// size — the restart path of elastic frameworks. Mid-epoch progress is
-// remapped by sample count (approximately), which itself perturbs the data
-// order: part of the baseline's semantic drift.
-func (b *BaselineJob) configureWorld(world, epoch, samplesDone int) {
+// configureWorld builds the data pipeline and per-worker RNGs for a world
+// size.
+func (b *BaselineJob) configureWorld(world int) {
 	b.world = world
 	batch := b.Cfg.perGPUBatch(world)
 	samplerWorld := world
@@ -173,18 +169,6 @@ func (b *BaselineJob) configureWorld(world, epoch, samplesDone int) {
 	}
 	b.sampler = data.NewElasticSampler(b.Workload.Dataset.Len(), samplerWorld, batch, b.Cfg.Seed)
 	b.loader = data.NewLoader(b.Workload.Dataset, b.sampler, 2, b.Cfg.Seed)
-	b.loader.SetEpoch(epoch)
-	b.epoch = epoch
-	b.step = samplesDone / (world * batch)
-	if b.step >= b.sampler.StepsPerEpoch() {
-		b.step = b.sampler.StepsPerEpoch() - 1
-	}
-	// fast-forward the loader cursors to the resumed step
-	for s := 0; s < b.step; s++ {
-		for r := 0; r < samplerWorld; r++ {
-			b.loader.Batch(s, r)
-		}
-	}
 	b.rngs = make([]*rng.Bundle, samplerWorld)
 	for r := range b.rngs {
 		b.rngs[r] = rng.NewBundle(b.Cfg.Seed ^ (uint64(r)+1)*0x9e3779b97f4a7c15)
@@ -203,22 +187,6 @@ func (b *BaselineJob) configureWorld(world, epoch, samplesDone int) {
 		b.devs[i] = device.New(device.V100, dc)
 	}
 }
-
-// Rescale changes the world size, as TorchElastic/Pollux do when resources
-// change: checkpoint-equivalent (params and optimizer survive), data pipeline
-// rebuilt, hyper-parameters re-derived.
-func (b *BaselineJob) Rescale(world int) {
-	samplesDone := b.step * b.world * b.Cfg.perGPUBatch(b.world)
-	b.configureWorld(world, b.epoch, samplesDone)
-	b.opt.SetLR(b.Cfg.lr(world))
-	if b.sched != nil {
-		b.sched.BaseLR = b.Cfg.lr(world)
-		b.sched.SetEpoch(b.epoch)
-	}
-}
-
-// World returns the current world size.
-func (b *BaselineJob) World() int { return b.world }
 
 // Epoch returns the current epoch.
 func (b *BaselineJob) Epoch() int { return b.epoch }
@@ -304,14 +272,6 @@ func (b *BaselineJob) runStepVirtualFlow() {
 		if b.sched != nil {
 			b.sched.EpochStep()
 		}
-	}
-}
-
-// RunEpoch runs the remainder of the current epoch.
-func (b *BaselineJob) RunEpoch() {
-	e := b.epoch
-	for b.epoch == e {
-		b.RunStep()
 	}
 }
 

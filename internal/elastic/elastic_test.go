@@ -127,25 +127,6 @@ func paramsEqual(a, b *BaselineJob) bool {
 	return true
 }
 
-func TestRescaleChangesSemantics(t *testing.T) {
-	cfg := baseCfg(TorchElastic)
-	j, err := NewBaselineJob(cfg, "vgg19", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for s := 0; s < 5; s++ {
-		j.RunStep()
-	}
-	j.Rescale(2)
-	if j.World() != 2 {
-		t.Fatal("world not updated")
-	}
-	if got := j.opt.LR(); math.Abs(got-0.025) > 1e-9 {
-		t.Fatalf("TE lr after rescale to 2 = %v, want 0.025", got)
-	}
-	j.RunStep() // must not panic mid-epoch
-}
-
 func TestSimulatePackingOOMCrossover(t *testing.T) {
 	// ResNet50 @ batch 32 on 16 GB V100: fine at 8 workers, OOM at 9+
 	ok := SimulatePacking("resnet50", 8, 32, 16*1024)

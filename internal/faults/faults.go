@@ -55,9 +55,6 @@ const (
 	Migrate Site = "migrate"
 )
 
-// Sites lists every injection site.
-func Sites() []Site { return []Site{Dial, Gather, Broadcast, CkptShip, ShardShip, Migrate} }
-
 // Action is what an injector does when a rule fires.
 type Action int
 

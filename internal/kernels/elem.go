@@ -19,8 +19,8 @@ package kernels
 // reference across ±0, ±Inf, NaN, and denormals.
 //
 // The SIMD bodies are enabled per micro-kernel variant (mkDesc.elemSIMD):
-// active on the AVX2 variant, off for SSE2/generic — so EASYSCALE_FORCE_SSE2
-// and EASYSCALE_FORCE_GENERIC exercise the scalar loops end to end.
+// active on the AVX2 variant, off for generic — so EASYSCALE_FORCE_GENERIC
+// exercises the scalar loops end to end.
 
 // AddF32 computes dst[i] += src[i].
 //
@@ -62,17 +62,6 @@ func ScaleF32(dst []float32, s float32) {
 	i := elemScale(dst, s)
 	for ; i < len(dst); i++ {
 		dst[i] *= s
-	}
-}
-
-// AxpyF32 computes dst[i] += alpha * src[i].
-//
-//easyscale:hotpath
-func AxpyF32(dst, src []float32, alpha float32) {
-	src = src[:len(dst)]
-	i := elemAxpy(dst, src, alpha)
-	for ; i < len(dst); i++ {
-		dst[i] += alpha * src[i]
 	}
 }
 

@@ -25,9 +25,6 @@ func emulinto8(dst, a, b *float32, n int)
 func escale8(dst *float32, s float32, n int)
 
 //go:noescape
-func eaxpy8(dst, src *float32, alpha float32, n int)
-
-//go:noescape
 func eaddscaled8(dst, a, b *float32, alpha float32, n int)
 
 //go:noescape
@@ -84,15 +81,6 @@ func elemScale(dst []float32, s float32) int {
 		return 0
 	}
 	escale8(&dst[0], s, n)
-	return n
-}
-
-func elemAxpy(dst, src []float32, alpha float32) int {
-	n := len(dst) &^ 7
-	if n == 0 || !elemSIMDOn() {
-		return 0
-	}
-	eaxpy8(&dst[0], &src[0], alpha, n)
 	return n
 }
 

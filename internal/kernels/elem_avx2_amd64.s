@@ -87,27 +87,6 @@ scale_loop:
 	VZEROUPPER
 	RET
 
-// func eaxpy8(dst, src *float32, alpha float32, n int)
-// dst[i] += alpha * src[i]
-TEXT ·eaxpy8(SB), NOSPLIT, $0-32
-	MOVQ         dst+0(FP), DI
-	MOVQ         src+8(FP), SI
-	VBROADCASTSS alpha+16(FP), Y2
-	MOVQ         n+24(FP), CX
-
-axpy_loop:
-	VMOVUPS (SI), Y1
-	VMULPS  Y1, Y2, Y1     // alpha * src (alpha first)
-	VMOVUPS (DI), Y0
-	VADDPS  Y1, Y0, Y0     // dst + product (dst first)
-	VMOVUPS Y0, (DI)
-	ADDQ    $32, DI
-	ADDQ    $32, SI
-	SUBQ    $8, CX
-	JNZ     axpy_loop
-	VZEROUPPER
-	RET
-
 // func eaddscaled8(dst, a, b *float32, alpha float32, n int)
 // dst[i] = a[i] + alpha*b[i]
 TEXT ·eaddscaled8(SB), NOSPLIT, $0-40

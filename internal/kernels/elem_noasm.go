@@ -9,7 +9,6 @@ func elemAdd(dst, src []float32) int                                    { return
 func elemMul(dst, src []float32) int                                    { return 0 }
 func elemMulInto(dst, a, b []float32) int                               { return 0 }
 func elemScale(dst []float32, s float32) int                            { return 0 }
-func elemAxpy(dst, src []float32, alpha float32) int                    { return 0 }
 func elemAddScaled(dst, a, b []float32, alpha float32) int              { return 0 }
 func elemMaxZero(dst, src []float32) int                                { return 0 }
 func elemGateGrad(dst, x []float32) int                                 { return 0 }

@@ -50,13 +50,6 @@ var elemCases = []elemCase{
 				dst[i] *= s0
 			}
 		}},
-	{"AxpyF32",
-		func(dst, a, b []float32, s0, s1, s2, s3 float32) { AxpyF32(dst, a, s0) },
-		func(dst, a, b []float32, s0, s1, s2, s3 float32) {
-			for i := range dst {
-				dst[i] += s0 * a[i]
-			}
-		}},
 	{"AddScaledF32",
 		func(dst, a, b []float32, s0, s1, s2, s3 float32) { AddScaledF32(dst, a, b, s0) },
 		func(dst, a, b []float32, s0, s1, s2, s3 float32) {

@@ -27,7 +27,7 @@ import "repro/internal/pool"
 //     boundary — asserted by the differential tests and fuzzers.
 //
 // The register tile mr×nr is a property of the dispatched micro-kernel
-// (microkernel.go): 4×4 for the SSE2 and generic variants, 8×8 for AVX2.
+// (microkernel.go): 4×4 for the generic variant, 8×8 for AVX2.
 // Like the cache blocks, the tile shape only changes which *independent*
 // outputs share registers — it is invisible to numerics; only kc (the
 // accumulation block, chosen by the device model) shows up in the bits.

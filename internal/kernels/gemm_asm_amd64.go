@@ -2,31 +2,19 @@
 
 package kernels
 
-// mk4x4 is the SSE2 micro-kernel (gemm_amd64.s). SSE2 is part of the amd64
-// baseline, so no feature detection is needed. Packed MULPS/ADDPS round each
-// lane exactly like the scalar ops Go emits (same IEEE-754 binary32
-// arithmetic, same MXCSR, no FMA), so the vector tile is bitwise identical
-// to the scalar reference — asserted by the differential tests and fuzzers.
-//
-//go:noescape
-func mk4x4(dst *float32, ldc int, ap, bp *float32, kb int, add bool)
-
-// mk8x8 is the AVX2 micro-kernel (gemm_avx2_amd64.s): the same contract at
-// twice the vector width, dispatched only when CPUID reports AVX2 usable.
+// mk8x8 is the AVX2 micro-kernel (gemm_avx2_amd64.s), dispatched only when
+// CPUID reports AVX2 usable. Packed VMULPS/VADDPS round each lane exactly
+// like the scalar ops Go emits (same IEEE-754 binary32 arithmetic, same
+// MXCSR, no FMA), so the vector tile is bitwise identical to the scalar
+// reference — asserted by the differential tests and fuzzers.
 //
 //go:noescape
 func mk8x8(dst *float32, ldc int, ap, bp *float32, kb int, add bool)
 
-// microKernel4x4SSE adapts the SSE2 assembly tile to the microKernelFunc
-// signature: one 4×4 tile over kb k-steps, stored (add=false, first kc
+// microKernel8x8AVX2 adapts the AVX2 assembly tile to the microKernelFunc
+// signature: one 8×8 tile over kb k-steps, stored (add=false, first kc
 // block) or added (later blocks) exactly like the reference's
 // `row[j] += part[j]`.
-func microKernel4x4SSE(dst []float32, o, ldc int, ap, bp []float32, kb int, add bool) {
-	mk4x4(&dst[o], ldc, &ap[0], &bp[0], kb, add)
-}
-
-// microKernel8x8AVX2 adapts the AVX2 assembly tile: one 8×8 tile over kb
-// k-steps under the same store-vs-add contract.
 func microKernel8x8AVX2(dst []float32, o, ldc int, ap, bp []float32, kb int, add bool) {
 	mk8x8(&dst[o], ldc, &ap[0], &bp[0], kb, add)
 }

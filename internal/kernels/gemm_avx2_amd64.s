@@ -14,11 +14,10 @@
 // same round-to-nearest-even and MXCSR state as the scalar MULSS/ADDSS the
 // Go compiler emits — no FMA contraction, no horizontal adds, no
 // reassociation — so each lane computes bit-for-bit what the reference
-// kernel's scalar `part += a*b` computes, exactly as the SSE2 4x4 kernel
-// does at half the width. Operand order matches the Go expressions (a first
-// in a*b, accumulator first in +=) so NaN payload propagation is identical
-// too. VZEROUPPER before every return avoids AVX/SSE transition stalls in
-// the surrounding Go code.
+// kernel's scalar `part += a*b` computes. Operand order matches the Go
+// expressions (a first in a*b, accumulator first in +=) so NaN payload
+// propagation is identical too. VZEROUPPER before every return avoids
+// AVX/SSE transition stalls in the surrounding Go code.
 TEXT ·mk8x8(SB), NOSPLIT, $0-41
 	MOVQ dst+0(FP), DI
 	MOVQ ldc+8(FP), DX

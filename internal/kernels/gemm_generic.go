@@ -10,9 +10,9 @@ package kernels
 // like the reference's `row[j] += part[j]`.
 //
 // This is the portable executable spec of the micro-kernel contract: the
-// SSE2 and AVX2 assembly variants are differentially fuzzed against it, and
-// it is the variant the "generic" ISA selection (and every non-amd64 build)
-// dispatches.
+// AVX2 assembly variant is differentially fuzzed against it, and it is the
+// variant the "generic" ISA selection, every non-amd64 build and every amd64
+// CPU without AVX2 dispatches.
 func microKernel4x4Go(dst []float32, o, ldc int, ap, bp []float32, kb int, add bool) {
 	var c00, c01, c02, c03 float32
 	var c10, c11, c12, c13 float32

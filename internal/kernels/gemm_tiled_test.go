@@ -224,8 +224,8 @@ func digitsOf(x int) string {
 // fuzzGemm derives a shape, kc, and operand contents (random values plus
 // sprinkled specials) from the fuzz inputs and asserts bitwise equality of
 // the tiled and reference kernels — under every available micro-kernel
-// variant, so one fuzz execution differentially covers AVX2, SSE2, and the
-// generic spec at once.
+// variant, so one fuzz execution differentially covers AVX2 and the generic
+// spec at once.
 func fuzzGemm(f *testing.F, impl gemmImpl) {
 	f.Add(uint8(4), uint8(4), uint8(4), int16(0), uint64(1), false)
 	f.Add(uint8(1), uint8(0), uint8(3), int16(1), uint64(2), true)

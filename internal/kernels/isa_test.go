@@ -1,11 +1,13 @@
 package kernels
 
 import (
+	"runtime"
+	"strings"
 	"testing"
 )
 
 // forEachISA runs fn once per available micro-kernel variant (AVX2 where the
-// CPU has it, SSE2, generic), restoring the original selection afterwards.
+// CPU has it, generic), restoring the original selection afterwards.
 // The bitwise contract demands that every variant produce identical bits, so
 // the differential suites run under all of them.
 func forEachISA(t *testing.T, fn func(t *testing.T)) {
@@ -67,11 +69,25 @@ func TestCPUFeatureDetectionSanity(t *testing.T) {
 	if active == ISAAVX2 && !hasAVX2Feature {
 		t.Fatalf("avx2 active but feature list %v lacks avx2", features)
 	}
-	if err := SetISA("no-such-isa"); err == nil {
-		t.Fatal("SetISA accepted an unknown variant name")
+	for _, name := range []string{"no-such-isa", "sse2"} {
+		if err := SetISA(name); err == nil {
+			t.Fatalf("SetISA accepted %q", name)
+		}
+		if got := ActiveISA(); got != active {
+			t.Fatalf("failed SetISA(%q) changed the active variant: %q -> %q", name, active, got)
+		}
 	}
-	if got := ActiveISA(); got != active {
-		t.Fatalf("failed SetISA changed the active variant: %q -> %q", active, got)
+}
+
+// TestTwoVariantsOnAMD64: there is one vector tier. An amd64 CPU offers the
+// AVX2 kernel with the pure-Go spec behind it, or the spec alone.
+func TestTwoVariantsOnAMD64(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("off amd64 the generic variant is the only one")
+	}
+	got := strings.Join(AvailableISAs(), " ")
+	if got != "avx2 generic" && got != "generic" {
+		t.Fatalf("AvailableISAs() = [%s], want [avx2 generic] or [generic]", got)
 	}
 }
 

@@ -15,27 +15,29 @@ import (
 // per-lane operation sequence as the scalar reference. Only the *tile shape*
 // and the *register width* differ between variants — both are free
 // parameters under the determinism contract of §3.3, proven free by the
-// differential tests and fuzzers that pin AVX2, SSE2, and generic paths to
+// differential tests and fuzzers that pin the AVX2 and generic paths to
 // identical bits.
 //
 // The active variant is chosen once at package init from CPUID (cpu_amd64.go)
 // and can be overridden:
 //
 //   - EASYSCALE_FORCE_GENERIC=1 forces the pure-Go reference micro-kernel.
-//   - EASYSCALE_FORCE_SSE2=1 forces the SSE2 4×4 path on AVX2 hardware.
-//   - SetISA switches at runtime (tests; safe at any point because all
+//   - SetISA switches at runtime (tests; safe at any point because both
 //     variants are bitwise identical).
 //
-// These two environment variables are read here at package init rather than
-// in core.ConfigFromEnv: the kernels package's own test binary (and the
-// forced-ISA `make check` lane that runs it) must honour them without
-// importing core, which would be an import cycle. core/env.go documents them
+// There are two variants: the AVX2 8×8 assembly tile where the CPU and OS
+// support it, and the pure-Go 4×4 tile everywhere else — spec, fallback and
+// kill switch in one.
+//
+// The environment variable is read here at package init rather than in
+// core.ConfigFromEnv: the kernels package's own test binary (and the
+// forced-ISA `make check` lane that runs it) must honour it without
+// importing core, which would be an import cycle. core/env.go documents it
 // alongside the other EASYSCALE_* overrides.
 
 // ISA names accepted by SetISA and returned by ActiveISA.
 const (
 	ISAAVX2    = "avx2"
-	ISASSE2    = "sse2"
 	ISAGeneric = "generic"
 )
 
@@ -57,15 +59,16 @@ type mkDesc struct {
 	elemSIMD bool
 }
 
-// maxMR/maxNR bound the register tile across all variants; the edge-tile
+// maxMR/maxNR bound the register tile across both variants; the edge-tile
 // scratch in gemmTiled is sized by them.
 const (
 	maxMR = 8
 	maxNR = 8
 )
 
-// mkGenericDesc is the portable pure-Go variant — the executable spec every
-// other variant is fuzzed against, and the only variant off amd64.
+// mkGenericDesc is the portable pure-Go variant — the executable spec the
+// AVX2 variant is fuzzed against, and the only variant off amd64 or on an
+// amd64 CPU without AVX2.
 var mkGenericDesc = &mkDesc{name: ISAGeneric, mr: 4, nr: 4, fn: microKernel4x4Go}
 
 // curMK is the active variant. Atomic so tests may switch ISAs while the
@@ -81,7 +84,7 @@ func activeMK() *mkDesc {
 }
 
 // ActiveISA returns the name of the micro-kernel variant currently
-// dispatched: "avx2", "sse2", or "generic".
+// dispatched: "avx2" or "generic".
 func ActiveISA() string { return activeMK().name }
 
 // AvailableISAs lists the variants runnable on this machine, best first.
@@ -95,11 +98,11 @@ func AvailableISAs() []string {
 
 // CPUFeatures lists detected ISA capabilities (e.g. "sse2", "avx2") for
 // observability counters and -version provenance. Detection is independent
-// of any forced ISA: a run forced to SSE2 on AVX2 hardware still reports
+// of any forced ISA: a run forced to generic on AVX2 hardware still reports
 // avx2 as a capability.
 func CPUFeatures() []string { return cpuFeatures() }
 
-// SetISA selects a micro-kernel variant by name. All variants are bitwise
+// SetISA selects a micro-kernel variant by name. Both variants are bitwise
 // identical, so switching is safe at any time; calls in flight finish on the
 // variant they started with. Unknown or unavailable names return an error
 // and leave the selection unchanged.

@@ -4,27 +4,22 @@ package kernels
 
 import "os"
 
-// SSE2 is part of the amd64 baseline, so the 4×4 assembly micro-kernel needs
-// no feature gate; the AVX2 8×8 variant is registered only when CPUID (and
-// the OS, via XCR0) say the YMM state is usable. Both assembly kernels use
-// packed multiplies and adds only — each lane rounds exactly like the scalar
-// ops Go emits (same IEEE-754 binary32 arithmetic, same MXCSR, no FMA, no
-// horizontal reductions), so all variants are bitwise-identical; the
-// differential fuzzers assert it.
-
-var (
-	mkSSE2Desc = &mkDesc{name: ISASSE2, mr: 4, nr: 4, fn: microKernel4x4SSE}
-	mkAVX2Desc = &mkDesc{name: ISAAVX2, mr: 8, nr: 8, fn: microKernel8x8AVX2, elemSIMD: true}
-)
+// The AVX2 8×8 variant is registered only when CPUID (and the OS, via XCR0)
+// say the YMM state is usable; otherwise the pure-Go tile is all there is.
+// The assembly kernel uses packed multiplies and adds only — each lane rounds
+// exactly like the scalar ops Go emits (same IEEE-754 binary32 arithmetic,
+// same MXCSR, no FMA, no horizontal reductions), so the two variants are
+// bitwise-identical; the differential fuzzers assert it.
+var mkAVX2Desc = &mkDesc{name: ISAAVX2, mr: 8, nr: 8, fn: microKernel8x8AVX2, elemSIMD: true}
 
 // mkVariants lists the runnable variants, best first.
 var mkVariants = buildVariants()
 
 func buildVariants() []*mkDesc {
 	if cpuHasAVX2 {
-		return []*mkDesc{mkAVX2Desc, mkSSE2Desc, mkGenericDesc}
+		return []*mkDesc{mkAVX2Desc, mkGenericDesc}
 	}
-	return []*mkDesc{mkSSE2Desc, mkGenericDesc}
+	return []*mkDesc{mkGenericDesc}
 }
 
 // envFlag treats any value other than empty and "0" as set.
@@ -35,11 +30,8 @@ func envFlag(key string) bool {
 
 func init() {
 	pick := mkVariants[0]
-	switch {
-	case envFlag("EASYSCALE_FORCE_GENERIC"):
+	if envFlag("EASYSCALE_FORCE_GENERIC") {
 		pick = mkGenericDesc
-	case envFlag("EASYSCALE_FORCE_SSE2"):
-		pick = mkSSE2Desc
 	}
 	curMK.Store(pick)
 }

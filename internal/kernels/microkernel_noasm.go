@@ -3,7 +3,7 @@
 package kernels
 
 // Off amd64 the pure-Go micro-kernel is the only variant; the forced-ISA
-// environment switches are accepted but can only name "generic".
+// environment switch is accepted but changes nothing.
 
 var mkVariants = []*mkDesc{mkGenericDesc}
 

@@ -123,21 +123,6 @@ func MaxAbsDiff(a, b []float64) float64 {
 	return m
 }
 
-// FirstDivergence returns the first index where |a[i]−b[i]| exceeds tol, or
-// −1 when the curves agree throughout the common prefix.
-func FirstDivergence(a, b []float64, tol float64) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if math.Abs(a[i]-b[i]) > tol {
-			return i
-		}
-	}
-	return -1
-}
-
 // Crossings counts sign changes of a−b — the curve-entanglement measure of
 // Figure 4.
 func Crossings(a, b []float64) int {
@@ -152,24 +137,4 @@ func Crossings(a, b []float64) int {
 		}
 	}
 	return c
-}
-
-// GeoMeanRatio returns the geometric mean of a[i]/b[i] — the normalized-time
-// aggregate of Figure 12.
-func GeoMeanRatio(a, b []float64) float64 {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	if n == 0 {
-		return 0
-	}
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		if a[i] <= 0 || b[i] <= 0 {
-			return 0
-		}
-		sum += math.Log(a[i] / b[i])
-	}
-	return math.Exp(sum / float64(n))
 }

@@ -145,17 +145,14 @@ func TestSpread(t *testing.T) {
 	}
 }
 
-func TestMaxAbsDiffAndFirstDivergence(t *testing.T) {
+func TestMaxAbsDiff(t *testing.T) {
 	a := []float64{1, 2, 3, 4}
 	b := []float64{1, 2, 3.5, 10}
 	if d := MaxAbsDiff(a, b); d != 6 {
 		t.Fatalf("max diff %v", d)
 	}
-	if i := FirstDivergence(a, b, 0.1); i != 2 {
-		t.Fatalf("first divergence %d", i)
-	}
-	if i := FirstDivergence(a, a, 0); i != -1 {
-		t.Fatalf("identical curves diverged at %d", i)
+	if d := MaxAbsDiff(a, a); d != 0 {
+		t.Fatalf("identical curves differ by %v", d)
 	}
 }
 
@@ -167,19 +164,5 @@ func TestCrossings(t *testing.T) {
 	}
 	if Crossings(a, a) != 0 {
 		t.Fatal("self crossings")
-	}
-}
-
-func TestGeoMeanRatio(t *testing.T) {
-	a := []float64{2, 8}
-	b := []float64{1, 2}
-	if g := GeoMeanRatio(a, b); math.Abs(g-math.Sqrt(8)) > 1e-12 {
-		t.Fatalf("geomean %v", g)
-	}
-	if GeoMeanRatio([]float64{0}, []float64{1}) != 0 {
-		t.Fatal("non-positive inputs should yield 0")
-	}
-	if GeoMeanRatio(nil, nil) != 0 {
-		t.Fatal("empty geomean")
 	}
 }

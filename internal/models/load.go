@@ -3,8 +3,6 @@ package models
 import (
 	"errors"
 	"fmt"
-	"io/fs"
-	"os"
 
 	"repro/internal/checkpoint"
 	"repro/internal/data"
@@ -207,17 +205,4 @@ func Load(name string, container []byte) (*Servable, error) {
 		Classes: w.Classes,
 		Dataset: w.Dataset,
 	}, nil
-}
-
-// LoadFile reads a checkpoint container from disk and loads the named model
-// from it. A missing file is ErrNotFound; bad bytes are ErrCorrupt.
-func LoadFile(name, path string) (*Servable, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return nil, fmt.Errorf("models: checkpoint file %q: %w", path, ErrNotFound)
-		}
-		return nil, fmt.Errorf("models: checkpoint file %q: %v", path, err)
-	}
-	return Load(name, data)
 }

@@ -3,8 +3,6 @@ package models_test
 import (
 	"errors"
 	"math"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/checkpoint"
@@ -140,21 +138,6 @@ func TestLoadTypedErrors(t *testing.T) {
 			if _, err := models.Load("neumf", ckpt[:cut]); !errors.Is(err, models.ErrCorrupt) {
 				t.Fatalf("truncation at %d: want ErrCorrupt, got %v", cut, err)
 			}
-		}
-	})
-	t.Run("missing-file", func(t *testing.T) {
-		_, err := models.LoadFile("neumf", filepath.Join(t.TempDir(), "absent.ckpt"))
-		if !errors.Is(err, models.ErrNotFound) {
-			t.Fatalf("want ErrNotFound for a missing file, got %v", err)
-		}
-	})
-	t.Run("file-roundtrip", func(t *testing.T) {
-		path := filepath.Join(t.TempDir(), "neumf.ckpt")
-		if err := os.WriteFile(path, ckpt, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := models.LoadFile("neumf", path); err != nil {
-			t.Fatal(err)
 		}
 	})
 }

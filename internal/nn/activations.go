@@ -40,74 +40,6 @@ func (r *ReLU) Backward(ctx *Context, grad *tensor.Tensor) *tensor.Tensor {
 // Params returns nil.
 func (r *ReLU) Params() []*Parameter { return nil }
 
-// Sigmoid is the logistic activation.
-type Sigmoid struct {
-	y *tensor.Tensor
-}
-
-// NewSigmoid builds a Sigmoid layer.
-func NewSigmoid() *Sigmoid { return &Sigmoid{} }
-
-// Forward computes 1/(1+exp(-x)).
-func (s *Sigmoid) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
-	ctx.Dev.ChargeFLOPs(4*float64(x.Size()), 1)
-	y := ctx.clone(x)
-	for i, v := range y.Data {
-		y.Data[i] = float32(1 / (1 + math.Exp(-float64(v))))
-	}
-	s.y = y
-	return y
-}
-
-// Backward computes dy·y·(1-y).
-func (s *Sigmoid) Backward(ctx *Context, grad *tensor.Tensor) *tensor.Tensor {
-	shapeCheck(s.y != nil && s.y.Size() == grad.Size(), "Sigmoid backward without matching forward")
-	g := ctx.clone(grad)
-	for i := range g.Data {
-		yv := s.y.Data[i]
-		g.Data[i] *= yv * (1 - yv)
-	}
-	s.y = nil
-	return g
-}
-
-// Params returns nil.
-func (s *Sigmoid) Params() []*Parameter { return nil }
-
-// Tanh is the hyperbolic tangent activation.
-type Tanh struct {
-	y *tensor.Tensor
-}
-
-// NewTanh builds a Tanh layer.
-func NewTanh() *Tanh { return &Tanh{} }
-
-// Forward computes tanh(x).
-func (t *Tanh) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
-	ctx.Dev.ChargeFLOPs(4*float64(x.Size()), 1)
-	y := ctx.clone(x)
-	for i, v := range y.Data {
-		y.Data[i] = float32(math.Tanh(float64(v)))
-	}
-	t.y = y
-	return y
-}
-
-// Backward computes dy·(1-y²).
-func (t *Tanh) Backward(ctx *Context, grad *tensor.Tensor) *tensor.Tensor {
-	shapeCheck(t.y != nil && t.y.Size() == grad.Size(), "Tanh backward without matching forward")
-	g := ctx.clone(grad)
-	for i := range g.Data {
-		yv := t.y.Data[i]
-		g.Data[i] *= 1 - yv*yv
-	}
-	t.y = nil
-	return g
-}
-
-// Params returns nil.
-func (t *Tanh) Params() []*Parameter { return nil }
-
 // GELU is the Gaussian error linear unit (tanh approximation), used by the
 // transformer workloads.
 type GELU struct {

@@ -22,7 +22,7 @@ func TestResidualForwardAddsSkip(t *testing.T) {
 
 func TestResidualGradients(t *testing.T) {
 	init := rng.New(41)
-	body := NewSequential(NewLinear(5, 5, true, init), NewTanh())
+	body := NewSequential(NewLinear(5, 5, true, init), NewGELU())
 	checkLayerGrads(t, NewResidual(body), randTensor(42, 3, 5), 1e-2, 3e-2)
 }
 

@@ -295,17 +295,6 @@ func TestKaimingInitStats(t *testing.T) {
 	}
 }
 
-func TestXavierInitBounds(t *testing.T) {
-	w := tensor.New(100, 10)
-	XavierInit(w, 10, 10, rng.New(18))
-	limit := float32(math.Sqrt(6.0 / 20))
-	for _, v := range w.Data {
-		if v < -limit || v > limit {
-			t.Fatalf("xavier value %v outside ±%v", v, limit)
-		}
-	}
-}
-
 func TestParameterZeroGrad(t *testing.T) {
 	p := NewParameter("w", tensor.Full(1, 3))
 	p.Grad.Fill(5)

@@ -71,39 +71,6 @@ func (ce *CrossEntropy) Backward(ctx *Context) *tensor.Tensor {
 	return grad
 }
 
-// MSE is mean squared error with mean reduction.
-type MSE struct {
-	diff *tensor.Tensor
-}
-
-// NewMSE constructs the loss.
-func NewMSE() *MSE { return &MSE{} }
-
-// Forward computes mean((pred − target)²).
-func (m *MSE) Forward(ctx *Context, pred, target *tensor.Tensor) float32 {
-	shapeCheck(pred.Size() == target.Size(), "MSE: pred %v vs target %v", pred.Shape(), target.Shape())
-	ctx.Dev.ChargeFLOPs(3*float64(pred.Size()), 1)
-	m.diff = ctx.newTensorUninit(pred.Shape()...)
-	sq := pool.GetUninit(pred.Size())
-	for i, pv := range pred.Data {
-		d := pv - target.Data[i]
-		m.diff.Data[i] = d
-		sq[i] = d * d
-	}
-	loss := reduceSum(ctx, sq) / float32(pred.Size())
-	pool.Put(sq)
-	return loss
-}
-
-// Backward returns 2(pred − target)/N.
-func (m *MSE) Backward(ctx *Context) *tensor.Tensor {
-	shapeCheck(m.diff != nil, "MSE backward without matching forward")
-	g := ctx.clone(m.diff)
-	g.ScaleInPlace(2 / float32(g.Size()))
-	m.diff = nil
-	return g
-}
-
 // BCEWithLogits is binary cross-entropy over logits with mean reduction,
 // used by the recommendation workload (NeuMF).
 type BCEWithLogits struct {

@@ -66,25 +66,6 @@ func TestCrossEntropyBadLabelPanics(t *testing.T) {
 	NewCrossEntropy().Forward(detCtx(), tensor.New(1, 3), []int{5})
 }
 
-func TestMSEKnownValueAndGrad(t *testing.T) {
-	m := NewMSE()
-	ctx := detCtx()
-	pred := tensor.FromData([]float32{1, 2, 3, 4}, 4)
-	target := tensor.FromData([]float32{0, 2, 3, 6}, 4)
-	loss := m.Forward(ctx, pred, target)
-	if math.Abs(float64(loss)-1.25) > 1e-6 { // (1+0+0+4)/4
-		t.Fatalf("MSE loss = %v, want 1.25", loss)
-	}
-	grad := m.Backward(ctx)
-	// dL/dpred = 2(pred-target)/N
-	want := []float32{0.5, 0, 0, -1}
-	for i, w := range want {
-		if math.Abs(float64(grad.Data[i]-w)) > 1e-6 {
-			t.Fatalf("MSE grad[%d] = %v, want %v", i, grad.Data[i], w)
-		}
-	}
-}
-
 func TestBCEWithLogitsKnownValue(t *testing.T) {
 	b := NewBCEWithLogits()
 	ctx := detCtx()

@@ -163,14 +163,6 @@ func KaimingInit(t *tensor.Tensor, fanIn int, s *rng.Stream) {
 	}
 }
 
-// XavierInit fills t with Xavier-uniform values.
-func XavierInit(t *tensor.Tensor, fanIn, fanOut int, s *rng.Stream) {
-	limit := float32(math.Sqrt(6.0 / float64(fanIn+fanOut)))
-	for i := range t.Data {
-		t.Data[i] = (s.Float32()*2 - 1) * limit
-	}
-}
-
 // reduceSum routes a reduction through the device policy: blocked fixed-order
 // when deterministic kernels are enforced, atomics otherwise.
 func reduceSum(ctx *Context, xs []float32) float32 {

@@ -44,9 +44,6 @@ const (
 	CatStep Cat = iota
 	// CatSwitch is an EST context switch in or out (core, Fig. 11).
 	CatSwitch
-	// CatKernel is a compute-kernel span (no in-tree site records one;
-	// kernels run on their caller's goroutine, inside core.compute).
-	CatKernel
 	// CatComm is a bucket flatten or all-reduce round (comm, Fig. 13).
 	CatComm
 	// CatNet is a networked gather/broadcast/checkpoint exchange (dist).
@@ -77,8 +74,6 @@ func (c Cat) String() string {
 		return "step"
 	case CatSwitch:
 		return "switch"
-	case CatKernel:
-		return "kernel"
 	case CatComm:
 		return "comm"
 	case CatNet:

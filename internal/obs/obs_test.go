@@ -166,7 +166,7 @@ func TestFixedClockDeterministic(t *testing.T) {
 		tk := tr.Track("t")
 		for i := 0; i < 5; i++ {
 			start := tr.Now()
-			tr.Span(tk, obs.CatKernel, "k", start, int64(i), 0)
+			tr.Span(tk, obs.CatComm, "k", start, int64(i), 0)
 		}
 		var buf bytes.Buffer
 		if err := tr.WriteChromeTrace(&buf); err != nil {
@@ -270,7 +270,7 @@ func TestDisabledPathAllocFree(t *testing.T) {
 	var c *obs.Counter
 	avg := testing.AllocsPerRun(1000, func() {
 		start := tr.Now()
-		tr.Span(obs.RuntimeTrack, obs.CatKernel, "kernels.dispatch", start, 1, 2)
+		tr.Span(obs.RuntimeTrack, obs.CatComm, "kernels.dispatch", start, 1, 2)
 		tr.Instant(0, obs.CatStep, "i", 0, 0)
 		c.Add(1)
 	})
@@ -287,7 +287,7 @@ func TestEnabledPathAllocFree(t *testing.T) {
 	c := tr.Counter("c")
 	avg := testing.AllocsPerRun(1000, func() {
 		start := tr.Now()
-		tr.Span(tk, obs.CatKernel, "kernels.dispatch", start, 1, 2)
+		tr.Span(tk, obs.CatComm, "kernels.dispatch", start, 1, 2)
 		c.Add(1)
 	})
 	if avg != 0 {
@@ -302,7 +302,7 @@ func BenchmarkSpanDisabled(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		start := tr.Now()
-		tr.Span(obs.RuntimeTrack, obs.CatKernel, "kernels.dispatch", start, int64(i), 0)
+		tr.Span(obs.RuntimeTrack, obs.CatComm, "kernels.dispatch", start, int64(i), 0)
 	}
 }
 
@@ -315,7 +315,7 @@ func BenchmarkSpanEnabled(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		start := tr.Now()
-		tr.Span(tk, obs.CatKernel, "kernels.dispatch", start, int64(i), 0)
+		tr.Span(tk, obs.CatComm, "kernels.dispatch", start, int64(i), 0)
 	}
 }
 
@@ -328,7 +328,7 @@ func BenchmarkSpanEnabledParallel(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
 			start := tr.Now()
-			tr.Span(tk, obs.CatKernel, "kernels.dispatch", start, 1, 2)
+			tr.Span(tk, obs.CatComm, "kernels.dispatch", start, 1, 2)
 		}
 	})
 }

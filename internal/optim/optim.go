@@ -3,14 +3,12 @@
 //
 // Optimizer updates are elementwise and executed in a fixed parameter order,
 // so they introduce no non-determinism of their own; their mutable state
-// (momentum buffers, Adam moments, step counters) is part of the "parameters"
+// (momentum buffers, step counters) is part of the "parameters"
 // section of an on-demand checkpoint and is exposed through StateTensors /
 // StepCount for that purpose.
 package optim
 
 import (
-	"math"
-
 	"repro/internal/kernels"
 	"repro/internal/nn"
 	"repro/internal/pool"
@@ -118,84 +116,3 @@ func (s *SGD) StepCount() int { return s.steps }
 
 // SetStepCount restores the update counter.
 func (s *SGD) SetStepCount(n int) { s.steps = n }
-
-// Adam is the Adam optimizer with bias correction.
-type Adam struct {
-	Params       []*nn.Parameter
-	Beta1, Beta2 float64
-	Eps          float64
-	WeightDecay  float64
-
-	lr    float64
-	m, v  []*tensor.Tensor
-	steps int
-}
-
-// NewAdam constructs an Adam optimizer with the standard defaults
-// β₁=0.9, β₂=0.999, ε=1e-8.
-func NewAdam(params []*nn.Parameter, lr float64) *Adam {
-	a := &Adam{Params: params, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8, lr: lr}
-	a.m = make([]*tensor.Tensor, len(params))
-	a.v = make([]*tensor.Tensor, len(params))
-	for i, p := range params {
-		a.m[i] = tensor.New(p.Value.Shape()...)
-		a.v[i] = tensor.New(p.Value.Shape()...)
-	}
-	return a
-}
-
-// Step applies one Adam update.
-//
-//easyscale:hotpath
-func (a *Adam) Step() {
-	a.steps++
-	b1 := float32(a.Beta1)
-	b2 := float32(a.Beta2)
-	bc1 := 1 - float32(math.Pow(a.Beta1, float64(a.steps)))
-	bc2 := 1 - float32(math.Pow(a.Beta2, float64(a.steps)))
-	lr := float32(a.lr)
-	eps := float32(a.Eps)
-	wd := float32(a.WeightDecay)
-	for i, p := range a.Params {
-		mi, vi := a.m[i], a.v[i]
-		for j := range p.Value.Data {
-			g := p.Grad.Data[j]
-			if wd != 0 {
-				g += wd * p.Value.Data[j]
-			}
-			mi.Data[j] = b1*mi.Data[j] + (1-b1)*g
-			vi.Data[j] = b2*vi.Data[j] + (1-b2)*g*g
-			mhat := mi.Data[j] / bc1
-			vhat := vi.Data[j] / bc2
-			p.Value.Data[j] -= lr * mhat / (float32(math.Sqrt(float64(vhat))) + eps)
-		}
-	}
-}
-
-// ZeroGrad clears all gradients.
-func (a *Adam) ZeroGrad() {
-	for _, p := range a.Params {
-		p.ZeroGrad()
-	}
-}
-
-// LR returns the current learning rate.
-func (a *Adam) LR() float64 { return a.lr }
-
-// SetLR replaces the learning rate.
-func (a *Adam) SetLR(lr float64) { a.lr = lr }
-
-// StateTensors returns the first- and second-moment buffers interleaved.
-func (a *Adam) StateTensors() []*tensor.Tensor {
-	out := make([]*tensor.Tensor, 0, 2*len(a.m))
-	for i := range a.m {
-		out = append(out, a.m[i], a.v[i])
-	}
-	return out
-}
-
-// StepCount returns the number of updates applied.
-func (a *Adam) StepCount() int { return a.steps }
-
-// SetStepCount restores the update counter.
-func (a *Adam) SetStepCount(n int) { a.steps = n }

@@ -69,33 +69,6 @@ func TestZeroGrad(t *testing.T) {
 	}
 }
 
-func TestAdamFirstStepMagnitude(t *testing.T) {
-	// With bias correction, the first Adam step is ≈ lr·sign(g).
-	p := paramWithGrad(0, 3, 1)
-	opt := NewAdam([]*nn.Parameter{p}, 0.01)
-	opt.Step()
-	if math.Abs(float64(p.Value.Data[0])+0.01) > 1e-4 {
-		t.Fatalf("adam first step: %v, want ≈ -0.01", p.Value.Data[0])
-	}
-	if got := len(opt.StateTensors()); got != 2 {
-		t.Fatalf("adam state tensors = %d, want 2", got)
-	}
-}
-
-func TestAdamConvergesOnQuadratic(t *testing.T) {
-	// minimize (w-5)² with dL/dw = 2(w-5)
-	p := nn.NewParameter("w", tensor.New(1))
-	opt := NewAdam([]*nn.Parameter{p}, 0.1)
-	for i := 0; i < 500; i++ {
-		opt.ZeroGrad()
-		p.Grad.Data[0] = 2 * (p.Value.Data[0] - 5)
-		opt.Step()
-	}
-	if math.Abs(float64(p.Value.Data[0])-5) > 0.05 {
-		t.Fatalf("adam did not converge: %v", p.Value.Data[0])
-	}
-}
-
 func TestSGDConvergesOnQuadratic(t *testing.T) {
 	p := nn.NewParameter("w", tensor.New(1))
 	opt := NewSGD([]*nn.Parameter{p}, 0.1, 0.9, 0)
@@ -110,7 +83,7 @@ func TestSGDConvergesOnQuadratic(t *testing.T) {
 }
 
 func TestStepCountRestore(t *testing.T) {
-	opt := NewAdam([]*nn.Parameter{paramWithGrad(0, 1, 1)}, 0.01)
+	opt := NewSGD([]*nn.Parameter{paramWithGrad(0, 1, 1)}, 0.01, 0.9, 0)
 	opt.Step()
 	opt.Step()
 	opt.SetStepCount(7)
@@ -152,53 +125,10 @@ func TestStepLRSetEpochRestores(t *testing.T) {
 	}
 }
 
-func TestMultiStepLR(t *testing.T) {
-	opt := NewSGD([]*nn.Parameter{paramWithGrad(0, 0, 1)}, 1.0, 0, 0)
-	sch := NewMultiStepLR(opt, []int{2, 5}, 0.1)
-	lrs := []float64{}
-	for e := 0; e < 6; e++ {
-		sch.EpochStep()
-		lrs = append(lrs, opt.LR())
-	}
-	want := []float64{1, 0.1, 0.1, 0.1, 0.01, 0.01}
-	for i := range want {
-		if math.Abs(lrs[i]-want[i]) > 1e-9 {
-			t.Fatalf("multistep lr[%d] = %v, want %v", i, lrs[i], want[i])
-		}
-	}
-	sch.SetEpoch(0)
-	if opt.LR() != 1.0 {
-		t.Fatal("SetEpoch(0) should restore base lr")
-	}
-}
-
-func TestCosineLR(t *testing.T) {
-	opt := NewSGD([]*nn.Parameter{paramWithGrad(0, 0, 1)}, 1.0, 0, 0)
-	sch := NewCosineLR(opt, 10)
-	sch.SetEpoch(5)
-	if math.Abs(opt.LR()-0.5) > 1e-9 {
-		t.Fatalf("cosine lr at T/2 = %v, want 0.5", opt.LR())
-	}
-	sch.SetEpoch(10)
-	if opt.LR() > 1e-9 {
-		t.Fatalf("cosine lr at T = %v, want 0", opt.LR())
-	}
-	sch.SetEpoch(15) // clamped past TMax
-	if opt.LR() > 1e-9 {
-		t.Fatalf("cosine lr past T = %v, want 0", opt.LR())
-	}
-	for i := 0; i < 3; i++ {
-		sch.EpochStep()
-	}
-	if sch.Epoch() != 18 {
-		t.Fatal("epoch counter")
-	}
-}
-
 func TestDeterministicUpdates(t *testing.T) {
 	run := func() float32 {
 		p := paramWithGrad(1, 0.3, 64)
-		opt := NewAdam([]*nn.Parameter{p}, 0.01)
+		opt := NewSGD([]*nn.Parameter{p}, 0.01, 0.9, 0)
 		for i := 0; i < 20; i++ {
 			opt.Step()
 		}

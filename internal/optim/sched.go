@@ -51,82 +51,3 @@ func (s *StepLR) SetEpoch(e int) {
 	s.epoch = e
 	s.apply()
 }
-
-// MultiStepLR decays the learning rate by Gamma at each listed milestone
-// epoch.
-type MultiStepLR struct {
-	Opt        Optimizer
-	BaseLR     float64
-	Milestones []int
-	Gamma      float64
-
-	epoch int
-}
-
-// NewMultiStepLR constructs a MultiStepLR scheduler. Milestones must be
-// sorted ascending.
-func NewMultiStepLR(opt Optimizer, milestones []int, gamma float64) *MultiStepLR {
-	return &MultiStepLR{Opt: opt, BaseLR: opt.LR(), Milestones: milestones, Gamma: gamma}
-}
-
-func (s *MultiStepLR) apply() {
-	decays := 0
-	for _, m := range s.Milestones {
-		if s.epoch >= m {
-			decays++
-		}
-	}
-	s.Opt.SetLR(s.BaseLR * math.Pow(s.Gamma, float64(decays)))
-}
-
-// EpochStep advances one epoch.
-func (s *MultiStepLR) EpochStep() {
-	s.epoch++
-	s.apply()
-}
-
-// Epoch returns completed epochs.
-func (s *MultiStepLR) Epoch() int { return s.epoch }
-
-// SetEpoch restores the epoch counter.
-func (s *MultiStepLR) SetEpoch(e int) {
-	s.epoch = e
-	s.apply()
-}
-
-// CosineLR anneals the learning rate to zero over TMax epochs.
-type CosineLR struct {
-	Opt    Optimizer
-	BaseLR float64
-	TMax   int
-
-	epoch int
-}
-
-// NewCosineLR constructs a cosine annealing scheduler.
-func NewCosineLR(opt Optimizer, tMax int) *CosineLR {
-	return &CosineLR{Opt: opt, BaseLR: opt.LR(), TMax: tMax}
-}
-
-func (s *CosineLR) apply() {
-	t := float64(s.epoch)
-	if t > float64(s.TMax) {
-		t = float64(s.TMax)
-	}
-	s.Opt.SetLR(s.BaseLR * 0.5 * (1 + math.Cos(math.Pi*t/float64(s.TMax))))
-}
-
-// EpochStep advances one epoch.
-func (s *CosineLR) EpochStep() {
-	s.epoch++
-	s.apply()
-}
-
-// Epoch returns completed epochs.
-func (s *CosineLR) Epoch() int { return s.epoch }
-
-// SetEpoch restores the epoch counter.
-func (s *CosineLR) SetEpoch(e int) {
-	s.epoch = e
-	s.apply()
-}

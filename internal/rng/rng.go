@@ -246,11 +246,6 @@ func (b *Bundle) SetState(st BundleState) {
 	b.Torch.SetState(st.Torch)
 }
 
-// RestoreBundle builds a Bundle positioned exactly at st.
-func RestoreBundle(st BundleState) *Bundle {
-	return &Bundle{Python: Restore(st.Python), NumPy: Restore(st.NumPy), Torch: Restore(st.Torch)}
-}
-
 // ErrShortBuffer is returned by Bundle unmarshalling on truncated input.
 var ErrShortBuffer = errors.New("rng: short buffer")
 

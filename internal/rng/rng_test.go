@@ -239,7 +239,8 @@ func TestBundleStateRoundTrip(t *testing.T) {
 	b.Torch.Uint64()
 	st := b.State()
 	w1, w2, w3 := b.Python.Uint64(), b.NumPy.Uint64(), b.Torch.Uint64()
-	r := RestoreBundle(st)
+	r := NewBundle(0)
+	r.SetState(st)
 	if r.Python.Uint64() != w1 || r.NumPy.Uint64() != w2 || r.Torch.Uint64() != w3 {
 		t.Fatal("bundle restore did not reproduce draws")
 	}

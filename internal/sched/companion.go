@@ -45,16 +45,6 @@ func (r Resources) Add(o Resources) Resources {
 	return out
 }
 
-// Fits reports whether r is elementwise ≤ avail.
-func (r Resources) Fits(avail Resources) bool {
-	for t, n := range r {
-		if n > avail[t] {
-			return false
-		}
-	}
-	return true
-}
-
 // Key renders a canonical string for use as a map key.
 func (r Resources) Key() string {
 	s := ""

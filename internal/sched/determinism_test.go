@@ -7,26 +7,19 @@ import (
 	"repro/internal/device"
 )
 
-// schedulingPass runs one full intra/inter scheduling episode — history
-// fitting, plan selection, proposal rounds against a shared pool, a trim, a
+// schedulingPass runs one full intra/inter scheduling episode — plan
+// selection, proposal rounds against a shared pool, a trim, a
 // preemption, and a fallback — and returns every decision it produced. It is
 // deliberately heavy on heterogeneous resource vectors: those are the inputs
 // where a stray map-range would let Go's randomized iteration order leak
 // into plans and tie-breaks.
 func schedulingPass() ([]Plan, [][]Proposal, []Resources) {
-	records := []HistoryRecord{
-		{GPUs: Resources{device.V100: 4}, ESTsPerGPU: map[device.Type]int{device.V100: 1}, MeasuredThroughput: 4.0},
-		{GPUs: Resources{device.T4: 2}, ESTsPerGPU: map[device.Type]int{device.T4: 2}, MeasuredThroughput: 0.7},
-		{GPUs: Resources{device.V100: 2, device.P100: 2}, ESTsPerGPU: map[device.Type]int{device.V100: 1, device.P100: 1}, MeasuredThroughput: 2.8},
-	}
-	prior := Capability{device.V100: 1.0, device.P100: 0.5, device.T4: 0.35}
-
 	var plans []Plan
 	var rounds [][]Proposal
 	var pools []Resources
 
 	jobs := []*IntraJob{
-		NewIntraJob("job-a", NewCompanionFromHistory(8, records, prior), false),
+		NewIntraJob("job-a", NewCompanion(8, caps()), false),
 		NewIntraJob("job-b", NewCompanion(4, Capability{device.V100: 1.0, device.P100: 0.5, device.T4: 0.35}), false),
 		NewIntraJob("job-c", NewCompanion(2, Capability{device.V100: 1.0, device.P100: 1.0, device.T4: 0.35}), true),
 	}
@@ -46,7 +39,7 @@ func schedulingPass() ([]Plan, [][]Proposal, []Resources) {
 		for _, j := range jobs {
 			proposals = append(proposals, j.Proposals(cluster.Free(), 3)...)
 		}
-		accepted := cluster.Round(proposals)
+		accepted := RoundPass(cluster.Policy, cluster.free, proposals, nil)
 		rounds = append(rounds, accepted)
 		for _, pr := range accepted {
 			for _, j := range jobs {

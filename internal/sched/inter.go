@@ -75,10 +75,6 @@ func NewInterJob(free Resources) *InterJob {
 // Free returns the current free pool.
 func (s *InterJob) Free() Resources { return s.free.Clone() }
 
-// SetFree synchronizes the fluctuating free resources (e.g. after serving
-// jobs grow or shrink).
-func (s *InterJob) SetFree(free Resources) { s.free = free.Clone() }
-
 // Release returns GPUs to the pool.
 func (s *InterJob) Release(r Resources) {
 	for t, n := range r {
@@ -86,8 +82,9 @@ func (s *InterJob) Release(r Resources) {
 	}
 }
 
-// Take removes GPUs from the pool (preemption by high-priority jobs);
-// it clamps at zero and returns what was actually taken.
+// Take removes GPUs from the pool (a grant RoundPass accepted against Free,
+// or preemption by high-priority jobs); it clamps at zero and returns what
+// was actually taken.
 func (s *InterJob) Take(r Resources) Resources {
 	got := Resources{}
 	for _, t := range device.AllTypes() {
@@ -105,9 +102,9 @@ func (s *InterJob) Take(r Resources) Resources {
 
 // RoundPass is one scheduling round as a pure pass: evaluate the proposals
 // against the free pool, debit the pool in place for the accepted ones, and
-// return them in grant order. Both the deprecated InterJob.Round and the
-// multi-tenant control plane invoke this same pass, so a single-tenant
-// control plane is bitwise-identical to the old scheduler by construction.
+// return them in grant order. The live AutoScaler and the multi-tenant
+// control plane invoke this same pass, so a single-tenant control plane is
+// bitwise-identical to the single-job scheduler loop by construction.
 func RoundPass(policy Policy, free Resources, proposals []Proposal, trace *obs.Tracer) []Proposal {
 	accepted := policy.Decide(free, proposals)
 	for _, pr := range accepted {
@@ -118,15 +115,4 @@ func RoundPass(policy Policy, free Resources, proposals []Proposal, trace *obs.T
 		return fmt.Sprintf("accepted %d of %d proposals; free=%s", len(accepted), len(proposals), free.Key())
 	})
 	return accepted
-}
-
-// Round runs one scheduling round: evaluates the proposals, debits the pool
-// for the accepted ones, and returns them for the intra-job schedulers to
-// apply.
-//
-// Deprecated: new callers should go through controlplane.New, whose Tick
-// drives this same pass (RoundPass) inside a single- or multi-tenant
-// envelope; Round remains as a thin shim for the pre-control-plane API.
-func (s *InterJob) Round(proposals []Proposal) []Proposal {
-	return RoundPass(s.Policy, s.free, proposals, s.Trace)
 }

@@ -106,31 +106,3 @@ func TestFallbackStillWorksWithoutPreemption(t *testing.T) {
 		t.Fatalf("job should revert to its pre-grant 2 V100s, holds %v", s.Current())
 	}
 }
-
-// TestRoundDelegatesToRoundPass: the deprecated InterJob.Round and the
-// RoundPass free function the control plane invokes must produce identical
-// grants and identical pool debits.
-func TestRoundDelegatesToRoundPass(t *testing.T) {
-	props := []Proposal{
-		{JobID: "a", Type: device.V100, Count: 2, SpeedupTotal: 2, SpeedupPerGPU: 0.5},
-		{JobID: "b", Type: device.V100, Count: 1, SpeedupTotal: 1.8, SpeedupPerGPU: 0.8},
-		{JobID: "c", Type: device.T4, Count: 4, SpeedupTotal: 1.4, SpeedupPerGPU: 0.1},
-	}
-	inter := NewInterJob(Resources{device.V100: 3, device.T4: 2})
-	old := inter.Round(props)
-
-	free := Resources{device.V100: 3, device.T4: 2}
-	via := RoundPass(GreedyPolicy{}, free, props, nil)
-
-	if len(old) != len(via) {
-		t.Fatalf("grant counts differ: %d vs %d", len(old), len(via))
-	}
-	for i := range old {
-		if old[i] != via[i] {
-			t.Fatalf("grant %d differs: %+v vs %+v", i, old[i], via[i])
-		}
-	}
-	if inter.Free().Key() != free.Key() {
-		t.Fatalf("pool debits differ: %s vs %s", inter.Free().Key(), free.Key())
-	}
-}

@@ -67,8 +67,9 @@ func TestDecisionLogRecordsWhy(t *testing.T) {
 	}
 }
 
-// TestInterJobRoundLogsAccepts: the cluster scheduler logs each accepted
-// proposal and a round summary with the remaining pool.
+// TestInterJobRoundLogsAccepts: a scheduling round on the cluster
+// scheduler's pool logs each accepted proposal and a round summary with the
+// remaining pool.
 func TestInterJobRoundLogsAccepts(t *testing.T) {
 	tr := obs.New()
 	inter := NewInterJob(Resources{device.V100: 4})
@@ -79,7 +80,7 @@ func TestInterJobRoundLogsAccepts(t *testing.T) {
 	if len(props) == 0 {
 		t.Fatal("expected proposals")
 	}
-	accepted := inter.Round(props)
+	accepted := RoundPass(inter.Policy, inter.free, props, inter.Trace)
 	if len(accepted) == 0 {
 		t.Fatal("expected the round to accept something")
 	}
@@ -112,7 +113,7 @@ func TestDecisionLogDoesNotSteer(t *testing.T) {
 		inter.Trace = tr
 		s.Apply(Resources{device.V100: 1})
 		props := s.Proposals(inter.Free(), 8)
-		accepted := inter.Round(props)
+		accepted := RoundPass(inter.Policy, inter.free, props, inter.Trace)
 		for _, pr := range accepted {
 			s.Grant(pr)
 		}

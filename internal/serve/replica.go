@@ -73,7 +73,6 @@ func (r *replica) loop() {
 		r.dep.inflight.Add(int64(len(batch)))
 		r.serveBatch(batch)
 		r.dep.inflight.Add(-int64(len(batch)))
-		r.dep.served.Add(int64(len(batch)))
 	}
 }
 

@@ -29,7 +29,6 @@ type deployment struct {
 	nextIdx  int // monotonically increasing replica index (track names stay unique)
 
 	inflight   atomic.Int64
-	served     atomic.Int64
 	idleRounds int // guarded by Server.mu (autoscale runs single-threaded)
 }
 
@@ -138,18 +137,6 @@ func (s *Server) Replicas(name string) int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return len(d.replicas)
-}
-
-// Served reports the total requests answered (successfully batched) for a
-// deployment.
-func (s *Server) Served(name string) int64 {
-	s.mu.Lock()
-	d, ok := s.deps[name]
-	s.mu.Unlock()
-	if !ok {
-		return 0
-	}
-	return d.served.Load()
 }
 
 // Rejected reports requests answered with an error reply.

@@ -221,36 +221,6 @@ func (t *Tensor) Sub(o *Tensor) *Tensor {
 	return r
 }
 
-// Mul returns t * o elementwise.
-func (t *Tensor) Mul(o *Tensor) *Tensor {
-	t.binaryCheck(o, "Mul")
-	r := t.Clone()
-	for i := range r.Data {
-		r.Data[i] *= o.Data[i]
-	}
-	return r
-}
-
-// MulInPlace multiplies t by o elementwise.
-//
-//easyscale:hotpath
-func (t *Tensor) MulInPlace(o *Tensor) {
-	t.binaryCheck(o, "MulInPlace")
-	for i := range t.Data {
-		t.Data[i] *= o.Data[i]
-	}
-}
-
-// Div returns t / o elementwise.
-func (t *Tensor) Div(o *Tensor) *Tensor {
-	t.binaryCheck(o, "Div")
-	r := t.Clone()
-	for i := range r.Data {
-		r.Data[i] /= o.Data[i]
-	}
-	return r
-}
-
 // Scale returns t * s.
 func (t *Tensor) Scale(s float32) *Tensor {
 	r := t.Clone()
@@ -266,23 +236,6 @@ func (t *Tensor) Scale(s float32) *Tensor {
 func (t *Tensor) ScaleInPlace(s float32) {
 	for i := range t.Data {
 		t.Data[i] *= s
-	}
-}
-
-// AddScalar returns t + s elementwise.
-func (t *Tensor) AddScalar(s float32) *Tensor {
-	r := t.Clone()
-	for i := range r.Data {
-		r.Data[i] += s
-	}
-	return r
-}
-
-// AxpyInPlace computes t += alpha * o.
-func (t *Tensor) AxpyInPlace(alpha float32, o *Tensor) {
-	t.binaryCheck(o, "AxpyInPlace")
-	for i := range t.Data {
-		t.Data[i] += alpha * o.Data[i]
 	}
 }
 
@@ -312,11 +265,6 @@ func (t *Tensor) MaxAbsDiff(o *Tensor) float64 {
 		}
 	}
 	return m
-}
-
-// AllClose reports whether all elements agree within tol.
-func (t *Tensor) AllClose(o *Tensor, tol float64) bool {
-	return SameShape(t, o) && t.MaxAbsDiff(o) <= tol
 }
 
 // Sum returns the sequential left-to-right sum of all elements.
@@ -354,31 +302,6 @@ func (t *Tensor) ArgMaxRow() []int {
 		out[r] = bi
 	}
 	return out
-}
-
-// Row returns a view of row r of a rank-2 tensor (shares data).
-func (t *Tensor) Row(r int) *Tensor {
-	if len(t.shape) != 2 {
-		panic("tensor: Row requires rank-2 tensor")
-	}
-	cols := t.shape[1]
-	return &Tensor{shape: []int{cols}, Data: t.Data[r*cols : (r+1)*cols]}
-}
-
-// SliceBatch returns a view of items [from, to) along the leading dimension.
-func (t *Tensor) SliceBatch(from, to int) *Tensor {
-	if len(t.shape) == 0 {
-		panic("tensor: SliceBatch on scalar")
-	}
-	if from < 0 || to > t.shape[0] || from > to {
-		panic(fmt.Sprintf("tensor: SliceBatch [%d,%d) out of range for dim %d", from, to, t.shape[0]))
-	}
-	inner := 1
-	for _, d := range t.shape[1:] {
-		inner *= d
-	}
-	ns := append([]int{to - from}, t.shape[1:]...)
-	return &Tensor{shape: ns, Data: t.Data[from*inner : to*inner]}
 }
 
 // String renders small tensors for debugging.

@@ -87,32 +87,13 @@ func TestElementwiseOps(t *testing.T) {
 	if got := b.Sub(a).Data; got[0] != 3 || got[2] != 3 {
 		t.Fatalf("Sub: %v", got)
 	}
-	if got := a.Mul(b).Data; got[1] != 10 {
-		t.Fatalf("Mul: %v", got)
-	}
-	if got := b.Div(a).Data; got[2] != 2 {
-		t.Fatalf("Div: %v", got)
-	}
 	if got := a.Scale(2).Data; got[2] != 6 {
 		t.Fatalf("Scale: %v", got)
-	}
-	if got := a.AddScalar(10).Data; got[0] != 11 {
-		t.Fatalf("AddScalar: %v", got)
-	}
-	c := a.Clone()
-	c.AxpyInPlace(2, b)
-	if c.Data[0] != 9 {
-		t.Fatalf("Axpy: %v", c.Data)
 	}
 	d := a.Clone()
 	d.AddInPlace(b)
 	if d.Data[1] != 7 {
 		t.Fatalf("AddInPlace: %v", d.Data)
-	}
-	e := a.Clone()
-	e.MulInPlace(b)
-	if e.Data[2] != 18 {
-		t.Fatalf("MulInPlace: %v", e.Data)
 	}
 	f := a.Clone()
 	f.ScaleInPlace(3)
@@ -187,14 +168,11 @@ func TestSumMean(t *testing.T) {
 	}
 }
 
-func TestMaxAbsDiffAndAllClose(t *testing.T) {
+func TestMaxAbsDiff(t *testing.T) {
 	a := FromData([]float32{1, 2}, 2)
 	b := FromData([]float32{1.5, 2}, 2)
 	if d := a.MaxAbsDiff(b); d != 0.5 {
 		t.Fatalf("MaxAbsDiff=%v", d)
-	}
-	if !a.AllClose(b, 0.5) || a.AllClose(b, 0.4) {
-		t.Fatal("AllClose tolerance handling wrong")
 	}
 }
 
@@ -204,32 +182,6 @@ func TestArgMaxRow(t *testing.T) {
 	if got[0] != 1 || got[1] != 0 {
 		t.Fatalf("ArgMaxRow: %v", got)
 	}
-}
-
-func TestRowAndSliceBatch(t *testing.T) {
-	x := FromData([]float32{1, 2, 3, 4, 5, 6}, 3, 2)
-	r := x.Row(1)
-	if r.At(0) != 3 || r.At(1) != 4 {
-		t.Fatalf("Row: %v", r.Data)
-	}
-	s := x.SliceBatch(1, 3)
-	if s.Dim(0) != 2 || s.At(0, 0) != 3 || s.At(1, 1) != 6 {
-		t.Fatalf("SliceBatch: %v %v", s.Shape(), s.Data)
-	}
-	// views share memory
-	s.Data[0] = 99
-	if x.At(1, 0) != 99 {
-		t.Fatal("SliceBatch should be a view")
-	}
-}
-
-func TestSliceBatchBoundsPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	New(3, 2).SliceBatch(2, 4)
 }
 
 func TestStringSmallAndLarge(t *testing.T) {

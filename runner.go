@@ -43,16 +43,16 @@ func NewAutoScaler(job *Job, free Resources) *AutoScaler {
 // any grant to the live job (checkpoint + restore + attach on the new
 // placement), and return whether the job was rescaled.
 func (a *AutoScaler) Rebalance() (bool, error) {
-	proposals := a.Intra.Proposals(a.Inter.Free(), 3)
-	accepted := a.Inter.Round(proposals)
+	free := a.Inter.Free()
+	accepted := sched.RoundPass(a.Inter.Policy, free, a.Intra.Proposals(free, 3), a.Inter.Trace)
 	if len(accepted) == 0 {
 		return false, nil
 	}
 	pr := accepted[0]
 	if _, ok := a.Intra.Grant(pr); !ok {
-		a.Inter.Release(sched.Resources{pr.Type: pr.Count})
-		return false, nil
+		return false, nil // the round ran on a copy of the pool: nothing to hand back
 	}
+	a.Inter.Take(sched.Resources{pr.Type: pr.Count})
 	if unused := a.Intra.TrimUnused(); unused != nil {
 		a.Inter.Release(unused)
 	}
