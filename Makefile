@@ -10,9 +10,10 @@
 #                  (the per-GPU fan-out of a training step and the loader
 #                  reads under it, dist, serve and the tracer must stay
 #                  race-clean)
-#   make test-cpu — the placement / consistency / fan-out / loader tests at
-#                  GOMAXPROCS 1, 2 and 4: the bitwise contract may not depend
-#                  on how many cores the GPU goroutines get
+#   make test-cpu — the placement / consistency / fan-out / loader tests and
+#                  the baselines' cross-engine table at GOMAXPROCS 1, 2 and 4:
+#                  the bitwise contract may not depend on how many cores the
+#                  GPU goroutines get
 #   make trace-smoke — end-to-end observability check: run a traced elastic
 #                  job and schema-validate the exported Chrome trace
 #   make bench-check — vet and toy-size test the frozen benchmark module
@@ -60,15 +61,17 @@ test: build
 # dispatch killed, on the pure-Go executable spec and the scalar elementwise
 # loops. The in-process differential suites already sweep both variants; this
 # lane proves the init-time kill switch itself and the full consumer stack
-# (nn, comm, optim, core) on the fallback path.
+# (nn, comm, optim, core, and the baselines' cross-engine table in elastic) on
+# the fallback path.
 test-isa:
-	EASYSCALE_FORCE_GENERIC=1 $(GO) test -count=1 ./internal/kernels/... ./internal/nn/... ./internal/comm/... ./internal/optim/... ./internal/core/...
+	EASYSCALE_FORCE_GENERIC=1 $(GO) test -count=1 ./internal/kernels/... ./internal/nn/... ./internal/comm/... ./internal/optim/... ./internal/core/... ./internal/elastic/...
 
 # core-count lane: RunStep fans out over min(GOMAXPROCS, 8, GPUs) goroutines
 # by default, so the tests that compare placements bitwise run once per core
-# count (-cpu sets GOMAXPROCS), with the loader's concurrent-rank tests
+# count (-cpu sets GOMAXPROCS), with the loader's concurrent-rank tests and
+# the baseline frameworks, which are core.Jobs with one goroutine per GPU too
 test-cpu:
-	$(GO) test -count=1 -cpu 1,2,4 -run 'Consistency|Placement|Invariance|Invisible|FanOut|RunStepPanic|ScaleLive|Loader' ./internal/core/... ./internal/data/...
+	$(GO) test -count=1 -cpu 1,2,4 -run 'Consistency|Placement|Invariance|Invisible|FanOut|RunStepPanic|ScaleLive|Loader|Worlds|VirtualFlow|OneEngine' ./internal/core/... ./internal/data/... ./internal/elastic/...
 
 race:
 	$(GO) test -race ./internal/kernels/... ./internal/comm/... ./internal/checkpoint/... ./internal/data/... ./internal/dist/... ./internal/faults/... ./internal/core/... ./internal/elastic/... ./internal/obs/... ./internal/serve/... ./internal/sched/... ./internal/controlplane/...

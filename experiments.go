@@ -80,12 +80,18 @@ func baselineRun(fw elastic.Framework, workload string, world, epochs int, gamma
 	for e := 0; e < epochs; e++ {
 		cur := j.Epoch()
 		for j.Epoch() == cur {
-			j.RunStep()
-			losses = append(losses, float64(j.LastLoss()))
+			if err := j.RunStep(); err != nil {
+				panic(err)
+			}
+			var sum float32
+			for _, l := range j.LastLosses() {
+				sum += l
+			}
+			losses = append(losses, float64(sum/float32(len(j.LastLosses()))))
 		}
-		overall, pc := j.Evaluate()
-		acc = append(acc, overall)
-		perClass = pc
+		ev := j.Evaluate()
+		acc = append(acc, ev.Overall)
+		perClass = ev.PerClass
 	}
 	return acc, perClass, losses
 }

@@ -27,9 +27,10 @@ func fig9Stages() []stageSpec {
 	}
 }
 
-// runFixedDDP runs the DDP reference: 4 ESTs on fixed 4 V100s for the whole
-// horizon, at the given determinism configuration.
-func runFixedDDP(workload string, level core.Determinism, d2 bool, steps int) []float32 {
+// fig9Job builds the Figure 9 job — 4 ESTs of batch 4 at the given
+// determinism configuration — attached to stage 0's four V100s, which is
+// both the DDP reference and where the elastic run starts.
+func fig9Job(workload string, level core.Determinism, d2 bool) *core.Job {
 	cfg := core.DefaultConfig(4)
 	cfg.Level, cfg.D2 = level, d2
 	cfg.BatchPerEST = 4
@@ -37,9 +38,16 @@ func runFixedDDP(workload string, level core.Determinism, d2 bool, steps int) []
 	if err != nil {
 		panic(err)
 	}
-	if err := j.Attach(core.EvenPlacement(4, device.V100, device.V100, device.V100, device.V100)); err != nil {
+	if err := j.Attach(core.EvenPlacement(4, fig9Stages()[0].gpus...)); err != nil {
 		panic(err)
 	}
+	return j
+}
+
+// runFixedDDP runs the DDP reference: 4 ESTs on fixed 4 V100s for the whole
+// horizon, at the given determinism configuration.
+func runFixedDDP(workload string, level core.Determinism, d2 bool, steps int) []float32 {
+	j := fig9Job(workload, level, d2)
 	losses := make([]float32, 0, steps)
 	for s := 0; s < steps; s++ {
 		if err := j.RunStep(); err != nil {
@@ -53,23 +61,13 @@ func runFixedDDP(workload string, level core.Determinism, d2 bool, steps int) []
 // runElasticStages runs EasyScale through the three Figure 9 stages with
 // on-demand checkpoint scaling between them.
 func runElasticStages(workload string, level core.Determinism, d2 bool, stepsPerStage int) []float32 {
-	cfg := core.DefaultConfig(4)
-	cfg.Level, cfg.D2 = level, d2
-	cfg.BatchPerEST = 4
-	j, err := core.NewJob(cfg, workload)
-	if err != nil {
-		panic(err)
-	}
+	j := fig9Job(workload, level, d2)
 	var losses []float32
 	for si, st := range fig9Stages() {
-		p := core.EvenPlacement(4, st.gpus...)
-		if si == 0 {
-			err = j.Attach(p)
-		} else {
-			err = j.Scale(p)
-		}
-		if err != nil {
-			panic(err)
+		if si > 0 {
+			if err := j.Scale(core.EvenPlacement(4, st.gpus...)); err != nil {
+				panic(err)
+			}
 		}
 		for s := 0; s < stepsPerStage; s++ {
 			if err := j.RunStep(); err != nil {
@@ -174,26 +172,9 @@ func Fig11CtxSwitch(steps int) Result {
 	return res
 }
 
-// measureStepTime runs one job (1 EST, 1 V100) and returns the mean
-// simulated step time.
+// measureStepTime is measureOnType on a V100 at D1.
 func measureStepTime(workload string, ctxSwitch bool, steps int) time.Duration {
-	cfg := core.DefaultConfig(1)
-	cfg.Level, cfg.D2 = core.D1, false
-	cfg.BatchPerEST = 64
-	cfg.DisableContextSwitch = !ctxSwitch
-	j, err := core.NewJob(cfg, workload)
-	if err != nil {
-		panic(err)
-	}
-	if err := j.Attach(core.EvenPlacement(1, device.V100)); err != nil {
-		panic(err)
-	}
-	dev := j.Devices()[0]
-	before := dev.Now()
-	if err := j.RunSteps(steps); err != nil {
-		panic(err)
-	}
-	return (dev.Now() - before) / time.Duration(steps)
+	return measureOnType(workload, device.V100, core.D1, false, ctxSwitch, steps)
 }
 
 // Fig12DeterminismOverhead regenerates Figure 12: per-iteration time of
@@ -206,9 +187,9 @@ func Fig12DeterminismOverhead(steps int) Result {
 	for _, name := range models.Names() {
 		var d1s, d2s [3]float64
 		for i, t := range device.AllTypes() {
-			base := measureOnType(name, t, core.DetNone, false, steps)
-			d1 := measureOnType(name, t, core.D1, false, steps)
-			d12 := measureOnType(name, t, core.D1, true, steps)
+			base := measureOnType(name, t, core.DetNone, false, true, steps)
+			d1 := measureOnType(name, t, core.D1, false, true, steps)
+			d12 := measureOnType(name, t, core.D1, true, true, steps)
 			d1s[i] = d1.Seconds() / base.Seconds()
 			d2s[i] = d12.Seconds() / base.Seconds()
 		}
@@ -231,10 +212,13 @@ func Fig12DeterminismOverhead(steps int) Result {
 	return res
 }
 
-func measureOnType(workload string, t device.Type, level core.Determinism, d2 bool, steps int) time.Duration {
+// measureOnType runs one job (1 EST of batch 64 on one GPU of type t) and
+// returns the mean simulated step time.
+func measureOnType(workload string, t device.Type, level core.Determinism, d2, ctxSwitch bool, steps int) time.Duration {
 	cfg := core.DefaultConfig(1)
 	cfg.Level, cfg.D2 = level, d2
 	cfg.BatchPerEST = 64
+	cfg.DisableContextSwitch = !ctxSwitch
 	j, err := core.NewJob(cfg, workload)
 	if err != nil {
 		panic(err)

@@ -3,6 +3,9 @@ package easyscale
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/elastic"
 )
 
 func TestFig01(t *testing.T) {
@@ -37,6 +40,32 @@ func TestFig04Gamma(t *testing.T) {
 	res := Fig04GammaTrend("vgg19", 2)
 	if len(res.Series) != 6 {
 		t.Fatalf("fig4 expects 6 curves, got %d", len(res.Series))
+	}
+}
+
+// TestBaselineDDPIsTheFig9Reference: the repo has one "DDP on 4 GPUs". The
+// reference Figures 2–4 compare the elastic frameworks against
+// (elastic.FixedDDP) and the reference Figure 9 proves EasyScale equal to
+// (fig9Job on its four V100s) are the same bits at the same seed and
+// hyper-parameters, on a model with BatchNorm and on one with dropout.
+func TestBaselineDDPIsTheFig9Reference(t *testing.T) {
+	for _, workload := range []string{"resnet50", "bert"} {
+		ref := fig9Job(workload, core.D1, false)
+		base, err := elastic.NewBaselineJob(elastic.BaselineConfig{
+			Framework: elastic.FixedDDP, Seed: ref.Cfg.Seed, RefWorld: 4,
+			BatchPerGPU: ref.Cfg.BatchPerEST, BaseLR: ref.Cfg.LR, Momentum: ref.Cfg.Momentum,
+		}, workload, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, j := range []*core.Job{ref, base} {
+			if err := j.RunSteps(10); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !core.ParamsEqual(ref, base) {
+			t.Fatalf("%s: the baselines' DDP-4 and Figure 9's DDP-4 differ", workload)
+		}
 	}
 }
 

@@ -32,7 +32,6 @@ var reachAllow = []struct{ name, reason string }{
 	{"controlplane.Plane.Held", "seam: conservation-law tests read a job's leased GPUs"},
 	{"obs.FixedClock", "seam: the deterministic clock WithClock installs for golden exports"},
 	{"analysis.LoadDir", "seam: analyzer tests load one fixture directory from testdata, outside the module walk"},
-	{"core.Job.AttachDevices", "seam: the OOM-rollback and repeated-device tests hand Attach devices they prepared"},
 	{"data.Loader.Prefetch", "seam: fills the queuing buffer whose roll-back TestLoaderStateRoundTripMidEpoch checkpoints"},
 	{"sched.Companion.PlanFor", "seam: plan tests read the companion database for one exact resource vector"},
 }

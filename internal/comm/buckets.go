@@ -14,7 +14,13 @@ import (
 func (d *ElasticDDP) NumBuckets() int { return len(d.plan.Buckets) }
 
 // BucketLen returns the element count of bucket b.
-func (d *ElasticDDP) BucketLen(b int) int { return d.bucketLen(d.plan.Buckets[b]) }
+func (d *ElasticDDP) BucketLen(b int) int {
+	n := 0
+	for _, pi := range d.plan.Buckets[b] {
+		n += d.Sizes[pi]
+	}
+	return n
+}
 
 // FlattenBucket packs bucket b of one gradient set into a buffer drawn from
 // the arena (fully overwritten). Callers on per-step paths should pool.Put
@@ -25,7 +31,7 @@ func (d *ElasticDDP) BucketLen(b int) int { return d.bucketLen(d.plan.Buckets[b]
 func (d *ElasticDDP) FlattenBucket(b int, grads []*tensor.Tensor) []float32 {
 	bucket := d.plan.Buckets[b]
 	start := d.tr.Now()
-	buf := pool.GetUninit(d.bucketLen(bucket))
+	buf := pool.GetUninit(d.BucketLen(b))
 	d.flatten(buf, grads, bucket)
 	d.tr.Span(obs.RuntimeTrack, obs.CatComm, "comm.flatten", start, int64(len(buf)), int64(b))
 	return buf
@@ -35,10 +41,14 @@ func (d *ElasticDDP) FlattenBucket(b int, grads []*tensor.Tensor) []float32 {
 //
 //easyscale:hotpath
 func (d *ElasticDDP) UnflattenBucket(b int, grads []*tensor.Tensor, buf []float32) {
-	d.unflatten(grads, d.plan.Buckets[b], buf)
+	off := 0
+	for _, pi := range d.plan.Buckets[b] {
+		copy(grads[pi].Data, buf[off:off+d.Sizes[pi]])
+		off += d.Sizes[pi]
+	}
 }
 
-// RingChunks returns the chunk boundaries RingReduce uses for a buffer of
+// RingChunks returns the chunk boundaries RingReduceInto uses for a buffer of
 // length l among p participants, as (lo, hi) pairs in chunk order. The
 // distributed ring all-reduce must follow exactly these boundaries (and the
 // (c mod p) rotation) to be bitwise identical to the in-process reduction.

@@ -111,22 +111,12 @@ func BuildPlanFromReadyOrder(sizes []int, readyOrder []int, capElems int) Plan {
 	return buildFromOrder(sizes, readyOrder, capElems)
 }
 
-// RingReduce sums the participants' buffers elementwise the way a ring
-// all-reduce does: the buffer is split into len(contribs) chunks and the
-// additions for chunk c start at participant (c mod P), wrapping around the
-// ring. The result therefore depends on the number of participants and on
-// where chunk boundaries fall — both change under elasticity.
-func RingReduce(contribs [][]float32) []float32 {
-	if len(contribs) == 0 {
-		return nil
-	}
-	out := make([]float32, len(contribs[0]))
-	RingReduceInto(out, contribs)
-	return out
-}
-
-// RingReduceInto is RingReduce writing into a caller-provided buffer (every
-// element of dst is overwritten), so hot paths can use pooled scratch.
+// RingReduceInto sums the participants' buffers elementwise into dst (every
+// element is overwritten) the way a ring all-reduce does: the buffer is split
+// into len(contribs) chunks and the additions for chunk c start at
+// participant (c mod P), wrapping around the ring. The result therefore
+// depends on the number of participants and on where chunk boundaries fall —
+// both change under elasticity.
 func RingReduceInto(dst []float32, contribs [][]float32) {
 	p := len(contribs)
 	if p == 0 {
@@ -196,6 +186,7 @@ type ElasticDDP struct {
 	RebuildEnabled bool // D1 disables reconstruction after restore
 
 	contribs [][]float32 // reusable per-participant staging headers
+	reduced  [][]float32 // reusable per-bucket result headers
 
 	// tr records flatten/reduce spans when set (nil = tracing off). The
 	// tracer only observes timings — it never touches gradient data, so
@@ -253,47 +244,41 @@ func (d *ElasticDDP) flatten(buf []float32, grads []*tensor.Tensor, bucket []int
 	}
 }
 
-// unflatten scatters a reduced bucket buffer back into a gradient set.
+// ReduceAverage is the one reduce of one gradient bucket: contribs are the
+// participants' flattened buffers in ring order, the result is their
+// RingReduceInto sum scaled by 1/divisor, in an arena buffer the caller
+// pool.Puts when done with it. The in-process step (ReduceBuckets) and the
+// distributed leader both average through here, so the two cannot differ in
+// a bit.
 //
 //easyscale:hotpath
-func (d *ElasticDDP) unflatten(grads []*tensor.Tensor, bucket []int, buf []float32) {
-	off := 0
-	for _, pi := range bucket {
-		copy(grads[pi].Data, buf[off:off+d.Sizes[pi]])
-		off += d.Sizes[pi]
-	}
+func ReduceAverage(contribs [][]float32, divisor int) []float32 {
+	avg := pool.GetUninit(len(contribs[0]))
+	RingReduceInto(avg, contribs)
+	kernels.ScaleF32(avg, 1/float32(divisor))
+	return avg
 }
 
-func (d *ElasticDDP) bucketLen(bucket []int) int {
-	n := 0
-	for _, pi := range bucket {
-		n += d.Sizes[pi]
-	}
-	return n
-}
-
-// AllReduce averages the participants' gradient sets in place. Each element
-// of gradSets is one ring participant's gradients in registration order; for
-// EasyScale D1 the participants are the ESTs ordered by virtual rank, for a
-// restarted non-D1 job they are the physical workers' locally accumulated
-// gradients. divisor is the logical world size used for averaging.
-func (d *ElasticDDP) AllReduce(gradSets [][]*tensor.Tensor, divisor int) {
-	if len(gradSets) == 0 {
-		return
-	}
+// ReduceBuckets averages the participants' gradient sets bucket by bucket and
+// returns the averaged buffers in plan order, leaving the sets untouched. Each
+// element of gradSets is one ring participant's gradients in registration
+// order: at D1 the ESTs by virtual rank, below D1 the physical workers' local
+// accumulations. divisor is the logical world size. The buffers are
+// arena-backed (pool.Put each when done); the slice is reused by the next call.
+func (d *ElasticDDP) ReduceBuckets(gradSets [][]*tensor.Tensor, divisor int) [][]float32 {
 	for _, gs := range gradSets {
 		if len(gs) != len(d.Sizes) {
 			panic("comm: gradient set does not match registered parameters")
 		}
 	}
-	inv := 1 / float32(divisor)
 	if cap(d.contribs) < len(gradSets) {
 		d.contribs = make([][]float32, len(gradSets))
 	}
 	contribs := d.contribs[:len(gradSets)]
+	d.reduced = d.reduced[:0]
 	tAll := d.tr.Now()
-	for _, bucket := range d.plan.Buckets {
-		blen := d.bucketLen(bucket)
+	for b, bucket := range d.plan.Buckets {
+		blen := d.BucketLen(b)
 		tFlat := d.tr.Now()
 		for i, gs := range gradSets {
 			contribs[i] = pool.GetUninit(blen)
@@ -301,13 +286,7 @@ func (d *ElasticDDP) AllReduce(gradSets [][]*tensor.Tensor, divisor int) {
 		}
 		d.tr.Span(obs.RuntimeTrack, obs.CatComm, "comm.flatten", tFlat, int64(blen), int64(len(gradSets)))
 		tRed := d.tr.Now()
-		sum := pool.GetUninit(blen)
-		RingReduceInto(sum, contribs)
-		kernels.ScaleF32(sum, inv)
-		for _, gs := range gradSets {
-			d.unflatten(gs, bucket, sum)
-		}
-		pool.Put(sum)
+		d.reduced = append(d.reduced, ReduceAverage(contribs, divisor))
 		for i := range contribs {
 			pool.Put(contribs[i])
 			contribs[i] = nil
@@ -315,4 +294,19 @@ func (d *ElasticDDP) AllReduce(gradSets [][]*tensor.Tensor, divisor int) {
 		d.tr.Span(obs.RuntimeTrack, obs.CatComm, "comm.reduce-bucket", tRed, int64(blen), int64(len(gradSets)))
 	}
 	d.tr.Span(obs.RuntimeTrack, obs.CatComm, "comm.allreduce", tAll, int64(len(d.plan.Buckets)), int64(divisor))
+	return d.reduced
+}
+
+// AllReduce averages the participants' gradient sets in place: ReduceBuckets,
+// then every participant receives the result.
+func (d *ElasticDDP) AllReduce(gradSets [][]*tensor.Tensor, divisor int) {
+	if len(gradSets) == 0 {
+		return
+	}
+	for b, avg := range d.ReduceBuckets(gradSets, divisor) {
+		for _, gs := range gradSets {
+			d.UnflattenBucket(b, gs, avg)
+		}
+		pool.Put(avg)
+	}
 }

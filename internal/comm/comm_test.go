@@ -5,6 +5,8 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/kernels"
+	"repro/internal/pool"
 	"repro/internal/rng"
 	"repro/internal/tensor"
 )
@@ -102,9 +104,16 @@ func randBufs(seed uint64, p, l int) [][]float32 {
 	return out
 }
 
+// ringReduce is RingReduceInto on a fresh destination.
+func ringReduce(contribs [][]float32) []float32 {
+	out := make([]float32, len(contribs[0]))
+	RingReduceInto(out, contribs)
+	return out
+}
+
 func TestRingReduceCorrectness(t *testing.T) {
 	bufs := randBufs(1, 4, 103)
-	got := RingReduce(bufs)
+	got := ringReduce(bufs)
 	for e := range got {
 		var ref float64
 		for _, b := range bufs {
@@ -120,10 +129,10 @@ func TestRingReduceDependsOnParticipantCount(t *testing.T) {
 	// the same four logical contributions reduced as 4 participants vs as 2
 	// pre-accumulated pairs give bitwise different results (in general)
 	bufs := randBufs(2, 4, 4096)
-	asFour := RingReduce(bufs)
+	asFour := ringReduce(bufs)
 	pairA := SequentialReduce(bufs[:2])
 	pairB := SequentialReduce(bufs[2:])
-	asTwo := RingReduce([][]float32{pairA, pairB})
+	asTwo := ringReduce([][]float32{pairA, pairB})
 	same := true
 	for i := range asFour {
 		if math.Float32bits(asFour[i]) != math.Float32bits(asTwo[i]) {
@@ -138,8 +147,8 @@ func TestRingReduceDependsOnParticipantCount(t *testing.T) {
 
 func TestRingReduceDeterministicForFixedTopology(t *testing.T) {
 	bufs := randBufs(3, 3, 257)
-	a := RingReduce(bufs)
-	b := RingReduce(bufs)
+	a := ringReduce(bufs)
+	b := ringReduce(bufs)
 	for i := range a {
 		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
 			t.Fatal("ring reduce must be deterministic for a fixed topology")
@@ -148,10 +157,8 @@ func TestRingReduceDeterministicForFixedTopology(t *testing.T) {
 }
 
 func TestRingReduceEdgeCases(t *testing.T) {
-	if RingReduce(nil) != nil {
-		t.Fatal("empty reduce should be nil")
-	}
-	one := RingReduce([][]float32{{1, 2, 3}})
+	RingReduceInto(nil, nil) // no participants: nothing to write, must not panic
+	one := ringReduce([][]float32{{1, 2, 3}})
 	if one[0] != 1 || one[2] != 3 {
 		t.Fatal("single participant should be identity")
 	}
@@ -376,6 +383,55 @@ func TestRingChunks(t *testing.T) {
 			}
 			if covered != l {
 				t.Fatalf("RingChunks(%d,%d) covers %d", l, p, covered)
+			}
+		}
+	}
+}
+
+// TestReduceAverageMatchesScalarRingOrder pins the one bucket reduce against
+// its definition written out per element: chunk c of ceil(l/p) elements starts
+// at participant c mod p and adds the others in ring order, and the sum is
+// scaled by 1/divisor — bit for bit, for every participant count 1–9, buffer
+// lengths on both sides of the participant count and of the SIMD width, and
+// every kernel variant this machine has.
+func TestReduceAverageMatchesScalarRingOrder(t *testing.T) {
+	prev := kernels.ActiveISA()
+	defer kernels.SetISA(prev)
+	for _, isa := range kernels.AvailableISAs() {
+		if err := kernels.SetISA(isa); err != nil {
+			t.Fatal(err)
+		}
+		s := rng.New(23)
+		for p := 1; p <= 9; p++ {
+			lengths := []int{1, p - 1, p, p + 1, 2*p + 3}
+			for i := 0; i < 12; i++ {
+				lengths = append(lengths, 1+s.Intn(700))
+			}
+			for _, l := range lengths {
+				if l < 1 {
+					continue
+				}
+				bufs := randBufs(uint64(1000*p+l), p, l)
+				divisor := 1 + s.Intn(9)
+				got := ReduceAverage(bufs, divisor)
+				if len(got) != l {
+					t.Fatalf("%s p=%d: result length %d, want %d", isa, p, len(got), l)
+				}
+
+				inv := 1 / float32(divisor)
+				chunk := (l + p - 1) / p
+				for e := 0; e < l; e++ {
+					start := (e / chunk) % p
+					sum := bufs[start][e]
+					for k := 1; k < p; k++ {
+						sum += bufs[(start+k)%p][e]
+					}
+					if want := sum * inv; math.Float32bits(got[e]) != math.Float32bits(want) {
+						t.Fatalf("%s p=%d l=%d divisor=%d element %d: %x, scalar ring order gives %x",
+							isa, p, l, divisor, e, math.Float32bits(got[e]), math.Float32bits(want))
+					}
+				}
+				pool.Put(got)
 			}
 		}
 	}

@@ -4,6 +4,8 @@ import (
 	"fmt"
 
 	"repro/internal/checkpoint"
+	"repro/internal/comm"
+	"repro/internal/data"
 	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/tensor"
@@ -269,11 +271,7 @@ func RestoreJobShards(cfg Config, m checkpoint.Manifest, set *checkpoint.ShardSe
 	}
 
 	// loader state
-	var ls struct {
-		Epoch    int
-		NextStep []int
-		Streams  [][]rng.State
-	}
+	var ls data.State
 	if ls.Epoch, err = r.Int(); err != nil {
 		return nil, err
 	}
@@ -308,7 +306,7 @@ func RestoreJobShards(cfg Config, m checkpoint.Manifest, set *checkpoint.ShardSe
 			}
 		}
 	}
-	j.loader.Restore(dataLoaderState(ls.Epoch, ls.NextStep, ls.Streams))
+	j.loader.Restore(ls)
 
 	// bucket mapping
 	rebuilt, err := r.Bool()
@@ -347,7 +345,7 @@ func RestoreJobShards(cfg Config, m checkpoint.Manifest, set *checkpoint.ShardSe
 		if covered != len(params) {
 			return nil, fmt.Errorf("core: checkpoint bucket plan incomplete")
 		}
-		j.ddp.RestorePlan(planFromBuckets(buckets))
+		j.ddp.RestorePlan(comm.Plan{Buckets: buckets})
 	}
 	// below D1 the recorded mapping is ignored: the restarted process will
 	// rebuild from its own first mini-batch — the paper's D0 divergence
@@ -396,24 +394,29 @@ func RestoreJobShards(cfg Config, m checkpoint.Manifest, set *checkpoint.ShardSe
 // release the current GPUs, restart (fresh process state: layer caches,
 // communication channels, kernel selections), restore, and attach to the new
 // placement. The job's training semantics are unaffected; whether its
-// numerics are depends on the determinism level.
+// numerics are depends on the determinism level. The new placement is
+// admitted and the restart prepared before the old GPUs are released, so a
+// placement that is invalid or does not fit leaves the job training where it
+// was.
 func (j *Job) Scale(p Placement) error {
+	t0 := j.obs.now()
+	devs := j.newDevices(p)
+	allocMB, err := j.admit(p, devs)
+	if err != nil {
+		return err
+	}
+	nj, err := RestoreJob(j.Cfg, j.Checkpoint())
+	if err != nil {
+		return err
+	}
 	// The restart replaces every field of j, so the tracer survives the
 	// reconfiguration explicitly — the trace shows the scale event and the
 	// spans on both sides of it on the same tracks.
 	tr := j.Tracer()
-	t0 := j.obs.now()
-	ck := j.Checkpoint()
 	j.Detach()
-	nj, err := RestoreJob(j.Cfg, ck)
-	if err != nil {
-		return err
-	}
 	*j = *nj
 	j.SetTracer(tr)
-	if err := j.Attach(p); err != nil {
-		return err
-	}
+	j.bind(p, devs, allocMB)
 	j.obs.decision("core.scale", placementDetail(p), int64(len(p.Devices)), int64(j.globalStep))
 	j.obs.runSpan(obs.CatPhase, "core.scale", t0, int64(len(p.Devices)), int64(j.globalStep))
 	return nil
@@ -422,17 +425,21 @@ func (j *Job) Scale(p Placement) error {
 // ScaleLive performs elastic reconfiguration without the stop-restart round
 // trip: the live job keeps all of its state — parameters, moments, EST
 // contexts, loader cursors, gradient-bucket plan — and only the physical
-// attachment changes. At D1 this is bitwise-equivalent to Scale, because
-// restore is the identity on a state that was checkpointed an instant
-// earlier (the equivalence the migrate-vs-restart tests pin); below D1 it is
-// *stronger* than Scale, since the bucket plan survives instead of being
-// rebuilt — live migration never re-introduces the D0 divergence.
+// attachment changes, once the new placement has been admitted. At D1 this is
+// bitwise-equivalent to Scale, because restore is the identity on a state
+// that was checkpointed an instant earlier (the equivalence the
+// migrate-vs-restart tests pin); below D1 it is *stronger* than Scale, since
+// the bucket plan survives instead of being rebuilt — live migration never
+// re-introduces the D0 divergence.
 func (j *Job) ScaleLive(p Placement) error {
 	t0 := j.obs.now()
-	j.Detach()
-	if err := j.Attach(p); err != nil {
+	devs := j.newDevices(p)
+	allocMB, err := j.admit(p, devs)
+	if err != nil {
 		return err
 	}
+	j.Detach()
+	j.bind(p, devs, allocMB)
 	j.obs.decision("core.scale-live", placementDetail(p), int64(len(p.Devices)), int64(j.globalStep))
 	j.obs.runSpan(obs.CatPhase, "core.scale-live", t0, int64(len(p.Devices)), int64(j.globalStep))
 	return nil

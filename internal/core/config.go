@@ -187,5 +187,4 @@ const (
 	PCIeGBps             = 12.0
 	CopyOverlap          = 0.95
 	AllReduceGBps        = 10.0
-	RestartOverhead      = 2 * time.Second // process restart + channel rebuild on scaling
 )

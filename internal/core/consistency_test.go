@@ -3,7 +3,9 @@ package core
 import (
 	"testing"
 
+	"repro/internal/comm"
 	"repro/internal/device"
+	"repro/internal/pool"
 )
 
 // The tests in this file are the paper's headline claims, asserted bitwise.
@@ -246,5 +248,63 @@ func TestLossesIdenticalAcrossPlacements(t *testing.T) {
 				t.Fatalf("step %d EST %d loss %v vs %v", s, r, la[r], lb[r])
 			}
 		}
+	}
+}
+
+// TestExternalReduceMatchesRunStep drives global steps the way a distributed
+// leader does — every worker's RunLocalPhase, each EST's buckets flattened,
+// comm.ReduceAverage over virtual ranks, FinishStepReduced — and requires the
+// job to be indistinguishable from one that called RunStep: parameters,
+// losses, the rebuilt bucket plan and progress. The two paths share the
+// reduce and the finish, so this pins the seam, not a second implementation.
+func TestExternalReduceMatchesRunStep(t *testing.T) {
+	const steps = 6
+	p := EvenPlacement(4, device.V100, device.V100)
+	for _, name := range []string{"resnet50", "bert"} {
+		t.Run(name, func(t *testing.T) {
+			cfg := testCfg(D1, false, 4)
+			want := runSteps(t, cfg, name, p, steps)
+
+			got := mustJob(t, cfg, name, p)
+			ddp := got.DDP()
+			contribs := make([][]float32, cfg.NumESTs)
+			for s := 0; s < steps; s++ {
+				for wi := range p.Devices {
+					if err := got.RunLocalPhase(wi); err != nil {
+						t.Fatal(err)
+					}
+				}
+				reduced := make([][]float32, ddp.NumBuckets())
+				for b := range reduced {
+					for r := range contribs {
+						contribs[r] = ddp.FlattenBucket(b, got.ESTGradientSet(r))
+					}
+					reduced[b] = comm.ReduceAverage(contribs, cfg.NumESTs)
+					for _, buf := range contribs {
+						pool.Put(buf)
+					}
+				}
+				if err := got.FinishStepReduced(reduced); err != nil {
+					t.Fatal(err)
+				}
+				for _, buf := range reduced {
+					pool.Put(buf)
+				}
+			}
+
+			if got.ParamsHash() != want.ParamsHash() || !ParamsEqual(got, want) {
+				t.Fatal("externally reduced steps diverged from RunStep")
+			}
+			if lossBits(got) != lossBits(want) {
+				t.Fatalf("losses differ: %s vs %s", lossBits(got), lossBits(want))
+			}
+			if !got.DDP().Plan().Equal(want.DDP().Plan()) || !got.DDP().Rebuilt() {
+				t.Fatal("bucket plans differ after the first-iteration rebuild")
+			}
+			if got.GlobalStep() != want.GlobalStep() || got.Step() != want.Step() || got.Epoch() != want.Epoch() {
+				t.Fatalf("progress differs: %d/%d/%d vs %d/%d/%d", got.GlobalStep(), got.Step(), got.Epoch(),
+					want.GlobalStep(), want.Step(), want.Epoch())
+			}
+		})
 	}
 }

@@ -28,6 +28,10 @@ type Job struct {
 	sched   optim.LRScheduler
 	ests    []*ESTContext
 
+	// grads[i] is parameter i's gradient tensor on replica 0 — what the
+	// optimizer reads, and where a step's averaged buckets land.
+	grads []*tensor.Tensor
+
 	// replicas[i] is what GPU i of a placement computes on; replicas[0]
 	// wraps Workload and always exists, the rest grow on demand and live as
 	// long as the job (see replica.go).
@@ -77,9 +81,11 @@ func NewJob(cfg Config, workloadName string) (*Job, error) {
 	params := j.replicas[0].params
 	sizes := make([]int, len(params))
 	shapes := make([][]int, len(params))
+	j.grads = make([]*tensor.Tensor, len(params))
 	for i, p := range params {
 		sizes[i] = p.Value.Size()
 		shapes[i] = p.Value.Shape()
+		j.grads[i] = p.Grad
 	}
 	j.ddp = comm.NewElasticDDP(sizes, cfg.BucketCapElems)
 	j.opt = optim.NewSGD(params, cfg.LR, cfg.Momentum, cfg.WeightDecay)
@@ -126,91 +132,90 @@ func (j *Job) Devices() []*device.Device { return j.devices }
 // context, one parameter/optimizer replica, one EST's activations (ESTs are
 // time-sliced, so activations never coexist), plus the tiny EST contexts.
 // Gradient swap buffers live in host memory.
-func (j *Job) perDeviceMB(numESTs int) float64 {
+func (j *Job) perDeviceMB(dev *device.Device, numESTs int) float64 {
 	m := j.Workload.Memory()
 	ctxMB := 0.0
 	for _, st := range j.ests[0].ModelState {
 		ctxMB += float64(st.Size()) * 4 / 1e6
 	}
-	return float64(device.SpecOf(j.placement.Devices[0]).ContextMB) +
+	return float64(dev.Spec.ContextMB) +
 		m.ParamsMB + m.OptimMB +
 		m.ActivationMBPerSample*float64(j.Cfg.BatchPerEST) +
 		ctxMB*float64(numESTs)
 }
 
-// Attach binds the job to physical GPUs, performing memory admission. On OOM
-// every prior allocation is rolled back and the error is returned.
-func (j *Job) Attach(p Placement) error {
-	if j.attached {
-		return fmt.Errorf("core: job already attached")
-	}
-	if err := p.Validate(j.Cfg.NumESTs); err != nil {
-		return err
-	}
-	j.placement = p
+// Attach binds the job to fresh simulated GPUs of the placement's types.
+func (j *Job) Attach(p Placement) error { return j.AttachDevices(p, j.newDevices(p)) }
+
+// newDevices builds one simulated GPU per placement slot at the job's
+// determinism configuration.
+func (j *Job) newDevices(p Placement) []*device.Device {
 	dc := j.Cfg.DeviceConfig()
-	j.devices = make([]*device.Device, len(p.Devices))
-	j.allocMB = make([]float64, len(p.Devices))
-	scale := j.Workload.SimTimeScale()
+	devs := make([]*device.Device, len(p.Devices))
 	for i, t := range p.Devices {
-		j.devices[i] = device.New(t, dc)
-		j.devices[i].SetFLOPsScale(scale)
-		need := j.perDeviceMB(len(p.Assignment[i]))
-		if err := j.devices[i].Alloc(need); err != nil {
-			for k := 0; k < i; k++ {
-				j.devices[k].Free(j.allocMB[k])
-			}
-			j.devices, j.allocMB = nil, nil
-			j.placement = Placement{}
-			return err
-		}
-		j.allocMB[i] = need
+		devs[i] = device.New(t, dc)
 	}
-	j.attached = true
-	j.obs.decision("core.attach", placementDetail(p), int64(len(p.Devices)), int64(j.Cfg.NumESTs))
-	return nil
+	return devs
 }
 
 // AttachDevices binds the job to caller-provided devices (used by experiments
-// that need to inspect or share device state). Memory admission applies. Each
-// slot needs a device of its own: the slots compute concurrently, each
-// charging its device's clock.
+// that need to inspect or share device state) after memory admission.
 func (j *Job) AttachDevices(p Placement, devs []*device.Device) error {
 	if j.attached {
 		return fmt.Errorf("core: job already attached")
 	}
-	if err := p.Validate(j.Cfg.NumESTs); err != nil {
+	allocMB, err := j.admit(p, devs)
+	if err != nil {
 		return err
 	}
+	j.bind(p, devs, allocMB)
+	return nil
+}
+
+// admit is the one admission path: it validates the placement and reserves
+// each GPU's footprint on devs, touching no job state. On OOM every prior
+// reservation is rolled back and the error is returned. Each slot needs a
+// device of its own: the slots compute concurrently, each charging its
+// device's clock.
+func (j *Job) admit(p Placement, devs []*device.Device) ([]float64, error) {
+	if err := p.Validate(j.Cfg.NumESTs); err != nil {
+		return nil, err
+	}
 	if len(devs) != len(p.Devices) {
-		return fmt.Errorf("core: %d devices for %d slots", len(devs), len(p.Devices))
+		return nil, fmt.Errorf("core: %d devices for %d slots", len(devs), len(p.Devices))
 	}
 	for i, d := range devs {
 		for k := 0; k < i; k++ {
 			if devs[k] == d {
-				return fmt.Errorf("core: device given for both slot %d and slot %d", k, i)
+				return nil, fmt.Errorf("core: device given for both slot %d and slot %d", k, i)
 			}
 		}
+	}
+	allocMB := make([]float64, len(devs))
+	for i, d := range devs {
+		need := j.perDeviceMB(d, len(p.Assignment[i]))
+		if err := d.Alloc(need); err != nil {
+			for k := 0; k < i; k++ {
+				devs[k].Free(allocMB[k])
+			}
+			return nil, err
+		}
+		allocMB[i] = need
+	}
+	return allocMB, nil
+}
+
+// bind makes an admitted placement the job's live attachment.
+func (j *Job) bind(p Placement, devs []*device.Device, allocMB []float64) {
+	scale := j.Workload.SimTimeScale()
+	for _, d := range devs {
+		d.SetFLOPsScale(scale)
 	}
 	j.placement = p
 	j.devices = append([]*device.Device(nil), devs...)
-	j.allocMB = make([]float64, len(devs))
-	scale := j.Workload.SimTimeScale()
-	for i := range devs {
-		devs[i].SetFLOPsScale(scale)
-		need := j.perDeviceMB(len(p.Assignment[i]))
-		if err := devs[i].Alloc(need); err != nil {
-			for k := 0; k < i; k++ {
-				devs[k].Free(j.allocMB[k])
-			}
-			j.devices, j.allocMB = nil, nil
-			j.placement = Placement{}
-			return err
-		}
-		j.allocMB[i] = need
-	}
+	j.allocMB = allocMB
 	j.attached = true
-	return nil
+	j.obs.decision("core.attach", placementDetail(p), int64(len(p.Devices)), int64(j.Cfg.NumESTs))
 }
 
 // Detach releases the GPUs (the job state remains resumable).
@@ -395,42 +400,46 @@ func (j *Job) advance() {
 	}
 }
 
+// finishStep is the one end of a global step: buckets holds the averaged
+// bucket buffers in plan order, wherever they were reduced. They are
+// scattered into the shared parameters' gradients, the ring time is charged,
+// DDP's first-iteration rebuild runs, and the optimizer moves the job on.
+func (j *Job) finishStep(buckets [][]float32) {
+	for b, buf := range buckets {
+		j.ddp.UnflattenBucket(b, j.grads, buf)
+	}
+	j.chargeSync()
+	j.maybeRebuild()
+	j.advance()
+}
+
 // FinishStepReduced completes a global step whose gradient synchronization
 // happened externally (the distributed ring): buckets holds the averaged
-// bucket buffers in plan order. Bookkeeping (bucket rebuild, optimizer step,
-// progress) matches RunStep exactly.
+// bucket buffers in plan order.
 func (j *Job) FinishStepReduced(buckets [][]float32) error {
 	if !j.attached {
 		return fmt.Errorf("core: job is not attached to GPUs")
 	}
-	params := j.replicas[0].params
 	if len(buckets) != j.ddp.NumBuckets() {
 		return fmt.Errorf("core: %d reduced buckets for %d-bucket plan", len(buckets), j.ddp.NumBuckets())
-	}
-	o := j.obs
-	t0 := o.now()
-	stepIdx := int64(j.globalStep)
-	grads := make([]*tensor.Tensor, len(params))
-	for i, p := range params {
-		grads[i] = p.Grad
 	}
 	for b, buf := range buckets {
 		if len(buf) != j.ddp.BucketLen(b) {
 			return fmt.Errorf("core: bucket %d length %d, want %d", b, len(buf), j.ddp.BucketLen(b))
 		}
-		j.ddp.UnflattenBucket(b, grads, buf)
 	}
-	j.chargeSync()
-	j.maybeRebuild()
-	j.advance()
+	o := j.obs
+	t0 := o.now()
+	stepIdx := int64(j.globalStep)
+	j.finishStep(buckets)
 	o.runSpan(obs.CatStep, "core.finish-step", t0, stepIdx, int64(len(buckets)))
 	return nil
 }
 
 // RunStep executes one global data-parallel step: the GPUs of the placement
 // run concurrently, each time-slicing its ESTs' local steps on its own
-// replica; after they join, gradients are synchronized through ElasticDDP and
-// the shared parameters are updated once.
+// replica; after they join, gradients are averaged bucket by bucket through
+// ElasticDDP and the shared parameters are updated once.
 func (j *Job) RunStep() error {
 	if !j.attached {
 		return fmt.Errorf("core: job is not attached to GPUs")
@@ -438,7 +447,6 @@ func (j *Job) RunStep() error {
 	o := j.obs
 	t0 := o.now()
 	stepIdx := int64(j.globalStep)
-	params := j.replicas[0].params
 
 	if err := j.runLocalPhases(); err != nil {
 		return err
@@ -458,8 +466,8 @@ func (j *Job) RunStep() error {
 		// gradients in hosting order, then the ring spans the workers
 		sets = make([][]*tensor.Tensor, len(j.placement.Assignment))
 		for wi, ranks := range j.placement.Assignment {
-			acc := make([]*tensor.Tensor, len(params))
-			for pi := range params {
+			acc := make([]*tensor.Tensor, len(j.grads))
+			for pi := range acc {
 				acc[pi] = j.ests[ranks[0]].Gradients[pi].CloneScoped(j.stepScratch)
 				for _, r := range ranks[1:] {
 					acc[pi].AddInPlace(j.ests[r].Gradients[pi])
@@ -468,16 +476,12 @@ func (j *Job) RunStep() error {
 			sets[wi] = acc
 		}
 	}
-	j.ddp.AllReduce(sets, j.Cfg.NumESTs)
-	j.chargeSync()
-	j.maybeRebuild()
-
-	// parameter update, identical on every replica
-	for i, p := range params {
-		p.Grad.CopyFrom(sets[0][i])
-	}
+	buckets := j.ddp.ReduceBuckets(sets, j.Cfg.NumESTs)
 	j.stepScratch.ReleaseAll()
-	j.advance()
+	j.finishStep(buckets)
+	for _, buf := range buckets {
+		pool.Put(buf)
+	}
 	o.runSpan(obs.CatStep, "core.global-step", t0, stepIdx, int64(j.Cfg.NumESTs))
 	return nil
 }

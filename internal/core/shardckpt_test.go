@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/checkpoint"
@@ -230,5 +231,79 @@ func TestScaleLiveMatchesScaleBitwise(t *testing.T) {
 	}
 	if stop.ParamsHash() != live.ParamsHash() {
 		t.Fatal("params hash mismatch between Scale and ScaleLive")
+	}
+}
+
+// TestFailedScaleLiveKeepsJobTraining: a rescale to a placement that is
+// invalid or cannot be admitted must be refused before the old GPUs are
+// released. Both ScaleLive and Scale return the error and the job goes on
+// training on the placement it had, bitwise equal to a job that never tried.
+func TestFailedScaleLiveKeepsJobTraining(t *testing.T) {
+	v100 := []device.Type{device.V100}
+	small := func(t *testing.T) *Job {
+		return mustJob(t, testCfg(D1, false, 2), "neumf", EvenPlacement(2, device.V100, device.V100))
+	}
+	// shufflenetv2 at batch 600 needs ~17 GB: it trains on a 64 GB device and
+	// cannot be admitted to the 16 GB V100 a placement asks for.
+	bigCfg := testCfg(D1, false, 1)
+	bigCfg.BatchPerEST = 600
+	big := func(t *testing.T) *Job {
+		j, err := NewJob(bigCfg, "shufflenetv2")
+		if err != nil {
+			t.Fatal(err)
+		}
+		roomy := device.NewWithMemory(device.V100, 64*1024, bigCfg.DeviceConfig())
+		if err := j.AttachDevices(EvenPlacement(1, device.V100), []*device.Device{roomy}); err != nil {
+			t.Fatal(err)
+		}
+		return j
+	}
+	cases := []struct {
+		name string
+		mk   func(*testing.T) *Job
+		bad  Placement
+		oom  bool
+	}{
+		{"empty", small, Placement{}, false},
+		{"rank-twice", small, Placement{Devices: v100, Assignment: [][]int{{0, 0}}}, false},
+		{"oom", big, EvenPlacement(1, device.V100), true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			tried, control := c.mk(t), c.mk(t)
+			for _, j := range []*Job{tried, control} {
+				if err := j.RunSteps(2); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before := tried.Placement()
+			usedMB := tried.Devices()[0].UsedMB()
+			for name, scale := range map[string]func(Placement) error{"ScaleLive": tried.ScaleLive, "Scale": tried.Scale} {
+				err := scale(c.bad)
+				if err == nil {
+					t.Fatalf("%s accepted the placement", name)
+				}
+				if c.oom && !errors.Is(err, device.ErrOOM) {
+					t.Fatalf("%s: expected OOM, got %v", name, err)
+				}
+				if !tried.Attached() || len(tried.Placement().Devices) != len(before.Devices) {
+					t.Fatalf("%s: refused rescale moved the job: attached=%v placement=%+v", name, tried.Attached(), tried.Placement())
+				}
+				if got := tried.Devices()[0].UsedMB(); got != usedMB {
+					t.Fatalf("%s: refused rescale changed the old GPU's allocation: %v → %v MB", name, usedMB, got)
+				}
+			}
+			for _, j := range []*Job{tried, control} {
+				if err := j.RunSteps(2); err != nil {
+					t.Fatalf("job cannot train after a refused rescale: %v", err)
+				}
+			}
+			if !ParamsEqual(tried, control) || tried.ParamsHash() != control.ParamsHash() {
+				t.Fatal("a refused rescale reached the bits")
+			}
+			if lossBits(tried) != lossBits(control) {
+				t.Fatal("a refused rescale reached the losses")
+			}
+		})
 	}
 }

@@ -8,10 +8,11 @@
 // synchronization must be bitwise identical to the in-process engine's
 // virtual-ring reduction, so a job can move freely between the two runtimes
 // (and between worker counts) without perturbing training. The leader
-// gathers every EST's bucket buffers, reduces them in exactly the canonical
-// virtual-ring order (comm.RingReduce over virtual ranks), and broadcasts
-// the averaged buckets; tests assert bitwise equality against the
-// single-process engine.
+// gathers every EST's bucket buffers, averages them with the in-process
+// step's own reduce (comm.ReduceAverage over virtual ranks), and broadcasts
+// the averaged buckets, which every worker applies through the in-process
+// step's own finish (core.Job.FinishStepReduced); tests assert bitwise
+// equality against the single-process engine.
 //
 // Elasticity works as in the paper: at a scale event the phase leader's
 // on-demand checkpoint — a manifest of content-addressed shards — lands in the

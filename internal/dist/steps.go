@@ -49,9 +49,6 @@ func fnvHash(s string) uint64 {
 	return h
 }
 
-// myRanks returns the virtual ranks a placement worker hosts.
-func myRanks(p core.Placement, worker int) []int { return p.Assignment[worker] }
-
 // encodeGrads packs one worker's full contribution for a step: every hosted
 // EST's flattened bucket buffers, tagged by virtual rank.
 func encodeGrads(step int, bufs map[int][][]float32, order []int) []byte {
@@ -186,9 +183,9 @@ func mergeGrads(f follower, byRank map[int][][]float32, sets map[int][][]float32
 // admitted follower set: per step gather every EST's buckets, reduce in
 // canonical virtual order, broadcast, finish. extraConns (the control
 // connection) are closed alongside follower connections when an injected
-// crash fires. The gradient numerics have exactly this one implementation.
+// crash fires.
 func leaderSteps(job *core.Job, tr *obs.Tracer, inj *faults.Injector, p core.Placement, followers []follower, extraConns []net.Conn, steps, track, world int) error {
-	own := myRanks(p, 0)
+	own := p.Assignment[0]
 	allConns := func() []net.Conn {
 		cs := append([]net.Conn(nil), extraConns...)
 		for _, f := range followers {
@@ -198,6 +195,8 @@ func leaderSteps(job *core.Job, tr *obs.Tracer, inj *faults.Injector, p core.Pla
 	}
 
 	ddp := job.DDP()
+	contribs := make([][]float32, world)
+	var reduced [][]float32
 	for s := 0; s < steps; s++ {
 		if s == 0 {
 			// the downtime clock stops at the earliest dist.first-step across
@@ -242,20 +241,15 @@ func leaderSteps(job *core.Job, tr *obs.Tracer, inj *faults.Injector, p core.Pla
 			}
 		}
 		tr.Span(track, obs.CatNet, "net.gather", tGather, int64(s), int64(len(followers)))
-		// reduce each bucket over virtual ranks 0..W-1 in canonical order
+		// reduce each bucket over virtual ranks 0..W-1 in canonical order,
+		// through the reduce the in-process step uses
 		tReduce := tr.Now()
-		reduced := make([][]float32, ddp.NumBuckets())
-		inv := 1 / float32(world)
-		for b := range reduced {
-			contribs := make([][]float32, world)
-			for v := 0; v < world; v++ {
+		reduced = reduced[:0]
+		for b := 0; b < ddp.NumBuckets(); b++ {
+			for v := range contribs {
 				contribs[v] = sets[v][b]
 			}
-			sum := comm.RingReduce(contribs)
-			for i := range sum {
-				sum[i] *= inv
-			}
-			reduced[b] = sum
+			reduced = append(reduced, comm.ReduceAverage(contribs, world))
 		}
 		// the local flatten buffers are arena-backed (FlattenBucket) and done
 		// with; follower buffers were decoded from network frames and are not
@@ -278,6 +272,9 @@ func leaderSteps(job *core.Job, tr *obs.Tracer, inj *faults.Injector, p core.Pla
 		tr.Span(track, obs.CatNet, "net.broadcast", tBcast, int64(s), int64(len(payload)))
 		if err := job.FinishStepReduced(reduced); err != nil {
 			return err
+		}
+		for _, buf := range reduced {
+			pool.Put(buf)
 		}
 	}
 	return nil
@@ -312,7 +309,7 @@ func leaderCollectContexts(job *core.Job, followers []follower) error {
 // followerSteps runs a non-leader's side of a phase's global steps against
 // an established leader connection.
 func followerSteps(job *core.Job, tr *obs.Tracer, inj *faults.Injector, p core.Placement, rank int, leader net.Conn, extraConns []net.Conn, steps, track int) error {
-	own := myRanks(p, rank)
+	own := p.Assignment[rank]
 	conns := append([]net.Conn{leader}, extraConns...)
 	for s := 0; s < steps; s++ {
 		if s == 0 {

@@ -422,10 +422,9 @@ func requestShards(c net.Conn, hashes []uint64) (map[uint64][]byte, error) {
 // writes arm per-operation deadlines, so a dead or hung peer surfaces as an
 // error instead of hanging the worker forever.
 //
-// The gradient numerics are bitwise identical to the in-process engine: the
-// leader reduces every bucket over the EST gradient sets ordered by virtual
-// rank, with comm.RingReduce's canonical chunk rotation, and averages by the
-// logical world size.
+// The gradient numerics are the in-process engine's: the leader averages
+// every bucket over the EST gradient sets ordered by virtual rank with
+// comm.ReduceAverage, the call core.Job.RunStep reduces through.
 func RunWorker(spec WorkerSpec) error {
 	if spec.Cfg.Level < core.D1 {
 		return fmt.Errorf("dist: distributed runtime requires D1 determinism (got %v)", spec.Cfg.Level)
@@ -677,7 +676,7 @@ func (w *worker) runPhase(job *core.Job, rc reconfig, inj *faults.Injector, ctrl
 		if err := injectFault(inj, faults.CkptShip, leader, ctrl); err != nil {
 			return err
 		}
-		own := myRanks(rc.Placement, rc.Slot)
+		own := rc.Placement.Assignment[rc.Slot]
 		tShip := tr.Now()
 		if err := followerShipContexts(job, leader, own); err != nil {
 			return err

@@ -1,25 +1,22 @@
-// Package elastic implements the baseline elastic-training frameworks the
-// paper compares against (§2.2): a TorchElastic-like framework that keeps the
-// per-GPU batch and linearly scales the learning rate with the world size,
-// and a Pollux-like framework that co-adapts total batch size and learning
-// rate. Both faithfully change the *training semantics* with the resource
-// count — which is exactly why their accuracy is inconsistent across GPU
-// counts (Figures 2–4) — and a Gandiva-style worker-packing executor used as
-// the GPU-sharing baseline of Figure 10.
+// Package elastic holds the baseline elastic-training frameworks the paper
+// compares against (§2.2) as policies over core.Job: a TorchElastic-like
+// framework that keeps the per-GPU batch and linearly scales the learning
+// rate with the world size, a Pollux-like framework that co-adapts total
+// batch size and learning rate, and VirtualFlow-style gradient accumulation.
+// The first two change the *training semantics* with the resource count —
+// which is exactly why their accuracy is inconsistent across GPU counts
+// (Figures 2–4). The trainer itself is EasyScale's, so every baseline is
+// compared with the DDP reference EasyScale is proven bitwise equal to. The
+// package also models Gandiva-style worker packing, the GPU-sharing baseline
+// of Figure 10.
 package elastic
 
 import (
 	"fmt"
 	"math"
 
-	"repro/internal/comm"
-	"repro/internal/data"
+	"repro/internal/core"
 	"repro/internal/device"
-	"repro/internal/models"
-	"repro/internal/nn"
-	"repro/internal/optim"
-	"repro/internal/rng"
-	"repro/internal/tensor"
 )
 
 // Framework selects the baseline's hyper-parameter adaptation policy.
@@ -74,27 +71,6 @@ type BaselineConfig struct {
 	StepLRGamma float64
 }
 
-// BaselineJob trains a workload with physical-world DDP semantics: the data
-// partition, per-GPU batch, and learning rate are functions of the current
-// world size, per the framework's policy.
-type BaselineJob struct {
-	Cfg      BaselineConfig
-	Workload *models.Workload
-
-	world   int
-	sampler *data.ElasticSampler
-	loader  *data.Loader
-	ddp     *comm.ElasticDDP
-	opt     *optim.SGD
-	sched   *optim.StepLR
-	rngs    []*rng.Bundle // per-worker framework RNGs
-	grads   [][]*tensor.Tensor
-	devs    []*device.Device
-
-	epoch, step, globalStep int
-	lastLoss                float32
-}
-
 // perGPUBatch returns the framework's per-GPU batch at the given world size.
 func (c BaselineConfig) perGPUBatch(world int) int {
 	switch c.Framework {
@@ -128,203 +104,44 @@ func (c BaselineConfig) lr(world int) float64 {
 	}
 }
 
-// NewBaselineJob builds a baseline run at the given initial world size, on
-// V100 GPUs with deterministic kernels (seeds are fixed, as in Figure 2: the
-// inconsistency under study is semantic, not kernel noise).
-func NewBaselineJob(cfg BaselineConfig, workload string, world int) (*BaselineJob, error) {
+// NewBaselineJob builds a baseline run at the given world size: a core.Job at
+// static determinism (fixed seeds and deterministic kernels, as in Figure 2 —
+// the inconsistency under study is semantic, not kernel noise) attached to
+// `world` V100s, its geometry and learning rate set by the framework's policy.
+// DDP, TorchElastic and Pollux run one EST per GPU, so data partition, batch
+// and ring all follow the world. VirtualFlow keeps RefWorld ESTs: below D1 a
+// GPU accumulates its ESTs' gradients in hosting order before the ring spans
+// the physical workers, which is gradient accumulation over virtual nodes.
+func NewBaselineJob(cfg BaselineConfig, workload string, world int) (*core.Job, error) {
 	if world <= 0 || cfg.RefWorld <= 0 || cfg.BatchPerGPU <= 0 {
 		return nil, fmt.Errorf("elastic: invalid geometry world=%d ref=%d batch=%d", world, cfg.RefWorld, cfg.BatchPerGPU)
 	}
-	w, err := models.Build(workload, cfg.Seed)
+	ests := world
+	if cfg.Framework == VirtualFlow {
+		// virtual nodes preserve the reference data partition exactly
+		if cfg.RefWorld%world != 0 {
+			return nil, fmt.Errorf("elastic: VirtualFlow requires world %d to divide RefWorld %d", world, cfg.RefWorld)
+		}
+		ests = cfg.RefWorld
+	}
+	// untuned fields as everywhere else, so DDP here is Figure 9's DDP
+	cc := core.DefaultConfig(ests)
+	cc.Level, cc.D2 = core.D0, false
+	cc.Seed = cfg.Seed
+	cc.BatchPerEST = cfg.perGPUBatch(world)
+	cc.LR = cfg.lr(world)
+	cc.Momentum = cfg.Momentum
+	cc.StepLRSize, cc.StepLRGamma = cfg.StepLRSize, cfg.StepLRGamma
+	j, err := core.NewJob(cc, workload)
 	if err != nil {
 		return nil, err
 	}
-	b := &BaselineJob{Cfg: cfg, Workload: w, world: world}
-	b.configureWorld(world)
-	params := w.Params()
-	sizes := make([]int, len(params))
-	for i, p := range params {
-		sizes[i] = p.Value.Size()
+	gpus := make([]device.Type, world)
+	for i := range gpus {
+		gpus[i] = device.V100
 	}
-	b.ddp = comm.NewElasticDDP(sizes, 1<<12)
-	b.opt = optim.NewSGD(params, cfg.lr(world), cfg.Momentum, 0)
-	if cfg.StepLRSize > 0 {
-		b.sched = optim.NewStepLR(b.opt, cfg.StepLRSize, cfg.StepLRGamma)
+	if err := j.Attach(core.EvenPlacement(ests, gpus...)); err != nil {
+		return nil, err
 	}
-	return b, nil
-}
-
-// configureWorld builds the data pipeline and per-worker RNGs for a world
-// size.
-func (b *BaselineJob) configureWorld(world int) {
-	b.world = world
-	batch := b.Cfg.perGPUBatch(world)
-	samplerWorld := world
-	if b.Cfg.Framework == VirtualFlow {
-		// virtual nodes preserve the reference data partition exactly
-		samplerWorld = b.Cfg.RefWorld
-		if world > b.Cfg.RefWorld || b.Cfg.RefWorld%world != 0 {
-			panic("elastic: VirtualFlow requires world to divide RefWorld")
-		}
-	}
-	b.sampler = data.NewElasticSampler(b.Workload.Dataset.Len(), samplerWorld, batch, b.Cfg.Seed)
-	b.loader = data.NewLoader(b.Workload.Dataset, b.sampler, 2, b.Cfg.Seed)
-	b.rngs = make([]*rng.Bundle, samplerWorld)
-	for r := range b.rngs {
-		b.rngs[r] = rng.NewBundle(b.Cfg.Seed ^ (uint64(r)+1)*0x9e3779b97f4a7c15)
-	}
-	params := b.Workload.Params()
-	b.grads = make([][]*tensor.Tensor, world)
-	for r := range b.grads {
-		b.grads[r] = make([]*tensor.Tensor, len(params))
-		for i, p := range params {
-			b.grads[r][i] = tensor.New(p.Value.Shape()...)
-		}
-	}
-	dc := device.Config{DeterministicKernels: true, Selection: device.SelectHeuristic}
-	b.devs = make([]*device.Device, world)
-	for i := range b.devs {
-		b.devs[i] = device.New(device.V100, dc)
-	}
-}
-
-// Epoch returns the current epoch.
-func (b *BaselineJob) Epoch() int { return b.epoch }
-
-// LastLoss returns the mean loss of the last step.
-func (b *BaselineJob) LastLoss() float32 { return b.lastLoss }
-
-// RunStep executes one synchronous global step with the current semantics.
-func (b *BaselineJob) RunStep() {
-	if b.Cfg.Framework == VirtualFlow {
-		b.runStepVirtualFlow()
-		return
-	}
-	params := b.Workload.Params()
-	var lossSum float32
-	for r := 0; r < b.world; r++ {
-		ctx := &nn.Context{Dev: b.devs[r], RNG: b.rngs[r].Torch, Training: true}
-		x, labels := b.loader.Batch(b.step, r)
-		b.opt.ZeroGrad()
-		out := b.Workload.Net.Forward(ctx, x)
-		lossSum += b.Workload.Loss.Forward(ctx, out, labels)
-		b.Workload.Net.Backward(ctx, b.Workload.Loss.Backward(ctx))
-		for i, p := range params {
-			b.grads[r][i].CopyFrom(p.Grad)
-		}
-	}
-	b.lastLoss = lossSum / float32(b.world)
-	b.ddp.AllReduce(b.grads, b.world)
-	for i, p := range params {
-		p.Grad.CopyFrom(b.grads[0][i])
-	}
-	b.opt.Step()
-	b.globalStep++
-	b.step++
-	if b.step >= b.sampler.StepsPerEpoch() {
-		b.step = 0
-		b.epoch++
-		b.loader.SetEpoch(b.epoch)
-		if b.sched != nil {
-			b.sched.EpochStep()
-		}
-	}
-}
-
-// runStepVirtualFlow executes one global step with gradient accumulation:
-// every physical worker runs its RefWorld/world virtual nodes sequentially,
-// locally summing their gradients, then the ring spans the physical workers.
-func (b *BaselineJob) runStepVirtualFlow() {
-	params := b.Workload.Params()
-	perWorker := b.Cfg.RefWorld / b.world
-	var lossSum float32
-	for w := 0; w < b.world; w++ {
-		first := true
-		for v := w * perWorker; v < (w+1)*perWorker; v++ {
-			ctx := &nn.Context{Dev: b.devs[w], RNG: b.rngs[v].Torch, Training: true}
-			x, labels := b.loader.Batch(b.step, v)
-			b.opt.ZeroGrad()
-			out := b.Workload.Net.Forward(ctx, x)
-			lossSum += b.Workload.Loss.Forward(ctx, out, labels)
-			b.Workload.Net.Backward(ctx, b.Workload.Loss.Backward(ctx))
-			for i, p := range params {
-				if first {
-					b.grads[w][i].CopyFrom(p.Grad)
-				} else {
-					b.grads[w][i].AddInPlace(p.Grad)
-				}
-			}
-			first = false
-		}
-	}
-	b.lastLoss = lossSum / float32(b.Cfg.RefWorld)
-	b.ddp.AllReduce(b.grads[:b.world], b.Cfg.RefWorld)
-	for i, p := range params {
-		p.Grad.CopyFrom(b.grads[0][i])
-	}
-	b.opt.Step()
-	b.globalStep++
-	b.step++
-	if b.step >= b.sampler.StepsPerEpoch() {
-		b.step = 0
-		b.epoch++
-		b.loader.SetEpoch(b.epoch)
-		if b.sched != nil {
-			b.sched.EpochStep()
-		}
-	}
-}
-
-// Evaluate runs the held-out set and returns overall and per-class accuracy.
-func (b *BaselineJob) Evaluate() (overall float64, perClass []float64) {
-	return EvaluateNet(b.Workload, b.devs[0], b.rngs[0].Torch)
-}
-
-// EvaluateNet computes held-out overall and per-class accuracy for a
-// workload's current parameters.
-func EvaluateNet(w *models.Workload, dev *device.Device, r *rng.Stream) (float64, []float64) {
-	ctx := &nn.Context{Dev: dev, RNG: r, Training: false}
-	ds := w.EvalDataset
-	correct := make([]int, w.Classes)
-	total := make([]int, w.Classes)
-	const batch = 64
-	for base := 0; base+batch <= ds.Len(); base += batch {
-		idx := make([]int, batch)
-		for i := range idx {
-			idx[i] = base + i
-		}
-		x, labels := data.MaterializeBatch(ds, idx, nil)
-		out := w.Net.Forward(ctx, x)
-		var preds []int
-		if out.Rank() == 2 && out.Dim(1) == w.Classes {
-			preds = out.ArgMaxRow()
-		} else {
-			flat := out.Reshape(-1)
-			preds = make([]int, flat.Size())
-			for i, v := range flat.Data {
-				if v > 0 {
-					preds[i] = 1
-				}
-			}
-		}
-		for i, lbl := range labels {
-			total[lbl]++
-			if preds[i] == lbl {
-				correct[lbl]++
-			}
-		}
-	}
-	perClass := make([]float64, w.Classes)
-	allC, allT := 0, 0
-	for c := 0; c < w.Classes; c++ {
-		if total[c] > 0 {
-			perClass[c] = float64(correct[c]) / float64(total[c])
-		}
-		allC += correct[c]
-		allT += total[c]
-	}
-	if allT == 0 {
-		return 0, perClass
-	}
-	return float64(allC) / float64(allT), perClass
+	return j, nil
 }

@@ -3,6 +3,8 @@ package elastic
 import (
 	"math"
 	"testing"
+
+	"repro/internal/core"
 )
 
 func baseCfg(fw Framework) BaselineConfig {
@@ -73,14 +75,15 @@ func TestBaselineTrainsAndLossDecreases(t *testing.T) {
 	for s := 0; s < 25; s++ {
 		j.RunStep()
 		if s == 0 {
-			first = j.LastLoss()
+			first = meanLoss(j)
 		}
-		last = j.LastLoss()
+		last = meanLoss(j)
 	}
 	if last >= first {
 		t.Fatalf("baseline loss did not decrease: %v → %v", first, last)
 	}
-	overall, perClass := j.Evaluate()
+	ev := j.Evaluate()
+	overall, perClass := ev.Overall, ev.PerClass
 	if overall < 0 || overall > 1 || len(perClass) != 10 {
 		t.Fatalf("eval: %v %v", overall, perClass)
 	}
@@ -92,7 +95,7 @@ func TestBaselineTrainsAndLossDecreases(t *testing.T) {
 // the target. Bitwise: TE at world 4 == DDP at world 4 (no adaptation at the
 // reference), TE at world 2 != DDP at world 4.
 func TestInconsistentAccuracyAcrossWorlds(t *testing.T) {
-	run := func(fw Framework, world, steps int) *BaselineJob {
+	run := func(fw Framework, world, steps int) *core.Job {
 		j, err := NewBaselineJob(baseCfg(fw), "vgg19", world)
 		if err != nil {
 			t.Fatal(err)
@@ -104,27 +107,26 @@ func TestInconsistentAccuracyAcrossWorlds(t *testing.T) {
 	}
 	ref := run(FixedDDP, 4, 10)
 	te4 := run(TorchElastic, 4, 10)
-	if !paramsEqual(ref, te4) {
+	if !core.ParamsEqual(ref, te4) {
 		t.Fatal("TorchElastic at the reference world must equal DDP (no adaptation applies)")
 	}
 	te2 := run(TorchElastic, 2, 20) // same number of samples
-	if paramsEqual(ref, te2) {
+	if core.ParamsEqual(ref, te2) {
 		t.Fatal("TorchElastic at world 2 should diverge from DDP at world 4")
 	}
 	px2 := run(Pollux, 2, 20)
-	if paramsEqual(ref, px2) || paramsEqual(te2, px2) {
+	if core.ParamsEqual(ref, px2) || core.ParamsEqual(te2, px2) {
 		t.Fatal("Pollux should diverge from both DDP and TorchElastic")
 	}
 }
 
-func paramsEqual(a, b *BaselineJob) bool {
-	pa, pb := a.Workload.Params(), b.Workload.Params()
-	for i := range pa {
-		if !pa[i].Value.Equal(pb[i].Value) {
-			return false
-		}
+// meanLoss is the mean of the workers' losses in the last step.
+func meanLoss(j *core.Job) float32 {
+	var sum float32
+	for _, l := range j.LastLosses() {
+		sum += l
 	}
-	return true
+	return sum / float32(len(j.LastLosses()))
 }
 
 func TestSimulatePackingOOMCrossover(t *testing.T) {
@@ -184,7 +186,7 @@ func TestPackingThroughputShape(t *testing.T) {
 // closely than TE/Pollux — but the changed reduction order still breaks
 // bitwise equality, the residual drift the paper cites.
 func TestVirtualFlowCloserButNotBitwise(t *testing.T) {
-	run := func(fw Framework, world, steps int) *BaselineJob {
+	run := func(fw Framework, world, steps int) *core.Job {
 		j, err := NewBaselineJob(baseCfg(fw), "vgg19", world)
 		if err != nil {
 			t.Fatal(err)
@@ -197,37 +199,24 @@ func TestVirtualFlowCloserButNotBitwise(t *testing.T) {
 	const steps = 15
 	ref := run(FixedDDP, 4, steps)
 	vf2 := run(VirtualFlow, 2, steps) // same #global steps: same samples
-	if paramsEqual(ref, vf2) {
+	if core.ParamsEqual(ref, vf2) {
 		t.Fatal("VirtualFlow at a different world should not be bitwise equal (reduction order changed)")
 	}
 	te2 := run(TorchElastic, 2, 2*steps)
-	dist := func(a, b *BaselineJob) float64 {
-		pa, pb := a.Workload.Params(), b.Workload.Params()
-		var m float64
-		for i := range pa {
-			if d := pa[i].Value.MaxAbsDiff(pb[i].Value); d > m {
-				m = d
-			}
-		}
-		return m
-	}
-	dVF := dist(ref, vf2)
-	dTE := dist(ref, te2)
+	dVF := drift(ref, vf2)
+	dTE := drift(ref, te2)
 	if dVF >= dTE {
 		t.Fatalf("VirtualFlow drift (%v) should be far below TorchElastic drift (%v)", dVF, dTE)
 	}
 	// VirtualFlow at the reference world degenerates to DDP exactly
 	vf4 := run(VirtualFlow, 4, steps)
-	if !paramsEqual(ref, vf4) {
+	if !core.ParamsEqual(ref, vf4) {
 		t.Fatal("VirtualFlow at the reference world must equal DDP bitwise")
 	}
 }
 
 func TestVirtualFlowRequiresDivisibleWorld(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewBaselineJob(baseCfg(VirtualFlow), "vgg19", 3)
+	if _, err := NewBaselineJob(baseCfg(VirtualFlow), "vgg19", 3); err == nil {
+		t.Fatal("expected an error")
+	}
 }

@@ -3,11 +3,9 @@ package elastic
 import (
 	"time"
 
-	"repro/internal/data"
+	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/models"
-	"repro/internal/nn"
-	"repro/internal/rng"
 )
 
 // Worker packing (Gandiva) multiplexes k full DDP worker processes on one
@@ -22,23 +20,6 @@ type PackingResult struct {
 	PeakMB     float64
 	OOM        bool
 	Throughput float64 // samples/second (aggregate)
-}
-
-// singleWorkerStepTime measures the simulated execution time of one training
-// step of one worker at the given batch size.
-func singleWorkerStepTime(w *models.Workload, batch int, dev *device.Device) time.Duration {
-	ctx := &nn.Context{Dev: dev, RNG: rng.New(1), Training: true}
-	idx := make([]int, batch)
-	for i := range idx {
-		idx[i] = i % w.Dataset.Len()
-	}
-	x, labels := data.MaterializeBatch(w.Dataset, idx, nil)
-	before := dev.Now()
-	dev.ChargeTime(2 * time.Millisecond) // kernel-launch overhead floor
-	out := w.Net.Forward(ctx, x)
-	w.Loss.Forward(ctx, out, labels)
-	w.Net.Backward(ctx, w.Loss.Backward(ctx))
-	return dev.Now() - before
 }
 
 // packingConcurrencyGain models the throughput benefit of concurrently
@@ -72,7 +53,7 @@ func SimulatePacking(workload string, k, batch, memMB int) PackingResult {
 	}
 	res.PeakMB = dev.PeakMB()
 
-	step := singleWorkerStepTime(w, batch, dev)
+	step := w.StepTime(dev, batch) + core.KernelLaunchOverhead
 	// k workers time-share the GPU with concurrency gain: aggregate
 	// throughput = gain × one worker's throughput.
 	perWorker := float64(batch) / step.Seconds()
@@ -101,7 +82,7 @@ func SimulateEasyScaleSharing(workload string, k, batch, memMB int) PackingResul
 	}
 	res.PeakMB = dev.PeakMB()
 
-	step := singleWorkerStepTime(w, batch, dev)
+	step := w.StepTime(dev, batch) + core.KernelLaunchOverhead
 	// k ESTs run sequentially: aggregate throughput equals one worker's,
 	// minus the context-switch overhead per mini-batch.
 	switchOverhead := 150 * time.Microsecond

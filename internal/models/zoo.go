@@ -3,6 +3,7 @@ package models
 import (
 	"fmt"
 	"sort"
+	"time"
 
 	"repro/internal/data"
 	"repro/internal/device"
@@ -298,20 +299,28 @@ func MustBuild(name string, seed uint64) *Workload {
 	return w
 }
 
-// StepFLOPs measures the simulated FLOP time of one forward+backward+loss
-// pass at the given batch size by running it on a scratch device and reading
-// the clock. The result feeds the companion module's capability estimates.
-func (w *Workload) StepFLOPs(batch int) float64 {
-	dev := device.New(device.V100, device.Config{DeterministicKernels: true, Selection: device.SelectHeuristic})
+// StepTime runs one forward+loss+backward pass at the given batch size on dev
+// and returns the simulated time it charged — the single step probe behind
+// the capability estimates and the Figure 10 packing model.
+func (w *Workload) StepTime(dev *device.Device, batch int) time.Duration {
 	ctx := &nn.Context{Dev: dev, RNG: rng.New(0), Training: true}
 	idx := make([]int, batch)
 	for i := range idx {
-		idx[i] = i
+		idx[i] = i % w.Dataset.Len()
 	}
 	x, labels := data.MaterializeBatch(w.Dataset, idx, nil)
+	before := dev.Now()
 	out := w.Net.Forward(ctx, x)
 	w.Loss.Forward(ctx, out, labels)
 	w.Net.Backward(ctx, w.Loss.Backward(ctx))
+	return dev.Now() - before
+}
+
+// StepFLOPs measures the simulated FLOP cost of one training pass at the
+// given batch size on a scratch device. The result feeds the companion
+// module's capability estimates.
+func (w *Workload) StepFLOPs(batch int) float64 {
+	dev := device.New(device.V100, device.Config{DeterministicKernels: true, Selection: device.SelectHeuristic})
 	// invert the device time model: seconds × peak = flops
-	return dev.Now().Seconds() * dev.Spec.PeakGFLOPS * 1e9
+	return w.StepTime(dev, batch).Seconds() * dev.Spec.PeakGFLOPS * 1e9
 }

@@ -191,16 +191,6 @@ func (t *Tensor) binaryCheck(o *Tensor, op string) {
 	}
 }
 
-// Add returns t + o elementwise.
-func (t *Tensor) Add(o *Tensor) *Tensor {
-	t.binaryCheck(o, "Add")
-	r := t.Clone()
-	for i := range r.Data {
-		r.Data[i] += o.Data[i]
-	}
-	return r
-}
-
 // AddInPlace accumulates o into t.
 //
 //easyscale:hotpath
@@ -209,25 +199,6 @@ func (t *Tensor) AddInPlace(o *Tensor) {
 	for i := range t.Data {
 		t.Data[i] += o.Data[i]
 	}
-}
-
-// Sub returns t - o elementwise.
-func (t *Tensor) Sub(o *Tensor) *Tensor {
-	t.binaryCheck(o, "Sub")
-	r := t.Clone()
-	for i := range r.Data {
-		r.Data[i] -= o.Data[i]
-	}
-	return r
-}
-
-// Scale returns t * s.
-func (t *Tensor) Scale(s float32) *Tensor {
-	r := t.Clone()
-	for i := range r.Data {
-		r.Data[i] *= s
-	}
-	return r
 }
 
 // ScaleInPlace multiplies t by s.
@@ -265,23 +236,6 @@ func (t *Tensor) MaxAbsDiff(o *Tensor) float64 {
 		}
 	}
 	return m
-}
-
-// Sum returns the sequential left-to-right sum of all elements.
-func (t *Tensor) Sum() float32 {
-	var s float32
-	for _, v := range t.Data {
-		s += v
-	}
-	return s
-}
-
-// Mean returns Sum()/Size().
-func (t *Tensor) Mean() float32 {
-	if len(t.Data) == 0 {
-		return 0
-	}
-	return t.Sum() / float32(len(t.Data))
 }
 
 // ArgMaxRow returns, for a 2-D tensor, the argmax of each row. Used for
