@@ -34,6 +34,7 @@ var reachAllow = []struct{ name, reason string }{
 	{"analysis.LoadDir", "seam: analyzer tests load one fixture directory from testdata, outside the module walk"},
 	{"data.Loader.Prefetch", "seam: fills the queuing buffer whose roll-back TestLoaderStateRoundTripMidEpoch checkpoints"},
 	{"sched.Companion.PlanFor", "seam: plan tests read the companion database for one exact resource vector"},
+	{"tensor.FromData", "seam: tests wrap literal values in a tensor of a given shape (its one non-test caller, checkpoint.Reader.Tensor, was itself test-only and is gone)"},
 }
 
 // stdlibIfaceMethods are method names that satisfy standard-library

@@ -10,6 +10,7 @@
 package checkpoint
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -24,7 +25,7 @@ import (
 // mismatches.
 var ErrCorrupt = errors.New("checkpoint: corrupt or truncated data")
 
-// Writer encodes a checkpoint into a byte buffer.
+// Writer encodes a checkpoint into a byte buffer; the zero value is empty.
 type Writer struct {
 	buf []byte
 }
@@ -32,8 +33,21 @@ type Writer struct {
 // NewWriter returns an empty Writer.
 func NewWriter() *Writer { return &Writer{} }
 
-// Bytes returns the encoded checkpoint.
+// Bytes returns the encoded checkpoint: the Writer's own buffer, valid until
+// the next Reset.
 func (w *Writer) Bytes() []byte { return w.buf }
+
+// Reset empties the Writer but keeps its capacity, so one that encodes message
+// after message stops allocating once it has seen the largest. The first
+// reserve bytes are zeroed for the caller to fill in through Bytes (dist's
+// frame header: header and payload then leave in one write).
+func (w *Writer) Reset(reserve int) {
+	w.buf = append(w.buf[:0], make([]byte, reserve)...)
+}
+
+// Grow makes room for n more bytes: an encoding of known size then costs one
+// allocation of that size, not a doubling series.
+func (w *Writer) Grow(n int) { w.buf = slices.Grow(w.buf, n) }
 
 // Len returns the current encoded size.
 func (w *Writer) Len() int { return len(w.buf) }
@@ -64,6 +78,12 @@ func (w *Writer) PutString(s string) {
 	w.buf = append(w.buf, s...)
 }
 
+// PutBytes appends a length-prefixed byte slice, in PutString's layout.
+func (w *Writer) PutBytes(b []byte) {
+	w.PutInt(len(b))
+	w.buf = append(w.buf, b...)
+}
+
 // PutFloat32s appends a length-prefixed float32 slice by bit pattern. The
 // buffer is reserved once up front, so encoding a large tensor costs one
 // reallocation instead of O(log n) whole-buffer copies from per-element
@@ -85,8 +105,10 @@ func (w *Writer) PutInts(vs []int) {
 	}
 }
 
-// PutTensor appends shape and data of a tensor.
+// PutTensor appends shape and data of a tensor, reserving its exact encoded
+// size first: a Writer that encodes one tensor allocates once.
 func (w *Writer) PutTensor(t *tensor.Tensor) {
+	w.Grow(8*(2+t.Rank()) + 4*t.Size())
 	w.PutInts(t.Shape())
 	w.PutFloat32s(t.Data)
 }
@@ -98,10 +120,14 @@ func (w *Writer) PutRNGState(st rng.State) {
 	}
 }
 
-// Reader decodes a checkpoint produced by Writer.
+// Reader decodes a checkpoint produced by Writer. Its errors are sticky: after
+// a failed read every later one fails the same way and returns a zero value,
+// so a decoder may read a run of fields and check Err once — provided nothing
+// before that check goes wrong on a zero (looping or allocating by one is fine).
 type Reader struct {
 	buf []byte
 	off int
+	err error
 }
 
 // NewReader wraps encoded bytes.
@@ -110,9 +136,19 @@ func NewReader(data []byte) *Reader { return &Reader{buf: data} }
 // Remaining returns the number of unread bytes.
 func (r *Reader) Remaining() int { return len(r.buf) - r.off }
 
+// Err returns the first error a read ran into, nil if none has.
+func (r *Reader) Err() error { return r.err }
+
+func (r *Reader) fail(err error) error {
+	r.err = cmp.Or(r.err, err)
+	return r.err
+}
+
 func (r *Reader) take(n int) ([]byte, error) {
-	if r.off+n > len(r.buf) {
-		return nil, ErrCorrupt
+	// compared against what is left, not off+n: a hostile length near
+	// MaxInt64 would overflow the sum and slip past the check into a panic
+	if r.err != nil || n < 0 || n > len(r.buf)-r.off {
+		return nil, r.fail(ErrCorrupt)
 	}
 	b := r.buf[r.off : r.off+n]
 	r.off += n
@@ -151,37 +187,50 @@ func (r *Reader) Float64() (float64, error) {
 
 // String reads a length-prefixed string.
 func (r *Reader) String() (string, error) {
-	n, err := r.Int()
-	if err != nil || n < 0 {
-		return "", ErrCorrupt
-	}
-	b, err := r.take(n)
+	b, err := r.Bytes()
 	return string(b), err
+}
+
+// Bytes reads a length-prefixed byte slice (PutBytes, PutString) without
+// copying it: the result is a view of the Reader's buffer, capped so an append
+// cannot reach the bytes behind it, for the caller to copy if it must outlive
+// that buffer.
+func (r *Reader) Bytes() ([]byte, error) {
+	n, _ := r.Int()
+	b, err := r.take(n)
+	return b[:len(b):len(b)], err
+}
+
+// count reads a length prefix of elements of the given encoded size, rejecting
+// one the unread bytes could not hold before anything is allocated by it.
+func (r *Reader) count(size int) (int, error) {
+	n, err := r.Int()
+	if err != nil || n < 0 || n > r.Remaining()/size {
+		return 0, r.fail(ErrCorrupt)
+	}
+	return n, nil
 }
 
 // Float32s reads a length-prefixed float32 slice.
 func (r *Reader) Float32s() ([]float32, error) {
-	n, err := r.Int()
-	if err != nil || n < 0 || n > r.Remaining()/4 {
-		return nil, ErrCorrupt
-	}
-	out := make([]float32, n)
-	if err := r.readFloat32s(out); err != nil {
+	n, err := r.count(4)
+	if err != nil {
 		return nil, err
 	}
-	return out, nil
+	out := make([]float32, n)
+	return out, r.readFloat32s(out)
 }
 
 // Float32sInto reads a length-prefixed float32 slice directly into dst,
 // which must have exactly the encoded length — the restore hot path, free of
 // the transient slice Float32s allocates.
 func (r *Reader) Float32sInto(dst []float32) error {
-	n, err := r.Int()
-	if err != nil || n < 0 || n > r.Remaining()/4 {
-		return ErrCorrupt
+	n, err := r.count(4)
+	if err != nil {
+		return err
 	}
 	if n != len(dst) {
-		return fmt.Errorf("%w: %d encoded floats into buffer of %d", ErrCorrupt, n, len(dst))
+		return r.fail(fmt.Errorf("%w: %d encoded floats into buffer of %d", ErrCorrupt, n, len(dst)))
 	}
 	return r.readFloat32s(dst)
 }
@@ -200,39 +249,15 @@ func (r *Reader) readFloat32s(dst []float32) error {
 
 // Ints reads a length-prefixed int slice.
 func (r *Reader) Ints() ([]int, error) {
-	n, err := r.Int()
-	if err != nil || n < 0 || n > r.Remaining()/8 {
-		return nil, ErrCorrupt
+	n, err := r.count(8)
+	if err != nil {
+		return nil, err
 	}
 	out := make([]int, n)
 	for i := range out {
-		if out[i], err = r.Int(); err != nil {
-			return nil, err
-		}
+		out[i], _ = r.Int() // count made sure of the bytes
 	}
 	return out, nil
-}
-
-// Tensor reads a tensor written by PutTensor. Corrupted shapes (negative or
-// implausibly large dimensions, or a numel that cannot fit in the remaining
-// bytes) are rejected before any data decoding or allocation.
-func (r *Reader) Tensor() (*tensor.Tensor, error) {
-	shape, err := r.Ints()
-	if err != nil {
-		return nil, err
-	}
-	numel, err := r.checkShape(shape)
-	if err != nil {
-		return nil, err
-	}
-	data, err := r.Float32s()
-	if err != nil {
-		return nil, err
-	}
-	if len(data) != numel {
-		return nil, fmt.Errorf("%w: tensor shape %v vs %d elements", ErrCorrupt, shape, len(data))
-	}
-	return tensor.FromData(data, shape...), nil
 }
 
 // checkShape validates a decoded shape and returns its element count. A shape
@@ -243,13 +268,13 @@ func (r *Reader) checkShape(shape []int) (int, error) {
 	numel := 1
 	for _, d := range shape {
 		if d < 0 || (d > 0 && numel > maxFrame/d) {
-			return 0, fmt.Errorf("%w: implausible tensor shape %v", ErrCorrupt, shape)
+			return 0, r.fail(fmt.Errorf("%w: implausible tensor shape %v", ErrCorrupt, shape))
 		}
 		numel *= d
 	}
 	if numel > r.Remaining()/4 {
-		return 0, fmt.Errorf("%w: tensor shape %v needs %d floats, %d bytes remain",
-			ErrCorrupt, shape, numel, r.Remaining())
+		return 0, r.fail(fmt.Errorf("%w: tensor shape %v needs %d floats, %d bytes remain",
+			ErrCorrupt, shape, numel, r.Remaining()))
 	}
 	return numel, nil
 }
@@ -271,21 +296,19 @@ const maxDims = 8
 func (r *Reader) TensorInto(dst *tensor.Tensor) error {
 	rank, err := r.Int()
 	if err != nil || rank < 0 || rank > maxDims {
-		return fmt.Errorf("%w: tensor rank %d", ErrCorrupt, rank)
+		return r.fail(fmt.Errorf("%w: tensor rank %d", ErrCorrupt, rank))
 	}
 	var dims [maxDims]int
 	shape := dims[:rank]
 	for i := range shape {
-		if shape[i], err = r.Int(); err != nil {
-			return err
-		}
+		shape[i], _ = r.Int() // sticky: a failed read fails the reads below
 	}
 	numel, err := r.checkShape(shape)
 	if err != nil {
 		return err
 	}
 	if numel != dst.Size() {
-		return fmt.Errorf("%w: restoring %v into %v", ErrCorrupt, shape, dst.Shape())
+		return r.fail(fmt.Errorf("%w: restoring %v into %v", ErrCorrupt, shape, dst.Shape()))
 	}
 	return r.Float32sInto(dst.Data)
 }
@@ -294,11 +317,7 @@ func (r *Reader) TensorInto(dst *tensor.Tensor) error {
 func (r *Reader) RNGState() (rng.State, error) {
 	var st rng.State
 	for i := range st.S {
-		w, err := r.Uint64()
-		if err != nil {
-			return st, err
-		}
-		st.S[i] = w
+		st.S[i], _ = r.Uint64()
 	}
-	return st, nil
+	return st, r.err
 }

@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"testing"
@@ -78,6 +79,23 @@ func TestSliceRoundTripProperty(t *testing.T) {
 	}
 }
 
+// readTensor reads a tensor written by PutTensor into a tensor of its own.
+func readTensor(r *Reader) (*tensor.Tensor, error) {
+	shape, err := r.Ints()
+	if err != nil {
+		return nil, err
+	}
+	numel, err := r.checkShape(shape)
+	if err != nil {
+		return nil, err
+	}
+	t := tensor.New(shape[:len(shape):len(shape)]...)
+	if t.Size() != numel {
+		return nil, ErrCorrupt
+	}
+	return t, r.Float32sInto(t.Data)
+}
+
 func TestTensorRoundTripBitwise(t *testing.T) {
 	src := tensor.New(3, 4)
 	s := rng.New(9)
@@ -90,7 +108,7 @@ func TestTensorRoundTripBitwise(t *testing.T) {
 	w := NewWriter()
 	w.PutTensor(src)
 	r := NewReader(w.Bytes())
-	got, err := r.Tensor()
+	got, err := readTensor(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +160,7 @@ func TestTruncationErrors(t *testing.T) {
 	full := w.Bytes()
 	for cut := 0; cut < len(full); cut += 5 {
 		r := NewReader(full[:cut])
-		if _, err := r.Tensor(); err == nil {
+		if _, err := readTensor(r); err == nil {
 			t.Fatalf("truncation at %d bytes not detected", cut)
 		}
 	}
@@ -174,5 +192,48 @@ func TestWriterLen(t *testing.T) {
 	w.PutUint64(1)
 	if w.Len() != 8 {
 		t.Fatalf("Len = %d, want 8", w.Len())
+	}
+}
+
+// TestWriterReuseAndByteViews: a Writer that is Reset keeps its capacity and
+// its reserved prefix; PutBytes is PutString's layout; Reader.Bytes is a view
+// that an append cannot grow into its neighbours; and a length no buffer could
+// hold — one that would overflow the offset sum — is corruption, not a panic.
+func TestWriterReuseAndByteViews(t *testing.T) {
+	var w Writer
+	w.Grow(64)
+	w.PutBytes([]byte("abc"))
+	w.PutInt(7)
+	viaString := NewWriter()
+	viaString.PutString("abc")
+	viaString.PutInt(7)
+	if !bytes.Equal(w.Bytes(), viaString.Bytes()) {
+		t.Fatal("PutBytes and PutString disagree on the layout")
+	}
+
+	r := NewReader(w.Bytes())
+	view, err := r.Bytes()
+	if err != nil || string(view) != "abc" || cap(view) != 3 {
+		t.Fatalf("Bytes: %q cap %d err %v", view, cap(view), err)
+	}
+	_ = append(view, 0xFF)
+	if n, err := r.Int(); err != nil || n != 7 {
+		t.Fatalf("an append to the view reached the next field: %d %v", n, err)
+	}
+
+	before := cap(w.Bytes())
+	w.Reset(5)
+	if got := w.Bytes(); len(got) != 5 || cap(got) != before || !bytes.Equal(got, make([]byte, 5)) {
+		t.Fatalf("Reset(5): len %d cap %d (was %d) bytes %v", len(got), cap(got), before, got)
+	}
+
+	huge := NewWriter()
+	huge.PutInt(math.MaxInt64)
+	huge.PutInt(1)
+	if _, err := NewReader(huge.Bytes()).String(); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("String with an overflowing length: %v", err)
+	}
+	if _, err := NewReader(huge.Bytes()).Bytes(); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Bytes with an overflowing length: %v", err)
 	}
 }

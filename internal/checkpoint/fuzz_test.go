@@ -67,7 +67,7 @@ func FuzzReader(f *testing.F) {
 			var err error
 			switch r.Remaining() % 7 {
 			case 0:
-				_, err = r.Tensor()
+				_, err = readTensor(r)
 			case 1:
 				_, err = r.String()
 			case 2:
@@ -123,7 +123,7 @@ func TestReaderCorruptionAlwaysErrCorrupt(t *testing.T) {
 			if r.Remaining() == 0 {
 				break
 			}
-			if _, err := r.Tensor(); err != nil {
+			if _, err := readTensor(r); err != nil {
 				if !errors.Is(err, ErrCorrupt) {
 					t.Fatalf("iteration %d: error %v does not wrap ErrCorrupt", i, err)
 				}

@@ -14,7 +14,7 @@ package checkpoint
 import (
 	"fmt"
 	"hash/crc32"
-	"hash/fnv"
+	"slices"
 )
 
 // Container/manifest magics guard against foreign byte streams; the version
@@ -35,9 +35,12 @@ const (
 // same function the tensor package uses for state hashing, so a shard's
 // address is stable across processes and architectures.
 func HashBytes(b []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(b)
-	return h.Sum64()
+	h := uint64(14695981039346656037)
+	for _, c := range b {
+		h ^= uint64(c)
+		h *= 1099511628211
+	}
+	return h
 }
 
 // ManifestEntry names one state group: its identifier, the content hash of
@@ -83,9 +86,15 @@ func (m Manifest) Diff(prev Manifest) []ManifestEntry {
 	return out
 }
 
-// Encode serializes the manifest with magic, version, and CRC trailer.
+// Encode serializes the manifest with magic, version, and CRC trailer, into
+// a buffer of exactly its size.
 func (m Manifest) Encode() []byte {
-	w := NewWriter()
+	size := 5 * 8 // magic, version, progress, entry count, CRC trailer
+	for _, e := range m.Entries {
+		size += 3*8 + len(e.ID)
+	}
+	var w Writer
+	w.Grow(size)
 	w.PutUint64(manifestMagic)
 	w.PutInt(manifestVersion)
 	w.PutUint64(uint64(m.Progress))
@@ -95,9 +104,21 @@ func (m Manifest) Encode() []byte {
 		w.PutUint64(e.Hash)
 		w.PutInt(e.Len)
 	}
-	payload := w.Bytes()
-	w.PutUint64(uint64(crc32.ChecksumIEEE(payload)))
+	w.PutUint64(uint64(crc32.ChecksumIEEE(w.Bytes())))
 	return w.Bytes()
+}
+
+// checkedReader verifies the CRC trailer of an encoded manifest or container
+// and returns a Reader over the bytes in front of it.
+func checkedReader(data []byte, what string) (*Reader, error) {
+	if len(data) < 8 {
+		return nil, fmt.Errorf("%w: %s too short", ErrCorrupt, what)
+	}
+	payload, trailer := data[:len(data)-8], data[len(data)-8:]
+	if sum, _ := NewReader(trailer).Uint64(); uint32(sum) != crc32.ChecksumIEEE(payload) {
+		return nil, fmt.Errorf("%w: %s checksum mismatch", ErrCorrupt, what)
+	}
+	return NewReader(payload), nil
 }
 
 // DecodeManifest parses a manifest encoded by Encode. Every malformed input
@@ -106,25 +127,17 @@ func (m Manifest) Encode() []byte {
 // panics or allocates beyond its own length.
 func DecodeManifest(data []byte) (Manifest, error) {
 	var m Manifest
-	if len(data) < 8 {
-		return m, fmt.Errorf("%w: manifest too short", ErrCorrupt)
+	r, err := checkedReader(data, "manifest")
+	if err != nil {
+		return m, err
 	}
-	payload, trailer := data[:len(data)-8], data[len(data)-8:]
-	sum, err := NewReader(trailer).Uint64()
-	if err != nil || uint32(sum) != crc32.ChecksumIEEE(payload) {
-		return m, fmt.Errorf("%w: manifest checksum mismatch", ErrCorrupt)
-	}
-	r := NewReader(payload)
 	if magic, err := r.Uint64(); err != nil || magic != manifestMagic {
 		return m, fmt.Errorf("%w: not a shard manifest", ErrCorrupt)
 	}
 	if v, err := r.Int(); err != nil || v != manifestVersion {
 		return m, fmt.Errorf("%w: unsupported manifest version", ErrCorrupt)
 	}
-	prog, err := r.Uint64()
-	if err != nil {
-		return m, err
-	}
+	prog, _ := r.Uint64()
 	m.Progress = int64(prog)
 	n, err := r.Int()
 	// each entry is at least 24 bytes (ID length prefix + hash + len), so a
@@ -135,17 +148,14 @@ func DecodeManifest(data []byte) (Manifest, error) {
 	m.Entries = make([]ManifestEntry, n)
 	for i := range m.Entries {
 		e := &m.Entries[i]
-		if e.ID, err = r.String(); err != nil {
+		e.ID, _ = r.String()
+		e.Hash, _ = r.Uint64()
+		e.Len, _ = r.Int()
+		if err := r.Err(); err != nil {
 			return m, err
 		}
 		if len(e.ID) == 0 || len(e.ID) > maxShardID {
 			return m, fmt.Errorf("%w: manifest entry id length %d", ErrCorrupt, len(e.ID))
-		}
-		if e.Hash, err = r.Uint64(); err != nil {
-			return m, err
-		}
-		if e.Len, err = r.Int(); err != nil {
-			return m, err
 		}
 		if e.Len < 0 || e.Len > maxFrame {
 			return m, fmt.Errorf("%w: manifest entry length %d", ErrCorrupt, e.Len)
@@ -162,20 +172,45 @@ type ShardSet struct {
 	byHash map[uint64][]byte
 }
 
-// NewShardSet returns an empty store.
-func NewShardSet() *ShardSet {
-	return &ShardSet{byHash: make(map[uint64][]byte)}
+// NewShardSet returns an empty store with room for n shards.
+func NewShardSet(n int) *ShardSet {
+	return &ShardSet{byHash: make(map[uint64][]byte, n)}
 }
 
 // Add stores shard bytes under hash after verifying the content address —
 // a shard whose bytes do not hash to its claimed address is corrupt,
-// whichever peer it came from. Idempotent for identical content.
+// whichever peer it came from. Idempotent for identical content. Every shard
+// off a socket or out of a container comes in here; the store keeps data
+// itself, not a copy.
 func (s *ShardSet) Add(hash uint64, data []byte) error {
 	if HashBytes(data) != hash {
 		return fmt.Errorf("%w: shard content does not match address %016x", ErrCorrupt, hash)
 	}
 	s.byHash[hash] = data
 	return nil
+}
+
+// Put stores shard bytes this process just encoded and returns their address:
+// the one hash of a locally built shard. Bytes from anywhere else go through
+// Add, which verifies the address they claim.
+func (s *ShardSet) Put(data []byte) uint64 {
+	h := HashBytes(data)
+	s.byHash[h] = data
+	return h
+}
+
+// Subset returns a store of exactly the shards m references, sharing their
+// bytes with s and re-hashing nothing: s verified or addressed them coming in.
+func (s *ShardSet) Subset(m Manifest) (*ShardSet, error) {
+	out := NewShardSet(len(m.Entries))
+	for _, e := range m.Entries {
+		b, ok := s.byHash[e.Hash]
+		if !ok {
+			return nil, fmt.Errorf("checkpoint: store lacks shard %q", e.ID)
+		}
+		out.byHash[e.Hash] = b
+	}
+	return out, nil
 }
 
 // Get returns the shard bytes stored under hash.
@@ -199,7 +234,7 @@ func (s *ShardSet) Len() int { return len(s.byHash) }
 // keeps the result deterministic.
 func (s *ShardSet) Missing(m Manifest) []ManifestEntry {
 	seen := make(map[uint64]bool, len(m.Entries))
-	var out []ManifestEntry
+	out := make([]ManifestEntry, 0, len(m.Entries))
 	for _, e := range m.Entries {
 		if seen[e.Hash] || s.Has(e.Hash) {
 			continue
@@ -216,30 +251,28 @@ func (s *ShardSet) Missing(m Manifest) []ManifestEntry {
 // reference order, so groups with identical content (for example zeroed
 // momentum tensors of equal shape) are stored once.
 func EncodeContainer(m Manifest, s *ShardSet) ([]byte, error) {
-	w := NewWriter()
-	w.PutUint64(containerMagic)
+	// what an empty store lacks: every distinct shard, in first-reference order
+	distinct := NewShardSet(0).Missing(m)
 	mb := m.Encode()
-	w.PutString(string(mb))
-	order := make([]uint64, 0, len(m.Entries))
-	seen := make(map[uint64]bool, len(m.Entries))
-	for _, e := range m.Entries {
-		if seen[e.Hash] {
-			continue
-		}
-		seen[e.Hash] = true
-		order = append(order, e.Hash)
-	}
-	w.PutInt(len(order))
-	for _, h := range order {
-		b, ok := s.Get(h)
+	size := 4*8 + len(mb) // magic, manifest length prefix, shard count, CRC trailer
+	for _, e := range distinct {
+		b, ok := s.Get(e.Hash)
 		if !ok {
-			return nil, fmt.Errorf("checkpoint: container missing shard %016x", h)
+			return nil, fmt.Errorf("checkpoint: container missing shard %016x", e.Hash)
 		}
-		w.PutUint64(h)
-		w.PutString(string(b))
+		size += 2*8 + len(b)
 	}
-	payload := w.Bytes()
-	w.PutUint64(uint64(crc32.ChecksumIEEE(payload)))
+	var w Writer
+	w.Grow(size)
+	w.PutUint64(containerMagic)
+	w.PutBytes(mb)
+	w.PutInt(len(distinct))
+	for _, e := range distinct {
+		b, _ := s.Get(e.Hash)
+		w.PutUint64(e.Hash)
+		w.PutBytes(b)
+	}
+	w.PutUint64(uint64(crc32.ChecksumIEEE(w.Bytes())))
 	return w.Bytes(), nil
 }
 
@@ -248,23 +281,18 @@ func EncodeContainer(m Manifest, s *ShardSet) ([]byte, error) {
 // covers the manifest. Errors wrap ErrCorrupt.
 func DecodeContainer(data []byte) (Manifest, *ShardSet, error) {
 	var m Manifest
-	if len(data) < 8 {
-		return m, nil, fmt.Errorf("%w: container too short", ErrCorrupt)
-	}
-	payload, trailer := data[:len(data)-8], data[len(data)-8:]
-	sum, err := NewReader(trailer).Uint64()
-	if err != nil || uint32(sum) != crc32.ChecksumIEEE(payload) {
-		return m, nil, fmt.Errorf("%w: container checksum mismatch", ErrCorrupt)
-	}
-	r := NewReader(payload)
-	if magic, err := r.Uint64(); err != nil || magic != containerMagic {
-		return m, nil, fmt.Errorf("%w: not a shard container", ErrCorrupt)
-	}
-	mb, err := r.String()
+	r, err := checkedReader(data, "container")
 	if err != nil {
 		return m, nil, err
 	}
-	if m, err = DecodeManifest([]byte(mb)); err != nil {
+	if magic, err := r.Uint64(); err != nil || magic != containerMagic {
+		return m, nil, fmt.Errorf("%w: not a shard container", ErrCorrupt)
+	}
+	mb, err := r.Bytes()
+	if err != nil {
+		return m, nil, err
+	}
+	if m, err = DecodeManifest(mb); err != nil {
 		return m, nil, err
 	}
 	n, err := r.Int()
@@ -272,17 +300,15 @@ func DecodeContainer(data []byte) (Manifest, *ShardSet, error) {
 	if err != nil || n < 0 || n > maxShards || n > r.Remaining()/16 {
 		return m, nil, fmt.Errorf("%w: container shard count %d", ErrCorrupt, n)
 	}
-	set := NewShardSet()
+	set := NewShardSet(n)
 	for i := 0; i < n; i++ {
-		h, err := r.Uint64()
+		h, _ := r.Uint64()
+		b, err := r.Bytes()
 		if err != nil {
 			return m, nil, err
 		}
-		b, err := r.String()
-		if err != nil {
-			return m, nil, err
-		}
-		if err := set.Add(h, []byte(b)); err != nil {
+		// the store outlives data, the caller's: a shard's one copy, exact size
+		if err := set.Add(h, slices.Clone(b)); err != nil {
 			return m, nil, err
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"hash/fnv"
 	"testing"
 
 	"repro/internal/rng"
@@ -14,7 +15,7 @@ import (
 // entry hashes and lengths are honest content addresses.
 func randomManifest(s *rng.Stream, groups int) (Manifest, *ShardSet) {
 	m := Manifest{Progress: int64(s.Intn(1 << 30))}
-	set := NewShardSet()
+	set := NewShardSet(0)
 	for g := 0; g < groups; g++ {
 		w := NewWriter()
 		// a random tag keeps shard contents distinct across groups and
@@ -174,7 +175,7 @@ func TestContainerCorruptionAlwaysErrCorrupt(t *testing.T) {
 // claimed address is rejected — the property that makes fetching from any
 // peer safe.
 func TestShardSetAddVerifiesAddress(t *testing.T) {
-	set := NewShardSet()
+	set := NewShardSet(0)
 	b := []byte("shard-bytes")
 	if err := set.Add(HashBytes(b), b); err != nil {
 		t.Fatal(err)
@@ -187,12 +188,43 @@ func TestShardSetAddVerifiesAddress(t *testing.T) {
 	}
 }
 
+// TestShardSetPutAndSubset: Put addresses locally built bytes with the hash
+// Add would have verified (FNV-1a, pinned against hash/fnv), and Subset keeps
+// exactly a manifest's shards, sharing their bytes, and reports a gap.
+func TestShardSetPutAndSubset(t *testing.T) {
+	set := NewShardSet(2)
+	keep, drop := []byte("kept shard"), []byte("dropped shard")
+	ref := fnv.New64a()
+	ref.Write(keep)
+	hk := set.Put(keep)
+	if hk != ref.Sum64() || hk != HashBytes(keep) {
+		t.Fatalf("Put addressed the shard %016x, hash/fnv says %016x", hk, ref.Sum64())
+	}
+	if err := set.Add(hk, keep); err != nil {
+		t.Fatalf("Add rejects the address Put computed: %v", err)
+	}
+	set.Put(drop)
+
+	m := Manifest{Entries: []ManifestEntry{{ID: "a", Hash: hk, Len: len(keep)}}}
+	sub, err := set.Subset(m)
+	if err != nil || sub.Len() != 1 {
+		t.Fatalf("Subset: %d shards, err %v", sub.Len(), err)
+	}
+	if b, ok := sub.Get(hk); !ok || &b[0] != &keep[0] {
+		t.Fatal("Subset does not share the kept shard's bytes")
+	}
+	m.Entries = append(m.Entries, ManifestEntry{ID: "b", Hash: hk ^ 1})
+	if _, err := set.Subset(m); err == nil {
+		t.Fatal("Subset of a manifest the store does not cover must error")
+	}
+}
+
 // TestShardSetMissingDeterministic: Missing reports manifest order with
 // duplicate hashes collapsed, independent of insertion history.
 func TestShardSetMissingDeterministic(t *testing.T) {
 	s := rng.New(45)
 	m, set := randomManifest(s, 10)
-	partial := NewShardSet()
+	partial := NewShardSet(0)
 	for i, e := range m.Entries {
 		if i%2 == 0 {
 			b, _ := set.Get(e.Hash)

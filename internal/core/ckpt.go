@@ -2,6 +2,9 @@ package core
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
+	"strings"
 
 	"repro/internal/checkpoint"
 	"repro/internal/comm"
@@ -24,27 +27,48 @@ const (
 // indexed in model/rank order. Restore walks the manifest by ID, so shard
 // *arrival* order (which peer shipped what first) can never affect the
 // decoded state.
-const metaGroup = "meta"
+const (
+	metaGroup    = "meta"
+	paramPrefix  = "param/"
+	momentPrefix = "moment/"
+	estPrefix    = "est/"
+)
 
-func paramGroup(i int) string  { return fmt.Sprintf("param/%04d", i) }
-func momentGroup(i int) string { return fmt.Sprintf("moment/%04d", i) }
-func estGroup(r int) string    { return fmt.Sprintf("est/%04d", r) }
+// groupIDs is a job's table of indexed group identifiers, formatted once when
+// the job is built: BuildShards and restore name a hundred groups per call.
+type groupIDs struct{ param, moment, est []string }
+
+func newGroupIDs(params, moments, ests int) groupIDs {
+	table := func(prefix string, n int) []string {
+		ids := make([]string, n)
+		for i := range ids {
+			ids[i] = fmt.Sprintf(prefix+"%04d", i)
+		}
+		return ids
+	}
+	return groupIDs{table(paramPrefix, params), table(momentPrefix, moments), table(estPrefix, ests)}
+}
 
 // MetaShardID is the manifest ID of the extra-states group, exported for the
 // dist runtime's migration routing (the meta shard is served by the leader).
 const MetaShardID = metaGroup
 
 // ESTShardID returns the manifest ID of virtual rank r's context shard.
-func ESTShardID(r int) string { return estGroup(r) }
+func ESTShardID(r int) string { return fmt.Sprintf(estPrefix+"%04d", r) }
 
 // ESTShardRank parses an EST shard ID back to its virtual rank; ok is false
 // for any other group ID.
 func ESTShardRank(id string) (r int, ok bool) {
-	var n int
-	if _, err := fmt.Sscanf(id, "est/%04d", &n); err != nil || id != estGroup(n) {
+	digits, ok := strings.CutPrefix(id, estPrefix)
+	// canonical %04d only: at least four digits, a leading zero only as padding
+	if !ok || len(digits) < 4 || (len(digits) > 4 && digits[0] == '0') {
 		return 0, false
 	}
-	return n, true
+	n, err := strconv.ParseUint(digits, 10, 31)
+	if err != nil {
+		return 0, false
+	}
+	return int(n), true
 }
 
 // BuildShards cuts the job's full checkpoint state into content-addressed
@@ -54,29 +78,36 @@ func ESTShardRank(id string) (r int, ok bool) {
 // identical manifest and a peer holding the previous shards needs only
 // Manifest.Diff — the job remembers nothing between calls.
 func (j *Job) BuildShards() (checkpoint.Manifest, *checkpoint.ShardSet) {
-	set := checkpoint.NewShardSet()
-	m := checkpoint.Manifest{Progress: int64(j.globalStep)}
-	add := func(id string, data []byte) {
-		h := checkpoint.HashBytes(data)
-		_ = set.Add(h, data) // hash just computed from data; cannot mismatch
-		m.Entries = append(m.Entries, checkpoint.ManifestEntry{ID: id, Hash: h, Len: len(data)})
+	params, moments := j.replicas[0].params, j.opt.StateTensors()
+	groups := 1 + len(params) + len(moments) + len(j.ests)
+	set := checkpoint.NewShardSet(groups)
+	m := checkpoint.Manifest{Progress: int64(j.globalStep), Entries: make([]checkpoint.ManifestEntry, 0, groups)}
+	put := func(id string, data []byte) {
+		m.Entries = append(m.Entries, checkpoint.ManifestEntry{ID: id, Hash: set.Put(data), Len: len(data)})
 	}
-	tensorBytes := func(t *tensor.Tensor) []byte {
-		w := checkpoint.NewWriter()
+	// the store keeps each group's bytes, so each gets a buffer of exactly its
+	// size: PutTensor reserves a tensor's, the irregular meta and EST groups
+	// are encoded in scratch and cloned
+	addTensor := func(id string, t *tensor.Tensor) {
+		var w checkpoint.Writer
 		w.PutTensor(t)
-		return w.Bytes()
+		put(id, w.Bytes())
 	}
+	var scratch checkpoint.Writer
 
-	add(metaGroup, j.encodeMetaGroup())
-	for i, p := range j.Workload.Params() {
-		add(paramGroup(i), tensorBytes(p.Value))
+	j.encodeMetaGroup(&scratch)
+	put(metaGroup, slices.Clone(scratch.Bytes()))
+	for i, p := range params {
+		addTensor(j.ids.param[i], p.Value)
 	}
-	for i, mom := range j.opt.StateTensors() {
-		add(momentGroup(i), tensorBytes(mom))
+	for i, mom := range moments {
+		addTensor(j.ids.moment[i], mom)
 	}
 	cursors := j.loader.State().NextStep
 	for r, est := range j.ests {
-		add(estGroup(r), encodeESTGroup(est, cursors[r]))
+		scratch.Reset(0)
+		encodeESTGroup(&scratch, est, cursors[r])
+		put(j.ids.est[r], slices.Clone(scratch.Bytes()))
 	}
 	return m, set
 }
@@ -84,8 +115,7 @@ func (j *Job) BuildShards() (checkpoint.Manifest, *checkpoint.ShardSet) {
 // encodeMetaGroup serializes the checkpoint's "extra states" (§3.2): job
 // identity, training progress, optimizer scalars, LR scheduler, data-loader
 // worker states, and the gradient-bucket mapping.
-func (j *Job) encodeMetaGroup() []byte {
-	w := checkpoint.NewWriter()
+func (j *Job) encodeMetaGroup(w *checkpoint.Writer) {
 	w.PutUint64(ckptMagic)
 	w.PutInt(ckptVersion)
 
@@ -104,7 +134,7 @@ func (j *Job) encodeMetaGroup() []byte {
 	w.PutInt(j.globalStep)
 
 	// group counts, so restore can cross-check the manifest against the model
-	w.PutInt(len(j.Workload.Params()))
+	w.PutInt(len(j.replicas[0].params))
 	w.PutInt(len(j.opt.StateTensors()))
 	w.PutInt(len(j.ests))
 
@@ -137,7 +167,6 @@ func (j *Job) encodeMetaGroup() []byte {
 	for _, b := range plan.Buckets {
 		w.PutInts(b)
 	}
-	return w.Bytes()
 }
 
 // Checkpoint captures the job's on-demand checkpoint (§3.2, Figure 6) as a
@@ -193,26 +222,22 @@ func RestoreJobShards(cfg Config, m checkpoint.Manifest, set *checkpoint.ShardSe
 	if err != nil {
 		return nil, err
 	}
+	// read in runs of fields: r's errors are sticky, so each run is checked
+	// once, before anything acts on what it read
 	if magic, err := r.Uint64(); err != nil || magic != ckptMagic {
 		return nil, fmt.Errorf("core: not an EasyScale checkpoint")
 	}
 	if v, err := r.Int(); err != nil || v != ckptVersion {
 		return nil, fmt.Errorf("core: unsupported checkpoint version")
 	}
-	name, err2 := r.String()
-	if err2 != nil {
-		return nil, err2
-	}
+	name, _ := r.String()
 	seed, _ := r.Uint64()
 	numESTs, _ := r.Int()
 	batch, _ := r.Int()
 	level, _ := r.Int()
-	d2, err := r.Bool()
-	if err != nil {
-		return nil, err
-	}
-	d2Block, err := r.Int()
-	if err != nil {
+	d2, _ := r.Bool()
+	d2Block, _ := r.Int()
+	if err := r.Err(); err != nil {
 		return nil, err
 	}
 	if seed != cfg.Seed || numESTs != cfg.NumESTs || batch != cfg.BatchPerEST ||
@@ -225,62 +250,30 @@ func RestoreJobShards(cfg Config, m checkpoint.Manifest, set *checkpoint.ShardSe
 	if err != nil {
 		return nil, err
 	}
+	params, momentum := j.replicas[0].params, j.opt.StateTensors()
 
-	if j.epoch, err = r.Int(); err != nil {
-		return nil, err
-	}
-	if j.step, err = r.Int(); err != nil {
-		return nil, err
-	}
-	if j.globalStep, err = r.Int(); err != nil {
+	j.epoch, _ = r.Int()
+	j.step, _ = r.Int()
+	j.globalStep, _ = r.Int()
+	np, _ := r.Int()
+	nm, _ := r.Int()
+	ne, _ := r.Int()
+	steps, _ := r.Int()
+	lr, _ := r.Float64()
+	schedEpoch, _ := r.Int()
+	var ls data.State
+	ls.Epoch, _ = r.Int()
+	ls.NextStep, _ = r.Ints()
+	rows, _ := r.Int()
+	if err := r.Err(); err != nil {
 		return nil, err
 	}
 	if j.epoch < 0 || j.step < 0 || j.step >= j.sampler.StepsPerEpoch() || j.globalStep < 0 {
 		return nil, fmt.Errorf("core: checkpoint progress out of range (epoch=%d step=%d global=%d)", j.epoch, j.step, j.globalStep)
 	}
-
-	params := j.Workload.Params()
-	np, err := r.Int()
-	if err != nil || np != len(params) {
-		return nil, fmt.Errorf("core: checkpoint has %d params, model has %d", np, len(params))
-	}
-	momentum := j.opt.StateTensors()
-	nm, err := r.Int()
-	if err != nil || nm != len(momentum) {
-		return nil, fmt.Errorf("core: optimizer state mismatch")
-	}
-	ne, err := r.Int()
-	if err != nil || ne != len(j.ests) {
-		return nil, fmt.Errorf("core: checkpoint has %d ESTs, job has %d", ne, len(j.ests))
-	}
-
-	steps, _ := r.Int()
-	j.opt.SetStepCount(steps)
-	lr, err := r.Float64()
-	if err != nil {
-		return nil, err
-	}
-	j.opt.SetLR(lr)
-
-	schedEpoch, err := r.Int()
-	if err != nil {
-		return nil, err
-	}
-	if j.sched != nil && schedEpoch >= 0 {
-		j.sched.SetEpoch(schedEpoch)
-	}
-
-	// loader state
-	var ls data.State
-	if ls.Epoch, err = r.Int(); err != nil {
-		return nil, err
-	}
-	if ls.NextStep, err = r.Ints(); err != nil {
-		return nil, err
-	}
-	rows, err := r.Int()
-	if err != nil {
-		return nil, err
+	if np != len(params) || nm != len(momentum) || ne != len(j.ests) {
+		return nil, fmt.Errorf("core: checkpoint has %d params, %d moments and %d ESTs, the job %d, %d and %d",
+			np, nm, ne, len(params), len(momentum), len(j.ests))
 	}
 	if rows != cfg.NumESTs || len(ls.NextStep) != cfg.NumESTs {
 		return nil, fmt.Errorf("core: checkpoint loader geometry mismatch")
@@ -290,36 +283,33 @@ func RestoreJobShards(cfg Config, m checkpoint.Manifest, set *checkpoint.ShardSe
 			return nil, fmt.Errorf("core: checkpoint loader cursor %d out of range", c)
 		}
 	}
+	j.opt.SetStepCount(steps)
+	j.opt.SetLR(lr)
+	if j.sched != nil && schedEpoch >= 0 {
+		j.sched.SetEpoch(schedEpoch)
+	}
+
 	ls.Streams = make([][]rng.State, rows)
 	for i := range ls.Streams {
-		cols, err := r.Int()
-		if err != nil {
-			return nil, err
-		}
-		if cols != cfg.DataWorkersPerEST {
+		if cols, err := r.Int(); err != nil || cols != cfg.DataWorkersPerEST {
 			return nil, fmt.Errorf("core: checkpoint data-worker geometry mismatch")
 		}
-		ls.Streams[i] = make([]rng.State, cols)
+		ls.Streams[i] = make([]rng.State, cfg.DataWorkersPerEST)
 		for c := range ls.Streams[i] {
-			if ls.Streams[i][c], err = r.RNGState(); err != nil {
-				return nil, err
-			}
+			ls.Streams[i][c], _ = r.RNGState()
 		}
+	}
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
 	j.loader.Restore(ls)
 
 	// bucket mapping
-	rebuilt, err := r.Bool()
-	if err != nil {
-		return nil, err
-	}
-	nb, err := r.Int()
-	if err != nil {
-		return nil, err
-	}
+	rebuilt, _ := r.Bool()
+	nb, _ := r.Int()
 	// each bucket costs at least its own 8-byte length prefix, so a count
 	// beyond Remaining()/8 cannot be backed by real payload
-	if nb < 0 || nb > r.Remaining()/8 {
+	if r.Err() != nil || nb < 0 || nb > r.Remaining()/8 {
 		return nil, fmt.Errorf("core: checkpoint bucket plan corrupt")
 	}
 	buckets := make([][]int, nb)
@@ -351,28 +341,27 @@ func RestoreJobShards(cfg Config, m checkpoint.Manifest, set *checkpoint.ShardSe
 	// rebuild from its own first mini-batch — the paper's D0 divergence
 
 	// parameters and optimizer moments, one shard each
-	for i, p := range params {
-		gr, err := group(paramGroup(i))
+	tensorGroup := func(id string, dst *tensor.Tensor) error {
+		gr, err := group(id)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if err := gr.TensorInto(p.Value); err != nil {
+		return gr.TensorInto(dst)
+	}
+	for i, p := range params {
+		if err := tensorGroup(j.ids.param[i], p.Value); err != nil {
 			return nil, err
 		}
 	}
 	for i, mom := range momentum {
-		gr, err := group(momentGroup(i))
-		if err != nil {
-			return nil, err
-		}
-		if err := gr.TensorInto(mom); err != nil {
+		if err := tensorGroup(j.ids.moment[i], mom); err != nil {
 			return nil, err
 		}
 	}
 
 	// EST contexts, one shard per virtual rank
 	for want, est := range j.ests {
-		gr, err := group(estGroup(want))
+		gr, err := group(j.ids.est[want])
 		if err != nil {
 			return nil, err
 		}
@@ -381,7 +370,7 @@ func RestoreJobShards(cfg Config, m checkpoint.Manifest, set *checkpoint.ShardSe
 			return nil, err
 		}
 		if rank != want {
-			return nil, fmt.Errorf("core: checkpoint EST shard rank %d under id %q", rank, estGroup(want))
+			return nil, fmt.Errorf("core: checkpoint EST shard rank %d under id %q", rank, j.ids.est[want])
 		}
 		if cursor != ls.NextStep[want] {
 			return nil, fmt.Errorf("core: EST %d cursor %d disagrees with loader state %d", want, cursor, ls.NextStep[want])

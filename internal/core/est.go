@@ -22,13 +22,15 @@ type ESTContext struct {
 	// stats) as this EST's replica would hold them.
 	ModelState []*tensor.Tensor
 	// Gradients is the EST's last local-step gradient set, swapped to host
-	// memory between the local step and the global synchronization.
+	// memory between the local step and the global synchronization; allocated
+	// by the EST's first local step here, so a distributed worker holds
+	// gradient sets only for the ESTs it has hosted.
 	Gradients []*tensor.Tensor
 }
 
 // newESTContext derives an EST's initial context from the job seed and the
 // model's initial implicit state.
-func newESTContext(seed uint64, rank int, modelState []*tensor.Tensor, paramShapes [][]int) *ESTContext {
+func newESTContext(seed uint64, rank int, modelState []*tensor.Tensor) *ESTContext {
 	c := &ESTContext{
 		VirtualRank: rank,
 		RNG:         rng.NewBundle(seed ^ (uint64(rank)+1)*0x9e3779b97f4a7c15),
@@ -36,10 +38,6 @@ func newESTContext(seed uint64, rank int, modelState []*tensor.Tensor, paramShap
 	c.ModelState = make([]*tensor.Tensor, len(modelState))
 	for i, st := range modelState {
 		c.ModelState[i] = st.Clone()
-	}
-	c.Gradients = make([]*tensor.Tensor, len(paramShapes))
-	for i, shape := range paramShapes {
-		c.Gradients[i] = tensor.New(shape...)
 	}
 	return c
 }

@@ -15,9 +15,8 @@ import (
 // context shipping at phase boundaries, and live worker-to-worker migration:
 // one codec, one bitwise contract.
 
-// encodeESTGroup serializes one EST's shard payload.
-func encodeESTGroup(est *ESTContext, cursor int) []byte {
-	w := checkpoint.NewWriter()
+// encodeESTGroup serializes one EST's shard payload into w.
+func encodeESTGroup(w *checkpoint.Writer, est *ESTContext, cursor int) {
 	w.PutInt(est.VirtualRank)
 	bs := est.RNG.State()
 	w.PutRNGState(bs.Python)
@@ -28,27 +27,18 @@ func encodeESTGroup(est *ESTContext, cursor int) []byte {
 		w.PutTensor(st)
 	}
 	w.PutInt(cursor)
-	return w.Bytes()
 }
 
 // decodeESTGroup installs an EST shard payload into est, returning the
 // encoded rank and data cursor for the caller to validate and apply.
 func decodeESTGroup(r *checkpoint.Reader, est *ESTContext) (rank, cursor int, err error) {
-	if rank, err = r.Int(); err != nil {
-		return 0, 0, err
-	}
+	rank, _ = r.Int()
 	var bs rng.BundleState
-	if bs.Python, err = r.RNGState(); err != nil {
-		return 0, 0, err
-	}
-	if bs.NumPy, err = r.RNGState(); err != nil {
-		return 0, 0, err
-	}
-	if bs.Torch, err = r.RNGState(); err != nil {
-		return 0, 0, err
-	}
-	n, err := r.Int()
-	if err != nil || n != len(est.ModelState) {
+	bs.Python, _ = r.RNGState()
+	bs.NumPy, _ = r.RNGState()
+	bs.Torch, _ = r.RNGState()
+	// r's errors are sticky: one check covers the reads above
+	if n, err := r.Int(); err != nil || n != len(est.ModelState) {
 		return 0, 0, fmt.Errorf("core: EST context model state mismatch")
 	}
 	// RNG is installed only after the counts check; tensor decodes below
@@ -60,16 +50,16 @@ func decodeESTGroup(r *checkpoint.Reader, est *ESTContext) (rank, cursor int, er
 			return 0, 0, err
 		}
 	}
-	if cursor, err = r.Int(); err != nil {
-		return 0, 0, err
-	}
-	return rank, cursor, nil
+	cursor, err = r.Int()
+	return rank, cursor, err
 }
 
 // ExportESTContext serializes EST rank's context — the payload of the
 // est/NNNN shard: RNG bundle, implicit model state, and data cursor.
 func (j *Job) ExportESTContext(rank int) []byte {
-	return encodeESTGroup(j.ests[rank], j.loader.State().NextStep[rank])
+	var w checkpoint.Writer
+	encodeESTGroup(&w, j.ests[rank], j.loader.State().NextStep[rank])
+	return w.Bytes()
 }
 
 // ImportESTContext installs a context exported by the EST's hosting worker,
@@ -78,17 +68,15 @@ func (j *Job) ExportESTContext(rank int) []byte {
 // rank must match the shard's encoded rank, and the cursor may only move
 // forward.
 func (j *Job) ImportESTContext(data []byte) error {
-	r := checkpoint.NewReader(data)
-	rank, err := r.Int()
+	// the rank is read ahead, to find the context the payload decodes into
+	rank, err := checkpoint.NewReader(data).Int()
 	if err != nil {
 		return err
 	}
 	if rank < 0 || rank >= len(j.ests) {
 		return fmt.Errorf("core: EST context for rank %d out of range", rank)
 	}
-	// re-decode from the start so decodeESTGroup owns the full layout
-	r = checkpoint.NewReader(data)
-	_, cursor, err := decodeESTGroup(r, j.ests[rank])
+	_, cursor, err := decodeESTGroup(checkpoint.NewReader(data), j.ests[rank])
 	if err != nil {
 		return err
 	}

@@ -27,6 +27,7 @@ type Job struct {
 	opt     *optim.SGD
 	sched   optim.LRScheduler
 	ests    []*ESTContext
+	ids     groupIDs // shard group identifiers, see ckpt.go
 
 	// grads[i] is parameter i's gradient tensor on replica 0 — what the
 	// optimizer reads, and where a step's averaged buckets land.
@@ -80,11 +81,9 @@ func NewJob(cfg Config, workloadName string) (*Job, error) {
 	j.replicas = []*replica{newReplica(w.Net, w.Loss)}
 	params := j.replicas[0].params
 	sizes := make([]int, len(params))
-	shapes := make([][]int, len(params))
 	j.grads = make([]*tensor.Tensor, len(params))
 	for i, p := range params {
 		sizes[i] = p.Value.Size()
-		shapes[i] = p.Value.Shape()
 		j.grads[i] = p.Grad
 	}
 	j.ddp = comm.NewElasticDDP(sizes, cfg.BucketCapElems)
@@ -95,8 +94,9 @@ func NewJob(cfg Config, workloadName string) (*Job, error) {
 
 	j.ests = make([]*ESTContext, cfg.NumESTs)
 	for r := 0; r < cfg.NumESTs; r++ {
-		j.ests[r] = newESTContext(cfg.Seed, r, j.replicas[0].state, shapes)
+		j.ests[r] = newESTContext(cfg.Seed, r, j.replicas[0].state)
 	}
+	j.ids = newGroupIDs(len(params), len(j.opt.StateTensors()), cfg.NumESTs)
 	j.lastLosses = make([]float32, cfg.NumESTs)
 	j.estTimes = make([]time.Duration, cfg.NumESTs)
 	j.stepScratch = pool.NewScope()
@@ -283,6 +283,12 @@ func (j *Job) localStep(rep *replica, est *ESTContext, dev *device.Device, lastO
 		hidden := time.Duration(float64(computeDur) * overlap)
 		if copyDur > hidden {
 			dev.ChargeTime(copyDur - hidden)
+		}
+	}
+	if est.Gradients == nil {
+		est.Gradients = make([]*tensor.Tensor, len(rep.params))
+		for i, p := range rep.params {
+			est.Gradients[i] = tensor.New(p.Grad.Shape()...)
 		}
 	}
 	for i, p := range rep.params {

@@ -39,7 +39,7 @@ func TestBuildShardsDeltaReuse(t *testing.T) {
 	}
 
 	// incremental ship: a holder of the previous shards needs only the delta
-	inc := checkpoint.NewShardSet()
+	inc := checkpoint.NewShardSet(0)
 	for _, e := range m3.Entries {
 		if b, ok := s1.Get(e.Hash); ok {
 			if err := inc.Add(e.Hash, b); err != nil {
@@ -305,5 +305,49 @@ func TestFailedScaleLiveKeepsJobTraining(t *testing.T) {
 				t.Fatal("a refused rescale reached the losses")
 			}
 		})
+	}
+}
+
+// TestCheckpointBytesGolden pins the checkpoint format: the container of a
+// fixed-seed bert job after three steps hashes (FNV-64a over its 51,337
+// bytes) to the value recorded before shards, manifests and containers were
+// encoded into exactly sized buffers, so "the wire format did not change by a
+// byte" is a test and not a claim.
+func TestCheckpointBytesGolden(t *testing.T) {
+	cfg := DefaultConfig(4)
+	cfg.BatchPerEST = 4
+	cfg.Seed = 7
+	j, err := NewJob(cfg, "bert")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Attach(EvenPlacement(4, device.V100, device.V100)); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.RunSteps(3); err != nil {
+		t.Fatal(err)
+	}
+	ckpt := j.Checkpoint()
+	if h := checkpoint.HashBytes(ckpt); len(ckpt) != 51337 || h != 0x6d160bc802455c79 {
+		t.Fatalf("checkpoint is %d bytes hashing to %#x, want 51337 and 0x6d160bc802455c79", len(ckpt), h)
+	}
+	if h := checkpoint.HashBytes(j.ExportESTContext(0)); h != 0x8beaf6eb836fc9b2 {
+		t.Fatalf("EST context hashes to %#x, want 0x8beaf6eb836fc9b2", h)
+	}
+}
+
+// TestESTShardRankParsesCanonicalIDsOnly: the rank parser inverts ESTShardID
+// and nothing else — every other group ID, and every non-canonical spelling
+// of a rank, is not an EST shard.
+func TestESTShardRankParsesCanonicalIDsOnly(t *testing.T) {
+	for _, r := range []int{0, 7, 42, 9999, 10000, 123456} {
+		if got, ok := ESTShardRank(ESTShardID(r)); !ok || got != r {
+			t.Errorf("ESTShardRank(%q) = %d, %v", ESTShardID(r), got, ok)
+		}
+	}
+	for _, id := range []string{MetaShardID, "param/0003", "moment/0003", "est/", "est/3", "est/003", "est/00003", "est/-003", "est/+003", "est/12a4", "est/0003 ", "EST/0003"} {
+		if r, ok := ESTShardRank(id); ok {
+			t.Errorf("ESTShardRank(%q) = %d, want not an EST shard", id, r)
+		}
 	}
 }

@@ -158,11 +158,7 @@ func TestTrainStepAllocRegressionTraced(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; counts are only meaningful uninstrumented")
 	}
-	bounds := map[string]float64{
-		"vgg19":    600,
-		"resnet50": 850,
-	}
-	for name, bound := range bounds {
+	for name, bound := range stepAllocBounds {
 		t.Run(name, func(t *testing.T) {
 			j := benchJob(t, name)
 			tr := obs.New(obs.WithRingCap(1 << 16))

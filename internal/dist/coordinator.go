@@ -96,12 +96,8 @@ func (c *Coordinator) admit(epoch uint64, workers int) (hs []*handle, err error)
 			return hs, err
 		}
 		r := checkpoint.NewReader(payload)
-		helloEpoch, err := r.Uint64()
-		if err != nil {
-			cn.Close()
-			return hs, err
-		}
-		addr, err := r.String()
+		helloEpoch, _ := r.Uint64()
+		addr, err := r.String() // sticky: fails if the epoch's read did
 		if err != nil {
 			cn.Close()
 			return hs, err
@@ -115,7 +111,8 @@ func (c *Coordinator) admit(epoch uint64, workers int) (hs []*handle, err error)
 			continue
 		}
 		// admitted: from here on every operation gets the full timeout again
-		hs = append(hs, &handle{ctrl: withDeadline(cn, c.timeout), addr: addr})
+		cn.timeout = c.timeout
+		hs = append(hs, &handle{ctrl: cn, addr: addr})
 	}
 	return hs, nil
 }

@@ -5,6 +5,7 @@ import (
 	"net"
 	"time"
 
+	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/rng"
 )
@@ -25,38 +26,66 @@ func resolveTimeout(cfg time.Duration) time.Duration {
 	return DefaultTimeout
 }
 
-// deadlineConn arms a fresh read/write deadline before every I/O operation,
-// so each frame header, payload chunk, and write gets the full timeout — a
-// live transfer never trips the deadline, a stalled peer always does.
-type deadlineConn struct {
+// conn is a connection of the runtime's own planes. It arms a fresh deadline
+// before every read and write, so each frame header, payload chunk, and write
+// gets the full timeout — a live transfer never trips it, a stalled peer
+// always does. And it owns the buffers its frames go through, which keep their
+// capacity across frames and phases: rbuf holds the payload of the frame read
+// last (ReadFrame), frame the one being built, header in front, so it leaves
+// in one Write. A steady-state frame costs no allocation and one copy per hop;
+// in return a payload read from a conn is valid only until the next read, and
+// its reader copies what must outlive that. One goroutine uses a conn at a time.
+type conn struct {
 	net.Conn
 	timeout time.Duration
+	rbuf    []byte
+	frame   checkpoint.Writer
 }
 
-// withDeadline wraps a connection so every subsequent Read/Write is bounded
-// by timeout. A non-positive timeout leaves the connection untouched.
-func withDeadline(c net.Conn, timeout time.Duration) net.Conn {
-	if timeout <= 0 {
-		return c
-	}
-	if dc, ok := c.(*deadlineConn); ok {
-		c = dc.Conn
-	}
-	return &deadlineConn{Conn: c, timeout: timeout}
+// withDeadline wraps a connection so every Read/Write is bounded by timeout.
+func withDeadline(c net.Conn, timeout time.Duration) *conn {
+	return &conn{Conn: c, timeout: timeout}
 }
 
-func (c *deadlineConn) Read(p []byte) (int, error) {
+func (c *conn) Read(p []byte) (int, error) {
 	if err := c.Conn.SetReadDeadline(time.Now().Add(c.timeout)); err != nil {
 		return 0, err
 	}
 	return c.Conn.Read(p)
 }
 
-func (c *deadlineConn) Write(p []byte) (int, error) {
-	if err := c.Conn.SetWriteDeadline(time.Now().Add(c.timeout)); err != nil {
+func (c *conn) armWrite() error { return c.Conn.SetWriteDeadline(time.Now().Add(c.timeout)) }
+
+func (c *conn) Write(p []byte) (int, error) {
+	if err := c.armWrite(); err != nil {
 		return 0, err
 	}
 	return c.Conn.Write(p)
+}
+
+// begin starts a frame: the writer has the header reserved and takes the payload.
+func (c *conn) begin() *checkpoint.Writer {
+	c.frame.Reset(frameHeader)
+	return &c.frame
+}
+
+// payloadLen is the payload size of the frame begun last.
+func (c *conn) payloadLen() int { return c.frame.Len() - frameHeader }
+
+// send fills in the header of the frame begun last and writes the frame to
+// the connection, sendTo to another one; the frame stays in the buffer until
+// the next begin, so it can go to several.
+func (c *conn) send(t MsgType) error { return c.sendTo(c, t) }
+
+func (c *conn) sendTo(dst *conn, t MsgType) error {
+	if c.payloadLen() > maxFrame {
+		return fmt.Errorf("dist: refusing to write frame of %d bytes (limit %d)", c.payloadLen(), maxFrame)
+	}
+	putFrameHeader(c.frame.Bytes(), t, c.payloadLen())
+	if _, err := dst.Write(c.frame.Bytes()); err != nil {
+		return fmt.Errorf("dist: write frame: %w", err)
+	}
+	return nil
 }
 
 // deadliner is the listener capability needed to bound Accept.
@@ -66,7 +95,7 @@ type deadliner interface {
 
 // acceptTimeout accepts one connection, bounded by timeout when the listener
 // supports deadlines (TCP does), and returns it wrapped in the same timeout.
-func acceptTimeout(ln net.Listener, timeout time.Duration) (net.Conn, error) {
+func acceptTimeout(ln net.Listener, timeout time.Duration) (*conn, error) {
 	if d, ok := ln.(deadliner); ok && timeout > 0 {
 		if err := d.SetDeadline(time.Now().Add(timeout)); err != nil {
 			return nil, err
@@ -104,7 +133,7 @@ func backoff(attempt int, base, max time.Duration, jit *rng.Stream) time.Duratio
 // or the overall timeout elapses, then wraps the connection in per-operation
 // deadlines. This is what lets worker processes be launched before the
 // coordinator (or a retried attempt's leader) is listening.
-func dialRetry(addr string, timeout time.Duration, seed uint64) (net.Conn, error) {
+func dialRetry(addr string, timeout time.Duration, seed uint64) (*conn, error) {
 	jit := rng.NewNamed(seed, "dist-dial:"+addr)
 	deadline := time.Now().Add(timeout)
 	for attempt := 0; ; attempt++ {

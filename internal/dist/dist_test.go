@@ -249,16 +249,22 @@ func TestGradsCodecRoundTrip(t *testing.T) {
 		2: {{1, 2, 3}, {4}},
 		5: {{9, 8, 7}, {6}},
 	}
-	data := encodeGrads(7, bufs, []int{2, 5})
-	step, byRank, err := decodeGrads(data)
+	data := gradsPayload(7, bufs, []int{2, 5})
+	table := tableFor(6, 3, 1)
+	defer table.release()
+	step, err := decodeGrads(data, []int{2, 5}, table)
 	if err != nil || step != 7 {
 		t.Fatalf("decode: step=%d err=%v", step, err)
 	}
-	if byRank[2][0][1] != 2 || byRank[5][1][0] != 6 {
-		t.Fatalf("content mismatch: %v", byRank)
+	if table.bufs[2][0][1] != 2 || table.bufs[5][1][0] != 6 {
+		t.Fatalf("content mismatch: %v", table.bufs)
 	}
-	if _, _, err := decodeGrads(data[:5]); err == nil {
-		t.Fatal("truncated grads must error")
+	for cut := 0; cut < len(data); cut++ {
+		trunc := tableFor(6, 3, 1)
+		if _, err := decodeGrads(data[:cut], []int{2, 5}, trunc); err == nil {
+			t.Fatalf("grads truncated to %d bytes must error", cut)
+		}
+		trunc.release()
 	}
 }
 
@@ -471,7 +477,7 @@ func TestStaleEpochRejected(t *testing.T) {
 			if err := WriteFrame(c2, MsgReady, nil); err != nil {
 				return err
 			}
-			if _, err := shipShards(c2, checkpoint.Manifest{}, checkpoint.NewShardSet()); err != nil {
+			if _, err := shipShards(withDeadline(c2, 2*time.Second), checkpoint.Manifest{}, checkpoint.NewShardSet(0)); err != nil {
 				return err
 			}
 			if err := WriteFrame(c2, MsgPhaseDone, nil); err != nil {
@@ -508,42 +514,46 @@ func (e *frameErr) Error() string { return "unexpected frame type " + string(run
 // silent overwrite of another EST's gradients or a nil-slot panic in the
 // reduce loop.
 func TestMergeGradsValidation(t *testing.T) {
-	f := follower{worker: 1, expect: map[int]bool{1: true, 2: true}}
+	ranks := []int{1, 2} // the follower's slice of a 4-rank placement
+	decode := func(bufs map[int][][]float32, order ...int) (*gradTable, error) {
+		table := tableFor(4, 1)
+		t.Cleanup(table.release)
+		_, err := decodeGrads(gradsPayload(0, bufs, order), ranks, table)
+		return table, err
+	}
 
 	// vrank the follower does not host
-	err := mergeGrads(f, map[int][][]float32{0: {{1}}, 1: {{2}}}, map[int][][]float32{}, 1)
-	if err == nil || !strings.Contains(err.Error(), "does not host") {
+	if _, err := decode(map[int][][]float32{0: {{1}}, 1: {{2}}}, 0, 1); !errors.Is(err, errGradsRanks) {
 		t.Fatalf("unassigned vrank: %v", err)
 	}
 	// missing vrank (only one of two)
-	err = mergeGrads(f, map[int][][]float32{1: {{2}}}, map[int][][]float32{}, 1)
-	if err == nil {
-		t.Fatal("missing vrank must error")
+	if _, err := decode(map[int][][]float32{1: {{2}}}, 1); !errors.Is(err, errGradsRanks) {
+		t.Fatalf("missing vrank: %v", err)
 	}
 	// wrong bucket count
-	err = mergeGrads(f, map[int][][]float32{1: {{1}}, 2: {{2}, {3}}}, map[int][][]float32{}, 1)
-	if err == nil || !strings.Contains(err.Error(), "buckets") {
+	if _, err := decode(map[int][][]float32{1: {{1}}, 2: {{2}, {3}}}, 1, 2); !errors.Is(err, errBucketCount) {
 		t.Fatalf("bucket-count mismatch: %v", err)
 	}
 	// valid contribution merges
-	sets := map[int][][]float32{}
-	if err := mergeGrads(f, map[int][][]float32{1: {{1}}, 2: {{2}}}, sets, 1); err != nil {
+	table, err := decode(map[int][][]float32{1: {{1}}, 2: {{2}}}, 1, 2)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if sets[1][0][0] != 1 || sets[2][0][0] != 2 {
-		t.Fatalf("merged sets %v", sets)
+	if table.bufs[1][0][0] != 1 || table.bufs[2][0][0] != 2 || table.have[0] || table.have[3] {
+		t.Fatalf("merged table %v, have %v", table.bufs, table.have)
 	}
-
-	// a frame carrying the same vrank twice is rejected at decode
+	// the same vrank twice
 	w := checkpoint.NewWriter()
 	w.PutInt(0) // step
 	w.PutInt(2) // two rank entries...
 	for i := 0; i < 2; i++ {
-		w.PutInt(3) // ...both claiming vrank 3
+		w.PutInt(2) // ...both claiming vrank 2
 		w.PutInt(1)
 		w.PutFloat32s([]float32{float32(i)})
 	}
-	if _, _, err := decodeGrads(w.Bytes()); err == nil || !strings.Contains(err.Error(), "duplicate") {
+	dup := tableFor(4, 1)
+	defer dup.release()
+	if _, err := decodeGrads(w.Bytes(), ranks, dup); !errors.Is(err, errGradsRanks) {
 		t.Fatalf("duplicate vrank in frame: %v", err)
 	}
 }

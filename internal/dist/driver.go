@@ -3,7 +3,6 @@ package dist
 import (
 	"errors"
 	"fmt"
-	"net"
 	"time"
 
 	"repro/internal/checkpoint"
@@ -47,7 +46,7 @@ import (
 // handle is the driver's view of one worker slot: its control connection and
 // its shard-serving listen address.
 type handle struct {
-	ctrl net.Conn
+	ctrl *conn
 	addr string
 }
 
@@ -83,7 +82,7 @@ func newDriver(coord *Coordinator, cfg core.Config, o runOptions) *driver {
 		cfg:    cfg,
 		o:      o,
 		track:  o.tracer.Track("driver"),
-		dirSet: checkpoint.NewShardSet(),
+		dirSet: checkpoint.NewShardSet(0),
 	}
 }
 
@@ -259,7 +258,10 @@ func (d *driver) runPhase(ph Phase) error {
 	}
 	for slot, h := range next {
 		rc.Slot = slot
-		if err := WriteFrame(h.ctrl, MsgReconfigure, encodeReconfig(rc)); err != nil {
+		// one frame buffer for the whole set: a restart phase's frame carries
+		// the container, which N buffers would hold N times
+		encodeReconfig(next[0].ctrl.begin(), rc)
+		if err := next[0].ctrl.sendTo(h.ctrl, MsgReconfigure); err != nil {
 			return err
 		}
 	}
@@ -298,8 +300,8 @@ func (d *driver) runPhase(ph Phase) error {
 		return err
 	}
 	tShip := d.o.tracer.Now()
-	missing := len(d.dirSet.Missing(m))
-	if err := receiveShards(next[0].ctrl, m, d.dirSet); err != nil {
+	missing, err := receiveShards(next[0].ctrl, m, d.dirSet)
+	if err != nil {
 		return err
 	}
 	d.o.tracer.Span(d.track, obs.CatShard, "dir.shard-receive", tShip, int64(missing), int64(len(m.Entries)))
@@ -309,15 +311,9 @@ func (d *driver) runPhase(ph Phase) error {
 
 	// commit the boundary: swap the manifest in and drop shards no longer
 	// referenced, so the directory stays one boundary large
-	pruned := checkpoint.NewShardSet()
-	for _, e := range m.Entries {
-		b, ok := d.dirSet.Get(e.Hash)
-		if !ok {
-			return fmt.Errorf("dist: directory lost shard %q after ship", e.ID)
-		}
-		if err := pruned.Add(e.Hash, b); err != nil {
-			return err
-		}
+	pruned, err := d.dirSet.Subset(m)
+	if err != nil {
+		return fmt.Errorf("dist: directory after ship: %w", err)
 	}
 	d.dirM, d.dirSet, d.dirHas = m, pruned, true
 	return nil
@@ -330,21 +326,21 @@ func (d *driver) runPhase(ph Phase) error {
 // parameter/moment shards round-robin across the whole old set — every
 // worker holds identical copies of those, so spreading the load is free.
 func (d *driver) sourceTable(oldN int) ([]int, error) {
-	rankHost := map[int]int{}
+	// rankHost[r] is the slot hosting virtual rank r plus one, 0 for none
+	rankHost := make([]int, d.cfg.NumESTs)
 	for slot, ranks := range d.placement.Assignment {
 		for _, r := range ranks {
-			rankHost[r] = slot
+			rankHost[r] = slot + 1
 		}
 	}
 	sources := make([]int, len(d.dirM.Entries))
 	rr := 0
 	for i, e := range d.dirM.Entries {
 		if r, ok := core.ESTShardRank(e.ID); ok {
-			slot, hosted := rankHost[r]
-			if !hosted {
+			if r >= len(rankHost) || rankHost[r] == 0 {
 				return nil, fmt.Errorf("dist: no old worker hosted virtual rank %d", r)
 			}
-			sources[i] = slot
+			sources[i] = rankHost[r] - 1
 		} else if e.ID == core.MetaShardID {
 			sources[i] = 0
 		} else {

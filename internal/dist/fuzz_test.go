@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
+	"math"
 	"net"
 	"testing"
 	"time"
 
+	"repro/internal/checkpoint"
 	"repro/internal/rng"
 )
 
@@ -68,25 +70,111 @@ func FuzzReadFrame(f *testing.F) {
 	})
 }
 
-// FuzzDecodeGrads: the gradient-gather payload codec must reject corrupt
-// input with an error, never panic or fabricate contributions.
-func FuzzDecodeGrads(f *testing.F) {
-	f.Add(encodeGrads(3, map[int][][]float32{1: {{1, 2}, {3}}}, []int{1}))
-	f.Add(encodeBuckets([][]float32{{1}, {2, 3}}))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if _, byRank, err := decodeGrads(data); err == nil {
-			for v, bufs := range byRank {
-				_ = v
-				for _, b := range bufs {
-					_ = b
-				}
+// sameFloats reports bitwise equality of two bucket lists.
+func sameFloats(a, b [][]float32) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if len(a[i]) != len(b[i]) {
+			return false
+		}
+		for k := range a[i] {
+			if math.Float32bits(a[i][k]) != math.Float32bits(b[i][k]) {
+				return false
 			}
 		}
-		if bufs, err := decodeBuckets(data); err == nil {
-			for _, b := range bufs {
-				_ = b
+	}
+	return true
+}
+
+// checkDecodeGrads decodes data with the in-place decoder, under the
+// expectations of a follower hosting ranks of a world-rank job whose plan has
+// bucket lengths lens, and with the allocating oracle: the in-place decoder
+// must accept exactly the frames the oracle accepts that also have the
+// expected shape, and yield the oracle's step and floats.
+func checkDecodeGrads(t *testing.T, data []byte, world int, ranks, lens []int) {
+	wantStep, byRank, oracleErr := allocDecodeGrads(data)
+	fits := oracleErr == nil && len(byRank) == len(ranks)
+	for _, v := range ranks {
+		bufs, ok := byRank[v]
+		fits = fits && ok && len(bufs) == len(lens)
+		for b := 0; fits && b < len(lens); b++ {
+			fits = len(bufs[b]) == lens[b]
+		}
+	}
+	table := tableFor(world, lens...)
+	defer table.release()
+	step, err := decodeGrads(data, ranks, table)
+	if (err == nil) != fits {
+		t.Fatalf("in-place decoder: err=%v; oracle: err=%v, frame has the expected shape: %v", err, oracleErr, fits)
+	}
+	if err != nil {
+		return
+	}
+	if step != wantStep {
+		t.Fatalf("step %d, oracle %d", step, wantStep)
+	}
+	for v := range table.bufs {
+		if _, hosted := byRank[v]; table.have[v] != hosted || (hosted && !sameFloats(table.bufs[v], byRank[v])) {
+			t.Fatalf("rank %d: decoded %v (have=%v), oracle %v", v, table.bufs[v], table.have[v], byRank[v])
+		}
+	}
+}
+
+func checkDecodeBuckets(t *testing.T, data []byte, lens []int) {
+	want, oracleErr := allocDecodeBuckets(data)
+	fits := oracleErr == nil && len(want) == len(lens)
+	for b := 0; fits && b < len(lens); b++ {
+		fits = len(want[b]) == lens[b]
+	}
+	got := make([][]float32, len(lens))
+	defer putAll(got)
+	err := readBuckets(checkpoint.NewReader(data), lens, got)
+	if (err == nil) != fits {
+		t.Fatalf("in-place decoder: err=%v; oracle: err=%v, frame has the expected shape: %v", err, oracleErr, fits)
+	}
+	if err == nil && !sameFloats(got, want) {
+		t.Fatalf("decoded %v, oracle %v", got, want)
+	}
+}
+
+// FuzzDecodeGrads: the gradient-gather payload codecs must reject corrupt
+// input with an error, never panic or fabricate contributions — and the
+// in-place decoders must agree with the allocating ones they replaced, both
+// under the seeds' expectations and under expectations read off whatever
+// frame the oracle accepts.
+func FuzzDecodeGrads(f *testing.F) {
+	f.Add(gradsPayload(3, map[int][][]float32{1: {{1, 2}, {3}}}, []int{1}))
+	f.Add(bucketsPayload([][]float32{{1}, {2, 3}}))
+	f.Add([]byte{})
+	// the right rank and bucket count with one bucket a float short: what
+	// used to reach the ring reduce's length panic on the leader
+	f.Add(gradsPayload(3, map[int][][]float32{1: {{1}, {3}}}, []int{1}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkDecodeGrads(t, data, 4, []int{1}, []int{2, 1})
+		checkDecodeBuckets(t, data, []int{1, 2})
+
+		const maxWorld = 64
+		if _, byRank, err := allocDecodeGrads(data); err == nil && len(byRank) > 0 {
+			var ranks, lens []int
+			for v := range byRank {
+				if v < 0 || v >= maxWorld {
+					return
+				}
+				ranks = append(ranks, v)
 			}
+			for _, b := range byRank[ranks[0]] {
+				lens = append(lens, len(b))
+			}
+			checkDecodeGrads(t, data, maxWorld, ranks, lens)
+		}
+		if bufs, err := allocDecodeBuckets(data); err == nil {
+			lens := make([]int, len(bufs))
+			for b := range bufs {
+				lens[b] = len(bufs[b])
+			}
+			checkDecodeBuckets(t, data, lens)
 		}
 	})
 }
@@ -96,7 +184,7 @@ func FuzzDecodeGrads(f *testing.F) {
 // and never desynchronize into an oversized accept.
 func TestReadFrameRandomCorruption(t *testing.T) {
 	s := rng.New(99)
-	base := frameBytes(MsgGrads, encodeGrads(0, map[int][][]float32{0: {{1, 2, 3}}}, []int{0}))
+	base := frameBytes(MsgGrads, gradsPayload(0, map[int][][]float32{0: {{1, 2, 3}}}, []int{0}))
 	for i := 0; i < 2000; i++ {
 		data := append([]byte(nil), base...)
 		switch s.Intn(3) {
@@ -116,7 +204,9 @@ func TestReadFrameRandomCorruption(t *testing.T) {
 			t.Fatalf("iteration %d: accepted oversized payload", i)
 		}
 		_, _, _ = typ, payload, err
-		decodeGrads(payload)
+		table := tableFor(1, 3)
+		decodeGrads(payload, []int{0}, table)
+		table.release()
 	}
 }
 

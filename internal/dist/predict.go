@@ -50,33 +50,21 @@ func EncodePredict(q PredictRequest) []byte {
 func DecodePredict(data []byte) (PredictRequest, error) {
 	var q PredictRequest
 	r := checkpoint.NewReader(data)
-	id, err := r.Uint64()
-	if err != nil {
-		return q, fmt.Errorf("dist: predict frame: %w", err)
-	}
-	q.ID = id
-	if q.Model, err = r.String(); err != nil {
-		return q, fmt.Errorf("dist: predict frame model: %w", err)
-	}
-	if len(q.Model) == 0 || len(q.Model) > maxModelName {
-		return q, fmt.Errorf("dist: predict frame model name length %d", len(q.Model))
-	}
-	budget, err := r.Int()
-	if err != nil {
-		return q, fmt.Errorf("dist: predict frame budget: %w", err)
-	}
-	if budget < 0 {
-		return q, fmt.Errorf("dist: predict frame budget %d negative", budget)
-	}
+	q.ID, _ = r.Uint64()
+	q.Model, _ = r.String()
+	budget, _ := r.Int()
 	q.BudgetMicros = int64(budget)
-	// Float32s already bounds the declared count by Remaining()/4
-	if q.Input, err = r.Float32s(); err != nil {
-		return q, fmt.Errorf("dist: predict frame input: %w", err)
-	}
-	if len(q.Input) == 0 {
+	q.Input, _ = r.Float32s() // bounds the declared count by Remaining()/4
+	switch {
+	case r.Err() != nil: // sticky: the first failed read above
+		return q, fmt.Errorf("dist: predict frame: %w", r.Err())
+	case len(q.Model) == 0 || len(q.Model) > maxModelName:
+		return q, fmt.Errorf("dist: predict frame model name length %d", len(q.Model))
+	case budget < 0:
+		return q, fmt.Errorf("dist: predict frame budget %d negative", budget)
+	case len(q.Input) == 0:
 		return q, fmt.Errorf("dist: predict frame has empty input")
-	}
-	if r.Remaining() != 0 {
+	case r.Remaining() != 0:
 		return q, fmt.Errorf("dist: %d trailing predict frame bytes", r.Remaining())
 	}
 	return q, nil
@@ -107,16 +95,11 @@ func EncodePredictReply(p PredictReply) []byte {
 func DecodePredictReply(data []byte) (PredictReply, error) {
 	var p PredictReply
 	r := checkpoint.NewReader(data)
-	id, err := r.Uint64()
-	if err != nil {
+	p.ID, _ = r.Uint64()
+	p.Err, _ = r.String()
+	p.Output, _ = r.Float32s()
+	if err := r.Err(); err != nil { // sticky: the first failed read above
 		return p, fmt.Errorf("dist: predict reply frame: %w", err)
-	}
-	p.ID = id
-	if p.Err, err = r.String(); err != nil {
-		return p, fmt.Errorf("dist: predict reply error text: %w", err)
-	}
-	if p.Output, err = r.Float32s(); err != nil {
-		return p, fmt.Errorf("dist: predict reply output: %w", err)
 	}
 	if r.Remaining() != 0 {
 		return p, fmt.Errorf("dist: %d trailing predict reply bytes", r.Remaining())

@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 )
 
 // MsgType tags a protocol frame.
@@ -95,46 +96,76 @@ const (
 // well under this).
 const maxFrame = 256 << 20
 
+// frameHeader is a frame's header: a type byte, a little-endian uint32 length.
+const frameHeader = 5
+
+func putFrameHeader(hdr []byte, t MsgType, payloadLen int) {
+	hdr[0] = byte(t)
+	binary.LittleEndian.PutUint32(hdr[1:frameHeader], uint32(payloadLen))
+}
+
 // WriteFrame sends a tagged, length-prefixed frame. Payloads beyond maxFrame
 // are rejected before any bytes hit the wire: a uint32 length header cannot
 // represent them, so writing one would silently truncate the length and
 // desynchronize the stream for every subsequent frame.
 //
-// Header and payload go out in one writev call (net.Buffers) rather than two
-// writes: on the serving path a frame is a whole request, so every write is
-// a syscall and header+payload as separate writes doubles the per-request
-// syscall bill (and can emit a 5-byte TCP segment ahead of each payload).
+// Header and payload go out as one net.Buffers, which a TCP connection sends
+// with a single writev: on the serving path a frame is a whole request, so two
+// writes would double the per-request syscall bill (and can emit a 5-byte TCP
+// segment ahead of each payload). A *conn would hide that writev, so its write
+// deadline is armed here, once, and the buffers go to the connection inside
+// it. Frames the runtime encodes itself go through conn.send instead.
 func WriteFrame(c net.Conn, t MsgType, payload []byte) error {
 	if len(payload) > maxFrame {
 		return fmt.Errorf("dist: refusing to write frame of %d bytes (limit %d)", len(payload), maxFrame)
 	}
-	var hdr [5]byte
-	hdr[0] = byte(t)
-	binary.LittleEndian.PutUint32(hdr[1:], uint32(len(payload)))
-	if len(payload) == 0 {
-		//detlint:ignore deadlineio -- framing primitive: every caller passes a deadline-armed conn (deadlineConn, or SetDeadline at the call site)
-		if _, err := c.Write(hdr[:]); err != nil {
-			return fmt.Errorf("dist: write header: %w", err)
+	var hdr [frameHeader]byte
+	putFrameHeader(hdr[:], t, len(payload))
+	if dc, ok := c.(*conn); ok {
+		if err := dc.armWrite(); err != nil {
+			return fmt.Errorf("dist: write frame: %w", err)
 		}
-		return nil
+		c = dc.Conn
 	}
 	bufs := net.Buffers{hdr[:], payload}
+	if len(payload) == 0 {
+		bufs = bufs[:1] // a write of nothing can block on an unbuffered pipe
+	}
 	if _, err := bufs.WriteTo(c); err != nil {
 		return fmt.Errorf("dist: write frame: %w", err)
 	}
 	return nil
 }
 
-// ReadFrame receives one frame from a connection.
+// ReadFrame receives one frame from a connection. A *conn's payload is read
+// into the connection's read buffer and valid until its next frame is read;
+// any other connection's is the caller's to keep.
 func ReadFrame(c net.Conn) (MsgType, []byte, error) {
-	return ReadFrameFrom(c)
+	dc, ok := c.(*conn)
+	if !ok {
+		return ReadFrameFrom(c)
+	}
+	t, payload, err := readFrameInto(dc, dc.rbuf)
+	if err == nil {
+		dc.rbuf = payload
+	}
+	return t, payload, err
 }
 
 // ReadFrameFrom receives one frame from any reader. Hot consumers (the
 // serving request loop) wrap the connection in a bufio.Reader and call this
 // so the 5-byte header read does not cost its own syscall.
 func ReadFrameFrom(c io.Reader) (MsgType, []byte, error) {
-	var hdr [5]byte
+	return readFrameInto(c, nil)
+}
+
+// readFrameInto receives one frame, using buf's capacity for the payload: a
+// frame that fits is read in place, allocates nothing and aliases buf. One that
+// does not gets a new buffer, grown in bounded chunks as bytes actually arrive,
+// so a corrupt or hostile length header cannot force a huge allocation for
+// data the peer never sends.
+func readFrameInto(c io.Reader, buf []byte) (MsgType, []byte, error) {
+	var hdr [frameHeader]byte
 	if _, err := io.ReadFull(c, hdr[:]); err != nil {
 		return 0, nil, fmt.Errorf("dist: read header: %w", err)
 	}
@@ -142,18 +173,15 @@ func ReadFrameFrom(c io.Reader) (MsgType, []byte, error) {
 	if n > maxFrame {
 		return 0, nil, fmt.Errorf("dist: frame of %d bytes exceeds limit", n)
 	}
-	// grow the payload in bounded chunks as bytes actually arrive, so a
-	// corrupt or hostile length header cannot force a huge allocation for
-	// data the peer never sends
 	const chunk = 1 << 20
-	var payload []byte
+	payload := buf[:0]
+	if n > cap(payload) {
+		payload = nil
+	}
 	for len(payload) < n {
-		take := n - len(payload)
-		if take > chunk {
-			take = chunk
-		}
+		take := min(n-len(payload), chunk)
 		start := len(payload)
-		payload = append(payload, make([]byte, take)...)
+		payload = slices.Grow(payload, take)[:start+take]
 		if _, err := io.ReadFull(c, payload[start:]); err != nil {
 			return 0, nil, fmt.Errorf("dist: read payload: %w", err)
 		}
@@ -161,7 +189,7 @@ func ReadFrameFrom(c io.Reader) (MsgType, []byte, error) {
 	return MsgType(hdr[0]), payload, nil
 }
 
-// Expect reads a frame and verifies its type.
+// Expect reads a frame (see ReadFrame) and verifies its type.
 func Expect(c net.Conn, want MsgType) ([]byte, error) {
 	t, payload, err := ReadFrame(c)
 	if err != nil {

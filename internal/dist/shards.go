@@ -2,7 +2,7 @@ package dist
 
 import (
 	"fmt"
-	"net"
+	"slices"
 
 	"repro/internal/checkpoint"
 	"repro/internal/core"
@@ -11,8 +11,9 @@ import (
 
 // Wire codecs for the sharded-checkpoint protocol: placement and
 // reconfiguration frames, manifest offers, need lists, and shard transfers.
-// Everything decodes through the checkpoint reader with the same
-// allocation-bomb bounds as the gradient codecs.
+// The decoders read runs of fields and check the checkpoint reader's sticky
+// error once per run; counts are bounded by the bytes present before anything
+// is allocated by them.
 
 // reconfigure kinds: how a worker obtains its phase-entry state.
 const (
@@ -54,11 +55,10 @@ type reconfig struct {
 }
 
 func putPlacement(w *checkpoint.Writer, p core.Placement) {
-	devs := make([]int, len(p.Devices))
-	for i, d := range p.Devices {
-		devs[i] = int(d)
+	w.PutInt(len(p.Devices)) // PutInts' layout, which readPlacement reads
+	for _, d := range p.Devices {
+		w.PutInt(int(d))
 	}
-	w.PutInts(devs)
 	w.PutInt(len(p.Assignment))
 	for _, ranks := range p.Assignment {
 		w.PutInts(ranks)
@@ -67,122 +67,92 @@ func putPlacement(w *checkpoint.Writer, p core.Placement) {
 
 func readPlacement(r *checkpoint.Reader) (core.Placement, error) {
 	var p core.Placement
-	devs, err := r.Ints()
-	if err != nil {
-		return p, err
-	}
+	devs, _ := r.Ints()
 	p.Devices = make([]device.Type, len(devs))
 	for i, d := range devs {
 		p.Devices[i] = device.Type(d)
 	}
 	n, err := r.Int()
-	if err != nil {
-		return p, err
-	}
-	if n < 0 || n > r.Remaining()/8 {
+	if err != nil || n < 0 || n > r.Remaining()/8 {
 		return p, fmt.Errorf("dist: placement declares %d workers in %d bytes", n, r.Remaining())
 	}
 	p.Assignment = make([][]int, n)
 	for i := range p.Assignment {
-		if p.Assignment[i], err = r.Ints(); err != nil {
-			return p, err
-		}
+		p.Assignment[i], _ = r.Ints()
 	}
-	return p, nil
+	return p, r.Err()
 }
 
-func encodeReconfig(rc reconfig) []byte {
-	w := checkpoint.NewWriter()
+func putStrings(w *checkpoint.Writer, ss []string) {
+	w.PutInt(len(ss))
+	for _, s := range ss {
+		w.PutString(s)
+	}
+}
+
+func readStrings(r *checkpoint.Reader) ([]string, error) {
+	n, err := r.Int()
+	if err != nil || n < 0 || n > r.Remaining()/8 {
+		return nil, fmt.Errorf("dist: frame declares %d strings in %d bytes", n, r.Remaining())
+	}
+	ss := make([]string, n)
+	for i := range ss {
+		ss[i], _ = r.String()
+	}
+	return ss, r.Err()
+}
+
+func encodeReconfig(w *checkpoint.Writer, rc reconfig) {
 	w.PutUint64(rc.Epoch)
 	w.PutInt(rc.Slot)
 	w.PutInt(rc.Steps)
 	w.PutInt(rc.Kind)
 	w.PutString(rc.LeaderAddr)
 	putPlacement(w, rc.Placement)
-	w.PutInt(len(rc.WarmAddrs))
-	for _, a := range rc.WarmAddrs {
-		w.PutString(a)
-	}
+	putStrings(w, rc.WarmAddrs)
 	switch rc.Kind {
 	case kindContainer:
-		w.PutString(string(rc.Container))
+		w.PutBytes(rc.Container)
 	case kindMigrate:
-		w.PutString(string(rc.Manifest.Encode()))
-		w.PutInt(len(rc.PeerAddrs))
-		for _, a := range rc.PeerAddrs {
-			w.PutString(a)
-		}
+		w.PutBytes(rc.Manifest.Encode())
+		putStrings(w, rc.PeerAddrs)
 		w.PutInts(rc.Sources)
 	}
-	return w.Bytes()
 }
 
+// decodeReconfig decodes a MsgReconfigure payload; Container stays a view of it.
 func decodeReconfig(data []byte) (reconfig, error) {
 	var rc reconfig
 	r := checkpoint.NewReader(data)
 	var err error
-	if rc.Epoch, err = r.Uint64(); err != nil {
-		return rc, err
-	}
-	if rc.Slot, err = r.Int(); err != nil {
-		return rc, err
-	}
-	if rc.Steps, err = r.Int(); err != nil {
-		return rc, err
-	}
-	if rc.Kind, err = r.Int(); err != nil {
-		return rc, err
-	}
-	if rc.LeaderAddr, err = r.String(); err != nil {
-		return rc, err
-	}
+	rc.Epoch, _ = r.Uint64()
+	rc.Slot, _ = r.Int()
+	rc.Steps, _ = r.Int()
+	rc.Kind, _ = r.Int()
+	rc.LeaderAddr, _ = r.String()
 	if rc.Placement, err = readPlacement(r); err != nil {
 		return rc, err
 	}
 	if rc.Slot < 0 || rc.Slot >= len(rc.Placement.Assignment) {
 		return rc, fmt.Errorf("dist: reconfigure slot %d outside placement of %d workers", rc.Slot, len(rc.Placement.Assignment))
 	}
-	nw, err := r.Int()
-	if err != nil {
+	if rc.WarmAddrs, err = readStrings(r); err != nil {
 		return rc, err
-	}
-	if nw < 0 || nw > r.Remaining()/8 {
-		return rc, fmt.Errorf("dist: reconfigure declares %d warm addrs in %d bytes", nw, r.Remaining())
-	}
-	rc.WarmAddrs = make([]string, nw)
-	for i := range rc.WarmAddrs {
-		if rc.WarmAddrs[i], err = r.String(); err != nil {
-			return rc, err
-		}
 	}
 	switch rc.Kind {
 	case kindFresh:
 	case kindContainer:
-		s, err := r.String()
-		if err != nil {
-			return rc, err
-		}
-		rc.Container = []byte(s)
+		rc.Container, err = r.Bytes()
 	case kindMigrate:
-		mb, err := r.String()
-		if err != nil {
+		mb, _ := r.Bytes()
+		if err := r.Err(); err != nil {
 			return rc, err
 		}
-		if rc.Manifest, err = checkpoint.DecodeManifest([]byte(mb)); err != nil {
+		if rc.Manifest, err = checkpoint.DecodeManifest(mb); err != nil {
 			return rc, err
 		}
-		np, err := r.Int()
-		if err != nil {
+		if rc.PeerAddrs, err = readStrings(r); err != nil {
 			return rc, err
-		}
-		if np < 0 || np > r.Remaining()/8 {
-			return rc, fmt.Errorf("dist: reconfigure declares %d peers in %d bytes", np, r.Remaining())
-		}
-		rc.PeerAddrs = make([]string, np)
-		for i := range rc.PeerAddrs {
-			if rc.PeerAddrs[i], err = r.String(); err != nil {
-				return rc, err
-			}
 		}
 		if rc.Sources, err = r.Ints(); err != nil {
 			return rc, err
@@ -191,74 +161,55 @@ func decodeReconfig(data []byte) (reconfig, error) {
 			return rc, fmt.Errorf("dist: reconfigure has %d sources for %d manifest entries", len(rc.Sources), len(rc.Manifest.Entries))
 		}
 		for _, s := range rc.Sources {
-			if s < 0 || s >= np {
-				return rc, fmt.Errorf("dist: reconfigure shard source %d outside [0,%d)", s, np)
+			if s < 0 || s >= len(rc.PeerAddrs) {
+				return rc, fmt.Errorf("dist: reconfigure shard source %d outside [0,%d)", s, len(rc.PeerAddrs))
 			}
 		}
 	default:
 		return rc, fmt.Errorf("dist: unknown reconfigure kind %d", rc.Kind)
 	}
-	return rc, nil
+	return rc, err
 }
 
-// encodeHashes / decodeHashes carry a need list (MsgShardNeed).
-func encodeHashes(hs []uint64) []byte {
-	w := checkpoint.NewWriter()
-	w.PutInt(len(hs))
-	for _, h := range hs {
-		w.PutUint64(h)
-	}
-	return w.Bytes()
-}
-
+// decodeHashes decodes a need list (MsgShardNeed): the content hashes of the
+// manifest entries the receiver lacks.
 func decodeHashes(data []byte) ([]uint64, error) {
 	r := checkpoint.NewReader(data)
 	n, err := r.Int()
-	if err != nil {
-		return nil, err
-	}
-	if n < 0 || n > r.Remaining()/8 {
+	if err != nil || n < 0 || n > r.Remaining()/8 {
 		return nil, fmt.Errorf("dist: need list declares %d hashes in %d bytes", n, r.Remaining())
 	}
 	out := make([]uint64, n)
 	for i := range out {
-		if out[i], err = r.Uint64(); err != nil {
-			return nil, err
-		}
+		out[i], _ = r.Uint64()
 	}
-	return out, nil
+	return out, r.Err()
 }
 
 // encodeShard / decodeShard carry one content-addressed shard (MsgShard).
-func encodeShard(hash uint64, data []byte) []byte {
-	w := checkpoint.NewWriter()
+// The encoder appends the shard to the frame under construction, the decoder
+// returns a view of the payload: neither makes a copy of its own.
+func encodeShard(w *checkpoint.Writer, hash uint64, data []byte) {
 	w.PutUint64(hash)
-	w.PutString(string(data))
-	return w.Bytes()
+	w.PutBytes(data)
 }
 
 func decodeShard(payload []byte) (uint64, []byte, error) {
 	r := checkpoint.NewReader(payload)
-	h, err := r.Uint64()
-	if err != nil {
-		return 0, nil, err
-	}
-	s, err := r.String()
-	if err != nil {
-		return 0, nil, err
-	}
-	return h, []byte(s), nil
+	h, _ := r.Uint64()
+	b, err := r.Bytes()
+	return h, b, err
 }
 
 // shipShards runs the sender side of an incremental shard-ship dialog on
 // conn: offer the manifest, receive the need list, upload exactly the needed
 // shards, close with MsgShipDone. The receiver's need list is what makes the
 // ship incremental — shards it already holds (by content hash) never travel.
-func shipShards(conn net.Conn, m checkpoint.Manifest, set *checkpoint.ShardSet) (sent int, err error) {
-	if err := WriteFrame(conn, MsgManifest, m.Encode()); err != nil {
+func shipShards(c *conn, m checkpoint.Manifest, set *checkpoint.ShardSet) (sent int, err error) {
+	if err := WriteFrame(c, MsgManifest, m.Encode()); err != nil {
 		return 0, err
 	}
-	needRaw, err := Expect(conn, MsgShardNeed)
+	needRaw, err := Expect(c, MsgShardNeed)
 	if err != nil {
 		return 0, err
 	}
@@ -271,44 +222,47 @@ func shipShards(conn net.Conn, m checkpoint.Manifest, set *checkpoint.ShardSet) 
 		if !ok {
 			return sent, fmt.Errorf("dist: peer needs shard %016x the sender does not hold", h)
 		}
-		if err := WriteFrame(conn, MsgShard, encodeShard(h, b)); err != nil {
+		encodeShard(c.begin(), h, b)
+		if err := c.send(MsgShard); err != nil {
 			return sent, err
 		}
 		sent++
 	}
-	return sent, WriteFrame(conn, MsgShipDone, nil)
+	return sent, WriteFrame(c, MsgShipDone, nil)
 }
 
 // receiveShards runs the receiver side of an incremental shard-ship dialog:
 // given the offered manifest, request what the local store lacks, verify and
-// admit each arriving shard, and confirm the store covers the manifest.
-func receiveShards(conn net.Conn, m checkpoint.Manifest, set *checkpoint.ShardSet) error {
+// admit each arriving shard. It returns how many shards it asked for.
+func receiveShards(c *conn, m checkpoint.Manifest, set *checkpoint.ShardSet) (requested int, err error) {
 	missing := set.Missing(m)
-	need := make([]uint64, len(missing))
-	for i, e := range missing {
-		need[i] = e.Hash
+	need := c.begin()
+	need.PutInt(len(missing))
+	for _, e := range missing {
+		need.PutUint64(e.Hash)
 	}
-	if err := WriteFrame(conn, MsgShardNeed, encodeHashes(need)); err != nil {
-		return err
+	if err := c.send(MsgShardNeed); err != nil {
+		return 0, err
 	}
-	for range need {
-		payload, err := Expect(conn, MsgShard)
+	for _, e := range missing {
+		payload, err := Expect(c, MsgShard)
 		if err != nil {
-			return err
+			return 0, err
 		}
 		h, b, err := decodeShard(payload)
 		if err != nil {
-			return err
+			return 0, err
 		}
-		if err := set.Add(h, b); err != nil {
-			return err
+		if h != e.Hash { // shards arrive in the order they were asked for
+			return 0, fmt.Errorf("dist: asked for shard %016x, got %016x", e.Hash, h)
+		}
+		// the store keeps the shard past the next read on c: its one copy on
+		// the way in, at its exact size, verified as it is admitted
+		if err := set.Add(h, slices.Clone(b)); err != nil {
+			return 0, err
 		}
 	}
-	if _, err := Expect(conn, MsgShipDone); err != nil {
-		return err
-	}
-	if left := set.Missing(m); len(left) != 0 {
-		return fmt.Errorf("dist: ship left %d shards missing", len(left))
-	}
-	return nil
+	// every shard asked for is in: the store covers the manifest
+	_, err = Expect(c, MsgShipDone)
+	return len(missing), err
 }

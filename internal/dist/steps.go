@@ -1,8 +1,11 @@
 package dist
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"time"
 
 	"repro/internal/checkpoint"
@@ -19,184 +22,191 @@ import (
 // Delay stalls in place.
 func injectFault(in *faults.Injector, site faults.Site, conns ...net.Conn) error {
 	act, d := in.Check(site)
+	if act == faults.Crash || act == faults.ConnDrop {
+		for _, c := range conns {
+			if c != nil {
+				c.Close()
+			}
+		}
+	}
 	switch act {
 	case faults.Crash:
-		for _, c := range conns {
-			if c != nil {
-				c.Close()
-			}
-		}
 		return fmt.Errorf("dist: %w at %s", faults.ErrInjectedCrash, site)
-	case faults.ConnDrop:
-		for _, c := range conns {
-			if c != nil {
-				c.Close()
-			}
-		}
 	case faults.Delay:
 		time.Sleep(d)
 	}
 	return nil
 }
 
-// fnvHash folds a string FNV-64 style, for deriving per-worker jitter seeds.
-func fnvHash(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
+// The per-step gradient codecs. A follower's MsgGrads payload is step, rank
+// count, then per rank vrank, bucket count, buckets; the leader's MsgReduced
+// payload a bucket count and the buckets. Both sides encode into a
+// connection's frame buffer and decode into arena buffers of exactly the
+// plan's bucket lengths, so a steady-state step allocates nothing and a frame
+// whose shape disagrees with the plan fails at decode, before the reduce can
+// index or panic on it. The codecs are //easyscale:hotpath, hence the fixed
+// errors; their callers add who sent the frame.
+var (
+	errGradsRanks  = errors.New("dist: grads frame does not carry exactly the virtual ranks its sender hosts")
+	errBucketCount = errors.New("dist: frame does not carry the plan's number of buckets")
+)
+
+// gradTable holds the arena buffers of one global step. On the leader
+// bufs[vrank][b] is rank vrank's flattened bucket b — flattened locally for
+// its own ESTs, decoded off the wire for the followers' — and have[vrank] says
+// the rank has contributed; a follower's table has no ranks. reduced[b] is
+// averaged bucket b; lens, the plan's bucket lengths, is what decodes must match.
+type gradTable struct {
+	lens    []int
+	have    []bool
+	bufs    [][][]float32
+	reduced [][]float32
 }
 
-// encodeGrads packs one worker's full contribution for a step: every hosted
-// EST's flattened bucket buffers, tagged by virtual rank.
-func encodeGrads(step int, bufs map[int][][]float32, order []int) []byte {
-	w := checkpoint.NewWriter()
-	w.PutInt(step)
-	w.PutInt(len(order))
-	for _, vrank := range order {
-		w.PutInt(vrank)
-		buckets := bufs[vrank]
-		w.PutInt(len(buckets))
-		for _, b := range buckets {
-			w.PutFloat32s(b)
-		}
+// prepare sizes an empty table for the current plan; it allocates only when
+// that changed, which it can once, at the end of a job's first step.
+func (t *gradTable) prepare(ddp *comm.ElasticDDP) {
+	nb := ddp.NumBuckets()
+	t.lens = slices.Grow(t.lens[:0], nb)[:nb]
+	for b := range t.lens {
+		t.lens[b] = ddp.BucketLen(b)
 	}
-	return w.Bytes()
+	t.reduced = slices.Grow(t.reduced[:0], nb)[:nb]
+	for v, row := range t.bufs {
+		t.bufs[v] = slices.Grow(row[:0], nb)[:nb]
+	}
 }
 
-func decodeGrads(data []byte) (step int, byRank map[int][][]float32, err error) {
-	r := checkpoint.NewReader(data)
-	if step, err = r.Int(); err != nil {
-		return
+// release returns every buffer the table holds to the arena and empties it.
+//
+//easyscale:hotpath
+func (t *gradTable) release() {
+	for v, row := range t.bufs {
+		t.have[v] = false
+		putAll(row)
 	}
-	var nr int
-	if nr, err = r.Int(); err != nil {
-		return
-	}
-	// every rank entry needs at least its vrank and bucket-count words, so
-	// a count beyond Remaining()/16 is corruption, not data — reject it
-	// before it turns into an allocation bomb
-	if nr < 0 || nr > r.Remaining()/16 {
-		return 0, nil, fmt.Errorf("dist: grads frame declares %d ranks in %d bytes", nr, r.Remaining())
-	}
-	byRank = make(map[int][][]float32, nr)
-	for i := 0; i < nr; i++ {
-		var vrank, nb int
-		if vrank, err = r.Int(); err != nil {
-			return
-		}
-		if _, dup := byRank[vrank]; dup {
-			return 0, nil, fmt.Errorf("dist: duplicate virtual rank %d in grads frame", vrank)
-		}
-		if nb, err = r.Int(); err != nil {
-			return
-		}
-		if nb < 0 || nb > r.Remaining()/8 {
-			return 0, nil, fmt.Errorf("dist: grads frame declares %d buckets in %d bytes", nb, r.Remaining())
-		}
-		buckets := make([][]float32, nb)
-		for b := range buckets {
-			if buckets[b], err = r.Float32s(); err != nil {
-				return
-			}
-		}
-		byRank[vrank] = buckets
-	}
-	return
+	putAll(t.reduced)
 }
 
-func encodeBuckets(buckets [][]float32) []byte {
-	w := checkpoint.NewWriter()
-	w.PutInt(len(buckets))
-	for _, b := range buckets {
-		w.PutFloat32s(b)
+// putAll returns arena buffers to the arena, leaving nil in their places.
+//
+//easyscale:hotpath
+func putAll(bufs [][]float32) {
+	for b, buf := range bufs {
+		pool.Put(buf)
+		bufs[b] = nil
 	}
-	return w.Bytes()
 }
 
-func decodeBuckets(data []byte) ([][]float32, error) {
-	r := checkpoint.NewReader(data)
-	n, err := r.Int()
-	if err != nil {
-		return nil, err
-	}
-	if n < 0 || n > r.Remaining()/8 {
-		return nil, fmt.Errorf("dist: buckets frame declares %d buckets in %d bytes", n, r.Remaining())
-	}
-	out := make([][]float32, n)
-	for i := range out {
-		if out[i], err = r.Float32s(); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// localBuckets flattens the bucket buffers of every EST this worker hosts.
-func localBuckets(job *core.Job, ranks []int) map[int][][]float32 {
+// encodeGrads packs one worker's contribution for a step into w: every hosted
+// EST's buckets, tagged by virtual rank, each flattened into an arena buffer
+// that goes straight back.
+//
+//easyscale:hotpath
+func encodeGrads(w *checkpoint.Writer, step int, job *core.Job, ranks []int) {
 	ddp := job.DDP()
-	out := map[int][][]float32{}
-	for _, r := range ranks {
-		set := job.ESTGradientSet(r)
-		bufs := make([][]float32, ddp.NumBuckets())
-		for b := range bufs {
-			bufs[b] = ddp.FlattenBucket(b, set)
-		}
-		out[r] = bufs
+	perRank := 2 * 8 // vrank, bucket count
+	for b := 0; b < ddp.NumBuckets(); b++ {
+		perRank += 8 + 4*ddp.BucketLen(b)
 	}
-	return out
+	w.Grow(2*8 + len(ranks)*perRank) // a frame buffer that has to grow grows once
+	w.PutInt(step)
+	w.PutInt(len(ranks))
+	for _, vrank := range ranks {
+		set := job.ESTGradientSet(vrank)
+		w.PutInt(vrank)
+		w.PutInt(ddp.NumBuckets())
+		for b := 0; b < ddp.NumBuckets(); b++ {
+			buf := ddp.FlattenBucket(b, set)
+			w.PutFloat32s(buf)
+			pool.Put(buf)
+		}
+	}
 }
 
-// follower is a leader-side handle on one admitted follower: its connection
-// and the exact virtual-rank set it is responsible for.
-type follower struct {
-	conn   net.Conn
-	worker int
-	expect map[int]bool
+// decodeGrads decodes one follower's MsgGrads payload into t, validating it
+// against ranks, the follower's slice of the placement: exactly those ranks,
+// none twice, each with the plan's bucket count and lengths. Otherwise a
+// misbehaving or misrouted frame could overwrite another EST's gradients, leave
+// a nil slot, or hand the reduce a short bucket. On error t may hold part of
+// the frame; release reclaims it.
+//
+//easyscale:hotpath
+func decodeGrads(payload []byte, ranks []int, t *gradTable) (step int, err error) {
+	r := checkpoint.NewReader(payload)
+	step, _ = r.Int()
+	// no rank twice, no foreign rank, and the follower's count: its set exactly
+	if nr, err := r.Int(); err != nil || nr != len(ranks) {
+		return 0, cmp.Or(err, errGradsRanks)
+	}
+	for range ranks {
+		vrank, err := r.Int()
+		if err != nil {
+			return 0, err
+		}
+		if vrank < 0 || vrank >= len(t.bufs) || !slices.Contains(ranks, vrank) || t.have[vrank] {
+			return 0, errGradsRanks // a foreign rank, or one of its own twice
+		}
+		t.have[vrank] = true
+		if err := readBuckets(r, t.lens, t.bufs[vrank]); err != nil {
+			return 0, err
+		}
+	}
+	return step, nil
 }
 
-// mergeGrads validates one follower's decoded contribution against its
-// assigned virtual ranks — exactly its own set, no duplicates (decodeGrads
-// rejects those), nothing missing, every rank with the full bucket count —
-// and merges it into sets. Without this, a misbehaving or misrouted frame
-// could silently overwrite another EST's gradients or leave a nil slot that
-// panics in the reduce loop.
-func mergeGrads(f follower, byRank map[int][][]float32, sets map[int][][]float32, numBuckets int) error {
-	if len(byRank) != len(f.expect) {
-		return fmt.Errorf("dist: worker %d sent %d EST contributions, expected %d", f.worker, len(byRank), len(f.expect))
+// readBuckets decodes a bucket count, which must be len(lens), and the buckets
+// into arena buffers of those lengths, stored in dst's nil slots: a rank's
+// part of a MsgGrads payload, all of a MsgReduced one. On error dst holds
+// what was borrowed so far.
+//
+//easyscale:hotpath
+func readBuckets(r *checkpoint.Reader, lens []int, dst [][]float32) error {
+	if nb, err := r.Int(); err != nil || nb != len(lens) {
+		return cmp.Or(err, errBucketCount)
 	}
-	for vrank, bufs := range byRank {
-		if !f.expect[vrank] {
-			return fmt.Errorf("dist: worker %d sent gradients for virtual rank %d it does not host", f.worker, vrank)
+	for b, n := range lens {
+		dst[b] = pool.GetUninit(n)
+		if err := r.Float32sInto(dst[b]); err != nil {
+			return err
 		}
-		if len(bufs) != numBuckets {
-			return fmt.Errorf("dist: worker %d rank %d sent %d buckets, expected %d", f.worker, vrank, len(bufs), numBuckets)
-		}
-		sets[vrank] = bufs
 	}
 	return nil
 }
 
+// encodeBuckets packs the averaged buckets of a step into w.
+//
+//easyscale:hotpath
+func encodeBuckets(w *checkpoint.Writer, buckets [][]float32) {
+	size := 8
+	for _, b := range buckets {
+		size += 8 + 4*len(b)
+	}
+	w.Grow(size)
+	w.PutInt(len(buckets))
+	for _, b := range buckets {
+		w.PutFloat32s(b)
+	}
+}
+
+// follower is a leader-side handle on one admitted follower: its connection
+// and the virtual ranks it is responsible for, its slice of the placement.
+type follower struct {
+	conn   *conn
+	worker int
+	ranks  []int
+}
+
 // leaderSteps runs the leader's side of a phase's global steps over an
 // admitted follower set: per step gather every EST's buckets, reduce in
-// canonical virtual order, broadcast, finish. extraConns (the control
-// connection) are closed alongside follower connections when an injected
-// crash fires.
-func leaderSteps(job *core.Job, tr *obs.Tracer, inj *faults.Injector, p core.Placement, followers []follower, extraConns []net.Conn, steps, track, world int) error {
+// canonical virtual order, broadcast, finish. allConns — ctrl, the control
+// connection, and the followers' — are closed when an injected crash fires.
+func leaderSteps(job *core.Job, tr *obs.Tracer, inj *faults.Injector, p core.Placement, followers []follower, ctrl *conn, allConns []net.Conn, steps, track, world int) error {
 	own := p.Assignment[0]
-	allConns := func() []net.Conn {
-		cs := append([]net.Conn(nil), extraConns...)
-		for _, f := range followers {
-			cs = append(cs, f.conn)
-		}
-		return cs
-	}
-
 	ddp := job.DDP()
 	contribs := make([][]float32, world)
-	var reduced [][]float32
+	table := &gradTable{have: make([]bool, world), bufs: make([][][]float32, world)}
+	defer table.release() // whatever an error return leaves borrowed
 	for s := 0; s < steps; s++ {
 		if s == 0 {
 			// the downtime clock stops at the earliest dist.first-step across
@@ -210,33 +220,37 @@ func leaderSteps(job *core.Job, tr *obs.Tracer, inj *faults.Injector, p core.Pla
 		if err := job.RunLocalPhase(0); err != nil {
 			return err
 		}
-		sets := localBuckets(job, own)
-		if err := injectFault(inj, faults.Gather, allConns()...); err != nil {
+		table.prepare(ddp)
+		for _, r := range own {
+			for b := range table.lens {
+				table.bufs[r][b] = ddp.FlattenBucket(b, job.ESTGradientSet(r))
+			}
+			table.have[r] = true
+		}
+		if err := injectFault(inj, faults.Gather, allConns...); err != nil {
 			return err
 		}
-		// gather: exactly one MsgGrads frame per follower per step
+		// gather: one MsgGrads frame per follower per step, decoded out of
+		// the connection's read buffer before the next read reuses it
 		tGather := tr.Now()
 		for _, f := range followers {
 			payload, err := Expect(f.conn, MsgGrads)
 			if err != nil {
 				return fmt.Errorf("dist: leader gather: %w", err)
 			}
-			step, byRank, err := decodeGrads(payload)
+			step, err := decodeGrads(payload, f.ranks, table)
 			if err != nil {
-				return err
+				return fmt.Errorf("dist: gradients of worker %d (virtual ranks %v): %w", f.worker, f.ranks, err)
 			}
 			if step != s {
 				return fmt.Errorf("dist: step skew: follower at %d, leader at %d", step, s)
 			}
-			if err := mergeGrads(f, byRank, sets, ddp.NumBuckets()); err != nil {
-				return err
-			}
 		}
 		// the placement covers every virtual rank, and each follower was
 		// validated against its own slice of it — but verify closure before
-		// the reduce indexes into the sets
-		for v := 0; v < world; v++ {
-			if sets[v] == nil {
+		// the reduce indexes into the table
+		for v, have := range table.have {
+			if !have {
 				return fmt.Errorf("dist: no gradient contribution for virtual rank %d", v)
 			}
 		}
@@ -244,38 +258,30 @@ func leaderSteps(job *core.Job, tr *obs.Tracer, inj *faults.Injector, p core.Pla
 		// reduce each bucket over virtual ranks 0..W-1 in canonical order,
 		// through the reduce the in-process step uses
 		tReduce := tr.Now()
-		reduced = reduced[:0]
-		for b := 0; b < ddp.NumBuckets(); b++ {
+		for b := range table.reduced {
 			for v := range contribs {
-				contribs[v] = sets[v][b]
+				contribs[v] = table.bufs[v][b]
 			}
-			reduced = append(reduced, comm.ReduceAverage(contribs, world))
-		}
-		// the local flatten buffers are arena-backed (FlattenBucket) and done
-		// with; follower buffers were decoded from network frames and are not
-		for _, r := range own {
-			for _, buf := range sets[r] {
-				pool.Put(buf)
-			}
+			table.reduced[b] = comm.ReduceAverage(contribs, world)
 		}
 		tr.Span(track, obs.CatComm, "net.reduce", tReduce, int64(s), int64(world))
-		if err := injectFault(inj, faults.Broadcast, allConns()...); err != nil {
+		if err := injectFault(inj, faults.Broadcast, allConns...); err != nil {
 			return err
 		}
 		tBcast := tr.Now()
-		payload := encodeBuckets(reduced)
+		// one frame for all followers, built in the control connection's
+		// frame buffer, which is idle while a phase steps
+		encodeBuckets(ctrl.begin(), table.reduced)
 		for _, f := range followers {
-			if err := WriteFrame(f.conn, MsgReduced, payload); err != nil {
+			if err := ctrl.sendTo(f.conn, MsgReduced); err != nil {
 				return err
 			}
 		}
-		tr.Span(track, obs.CatNet, "net.broadcast", tBcast, int64(s), int64(len(payload)))
-		if err := job.FinishStepReduced(reduced); err != nil {
+		tr.Span(track, obs.CatNet, "net.broadcast", tBcast, int64(s), int64(ctrl.payloadLen()))
+		if err := job.FinishStepReduced(table.reduced); err != nil {
 			return err
 		}
-		for _, buf := range reduced {
-			pool.Put(buf)
-		}
+		table.release()
 	}
 	return nil
 }
@@ -297,6 +303,8 @@ func leaderCollectContexts(job *core.Job, followers []follower) error {
 			if t != MsgCkpt {
 				return fmt.Errorf("dist: leader expected EST context, got %d", t)
 			}
+			// ImportESTContext decodes into the job's tensors and keeps
+			// nothing of payload: the read buffer needs no copy
 			if err := job.ImportESTContext(payload); err != nil {
 				return err
 			}
@@ -308,9 +316,10 @@ func leaderCollectContexts(job *core.Job, followers []follower) error {
 
 // followerSteps runs a non-leader's side of a phase's global steps against
 // an established leader connection.
-func followerSteps(job *core.Job, tr *obs.Tracer, inj *faults.Injector, p core.Placement, rank int, leader net.Conn, extraConns []net.Conn, steps, track int) error {
+func followerSteps(job *core.Job, tr *obs.Tracer, inj *faults.Injector, p core.Placement, rank int, leader *conn, ctrl net.Conn, steps, track int) error {
 	own := p.Assignment[rank]
-	conns := append([]net.Conn{leader}, extraConns...)
+	table := &gradTable{}
+	defer table.release() // whatever an error return leaves borrowed
 	for s := 0; s < steps; s++ {
 		if s == 0 {
 			// see leaderSteps: the earliest first-step across all workers ends
@@ -320,24 +329,16 @@ func followerSteps(job *core.Job, tr *obs.Tracer, inj *faults.Injector, p core.P
 		if err := job.RunLocalPhase(rank); err != nil {
 			return err
 		}
-		bufs := localBuckets(job, own)
-		if err := injectFault(inj, faults.Gather, conns...); err != nil {
+		if err := injectFault(inj, faults.Gather, leader, ctrl); err != nil {
 			return err
 		}
 		tSend := tr.Now()
-		frame := encodeGrads(s, bufs, own)
-		// encodeGrads copied the buckets into the frame; return the
-		// arena-backed flatten buffers before the write
-		for _, bs := range bufs {
-			for _, buf := range bs {
-				pool.Put(buf)
-			}
-		}
-		if err := WriteFrame(leader, MsgGrads, frame); err != nil {
+		encodeGrads(leader.begin(), s, job, own)
+		if err := leader.send(MsgGrads); err != nil {
 			return err
 		}
-		tr.Span(track, obs.CatNet, "net.send-grads", tSend, int64(s), int64(len(frame)))
-		if err := injectFault(inj, faults.Broadcast, conns...); err != nil {
+		tr.Span(track, obs.CatNet, "net.send-grads", tSend, int64(s), int64(leader.payloadLen()))
+		if err := injectFault(inj, faults.Broadcast, leader, ctrl); err != nil {
 			return err
 		}
 		tWait := tr.Now()
@@ -346,20 +347,22 @@ func followerSteps(job *core.Job, tr *obs.Tracer, inj *faults.Injector, p core.P
 			return err
 		}
 		tr.Span(track, obs.CatNet, "net.wait-reduced", tWait, int64(s), int64(len(payload)))
-		reduced, err := decodeBuckets(payload)
-		if err != nil {
+		// decoded out of the read buffer before the next step's read reuses it
+		table.prepare(job.DDP())
+		if err := readBuckets(checkpoint.NewReader(payload), table.lens, table.reduced); err != nil {
+			return fmt.Errorf("dist: reduced buckets: %w", err)
+		}
+		if err := job.FinishStepReduced(table.reduced); err != nil {
 			return err
 		}
-		if err := job.FinishStepReduced(reduced); err != nil {
-			return err
-		}
+		table.release()
 	}
 	return nil
 }
 
 // followerShipContexts ships the hosted EST contexts to the leader for
 // checkpoint assembly, closing with MsgDone.
-func followerShipContexts(job *core.Job, leader net.Conn, own []int) error {
+func followerShipContexts(job *core.Job, leader *conn, own []int) error {
 	for _, r := range own {
 		if err := WriteFrame(leader, MsgCkpt, job.ExportESTContext(r)); err != nil {
 			return err

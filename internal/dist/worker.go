@@ -3,6 +3,7 @@ package dist
 import (
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -48,9 +49,10 @@ type WorkerSpec struct {
 }
 
 // helloConn is an accepted connection whose first frame was a MsgHello —
-// a next-phase follower for the training loop to adopt.
+// a next-phase follower for the training loop to adopt. payload is in conn's
+// read buffer: the training loop, conn's owner now, parses it before reading.
 type helloConn struct {
-	conn    net.Conn
+	conn    *conn
 	payload []byte
 }
 
@@ -69,25 +71,25 @@ type worker struct {
 
 	// prevRanks is the virtual-rank set this worker hosted in the phase
 	// that just ended — the stay-set of the next migration diff.
-	prevRanks map[int]bool
+	prevRanks []int
 
 	// followers (on the leader) and leaderConn/leaderAddr (on a follower)
 	// are the gradient-plane connections of the last phase, kept open so a
 	// scale event between two surviving endpoints costs no dial at all.
 	followers  []follower
-	leaderConn net.Conn
+	leaderConn *conn
 	leaderAddr string
 
 	// peerConns caches shard-fetch connections by peer address across
 	// boundaries; the peer's shard-server loop keeps its end open, so a
 	// stayer's next migration fetch skips the dial too.
 	peerMu    sync.Mutex
-	peerConns map[string]net.Conn
+	peerConns map[string]*conn
 }
 
 // peerConn checks a cached shard-fetch connection out of the pool (at most
 // one goroutine uses a peer connection at a time).
-func (w *worker) peerConn(addr string) net.Conn {
+func (w *worker) peerConn(addr string) *conn {
 	w.peerMu.Lock()
 	defer w.peerMu.Unlock()
 	c := w.peerConns[addr]
@@ -121,11 +123,11 @@ func (w *worker) warmPeers(addrs []string) {
 }
 
 // keepPeerConn returns a healthy shard-fetch connection to the pool.
-func (w *worker) keepPeerConn(addr string, c net.Conn) {
+func (w *worker) keepPeerConn(addr string, c *conn) {
 	w.peerMu.Lock()
 	defer w.peerMu.Unlock()
 	if w.peerConns == nil {
-		w.peerConns = map[string]net.Conn{}
+		w.peerConns = map[string]*conn{}
 	}
 	if _, ok := w.peerConns[addr]; ok {
 		c.Close()
@@ -188,7 +190,7 @@ func (w *worker) serve() {
 	}
 }
 
-func (w *worker) serveConn(c net.Conn) {
+func (w *worker) serveConn(c *conn) {
 	for {
 		t, payload, err := ReadFrame(c)
 		if err != nil {
@@ -219,7 +221,9 @@ func (w *worker) serveConn(c net.Conn) {
 				}
 				continue
 			}
-			if WriteFrame(c, MsgShard, encodeShard(hash, b)) != nil {
+			// built straight from the published snapshot's immutable bytes
+			encodeShard(c.begin(), hash, b)
+			if c.send(MsgShard) != nil {
 				c.Close()
 				return
 			}
@@ -235,27 +239,16 @@ func (w *worker) serveConn(c net.Conn) {
 // survives into the new placement (their workers are the same processes —
 // slots are stable across a scale event); conns to departing slots are
 // closed, and only genuinely new slots are awaited on the hello queue.
-// Expect sets are always recomputed from the new placement. The resulting
-// set is stored on the worker for the next phase; closeDataPlane reaps it
-// on worker exit, so errors here simply propagate.
-func (w *worker) adoptFollowers(p core.Placement, stayed bool) ([]follower, error) {
+// Rank sets are always taken from the new placement. The set is stored on the
+// worker — on an error return too, as far as it got, so closeDataPlane reaps
+// exactly the connections still open when the worker exits.
+func (w *worker) adoptFollowers(p core.Placement, stayed bool) error {
 	n := len(p.Assignment) - 1
 	// bySlot[slot] receives each connection into its claimed slot, so the
 	// assembled follower order is slot order no matter in which order hellos
 	// arrive (or which connections are reused).
-	bySlot := make([]net.Conn, n+1)
+	bySlot := make([]*conn, n+1)
 	have := 0
-	// keep w.followers current while collecting: on an error return the
-	// worker exits and closeDataPlane reaps exactly these connections
-	sync := func() {
-		fs := make([]follower, 0, have)
-		for slot := 1; slot <= n; slot++ {
-			if bySlot[slot] != nil {
-				fs = append(fs, follower{conn: bySlot[slot], worker: slot})
-			}
-		}
-		w.followers = fs
-	}
 	for _, f := range w.followers {
 		if stayed && f.worker >= 1 && f.worker <= n && bySlot[f.worker] == nil {
 			bySlot[f.worker] = f.conn
@@ -264,7 +257,14 @@ func (w *worker) adoptFollowers(p core.Placement, stayed bool) ([]follower, erro
 			f.conn.Close()
 		}
 	}
-	sync()
+	defer func() {
+		w.followers = make([]follower, 0, have)
+		for slot, c := range bySlot {
+			if c != nil {
+				w.followers = append(w.followers, follower{conn: c, worker: slot, ranks: p.Assignment[slot]})
+			}
+		}
+	}()
 	deadline := time.NewTimer(w.timeout)
 	defer deadline.Stop()
 	for have < n {
@@ -272,36 +272,24 @@ func (w *worker) adoptFollowers(p core.Placement, stayed bool) ([]follower, erro
 		select {
 		case hc = <-w.helloCh:
 		case <-deadline.C:
-			return nil, fmt.Errorf("dist: leader adopted %d of %d followers before deadline", have, n)
+			return fmt.Errorf("dist: leader adopted %d of %d followers before deadline", have, n)
 		}
-		r := checkpoint.NewReader(hc.payload)
-		slot, err := r.Int()
+		slot, err := checkpoint.NewReader(hc.payload).Int()
+		switch {
+		case err != nil:
+		case slot < 1 || slot > n:
+			err = fmt.Errorf("dist: follower claims worker rank %d outside [1,%d]", slot, n)
+		case bySlot[slot] != nil:
+			err = fmt.Errorf("dist: duplicate follower for worker rank %d", slot)
+		}
 		if err != nil {
 			hc.conn.Close()
-			return nil, err
-		}
-		if slot < 1 || slot >= len(p.Assignment) {
-			hc.conn.Close()
-			return nil, fmt.Errorf("dist: follower claims worker rank %d outside [1,%d)", slot, len(p.Assignment))
-		}
-		if bySlot[slot] != nil {
-			hc.conn.Close()
-			return nil, fmt.Errorf("dist: duplicate follower for worker rank %d", slot)
+			return err
 		}
 		bySlot[slot] = hc.conn
 		have++
-		sync()
 	}
-	out := make([]follower, 0, n)
-	for slot := 1; slot <= n; slot++ {
-		expect := make(map[int]bool, len(p.Assignment[slot]))
-		for _, v := range p.Assignment[slot] {
-			expect[v] = true
-		}
-		out = append(out, follower{conn: bySlot[slot], worker: slot, expect: expect})
-	}
-	w.followers = out
-	return out, nil
+	return nil
 }
 
 // fetchShards performs the parallel multi-peer fetch: the wanted manifest
@@ -320,12 +308,8 @@ func (w *worker) fetchShards(m checkpoint.Manifest, sources []int, peers []strin
 		perPeer[sources[i]] = append(perPeer[sources[i]], e.Hash)
 	}
 
-	type result struct {
-		shards map[uint64][]byte
-		err    error
-	}
 	var wg sync.WaitGroup
-	results := make([]result, len(peers))
+	shards, errs := make([]map[uint64][]byte, len(peers)), make([]error, len(peers))
 	for pi, hashes := range perPeer {
 		if len(hashes) == 0 {
 			continue
@@ -333,18 +317,17 @@ func (w *worker) fetchShards(m checkpoint.Manifest, sources []int, peers []strin
 		wg.Add(1)
 		go func(pi int, hashes []uint64) {
 			defer wg.Done()
-			got, err := w.fetchFromPeer(peers[pi], hashes, jitterSeed^uint64(pi))
-			results[pi] = result{shards: got, err: err}
+			shards[pi], errs[pi] = w.fetchFromPeer(peers[pi], hashes, jitterSeed^uint64(pi))
 		}(pi, hashes)
 	}
 	wg.Wait()
 
-	set := checkpoint.NewShardSet()
-	for pi, res := range results {
-		if res.err != nil {
-			return nil, fmt.Errorf("dist: fetch from peer %d (%s): %w", pi, peers[pi], res.err)
+	set := checkpoint.NewShardSet(0)
+	for pi, got := range shards {
+		if errs[pi] != nil {
+			return nil, fmt.Errorf("dist: fetch from peer %d (%s): %w", pi, peers[pi], errs[pi])
 		}
-		for h, b := range res.shards {
+		for h, b := range got {
 			if err := set.Add(h, b); err != nil {
 				return nil, err
 			}
@@ -381,12 +364,11 @@ func (w *worker) fetchFromPeer(addr string, hashes []uint64, jitterSeed uint64) 
 
 // requestShards runs the MsgShardGet dialog for a hash list on one
 // connection, verifying every answer against its content address.
-func requestShards(c net.Conn, hashes []uint64) (map[uint64][]byte, error) {
+func requestShards(c *conn, hashes []uint64) (map[uint64][]byte, error) {
 	out := make(map[uint64][]byte, len(hashes))
 	for _, h := range hashes {
-		req := checkpoint.NewWriter()
-		req.PutUint64(h)
-		if err := WriteFrame(c, MsgShardGet, req.Bytes()); err != nil {
+		c.begin().PutUint64(h)
+		if err := c.send(MsgShardGet); err != nil {
 			return nil, err
 		}
 		t, payload, err := ReadFrame(c)
@@ -406,7 +388,9 @@ func requestShards(c net.Conn, hashes []uint64) (map[uint64][]byte, error) {
 		if gotHash != h {
 			return nil, fmt.Errorf("dist: peer answered shard %016x with %016x", h, gotHash)
 		}
-		out[h] = b
+		// the shard outlives the next read on c: its one copy on the way in,
+		// at its exact size (fetchShards verifies it against h)
+		out[h] = slices.Clone(b)
 	}
 	return out, nil
 }
@@ -452,16 +436,16 @@ func RunWorker(spec WorkerSpec) error {
 	}
 	// the listener address is unique per worker, so it doubles as the
 	// per-worker jitter discriminator for dial backoff
-	jitterSeed := spec.Cfg.Seed ^ spec.Epoch ^ fnvHash(ln.Addr().String())
+	jitterSeed := spec.Cfg.Seed ^ spec.Epoch ^ checkpoint.HashBytes([]byte(ln.Addr().String()))
 	ctrl, err := dialRetry(spec.CoordAddr, timeout, jitterSeed)
 	if err != nil {
 		return fmt.Errorf("dist: dial coordinator: %w", err)
 	}
 	defer ctrl.Close()
-	hello := checkpoint.NewWriter()
+	hello := ctrl.begin()
 	hello.PutUint64(spec.Epoch)
 	hello.PutString(ln.Addr().String())
-	if err := WriteFrame(ctrl, MsgHello, hello.Bytes()); err != nil {
+	if err := ctrl.send(MsgHello); err != nil {
 		return err
 	}
 
@@ -477,6 +461,8 @@ func RunWorker(spec WorkerSpec) error {
 		case MsgDepart:
 			return nil
 		case MsgReconfigure:
+			// rc.Container is a view of ctrl's read buffer; reconfigure, the
+			// one place that reads it, is done before ctrl is read again
 			rc, err := decodeReconfig(payload)
 			if err != nil {
 				return err
@@ -516,7 +502,7 @@ func RunWorker(spec WorkerSpec) error {
 // slot migrate in, fetched from the workers that hosted them — and re-attach
 // via core.ScaleLive, skipping the encode/decode/rebuild round trip
 // entirely. Joiners assemble the full state from their peers.
-func (w *worker) reconfigure(job *core.Job, rc reconfig, inj *faults.Injector, ctrl net.Conn, track int, jitterSeed uint64) (*core.Job, error) {
+func (w *worker) reconfigure(job *core.Job, rc reconfig, inj *faults.Injector, ctrl *conn, track int, jitterSeed uint64) (*core.Job, error) {
 	spec := w.spec
 	tr := spec.Tracer
 	var err error
@@ -563,7 +549,7 @@ func (w *worker) reconfigure(job *core.Job, rc reconfig, inj *faults.Injector, c
 			// hosts, and keep everything else in place
 			need := map[string]bool{}
 			for _, r := range rc.Placement.Assignment[rc.Slot] {
-				if !w.prevRanks[r] {
+				if !slices.Contains(w.prevRanks, r) {
 					need[core.ESTShardID(r)] = true
 				}
 			}
@@ -594,10 +580,7 @@ func (w *worker) reconfigure(job *core.Job, rc reconfig, inj *faults.Injector, c
 	default:
 		return nil, fmt.Errorf("dist: unknown reconfigure kind %d", rc.Kind)
 	}
-	w.prevRanks = make(map[int]bool, len(rc.Placement.Assignment[rc.Slot]))
-	for _, r := range rc.Placement.Assignment[rc.Slot] {
-		w.prevRanks[r] = true
-	}
+	w.prevRanks = rc.Placement.Assignment[rc.Slot]
 	return job, nil
 }
 
@@ -606,20 +589,19 @@ func (w *worker) reconfigure(job *core.Job, rc reconfig, inj *faults.Injector, c
 // assembles the canonical state (importing follower EST contexts) and runs
 // the incremental directory ship; followers just sync their data cursors so
 // their published meta/param/moment shards are bitwise the canonical ones.
-func (w *worker) runPhase(job *core.Job, rc reconfig, inj *faults.Injector, ctrl net.Conn, stayed bool, track int, jitterSeed uint64) error {
+func (w *worker) runPhase(job *core.Job, rc reconfig, inj *faults.Injector, ctrl *conn, stayed bool, track int, jitterSeed uint64) error {
 	spec := w.spec
 	tr := spec.Tracer
 	if rc.Slot == 0 {
-		followers, err := w.adoptFollowers(rc.Placement, stayed)
-		if err != nil {
+		if err := w.adoptFollowers(rc.Placement, stayed); err != nil {
 			return err
 		}
-		if err := leaderSteps(job, tr, inj, rc.Placement, followers, []net.Conn{ctrl}, rc.Steps, track, spec.Cfg.NumESTs); err != nil {
-			return err
-		}
-		conns := []net.Conn{ctrl}
+		followers, conns := w.followers, []net.Conn{ctrl}
 		for _, f := range followers {
 			conns = append(conns, f.conn)
+		}
+		if err := leaderSteps(job, tr, inj, rc.Placement, followers, ctrl, conns, rc.Steps, track, spec.Cfg.NumESTs); err != nil {
+			return err
 		}
 		if err := injectFault(inj, faults.CkptShip, conns...); err != nil {
 			return err
@@ -663,14 +645,13 @@ func (w *worker) runPhase(job *core.Job, rc reconfig, inj *faults.Injector, ctrl
 				return fmt.Errorf("dist: dial leader: %w", err)
 			}
 			w.leaderConn, w.leaderAddr = c, rc.LeaderAddr
-			hello := checkpoint.NewWriter()
-			hello.PutInt(rc.Slot)
-			if err := WriteFrame(c, MsgHello, hello.Bytes()); err != nil {
+			c.begin().PutInt(rc.Slot)
+			if err := c.send(MsgHello); err != nil {
 				return err
 			}
 			leader = c
 		}
-		if err := followerSteps(job, tr, inj, rc.Placement, rc.Slot, leader, []net.Conn{ctrl}, rc.Steps, track); err != nil {
+		if err := followerSteps(job, tr, inj, rc.Placement, rc.Slot, leader, ctrl, rc.Steps, track); err != nil {
 			return err
 		}
 		if err := injectFault(inj, faults.CkptShip, leader, ctrl); err != nil {

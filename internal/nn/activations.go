@@ -44,6 +44,11 @@ func (r *ReLU) Params() []*Parameter { return nil }
 // transformer workloads.
 type GELU struct {
 	x *tensor.Tensor
+	// tanh holds the forward pass's tanh values for Backward, which needs the
+	// same ones: kept in float64, as computed, so reading one back gives the
+	// bits recomputing it would. Capacity is reused across steps, like
+	// Dropout's mask.
+	tanh []float64
 }
 
 // NewGELU builds a GELU layer.
@@ -55,10 +60,16 @@ const geluC = 0.7978845608028654 // sqrt(2/pi)
 func (g *GELU) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 	ctx.Dev.ChargeFLOPs(8*float64(x.Size()), 1)
 	g.x = x
+	if cap(g.tanh) < x.Size() {
+		g.tanh = make([]float64, x.Size())
+	}
+	g.tanh = g.tanh[:x.Size()]
 	y := ctx.clone(x)
 	for i, v := range y.Data {
 		xv := float64(v)
-		y.Data[i] = float32(0.5 * xv * (1 + math.Tanh(geluC*(xv+0.044715*xv*xv*xv))))
+		th := math.Tanh(geluC * (xv + 0.044715*xv*xv*xv))
+		g.tanh[i] = th
+		y.Data[i] = float32(0.5 * xv * (1 + th))
 	}
 	return y
 }
@@ -69,8 +80,7 @@ func (g *GELU) Backward(ctx *Context, grad *tensor.Tensor) *tensor.Tensor {
 	out := ctx.clone(grad)
 	for i := range out.Data {
 		xv := float64(g.x.Data[i])
-		inner := geluC * (xv + 0.044715*xv*xv*xv)
-		th := math.Tanh(inner)
+		th := g.tanh[i]
 		dInner := geluC * (1 + 3*0.044715*xv*xv)
 		d := 0.5*(1+th) + 0.5*xv*(1-th*th)*dInner
 		out.Data[i] *= float32(d)

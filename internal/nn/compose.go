@@ -17,7 +17,7 @@ func NewResidual(body Layer) *Residual { return &Residual{Body: body} }
 // Forward computes x + body(x).
 func (r *Residual) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 	y := r.Body.Forward(ctx, x)
-	shapeCheck(tensor.SameShape(x, y), "Residual: body changed shape %v → %v", x.Shape(), y.Shape())
+	shapeCheck(tensor.SameShape(x, y), "Residual: body changed shape %v → %v", shapeOf{x}, shapeOf{y})
 	// Clone rather than mutate y: activations may cache their output tensor.
 	sum := ctx.clone(y)
 	sum.AddInPlace(x)
@@ -54,7 +54,7 @@ func NewMeanPool() *MeanPool { return &MeanPool{} }
 
 // Forward averages over the sequence dimension.
 func (m *MeanPool) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
-	shapeCheck(x.Rank() == 3, "MeanPool: want [B,L,D], got %v", x.Shape())
+	shapeCheck(x.Rank() == 3, "MeanPool: want [B,L,D], got %v", shapeOf{x})
 	m.b, m.l, m.d = x.Dim(0), x.Dim(1), x.Dim(2)
 	ctx.Dev.ChargeFLOPs(float64(x.Size()), 1)
 	y := ctx.newTensor(m.b, m.d) // zeroed: sequence positions accumulate
@@ -134,7 +134,7 @@ func (pe *PatchEmbed) patchify(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 // Forward patchifies and projects.
 func (pe *PatchEmbed) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 	shapeCheck(x.Rank() == 4 && x.Dim(1) == pe.C && x.Dim(2)%pe.P == 0 && x.Dim(3)%pe.P == 0,
-		"PatchEmbed: input %v incompatible with C=%d P=%d", x.Shape(), pe.C, pe.P)
+		"PatchEmbed: input %v incompatible with C=%d P=%d", shapeOf{x}, pe.C, pe.P)
 	pe.b, pe.h, pe.w = x.Dim(0), x.Dim(2), x.Dim(3)
 	patches := pe.patchify(ctx, x)
 	y := pe.Proj.Forward(ctx, patches)

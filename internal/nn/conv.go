@@ -38,7 +38,7 @@ func NewConv2D(cin, cout, k, stride, pad int, bias bool, init *rng.Stream) *Conv
 }
 
 func (c *Conv2D) convDims(x *tensor.Tensor) kernels.ConvDims {
-	shapeCheck(x.Rank() == 4 && x.Dim(1) == c.CIn, "Conv2D: input %v incompatible with CIn=%d", x.Shape(), c.CIn)
+	shapeCheck(x.Rank() == 4 && x.Dim(1) == c.CIn, "Conv2D: input %v incompatible with CIn=%d", shapeOf{x}, c.CIn)
 	return kernels.ConvDims{
 		Batch: x.Dim(0), CIn: c.CIn, H: x.Dim(2), W: x.Dim(3),
 		COut: c.COut, KH: c.KH, KW: c.KW,
@@ -111,11 +111,11 @@ func NewMaxPool2D(k, stride int) *MaxPool2D { return &MaxPool2D{K: k, Stride: st
 
 // Forward keeps the per-window argmax for the backward pass.
 func (m *MaxPool2D) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
-	shapeCheck(x.Rank() == 4, "MaxPool2D: want NCHW input, got %v", x.Shape())
+	shapeCheck(x.Rank() == 4, "MaxPool2D: want NCHW input, got %v", shapeOf{x})
 	b, ch, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	oh := (h-m.K)/m.Stride + 1
 	ow := (w-m.K)/m.Stride + 1
-	shapeCheck(oh > 0 && ow > 0, "MaxPool2D: window %d too large for %v", m.K, x.Shape())
+	shapeCheck(oh > 0 && ow > 0, "MaxPool2D: window %d too large for %v", m.K, shapeOf{x})
 	ctx.Dev.ChargeFLOPs(float64(b*ch*oh*ow*m.K*m.K), 1)
 	m.inShape = append(m.inShape[:0], x.Shape()...)
 	y := ctx.newTensorUninit(b, ch, oh, ow)
@@ -173,7 +173,7 @@ func NewGlobalAvgPool() *GlobalAvgPool { return &GlobalAvgPool{} }
 
 // Forward averages over the spatial dimensions in fixed order.
 func (g *GlobalAvgPool) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
-	shapeCheck(x.Rank() == 4, "GlobalAvgPool: want NCHW input, got %v", x.Shape())
+	shapeCheck(x.Rank() == 4, "GlobalAvgPool: want NCHW input, got %v", shapeOf{x})
 	b, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	ctx.Dev.ChargeFLOPs(float64(x.Size()), 1)
 	g.inShape = append(g.inShape[:0], x.Shape()...)

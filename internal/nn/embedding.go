@@ -30,7 +30,7 @@ func NewEmbedding(vocab, d int, init *rng.Stream) *Embedding {
 
 // Forward gathers rows of the table.
 func (e *Embedding) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
-	shapeCheck(x.Rank() == 2, "Embedding: want [B,L] ids, got %v", x.Shape())
+	shapeCheck(x.Rank() == 2, "Embedding: want [B,L] ids, got %v", shapeOf{x})
 	b, l := x.Dim(0), x.Dim(1)
 	ctx.Dev.ChargeFLOPs(float64(b*l*e.D), 1)
 	e.ids = e.ids[:0]

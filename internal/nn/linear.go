@@ -34,8 +34,15 @@ func NewLinear(in, out int, bias bool, init *rng.Stream) *Linear {
 }
 
 func (l *Linear) fold(x *tensor.Tensor) *tensor.Tensor {
-	shapeCheck(x.Size()%l.In == 0, "Linear(%d→%d): input %v not divisible by in features", l.In, l.Out, x.Shape())
+	shapeCheck(x.Size()%l.In == 0, "Linear(%d→%d): input %v not divisible by in features", l.In, l.Out, shapeOf{x})
 	return x.Reshape(-1, l.In)
+}
+
+// withLastDim returns shape with its last dimension replaced by d, built in
+// buf — the caller's stack — so unfolding a layer's output costs no shape
+// slice; ranks beyond buf fall back to append's allocation.
+func withLastDim(buf *[4]int, shape []int, d int) []int {
+	return append(append(buf[:0], shape[:len(shape)-1]...), d)
 }
 
 // Forward computes y = x·Wᵀ + b, preserving leading dimensions.
@@ -52,8 +59,7 @@ func (l *Linear) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 			kernels.AddF32(y.Data[r*l.Out:(r+1)*l.Out], l.B.Value.Data)
 		}
 	}
-	outShape := append(append([]int(nil), orig[:len(orig)-1]...), l.Out)
-	return y.Reshape(outShape...)
+	return y.Reshape(withLastDim(&[4]int{}, orig, l.Out)...)
 }
 
 // Backward accumulates dW = dyᵀ·x and db = Σ_rows dy, returning dx = dy·W.
@@ -84,8 +90,7 @@ func (l *Linear) Backward(ctx *Context, grad *tensor.Tensor) *tensor.Tensor {
 	dx := ctx.newTensorUninit(rows, l.In)
 	gemm(ctx, dx.Data, g2.Data, l.W.Value.Data, rows, l.Out, l.In)
 	l.x = nil // activation freed at mini-batch boundary
-	inShape := append(append([]int(nil), orig[:len(orig)-1]...), l.In)
-	return dx.Reshape(inShape...)
+	return dx.Reshape(withLastDim(&[4]int{}, orig, l.In)...)
 }
 
 // Params returns weight (and bias when present).

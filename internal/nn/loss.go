@@ -21,7 +21,7 @@ func NewCrossEntropy() *CrossEntropy { return &CrossEntropy{} }
 
 // Forward computes mean(-log softmax(logits)[label]) for logits [B, K].
 func (ce *CrossEntropy) Forward(ctx *Context, logits *tensor.Tensor, labels []int) float32 {
-	shapeCheck(logits.Rank() == 2 && logits.Dim(0) == len(labels), "CrossEntropy: logits %v vs %d labels", logits.Shape(), len(labels))
+	shapeCheck(logits.Rank() == 2 && logits.Dim(0) == len(labels), "CrossEntropy: logits %v vs %d labels", shapeOf{logits}, len(labels))
 	b, k := logits.Dim(0), logits.Dim(1)
 	ctx.Dev.ChargeFLOPs(5*float64(logits.Size()), 1)
 	ce.probs = ctx.newTensorUninit(b, k)
@@ -83,7 +83,7 @@ func NewBCEWithLogits() *BCEWithLogits { return &BCEWithLogits{} }
 
 // Forward computes mean BCE of sigmoid(logits) against targets in [0,1].
 func (b *BCEWithLogits) Forward(ctx *Context, logits, target *tensor.Tensor) float32 {
-	shapeCheck(logits.Size() == target.Size(), "BCE: pred %v vs target %v", logits.Shape(), target.Shape())
+	shapeCheck(logits.Size() == target.Size(), "BCE: pred %v vs target %v", shapeOf{logits}, shapeOf{target})
 	ctx.Dev.ChargeFLOPs(8*float64(logits.Size()), 1)
 	b.sig = ctx.newTensorUninit(logits.Shape()...)
 	b.target = target

@@ -206,3 +206,11 @@ func shapeCheck(cond bool, format string, args ...any) {
 		panic("nn: " + fmt.Sprintf(format, args...))
 	}
 }
+
+// shapeOf is a tensor's shape as a shapeCheck argument. It is pointer-shaped,
+// so it goes into the call's ...any as it is and is formatted only if the
+// check fails; x.Shape() there allocates a boxed slice header on every call
+// of every layer, checks that pass included.
+type shapeOf struct{ t *tensor.Tensor }
+
+func (s shapeOf) String() string { return fmt.Sprint(s.t.Shape()) }

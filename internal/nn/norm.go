@@ -40,7 +40,7 @@ func NewBatchNorm2D(c int) *BatchNorm2D {
 
 // Forward normalizes x; in training mode it also updates running statistics.
 func (bn *BatchNorm2D) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
-	shapeCheck(x.Rank() == 4 && x.Dim(1) == bn.C, "BatchNorm2D: input %v incompatible with C=%d", x.Shape(), bn.C)
+	shapeCheck(x.Rank() == 4 && x.Dim(1) == bn.C, "BatchNorm2D: input %v incompatible with C=%d", shapeOf{x}, bn.C)
 	b, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	hw := h * w
 	n := b * hw
@@ -157,7 +157,7 @@ func NewLayerNorm(d int) *LayerNorm {
 
 // Forward normalizes each trailing-dimension vector.
 func (ln *LayerNorm) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
-	shapeCheck(x.Size()%ln.D == 0, "LayerNorm: input %v not divisible by D=%d", x.Shape(), ln.D)
+	shapeCheck(x.Size()%ln.D == 0, "LayerNorm: input %v not divisible by D=%d", shapeOf{x}, ln.D)
 	rows := x.Size() / ln.D
 	ctx.Dev.ChargeFLOPs(6*float64(x.Size()), 1)
 	y := ctx.newTensorUninit(x.Shape()...)

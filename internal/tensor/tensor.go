@@ -28,35 +28,56 @@ type Tensor struct {
 	Data  []float32
 }
 
+// dims renders a shape for a panic message from a copy of it: formatting the
+// caller's slice itself would make it escape, and with it the argument list of
+// every constructor call, whether or not anything ever panics.
+func dims(shape []int) string { return fmt.Sprint(append([]int(nil), shape...)) }
+
 // Numel returns the number of elements implied by shape. It panics on
 // negative dimensions.
 func Numel(shape []int) int {
 	n := 1
 	for _, d := range shape {
 		if d < 0 {
-			panic(fmt.Sprintf("tensor: negative dimension in shape %v", shape))
+			panic("tensor: negative dimension in shape " + dims(shape))
 		}
 		n *= d
 	}
 	return n
 }
 
+// header is a Tensor and the storage of its shape in one allocation: nearly
+// every tensor of a training step is a short-lived header over a pooled
+// buffer, so the header is what a step allocates.
+type header struct {
+	Tensor
+	inline [4]int
+}
+
+// wrap returns a tensor header over data with a copy of shape. Ranks beyond
+// the inline four get a shape slice of their own.
+func wrap(data []float32, shape []int) *Tensor {
+	h := &header{Tensor: Tensor{Data: data}}
+	h.shape = append(h.inline[:0], shape...)
+	return &h.Tensor
+}
+
 // New allocates a zero-filled tensor of the given shape.
 func New(shape ...int) *Tensor {
-	return &Tensor{shape: append([]int(nil), shape...), Data: make([]float32, Numel(shape))}
+	return wrap(make([]float32, Numel(shape)), shape)
 }
 
 // NewScoped allocates a zero-filled tensor whose data buffer is borrowed from
 // the scope and reclaimed by its ReleaseAll — the hot-path variant of New for
 // step-scoped activations and gradients. A nil scope degrades to New.
 func NewScoped(s *pool.Scope, shape ...int) *Tensor {
-	return &Tensor{shape: append([]int(nil), shape...), Data: s.Get(Numel(shape))}
+	return wrap(s.Get(Numel(shape)), shape)
 }
 
 // NewScopedUninit is NewScoped without the zero fill, for tensors every
 // element of which is written before being read.
 func NewScopedUninit(s *pool.Scope, shape ...int) *Tensor {
-	return &Tensor{shape: append([]int(nil), shape...), Data: s.GetUninit(Numel(shape))}
+	return wrap(s.GetUninit(Numel(shape)), shape)
 }
 
 // CloneScoped returns a deep copy whose buffer is borrowed from the scope.
@@ -70,9 +91,9 @@ func (t *Tensor) CloneScoped(s *pool.Scope) *Tensor {
 // element counts disagree.
 func FromData(data []float32, shape ...int) *Tensor {
 	if len(data) != Numel(shape) {
-		panic(fmt.Sprintf("tensor: data length %d does not match shape %v", len(data), shape))
+		panic(fmt.Sprintf("tensor: data length %d does not match shape %s", len(data), dims(shape)))
 	}
-	return &Tensor{shape: append([]int(nil), shape...), Data: data}
+	return wrap(data, shape)
 }
 
 // Full returns a tensor of the given shape with every element set to v.
@@ -135,7 +156,8 @@ func (t *Tensor) CopyFrom(o *Tensor) {
 // Reshape returns a view sharing data with t under a new shape. One dimension
 // may be -1 to be inferred.
 func (t *Tensor) Reshape(shape ...int) *Tensor {
-	ns := append([]int(nil), shape...)
+	r := wrap(t.Data, shape)
+	ns := r.shape
 	infer := -1
 	known := 1
 	for i, d := range ns {
@@ -150,14 +172,14 @@ func (t *Tensor) Reshape(shape ...int) *Tensor {
 	}
 	if infer >= 0 {
 		if known == 0 || len(t.Data)%known != 0 {
-			panic(fmt.Sprintf("tensor: cannot infer dim for reshape %v of %v", shape, t.shape))
+			panic(fmt.Sprintf("tensor: cannot infer dim for reshape %s of %v", dims(shape), t.shape))
 		}
 		ns[infer] = len(t.Data) / known
 	}
 	if Numel(ns) != len(t.Data) {
 		panic(fmt.Sprintf("tensor: reshape %v incompatible with %v", ns, t.shape))
 	}
-	return &Tensor{shape: ns, Data: t.Data}
+	return r
 }
 
 // Fill sets all elements to v.
