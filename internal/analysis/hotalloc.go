@@ -13,6 +13,12 @@ import (
 // analyzer is its path-insensitive enforcement.
 const hotpathDirective = "//easyscale:hotpath"
 
+// tensorImportPath is the tensor package, and heapTensorCtors its
+// constructors that take a tensor's header from the heap.
+const tensorImportPath = "repro/internal/tensor"
+
+var heapTensorCtors = map[string]bool{"New": true, "Full": true, "FromData": true}
+
 // HotAlloc returns the hotalloc analyzer: a function annotated
 // //easyscale:hotpath must not allocate. Flagged inside such a function:
 //
@@ -24,9 +30,13 @@ const hotpathDirective = "//easyscale:hotpath"
 //   - function literals (closure allocation)
 //   - fmt calls (formatting allocates and boxes every operand)
 //   - conversions to `any`/`interface{}` (explicit boxing)
+//   - the heap tensor constructors tensor.New, Full and FromData, whose
+//     header (and data) come from the heap
 //
 // pool.Get / pool.GetUninit are the sanctioned amortized-allocation escape
-// hatch and are exempt; poolbalance polices their release.
+// hatch and are exempt; poolbalance polices their release. So are the scoped
+// tensor constructors (tensor.NewScoped, NewScopedUninit, CloneScoped), whose
+// header and buffer come from the step's pool.Scope.
 func HotAlloc() *Analyzer {
 	a := &Analyzer{
 		Name: "hotalloc",
@@ -75,8 +85,11 @@ func checkHotAlloc(pass *Pass, body *ast.BlockStmt) {
 					pass.Report(n.Pos(), "hot path allocates: conversion to any boxes the operand")
 				}
 			case *ast.SelectorExpr:
-				if p, name, ok := pass.ImportedSelector(fun); ok && p == "fmt" {
+				switch p, name, _ := pass.ImportedSelector(fun); {
+				case p == "fmt":
 					pass.Report(n.Pos(), "hot path allocates: fmt.%s formats and boxes every operand", name)
+				case p == tensorImportPath && heapTensorCtors[name]:
+					pass.Report(n.Pos(), "hot path allocates: tensor.%s takes its header from the heap (use the scoped constructor)", name)
 				}
 			case *ast.InterfaceType:
 				pass.Report(n.Pos(), "hot path allocates: conversion to interface{} boxes the operand")

@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"repro/internal/pool"
+	"repro/internal/tensor"
 )
 
 type vec struct{ x, y float32 }
@@ -33,6 +34,28 @@ func pooled(n int) {
 		buf[i] = 0
 	}
 	pool.Put(buf)
+}
+
+// scoped takes its tensors from the step's scope: header and buffer come
+// from the scope's slab and the arena, so nothing here is flagged.
+//
+//easyscale:hotpath
+func scoped(s *pool.Scope, x *tensor.Tensor) *tensor.Tensor {
+	y := tensor.NewScopedUninit(s, x.Shape()...)
+	z := tensor.NewScoped(s, 2, 3)
+	_ = z
+	y.CopyFrom(x)
+	return y.CloneScoped(s).Reshape(-1)
+}
+
+// heapTensors builds its tensors on the heap.
+//
+//easyscale:hotpath
+func heapTensors(buf []float32) {
+	a := tensor.New(2, 3)               // want `hot path allocates: tensor\.New`
+	b := tensor.Full(1, 4)              // want `hot path allocates: tensor\.Full`
+	c := tensor.FromData(buf, len(buf)) // want `hot path allocates: tensor\.FromData`
+	_, _, _ = a, b, c
 }
 
 // allocating trips every forbidden construct.

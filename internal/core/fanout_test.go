@@ -68,7 +68,8 @@ func lossBits(j *Job) string {
 // many cores there are, however many GPUs compute at once, and whichever
 // placement the ESTs sit on, an elastic run ends on the parameters and
 // losses of the plain serial run on one V100, and on the checkpoint bytes of
-// its own schedule run one GPU at a time. `make race` runs it.
+// its own schedule run one GPU at a time. `make race` runs it: the GPUs'
+// replicas then fill and rewind their scopes' header slabs concurrently.
 func TestFanOutInvisibleToBits(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	defer kernels.SetParallelism(0)

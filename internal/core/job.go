@@ -241,7 +241,8 @@ func (j *Job) gradBytes() float64 { return j.Workload.Memory().ParamsMB * 1e6 }
 // different GPUs may run concurrently.
 func (j *Job) localStep(rep *replica, est *ESTContext, dev *device.Device, lastOnWorker bool, soloOnWorker bool) {
 	o := j.obs
-	ctx := &nn.Context{Dev: dev, RNG: est.RNG.Torch, Training: true, Scratch: rep.scratch}
+	ctx := &rep.ctx
+	ctx.Dev, ctx.RNG = dev, est.RNG.Torch
 	stepStart := dev.Now()
 	tLocal := o.now()
 
@@ -306,7 +307,7 @@ func (j *Job) localStep(rep *replica, est *ESTContext, dev *device.Device, lastO
 
 	// Every activation and gradient buffer borrowed during this local step is
 	// dead now (gradients were copied to the EST's host buffers above).
-	rep.scratch.ReleaseAll()
+	ctx.Scratch.ReleaseAll()
 	// A0 carries the simulated (device-clock) duration so the trace shows
 	// both wall and simulated time per EST local step (Fig. 11).
 	o.estSpan(est.VirtualRank, obs.CatStep, "core.local-step", tLocal,

@@ -13,7 +13,9 @@ import (
 // reuse changes where scratch lives, never the accumulation order, so the
 // consistency fingerprints must not move. Covered per determinism level
 // because D0/D1 and DetNone exercise different kernel variants, and on two
-// GPUs computing at once, where both replicas draw from the arena together.
+// GPUs computing at once, where both replicas draw from the arena together,
+// each taking its tensor headers from its own scope's slab (`make race` runs
+// it).
 func TestPoolingInvisibleToParamsHash(t *testing.T) {
 	if !pool.Enabled() {
 		t.Fatal("arena should be enabled by default")

@@ -13,22 +13,25 @@ import (
 
 // replica is what one simulated GPU owns of the model: a network of its own
 // (layer caches, gradient accumulators, and the implicit-state buffers EST
-// contexts switch in and out of), its loss, and the scratch scope one EST's
-// local step borrows from. params and state are the network's Params() and
-// StateTensors(), computed once. The weights are not owned: every replica's
-// Parameter.Value is replica 0's tensor — one set of weights and one
+// contexts switch in and out of), its loss, and the layer context whose
+// scratch scope one EST's local step borrows from. params and state are the
+// network's Params() and StateTensors(), computed once. The weights are not
+// owned: every replica's Parameter.Value is replica 0's tensor — one set of weights and one
 // optimizer, read-only while local phases run and updated once after the
 // reduce, which is also what perDeviceMB charges each GPU for.
 type replica struct {
-	net     nn.Layer
-	loss    models.LossFn
-	params  []*nn.Parameter
-	state   []*tensor.Tensor
-	scratch *pool.Scope
+	net    nn.Layer
+	loss   models.LossFn
+	params []*nn.Parameter
+	state  []*tensor.Tensor
+	// ctx is the context of the replica's local steps: one replica runs on
+	// one goroutine, so localStep refreshes its device and RNG per EST.
+	ctx nn.Context
 }
 
 func newReplica(net nn.Layer, loss models.LossFn) *replica {
-	r := &replica{net: net, loss: loss, params: net.Params(), scratch: pool.NewScope()}
+	r := &replica{net: net, loss: loss, params: net.Params()}
+	r.ctx = nn.Context{Training: true, Scratch: pool.NewScope()}
 	if st, ok := net.(nn.Stateful); ok {
 		r.state = st.StateTensors()
 	}

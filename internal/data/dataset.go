@@ -13,6 +13,7 @@ package data
 import (
 	"fmt"
 
+	"repro/internal/pool"
 	"repro/internal/rng"
 	"repro/internal/tensor"
 )
@@ -48,7 +49,7 @@ func NewSyntheticImages(n, classes, c, h, w int, seed uint64) *SyntheticImages {
 	sz := c * h * w
 	d.protos = make([]float32, classes*sz)
 	for cl := 0; cl < classes; cl++ {
-		s := rng.NewNamed(seed, fmt.Sprintf("proto-%d", cl))
+		s := rng.Indexed(seed, "proto-", cl)
 		for j := 0; j < sz; j++ {
 			d.protos[cl*sz+j] = s.NormFloat32()
 		}
@@ -66,13 +67,15 @@ func (d *SyntheticImages) InputShape() []int { return []int{d.C, d.H, d.W} }
 func (d *SyntheticImages) NumClasses() int { return d.Classes }
 
 // Sample generates item i: class prototype + noise, optionally augmented.
+//
+//easyscale:hotpath
 func (d *SyntheticImages) Sample(i int, dst []float32, aug *rng.Stream) int {
 	sz := d.C * d.H * d.W
 	if len(dst) != sz {
-		panic(fmt.Sprintf("data: Sample dst size %d, want %d", len(dst), sz))
+		panic("data: image Sample dst size")
 	}
 	label := i % d.Classes
-	noise := rng.NewNamed(d.seed, fmt.Sprintf("item-%d", i))
+	noise := rng.Indexed(d.seed, "item-", i)
 	copy(dst, d.protos[label*sz:(label+1)*sz])
 	for j := range dst {
 		dst[j] += noise.NormFloat32() * d.NoiseStd
@@ -85,11 +88,13 @@ func (d *SyntheticImages) Sample(i int, dst []float32, aug *rng.Stream) int {
 
 // augment applies flip + shift drawn from the stream (in a fixed draw order,
 // so the stream state fully determines the result).
+//
+//easyscale:hotpath
 func (d *SyntheticImages) augment(img []float32, aug *rng.Stream) {
 	flip := aug.Bernoulli(0.5)
 	dy := aug.Intn(5) - 2
 	dx := aug.Intn(5) - 2
-	tmp := make([]float32, d.H*d.W)
+	tmp := pool.GetUninit(d.H * d.W)
 	for c := 0; c < d.C; c++ {
 		plane := img[c*d.H*d.W : (c+1)*d.H*d.W]
 		copy(tmp, plane)
@@ -108,6 +113,7 @@ func (d *SyntheticImages) augment(img []float32, aug *rng.Stream) {
 			}
 		}
 	}
+	pool.Put(tmp)
 }
 
 // SyntheticInteractions is a MovieLens-like implicit-feedback dataset for the
@@ -148,11 +154,13 @@ func (d *SyntheticInteractions) NumClasses() int { return 2 }
 
 // Sample draws a (user, item) pair for index i; the label is 1 when the
 // latent affinity is positive.
+//
+//easyscale:hotpath
 func (d *SyntheticInteractions) Sample(i int, dst []float32, aug *rng.Stream) int {
 	if len(dst) != 2 {
 		panic("data: interaction Sample dst size")
 	}
-	s := rng.NewNamed(d.seed, fmt.Sprintf("inter-%d", i))
+	s := rng.Indexed(d.seed, "inter-", i)
 	u := s.Intn(d.Users)
 	it := s.Intn(d.Items)
 	dst[0], dst[1] = float32(u), float32(it)
@@ -190,11 +198,13 @@ func (d *SyntheticTokens) NumClasses() int { return d.Classes }
 
 // Sample generates token ids for item i; the label is a deterministic keyed
 // function of the tokens so it is learnable.
+//
+//easyscale:hotpath
 func (d *SyntheticTokens) Sample(i int, dst []float32, aug *rng.Stream) int {
 	if len(dst) != d.SeqLen {
 		panic("data: token Sample dst size")
 	}
-	s := rng.NewNamed(d.seed, fmt.Sprintf("tok-%d", i))
+	s := rng.Indexed(d.seed, "tok-", i)
 	sum := 0
 	for j := 0; j < d.SeqLen; j++ {
 		t := s.Intn(d.Vocab)
@@ -241,7 +251,8 @@ func (s *Slice) Sample(i int, dst []float32, aug *rng.Stream) int {
 // drawing augmentation randomness from aug in index order. The draw order is
 // part of the training semantics: it must match across elastic restarts.
 func MaterializeBatch(ds Dataset, indices []int, aug *rng.Stream) (*tensor.Tensor, []int) {
-	shape := append([]int{len(indices)}, ds.InputShape()...)
+	var buf [4]int
+	shape := append(append(buf[:0], len(indices)), ds.InputShape()...)
 	x := tensor.New(shape...)
 	labels := make([]int, len(indices))
 	itemSz := x.Size() / len(indices)

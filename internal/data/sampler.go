@@ -43,7 +43,7 @@ func (s *ElasticSampler) StepsPerEpoch() int { return s.N / (s.World * s.Batch) 
 // permutation returns the cached epoch permutation.
 func (s *ElasticSampler) permutation(epoch int) []int {
 	if s.permEpoch != epoch {
-		st := rng.NewNamed(s.Seed, fmt.Sprintf("sampler-epoch-%d", epoch))
+		st := rng.Indexed(s.Seed, "sampler-epoch-", epoch)
 		s.perm = st.Perm(s.N)
 		s.permEpoch = epoch
 	}
@@ -56,7 +56,9 @@ func (s *ElasticSampler) permutation(epoch int) []int {
 func (s *ElasticSampler) Prime(epoch int) { s.permutation(epoch) }
 
 // Indices returns the dataset indices of EST `rank` at global step `step` of
-// `epoch`. The result is a pure function of its arguments.
+// `epoch`. The result is a pure function of its arguments. It is a read-only
+// view of the cached epoch permutation: callers must not write through it,
+// and its capacity is clipped, so appending to it copies.
 func (s *ElasticSampler) Indices(epoch, step, rank int) []int {
 	if rank < 0 || rank >= s.World {
 		panic(fmt.Sprintf("data: rank %d out of world %d", rank, s.World))
@@ -66,7 +68,5 @@ func (s *ElasticSampler) Indices(epoch, step, rank int) []int {
 	}
 	perm := s.permutation(epoch)
 	base := step*s.World*s.Batch + rank*s.Batch
-	out := make([]int, s.Batch)
-	copy(out, perm[base:base+s.Batch])
-	return out
+	return perm[base : base+s.Batch : base+s.Batch]
 }

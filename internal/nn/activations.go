@@ -20,6 +20,8 @@ func NewReLU() *ReLU { return &ReLU{} }
 
 // Forward zeroes negative elements (NaN and -0 map to +0, like the scalar
 // branch `v > 0 ? v : 0`).
+//
+//easyscale:hotpath
 func (r *ReLU) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 	ctx.Dev.ChargeFLOPs(float64(x.Size()), 1)
 	r.x = x
@@ -29,6 +31,8 @@ func (r *ReLU) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 }
 
 // Backward gates the gradient by the cached forward input.
+//
+//easyscale:hotpath
 func (r *ReLU) Backward(ctx *Context, grad *tensor.Tensor) *tensor.Tensor {
 	shapeCheck(r.x != nil && r.x.Size() == grad.Size(), "ReLU backward without matching forward")
 	g := ctx.clone(grad)
@@ -57,13 +61,12 @@ func NewGELU() *GELU { return &GELU{} }
 const geluC = 0.7978845608028654 // sqrt(2/pi)
 
 // Forward computes 0.5x(1+tanh(c(x+0.044715x³))).
+//
+//easyscale:hotpath
 func (g *GELU) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 	ctx.Dev.ChargeFLOPs(8*float64(x.Size()), 1)
 	g.x = x
-	if cap(g.tanh) < x.Size() {
-		g.tanh = make([]float64, x.Size())
-	}
-	g.tanh = g.tanh[:x.Size()]
+	g.tanh = resize(g.tanh, x.Size())
 	y := ctx.clone(x)
 	for i, v := range y.Data {
 		xv := float64(v)
@@ -75,6 +78,8 @@ func (g *GELU) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 }
 
 // Backward differentiates the tanh approximation.
+//
+//easyscale:hotpath
 func (g *GELU) Backward(ctx *Context, grad *tensor.Tensor) *tensor.Tensor {
 	shapeCheck(g.x != nil && g.x.Size() == grad.Size(), "GELU backward without matching forward")
 	out := ctx.clone(grad)
@@ -109,6 +114,8 @@ func NewDropout(p float64) *Dropout {
 }
 
 // Forward applies the mask in training mode, identity in eval mode.
+//
+//easyscale:hotpath
 func (d *Dropout) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 	if !ctx.Training || d.P == 0 {
 		d.mask = nil
@@ -116,10 +123,7 @@ func (d *Dropout) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 	}
 	ctx.Dev.ChargeFLOPs(float64(x.Size()), 1)
 	scale := float32(1 / (1 - d.P))
-	if cap(d.mask) < x.Size() {
-		d.mask = make([]float32, x.Size())
-	}
-	d.mask = d.mask[:x.Size()]
+	d.mask = resize(d.mask, x.Size())
 	y := ctx.clone(x)
 	for i := range y.Data {
 		if ctx.RNG.Float64() < d.P {
@@ -134,6 +138,8 @@ func (d *Dropout) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 }
 
 // Backward applies the cached mask; identity when Forward was a no-op.
+//
+//easyscale:hotpath
 func (d *Dropout) Backward(ctx *Context, grad *tensor.Tensor) *tensor.Tensor {
 	if d.mask == nil {
 		return grad

@@ -60,6 +60,8 @@ func (m *MultiHeadAttention) headScatterAdd(dst []float32, src []float32, b, h i
 }
 
 // Forward computes softmax(QKᵀ/√dh)·V per head and projects the result.
+//
+//easyscale:hotpath
 func (m *MultiHeadAttention) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 	shapeCheck(x.Rank() == 3 && x.Dim(2) == m.D, "MultiHeadAttention: want [B,L,%d], got %v", m.D, shapeOf{x})
 	m.batch, m.seq = x.Dim(0), x.Dim(1)
@@ -72,11 +74,10 @@ func (m *MultiHeadAttention) Forward(ctx *Context, x *tensor.Tensor) *tensor.Ten
 
 	m.attn = ctx.newTensorUninit(b, m.Heads, l, l)
 	y := ctx.newTensor(b, l, m.D) // zeroed: heads scatter-add into it
-	qh := pool.GetUninit(l * dh)
-	kh := pool.GetUninit(l * dh)
-	vh := pool.GetUninit(l * dh)
-	scores := pool.GetUninit(l * l)
-	out := pool.GetUninit(l * dh)
+	// per-head planes: one arena draw for the four [L, dh] ones
+	n := l * dh
+	planes, scores := pool.GetUninit(4*n), pool.GetUninit(l*l)
+	qh, kh, vh, out := planes[:n], planes[n:2*n], planes[2*n:3*n], planes[3*n:]
 	kb := ctx.Dev.KernelBlock()
 	for bi := 0; bi < b; bi++ {
 		for h := 0; h < m.Heads; h++ {
@@ -114,14 +115,15 @@ func (m *MultiHeadAttention) Forward(ctx *Context, x *tensor.Tensor) *tensor.Ten
 			m.headScatterAdd(y.Data, out, bi, h)
 		}
 	}
-	for _, buf := range [][]float32{qh, kh, vh, scores, out} {
-		pool.Put(buf)
-	}
+	pool.Put(planes)
+	pool.Put(scores)
 	return m.Wo.Forward(ctx, y)
 }
 
 // Backward differentiates the attention and all four projections, returning
 // the input gradient (sum of the q, k, v projection paths).
+//
+//easyscale:hotpath
 func (m *MultiHeadAttention) Backward(ctx *Context, grad *tensor.Tensor) *tensor.Tensor {
 	shapeCheck(m.attn != nil, "MultiHeadAttention backward without matching forward")
 	b, l, dh := m.batch, m.seq, m.D/m.Heads
@@ -133,15 +135,11 @@ func (m *MultiHeadAttention) Backward(ctx *Context, grad *tensor.Tensor) *tensor
 	dK := ctx.newTensor(b, l, m.D)
 	dV := ctx.newTensor(b, l, m.D)
 
-	qh := pool.GetUninit(l * dh)
-	kh := pool.GetUninit(l * dh)
-	vh := pool.GetUninit(l * dh)
-	dyh := pool.GetUninit(l * dh)
-	dA := pool.GetUninit(l * l)
-	dS := pool.GetUninit(l * l)
-	dqh := pool.GetUninit(l * dh)
-	dkh := pool.GetUninit(l * dh)
-	dvh := pool.GetUninit(l * dh)
+	n := l * dh
+	planes, sq := pool.GetUninit(7*n), pool.GetUninit(2*l*l)
+	qh, kh, vh, dyh := planes[:n], planes[n:2*n], planes[2*n:3*n], planes[3*n:4*n]
+	dqh, dkh, dvh := planes[4*n:5*n], planes[5*n:6*n], planes[6*n:]
+	dA, dS := sq[:l*l], sq[l*l:]
 	kb := ctx.Dev.KernelBlock()
 	for bi := 0; bi < b; bi++ {
 		for h := 0; h < m.Heads; h++ {
@@ -175,9 +173,8 @@ func (m *MultiHeadAttention) Backward(ctx *Context, grad *tensor.Tensor) *tensor
 			m.headScatterAdd(dV.Data, dvh, bi, h)
 		}
 	}
-	for _, buf := range [][]float32{qh, kh, vh, dyh, dA, dS, dqh, dkh, dvh} {
-		pool.Put(buf)
-	}
+	pool.Put(planes)
+	pool.Put(sq)
 	dx := m.Wq.Backward(ctx, dQ)
 	dx.AddInPlace(m.Wk.Backward(ctx, dK))
 	dx.AddInPlace(m.Wv.Backward(ctx, dV))

@@ -15,6 +15,8 @@ type Residual struct {
 func NewResidual(body Layer) *Residual { return &Residual{Body: body} }
 
 // Forward computes x + body(x).
+//
+//easyscale:hotpath
 func (r *Residual) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 	y := r.Body.Forward(ctx, x)
 	shapeCheck(tensor.SameShape(x, y), "Residual: body changed shape %v → %v", shapeOf{x}, shapeOf{y})
@@ -25,6 +27,8 @@ func (r *Residual) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 }
 
 // Backward adds the skip gradient to the body gradient.
+//
+//easyscale:hotpath
 func (r *Residual) Backward(ctx *Context, grad *tensor.Tensor) *tensor.Tensor {
 	// Clone rather than mutate: the body may return a view of grad (Flatten).
 	dx := ctx.clone(r.Body.Backward(ctx, grad))
@@ -53,6 +57,8 @@ type MeanPool struct {
 func NewMeanPool() *MeanPool { return &MeanPool{} }
 
 // Forward averages over the sequence dimension.
+//
+//easyscale:hotpath
 func (m *MeanPool) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 	shapeCheck(x.Rank() == 3, "MeanPool: want [B,L,D], got %v", shapeOf{x})
 	m.b, m.l, m.d = x.Dim(0), x.Dim(1), x.Dim(2)
@@ -72,6 +78,8 @@ func (m *MeanPool) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 }
 
 // Backward spreads the gradient uniformly over the sequence.
+//
+//easyscale:hotpath
 func (m *MeanPool) Backward(ctx *Context, grad *tensor.Tensor) *tensor.Tensor {
 	shapeCheck(m.l > 0 && grad.Size() == m.b*m.d, "MeanPool backward without matching forward")
 	dx := ctx.newTensorUninit(m.b, m.l, m.d)
@@ -132,6 +140,8 @@ func (pe *PatchEmbed) patchify(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 }
 
 // Forward patchifies and projects.
+//
+//easyscale:hotpath
 func (pe *PatchEmbed) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 	shapeCheck(x.Rank() == 4 && x.Dim(1) == pe.C && x.Dim(2)%pe.P == 0 && x.Dim(3)%pe.P == 0,
 		"PatchEmbed: input %v incompatible with C=%d P=%d", shapeOf{x}, pe.C, pe.P)
@@ -143,6 +153,8 @@ func (pe *PatchEmbed) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 }
 
 // Backward projects the gradient back and un-patchifies it.
+//
+//easyscale:hotpath
 func (pe *PatchEmbed) Backward(ctx *Context, grad *tensor.Tensor) *tensor.Tensor {
 	shapeCheck(pe.b > 0, "PatchEmbed backward without matching forward")
 	l := (pe.h / pe.P) * (pe.w / pe.P)

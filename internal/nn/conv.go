@@ -51,6 +51,8 @@ func (c *Conv2D) flops(d kernels.ConvDims) float64 {
 }
 
 // Forward runs the convolution with the device-selected kernel.
+//
+//easyscale:hotpath
 func (c *Conv2D) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 	d := c.convDims(x)
 	c.x, c.dims = x, d
@@ -65,6 +67,8 @@ func (c *Conv2D) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 }
 
 // Backward computes all gradients with the same kernel selection as Forward.
+//
+//easyscale:hotpath
 func (c *Conv2D) Backward(ctx *Context, grad *tensor.Tensor) *tensor.Tensor {
 	shapeCheck(c.x != nil, "Conv2D backward without matching forward")
 	d := c.dims
@@ -103,13 +107,15 @@ type MaxPool2D struct {
 	K, Stride int
 
 	argmax  []int
-	inShape []int
+	inShape [4]int
 }
 
 // NewMaxPool2D constructs a max pooling layer.
 func NewMaxPool2D(k, stride int) *MaxPool2D { return &MaxPool2D{K: k, Stride: stride} }
 
 // Forward keeps the per-window argmax for the backward pass.
+//
+//easyscale:hotpath
 func (m *MaxPool2D) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 	shapeCheck(x.Rank() == 4, "MaxPool2D: want NCHW input, got %v", shapeOf{x})
 	b, ch, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
@@ -117,12 +123,9 @@ func (m *MaxPool2D) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 	ow := (w-m.K)/m.Stride + 1
 	shapeCheck(oh > 0 && ow > 0, "MaxPool2D: window %d too large for %v", m.K, shapeOf{x})
 	ctx.Dev.ChargeFLOPs(float64(b*ch*oh*ow*m.K*m.K), 1)
-	m.inShape = append(m.inShape[:0], x.Shape()...)
+	m.inShape = [4]int(x.Shape())
 	y := ctx.newTensorUninit(b, ch, oh, ow)
-	if cap(m.argmax) < y.Size() {
-		m.argmax = make([]int, y.Size())
-	}
-	m.argmax = m.argmax[:y.Size()]
+	m.argmax = resize(m.argmax, y.Size())
 	oi := 0
 	for n := 0; n < b; n++ {
 		for c := 0; c < ch; c++ {
@@ -150,9 +153,11 @@ func (m *MaxPool2D) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 }
 
 // Backward scatters gradients to the cached argmax positions.
+//
+//easyscale:hotpath
 func (m *MaxPool2D) Backward(ctx *Context, grad *tensor.Tensor) *tensor.Tensor {
 	shapeCheck(len(m.argmax) == grad.Size(), "MaxPool2D backward without matching forward")
-	dx := ctx.newTensor(m.inShape...) // zeroed: scatter-add target
+	dx := ctx.newTensor(m.inShape[:]...) // zeroed: scatter-add target
 	for i, g := range grad.Data {
 		dx.Data[m.argmax[i]] += g
 	}
@@ -165,18 +170,20 @@ func (m *MaxPool2D) Params() []*Parameter { return nil }
 // GlobalAvgPool averages each channel plane to a single value:
 // [B,C,H,W] → [B,C].
 type GlobalAvgPool struct {
-	inShape []int
+	inShape [4]int
 }
 
 // NewGlobalAvgPool constructs a global average pooling layer.
 func NewGlobalAvgPool() *GlobalAvgPool { return &GlobalAvgPool{} }
 
 // Forward averages over the spatial dimensions in fixed order.
+//
+//easyscale:hotpath
 func (g *GlobalAvgPool) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 	shapeCheck(x.Rank() == 4, "GlobalAvgPool: want NCHW input, got %v", shapeOf{x})
 	b, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	ctx.Dev.ChargeFLOPs(float64(x.Size()), 1)
-	g.inShape = append(g.inShape[:0], x.Shape()...)
+	g.inShape = [4]int(x.Shape())
 	y := ctx.newTensorUninit(b, c)
 	hw := h * w
 	inv := 1 / float32(hw)
@@ -188,9 +195,11 @@ func (g *GlobalAvgPool) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 }
 
 // Backward spreads the gradient uniformly over each plane.
+//
+//easyscale:hotpath
 func (g *GlobalAvgPool) Backward(ctx *Context, grad *tensor.Tensor) *tensor.Tensor {
-	shapeCheck(len(g.inShape) == 4, "GlobalAvgPool backward without matching forward")
-	dx := ctx.newTensorUninit(g.inShape...)
+	shapeCheck(grad.Size() > 0 && grad.Size() == g.inShape[0]*g.inShape[1], "GlobalAvgPool backward without matching forward")
+	dx := ctx.newTensorUninit(g.inShape[:]...)
 	hw := g.inShape[2] * g.inShape[3]
 	inv := 1 / float32(hw)
 	for i, gv := range grad.Data {

@@ -29,16 +29,18 @@ func NewEmbedding(vocab, d int, init *rng.Stream) *Embedding {
 }
 
 // Forward gathers rows of the table.
+//
+//easyscale:hotpath
 func (e *Embedding) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 	shapeCheck(x.Rank() == 2, "Embedding: want [B,L] ids, got %v", shapeOf{x})
 	b, l := x.Dim(0), x.Dim(1)
 	ctx.Dev.ChargeFLOPs(float64(b*l*e.D), 1)
-	e.ids = e.ids[:0]
+	e.ids = resize(e.ids, x.Size())
 	y := ctx.newTensorUninit(b, l, e.D)
 	for i, v := range x.Data {
 		id := int(v)
 		shapeCheck(id >= 0 && id < e.Vocab, "Embedding: id %d out of vocab %d", id, e.Vocab)
-		e.ids = append(e.ids, id)
+		e.ids[i] = id
 		copy(y.Data[i*e.D:(i+1)*e.D], e.W.Value.Data[id*e.D:(id+1)*e.D])
 	}
 	return y
@@ -46,6 +48,8 @@ func (e *Embedding) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 
 // Backward scatter-adds gradients into the table rows in input order (a fixed
 // order: the deterministic counterpart of GPU scatter-add atomics).
+//
+//easyscale:hotpath
 func (e *Embedding) Backward(ctx *Context, grad *tensor.Tensor) *tensor.Tensor {
 	shapeCheck(len(e.ids) > 0 && grad.Size() == len(e.ids)*e.D, "Embedding backward without matching forward")
 	ctx.Dev.ChargeFLOPs(float64(grad.Size()), 1)

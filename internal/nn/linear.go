@@ -46,6 +46,8 @@ func withLastDim(buf *[4]int, shape []int, d int) []int {
 }
 
 // Forward computes y = x·Wᵀ + b, preserving leading dimensions.
+//
+//easyscale:hotpath
 func (l *Linear) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 	orig := x.Shape()
 	x2 := l.fold(x)
@@ -59,10 +61,13 @@ func (l *Linear) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 			kernels.AddF32(y.Data[r*l.Out:(r+1)*l.Out], l.B.Value.Data)
 		}
 	}
-	return y.Reshape(withLastDim(&[4]int{}, orig, l.Out)...)
+	var buf [4]int
+	return y.Reshape(withLastDim(&buf, orig, l.Out)...)
 }
 
 // Backward accumulates dW = dyᵀ·x and db = Σ_rows dy, returning dx = dy·W.
+//
+//easyscale:hotpath
 func (l *Linear) Backward(ctx *Context, grad *tensor.Tensor) *tensor.Tensor {
 	orig := grad.Shape()
 	g2 := grad.Reshape(-1, l.Out)
@@ -90,7 +95,8 @@ func (l *Linear) Backward(ctx *Context, grad *tensor.Tensor) *tensor.Tensor {
 	dx := ctx.newTensorUninit(rows, l.In)
 	gemm(ctx, dx.Data, g2.Data, l.W.Value.Data, rows, l.Out, l.In)
 	l.x = nil // activation freed at mini-batch boundary
-	return dx.Reshape(withLastDim(&[4]int{}, orig, l.In)...)
+	var buf [4]int
+	return dx.Reshape(withLastDim(&buf, orig, l.In)...)
 }
 
 // Params returns weight (and bias when present).

@@ -20,12 +20,15 @@ type CrossEntropy struct {
 func NewCrossEntropy() *CrossEntropy { return &CrossEntropy{} }
 
 // Forward computes mean(-log softmax(logits)[label]) for logits [B, K].
+//
+//easyscale:hotpath
 func (ce *CrossEntropy) Forward(ctx *Context, logits *tensor.Tensor, labels []int) float32 {
 	shapeCheck(logits.Rank() == 2 && logits.Dim(0) == len(labels), "CrossEntropy: logits %v vs %d labels", shapeOf{logits}, len(labels))
 	b, k := logits.Dim(0), logits.Dim(1)
 	ctx.Dev.ChargeFLOPs(5*float64(logits.Size()), 1)
 	ce.probs = ctx.newTensorUninit(b, k)
-	ce.labels = append(ce.labels[:0], labels...)
+	ce.labels = resize(ce.labels, len(labels))
+	copy(ce.labels, labels)
 	losses := pool.GetUninit(b)
 	for r := 0; r < b; r++ {
 		row := logits.Data[r*k : (r+1)*k]
@@ -56,6 +59,8 @@ func (ce *CrossEntropy) Forward(ctx *Context, logits *tensor.Tensor, labels []in
 }
 
 // Backward returns dL/dlogits = (softmax − onehot)/B.
+//
+//easyscale:hotpath
 func (ce *CrossEntropy) Backward(ctx *Context) *tensor.Tensor {
 	shapeCheck(ce.probs != nil, "CrossEntropy backward without matching forward")
 	b, k := ce.probs.Dim(0), ce.probs.Dim(1)
@@ -82,6 +87,8 @@ type BCEWithLogits struct {
 func NewBCEWithLogits() *BCEWithLogits { return &BCEWithLogits{} }
 
 // Forward computes mean BCE of sigmoid(logits) against targets in [0,1].
+//
+//easyscale:hotpath
 func (b *BCEWithLogits) Forward(ctx *Context, logits, target *tensor.Tensor) float32 {
 	shapeCheck(logits.Size() == target.Size(), "BCE: pred %v vs target %v", shapeOf{logits}, shapeOf{target})
 	ctx.Dev.ChargeFLOPs(8*float64(logits.Size()), 1)
@@ -100,6 +107,8 @@ func (b *BCEWithLogits) Forward(ctx *Context, logits, target *tensor.Tensor) flo
 }
 
 // Backward returns (sigmoid(logits) − target)/N.
+//
+//easyscale:hotpath
 func (b *BCEWithLogits) Backward(ctx *Context) *tensor.Tensor {
 	shapeCheck(b.sig != nil, "BCE backward without matching forward")
 	g := ctx.clone(b.sig)

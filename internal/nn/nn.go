@@ -37,6 +37,16 @@ type Context struct {
 	Scratch *pool.Scope
 }
 
+// resize returns buf at length n, reusing its storage when the capacity
+// allows: a buffer a layer keeps across steps allocates only on a step
+// larger than every one before it. Contents are unspecified.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
 // newTensor returns a zero-filled step-scoped tensor.
 func (c *Context) newTensor(shape ...int) *tensor.Tensor {
 	return tensor.NewScoped(c.Scratch, shape...)
@@ -96,6 +106,8 @@ type Sequential struct {
 func NewSequential(layers ...Layer) *Sequential { return &Sequential{Layers: layers} }
 
 // Forward runs the layers in order.
+//
+//easyscale:hotpath
 func (s *Sequential) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 	for _, l := range s.Layers {
 		x = l.Forward(ctx, x)
@@ -104,6 +116,8 @@ func (s *Sequential) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 }
 
 // Backward runs the layers in reverse order.
+//
+//easyscale:hotpath
 func (s *Sequential) Backward(ctx *Context, grad *tensor.Tensor) *tensor.Tensor {
 	for i := len(s.Layers) - 1; i >= 0; i-- {
 		grad = s.Layers[i].Backward(ctx, grad)
@@ -140,12 +154,17 @@ type Flatten struct {
 func NewFlatten() *Flatten { return &Flatten{} }
 
 // Forward flattens all but the leading dimension.
+//
+//easyscale:hotpath
 func (f *Flatten) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
-	f.inShape = append(f.inShape[:0], x.Shape()...)
+	f.inShape = resize(f.inShape, x.Rank())
+	copy(f.inShape, x.Shape())
 	return x.Reshape(x.Dim(0), -1)
 }
 
 // Backward restores the cached input shape.
+//
+//easyscale:hotpath
 func (f *Flatten) Backward(ctx *Context, grad *tensor.Tensor) *tensor.Tensor {
 	return grad.Reshape(f.inShape...)
 }

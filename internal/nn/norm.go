@@ -39,6 +39,8 @@ func NewBatchNorm2D(c int) *BatchNorm2D {
 }
 
 // Forward normalizes x; in training mode it also updates running statistics.
+//
+//easyscale:hotpath
 func (bn *BatchNorm2D) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 	shapeCheck(x.Rank() == 4 && x.Dim(1) == bn.C, "BatchNorm2D: input %v incompatible with C=%d", shapeOf{x}, bn.C)
 	b, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
@@ -49,10 +51,7 @@ func (bn *BatchNorm2D) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 	y := ctx.newTensorUninit(x.Shape()...)
 	if ctx.Training {
 		bn.xhat = ctx.newTensorUninit(x.Shape()...)
-		if cap(bn.invStd) < c {
-			bn.invStd = make([]float32, c)
-		}
-		bn.invStd = bn.invStd[:c]
+		bn.invStd = resize(bn.invStd, c)
 	}
 	scratch := pool.GetUninit(n)
 	for ci := 0; ci < c; ci++ {
@@ -93,6 +92,8 @@ func (bn *BatchNorm2D) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 }
 
 // Backward implements the full batch-norm gradient.
+//
+//easyscale:hotpath
 func (bn *BatchNorm2D) Backward(ctx *Context, grad *tensor.Tensor) *tensor.Tensor {
 	shapeCheck(bn.xhat != nil && tensor.SameShape(bn.xhat, grad), "BatchNorm2D backward without matching forward")
 	b, c := grad.Dim(0), grad.Dim(1)
@@ -156,16 +157,15 @@ func NewLayerNorm(d int) *LayerNorm {
 }
 
 // Forward normalizes each trailing-dimension vector.
+//
+//easyscale:hotpath
 func (ln *LayerNorm) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 	shapeCheck(x.Size()%ln.D == 0, "LayerNorm: input %v not divisible by D=%d", shapeOf{x}, ln.D)
 	rows := x.Size() / ln.D
 	ctx.Dev.ChargeFLOPs(6*float64(x.Size()), 1)
 	y := ctx.newTensorUninit(x.Shape()...)
 	ln.xhat = ctx.newTensorUninit(x.Shape()...)
-	if cap(ln.invStd) < rows {
-		ln.invStd = make([]float32, rows)
-	}
-	ln.invStd = ln.invStd[:rows]
+	ln.invStd = resize(ln.invStd, rows)
 	kb := ctx.Dev.KernelBlock()
 	for r := 0; r < rows; r++ {
 		row := x.Data[r*ln.D : (r+1)*ln.D]
@@ -183,6 +183,8 @@ func (ln *LayerNorm) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 }
 
 // Backward implements the layer-norm gradient.
+//
+//easyscale:hotpath
 func (ln *LayerNorm) Backward(ctx *Context, grad *tensor.Tensor) *tensor.Tensor {
 	shapeCheck(ln.xhat != nil && ln.xhat.Size() == grad.Size(), "LayerNorm backward without matching forward")
 	rows := grad.Size() / ln.D

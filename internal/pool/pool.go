@@ -155,6 +155,9 @@ func Stats() Counters {
 // special-casing.
 type Scope struct {
 	bufs [][]float32
+	// Headers is package tensor's slab of headers over this scope's buffers
+	// (an interface because tensor imports pool); ReleaseAll rewinds it.
+	Headers interface{ Rewind() }
 }
 
 // NewScope returns an empty scope.
@@ -180,8 +183,9 @@ func (s *Scope) GetUninit(n int) []float32 {
 	return b
 }
 
-// ReleaseAll returns every tracked buffer to the arena. The caller must not
-// use any buffer (or tensor wrapping one) obtained from this scope afterwards.
+// ReleaseAll returns every tracked buffer to the arena and rewinds the
+// header slab. The caller must not use any buffer (or tensor wrapping one)
+// obtained from this scope afterwards.
 func (s *Scope) ReleaseAll() {
 	if s == nil {
 		return
@@ -191,12 +195,7 @@ func (s *Scope) ReleaseAll() {
 		s.bufs[i] = nil
 	}
 	s.bufs = s.bufs[:0]
-}
-
-// Len returns the number of tracked buffers (diagnostics).
-func (s *Scope) Len() int {
-	if s == nil {
-		return 0
+	if s.Headers != nil {
+		s.Headers.Rewind()
 	}
-	return len(s.bufs)
 }

@@ -81,8 +81,8 @@ func TestScopeReleasesAll(t *testing.T) {
 	before := Stats()
 	s.Get(128)
 	s.GetUninit(256)
-	if s.Len() != 2 {
-		t.Fatalf("scope tracks %d buffers, want 2", s.Len())
+	if len(s.bufs) != 2 {
+		t.Fatalf("scope tracks %d buffers, want 2", len(s.bufs))
 	}
 	mid := Stats()
 	if mid.Gets-before.Gets != 2 {
@@ -93,7 +93,7 @@ func TestScopeReleasesAll(t *testing.T) {
 	if after.InUse() != before.InUse() {
 		t.Fatalf("scope leaked %d buffers", after.InUse()-before.InUse())
 	}
-	if s.Len() != 0 {
+	if len(s.bufs) != 0 {
 		t.Fatal("scope not empty after ReleaseAll")
 	}
 }
@@ -114,9 +114,6 @@ func TestNilScopeDegradesToMake(t *testing.T) {
 		t.Fatal("nil scope GetUninit wrong length")
 	}
 	s.ReleaseAll() // must not panic
-	if s.Len() != 0 {
-		t.Fatal("nil scope has nonzero Len")
-	}
 	if after := Stats(); after.Gets != before.Gets {
 		t.Fatal("nil scope drew from the arena")
 	}

@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strconv"
 )
 
 // Stream is a deterministic PRNG (xoshiro256++ core seeded via SplitMix64)
@@ -44,16 +45,32 @@ func New(seed uint64) *Stream {
 	return st
 }
 
+const fnvOffset = 14695981039346656037 // FNV-64 offset basis
+
+// fnv64a folds the bytes of b into the FNV-64a hash h.
+func fnv64a[T string | []byte](h uint64, b T) uint64 {
+	for i := 0; i < len(b); i++ {
+		h ^= uint64(b[i])
+		h *= 1099511628211
+	}
+	return h
+}
+
 // NewNamed returns a Stream derived from seed and a textual name, so that
 // differently named generators (e.g. "python", "numpy", "torch") seeded from
 // the same master seed are independent.
 func NewNamed(seed uint64, name string) *Stream {
-	h := uint64(14695981039346656037) // FNV-64 offset basis
-	for i := 0; i < len(name); i++ {
-		h ^= uint64(name[i])
-		h *= 1099511628211
-	}
-	return New(seed ^ h)
+	return New(seed ^ fnv64a(fnvOffset, name))
+}
+
+// Indexed returns the stream NewNamed(seed, prefix+strconv.Itoa(i)) returns,
+// as a value, without building the name: the digits are hashed from a stack
+// buffer, and New inlines here, so deriving one stream per dataset item
+// allocates nothing.
+func Indexed(seed uint64, prefix string, i int) Stream {
+	var digits [20]byte // len("-9223372036854775808")
+	h := fnv64a(fnv64a(fnvOffset, prefix), strconv.AppendInt(digits[:0], int64(i), 10))
+	return *New(seed ^ h)
 }
 
 // Split derives a new independent Stream from s, advancing s once. Successive

@@ -26,6 +26,9 @@ import (
 type Tensor struct {
 	shape []int
 	Data  []float32
+	// slab is the header slab of the scope whose buffer Data is, nil for a
+	// heap tensor; a Reshape view takes its header from the same slab.
+	slab *slab
 }
 
 // dims renders a shape for a panic message from a copy of it: formatting the
@@ -46,41 +49,95 @@ func Numel(shape []int) int {
 	return n
 }
 
-// header is a Tensor and the storage of its shape in one allocation: nearly
+// header is a Tensor and the storage of its shape in one object: nearly
 // every tensor of a training step is a short-lived header over a pooled
-// buffer, so the header is what a step allocates.
+// buffer, so the header is what a step would allocate.
 type header struct {
 	Tensor
 	inline [4]int
 }
 
-// wrap returns a tensor header over data with a copy of shape. Ranks beyond
-// the inline four get a shape slice of their own.
-func wrap(data []float32, shape []int) *Tensor {
-	h := &header{Tensor: Tensor{Data: data}}
+// slab hands out the tensor headers of one pool.Scope, the scope that owns
+// the buffers they wrap, from chunks of slabChunk that never move. Its cursor
+// rewinds at the scope's ReleaseAll, so a step that repeats the previous
+// step's work allocates no header. Like its scope, it is not concurrency-safe.
+const slabChunk = 64
+
+type slab struct {
+	chunks []*[slabChunk]header
+	used   int
+}
+
+// poisoned is the shape of a released header. No tensor has a negative
+// dimension, so Shape() shows the release, and indexing, Numel and every
+// size check of the header fail.
+var poisoned = []int{-1}
+
+// slabOf returns the scope's header slab, installing one on first use. A nil
+// scope has none: its tensors' headers come from the heap.
+func slabOf(s *pool.Scope) *slab {
+	if s == nil {
+		return nil
+	}
+	sl, ok := s.Headers.(*slab)
+	if !ok {
+		sl = &slab{}
+		s.Headers = sl
+	}
+	return sl
+}
+
+// wrap returns a tensor header over data with a copy of shape, taken from the
+// slab, or from the heap when the slab is nil. Ranks beyond the inline four
+// get a shape slice of their own.
+func (sl *slab) wrap(data []float32, shape []int) *Tensor {
+	var h *header
+	if sl == nil {
+		h = new(header)
+	} else {
+		c := sl.used / slabChunk
+		if c == len(sl.chunks) {
+			sl.chunks = append(sl.chunks, new([slabChunk]header))
+		}
+		h = &sl.chunks[c][sl.used%slabChunk]
+		sl.used++
+	}
+	h.Data, h.slab = data, sl
 	h.shape = append(h.inline[:0], shape...)
 	return &h.Tensor
 }
 
-// New allocates a zero-filled tensor of the given shape.
-func New(shape ...int) *Tensor {
-	return wrap(make([]float32, Numel(shape)), shape)
+// Rewind poisons every header handed out since the last rewind and starts
+// handing them out again. A reference kept past the scope's ReleaseAll
+// panics on its next index instead of reading a released buffer, until the
+// header is handed out again.
+func (sl *slab) Rewind() {
+	for i := 0; i < sl.used; i++ {
+		h := &sl.chunks[i/slabChunk][i%slabChunk]
+		h.Data, h.shape = nil, poisoned
+	}
+	sl.used = 0
 }
 
-// NewScoped allocates a zero-filled tensor whose data buffer is borrowed from
-// the scope and reclaimed by its ReleaseAll — the hot-path variant of New for
-// step-scoped activations and gradients. A nil scope degrades to New.
+// New allocates a zero-filled tensor of the given shape.
+func New(shape ...int) *Tensor { return NewScoped(nil, shape...) }
+
+// NewScoped returns a zero-filled tensor whose data buffer and header are
+// borrowed from the scope and reclaimed by its ReleaseAll — the hot-path
+// variant of New for step-scoped activations and gradients. A nil scope
+// degrades to New.
 func NewScoped(s *pool.Scope, shape ...int) *Tensor {
-	return wrap(s.Get(Numel(shape)), shape)
+	return slabOf(s).wrap(s.Get(Numel(shape)), shape)
 }
 
 // NewScopedUninit is NewScoped without the zero fill, for tensors every
 // element of which is written before being read.
 func NewScopedUninit(s *pool.Scope, shape ...int) *Tensor {
-	return wrap(s.GetUninit(Numel(shape)), shape)
+	return slabOf(s).wrap(s.GetUninit(Numel(shape)), shape)
 }
 
-// CloneScoped returns a deep copy whose buffer is borrowed from the scope.
+// CloneScoped returns a deep copy whose buffer and header are borrowed from
+// the scope.
 func (t *Tensor) CloneScoped(s *pool.Scope) *Tensor {
 	c := NewScopedUninit(s, t.shape...)
 	copy(c.Data, t.Data)
@@ -93,7 +150,7 @@ func FromData(data []float32, shape ...int) *Tensor {
 	if len(data) != Numel(shape) {
 		panic(fmt.Sprintf("tensor: data length %d does not match shape %s", len(data), dims(shape)))
 	}
-	return wrap(data, shape)
+	return (*slab)(nil).wrap(data, shape)
 }
 
 // Full returns a tensor of the given shape with every element set to v.
@@ -154,9 +211,10 @@ func (t *Tensor) CopyFrom(o *Tensor) {
 }
 
 // Reshape returns a view sharing data with t under a new shape. One dimension
-// may be -1 to be inferred.
+// may be -1 to be inferred. The view's header comes from where t's did: a
+// scoped tensor's view dies with the scope's ReleaseAll.
 func (t *Tensor) Reshape(shape ...int) *Tensor {
-	r := wrap(t.Data, shape)
+	r := t.slab.wrap(t.Data, shape)
 	ns := r.shape
 	infer := -1
 	known := 1

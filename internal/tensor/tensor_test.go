@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/pool"
 )
 
 func TestNewZeroFilled(t *testing.T) {
@@ -183,4 +185,70 @@ func TestNumelNegativePanics(t *testing.T) {
 		}
 	}()
 	Numel([]int{2, -1})
+}
+
+func mustPanic(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("%s: no panic", what)
+		}
+	}()
+	f()
+}
+
+// TestScopedHeaderPoisonedAfterRelease: a scoped tensor, and a Reshape view
+// of one, are dead after the scope's ReleaseAll — indexing either panics
+// instead of reading a buffer the arena may have handed to someone else,
+// and Shape() reads the poison.
+func TestScopedHeaderPoisonedAfterRelease(t *testing.T) {
+	s := pool.NewScope()
+	x := NewScoped(s, 2, 3)
+	x.Set(7, 1, 2)
+	v := x.Reshape(3, 2)
+	if v.At(2, 1) != 7 {
+		t.Fatalf("view reads %v, want 7", v.At(2, 1))
+	}
+	s.ReleaseAll()
+	for name, d := range map[string]*Tensor{"tensor": x, "view": v} {
+		if got := d.Shape(); len(got) != 1 || got[0] != -1 {
+			t.Errorf("%s: shape after release %v, want the poison [-1]", name, got)
+		}
+		if d.Size() != 0 {
+			t.Errorf("%s: %d elements after release", name, d.Size())
+		}
+		mustPanic(t, name+" At", func() { d.At(0) })
+		mustPanic(t, name+" Data", func() { _ = d.Data[0] })
+		mustPanic(t, name+" Numel", func() { Numel(d.Shape()) })
+	}
+}
+
+// TestScopedHeadersReusedAcrossSteps: a scope that repeats the same work
+// step after step hands out the same headers, views included, so its slab
+// stops growing after the first step (core's TestTrainStepAllocRegression
+// counts what a whole step allocates). A nil scope still takes every header
+// from the heap.
+func TestScopedHeadersReusedAcrossSteps(t *testing.T) {
+	s := pool.NewScope()
+	step := func() {
+		for i := 0; i < 3*slabChunk/2; i++ {
+			x := NewScopedUninit(s, 2, 3, 4, 5)
+			x.Reshape(6, -1).CloneScoped(s)
+		}
+		s.ReleaseAll()
+	}
+	step()
+	chunks := len(slabOf(s).chunks)
+	if chunks != 5 {
+		t.Fatalf("%d chunks after one step of %d headers, want 5", chunks, 3*3*slabChunk/2)
+	}
+	for i := 0; i < 10; i++ {
+		step()
+	}
+	if got := len(slabOf(s).chunks); got != chunks {
+		t.Errorf("slab grew from %d to %d chunks across repeated steps", chunks, got)
+	}
+	if a := testing.AllocsPerRun(10, func() { NewScopedUninit(nil, 4).Reshape(2, 2) }); a != 3 {
+		t.Errorf("nil scope: %v allocations for a tensor and a view, want 3 (a buffer and two headers)", a)
+	}
 }
