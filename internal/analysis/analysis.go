@@ -1,7 +1,10 @@
 // Package analysis is detlint's engine: a stdlib-only static-analysis
-// framework (go/ast + go/parser + go/types, no go/packages) with ten
-// analyzers that enforce the repo's bitwise-consistency and resource/safety
-// contracts (DESIGN.md, "Static enforcement of the determinism contract"):
+// framework (go/ast + go/types, no go/packages; the standard library is
+// typed from the compiler's export data) with ten analyzers that enforce the
+// repo's bitwise-consistency and resource/safety contracts (DESIGN.md,
+// "Static enforcement of the determinism contract"). The analyzers match
+// types.Objects — the *types.Func of time.Now, the net.Conn interface — not
+// names:
 //
 //	maporder      — range over a map in an ordering-sensitive package
 //	rawrand       — math/rand or wall-clock-seeded randomness outside internal/rng
@@ -68,18 +71,59 @@ func (p *Pass) Report(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// ImportedSelector resolves sel to (importPath, name) when sel.X names an
-// imported package — the only reliable way to see through aliases and
-// shadowing, and it works even when the import resolved to a stub.
-func (p *Pass) ImportedSelector(sel *ast.SelectorExpr) (pkgPath, name string, ok bool) {
-	id, isIdent := sel.X.(*ast.Ident)
-	if !isIdent || p.Pkg.Info == nil {
-		return "", "", false
+// funcUses calls visit for every reference to a function or method under
+// root, called or taken as a value. A package-qualified reference (time.Now)
+// is reported at its qualifier, where the expression starts.
+func funcUses(info *types.Info, root ast.Node, visit func(pos token.Pos, fn *types.Func)) {
+	ast.Inspect(root, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.SelectorExpr:
+			if _, isPkg := info.Uses[identOf(n.X)].(*types.PkgName); !isPkg {
+				return true
+			}
+			if fn, ok := info.Uses[n.Sel].(*types.Func); ok {
+				visit(n.Pos(), fn)
+			}
+			return false
+		case *ast.Ident:
+			if fn, ok := info.Uses[n].(*types.Func); ok {
+				visit(n.Pos(), fn)
+			}
+		}
+		return true
+	})
+}
+
+// isPkgFunc reports whether fn is a package-level function of the package
+// whose import path is pkgPath.
+func isPkgFunc(fn *types.Func, pkgPath string) bool {
+	return fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == pkgPath && fn.Type().(*types.Signature).Recv() == nil
+}
+
+// calleeFunc returns the function or method call invokes; nil for a builtin,
+// a conversion, or a call of a func value.
+func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
+	fn, _ := info.Uses[identOf(call.Fun)].(*types.Func)
+	return fn
+}
+
+// builtinName is the name of the builtin call invokes, or "".
+func builtinName(info *types.Info, call *ast.CallExpr) string {
+	if b, ok := info.Uses[identOf(call.Fun)].(*types.Builtin); ok {
+		return b.Name()
 	}
-	if pn, isPkg := p.Pkg.Info.Uses[id].(*types.PkgName); isPkg {
-		return pn.Imported().Path(), sel.Sel.Name, true
+	return ""
+}
+
+// identOf is the identifier e names (the selector's for x.f), or nil.
+func identOf(e ast.Expr) *ast.Ident {
+	switch e := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		return e
+	case *ast.SelectorExpr:
+		return e.Sel
 	}
-	return "", "", false
+	return nil
 }
 
 // DefaultAnalyzers returns the full suite with its default package scoping.
@@ -148,15 +192,9 @@ func pureExpr(pkg *Package, e ast.Expr) bool {
 	ast.Inspect(e, func(n ast.Node) bool {
 		switch v := n.(type) {
 		case *ast.CallExpr:
-			if id, ok := v.Fun.(*ast.Ident); ok && (id.Name == "len" || id.Name == "cap") {
-				break
+			if b := builtinName(pkg.Info, v); b != "len" && b != "cap" && !pkg.Info.Types[v.Fun].IsType() {
+				pure = false // a call, not len, cap or a type conversion
 			}
-			if pkg.Info != nil {
-				if tv, ok := pkg.Info.Types[v.Fun]; ok && tv.IsType() {
-					break // type conversion, not a call
-				}
-			}
-			pure = false
 		case *ast.UnaryExpr:
 			if v.Op == token.ARROW {
 				pure = false
@@ -169,46 +207,20 @@ func pureExpr(pkg *Package, e ast.Expr) bool {
 	return pure
 }
 
-// constResult reports whether e is a constant literal result: a basic
-// literal, true/false/nil, or a unary minus of a literal.
-func constResult(e ast.Expr) bool {
-	switch v := e.(type) {
-	case *ast.BasicLit:
-		return true
-	case *ast.Ident:
-		return v.Name == "true" || v.Name == "false" || v.Name == "nil"
-	case *ast.UnaryExpr:
-		return constResult(v.X)
-	case *ast.ParenExpr:
-		return constResult(v.X)
-	}
-	return false
+// constOrNil reports whether e is a constant or the predeclared nil.
+func constOrNil(info *types.Info, e ast.Expr) bool {
+	tv := info.Types[e]
+	return tv.Value != nil || tv.IsNil()
 }
 
-// isIntegral reports whether t is an integer type (or based on one).
-func isIntegral(t types.Type) bool {
-	if t == nil {
-		return false
+// basic returns t's underlying basic type; Typ[Invalid] for any other type.
+func basic(t types.Type) *types.Basic {
+	if t != nil {
+		if b, ok := t.Underlying().(*types.Basic); ok {
+			return b
+		}
 	}
-	b, ok := t.Underlying().(*types.Basic)
-	return ok && b.Info()&types.IsInteger != 0
-}
-
-// isFloat64 / isFloat32 report the basic float width of t.
-func isFloat64(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	b, ok := t.Underlying().(*types.Basic)
-	return ok && b.Kind() == types.Float64
-}
-
-func isFloat32(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	b, ok := t.Underlying().(*types.Basic)
-	return ok && b.Kind() == types.Float32
+	return types.Typ[types.Invalid]
 }
 
 func isBlank(e ast.Expr) bool {

@@ -6,6 +6,7 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -134,6 +135,20 @@ func TestRawRandAllowlist(t *testing.T) {
 func TestWallTimeFixture(t *testing.T) {
 	pkg := loadFixture(t, "walltime")
 	checkFixture(t, pkg, Run([]*Package{pkg}, []*Analyzer{WallTime()}))
+}
+
+// The message names the allowlist the analyzer was built with.
+func TestWallTimeMessageNamesItsAllowlist(t *testing.T) {
+	pkg := loadFixture(t, "walltime")
+	diags := Run([]*Package{pkg}, []*Analyzer{WallTime("internal/elsewhere")})
+	if len(diags) == 0 {
+		t.Fatal("no diagnostics on the walltime fixture")
+	}
+	for _, d := range diags {
+		if !strings.Contains(d.Message, "(allow-listed: [internal/elsewhere])") {
+			t.Errorf("message does not name the analyzer's allowlist: %s", d)
+		}
+	}
 }
 
 func TestChanOrderFixture(t *testing.T) {
@@ -269,9 +284,19 @@ func f(n int) []int {
 `},
 }
 
+// loadSrc loads src as package fix in a module of its own that requires
+// this one, so the source may import the repository's packages.
 func loadSrc(t *testing.T, src string) *Package {
 	t.Helper()
+	root, err := FindModuleRoot(".")
+	if err != nil {
+		t.Fatal(err)
+	}
 	dir := t.TempDir()
+	gomod := "module fix\n\ngo 1.22\n\nrequire repro v0.0.0\n\nreplace repro => " + root + "\n"
+	if err := os.WriteFile(filepath.Join(dir, "go.mod"), []byte(gomod), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	if err := os.WriteFile(filepath.Join(dir, "fix.go"), []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -359,27 +384,86 @@ func TestDirectiveFixture(t *testing.T) {
 	}
 }
 
+// repo is the repository's module, loaded once per test binary.
+var repo struct {
+	once sync.Once
+	mod  *Module
+	err  error
+}
+
+// repoModule returns the repository's module; a load error, type errors
+// included, fails the test.
+func repoModule(t *testing.T) *Module {
+	t.Helper()
+	repo.once.Do(func() {
+		root, err := FindModuleRoot(".")
+		if err != nil {
+			repo.err = err
+			return
+		}
+		repo.mod, repo.err = LoadModule(root)
+	})
+	if repo.err != nil {
+		t.Fatalf("loading module: %v", repo.err)
+	}
+	return repo.mod
+}
+
 // TestRunOnThisModule is the lint gate in test form: the repository itself
 // must be clean under the full default suite.
 func TestRunOnThisModule(t *testing.T) {
-	wd, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
-	root, err := FindModuleRoot(wd)
-	if err != nil {
-		t.Fatalf("finding module root: %v", err)
-	}
-	mod, err := LoadModule(root)
-	if err != nil {
-		t.Fatalf("loading module: %v", err)
-	}
-	diags := Run(mod.Packages(), DefaultAnalyzers())
+	diags := Run(repoModule(t).Packages(), DefaultAnalyzers())
 	for _, d := range diags {
 		t.Errorf("unsuppressed diagnostic: %s", d)
 	}
 	if len(diags) > 0 {
 		t.Errorf("%d unsuppressed diagnostics; annotate with //detlint:ignore <analyzer> -- <reason> or fix", len(diags))
+	}
+}
+
+// The repository and every fixture load: the loader fails on the first type
+// error, so loading is the assertion that none of them has one.
+func TestEverythingTypeChecks(t *testing.T) {
+	repoModule(t)
+	fixtures, err := os.ReadDir(filepath.Join("testdata", "src"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range fixtures {
+		loadFixture(t, f.Name())
+	}
+}
+
+// An import go list cannot resolve fails the load with go list's own
+// message; nothing degrades to an untyped stub.
+func TestLoadFailsWhenGoListFails(t *testing.T) {
+	dir := t.TempDir()
+	src := "package fix\n\nimport \"nosuchpkg/x\"\n\nvar _ = x.Y\n"
+	if err := os.WriteFile(filepath.Join(dir, "fix.go"), []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := LoadDir(dir)
+	if err == nil || !strings.Contains(err.Error(), "go list") || !strings.Contains(err.Error(), "nosuchpkg/x") {
+		t.Fatalf("LoadDir = %v, want a go list error naming nosuchpkg/x", err)
+	}
+}
+
+// TestAuditSitesDocumented keeps DESIGN.md's sanctioned-site lists in step
+// with the code: every file holding a //detlint:ignore site is named there.
+func TestAuditSitesDocumented(t *testing.T) {
+	mod := repoModule(t)
+	design, err := os.ReadFile(filepath.Join(mod.Root, "DESIGN.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range Audit(mod.Packages()) {
+		rel, err := filepath.Rel(mod.Root, s.Pos.Filename)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(string(design), "`"+filepath.ToSlash(rel)+"`") {
+			t.Errorf("%s:%d: ignore site is not named in DESIGN.md's sanctioned-site lists", rel, s.Pos.Line)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strconv"
 )
 
 // balance.go is the shared must-reach walker behind poolbalance and
@@ -20,25 +21,18 @@ import (
 // binding is one tracked resource variable.
 type binding struct {
 	name string
-	obj  types.Object // may be nil when type info is unavailable
-	pos  token.Pos    // the bind site; diagnostics anchor here
+	obj  types.Object
+	pos  token.Pos // the bind site; diagnostics anchor here
 }
 
 // refsBinding reports whether e mentions the bound variable.
 func refsBinding(info *types.Info, e ast.Expr, v *binding) bool {
 	found := false
 	ast.Inspect(e, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok || id.Name != v.name {
-			return !found
+		if id, ok := n.(*ast.Ident); ok && info.Uses[id] == v.obj {
+			found = true
 		}
-		if v.obj != nil && info != nil {
-			if o := info.Uses[id]; o != nil && o != v.obj {
-				return !found
-			}
-		}
-		found = true
-		return false
+		return !found
 	})
 	return found
 }
@@ -54,7 +48,7 @@ type balanceSpec struct {
 	anyCallArgConsumes bool
 	// exemptReturn, when non-nil, reports returns allowed to drop the
 	// resource (spanbalance exempts error-bearing returns).
-	exemptReturn func(ft *ast.FuncType, ret *ast.ReturnStmt) bool
+	exemptReturn func(info *types.Info, ft *ast.FuncType, ret *ast.ReturnStmt) bool
 }
 
 // bstate is the walker's per-path state.
@@ -114,21 +108,7 @@ func (w *balanceWalker) leakAt(pos token.Pos, desc string) {
 		return
 	}
 	p := w.pass.Pkg.Fset.Position(pos)
-	w.leaks = append(w.leaks, leak{pos: pos, desc: desc + " (line " + itoa(p.Line) + ")"})
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var b [20]byte
-	i := len(b)
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(b[i:])
+	w.leaks = append(w.leaks, leak{pos: pos, desc: desc + " (line " + strconv.Itoa(p.Line) + ")"})
 }
 
 // pathStep is one level of the statement-list chain from the function body
@@ -347,7 +327,7 @@ func (w *balanceWalker) ret(s *ast.ReturnStmt, st bstate) bstate {
 			return st
 		}
 	}
-	if w.spec.exemptReturn != nil && w.spec.exemptReturn(w.ft, s) {
+	if w.spec.exemptReturn != nil && w.spec.exemptReturn(w.pass.Pkg.Info, w.ft, s) {
 		st.terminated = true
 		return st
 	}
@@ -406,7 +386,8 @@ func (w *balanceWalker) isNilCheck(cond ast.Expr, op token.Token) bool {
 	if !ok || b.Op != op {
 		return false
 	}
-	return (w.isV(b.X) && isNilIdent(b.Y)) || (w.isV(b.Y) && isNilIdent(b.X))
+	info := w.pass.Pkg.Info
+	return (w.isV(b.X) && info.Types[b.Y].IsNil()) || (w.isV(b.Y) && info.Types[b.X].IsNil())
 }
 
 func (w *balanceWalker) loop(cond ast.Expr, body *ast.BlockStmt, st bstate) bstate {
@@ -542,18 +523,7 @@ func (w *balanceWalker) expr(e ast.Expr, st bstate) bstate {
 
 func (w *balanceWalker) isV(e ast.Expr) bool {
 	id, ok := e.(*ast.Ident)
-	if !ok || id.Name != w.v.name {
-		return false
-	}
-	if w.v.obj != nil && w.pass.Pkg.Info != nil {
-		if o := w.pass.Pkg.Info.Uses[id]; o != nil && o != w.v.obj {
-			return false
-		}
-		if o := w.pass.Pkg.Info.Defs[id]; o != nil && o != w.v.obj {
-			return false
-		}
-	}
-	return true
+	return ok && w.pass.Pkg.Info.ObjectOf(id) == w.v.obj
 }
 
 // refsDirect reports whether n mentions v outside call expressions — the
@@ -593,11 +563,6 @@ func (w *balanceWalker) refs(n ast.Node) bool {
 	return found
 }
 
-func isNilIdent(e ast.Expr) bool {
-	id, ok := e.(*ast.Ident)
-	return ok && id.Name == "nil"
-}
-
 // funcBodies yields every function body in the file: declarations and
 // literals, each paired with its own type so nested literals are analyzed
 // independently of their enclosing function.
@@ -621,13 +586,5 @@ func bindingFor(pkg *Package, lhs ast.Expr, pos token.Pos) *binding {
 	if !ok || id.Name == "_" {
 		return nil
 	}
-	v := &binding{name: id.Name, pos: pos}
-	if pkg.Info != nil {
-		if o := pkg.Info.Defs[id]; o != nil {
-			v.obj = o
-		} else if o := pkg.Info.Uses[id]; o != nil {
-			v.obj = o
-		}
-	}
-	return v
+	return &binding{name: id.Name, obj: pkg.Info.ObjectOf(id), pos: pos}
 }

@@ -3,6 +3,10 @@ package analysis
 import (
 	"go/ast"
 	"go/token"
+	"go/types"
+	"sort"
+	"strconv"
+	"strings"
 )
 
 // boundedDecodeScope is where decoders live: wire frames, checkpoint
@@ -12,8 +16,8 @@ var boundedDecodeScope = []string{
 }
 
 // decodeMethods are the Reader-style methods whose results are
-// attacker-controlled counts. Package-qualified selectors never match (the
-// receiver must be a value), so math/rand.Int and friends are out of scope.
+// attacker-controlled counts. Only methods match, so package-level functions
+// such as math/rand.Int are out of scope.
 var decodeMethods = map[string]bool{"Int": true, "Uint32": true, "Uint64": true}
 
 // BoundedDecode returns the boundeddecode analyzer: an allocation (`make`,
@@ -65,7 +69,7 @@ func checkDecodeBounds(pass *Pass, body *ast.BlockStmt) {
 			if len(n.Rhs) != 1 {
 				return true
 			}
-			if call := unwrapConversion(n.Rhs[0]); call != nil && isDecodeCall(pass, call) {
+			if call := unwrapConversion(pass.Pkg.Info, n.Rhs[0]); call != nil && isDecodeCall(pass, call) {
 				for _, l := range n.Lhs {
 					if id, ok := l.(*ast.Ident); ok && id.Name != "_" && id.Name != "err" {
 						tracked[id.Name] = &decodedVar{names: map[string]bool{id.Name: true}}
@@ -145,37 +149,24 @@ func checkDecodeBounds(pass *Pass, body *ast.BlockStmt) {
 	})
 }
 
-// unwrapConversion strips builtin integer conversions (`int(x)`) down to an
-// inner call expression, if any.
-func unwrapConversion(e ast.Expr) *ast.CallExpr {
+// unwrapConversion strips conversions (`int(x)`) down to the call they
+// convert; nil if e is no call.
+func unwrapConversion(info *types.Info, e ast.Expr) *ast.CallExpr {
 	call, ok := e.(*ast.CallExpr)
+	for ok && info.Types[call.Fun].IsType() && len(call.Args) == 1 {
+		call, ok = call.Args[0].(*ast.CallExpr)
+	}
 	if !ok {
 		return nil
-	}
-	if id, isID := call.Fun.(*ast.Ident); isID && len(call.Args) == 1 {
-		switch id.Name {
-		case "int", "int8", "int16", "int32", "int64",
-			"uint", "uint8", "uint16", "uint32", "uint64", "uintptr":
-			if inner, isCall := call.Args[0].(*ast.CallExpr); isCall {
-				return inner
-			}
-			return nil
-		}
 	}
 	return call
 }
 
 // isDecodeCall reports whether call is a count-returning decode method:
-// a non-package-qualified selector call named Int/Uint32/Uint64.
+// a method named Int, Uint32 or Uint64.
 func isDecodeCall(pass *Pass, call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || !decodeMethods[sel.Sel.Name] {
-		return false
-	}
-	if _, _, isPkg := pass.ImportedSelector(sel); isPkg {
-		return false
-	}
-	return true
+	recv, name := methodCall(pass.Pkg.Info, call)
+	return recv != nil && decodeMethods[name]
 }
 
 // trackedRoots returns the union of root decode variables referenced by e,
@@ -262,25 +253,10 @@ func containsAppend(body *ast.BlockStmt) bool {
 }
 
 func rootList(roots map[string]bool) string {
-	out := ""
-	for _, r := range sortedKeys(roots) {
-		if out != "" {
-			out += ","
-		}
-		out += `"` + r + `"`
+	var out []string
+	for r := range roots {
+		out = append(out, strconv.Quote(r))
 	}
-	return out
-}
-
-func sortedKeys(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
+	sort.Strings(out)
+	return strings.Join(out, ",")
 }

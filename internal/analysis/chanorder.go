@@ -34,7 +34,7 @@ func ChanOrder() *Analyzer {
 				case *ast.RangeStmt:
 					// `for v := range ch` receives in completion order too
 					var rangeRecv *ast.Ident
-					if t := pass.Pkg.TypeOf(loop.X); t != nil {
+					if t := pass.Pkg.Info.TypeOf(loop.X); t != nil {
 						if _, isChan := t.Underlying().(*types.Chan); isChan {
 							if id, ok := loop.Key.(*ast.Ident); ok && id.Name != "_" {
 								rangeRecv = id
@@ -189,9 +189,6 @@ func referencesAny(e ast.Expr, vars map[string]token.Pos) bool {
 // declaredOutside reports whether id's variable is declared outside the loop
 // body (unknown declarations count as outside — conservative).
 func declaredOutside(pass *Pass, id *ast.Ident, body *ast.BlockStmt) bool {
-	if pass.Pkg.Info == nil {
-		return true
-	}
 	obj := pass.Pkg.Info.ObjectOf(id)
 	if obj == nil {
 		return true

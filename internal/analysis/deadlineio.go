@@ -2,7 +2,7 @@ package analysis
 
 import (
 	"go/ast"
-	"strings"
+	"go/types"
 )
 
 // deadlineIOScope is the networked surface: every blocking socket operation
@@ -15,14 +15,13 @@ var deadlineIOScope = []string{"internal/dist", "internal/serve"}
 //
 //   - net.Dial — always; it has no timeout at all (use net.DialTimeout and
 //     arm per-operation deadlines on the result)
-//   - net.DialTimeout and listener Accept calls in functions that never
-//     touch a deadline (no SetDeadline/withDeadline/acceptTimeout-style call)
-//   - Read/Write method calls on variables declared as net.Conn, again in
-//     functions that never touch a deadline
+//   - net.DialTimeout, and Accept on a value that implements net.Listener,
+//     in functions that arm no deadline
+//   - Read/Write on a raw conn — a value of a type from package net that
+//     implements net.Conn — again in functions that arm no deadline
 //
-// "Touching a deadline" is syntactic — any call whose name contains
-// "Deadline" — which is exactly the repo idiom: deadlineConn, withDeadline,
-// SetDeadline, SetReadDeadline, SetWriteDeadline all qualify.
+// A function arms a deadline when it calls SetDeadline, SetReadDeadline or
+// SetWriteDeadline on a value that implements net.Conn or net.Listener.
 func DeadlineIO(scope ...string) *Analyzer {
 	if len(scope) == 0 {
 		scope = deadlineIOScope
@@ -35,18 +34,33 @@ func DeadlineIO(scope ...string) *Analyzer {
 		if !pkgMatchesAny(pass.Pkg, scope) {
 			return
 		}
-		for _, f := range pass.Pkg.Files {
-			funcBodies(f, func(ft *ast.FuncType, body *ast.BlockStmt, _ *ast.CommentGroup) {
-				checkDeadlines(pass, ft, body)
-			})
+		for _, net := range pass.Pkg.TypesPkg.Imports() {
+			if net.Path() != "net" {
+				continue // no raw socket without importing net
+			}
+			conn := net.Scope().Lookup("Conn").Type().Underlying().(*types.Interface)
+			listener := net.Scope().Lookup("Listener").Type().Underlying().(*types.Interface)
+			for _, f := range pass.Pkg.Files {
+				funcBodies(f, func(_ *ast.FuncType, body *ast.BlockStmt, _ *ast.CommentGroup) {
+					checkDeadlines(pass, body, conn, listener)
+				})
+			}
 		}
 	}
 	return a
 }
 
-func checkDeadlines(pass *Pass, ft *ast.FuncType, body *ast.BlockStmt) {
-	armed := mentionsDeadline(body)
-	conns := netConnIdents(ft, body)
+func checkDeadlines(pass *Pass, body *ast.BlockStmt, conn, listener *types.Interface) {
+	info := pass.Pkg.Info
+	armed := false
+	ast.Inspect(body, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok {
+			if recv, name := methodCall(info, call); recv != nil && (implements(recv, conn) || implements(recv, listener)) {
+				armed = armed || name == "SetDeadline" || name == "SetReadDeadline" || name == "SetWriteDeadline"
+			}
+		}
+		return !armed
+	})
 	ast.Inspect(body, func(n ast.Node) bool {
 		if _, ok := n.(*ast.FuncLit); ok {
 			return false // its own function; analyzed separately
@@ -55,15 +69,8 @@ func checkDeadlines(pass *Pass, ft *ast.FuncType, body *ast.BlockStmt) {
 		if !ok {
 			return true
 		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		if p, name, isPkg := pass.ImportedSelector(sel); isPkg {
-			if p != "net" {
-				return true
-			}
-			switch name {
+		if fn := calleeFunc(info, call); isPkgFunc(fn, "net") {
+			switch fn.Name() {
 			case "Dial":
 				pass.Report(call.Pos(), "net.Dial has no timeout; use net.DialTimeout and arm per-operation deadlines on the connection")
 			case "DialTimeout":
@@ -73,84 +80,54 @@ func checkDeadlines(pass *Pass, ft *ast.FuncType, body *ast.BlockStmt) {
 			}
 			return true
 		}
-		switch sel.Sel.Name {
-		case "Accept":
-			if len(call.Args) == 0 && !armed {
-				pass.Report(call.Pos(), "Accept with no deadline in sight; bound it with SetDeadline (acceptTimeout) or wrap the accepted conn with per-operation deadlines")
-			}
-		case "Read", "Write":
-			id, isID := sel.X.(*ast.Ident)
-			if isID && conns[id.Name] && !armed {
-				pass.Report(call.Pos(), "%s on a raw net.Conn that no deadline bounds; route it through a deadline-wrapping conn or SetDeadline first", sel.Sel.Name)
-			}
-		}
-		return true
-	})
-}
-
-// mentionsDeadline reports whether the function body contains any call whose
-// callee name includes "Deadline".
-func mentionsDeadline(body *ast.BlockStmt) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return !found
-		}
-		switch fun := call.Fun.(type) {
-		case *ast.Ident:
-			if strings.Contains(fun.Name, "Deadline") {
-				found = true
-			}
-		case *ast.SelectorExpr:
-			if strings.Contains(fun.Sel.Name, "Deadline") {
-				found = true
-			}
-		}
-		return !found
-	})
-	return found
-}
-
-// netConnIdents collects the function's identifiers declared with the
-// syntactic type net.Conn: parameters and `var x net.Conn` declarations.
-// Stubbed imports leave no usable type info for net, so the declaration
-// syntax is the reliable signal.
-func netConnIdents(ft *ast.FuncType, body *ast.BlockStmt) map[string]bool {
-	conns := map[string]bool{}
-	addField := func(field *ast.Field) {
-		if !isNetConnType(field.Type) {
-			return
-		}
-		for _, name := range field.Names {
-			conns[name.Name] = true
-		}
-	}
-	if ft != nil && ft.Params != nil {
-		for _, field := range ft.Params.List {
-			addField(field)
-		}
-	}
-	ast.Inspect(body, func(n ast.Node) bool {
-		vs, ok := n.(*ast.ValueSpec)
-		if !ok {
+		recv, name := methodCall(info, call)
+		if recv == nil || armed {
 			return true
 		}
-		if isNetConnType(vs.Type) {
-			for _, name := range vs.Names {
-				conns[name.Name] = true
+		switch name {
+		case "Accept":
+			if implements(recv, listener) {
+				pass.Report(call.Pos(), "Accept with no deadline in sight; bound it with the listener's SetDeadline or wrap the accepted conn with per-operation deadlines")
+			}
+		case "Read", "Write":
+			if fromPackage(recv, "net") && implements(recv, conn) {
+				pass.Report(call.Pos(), "%s on a raw net.Conn that no deadline bounds; route it through a deadline-wrapping conn or SetDeadline first", name)
 			}
 		}
 		return true
 	})
-	return conns
 }
 
-func isNetConnType(t ast.Expr) bool {
-	sel, ok := t.(*ast.SelectorExpr)
+// methodCall returns the receiver type and method name of a method call.
+func methodCall(info *types.Info, call *ast.CallExpr) (types.Type, string) {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
-		return false
+		return nil, ""
 	}
-	pkg, isID := sel.X.(*ast.Ident)
-	return isID && pkg.Name == "net" && sel.Sel.Name == "Conn"
+	s := info.Selections[sel]
+	if s == nil || s.Kind() != types.MethodVal {
+		return nil, ""
+	}
+	return s.Recv(), sel.Sel.Name
+}
+
+// implements reports whether t, or a pointer to it, implements iface.
+func implements(t types.Type, iface *types.Interface) bool {
+	return types.Implements(t, iface) || types.Implements(types.NewPointer(t), iface)
+}
+
+// fromPackage reports whether t, or the type it points to, is a named type
+// declared in the package with import path pkgPath.
+func fromPackage(t types.Type, pkgPath string) bool {
+	n := namedOf(t)
+	return n != nil && n.Obj().Pkg() != nil && n.Obj().Pkg().Path() == pkgPath
+}
+
+// namedOf returns the named type t is or points to, or nil.
+func namedOf(t types.Type) *types.Named {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	n, _ := t.(*types.Named)
+	return n
 }

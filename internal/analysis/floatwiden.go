@@ -36,10 +36,8 @@ func FloatWiden(hot ...string) *Analyzer {
 			ast.Inspect(f, func(n ast.Node) bool {
 				switch s := n.(type) {
 				case *ast.CallExpr:
-					if sel, ok := s.Fun.(*ast.SelectorExpr); ok {
-						if p, name, ok := pass.ImportedSelector(sel); ok && p == "math" && name == "FMA" {
-							pass.Report(s.Pos(), "math.FMA fuses the multiply-add rounding; the bitwise contract requires two separate float32 roundings")
-						}
+					if fn := calleeFunc(pass.Pkg.Info, s); isPkgFunc(fn, "math") && fn.Name() == "FMA" {
+						pass.Report(s.Pos(), "math.FMA fuses the multiply-add rounding; the bitwise contract requires two separate float32 roundings")
 					}
 				case *ast.AssignStmt:
 					checkWidenAssign(pass, s, wideVars)
@@ -68,7 +66,7 @@ func checkWidenAssign(pass *Pass, s *ast.AssignStmt, wideVars map[string]bool) {
 			}
 		}
 	case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN, token.QUO_ASSIGN:
-		if len(s.Lhs) == 1 && isFloat64(pass.Pkg.TypeOf(s.Lhs[0])) && feeds(s.Rhs[0]) {
+		if len(s.Lhs) == 1 && basic(pass.Pkg.Info.TypeOf(s.Lhs[0])).Kind() == types.Float64 && feeds(s.Rhs[0]) {
 			pass.Report(s.Pos(), "float32 values accumulated in float64 %s; accumulation width is part of the bitwise contract — accumulate in float32 (or annotate the D2 exception)", types.ExprString(s.Lhs[0]))
 		}
 	case token.ASSIGN:
@@ -77,7 +75,7 @@ func checkWidenAssign(pass *Pass, s *ast.AssignStmt, wideVars map[string]bool) {
 			return
 		}
 		lhs, ok := s.Lhs[0].(*ast.Ident)
-		if !ok || !isFloat64(pass.Pkg.TypeOf(lhs)) {
+		if !ok || basic(pass.Pkg.Info.TypeOf(lhs)).Kind() != types.Float64 {
 			return
 		}
 		bin, ok := s.Rhs[0].(*ast.BinaryExpr)
@@ -91,14 +89,11 @@ func checkWidenAssign(pass *Pass, s *ast.AssignStmt, wideVars map[string]bool) {
 // isWideningConv reports whether e is float64(x) with x a float32 value.
 func isWideningConv(pass *Pass, e ast.Expr) bool {
 	call, ok := e.(*ast.CallExpr)
-	if !ok || len(call.Args) != 1 || pass.Pkg.Info == nil {
+	if !ok || len(call.Args) != 1 {
 		return false
 	}
-	tv, ok := pass.Pkg.Info.Types[call.Fun]
-	if !ok || !tv.IsType() {
-		return false
-	}
-	return isFloat64(tv.Type) && isFloat32(pass.Pkg.TypeOf(call.Args[0]))
+	tv := pass.Pkg.Info.Types[call.Fun]
+	return tv.IsType() && basic(tv.Type).Kind() == types.Float64 && basic(pass.Pkg.Info.TypeOf(call.Args[0])).Kind() == types.Float32
 }
 
 func containsWidening(pass *Pass, e ast.Expr) bool {

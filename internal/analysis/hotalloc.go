@@ -29,14 +29,17 @@ var heapTensorCtors = map[string]bool{"New": true, "Full": true, "FromData": tru
 //   - string concatenation
 //   - function literals (closure allocation)
 //   - fmt calls (formatting allocates and boxes every operand)
-//   - conversions to `any`/`interface{}` (explicit boxing)
+//   - boxing: a concrete value converted to an interface type, or landing
+//     in an interface-typed argument, assignment or return (constants and
+//     pointer-shaped values fit the interface word and are exempt)
 //   - the heap tensor constructors tensor.New, Full and FromData, whose
 //     header (and data) come from the heap
 //
-// pool.Get / pool.GetUninit are the sanctioned amortized-allocation escape
-// hatch and are exempt; poolbalance polices their release. So are the scoped
-// tensor constructors (tensor.NewScoped, NewScopedUninit, CloneScoped), whose
-// header and buffer come from the step's pool.Scope.
+// A block that ends in a call of panic is the crash-out path and is not
+// checked. pool.Get / pool.GetUninit are the sanctioned amortized-allocation
+// escape hatch and are exempt; poolbalance polices their release. So are the
+// scoped tensor constructors (tensor.NewScoped, NewScopedUninit,
+// CloneScoped), whose header and buffer come from the step's pool.Scope.
 func HotAlloc() *Analyzer {
 	a := &Analyzer{
 		Name: "hotalloc",
@@ -49,7 +52,7 @@ func HotAlloc() *Analyzer {
 				if !ok || fd.Body == nil || !isHotpath(fd.Doc) {
 					continue
 				}
-				checkHotAlloc(pass, fd.Body)
+				checkHotAlloc(pass, fd)
 			}
 		}
 	}
@@ -68,34 +71,69 @@ func isHotpath(doc *ast.CommentGroup) bool {
 	return false
 }
 
-func checkHotAlloc(pass *Pass, body *ast.BlockStmt) {
-	ast.Inspect(body, func(n ast.Node) bool {
+func checkHotAlloc(pass *Pass, fd *ast.FuncDecl) {
+	info := pass.Pkg.Info
+	results := info.Defs[fd.Name].Type().(*types.Signature).Results()
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
+		case *ast.BlockStmt:
+			if n != fd.Body && endsInPanic(info, n) {
+				return false
+			}
 		case *ast.CallExpr:
-			switch fun := n.Fun.(type) {
-			case *ast.Ident:
-				switch fun.Name {
+			if tv := info.Types[n.Fun]; tv.IsType() {
+				if len(n.Args) == 1 && boxes(info, tv.Type, n.Args[0]) {
+					pass.Report(n.Pos(), "hot path allocates: conversion to %s boxes the operand", types.ExprString(n.Fun))
+				}
+				return true
+			}
+			if b := builtinName(info, n); b != "" {
+				switch b {
 				case "make":
 					pass.Report(n.Pos(), "hot path allocates: make (draw from the pool outside the hot path)")
 				case "new":
 					pass.Report(n.Pos(), "hot path allocates: new")
 				case "append":
 					pass.Report(n.Pos(), "hot path allocates: append growth (pre-size the buffer outside the hot path)")
-				case "any":
-					pass.Report(n.Pos(), "hot path allocates: conversion to any boxes the operand")
 				}
-			case *ast.SelectorExpr:
-				switch p, name, _ := pass.ImportedSelector(fun); {
-				case p == "fmt":
-					pass.Report(n.Pos(), "hot path allocates: fmt.%s formats and boxes every operand", name)
-				case p == tensorImportPath && heapTensorCtors[name]:
-					pass.Report(n.Pos(), "hot path allocates: tensor.%s takes its header from the heap (use the scoped constructor)", name)
+				return true
+			}
+			fn := calleeFunc(info, n)
+			switch {
+			case isPkgFunc(fn, "fmt"):
+				pass.Report(n.Pos(), "hot path allocates: fmt.%s formats and boxes every operand", fn.Name())
+				return true
+			case isPkgFunc(fn, tensorImportPath) && heapTensorCtors[fn.Name()]:
+				pass.Report(n.Pos(), "hot path allocates: tensor.%s takes its header from the heap (use the scoped constructor)", fn.Name())
+			}
+			if sig, ok := info.TypeOf(n.Fun).Underlying().(*types.Signature); ok {
+				params := sig.Params()
+				for i, arg := range n.Args {
+					var pt types.Type
+					switch {
+					case sig.Variadic() && i >= params.Len()-1 && !n.Ellipsis.IsValid():
+						pt = params.At(params.Len() - 1).Type().(*types.Slice).Elem()
+					case i < params.Len():
+						pt = params.At(i).Type()
+					}
+					reportBoxing(pass, pt, arg, "argument")
 				}
-			case *ast.InterfaceType:
-				pass.Report(n.Pos(), "hot path allocates: conversion to interface{} boxes the operand")
+			}
+		case *ast.AssignStmt:
+			if n.Tok == token.ASSIGN && len(n.Lhs) == len(n.Rhs) {
+				for i, lhs := range n.Lhs {
+					reportBoxing(pass, info.TypeOf(lhs), n.Rhs[i], "assignment")
+				}
+			}
+		case *ast.ReturnStmt:
+			if len(n.Results) == results.Len() {
+				for i, r := range n.Results {
+					reportBoxing(pass, results.At(i).Type(), r, "return")
+				}
 			}
 		case *ast.CompositeLit:
-			if isSliceOrMapLit(pass, n) {
+			switch info.TypeOf(n).Underlying().(type) {
+			case *types.Slice, *types.Map:
 				pass.Report(n.Pos(), "hot path allocates: slice/map composite literal")
 			}
 		case *ast.UnaryExpr:
@@ -106,7 +144,7 @@ func checkHotAlloc(pass *Pass, body *ast.BlockStmt) {
 				}
 			}
 		case *ast.BinaryExpr:
-			if n.Op == token.ADD && (isStringOperand(pass, n.X) || isStringOperand(pass, n.Y)) {
+			if tv := info.Types[n]; n.Op == token.ADD && tv.Value == nil && basic(tv.Type).Info()&types.IsString != 0 {
 				pass.Report(n.Pos(), "hot path allocates: string concatenation")
 			}
 		case *ast.FuncLit:
@@ -119,35 +157,50 @@ func checkHotAlloc(pass *Pass, body *ast.BlockStmt) {
 	})
 }
 
-// isSliceOrMapLit reports whether lit builds a slice or map. Value struct
-// and array literals are allowed (stack-allocated); the type is read
-// syntactically first, with checked types as fallback for named types.
-func isSliceOrMapLit(pass *Pass, lit *ast.CompositeLit) bool {
-	switch t := lit.Type.(type) {
-	case *ast.ArrayType:
-		return t.Len == nil // []T{...} is a slice; [N]T{...} an array
-	case *ast.MapType:
-		return true
-	case nil:
-		return false // inner literal of a surrounding composite; typed by it
+// reportBoxing flags a concrete value landing in an interface-typed slot.
+func reportBoxing(pass *Pass, slot types.Type, e ast.Expr, where string) {
+	if slot != nil && boxes(pass.Pkg.Info, slot, e) {
+		name := func(p *types.Package) string { return p.Name() }
+		pass.Report(e.Pos(), "hot path allocates: %s %s boxed into %s", types.TypeString(pass.Pkg.Info.TypeOf(e), name), where, types.TypeString(slot, name))
 	}
-	if t := pass.Pkg.TypeOf(lit); t != nil {
-		switch t.Underlying().(type) {
-		case *types.Slice, *types.Map:
-			return true
-		}
+}
+
+// boxes reports whether storing e in a slot of type slot allocates: the slot
+// is an interface, and e is a concrete, non-constant value whose type is not
+// pointer-shaped.
+func boxes(info *types.Info, slot types.Type, e ast.Expr) bool {
+	tv := info.Types[e]
+	return types.IsInterface(slot) && tv.Type != nil && !types.IsInterface(tv.Type) &&
+		tv.Value == nil && !tv.IsNil() && !pointerShaped(tv.Type)
+}
+
+// pointerShaped reports whether a value of type t is one machine pointer —
+// a pointer, map, chan, func, or a struct or one-element array holding only
+// such a value — and so is stored in an interface word without allocating.
+func pointerShaped(t types.Type) bool {
+	switch u := t.Underlying().(type) {
+	case *types.Pointer, *types.Map, *types.Chan, *types.Signature:
+		return true
+	case *types.Basic:
+		return u.Kind() == types.UnsafePointer
+	case *types.Struct:
+		return u.NumFields() == 1 && pointerShaped(u.Field(0).Type())
+	case *types.Array:
+		return u.Len() == 1 && pointerShaped(u.Elem())
 	}
 	return false
 }
 
-func isStringOperand(pass *Pass, e ast.Expr) bool {
-	if lit, ok := e.(*ast.BasicLit); ok && lit.Kind == token.STRING {
-		return true
+// endsInPanic reports whether block's last statement is a call of panic: the
+// crash-out path, which is not part of the hot path.
+func endsInPanic(info *types.Info, block *ast.BlockStmt) bool {
+	if len(block.List) == 0 {
+		return false
 	}
-	if t := pass.Pkg.TypeOf(e); t != nil {
-		if b, ok := t.Underlying().(*types.Basic); ok {
-			return b.Info()&types.IsString != 0
-		}
+	es, ok := block.List[len(block.List)-1].(*ast.ExprStmt)
+	if !ok {
+		return false
 	}
-	return false
+	call, ok := es.X.(*ast.CallExpr)
+	return ok && builtinName(info, call) == "panic"
 }

@@ -1,32 +1,36 @@
 package analysis
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"go/ast"
-	"go/build/constraint"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
-	"path"
+	"os/exec"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
+	"sync"
 )
 
-// The loader walks a Go module by directory — no go/packages, no `go list`
-// subprocess — parses every non-test file that survives the host's build
-// constraints, and type-checks the packages in dependency order. Imports
-// inside the module resolve to the freshly checked packages; everything else
-// (the standard library included) resolves to an empty stub package, so
-// identifiers drawn from stubbed imports type as invalid. The analyzers are
-// written for exactly that contract: decisions that need types (map-ness,
-// integer-ness, float width) use locally inferable types, and decisions about
-// foreign packages (time.Now, math/rand, math.FMA) use the import graph, which
-// survives stubbing intact.
+// The loader walks a Go module by directory, selects each directory's files
+// the way `go build` does (go/build evaluates file-name suffixes and
+// //go:build lines for the host), and type-checks the packages from source
+// in dependency order through one importer, so an object is the same
+// types.Object in the package that declares it and in every package that
+// uses it. Everything outside the module — the standard library — is typed
+// from the compiler's export data: one `go list -export -deps` call names the
+// export files and the gc importer reads them. A type error is fatal: the
+// analyzers match types.Objects, and a package that does not type-check has
+// none to match.
 
-// Package is one loaded, parsed, and (best-effort) type-checked package.
+// Package is one loaded, parsed and type-checked package.
 type Package struct {
 	// Path is the import path ("repro/internal/sched"); standalone
 	// directories loaded outside a module use their base name.
@@ -36,27 +40,11 @@ type Package struct {
 	// Dir is the absolute directory.
 	Dir string
 
-	Fset      *token.FileSet
-	Files     []*ast.File
-	Filenames []string
+	Fset  *token.FileSet
+	Files []*ast.File
 
 	Info     *types.Info
 	TypesPkg *types.Package
-	// TypeErrors collects every type-checking error. With stubbed imports
-	// many are expected; they are informational, never fatal.
-	TypeErrors []error
-}
-
-// TypeOf returns the checked type of e, or nil when unknown or invalid.
-func (p *Package) TypeOf(e ast.Expr) types.Type {
-	if p.Info == nil {
-		return nil
-	}
-	t := p.Info.TypeOf(e)
-	if t == nil || t == types.Typ[types.Invalid] {
-		return nil
-	}
-	return t
 }
 
 // Module is a loaded module: every package under the root, keyed by path.
@@ -65,6 +53,7 @@ type Module struct {
 	Path string
 	Fset *token.FileSet
 	pkgs map[string]*Package
+	imp  types.Importer
 }
 
 // Packages returns the module's packages sorted by import path — the loader
@@ -128,7 +117,6 @@ func LoadModule(root string) (*Module, error) {
 	}
 	sort.Strings(dirs)
 
-	parsed := map[string]*Package{} // by import path
 	for _, dir := range dirs {
 		pkg, err := parseDir(m.Fset, dir)
 		if err != nil {
@@ -146,48 +134,44 @@ func LoadModule(root string) (*Module, error) {
 		} else {
 			pkg.Path = modPath + "/" + filepath.ToSlash(rel)
 		}
-		parsed[pkg.Path] = pkg
+		m.pkgs[pkg.Path] = pkg
 	}
 
-	// Type-check in dependency order so intra-module imports resolve to real
-	// packages. Cycles are illegal in Go; if one sneaks in, the second visit
-	// sees a not-yet-checked package and falls back to a stub.
-	imp := &moduleImporter{parsed: parsed, stubs: map[string]*types.Package{}}
-	var order []string
-	state := map[string]int{} // 0 unvisited, 1 visiting, 2 done
-	var visit func(string)
-	visit = func(p string) {
-		if state[p] != 0 {
-			return
+	// Type-check in dependency order so intra-module imports resolve to the
+	// packages already checked.
+	imp, err := newImporter(m.Fset, root, m.Packages(), m.pkgs)
+	if err != nil {
+		return nil, err
+	}
+	m.imp = imp
+	done := map[string]bool{}
+	var visit func(*Package) error
+	visit = func(pkg *Package) error {
+		if done[pkg.Path] {
+			return nil
 		}
-		state[p] = 1
-		deps := importPaths(parsed[p])
-		for _, d := range deps {
-			if _, ok := parsed[d]; ok {
-				visit(d)
+		done[pkg.Path] = true
+		for _, d := range importPaths(pkg) {
+			if dep, ok := m.pkgs[d]; ok {
+				if err := visit(dep); err != nil {
+					return err
+				}
 			}
 		}
-		state[p] = 2
-		order = append(order, p)
+		return checkPackage(pkg, imp)
 	}
-	paths := make([]string, 0, len(parsed))
-	for p := range parsed {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	for _, p := range paths {
-		visit(p)
-	}
-	for _, p := range order {
-		checkPackage(parsed[p], imp)
-		m.pkgs[p] = parsed[p]
+	for _, pkg := range m.Packages() {
+		if err := visit(pkg); err != nil {
+			return nil, err
+		}
 	}
 	return m, nil
 }
 
 // LoadDir loads a single standalone directory (used for test fixtures under
-// testdata). Its import path is the directory's base name and every import
-// resolves to a stub.
+// testdata). Its import path is the directory's base name; its imports
+// resolve through `go list` run in that directory, so a fixture inside the
+// module may import the module's packages.
 func LoadDir(dir string) (*Package, error) {
 	dir, err := filepath.Abs(dir)
 	if err != nil {
@@ -202,42 +186,35 @@ func LoadDir(dir string) (*Package, error) {
 		return nil, fmt.Errorf("analysis: no buildable Go files in %s", dir)
 	}
 	pkg.Path = filepath.Base(dir)
-	checkPackage(pkg, &moduleImporter{stubs: map[string]*types.Package{}})
-	return pkg, nil
-}
-
-// parseDir parses the buildable non-test Go files of one directory.
-func parseDir(fset *token.FileSet, dir string) (*Package, error) {
-	entries, err := os.ReadDir(dir)
+	imp, err := newImporter(fset, dir, []*Package{pkg}, nil)
 	if err != nil {
 		return nil, err
 	}
-	pkg := &Package{Dir: dir, Fset: fset}
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") ||
-			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
-			continue
-		}
-		full := filepath.Join(dir, name)
-		src, err := os.ReadFile(full)
-		if err != nil {
-			return nil, err
-		}
-		if !fileIncluded(name, src) {
-			continue
-		}
-		f, err := parser.ParseFile(fset, full, src, parser.ParseComments)
+	if err := checkPackage(pkg, imp); err != nil {
+		return nil, err
+	}
+	return pkg, nil
+}
+
+// parseDir parses the non-test Go files `go build` would compile in dir on
+// this host, or returns nil when there are none.
+func parseDir(fset *token.FileSet, dir string) (*Package, error) {
+	bp, err := build.ImportDir(dir, 0)
+	var noGo *build.NoGoError
+	if errors.As(err, &noGo) || (err == nil && len(bp.GoFiles) == 0) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, fmt.Errorf("analysis: %w", err)
+	}
+	pkg := &Package{Dir: dir, Fset: fset, Name: bp.Name}
+	for _, name := range bp.GoFiles {
+		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
 			return nil, fmt.Errorf("analysis: %w", err)
 		}
 		pkg.Files = append(pkg.Files, f)
-		pkg.Filenames = append(pkg.Filenames, full)
 	}
-	if len(pkg.Files) == 0 {
-		return nil, nil
-	}
-	pkg.Name = pkg.Files[0].Name.Name
 	return pkg, nil
 }
 
@@ -246,8 +223,7 @@ func importPaths(pkg *Package) []string {
 	seen := map[string]bool{}
 	for _, f := range pkg.Files {
 		for _, im := range f.Imports {
-			p := strings.Trim(im.Path.Value, `"`)
-			seen[p] = true
+			seen[importPathOf(im)] = true
 		}
 	}
 	out := make([]string, 0, len(seen))
@@ -258,8 +234,8 @@ func importPaths(pkg *Package) []string {
 	return out
 }
 
-// checkPackage runs go/types over a parsed package, tolerating every error.
-func checkPackage(pkg *Package, imp types.Importer) {
+// checkPackage type-checks a parsed package and fails on its first error.
+func checkPackage(pkg *Package, imp types.Importer) error {
 	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Defs:       map[*ast.Ident]types.Object{},
@@ -267,98 +243,86 @@ func checkPackage(pkg *Package, imp types.Importer) {
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 		Implicits:  map[ast.Node]types.Object{},
 	}
-	conf := types.Config{
-		Importer:    imp,
-		FakeImportC: true,
-		Error:       func(err error) { pkg.TypeErrors = append(pkg.TypeErrors, err) },
+	tpkg, err := (&types.Config{Importer: imp}).Check(pkg.Path, pkg.Fset, pkg.Files, info)
+	if err != nil {
+		return fmt.Errorf("analysis: type-checking %s: %w", pkg.Path, err)
 	}
-	tpkg, _ := conf.Check(pkg.Path, pkg.Fset, pkg.Files, info)
 	pkg.Info = info
 	pkg.TypesPkg = tpkg
+	return nil
 }
 
-// moduleImporter resolves intra-module imports to checked packages and
-// everything else to empty stubs.
+// moduleImporter resolves intra-module imports to the packages checked from
+// source and everything else through the compiler's export data.
 type moduleImporter struct {
-	parsed map[string]*Package
-	stubs  map[string]*types.Package
+	module map[string]*Package
+	gc     types.Importer
 }
 
 func (i *moduleImporter) Import(p string) (*types.Package, error) {
-	if pkg, ok := i.parsed[p]; ok && pkg.TypesPkg != nil {
+	if pkg, ok := i.module[p]; ok {
+		if pkg.TypesPkg == nil {
+			return nil, fmt.Errorf("analysis: import cycle through %s", p)
+		}
 		return pkg.TypesPkg, nil
 	}
-	if s, ok := i.stubs[p]; ok {
-		return s, nil
+	return i.gc.Import(p)
+}
+
+// exportFiles maps an import path to its compiled export data, filled by
+// `go list` once per path for the life of the process.
+var exportFiles struct {
+	sync.Mutex
+	byPath map[string]string
+}
+
+// newImporter lists the export data of every import of pkgs outside module
+// — one `go list -export -deps` call in dir for the paths not listed yet —
+// and returns the importer checkPackage uses.
+func newImporter(fset *token.FileSet, dir string, pkgs []*Package, module map[string]*Package) (types.Importer, error) {
+	exportFiles.Lock()
+	defer exportFiles.Unlock()
+	if exportFiles.byPath == nil {
+		exportFiles.byPath = map[string]string{}
 	}
-	s := types.NewPackage(p, stubName(p))
-	s.MarkComplete()
-	i.stubs[p] = s
-	return s, nil
-}
-
-// stubName guesses a package name from its import path ("math/rand/v2" is
-// package rand).
-func stubName(p string) string {
-	base := path.Base(p)
-	if len(base) > 1 && base[0] == 'v' && strings.Trim(base[1:], "0123456789") == "" {
-		base = path.Base(path.Dir(p))
-	}
-	return base
-}
-
-// --- build constraints ---------------------------------------------------
-
-var knownOS = map[string]bool{
-	"aix": true, "android": true, "darwin": true, "dragonfly": true,
-	"freebsd": true, "illumos": true, "ios": true, "js": true, "linux": true,
-	"netbsd": true, "openbsd": true, "plan9": true, "solaris": true,
-	"wasip1": true, "windows": true,
-}
-
-var knownArch = map[string]bool{
-	"386": true, "amd64": true, "arm": true, "arm64": true, "loong64": true,
-	"mips": true, "mips64": true, "mips64le": true, "mipsle": true,
-	"ppc64": true, "ppc64le": true, "riscv64": true, "s390x": true,
-	"wasm": true,
-}
-
-// fileIncluded evaluates filename-suffix and //go:build constraints against
-// the host GOOS/GOARCH so the loader sees the same file set `go build` does.
-func fileIncluded(name string, src []byte) bool {
-	base := strings.TrimSuffix(name, ".go")
-	parts := strings.Split(base, "_")
-	if n := len(parts); n > 1 {
-		last := parts[n-1]
-		if knownArch[last] {
-			if last != runtime.GOARCH {
-				return false
+	var missing []string
+	seen := map[string]bool{}
+	for _, pkg := range pkgs {
+		for _, p := range importPaths(pkg) {
+			if _, listed := exportFiles.byPath[p]; !listed && module[p] == nil && p != "unsafe" && !seen[p] {
+				seen[p] = true
+				missing = append(missing, p)
 			}
-			if n > 2 && knownOS[parts[n-2]] && parts[n-2] != runtime.GOOS {
-				return false
-			}
-		} else if knownOS[last] && last != runtime.GOOS {
-			return false
 		}
 	}
-	for _, line := range strings.Split(string(src), "\n") {
-		trimmed := strings.TrimSpace(line)
-		if strings.HasPrefix(trimmed, "package ") {
-			break
-		}
-		if !constraint.IsGoBuild(trimmed) {
-			continue
-		}
-		expr, err := constraint.Parse(trimmed)
+	if len(missing) > 0 {
+		// GOPROXY=off: every dependency is on disk already, and a missing
+		// one must fail here rather than reach for the network.
+		cmd := exec.Command("go", append([]string{"list", "-export", "-deps", "-f", "{{.ImportPath}}\t{{.Export}}"}, missing...)...)
+		cmd.Dir = dir
+		cmd.Env = append(os.Environ(), "GOPROXY=off")
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		out, err := cmd.Output()
 		if err != nil {
-			continue
+			return nil, fmt.Errorf("analysis: go list -export: %v: %s", err, strings.TrimSpace(stderr.String()))
 		}
-		return expr.Eval(func(tag string) bool {
-			return tag == runtime.GOOS || tag == runtime.GOARCH || tag == "gc" ||
-				strings.HasPrefix(tag, "go1.")
-		})
+		for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+			if p, file, _ := strings.Cut(line, "\t"); file != "" {
+				exportFiles.byPath[p] = file
+			}
+		}
 	}
-	return true
+	lookup := func(p string) (io.ReadCloser, error) {
+		exportFiles.Lock()
+		file, ok := exportFiles.byPath[p]
+		exportFiles.Unlock()
+		if !ok {
+			return nil, fmt.Errorf("analysis: no export data for %s", p)
+		}
+		return os.Open(file)
+	}
+	return &moduleImporter{module: module, gc: importer.ForCompiler(fset, "gc", lookup)}, nil
 }
 
 // readModulePath extracts the module path from a go.mod file.

@@ -58,7 +58,7 @@ func MapOrder(sensitive ...string) *Analyzer {
 				if !ok {
 					return true
 				}
-				t := pass.Pkg.TypeOf(rs.X)
+				t := pass.Pkg.Info.TypeOf(rs.X)
 				if t == nil {
 					return true
 				}
@@ -85,11 +85,7 @@ func sortedSliceIdents(pass *Pass, f *ast.File) map[string]bool {
 		if !ok {
 			return true
 		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		if p, _, ok := pass.ImportedSelector(sel); ok && (p == "sort" || p == "slices") {
+		if fn := calleeFunc(pass.Pkg.Info, call); isPkgFunc(fn, "sort") || isPkgFunc(fn, "slices") {
 			for _, arg := range call.Args {
 				ast.Inspect(arg, func(m ast.Node) bool {
 					if id, ok := m.(*ast.Ident); ok {
@@ -161,7 +157,7 @@ func pureProbeLoop(pkg *Package, rs *ast.RangeStmt) bool {
 				return false
 			}
 			for _, r := range ret.Results {
-				if !constResult(r) {
+				if !constOrNil(pkg.Info, r) {
 					return false
 				}
 			}
@@ -177,7 +173,7 @@ func commutativeLoop(pkg *Package, rs *ast.RangeStmt) bool {
 	stmtOK = func(st ast.Stmt) bool {
 		switch s := st.(type) {
 		case *ast.IncDecStmt:
-			return isIntegral(pkg.TypeOf(s.X))
+			return basic(pkg.Info.TypeOf(s.X)).Info()&types.IsInteger != 0
 		case *ast.AssignStmt:
 			return commutativeAssign(pkg, key, s)
 		case *ast.ExprStmt:
@@ -235,7 +231,7 @@ func commutativeAssign(pkg *Package, key *ast.Ident, s *ast.AssignStmt) bool {
 	case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN,
 		token.AND_ASSIGN, token.OR_ASSIGN, token.XOR_ASSIGN:
 		// exact (integer) accumulation commutes; float accumulation does not
-		if isIntegral(pkg.TypeOf(lhs)) {
+		if basic(pkg.Info.TypeOf(lhs)).Info()&types.IsInteger != 0 {
 			return true
 		}
 		// a compound update of the key's own cell still runs once per key

@@ -28,12 +28,7 @@ func PoolBalance() *Analyzer {
 		requires: "pool.Put or an explicit handoff",
 	}
 	spec.consume = func(pass *Pass, call *ast.CallExpr, v *binding) bool {
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return false
-		}
-		p, name, ok := pass.ImportedSelector(sel)
-		if !ok || p != poolImportPath || name != "Put" {
+		if fn := calleeFunc(pass.Pkg.Info, call); !isPkgFunc(fn, poolImportPath) || fn.Name() != "Put" {
 			return false
 		}
 		for _, arg := range call.Args {
@@ -88,16 +83,8 @@ func isPoolGet(pass *Pass, call *ast.CallExpr) bool {
 }
 
 func poolGetName(pass *Pass, call *ast.CallExpr) string {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return ""
-	}
-	p, name, ok := pass.ImportedSelector(sel)
-	if !ok || p != poolImportPath {
-		return ""
-	}
-	if name == "Get" || name == "GetUninit" {
-		return name
+	if fn := calleeFunc(pass.Pkg.Info, call); isPkgFunc(fn, poolImportPath) && (fn.Name() == "Get" || fn.Name() == "GetUninit") {
+		return fn.Name()
 	}
 	return ""
 }

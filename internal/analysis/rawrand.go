@@ -2,21 +2,12 @@ package analysis
 
 import (
 	"go/ast"
+	"go/token"
+	"go/types"
 )
 
 // randPkgs are the import paths rawrand polices.
 var randPkgs = map[string]bool{"math/rand": true, "math/rand/v2": true}
-
-// randGlobalFuncs are math/rand's process-global-state entry points: their
-// results depend on every draw any goroutine has made since process start,
-// the exact opposite of the per-stream seeded discipline in internal/rng.
-var randGlobalFuncs = map[string]bool{
-	"Int": true, "Intn": true, "Int31": true, "Int31n": true, "Int63": true,
-	"Int63n": true, "IntN": true, "Int32": true, "Int32N": true, "Int64": true,
-	"Int64N": true, "Uint32": true, "Uint64": true, "UintN": true, "N": true,
-	"Float32": true, "Float64": true, "NormFloat64": true, "ExpFloat64": true,
-	"Perm": true, "Shuffle": true, "Read": true, "Seed": true,
-}
 
 // RawRand returns the rawrand analyzer: any use of math/rand (v1 or v2)
 // outside the allow-listed packages (default internal/rng) is a diagnostic —
@@ -35,6 +26,7 @@ func RawRand(allowed ...string) *Analyzer {
 		if pkgMatchesAny(pass.Pkg, allowed) {
 			return
 		}
+		info := pass.Pkg.Info
 		for _, f := range pass.Pkg.Files {
 			for _, im := range f.Imports {
 				p := importPathOf(im)
@@ -42,24 +34,19 @@ func RawRand(allowed ...string) *Analyzer {
 					pass.Report(im.Pos(), "import of %s outside internal/rng; draw from the seeded, replayable streams in internal/rng instead", p)
 				}
 			}
+			funcUses(info, f, func(pos token.Pos, fn *types.Func) {
+				if drawsGlobal(fn) {
+					pass.Report(pos, "%s.%s uses process-global RNG state shared by every goroutine; use a seeded stream from internal/rng", shortPkg(fn.Pkg().Path()), fn.Name())
+				}
+			})
 			ast.Inspect(f, func(n ast.Node) bool {
 				call, ok := n.(*ast.CallExpr)
 				if !ok {
 					return true
 				}
-				sel, ok := call.Fun.(*ast.SelectorExpr)
-				if !ok {
-					return true
-				}
-				p, name, ok := pass.ImportedSelector(sel)
-				if !ok || !randPkgs[p] {
-					return true
-				}
-				switch {
-				case wallClockSeeded(pass, call):
-					pass.Report(call.Pos(), "%s.%s seeded from the wall clock: every process run draws a different sequence", shortPkg(p), name)
-				case randGlobalFuncs[name]:
-					pass.Report(call.Pos(), "%s.%s uses process-global RNG state shared by every goroutine; use a seeded stream from internal/rng", shortPkg(p), name)
+				fn := calleeFunc(info, call)
+				if fn != nil && fn.Pkg() != nil && randPkgs[fn.Pkg().Path()] && wallClockSeeded(info, call) {
+					pass.Report(call.Pos(), "%s.%s seeded from the wall clock: every process run draws a different sequence", shortPkg(fn.Pkg().Path()), fn.Name())
 				}
 				return true
 			})
@@ -68,20 +55,33 @@ func RawRand(allowed ...string) *Analyzer {
 	return a
 }
 
+// drawsGlobal reports whether fn draws from math/rand's process-global
+// source: a package-level function of math/rand{,/v2} whose results name no
+// type of that package. Those that do (rand.New, rand.NewSource, NewPCG)
+// build a generator; every other one — Intn, Shuffle, Seed, Read — reads
+// state every goroutine has drawn from since process start, the exact
+// opposite of the per-stream seeded discipline in internal/rng.
+func drawsGlobal(fn *types.Func) bool {
+	sig := fn.Type().(*types.Signature)
+	if fn.Pkg() == nil || !randPkgs[fn.Pkg().Path()] || sig.Recv() != nil {
+		return false
+	}
+	res := sig.Results()
+	for i := 0; i < res.Len(); i++ {
+		if n := namedOf(res.At(i).Type()); n != nil && n.Obj().Pkg() == fn.Pkg() {
+			return false
+		}
+	}
+	return true
+}
+
 // wallClockSeeded reports whether any argument of call reads the wall clock
 // (the rand.NewSource(time.Now().UnixNano()) idiom).
-func wallClockSeeded(pass *Pass, call *ast.CallExpr) bool {
+func wallClockSeeded(info *types.Info, call *ast.CallExpr) bool {
 	seeded := false
 	for _, arg := range call.Args {
-		ast.Inspect(arg, func(n ast.Node) bool {
-			sel, ok := n.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			if p, name, ok := pass.ImportedSelector(sel); ok && p == "time" && (name == "Now" || name == "Since") {
-				seeded = true
-			}
-			return !seeded
+		funcUses(info, arg, func(_ token.Pos, fn *types.Func) {
+			seeded = seeded || isWallClock(fn)
 		})
 	}
 	return seeded

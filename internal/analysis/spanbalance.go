@@ -74,42 +74,31 @@ func isSpanBegin(pass *Pass, call *ast.CallExpr) bool {
 	if sel.Sel.Name != "Now" && sel.Sel.Name != "now" {
 		return false
 	}
-	if _, _, isPkg := pass.ImportedSelector(sel); isPkg {
-		return false // package-qualified: time.Now and friends
-	}
-	t := pass.Pkg.TypeOf(sel.X)
-	return hasSpanMethod(t)
+	s := pass.Pkg.Info.Selections[sel]
+	return s != nil && s.Kind() == types.MethodVal && hasSpanMethod(s.Recv())
 }
 
+// hasSpanMethod reports whether t's method set — through a pointer, so
+// pointer-receiver and promoted methods count — has a method whose name
+// contains "Span" or "span".
 func hasSpanMethod(t types.Type) bool {
-	if t == nil {
-		return false
+	if _, isPtr := t.Underlying().(*types.Pointer); !isPtr && !types.IsInterface(t) {
+		t = types.NewPointer(t)
 	}
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	switch t := t.(type) {
-	case *types.Named:
-		for i := 0; i < t.NumMethods(); i++ {
-			if strings.Contains(t.Method(i).Name(), "Span") || strings.Contains(t.Method(i).Name(), "span") {
-				return true
-			}
-		}
-	case *types.Interface:
-		for i := 0; i < t.NumMethods(); i++ {
-			if strings.Contains(t.Method(i).Name(), "Span") || strings.Contains(t.Method(i).Name(), "span") {
-				return true
-			}
+	ms := types.NewMethodSet(t)
+	for i := 0; i < ms.Len(); i++ {
+		if name := ms.At(i).Obj().Name(); strings.Contains(name, "Span") || strings.Contains(name, "span") {
+			return true
 		}
 	}
 	return false
 }
 
-// errorReturnExempt reports whether ret is an error-bearing exit: the
-// function's result list syntactically includes `error` and the returned
-// value in that slot is not the literal nil. Naked returns in error-result
+// errorReturnExempt reports whether ret is an error-bearing exit: one of the
+// function's results has the predeclared type error and the returned value
+// in that slot is not the literal nil. Naked returns in error-result
 // functions are exempt too (the named error may be set).
-func errorReturnExempt(ft *ast.FuncType, ret *ast.ReturnStmt) bool {
+func errorReturnExempt(info *types.Info, ft *ast.FuncType, ret *ast.ReturnStmt) bool {
 	if ft == nil || ft.Results == nil {
 		return false
 	}
@@ -120,7 +109,7 @@ func errorReturnExempt(ft *ast.FuncType, ret *ast.ReturnStmt) bool {
 		if n == 0 {
 			n = 1
 		}
-		if id, ok := field.Type.(*ast.Ident); ok && id.Name == "error" {
+		if info.TypeOf(field.Type) == types.Universe.Lookup("error").Type() {
 			errIdx = idx + n - 1
 		}
 		idx += n
@@ -134,5 +123,5 @@ func errorReturnExempt(ft *ast.FuncType, ret *ast.ReturnStmt) bool {
 	if errIdx >= len(ret.Results) {
 		return true // `return f()` forwarding another call's results
 	}
-	return !isNilIdent(ret.Results[errIdx])
+	return !info.Types[ret.Results[errIdx]].IsNil()
 }

@@ -73,3 +73,25 @@ func suppressed(ln net.Listener) (net.Conn, error) {
 	//detlint:ignore deadlineio -- fixture: lifetime listener; Close unblocks the accept on teardown
 	return ln.Accept()
 }
+
+// dialRead reads on the conn DialTimeout returned: a raw conn whatever the
+// variable's declared type.
+func dialRead(addr string, p []byte) (int, error) {
+	c, err := net.DialTimeout("tcp", addr, time.Second) // want `net.DialTimeout bounds only the dial`
+	if err != nil {
+		return 0, err
+	}
+	return c.Read(p) // want `Read on a raw net.Conn that no deadline bounds`
+}
+
+// timer has a SetDeadline method but is neither a conn nor a listener.
+type timer struct{}
+
+func (timer) SetDeadline(time.Time) error { return nil }
+
+// fakeArmed sets a deadline on something other than the conn: it arms
+// nothing.
+func fakeArmed(c net.Conn, tm timer, p []byte) (int, error) {
+	tm.SetDeadline(time.Now())
+	return c.Read(p) // want `Read on a raw net.Conn that no deadline bounds`
+}

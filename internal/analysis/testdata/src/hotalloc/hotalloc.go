@@ -88,3 +88,32 @@ func suppressed(n int) []int {
 	//detlint:ignore hotalloc -- fixture: cold branch taken once per job, pinned by AllocsPerRun
 	return make([]int, n)
 }
+
+func take(v any) { sink = v }
+
+// boxing stores concrete values in interface-typed slots.
+//
+//easyscale:hotpath
+func boxing(n int, p *vec) any {
+	take(n)  // want `hot path allocates: int argument boxed into any`
+	take(p)  // a pointer fits the interface word
+	take(7)  // a constant is boxed statically
+	sink = n // want `hot path allocates: int assignment boxed into any`
+	return n // want `hot path allocates: int return boxed into any`
+}
+
+// shadowed calls parameters named after the builtins: plain calls.
+//
+//easyscale:hotpath
+func shadowed(any func(int) int, new func() int) int {
+	return any(new())
+}
+
+// checked allocates only on the way to a panic, which is not the hot path.
+//
+//easyscale:hotpath
+func checked(n int) {
+	if n < 0 {
+		panic(fmt.Sprintf("negative length %d", n))
+	}
+}

@@ -24,3 +24,15 @@ func locallySeeded() *rand.Rand {
 	// import diagnostic above: it bypasses internal/rng's streams
 	return rand.New(rand.NewSource(42))
 }
+
+func aliasedDraw() int {
+	f := rand.Intn // want "process-global RNG state"
+	return f(10)
+}
+
+// Intn is this package's own function, not math/rand's.
+func Intn(n int) int { return n - 1 }
+
+func ownIntn() int {
+	return Intn(10) // ok: not a math/rand draw
+}

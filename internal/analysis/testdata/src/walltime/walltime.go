@@ -23,3 +23,16 @@ func deadlineIn(d time.Duration) time.Time {
 func sleeping() {
 	time.Sleep(time.Millisecond) // ok: produces no value a decision can read
 }
+
+// aliased takes the clock as a value: the reference is the read.
+func aliased() time.Time {
+	now := time.Now // want `time\.Now`
+	return now()
+}
+
+// Now is this package's own clock, not the wall clock.
+func Now() int64 { return 0 }
+
+func ownClock() int64 {
+	return Now() // ok: not package time's function
+}

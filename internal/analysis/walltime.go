@@ -1,7 +1,8 @@
 package analysis
 
 import (
-	"go/ast"
+	"go/token"
+	"go/types"
 )
 
 // wallTimeAllowed are the packages whose wall-clock reads are sanctioned
@@ -14,8 +15,9 @@ import (
 // (see the serve package doc), so timing can never change an output bit.
 var wallTimeAllowed = []string{"internal/dist", "internal/obs", "internal/metrics", "internal/serve"}
 
-// WallTime returns the walltime analyzer: calls to time.Now, time.Since, or
-// time.Until outside the allow-listed packages are diagnostics, because a
+// WallTime returns the walltime analyzer: any reference to time.Now,
+// time.Since, or time.Until outside the allow-listed packages is a
+// diagnostic — a call, or the function taken as a value — because a
 // wall-clock read feeding a numeric or scheduling decision makes two
 // identical runs diverge (profiling-based kernel selection is the paper's
 // canonical example).
@@ -32,25 +34,21 @@ func WallTime(allowed ...string) *Analyzer {
 			return
 		}
 		for _, f := range pass.Pkg.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
+			funcUses(pass.Pkg.Info, f, func(pos token.Pos, fn *types.Func) {
+				if isWallClock(fn) {
+					pass.Report(pos, "time.%s can steer numeric or scheduling decisions; identical runs will diverge (allow-listed: %v)", fn.Name(), allowed)
 				}
-				sel, ok := call.Fun.(*ast.SelectorExpr)
-				if !ok {
-					return true
-				}
-				p, name, ok := pass.ImportedSelector(sel)
-				if !ok || p != "time" {
-					return true
-				}
-				if name == "Now" || name == "Since" || name == "Until" {
-					pass.Report(call.Pos(), "time.%s can steer numeric or scheduling decisions; identical runs will diverge (allow-listed: %v)", name, wallTimeAllowed)
-				}
-				return true
 			})
 		}
 	}
 	return a
+}
+
+// isWallClock reports whether fn is one of package time's wall-clock reads.
+func isWallClock(fn *types.Func) bool {
+	switch fn.Name() {
+	case "Now", "Since", "Until":
+		return isPkgFunc(fn, "time")
+	}
+	return false
 }

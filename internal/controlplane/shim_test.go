@@ -49,8 +49,8 @@ func TestSingleTenantBitwiseMatchesDeprecatedShim(t *testing.T) {
 		}
 		for _, pr := range sched.RoundPass(sched.GreedyPolicy{}, free, proposals, nil) {
 			if _, ok := intras[pr.JobID].Grant(pr); ok {
-				if unused := intras[pr.JobID].TrimUnused(); unused != nil {
-					free = free.Add(unused)
+				for typ, n := range intras[pr.JobID].TrimUnused() {
+					free[typ] += n
 				}
 			} else {
 				free[pr.Type] += pr.Count

@@ -67,7 +67,7 @@ func TestTrainStepAllocRegression(t *testing.T) {
 			}
 			// Leak check: everything drawn from the arena during the steps
 			// must have been returned by their step boundaries.
-			if leaked := after.InUse() - before.InUse(); leaked != 0 {
+			if leaked := (after.Gets - after.Puts) - (before.Gets - before.Puts); leaked != 0 {
 				t.Fatalf("arena leak: %d buffers outstanding after %d steps", leaked, j.GlobalStep())
 			}
 		})

@@ -301,9 +301,9 @@ func TestExternalReduceMatchesRunStep(t *testing.T) {
 			if !got.DDP().Plan().Equal(want.DDP().Plan()) || !got.DDP().Rebuilt() {
 				t.Fatal("bucket plans differ after the first-iteration rebuild")
 			}
-			if got.GlobalStep() != want.GlobalStep() || got.Step() != want.Step() || got.Epoch() != want.Epoch() {
-				t.Fatalf("progress differs: %d/%d/%d vs %d/%d/%d", got.GlobalStep(), got.Step(), got.Epoch(),
-					want.GlobalStep(), want.Step(), want.Epoch())
+			if got.GlobalStep() != want.GlobalStep() || got.step != want.step || got.Epoch() != want.Epoch() {
+				t.Fatalf("progress differs: %d/%d/%d vs %d/%d/%d", got.GlobalStep(), got.step, got.Epoch(),
+					want.GlobalStep(), want.step, want.Epoch())
 			}
 		})
 	}

@@ -112,14 +112,8 @@ func (j *Job) Attached() bool { return j.attached }
 // Epoch returns the current epoch.
 func (j *Job) Epoch() int { return j.epoch }
 
-// Step returns the next global step index within the current epoch.
-func (j *Job) Step() int { return j.step }
-
 // GlobalStep returns the number of completed global steps.
 func (j *Job) GlobalStep() int { return j.globalStep }
-
-// StepsPerEpoch returns the global steps per epoch.
-func (j *Job) StepsPerEpoch() int { return j.sampler.StepsPerEpoch() }
 
 // LastLosses returns the per-EST losses of the last completed global step,
 // indexed by virtual rank.

@@ -208,15 +208,15 @@ func TestEpochAdvancesAndSchedulerSteps(t *testing.T) {
 	cfg.StepLRSize = 1
 	cfg.StepLRGamma = 0.1
 	j := mustJob(t, cfg, "neumf", EvenPlacement(4, device.V100))
-	spe := j.StepsPerEpoch()
+	spe := j.sampler.StepsPerEpoch()
 	if spe != 32 {
 		t.Fatalf("steps per epoch = %d", spe)
 	}
 	if err := j.RunSteps(spe); err != nil {
 		t.Fatal(err)
 	}
-	if j.Epoch() != 1 || j.Step() != 0 {
-		t.Fatalf("epoch=%d step=%d after one epoch", j.Epoch(), j.Step())
+	if j.Epoch() != 1 || j.step != 0 {
+		t.Fatalf("epoch=%d step=%d after one epoch", j.Epoch(), j.step)
 	}
 	if lr := j.opt.LR(); lr > 0.006 {
 		t.Fatalf("StepLR should have decayed lr, got %v", lr)

@@ -17,9 +17,6 @@ import (
 // each taking its tensor headers from its own scope's slab (`make race` runs
 // it).
 func TestPoolingInvisibleToParamsHash(t *testing.T) {
-	if !pool.Enabled() {
-		t.Fatal("arena should be enabled by default")
-	}
 	kernels.SetParallelism(2)
 	defer kernels.SetParallelism(0)
 	one, two := EvenPlacement(4, device.V100), EvenPlacement(4, device.V100, device.V100)
@@ -44,9 +41,9 @@ func TestPoolingInvisibleToParamsHash(t *testing.T) {
 			}
 			pooled := run()
 
-			pool.Disable()
+			restore := pool.Disable()
 			unpooled := run()
-			pool.Enable()
+			restore()
 
 			if pooled != unpooled {
 				t.Fatalf("pooling changed the parameter hash: %x vs %x", pooled, unpooled)

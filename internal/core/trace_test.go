@@ -176,7 +176,7 @@ func TestTrainStepAllocRegressionTraced(t *testing.T) {
 			if avg > bound {
 				t.Fatalf("traced steady-state allocs/step = %.0f, want <= %.0f", avg, bound)
 			}
-			if leaked := after.InUse() - before.InUse(); leaked != 0 {
+			if leaked := (after.Gets - after.Puts) - (before.Gets - before.Puts); leaked != 0 {
 				t.Fatalf("arena leak: %d buffers outstanding", leaked)
 			}
 			// the run must actually have been traced

@@ -366,7 +366,7 @@ func TestLoaderEpochAdvance(t *testing.T) {
 	l := newLoader(2, 4, 2)
 	x0, _ := l.Batch(0, 0)
 	l.SetEpoch(1)
-	if l.Epoch() != 1 {
+	if l.epoch != 1 {
 		t.Fatal("epoch not set")
 	}
 	x1, _ := l.Batch(0, 0)

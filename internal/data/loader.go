@@ -82,9 +82,6 @@ func (l *Loader) SetEpoch(epoch int) {
 	l.nextStep = make([]int, w)
 }
 
-// Epoch returns the current epoch.
-func (l *Loader) Epoch() int { return l.epoch }
-
 func (l *Loader) worker(step int) int { return step % l.WorkersPerEST }
 
 // materialize produces the batch for (step, rank), advancing the owning

@@ -162,12 +162,6 @@ type Config struct {
 	Custom *CustomKernel
 }
 
-// DefaultConfig is the non-deterministic out-of-the-box behaviour of a stock
-// framework: atomic kernels and profiling-based selection.
-func DefaultConfig() Config {
-	return Config{DeterministicKernels: false, Selection: SelectProfiled}
-}
-
 // ErrOOM is returned when a device memory allocation exceeds capacity — the
 // failure mode worker packing runs into in Figure 10.
 var ErrOOM = errors.New("device: out of memory")
@@ -203,9 +197,6 @@ func NewWithMemory(t Type, memMB int, cfg Config) *Device {
 	d.Spec.MemoryMB = memMB
 	return d
 }
-
-// Config returns the device configuration.
-func (d *Device) Config() Config { return d.cfg }
 
 // KernelBlock returns the accumulation block size the current selection
 // policy dictates. This value is handed to the blocked kernels and is the

@@ -7,6 +7,10 @@ import (
 	"time"
 )
 
+// stock is a stock framework's out-of-the-box behaviour: atomic kernels and
+// profiling-based selection.
+var stock = Config{Selection: SelectProfiled}
+
 func TestSpecOf(t *testing.T) {
 	for _, typ := range AllTypes() {
 		s := SpecOf(typ)
@@ -61,7 +65,7 @@ func TestProfiledSelectionReturnsCandidate(t *testing.T) {
 }
 
 func TestMemoryAccounting(t *testing.T) {
-	d := New(V100, DefaultConfig())
+	d := New(V100, stock)
 	if err := d.Alloc(1000); err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +82,7 @@ func TestMemoryAccounting(t *testing.T) {
 }
 
 func TestAllocOOM(t *testing.T) {
-	d := New(T4, DefaultConfig())
+	d := New(T4, stock)
 	if err := d.Alloc(float64(d.Spec.MemoryMB) + 1); !errors.Is(err, ErrOOM) {
 		t.Fatalf("expected ErrOOM, got %v", err)
 	}
@@ -93,7 +97,7 @@ func TestAllocOOM(t *testing.T) {
 
 func TestAllocNeverExceedsCapacityProperty(t *testing.T) {
 	f := func(allocs []uint16) bool {
-		d := New(P100, DefaultConfig())
+		d := New(P100, stock)
 		for _, a := range allocs {
 			_ = d.Alloc(float64(a))
 			if d.UsedMB() > float64(d.Spec.MemoryMB) {
@@ -108,7 +112,7 @@ func TestAllocNeverExceedsCapacityProperty(t *testing.T) {
 }
 
 func TestDoubleFreePanics(t *testing.T) {
-	d := New(V100, DefaultConfig())
+	d := New(V100, stock)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic on double free")
@@ -118,7 +122,7 @@ func TestDoubleFreePanics(t *testing.T) {
 }
 
 func TestNewWithMemory(t *testing.T) {
-	d := NewWithMemory(V100, 32*1024, DefaultConfig())
+	d := NewWithMemory(V100, 32*1024, stock)
 	if d.Spec.MemoryMB != 32*1024 {
 		t.Fatal("memory override not applied")
 	}
@@ -155,7 +159,7 @@ func TestConvEfficiencyPenalty(t *testing.T) {
 }
 
 func TestChargeTimeAndReset(t *testing.T) {
-	d := New(V100, DefaultConfig())
+	d := New(V100, stock)
 	d.ChargeTime(5 * time.Millisecond)
 	d.ChargeTime(-time.Second) // ignored
 	if d.Now() != 5*time.Millisecond {
@@ -168,10 +172,10 @@ func TestChargeTimeAndReset(t *testing.T) {
 }
 
 func TestAtomicWorkers(t *testing.T) {
-	if w := New(V100, DefaultConfig()).AtomicWorkers(); w != 8 {
+	if w := New(V100, stock).AtomicWorkers(); w != 8 {
 		t.Fatalf("V100 atomic workers = %d", w)
 	}
-	if w := New(T4, DefaultConfig()).AtomicWorkers(); w != 4 {
+	if w := New(T4, stock).AtomicWorkers(); w != 4 {
 		t.Fatalf("T4 atomic workers = %d", w)
 	}
 }

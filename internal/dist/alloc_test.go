@@ -52,7 +52,7 @@ func TestChurnOpAllocBudget(t *testing.T) {
 	op()
 	var before, after runtime.MemStats
 	for i := 0; i < 5; i++ {
-		borrowed := pool.Stats().InUse()
+		arena := pool.Stats()
 		runtime.ReadMemStats(&before)
 		op()
 		runtime.ReadMemStats(&after)
@@ -62,7 +62,8 @@ func TestChurnOpAllocBudget(t *testing.T) {
 			t.Errorf("run %d: %d mallocs and %d bytes, budget %d and %d", i, mallocs, bytes, maxMallocs, maxBytes)
 		}
 		// every arena buffer the data plane borrows for a step goes back
-		if leaked := pool.Stats().InUse() - borrowed; leaked != 0 {
+		s := pool.Stats()
+		if leaked := (s.Gets - s.Puts) - (arena.Gets - arena.Puts); leaked != 0 {
 			t.Errorf("run %d: %d arena buffers outstanding after the run", i, leaked)
 		}
 	}

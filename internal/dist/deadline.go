@@ -57,7 +57,7 @@ func (c *conn) Read(p []byte) (int, error) {
 func (c *conn) armWrite() error { return c.Conn.SetWriteDeadline(time.Now().Add(c.timeout)) }
 
 func (c *conn) Write(p []byte) (int, error) {
-	if err := c.armWrite(); err != nil {
+	if err := c.Conn.SetWriteDeadline(time.Now().Add(c.timeout)); err != nil {
 		return 0, err
 	}
 	return c.Conn.Write(p)
@@ -88,8 +88,9 @@ func (c *conn) sendTo(dst *conn, t MsgType) error {
 	return nil
 }
 
-// deadliner is the listener capability needed to bound Accept.
+// deadliner is a listener that can bound Accept.
 type deadliner interface {
+	net.Listener
 	SetDeadline(time.Time) error
 }
 
@@ -129,6 +130,17 @@ func backoff(attempt int, base, max time.Duration, jit *rng.Stream) time.Duratio
 	return time.Duration((0.5 + jit.Float64()) * float64(d))
 }
 
+// dial connects to addr within dialTimeout and wraps the connection in
+// per-operation deadlines of timeout.
+func dial(addr string, dialTimeout, timeout time.Duration) (*conn, error) {
+	//detlint:ignore deadlineio -- the raw conn goes straight into withDeadline, whose Read and Write each arm a deadline first
+	c, err := net.DialTimeout("tcp", addr, dialTimeout)
+	if err != nil {
+		return nil, err
+	}
+	return withDeadline(c, timeout), nil
+}
+
 // dialRetry dials addr with jittered exponential backoff until it connects
 // or the overall timeout elapses, then wraps the connection in per-operation
 // deadlines. This is what lets worker processes be launched before the
@@ -141,9 +153,9 @@ func dialRetry(addr string, timeout time.Duration, seed uint64) (*conn, error) {
 		if remaining <= 0 {
 			remaining = time.Millisecond
 		}
-		c, err := net.DialTimeout("tcp", addr, remaining)
+		c, err := dial(addr, remaining, timeout)
 		if err == nil {
-			return withDeadline(c, timeout), nil
+			return c, nil
 		}
 		wait := backoff(attempt, 5*time.Millisecond, 250*time.Millisecond, jit)
 		if time.Now().Add(wait).After(deadline) {

@@ -114,11 +114,11 @@ func (w *worker) warmPeers(addrs []string) {
 		if ok {
 			continue
 		}
-		c, err := net.DialTimeout("tcp", a, w.timeout)
+		c, err := dial(a, w.timeout, w.timeout)
 		if err != nil {
 			continue
 		}
-		w.keepPeerConn(a, withDeadline(c, w.timeout))
+		w.keepPeerConn(a, c)
 	}
 }
 
@@ -182,6 +182,7 @@ func (w *worker) closeDataPlane() {
 // answered from the published snapshot. It exits when the listener closes.
 func (w *worker) serve() {
 	for {
+		//detlint:ignore deadlineio -- lifetime accept loop: closing the listener at worker exit unblocks Accept with an error
 		c, err := w.ln.Accept()
 		if err != nil {
 			return

@@ -1,6 +1,7 @@
 package elastic
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/core"
@@ -12,8 +13,8 @@ func drift(a, b *core.Job) float64 {
 	pa, pb := a.Workload.Params(), b.Workload.Params()
 	var m float64
 	for i := range pa {
-		if d := pa[i].Value.MaxAbsDiff(pb[i].Value); d > m {
-			m = d
+		for j, v := range pa[i].Value.Data {
+			m = math.Max(m, math.Abs(float64(v)-float64(pb[i].Value.Data[j])))
 		}
 	}
 	return m

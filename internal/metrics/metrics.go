@@ -106,23 +106,6 @@ func Spread(xs []float64) float64 {
 	return hi - lo
 }
 
-// MaxAbsDiff returns the largest |a[i]−b[i]| over the common prefix — the
-// per-stage divergence measure of Figure 9.
-func MaxAbsDiff(a, b []float64) float64 {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	m := 0.0
-	for i := 0; i < n; i++ {
-		d := math.Abs(a[i] - b[i])
-		if d > m {
-			m = d
-		}
-	}
-	return m
-}
-
 // Crossings counts sign changes of a−b — the curve-entanglement measure of
 // Figure 4.
 func Crossings(a, b []float64) int {

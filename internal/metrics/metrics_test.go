@@ -145,17 +145,6 @@ func TestSpread(t *testing.T) {
 	}
 }
 
-func TestMaxAbsDiff(t *testing.T) {
-	a := []float64{1, 2, 3, 4}
-	b := []float64{1, 2, 3.5, 10}
-	if d := MaxAbsDiff(a, b); d != 6 {
-		t.Fatalf("max diff %v", d)
-	}
-	if d := MaxAbsDiff(a, a); d != 0 {
-		t.Fatalf("identical curves differ by %v", d)
-	}
-}
-
 func TestCrossings(t *testing.T) {
 	a := []float64{0, 2, 0, 2}
 	b := []float64{1, 1, 1, 1}

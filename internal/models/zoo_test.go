@@ -99,7 +99,9 @@ func TestWorkloadsLearn(t *testing.T) {
 					idx[i] = (step*batch + i) % w.Dataset.Len()
 				}
 				x, labels := data.MaterializeBatch(w.Dataset, idx, nil)
-				opt.ZeroGrad()
+				for _, p := range w.Params() {
+					p.ZeroGrad()
+				}
 				out := w.Net.Forward(ctx, x)
 				loss := w.Loss.Forward(ctx, out, labels)
 				w.Net.Backward(ctx, w.Loss.Backward(ctx))

@@ -63,7 +63,9 @@ func (m *MultiHeadAttention) headScatterAdd(dst []float32, src []float32, b, h i
 //
 //easyscale:hotpath
 func (m *MultiHeadAttention) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
-	shapeCheck(x.Rank() == 3 && x.Dim(2) == m.D, "MultiHeadAttention: want [B,L,%d], got %v", m.D, shapeOf{x})
+	if !(x.Rank() == 3 && x.Dim(2) == m.D) {
+		panic(shapeErr("MultiHeadAttention: want [B,L,%d], got %v", m.D, shapeOf{x}))
+	}
 	m.batch, m.seq = x.Dim(0), x.Dim(1)
 	b, l, dh := m.batch, m.seq, m.D/m.Heads
 	scale := float32(1 / math.Sqrt(float64(dh)))

@@ -143,8 +143,9 @@ func (pe *PatchEmbed) patchify(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 //
 //easyscale:hotpath
 func (pe *PatchEmbed) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
-	shapeCheck(x.Rank() == 4 && x.Dim(1) == pe.C && x.Dim(2)%pe.P == 0 && x.Dim(3)%pe.P == 0,
-		"PatchEmbed: input %v incompatible with C=%d P=%d", shapeOf{x}, pe.C, pe.P)
+	if !(x.Rank() == 4 && x.Dim(1) == pe.C && x.Dim(2)%pe.P == 0 && x.Dim(3)%pe.P == 0) {
+		panic(shapeErr("PatchEmbed: input %v incompatible with C=%d P=%d", shapeOf{x}, pe.C, pe.P))
+	}
 	pe.b, pe.h, pe.w = x.Dim(0), x.Dim(2), x.Dim(3)
 	patches := pe.patchify(ctx, x)
 	y := pe.Proj.Forward(ctx, patches)

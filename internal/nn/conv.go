@@ -121,7 +121,9 @@ func (m *MaxPool2D) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 	b, ch, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	oh := (h-m.K)/m.Stride + 1
 	ow := (w-m.K)/m.Stride + 1
-	shapeCheck(oh > 0 && ow > 0, "MaxPool2D: window %d too large for %v", m.K, shapeOf{x})
+	if !(oh > 0 && ow > 0) {
+		panic(shapeErr("MaxPool2D: window %d too large for %v", m.K, shapeOf{x}))
+	}
 	ctx.Dev.ChargeFLOPs(float64(b*ch*oh*ow*m.K*m.K), 1)
 	m.inShape = [4]int(x.Shape())
 	y := ctx.newTensorUninit(b, ch, oh, ow)

@@ -39,7 +39,9 @@ func (e *Embedding) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 	y := ctx.newTensorUninit(b, l, e.D)
 	for i, v := range x.Data {
 		id := int(v)
-		shapeCheck(id >= 0 && id < e.Vocab, "Embedding: id %d out of vocab %d", id, e.Vocab)
+		if !(id >= 0 && id < e.Vocab) {
+			panic(shapeErr("Embedding: id %d out of vocab %d", id, e.Vocab))
+		}
 		e.ids[i] = id
 		copy(y.Data[i*e.D:(i+1)*e.D], e.W.Value.Data[id*e.D:(id+1)*e.D])
 	}

@@ -23,7 +23,9 @@ func NewCrossEntropy() *CrossEntropy { return &CrossEntropy{} }
 //
 //easyscale:hotpath
 func (ce *CrossEntropy) Forward(ctx *Context, logits *tensor.Tensor, labels []int) float32 {
-	shapeCheck(logits.Rank() == 2 && logits.Dim(0) == len(labels), "CrossEntropy: logits %v vs %d labels", shapeOf{logits}, len(labels))
+	if !(logits.Rank() == 2 && logits.Dim(0) == len(labels)) {
+		panic(shapeErr("CrossEntropy: logits %v vs %d labels", shapeOf{logits}, len(labels)))
+	}
 	b, k := logits.Dim(0), logits.Dim(1)
 	ctx.Dev.ChargeFLOPs(5*float64(logits.Size()), 1)
 	ce.probs = ctx.newTensorUninit(b, k)
@@ -50,7 +52,9 @@ func (ce *CrossEntropy) Forward(ctx *Context, logits *tensor.Tensor, labels []in
 			prow[c] *= inv
 		}
 		lbl := labels[r]
-		shapeCheck(lbl >= 0 && lbl < k, "CrossEntropy: label %d out of range %d", lbl, k)
+		if !(lbl >= 0 && lbl < k) {
+			panic(shapeErr("CrossEntropy: label %d out of range %d", lbl, k))
+		}
 		losses[r] = -float32(math.Log(float64(prow[lbl]) + 1e-12))
 	}
 	loss := reduceSum(ctx, losses) / float32(b)

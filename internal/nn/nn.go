@@ -222,9 +222,14 @@ func gemmABT(ctx *Context, dst, a, b []float32, m, k, n int) {
 
 func shapeCheck(cond bool, format string, args ...any) {
 	if !cond {
-		panic("nn: " + fmt.Sprintf(format, args...))
+		panic(shapeErr(format, args...))
 	}
 }
+
+// shapeErr formats a failed shape check. A check whose message carries an
+// int calls it in `if !cond { panic(shapeErr(...)) }` instead: an int boxed
+// into shapeCheck's ...any allocates on every call, passing checks included.
+func shapeErr(format string, args ...any) string { return "nn: " + fmt.Sprintf(format, args...) }
 
 // shapeOf is a tensor's shape as a shapeCheck argument. It is pointer-shaped,
 // so it goes into the call's ...any as it is and is formatted only if the

@@ -42,7 +42,9 @@ func NewBatchNorm2D(c int) *BatchNorm2D {
 //
 //easyscale:hotpath
 func (bn *BatchNorm2D) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
-	shapeCheck(x.Rank() == 4 && x.Dim(1) == bn.C, "BatchNorm2D: input %v incompatible with C=%d", shapeOf{x}, bn.C)
+	if !(x.Rank() == 4 && x.Dim(1) == bn.C) {
+		panic(shapeErr("BatchNorm2D: input %v incompatible with C=%d", shapeOf{x}, bn.C))
+	}
 	b, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	hw := h * w
 	n := b * hw
@@ -160,7 +162,9 @@ func NewLayerNorm(d int) *LayerNorm {
 //
 //easyscale:hotpath
 func (ln *LayerNorm) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
-	shapeCheck(x.Size()%ln.D == 0, "LayerNorm: input %v not divisible by D=%d", shapeOf{x}, ln.D)
+	if x.Size()%ln.D != 0 {
+		panic(shapeErr("LayerNorm: input %v not divisible by D=%d", shapeOf{x}, ln.D))
+	}
 	rows := x.Size() / ln.D
 	ctx.Dev.ChargeFLOPs(6*float64(x.Size()), 1)
 	y := ctx.newTensorUninit(x.Shape()...)

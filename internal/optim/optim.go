@@ -19,8 +19,6 @@ import (
 type Optimizer interface {
 	// Step applies one update to every parameter.
 	Step()
-	// ZeroGrad clears all gradient accumulators.
-	ZeroGrad()
 	// LR returns the current learning rate.
 	LR() float64
 	// SetLR replaces the learning rate (used by schedulers).
@@ -93,13 +91,6 @@ func (s *SGD) Step() {
 		pool.Put(gw)
 	}
 	s.steps++
-}
-
-// ZeroGrad clears all gradients.
-func (s *SGD) ZeroGrad() {
-	for _, p := range s.Params {
-		p.ZeroGrad()
-	}
 }
 
 // LR returns the current learning rate.

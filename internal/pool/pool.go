@@ -20,8 +20,8 @@
 // pool.Disable() is the debugging escape hatch: with the arena disabled every
 // Get is a plain make and every Put a no-op, so suspected aliasing bugs can
 // be bisected against GC-backed allocation. Stats() exposes get/put counters
-// whose difference (InUse) lets tests assert that a training step returns
-// every buffer it borrowed — the leak-check mode.
+// whose difference (Gets − Puts, the buffers in use) lets tests assert that a
+// training step returns every buffer it borrowed — the leak-check mode.
 package pool
 
 import (
@@ -121,13 +121,11 @@ func Put(buf []float32) {
 // Numerics are unaffected by construction; this exists so memory bugs can be
 // debugged against plain GC allocation. Disable at process start — toggling
 // mid-step simply drops in-flight buffers, which is safe but wasteful.
-func Disable() { disabled.Store(true) }
-
-// Enable turns the arena back on (the default state).
-func Enable() { disabled.Store(false) }
-
-// Enabled reports whether the arena is active.
-func Enabled() bool { return !disabled.Load() }
+// restore puts back the state Disable found.
+func Disable() (restore func()) {
+	was := disabled.Swap(true)
+	return func() { disabled.Store(was) }
+}
 
 // Counters is a snapshot of arena traffic.
 type Counters struct {
@@ -135,11 +133,6 @@ type Counters struct {
 	Puts   int64 // accepted Put calls
 	Misses int64 // Gets that had to allocate (class was empty)
 }
-
-// InUse returns the number of borrowed buffers not yet returned. A hot path
-// that releases all scratch at its step boundary keeps this delta at zero
-// across steps — the invariant the leak-check tests assert.
-func (c Counters) InUse() int64 { return c.Gets - c.Puts }
 
 // Stats returns the current traffic counters.
 func Stats() Counters {

@@ -65,8 +65,7 @@ func TestPutForeignBufferDropped(t *testing.T) {
 }
 
 func TestDisable(t *testing.T) {
-	Disable()
-	defer Enable()
+	defer Disable()()
 	before := Stats()
 	b := Get(128)
 	Put(b)
@@ -90,8 +89,8 @@ func TestScopeReleasesAll(t *testing.T) {
 	}
 	s.ReleaseAll()
 	after := Stats()
-	if after.InUse() != before.InUse() {
-		t.Fatalf("scope leaked %d buffers", after.InUse()-before.InUse())
+	if leaked := (after.Gets - after.Puts) - (before.Gets - before.Puts); leaked != 0 {
+		t.Fatalf("scope leaked %d buffers", leaked)
 	}
 	if len(s.bufs) != 0 {
 		t.Fatal("scope not empty after ReleaseAll")

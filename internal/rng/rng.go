@@ -73,21 +73,6 @@ func Indexed(seed uint64, prefix string, i int) Stream {
 	return *New(seed ^ h)
 }
 
-// Split derives a new independent Stream from s, advancing s once. Successive
-// Split calls yield distinct children; the derivation is deterministic.
-func (s *Stream) Split() *Stream {
-	return New(s.Uint64() ^ 0xd1342543de82ef95)
-}
-
-// SplitN returns n independent child streams.
-func (s *Stream) SplitN(n int) []*Stream {
-	out := make([]*Stream, n)
-	for i := range out {
-		out[i] = s.Split()
-	}
-	return out
-}
-
 func splitmix64(x uint64) (next, out uint64) {
 	x += 0x9e3779b97f4a7c15
 	z := x
@@ -145,11 +130,6 @@ func mul64(a, b uint64) (hi, lo uint64) {
 // Float64 returns a uniform float64 in [0, 1).
 func (s *Stream) Float64() float64 {
 	return float64(s.Uint64()>>11) * (1.0 / (1 << 53))
-}
-
-// Float32 returns a uniform float32 in [0, 1).
-func (s *Stream) Float32() float32 {
-	return float32(s.Uint64()>>40) * (1.0 / (1 << 24))
 }
 
 // NormFloat64 returns a standard normal variate via the Box-Muller transform.

@@ -132,16 +132,6 @@ func TestFloat64Range(t *testing.T) {
 	}
 }
 
-func TestFloat32Range(t *testing.T) {
-	s := New(6)
-	for i := 0; i < 10000; i++ {
-		v := s.Float32()
-		if v < 0 || v >= 1 {
-			t.Fatalf("Float32 out of range: %v", v)
-		}
-	}
-}
-
 func TestNormFloat64Moments(t *testing.T) {
 	s := New(11)
 	const n = 200000
@@ -177,46 +167,6 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestSplitIndependence(t *testing.T) {
-	parent := New(21)
-	a := parent.Split()
-	b := parent.Split()
-	same := 0
-	for i := 0; i < 100; i++ {
-		if a.Uint64() == b.Uint64() {
-			same++
-		}
-	}
-	if same > 2 {
-		t.Fatalf("sibling splits matched %d/100 draws", same)
-	}
-}
-
-func TestSplitDeterministic(t *testing.T) {
-	p1, p2 := New(33), New(33)
-	c1, c2 := p1.Split(), p2.Split()
-	for i := 0; i < 100; i++ {
-		if c1.Uint64() != c2.Uint64() {
-			t.Fatal("splits of identical parents diverged")
-		}
-	}
-}
-
-func TestSplitN(t *testing.T) {
-	kids := New(8).SplitN(5)
-	if len(kids) != 5 {
-		t.Fatalf("SplitN(5) returned %d streams", len(kids))
-	}
-	seen := map[uint64]bool{}
-	for _, k := range kids {
-		v := k.Uint64()
-		if seen[v] {
-			t.Fatal("two children produced identical first draw")
-		}
-		seen[v] = true
 	}
 }
 

@@ -36,15 +36,6 @@ func (r Resources) Total() int {
 	return n
 }
 
-// Add returns r + o.
-func (r Resources) Add(o Resources) Resources {
-	out := r.Clone()
-	for t, n := range o {
-		out[t] += n
-	}
-	return out
-}
-
 // Key renders a canonical string for use as a map key.
 func (r Resources) Key() string {
 	s := ""

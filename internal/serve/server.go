@@ -126,19 +126,6 @@ func (s *Server) setReplicasLocked(d *deployment, n int) error {
 	return nil
 }
 
-// Replicas reports a deployment's current replica count.
-func (s *Server) Replicas(name string) int {
-	s.mu.Lock()
-	d, ok := s.deps[name]
-	s.mu.Unlock()
-	if !ok {
-		return 0
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.replicas)
-}
-
 // Rejected reports requests answered with an error reply.
 func (s *Server) Rejected() int64 { return s.rejected.Load() }
 
@@ -322,16 +309,6 @@ func (s *Server) handleConn(c net.Conn) {
 	pending.Wait()
 	close(replies)
 	<-writerDone
-}
-
-// Addr returns the listener address (nil before Serve).
-func (s *Server) Addr() net.Addr {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ln == nil {
-		return nil
-	}
-	return s.ln.Addr()
 }
 
 // Close stops accepting, drains every deployment queue (replicas answer

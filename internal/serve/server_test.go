@@ -176,9 +176,9 @@ func TestAutoscalerSoak(t *testing.T) {
 	// idle: both deployments must reach zero replicas (generous window — the
 	// race detector on a loaded single-core box stalls the ticker)
 	deadline := time.Now().Add(20 * time.Second)
-	for srv.Replicas("mlp")+srv.Replicas("neumf") > 0 {
+	for replicas(srv, "mlp")+replicas(srv, "neumf") > 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("no scale-to-zero: mlp=%d neumf=%d", srv.Replicas("mlp"), srv.Replicas("neumf"))
+			t.Fatalf("no scale-to-zero: mlp=%d neumf=%d", replicas(srv, "mlp"), replicas(srv, "neumf"))
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -200,7 +200,7 @@ func TestAutoscalerSoak(t *testing.T) {
 	if len(out) == 0 {
 		t.Fatal("empty prediction after scale-from-zero")
 	}
-	if srv.Replicas("mlp") == 0 {
+	if replicas(srv, "mlp") == 0 {
 		t.Fatal("request answered but replica count still zero")
 	}
 }
@@ -254,4 +254,17 @@ func TestBenchSmokeInProcess(t *testing.T) {
 	if rep.Requests != 2*4*30 {
 		t.Fatalf("smoke drove %d requests", rep.Requests)
 	}
+}
+
+// replicas reports a deployment's current replica count.
+func replicas(s *Server, name string) int {
+	s.mu.Lock()
+	d, ok := s.deps[name]
+	s.mu.Unlock()
+	if !ok {
+		return 0
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return len(d.replicas)
 }

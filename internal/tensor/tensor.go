@@ -304,20 +304,6 @@ func (t *Tensor) Equal(o *Tensor) bool {
 	return true
 }
 
-// MaxAbsDiff returns the largest |t[i]-o[i]|; useful for loss-difference
-// plots (Figure 9) where divergence magnitude matters.
-func (t *Tensor) MaxAbsDiff(o *Tensor) float64 {
-	t.binaryCheck(o, "MaxAbsDiff")
-	var m float64
-	for i := range t.Data {
-		d := math.Abs(float64(t.Data[i]) - float64(o.Data[i]))
-		if d > m {
-			m = d
-		}
-	}
-	return m
-}
-
 // ArgMaxRow returns, for a 2-D tensor, the argmax of each row. Used for
 // classification accuracy.
 func (t *Tensor) ArgMaxRow() []int {

@@ -151,14 +151,6 @@ func TestHashMatchesEqual(t *testing.T) {
 	}
 }
 
-func TestMaxAbsDiff(t *testing.T) {
-	a := FromData([]float32{1, 2}, 2)
-	b := FromData([]float32{1.5, 2}, 2)
-	if d := a.MaxAbsDiff(b); d != 0.5 {
-		t.Fatalf("MaxAbsDiff=%v", d)
-	}
-}
-
 func TestArgMaxRow(t *testing.T) {
 	x := FromData([]float32{0, 3, 1, 9, 2, 5}, 2, 3)
 	got := x.ArgMaxRow()
