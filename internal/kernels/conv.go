@@ -28,11 +28,43 @@ func (d ConvDims) ColRows() int { return d.CIn * d.KH * d.KW }
 func (d ConvDims) ColCols() int { return d.OutH() * d.OutW() }
 
 func (d ConvDims) validate() {
-	if d.Batch <= 0 || d.CIn <= 0 || d.COut <= 0 || d.StrideH <= 0 || d.StrideW <= 0 {
+	if d.Batch <= 0 || d.CIn <= 0 || d.COut <= 0 || d.H <= 0 || d.W <= 0 || d.KH <= 0 || d.KW <= 0 ||
+		d.StrideH <= 0 || d.StrideW <= 0 || d.PadH < 0 || d.PadW < 0 {
 		panic(fmt.Sprintf("kernels: invalid ConvDims %+v", d))
 	}
-	if d.OutH() <= 0 || d.OutW() <= 0 {
-		panic(fmt.Sprintf("kernels: ConvDims %+v yields empty output", d))
+	if d.KH > d.H+2*d.PadH || d.KW > d.W+2*d.PadW {
+		// OutH/OutW would truncate toward zero and still count one window
+		panic(fmt.Sprintf("kernels: ConvDims %+v has a kernel larger than the padded image", d))
+	}
+}
+
+// bordered is the geometry of the zero-bordered image the conv paths read:
+// the input grown by its padding on every side, with no padding left, so
+// OutH and OutW are unchanged. A stored +0 border is bitwise the literal 0
+// Im2Col writes outside the image.
+func (d ConvDims) bordered() ConvDims {
+	d.H, d.W = d.H+2*d.PadH, d.W+2*d.PadW
+	d.PadH, d.PadW = 0, 0
+	return d
+}
+
+// border copies one image between its plain layout img[CI,H,W] and the
+// interior of its bordered layout (d.bordered()): into the interior when
+// toBordered, out of it otherwise. The border itself is never touched.
+//
+//easyscale:hotpath
+func border(img, bordered []float32, d ConvDims, toBordered bool) {
+	bw := d.W + 2*d.PadW
+	for c := 0; c < d.CIn; c++ {
+		for y := 0; y < d.H; y++ {
+			plain := img[(c*d.H+y)*d.W:][:d.W]
+			in := bordered[(c*(d.H+2*d.PadH)+y+d.PadH)*bw+d.PadW:][:d.W]
+			if toBordered {
+				copy(in, plain)
+			} else {
+				copy(plain, in)
+			}
+		}
 	}
 }
 
@@ -70,59 +102,48 @@ func Im2Col(cols, src []float32, d ConvDims) {
 }
 
 // Col2Im scatters cols[CI*KH*KW, OH*OW] back into dst[CI,H,W], accumulating
-// overlapping windows. The accumulation order is fixed by the loop structure
-// (it does not depend on hardware parameters), matching the fact that the
-// paper localizes non-determinism in reductions and GEMM accumulation, not
-// data movement.
+// overlapping windows onto +0 in the order of the cols matrix. The
+// accumulation order is fixed by the loop structure (it does not depend on
+// hardware parameters), matching the fact that the paper localizes
+// non-determinism in reductions and GEMM accumulation, not data movement.
+//
+// The scatter runs on a zero-bordered buffer, where every window lies inside
+// the image and no run is clipped; the adds that land on the border are
+// dropped with it when the interior is copied out. Each element of dst thus
+// receives exactly the adds of a bounds-checked walk, in the same order.
+//
+//easyscale:hotpath
 func Col2Im(dst, cols []float32, d ConvDims) {
 	d.validate()
-	oh, ow := d.OutH(), d.OutW()
 	if len(cols) != d.ColRows()*d.ColCols() || len(dst) != d.CIn*d.H*d.W {
 		panic("kernels: Col2Im buffer size mismatch")
 	}
-	zeroFill(dst)
+	p := d.bordered()
+	oh, ow := p.OutH(), p.OutW()
+	grad := pool.Get(p.CIn * p.H * p.W)
 	idx := 0
-	for c := 0; c < d.CIn; c++ {
-		for kh := 0; kh < d.KH; kh++ {
-			for kw := 0; kw < d.KW; kw++ {
+	for c := 0; c < p.CIn; c++ {
+		for kh := 0; kh < p.KH; kh++ {
+			for kw := 0; kw < p.KW; kw++ {
 				for y := 0; y < oh; y++ {
-					hi := y*d.StrideH + kh - d.PadH
-					if hi < 0 || hi >= d.H {
-						idx += ow
-						continue
+					row, col := grad[(c*p.H+y*p.StrideH+kh)*p.W+kw:], cols[idx:idx+ow]
+					if p.StrideW == 1 {
+						row := row[:len(col)] // lets the compiler drop the bounds checks
+						for x, v := range col {
+							row[x] += v
+						}
+					} else {
+						for x, v := range col {
+							row[x*p.StrideW] += v
+						}
 					}
-					if d.StrideW == 1 {
-						// Unit stride: the x-run maps to contiguous image
-						// columns, so after clipping the pad overhang the
-						// row accumulates with one elementwise add. Each
-						// destination element still receives exactly the
-						// adds of the scalar walk, in the same order.
-						x0 := 0
-						if d.PadW > kw {
-							x0 = d.PadW - kw
-						}
-						x1 := d.W - kw + d.PadW
-						if x1 > ow {
-							x1 = ow
-						}
-						if x1 > x0 {
-							base := (c*d.H+hi)*d.W + kw - d.PadW
-							AddF32(dst[base+x0:base+x1], cols[idx+x0:idx+x1])
-						}
-						idx += ow
-						continue
-					}
-					for x := 0; x < ow; x++ {
-						wi := x*d.StrideW + kw - d.PadW
-						if wi >= 0 && wi < d.W {
-							dst[(c*d.H+hi)*d.W+wi] += cols[idx]
-						}
-						idx++
-					}
+					idx += ow
 				}
 			}
 		}
 	}
+	border(dst, grad, d, false)
+	pool.Put(grad)
 }
 
 // addBias adds bias[co] to each spatial row of one image's output.
@@ -142,9 +163,12 @@ func addBias(out, bias []float32, cout, spatial int) {
 // different GPU architectures' kernels; a fixed kc across types is the D2
 // hardware-agnostic kernel.
 //
-// The weight panel is packed once and reused across the batch; each image's
-// im2col expansion is fused into the B-panel pack, so no cols matrix is ever
-// materialized. Both reorganizations are bitwise invisible.
+// The weight panel is packed once and reused across the batch; each image is
+// copied into a zero-bordered buffer whose im2col expansion is fused into the
+// B-panel pack, so no cols matrix is ever materialized. All three
+// reorganizations are bitwise invisible.
+//
+//easyscale:hotpath
 func Conv2D(dst, src, weight, bias []float32, d ConvDims, kc int) {
 	d.validate()
 	oh, ow := d.OutH(), d.OutW()
@@ -156,16 +180,20 @@ func Conv2D(dst, src, weight, bias []float32, d ConvDims, kc int) {
 	}
 	imgIn := d.CIn * d.H * d.W
 	imgOut := d.COut * oh * ow
+	p := d.bordered()
+	img := pool.Get(p.CIn * p.H * p.W) // its border stays +0 for every image
 	pa := packA(weight, d.COut, kdim, normKC(kc, kdim), kdim, 1)
 	for b := 0; b < d.Batch; b++ {
 		out := dst[b*imgOut : (b+1)*imgOut]
-		bsrc := bPanelSrc{kind: bIm2Col, data: src[b*imgIn : (b+1)*imgIn], dims: d}
+		border(src[b*imgIn:(b+1)*imgIn], img, d, true)
+		bsrc := bPanelSrc{kind: bIm2Col, data: img, dims: p}
 		gemmTiled(out, spatial, &pa, &bsrc)
 		if bias != nil {
 			addBias(out, bias, d.COut, spatial)
 		}
 	}
 	pa.release()
+	pool.Put(img)
 }
 
 // Conv2DBackward computes the three convolution gradients. gradOut is
@@ -176,8 +204,10 @@ func Conv2D(dst, src, weight, bias []float32, d ConvDims, kc int) {
 //
 // The transposed weight panel of the dX GEMM is packed once per call and
 // reused across the batch; the cols operand of the dW GEMM is packed
-// directly from the source image (fused im2colᵀ), so the backward pass, like
-// the forward, never materializes an im2col matrix.
+// directly from the zero-bordered source image (fused im2colᵀ), so the
+// backward pass, like the forward, never materializes an im2col matrix.
+//
+//easyscale:hotpath
 func Conv2DBackward(gradSrc, gradWeight, gradBias, src, weight, gradOut []float32, d ConvDims, kc int) {
 	d.validate()
 	oh, ow := d.OutH(), d.OutW()
@@ -203,6 +233,7 @@ func Conv2DBackward(gradSrc, gradWeight, gradBias, src, weight, gradOut []float3
 		panic("kernels: Conv2DBackward gradSrc size mismatch")
 	}
 
+	p := d.bordered()
 	var dcols []float32
 	var paT packedA
 	if gradSrc != nil {
@@ -210,9 +241,10 @@ func Conv2DBackward(gradSrc, gradWeight, gradBias, src, weight, gradOut []float3
 		// transposed weight panel for dCols = Wᵀ·dOut, packed once per call
 		paT = packA(weight, kdim, d.COut, normKC(kc, d.COut), 1, kdim)
 	}
-	var wpart []float32
+	var wpart, img []float32
 	if gradWeight != nil {
 		wpart = pool.GetUninit(d.COut * kdim)
+		img = pool.Get(p.CIn * p.H * p.W) // its border stays +0 for every image
 	}
 	kcW := normKC(kc, spatial)
 	for b := 0; b < d.Batch; b++ {
@@ -220,7 +252,8 @@ func Conv2DBackward(gradSrc, gradWeight, gradBias, src, weight, gradOut []float3
 		if gradWeight != nil {
 			// dW += dOut · colsᵀ : [CO, spatial]·[spatial, kdim] = [CO, kdim]
 			paD := packA(dout, d.COut, spatial, kcW, spatial, 1)
-			bsrc := bPanelSrc{kind: bIm2ColT, data: src[b*imgIn : (b+1)*imgIn], dims: d}
+			border(src[b*imgIn:(b+1)*imgIn], img, d, true)
+			bsrc := bPanelSrc{kind: bIm2ColT, data: img, dims: p}
 			gemmTiled(wpart, kdim, &paD, &bsrc)
 			paD.release()
 			AddF32(gradWeight, wpart)
@@ -238,11 +271,9 @@ func Conv2DBackward(gradSrc, gradWeight, gradBias, src, weight, gradOut []float3
 			Col2Im(gradSrc[b*imgIn:(b+1)*imgIn], dcols, d)
 		}
 	}
-	if dcols != nil {
-		pool.Put(dcols)
-		paT.release()
-	}
-	if wpart != nil {
-		pool.Put(wpart)
-	}
+	// Put ignores the nil buffers of a skipped gradient
+	pool.Put(dcols)
+	paT.release()
+	pool.Put(wpart)
+	pool.Put(img)
 }

@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -196,12 +197,196 @@ func TestConv2DBackwardNilOutputs(t *testing.T) {
 	Conv2DBackward(nil, gw, nil, src, weight, g, d, 0)
 }
 
+// TestConvDimsValidatePanics: every entry point rejects geometry that is not
+// a convolution — a kernel larger than the padded image (even where a stride
+// makes the truncated OutW count one window), a negative padding (which would
+// compute a silently cropped convolution and index outside the bordered
+// image), and any non-positive size or stride.
 func TestConvDimsValidatePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
+	ok := ConvDims{Batch: 1, CIn: 1, H: 6, W: 6, COut: 1, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
+	ok.validate()
+	for name, mut := range map[string]func(d *ConvDims){
+		"kernel larger than image":                      func(d *ConvDims) { d.KH, d.KW, d.PadH, d.PadW = 7, 7, 0, 0 },
+		"kernel past the padding, hidden by the stride": func(d *ConvDims) { d.W, d.KW, d.StrideW = 2, 5, 3 },
+		"negative PadH":                                 func(d *ConvDims) { d.PadH = -1 },
+		"negative PadW":                                 func(d *ConvDims) { d.PadW = -1 },
+		"zero KH":                                       func(d *ConvDims) { d.KH = 0 },
+		"negative KW":                                   func(d *ConvDims) { d.KW = -1 },
+		"zero H":                                        func(d *ConvDims) { d.H = 0 },
+		"negative W":                                    func(d *ConvDims) { d.W = -2 },
+		"zero Batch":                                    func(d *ConvDims) { d.Batch = 0 },
+		"zero CIn":                                      func(d *ConvDims) { d.CIn = 0 },
+		"zero COut":                                     func(d *ConvDims) { d.COut = 0 },
+		"zero StrideH":                                  func(d *ConvDims) { d.StrideH = 0 },
+		"negative StrideW":                              func(d *ConvDims) { d.StrideW = -1 },
+	} {
+		d := ok
+		mut(&d)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: %+v accepted", name, d)
+				}
+			}()
+			d.validate()
+		}()
+	}
+}
+
+// convSpec computes the three conv paths from their executable
+// specification: per image, the unfolded Im2Col matrix against the reference
+// GEMM loops for the output and the weight gradient, SumBlocked for the bias
+// gradient, and the scalar scatter of the reference Wᵀ·dOut for the input
+// gradient. The weight and bias gradients start from +0 and accumulate in
+// batch order.
+func convSpec(src, weight, bias, gradOut []float32, d ConvDims, kc int) (out, gradSrc, gradW, gradB []float32) {
+	kdim, spatial := d.ColRows(), d.ColCols()
+	imgIn, imgOut := d.CIn*d.H*d.W, d.COut*spatial
+	cols, dcols := make([]float32, kdim*spatial), make([]float32, kdim*spatial)
+	wpart := make([]float32, d.COut*kdim)
+	out, gradSrc = make([]float32, d.Batch*imgOut), make([]float32, d.Batch*imgIn)
+	gradW, gradB = make([]float32, d.COut*kdim), make([]float32, d.COut)
+	for b := 0; b < d.Batch; b++ {
+		o, dout := out[b*imgOut:(b+1)*imgOut], gradOut[b*imgOut:(b+1)*imgOut]
+		Im2Col(cols, src[b*imgIn:(b+1)*imgIn], d)
+		matMulRef(o, weight, cols, d.COut, kdim, spatial, kc)
+		if bias != nil {
+			addBias(o, bias, d.COut, spatial)
 		}
-	}()
-	d := ConvDims{Batch: 1, CIn: 1, H: 2, W: 2, COut: 1, KH: 5, KW: 5, StrideH: 1, StrideW: 1}
-	Conv2D(make([]float32, 1), make([]float32, 4), make([]float32, 25), nil, d, 0)
+		matMulABTRef(wpart, dout, cols, d.COut, spatial, kdim, kc)
+		for i, v := range wpart {
+			gradW[i] += v
+		}
+		for co := range gradB {
+			gradB[co] += SumBlocked(dout[co*spatial:(co+1)*spatial], kc)
+		}
+		matMulATBRef(dcols, weight, dout, kdim, d.COut, spatial, kc)
+		col2ImSpec(gradSrc[b*imgIn:(b+1)*imgIn], dcols, d)
+	}
+	return out, gradSrc, gradW, gradB
+}
+
+// col2ImSpec is the scatter Col2Im must reproduce bit for bit: the adjoint of
+// Im2Col's walk, each in-image window position adding its cols entry onto +0
+// in the order of the cols matrix.
+func col2ImSpec(dst, cols []float32, d ConvDims) {
+	for i := range dst {
+		dst[i] = 0
+	}
+	idx := 0
+	for c := 0; c < d.CIn; c++ {
+		for kh := 0; kh < d.KH; kh++ {
+			for kw := 0; kw < d.KW; kw++ {
+				for y := 0; y < d.OutH(); y++ {
+					for x := 0; x < d.OutW(); x++ {
+						hi, wi := y*d.StrideH+kh-d.PadH, x*d.StrideW+kw-d.PadW
+						if hi >= 0 && hi < d.H && wi >= 0 && wi < d.W {
+							dst[(c*d.H+hi)*d.W+wi] += cols[idx]
+						}
+						idx++
+					}
+				}
+			}
+		}
+	}
+}
+
+// convOperands draws the operands of one conv from seed, with a few
+// specials (NaN, ±Inf, −0, denormals) sprinkled into each when asked: sparse
+// enough that most outputs stay finite, so both the finite bits and the
+// propagation of the specials are compared.
+func convOperands(d ConvDims, seed uint64, specials bool) (src, weight, bias, gradOut []float32) {
+	s := rng.New(seed)
+	src = randSlice(s, d.Batch*d.CIn*d.H*d.W)
+	weight = randSlice(s, d.COut*d.ColRows())
+	bias = randSlice(s, d.COut)
+	gradOut = randSlice(s, d.Batch*d.COut*d.ColCols())
+	if specials {
+		for i, xs := range [][]float32{src, weight, bias, gradOut} {
+			sprinkleN(xs, seed+uint64(i), 2)
+		}
+	}
+	return src, weight, bias, gradOut
+}
+
+// checkConvVsSpec runs the fused Conv2D and Conv2DBackward into buffers
+// holding a sentinel and compares every output with convSpec bit for bit.
+func checkConvVsSpec(t *testing.T, label string, d ConvDims, kc int, src, weight, bias, gradOut []float32) {
+	t.Helper()
+	wantOut, wantSrc, wantW, wantB := convSpec(src, weight, bias, gradOut, d, kc)
+	junk := func(n int) []float32 {
+		xs := make([]float32, n)
+		for i := range xs {
+			xs[i] = -12345.678
+		}
+		return xs
+	}
+	out, gradSrc, gradW, gradB := junk(len(wantOut)), junk(len(wantSrc)), junk(len(wantW)), junk(len(wantB))
+	Conv2D(out, src, weight, bias, d, kc)
+	Conv2DBackward(gradSrc, gradW, gradB, src, weight, gradOut, d, kc)
+	diffBits(t, label+"/out", out, wantOut)
+	diffBits(t, label+"/dX", gradSrc, wantSrc)
+	diffBits(t, label+"/dW", gradW, wantW)
+	diffBits(t, label+"/db", gradB, wantB)
+}
+
+// TestConvMatchesSpecBitwise differentially tests the fused conv paths
+// against their executable specification under every micro-kernel variant:
+// kc blocks including the normalization cases, every stride and padding up to
+// 3 and 2, kernels wider than tall and taller than the padding, odd H≠W, and
+// output-channel counts on both sides of every register-tile edge.
+func TestConvMatchesSpecBitwise(t *testing.T) {
+	kernels := [][2]int{{1, 1}, {3, 2}, {5, 5}}
+	forEachISA(t, func(t *testing.T) {
+		seed := uint64(0)
+		for _, k := range kernels {
+			for sh := 1; sh <= 3; sh++ {
+				for sw := 1; sw <= 3; sw++ {
+					for ph := 0; ph <= 2; ph++ {
+						for pw := 0; pw <= 2; pw++ {
+							for _, cout := range []int{1, 5, 8, 9, 17} {
+								d := ConvDims{Batch: 2, CIn: 2, H: 7, W: 9, COut: cout, KH: k[0], KW: k[1],
+									StrideH: sh, StrideW: sw, PadH: ph, PadW: pw}
+								seed++
+								src, weight, bias, gradOut := convOperands(d, seed, seed%2 == 0)
+								for _, kc := range []int{0, 1, 3, 8, 32, 64, 100} {
+									label := fmt.Sprintf("%+v/kc%d", d, kc)
+									checkConvVsSpec(t, label, d, kc, src, weight, bias, gradOut)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
+// FuzzConvVsSpec is TestConvMatchesSpecBitwise over random geometry, kc and
+// operands, under every available micro-kernel variant.
+func FuzzConvVsSpec(f *testing.F) {
+	f.Add(uint8(2), uint8(3), uint8(8), uint8(8), uint8(8), uint8(0x22), uint8(0x00), uint8(0x11), int16(8), uint64(1), false)
+	f.Add(uint8(1), uint8(2), uint8(17), uint8(9), uint8(7), uint8(0x14), uint8(0x12), uint8(0x20), int16(3), uint64(2), true)
+	f.Add(uint8(3), uint8(1), uint8(1), uint8(5), uint8(11), uint8(0x00), uint8(0x21), uint8(0x22), int16(0), uint64(3), true)
+	f.Fuzz(func(t *testing.T, b, ci, co, h, w, k, s, p uint8, kc16 int16, seed uint64, specials bool) {
+		d := ConvDims{Batch: 1 + int(b%3), CIn: 1 + int(ci%4), H: 1 + int(h%12), W: 1 + int(w%12), COut: 1 + int(co%20),
+			KH: 1 + int(k&15)%5, KW: 1 + int(k>>4)%5, StrideH: 1 + int(s&15)%3, StrideW: 1 + int(s>>4)%3,
+			PadH: int(p&15) % 3, PadW: int(p>>4) % 3}
+		if d.KH > d.H+2*d.PadH || d.KW > d.W+2*d.PadW {
+			return
+		}
+		src, weight, bias, gradOut := convOperands(d, seed, specials)
+		prev := ActiveISA()
+		defer func() {
+			if err := SetISA(prev); err != nil {
+				t.Fatal(err)
+			}
+		}()
+		for _, isa := range AvailableISAs() {
+			if err := SetISA(isa); err != nil {
+				t.Fatal(err)
+			}
+			checkConvVsSpec(t, fmt.Sprintf("%s/%+v/kc%d", isa, d, kc16), d, int(kc16), src, weight, bias, gradOut)
+		}
+	})
 }

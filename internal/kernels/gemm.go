@@ -98,9 +98,9 @@ func (pa *packedA) release() { pool.Put(pa.buf) }
 // closure) so per-image conv packs do not allocate.
 type bPanelSrc struct {
 	kind int
-	data []float32 // matrix for row/col-major kinds, the source image for im2col kinds
+	data []float32 // matrix for row/col-major kinds, the zero-bordered image for im2col kinds
 	ld   int       // leading dimension: n (row-major) or k (col-major)
-	dims ConvDims  // im2col geometry for the conv kinds
+	dims ConvDims  // im2col geometry of the bordered image (no padding) for the conv kinds
 }
 
 const (
@@ -167,83 +167,51 @@ func packBColMajor(bp, b []float32, ldb, k0, kb, j0, jw, nr int) {
 	}
 }
 
-// packBIm2Col packs the forward-conv B operand straight from the image: the
-// im2col matrix row kk = (ci,kh,kw) at column j = (y,x) is src[ci, y·sh+kh-ph,
-// x·sw+kw-pw] (zero outside the image). Fusing the expansion into the pack
-// step removes the materialized cols buffer and its extra memory round trip.
+// packBIm2Col packs the forward-conv B operand straight from the
+// zero-bordered image (d has no padding, see ConvDims.bordered): the im2col
+// matrix row kk = (ci,kh,kw) at column j = (y,x) is src[ci, y·sh+kh, x·sw+kw].
+// A strip's column offsets are computed once; every row of the strip is then
+// a gather from its tap, or one 8-wide move when the strip is a stride-1 run
+// of one output row. Fusing the expansion into the pack step removes the
+// materialized cols buffer and its extra memory round trip.
+//
+//easyscale:hotpath
 func packBIm2Col(bp, src []float32, d *ConvDims, k0, kb, j0, jw, nr int) {
 	ow := d.OutW()
+	var at [maxNR]int
 	off := 0
 	for t0 := 0; t0 < jw; t0 += nr {
 		tw := min(nr, jw-t0)
-		y0 := (j0 + t0) / ow
-		x0 := (j0 + t0) % ow
-		ci := k0 / (d.KH * d.KW)
-		rem := k0 % (d.KH * d.KW)
-		kh := rem / d.KW
-		kw := rem % d.KW
-		// When the tile's columns stay on one output row and stride is 1,
-		// the tw source elements are contiguous in the image; packing is a
-		// straight copy unless padding clips the run. Values and layout are
-		// identical to the per-element walk below — only addressing differs.
-		rowFast := d.StrideW == 1 && x0+tw <= ow
+		y, x := (j0+t0)/ow, (j0+t0)%ow
+		run := tw == 8 && nr == 8 && d.StrideW == 1 && x+8 <= ow
+		at[0] = y*d.StrideH*d.W + x*d.StrideW
+		for c := 1; c < tw && !run; c++ { // a run reads from at[0] on
+			if x++; x == ow {
+				x, y = 0, y+1
+			}
+			at[c] = y*d.StrideH*d.W + x*d.StrideW
+		}
+		kh, kw := k0/d.KW%d.KH, k0%d.KW
+		tap := (k0/(d.KH*d.KW)*d.H+kh)*d.W + kw
 		for p := 0; p < kb; p++ {
-			if rowFast {
-				hi := y0*d.StrideH + kh - d.PadH
-				wi := x0 + kw - d.PadW
-				if hi >= 0 && hi < d.H && wi >= 0 && wi+tw <= d.W {
-					if tw == 8 {
-						// Full 8-wide tile: a direct array move beats the
-						// memmove dispatch of copy for 32 bytes.
-						*(*[8]float32)(bp[off:]) = *(*[8]float32)(src[(ci*d.H+hi)*d.W+wi:])
-					} else {
-						copy(bp[off:off+tw], src[(ci*d.H+hi)*d.W+wi:])
-					}
-					off += tw
-				} else if hi < 0 || hi >= d.H || wi+tw <= 0 || wi >= d.W {
-					for c := 0; c < tw; c++ {
-						bp[off] = 0
-						off++
-					}
-				} else {
-					for c := 0; c < tw; c++ {
-						var v float32
-						if wi+c >= 0 && wi+c < d.W {
-							v = src[(ci*d.H+hi)*d.W+wi+c]
-						}
-						bp[off] = v
-						off++
-					}
-				}
+			row := bp[off : off+nr]
+			if run {
+				// through a local, which compiles to register moves: a
+				// direct assignment between two possibly overlapping
+				// arrays calls memmove
+				v := *(*[8]float32)(src[tap+at[0]:])
+				*(*[8]float32)(row) = v
 			} else {
-				y, x := y0, x0
-				for c := 0; c < tw; c++ {
-					hi := y*d.StrideH + kh - d.PadH
-					wi := x*d.StrideW + kw - d.PadW
-					var v float32
-					if hi >= 0 && hi < d.H && wi >= 0 && wi < d.W {
-						v = src[(ci*d.H+hi)*d.W+wi]
-					}
-					bp[off] = v
-					off++
-					x++
-					if x == ow {
-						x = 0
-						y++
-					}
+				for c, a := range at[:tw] {
+					row[c] = src[tap+a]
 				}
+				zeroFill(row[tw:])
 			}
-			for c := tw; c < nr; c++ {
-				bp[off] = 0
-				off++
-			}
-			kw++
-			if kw == d.KW {
-				kw = 0
-				kh++
-				if kh == d.KH {
-					kh = 0
-					ci++
+			off, tap = off+nr, tap+1
+			if kw++; kw == d.KW {
+				kw, tap = 0, tap+d.W-d.KW
+				if kh++; kh == d.KH {
+					kh, tap = 0, tap+(d.H-d.KH)*d.W
 				}
 			}
 		}
@@ -252,76 +220,36 @@ func packBIm2Col(bp, src []float32, d *ConvDims, k0, kb, j0, jw, nr int) {
 
 // packBIm2ColT packs the transposed im2col matrix (reduction over spatial
 // positions, columns over CI·KH·KW), the B operand of the weight-gradient
-// GEMM dW = dY·colsᵀ — again straight from the image, no cols buffer.
+// GEMM dW = dY·colsᵀ, straight from the zero-bordered image. A strip's nr
+// tap offsets are computed once; each spatial position then stores one
+// contiguous nr-wide row gathered from its window.
+//
+//easyscale:hotpath
 func packBIm2ColT(bp, src []float32, d *ConvDims, k0, kb, j0, jw, nr int) {
 	ow := d.OutW()
+	var tap [maxNR]int
+	off := 0
+	ci, kh, kw := j0/(d.KH*d.KW), j0/d.KW%d.KH, j0%d.KW
 	for t0 := 0; t0 < jw; t0 += nr {
 		tw := min(nr, jw-t0)
-		tOff := t0 * kb
 		for c := 0; c < tw; c++ {
-			kr := j0 + t0 + c
-			ci := kr / (d.KH * d.KW)
-			rem := kr % (d.KH * d.KW)
-			kh := rem / d.KW
-			kw := rem % d.KW
-			y := k0 / ow
-			x := k0 % ow
-			if d.StrideW == 1 {
-				// Walk whole output rows at a time: within a row hi is
-				// fixed and the source index advances by one per position,
-				// so the bounds checks and index math hoist out of the
-				// per-element loop. Same values, same bp layout.
-				for p := 0; p < kb; {
-					run := ow - x
-					if run > kb-p {
-						run = kb - p
-					}
-					hi := y*d.StrideH + kh - d.PadH
-					wi := x + kw - d.PadW
-					out := tOff + p*nr + c
-					if hi >= 0 && hi < d.H && wi >= 0 && wi+run <= d.W {
-						row := src[(ci*d.H+hi)*d.W+wi:]
-						for q := 0; q < run; q++ {
-							bp[out+q*nr] = row[q]
-						}
-					} else if hi < 0 || hi >= d.H || wi+run <= 0 || wi >= d.W {
-						for q := 0; q < run; q++ {
-							bp[out+q*nr] = 0
-						}
-					} else {
-						base := (ci*d.H + hi) * d.W
-						for q := 0; q < run; q++ {
-							var v float32
-							if wi+q >= 0 && wi+q < d.W {
-								v = src[base+wi+q]
-							}
-							bp[out+q*nr] = v
-						}
-					}
-					p += run
-					x = 0
-					y++
-				}
-			} else {
-				for p := 0; p < kb; p++ {
-					hi := y*d.StrideH + kh - d.PadH
-					wi := x*d.StrideW + kw - d.PadW
-					var v float32
-					if hi >= 0 && hi < d.H && wi >= 0 && wi < d.W {
-						v = src[(ci*d.H+hi)*d.W+wi]
-					}
-					bp[tOff+p*nr+c] = v
-					x++
-					if x == ow {
-						x = 0
-						y++
-					}
+			tap[c] = (ci*d.H+kh)*d.W + kw
+			if kw++; kw == d.KW {
+				if kw, kh = 0, kh+1; kh == d.KH {
+					kh, ci = 0, ci+1
 				}
 			}
 		}
-		for c := tw; c < nr; c++ {
-			for p := 0; p < kb; p++ {
-				bp[tOff+p*nr+c] = 0
+		y, x := k0/ow, k0%ow
+		for p := 0; p < kb; p++ {
+			win, row := src[y*d.StrideH*d.W+x*d.StrideW:], bp[off:off+nr]
+			for c, t := range tap[:tw] {
+				row[c] = win[t]
+			}
+			zeroFill(row[tw:])
+			off += nr
+			if x++; x == ow {
+				x, y = 0, y+1
 			}
 		}
 	}
@@ -332,6 +260,8 @@ func packBIm2ColT(bp, src []float32, d *ConvDims, k0, kb, j0, jw, nr int) {
 // order and accumulated exactly as the reference loops do; dst is fully
 // overwritten. B panels are packed and consumed one at a time — column blocks
 // ascending, kc blocks ascending within each — into a single pooled buffer.
+//
+//easyscale:hotpath
 func gemmTiled(dst []float32, n int, pa *packedA, bsrc *bPanelSrc) {
 	m, k, kc := pa.m, pa.k, pa.kc
 	mk := pa.mk

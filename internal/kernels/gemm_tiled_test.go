@@ -61,12 +61,15 @@ var specials = []float32{
 	math.MaxFloat32,
 }
 
-func sprinkle(xs []float32, seed uint64) {
+func sprinkle(xs []float32, seed uint64) { sprinkleN(xs, seed, 1+len(xs)/4) }
+
+// sprinkleN overwrites n randomly chosen elements of xs with specials.
+func sprinkleN(xs []float32, seed uint64, n int) {
 	if len(xs) == 0 {
 		return
 	}
 	s := seed
-	for i := 0; i < 1+len(xs)/4; i++ {
+	for i := 0; i < n; i++ {
 		xs[splitmix64(&s)%uint64(len(xs))] = specials[splitmix64(&s)%uint64(len(specials))]
 	}
 }
