@@ -19,13 +19,17 @@
 #   make bench-check — vet and toy-size test the frozen benchmark module
 #                  (cmd/bench is its own module; nothing else compiles it)
 #   make loc     — non-test Go and assembly lines per package and in total
+#   make examples-smoke — run the examples that check themselves (autoscale:
+#                  plane-driven scale-out, fallback and reclaim on a live job,
+#                  bitwise identical to fixed-DoP DDP); they exit non-zero on
+#                  divergence
 
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: check vet fmt lint lint-audit build test test-isa test-cpu race fuzz bench-check trace-smoke serve-smoke loc
+.PHONY: check vet fmt lint lint-audit build test test-isa test-cpu race fuzz bench-check trace-smoke serve-smoke examples-smoke loc
 
-check: vet fmt lint build test test-isa test-cpu race fuzz bench-check trace-smoke serve-smoke
+check: vet fmt lint build test test-isa test-cpu race fuzz bench-check trace-smoke serve-smoke examples-smoke
 
 vet:
 	$(GO) vet ./...
@@ -126,3 +130,8 @@ trace-smoke:
 		-gpus V100:2 -scale-to V100:1 -verify=false \
 		-trace "$$tmp/run.json" >/dev/null && \
 	$(GO) run ./cmd/tracecheck "$$tmp/run.json"
+
+# the examples are compiled by build; the ones that check their own result
+# run here
+examples-smoke:
+	$(GO) run ./examples/autoscale

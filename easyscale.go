@@ -111,8 +111,6 @@ type (
 	Proposal = sched.Proposal
 	// IntraJob is the per-job scheduler.
 	IntraJob = sched.IntraJob
-	// InterJob is the cluster scheduler.
-	InterJob = sched.InterJob
 	// Companion is the plan database + performance model.
 	Companion = sched.Companion
 )
@@ -124,6 +122,3 @@ func NewCompanion(maxP int, caps Capability) *Companion { return sched.NewCompan
 func NewIntraJob(jobID string, cp *Companion, homogeneousOnly bool) *IntraJob {
 	return sched.NewIntraJob(jobID, cp, homogeneousOnly)
 }
-
-// NewInterJob builds the cluster scheduler over a free pool.
-func NewInterJob(free Resources) *InterJob { return sched.NewInterJob(free) }

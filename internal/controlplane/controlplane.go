@@ -8,11 +8,13 @@
 // The plane composes the existing sched passes rather than replacing them:
 // scale-out rides IntraJob.Proposals → RoundPass → IntraJob.Grant (so a
 // single-tenant plane is bitwise-identical to the pre-plane scheduler — the
-// shim test pins it), and preemption rides IntraJob.Preempt, the same
-// Apply/plan machinery as a voluntary trim. EasyScale's bitwise-consistent
-// Scale path is what makes that preemption accuracy-free, which in turn is
-// the argument for borrowing aggressively: a reclaim costs the borrower a
-// restart pause, never accuracy.
+// shim test pins it), preemption rides IntraJob.Preempt, the same Apply/plan
+// machinery as a voluntary trim, and the slowdown fallback rides
+// IntraJob.ObserveThroughput (Observe, called by the root package's Driver
+// of live jobs, which reads Held, Placement and Progress after each Tick).
+// EasyScale's bitwise-consistent Scale path is what makes preemption
+// accuracy-free, which in turn is the argument for borrowing aggressively: a
+// reclaim costs the borrower a restart pause, never accuracy.
 //
 // Every placement, reservation, borrow, and preemption appends a
 // why-explained entry to the decision log (mirrored to the obs tracer under
@@ -27,6 +29,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/models"
 	"repro/internal/obs"
@@ -585,6 +588,45 @@ func (p *Plane) Held(jobID string) sched.Resources {
 		return j.intra.Current()
 	}
 	return sched.Resources{}
+}
+
+// Placement renders a job's active plan (one a finished job finished on) as
+// its numESTs ESTs' placement on GPUs, with the plan's estimated throughput.
+func (p *Plane) Placement(jobID string, numESTs int) (core.Placement, float64) {
+	j, ok := p.jobs[jobID]
+	if !ok {
+		return core.Placement{}, 0
+	}
+	return j.intra.RenderPlacement(numESTs), j.intra.CurrentPlan().Throughput
+}
+
+// Progress returns the global steps the plane has credited a job with, at
+// most its WorkSteps, and whether it finished.
+func (p *Plane) Progress(jobID string) (steps float64, done bool) {
+	j, ok := p.jobs[jobID]
+	if !ok {
+		return 0, false
+	}
+	return min(j.spec.WorkSteps-j.remaining, j.spec.WorkSteps), j.done
+}
+
+// Observe feeds a job's measured throughput, in the plan's units, to its
+// intra-job scheduler (Role-3 of §3.4). A job that scaled out since and
+// misses the plan falls back to its previous GPUs and pays a restart pause;
+// the GPUs it gives up are retired from its leases and returned (nil when it
+// keeps them).
+func (p *Plane) Observe(jobID string, measured float64) sched.Resources {
+	j, ok := p.jobs[jobID]
+	if !ok || j.done {
+		return nil
+	}
+	released, fell := j.intra.ObserveThroughput(measured)
+	if !fell {
+		return nil
+	}
+	p.releaseFromJob(j, released, fellBack, nil)
+	j.pausedUtil = p.cfg.RestartSec
+	return released
 }
 
 // Decisions counts admission decisions taken so far: submissions,

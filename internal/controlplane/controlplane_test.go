@@ -433,3 +433,29 @@ func TestTenantTraceGeneration(t *testing.T) {
 		}
 	}
 }
+
+// TestThroughputFeedbackStaysWithItsJob: a measurement biased enough to
+// refresh one job's performance model changes that job's companion and
+// nothing else — not the process-wide capability every later job and
+// cluster.Simulate read through CapabilityFor.
+func TestThroughputFeedbackStaysWithItsJob(t *testing.T) {
+	before := CapabilityFor("neumf")[device.V100]
+	p := New(Config{Inventory: sched.Resources{device.V100: 2}})
+	p.Submit(elasticJob("a", "neumf", 2, 0, ""))
+	p.Tick(0)
+	_, est := p.Placement("a", 2)
+	// a healthy measurement first ends the check of the grant from zero GPUs,
+	// so the biased one refreshes the model without also falling back to them
+	for _, ratio := range []float64{1, 0.1} {
+		if released := p.Observe("a", est*ratio); released != nil {
+			t.Fatalf("setup: fell back at %v of the estimate", ratio)
+		}
+	}
+	if p.jobs["a"].intra.Companion.Caps[device.V100] == before {
+		t.Fatal("setup: the measurement did not refresh the job's own model")
+	}
+	if got := CapabilityFor("neumf")[device.V100]; got != before {
+		t.Fatalf("CapabilityFor(neumf)[V100] moved from %v to %v on one job's feedback", before, got)
+	}
+	checkInvariants(t, p)
+}

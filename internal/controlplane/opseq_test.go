@@ -14,17 +14,21 @@ import (
 )
 
 // TestInvariantsHoldAfterEveryOperation drives seeded sequences of Submit
-// (elastic, gang, unknown team, an ID already registered), Tick and Release
-// (an active lease, a retired one, an admission ticket, garbage) over a small
-// three-type fleet, borrowing on and off, under each strategy, and checks the
-// plane's invariants after every call — plus, a few times per sequence, that
-// the decision log only grows: every earlier rendering is a prefix of the
-// next. A failing seed prints the operations that led to it.
+// (elastic, gang, unknown team, an ID already registered), Tick, Release
+// (an active lease, a retired one, an admission ticket, garbage) and Observe
+// (a measured speedup over the plan, below the fallback tolerance or not, on
+// a running, idle or unknown job) over a small three-type fleet, borrowing
+// on and off, under each strategy, and checks the plane's invariants after
+// every call — plus, a few times per sequence, that the decision log only
+// grows: every earlier rendering is a prefix of the next. A failing seed
+// prints the operations that led to it.
 //
 // Found while writing it: resubmitting a registered job ID replaced the job
 // in the ID index and orphaned the first submission's leases (any seed that
 // draws the duplicate-ID operation on a job holding leases; seed 0 is one).
-// Submit now refuses the second registration.
+// Submit now refuses the second registration. The Observe op found that a
+// trim of a type in the fallback snapshot let a later fallback restore GPUs
+// the job no longer held; TrimUnused now cancels the pending fallback.
 func TestInvariantsHoldAfterEveryOperation(t *testing.T) {
 	seeds := uint64(2400)
 	if testing.Short() || raceEnabled {
@@ -65,7 +69,7 @@ func runOpSequence(seed uint64) (ops []string, err error) {
 		return invariants(p)
 	}
 	for n := 0; n < 40; n++ {
-		switch r := g.Intn(10); {
+		switch r := g.Intn(12); {
 		case r < 3: // Submit: elastic or gang, sometimes to a team that does not exist
 			spec := workload.JobSpec{
 				ID: fmt.Sprintf("j%d", len(jobIDs)), Model: models[g.Intn(len(models))],
@@ -110,6 +114,26 @@ func runOpSequence(seed uint64) (ops []string, err error) {
 					if !slices.Contains(leaseIDs, l.ID) {
 						leaseIDs = append(leaseIDs, l.ID)
 					}
+				}
+				return nil
+			})
+		case r < 10: // Observe: Role-3 may fall back and retire leases
+			id := "nobody"
+			if len(jobIDs) > 0 && g.Intn(5) != 0 {
+				id = jobIDs[g.Intn(len(jobIDs))]
+			}
+			speedup := []float64{0.1, 0.5, 0.79, 0.8, 1, 2.5}[g.Intn(6)]
+			err = step(fmt.Sprintf("Observe(%q, %v x estimate)", id, speedup), func() error {
+				_, est := p.Placement(id, 1)
+				held, free := p.Held(id), p.Free()
+				released := p.Observe(id, est*speedup)
+				for _, ty := range device.AllTypes() {
+					if released[ty] < 0 || released[ty] > held[ty] || p.Free()[ty] != free[ty]+released[ty] {
+						return fmt.Errorf("Observe released %v of %v held; free went %v -> %v", released, held, free, p.Free())
+					}
+				}
+				if released != nil && speedup >= 0.8 {
+					return fmt.Errorf("fell back at %v of the estimate", speedup)
 				}
 				return nil
 			})

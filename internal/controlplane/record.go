@@ -54,6 +54,7 @@ const (
 	trimmed
 	finished
 	manual
+	fellBack
 )
 
 var reasonText = [...]string{
@@ -61,6 +62,7 @@ var reasonText = [...]string{
 	trimmed:   "trimmed: plan assigns no ESTs to these GPUs",
 	finished:  "job finished",
 	manual:    "manually released",
+	fellBack:  "fell back: the measured speedup missed the plan (Role-3)",
 }
 
 // record is one decision: 48 bytes, no pointers.

@@ -33,13 +33,13 @@ func schedulingPass() ([]Plan, [][]Proposal, []Resources) {
 		plans = append(plans, p)
 	}
 
-	cluster := NewInterJob(Resources{device.V100: 3, device.P100: 2, device.T4: 4})
+	free := Resources{device.V100: 3, device.P100: 2, device.T4: 4}
 	for round := 0; round < 3; round++ {
 		var proposals []Proposal
 		for _, j := range jobs {
-			proposals = append(proposals, j.Proposals(cluster.Free(), 3)...)
+			proposals = append(proposals, j.Proposals(free, 3)...)
 		}
-		accepted := RoundPass(cluster.Policy, cluster.free, proposals, nil)
+		accepted := RoundPass(GreedyPolicy{}, free, proposals, nil)
 		rounds = append(rounds, accepted)
 		for _, pr := range accepted {
 			for _, j := range jobs {
@@ -50,13 +50,16 @@ func schedulingPass() ([]Plan, [][]Proposal, []Resources) {
 				}
 			}
 		}
-		pools = append(pools, cluster.Free())
+		pools = append(pools, free.Clone())
 	}
 
-	// trim, preemption, and fallback all exercise Take/Release/map paths
-	cluster.Release(jobs[0].TrimUnused())
-	pools = append(pools, cluster.Free())
-	pools = append(pools, cluster.Take(Resources{device.V100: 1, device.P100: 1, device.T4: 2}))
+	// trim, preemption, and fallback all exercise the map paths
+	for t, n := range jobs[0].TrimUnused() {
+		free[t] += n
+	}
+	pools = append(pools, free.Clone())
+	rel, _ := jobs[0].Preempt(Resources{device.V100: 1, device.P100: 1, device.T4: 2})
+	pools = append(pools, rel)
 	if rel, fell := jobs[1].ObserveThroughput(jobs[1].CurrentPlan().Throughput * 0.1); fell {
 		pools = append(pools, rel)
 	}

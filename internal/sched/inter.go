@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 
-	"repro/internal/device"
 	"repro/internal/obs"
 )
 
@@ -56,55 +55,12 @@ func (GreedyPolicy) Decide(free Resources, proposals []Proposal) []Proposal {
 	return out
 }
 
-// InterJob is the cluster-scale scheduler: it tracks the fluctuating free
-// pool (idle GPUs left over by serving jobs), collects resource proposals
-// from the jobs' intra-job schedulers, and grants them by policy.
-type InterJob struct {
-	Policy Policy
-	// Trace, when non-nil, receives the structured decision log (see
-	// trace.go). Decisions never depend on it.
-	Trace *obs.Tracer
-	free  Resources
-}
-
-// NewInterJob builds the scheduler with the greedy default policy.
-func NewInterJob(free Resources) *InterJob {
-	return &InterJob{Policy: GreedyPolicy{}, free: free.Clone()}
-}
-
-// Free returns the current free pool.
-func (s *InterJob) Free() Resources { return s.free.Clone() }
-
-// Release returns GPUs to the pool.
-func (s *InterJob) Release(r Resources) {
-	for t, n := range r {
-		s.free[t] += n
-	}
-}
-
-// Take removes GPUs from the pool (a grant RoundPass accepted against Free,
-// or preemption by high-priority jobs); it clamps at zero and returns what
-// was actually taken.
-func (s *InterJob) Take(r Resources) Resources {
-	got := Resources{}
-	for _, t := range device.AllTypes() {
-		n := r[t]
-		if n > s.free[t] {
-			n = s.free[t]
-		}
-		if n > 0 {
-			s.free[t] -= n
-			got[t] = n
-		}
-	}
-	return got
-}
-
-// RoundPass is one scheduling round as a pure pass: evaluate the proposals
-// against the free pool, debit the pool in place for the accepted ones, and
-// return them in grant order. The live AutoScaler and the multi-tenant
-// control plane invoke this same pass, so a single-tenant control plane is
-// bitwise-identical to the single-job scheduler loop by construction.
+// RoundPass is the inter-job scheduler's round as a pure pass: evaluate the
+// proposals against the free pool, debit the pool in place for the accepted
+// ones, and return them in grant order. The pool is a bare Resources the
+// caller owns; the control plane runs every round through it, live jobs
+// included, so a single-tenant plane is bitwise-identical to proposals
+// granted greedily against one pool by construction.
 func RoundPass(policy Policy, free Resources, proposals []Proposal, trace *obs.Tracer) []Proposal {
 	accepted := policy.Decide(free, proposals)
 	for _, pr := range accepted {

@@ -37,10 +37,15 @@ type IntraJob struct {
 	cur     counts
 	curPlan Plan
 	// prev remembers the pre-scale-out state for the slowdown fallback.
-	prev        counts
-	prevPlan    Plan
-	scaledOut   bool
-	FallbackTol float64 // observed/estimated ratio below which we fall back
+	prev      counts
+	prevPlan  Plan
+	scaledOut bool
+	// fellFrom is the vector the last fallback left, and fellGen the model
+	// generation it was measured under: explore skips exactly that step while
+	// neither the holdings (any apply clears it) nor the model has moved, so a
+	// fallback is not re-proposed and re-granted on the next round.
+	fellFrom counts
+	fellGen  uint64
 
 	// memo is the last Proposals answer and memoKey everything it is a
 	// function of; see Proposals.
@@ -51,25 +56,25 @@ type IntraJob struct {
 // proposalKey is everything one Proposals answer depends on. The free pool
 // enters only through addable (per type, what may be explored after the MaxP
 // and free caps), so a pool that moved without moving those caps still hits;
-// gen covers the performance model, and curThr the active plan (which a
-// capability update leaves stale until the next Apply).
+// gen covers the performance model, curThr the active plan (which a
+// capability update leaves stale until the next Apply), and skip the vector
+// a fallback left.
 type proposalKey struct {
-	cp            *Companion
-	gen           uint64
-	jobID         string
-	held, addable counts
-	curThr        float64
-	k             int
+	cp                  *Companion
+	gen                 uint64
+	jobID               string
+	held, addable, skip counts
+	curThr              float64
+	k                   int
 }
+
+// fallbackTol is the measured/estimated throughput ratio below which a job
+// that just scaled out falls back.
+const fallbackTol = 0.8
 
 // NewIntraJob builds the intra-job scheduler.
 func NewIntraJob(jobID string, cp *Companion, homogeneousOnly bool) *IntraJob {
-	return &IntraJob{
-		JobID:           jobID,
-		Companion:       cp,
-		HomogeneousOnly: homogeneousOnly,
-		FallbackTol:     0.8,
-	}
+	return &IntraJob{JobID: jobID, Companion: cp, HomogeneousOnly: homogeneousOnly}
 }
 
 // Current returns the held resources.
@@ -104,6 +109,7 @@ func (s *IntraJob) apply(r counts) (Plan, bool) {
 		})
 		return Plan{}, false
 	}
+	s.fellFrom = counts{}
 	p, ok := s.Companion.planAt(r)
 	if !ok {
 		s.cur, s.curPlan = counts{}, Plan{}
@@ -136,6 +142,11 @@ func (s *IntraJob) TrimUnused() Resources {
 	logDecision(s.Trace, "sched.trim", int64(released.total()), 0, func() string {
 		return fmt.Sprintf("job=%s releasing unused %s", s.JobID, released.resources().Key())
 	})
+	// a trim of a type the fallback snapshot holds leaves that snapshot
+	// describing GPUs the job no longer has, as a preemption does
+	for t, n := range released {
+		s.scaledOut = s.scaledOut && (n == 0 || s.prev[t] == 0)
+	}
 	s.apply(next)
 	return released.resources()
 }
@@ -151,6 +162,9 @@ func (s *IntraJob) Proposals(free Resources, k int) []Proposal {
 	key := proposalKey{
 		cp: s.Companion, gen: s.Companion.gen, jobID: s.JobID,
 		held: s.cur, curThr: s.curPlan.Throughput, k: k,
+	}
+	if s.fellGen == s.Companion.gen {
+		key.skip = s.fellFrom
 	}
 	idle := s.cur.total() == 0
 	for t := range key.addable {
@@ -170,20 +184,24 @@ func (s *IntraJob) Proposals(free Resources, k int) []Proposal {
 		}
 	}
 	if key != s.memoKey {
-		s.memoKey, s.memo = key, s.explore(key.addable, k)
+		s.memoKey, s.memo = key, s.explore(key.addable, key.skip, k)
 	}
 	return append([]Proposal(nil), s.memo...) // nil when there are none
 }
 
 // explore evaluates every add of 1..addable[t] GPUs of each type against the
-// plan database and ranks the ones that speed the job up.
-func (s *IntraJob) explore(addable counts, k int) []Proposal {
+// plan database, except the one that reaches skip, and ranks the ones that
+// speed the job up.
+func (s *IntraJob) explore(addable, skip counts, k int) []Proposal {
 	var out []Proposal
 	curThr := s.curPlan.Throughput
 	for t, maxAdd := range addable {
 		for add := 1; add <= maxAdd; add++ {
 			next := s.cur
 			next[t] += add
+			if next == skip {
+				continue
+			}
 			p, ok := s.Companion.planAt(next)
 			if !ok || p.Throughput <= 0 {
 				continue
@@ -300,10 +318,10 @@ func (s *IntraJob) ObserveThroughput(measured float64) (release Resources, fellB
 			}
 		}
 	}
-	if s.scaledOut && s.curPlan.Throughput > 0 && measured < s.curPlan.Throughput*s.FallbackTol {
+	if s.scaledOut && s.curPlan.Throughput > 0 && measured < s.curPlan.Throughput*fallbackTol {
 		logDecision(s.Trace, "sched.fallback", int64(s.cur.total()), int64(s.prev.total()), func() string {
 			return fmt.Sprintf("job=%s measured=%.3f below %.0f%% of estimate %.3f: reverting to %s",
-				s.JobID, measured, s.FallbackTol*100, s.curPlan.Throughput, s.prev.resources().Key())
+				s.JobID, measured, fallbackTol*100, s.curPlan.Throughput, s.prev.resources().Key())
 		})
 		// clamp at zero per type: after an intervening preemption (which
 		// clears scaledOut, so this is defensive) cur can be below prev, and
@@ -314,6 +332,7 @@ func (s *IntraJob) ObserveThroughput(measured float64) (release Resources, fellB
 				rel[t] = d
 			}
 		}
+		s.fellFrom, s.fellGen = s.cur, s.Companion.gen
 		s.cur, s.curPlan = s.prev, s.prevPlan
 		s.scaledOut = false
 		return rel.resources(), true

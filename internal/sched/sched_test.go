@@ -237,6 +237,39 @@ func TestGrantAndFallback(t *testing.T) {
 	}
 }
 
+// TestFallbackIsNotReproposed: a fallback restores the holdings, the model
+// and the plan the job had before the grant, so without a memory of it the
+// next Proposals offers the same scale-out, the next round grants it again,
+// and the job pays two scale events per cycle, forever. The step fallen back
+// from stays off the list until the job's inputs move.
+func TestFallbackIsNotReproposed(t *testing.T) {
+	s := NewIntraJob("job-0", NewCompanion(8, caps()), false)
+	s.Apply(Resources{device.V100: 2})
+	free := Resources{device.V100: 4}
+	props := s.Proposals(free, 3)
+	if len(props) < 2 {
+		t.Fatalf("setup: want several proposals, got %+v", props)
+	}
+	granted := props[0]
+	s.Grant(granted)
+	if _, fell := s.ObserveThroughput(s.CurrentPlan().Throughput * 0.5); !fell {
+		t.Fatal("setup: expected a fallback")
+	}
+	again := s.Proposals(free, 3)
+	if len(again) == 0 {
+		t.Fatal("the other steps must stay on offer")
+	}
+	for _, pr := range again {
+		if pr.Type == granted.Type && pr.Count == granted.Count {
+			t.Fatalf("the step fallen back from (+%d %s) is proposed again: %+v", pr.Count, pr.Type, again)
+		}
+	}
+	s.Companion.UpdateCapability(device.T4, caps()[device.T4]) // the model's generation moves, its values do not
+	if back := s.Proposals(free, 3); back[0] != granted {
+		t.Fatalf("after the model moved, want %+v first again, got %+v", granted, back)
+	}
+}
+
 func TestGreedyPolicyOrderAndCapacity(t *testing.T) {
 	props := []Proposal{
 		{JobID: "a", Type: device.V100, Count: 1, SpeedupTotal: 1.5, SpeedupPerGPU: 0.5},
@@ -267,21 +300,6 @@ func TestGreedyTiesPreferMoreGPUs(t *testing.T) {
 	accepted := GreedyPolicy{}.Decide(Resources{device.V100: 3}, props)
 	if accepted[0].JobID != "b" {
 		t.Fatal("equal speedup must prefer the larger request")
-	}
-}
-
-func TestInterJobPoolOps(t *testing.T) {
-	inter := NewInterJob(Resources{device.V100: 2, device.T4: 1})
-	inter.Release(Resources{device.T4: 2})
-	if inter.Free()[device.T4] != 3 {
-		t.Fatal("release")
-	}
-	got := inter.Take(Resources{device.V100: 5})
-	if got[device.V100] != 2 || inter.Free()[device.V100] != 0 {
-		t.Fatalf("take clamping wrong: %v", got)
-	}
-	if inter.Free()[device.T4] != 3 {
-		t.Fatal("take touched a type it was not asked for")
 	}
 }
 

@@ -67,20 +67,18 @@ func TestDecisionLogRecordsWhy(t *testing.T) {
 	}
 }
 
-// TestInterJobRoundLogsAccepts: a scheduling round on the cluster
-// scheduler's pool logs each accepted proposal and a round summary with the
-// remaining pool.
-func TestInterJobRoundLogsAccepts(t *testing.T) {
+// TestRoundPassLogsAccepts: an inter-job round on a free pool logs each
+// accepted proposal and a round summary with the remaining pool.
+func TestRoundPassLogsAccepts(t *testing.T) {
 	tr := obs.New()
-	inter := NewInterJob(Resources{device.V100: 4})
-	inter.Trace = tr
+	free := Resources{device.V100: 4}
 	s := NewIntraJob("job-0", NewCompanion(8, caps()), false)
 	s.Apply(Resources{device.V100: 1})
-	props := s.Proposals(inter.Free(), 4)
+	props := s.Proposals(free, 4)
 	if len(props) == 0 {
 		t.Fatal("expected proposals")
 	}
-	accepted := RoundPass(inter.Policy, inter.free, props, inter.Trace)
+	accepted := RoundPass(GreedyPolicy{}, free, props, tr)
 	if len(accepted) == 0 {
 		t.Fatal("expected the round to accept something")
 	}
@@ -109,11 +107,10 @@ func TestDecisionLogDoesNotSteer(t *testing.T) {
 	run := func(tr *obs.Tracer) (Resources, []Proposal) {
 		s := NewIntraJob("job-0", NewCompanion(8, caps()), false)
 		s.Trace = tr
-		inter := NewInterJob(Resources{device.V100: 3, device.P100: 2})
-		inter.Trace = tr
+		free := Resources{device.V100: 3, device.P100: 2}
 		s.Apply(Resources{device.V100: 1})
-		props := s.Proposals(inter.Free(), 8)
-		accepted := RoundPass(inter.Policy, inter.free, props, inter.Trace)
+		props := s.Proposals(free, 8)
+		accepted := RoundPass(GreedyPolicy{}, free, props, tr)
 		for _, pr := range accepted {
 			s.Grant(pr)
 		}

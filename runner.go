@@ -2,138 +2,178 @@ package easyscale
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/controlplane"
-	"repro/internal/sched"
+	"repro/internal/workload"
 )
 
-// AutoScaler closes the framework–scheduler co-design loop on a *live* job:
-// an intra-job scheduler (companion module + waste model) watches a
-// fluctuating free-GPU pool, proposes scale-outs to the inter-job scheduler,
-// and applies every granted or revoked allocation to the running core.Job
-// through on-demand checkpoint scaling — while the job's numerics stay
-// bitwise identical to a fixed-DoP run.
-type AutoScaler struct {
-	Job   *Job
-	Intra *IntraJob
-	Inter *InterJob
-
-	// HomogeneousOnly is derived from the model scan (vendor kernels → no
-	// D2 → one GPU type).
-	HomogeneousOnly bool
+// Driver binds live training jobs to a control plane, so that one scheduler
+// loop decides for jobs that train and for jobs that are only throughput
+// numbers. Around each plane tick it moves every bound job onto the GPUs its
+// leases hold, placed by the plane's plan (Attach, Scale — the on-demand
+// checkpoint — or Detach), and runs the global steps by which the plane's
+// progress accounting advanced it. The first steps after a scale-out are
+// measured in device time and fed back to the plane (Role-3 of §3.4), which
+// may make the job fall back. Throughout, the job's parameters stay bitwise
+// identical to a fixed-DoP run.
+type Driver struct {
+	plane *controlplane.Plane
+	bound []*Binding
 }
 
-// NewAutoScaler wires a job to the scheduler stack. The companion module's
-// capability model comes from the workload's calibrated FLOP costs; the
-// homogeneity policy follows the model scanner unless the config already
-// enables D2.
-func NewAutoScaler(job *Job, free Resources) *AutoScaler {
-	caps := controlplane.CapabilityFor(job.Workload.Name)
-	homogOnly := !job.Cfg.D2
-	cp := NewCompanion(job.Cfg.NumESTs, caps)
-	return &AutoScaler{
-		Job:             job,
-		Intra:           NewIntraJob(job.Workload.Name, cp, homogOnly),
-		Inter:           NewInterJob(free),
-		HomogeneousOnly: homogOnly,
-	}
+// Binding is a live job bound to a plane job, with the placement changes
+// the driver applied to it.
+type Binding struct {
+	Events []ScaleEvent
+
+	id   string
+	job  *Job
+	base int // the job's global step when it was bound
+	done bool
+	held Resources // the GPUs the job's placement was rendered from
+	est  float64   // the plan's estimate on them
+	// steps and dev measure the job on held; baseRate and baseEst are the
+	// placement a pending scale-out is checked against
+	steps             int
+	dev               time.Duration
+	baseRate, baseEst float64
 }
 
-// Rebalance runs one scheduling round: propose against the free pool, apply
-// any grant to the live job (checkpoint + restore + attach on the new
-// placement), and return whether the job was rescaled.
-func (a *AutoScaler) Rebalance() (bool, error) {
-	free := a.Inter.Free()
-	accepted := sched.RoundPass(a.Inter.Policy, free, a.Intra.Proposals(free, 3), a.Inter.Trace)
-	if len(accepted) == 0 {
-		return false, nil
-	}
-	pr := accepted[0]
-	if _, ok := a.Intra.Grant(pr); !ok {
-		return false, nil // the round ran on a copy of the pool: nothing to hand back
-	}
-	a.Inter.Take(sched.Resources{pr.Type: pr.Count})
-	if unused := a.Intra.TrimUnused(); unused != nil {
-		a.Inter.Release(unused)
-	}
-	return true, a.applyPlacement()
+// ScaleEvent is one placement change: the GPUs the job left and the ones it
+// moved to, and whether it was a Role-3 fallback.
+type ScaleEvent struct {
+	AtSec    float64
+	From, To Resources
+	Fallback bool
 }
 
-// Shrink revokes GPUs from the live job (a high-priority arrival reclaiming
-// capacity): the job scales in to whatever remains, or detaches entirely.
-func (a *AutoScaler) Shrink(take Resources) error {
-	cur := a.Intra.Current()
-	remain := sched.Resources{}
-	for t, n := range cur {
-		k := n - take[t]
-		if k > 0 {
-			remain[t] = k
-		}
+// NewDriver drives live jobs on plane. Number-only jobs are submitted to the
+// plane directly.
+func NewDriver(plane *controlplane.Plane) *Driver { return &Driver{plane: plane} }
+
+// Submit submits spec to the plane and binds job to it. spec.ID must be new
+// to the plane, spec.MaxP the job's EST count and spec.WorkSteps a whole
+// number. A job without D2 is held to one GPU type at a time.
+func (d *Driver) Submit(spec workload.JobSpec, job *Job) (*Binding, error) {
+	if spec.MaxP != job.Cfg.NumESTs || spec.WorkSteps != float64(int(spec.WorkSteps)) || spec.WorkSteps <= 0 {
+		return nil, fmt.Errorf("easyscale: job %s: MaxP %d and WorkSteps %v do not fit a job of %d ESTs",
+			spec.ID, spec.MaxP, spec.WorkSteps, job.Cfg.NumESTs)
 	}
-	if remain.Total() == 0 {
-		a.Job.Detach()
-		a.Intra.Apply(sched.Resources{})
-		return nil
-	}
-	if _, ok := a.Intra.Apply(remain); !ok {
-		return fmt.Errorf("easyscale: no plan for remaining resources %v", remain)
-	}
-	return a.applyPlacement()
+	spec.HomogeneousOnly = spec.HomogeneousOnly || !job.Cfg.D2
+	d.plane.Submit(spec)
+	b := &Binding{id: spec.ID, job: job, base: job.GlobalStep(), held: Resources{}}
+	d.bound = append(d.bound, b)
+	return b, nil
 }
 
-// Observe feeds a measured aggregate throughput (global steps/sec) back to
-// the intra-job scheduler. If the job recently scaled out and the measurement
-// falls short of the plan's estimate, the scheduler falls back: the newly
-// granted GPUs are released to the pool and the job rescales to its previous
-// resources (Role-3 of §3.4).
-func (a *AutoScaler) Observe(measured float64) (fellBack bool, err error) {
-	release, fell := a.Intra.ObserveThroughput(measured)
-	if !fell {
-		return false, nil
-	}
-	a.Inter.Release(release)
-	return true, a.applyPlacement()
-}
-
-// applyPlacement realizes the intra-job scheduler's current plan on the job.
-func (a *AutoScaler) applyPlacement() error {
-	p := a.Intra.RenderPlacement(a.Job.Cfg.NumESTs)
-	if err := p.Validate(a.Job.Cfg.NumESTs); err != nil {
+// Tick advances the plane to nowSec and every bound job with it. A job the
+// plane finished has run exactly its WorkSteps and is detached.
+func (d *Driver) Tick(nowSec float64) error {
+	// GPUs taken since the last tick (a release, or a reclaim for an
+	// admission) are left before the tick hands GPUs out again
+	if err := d.each(func(b *Binding) error { return d.apply(b, nowSec, false) }); err != nil {
 		return err
 	}
-	if !a.Job.Attached() {
-		return a.Job.Attach(p)
-	}
-	return a.Job.Scale(p)
+	d.plane.Tick(nowSec)
+	return d.each(func(b *Binding) error { return d.sync(b, nowSec) })
 }
 
-// RunAutoScaled trains the job for totalSteps, running a scheduling round
-// every `interval` steps against the free pool (which the caller may mutate
-// between calls through the returned AutoScaler). It is the minimal live
-// deployment loop: elastic, scheduler-driven, accuracy-consistent.
-func RunAutoScaled(job *Job, free Resources, totalSteps, interval int) (*AutoScaler, error) {
-	a := NewAutoScaler(job, free)
-	if _, err := a.Rebalance(); err != nil {
-		return nil, err
-	}
-	if !job.Attached() {
-		return nil, fmt.Errorf("easyscale: no GPUs available to start the job")
-	}
-	done := 0
-	for done < totalSteps {
-		n := interval
-		if done+n > totalSteps {
-			n = totalSteps - done
+func (d *Driver) each(f func(*Binding) error) error {
+	for _, b := range d.bound {
+		if b.done {
+			continue
 		}
-		if err := job.RunSteps(n); err != nil {
-			return nil, err
+		if err := f(b); err != nil {
+			return fmt.Errorf("easyscale: job %s: %w", b.id, err)
 		}
-		done += n
-		if done < totalSteps {
-			if _, err := a.Rebalance(); err != nil {
-				return nil, err
+	}
+	return nil
+}
+
+// sync applies the plane's placement, runs the credited steps, and observes
+// a scale-out.
+func (d *Driver) sync(b *Binding, now float64) error {
+	credited, done := d.plane.Progress(b.id)
+	if !done {
+		if err := d.apply(b, now, false); err != nil {
+			return err
+		}
+	}
+	if n := b.base + int(credited) - b.job.GlobalStep(); n > 0 {
+		if !b.job.Attached() { // finished in the tick it was first placed
+			p, _ := d.plane.Placement(b.id, b.job.Cfg.NumESTs)
+			if err := b.job.Attach(p); err != nil {
+				return err
 			}
 		}
+		devs := b.job.Devices()
+		start := make([]time.Duration, len(devs))
+		for i, dev := range devs {
+			start[i] = dev.Now()
+		}
+		if err := b.job.RunSteps(n); err != nil {
+			return err
+		}
+		var took time.Duration // the slowest GPU's
+		for i, dev := range devs {
+			took = max(took, dev.Now()-start[i])
+		}
+		b.steps, b.dev = b.steps+n, b.dev+took
 	}
-	return a, nil
+	if done {
+		b.job.Detach()
+		b.done = true
+		return nil
+	}
+	if b.baseRate == 0 || b.steps == 0 {
+		return nil
+	}
+	// Role-3 compares speedups: the engine's device-time rate is not in the
+	// plan's units, so the plan's estimate where the job scaled out from is
+	// scaled by the speedup the job measured since
+	measured := b.baseEst * float64(b.steps) / b.dev.Seconds() / b.baseRate
+	b.baseRate = 0
+	if d.plane.Observe(b.id, measured) == nil {
+		return nil
+	}
+	return d.apply(b, now, true)
+}
+
+// apply moves the job onto the GPUs the plane holds for it, if they changed.
+func (d *Driver) apply(b *Binding, now float64, fallback bool) error {
+	held := d.plane.Held(b.id)
+	if held.Key() == b.held.Key() {
+		return nil
+	}
+	for t := range held {
+		if !b.job.Cfg.D2 && len(b.Events) > 0 && b.Events[0].To[t] == 0 {
+			return fmt.Errorf("placed on %s after %s: without D2 another GPU type changes the bits", held.Key(), b.Events[0].To.Key())
+		}
+	}
+	p, est := d.plane.Placement(b.id, b.job.Cfg.NumESTs)
+	var err error
+	switch {
+	case held.Total() == 0:
+		b.job.Detach()
+	case b.job.Attached():
+		err = b.job.Scale(p)
+	default:
+		err = b.job.Attach(p)
+	}
+	if err != nil {
+		return err
+	}
+	b.Events = append(b.Events, ScaleEvent{AtSec: now, From: b.held, To: held, Fallback: fallback})
+	// a scale-out is checked against the last placement the job ran steps on:
+	// the one it leaves, or, if it scales out again before a step, the base of
+	// the pending check
+	switch {
+	case held.Total() <= b.held.Total():
+		b.baseRate = 0
+	case b.steps > 0:
+		b.baseRate, b.baseEst = float64(b.steps)/b.dev.Seconds(), b.est
+	}
+	b.held, b.est, b.steps, b.dev = held, est, 0, 0
+	return nil
 }

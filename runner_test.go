@@ -1,242 +1,256 @@
 package easyscale
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/controlplane"
+	"repro/internal/workload"
 )
 
-// TestAutoScaledBitwiseConsistent: the scheduler-driven live loop — job
-// starts on whatever is free, scales out as the pool allows — still ends
-// bitwise identical to fixed-DoP DDP.
+// tickFor returns a plane tick short enough that a job of model on maxP
+// V100s — the fastest the plane ever credits it, since a plan's throughput
+// never exceeds maxP ESTs on the fastest type — needs at least ticks ticks
+// for workSteps global steps.
+func tickFor(model string, maxP, workSteps, ticks int) float64 {
+	return float64(workSteps) / float64(ticks*maxP) / controlplane.CapabilityFor(model)[V100]
+}
+
+// newPlane builds a plane on that tick, with a restart pause of half a tick.
+func newPlane(tick float64, cfg controlplane.Config) *controlplane.Plane {
+	cfg.TickSec, cfg.RestartSec = tick, tick/2
+	return controlplane.New(cfg)
+}
+
+// fixedDoP is the reference: the job trained for steps on numESTs GPUs of
+// one type.
+func fixedDoP(t *testing.T, cfg Config, model string, gpu GPUType, steps int) *Job {
+	t.Helper()
+	ref, err := NewJob(cfg, model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gpus := make([]GPUType, cfg.NumESTs)
+	for i := range gpus {
+		gpus[i] = gpu
+	}
+	if err := ref.Attach(EvenPlacement(cfg.NumESTs, gpus...)); err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.RunSteps(steps); err != nil {
+		t.Fatal(err)
+	}
+	return ref
+}
+
+// bind submits a live job of model to the driver as an elastic job.
+func bind(t *testing.T, d *Driver, cfg Config, id, model string, workSteps int) *Binding {
+	t.Helper()
+	job, err := NewJob(cfg, model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := d.Submit(workload.JobSpec{ID: id, Model: model, MaxP: cfg.NumESTs, WorkSteps: float64(workSteps)}, job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// drive ticks from tick number from until every binding is done, calling
+// before(i) ahead of tick i.
+func drive(t *testing.T, d *Driver, tick float64, from int, before func(i int), bs ...*Binding) {
+	t.Helper()
+	for i := from; i < from+10000; i++ {
+		if before != nil {
+			before(i)
+		}
+		if err := d.Tick(float64(i) * tick); err != nil {
+			t.Fatal(err)
+		}
+		done := true
+		for _, b := range bs {
+			done = done && b.done
+		}
+		if done {
+			return
+		}
+	}
+	t.Fatal("bound jobs never finished")
+}
+
+// servingGang submits a number-only gang of n V100s that finishes after
+// about ticks ticks.
+func servingGang(p *controlplane.Plane, id, team string, n int, tick float64, ticks float64) {
+	p.Submit(workload.JobSpec{ID: id, Model: "neumf", MaxP: n, MinGPUs: n, Team: team,
+		WorkSteps: ticks * tick * float64(n) * controlplane.CapabilityFor("neumf")[V100]})
+}
+
+// TestAutoScaledBitwiseConsistent: a live job the plane starts on whatever
+// is free and resizes as it sees fit still ends bitwise identical to
+// fixed-DoP DDP.
 func TestAutoScaledBitwiseConsistent(t *testing.T) {
 	cfg := DefaultConfig(4)
 	cfg.BatchPerEST = 4
+	ref := fixedDoP(t, cfg, "electra", V100, 12)
 
-	ref, err := NewJob(cfg, "electra")
-	if err != nil {
-		t.Fatal(err)
+	tick := tickFor("electra", 4, 12, 6)
+	d := NewDriver(newPlane(tick, controlplane.Config{Inventory: Resources{V100: 1, P100: 1, T4: 2}}))
+	b := bind(t, d, cfg, "electra", "electra", 12)
+	drive(t, d, tick, 0, nil, b)
+	if b.job.GlobalStep() != 12 || b.job.Attached() {
+		t.Fatalf("finished job at step %d, attached %v; want step 12, detached", b.job.GlobalStep(), b.job.Attached())
 	}
-	if err := ref.Attach(EvenPlacement(4, V100, V100, V100, V100)); err != nil {
-		t.Fatal(err)
+	if len(b.Events) == 0 {
+		t.Fatal("the plane never placed the job")
 	}
-	if err := ref.RunSteps(12); err != nil {
-		t.Fatal(err)
-	}
-
-	job, err := NewJob(cfg, "electra")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// scarce pool: the scheduler starts the job small and scales out
-	free := Resources{V100: 1, P100: 1, T4: 2}
-	a, err := RunAutoScaled(job, free, 12, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !job.Attached() {
-		t.Fatal("job should hold GPUs")
-	}
-	if !ParamsEqual(ref, job) {
-		t.Fatal("auto-scaled job diverged from fixed-DoP DDP")
-	}
-	if a.Intra.Current().Total() == 0 {
-		t.Fatal("scheduler should have allocated resources")
+	if !ParamsEqual(ref, b.job) {
+		t.Fatal("plane-driven job diverged from fixed-DoP DDP")
 	}
 }
 
-// TestAutoScalerScaleOutHappens: with a growing pool the job's allocation
-// grows toward maxP GPUs.
-func TestAutoScalerScaleOutHappens(t *testing.T) {
+// scaleOutScenario runs a live job of model that starts on the one V100 a
+// serving gang leaves free and may scale out once the gang finishes.
+func scaleOutScenario(t *testing.T, model string, workSteps int) (*controlplane.Plane, *Binding, *Job) {
 	cfg := DefaultConfig(4)
 	cfg.BatchPerEST = 4
-	job, err := NewJob(cfg, "bert")
-	if err != nil {
+	tick := tickFor(model, 4, workSteps, 10)
+	p := newPlane(tick, controlplane.Config{Inventory: Resources{V100: 4}})
+	servingGang(p, "serving", "", 3, tick, 2)
+	d := NewDriver(p)
+	b := bind(t, d, cfg, "live", model, workSteps)
+	if err := d.Tick(0); err != nil {
 		t.Fatal(err)
 	}
-	a := NewAutoScaler(job, Resources{V100: 1})
-	if _, err := a.Rebalance(); err != nil {
-		t.Fatal(err)
+	if got := b.job.Placement().Devices; len(got) != 1 {
+		t.Fatalf("initial placement %v, want the one free V100", got)
 	}
-	if got := a.Intra.Current().Total(); got != 1 {
-		t.Fatalf("initial allocation %d, want 1", got)
+	drive(t, d, tick, 1, nil, b)
+	return p, b, fixedDoP(t, cfg, model, V100, workSteps)
+}
+
+// TestDriverScaleOut: when the serving gang finishes, the plane grants the
+// freed V100s to the live job, which scales out onto them.
+func TestDriverScaleOut(t *testing.T) {
+	_, b, ref := scaleOutScenario(t, "bert", 16)
+	outs := 0
+	for _, ev := range b.Events {
+		if ev.From.Total() > 0 && ev.To.Total() > ev.From.Total() {
+			outs++
+		}
 	}
-	if err := job.RunSteps(2); err != nil {
-		t.Fatal(err)
+	if outs == 0 {
+		t.Fatalf("no scale-out among %+v", b.Events)
 	}
-	// more GPUs appear
-	a.Inter.Release(Resources{V100: 3})
-	changed, err := a.Rebalance()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !changed {
-		t.Fatal("scheduler should scale out with new free GPUs")
-	}
-	if got := a.Intra.Current().Total(); got <= 1 {
-		t.Fatalf("allocation after scale-out %d, want > 1", got)
-	}
-	if err := job.RunSteps(2); err != nil {
-		t.Fatal(err)
+	if !ParamsEqual(ref, b.job) {
+		t.Fatal("scaled-out job diverged from fixed-DoP DDP")
 	}
 }
 
-// TestAutoScalerShrink: revocation scales the live job in (and can evict it
-// entirely) without losing training state.
-func TestAutoScalerShrink(t *testing.T) {
+// TestDriverObserveFallback: the scale-out onto four V100s buys electra far
+// less than the plan's 4x in device time, so the job falls back (Role-3)
+// and returns the granted GPUs; it is not handed the same ones again on
+// the next change, and it keeps training consistently.
+func TestDriverObserveFallback(t *testing.T) {
+	p, b, ref := scaleOutScenario(t, "electra", 24)
+	fell := -1
+	for i, ev := range b.Events {
+		if ev.Fallback {
+			fell = i
+			break
+		}
+	}
+	if fell < 0 {
+		t.Fatalf("no fallback among %+v", b.Events)
+	}
+	ev := b.Events[fell]
+	if ev.To.Total() >= ev.From.Total() || ev.To.Total() == 0 {
+		t.Fatalf("fallback %+v should shrink to the GPUs the job held before", ev)
+	}
+	if fell+1 < len(b.Events) && b.Events[fell+1].To.Key() == ev.From.Key() {
+		t.Fatalf("re-granted %s right after falling back from it", ev.From.Key())
+	}
+	if !strings.Contains(strings.Join(p.DecisionLog(), "\n"), "fell back") {
+		t.Fatal("the fallback is not in the plane's decision log")
+	}
+	if !ParamsEqual(ref, b.job) {
+		t.Fatal("job diverged from fixed-DoP DDP across the fallback")
+	}
+}
+
+// TestDriverShrink: quota-backed serving gangs reclaim the GPUs a live job
+// borrowed, scaling it in and then evicting it without losing progress; it
+// comes back when the gangs finish and ends bitwise identical to fixed-DoP
+// DDP.
+func TestDriverShrink(t *testing.T) {
 	cfg := DefaultConfig(2)
 	cfg.BatchPerEST = 4
+	const work = 12
+	tick := tickFor("neumf", 2, work, 10)
+	p := newPlane(tick, controlplane.Config{
+		Inventory:      Resources{V100: 2},
+		Teams:          []controlplane.TeamConfig{{Name: "serve", Quota: Resources{V100: 2}}, {Name: "train"}},
+		AllowBorrowing: true,
+	})
+	d := NewDriver(p)
 	job, err := NewJob(cfg, "neumf")
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := NewAutoScaler(job, Resources{V100: 2})
-	if _, err := a.Rebalance(); err != nil {
+	b, err := d.Submit(workload.JobSpec{ID: "live", Model: "neumf", MaxP: 2, WorkSteps: work, Team: "train"}, job)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := job.RunSteps(3); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Shrink(Resources{V100: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if got := job.Placement().Devices; len(got) != 1 {
-		t.Fatalf("after shrink: %d devices, want 1", len(got))
-	}
-	if err := job.RunSteps(3); err != nil {
-		t.Fatal(err)
-	}
-	step := job.GlobalStep()
-	// full eviction parks the job without losing progress
-	if err := a.Shrink(Resources{V100: 2}); err != nil {
-		t.Fatal(err)
-	}
-	if job.Attached() {
-		t.Fatal("job should be detached after full revocation")
-	}
-	if job.GlobalStep() != step {
-		t.Fatal("eviction must not lose progress")
-	}
-	// and can come back later
-	a.Inter.Release(Resources{T4: 1})
-	if !job.Cfg.D2 {
-		t.Skip("needs D2 for T4 after V100")
-	}
-	if _, err := a.Rebalance(); err != nil {
-		t.Fatal(err)
-	}
-	if !job.Attached() {
-		t.Fatal("job should re-attach when GPUs free up")
-	}
-	if err := job.RunSteps(2); err != nil {
-		t.Fatal(err)
+	var evictedAt int
+	drive(t, d, tick, 0, func(i int) {
+		switch i {
+		case 4:
+			if n := len(job.Placement().Devices); n != 2 {
+				t.Fatalf("before the reclaim: %d devices, want 2", n)
+			}
+			servingGang(p, "burst-1", "serve", 1, tick, 6)
+		case 5:
+			if n := len(job.Placement().Devices); n != 1 {
+				t.Fatalf("after a reclaim of one GPU: %d devices, want 1", n)
+			}
+			servingGang(p, "burst-2", "serve", 1, tick, 4)
+		case 6:
+			if job.Attached() {
+				t.Fatal("job should be evicted after full revocation")
+			}
+			evictedAt = job.GlobalStep()
+		case 7:
+			if job.Attached() || job.GlobalStep() != evictedAt {
+				t.Fatal("an evicted job must neither run nor lose progress")
+			}
+		}
+	}, b)
+	if !ParamsEqual(fixedDoP(t, cfg, "neumf", V100, work), job) {
+		t.Fatal("shrunk, evicted and re-placed job diverged from fixed-DoP DDP")
 	}
 }
 
-// TestAutoScalerHomogeneousPolicy: a vendor-kernel model without D2 stays on
-// one GPU type.
-func TestAutoScalerHomogeneousPolicy(t *testing.T) {
+// TestDriverHomogeneousPolicy: a vendor-kernel model without D2 stays on
+// one GPU type, and ends bitwise identical to DDP on that type.
+func TestDriverHomogeneousPolicy(t *testing.T) {
 	cfg := DefaultConfig(4)
 	cfg.BatchPerEST = 4
 	cfg.D2 = false
-	job, err := NewJob(cfg, "vgg19")
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := NewAutoScaler(job, Resources{V100: 2, P100: 2, T4: 2})
-	if !a.HomogeneousOnly {
-		t.Fatal("vgg19 without D2 must be homogeneous-only")
-	}
-	for i := 0; i < 4; i++ {
-		if _, err := a.Rebalance(); err != nil {
-			t.Fatal(err)
+	const work = 8
+	tick := tickFor("vgg19", 4, work, 6)
+	d := NewDriver(newPlane(tick, controlplane.Config{Inventory: Resources{V100: 2, P100: 2, T4: 2}}))
+	b := bind(t, d, cfg, "vgg19", "vgg19", work)
+	drive(t, d, tick, 0, nil, b)
+	var typ GPUType
+	for _, ev := range b.Events {
+		if len(ev.To) > 1 {
+			t.Fatalf("homogeneous-only job got mixed GPUs: %v", ev.To)
 		}
-		if job.Attached() {
-			if err := job.RunSteps(1); err != nil {
-				t.Fatal(err)
-			}
+		for ty := range ev.To {
+			typ = ty
 		}
 	}
-	if !job.Placement().Homogeneous() {
-		t.Fatalf("homogeneous-only job got mixed GPUs: %v", job.Placement().Devices)
-	}
-}
-
-// TestAutoScalerObserveFallback: an observed slowdown after a grant makes
-// the scheduler fall back, releasing the new GPUs to the pool, and the job
-// keeps training consistently on the previous resources.
-func TestAutoScalerObserveFallback(t *testing.T) {
-	cfg := DefaultConfig(4)
-	cfg.BatchPerEST = 4
-	job, err := NewJob(cfg, "electra")
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := NewAutoScaler(job, Resources{V100: 1})
-	if _, err := a.Rebalance(); err != nil {
-		t.Fatal(err)
-	}
-	if err := job.RunSteps(2); err != nil {
-		t.Fatal(err)
-	}
-	a.Inter.Release(Resources{V100: 3})
-	if _, err := a.Rebalance(); err != nil {
-		t.Fatal(err)
-	}
-	grew := a.Intra.Current().Total()
-	if grew <= 1 {
-		t.Fatalf("expected scale-out, got %d GPUs", grew)
-	}
-	// observed throughput collapses → fallback
-	fell, err := a.Observe(a.Intra.CurrentPlan().Throughput * 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !fell {
-		t.Fatal("expected fallback on slowdown")
-	}
-	if a.Intra.Current().Total() != 1 {
-		t.Fatalf("fallback should restore 1 GPU, got %d", a.Intra.Current().Total())
-	}
-	if a.Inter.Free()[V100] != grew-1 {
-		t.Fatalf("released GPUs missing from pool: free=%v", a.Inter.Free())
-	}
-	if err := job.RunSteps(2); err != nil {
-		t.Fatal(err)
-	}
-	// healthy observation: no fallback
-	if fell, _ := a.Observe(a.Intra.CurrentPlan().Throughput); fell {
-		t.Fatal("healthy throughput must not fall back")
-	}
-}
-
-// TestThroughputFeedbackStaysWithItsJob: a measurement biased enough to
-// refresh one live job's performance model changes that job's companion and
-// nothing else — not the process-wide capability every later plane job and
-// cluster.Simulate read through CapabilityFor.
-func TestThroughputFeedbackStaysWithItsJob(t *testing.T) {
-	before := controlplane.CapabilityFor("neumf")[V100]
-	cfg := DefaultConfig(2)
-	cfg.BatchPerEST = 2
-	job, err := NewJob(cfg, "neumf")
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := NewAutoScaler(job, Resources{V100: 2})
-	if _, err := a.Rebalance(); err != nil {
-		t.Fatal(err)
-	}
-	// a healthy measurement first, so the biased one refreshes the model
-	// without also falling back to the zero GPUs the job started from
-	for _, ratio := range []float64{1, 0.1} {
-		if _, err := a.Observe(a.Intra.CurrentPlan().Throughput * ratio); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if a.Intra.Companion.Caps[V100] == before {
-		t.Fatal("setup: the measurement did not refresh the job's own model")
-	}
-	if got := controlplane.CapabilityFor("neumf")[V100]; got != before {
-		t.Fatalf("CapabilityFor(neumf)[V100] moved from %v to %v on one job's feedback", before, got)
+	if !ParamsEqual(fixedDoP(t, cfg, "vgg19", typ, work), b.job) {
+		t.Fatalf("job diverged from fixed-DoP DDP on %s", typ)
 	}
 }
