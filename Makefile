@@ -80,15 +80,16 @@ test-cpu:
 race:
 	$(GO) test -race ./internal/kernels/... ./internal/comm/... ./internal/checkpoint/... ./internal/data/... ./internal/dist/... ./internal/faults/... ./internal/core/... ./internal/elastic/... ./internal/obs/... ./internal/serve/... ./internal/sched/... ./internal/controlplane/...
 
-# short fuzz smokes: the wire-frame and checkpoint decoders must never panic
-# on corrupt input, and the tiled GEMM kernels and the fused conv paths must
-# stay bitwise identical to the reference loops and the im2col spec for
-# arbitrary shapes, kc blocks, and non-finite inputs
+# short fuzz smokes: the wire-frame, checkpoint and job-schema decoders must
+# never panic on corrupt input, and the tiled GEMM kernels and the fused conv
+# paths must stay bitwise identical to the reference loops and the im2col spec
+# for arbitrary shapes, kc blocks, and non-finite inputs
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReadFrame -fuzztime $(FUZZTIME) ./internal/dist
 	$(GO) test -run '^$$' -fuzz FuzzDecodeGrads -fuzztime $(FUZZTIME) ./internal/dist
 	$(GO) test -run '^$$' -fuzz FuzzReader -fuzztime $(FUZZTIME) ./internal/checkpoint
 	$(GO) test -run '^$$' -fuzz FuzzShardManifest -fuzztime $(FUZZTIME) ./internal/checkpoint
+	$(GO) test -run '^$$' -fuzz FuzzJobCheckpoint -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz 'FuzzGemmTiledVsReferenceMatMul$$' -fuzztime $(FUZZTIME) ./internal/kernels
 	$(GO) test -run '^$$' -fuzz 'FuzzGemmTiledVsReferenceMatMulATB$$' -fuzztime $(FUZZTIME) ./internal/kernels
 	$(GO) test -run '^$$' -fuzz 'FuzzGemmTiledVsReferenceMatMulABT$$' -fuzztime $(FUZZTIME) ./internal/kernels

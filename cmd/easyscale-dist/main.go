@@ -79,36 +79,6 @@ func jobFlags(fs *flag.FlagSet) (model *string, epoch *uint64, config func() cor
 	return
 }
 
-func parsePlacement(spec string, ests int) (core.Placement, error) {
-	var gpus []device.Type
-	for _, part := range strings.Split(spec, ",") {
-		kv := strings.SplitN(strings.TrimSpace(part), ":", 2)
-		count := 1
-		if len(kv) == 2 {
-			n, err := strconv.Atoi(kv[1])
-			if err != nil {
-				return core.Placement{}, fmt.Errorf("bad count in %q", part)
-			}
-			count = n
-		}
-		var t device.Type
-		switch strings.ToUpper(kv[0]) {
-		case "V100":
-			t = device.V100
-		case "P100":
-			t = device.P100
-		case "T4":
-			t = device.T4
-		default:
-			return core.Placement{}, fmt.Errorf("unknown GPU type %q", kv[0])
-		}
-		for i := 0; i < count; i++ {
-			gpus = append(gpus, t)
-		}
-	}
-	return core.EvenPlacement(ests, gpus...), nil
-}
-
 func runCoordinator(args []string) {
 	fs := flag.NewFlagSet("coordinator", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:7070", "rendezvous address")
@@ -122,7 +92,7 @@ func runCoordinator(args []string) {
 	die(fs.Parse(args))
 
 	cfg := config()
-	placement, err := parsePlacement(*gpus, cfg.NumESTs)
+	placement, err := core.ParsePlacement(*gpus, cfg.NumESTs)
 	die(err)
 	if n := len(placement.Assignment); n != *workers {
 		die(fmt.Errorf("-gpus %s places %d workers, -workers says %d", *gpus, n, *workers))
@@ -196,7 +166,7 @@ func parsePhases(spec string, ests int) ([]dist.Phase, error) {
 		if err != nil || steps <= 0 {
 			return nil, fmt.Errorf("phase %q: bad step count", entry)
 		}
-		p, err := parsePlacement(entry[:at], ests)
+		p, err := core.ParsePlacement(entry[:at], ests)
 		if err != nil {
 			return nil, err
 		}

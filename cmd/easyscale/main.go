@@ -7,42 +7,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 
 	easyscale "repro"
+	"repro/internal/core"
 	"repro/internal/kernels"
 )
-
-func parsePlacement(spec string, ests int) (easyscale.Placement, error) {
-	var gpus []easyscale.GPUType
-	for _, part := range strings.Split(spec, ",") {
-		kv := strings.SplitN(strings.TrimSpace(part), ":", 2)
-		count := 1
-		if len(kv) == 2 {
-			n, err := strconv.Atoi(kv[1])
-			if err != nil {
-				return easyscale.Placement{}, fmt.Errorf("bad count in %q", part)
-			}
-			count = n
-		}
-		var t easyscale.GPUType
-		switch strings.ToUpper(kv[0]) {
-		case "V100":
-			t = easyscale.V100
-		case "P100":
-			t = easyscale.P100
-		case "T4":
-			t = easyscale.T4
-		default:
-			return easyscale.Placement{}, fmt.Errorf("unknown GPU type %q", kv[0])
-		}
-		for i := 0; i < count; i++ {
-			gpus = append(gpus, t)
-		}
-	}
-	return easyscale.EvenPlacement(ests, gpus...), nil
-}
 
 func main() {
 	model := flag.String("model", "resnet50", "workload name (see cmd/experiments -exp table1)")
@@ -92,7 +62,7 @@ func main() {
 		}
 	}
 
-	p0, err := parsePlacement(*gpus, *ests)
+	p0, err := core.ParsePlacement(*gpus, *ests)
 	die(err)
 
 	var job *easyscale.Job
@@ -121,7 +91,7 @@ func main() {
 	fmt.Printf("phase 1 done: step=%d epoch=%d losses=%v\n", job.GlobalStep(), job.Epoch(), job.LastLosses())
 
 	if *scaleTo != "" {
-		p1, err := parsePlacement(*scaleTo, *ests)
+		p1, err := core.ParsePlacement(*scaleTo, *ests)
 		die(err)
 		fmt.Printf("scaling to %v (on-demand checkpoint + restore)\n", p1.Devices)
 		die(job.Scale(p1))

@@ -18,9 +18,8 @@ func main() {
 	fmt.Printf("serving fleet: %d GPUs, diurnal load min %d / max %d (gap %d — Figure 1)\n\n",
 		totalGPUs, st.Min, st.Max, st.Gap)
 
-	cfg := cluster.DefaultColocationConfig(totalGPUs)
-	day1 := cluster.SimulateColocation(cfg, load[:1440], false)
-	day2 := cluster.SimulateColocation(cfg, load[1440:], true)
+	day1 := cluster.SimulateColocation(totalGPUs, load[:1440], false)
+	day2 := cluster.SimulateColocation(totalGPUs, load[1440:], true)
 
 	fmt.Println("                          day-1 (before)   day-2 (EasyScale)")
 	fmt.Printf("GPU allocation ratio      %13.1f%%  %16.1f%%\n", day1.AvgAllocRatio*100, day2.AvgAllocRatio*100)

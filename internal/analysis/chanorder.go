@@ -56,10 +56,11 @@ type reportFunc func(pos token.Pos, format string, args ...any)
 // variable of a range-over-channel, which is itself a completion-order value.
 func checkDrainLoop(pass *Pass, body *ast.BlockStmt, rangeRecv *ast.Ident, report reportFunc) {
 	// pass 1: find receive expressions, flag direct order-sensitive sinks,
-	// and record idents bound to received values
-	recvVars := map[string]token.Pos{}
+	// and record the variables bound to received values
+	info := pass.Pkg.Info
+	recvVars := map[types.Object]bool{}
 	if rangeRecv != nil {
-		recvVars[rangeRecv.Name] = rangeRecv.Pos()
+		recvVars[info.ObjectOf(rangeRecv)] = true
 	}
 	ast.Inspect(body, func(n ast.Node) bool {
 		as, ok := n.(*ast.AssignStmt)
@@ -81,7 +82,7 @@ func checkDrainLoop(pass *Pass, body *ast.BlockStmt, rangeRecv *ast.Ident, repor
 				if lhs.Name == "_" {
 					continue
 				}
-				recvVars[lhs.Name] = rhs.Pos()
+				recvVars[info.ObjectOf(lhs)] = true
 				if as.Tok == token.ASSIGN && declaredOutside(pass, lhs, body) {
 					report(as.Pos(), "completion-order receive overwrites %s declared outside the loop; the last goroutine to finish wins", lhs.Name)
 				}
@@ -100,7 +101,7 @@ func checkDrainLoop(pass *Pass, body *ast.BlockStmt, rangeRecv *ast.Ident, repor
 		case *ast.CallExpr:
 			if id, ok := s.Fun.(*ast.Ident); ok && id.Name == "append" {
 				for _, arg := range s.Args[1:] {
-					if containsRecv([]ast.Expr{arg}) || referencesAny(arg, recvVars) {
+					if containsRecv([]ast.Expr{arg}) || usesAny(info, arg, recvVars) {
 						report(s.Pos(), "goroutine result appended in completion order; receive into an indexed slot (results[i] = r) and combine in index order")
 					}
 				}
@@ -118,11 +119,11 @@ func checkDrainLoop(pass *Pass, body *ast.BlockStmt, rangeRecv *ast.Ident, repor
 				if _, isCall := s.Rhs[0].(*ast.CallExpr); isCall {
 					return true // x = append(x, v) and friends report via the call arm
 				}
-				if referencesAny(s.Rhs[0], recvVars) && declaredOutside(pass, lhs, body) {
+				if usesAny(info, s.Rhs[0], recvVars) && declaredOutside(pass, lhs, body) {
 					report(s.Pos(), "received value assigned to %s declared outside the loop; which completion wins is scheduler-dependent", lhs.Name)
 				}
 			case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN, token.QUO_ASSIGN:
-				if referencesAny(s.Rhs[0], recvVars) {
+				if usesAny(info, s.Rhs[0], recvVars) {
 					report(s.Pos(), "received value accumulated into %s in completion order; accumulate in fixed index order", types.ExprString(s.Lhs[0]))
 				}
 			}
@@ -158,32 +159,6 @@ func containsRecv(exprs []ast.Expr) bool {
 		}
 	}
 	return false
-}
-
-// referencesAny reports whether e mentions any of the named received values.
-func referencesAny(e ast.Expr, vars map[string]token.Pos) bool {
-	found := false
-	ast.Inspect(e, func(n ast.Node) bool {
-		if sel, ok := n.(*ast.SelectorExpr); ok {
-			// only the operand side of a selector can be the value
-			ast.Inspect(sel.X, func(m ast.Node) bool {
-				if id, ok := m.(*ast.Ident); ok {
-					if _, hit := vars[id.Name]; hit {
-						found = true
-					}
-				}
-				return !found
-			})
-			return false
-		}
-		if id, ok := n.(*ast.Ident); ok {
-			if _, hit := vars[id.Name]; hit {
-				found = true
-			}
-		}
-		return !found
-	})
-	return found
 }
 
 // declaredOutside reports whether id's variable is declared outside the loop

@@ -31,8 +31,8 @@ func FloatWiden(hot ...string) *Analyzer {
 			return
 		}
 		for _, f := range pass.Pkg.Files {
-			// idents bound to widened float32 values (xv := float64(v))
-			wideVars := map[string]bool{}
+			// variables bound to widened float32 values (xv := float64(v))
+			wideVars := map[types.Object]bool{}
 			ast.Inspect(f, func(n ast.Node) bool {
 				switch s := n.(type) {
 				case *ast.CallExpr:
@@ -51,9 +51,10 @@ func FloatWiden(hot ...string) *Analyzer {
 
 // checkWidenAssign flags float64 accumulation fed by widened float32 values
 // and records idents defined as widening conversions.
-func checkWidenAssign(pass *Pass, s *ast.AssignStmt, wideVars map[string]bool) {
+func checkWidenAssign(pass *Pass, s *ast.AssignStmt, wideVars map[types.Object]bool) {
+	info := pass.Pkg.Info
 	feeds := func(e ast.Expr) bool {
-		return containsWidening(pass, e) || referencesWide(e, wideVars)
+		return containsWidening(pass, e) || usesAny(info, e, wideVars)
 	}
 	switch s.Tok {
 	case token.DEFINE:
@@ -62,11 +63,11 @@ func checkWidenAssign(pass *Pass, s *ast.AssignStmt, wideVars map[string]bool) {
 				break
 			}
 			if id, ok := s.Lhs[i].(*ast.Ident); ok && id.Name != "_" && isWideningConv(pass, rhs) {
-				wideVars[id.Name] = true
+				wideVars[info.ObjectOf(id)] = true
 			}
 		}
 	case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN, token.QUO_ASSIGN:
-		if len(s.Lhs) == 1 && basic(pass.Pkg.Info.TypeOf(s.Lhs[0])).Kind() == types.Float64 && feeds(s.Rhs[0]) {
+		if len(s.Lhs) == 1 && basic(info.TypeOf(s.Lhs[0])).Kind() == types.Float64 && feeds(s.Rhs[0]) {
 			pass.Report(s.Pos(), "float32 values accumulated in float64 %s; accumulation width is part of the bitwise contract — accumulate in float32 (or annotate the D2 exception)", types.ExprString(s.Lhs[0]))
 		}
 	case token.ASSIGN:
@@ -75,11 +76,11 @@ func checkWidenAssign(pass *Pass, s *ast.AssignStmt, wideVars map[string]bool) {
 			return
 		}
 		lhs, ok := s.Lhs[0].(*ast.Ident)
-		if !ok || basic(pass.Pkg.Info.TypeOf(lhs)).Kind() != types.Float64 {
+		if !ok || basic(info.TypeOf(lhs)).Kind() != types.Float64 {
 			return
 		}
 		bin, ok := s.Rhs[0].(*ast.BinaryExpr)
-		if !ok || !mentionsIdent(bin, lhs.Name) || !feeds(bin) {
+		if !ok || !usesAny(info, bin, map[types.Object]bool{info.ObjectOf(lhs): true}) || !feeds(bin) {
 			return
 		}
 		pass.Report(s.Pos(), "float32 values accumulated in float64 %s; accumulation width is part of the bitwise contract — accumulate in float32 (or annotate the D2 exception)", lhs.Name)
@@ -107,21 +108,13 @@ func containsWidening(pass *Pass, e ast.Expr) bool {
 	return found
 }
 
-func referencesWide(e ast.Expr, wideVars map[string]bool) bool {
+// usesAny reports whether e refers to any of objs: objects, not names, so a
+// variable of one function never stands for a namesake in another, and the
+// field in x.f is never the variable f.
+func usesAny(info *types.Info, e ast.Expr, objs map[types.Object]bool) bool {
 	found := false
 	ast.Inspect(e, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && wideVars[id.Name] {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
-func mentionsIdent(e ast.Expr, name string) bool {
-	found := false
-	ast.Inspect(e, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && id.Name == name {
+		if id, ok := n.(*ast.Ident); ok && objs[info.Uses[id]] {
 			found = true
 		}
 		return !found

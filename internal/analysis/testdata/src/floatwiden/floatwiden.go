@@ -59,3 +59,20 @@ func float32Accum(xs []float32) float32 {
 	}
 	return sum
 }
+
+// widenPointwise binds w to a widened value; unrelatedAccum's w is another
+// variable, a float64 from the start, so its accumulation is native.
+func widenPointwise(xs []float32) {
+	for i, v := range xs {
+		w := float64(v)
+		xs[i] = float32(math.Sqrt(w))
+	}
+}
+
+func unrelatedAccum(ws []float64) float64 {
+	var acc float64
+	for _, w := range ws {
+		acc += w
+	}
+	return acc
+}

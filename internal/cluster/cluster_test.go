@@ -166,10 +166,9 @@ func TestColocationTwoDays(t *testing.T) {
 }
 
 func TestColocationScaleInImmediate(t *testing.T) {
-	cfg := DefaultColocationConfig(100)
 	// serving load jumps from 20 to 90: elastic must drop within the minute
 	load := []int{20, 20, 20, 90, 90}
-	res := SimulateColocation(cfg, load, true)
+	res := SimulateColocation(100, load, true)
 	last := res.Samples[len(res.Samples)-1]
 	if last.ServingGPUs+last.ElasticGPUs > 100 {
 		t.Fatal("co-location must never exceed the fleet")

@@ -8,38 +8,23 @@ import "repro/internal/workload"
 // seconds when serving demand returns and refilling within minutes after it
 // leaves.
 
-// ColocationConfig configures the production-cluster simulation.
-type ColocationConfig struct {
-	TotalGPUs int
-	// ServingUtil / TrainingUtil are the average SM utilizations of a GPU
-	// allocated to serving (bursty, low duty cycle) vs. training.
-	ServingUtil  float64
-	TrainingUtil float64
-	// RefillPerMin bounds how many GPUs elastic training can (re)occupy per
-	// minute (job start + checkpoint restore costs).
-	RefillPerMin int
-	// ElasticHeadroom is the fraction of idle GPUs elastic jobs may use.
-	ElasticHeadroom float64
-	// ElasticDemandGPUs caps the elastic training jobs' aggregate demand:
-	// the business only submits so much opportunistic training.
-	ElasticDemandGPUs int
-	// ScaleInDeadband suppresses scale-in events for sub-threshold load
-	// wiggles (jobs hold their minimum grant through noise).
-	ScaleInDeadband int
-}
-
-// DefaultColocationConfig mirrors the production deployment.
-func DefaultColocationConfig(totalGPUs int) ColocationConfig {
-	return ColocationConfig{
-		TotalGPUs:         totalGPUs,
-		ServingUtil:       0.50,
-		TrainingUtil:      0.92,
-		RefillPerMin:      totalGPUs / 5, // full refill within ~5 minutes
-		ElasticHeadroom:   0.92,
-		ElasticDemandGPUs: totalGPUs / 5,
-		ScaleInDeadband:   totalGPUs / 200,
-	}
-}
+// The production deployment's tuning. A GPU allocated to serving (bursty,
+// low duty cycle) averages servingUtil of its SMs, one allocated to training
+// trainingUtil. Elastic jobs may use elasticHeadroom of the idle GPUs; their
+// aggregate demand is capped at 1/elasticDemandDiv of the fleet (the business
+// only submits so much opportunistic training); they (re)occupy at most
+// 1/refillDiv of the fleet per minute (job start and checkpoint restore
+// costs: a full refill within ~5 minutes); and a scale-in below
+// 1/deadbandDiv of the fleet is suppressed (jobs hold their grant through
+// load wiggles).
+const (
+	servingUtil      = 0.50
+	trainingUtil     = 0.92
+	elasticHeadroom  = 0.92
+	elasticDemandDiv = 5
+	refillDiv        = 5
+	deadbandDiv      = 200
+)
 
 // MinuteSample is one minute of the co-location timeline.
 type MinuteSample struct {
@@ -63,27 +48,27 @@ type ColocationResult struct {
 	MaxRefillMin int
 }
 
-// SimulateColocation replays a serving-load series with or without EasyScale
-// filling the idle capacity.
-func SimulateColocation(cfg ColocationConfig, serving []int, withEasyScale bool) ColocationResult {
+// SimulateColocation replays a serving-load series on a fleet of totalGPUs
+// with or without EasyScale filling the idle capacity.
+func SimulateColocation(totalGPUs int, serving []int, withEasyScale bool) ColocationResult {
 	res := ColocationResult{}
 	elastic := 0
 	refillStart := -1
 	for m, sv := range serving {
-		if sv > cfg.TotalGPUs {
-			sv = cfg.TotalGPUs
+		if sv > totalGPUs {
+			sv = totalGPUs
 		}
-		idle := cfg.TotalGPUs - sv
+		idle := totalGPUs - sv
 		target := 0
 		if withEasyScale {
-			target = int(float64(idle) * cfg.ElasticHeadroom)
-			if cfg.ElasticDemandGPUs > 0 && target > cfg.ElasticDemandGPUs {
-				target = cfg.ElasticDemandGPUs
+			target = int(float64(idle) * elasticHeadroom)
+			if demand := totalGPUs / elasticDemandDiv; demand > 0 && target > demand {
+				target = demand
 			}
 		}
 		sample := MinuteSample{Minute: m, ServingGPUs: sv}
 		switch {
-		case elastic > target+cfg.ScaleInDeadband:
+		case elastic > target+totalGPUs/deadbandDiv:
 			// serving demand returned: scale in within seconds (well inside
 			// one one-minute sample)
 			elastic = target
@@ -94,7 +79,7 @@ func SimulateColocation(cfg ColocationConfig, serving []int, withEasyScale bool)
 			if refillStart < 0 {
 				refillStart = m
 			}
-			elastic += cfg.RefillPerMin
+			elastic += totalGPUs / refillDiv
 			if elastic >= target {
 				elastic = target
 				if d := m - refillStart + 1; d > res.MaxRefillMin {
@@ -106,8 +91,8 @@ func SimulateColocation(cfg ColocationConfig, serving []int, withEasyScale bool)
 			refillStart = -1
 		}
 		sample.ElasticGPUs = elastic
-		sample.AllocRatio = float64(sv+elastic) / float64(cfg.TotalGPUs)
-		sample.SMUtil = (float64(sv)*cfg.ServingUtil + float64(elastic)*cfg.TrainingUtil) / float64(cfg.TotalGPUs)
+		sample.AllocRatio = float64(sv+elastic) / float64(totalGPUs)
+		sample.SMUtil = (float64(sv)*servingUtil + float64(elastic)*trainingUtil) / float64(totalGPUs)
 		res.Samples = append(res.Samples, sample)
 		res.AvgAllocRatio += sample.AllocRatio
 		res.AvgSMUtil += sample.SMUtil
@@ -125,9 +110,8 @@ func SimulateColocation(cfg ColocationConfig, serving []int, withEasyScale bool)
 // TwoDayComparison runs day 1 without EasyScale and day 2 with it on the
 // same diurnal pattern — the Figure 16 layout — and returns both results.
 func TwoDayComparison(totalGPUs int, seed uint64) (day1, day2 ColocationResult) {
-	cfg := DefaultColocationConfig(totalGPUs)
 	load := workload.ServingLoad(2*1440, totalGPUs, seed)
-	day1 = SimulateColocation(cfg, load[:1440], false)
-	day2 = SimulateColocation(cfg, load[1440:], true)
+	day1 = SimulateColocation(totalGPUs, load[:1440], false)
+	day2 = SimulateColocation(totalGPUs, load[1440:], true)
 	return day1, day2
 }

@@ -45,31 +45,15 @@ func (m Mode) String() string {
 type Config struct {
 	Mode      Mode
 	Inventory sched.Resources
-	// TickSec is the simulation step (default 10 s).
-	TickSec float64
-	// ProposalTopK bounds the proposals per job per round (default 3).
-	ProposalTopK int
-	// RestartSec is the scale-out reconfiguration pause (checkpoint,
-	// restart, restore; default 5 s).
-	RestartSec float64
-	// MaxSimSec caps the simulation horizon (default 30 days).
-	MaxSimSec float64
 }
 
-func (c *Config) defaults() {
-	if c.TickSec <= 0 {
-		c.TickSec = 10
-	}
-	if c.ProposalTopK <= 0 {
-		c.ProposalTopK = 3
-	}
-	if c.RestartSec <= 0 {
-		c.RestartSec = 5
-	}
-	if c.MaxSimSec <= 0 {
-		c.MaxSimSec = 30 * 24 * 3600
-	}
-}
+// The simulation steps by the control plane's default tick, 10 s (the
+// EasyScale modes run on the plane's defaults: 3 proposals per job per
+// round, a 5 s restart pause), and gives up after 30 simulated days.
+const (
+	tickSec   = 10
+	maxSimSec = 30 * 24 * 3600
+)
 
 // AllocSample is one timeline point of allocated GPUs.
 type AllocSample struct {
@@ -103,7 +87,6 @@ func Simulate(cfg Config, jobs []workload.JobSpec) Result {
 	if len(jobs) == 0 {
 		return Result{Mode: cfg.Mode}
 	}
-	cfg.defaults()
 	switch cfg.Mode {
 	case YARNCS:
 		return simulateYARN(cfg, jobs)
@@ -126,7 +109,7 @@ func simulateYARN(cfg Config, jobs []workload.JobSpec) Result {
 	res := Result{Mode: cfg.Mode, JCTs: map[string]float64{}}
 	now := 0.0
 	nextArrival := 0
-	for ; now < cfg.MaxSimSec; now += cfg.TickSec {
+	for ; now < maxSimSec; now += tickSec {
 		for nextArrival < len(pending) && pending[nextArrival].spec.ArrivalSec <= now {
 			queue = append(queue, pending[nextArrival])
 			nextArrival++
@@ -148,10 +131,10 @@ func simulateYARN(cfg Config, jobs []workload.JobSpec) Result {
 		for _, j := range running {
 			t := j.spec.RequestedType // the gang is MaxP GPUs of this one type
 			rate := float64(j.spec.MaxP) * controlplane.CapabilityFor(j.spec.Model)[t]
-			j.remaining -= rate * cfg.TickSec
+			j.remaining -= rate * tickSec
 			if j.remaining <= 0 {
 				free[t] += j.spec.MaxP
-				res.JCTs[j.spec.ID] = now + cfg.TickSec - j.spec.ArrivalSec
+				res.JCTs[j.spec.ID] = now + tickSec - j.spec.ArrivalSec
 				res.AvgQueue += j.startSec - j.spec.ArrivalSec
 				res.Finished++
 			} else {
@@ -174,19 +157,13 @@ func simulateYARN(cfg Config, jobs []workload.JobSpec) Result {
 // intra-job/inter-job passes the pre-plane simulator called directly (the
 // plane's shim-equivalence test pins that the plans are identical).
 func simulateEasyScale(cfg Config, jobs []workload.JobSpec) Result {
-	plane := controlplane.New(controlplane.Config{
-		Inventory:       cfg.Inventory,
-		TickSec:         cfg.TickSec,
-		ProposalTopK:    cfg.ProposalTopK,
-		RestartSec:      cfg.RestartSec,
-		HomogeneousOnly: cfg.Mode == EasyScaleHomo,
-	})
+	plane := controlplane.New(controlplane.Config{Inventory: cfg.Inventory, HomogeneousOnly: cfg.Mode == EasyScaleHomo})
 	pending := append([]workload.JobSpec(nil), jobs...)
 	sort.SliceStable(pending, func(i, j int) bool { return pending[i].ArrivalSec < pending[j].ArrivalSec })
 	res := Result{Mode: cfg.Mode, JCTs: map[string]float64{}}
 	now := 0.0
 	nextArrival := 0
-	for ; now < cfg.MaxSimSec; now += cfg.TickSec {
+	for ; now < maxSimSec; now += tickSec {
 		for nextArrival < len(pending) && pending[nextArrival].ArrivalSec <= now {
 			spec := pending[nextArrival]
 			spec.Team, spec.MinGPUs = "", 0 // single-tenant, fully elastic

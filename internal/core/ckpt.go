@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"strconv"
-	"strings"
 
 	"repro/internal/checkpoint"
 	"repro/internal/comm"
@@ -14,61 +12,19 @@ import (
 	"repro/internal/tensor"
 )
 
-// ckptMagic guards against foreign byte streams; ckptVersion against format
-// drift. Version 3 is the sharded format: the monolithic blob became a
-// container of content-addressed per-group shards plus a manifest.
-const (
-	ckptMagic   = 0xEA57_5CA1E0000000
-	ckptVersion = 3
-)
-
-// Shard group identifiers. The manifest lists groups in this canonical
-// order: meta, then parameters, optimizer moments, and EST contexts, each
-// indexed in model/rank order. Restore walks the manifest by ID, so shard
-// *arrival* order (which peer shipped what first) can never affect the
-// decoded state.
-const (
-	metaGroup    = "meta"
-	paramPrefix  = "param/"
-	momentPrefix = "moment/"
-	estPrefix    = "est/"
-)
-
 // groupIDs is a job's table of indexed group identifiers, formatted once when
 // the job is built: BuildShards and restore name a hundred groups per call.
 type groupIDs struct{ param, moment, est []string }
 
 func newGroupIDs(params, moments, ests int) groupIDs {
-	table := func(prefix string, n int) []string {
+	table := func(id func(int) string, n int) []string {
 		ids := make([]string, n)
 		for i := range ids {
-			ids[i] = fmt.Sprintf(prefix+"%04d", i)
+			ids[i] = id(i)
 		}
 		return ids
 	}
-	return groupIDs{table(paramPrefix, params), table(momentPrefix, moments), table(estPrefix, ests)}
-}
-
-// MetaShardID is the manifest ID of the extra-states group, exported for the
-// dist runtime's migration routing (the meta shard is served by the leader).
-const MetaShardID = metaGroup
-
-// ESTShardID returns the manifest ID of virtual rank r's context shard.
-func ESTShardID(r int) string { return fmt.Sprintf(estPrefix+"%04d", r) }
-
-// ESTShardRank parses an EST shard ID back to its virtual rank; ok is false
-// for any other group ID.
-func ESTShardRank(id string) (r int, ok bool) {
-	digits, ok := strings.CutPrefix(id, estPrefix)
-	// canonical %04d only: at least four digits, a leading zero only as padding
-	if !ok || len(digits) < 4 || (len(digits) > 4 && digits[0] == '0') {
-		return 0, false
-	}
-	n, err := strconv.ParseUint(digits, 10, 31)
-	if err != nil {
-		return 0, false
-	}
-	return int(n), true
+	return groupIDs{table(checkpoint.ParamShardID, params), table(checkpoint.MomentShardID, moments), table(checkpoint.ESTShardID, ests)}
 }
 
 // BuildShards cuts the job's full checkpoint state into content-addressed
@@ -96,7 +52,7 @@ func (j *Job) BuildShards() (checkpoint.Manifest, *checkpoint.ShardSet) {
 	var scratch checkpoint.Writer
 
 	j.encodeMetaGroup(&scratch)
-	put(metaGroup, slices.Clone(scratch.Bytes()))
+	put(checkpoint.MetaShardID, slices.Clone(scratch.Bytes()))
 	for i, p := range params {
 		addTensor(j.ids.param[i], p.Value)
 	}
@@ -116,27 +72,12 @@ func (j *Job) BuildShards() (checkpoint.Manifest, *checkpoint.ShardSet) {
 // identity, training progress, optimizer scalars, LR scheduler, data-loader
 // worker states, and the gradient-bucket mapping.
 func (j *Job) encodeMetaGroup(w *checkpoint.Writer) {
-	w.PutUint64(ckptMagic)
-	w.PutInt(ckptVersion)
-
-	// identity
-	w.PutString(j.Workload.Name)
-	w.PutUint64(j.Cfg.Seed)
-	w.PutInt(j.Cfg.NumESTs)
-	w.PutInt(j.Cfg.BatchPerEST)
-	w.PutInt(int(j.Cfg.Level))
-	w.PutBool(j.Cfg.D2)
-	w.PutInt(j.Cfg.d2Block())
-
-	// progress
-	w.PutInt(j.epoch)
-	w.PutInt(j.step)
-	w.PutInt(j.globalStep)
-
-	// group counts, so restore can cross-check the manifest against the model
-	w.PutInt(len(j.replicas[0].params))
-	w.PutInt(len(j.opt.StateTensors()))
-	w.PutInt(len(j.ests))
+	checkpoint.PutJobMeta(w, checkpoint.JobMeta{
+		Name: j.Workload.Name, JobConfig: j.Cfg.recorded(),
+		Epoch: j.epoch, Step: j.step, GlobalStep: j.globalStep,
+		// group counts, so restore can cross-check the manifest against the model
+		Params: len(j.replicas[0].params), Moments: len(j.opt.StateTensors()), ESTs: len(j.ests),
+	})
 
 	// optimizer scalars + LR scheduler
 	w.PutInt(j.opt.StepCount())
@@ -167,6 +108,12 @@ func (j *Job) encodeMetaGroup(w *checkpoint.Writer) {
 	for _, b := range plan.Buckets {
 		w.PutInts(b)
 	}
+}
+
+// recorded is the part of the config a checkpoint records and a restore must
+// match.
+func (c Config) recorded() checkpoint.JobConfig {
+	return checkpoint.JobConfig{Seed: c.Seed, NumESTs: c.NumESTs, BatchPerEST: c.BatchPerEST, Level: int(c.Level), D2Block: c.d2Block(), D2: c.D2}
 }
 
 // Checkpoint captures the job's on-demand checkpoint (§3.2, Figure 6) as a
@@ -202,62 +149,31 @@ func RestoreJob(cfg Config, ckpt []byte) (*Job, error) {
 // the manifest in canonical group order, so the result is independent of how
 // the store was filled.
 func RestoreJobShards(cfg Config, m checkpoint.Manifest, set *checkpoint.ShardSet) (*Job, error) {
-	byID := make(map[string]checkpoint.ManifestEntry, len(m.Entries))
-	for _, e := range m.Entries {
-		byID[e.ID] = e
-	}
-	group := func(id string) (*checkpoint.Reader, error) {
-		e, ok := byID[id]
-		if !ok {
-			return nil, fmt.Errorf("core: checkpoint manifest lacks group %q", id)
-		}
-		b, ok := set.Get(e.Hash)
-		if !ok || len(b) != e.Len {
-			return nil, fmt.Errorf("core: checkpoint shard %q missing or wrong length", id)
-		}
-		return checkpoint.NewReader(b), nil
-	}
-
-	r, err := group(metaGroup)
+	groups := checkpoint.NewJobGroups(m, set)
+	meta, r, err := groups.Meta()
 	if err != nil {
 		return nil, err
 	}
-	// read in runs of fields: r's errors are sticky, so each run is checked
-	// once, before anything acts on what it read
-	if magic, err := r.Uint64(); err != nil || magic != ckptMagic {
-		return nil, fmt.Errorf("core: not an EasyScale checkpoint")
-	}
-	if v, err := r.Int(); err != nil || v != ckptVersion {
-		return nil, fmt.Errorf("core: unsupported checkpoint version")
-	}
-	name, _ := r.String()
-	seed, _ := r.Uint64()
-	numESTs, _ := r.Int()
-	batch, _ := r.Int()
-	level, _ := r.Int()
-	d2, _ := r.Bool()
-	d2Block, _ := r.Int()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	if seed != cfg.Seed || numESTs != cfg.NumESTs || batch != cfg.BatchPerEST ||
-		Determinism(level) != cfg.Level || d2 != cfg.D2 || d2Block != cfg.d2Block() {
-		return nil, fmt.Errorf("core: checkpoint identity mismatch (ckpt: seed=%d ests=%d batch=%d %v D2=%v)",
-			seed, numESTs, batch, Determinism(level), d2)
+	if meta.JobConfig != cfg.recorded() {
+		return nil, fmt.Errorf("core: checkpoint identity mismatch (ckpt %+v, config %+v)", meta.JobConfig, cfg.recorded())
 	}
 
-	j, err := NewJob(cfg, name)
+	j, err := NewJob(cfg, meta.Name)
 	if err != nil {
 		return nil, err
 	}
 	params, momentum := j.replicas[0].params, j.opt.StateTensors()
+	j.epoch, j.step, j.globalStep = meta.Epoch, meta.Step, meta.GlobalStep
+	if j.step >= j.sampler.StepsPerEpoch() {
+		return nil, fmt.Errorf("core: checkpoint step %d out of range", j.step)
+	}
+	if meta.Params != len(params) || meta.Moments != len(momentum) || meta.ESTs != len(j.ests) {
+		return nil, fmt.Errorf("core: checkpoint has %d params, %d moments and %d ESTs, the job %d, %d and %d",
+			meta.Params, meta.Moments, meta.ESTs, len(params), len(momentum), len(j.ests))
+	}
 
-	j.epoch, _ = r.Int()
-	j.step, _ = r.Int()
-	j.globalStep, _ = r.Int()
-	np, _ := r.Int()
-	nm, _ := r.Int()
-	ne, _ := r.Int()
+	// read in runs of fields: r's errors are sticky, so each run is checked
+	// once, before anything acts on what it read
 	steps, _ := r.Int()
 	lr, _ := r.Float64()
 	schedEpoch, _ := r.Int()
@@ -267,13 +183,6 @@ func RestoreJobShards(cfg Config, m checkpoint.Manifest, set *checkpoint.ShardSe
 	rows, _ := r.Int()
 	if err := r.Err(); err != nil {
 		return nil, err
-	}
-	if j.epoch < 0 || j.step < 0 || j.step >= j.sampler.StepsPerEpoch() || j.globalStep < 0 {
-		return nil, fmt.Errorf("core: checkpoint progress out of range (epoch=%d step=%d global=%d)", j.epoch, j.step, j.globalStep)
-	}
-	if np != len(params) || nm != len(momentum) || ne != len(j.ests) {
-		return nil, fmt.Errorf("core: checkpoint has %d params, %d moments and %d ESTs, the job %d, %d and %d",
-			np, nm, ne, len(params), len(momentum), len(j.ests))
 	}
 	if rows != cfg.NumESTs || len(ls.NextStep) != cfg.NumESTs {
 		return nil, fmt.Errorf("core: checkpoint loader geometry mismatch")
@@ -342,7 +251,7 @@ func RestoreJobShards(cfg Config, m checkpoint.Manifest, set *checkpoint.ShardSe
 
 	// parameters and optimizer moments, one shard each
 	tensorGroup := func(id string, dst *tensor.Tensor) error {
-		gr, err := group(id)
+		gr, err := groups.Open(id)
 		if err != nil {
 			return err
 		}
@@ -361,16 +270,16 @@ func RestoreJobShards(cfg Config, m checkpoint.Manifest, set *checkpoint.ShardSe
 
 	// EST contexts, one shard per virtual rank
 	for want, est := range j.ests {
-		gr, err := group(j.ids.est[want])
+		h, gr, err := groups.EST(j.ids.est[want])
 		if err != nil {
 			return nil, err
 		}
-		rank, cursor, err := decodeESTGroup(gr, est)
+		if h.Rank != want {
+			return nil, fmt.Errorf("core: checkpoint EST shard rank %d under id %q", h.Rank, j.ids.est[want])
+		}
+		cursor, err := decodeESTGroup(gr, h, est)
 		if err != nil {
 			return nil, err
-		}
-		if rank != want {
-			return nil, fmt.Errorf("core: checkpoint EST shard rank %d under id %q", rank, j.ids.est[want])
 		}
 		if cursor != ls.NextStep[want] {
 			return nil, fmt.Errorf("core: EST %d cursor %d disagrees with loader state %d", want, cursor, ls.NextStep[want])

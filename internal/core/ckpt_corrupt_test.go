@@ -74,7 +74,7 @@ func TestRestoreRejectsBucketCountBomb(t *testing.T) {
 
 	var metaEntry *checkpoint.ManifestEntry
 	for i := range m.Entries {
-		if m.Entries[i].ID == MetaShardID {
+		if m.Entries[i].ID == checkpoint.MetaShardID {
 			metaEntry = &m.Entries[i]
 		}
 	}

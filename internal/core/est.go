@@ -2,6 +2,9 @@ package core
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
+	"strings"
 
 	"repro/internal/device"
 	"repro/internal/nn"
@@ -88,6 +91,30 @@ func EvenPlacement(numESTs int, devices ...device.Type) Placement {
 		p.Assignment = append(p.Assignment, ranks)
 	}
 	return p
+}
+
+// ParsePlacement spreads numESTs with EvenPlacement over a GPU list such as
+// "V100:2,P100": types as device.Type.String spells them, in any case, each
+// with a count of at least 1 (1 when omitted). The placement must pass
+// Validate.
+func ParsePlacement(spec string, numESTs int) (Placement, error) {
+	var gpus []device.Type
+	for _, part := range strings.Split(spec, ",") {
+		name, count, counted := strings.Cut(strings.TrimSpace(part), ":")
+		if !counted {
+			count = "1"
+		}
+		n, err := strconv.Atoi(count)
+		i := slices.IndexFunc(device.AllTypes(), func(t device.Type) bool { return strings.EqualFold(t.String(), name) })
+		if err != nil || n < 1 || n > numESTs || i < 0 {
+			return Placement{}, fmt.Errorf("core: GPU entry %q is not TYPE[:COUNT] with a TYPE of %v and a COUNT in 1..%d", part, device.AllTypes(), numESTs)
+		}
+		for range n {
+			gpus = append(gpus, device.AllTypes()[i])
+		}
+	}
+	p := EvenPlacement(numESTs, gpus...)
+	return p, p.Validate(numESTs)
 }
 
 // Validate checks that the placement covers every EST exactly once and every

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/checkpoint"
-	"repro/internal/rng"
 )
 
 // EST context wire format for the distributed runtime. An EST shard carries
@@ -13,45 +12,35 @@ import (
 // is exactly the state that must move when an EST migrates between workers.
 // The same encoding backs the est/NNNN checkpoint shards, the follower→leader
 // context shipping at phase boundaries, and live worker-to-worker migration:
-// one codec, one bitwise contract.
+// one codec, one bitwise contract. Its head is checkpoint.ESTHead; the state
+// tensors and the cursor follow it.
 
 // encodeESTGroup serializes one EST's shard payload into w.
 func encodeESTGroup(w *checkpoint.Writer, est *ESTContext, cursor int) {
-	w.PutInt(est.VirtualRank)
-	bs := est.RNG.State()
-	w.PutRNGState(bs.Python)
-	w.PutRNGState(bs.NumPy)
-	w.PutRNGState(bs.Torch)
-	w.PutInt(len(est.ModelState))
+	checkpoint.PutESTHead(w, checkpoint.ESTHead{Rank: est.VirtualRank, RNG: est.RNG.State(), States: len(est.ModelState)})
 	for _, st := range est.ModelState {
 		w.PutTensor(st)
 	}
 	w.PutInt(cursor)
 }
 
-// decodeESTGroup installs an EST shard payload into est, returning the
-// encoded rank and data cursor for the caller to validate and apply.
-func decodeESTGroup(r *checkpoint.Reader, est *ESTContext) (rank, cursor int, err error) {
-	rank, _ = r.Int()
-	var bs rng.BundleState
-	bs.Python, _ = r.RNGState()
-	bs.NumPy, _ = r.RNGState()
-	bs.Torch, _ = r.RNGState()
-	// r's errors are sticky: one check covers the reads above
-	if n, err := r.Int(); err != nil || n != len(est.ModelState) {
-		return 0, 0, fmt.Errorf("core: EST context model state mismatch")
+// decodeESTGroup installs the rest of an EST shard payload, whose head h the
+// caller has read from r, into est, returning the data cursor for the caller
+// to validate and apply.
+func decodeESTGroup(r *checkpoint.Reader, h checkpoint.ESTHead, est *ESTContext) (cursor int, err error) {
+	if h.States != len(est.ModelState) {
+		return 0, fmt.Errorf("core: EST context model state mismatch")
 	}
 	// RNG is installed only after the counts check; tensor decodes below
 	// write directly into the context, so a corrupt later tensor can leave
 	// earlier ones applied — callers treat any error as "context unusable"
-	est.RNG.SetState(bs)
+	est.RNG.SetState(h.RNG)
 	for _, st := range est.ModelState {
 		if err := r.TensorInto(st); err != nil {
-			return 0, 0, err
+			return 0, err
 		}
 	}
-	cursor, err = r.Int()
-	return rank, cursor, err
+	return r.Int()
 }
 
 // ExportESTContext serializes EST rank's context — the payload of the
@@ -68,19 +57,20 @@ func (j *Job) ExportESTContext(rank int) []byte {
 // rank must match the shard's encoded rank, and the cursor may only move
 // forward.
 func (j *Job) ImportESTContext(data []byte) error {
-	// the rank is read ahead, to find the context the payload decodes into
-	rank, err := checkpoint.NewReader(data).Int()
+	// the head names the context the rest of the payload decodes into
+	r := checkpoint.NewReader(data)
+	h, err := checkpoint.ReadESTHead(r)
 	if err != nil {
 		return err
 	}
-	if rank < 0 || rank >= len(j.ests) {
-		return fmt.Errorf("core: EST context for rank %d out of range", rank)
+	if h.Rank < 0 || h.Rank >= len(j.ests) {
+		return fmt.Errorf("core: EST context for rank %d out of range", h.Rank)
 	}
-	_, cursor, err := decodeESTGroup(checkpoint.NewReader(data), j.ests[rank])
+	cursor, err := decodeESTGroup(r, h, j.ests[h.Rank])
 	if err != nil {
 		return err
 	}
-	return j.advanceCursor(rank, cursor)
+	return j.advanceCursor(h.Rank, cursor)
 }
 
 // advanceCursor validates and applies an imported data-loader cursor.

@@ -1,10 +1,14 @@
 package core
 
 import (
+	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/checkpoint"
 	"repro/internal/device"
+	"repro/internal/models"
 	"repro/internal/rng"
 )
 
@@ -114,4 +118,68 @@ func TestESTContextRoundTrip(t *testing.T) {
 			t.Fatal("model state not restored bitwise")
 		}
 	}
+}
+
+// FuzzJobCheckpoint swaps the meta or the est/0000 group of a real
+// checkpoint for fuzzed bytes and re-addresses the shard, so the bytes pass
+// the container's hash check and reach the job-schema decoders, where byte
+// flips in a hashed shard never get. RestoreJob and models.Load must return a
+// value or an error and never panic; Load's errors must be typed, and when
+// both succeed they must agree on the model's identity and progress.
+func FuzzJobCheckpoint(f *testing.F) {
+	const name = "shufflenetv2" // stateful: Load reads est/0000 too
+	cfg := testCfg(D1, false, 2)
+	j, err := NewJob(cfg, name)
+	if err == nil {
+		err = j.Attach(EvenPlacement(2, device.V100))
+	}
+	if err == nil {
+		err = j.RunSteps(2)
+	}
+	if err != nil {
+		f.Fatal(err)
+	}
+	m, set := j.BuildShards()
+	shard := func(id string) []byte {
+		i := slices.IndexFunc(m.Entries, func(e checkpoint.ManifestEntry) bool { return e.ID == id })
+		b, _ := set.Get(m.Entries[i].Hash)
+		return b
+	}
+	meta, est0 := shard(checkpoint.MetaShardID), shard(checkpoint.ESTShardID(0))
+	f.Add(false, meta)
+	f.Add(false, meta[:len(meta)/2])
+	f.Add(false, []byte{})
+	f.Add(true, est0)
+	f.Add(true, est0[:100])
+
+	f.Fuzz(func(t *testing.T, est bool, b []byte) {
+		id := checkpoint.MetaShardID
+		if est {
+			id = checkpoint.ESTShardID(0)
+		}
+		fm := checkpoint.Manifest{Progress: m.Progress, Entries: slices.Clone(m.Entries)}
+		fset, err := set.Subset(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range fm.Entries {
+			if fm.Entries[i].ID == id {
+				fm.Entries[i].Hash, fm.Entries[i].Len = fset.Put(b), len(b)
+			}
+		}
+		ckpt, err := checkpoint.EncodeContainer(fm, fset)
+		if err != nil {
+			t.Fatal(err)
+		}
+		job, jerr := RestoreJob(cfg, ckpt)
+		s, lerr := models.Load(name, ckpt)
+		if lerr != nil && !errors.Is(lerr, models.ErrCorrupt) && !errors.Is(lerr, models.ErrNotFound) {
+			t.Fatalf("models.Load error is neither ErrCorrupt nor ErrNotFound: %v", lerr)
+		}
+		if jerr == nil && lerr == nil &&
+			(s.Name != job.Workload.Name || s.Seed != job.Cfg.Seed || s.Step != int64(job.GlobalStep())) {
+			t.Fatalf("Load read %s seed %d step %d, RestoreJob %s seed %d step %d",
+				s.Name, s.Seed, s.Step, job.Workload.Name, job.Cfg.Seed, job.GlobalStep())
+		}
+	})
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -265,5 +266,21 @@ func TestDeterminismString(t *testing.T) {
 	}
 	if Determinism(9).String() == "" {
 		t.Fatal("unknown level should render")
+	}
+}
+
+// TestParsePlacement: the one placement parser accepts type names in any
+// case with a default count of 1, and rejects unknown types, counts below 1
+// and placements Validate refuses.
+func TestParsePlacement(t *testing.T) {
+	p, err := ParsePlacement(" v100:2, P100 ,t4:1", 4)
+	want := []device.Type{device.V100, device.V100, device.P100, device.T4}
+	if err != nil || !slices.Equal(p.Devices, want) || !slices.Equal(p.Assignment[3], []int{3}) {
+		t.Fatalf("ParsePlacement = %+v, %v", p, err)
+	}
+	for _, spec := range []string{"V100:-2", "V100:0", "V100:x", "V100:", "A100:1", "", "V100:1,,P100:1", "V100:5", "V100:3,P100:2", "V100:99999999999"} {
+		if p, err := ParsePlacement(spec, 4); err == nil {
+			t.Errorf("ParsePlacement(%q) = %+v, want an error", spec, p)
+		}
 	}
 }

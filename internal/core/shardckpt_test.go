@@ -341,13 +341,13 @@ func TestCheckpointBytesGolden(t *testing.T) {
 // of a rank, is not an EST shard.
 func TestESTShardRankParsesCanonicalIDsOnly(t *testing.T) {
 	for _, r := range []int{0, 7, 42, 9999, 10000, 123456} {
-		if got, ok := ESTShardRank(ESTShardID(r)); !ok || got != r {
-			t.Errorf("ESTShardRank(%q) = %d, %v", ESTShardID(r), got, ok)
+		if got, ok := checkpoint.ESTShardRank(checkpoint.ESTShardID(r)); !ok || got != r {
+			t.Errorf("checkpoint.ESTShardRank(%q) = %d, %v", checkpoint.ESTShardID(r), got, ok)
 		}
 	}
-	for _, id := range []string{MetaShardID, "param/0003", "moment/0003", "est/", "est/3", "est/003", "est/00003", "est/-003", "est/+003", "est/12a4", "est/0003 ", "EST/0003"} {
-		if r, ok := ESTShardRank(id); ok {
-			t.Errorf("ESTShardRank(%q) = %d, want not an EST shard", id, r)
+	for _, id := range []string{checkpoint.MetaShardID, "param/0003", "moment/0003", "est/", "est/3", "est/003", "est/00003", "est/-003", "est/+003", "est/12a4", "est/0003 ", "EST/0003"} {
+		if r, ok := checkpoint.ESTShardRank(id); ok {
+			t.Errorf("checkpoint.ESTShardRank(%q) = %d, want not an EST shard", id, r)
 		}
 	}
 }

@@ -336,12 +336,12 @@ func (d *driver) sourceTable(oldN int) ([]int, error) {
 	sources := make([]int, len(d.dirM.Entries))
 	rr := 0
 	for i, e := range d.dirM.Entries {
-		if r, ok := core.ESTShardRank(e.ID); ok {
+		if r, ok := checkpoint.ESTShardRank(e.ID); ok {
 			if r >= len(rankHost) || rankHost[r] == 0 {
 				return nil, fmt.Errorf("dist: no old worker hosted virtual rank %d", r)
 			}
 			sources[i] = rankHost[r] - 1
-		} else if e.ID == core.MetaShardID {
+		} else if e.ID == checkpoint.MetaShardID {
 			sources[i] = 0
 		} else {
 			sources[i] = rr % oldN

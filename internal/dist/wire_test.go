@@ -117,7 +117,7 @@ func TestReusedFrameBuffersShareNoState(t *testing.T) {
 	stream.Write(frameBytes(MsgGrads, gradsPayload(0, grads, []int{1, 2})))
 	for i, b := range shards {
 		h := checkpoint.HashBytes(b)
-		m.Entries = append(m.Entries, checkpoint.ManifestEntry{ID: core.ESTShardID(i), Hash: h, Len: len(b)})
+		m.Entries = append(m.Entries, checkpoint.ManifestEntry{ID: checkpoint.ESTShardID(i), Hash: h, Len: len(b)})
 		var w checkpoint.Writer
 		encodeShard(&w, h, b)
 		stream.Write(frameBytes(MsgShard, w.Bytes()))

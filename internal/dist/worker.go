@@ -551,7 +551,7 @@ func (w *worker) reconfigure(job *core.Job, rc reconfig, inj *faults.Injector, c
 			need := map[string]bool{}
 			for _, r := range rc.Placement.Assignment[rc.Slot] {
 				if !slices.Contains(w.prevRanks, r) {
-					need[core.ESTShardID(r)] = true
+					need[checkpoint.ESTShardID(r)] = true
 				}
 			}
 			if len(need) > 0 {

@@ -30,22 +30,6 @@ var ErrNotFound = errors.New("models: model not found")
 // structurally bad container, manifest, or shard surfaces as a wrap of it.
 var ErrCorrupt = checkpoint.ErrCorrupt
 
-// Meta-group framing of the core checkpoint format. The values must match
-// core's ckptMagic/ckptVersion; TestServableMatchesTrainedJob round-trips a
-// real core.Job checkpoint through Load to pin the coupling.
-const (
-	metaMagic   = 0xEA57_5CA1E0000000
-	metaVersion = 3
-)
-
-// Shard group identifiers, mirroring core's manifest layout.
-func paramShardID(i int) string { return fmt.Sprintf("param/%04d", i) }
-
-const (
-	metaShardID = "meta"
-	est0ShardID = "est/0000"
-)
-
 // Servable is an inference-ready model reconstructed from a checkpoint.
 type Servable struct {
 	// Name is the zoo workload name.
@@ -87,83 +71,29 @@ func Load(name string, container []byte) (*Servable, error) {
 		return nil, fmt.Errorf("models: loading %q: %w", name, err)
 	}
 
-	byID := make(map[string]checkpoint.ManifestEntry, len(m.Entries))
-	for _, e := range m.Entries {
-		byID[e.ID] = e
-	}
-	group := func(id string) (*checkpoint.Reader, error) {
-		e, ok := byID[id]
-		if !ok {
-			return nil, fmt.Errorf("models: loading %q: manifest lacks group %q: %w", name, id, ErrCorrupt)
-		}
-		b, ok := set.Get(e.Hash)
-		if !ok || len(b) != e.Len {
-			return nil, fmt.Errorf("models: loading %q: shard %q missing or wrong length: %w", name, id, ErrCorrupt)
-		}
-		return checkpoint.NewReader(b), nil
-	}
-
-	r, err := group(metaShardID)
+	groups := checkpoint.NewJobGroups(m, set)
+	meta, _, err := groups.Meta()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("models: loading %q: %w", name, err)
 	}
-	if magic, err := r.Uint64(); err != nil || magic != metaMagic {
-		return nil, fmt.Errorf("models: loading %q: not an EasyScale checkpoint: %w", name, ErrCorrupt)
+	if meta.Name != name {
+		return nil, fmt.Errorf("models: checkpoint holds model %q, not %q: %w", meta.Name, name, ErrNotFound)
 	}
-	if v, err := r.Int(); err != nil || v != metaVersion {
-		return nil, fmt.Errorf("models: loading %q: unsupported checkpoint version: %w", name, ErrCorrupt)
-	}
-	ckptName, err := r.String()
-	if err != nil {
-		return nil, fmt.Errorf("models: loading %q meta: %w", name, err)
-	}
-	if ckptName != name {
-		return nil, fmt.Errorf("models: checkpoint holds model %q, not %q: %w", ckptName, name, ErrNotFound)
-	}
-	seed, err := r.Uint64()
-	if err != nil {
-		return nil, fmt.Errorf("models: loading %q meta: %w", name, err)
-	}
-	// skip the training-geometry fields in their exact encoded order —
-	// numESTs, batch, level (ints), D2 (bool), d2Block, epoch, step (ints) —
-	// inference does not depend on any of them
-	for i := 0; i < 3; i++ {
-		if _, err := r.Int(); err != nil {
-			return nil, fmt.Errorf("models: loading %q meta: %w", name, err)
-		}
-	}
-	if _, err := r.Bool(); err != nil {
-		return nil, fmt.Errorf("models: loading %q meta: %w", name, err)
-	}
-	for i := 0; i < 3; i++ {
-		if _, err := r.Int(); err != nil {
-			return nil, fmt.Errorf("models: loading %q meta: %w", name, err)
-		}
-	}
-	globalStep, err := r.Int()
-	if err != nil || globalStep < 0 {
-		return nil, fmt.Errorf("models: loading %q meta progress: %w", name, ErrCorrupt)
-	}
-	nparams, err := r.Int()
-	if err != nil {
-		return nil, fmt.Errorf("models: loading %q meta: %w", name, err)
-	}
-
-	w, err := Build(name, seed)
+	w, err := Build(name, meta.Seed)
 	if err != nil {
 		return nil, err
 	}
 	params := w.Params()
-	if nparams != len(params) {
+	if meta.Params != len(params) {
 		return nil, fmt.Errorf("models: checkpoint has %d parameter groups, %q has %d: %w",
-			nparams, name, len(params), ErrCorrupt)
+			meta.Params, name, len(params), ErrCorrupt)
 	}
 	for i, p := range params {
-		gr, err := group(paramShardID(i))
-		if err != nil {
-			return nil, err
+		gr, err := groups.Open(checkpoint.ParamShardID(i))
+		if err == nil {
+			err = gr.TensorInto(p.Value)
 		}
-		if err := gr.TensorInto(p.Value); err != nil {
+		if err != nil {
 			return nil, fmt.Errorf("models: loading %q parameter %d: %w", name, i, err)
 		}
 	}
@@ -172,22 +102,13 @@ func Load(name string, container []byte) (*Servable, error) {
 	// rank 0's replica from its EST shard — the same replica Evaluate
 	// switches in for validation accuracy
 	if sts := w.StateTensors(); len(sts) > 0 {
-		gr, err := group(est0ShardID)
+		h, gr, err := groups.EST(checkpoint.ESTShardID(0))
 		if err != nil {
-			return nil, err
-		}
-		if _, err := gr.Int(); err != nil { // virtual rank
 			return nil, fmt.Errorf("models: loading %q EST state: %w", name, err)
 		}
-		for i := 0; i < 3; i++ { // python/numpy/torch RNG states
-			if _, err := gr.RNGState(); err != nil {
-				return nil, fmt.Errorf("models: loading %q EST state: %w", name, err)
-			}
-		}
-		n, err := gr.Int()
-		if err != nil || n != len(sts) {
+		if h.States != len(sts) {
 			return nil, fmt.Errorf("models: checkpoint EST state has %d tensors, %q has %d: %w",
-				n, name, len(sts), ErrCorrupt)
+				h.States, name, len(sts), ErrCorrupt)
 		}
 		for i, st := range sts {
 			if err := gr.TensorInto(st); err != nil {
@@ -198,8 +119,8 @@ func Load(name string, container []byte) (*Servable, error) {
 
 	return &Servable{
 		Name:    name,
-		Step:    int64(globalStep),
-		Seed:    seed,
+		Step:    int64(meta.GlobalStep),
+		Seed:    meta.Seed,
 		Net:     w.Net,
 		InShape: append([]int(nil), w.Dataset.InputShape()...),
 		Classes: w.Classes,

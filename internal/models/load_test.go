@@ -35,8 +35,7 @@ func trainedContainer(t *testing.T, name string, steps int) ([]byte, *core.Job) 
 // TestServableMatchesTrainedJob pins the load path end to end: a Servable
 // loaded from a real core.Job container holds bitwise the job's trained
 // parameters (and implicit state), and its forward pass is usable for
-// inference. This is also the coupling test for the meta-group framing
-// constants load.go mirrors from core.
+// inference.
 func TestServableMatchesTrainedJob(t *testing.T) {
 	for _, name := range []string{"neumf", "mlp", "shufflenetv2"} {
 		t.Run(name, func(t *testing.T) {
@@ -59,19 +58,21 @@ func TestServableMatchesTrainedJob(t *testing.T) {
 				}
 			}
 			if st, ok := s.Net.(nn.Stateful); ok {
-				jst := j.Workload.StateTensors()
-				// the job's live state is EST-switched; compare against the
-				// checkpointed rank-0 replica instead: re-restore the job
-				rj, err := core.RestoreJob(j.Cfg, ckpt)
-				if err != nil {
-					t.Fatal(err)
+				// Load restores virtual rank 0's replica: the state tensors of
+				// the trained job's EST 0 context, bit for bit
+				r := checkpoint.NewReader(j.ExportESTContext(0))
+				h, err := checkpoint.ReadESTHead(r)
+				sts := st.StateTensors()
+				if err != nil || h.States != len(sts) {
+					t.Fatalf("EST 0 context holds %d state tensors (%v), the servable %d", h.States, err, len(sts))
 				}
-				_ = jst
-				for i, tt := range st.StateTensors() {
-					if tt.Hash64() != rj.Workload.StateTensors()[i].Hash64() {
-						// rank-0 replica lives in the EST context, not the
-						// live net; fall through to a forward smoke below
-						t.Logf("state tensor %d differs from restored job's live net (EST-resident state)", i)
+				for i, got := range sts {
+					want := tensor.New(got.Shape()...)
+					if err := r.TensorInto(want); err != nil {
+						t.Fatal(err)
+					}
+					if got.Hash64() != want.Hash64() {
+						t.Fatalf("state tensor %d is not bitwise rank 0's", i)
 					}
 				}
 			}
