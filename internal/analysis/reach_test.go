@@ -16,7 +16,7 @@ import (
 // Anything else a sweep leaves test-only is deleted with its tests, not
 // listed here.
 var reachAllow = []struct{ name, reason string }{
-	{"kernels.Im2Col", "oracle: TestConvMatchesSpecBitwise checks the fused conv packs against the unfolded matrix"},
+	{"kernels.Im2Col", "oracle: TestConvMatchesSpecBitwise checks the gathering conv tiles against the unfolded matrix"},
 	{"comm.SequentialReduce", "oracle: the rank-ordered sum every all-reduce schedule is compared with"},
 	{"comm.RingChunks", "oracle: the chunk plan the ring-order tests enumerate"},
 	{"obs.WithClock", "seam: tests substitute a fixed clock for deterministic exports"},

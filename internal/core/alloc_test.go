@@ -24,17 +24,18 @@ func benchJob(tb testing.TB, name string) *Job {
 }
 
 // stepAllocBounds are the steady-state allocations per training step the
-// regression tests allow, traced or not: 1.25× the 21 measured on go1.24 for
+// regression tests allow, traced or not: 1.25× the 17 measured on go1.24 for
 // vgg19, resnet50 and bert alike. Tensor headers come from the replicas'
 // scopes, so what a step still allocates is the loader's batch for each of
-// the four ESTs (its header, data, labels, queue entry and shape) and the
-// step's gradient-set list — nothing that grows with the model. Before the
-// header slab, a step allocated one header per intermediate: 221 (vgg19)
-// and 289 (resnet50).
+// the four ESTs (its header, data, labels and queue entry) and the step's
+// gradient-set list — nothing that grows with the model. The datasets build
+// their item shape once, so a batch no longer allocates it (21 before).
+// Before the header slab, a step allocated one header per intermediate: 221
+// (vgg19) and 289 (resnet50).
 var stepAllocBounds = map[string]float64{
-	"vgg19":    26,
-	"resnet50": 26,
-	"bert":     26,
+	"vgg19":    21,
+	"resnet50": 21,
+	"bert":     21,
 }
 
 // TestTrainStepAllocRegression pins the steady-state allocation count of a

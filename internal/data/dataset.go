@@ -23,6 +23,7 @@ type Dataset interface {
 	// Len returns the number of items.
 	Len() int
 	// InputShape returns the shape of one input item (without batch dim).
+	// The slice is the dataset's own, built once: callers must not modify it.
 	InputShape() []int
 	// NumClasses returns the label arity.
 	NumClasses() int
@@ -40,12 +41,13 @@ type SyntheticImages struct {
 	C, H, W    int
 	seed       uint64
 	protos     []float32 // Classes × C×H×W
+	shape      []int     // [C, H, W], built once so batches do not allocate it
 	NoiseStd   float32
 }
 
 // NewSyntheticImages builds the dataset. Prototypes are derived from seed.
 func NewSyntheticImages(n, classes, c, h, w int, seed uint64) *SyntheticImages {
-	d := &SyntheticImages{N: n, Classes: classes, C: c, H: h, W: w, seed: seed, NoiseStd: 0.3}
+	d := &SyntheticImages{N: n, Classes: classes, C: c, H: h, W: w, seed: seed, shape: []int{c, h, w}, NoiseStd: 0.3}
 	sz := c * h * w
 	d.protos = make([]float32, classes*sz)
 	for cl := 0; cl < classes; cl++ {
@@ -61,7 +63,7 @@ func NewSyntheticImages(n, classes, c, h, w int, seed uint64) *SyntheticImages {
 func (d *SyntheticImages) Len() int { return d.N }
 
 // InputShape returns [C, H, W].
-func (d *SyntheticImages) InputShape() []int { return []int{d.C, d.H, d.W} }
+func (d *SyntheticImages) InputShape() []int { return d.shape }
 
 // NumClasses returns the label arity.
 func (d *SyntheticImages) NumClasses() int { return d.Classes }
@@ -147,7 +149,9 @@ func NewSyntheticInteractions(n, users, items int, seed uint64) *SyntheticIntera
 func (d *SyntheticInteractions) Len() int { return d.N }
 
 // InputShape returns [2]: user id, item id.
-func (d *SyntheticInteractions) InputShape() []int { return []int{2} }
+func (d *SyntheticInteractions) InputShape() []int { return interactionShape }
+
+var interactionShape = []int{2}
 
 // NumClasses returns 2 (positive / negative interaction).
 func (d *SyntheticInteractions) NumClasses() int { return 2 }
@@ -180,18 +184,19 @@ func (d *SyntheticInteractions) Sample(i int, dst []float32, aug *rng.Stream) in
 type SyntheticTokens struct {
 	N, Vocab, SeqLen, Classes int
 	seed                      uint64
+	shape                     []int // [SeqLen], built once so batches do not allocate it
 }
 
 // NewSyntheticTokens builds the dataset.
 func NewSyntheticTokens(n, vocab, seqLen, classes int, seed uint64) *SyntheticTokens {
-	return &SyntheticTokens{N: n, Vocab: vocab, SeqLen: seqLen, Classes: classes, seed: seed}
+	return &SyntheticTokens{N: n, Vocab: vocab, SeqLen: seqLen, Classes: classes, seed: seed, shape: []int{seqLen}}
 }
 
 // Len returns the dataset size.
 func (d *SyntheticTokens) Len() int { return d.N }
 
 // InputShape returns [SeqLen].
-func (d *SyntheticTokens) InputShape() []int { return []int{d.SeqLen} }
+func (d *SyntheticTokens) InputShape() []int { return d.shape }
 
 // NumClasses returns the label arity.
 func (d *SyntheticTokens) NumClasses() int { return d.Classes }

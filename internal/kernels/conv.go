@@ -2,6 +2,7 @@ package kernels
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/pool"
 )
@@ -68,12 +69,33 @@ func border(img, bordered []float32, d ConvDims, toBordered bool) {
 	}
 }
 
+// convOffsets builds the offset tables of the bordered geometry p (no
+// padding) in arena memory: pos[j] is the offset y·SH·W + x·SW of output
+// position j's window, tap[kk] the offset (ci·H+kh)·W + kw of tap kk inside a
+// window, so im2col(img)[kk][j] = img[pos[j]+tap[kk]]. The arena holds only
+// float32, so each uint32 offset is stored as the float32 with its bits; the
+// caller releases both.
+//
+//easyscale:hotpath
+func convOffsets(p ConvDims) (pos, tap []float32) {
+	pos, tap = pool.GetUninit(p.ColCols()), pool.GetUninit(p.ColRows())
+	ow := p.OutW()
+	for j := range pos {
+		pos[j] = math.Float32frombits(uint32(j/ow*p.StrideH*p.W + j%ow*p.StrideW))
+	}
+	for kk := range tap {
+		ci, kh, kw := kk/(p.KH*p.KW), kk/p.KW%p.KH, kk%p.KW
+		tap[kk] = math.Float32frombits(uint32((ci*p.H+kh)*p.W + kw))
+	}
+	return pos, tap
+}
+
 // Im2Col expands one image src[CI,H,W] into cols[CI*KH*KW, OH*OW]. This is a
 // pure data movement: it involves no accumulation and is therefore identical
-// across all kernel variants. The hot conv paths no longer materialize this
-// matrix — the expansion is fused into the GEMM B-panel pack (gemm.go) — but
-// the explicit form remains the executable specification the fused packs are
-// tested against.
+// across all kernel variants. The hot conv paths never materialize this
+// matrix — their GEMM tile gathers it from the image (gemmConv) — but the
+// explicit form remains the executable specification they are tested
+// against.
 func Im2Col(cols, src []float32, d ConvDims) {
 	d.validate()
 	oh, ow := d.OutH(), d.OutW()
@@ -164,8 +186,8 @@ func addBias(out, bias []float32, cout, spatial int) {
 // hardware-agnostic kernel.
 //
 // The weight panel is packed once and reused across the batch; each image is
-// copied into a zero-bordered buffer whose im2col expansion is fused into the
-// B-panel pack, so no cols matrix is ever materialized. All three
+// copied into a zero-bordered buffer that the conv tile gathers its im2col
+// operand from, so no cols matrix is ever materialized. All three
 // reorganizations are bitwise invisible.
 //
 //easyscale:hotpath
@@ -182,18 +204,20 @@ func Conv2D(dst, src, weight, bias []float32, d ConvDims, kc int) {
 	imgOut := d.COut * oh * ow
 	p := d.bordered()
 	img := pool.Get(p.CIn * p.H * p.W) // its border stays +0 for every image
+	pos, tap := convOffsets(p)
 	pa := packA(weight, d.COut, kdim, normKC(kc, kdim), kdim, 1)
 	for b := 0; b < d.Batch; b++ {
 		out := dst[b*imgOut : (b+1)*imgOut]
 		border(src[b*imgIn:(b+1)*imgIn], img, d, true)
-		bsrc := bPanelSrc{kind: bIm2Col, data: img, dims: p}
-		gemmTiled(out, spatial, &pa, &bsrc)
+		gemmConv(out, spatial, &pa, img, pos, tap)
 		if bias != nil {
 			addBias(out, bias, d.COut, spatial)
 		}
 	}
 	pa.release()
 	pool.Put(img)
+	pool.Put(pos)
+	pool.Put(tap)
 }
 
 // Conv2DBackward computes the three convolution gradients. gradOut is
@@ -203,9 +227,9 @@ func Conv2D(dst, src, weight, bias []float32, d ConvDims, kc int) {
 // as in the forward pass.
 //
 // The transposed weight panel of the dX GEMM is packed once per call and
-// reused across the batch; the cols operand of the dW GEMM is packed
-// directly from the zero-bordered source image (fused im2colᵀ), so the
-// backward pass, like the forward, never materializes an im2col matrix.
+// reused across the batch; the dW GEMM gathers its colsᵀ operand from the
+// zero-bordered source image with the forward's offset tables swapped, so
+// the backward pass, like the forward, never materializes an im2col matrix.
 //
 //easyscale:hotpath
 func Conv2DBackward(gradSrc, gradWeight, gradBias, src, weight, gradOut []float32, d ConvDims, kc int) {
@@ -241,10 +265,11 @@ func Conv2DBackward(gradSrc, gradWeight, gradBias, src, weight, gradOut []float3
 		// transposed weight panel for dCols = Wᵀ·dOut, packed once per call
 		paT = packA(weight, kdim, d.COut, normKC(kc, d.COut), 1, kdim)
 	}
-	var wpart, img []float32
+	var wpart, img, pos, tap []float32
 	if gradWeight != nil {
 		wpart = pool.GetUninit(d.COut * kdim)
 		img = pool.Get(p.CIn * p.H * p.W) // its border stays +0 for every image
+		pos, tap = convOffsets(p)
 	}
 	kcW := normKC(kc, spatial)
 	for b := 0; b < d.Batch; b++ {
@@ -253,8 +278,7 @@ func Conv2DBackward(gradSrc, gradWeight, gradBias, src, weight, gradOut []float3
 			// dW += dOut · colsᵀ : [CO, spatial]·[spatial, kdim] = [CO, kdim]
 			paD := packA(dout, d.COut, spatial, kcW, spatial, 1)
 			border(src[b*imgIn:(b+1)*imgIn], img, d, true)
-			bsrc := bPanelSrc{kind: bIm2ColT, data: img, dims: p}
-			gemmTiled(wpart, kdim, &paD, &bsrc)
+			gemmConv(wpart, kdim, &paD, img, tap, pos)
 			paD.release()
 			AddF32(gradWeight, wpart)
 		}
@@ -266,7 +290,7 @@ func Conv2DBackward(gradSrc, gradWeight, gradBias, src, weight, gradOut []float3
 		}
 		if gradSrc != nil {
 			// dCols = Wᵀ · dOut : [kdim, CO]·[CO, spatial]
-			bsrc := bPanelSrc{kind: bRowMajor, data: dout, ld: spatial}
+			bsrc := bPanelSrc{data: dout, ld: spatial}
 			gemmTiled(dcols, spatial, &paT, &bsrc)
 			Col2Im(gradSrc[b*imgIn:(b+1)*imgIn], dcols, d)
 		}
@@ -276,4 +300,6 @@ func Conv2DBackward(gradSrc, gradWeight, gradBias, src, weight, gradOut []float3
 	paT.release()
 	pool.Put(wpart)
 	pool.Put(img)
+	pool.Put(pos)
+	pool.Put(tap)
 }

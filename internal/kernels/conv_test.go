@@ -309,7 +309,7 @@ func convOperands(d ConvDims, seed uint64, specials bool) (src, weight, bias, gr
 	return src, weight, bias, gradOut
 }
 
-// checkConvVsSpec runs the fused Conv2D and Conv2DBackward into buffers
+// checkConvVsSpec runs Conv2D and Conv2DBackward into buffers
 // holding a sentinel and compares every output with convSpec bit for bit.
 func checkConvVsSpec(t *testing.T, label string, d ConvDims, kc int, src, weight, bias, gradOut []float32) {
 	t.Helper()
@@ -330,7 +330,7 @@ func checkConvVsSpec(t *testing.T, label string, d ConvDims, kc int, src, weight
 	diffBits(t, label+"/db", gradB, wantB)
 }
 
-// TestConvMatchesSpecBitwise differentially tests the fused conv paths
+// TestConvMatchesSpecBitwise differentially tests the gathering conv paths
 // against their executable specification under every micro-kernel variant:
 // kc blocks including the normalization cases, every stride and padding up to
 // 3 and 2, kernels wider than tall and taller than the padding, odd H≠W, and
@@ -362,6 +362,55 @@ func TestConvMatchesSpecBitwise(t *testing.T) {
 	})
 }
 
+// zooConvShapes are the conv geometries the model zoo trains, at the
+// benchmark's four-image batch: resnet50's CIn-3 stem, its CIn-8 block conv
+// (kdim 72: nine full 8-wide strips) and shufflenetv2's stride-2 8→16 conv.
+var zooConvShapes = []struct {
+	name string
+	d    ConvDims
+}{
+	{"resnet50-stem", ConvDims{Batch: 4, CIn: 3, H: 8, W: 8, COut: 8, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}},
+	{"resnet50-block", ConvDims{Batch: 4, CIn: 8, H: 8, W: 8, COut: 8, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}},
+	{"shufflenet-s2", ConvDims{Batch: 4, CIn: 8, H: 8, W: 8, COut: 16, KH: 3, KW: 3, StrideH: 2, StrideW: 2, PadH: 1, PadW: 1}},
+}
+
+// TestConvZooShapesBitwise checks the production conv shapes against the
+// spec at every kc the device models use, under every ISA, with and without
+// specials, instead of only through core's end-to-end hashes.
+func TestConvZooShapesBitwise(t *testing.T) {
+	forEachISA(t, func(t *testing.T) {
+		for i, zs := range zooConvShapes {
+			for _, specials := range []bool{false, true} {
+				src, weight, bias, gradOut := convOperands(zs.d, uint64(1000+2*i), specials)
+				for _, kc := range []int{8, 16, 32, 64} {
+					label := fmt.Sprintf("%s/specials=%v/kc%d", zs.name, specials, kc)
+					checkConvVsSpec(t, label, zs.d, kc, src, weight, bias, gradOut)
+				}
+			}
+		}
+	})
+}
+
+// TestConvAllocFree: after warm-up, the conv kernels draw every buffer —
+// the bordered image, the packed weights and the offset tables — from the
+// arena, so a call at resnet50's block geometry allocates nothing.
+func TestConvAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; counts are only meaningful uninstrumented")
+	}
+	d := zooConvShapes[1].d // resnet50-block
+	src, weight, _, gradOut := convOperands(d, 7, false)
+	out, gradSrc := make([]float32, len(gradOut)), make([]float32, len(src))
+	gradW, gradB := make([]float32, len(weight)), make([]float32, d.COut)
+	forEachISA(t, func(t *testing.T) {
+		fwd := testing.AllocsPerRun(10, func() { Conv2D(out, src, weight, nil, d, 8) })
+		bwd := testing.AllocsPerRun(10, func() { Conv2DBackward(gradSrc, gradW, gradB, src, weight, gradOut, d, 8) })
+		if fwd != 0 || bwd != 0 {
+			t.Fatalf("allocs per call: Conv2D %v, Conv2DBackward %v, want 0", fwd, bwd)
+		}
+	})
+}
+
 // FuzzConvVsSpec is TestConvMatchesSpecBitwise over random geometry, kc and
 // operands, under every available micro-kernel variant.
 func FuzzConvVsSpec(f *testing.F) {
@@ -369,7 +418,7 @@ func FuzzConvVsSpec(f *testing.F) {
 	f.Add(uint8(1), uint8(2), uint8(17), uint8(9), uint8(7), uint8(0x14), uint8(0x12), uint8(0x20), int16(3), uint64(2), true)
 	f.Add(uint8(3), uint8(1), uint8(1), uint8(5), uint8(11), uint8(0x00), uint8(0x21), uint8(0x22), int16(0), uint64(3), true)
 	f.Fuzz(func(t *testing.T, b, ci, co, h, w, k, s, p uint8, kc16 int16, seed uint64, specials bool) {
-		d := ConvDims{Batch: 1 + int(b%3), CIn: 1 + int(ci%4), H: 1 + int(h%12), W: 1 + int(w%12), COut: 1 + int(co%20),
+		d := ConvDims{Batch: 1 + int(b%3), CIn: 1 + int(ci%12), H: 1 + int(h%12), W: 1 + int(w%12), COut: 1 + int(co%20),
 			KH: 1 + int(k&15)%5, KW: 1 + int(k>>4)%5, StrideH: 1 + int(s&15)%3, StrideW: 1 + int(s>>4)%3,
 			PadH: int(p&15) % 3, PadW: int(p>>4) % 3}
 		if d.KH > d.H+2*d.PadH || d.KW > d.W+2*d.PadW {

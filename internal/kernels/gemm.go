@@ -1,6 +1,10 @@
 package kernels
 
-import "repro/internal/pool"
+import (
+	"math"
+
+	"repro/internal/pool"
+)
 
 // Cache-blocked, register-tiled GEMM under the bitwise contract.
 //
@@ -17,8 +21,10 @@ import "repro/internal/pool"
 //     the operand's original layout (normal or transposed).
 //   - B is packed per (kc block × nc column block) into nr-wide column
 //     strips, again kk-major. The pack step is a pure data movement, so it
-//     can source a plain matrix, a transposed one, or an image via the
-//     im2col index map (the conv path) without touching numerics.
+//     can source a plain matrix or a transposed one without touching
+//     numerics. The conv GEMMs skip it: their B is the im2col matrix, which
+//     gemmConv's tile reads straight from the image through two offset
+//     tables (one per B dimension), so no panel is ever written.
 //   - Each mr×nr output tile is computed by a register-tiled micro-kernel
 //     holding mr·nr accumulators: for each kk ascending, it performs mr·nr
 //     multiply-adds off mr+nr loads. Per element this is exactly the
@@ -64,6 +70,8 @@ type packedA struct {
 // packA packs A(i,kk) = a[i·rs + kk·cs] — rs/cs express normal (rs=lda,cs=1)
 // and transposed (rs=1,cs=lda) operands with one packer. kc must already be
 // normalized to [1,k] (or k==0).
+//
+//easyscale:hotpath
 func packA(a []float32, m, k, kc, rs, cs int) packedA {
 	mk := activeMK()
 	mr := mk.mr
@@ -94,38 +102,27 @@ func packA(a []float32, m, k, kc, rs, cs int) packedA {
 
 func (pa *packedA) release() { pool.Put(pa.buf) }
 
-// bPanelSrc describes where B panels are packed from. A plain struct (not a
-// closure) so per-image conv packs do not allocate.
+// bPanelSrc describes the matrix B panels are packed from: B(kk,j) =
+// data[kk·ld + j] (row-major: MatMul, conv-backward dX) or data[j·ld + kk]
+// (colMajor: MatMulABT).
 type bPanelSrc struct {
-	kind int
-	data []float32 // matrix for row/col-major kinds, the zero-bordered image for im2col kinds
-	ld   int       // leading dimension: n (row-major) or k (col-major)
-	dims ConvDims  // im2col geometry of the bordered image (no padding) for the conv kinds
+	data     []float32
+	ld       int
+	colMajor bool
 }
-
-const (
-	bRowMajor = iota // B(kk,j) = data[kk·ld + j]       (MatMul, conv-backward dX)
-	bColMajor        // B(kk,j) = data[j·ld + kk]       (MatMulABT)
-	bIm2Col          // B(kk,j) = im2col(data)[kk][j]   (conv forward; kk over CI·KH·KW, j over OH·OW)
-	bIm2ColT         // B(kk,j) = im2col(data)[j][kk]   (conv-backward dW; kk over OH·OW, j over CI·KH·KW)
-)
 
 // pack fills bp with the (k0..k0+kb) × (j0..j0+jw) block of B in nr-wide
 // column strips, kk-major within a strip, zero-padded past jw. Pure data
 // movement: the layout change is invisible to numerics.
 func (s *bPanelSrc) pack(bp []float32, k0, kb, j0, jw, nr int) {
-	switch s.kind {
-	case bRowMajor:
-		packBRowMajor(bp, s.data, s.ld, k0, kb, j0, jw, nr)
-	case bColMajor:
+	if s.colMajor {
 		packBColMajor(bp, s.data, s.ld, k0, kb, j0, jw, nr)
-	case bIm2Col:
-		packBIm2Col(bp, s.data, &s.dims, k0, kb, j0, jw, nr)
-	case bIm2ColT:
-		packBIm2ColT(bp, s.data, &s.dims, k0, kb, j0, jw, nr)
+	} else {
+		packBRowMajor(bp, s.data, s.ld, k0, kb, j0, jw, nr)
 	}
 }
 
+//easyscale:hotpath
 func packBRowMajor(bp, b []float32, n, k0, kb, j0, jw, nr int) {
 	off := 0
 	for t0 := 0; t0 < jw; t0 += nr {
@@ -149,6 +146,7 @@ func packBRowMajor(bp, b []float32, n, k0, kb, j0, jw, nr int) {
 	}
 }
 
+//easyscale:hotpath
 func packBColMajor(bp, b []float32, ldb, k0, kb, j0, jw, nr int) {
 	for t0 := 0; t0 < jw; t0 += nr {
 		tw := min(nr, jw-t0)
@@ -162,94 +160,6 @@ func packBColMajor(bp, b []float32, ldb, k0, kb, j0, jw, nr int) {
 		for c := tw; c < nr; c++ {
 			for p := 0; p < kb; p++ {
 				bp[tOff+p*nr+c] = 0
-			}
-		}
-	}
-}
-
-// packBIm2Col packs the forward-conv B operand straight from the
-// zero-bordered image (d has no padding, see ConvDims.bordered): the im2col
-// matrix row kk = (ci,kh,kw) at column j = (y,x) is src[ci, y·sh+kh, x·sw+kw].
-// A strip's column offsets are computed once; every row of the strip is then
-// a gather from its tap, or one 8-wide move when the strip is a stride-1 run
-// of one output row. Fusing the expansion into the pack step removes the
-// materialized cols buffer and its extra memory round trip.
-//
-//easyscale:hotpath
-func packBIm2Col(bp, src []float32, d *ConvDims, k0, kb, j0, jw, nr int) {
-	ow := d.OutW()
-	var at [maxNR]int
-	off := 0
-	for t0 := 0; t0 < jw; t0 += nr {
-		tw := min(nr, jw-t0)
-		y, x := (j0+t0)/ow, (j0+t0)%ow
-		run := tw == 8 && nr == 8 && d.StrideW == 1 && x+8 <= ow
-		at[0] = y*d.StrideH*d.W + x*d.StrideW
-		for c := 1; c < tw && !run; c++ { // a run reads from at[0] on
-			if x++; x == ow {
-				x, y = 0, y+1
-			}
-			at[c] = y*d.StrideH*d.W + x*d.StrideW
-		}
-		kh, kw := k0/d.KW%d.KH, k0%d.KW
-		tap := (k0/(d.KH*d.KW)*d.H+kh)*d.W + kw
-		for p := 0; p < kb; p++ {
-			row := bp[off : off+nr]
-			if run {
-				// through a local, which compiles to register moves: a
-				// direct assignment between two possibly overlapping
-				// arrays calls memmove
-				v := *(*[8]float32)(src[tap+at[0]:])
-				*(*[8]float32)(row) = v
-			} else {
-				for c, a := range at[:tw] {
-					row[c] = src[tap+a]
-				}
-				zeroFill(row[tw:])
-			}
-			off, tap = off+nr, tap+1
-			if kw++; kw == d.KW {
-				kw, tap = 0, tap+d.W-d.KW
-				if kh++; kh == d.KH {
-					kh, tap = 0, tap+(d.H-d.KH)*d.W
-				}
-			}
-		}
-	}
-}
-
-// packBIm2ColT packs the transposed im2col matrix (reduction over spatial
-// positions, columns over CI·KH·KW), the B operand of the weight-gradient
-// GEMM dW = dY·colsᵀ, straight from the zero-bordered image. A strip's nr
-// tap offsets are computed once; each spatial position then stores one
-// contiguous nr-wide row gathered from its window.
-//
-//easyscale:hotpath
-func packBIm2ColT(bp, src []float32, d *ConvDims, k0, kb, j0, jw, nr int) {
-	ow := d.OutW()
-	var tap [maxNR]int
-	off := 0
-	ci, kh, kw := j0/(d.KH*d.KW), j0/d.KW%d.KH, j0%d.KW
-	for t0 := 0; t0 < jw; t0 += nr {
-		tw := min(nr, jw-t0)
-		for c := 0; c < tw; c++ {
-			tap[c] = (ci*d.H+kh)*d.W + kw
-			if kw++; kw == d.KW {
-				if kw, kh = 0, kh+1; kh == d.KH {
-					kh, ci = 0, ci+1
-				}
-			}
-		}
-		y, x := k0/ow, k0%ow
-		for p := 0; p < kb; p++ {
-			win, row := src[y*d.StrideH*d.W+x*d.StrideW:], bp[off:off+nr]
-			for c, t := range tap[:tw] {
-				row[c] = win[t]
-			}
-			zeroFill(row[tw:])
-			off += nr
-			if x++; x == ow {
-				x, y = 0, y+1
 			}
 		}
 	}
@@ -300,26 +210,8 @@ func gemmTiled(dst []float32, n int, pa *packedA, bsrc *bPanelSrc) {
 							mk.fn(dst, i0*n+jt, n, pa.buf[apOff:], bp[bpOff:], kb, add)
 							continue
 						}
-						// edge tile: compute the full register tile into
-						// scratch, then store/add only the valid region —
-						// padded lanes (zero-filled operands) never reach dst
 						mk.fn(tile, 0, nr, pa.buf[apOff:], bp[bpOff:], kb, false)
-						rows := min(mr, m-i0)
-						if add {
-							for r := 0; r < rows; r++ {
-								row := dst[(i0+r)*n+jt:]
-								for c := 0; c < cols; c++ {
-									row[c] += tile[r*nr+c]
-								}
-							}
-						} else {
-							for r := 0; r < rows; r++ {
-								row := dst[(i0+r)*n+jt:]
-								for c := 0; c < cols; c++ {
-									row[c] = tile[r*nr+c]
-								}
-							}
-						}
+						storeTile(dst[i0*n+jt:], n, tile, nr, min(mr, m-i0), cols, add)
 					}
 				}
 			}
@@ -327,6 +219,64 @@ func gemmTiled(dst []float32, n int, pa *packedA, bsrc *bPanelSrc) {
 	}
 	pool.Put(tile)
 	pool.Put(bp)
+}
+
+// storeTile stores (add=false) or adds (add=true) the rows×cols corner of a
+// row-major tile (stride nr) into dst rows ldc apart, the dst value first in
+// each add like the reference's `row[j] += part[j]`. Edge tiles are computed
+// in full into scratch and stored through it, so the padded lanes of a tile
+// (zero-filled operands) never reach dst.
+//
+//easyscale:hotpath
+func storeTile(dst []float32, ldc int, tile []float32, nr, rows, cols int, add bool) {
+	for r := 0; r < rows; r++ {
+		row, part := dst[r*ldc:][:cols], tile[r*nr:][:cols]
+		if !add {
+			copy(row, part)
+			continue
+		}
+		for c, v := range part {
+			row[c] += v
+		}
+	}
+}
+
+// gemmConv computes a convolution GEMM C = A·B (m×n, row-major with stride n)
+// whose B operand is never packed: B(kk,j) = img[rowTab[j] + koff[kk]], read
+// by the micro-kernel variant's conv tile straight from the zero-bordered
+// image. The forward pass passes output positions as rowTab and taps as
+// koff; the weight gradient swaps the two. Both tables hold uint32 element
+// offsets as float32 bits (see convOffsets). Per output element the kc
+// blocks are visited in ascending order with the same products as gemmTiled,
+// so the two are bitwise identical; dst is fully overwritten.
+//
+//easyscale:hotpath
+func gemmConv(dst []float32, n int, pa *packedA, img, rowTab, koff []float32) {
+	mk := pa.mk
+	mr, nr := mk.mr, mk.nr
+	tile := pool.GetUninit(maxMR * maxNR) // edge-tile scratch, as in gemmTiled
+	var rows [maxNR]int
+	for j0 := 0; j0 < n; j0 += nr {
+		cols := min(nr, n-j0)
+		rows = [maxNR]int{} // a padded column gathers window 0: in bounds, and never stored
+		for c := range cols {
+			rows[c] = int(math.Float32bits(rowTab[j0+c]))
+		}
+		for k0 := 0; k0 < pa.k; k0 += pa.kc {
+			kb := min(pa.kc, pa.k-k0)
+			aBlock := k0 * pa.mtiles * mr
+			for s := 0; s < pa.mtiles; s++ {
+				ap, i0 := pa.buf[aBlock+s*kb*mr:], s*mr
+				if i0+mr <= pa.m && cols == nr {
+					mk.conv(dst, i0*n+j0, n, ap, img, rows, koff[k0:], kb, k0 > 0)
+					continue
+				}
+				mk.conv(tile, 0, nr, ap, img, rows, koff[k0:], kb, false)
+				storeTile(dst[i0*n+j0:], n, tile, nr, min(mr, pa.m-i0), cols, k0 > 0)
+			}
+		}
+	}
+	pool.Put(tile)
 }
 
 // normKC normalizes the accumulation block: kc <= 0 or kc > k means a single
@@ -342,7 +292,7 @@ func normKC(kc, k int) int {
 func matMulTiled(dst, a, b []float32, m, k, n, kc int) {
 	kc = normKC(kc, k)
 	pa := packA(a, m, k, kc, k, 1)
-	bsrc := bPanelSrc{kind: bRowMajor, data: b, ld: n}
+	bsrc := bPanelSrc{data: b, ld: n}
 	gemmTiled(dst, n, &pa, &bsrc)
 	pa.release()
 }
@@ -351,7 +301,7 @@ func matMulTiled(dst, a, b []float32, m, k, n, kc int) {
 func matMulATBTiled(dst, a, b []float32, m, k, n, kc int) {
 	kc = normKC(kc, k)
 	pa := packA(a, m, k, kc, 1, m)
-	bsrc := bPanelSrc{kind: bRowMajor, data: b, ld: n}
+	bsrc := bPanelSrc{data: b, ld: n}
 	gemmTiled(dst, n, &pa, &bsrc)
 	pa.release()
 }
@@ -360,7 +310,7 @@ func matMulATBTiled(dst, a, b []float32, m, k, n, kc int) {
 func matMulABTTiled(dst, a, b []float32, m, k, n, kc int) {
 	kc = normKC(kc, k)
 	pa := packA(a, m, k, kc, k, 1)
-	bsrc := bPanelSrc{kind: bColMajor, data: b, ld: k}
+	bsrc := bPanelSrc{data: b, ld: k, colMajor: true}
 	gemmTiled(dst, n, &pa, &bsrc)
 	pa.release()
 }

@@ -18,3 +18,15 @@ func mk8x8(dst *float32, ldc int, ap, bp *float32, kb int, add bool)
 func microKernel8x8AVX2(dst []float32, o, ldc int, ap, bp []float32, kb int, add bool) {
 	mk8x8(&dst[o], ldc, &ap[0], &bp[0], kb, add)
 }
+
+// mkConv8x8 is the AVX2 conv tile (gemm_avx2_amd64.s): the same lane
+// arithmetic as mk8x8, with A as the vector operand and B broadcast from the
+// image through the offset tables, and the tile transposed on its way out.
+//
+//go:noescape
+func mkConv8x8(dst *float32, ldc int, ap, img *float32, rows *[maxNR]int, koff *float32, kb int, add bool)
+
+// convTile8x8AVX2 adapts the AVX2 conv tile to the convTileFunc signature.
+func convTile8x8AVX2(dst []float32, o, ldc int, ap, img []float32, rows [maxNR]int, koff []float32, kb int, add bool) {
+	mkConv8x8(&dst[o], ldc, &ap[0], &img[0], &rows, &koff[0], kb, add)
+}

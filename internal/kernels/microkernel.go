@@ -46,14 +46,23 @@ const (
 // rows ldc apart starting at offset o.
 type microKernelFunc func(dst []float32, o, ldc int, ap, bp []float32, kb int, add bool)
 
+// convTileFunc computes one mr×nr tile of a convolution GEMM whose B operand
+// is gathered from the zero-bordered image instead of packed: for kk in
+// [0,kb), acc[r][c] += ap[kk·mr+r] · img[rows[c]+koff[kk]], where koff holds
+// uint32 element offsets stored as float32 bits. Stored or added into dst
+// exactly like a microKernelFunc tile.
+type convTileFunc func(dst []float32, o, ldc int, ap, img []float32, rows [maxNR]int, koff []float32, kb int, add bool)
+
 // mkDesc describes one micro-kernel variant: its register-tile shape (which
-// fixes the packed-panel layout) and the tile function itself. The packed-A
-// buffer records the descriptor it was packed for, so a racing SetISA can
-// never mismatch panel layout and kernel within one GEMM call.
+// fixes the packed-panel layout) and the two tile functions, one over a
+// packed B panel and one gathering B from an image. The packed-A buffer
+// records the descriptor it was packed for, so a racing SetISA can never
+// mismatch panel layout and kernel within one GEMM call.
 type mkDesc struct {
 	name   string
 	mr, nr int
 	fn     microKernelFunc
+	conv   convTileFunc
 	// elemSIMD enables the AVX2 elementwise primitives alongside this
 	// micro-kernel (elem_amd64.go); false means the scalar references run.
 	elemSIMD bool
@@ -69,7 +78,7 @@ const (
 // mkGenericDesc is the portable pure-Go variant — the executable spec the
 // AVX2 variant is fuzzed against, and the only variant off amd64 or on an
 // amd64 CPU without AVX2.
-var mkGenericDesc = &mkDesc{name: ISAGeneric, mr: 4, nr: 4, fn: microKernel4x4Go}
+var mkGenericDesc = &mkDesc{name: ISAGeneric, mr: 4, nr: 4, fn: microKernel4x4Go, conv: convTile4x4Go}
 
 // curMK is the active variant. Atomic so tests may switch ISAs while the
 // race detector watches; a GEMM call snapshots it once (packA) and threads
