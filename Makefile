@@ -19,6 +19,9 @@
 #   make bench-check — vet and toy-size test the frozen benchmark module
 #                  (cmd/bench is its own module; nothing else compiles it)
 #   make loc     — non-test Go and assembly lines per package and in total
+#   make prof    — CPU profile of 3,000 train_conv steps (resnet50 on
+#                  V100+P100, kc-8 D2 kernels) into prof/, printed as the top
+#                  40 lines by cumulative share; not part of check
 #   make examples-smoke — run the examples that check themselves (autoscale:
 #                  plane-driven scale-out, fallback and reclaim on a live job,
 #                  bitwise identical to fixed-DoP DDP); they exit non-zero on
@@ -27,7 +30,7 @@
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: check vet fmt lint lint-audit build test test-isa test-cpu race fuzz bench-check trace-smoke serve-smoke examples-smoke loc
+.PHONY: check vet fmt lint lint-audit build test test-isa test-cpu race fuzz bench-check trace-smoke serve-smoke examples-smoke loc prof
 
 check: vet fmt lint build test test-isa test-cpu race fuzz bench-check trace-smoke serve-smoke examples-smoke
 
@@ -117,6 +120,15 @@ loc:
 	END { printf "%7s %6s  %s\n", "go", "asm", "package"; \
 		for (d in dirs) printf "%7d %6d  %s\n", g[d], asm[d], d | "sort -k3"; close("sort -k3"); \
 		printf "%7d %6d  total\n", tg, ta }'
+
+# CPU profile of 3,000 resnet50 steps: core's BenchmarkTrainConvStep (100
+# warm-up steps outside the timer) under -cpuprofile, with the test binary
+# kept beside it for pprof
+prof:
+	@mkdir -p prof
+	$(GO) test -run '^$$' -bench '^BenchmarkTrainConvStep$$' -benchtime 3000x \
+		-o prof/core.test -cpuprofile prof/train_conv.cpu ./internal/core
+	$(GO) tool pprof -top -cum prof/core.test prof/train_conv.cpu 2>/dev/null | head -40
 
 # serving smoke: checkpoint two models, drive ~1k requests at a batched and
 # an unbatched server, and require bitwise-equal outputs and zero drops

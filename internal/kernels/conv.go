@@ -123,51 +123,6 @@ func Im2Col(cols, src []float32, d ConvDims) {
 	}
 }
 
-// Col2Im scatters cols[CI*KH*KW, OH*OW] back into dst[CI,H,W], accumulating
-// overlapping windows onto +0 in the order of the cols matrix. The
-// accumulation order is fixed by the loop structure (it does not depend on
-// hardware parameters), matching the fact that the paper localizes
-// non-determinism in reductions and GEMM accumulation, not data movement.
-//
-// The scatter runs on a zero-bordered buffer, where every window lies inside
-// the image and no run is clipped; the adds that land on the border are
-// dropped with it when the interior is copied out. Each element of dst thus
-// receives exactly the adds of a bounds-checked walk, in the same order.
-//
-//easyscale:hotpath
-func Col2Im(dst, cols []float32, d ConvDims) {
-	d.validate()
-	if len(cols) != d.ColRows()*d.ColCols() || len(dst) != d.CIn*d.H*d.W {
-		panic("kernels: Col2Im buffer size mismatch")
-	}
-	p := d.bordered()
-	oh, ow := p.OutH(), p.OutW()
-	grad := pool.Get(p.CIn * p.H * p.W)
-	idx := 0
-	for c := 0; c < p.CIn; c++ {
-		for kh := 0; kh < p.KH; kh++ {
-			for kw := 0; kw < p.KW; kw++ {
-				for y := 0; y < oh; y++ {
-					row, col := grad[(c*p.H+y*p.StrideH+kh)*p.W+kw:], cols[idx:idx+ow]
-					if p.StrideW == 1 {
-						row := row[:len(col)] // lets the compiler drop the bounds checks
-						for x, v := range col {
-							row[x] += v
-						}
-					} else {
-						for x, v := range col {
-							row[x*p.StrideW] += v
-						}
-					}
-					idx += ow
-				}
-			}
-		}
-	}
-	border(dst, grad, d, false)
-	pool.Put(grad)
-}
-
 // addBias adds bias[co] to each spatial row of one image's output.
 func addBias(out, bias []float32, cout, spatial int) {
 	for co := 0; co < cout; co++ {
@@ -226,10 +181,11 @@ func Conv2D(dst, src, weight, bias []float32, d ConvDims, kc int) {
 // gradient outputs may be nil to skip. kc blocks the GEMM reductions exactly
 // as in the forward pass.
 //
-// The transposed weight panel of the dX GEMM is packed once per call and
-// reused across the batch; the dW GEMM gathers its colsᵀ operand from the
-// zero-bordered source image with the forward's offset tables swapped, so
-// the backward pass, like the forward, never materializes an im2col matrix.
+// The transposed weights of dX are packed once per call, one panel per tap,
+// and convDX adds each dX tile straight into a zero-bordered gradient; the dW
+// GEMM gathers its colsᵀ operand from the zero-bordered source image with the
+// forward's offset tables swapped. Like the forward, the backward pass never
+// materializes an im2col matrix.
 //
 //easyscale:hotpath
 func Conv2DBackward(gradSrc, gradWeight, gradBias, src, weight, gradOut []float32, d ConvDims, kc int) {
@@ -258,12 +214,15 @@ func Conv2DBackward(gradSrc, gradWeight, gradBias, src, weight, gradOut []float3
 	}
 
 	p := d.bordered()
-	var dcols []float32
 	var paT packedA
 	if gradSrc != nil {
-		dcols = pool.GetUninit(kdim * spatial)
-		// transposed weight panel for dCols = Wᵀ·dOut, packed once per call
-		paT = packA(weight, kdim, d.COut, normKC(kc, d.COut), 1, kdim)
+		// Wᵀ per tap (kh,kw): rows are the input channels, K is COut
+		taps := d.KH * d.KW
+		paT = newPackedA(d.CIn, d.COut, normKC(kc, d.COut))
+		paT.buf = pool.GetUninit(taps * paT.size())
+		for t := 0; t < taps; t++ {
+			paT.pack(paT.buf[t*paT.size():], weight[t:], taps, kdim)
+		}
 	}
 	var wpart, img, pos, tap []float32
 	if gradWeight != nil {
@@ -289,17 +248,74 @@ func Conv2DBackward(gradSrc, gradWeight, gradBias, src, weight, gradOut []float3
 			}
 		}
 		if gradSrc != nil {
-			// dCols = Wᵀ · dOut : [kdim, CO]·[CO, spatial]
-			bsrc := bPanelSrc{data: dout, ld: spatial}
-			gemmTiled(dcols, spatial, &paT, &bsrc)
-			Col2Im(gradSrc[b*imgIn:(b+1)*imgIn], dcols, d)
+			convDX(gradSrc[b*imgIn:(b+1)*imgIn], dout, d, &paT)
 		}
 	}
 	// Put ignores the nil buffers of a skipped gradient
-	pool.Put(dcols)
 	paT.release()
 	pool.Put(wpart)
 	pool.Put(img)
 	pool.Put(pos)
 	pool.Put(tap)
+}
+
+// convDX computes one image's input gradient dst[CI,H,W], the col2im scatter
+// of Wᵀ·dOut, without forming Wᵀ·dOut: each mr×nr tile — mr input channels
+// at one tap (kh,kw) × nr positions of one output row — is added straight
+// into a zero-bordered gradient, where at StrideW 1 it is mr runs of nr
+// contiguous elements one channel plane apart. pa holds one Wᵀ panel per
+// tap, in tap order.
+//
+// Taps run outermost, and within one tap each gradient element receives at
+// most one add, so every element gets its adds in ascending tap order onto
+// +0: the order of the bounds-checked scatter. Each added value is the
+// kc-blocked sum that Wᵀ·dOut would hold: with one kc block the tile adds it
+// in place; otherwise (and for a partial row chunk or StrideW > 1) the tile
+// is computed in scratch, block 0 stored and later blocks added, and then
+// added element by element. The gradient has a plane for every row of every
+// strip, so a partial channel strip adds its zero-weight rows to planes that
+// are never copied out, and the border's adds are discarded with it.
+//
+//easyscale:hotpath
+func convDX(dst, dout []float32, d ConvDims, pa *packedA) {
+	mk := pa.mk
+	mr, nr, cout := mk.mr, mk.nr, pa.k
+	p := d.bordered()
+	oh, ow := p.OutH(), p.OutW()
+	plane, chunks, panel := p.H*p.W, (ow+nr-1)/nr, pa.size()
+	// dOut packed once for every tap: per output row, nr-wide strips COut deep
+	bp := pool.GetUninit(oh * chunks * nr * cout)
+	for y := 0; y < oh; y++ {
+		packBRowMajor(bp[y*chunks*nr*cout:], dout, oh*ow, 0, cout, y*ow, ow, nr)
+	}
+	grad := pool.Get(pa.mtiles * mr * plane)
+	tile := pool.GetUninit(maxMR * maxNR) // edge-tile scratch, as in gemmTiled
+	for t := 0; t < p.KH*p.KW; t++ {
+		wt, kh, kw := pa.buf[t*panel:], t/p.KW, t%p.KW
+		for s := 0; s < pa.mtiles; s++ {
+			for y := 0; y < oh; y++ {
+				for j := 0; j < chunks; j++ {
+					o := (s*mr*p.H+y*p.StrideH+kh)*p.W + kw + j*nr*p.StrideW
+					b, cols := bp[(y*chunks+j)*nr*cout:], min(nr, ow-j*nr)
+					if cols == nr && p.StrideW == 1 && pa.kc == cout {
+						mk.fn(grad, o, plane, wt[s*cout*mr:], b, cout, true)
+						continue
+					}
+					for k0 := 0; k0 < cout; k0 += pa.kc {
+						kb := min(pa.kc, cout-k0)
+						mk.fn(tile, 0, nr, wt[k0*pa.mtiles*mr+s*kb*mr:], b[k0*nr:], kb, k0 > 0)
+					}
+					for r := 0; r < mr; r++ {
+						for c, v := range tile[r*nr : r*nr+cols] {
+							grad[o+r*plane+c*p.StrideW] += v
+						}
+					}
+				}
+			}
+		}
+	}
+	border(dst, grad, d, false)
+	pool.Put(tile)
+	pool.Put(grad)
+	pool.Put(bp)
 }

@@ -96,8 +96,8 @@ func TestConvKCChangesBits(t *testing.T) {
 }
 
 func TestIm2ColCol2ImAdjoint(t *testing.T) {
-	// <Im2Col(x), c> must equal <x, Col2Im(c)> — the defining property of an
-	// adjoint pair, which is what backward correctness rests on.
+	// <Im2Col(x), c> must equal <x, col2ImSpec(c)> — the defining property of
+	// an adjoint pair, which is what the dX spec's correctness rests on.
 	s := rng.New(23)
 	d := ConvDims{Batch: 1, CIn: 2, H: 6, W: 5, COut: 1, KH: 3, KW: 3, StrideH: 2, StrideW: 1, PadH: 1, PadW: 1}
 	x := randSlice(s, d.CIn*d.H*d.W)
@@ -105,7 +105,7 @@ func TestIm2ColCol2ImAdjoint(t *testing.T) {
 	ix := make([]float32, d.ColRows()*d.ColCols())
 	Im2Col(ix, x, d)
 	cc := make([]float32, d.CIn*d.H*d.W)
-	Col2Im(cc, c, d)
+	col2ImSpec(cc, c, d)
 	var lhs, rhs float64
 	for i := range ix {
 		lhs += float64(ix[i]) * float64(c[i])
@@ -266,9 +266,9 @@ func convSpec(src, weight, bias, gradOut []float32, d ConvDims, kc int) (out, gr
 	return out, gradSrc, gradW, gradB
 }
 
-// col2ImSpec is the scatter Col2Im must reproduce bit for bit: the adjoint of
-// Im2Col's walk, each in-image window position adding its cols entry onto +0
-// in the order of the cols matrix.
+// col2ImSpec is the scatter Conv2DBackward's dX must reproduce bit for bit:
+// the adjoint of Im2Col's walk, each in-image window position adding its cols
+// entry onto +0 in the order of the cols matrix.
 func col2ImSpec(dst, cols []float32, d ConvDims) {
 	for i := range dst {
 		dst[i] = 0
@@ -334,24 +334,31 @@ func checkConvVsSpec(t *testing.T, label string, d ConvDims, kc int, src, weight
 // against their executable specification under every micro-kernel variant:
 // kc blocks including the normalization cases, every stride and padding up to
 // 3 and 2, kernels wider than tall and taller than the padding, odd H≠W, and
-// output-channel counts on both sides of every register-tile edge.
+// output-channel counts on both sides of every register-tile edge. CIn 9 (on
+// one kernel, for runtime) gives dX a full channel strip plus a partial one
+// on both the 8-wide and the 4-wide tile.
 func TestConvMatchesSpecBitwise(t *testing.T) {
-	kernels := [][2]int{{1, 1}, {3, 2}, {5, 5}}
+	kernels := []struct {
+		kh, kw int
+		cins   []int
+	}{{1, 1, []int{2}}, {3, 2, []int{2, 9}}, {5, 5, []int{2}}}
 	forEachISA(t, func(t *testing.T) {
 		seed := uint64(0)
 		for _, k := range kernels {
-			for sh := 1; sh <= 3; sh++ {
-				for sw := 1; sw <= 3; sw++ {
-					for ph := 0; ph <= 2; ph++ {
-						for pw := 0; pw <= 2; pw++ {
-							for _, cout := range []int{1, 5, 8, 9, 17} {
-								d := ConvDims{Batch: 2, CIn: 2, H: 7, W: 9, COut: cout, KH: k[0], KW: k[1],
-									StrideH: sh, StrideW: sw, PadH: ph, PadW: pw}
-								seed++
-								src, weight, bias, gradOut := convOperands(d, seed, seed%2 == 0)
-								for _, kc := range []int{0, 1, 3, 8, 32, 64, 100} {
-									label := fmt.Sprintf("%+v/kc%d", d, kc)
-									checkConvVsSpec(t, label, d, kc, src, weight, bias, gradOut)
+			for _, cin := range k.cins {
+				for sh := 1; sh <= 3; sh++ {
+					for sw := 1; sw <= 3; sw++ {
+						for ph := 0; ph <= 2; ph++ {
+							for pw := 0; pw <= 2; pw++ {
+								for _, cout := range []int{1, 5, 8, 9, 17} {
+									d := ConvDims{Batch: 2, CIn: cin, H: 7, W: 9, COut: cout, KH: k.kh, KW: k.kw,
+										StrideH: sh, StrideW: sw, PadH: ph, PadW: pw}
+									seed++
+									src, weight, bias, gradOut := convOperands(d, seed, seed%2 == 0)
+									for _, kc := range []int{0, 1, 3, 8, 32, 64, 100} {
+										label := fmt.Sprintf("%+v/kc%d", d, kc)
+										checkConvVsSpec(t, label, d, kc, src, weight, bias, gradOut)
+									}
 								}
 							}
 						}
@@ -363,8 +370,11 @@ func TestConvMatchesSpecBitwise(t *testing.T) {
 }
 
 // zooConvShapes are the conv geometries the model zoo trains, at the
-// benchmark's four-image batch: resnet50's CIn-3 stem, its CIn-8 block conv
-// (kdim 72: nine full 8-wide strips) and shufflenetv2's stride-2 8→16 conv.
+// benchmark's four-image batch: resnet50's CIn-3 stem (a partial channel
+// strip in dX), its CIn-8 block conv (kdim 72: nine full 8-wide strips),
+// shufflenetv2's stride-2 8→16 conv, vgg19's bias-carrying 8→16 conv and
+// yolov3's 16→16 conv, both on the pooled 4×4 map. COut 16 is two kc blocks
+// under kc 8, so dX takes the scratch tile; under kc ≥ 16 it is one block.
 var zooConvShapes = []struct {
 	name string
 	d    ConvDims
@@ -372,6 +382,8 @@ var zooConvShapes = []struct {
 	{"resnet50-stem", ConvDims{Batch: 4, CIn: 3, H: 8, W: 8, COut: 8, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}},
 	{"resnet50-block", ConvDims{Batch: 4, CIn: 8, H: 8, W: 8, COut: 8, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}},
 	{"shufflenet-s2", ConvDims{Batch: 4, CIn: 8, H: 8, W: 8, COut: 16, KH: 3, KW: 3, StrideH: 2, StrideW: 2, PadH: 1, PadW: 1}},
+	{"vgg19-bias", ConvDims{Batch: 4, CIn: 8, H: 4, W: 4, COut: 16, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}},
+	{"yolov3-16", ConvDims{Batch: 4, CIn: 16, H: 4, W: 4, COut: 16, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}},
 }
 
 // TestConvZooShapesBitwise checks the production conv shapes against the
@@ -392,23 +404,30 @@ func TestConvZooShapesBitwise(t *testing.T) {
 }
 
 // TestConvAllocFree: after warm-up, the conv kernels draw every buffer —
-// the bordered image, the packed weights and the offset tables — from the
-// arena, so a call at resnet50's block geometry allocates nothing.
+// the bordered image and gradient, the packed weights and dOut, and the
+// offset tables — from the arena, so a call allocates nothing: at resnet50's
+// block geometry, at its stem (a partial channel strip) and at a 5×5 kernel
+// (25 dX tap panels).
 func TestConvAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; counts are only meaningful uninstrumented")
 	}
-	d := zooConvShapes[1].d // resnet50-block
-	src, weight, _, gradOut := convOperands(d, 7, false)
-	out, gradSrc := make([]float32, len(gradOut)), make([]float32, len(src))
-	gradW, gradB := make([]float32, len(weight)), make([]float32, d.COut)
-	forEachISA(t, func(t *testing.T) {
-		fwd := testing.AllocsPerRun(10, func() { Conv2D(out, src, weight, nil, d, 8) })
-		bwd := testing.AllocsPerRun(10, func() { Conv2DBackward(gradSrc, gradW, gradB, src, weight, gradOut, d, 8) })
-		if fwd != 0 || bwd != 0 {
-			t.Fatalf("allocs per call: Conv2D %v, Conv2DBackward %v, want 0", fwd, bwd)
-		}
-	})
+	for _, d := range []ConvDims{
+		zooConvShapes[0].d, // resnet50-stem
+		zooConvShapes[1].d, // resnet50-block
+		{Batch: 2, CIn: 4, H: 8, W: 8, COut: 8, KH: 5, KW: 5, StrideH: 1, StrideW: 1, PadH: 2, PadW: 2},
+	} {
+		src, weight, _, gradOut := convOperands(d, 7, false)
+		out, gradSrc := make([]float32, len(gradOut)), make([]float32, len(src))
+		gradW, gradB := make([]float32, len(weight)), make([]float32, d.COut)
+		forEachISA(t, func(t *testing.T) {
+			fwd := testing.AllocsPerRun(10, func() { Conv2D(out, src, weight, nil, d, 8) })
+			bwd := testing.AllocsPerRun(10, func() { Conv2DBackward(gradSrc, gradW, gradB, src, weight, gradOut, d, 8) })
+			if fwd != 0 || bwd != 0 {
+				t.Fatalf("%+v: allocs per call: Conv2D %v, Conv2DBackward %v, want 0", d, fwd, bwd)
+			}
+		})
+	}
 }
 
 // FuzzConvVsSpec is TestConvMatchesSpecBitwise over random geometry, kc and

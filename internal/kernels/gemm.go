@@ -22,9 +22,10 @@ import (
 //   - B is packed per (kc block × nc column block) into nr-wide column
 //     strips, again kk-major. The pack step is a pure data movement, so it
 //     can source a plain matrix or a transposed one without touching
-//     numerics. The conv GEMMs skip it: their B is the im2col matrix, which
-//     gemmConv's tile reads straight from the image through two offset
-//     tables (one per B dimension), so no panel is ever written.
+//     numerics. The forward and dW conv GEMMs skip it: their B is the
+//     im2col matrix, which gemmConv's tile reads straight from the image
+//     through two offset tables (one per B dimension), so no panel is ever
+//     written. dX packs dOut once per image (convDX).
 //   - Each mr×nr output tile is computed by a register-tiled micro-kernel
 //     holding mr·nr accumulators: for each kk ascending, it performs mr·nr
 //     multiply-adds off mr+nr loads. Per element this is exactly the
@@ -67,43 +68,58 @@ type packedA struct {
 	mk     *mkDesc
 }
 
-// packA packs A(i,kk) = a[i·rs + kk·cs] — rs/cs express normal (rs=lda,cs=1)
-// and transposed (rs=1,cs=lda) operands with one packer. kc must already be
-// normalized to [1,k] (or k==0).
+// newPackedA shapes an m×k operand A, kc-blocked, for the active
+// micro-kernel. kc must already be normalized to [1,k] (or k==0). The caller
+// draws buf (size floats) and fills it with pack.
+func newPackedA(m, k, kc int) packedA {
+	mk := activeMK()
+	return packedA{m: m, k: k, kc: kc, mtiles: (m + mk.mr - 1) / mk.mr, mk: mk}
+}
+
+// size is the packed length of A in floats.
+func (pa *packedA) size() int { return pa.mtiles * pa.mk.mr * pa.k }
+
+// packA packs A(i,kk) = a[i·rs + kk·cs] into arena memory — rs/cs express
+// normal (rs=lda,cs=1) and transposed (rs=1,cs=lda) operands with one packer.
 //
 //easyscale:hotpath
 func packA(a []float32, m, k, kc, rs, cs int) packedA {
-	mk := activeMK()
-	mr := mk.mr
-	mtiles := (m + mr - 1) / mr
-	pa := packedA{m: m, k: k, kc: kc, mtiles: mtiles, mk: mk}
-	pa.buf = pool.GetUninit(mtiles * mr * k)
+	pa := newPackedA(m, k, kc)
+	pa.buf = pool.GetUninit(pa.size())
+	pa.pack(pa.buf, a, rs, cs)
+	return pa
+}
+
+// pack writes A(i,kk) = a[i·rs + kk·cs] into buf in pa's layout.
+//
+//easyscale:hotpath
+func (pa *packedA) pack(buf, a []float32, rs, cs int) {
+	mr := pa.mk.mr
 	off := 0
-	for k0 := 0; k0 < k; k0 += kc {
-		kb := min(kc, k-k0)
-		for s := 0; s < mtiles; s++ {
+	for k0 := 0; k0 < pa.k; k0 += pa.kc {
+		kb := min(pa.kc, pa.k-k0)
+		for s := 0; s < pa.mtiles; s++ {
 			i0 := s * mr
-			rows := min(mr, m-i0)
+			rows := min(mr, pa.m-i0)
 			for p := 0; p < kb; p++ {
 				base := (k0 + p) * cs
 				for r := 0; r < rows; r++ {
-					pa.buf[off] = a[(i0+r)*rs+base]
+					buf[off] = a[(i0+r)*rs+base]
 					off++
 				}
 				for r := rows; r < mr; r++ {
-					pa.buf[off] = 0
+					buf[off] = 0
 					off++
 				}
 			}
 		}
 	}
-	return pa
 }
 
 func (pa *packedA) release() { pool.Put(pa.buf) }
 
 // bPanelSrc describes the matrix B panels are packed from: B(kk,j) =
-// data[kk·ld + j] (row-major: MatMul, conv-backward dX) or data[j·ld + kk]
+// data[kk·ld + j] (row-major: MatMul) or data[j·ld + kk]
 // (colMajor: MatMulABT).
 type bPanelSrc struct {
 	data     []float32
