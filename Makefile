@@ -84,9 +84,10 @@ race:
 	$(GO) test -race ./internal/kernels/... ./internal/comm/... ./internal/checkpoint/... ./internal/data/... ./internal/dist/... ./internal/faults/... ./internal/core/... ./internal/elastic/... ./internal/obs/... ./internal/serve/... ./internal/sched/... ./internal/controlplane/...
 
 # short fuzz smokes: the wire-frame, checkpoint and job-schema decoders must
-# never panic on corrupt input, and the tiled GEMM kernels and the fused conv
-# paths must stay bitwise identical to the reference loops and the im2col spec
-# for arbitrary shapes, kc blocks, and non-finite inputs
+# never panic on corrupt input, and the tiled GEMM kernels, the fused conv
+# paths and the eight-lane SumBlocked must stay bitwise identical to the
+# reference loops, the im2col spec and the serial blocked sum for arbitrary
+# shapes, kc blocks, and non-finite inputs
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReadFrame -fuzztime $(FUZZTIME) ./internal/dist
 	$(GO) test -run '^$$' -fuzz FuzzDecodeGrads -fuzztime $(FUZZTIME) ./internal/dist
@@ -98,6 +99,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzGemmTiledVsReferenceMatMulABT$$' -fuzztime $(FUZZTIME) ./internal/kernels
 	$(GO) test -run '^$$' -fuzz 'FuzzElemVsScalar$$' -fuzztime $(FUZZTIME) ./internal/kernels
 	$(GO) test -run '^$$' -fuzz 'FuzzConvVsSpec$$' -fuzztime $(FUZZTIME) ./internal/kernels
+	$(GO) test -run '^$$' -fuzz 'FuzzSumBlockedVsSpec$$' -fuzztime $(FUZZTIME) ./internal/kernels
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodePredict$$' -fuzztime $(FUZZTIME) ./internal/dist
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodePredictReply$$' -fuzztime $(FUZZTIME) ./internal/dist
 	$(GO) test -run '^$$' -fuzz 'FuzzBatchEquivalence$$' -fuzztime $(FUZZTIME) ./internal/serve

@@ -164,7 +164,7 @@ func Conv2D(dst, src, weight, bias []float32, d ConvDims, kc int) {
 	for b := 0; b < d.Batch; b++ {
 		out := dst[b*imgOut : (b+1)*imgOut]
 		border(src[b*imgIn:(b+1)*imgIn], img, d, true)
-		gemmConv(out, spatial, &pa, img, pos, tap)
+		gemmConv(out, spatial, &pa, img, pos, tap, false)
 		if bias != nil {
 			addBias(out, bias, d.COut, spatial)
 		}
@@ -184,8 +184,10 @@ func Conv2D(dst, src, weight, bias []float32, d ConvDims, kc int) {
 // The transposed weights of dX are packed once per call, one panel per tap,
 // and convDX adds each dX tile straight into a zero-bordered gradient; the dW
 // GEMM gathers its colsᵀ operand from the zero-bordered source image with the
-// forward's offset tables swapped. Like the forward, the backward pass never
-// materializes an im2col matrix.
+// forward's offset tables swapped and adds each tile's total straight into
+// the zeroed gradWeight, image by image: bitwise the reference's per-image
+// partial added onto the running sum. Like the forward, the backward pass
+// never materializes an im2col matrix.
 //
 //easyscale:hotpath
 func Conv2DBackward(gradSrc, gradWeight, gradBias, src, weight, gradOut []float32, d ConvDims, kc int) {
@@ -224,9 +226,8 @@ func Conv2DBackward(gradSrc, gradWeight, gradBias, src, weight, gradOut []float3
 			paT.pack(paT.buf[t*paT.size():], weight[t:], taps, kdim)
 		}
 	}
-	var wpart, img, pos, tap []float32
+	var img, pos, tap []float32
 	if gradWeight != nil {
-		wpart = pool.GetUninit(d.COut * kdim)
 		img = pool.Get(p.CIn * p.H * p.W) // its border stays +0 for every image
 		pos, tap = convOffsets(p)
 	}
@@ -234,12 +235,12 @@ func Conv2DBackward(gradSrc, gradWeight, gradBias, src, weight, gradOut []float3
 	for b := 0; b < d.Batch; b++ {
 		dout := gradOut[b*imgOut : (b+1)*imgOut] // [CO, spatial]
 		if gradWeight != nil {
-			// dW += dOut · colsᵀ : [CO, spatial]·[spatial, kdim] = [CO, kdim]
+			// dW += dOut · colsᵀ : [CO, spatial]·[spatial, kdim] = [CO, kdim],
+			// each tile's total added straight into gradWeight
 			paD := packA(dout, d.COut, spatial, kcW, spatial, 1)
 			border(src[b*imgIn:(b+1)*imgIn], img, d, true)
-			gemmConv(wpart, kdim, &paD, img, tap, pos)
+			gemmConv(gradWeight, kdim, &paD, img, tap, pos, true)
 			paD.release()
-			AddF32(gradWeight, wpart)
 		}
 		if gradBias != nil {
 			for co := 0; co < d.COut; co++ {
@@ -253,7 +254,6 @@ func Conv2DBackward(gradSrc, gradWeight, gradBias, src, weight, gradOut []float3
 	}
 	// Put ignores the nil buffers of a skipped gradient
 	paT.release()
-	pool.Put(wpart)
 	pool.Put(img)
 	pool.Put(pos)
 	pool.Put(tap)
@@ -269,12 +269,12 @@ func Conv2DBackward(gradSrc, gradWeight, gradBias, src, weight, gradOut []float3
 // Taps run outermost, and within one tap each gradient element receives at
 // most one add, so every element gets its adds in ascending tap order onto
 // +0: the order of the bounds-checked scatter. Each added value is the
-// kc-blocked sum that Wᵀ·dOut would hold: with one kc block the tile adds it
-// in place; otherwise (and for a partial row chunk or StrideW > 1) the tile
-// is computed in scratch, block 0 stored and later blocks added, and then
-// added element by element. The gradient has a plane for every row of every
-// strip, so a partial channel strip adds its zero-weight rows to planes that
-// are never copied out, and the border's adds are discarded with it.
+// kc-blocked total that Wᵀ·dOut would hold, folded inside the tile call: a
+// full row chunk at StrideW 1 adds it in place; a partial chunk or
+// StrideW > 1 computes it in scratch and adds it element by element. The
+// gradient has a plane for every row of every strip, so a partial channel
+// strip adds its zero-weight rows to planes that are never copied out, and
+// the border's adds are discarded with it.
 //
 //easyscale:hotpath
 func convDX(dst, dout []float32, d ConvDims, pa *packedA) {
@@ -286,7 +286,7 @@ func convDX(dst, dout []float32, d ConvDims, pa *packedA) {
 	// dOut packed once for every tap: per output row, nr-wide strips COut deep
 	bp := pool.GetUninit(oh * chunks * nr * cout)
 	for y := 0; y < oh; y++ {
-		packBRowMajor(bp[y*chunks*nr*cout:], dout, oh*ow, 0, cout, y*ow, ow, nr)
+		packBRowMajor(bp[y*chunks*nr*cout:], dout, oh*ow, cout, y*ow, ow, nr)
 	}
 	grad := pool.Get(pa.mtiles * mr * plane)
 	tile := pool.GetUninit(maxMR * maxNR) // edge-tile scratch, as in gemmTiled
@@ -297,14 +297,11 @@ func convDX(dst, dout []float32, d ConvDims, pa *packedA) {
 				for j := 0; j < chunks; j++ {
 					o := (s*mr*p.H+y*p.StrideH+kh)*p.W + kw + j*nr*p.StrideW
 					b, cols := bp[(y*chunks+j)*nr*cout:], min(nr, ow-j*nr)
-					if cols == nr && p.StrideW == 1 && pa.kc == cout {
-						mk.fn(grad, o, plane, wt[s*cout*mr:], b, cout, true)
+					if cols == nr && p.StrideW == 1 {
+						mk.fn(grad, o, plane, wt[s*cout*mr:], b, cout, pa.kc, true)
 						continue
 					}
-					for k0 := 0; k0 < cout; k0 += pa.kc {
-						kb := min(pa.kc, cout-k0)
-						mk.fn(tile, 0, nr, wt[k0*pa.mtiles*mr+s*kb*mr:], b[k0*nr:], kb, k0 > 0)
-					}
+					mk.fn(tile, 0, nr, wt[s*cout*mr:], b, cout, pa.kc, false)
 					for r := 0; r < mr; r++ {
 						for c, v := range tile[r*nr : r*nr+cols] {
 							grad[o+r*plane+c*p.StrideW] += v

@@ -235,7 +235,7 @@ func TestConvDimsValidatePanics(t *testing.T) {
 
 // convSpec computes the three conv paths from their executable
 // specification: per image, the unfolded Im2Col matrix against the reference
-// GEMM loops for the output and the weight gradient, SumBlocked for the bias
+// GEMM loops for the output and the weight gradient, sumBlockedSpec for the bias
 // gradient, and the scalar scatter of the reference Wᵀ·dOut for the input
 // gradient. The weight and bias gradients start from +0 and accumulate in
 // batch order.
@@ -258,7 +258,7 @@ func convSpec(src, weight, bias, gradOut []float32, d ConvDims, kc int) (out, gr
 			gradW[i] += v
 		}
 		for co := range gradB {
-			gradB[co] += SumBlocked(dout[co*spatial:(co+1)*spatial], kc)
+			gradB[co] += sumBlockedSpec(dout[co*spatial:(co+1)*spatial], kc)
 		}
 		matMulATBRef(dcols, weight, dout, kdim, d.COut, spatial, kc)
 		col2ImSpec(gradSrc[b*imgIn:(b+1)*imgIn], dcols, d)
@@ -374,7 +374,8 @@ func TestConvMatchesSpecBitwise(t *testing.T) {
 // strip in dX), its CIn-8 block conv (kdim 72: nine full 8-wide strips),
 // shufflenetv2's stride-2 8→16 conv, vgg19's bias-carrying 8→16 conv and
 // yolov3's 16→16 conv, both on the pooled 4×4 map. COut 16 is two kc blocks
-// under kc 8, so dX takes the scratch tile; under kc ≥ 16 it is one block.
+// under kc 8, which dX's tile folds before adding in place; under kc ≥ 16 it
+// is one block.
 var zooConvShapes = []struct {
 	name string
 	d    ConvDims

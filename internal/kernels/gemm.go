@@ -16,22 +16,27 @@ import (
 // reorganized for locality. The implementation here is a BLIS-style blocked
 // GEMM:
 //
-//   - A is packed once per call into mr-wide row strips, kk-major within each
-//     kc block, so the micro-kernel reads it with unit stride regardless of
-//     the operand's original layout (normal or transposed).
-//   - B is packed per (kc block × nc column block) into nr-wide column
-//     strips, again kk-major. The pack step is a pure data movement, so it
-//     can source a plain matrix or a transposed one without touching
-//     numerics. The forward and dW conv GEMMs skip it: their B is the
-//     im2col matrix, which gemmConv's tile reads straight from the image
-//     through two offset tables (one per B dimension), so no panel is ever
-//     written. dX packs dOut once per image (convDX).
-//   - Each mr×nr output tile is computed by a register-tiled micro-kernel
-//     holding mr·nr accumulators: for each kk ascending, it performs mr·nr
-//     multiply-adds off mr+nr loads. Per element this is exactly the
-//     reference loop's `part += a·b` sequence, so the result is bitwise
-//     identical to the naive kernels for every input, block size, and tile
-//     boundary — asserted by the differential tests and fuzzers.
+//   - A is packed once per call into mr-wide row strips, strip-major: strip s
+//     is contiguous over all of K at s·k·mr, kk-major, so the micro-kernel
+//     reads it with unit stride regardless of the operand's original layout
+//     (normal or transposed).
+//   - B is packed k deep, once per column panel, into nr-wide column strips,
+//     again kk-major; gemmNC is the panel's float budget, so the panel
+//     narrows as K grows. The pack step is a pure data movement, so it can
+//     source a plain matrix or a transposed one without touching numerics.
+//     The forward and dW conv GEMMs skip it: their B is the im2col matrix,
+//     which gemmConv's tile reads straight from the image through two offset
+//     tables (one per B dimension), so no panel is ever written. dX packs
+//     dOut once per image (convDX).
+//   - Each mr×nr output tile is one micro-kernel call holding mr·nr
+//     accumulators: it walks the kc blocks itself, performing mr·nr
+//     multiply-adds off mr+nr loads per kk, and folds each block's partial
+//     onto the tile's total in ascending block order. Per element this is
+//     exactly the reference loop's `part += a·b` and `row[j] += part[j]`
+//     sequence, so the result is bitwise identical to the naive kernels for
+//     every input, block size, and tile boundary — asserted by the
+//     differential tests and fuzzers. The total is stored, or added with the
+//     dst value first: dW and dX add their tiles straight into the gradient.
 //
 // The register tile mr×nr is a property of the dispatched micro-kernel
 // (microkernel.go): 4×4 for the generic variant, 8×8 for AVX2.
@@ -39,13 +44,14 @@ import (
 // outputs share registers — it is invisible to numerics; only kc (the
 // accumulation block, chosen by the device model) shows up in the bits.
 
-var (
+const (
 	// gemmMCStrips bounds the rows of packed A the micro-kernel loop walks
 	// per B strip (the L2-resident A block), in units of mr-row strips.
 	gemmMCStrips = 32
-	// gemmNC bounds the columns packed per B panel (the L1/L2-resident B
-	// block). Must stay a multiple of every variant's nr.
-	gemmNC = 256
+	// gemmNC is the float budget of one k-deep B panel (the L1/L2-resident B
+	// block): a panel holds gemmNC/k columns, rounded down to whole nr
+	// strips and never fewer than one strip.
+	gemmNC = 64 * 256
 	// tiledMinWork is the m·k·n product below which the dispatchers use the
 	// reference loops: at trivial sizes the pack+tile overhead outweighs the
 	// register reuse. Dispatch by size is invisible to numerics because the
@@ -54,12 +60,12 @@ var (
 )
 
 // packedA is operand A packed for the tiled GEMM: ceil(m/mr) row strips of
-// width mk.mr (zero-padded past m), kk-major within each kc block, blocks in
-// ascending k order. The flat offset of (block k0, strip s) is
-// k0·mtiles·mr + s·kb·mr with kb the block's length, so lookups are closed
-// form. The buffer is drawn from the arena; callers must release(). The
-// micro-kernel descriptor is captured at pack time so panel layout and tile
-// function always agree, even across a concurrent SetISA.
+// width mk.mr (zero-padded past m), strip-major, each contiguous over all of
+// K and kk-major, so strip s starts at s·k·mr. kc travels with the panel to
+// the micro-kernel, which blocks the strip itself. The buffer is drawn from
+// the arena; callers must release(). The micro-kernel descriptor is captured
+// at pack time so panel layout and tile function always agree, even across a
+// concurrent SetISA.
 type packedA struct {
 	buf    []float32
 	m, k   int
@@ -79,6 +85,9 @@ func newPackedA(m, k, kc int) packedA {
 // size is the packed length of A in floats.
 func (pa *packedA) size() int { return pa.mtiles * pa.mk.mr * pa.k }
 
+// strip returns row strip s: mr rows, k deep.
+func (pa *packedA) strip(s int) []float32 { return pa.buf[s*pa.k*pa.mk.mr:] }
+
 // packA packs A(i,kk) = a[i·rs + kk·cs] into arena memory — rs/cs express
 // normal (rs=lda,cs=1) and transposed (rs=1,cs=lda) operands with one packer.
 //
@@ -94,23 +103,20 @@ func packA(a []float32, m, k, kc, rs, cs int) packedA {
 //
 //easyscale:hotpath
 func (pa *packedA) pack(buf, a []float32, rs, cs int) {
-	mr := pa.mk.mr
+	mr, k := pa.mk.mr, pa.k
 	off := 0
-	for k0 := 0; k0 < pa.k; k0 += pa.kc {
-		kb := min(pa.kc, pa.k-k0)
-		for s := 0; s < pa.mtiles; s++ {
-			i0 := s * mr
-			rows := min(mr, pa.m-i0)
-			for p := 0; p < kb; p++ {
-				base := (k0 + p) * cs
-				for r := 0; r < rows; r++ {
-					buf[off] = a[(i0+r)*rs+base]
-					off++
-				}
-				for r := rows; r < mr; r++ {
-					buf[off] = 0
-					off++
-				}
+	for s := 0; s < pa.mtiles; s++ {
+		i0 := s * mr
+		rows := min(mr, pa.m-i0)
+		for p := 0; p < k; p++ {
+			base := p * cs
+			for r := 0; r < rows; r++ {
+				buf[off] = a[(i0+r)*rs+base]
+				off++
+			}
+			for r := rows; r < mr; r++ {
+				buf[off] = 0
+				off++
 			}
 		}
 	}
@@ -127,24 +133,24 @@ type bPanelSrc struct {
 	colMajor bool
 }
 
-// pack fills bp with the (k0..k0+kb) × (j0..j0+jw) block of B in nr-wide
-// column strips, kk-major within a strip, zero-padded past jw. Pure data
-// movement: the layout change is invisible to numerics.
-func (s *bPanelSrc) pack(bp []float32, k0, kb, j0, jw, nr int) {
+// pack fills bp with the k × (j0..j0+jw) panel of B in nr-wide column
+// strips, each k deep and kk-major, zero-padded past jw. Pure data movement:
+// the layout change is invisible to numerics.
+func (s *bPanelSrc) pack(bp []float32, k, j0, jw, nr int) {
 	if s.colMajor {
-		packBColMajor(bp, s.data, s.ld, k0, kb, j0, jw, nr)
+		packBColMajor(bp, s.data, s.ld, k, j0, jw, nr)
 	} else {
-		packBRowMajor(bp, s.data, s.ld, k0, kb, j0, jw, nr)
+		packBRowMajor(bp, s.data, s.ld, k, j0, jw, nr)
 	}
 }
 
 //easyscale:hotpath
-func packBRowMajor(bp, b []float32, n, k0, kb, j0, jw, nr int) {
+func packBRowMajor(bp, b []float32, n, k, j0, jw, nr int) {
 	off := 0
 	for t0 := 0; t0 < jw; t0 += nr {
 		tw := min(nr, jw-t0)
-		for p := 0; p < kb; p++ {
-			row := b[(k0+p)*n+j0+t0:]
+		for p := 0; p < k; p++ {
+			row := b[p*n+j0+t0:]
 			if tw == 8 {
 				*(*[8]float32)(bp[off:]) = *(*[8]float32)(row)
 				off += 8
@@ -163,18 +169,18 @@ func packBRowMajor(bp, b []float32, n, k0, kb, j0, jw, nr int) {
 }
 
 //easyscale:hotpath
-func packBColMajor(bp, b []float32, ldb, k0, kb, j0, jw, nr int) {
+func packBColMajor(bp, b []float32, ldb, k, j0, jw, nr int) {
 	for t0 := 0; t0 < jw; t0 += nr {
 		tw := min(nr, jw-t0)
-		tOff := t0 * kb
+		tOff := t0 * k
 		for c := 0; c < tw; c++ {
-			col := b[(j0+t0+c)*ldb+k0:]
-			for p := 0; p < kb; p++ {
+			col := b[(j0+t0+c)*ldb:]
+			for p := 0; p < k; p++ {
 				bp[tOff+p*nr+c] = col[p]
 			}
 		}
 		for c := tw; c < nr; c++ {
-			for p := 0; p < kb; p++ {
+			for p := 0; p < k; p++ {
 				bp[tOff+p*nr+c] = 0
 			}
 		}
@@ -182,10 +188,9 @@ func packBColMajor(bp, b []float32, ldb, k0, kb, j0, jw, nr int) {
 }
 
 // gemmTiled computes C = A·B (m×n, row-major with stride n) from packed A and
-// a B-panel source. Per output element the kc blocks are visited in ascending
-// order and accumulated exactly as the reference loops do; dst is fully
-// overwritten. B panels are packed and consumed one at a time — column blocks
-// ascending, kc blocks ascending within each — into a single pooled buffer.
+// a B-panel source. Each column panel is packed k deep once, and each tile is
+// one micro-kernel call that folds its kc blocks in ascending order exactly
+// as the reference loops do; dst is fully overwritten.
 //
 //easyscale:hotpath
 func gemmTiled(dst []float32, n int, pa *packedA, bsrc *bPanelSrc) {
@@ -200,35 +205,27 @@ func gemmTiled(dst []float32, n int, pa *packedA, bsrc *bPanelSrc) {
 		zeroFill(dst[:m*n])
 		return
 	}
-	bp := pool.GetUninit(((min(gemmNC, n) + nr - 1) / nr) * nr * min(kc, k))
+	nc := max(1, gemmNC/(k*nr)) * nr
+	bp := pool.GetUninit(min(nc, (n+nr-1)/nr*nr) * k)
 	// Edge-tile scratch comes from the arena, not the stack: it is passed to
 	// the micro-kernel through a func value, and escape analysis would heap-
 	// allocate a stack array on every call through that indirection.
 	tile := pool.GetUninit(maxMR * maxNR)
-	for jc := 0; jc < n; jc += gemmNC {
-		jcw := min(gemmNC, n-jc)
-		for k0 := 0; k0 < k; k0 += kc {
-			kb := min(kc, k-k0)
-			bsrc.pack(bp, k0, kb, jc, jcw, nr)
-
-			add := k0 > 0
-			aBlock := k0 * pa.mtiles * mr
-			for sc := 0; sc < pa.mtiles; sc += gemmMCStrips {
-				scEnd := min(pa.mtiles, sc+gemmMCStrips)
-				for t := 0; t*nr < jcw; t++ {
-					bpOff := t * kb * nr
-					jt := jc + t*nr
-					cols := min(nr, jcw-t*nr)
-					for s := sc; s < scEnd; s++ {
-						apOff := aBlock + s*kb*mr
-						i0 := s * mr
-						if i0+mr <= m && cols == nr {
-							mk.fn(dst, i0*n+jt, n, pa.buf[apOff:], bp[bpOff:], kb, add)
-							continue
-						}
-						mk.fn(tile, 0, nr, pa.buf[apOff:], bp[bpOff:], kb, false)
-						storeTile(dst[i0*n+jt:], n, tile, nr, min(mr, m-i0), cols, add)
+	for jc := 0; jc < n; jc += nc {
+		jcw := min(nc, n-jc)
+		bsrc.pack(bp, k, jc, jcw, nr)
+		for sc := 0; sc < pa.mtiles; sc += gemmMCStrips {
+			scEnd := min(pa.mtiles, sc+gemmMCStrips)
+			for t := 0; t*nr < jcw; t++ {
+				b, jt, cols := bp[t*k*nr:], jc+t*nr, min(nr, jcw-t*nr)
+				for s := sc; s < scEnd; s++ {
+					i0 := s * mr
+					if i0+mr <= m && cols == nr {
+						mk.fn(dst, i0*n+jt, n, pa.strip(s), b, k, kc, false)
+						continue
 					}
+					mk.fn(tile, 0, nr, pa.strip(s), b, k, kc, false)
+					storeTile(dst[i0*n+jt:], n, tile, nr, min(mr, m-i0), cols, false)
 				}
 			}
 		}
@@ -262,12 +259,13 @@ func storeTile(dst []float32, ldc int, tile []float32, nr, rows, cols int, add b
 // by the micro-kernel variant's conv tile straight from the zero-bordered
 // image. The forward pass passes output positions as rowTab and taps as
 // koff; the weight gradient swaps the two. Both tables hold uint32 element
-// offsets as float32 bits (see convOffsets). Per output element the kc
-// blocks are visited in ascending order with the same products as gemmTiled,
-// so the two are bitwise identical; dst is fully overwritten.
+// offsets as float32 bits (see convOffsets). Each tile is one conv-tile call
+// folding its kc blocks with the same products as gemmTiled, so the two are
+// bitwise identical. Each tile's total overwrites dst (add=false) or is
+// added into it, the dst value first (add=true).
 //
 //easyscale:hotpath
-func gemmConv(dst []float32, n int, pa *packedA, img, rowTab, koff []float32) {
+func gemmConv(dst []float32, n int, pa *packedA, img, rowTab, koff []float32, add bool) {
 	mk := pa.mk
 	mr, nr := mk.mr, mk.nr
 	tile := pool.GetUninit(maxMR * maxNR) // edge-tile scratch, as in gemmTiled
@@ -278,18 +276,14 @@ func gemmConv(dst []float32, n int, pa *packedA, img, rowTab, koff []float32) {
 		for c := range cols {
 			rows[c] = int(math.Float32bits(rowTab[j0+c]))
 		}
-		for k0 := 0; k0 < pa.k; k0 += pa.kc {
-			kb := min(pa.kc, pa.k-k0)
-			aBlock := k0 * pa.mtiles * mr
-			for s := 0; s < pa.mtiles; s++ {
-				ap, i0 := pa.buf[aBlock+s*kb*mr:], s*mr
-				if i0+mr <= pa.m && cols == nr {
-					mk.conv(dst, i0*n+j0, n, ap, img, rows, koff[k0:], kb, k0 > 0)
-					continue
-				}
-				mk.conv(tile, 0, nr, ap, img, rows, koff[k0:], kb, false)
-				storeTile(dst[i0*n+j0:], n, tile, nr, min(mr, pa.m-i0), cols, k0 > 0)
+		for s := 0; s < pa.mtiles; s++ {
+			i0 := s * mr
+			if i0+mr <= pa.m && cols == nr {
+				mk.conv(dst, i0*n+j0, n, pa.strip(s), img, rows, koff, pa.k, pa.kc, add)
+				continue
 			}
+			mk.conv(tile, 0, nr, pa.strip(s), img, rows, koff, pa.k, pa.kc, false)
+			storeTile(dst[i0*n+j0:], n, tile, nr, min(mr, pa.m-i0), cols, add)
 		}
 	}
 	pool.Put(tile)

@@ -9,24 +9,28 @@ package kernels
 // reference — asserted by the differential tests and fuzzers.
 //
 //go:noescape
-func mk8x8(dst *float32, ldc int, ap, bp *float32, kb int, add bool)
+func mk8x8(dst *float32, ldc int, ap, bp *float32, k, kc int, add bool)
 
 // microKernel8x8AVX2 adapts the AVX2 assembly tile to the microKernelFunc
-// signature: one 8×8 tile over kb k-steps, stored (add=false, first kc
-// block) or added (later blocks) exactly like the reference's
-// `row[j] += part[j]`.
-func microKernel8x8AVX2(dst []float32, o, ldc int, ap, bp []float32, kb int, add bool) {
-	mk8x8(&dst[o], ldc, &ap[0], &bp[0], kb, add)
+// signature: one 8×8 tile over all k steps, its kc-block partials folded in
+// ascending order, stored (add=false) or added (add=true) into dst.
+//
+//easyscale:hotpath
+func microKernel8x8AVX2(dst []float32, o, ldc int, ap, bp []float32, k, kc int, add bool) {
+	mk8x8(&dst[o], ldc, &ap[0], &bp[0], k, kc, add)
 }
 
 // mkConv8x8 is the AVX2 conv tile (gemm_avx2_amd64.s): the same lane
-// arithmetic as mk8x8, with A as the vector operand and B broadcast from the
-// image through the offset tables, and the tile transposed on its way out.
+// arithmetic and fold as mk8x8, with A as the vector operand and B broadcast
+// from the image through the offset tables, and the total transposed on its
+// way out.
 //
 //go:noescape
-func mkConv8x8(dst *float32, ldc int, ap, img *float32, rows *[maxNR]int, koff *float32, kb int, add bool)
+func mkConv8x8(dst *float32, ldc int, ap, img *float32, rows *[maxNR]int, koff *float32, k, kc int, add bool)
 
 // convTile8x8AVX2 adapts the AVX2 conv tile to the convTileFunc signature.
-func convTile8x8AVX2(dst []float32, o, ldc int, ap, img []float32, rows [maxNR]int, koff []float32, kb int, add bool) {
-	mkConv8x8(&dst[o], ldc, &ap[0], &img[0], &rows, &koff[0], kb, add)
+//
+//easyscale:hotpath
+func convTile8x8AVX2(dst []float32, o, ldc int, ap, img []float32, rows [maxNR]int, koff []float32, k, kc int, add bool) {
+	mkConv8x8(&dst[o], ldc, &ap[0], &img[0], &rows, &koff[0], k, kc, add)
 }

@@ -21,21 +21,40 @@
 #define ROWST(r) VMOVUPS r, (DI); ADDQ DX, DI
 #define ROWADD(r, t) VMOVUPS (DI), t; VADDPS r, t, t; VMOVUPS t, (DI); ADDQ DX, DI
 
-// func mk8x8(dst *float32, ldc int, ap, bp *float32, kb int, add bool)
+// FOLD adds block partial r onto the running total spilled at off(SP), the
+// total first — the order of the reference's `row[j] += part[j]` — leaving
+// the new total in r; SPILL parks total r at off(SP) while the next block's
+// partial is summed. A lane-wise add does not care whether the eight
+// registers hold rows or columns, so both tiles share the pair.
+#define FOLD(r, off) VMOVUPS off(SP), Y8; VADDPS r, Y8, r
+#define SPILL(r, off) VMOVUPS r, off(SP)
+
+// func mk8x8(dst *float32, ldc int, ap, bp *float32, k, kc int, add bool)
 //
-// One 8x8 register tile of the blocked GEMM: acc[r][0..7] += ap[kk*8+r] *
-// bp[kk*8 .. kk*8+7] for kk in [0,kb), then stored to (add=false) or added
-// into (add=true) the eight dst rows ldc apart. kb must be >= 1 (guaranteed
-// by the kc normalization in gemm.go). The eight column accumulators of each
-// row live in one YMM register (Y0-Y7).
-TEXT ·mk8x8(SB), NOSPLIT, $0-41
+// One 8x8 register tile of the blocked GEMM over all k steps of the packed
+// strips, kc at a time: per block, acc[r][0..7] += ap[kk*8+r] *
+// bp[kk*8 .. kk*8+7] for kk ascending from +0 accumulators; the first block's
+// partial is the total and each later one is folded onto it (FOLD). The
+// total is then stored to (add=false) or added into (add=true) the eight dst
+// rows ldc apart. k and kc must be >= 1 (guaranteed by the kc normalization
+// in gemm.go). The eight column accumulators of each row live in one YMM
+// register (Y0-Y7); between blocks the total waits in the 256-byte frame.
+// R8 counts the k steps left, R9 is kc, R10 is 0 until a total exists.
+TEXT ·mk8x8(SB), NOSPLIT, $256-49
 	MOVQ dst+0(FP), DI
 	MOVQ ldc+8(FP), DX
 	MOVQ ap+16(FP), SI
 	MOVQ bp+24(FP), BX
-	MOVQ kb+32(FP), CX
+	MOVQ k+32(FP), R8
+	MOVQ kc+40(FP), R9
 	SHLQ $2, DX            // ldc in bytes
+	XORQ R10, R10
 
+block:
+	MOVQ    R9, CX
+	CMPQ    R8, CX
+	CMOVQLT R8, CX         // kb = min(kc, k steps left)
+	SUBQ    CX, R8
 	VXORPS Y0, Y0, Y0
 	VXORPS Y1, Y1, Y1
 	VXORPS Y2, Y2, Y2
@@ -68,7 +87,33 @@ loop:
 	DECQ CX
 	JNZ  loop
 
-	CMPB add+40(FP), $0
+	TESTQ R10, R10
+	JZ    folded
+	FOLD(Y0, 0)
+	FOLD(Y1, 32)
+	FOLD(Y2, 64)
+	FOLD(Y3, 96)
+	FOLD(Y4, 128)
+	FOLD(Y5, 160)
+	FOLD(Y6, 192)
+	FOLD(Y7, 224)
+
+folded:
+	TESTQ R8, R8
+	JZ    done
+	SPILL(Y0, 0)
+	SPILL(Y1, 32)
+	SPILL(Y2, 64)
+	SPILL(Y3, 96)
+	SPILL(Y4, 128)
+	SPILL(Y5, 160)
+	SPILL(Y6, 192)
+	SPILL(Y7, 224)
+	MOVQ $1, R10
+	JMP  block
+
+done:
+	CMPB add+48(FP), $0
 	JNE  add
 	ROWST(Y0)
 	ROWST(Y1)
@@ -97,20 +142,23 @@ add:
 // img + 4*entry in r (DX holds img).
 #define ROWPTR(off, r) MOVQ off(CX), r; LEAQ (DX)(r*4), r
 
-// func mkConv8x8(dst *float32, ldc int, ap, img *float32, rows *[8]int, koff *float32, kb int, add bool)
+// func mkConv8x8(dst *float32, ldc int, ap, img *float32, rows *[8]int, koff *float32, k, kc int, add bool)
 //
 // One 8x8 tile of a convolution GEMM whose B operand is gathered from the
-// image instead of packed: acc[c][0..7] += ap[kk*8 .. kk*8+7] *
-// img[rows[c]+koff[kk]] for kk in [0,kb). koff holds uint32 element offsets
-// stored as float32 bits. Each accumulator register holds one output column
-// (its lanes are the eight output rows), so the tile is transposed before it
-// is stored to (add=false) or added into (add=true) the eight dst rows ldc
-// apart. kb must be >= 1.
+// image instead of packed, over all k steps, kc at a time: per block,
+// acc[c][0..7] += ap[kk*8 .. kk*8+7] * img[rows[c]+koff[kk]] for kk ascending
+// from +0 accumulators, each partial folded onto the total like mk8x8's.
+// koff holds uint32 element offsets stored as float32 bits. Each accumulator
+// register holds one output column (its lanes are the eight output rows), so
+// the total is transposed once, after the last block, before it is stored to
+// (add=false) or added into (add=true) the eight dst rows ldc apart. k and kc
+// must be >= 1.
 //
 // Registers: Y0-Y7 columns, Y8 the A vector, Y9 the gathered broadcast;
 // AX BX R8-R13 the eight column pointers, DI koff, DX one offset, SI ap,
-// CX the count.
-TEXT ·mkConv8x8(SB), NOSPLIT, $0-57
+// CX the count. The frame holds the spilled total at 0-255, the k steps
+// left at 256 and, at 264, a byte that is 0 until a total exists.
+TEXT ·mkConv8x8(SB), NOSPLIT, $272-65
 	MOVQ img+24(FP), DX
 	MOVQ rows+32(FP), CX
 	ROWPTR(0, AX)
@@ -123,8 +171,17 @@ TEXT ·mkConv8x8(SB), NOSPLIT, $0-57
 	ROWPTR(56, R13)
 	MOVQ ap+16(FP), SI
 	MOVQ koff+40(FP), DI
-	MOVQ kb+48(FP), CX
+	MOVQ k+48(FP), DX
+	MOVQ DX, 256(SP)
+	MOVB $0, 264(SP)
 
+cblock:
+	MOVQ    kc+56(FP), CX
+	MOVQ    256(SP), DX
+	CMPQ    DX, CX
+	CMOVQLT DX, CX         // kb = min(kc, k steps left)
+	SUBQ    CX, DX
+	MOVQ    DX, 256(SP)
 	VXORPS Y0, Y0, Y0
 	VXORPS Y1, Y1, Y1
 	VXORPS Y2, Y2, Y2
@@ -158,6 +215,32 @@ cloop:
 	DECQ CX
 	JNZ  cloop
 
+	CMPB 264(SP), $0
+	JEQ  cfolded
+	FOLD(Y0, 0)
+	FOLD(Y1, 32)
+	FOLD(Y2, 64)
+	FOLD(Y3, 96)
+	FOLD(Y4, 128)
+	FOLD(Y5, 160)
+	FOLD(Y6, 192)
+	FOLD(Y7, 224)
+
+cfolded:
+	CMPQ 256(SP), $0
+	JEQ  cdone
+	SPILL(Y0, 0)
+	SPILL(Y1, 32)
+	SPILL(Y2, 64)
+	SPILL(Y3, 96)
+	SPILL(Y4, 128)
+	SPILL(Y5, 160)
+	SPILL(Y6, 192)
+	SPILL(Y7, 224)
+	MOVB $1, 264(SP)
+	JMP  cblock
+
+cdone:
 	// 8x8 transpose: column c's lane r becomes row r's lane c. Pure moves.
 	VUNPCKLPS Y1, Y0, Y8   // c0r0 c1r0 c0r1 c1r1 | c0r4 c1r4 c0r5 c1r5
 	VUNPCKHPS Y1, Y0, Y9   // c0r2 c1r2 c0r3 c1r3 | c0r6 c1r6 c0r7 c1r7
@@ -187,7 +270,7 @@ cloop:
 	MOVQ    dst+0(FP), DI
 	MOVQ    ldc+8(FP), DX
 	SHLQ    $2, DX
-	CMPB add+56(FP), $0
+	CMPB add+64(FP), $0
 	JNE  cadd
 	ROWST(Y8)
 	ROWST(Y9)

@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -116,9 +117,9 @@ func runDifferential(t *testing.T, impl gemmImpl, m, k, n, kc int, a, b []float3
 }
 
 // TestGemmTiledVsReference sweeps shapes around every tiling boundary —
-// register-tile edges (mod gemmMR/gemmNR), cache-block edges (gemmNC,
-// gemmMCStrips·gemmMR), degenerate 0/1 dims — across kc values including the
-// normalization cases kc<=0 and kc>k.
+// register-tile edges (mod mr/nr of every variant), cache-block edges (the
+// gemmNC panel width, gemmMCStrips·mr), degenerate 0/1 dims — across kc
+// values including the normalization cases kc<=0 and kc>k.
 func TestGemmTiledVsReference(t *testing.T) {
 	shapes := [][3]int{
 		{1, 1, 1}, {4, 4, 4}, {5, 3, 7}, {8, 16, 4}, {3, 1, 9},
@@ -147,8 +148,8 @@ func TestGemmTiledVsReference(t *testing.T) {
 // TestGemmTiledVsReferenceNonFinite locks in the zero-skip decision: the
 // references form a product for every k index (no skip of zero operands), so
 // NaN, ±Inf, −0, and denormals must flow through the tiled kernels with
-// exactly the same bits — across kc boundaries, edge tiles, and the
-// store-vs-add first-block path.
+// exactly the same bits — across kc boundaries, edge tiles, and the fold of
+// the first block's partial as the total.
 func TestGemmTiledVsReferenceNonFinite(t *testing.T) {
 	shapes := [][3]int{
 		{4, 4, 4}, {5, 9, 6}, {8, 27, 16}, {13, 64, 9}, {3, 130, 258},
@@ -272,3 +273,148 @@ func fuzzGemm(f *testing.F, impl gemmImpl) {
 func FuzzGemmTiledVsReferenceMatMul(f *testing.F)    { fuzzGemm(f, gemmImpls[0]) }
 func FuzzGemmTiledVsReferenceMatMulATB(f *testing.F) { fuzzGemm(f, gemmImpls[1]) }
 func FuzzGemmTiledVsReferenceMatMulABT(f *testing.F) { fuzzGemm(f, gemmImpls[2]) }
+
+// tileFold is the tile contract in scalar form, on the mr×nr tile of
+// B(kk,c) = b(kk, c) against A(r,kk) = ap[kk·mr+r]: per element, each kc
+// block's products summed in ascending kk from +0, the first partial the
+// total and every later one added total first; the total then stored into
+// dst, or added to it with the dst value first.
+func tileFold(dst []float32, o, ldc, mr, nr int, ap []float32, b func(kk, c int) float32, k, kc int, add bool) {
+	for r := 0; r < mr; r++ {
+		for c := 0; c < nr; c++ {
+			var total float32
+			for k0 := 0; k0 < k; k0 += kc {
+				var part float32
+				for kk := k0; kk < min(k0+kc, k); kk++ {
+					part += ap[kk*mr+r] * b(kk, c)
+				}
+				if k0 == 0 {
+					total = part
+				} else {
+					total += part
+				}
+			}
+			if add {
+				dst[o+r*ldc+c] += total
+			} else {
+				dst[o+r*ldc+c] = total
+			}
+		}
+	}
+}
+
+// tileOperands builds one tile call's operands for both tile kinds: packed
+// A and B strips k deep, and an image with row and tap offset tables whose
+// gathered B is the same matrix as the packed strip. dst is a sentinel-filled
+// frame around the tile at offset o, rows ldc apart.
+type tileOperands struct {
+	ap, bp, img, koff []float32
+	rows              [maxNR]int
+	dst               []float32
+	o, ldc, nr        int
+}
+
+func newTileOperands(mr, nr, k int, seed uint64, fill func([]float32, uint64)) tileOperands {
+	op := tileOperands{ap: make([]float32, mr*k), bp: make([]float32, nr*k), img: make([]float32, nr*k),
+		koff: make([]float32, k), ldc: nr + 3, nr: nr}
+	op.o = op.ldc + 1
+	op.dst = make([]float32, (mr+2)*op.ldc)
+	fill(op.ap, seed)
+	fill(op.bp, seed+1)
+	fill(op.dst, seed+2)
+	for c := 0; c < nr; c++ {
+		op.rows[c] = c * k // image column c holds B(·,c) contiguously
+		for kk := 0; kk < k; kk++ {
+			op.img[c*k+kk] = op.bp[kk*nr+c]
+		}
+	}
+	for kk := range op.koff {
+		op.koff[kk] = math.Float32frombits(uint32(kk))
+	}
+	return op
+}
+
+func (op *tileOperands) b(kk, c int) float32 { return op.bp[kk*op.nr+c] }
+
+// runTile calls one variant's packed or gathering tile on a copy of dst.
+func (op *tileOperands) runTile(mk *mkDesc, conv bool, k, kc int, add bool) []float32 {
+	dst := append([]float32(nil), op.dst...)
+	if conv {
+		mk.conv(dst, op.o, op.ldc, op.ap, op.img, op.rows, op.koff, k, kc, add)
+	} else {
+		mk.fn(dst, op.o, op.ldc, op.ap, op.bp, k, kc, add)
+	}
+	return dst
+}
+
+// mixedFill draws values over many binades, so a change of summation or fold
+// order shows in the low bits, with a few specials sprinkled in.
+func mixedFill(xs []float32, seed uint64) {
+	copy(xs, sumOperands(len(xs), seed, false))
+	sprinkleN(xs, seed, len(xs)/32)
+}
+
+// TestTileFoldsBlocksLikeSpec holds every registered variant's packed tile
+// and conv tile to the scalar fold at k around one, one and several kc
+// blocks (kc 1, 8, 64, and a single block kc = k), stored and added, with
+// the cells around the tile left untouched. On the assembly tiles a
+// NaN-payload case then tells the operand orders apart, which sameBits
+// forgives elsewhere: two NaN products in block 0 (the accumulator first),
+// another NaN in block 1 (the total first in the fold) and a NaN already in
+// dst (the dst value first in the final add) must each leave the expected
+// payload. The generic tile is exempt: Go may commute a float add, which
+// changes only the surviving payload.
+func TestTileFoldsBlocksLikeSpec(t *testing.T) {
+	for _, mk := range mkVariants {
+		for _, conv := range []bool{false, true} {
+			name := mk.name + map[bool]string{false: "/fn", true: "/conv"}[conv]
+			for _, kc := range []int{1, 8, 64} {
+				for _, k := range []int{1, kc - 1, kc, kc + 1, 3 * kc, 3*kc + 5} {
+					if k < 1 {
+						continue
+					}
+					op := newTileOperands(mk.mr, mk.nr, k, uint64(k*131+kc), mixedFill)
+					for _, bk := range []int{kc, k} {
+						for _, add := range []bool{false, true} {
+							want := append([]float32(nil), op.dst...)
+							tileFold(want, op.o, op.ldc, mk.mr, mk.nr, op.ap, op.b, k, bk, add)
+							diffBits(t, fmt.Sprintf("%s/k%d/kc%d/add=%v", name, k, bk, add), op.runTile(mk, conv, k, bk, add), want)
+						}
+					}
+				}
+			}
+
+			if mk == mkGenericDesc {
+				continue
+			}
+			const kc, k = 8, 16
+			nan := func(payload uint32) float32 { return math.Float32frombits(0x7fc00000 | payload) }
+			op := newTileOperands(mk.mr, mk.nr, k, 1, func(xs []float32, _ uint64) {
+				for i := range xs {
+					xs[i] = 1
+				}
+			})
+			for r := 0; r < mk.mr; r++ {
+				op.ap[0*mk.mr+r], op.ap[1*mk.mr+r], op.ap[kc*mk.mr+r] = nan(1), nan(4), nan(2)
+			}
+			for _, add := range []bool{false, true} {
+				want := nan(1)
+				if add {
+					want = nan(3)
+					for i := range op.dst {
+						op.dst[i] = nan(3)
+					}
+				}
+				got := op.runTile(mk, conv, k, kc, add)
+				for r := 0; r < mk.mr; r++ {
+					for c := 0; c < mk.nr; c++ {
+						if g := math.Float32bits(got[op.o+r*op.ldc+c]); g != math.Float32bits(want) {
+							t.Fatalf("%s/nan-payload/add=%v: element (%d,%d) bits %#08x, want %#08x",
+								name, add, r, c, g, math.Float32bits(want))
+						}
+					}
+				}
+			}
+		}
+	}
+}

@@ -93,10 +93,10 @@ func TestTwoVariantsOnAMD64(t *testing.T) {
 
 // TestGemmOddShapesEdgeTiles is the regression table for the wider micro-tile:
 // every m, n combination around the 8-wide tile boundaries (full tiles, one
-// past, one short), crossed with kc < k — which drives the edge-tile
-// accumulate path, where a partially-filled tile buffer must be added, not
-// stored — and kc >= k (the store path). Guards the zeroFill/remainder
-// handling audit of the 8×8 kernel.
+// past, one short), crossed with kc < k — several blocks folded inside one
+// tile call, an edge tile's total stored through the scratch tile — and
+// kc >= k (one block). Guards the zeroFill/remainder handling audit of the
+// 8×8 kernel.
 func TestGemmOddShapesEdgeTiles(t *testing.T) {
 	dims := []int{1, 7, 8, 9, 15, 16, 17, 25}
 	ks := []int{3, 8, 17}

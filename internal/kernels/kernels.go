@@ -52,22 +52,52 @@ func SumSequential(xs []float32) float32 {
 }
 
 // SumBlocked adds xs in contiguous blocks of the given size: each block is
-// summed left to right, then block partials are added left to right. Distinct
-// block sizes generally yield bitwise-different results on the same input —
-// the mechanism behind hardware-specific kernels. block <= 0 or >= len(xs)
-// degenerates to SumSequential.
+// summed left to right from +0, then block partials are added left to right
+// onto +0. Distinct block sizes generally yield bitwise-different results on
+// the same input — the mechanism behind hardware-specific kernels. block <= 0
+// or >= len(xs) degenerates to SumSequential.
+//
+// Eight consecutive blocks are summed side by side in eight independent
+// accumulators, each still left to right from +0, and their partials are
+// then added to the total in ascending order: the serial loop's bits with
+// eight dependency chains instead of one. Only a tail of fewer than eight
+// blocks runs one block at a time.
+//
+//easyscale:hotpath
 func SumBlocked(xs []float32, block int) float32 {
 	if block <= 0 || block >= len(xs) {
 		return SumSequential(xs)
 	}
 	var total float32
-	for i := 0; i < len(xs); i += block {
-		end := i + block
-		if end > len(xs) {
-			end = len(xs)
+	i := 0
+	for ; i+8*block <= len(xs); i += 8 * block {
+		b0 := xs[i : i+block]
+		b1, b2, b3 := xs[i+block:][:len(b0)], xs[i+2*block:][:len(b0)], xs[i+3*block:][:len(b0)]
+		b4, b5, b6 := xs[i+4*block:][:len(b0)], xs[i+5*block:][:len(b0)], xs[i+6*block:][:len(b0)]
+		b7 := xs[i+7*block:][:len(b0)]
+		var p0, p1, p2, p3, p4, p5, p6, p7 float32
+		for j, v := range b0 {
+			p0 += v
+			p1 += b1[j]
+			p2 += b2[j]
+			p3 += b3[j]
+			p4 += b4[j]
+			p5 += b5[j]
+			p6 += b6[j]
+			p7 += b7[j]
 		}
+		total += p0
+		total += p1
+		total += p2
+		total += p3
+		total += p4
+		total += p5
+		total += p6
+		total += p7
+	}
+	for ; i < len(xs); i += block {
 		var part float32
-		for _, v := range xs[i:end] {
+		for _, v := range xs[i:min(i+block, len(xs))] {
 			part += v
 		}
 		total += part

@@ -73,6 +73,82 @@ func TestSumBlockedCloseToFloat64(t *testing.T) {
 	}
 }
 
+// sumBlockedSpec is SumBlocked's executable specification, kept apart from
+// the code it checks: one block at a time, each summed left to right from
+// +0, its partial added onto the total.
+func sumBlockedSpec(xs []float32, block int) float32 {
+	if block <= 0 || block >= len(xs) {
+		return SumSequential(xs)
+	}
+	var total float32
+	for i := 0; i < len(xs); i += block {
+		var part float32
+		for _, v := range xs[i:min(i+block, len(xs))] {
+			part += v
+		}
+		total += part
+	}
+	return total
+}
+
+// sumOperands draws n addends spread over many binades, so that any change
+// of addition order shows in the low bits, with NaN, ±Inf, −0 and ±1e38
+// (whose sums overflow or not depending on order) sprinkled in when asked.
+func sumOperands(n int, seed uint64, withSpecials bool) []float32 {
+	xs := make([]float32, n)
+	s := seed
+	for i := range xs {
+		r := splitmix64(&s)
+		xs[i] = float32(int32(r)) * float32(math.Ldexp(1, int(r>>32)%24-40))
+	}
+	if withSpecials {
+		big := []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)),
+			float32(math.Copysign(0, -1)), 1e38, -1e38, 1e38, -1e38}
+		for j := 0; j < n/16; j++ {
+			xs[splitmix64(&s)%uint64(n)] = big[splitmix64(&s)%uint64(len(big))]
+		}
+	}
+	return xs
+}
+
+// TestSumBlockedMatchesSpec pins the eight-lane SumBlocked to the serial
+// loop at every block size 1–17 and length 0–300: the full eight-block
+// groups, every tail length and the degenerate single block, with and
+// without specials.
+func TestSumBlockedMatchesSpec(t *testing.T) {
+	for block := 1; block <= 17; block++ {
+		for n := 0; n <= 300; n++ {
+			for _, sp := range []bool{false, true} {
+				xs := sumOperands(n, uint64(block*1000+n), sp)
+				got, want := SumBlocked(xs, block), sumBlockedSpec(xs, block)
+				if !sameBits(got, want) {
+					t.Fatalf("block %d n %d specials %v: got bits %#08x (%v), want %#08x (%v)",
+						block, n, sp, math.Float32bits(got), got, math.Float32bits(want), want)
+				}
+			}
+		}
+	}
+}
+
+// FuzzSumBlockedVsSpec feeds SumBlocked raw float32 bit patterns — every
+// binade, NaN payload, infinity and signed zero the fuzzer finds — at any
+// block size, against the serial spec.
+func FuzzSumBlockedVsSpec(f *testing.F) {
+	f.Add([]byte{0, 0, 128, 63, 0, 0, 0, 128, 0, 0, 192, 127}, int16(1))
+	f.Add(make([]byte, 4*67), int16(8))
+	f.Add([]byte("the quick brown fox jumps over the lazy dog, twice over and again"), int16(3))
+	f.Fuzz(func(t *testing.T, raw []byte, block int16) {
+		xs := make([]float32, len(raw)/4)
+		for i := range xs {
+			xs[i] = math.Float32frombits(uint32(raw[4*i]) | uint32(raw[4*i+1])<<8 | uint32(raw[4*i+2])<<16 | uint32(raw[4*i+3])<<24)
+		}
+		got, want := SumBlocked(xs, int(block)), sumBlockedSpec(xs, int(block))
+		if !sameBits(got, want) {
+			t.Fatalf("n %d block %d: got bits %#08x, want %#08x", len(xs), block, math.Float32bits(got), math.Float32bits(want))
+		}
+	})
+}
+
 func TestSumAtomicCorrectAndNondeterministic(t *testing.T) {
 	xs := randSlice(rng.New(4), 1<<14)
 	ref := sum64(xs)

@@ -10,8 +10,9 @@ import (
 //
 // Dispatch is bitwise invisible by construction: every micro-kernel variant
 // accumulates each output element's k-partials in exactly the reference
-// order (products in ascending kk within a kc block, block partials in
-// ascending block order), and every elementwise variant performs the same
+// order (products in ascending kk within a kc block, block partials folded
+// onto the total in ascending block order, all inside one tile call), and
+// every elementwise variant performs the same
 // per-lane operation sequence as the scalar reference. Only the *tile shape*
 // and the *register width* differ between variants — both are free
 // parameters under the determinism contract of §3.3, proven free by the
@@ -41,17 +42,21 @@ const (
 	ISAGeneric = "generic"
 )
 
-// microKernelFunc computes one mr×nr register tile over kb k-steps from
-// packed panels, storing (add=false) or accumulating (add=true) into dst
-// rows ldc apart starting at offset o.
-type microKernelFunc func(dst []float32, o, ldc int, ap, bp []float32, kb int, add bool)
+// microKernelFunc computes one mr×nr register tile from packed strips in
+// one call: it walks all k steps kc at a time, sums each block's products in
+// ascending kk from +0, and folds the block partials onto a running total in
+// ascending block order — the first partial is the total, every later one is
+// added total first. The total is then stored (add=false) or added with the
+// dst value first (add=true) into dst rows ldc apart starting at offset o.
+// ap and bp are the tile's A and B strips, each contiguous over all of k.
+type microKernelFunc func(dst []float32, o, ldc int, ap, bp []float32, k, kc int, add bool)
 
 // convTileFunc computes one mr×nr tile of a convolution GEMM whose B operand
 // is gathered from the zero-bordered image instead of packed: for kk in
-// [0,kb), acc[r][c] += ap[kk·mr+r] · img[rows[c]+koff[kk]], where koff holds
-// uint32 element offsets stored as float32 bits. Stored or added into dst
-// exactly like a microKernelFunc tile.
-type convTileFunc func(dst []float32, o, ldc int, ap, img []float32, rows [maxNR]int, koff []float32, kb int, add bool)
+// [0,k), acc[r][c] += ap[kk·mr+r] · img[rows[c]+koff[kk]], where koff holds
+// uint32 element offsets stored as float32 bits. Blocked, folded and stored
+// or added into dst exactly like a microKernelFunc tile.
+type convTileFunc func(dst []float32, o, ldc int, ap, img []float32, rows [maxNR]int, koff []float32, k, kc int, add bool)
 
 // mkDesc describes one micro-kernel variant: its register-tile shape (which
 // fixes the packed-panel layout) and the two tile functions, one over a
