@@ -21,7 +21,8 @@
 #   make loc     — non-test Go and assembly lines per package and in total
 #   make prof    — CPU profile of 3,000 train_conv steps (resnet50 on
 #                  V100+P100, kc-8 D2 kernels) into prof/, printed as the top
-#                  40 lines by cumulative share; not part of check
+#                  40 lines by cumulative share, then the top 25 by flat
+#                  share; not part of check
 #   make examples-smoke — run the examples that check themselves (autoscale:
 #                  plane-driven scale-out, fallback and reclaim on a live job,
 #                  bitwise identical to fixed-DoP DDP); they exit non-zero on
@@ -125,12 +126,13 @@ loc:
 
 # CPU profile of 3,000 resnet50 steps: core's BenchmarkTrainConvStep (100
 # warm-up steps outside the timer) under -cpuprofile, with the test binary
-# kept beside it for pprof
+# kept beside it for pprof; the cumulative view, then the flat one
 prof:
 	@mkdir -p prof
 	$(GO) test -run '^$$' -bench '^BenchmarkTrainConvStep$$' -benchtime 3000x \
 		-o prof/core.test -cpuprofile prof/train_conv.cpu ./internal/core
 	$(GO) tool pprof -top -cum prof/core.test prof/train_conv.cpu 2>/dev/null | head -40
+	$(GO) tool pprof -top prof/core.test prof/train_conv.cpu 2>/dev/null | sed -n '/flat%/,$$p' | head -26
 
 # serving smoke: checkpoint two models, drive ~1k requests at a batched and
 # an unbatched server, and require bitwise-equal outputs and zero drops

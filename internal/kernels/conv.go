@@ -49,22 +49,15 @@ func (d ConvDims) bordered() ConvDims {
 	return d
 }
 
-// border copies one image between its plain layout img[CI,H,W] and the
-// interior of its bordered layout (d.bordered()): into the interior when
-// toBordered, out of it otherwise. The border itself is never touched.
+// border copies one image img[CI,H,W] into the interior of its bordered
+// layout (d.bordered()). The border itself is never touched.
 //
 //easyscale:hotpath
-func border(img, bordered []float32, d ConvDims, toBordered bool) {
+func border(img, bordered []float32, d ConvDims) {
 	bw := d.W + 2*d.PadW
 	for c := 0; c < d.CIn; c++ {
 		for y := 0; y < d.H; y++ {
-			plain := img[(c*d.H+y)*d.W:][:d.W]
-			in := bordered[(c*(d.H+2*d.PadH)+y+d.PadH)*bw+d.PadW:][:d.W]
-			if toBordered {
-				copy(in, plain)
-			} else {
-				copy(plain, in)
-			}
+			copy(bordered[(c*(d.H+2*d.PadH)+y+d.PadH)*bw+d.PadW:][:d.W], img[(c*d.H+y)*d.W:][:d.W])
 		}
 	}
 }
@@ -163,7 +156,7 @@ func Conv2D(dst, src, weight, bias []float32, d ConvDims, kc int) {
 	pa := packA(weight, d.COut, kdim, normKC(kc, kdim), kdim, 1)
 	for b := 0; b < d.Batch; b++ {
 		out := dst[b*imgOut : (b+1)*imgOut]
-		border(src[b*imgIn:(b+1)*imgIn], img, d, true)
+		border(src[b*imgIn:(b+1)*imgIn], img, d)
 		gemmConv(out, spatial, &pa, img, pos, tap, false)
 		if bias != nil {
 			addBias(out, bias, d.COut, spatial)
@@ -182,12 +175,13 @@ func Conv2D(dst, src, weight, bias []float32, d ConvDims, kc int) {
 // as in the forward pass.
 //
 // The transposed weights of dX are packed once per call, one panel per tap,
-// and convDX adds each dX tile straight into a zero-bordered gradient; the dW
-// GEMM gathers its colsᵀ operand from the zero-bordered source image with the
-// forward's offset tables swapped and adds each tile's total straight into
-// the zeroed gradWeight, image by image: bitwise the reference's per-image
-// partial added onto the running sum. Like the forward, the backward pass
-// never materializes an im2col matrix.
+// and convDX gathers each dX tile from a guarded copy of dOut, walking its
+// taps in registers and storing every dX row once; the dW GEMM gathers its
+// colsᵀ operand from the zero-bordered source image with the forward's
+// offset tables swapped and adds each tile's total straight into the zeroed
+// gradWeight, image by image: bitwise the reference's per-image partial
+// added onto the running sum. Like the forward, the backward pass never
+// materializes an im2col matrix.
 //
 //easyscale:hotpath
 func Conv2DBackward(gradSrc, gradWeight, gradBias, src, weight, gradOut []float32, d ConvDims, kc int) {
@@ -215,8 +209,8 @@ func Conv2DBackward(gradSrc, gradWeight, gradBias, src, weight, gradOut []float3
 		panic("kernels: Conv2DBackward gradSrc size mismatch")
 	}
 
-	p := d.bordered()
 	var paT packedA
+	var dx dxPlan
 	if gradSrc != nil {
 		// Wᵀ per tap (kh,kw): rows are the input channels, K is COut
 		taps := d.KH * d.KW
@@ -225,9 +219,11 @@ func Conv2DBackward(gradSrc, gradWeight, gradBias, src, weight, gradOut []float3
 		for t := 0; t < taps; t++ {
 			paT.pack(paT.buf[t*paT.size():], weight[t:], taps, kdim)
 		}
+		dx = newDXPlan(d, &paT)
 	}
 	var img, pos, tap []float32
 	if gradWeight != nil {
+		p := d.bordered()
 		img = pool.Get(p.CIn * p.H * p.W) // its border stays +0 for every image
 		pos, tap = convOffsets(p)
 	}
@@ -238,7 +234,7 @@ func Conv2DBackward(gradSrc, gradWeight, gradBias, src, weight, gradOut []float3
 			// dW += dOut · colsᵀ : [CO, spatial]·[spatial, kdim] = [CO, kdim],
 			// each tile's total added straight into gradWeight
 			paD := packA(dout, d.COut, spatial, kcW, spatial, 1)
-			border(src[b*imgIn:(b+1)*imgIn], img, d, true)
+			border(src[b*imgIn:(b+1)*imgIn], img, d)
 			gemmConv(gradWeight, kdim, &paD, img, tap, pos, true)
 			paD.release()
 		}
@@ -249,70 +245,134 @@ func Conv2DBackward(gradSrc, gradWeight, gradBias, src, weight, gradOut []float3
 			}
 		}
 		if gradSrc != nil {
-			convDX(gradSrc[b*imgIn:(b+1)*imgIn], dout, d, &paT)
+			convDX(gradSrc[b*imgIn:(b+1)*imgIn], dout, d, &paT, &dx)
 		}
 	}
 	// Put ignores the nil buffers of a skipped gradient
 	paT.release()
+	pool.Put(dx.dout)
+	pool.Put(dx.taps)
 	pool.Put(img)
 	pool.Put(pos)
 	pool.Put(tap)
 }
 
-// convDX computes one image's input gradient dst[CI,H,W], the col2im scatter
-// of Wᵀ·dOut, without forming Wᵀ·dOut: each mr×nr tile — mr input channels
-// at one tap (kh,kw) × nr positions of one output row — is added straight
-// into a zero-bordered gradient, where at StrideW 1 it is mr runs of nr
-// contiguous elements one channel plane apart. pa holds one Wᵀ panel per
-// tap, in tap order.
+// dxPlan is what convDX reads besides the Wᵀ panels, laid out once per
+// Conv2DBackward call for the tile shape of the panels' variant.
 //
-// Taps run outermost, and within one tap each gradient element receives at
-// most one add, so every element gets its adds in ascending tap order onto
-// +0: the order of the bounds-checked scatter. Each added value is the
-// kc-blocked total that Wᵀ·dOut would hold, folded inside the tile call: a
-// full row chunk at StrideW 1 adds it in place; a partial chunk or
-// StrideW > 1 computes it in scratch and adds it element by element. The
-// gradient has a plane for every row of every strip, so a partial channel
-// strip adds its zero-weight rows to planes that are never copied out, and
-// the border's adds are discarded with it.
+// dout is one image's dOut on a grid whose rows are rowLen floats apart:
+// output position (y, x) sits at y·rowLen + left−PadW + x·StrideW, so dX
+// position w reads tap kw's operand at left + w − kw, and an nr-wide run of
+// positions is one plain vector load at any tap. At StrideW 1 the rows are
+// dOut's own, so the grid is one copy of the image; at StrideW > 1 each row
+// is zero-dilated. The lanes that fall off a row read the guard at either
+// end, a neighbouring row or a dilation zero, which the masks discard.
+//
+// taps holds one list per (dX row, nr-wide run), ldl floats apart: a count
+// n, then n records {aOff, bOff, mask[nr]} in ascending tap order — the
+// tap's Wᵀ panel offset, its dOut row and column on the grid, and which
+// lanes read a real dOut position (all-ones) or fall off the image or
+// between strides (+0). A tap whose dOut row is off the image or between
+// strides has no record. Offsets are uint32 stored as float32 bits, as in
+// convOffsets. The lane masks per (run, kw) follow the lists.
+type dxPlan struct {
+	dout, taps              []float32
+	rowLen, left, runs, ldl int
+}
+
+// onGrid reports whether v is i·s for an index i in [0,n).
+func onGrid(v, s, n int) bool { return v >= 0 && v <= (n-1)*s && (s == 1 || v%s == 0) }
+
+// newDXPlan lays out d's dX plan for pa's tile shape in arena memory.
 //
 //easyscale:hotpath
-func convDX(dst, dout []float32, d ConvDims, pa *packedA) {
+func newDXPlan(d ConvDims, pa *packedA) dxPlan {
+	nr, panel, oh, ow := pa.mk.nr, pa.size(), d.OutH(), d.OutW()
+	rec := 2 + nr
+	x := dxPlan{left: max(d.KW-1, d.PadW), runs: (d.W + nr - 1) / nr, ldl: 1 + d.KH*d.KW*rec}
+	x.rowLen = (ow-1)*d.StrideW + 1
+	x.dout = pool.Get(d.COut*oh*x.rowLen + x.left + x.runs*nr)
+	lists := d.H * x.runs * x.ldl
+	x.taps = pool.GetUninit(lists + x.runs*d.KW*nr)
+	masks := x.taps[lists:]
+	for i := range masks {
+		j, kw, c := i/(d.KW*nr), i/nr%d.KW, i%nr
+		masks[i] = 0
+		if w := j*nr + c; w < d.W && onGrid(w+d.PadW-kw, d.StrideW, ow) {
+			masks[i] = math.Float32frombits(^uint32(0))
+		}
+	}
+	for h := 0; h < d.H; h++ {
+		for j := 0; j < x.runs; j++ {
+			list, n := x.taps[(h*x.runs+j)*x.ldl:], 0
+			for kh := 0; kh < d.KH; kh++ {
+				v := h + d.PadH - kh // the dOut row, times StrideH
+				if !onGrid(v, d.StrideH, oh) {
+					continue
+				}
+				row := v / d.StrideH * x.rowLen
+				for kw := 0; kw < d.KW; kw++ {
+					r := list[1+n*rec:][:rec]
+					r[0] = math.Float32frombits(uint32((kh*d.KW + kw) * panel))
+					r[1] = math.Float32frombits(uint32(row + x.left + j*nr - kw))
+					for c, m := range masks[(j*d.KW+kw)*nr:][:nr] {
+						r[2+c] = m
+					}
+					n++
+				}
+			}
+			list[0] = math.Float32frombits(uint32(n))
+		}
+	}
+	return x
+}
+
+// convDX computes one image's input gradient dst[CI,H,W], the col2im scatter
+// of Wᵀ·dOut, as a gather: one tile call per (channel strip, dX row, nr-wide
+// run of positions) walks the run's tap list in ascending tap order, sums
+// each tap's kc-blocked partial over COut, masks its off-image lanes to +0
+// and adds it, total first, onto a running total that starts at +0; the
+// total is stored once. pa holds one Wᵀ panel per tap, in tap order.
+//
+// The scatter gives each element +0 ⊕ T₁ ⊕ T₂ ⊕ … over its valid taps in
+// ascending order. A running total that starts at +0 is never −0, so the +0
+// a masked lane adds changes nothing, and the gather returns the same bits.
+// A masked lane's partial is computed and then discarded, never formed from
+// a padding zero, so a ±Inf or NaN weight cannot reach a position whose
+// windows do not use it. A partial channel strip or run is computed in the
+// tile scratch and stored through storeTile, as gemmConv's edge tiles are.
+//
+//easyscale:hotpath
+func convDX(dst, dout []float32, d ConvDims, pa *packedA, x *dxPlan) {
 	mk := pa.mk
 	mr, nr, cout := mk.mr, mk.nr, pa.k
-	p := d.bordered()
-	oh, ow := p.OutH(), p.OutW()
-	plane, chunks, panel := p.H*p.W, (ow+nr-1)/nr, pa.size()
-	// dOut packed once for every tap: per output row, nr-wide strips COut deep
-	bp := pool.GetUninit(oh * chunks * nr * cout)
-	for y := 0; y < oh; y++ {
-		packBRowMajor(bp[y*chunks*nr*cout:], dout, oh*ow, cout, y*ow, ow, nr)
-	}
-	grad := pool.Get(pa.mtiles * mr * plane)
-	tile := pool.GetUninit(maxMR * maxNR) // edge-tile scratch, as in gemmTiled
-	for t := 0; t < p.KH*p.KW; t++ {
-		wt, kh, kw := pa.buf[t*panel:], t/p.KW, t%p.KW
-		for s := 0; s < pa.mtiles; s++ {
-			for y := 0; y < oh; y++ {
-				for j := 0; j < chunks; j++ {
-					o := (s*mr*p.H+y*p.StrideH+kh)*p.W + kw + j*nr*p.StrideW
-					b, cols := bp[(y*chunks+j)*nr*cout:], min(nr, ow-j*nr)
-					if cols == nr && p.StrideW == 1 {
-						mk.fn(grad, o, plane, wt[s*cout*mr:], b, cout, pa.kc, true)
-						continue
-					}
-					mk.fn(tile, 0, nr, wt[s*cout*mr:], b, cout, pa.kc, false)
-					for r := 0; r < mr; r++ {
-						for c, v := range tile[r*nr : r*nr+cols] {
-							grad[o+r*plane+c*p.StrideW] += v
-						}
-					}
-				}
+	oh, ow := d.OutH(), d.OutW()
+	grid := x.dout[x.left-d.PadW:]
+	if d.StrideW == 1 {
+		copy(grid, dout)
+	} else {
+		for r := 0; r < cout*oh; r++ {
+			for c, v := range dout[r*ow : (r+1)*ow] {
+				grid[r*x.rowLen+c*d.StrideW] = v
 			}
 		}
 	}
-	border(dst, grad, d, false)
+	plane, ldb := d.H*d.W, oh*x.rowLen
+	tile := pool.GetUninit(maxMR * maxNR) // edge-tile scratch, as in gemmConv
+	for h := 0; h < d.H; h++ {
+		for j := 0; j < x.runs; j++ {
+			list := x.taps[(h*x.runs+j)*x.ldl:][:x.ldl]
+			n, cols := int(math.Float32bits(list[0])), min(nr, d.W-j*nr)
+			for s := 0; s < pa.mtiles; s++ {
+				o, rows := s*mr*plane+h*d.W+j*nr, min(mr, d.CIn-s*mr)
+				if rows == mr && cols == nr {
+					mk.dx(dst, o, plane, pa.strip(s), x.dout, list[1:], n, ldb, cout, pa.kc)
+					continue
+				}
+				mk.dx(tile, 0, nr, pa.strip(s), x.dout, list[1:], n, ldb, cout, pa.kc)
+				storeTile(dst[o:], plane, tile, nr, rows, cols, false)
+			}
+		}
+	}
 	pool.Put(tile)
-	pool.Put(grad)
-	pool.Put(bp)
 }

@@ -405,10 +405,11 @@ func TestConvZooShapesBitwise(t *testing.T) {
 }
 
 // TestConvAllocFree: after warm-up, the conv kernels draw every buffer —
-// the bordered image and gradient, the packed weights and dOut, and the
-// offset tables — from the arena, so a call allocates nothing: at resnet50's
-// block geometry, at its stem (a partial channel strip) and at a 5×5 kernel
-// (25 dX tap panels).
+// the bordered image, the packed weights and dOut, the guarded dOut copy and
+// the offset and tap tables — from the arena, so a call allocates nothing:
+// at resnet50's block geometry, at its stem (a partial channel strip), at
+// shufflenetv2's stride-2 conv (a zero-dilated dOut copy) and at a 5×5
+// kernel (25 dX tap panels).
 func TestConvAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; counts are only meaningful uninstrumented")
@@ -416,6 +417,7 @@ func TestConvAllocFree(t *testing.T) {
 	for _, d := range []ConvDims{
 		zooConvShapes[0].d, // resnet50-stem
 		zooConvShapes[1].d, // resnet50-block
+		zooConvShapes[2].d, // shufflenet-s2
 		{Batch: 2, CIn: 4, H: 8, W: 8, COut: 8, KH: 5, KW: 5, StrideH: 1, StrideW: 1, PadH: 2, PadW: 2},
 	} {
 		src, weight, _, gradOut := convOperands(d, 7, false)
@@ -429,6 +431,48 @@ func TestConvAllocFree(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestConvDXMasksOffImageTaps puts +Inf, −Inf and NaN into every weight of
+// one edge tap — kh or kw at 0 or at KH−1/KW−1 — with finite dOut, at
+// resnet50's block and stem and shufflenetv2's stride-2 conv. dX must be
+// convSpec's bit for bit, and finite wherever no window uses that tap: the
+// dX tile masks the lanes whose dOut position is off the image after the
+// tap's partial, so a special weight never meets a padding zero.
+func TestConvDXMasksOffImageTaps(t *testing.T) {
+	forEachISA(t, func(t *testing.T) {
+		for i, zs := range zooConvShapes[:3] {
+			d := zs.d
+			src, weight, bias, gradOut := convOperands(d, uint64(2000+i), false)
+			for kh := 0; kh < d.KH; kh++ {
+				for kw := 0; kw < d.KW; kw++ {
+					if kh != 0 && kh != d.KH-1 && kw != 0 && kw != d.KW-1 {
+						continue
+					}
+					for _, v := range specials[:3] {
+						w := append([]float32(nil), weight...)
+						for co := 0; co < d.COut; co++ {
+							for ci := 0; ci < d.CIn; ci++ {
+								w[((co*d.CIn+ci)*d.KH+kh)*d.KW+kw] = v
+							}
+						}
+						label := fmt.Sprintf("%s/tap(%d,%d)=%v", zs.name, kh, kw, v)
+						_, want, _, _ := convSpec(src, w, bias, gradOut, d, 8)
+						got := make([]float32, len(want))
+						Conv2DBackward(got, nil, nil, src, w, gradOut, d, 8)
+						diffBits(t, label, got, want)
+						for j, g := range got {
+							h, x := j/d.W%d.H, j%d.W
+							uses := onGrid(h+d.PadH-kh, d.StrideH, d.OutH()) && onGrid(x+d.PadW-kw, d.StrideW, d.OutW())
+							if !uses && (math.IsNaN(float64(g)) || math.IsInf(float64(g), 0)) {
+								t.Fatalf("%s: dX element %d (row %d, col %d) is %v, but no window uses the tap", label, j, h, x, g)
+							}
+						}
+					}
+				}
+			}
+		}
+	})
 }
 
 // FuzzConvVsSpec is TestConvMatchesSpecBitwise over random geometry, kc and

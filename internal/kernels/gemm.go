@@ -26,8 +26,8 @@ import (
 //     source a plain matrix or a transposed one without touching numerics.
 //     The forward and dW conv GEMMs skip it: their B is the im2col matrix,
 //     which gemmConv's tile reads straight from the image through two offset
-//     tables (one per B dimension), so no panel is ever written. dX packs
-//     dOut once per image (convDX).
+//     tables (one per B dimension), so no panel is ever written. dX's tile
+//     reads dOut rows from a guarded copy with plain vector loads (convDX).
 //   - Each mr×nr output tile is one micro-kernel call holding mr·nr
 //     accumulators: it walks the kc blocks itself, performing mr·nr
 //     multiply-adds off mr+nr loads per kk, and folds each block's partial
@@ -35,8 +35,9 @@ import (
 //     exactly the reference loop's `part += a·b` and `row[j] += part[j]`
 //     sequence, so the result is bitwise identical to the naive kernels for
 //     every input, block size, and tile boundary — asserted by the
-//     differential tests and fuzzers. The total is stored, or added with the
-//     dst value first: dW and dX add their tiles straight into the gradient.
+//     differential tests and fuzzers. The total is stored, or (conv tile)
+//     added with the dst value first: dW adds its tiles straight into the
+//     gradient.
 //
 // The register tile mr×nr is a property of the dispatched micro-kernel
 // (microkernel.go): 4×4 for the generic variant, 8×8 for AVX2.
@@ -221,10 +222,10 @@ func gemmTiled(dst []float32, n int, pa *packedA, bsrc *bPanelSrc) {
 				for s := sc; s < scEnd; s++ {
 					i0 := s * mr
 					if i0+mr <= m && cols == nr {
-						mk.fn(dst, i0*n+jt, n, pa.strip(s), b, k, kc, false)
+						mk.fn(dst, i0*n+jt, n, pa.strip(s), b, k, kc)
 						continue
 					}
-					mk.fn(tile, 0, nr, pa.strip(s), b, k, kc, false)
+					mk.fn(tile, 0, nr, pa.strip(s), b, k, kc)
 					storeTile(dst[i0*n+jt:], n, tile, nr, min(mr, m-i0), cols, false)
 				}
 			}

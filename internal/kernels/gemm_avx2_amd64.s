@@ -29,18 +29,41 @@
 #define FOLD(r, off) VMOVUPS off(SP), Y8; VADDPS r, Y8, r
 #define SPILL(r, off) VMOVUPS r, off(SP)
 
-// func mk8x8(dst *float32, ldc int, ap, bp *float32, k, kc int, add bool)
+// The eight-register forms: ZERO8, AND8, FOLD8 and SPILL8 act on Y0-Y7,
+// whose frame slots lie 32 bytes apart from off; ROWST8 and ROWADD8 store or
+// add eight row registers to consecutive dst rows.
+#define ZERO8 VXORPS Y0, Y0, Y0; VXORPS Y1, Y1, Y1; VXORPS Y2, Y2, Y2; VXORPS Y3, Y3, Y3; \
+	VXORPS Y4, Y4, Y4; VXORPS Y5, Y5, Y5; VXORPS Y6, Y6, Y6; VXORPS Y7, Y7, Y7
+#define AND8(m) VANDPS m, Y0, Y0; VANDPS m, Y1, Y1; VANDPS m, Y2, Y2; VANDPS m, Y3, Y3; \
+	VANDPS m, Y4, Y4; VANDPS m, Y5, Y5; VANDPS m, Y6, Y6; VANDPS m, Y7, Y7
+#define FOLD8(off) FOLD(Y0, off); FOLD(Y1, off+32); FOLD(Y2, off+64); FOLD(Y3, off+96); \
+	FOLD(Y4, off+128); FOLD(Y5, off+160); FOLD(Y6, off+192); FOLD(Y7, off+224)
+#define SPILL8(off) SPILL(Y0, off); SPILL(Y1, off+32); SPILL(Y2, off+64); SPILL(Y3, off+96); \
+	SPILL(Y4, off+128); SPILL(Y5, off+160); SPILL(Y6, off+192); SPILL(Y7, off+224)
+#define ROWST8(a, b, c, d, e, f, g, h) ROWST(a); ROWST(b); ROWST(c); ROWST(d); \
+	ROWST(e); ROWST(f); ROWST(g); ROWST(h)
+#define ROWADD8(t, a, b, c, d, e, f, g, h) ROWADD(a, t); ROWADD(b, t); ROWADD(c, t); ROWADD(d, t); \
+	ROWADD(e, t); ROWADD(f, t); ROWADD(g, t); ROWADD(h, t)
+
+// MULROWS: row r of Y0-Y7 += A value r at SI, broadcast through Y10, times
+// the B row in Y8 — one k step of a row-layout tile.
+#define MULROWS VBROADCASTSS 0(SI), Y10; MULADD(Y10, Y8, Y0); VBROADCASTSS 4(SI), Y10; MULADD(Y10, Y8, Y1); \
+	VBROADCASTSS 8(SI), Y10; MULADD(Y10, Y8, Y2); VBROADCASTSS 12(SI), Y10; MULADD(Y10, Y8, Y3); \
+	VBROADCASTSS 16(SI), Y10; MULADD(Y10, Y8, Y4); VBROADCASTSS 20(SI), Y10; MULADD(Y10, Y8, Y5); \
+	VBROADCASTSS 24(SI), Y10; MULADD(Y10, Y8, Y6); VBROADCASTSS 28(SI), Y10; MULADD(Y10, Y8, Y7)
+
+// func mk8x8(dst *float32, ldc int, ap, bp *float32, k, kc int)
 //
 // One 8x8 register tile of the blocked GEMM over all k steps of the packed
 // strips, kc at a time: per block, acc[r][0..7] += ap[kk*8+r] *
 // bp[kk*8 .. kk*8+7] for kk ascending from +0 accumulators; the first block's
 // partial is the total and each later one is folded onto it (FOLD). The
-// total is then stored to (add=false) or added into (add=true) the eight dst
-// rows ldc apart. k and kc must be >= 1 (guaranteed by the kc normalization
-// in gemm.go). The eight column accumulators of each row live in one YMM
-// register (Y0-Y7); between blocks the total waits in the 256-byte frame.
-// R8 counts the k steps left, R9 is kc, R10 is 0 until a total exists.
-TEXT ·mk8x8(SB), NOSPLIT, $256-49
+// total is then stored to the eight dst rows ldc apart. k and kc must be
+// >= 1 (guaranteed by the kc normalization in gemm.go). The eight column
+// accumulators of each row live in one YMM register (Y0-Y7); between blocks
+// the total waits in the 256-byte frame. R8 counts the k steps left, R9 is
+// kc, R10 is 0 until a total exists.
+TEXT ·mk8x8(SB), NOSPLIT, $256-48
 	MOVQ dst+0(FP), DI
 	MOVQ ldc+8(FP), DX
 	MOVQ ap+16(FP), SI
@@ -55,33 +78,11 @@ block:
 	CMPQ    R8, CX
 	CMOVQLT R8, CX         // kb = min(kc, k steps left)
 	SUBQ    CX, R8
-	VXORPS Y0, Y0, Y0
-	VXORPS Y1, Y1, Y1
-	VXORPS Y2, Y2, Y2
-	VXORPS Y3, Y3, Y3
-	VXORPS Y4, Y4, Y4
-	VXORPS Y5, Y5, Y5
-	VXORPS Y6, Y6, Y6
-	VXORPS Y7, Y7, Y7
+	ZERO8
 
 loop:
 	VMOVUPS (BX), Y8       // b[0..7]
-	VBROADCASTSS 0(SI), Y10
-	MULADD(Y10, Y8, Y0)
-	VBROADCASTSS 4(SI), Y10
-	MULADD(Y10, Y8, Y1)
-	VBROADCASTSS 8(SI), Y10
-	MULADD(Y10, Y8, Y2)
-	VBROADCASTSS 12(SI), Y10
-	MULADD(Y10, Y8, Y3)
-	VBROADCASTSS 16(SI), Y10
-	MULADD(Y10, Y8, Y4)
-	VBROADCASTSS 20(SI), Y10
-	MULADD(Y10, Y8, Y5)
-	VBROADCASTSS 24(SI), Y10
-	MULADD(Y10, Y8, Y6)
-	VBROADCASTSS 28(SI), Y10
-	MULADD(Y10, Y8, Y7)
+	MULROWS
 	ADDQ $32, SI
 	ADDQ $32, BX
 	DECQ CX
@@ -89,52 +90,17 @@ loop:
 
 	TESTQ R10, R10
 	JZ    folded
-	FOLD(Y0, 0)
-	FOLD(Y1, 32)
-	FOLD(Y2, 64)
-	FOLD(Y3, 96)
-	FOLD(Y4, 128)
-	FOLD(Y5, 160)
-	FOLD(Y6, 192)
-	FOLD(Y7, 224)
+	FOLD8(0)
 
 folded:
 	TESTQ R8, R8
 	JZ    done
-	SPILL(Y0, 0)
-	SPILL(Y1, 32)
-	SPILL(Y2, 64)
-	SPILL(Y3, 96)
-	SPILL(Y4, 128)
-	SPILL(Y5, 160)
-	SPILL(Y6, 192)
-	SPILL(Y7, 224)
+	SPILL8(0)
 	MOVQ $1, R10
 	JMP  block
 
 done:
-	CMPB add+48(FP), $0
-	JNE  add
-	ROWST(Y0)
-	ROWST(Y1)
-	ROWST(Y2)
-	ROWST(Y3)
-	ROWST(Y4)
-	ROWST(Y5)
-	ROWST(Y6)
-	ROWST(Y7)
-	VZEROUPPER
-	RET
-
-add:
-	ROWADD(Y0, Y8)
-	ROWADD(Y1, Y8)
-	ROWADD(Y2, Y8)
-	ROWADD(Y3, Y8)
-	ROWADD(Y4, Y8)
-	ROWADD(Y5, Y8)
-	ROWADD(Y6, Y8)
-	ROWADD(Y7, Y8)
+	ROWST8(Y0, Y1, Y2, Y3, Y4, Y5, Y6, Y7)
 	VZEROUPPER
 	RET
 
@@ -182,14 +148,7 @@ cblock:
 	CMOVQLT DX, CX         // kb = min(kc, k steps left)
 	SUBQ    CX, DX
 	MOVQ    DX, 256(SP)
-	VXORPS Y0, Y0, Y0
-	VXORPS Y1, Y1, Y1
-	VXORPS Y2, Y2, Y2
-	VXORPS Y3, Y3, Y3
-	VXORPS Y4, Y4, Y4
-	VXORPS Y5, Y5, Y5
-	VXORPS Y6, Y6, Y6
-	VXORPS Y7, Y7, Y7
+	ZERO8
 
 cloop:
 	MOVL    (DI), DX       // koff[kk], zero-extended
@@ -217,26 +176,12 @@ cloop:
 
 	CMPB 264(SP), $0
 	JEQ  cfolded
-	FOLD(Y0, 0)
-	FOLD(Y1, 32)
-	FOLD(Y2, 64)
-	FOLD(Y3, 96)
-	FOLD(Y4, 128)
-	FOLD(Y5, 160)
-	FOLD(Y6, 192)
-	FOLD(Y7, 224)
+	FOLD8(0)
 
 cfolded:
 	CMPQ 256(SP), $0
 	JEQ  cdone
-	SPILL(Y0, 0)
-	SPILL(Y1, 32)
-	SPILL(Y2, 64)
-	SPILL(Y3, 96)
-	SPILL(Y4, 128)
-	SPILL(Y5, 160)
-	SPILL(Y6, 192)
-	SPILL(Y7, 224)
+	SPILL8(0)
 	MOVB $1, 264(SP)
 	JMP  cblock
 
@@ -272,25 +217,93 @@ cdone:
 	SHLQ    $2, DX
 	CMPB add+64(FP), $0
 	JNE  cadd
-	ROWST(Y8)
-	ROWST(Y9)
-	ROWST(Y10)
-	ROWST(Y11)
-	ROWST(Y12)
-	ROWST(Y13)
-	ROWST(Y14)
-	ROWST(Y15)
+	ROWST8(Y8, Y9, Y10, Y11, Y12, Y13, Y14, Y15)
 	VZEROUPPER
 	RET
 
 cadd:
-	ROWADD(Y8, Y0)
-	ROWADD(Y9, Y0)
-	ROWADD(Y10, Y0)
-	ROWADD(Y11, Y0)
-	ROWADD(Y12, Y0)
-	ROWADD(Y13, Y0)
-	ROWADD(Y14, Y0)
-	ROWADD(Y15, Y0)
+	ROWADD8(Y0, Y8, Y9, Y10, Y11, Y12, Y13, Y14, Y15)
+	VZEROUPPER
+	RET
+
+// func mkDX8x8(dst *float32, ldc int, ap, dout, list *float32, n, ldb, k, kc int)
+//
+// One 8x8 tile of a convolution's input gradient (8 channels x 8 positions of
+// one dX row), gathered over n 40-byte tap records {aOff, bOff, mask[8]} at
+// list. Per tap, mk8x8's loop over all k steps, kc at a time, with A at
+// ap+4*aOff and the B row at dout+4*bOff stepping ldb floats per k step,
+// each block partial folded onto the tap's total (spilled at 256-511 between
+// blocks); the tap's total is ANDed with the mask (VANDPS: off-image lanes
+// become +0) and folded onto the running total at 0-255, which starts at +0.
+// After the last tap the running total, still in Y0-Y7, is stored to the
+// eight dst rows ldc apart. k and kc must be >= 1; n may be 0 (the tile is
+// +0).
+//
+// Registers: Y0-Y7 rows, Y8 the B row, Y9 products, Y10 the A broadcast;
+// AX ap, DX dout, R12 the record, R13 records left, R11 ldb in bytes, R9 kc,
+// R8 k steps left in the tap, R10 0 until the tap has a total, SI A, BX B,
+// CX the count.
+TEXT ·mkDX8x8(SB), NOSPLIT, $512-72
+	MOVQ ap+16(FP), AX
+	MOVQ dout+24(FP), DX
+	MOVQ list+32(FP), R12
+	MOVQ n+40(FP), R13
+	MOVQ ldb+48(FP), R11
+	SHLQ $2, R11
+	MOVQ kc+64(FP), R9
+	ZERO8
+	TESTQ R13, R13
+	JZ    xdone
+	SPILL8(0)
+
+xtap:
+	MOVL 0(R12), SI
+	LEAQ (AX)(SI*4), SI
+	MOVL 4(R12), BX
+	LEAQ (DX)(BX*4), BX
+	MOVQ k+56(FP), R8
+	XORQ R10, R10
+
+xblock:
+	MOVQ    R9, CX
+	CMPQ    R8, CX
+	CMOVQLT R8, CX         // kb = min(kc, k steps left)
+	SUBQ    CX, R8
+	ZERO8
+
+xloop:
+	VMOVUPS (BX), Y8       // b[0..7]
+	MULROWS
+	ADDQ $32, SI
+	ADDQ R11, BX
+	DECQ CX
+	JNZ  xloop
+
+	TESTQ R10, R10
+	JZ    xfolded
+	FOLD8(256)
+
+xfolded:
+	TESTQ R8, R8
+	JZ    xmask
+	SPILL8(256)
+	MOVQ $1, R10
+	JMP  xblock
+
+xmask:
+	VMOVUPS 8(R12), Y8
+	AND8(Y8)
+	FOLD8(0)
+	ADDQ $40, R12
+	DECQ R13
+	JZ   xdone
+	SPILL8(0)
+	JMP  xtap
+
+xdone:
+	MOVQ dst+0(FP), DI
+	MOVQ ldc+8(FP), DX
+	SHLQ $2, DX
+	ROWST8(Y0, Y1, Y2, Y3, Y4, Y5, Y6, Y7)
 	VZEROUPPER
 	RET

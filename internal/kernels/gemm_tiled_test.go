@@ -342,7 +342,7 @@ func (op *tileOperands) runTile(mk *mkDesc, conv bool, k, kc int, add bool) []fl
 	if conv {
 		mk.conv(dst, op.o, op.ldc, op.ap, op.img, op.rows, op.koff, k, kc, add)
 	} else {
-		mk.fn(dst, op.o, op.ldc, op.ap, op.bp, k, kc, add)
+		mk.fn(dst, op.o, op.ldc, op.ap, op.bp, k, kc)
 	}
 	return dst
 }
@@ -354,20 +354,21 @@ func mixedFill(xs []float32, seed uint64) {
 	sprinkleN(xs, seed, len(xs)/32)
 }
 
-// TestTileFoldsBlocksLikeSpec holds every registered variant's packed tile
-// and conv tile to the scalar fold at k around one, one and several kc
-// blocks (kc 1, 8, 64, and a single block kc = k), stored and added, with
-// the cells around the tile left untouched. On the assembly tiles a
-// NaN-payload case then tells the operand orders apart, which sameBits
-// forgives elsewhere: two NaN products in block 0 (the accumulator first),
-// another NaN in block 1 (the total first in the fold) and a NaN already in
-// dst (the dst value first in the final add) must each leave the expected
-// payload. The generic tile is exempt: Go may commute a float add, which
-// changes only the surviving payload.
+// TestTileFoldsBlocksLikeSpec holds every registered variant's packed tile,
+// conv tile and dX tile to the scalar fold at k around one, one and several
+// kc blocks (kc 1, 8, 64, and a single block kc = k), stored and, for the
+// conv tile, added, with the cells around the tile left untouched. On the
+// assembly tiles a NaN-payload case then tells the operand orders apart,
+// which sameBits forgives elsewhere: two NaN products in block 0 (the
+// accumulator first), another NaN in block 1 (the total first in the fold)
+// and a NaN already in dst (the dst value first in the final add) must each
+// leave the expected payload. The generic tile is exempt: Go may commute a
+// float add, which changes only the surviving payload.
 func TestTileFoldsBlocksLikeSpec(t *testing.T) {
 	for _, mk := range mkVariants {
 		for _, conv := range []bool{false, true} {
 			name := mk.name + map[bool]string{false: "/fn", true: "/conv"}[conv]
+			adds := map[bool][]bool{false: {false}, true: {false, true}}[conv]
 			for _, kc := range []int{1, 8, 64} {
 				for _, k := range []int{1, kc - 1, kc, kc + 1, 3 * kc, 3*kc + 5} {
 					if k < 1 {
@@ -375,7 +376,7 @@ func TestTileFoldsBlocksLikeSpec(t *testing.T) {
 					}
 					op := newTileOperands(mk.mr, mk.nr, k, uint64(k*131+kc), mixedFill)
 					for _, bk := range []int{kc, k} {
-						for _, add := range []bool{false, true} {
+						for _, add := range adds {
 							want := append([]float32(nil), op.dst...)
 							tileFold(want, op.o, op.ldc, mk.mr, mk.nr, op.ap, op.b, k, bk, add)
 							diffBits(t, fmt.Sprintf("%s/k%d/kc%d/add=%v", name, k, bk, add), op.runTile(mk, conv, k, bk, add), want)
@@ -388,33 +389,139 @@ func TestTileFoldsBlocksLikeSpec(t *testing.T) {
 				continue
 			}
 			const kc, k = 8, 16
-			nan := func(payload uint32) float32 { return math.Float32frombits(0x7fc00000 | payload) }
-			op := newTileOperands(mk.mr, mk.nr, k, 1, func(xs []float32, _ uint64) {
-				for i := range xs {
-					xs[i] = 1
-				}
-			})
+			op := newTileOperands(mk.mr, mk.nr, k, 1, onesFill)
 			for r := 0; r < mk.mr; r++ {
-				op.ap[0*mk.mr+r], op.ap[1*mk.mr+r], op.ap[kc*mk.mr+r] = nan(1), nan(4), nan(2)
+				op.ap[0*mk.mr+r], op.ap[1*mk.mr+r], op.ap[kc*mk.mr+r] = nanBits(1), nanBits(4), nanBits(2)
 			}
-			for _, add := range []bool{false, true} {
-				want := nan(1)
+			for _, add := range adds {
+				want := nanBits(1)
 				if add {
-					want = nan(3)
+					want = nanBits(3)
 					for i := range op.dst {
-						op.dst[i] = nan(3)
+						op.dst[i] = nanBits(3)
 					}
 				}
-				got := op.runTile(mk, conv, k, kc, add)
-				for r := 0; r < mk.mr; r++ {
-					for c := 0; c < mk.nr; c++ {
-						if g := math.Float32bits(got[op.o+r*op.ldc+c]); g != math.Float32bits(want) {
-							t.Fatalf("%s/nan-payload/add=%v: element (%d,%d) bits %#08x, want %#08x",
-								name, add, r, c, g, math.Float32bits(want))
-						}
-					}
+				checkTileBits(t, fmt.Sprintf("%s/nan-payload/add=%v", name, add), op.runTile(mk, conv, k, kc, add), op.o, op.ldc, mk.mr, mk.nr, want)
+			}
+		}
+		checkDXTileFolds(t, mk)
+	}
+}
+
+func nanBits(payload uint32) float32 { return math.Float32frombits(0x7fc00000 | payload) }
+
+func onesFill(xs []float32, _ uint64) {
+	for i := range xs {
+		xs[i] = 1
+	}
+}
+
+// checkTileBits requires every element of the mr×nr tile at o to carry
+// exactly want's bits.
+func checkTileBits(t *testing.T, label string, got []float32, o, ldc, mr, nr int, want float32) {
+	t.Helper()
+	for r := 0; r < mr; r++ {
+		for c := 0; c < nr; c++ {
+			if g := math.Float32bits(got[o+r*ldc+c]); g != math.Float32bits(want) {
+				t.Fatalf("%s: element (%d,%d) bits %#08x, want %#08x", label, r, c, g, math.Float32bits(want))
+			}
+		}
+	}
+}
+
+// dxOperands are one dX tile call's operands: taps Wᵀ strips k deep laid
+// end to end in ap, a dOut matrix with rows ldb apart, and a tap list whose
+// records point at strip t and at a dOut column that moves with t, so the
+// taps read different operands; dst is the sentinel frame of tileOperands.
+type dxOperands struct {
+	ap, dout, list, dst []float32
+	o, ldc, ldb         int
+}
+
+func newDXOperands(mr, nr, taps, k int, seed uint64, fill func([]float32, uint64), mask func(t, c int) bool) dxOperands {
+	op := dxOperands{ap: make([]float32, taps*k*mr), ldb: nr + 3, ldc: nr + 3, list: make([]float32, taps*(2+nr))}
+	op.dout = make([]float32, (k-1)*op.ldb+2+nr)
+	op.o = op.ldc + 1
+	op.dst = make([]float32, (mr+2)*op.ldc)
+	fill(op.ap, seed)
+	fill(op.dout, seed+1)
+	fill(op.dst, seed+2)
+	for t := 0; t < taps; t++ {
+		r := op.list[t*(2+nr):]
+		r[0], r[1] = math.Float32frombits(uint32(t*k*mr)), math.Float32frombits(uint32(t%3))
+		for c := 0; c < nr; c++ {
+			r[2+c] = 0
+			if mask(t, c) {
+				r[2+c] = math.Float32frombits(^uint32(0))
+			}
+		}
+	}
+	return op
+}
+
+func (op *dxOperands) run(mk *mkDesc, taps, k, kc int) []float32 {
+	dst := append([]float32(nil), op.dst...)
+	mk.dx(dst, op.o, op.ldc, op.ap, op.dout, op.list, taps, op.ldb, k, kc)
+	return dst
+}
+
+// dxFold is the dX tile contract in scalar form: per element, a total that
+// starts at +0 and, tap by tap, adds the tap's tileFold partial, total
+// first, wherever the tap's lane is on.
+func dxFold(dst []float32, o, ldc, mr, nr int, op *dxOperands, taps, k, kc int) {
+	tot, part := make([]float32, mr*nr), make([]float32, mr*nr)
+	for t := 0; t < taps; t++ {
+		r := op.list[t*(2+nr):]
+		a, b0 := op.ap[math.Float32bits(r[0]):], int(math.Float32bits(r[1]))
+		tileFold(part, 0, nr, mr, nr, a, func(kk, c int) float32 { return op.dout[b0+kk*op.ldb+c] }, k, kc, false)
+		for i := range tot {
+			if math.Float32bits(r[2+i%nr]) != 0 {
+				tot[i] += part[i]
+			}
+		}
+	}
+	storeTile(dst[o:], ldc, tot, nr, mr, nr, false)
+}
+
+// checkDXTileFolds holds mk's dX tile to dxFold at 1, 2, 9 and 25 taps, k
+// (COut) around one, one and several kc blocks, and four mask patterns —
+// all lanes on, all off, alternating and a single lane — and, on the
+// assembly tile, requires tap 0's NaN payload to survive tap 1's: the
+// running total comes first in each tap's add.
+func checkDXTileFolds(t *testing.T, mk *mkDesc) {
+	masks := []struct {
+		name string
+		on   func(t, c int) bool
+	}{
+		{"all-on", func(int, int) bool { return true }},
+		{"all-off", func(int, int) bool { return false }},
+		{"alternating", func(t, c int) bool { return (t+c)%2 == 0 }},
+		{"single-lane", func(t, c int) bool { return c == t%mk.nr }},
+	}
+	for _, kc := range []int{1, 8, 64} {
+		for _, k := range []int{1, kc - 1, kc, kc + 1, 3*kc + 5} {
+			if k < 1 {
+				continue
+			}
+			for _, taps := range []int{1, 2, 9, 25} {
+				for _, mask := range masks {
+					op := newDXOperands(mk.mr, mk.nr, taps, k, uint64(k*131+kc+taps), mixedFill, mask.on)
+					want := append([]float32(nil), op.dst...)
+					dxFold(want, op.o, op.ldc, mk.mr, mk.nr, &op, taps, k, kc)
+					diffBits(t, fmt.Sprintf("%s/dx/taps%d/k%d/kc%d/%s", mk.name, taps, k, kc, mask.name), op.run(mk, taps, k, kc), want)
 				}
 			}
 		}
 	}
+
+	if mk == mkGenericDesc {
+		return
+	}
+	const kc, k = 8, 16
+	op := newDXOperands(mk.mr, mk.nr, 2, k, 1, onesFill, func(int, int) bool { return true })
+	for r := 0; r < mk.mr; r++ {
+		op.ap[0*mk.mr+r], op.ap[1*mk.mr+r], op.ap[kc*mk.mr+r] = nanBits(1), nanBits(4), nanBits(5)
+		op.ap[k*mk.mr+r] = nanBits(2) // tap 1
+	}
+	checkTileBits(t, mk.name+"/dx/nan-payload", op.run(mk, 2, k, kc), op.o, op.ldc, mk.mr, mk.nr, nanBits(1))
 }

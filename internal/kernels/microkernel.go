@@ -46,21 +46,32 @@ const (
 // one call: it walks all k steps kc at a time, sums each block's products in
 // ascending kk from +0, and folds the block partials onto a running total in
 // ascending block order — the first partial is the total, every later one is
-// added total first. The total is then stored (add=false) or added with the
-// dst value first (add=true) into dst rows ldc apart starting at offset o.
-// ap and bp are the tile's A and B strips, each contiguous over all of k.
-type microKernelFunc func(dst []float32, o, ldc int, ap, bp []float32, k, kc int, add bool)
+// added total first. The total is then stored into dst rows ldc apart
+// starting at offset o. ap and bp are the tile's A and B strips, each
+// contiguous over all of k.
+type microKernelFunc func(dst []float32, o, ldc int, ap, bp []float32, k, kc int)
 
 // convTileFunc computes one mr×nr tile of a convolution GEMM whose B operand
 // is gathered from the zero-bordered image instead of packed: for kk in
 // [0,k), acc[r][c] += ap[kk·mr+r] · img[rows[c]+koff[kk]], where koff holds
-// uint32 element offsets stored as float32 bits. Blocked, folded and stored
-// or added into dst exactly like a microKernelFunc tile.
+// uint32 element offsets stored as float32 bits. Blocked and folded exactly
+// like a microKernelFunc tile; the total is stored (add=false) or added with
+// the dst value first (add=true).
 type convTileFunc func(dst []float32, o, ldc int, ap, img []float32, rows [maxNR]int, koff []float32, k, kc int, add bool)
 
+// dxTileFunc computes one mr×nr tile of a convolution's input gradient — mr
+// channels × nr positions of one dX row — as a gather over n tap records
+// {aOff, bOff, mask[nr]} laid end to end in list (offsets as float32 bits,
+// mask lanes all-ones or +0; see dxPlan). For each record in order it sums
+// the tap's partial acc[r][c] = Σ ap[aOff+kk·mr+r] · dout[bOff+kk·ldb+c]
+// over kk in [0,k), blocked and folded like a microKernelFunc tile, ANDs
+// lane c with mask[c], and adds it, total first, onto a running total that
+// starts at +0. The total is then stored into dst rows ldc apart from o.
+type dxTileFunc func(dst []float32, o, ldc int, ap, dout, list []float32, n, ldb, k, kc int)
+
 // mkDesc describes one micro-kernel variant: its register-tile shape (which
-// fixes the packed-panel layout) and the two tile functions, one over a
-// packed B panel and one gathering B from an image. The packed-A buffer
+// fixes the packed-panel layout) and the three tile functions: over a packed
+// B panel, gathering B from an image, and gathering a dX tile over its taps. The packed-A buffer
 // records the descriptor it was packed for, so a racing SetISA can never
 // mismatch panel layout and kernel within one GEMM call.
 type mkDesc struct {
@@ -68,6 +79,7 @@ type mkDesc struct {
 	mr, nr int
 	fn     microKernelFunc
 	conv   convTileFunc
+	dx     dxTileFunc
 	// elemSIMD enables the AVX2 elementwise primitives alongside this
 	// micro-kernel (elem_amd64.go); false means the scalar references run.
 	elemSIMD bool
@@ -83,7 +95,7 @@ const (
 // mkGenericDesc is the portable pure-Go variant — the executable spec the
 // AVX2 variant is fuzzed against, and the only variant off amd64 or on an
 // amd64 CPU without AVX2.
-var mkGenericDesc = &mkDesc{name: ISAGeneric, mr: 4, nr: 4, fn: microKernel4x4Go, conv: convTile4x4Go}
+var mkGenericDesc = &mkDesc{name: ISAGeneric, mr: 4, nr: 4, fn: microKernel4x4Go, conv: convTile4x4Go, dx: dxTile4x4Go}
 
 // curMK is the active variant. Atomic so tests may switch ISAs while the
 // race detector watches; a GEMM call snapshots it once (packA) and threads
