@@ -69,10 +69,11 @@ test: build
 # dispatch killed, on the pure-Go executable spec and the scalar elementwise
 # loops. The in-process differential suites already sweep both variants; this
 # lane proves the init-time kill switch itself and the full consumer stack
-# (nn, comm, optim, core, and the baselines' cross-engine table in elastic) on
-# the fallback path.
+# (nn, comm, optim, core, the baselines' cross-engine table in elastic, model
+# load in models, and serve's batched == unbatched checks, whose dense layers
+# run the generic conv tile) on the fallback path.
 test-isa:
-	EASYSCALE_FORCE_GENERIC=1 $(GO) test -count=1 ./internal/kernels/... ./internal/nn/... ./internal/comm/... ./internal/optim/... ./internal/core/... ./internal/elastic/...
+	EASYSCALE_FORCE_GENERIC=1 $(GO) test -count=1 ./internal/kernels/... ./internal/nn/... ./internal/comm/... ./internal/optim/... ./internal/core/... ./internal/elastic/... ./internal/serve/... ./internal/models/...
 
 # core-count lane: RunStep fans out over min(GOMAXPROCS, 8, GPUs) goroutines
 # by default, so the tests that compare placements bitwise run once per core

@@ -63,15 +63,16 @@ func border(img, bordered []float32, d ConvDims) {
 }
 
 // convOffsets builds the offset tables of the bordered geometry p (no
-// padding) in arena memory: pos[j] is the offset y·SH·W + x·SW of output
-// position j's window, tap[kk] the offset (ci·H+kh)·W + kw of tap kk inside a
-// window, so im2col(img)[kk][j] = img[pos[j]+tap[kk]]. The arena holds only
-// float32, so each uint32 offset is stored as the float32 with its bits; the
-// caller releases both.
+// padding) in one arena buffer (offsetTables): pos[j] is the offset
+// y·SH·W + x·SW of output position j's window, tap[kk] the offset
+// (ci·H+kh)·W + kw of tap kk inside a window, so im2col(img)[kk][j] =
+// img[pos[j]+tap[kk]]. The caller releases tabs.
 //
 //easyscale:hotpath
-func convOffsets(p ConvDims) (pos, tap []float32) {
-	pos, tap = pool.GetUninit(p.ColCols()), pool.GetUninit(p.ColRows())
+func convOffsets(p ConvDims) (tabs, pos, tap []float32) {
+	n := p.ColCols()
+	tabs = offsetTables(n, p.ColRows(), p.CIn*p.H*p.W)
+	pos, tap = tabs[:n], tabs[n:]
 	ow := p.OutW()
 	for j := range pos {
 		pos[j] = math.Float32frombits(uint32(j/ow*p.StrideH*p.W + j%ow*p.StrideW))
@@ -80,7 +81,7 @@ func convOffsets(p ConvDims) (pos, tap []float32) {
 		ci, kh, kw := kk/(p.KH*p.KW), kk/p.KW%p.KH, kk%p.KW
 		tap[kk] = math.Float32frombits(uint32((ci*p.H+kh)*p.W + kw))
 	}
-	return pos, tap
+	return tabs, pos, tap
 }
 
 // Im2Col expands one image src[CI,H,W] into cols[CI*KH*KW, OH*OW]. This is a
@@ -152,7 +153,7 @@ func Conv2D(dst, src, weight, bias []float32, d ConvDims, kc int) {
 	imgOut := d.COut * oh * ow
 	p := d.bordered()
 	img := pool.Get(p.CIn * p.H * p.W) // its border stays +0 for every image
-	pos, tap := convOffsets(p)
+	tabs, pos, tap := convOffsets(p)
 	pa := packA(weight, d.COut, kdim, normKC(kc, kdim), kdim, 1)
 	for b := 0; b < d.Batch; b++ {
 		out := dst[b*imgOut : (b+1)*imgOut]
@@ -164,8 +165,7 @@ func Conv2D(dst, src, weight, bias []float32, d ConvDims, kc int) {
 	}
 	pa.release()
 	pool.Put(img)
-	pool.Put(pos)
-	pool.Put(tap)
+	pool.Put(tabs)
 }
 
 // Conv2DBackward computes the three convolution gradients. gradOut is
@@ -221,11 +221,11 @@ func Conv2DBackward(gradSrc, gradWeight, gradBias, src, weight, gradOut []float3
 		}
 		dx = newDXPlan(d, &paT)
 	}
-	var img, pos, tap []float32
+	var img, tabs, pos, tap []float32
 	if gradWeight != nil {
 		p := d.bordered()
 		img = pool.Get(p.CIn * p.H * p.W) // its border stays +0 for every image
-		pos, tap = convOffsets(p)
+		tabs, pos, tap = convOffsets(p)
 	}
 	kcW := normKC(kc, spatial)
 	for b := 0; b < d.Batch; b++ {
@@ -253,8 +253,7 @@ func Conv2DBackward(gradSrc, gradWeight, gradBias, src, weight, gradOut []float3
 	pool.Put(dx.dout)
 	pool.Put(dx.taps)
 	pool.Put(img)
-	pool.Put(pos)
-	pool.Put(tap)
+	pool.Put(tabs)
 }
 
 // dxPlan is what convDX reads besides the Wᵀ panels, laid out once per

@@ -52,73 +52,22 @@
 	VBROADCASTSS 16(SI), Y10; MULADD(Y10, Y8, Y4); VBROADCASTSS 20(SI), Y10; MULADD(Y10, Y8, Y5); \
 	VBROADCASTSS 24(SI), Y10; MULADD(Y10, Y8, Y6); VBROADCASTSS 28(SI), Y10; MULADD(Y10, Y8, Y7)
 
-// func mk8x8(dst *float32, ldc int, ap, bp *float32, k, kc int)
-//
-// One 8x8 register tile of the blocked GEMM over all k steps of the packed
-// strips, kc at a time: per block, acc[r][0..7] += ap[kk*8+r] *
-// bp[kk*8 .. kk*8+7] for kk ascending from +0 accumulators; the first block's
-// partial is the total and each later one is folded onto it (FOLD). The
-// total is then stored to the eight dst rows ldc apart. k and kc must be
-// >= 1 (guaranteed by the kc normalization in gemm.go). The eight column
-// accumulators of each row live in one YMM register (Y0-Y7); between blocks
-// the total waits in the 256-byte frame. R8 counts the k steps left, R9 is
-// kc, R10 is 0 until a total exists.
-TEXT ·mk8x8(SB), NOSPLIT, $256-48
-	MOVQ dst+0(FP), DI
-	MOVQ ldc+8(FP), DX
-	MOVQ ap+16(FP), SI
-	MOVQ bp+24(FP), BX
-	MOVQ k+32(FP), R8
-	MOVQ kc+40(FP), R9
-	SHLQ $2, DX            // ldc in bytes
-	XORQ R10, R10
-
-block:
-	MOVQ    R9, CX
-	CMPQ    R8, CX
-	CMOVQLT R8, CX         // kb = min(kc, k steps left)
-	SUBQ    CX, R8
-	ZERO8
-
-loop:
-	VMOVUPS (BX), Y8       // b[0..7]
-	MULROWS
-	ADDQ $32, SI
-	ADDQ $32, BX
-	DECQ CX
-	JNZ  loop
-
-	TESTQ R10, R10
-	JZ    folded
-	FOLD8(0)
-
-folded:
-	TESTQ R8, R8
-	JZ    done
-	SPILL8(0)
-	MOVQ $1, R10
-	JMP  block
-
-done:
-	ROWST8(Y0, Y1, Y2, Y3, Y4, Y5, Y6, Y7)
-	VZEROUPPER
-	RET
-
 // ROWPTR turns the rows entry at byte offset off from CX into the pointer
 // img + 4*entry in r (DX holds img).
 #define ROWPTR(off, r) MOVQ off(CX), r; LEAQ (DX)(r*4), r
 
 // func mkConv8x8(dst *float32, ldc int, ap, img *float32, rows *[8]int, koff *float32, k, kc int, add bool)
 //
-// One 8x8 tile of a convolution GEMM whose B operand is gathered from the
-// image instead of packed, over all k steps, kc at a time: per block,
-// acc[c][0..7] += ap[kk*8 .. kk*8+7] * img[rows[c]+koff[kk]] for kk ascending
-// from +0 accumulators, each partial folded onto the total like mk8x8's.
-// koff holds uint32 element offsets stored as float32 bits. Each accumulator
-// register holds one output column (its lanes are the eight output rows), so
-// the total is transposed once, after the last block, before it is stored to
-// (add=false) or added into (add=true) the eight dst rows ldc apart. k and kc
-// must be >= 1.
+// One 8x8 tile of a GEMM whose B operand is gathered, never packed — from a
+// convolution's image or a dense matrix — over all k steps, kc at a time: per
+// block, acc[c][0..7] += ap[kk*8 .. kk*8+7] * img[rows[c]+koff[kk]] for kk
+// ascending from +0 accumulators; the first block's partial is the total and
+// each later one is folded onto it (FOLD). koff holds uint32 element offsets
+// stored as float32 bits. Each accumulator register holds one output column
+// (its lanes are the eight output rows), so the total is transposed once,
+// after the last block, before it is stored to (add=false) or added into
+// (add=true) the eight dst rows ldc apart. k and kc must be >= 1 (guaranteed
+// by the kc normalization in gemm.go).
 //
 // Registers: Y0-Y7 columns, Y8 the A vector, Y9 the gathered broadcast;
 // AX BX R8-R13 the eight column pointers, DI koff, DX one offset, SI ap,
@@ -230,10 +179,10 @@ cadd:
 //
 // One 8x8 tile of a convolution's input gradient (8 channels x 8 positions of
 // one dX row), gathered over n 40-byte tap records {aOff, bOff, mask[8]} at
-// list. Per tap, mk8x8's loop over all k steps, kc at a time, with A at
-// ap+4*aOff and the B row at dout+4*bOff stepping ldb floats per k step,
-// each block partial folded onto the tap's total (spilled at 256-511 between
-// blocks); the tap's total is ANDed with the mask (VANDPS: off-image lanes
+// list. Per tap, a row-layout loop over all k steps, kc at a time: per
+// block, acc[r][0..7] += ap[aOff+kk*8+r] * dout[bOff+kk*ldb .. +7] for kk
+// ascending from +0 accumulators, each block partial folded onto the tap's
+// total (spilled at 256-511 between blocks); the tap's total is ANDed with the mask (VANDPS: off-image lanes
 // become +0) and folded onto the running total at 0-255, which starts at +0.
 // After the last tap the running total, still in Y0-Y7, is stored to the
 // eight dst rows ldc apart. k and kc must be >= 1; n may be 0 (the tile is

@@ -2,62 +2,12 @@ package kernels
 
 import "math"
 
-// microKernel4x4Go computes one 4×4 register tile over all k steps of packed
-// strips, kc at a time: for each kk ascending within a block, acc[r][c] +=
-// ap[kk·mr+r] · bp[kk·nr+c]. The 16 accumulators live in registers, so each
-// k-step costs 8 loads for 16 multiply-adds — the register reuse the naive
-// loops lack. Per element the operation sequence is exactly the reference
-// kernel's: each block's partial is summed from +0, the first partial is the
-// total and each later one is added to it total first, like the reference's
-// `row[j] += part[j]`; the total is then stored into dst.
-//
-// This is the portable executable spec of the tile contract: the AVX2
-// assembly variant is differentially fuzzed against it, and it is the
-// variant the "generic" ISA selection, every non-amd64 build and every amd64
-// CPU without AVX2 dispatches.
-//
-//easyscale:hotpath
-func microKernel4x4Go(dst []float32, o, ldc int, ap, bp []float32, k, kc int) {
-	var tot [16]float32
-	ap = ap[: 4*k : 4*k]
-	bp = bp[: 4*k : 4*k]
-	for k0 := 0; k0 < k; k0 += kc {
-		var c00, c01, c02, c03 float32
-		var c10, c11, c12, c13 float32
-		var c20, c21, c22, c23 float32
-		var c30, c31, c32, c33 float32
-		kb := min(kc, k-k0)
-		blkA, blkB := ap[4*k0:4*(k0+kb)], bp[4*k0:4*(k0+kb)]
-		for len(blkA) >= 4 {
-			a0, a1, a2, a3 := blkA[0], blkA[1], blkA[2], blkA[3]
-			b0, b1, b2, b3 := blkB[0], blkB[1], blkB[2], blkB[3]
-			c00 += a0 * b0
-			c01 += a0 * b1
-			c02 += a0 * b2
-			c03 += a0 * b3
-			c10 += a1 * b0
-			c11 += a1 * b1
-			c12 += a1 * b2
-			c13 += a1 * b3
-			c20 += a2 * b0
-			c21 += a2 * b1
-			c22 += a2 * b2
-			c23 += a2 * b3
-			c30 += a3 * b0
-			c31 += a3 * b1
-			c32 += a3 * b2
-			c33 += a3 * b3
-			blkA = blkA[4:]
-			blkB = blkB[4:]
-		}
-		foldTile(&tot, [16]float32{c00, c01, c02, c03, c10, c11, c12, c13, c20, c21, c22, c23, c30, c31, c32, c33}, k0 == 0)
-	}
-	storeTile(dst[o:], ldc, tot[:], 4, 4, 4, false)
-}
-
-// convTile4x4Go is the generic conv tile and the executable spec of the AVX2
-// one: microKernel4x4Go's arithmetic and fold, product for product, with b
-// read from the image at rows[c]+koff[kk] instead of from a packed strip.
+// convTile4x4Go is the generic conv tile (convTileFunc), its 16 accumulators
+// in registers: each k step costs 8 loads for 16 multiply-adds. It is the
+// portable executable spec of the tile contract: the AVX2 tiles are
+// differentially fuzzed against it, and it is the tile the "generic" ISA
+// selection, every non-amd64 build and every amd64 CPU without AVX2
+// dispatches.
 //
 //easyscale:hotpath
 func convTile4x4Go(dst []float32, o, ldc int, ap, img []float32, rows [maxNR]int, koff []float32, k, kc int, add bool) {
@@ -99,7 +49,7 @@ func convTile4x4Go(dst []float32, o, ldc int, ap, img []float32, rows [maxNR]int
 }
 
 // dxTile4x4Go is the generic dX tile and the executable spec of the AVX2
-// one: per tap record, microKernel4x4Go's arithmetic and fold, product for
+// one: per tap record, convTile4x4Go's arithmetic and fold, product for
 // product, with b read ldb apart from dout; each lane of the tap's total is
 // ANDed with its mask and added onto the running total, the total first.
 //

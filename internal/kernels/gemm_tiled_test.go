@@ -3,10 +3,13 @@ package kernels
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
+
+	"repro/internal/pool"
 )
 
-// The differential suite for the cache-blocked GEMM: the tiled kernels
+// The differential suite for the register-tiled GEMM: the tiled kernels
 // (gemm.go) must be bitwise identical to the unexported reference loops for
 // every shape, kc, and input — including non-finite values. The exported
 // entry points dispatch by problem size, so the tests call the tiled
@@ -117,15 +120,17 @@ func runDifferential(t *testing.T, impl gemmImpl, m, k, n, kc int, a, b []float3
 }
 
 // TestGemmTiledVsReference sweeps shapes around every tiling boundary —
-// register-tile edges (mod mr/nr of every variant), cache-block edges (the
-// gemmNC panel width, gemmMCStrips·mr), degenerate 0/1 dims — across kc
-// values including the normalization cases kc<=0 and kc>k.
+// register-tile edges (mod mr/nr of every variant), degenerate 0/1 dims, and
+// many row strips or column tiles with edge tiles on both sides (gemmConv
+// walks them all in one pass, with no cache blocking) — across kc values
+// including the normalization cases kc<=0 and kc>k.
 func TestGemmTiledVsReference(t *testing.T) {
 	shapes := [][3]int{
 		{1, 1, 1}, {4, 4, 4}, {5, 3, 7}, {8, 16, 4}, {3, 1, 9},
 		{4, 7, 3}, {16, 33, 12}, {7, 64, 5}, {129, 8, 3}, {2, 9, 260},
 		{1, 0, 5}, {0, 4, 4}, {4, 4, 0}, {0, 0, 0},
 		{131, 17, 19}, {12, 144, 64}, {72, 8, 64},
+		{512, 32, 32}, {32, 512, 32}, {64, 192, 192}, {257, 33, 65},
 	}
 	kcs := []int{-1, 0, 1, 2, 3, 7, 16, 64, 1000}
 	forEachISA(t, func(t *testing.T) {
@@ -153,6 +158,7 @@ func TestGemmTiledVsReference(t *testing.T) {
 func TestGemmTiledVsReferenceNonFinite(t *testing.T) {
 	shapes := [][3]int{
 		{4, 4, 4}, {5, 9, 6}, {8, 27, 16}, {13, 64, 9}, {3, 130, 258},
+		{512, 32, 32}, {32, 512, 32}, {64, 192, 192}, {257, 33, 65},
 	}
 	kcs := []int{0, 1, 3, 16, 64}
 	forEachISA(t, func(t *testing.T) {
@@ -199,6 +205,54 @@ func TestExportedGemmDispatchBitwise(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestGemmAllocFree: after warm-up, the tiled GEMMs draw every buffer —
+// packed A, the offset tables and the edge tile — from the arena, so a call
+// allocates nothing: at bert's smallest tiled shape, at the widest serving
+// shape and at a tall one with many row strips.
+func TestGemmAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; counts are only meaningful uninstrumented")
+	}
+	exported := []func(dst, a, b []float32, m, k, n, kc int){MatMul, MatMulATB, MatMulABT}
+	for _, sh := range [][3]int{{32, 16, 16}, {32, 64, 192}, {512, 32, 32}} {
+		m, k, n := sh[0], sh[1], sh[2]
+		forEachISA(t, func(t *testing.T) {
+			for vi, impl := range gemmImpls {
+				a, b, dst := make([]float32, impl.aLen(m, k, n)), make([]float32, impl.bLen(m, k, n)), make([]float32, m*n)
+				fillRand(a, 1)
+				fillRand(b, 2)
+				if allocs := testing.AllocsPerRun(10, func() { exported[vi](dst, a, b, m, k, n, 8) }); allocs != 0 {
+					t.Fatalf("%s%s: %v allocs per call, want 0", impl.name, shapeLabel(m, k, n, 8), allocs)
+				}
+			}
+		})
+	}
+}
+
+// TestOffsetTablesPanicPastUint32: the offset tables store uint32 element
+// offsets, so an operand past 2³² elements must panic in the table builder,
+// before anything is drawn, instead of wrapping — checked from dimensions
+// alone, for a convolution's image and a dense GEMM's B.
+func TestOffsetTablesPanicPastUint32(t *testing.T) {
+	pool.Put(offsetTables(1, 1, 1<<32)) // the largest operand a uint32 offset indexes
+	for name, call := range map[string]func(){
+		"table": func() { offsetTables(1, 1, 1<<32+1) },
+		"conv": func() {
+			convOffsets(ConvDims{Batch: 1, CIn: 1 << 16, H: 1 << 8, W: 1<<8 + 1, COut: 1, KH: 1, KW: 1, StrideH: 1, StrideW: 1})
+		},
+		"gemm": func() { gemmDense(nil, 1<<16+1, &packedA{m: 1, k: 1 << 16}, nil, 1, 1<<16+1) },
+	} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "uint32 offset tables") {
+					t.Errorf("%s: an operand past 2^32 elements did not panic in the table builder (got %q)", name, msg)
+				}
+			}()
+			call()
+		}()
+	}
 }
 
 func shapeLabel(m, k, n, kc int) string {
@@ -303,30 +357,27 @@ func tileFold(dst []float32, o, ldc, mr, nr int, ap []float32, b func(kk, c int)
 	}
 }
 
-// tileOperands builds one tile call's operands for both tile kinds: packed
-// A and B strips k deep, and an image with row and tap offset tables whose
-// gathered B is the same matrix as the packed strip. dst is a sentinel-filled
-// frame around the tile at offset o, rows ldc apart.
+// tileOperands are one conv tile call's operands: a packed A strip k deep,
+// and an image with row and tap offset tables through which the tile gathers
+// B. dst is a sentinel-filled frame around the tile at offset o, rows ldc
+// apart.
 type tileOperands struct {
-	ap, bp, img, koff []float32
-	rows              [maxNR]int
-	dst               []float32
-	o, ldc, nr        int
+	ap, img, koff []float32
+	rows          [maxNR]int
+	dst           []float32
+	o, ldc, k     int
 }
 
 func newTileOperands(mr, nr, k int, seed uint64, fill func([]float32, uint64)) tileOperands {
-	op := tileOperands{ap: make([]float32, mr*k), bp: make([]float32, nr*k), img: make([]float32, nr*k),
-		koff: make([]float32, k), ldc: nr + 3, nr: nr}
+	op := tileOperands{ap: make([]float32, mr*k), img: make([]float32, nr*k),
+		koff: make([]float32, k), ldc: nr + 3, k: k}
 	op.o = op.ldc + 1
 	op.dst = make([]float32, (mr+2)*op.ldc)
 	fill(op.ap, seed)
-	fill(op.bp, seed+1)
+	fill(op.img, seed+1)
 	fill(op.dst, seed+2)
 	for c := 0; c < nr; c++ {
 		op.rows[c] = c * k // image column c holds B(·,c) contiguously
-		for kk := 0; kk < k; kk++ {
-			op.img[c*k+kk] = op.bp[kk*nr+c]
-		}
 	}
 	for kk := range op.koff {
 		op.koff[kk] = math.Float32frombits(uint32(kk))
@@ -334,16 +385,12 @@ func newTileOperands(mr, nr, k int, seed uint64, fill func([]float32, uint64)) t
 	return op
 }
 
-func (op *tileOperands) b(kk, c int) float32 { return op.bp[kk*op.nr+c] }
+func (op *tileOperands) b(kk, c int) float32 { return op.img[c*op.k+kk] }
 
-// runTile calls one variant's packed or gathering tile on a copy of dst.
-func (op *tileOperands) runTile(mk *mkDesc, conv bool, k, kc int, add bool) []float32 {
+// runTile calls one variant's conv tile on a copy of dst.
+func (op *tileOperands) runTile(mk *mkDesc, kc int, add bool) []float32 {
 	dst := append([]float32(nil), op.dst...)
-	if conv {
-		mk.conv(dst, op.o, op.ldc, op.ap, op.img, op.rows, op.koff, k, kc, add)
-	} else {
-		mk.fn(dst, op.o, op.ldc, op.ap, op.bp, k, kc)
-	}
+	mk.conv(dst, op.o, op.ldc, op.ap, op.img, op.rows, op.koff, op.k, kc, add)
 	return dst
 }
 
@@ -354,57 +401,54 @@ func mixedFill(xs []float32, seed uint64) {
 	sprinkleN(xs, seed, len(xs)/32)
 }
 
-// TestTileFoldsBlocksLikeSpec holds every registered variant's packed tile,
-// conv tile and dX tile to the scalar fold at k around one, one and several
-// kc blocks (kc 1, 8, 64, and a single block kc = k), stored and, for the
-// conv tile, added, with the cells around the tile left untouched. On the
-// assembly tiles a NaN-payload case then tells the operand orders apart,
-// which sameBits forgives elsewhere: two NaN products in block 0 (the
-// accumulator first), another NaN in block 1 (the total first in the fold)
-// and a NaN already in dst (the dst value first in the final add) must each
-// leave the expected payload. The generic tile is exempt: Go may commute a
-// float add, which changes only the surviving payload.
+// TestTileFoldsBlocksLikeSpec holds every registered variant's conv tile
+// and dX tile to the scalar fold at k around one, one and several kc blocks
+// (kc 1, 8, 64, and a single block kc = k), stored and, for the conv tile,
+// added, with the cells around the tile left untouched. On the assembly
+// tiles a NaN-payload case then tells the operand orders apart, which
+// sameBits forgives elsewhere: two NaN products in block 0 (the accumulator
+// first), another NaN in block 1 (the total first in the fold) and a NaN
+// already in dst (the dst value first in the final add) must each leave the
+// expected payload. The generic tiles are exempt: Go may commute a float
+// add, which changes only the surviving payload.
 func TestTileFoldsBlocksLikeSpec(t *testing.T) {
 	for _, mk := range mkVariants {
-		for _, conv := range []bool{false, true} {
-			name := mk.name + map[bool]string{false: "/fn", true: "/conv"}[conv]
-			adds := map[bool][]bool{false: {false}, true: {false, true}}[conv]
-			for _, kc := range []int{1, 8, 64} {
-				for _, k := range []int{1, kc - 1, kc, kc + 1, 3 * kc, 3*kc + 5} {
-					if k < 1 {
-						continue
-					}
-					op := newTileOperands(mk.mr, mk.nr, k, uint64(k*131+kc), mixedFill)
-					for _, bk := range []int{kc, k} {
-						for _, add := range adds {
-							want := append([]float32(nil), op.dst...)
-							tileFold(want, op.o, op.ldc, mk.mr, mk.nr, op.ap, op.b, k, bk, add)
-							diffBits(t, fmt.Sprintf("%s/k%d/kc%d/add=%v", name, k, bk, add), op.runTile(mk, conv, k, bk, add), want)
-						}
+		name := mk.name + "/conv"
+		for _, kc := range []int{1, 8, 64} {
+			for _, k := range []int{1, kc - 1, kc, kc + 1, 3 * kc, 3*kc + 5} {
+				if k < 1 {
+					continue
+				}
+				op := newTileOperands(mk.mr, mk.nr, k, uint64(k*131+kc), mixedFill)
+				for _, bk := range []int{kc, k} {
+					for _, add := range []bool{false, true} {
+						want := append([]float32(nil), op.dst...)
+						tileFold(want, op.o, op.ldc, mk.mr, mk.nr, op.ap, op.b, k, bk, add)
+						diffBits(t, fmt.Sprintf("%s/k%d/kc%d/add=%v", name, k, bk, add), op.runTile(mk, bk, add), want)
 					}
 				}
-			}
-
-			if mk == mkGenericDesc {
-				continue
-			}
-			const kc, k = 8, 16
-			op := newTileOperands(mk.mr, mk.nr, k, 1, onesFill)
-			for r := 0; r < mk.mr; r++ {
-				op.ap[0*mk.mr+r], op.ap[1*mk.mr+r], op.ap[kc*mk.mr+r] = nanBits(1), nanBits(4), nanBits(2)
-			}
-			for _, add := range adds {
-				want := nanBits(1)
-				if add {
-					want = nanBits(3)
-					for i := range op.dst {
-						op.dst[i] = nanBits(3)
-					}
-				}
-				checkTileBits(t, fmt.Sprintf("%s/nan-payload/add=%v", name, add), op.runTile(mk, conv, k, kc, add), op.o, op.ldc, mk.mr, mk.nr, want)
 			}
 		}
 		checkDXTileFolds(t, mk)
+
+		if mk == mkGenericDesc {
+			continue
+		}
+		const kc, k = 8, 16
+		op := newTileOperands(mk.mr, mk.nr, k, 1, onesFill)
+		for r := 0; r < mk.mr; r++ {
+			op.ap[0*mk.mr+r], op.ap[1*mk.mr+r], op.ap[kc*mk.mr+r] = nanBits(1), nanBits(4), nanBits(2)
+		}
+		for _, add := range []bool{false, true} {
+			want := nanBits(1)
+			if add {
+				want = nanBits(3)
+				for i := range op.dst {
+					op.dst[i] = nanBits(3)
+				}
+			}
+			checkTileBits(t, fmt.Sprintf("%s/nan-payload/add=%v", name, add), op.runTile(mk, kc, add), op.o, op.ldc, mk.mr, mk.nr, want)
+		}
 	}
 }
 
@@ -524,4 +568,40 @@ func checkDXTileFolds(t *testing.T, mk *mkDesc) {
 		op.ap[k*mk.mr+r] = nanBits(2) // tap 1
 	}
 	checkTileBits(t, mk.name+"/dx/nan-payload", op.run(mk, 2, k, kc), op.o, op.ldc, mk.mr, mk.nr, nanBits(1))
+}
+
+// gemmTraffic lists the tiled GEMM shapes (m, k, n) the benchmark workloads
+// run, per variant: bert's EST pass at 4 ESTs × batch 4 and serving's
+// models at batch 8 and at MaxBatch 32. Every other GEMM they run falls under
+// tiledMinWork and takes the reference loops.
+var gemmTraffic = [][][3]int{
+	{{32, 16, 16}, {32, 16, 32}, {32, 32, 16}, {64, 16, 16}, {64, 16, 32}, {64, 32, 16},
+		{8, 16, 64}, {8, 32, 64}, {8, 64, 32}, {8, 64, 192}},
+	{{16, 32, 16}, {16, 32, 32}, {16, 64, 16}, {16, 64, 32}, {32, 32, 16}, {32, 64, 16},
+		{16, 8, 64}, {32, 8, 64}, {64, 8, 32}, {64, 8, 192}},
+	{{32, 16, 16}, {32, 16, 32}, {32, 32, 16}, {64, 16, 16}, {64, 16, 32}, {64, 32, 16},
+		{8, 32, 64}, {8, 64, 16}, {8, 64, 32}, {8, 192, 64},
+		{32, 32, 10}, {32, 32, 64}, {32, 64, 16}, {32, 64, 32}, {32, 192, 64}},
+}
+
+// BenchmarkGemmTraffic times each tiled shape of gemmTraffic at kc 8 and 64
+// on the active ISA (EASYSCALE_FORCE_GENERIC=1 for the generic tile):
+//
+//	go test -run '^$' -bench GemmTraffic ./internal/kernels
+func BenchmarkGemmTraffic(b *testing.B) {
+	for vi, impl := range gemmImpls {
+		for _, sh := range gemmTraffic[vi] {
+			m, k, n := sh[0], sh[1], sh[2]
+			a, bm, dst := make([]float32, impl.aLen(m, k, n)), make([]float32, impl.bLen(m, k, n)), make([]float32, m*n)
+			fillRand(a, 1)
+			fillRand(bm, 2)
+			for _, kc := range []int{8, 64} {
+				b.Run(fmt.Sprintf("%s/%dx%dx%d/kc%d", impl.name, m, k, n, kc), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						impl.tiled(dst, a, bm, m, k, n, kc)
+					}
+				})
+			}
+		}
+	}
 }

@@ -19,10 +19,11 @@
 // Higher layers (internal/device) choose variants and block sizes according
 // to the configured determinism level.
 //
-// The GEMM entry points dispatch to cache-blocked, register-tiled
-// implementations (gemm.go) that are bitwise identical to the naive loops
-// kept here as unexported reference implementations (matMulRef and friends);
-// the differential tests and fuzzers assert the equivalence over shapes,
+// The GEMM entry points dispatch to register-tiled implementations (gemm.go)
+// that share one tile with the convolutions — A packed, B gathered in place
+// through offset tables — and are bitwise identical to the naive loops kept
+// here as unexported reference implementations (matMulRef and friends); the
+// differential tests and fuzzers assert the equivalence over shapes,
 // strides, and non-finite inputs.
 package kernels
 

@@ -26,9 +26,9 @@ import (
 //   - SetISA switches at runtime (tests; safe at any point because both
 //     variants are bitwise identical).
 //
-// There are two variants: the AVX2 8×8 assembly tile where the CPU and OS
-// support it, and the pure-Go 4×4 tile everywhere else — spec, fallback and
-// kill switch in one.
+// There are two variants, each with the two tiles of mkDesc: the AVX2 8×8
+// assembly tiles where the CPU and OS support them, and the pure-Go 4×4
+// tiles everywhere else — spec, fallback and kill switch in one.
 //
 // The environment variable is read here at package init rather than in
 // core.ConfigFromEnv: the kernels package's own test binary (and the
@@ -42,21 +42,17 @@ const (
 	ISAGeneric = "generic"
 )
 
-// microKernelFunc computes one mr×nr register tile from packed strips in
-// one call: it walks all k steps kc at a time, sums each block's products in
-// ascending kk from +0, and folds the block partials onto a running total in
-// ascending block order — the first partial is the total, every later one is
-// added total first. The total is then stored into dst rows ldc apart
-// starting at offset o. ap and bp are the tile's A and B strips, each
-// contiguous over all of k.
-type microKernelFunc func(dst []float32, o, ldc int, ap, bp []float32, k, kc int)
-
-// convTileFunc computes one mr×nr tile of a convolution GEMM whose B operand
-// is gathered from the zero-bordered image instead of packed: for kk in
-// [0,k), acc[r][c] += ap[kk·mr+r] · img[rows[c]+koff[kk]], where koff holds
-// uint32 element offsets stored as float32 bits. Blocked and folded exactly
-// like a microKernelFunc tile; the total is stored (add=false) or added with
-// the dst value first (add=true).
+// convTileFunc computes one mr×nr tile of a GEMM whose B operand is gathered
+// instead of packed — a convolution's im2col matrix from the zero-bordered
+// image, or a dense matrix (gemmDense) — in one call: for kk in [0,k),
+// acc[r][c] += ap[kk·mr+r] · img[rows[c]+koff[kk]], where koff holds uint32
+// element offsets stored as float32 bits. It walks all k steps kc at a time,
+// sums each block's products in ascending kk from +0, and folds the block
+// partials onto a running total in ascending block order — the first partial
+// is the total, every later one is added total first. The total is then
+// stored (add=false) into dst rows ldc apart starting at offset o, or added
+// with the dst value first (add=true). ap is the tile's A strip, contiguous
+// over all of k.
 type convTileFunc func(dst []float32, o, ldc int, ap, img []float32, rows [maxNR]int, koff []float32, k, kc int, add bool)
 
 // dxTileFunc computes one mr×nr tile of a convolution's input gradient — mr
@@ -64,20 +60,20 @@ type convTileFunc func(dst []float32, o, ldc int, ap, img []float32, rows [maxNR
 // {aOff, bOff, mask[nr]} laid end to end in list (offsets as float32 bits,
 // mask lanes all-ones or +0; see dxPlan). For each record in order it sums
 // the tap's partial acc[r][c] = Σ ap[aOff+kk·mr+r] · dout[bOff+kk·ldb+c]
-// over kk in [0,k), blocked and folded like a microKernelFunc tile, ANDs
+// over kk in [0,k), blocked and folded like a convTileFunc tile, ANDs
 // lane c with mask[c], and adds it, total first, onto a running total that
 // starts at +0. The total is then stored into dst rows ldc apart from o.
 type dxTileFunc func(dst []float32, o, ldc int, ap, dout, list []float32, n, ldb, k, kc int)
 
 // mkDesc describes one micro-kernel variant: its register-tile shape (which
-// fixes the packed-panel layout) and the three tile functions: over a packed
-// B panel, gathering B from an image, and gathering a dX tile over its taps. The packed-A buffer
-// records the descriptor it was packed for, so a racing SetISA can never
-// mismatch panel layout and kernel within one GEMM call.
+// fixes the packed-A layout) and its two tiles: one gathering B through
+// offset tables, for every GEMM but dX, and one gathering a dX tile over its
+// taps. The packed-A buffer records the descriptor it was packed for, so a
+// racing SetISA can never mismatch panel layout and kernel within one GEMM
+// call.
 type mkDesc struct {
 	name   string
 	mr, nr int
-	fn     microKernelFunc
 	conv   convTileFunc
 	dx     dxTileFunc
 	// elemSIMD enables the AVX2 elementwise primitives alongside this
@@ -85,8 +81,9 @@ type mkDesc struct {
 	elemSIMD bool
 }
 
-// maxMR/maxNR bound the register tile across both variants; the edge-tile
-// scratch in gemmTiled is sized by them.
+// maxMR/maxNR bound the register tile across both variants: they size the
+// edge-tile scratch of gemmConv and convDX and the column-offset array a conv
+// tile receives.
 const (
 	maxMR = 8
 	maxNR = 8
@@ -95,7 +92,7 @@ const (
 // mkGenericDesc is the portable pure-Go variant — the executable spec the
 // AVX2 variant is fuzzed against, and the only variant off amd64 or on an
 // amd64 CPU without AVX2.
-var mkGenericDesc = &mkDesc{name: ISAGeneric, mr: 4, nr: 4, fn: microKernel4x4Go, conv: convTile4x4Go, dx: dxTile4x4Go}
+var mkGenericDesc = &mkDesc{name: ISAGeneric, mr: 4, nr: 4, conv: convTile4x4Go, dx: dxTile4x4Go}
 
 // curMK is the active variant. Atomic so tests may switch ISAs while the
 // race detector watches; a GEMM call snapshots it once (packA) and threads

@@ -10,7 +10,7 @@ import "os"
 // exactly like the scalar ops Go emits (same IEEE-754 binary32 arithmetic,
 // same MXCSR, no FMA, no horizontal reductions), so the two variants are
 // bitwise-identical; the differential fuzzers assert it.
-var mkAVX2Desc = &mkDesc{name: ISAAVX2, mr: 8, nr: 8, fn: microKernel8x8AVX2, conv: convTile8x8AVX2, dx: dxTile8x8AVX2, elemSIMD: true}
+var mkAVX2Desc = &mkDesc{name: ISAAVX2, mr: 8, nr: 8, conv: convTile8x8AVX2, dx: dxTile8x8AVX2, elemSIMD: true}
 
 // mkVariants lists the runnable variants, best first.
 var mkVariants = buildVariants()
