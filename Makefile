@@ -8,8 +8,9 @@
 #   make lint-audit — list every //detlint:ignore site with its cited reason
 #   make race    — race detector over the concurrency-bearing packages
 #                  (the per-GPU fan-out of a training step and the loader
-#                  reads under it, dist, serve and the tracer must stay
-#                  race-clean)
+#                  reads under it, the nn layers, whose conv plans carry
+#                  state from call to call on each replica's goroutine,
+#                  dist, serve and the tracer must stay race-clean)
 #   make test-cpu — the placement / consistency / fan-out / loader tests and
 #                  the baselines' cross-engine table at GOMAXPROCS 1, 2 and 4:
 #                  the bitwise contract may not depend on how many cores the
@@ -83,13 +84,14 @@ test-cpu:
 	$(GO) test -count=1 -cpu 1,2,4 -run 'Consistency|Placement|Invariance|Invisible|FanOut|RunStepPanic|ScaleLive|Loader|Worlds|VirtualFlow|OneEngine' ./internal/core/... ./internal/data/... ./internal/elastic/...
 
 race:
-	$(GO) test -race ./internal/kernels/... ./internal/comm/... ./internal/checkpoint/... ./internal/data/... ./internal/dist/... ./internal/faults/... ./internal/core/... ./internal/elastic/... ./internal/obs/... ./internal/serve/... ./internal/sched/... ./internal/controlplane/...
+	$(GO) test -race ./internal/kernels/... ./internal/nn/... ./internal/comm/... ./internal/checkpoint/... ./internal/data/... ./internal/dist/... ./internal/faults/... ./internal/core/... ./internal/elastic/... ./internal/obs/... ./internal/serve/... ./internal/sched/... ./internal/controlplane/...
 
 # short fuzz smokes: the wire-frame, checkpoint and job-schema decoders must
 # never panic on corrupt input, and the tiled GEMM kernels, the fused conv
-# paths and the eight-lane SumBlocked must stay bitwise identical to the
-# reference loops, the im2col spec and the serial blocked sum for arbitrary
-# shapes, kc blocks, and non-finite inputs
+# paths, the eight-lane SumBlocked and the one-pass MeanVar and SumDotBlocked
+# must stay bitwise identical to the reference loops, the im2col spec, the
+# serial blocked sum and the two-pass reductions for arbitrary shapes, kc
+# blocks, and non-finite inputs
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReadFrame -fuzztime $(FUZZTIME) ./internal/dist
 	$(GO) test -run '^$$' -fuzz FuzzDecodeGrads -fuzztime $(FUZZTIME) ./internal/dist
@@ -102,6 +104,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzElemVsScalar$$' -fuzztime $(FUZZTIME) ./internal/kernels
 	$(GO) test -run '^$$' -fuzz 'FuzzConvVsSpec$$' -fuzztime $(FUZZTIME) ./internal/kernels
 	$(GO) test -run '^$$' -fuzz 'FuzzSumBlockedVsSpec$$' -fuzztime $(FUZZTIME) ./internal/kernels
+	$(GO) test -run '^$$' -fuzz 'FuzzFusedReductionsVsSpec$$' -fuzztime $(FUZZTIME) ./internal/kernels
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodePredict$$' -fuzztime $(FUZZTIME) ./internal/dist
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodePredictReply$$' -fuzztime $(FUZZTIME) ./internal/dist
 	$(GO) test -run '^$$' -fuzz 'FuzzBatchEquivalence$$' -fuzztime $(FUZZTIME) ./internal/serve

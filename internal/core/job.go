@@ -260,7 +260,7 @@ func (j *Job) localStep(rep *replica, est *ESTContext, dev *device.Device, lastO
 	dev.ChargeTime(KernelLaunchOverhead)
 	out := rep.net.Forward(ctx, x)
 	loss := rep.loss.Forward(ctx, out, labels)
-	rep.net.Backward(ctx, rep.loss.Backward(ctx))
+	nn.BackwardParams(rep.net, ctx, rep.loss.Backward(ctx)) // the input gradient is discarded
 	computeDur := dev.Now() - before
 	o.estSpan(est.VirtualRank, obs.CatStep, "core.compute", tComp, int64(computeDur), int64(j.step))
 	j.lastLosses[est.VirtualRank] = loss

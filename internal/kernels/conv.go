@@ -62,17 +62,12 @@ func border(img, bordered []float32, d ConvDims) {
 	}
 }
 
-// convOffsets builds the offset tables of the bordered geometry p (no
-// padding) in one arena buffer (offsetTables): pos[j] is the offset
-// y·SH·W + x·SW of output position j's window, tap[kk] the offset
-// (ci·H+kh)·W + kw of tap kk inside a window, so im2col(img)[kk][j] =
-// img[pos[j]+tap[kk]]. The caller releases tabs.
-//
-//easyscale:hotpath
-func convOffsets(p ConvDims) (tabs, pos, tap []float32) {
-	n := p.ColCols()
-	tabs = offsetTables(n, p.ColRows(), p.CIn*p.H*p.W)
-	pos, tap = tabs[:n], tabs[n:]
+// convOffsets fills the offset tables of the bordered geometry p (no
+// padding): pos[j] is the offset y·SH·W + x·SW of output position j's window,
+// tap[kk] the offset (ci·H+kh)·W + kw of tap kk inside a window, so
+// im2col(img)[kk][j] = img[pos[j]+tap[kk]]. Offsets are uint32 stored as
+// float32 bits (checkOffsets).
+func convOffsets(p ConvDims, pos, tap []float32) {
 	ow := p.OutW()
 	for j := range pos {
 		pos[j] = math.Float32frombits(uint32(j/ow*p.StrideH*p.W + j%ow*p.StrideW))
@@ -81,7 +76,6 @@ func convOffsets(p ConvDims) (tabs, pos, tap []float32) {
 		ci, kh, kw := kk/(p.KH*p.KW), kk/p.KW%p.KH, kk%p.KW
 		tap[kk] = math.Float32frombits(uint32((ci*p.H+kh)*p.W + kw))
 	}
-	return tabs, pos, tap
 }
 
 // Im2Col expands one image src[CI,H,W] into cols[CI*KH*KW, OH*OW]. This is a
@@ -128,68 +122,87 @@ func addBias(out, bias []float32, cout, spatial int) {
 	}
 }
 
-// Conv2D computes the forward convolution dst[B,CO,OH,OW] from src[B,CI,H,W]
-// and weight[CO,CI,KH,KW] (+ optional bias[CO]) via im2col + GEMM, with the
-// GEMM reduction over CI*KH*KW blocked by kc. Different kc values model
-// different GPU architectures' kernels; a fixed kc across types is the D2
-// hardware-agnostic kernel.
-//
-// The weight panel is packed once and reused across the batch; each image is
-// copied into a zero-bordered buffer that the conv tile gathers its im2col
-// operand from, so no cols matrix is ever materialized. All three
-// reorganizations are bitwise invisible.
+// ConvPlan is what a convolution resolves once per layer instead of once per
+// call, as cuDNN does for a pinned algorithm (§3.3): the offset tables of
+// the bordered geometry, a zero-bordered buffer for the whole batch, the
+// edge-tile scratch and the dX plan, none of which depends on kc. The zero
+// value is ready. The first call lays the plan out; a call with other
+// ConvDims lays it out again, and so does a dX call under another
+// micro-kernel variant. A plan is single-goroutine, like the layer that
+// holds it.
+type ConvPlan struct {
+	d        ConvDims
+	img      []float32 // the batch, bordered (d.bordered()); heads the plan's one buffer
+	pos, tap []float32 // offset tables of the bordered geometry (convOffsets)
+	tile     []float32 // edge-tile scratch of gemmConv and convDX
+	src      *float32  // &src[0] of the batch img holds, or nil
+	dx       dxPlan
+	borrowed bool // buffers come from the arena, and the caller returns them
+}
+
+// alloc returns n floats in place of old: from the arena for a borrowed
+// plan, otherwise old's storage when it is large enough.
+func (p *ConvPlan) alloc(old []float32, n int) []float32 {
+	if p.borrowed {
+		pool.Put(old)
+		return pool.GetUninit(n)
+	}
+	if cap(old) < n {
+		return make([]float32, n)
+	}
+	return old[:n]
+}
+
+// layout lays the plan out for d, unless it already is.
+func (p *ConvPlan) layout(d ConvDims) {
+	if p.img != nil && p.d == d {
+		return
+	}
+	b := d.bordered()
+	n, k, span := b.ColCols(), b.ColRows(), d.Batch*b.CIn*b.H*b.W
+	checkOffsets(span / d.Batch)
+	p.d, p.src, p.dx.mk = d, nil, nil
+	mem := p.alloc(p.img, span+n+k+maxMR*maxNR)
+	p.img, p.pos, p.tap, p.tile = mem[:span], mem[span:][:n], mem[span+n:][:k], mem[span+n+k:]
+	zeroFill(p.img) // the borders stay +0 for every image
+	convOffsets(b, p.pos, p.tap)
+}
+
+// Forward is Conv2D on the plan. It borders image b into slot b of the
+// batch buffer and remembers src for the Backward that follows.
 //
 //easyscale:hotpath
-func Conv2D(dst, src, weight, bias []float32, d ConvDims, kc int) {
+func (p *ConvPlan) Forward(dst, src, weight, bias []float32, d ConvDims, kc int) {
 	d.validate()
-	oh, ow := d.OutH(), d.OutW()
 	kdim, spatial := d.ColRows(), d.ColCols()
-	if len(dst) != d.Batch*d.COut*oh*ow ||
-		len(src) != d.Batch*d.CIn*d.H*d.W ||
-		len(weight) != d.COut*kdim {
+	imgIn, imgOut := d.CIn*d.H*d.W, d.COut*spatial
+	if len(dst) != d.Batch*imgOut || len(src) != d.Batch*imgIn || len(weight) != d.COut*kdim {
 		panic("kernels: Conv2D buffer size mismatch")
 	}
-	imgIn := d.CIn * d.H * d.W
-	imgOut := d.COut * oh * ow
-	p := d.bordered()
-	img := pool.Get(p.CIn * p.H * p.W) // its border stays +0 for every image
-	tabs, pos, tap := convOffsets(p)
+	p.layout(d)
+	span := len(p.img) / d.Batch
 	pa := packA(weight, d.COut, kdim, normKC(kc, kdim), kdim, 1)
 	for b := 0; b < d.Batch; b++ {
-		out := dst[b*imgOut : (b+1)*imgOut]
+		out, img := dst[b*imgOut:(b+1)*imgOut], p.img[b*span:(b+1)*span]
 		border(src[b*imgIn:(b+1)*imgIn], img, d)
-		gemmConv(out, spatial, &pa, img, pos, tap, false)
+		gemmConv(out, spatial, &pa, img, p.pos, p.tap, p.tile, false)
 		if bias != nil {
 			addBias(out, bias, d.COut, spatial)
 		}
 	}
 	pa.release()
-	pool.Put(img)
-	pool.Put(tabs)
+	p.src = &src[0]
 }
 
-// Conv2DBackward computes the three convolution gradients. gradOut is
-// [B,CO,OH,OW]; outputs are gradSrc [B,CI,H,W], gradWeight [CO,CI,KH,KW]
-// (accumulated over the batch in batch order), and gradBias [CO]. Any of the
-// gradient outputs may be nil to skip. kc blocks the GEMM reductions exactly
-// as in the forward pass.
-//
-// The transposed weights of dX are packed once per call, one panel per tap,
-// and convDX gathers each dX tile from a guarded copy of dOut, walking its
-// taps in registers and storing every dX row once; the dW GEMM gathers its
-// colsᵀ operand from the zero-bordered source image with the forward's
-// offset tables swapped and adds each tile's total straight into the zeroed
-// gradWeight, image by image: bitwise the reference's per-image partial
-// added onto the running sum. Like the forward, the backward pass never
-// materializes an im2col matrix.
+// Backward is Conv2DBackward on the plan. dW gathers from the batch the
+// last Forward bordered if src is that call's src, which must be unchanged
+// since; any other src is bordered again.
 //
 //easyscale:hotpath
-func Conv2DBackward(gradSrc, gradWeight, gradBias, src, weight, gradOut []float32, d ConvDims, kc int) {
+func (p *ConvPlan) Backward(gradSrc, gradWeight, gradBias, src, weight, gradOut []float32, d ConvDims, kc int) {
 	d.validate()
-	oh, ow := d.OutH(), d.OutW()
 	kdim, spatial := d.ColRows(), d.ColCols()
-	imgIn := d.CIn * d.H * d.W
-	imgOut := d.COut * oh * ow
+	imgIn, imgOut := d.CIn*d.H*d.W, d.COut*spatial
 	if len(gradOut) != d.Batch*imgOut || len(src) != d.Batch*imgIn || len(weight) != d.COut*kdim {
 		panic("kernels: Conv2DBackward buffer size mismatch")
 	}
@@ -208,9 +221,8 @@ func Conv2DBackward(gradSrc, gradWeight, gradBias, src, weight, gradOut []float3
 	if gradSrc != nil && len(gradSrc) != d.Batch*imgIn {
 		panic("kernels: Conv2DBackward gradSrc size mismatch")
 	}
-
-	var paT packedA
-	var dx dxPlan
+	p.layout(d)
+	var paT, paD packedA
 	if gradSrc != nil {
 		// Wᵀ per tap (kh,kw): rows are the input channels, K is COut
 		taps := d.KH * d.KW
@@ -219,24 +231,24 @@ func Conv2DBackward(gradSrc, gradWeight, gradBias, src, weight, gradOut []float3
 		for t := 0; t < taps; t++ {
 			paT.pack(paT.buf[t*paT.size():], weight[t:], taps, kdim)
 		}
-		dx = newDXPlan(d, &paT)
+		p.layoutDX(&paT)
 	}
-	var img, tabs, pos, tap []float32
 	if gradWeight != nil {
-		p := d.bordered()
-		img = pool.Get(p.CIn * p.H * p.W) // its border stays +0 for every image
-		tabs, pos, tap = convOffsets(p)
+		paD = newPackedA(d.COut, spatial, normKC(kc, spatial))
+		paD.buf = pool.GetUninit(paD.size())
 	}
-	kcW := normKC(kc, spatial)
+	bordered, span := p.src == &src[0], len(p.img)/d.Batch
 	for b := 0; b < d.Batch; b++ {
 		dout := gradOut[b*imgOut : (b+1)*imgOut] // [CO, spatial]
 		if gradWeight != nil {
 			// dW += dOut · colsᵀ : [CO, spatial]·[spatial, kdim] = [CO, kdim],
 			// each tile's total added straight into gradWeight
-			paD := packA(dout, d.COut, spatial, kcW, spatial, 1)
-			border(src[b*imgIn:(b+1)*imgIn], img, d)
-			gemmConv(gradWeight, kdim, &paD, img, tap, pos, true)
-			paD.release()
+			img := p.img[b*span : (b+1)*span]
+			if !bordered {
+				border(src[b*imgIn:(b+1)*imgIn], img, d)
+			}
+			paD.pack(paD.buf, dout, spatial, 1)
+			gemmConv(gradWeight, kdim, &paD, img, p.tap, p.pos, p.tile, true)
 		}
 		if gradBias != nil {
 			for co := 0; co < d.COut; co++ {
@@ -245,19 +257,60 @@ func Conv2DBackward(gradSrc, gradWeight, gradBias, src, weight, gradOut []float3
 			}
 		}
 		if gradSrc != nil {
-			convDX(gradSrc[b*imgIn:(b+1)*imgIn], dout, d, &paT, &dx)
+			p.convDX(gradSrc[b*imgIn:(b+1)*imgIn], dout, &paT)
 		}
 	}
-	// Put ignores the nil buffers of a skipped gradient
+	// Put ignores the nil buffers of skipped gradients
+	paD.release()
 	paT.release()
-	pool.Put(dx.dout)
-	pool.Put(dx.taps)
-	pool.Put(img)
-	pool.Put(tabs)
+	p.src = nil
+}
+
+// Conv2D computes the forward convolution dst[B,CO,OH,OW] from src[B,CI,H,W]
+// and weight[CO,CI,KH,KW] (+ optional bias[CO]) via im2col + GEMM, with the
+// GEMM reduction over CI*KH*KW blocked by kc. Different kc values model
+// different GPU architectures' kernels; a fixed kc across types is the D2
+// hardware-agnostic kernel.
+//
+// The weight panel is packed once and reused across the batch; each image is
+// copied into its slot of a zero-bordered batch buffer that the conv tile
+// gathers its im2col operand from, so no cols matrix is ever materialized.
+// All three reorganizations are bitwise invisible. Conv2D runs on a plan
+// borrowed from the arena for one call; a layer holds its own ConvPlan.
+//
+//easyscale:hotpath
+func Conv2D(dst, src, weight, bias []float32, d ConvDims, kc int) {
+	p := ConvPlan{borrowed: true}
+	p.Forward(dst, src, weight, bias, d, kc)
+	pool.Put(p.img) // the whole buffer: img heads it
+}
+
+// Conv2DBackward computes the three convolution gradients. gradOut is
+// [B,CO,OH,OW]; outputs are gradSrc [B,CI,H,W], gradWeight [CO,CI,KH,KW]
+// (accumulated over the batch in batch order), and gradBias [CO]. Any of the
+// gradient outputs may be nil to skip. kc blocks the GEMM reductions exactly
+// as in the forward pass.
+//
+// The transposed weights of dX are packed once per call, one panel per tap,
+// and convDX gathers each dX tile from a guarded copy of dOut, walking its
+// taps in registers and storing every dX row once; the dW GEMM gathers its
+// colsᵀ operand from the zero-bordered source image with the forward's
+// offset tables swapped and adds each tile's total straight into the zeroed
+// gradWeight, image by image: bitwise the reference's per-image partial
+// added onto the running sum. Like the forward, the backward pass never
+// materializes an im2col matrix. Conv2DBackward runs on a plan borrowed
+// from the arena for one call, so it borders src itself.
+//
+//easyscale:hotpath
+func Conv2DBackward(gradSrc, gradWeight, gradBias, src, weight, gradOut []float32, d ConvDims, kc int) {
+	p := ConvPlan{borrowed: true}
+	p.Backward(gradSrc, gradWeight, gradBias, src, weight, gradOut, d, kc)
+	pool.Put(p.img) // img and dx.dout each head a whole buffer
+	pool.Put(p.dx.dout)
 }
 
 // dxPlan is what convDX reads besides the Wᵀ panels, laid out once per
-// Conv2DBackward call for the tile shape of the panels' variant.
+// plan for the tile shape of the panels' variant.
 //
 // dout is one image's dOut on a grid whose rows are rowLen floats apart:
 // output position (y, x) sits at y·rowLen + left−PadW + x·StrideW, so dX
@@ -265,7 +318,8 @@ func Conv2DBackward(gradSrc, gradWeight, gradBias, src, weight, gradOut []float3
 // positions is one plain vector load at any tap. At StrideW 1 the rows are
 // dOut's own, so the grid is one copy of the image; at StrideW > 1 each row
 // is zero-dilated. The lanes that fall off a row read the guard at either
-// end, a neighbouring row or a dilation zero, which the masks discard.
+// end, a neighbouring row or a dilation zero, which the masks discard; convDX
+// writes only grid positions, so those stay +0 from the layout on.
 //
 // taps holds one list per (dX row, nr-wide run), ldl floats apart: a count
 // n, then n records {aOff, bOff, mask[nr]} in ascending tap order — the
@@ -275,24 +329,29 @@ func Conv2DBackward(gradSrc, gradWeight, gradBias, src, weight, gradOut []float3
 // strides has no record. Offsets are uint32 stored as float32 bits, as in
 // convOffsets. The lane masks per (run, kw) follow the lists.
 type dxPlan struct {
-	dout, taps              []float32
+	mk                      *mkDesc   // the variant laid out for, or nil
+	dout, taps              []float32 // dout heads their one buffer
 	rowLen, left, runs, ldl int
 }
 
 // onGrid reports whether v is i·s for an index i in [0,n).
 func onGrid(v, s, n int) bool { return v >= 0 && v <= (n-1)*s && (s == 1 || v%s == 0) }
 
-// newDXPlan lays out d's dX plan for pa's tile shape in arena memory.
-//
-//easyscale:hotpath
-func newDXPlan(d ConvDims, pa *packedA) dxPlan {
+// layoutDX lays out the dX plan of the plan's geometry for pa's tile shape,
+// unless it already is.
+func (p *ConvPlan) layoutDX(pa *packedA) {
+	if p.dx.mk == pa.mk {
+		return
+	}
+	d, x := p.d, &p.dx
 	nr, panel, oh, ow := pa.mk.nr, pa.size(), d.OutH(), d.OutW()
 	rec := 2 + nr
-	x := dxPlan{left: max(d.KW-1, d.PadW), runs: (d.W + nr - 1) / nr, ldl: 1 + d.KH*d.KW*rec}
+	x.mk, x.left, x.runs, x.ldl = pa.mk, max(d.KW-1, d.PadW), (d.W+nr-1)/nr, 1+d.KH*d.KW*rec
 	x.rowLen = (ow-1)*d.StrideW + 1
-	x.dout = pool.Get(d.COut*oh*x.rowLen + x.left + x.runs*nr)
-	lists := d.H * x.runs * x.ldl
-	x.taps = pool.GetUninit(lists + x.runs*d.KW*nr)
+	grid, lists := d.COut*oh*x.rowLen+x.left+x.runs*nr, d.H*x.runs*x.ldl
+	mem := p.alloc(x.dout, grid+lists+x.runs*d.KW*nr)
+	x.dout, x.taps = mem[:grid], mem[grid:]
+	zeroFill(x.dout)
 	masks := x.taps[lists:]
 	for i := range masks {
 		j, kw, c := i/(d.KW*nr), i/nr%d.KW, i%nr
@@ -323,7 +382,6 @@ func newDXPlan(d ConvDims, pa *packedA) dxPlan {
 			list[0] = math.Float32frombits(uint32(n))
 		}
 	}
-	return x
 }
 
 // convDX computes one image's input gradient dst[CI,H,W], the col2im scatter
@@ -331,7 +389,8 @@ func newDXPlan(d ConvDims, pa *packedA) dxPlan {
 // run of positions) walks the run's tap list in ascending tap order, sums
 // each tap's kc-blocked partial over COut, masks its off-image lanes to +0
 // and adds it, total first, onto a running total that starts at +0; the
-// total is stored once. pa holds one Wᵀ panel per tap, in tap order.
+// total is stored once. pa holds one Wᵀ panel per tap, in tap order, and
+// the dX plan is laid out for its variant.
 //
 // The scatter gives each element +0 ⊕ T₁ ⊕ T₂ ⊕ … over its valid taps in
 // ascending order. A running total that starts at +0 is never −0, so the +0
@@ -342,8 +401,8 @@ func newDXPlan(d ConvDims, pa *packedA) dxPlan {
 // tile scratch and stored through storeTile, as gemmConv's edge tiles are.
 //
 //easyscale:hotpath
-func convDX(dst, dout []float32, d ConvDims, pa *packedA, x *dxPlan) {
-	mk := pa.mk
+func (p *ConvPlan) convDX(dst, dout []float32, pa *packedA) {
+	d, x, mk := p.d, &p.dx, pa.mk
 	mr, nr, cout := mk.mr, mk.nr, pa.k
 	oh, ow := d.OutH(), d.OutW()
 	grid := x.dout[x.left-d.PadW:]
@@ -357,7 +416,6 @@ func convDX(dst, dout []float32, d ConvDims, pa *packedA, x *dxPlan) {
 		}
 	}
 	plane, ldb := d.H*d.W, oh*x.rowLen
-	tile := pool.GetUninit(maxMR * maxNR) // edge-tile scratch, as in gemmConv
 	for h := 0; h < d.H; h++ {
 		for j := 0; j < x.runs; j++ {
 			list := x.taps[(h*x.runs+j)*x.ldl:][:x.ldl]
@@ -368,10 +426,9 @@ func convDX(dst, dout []float32, d ConvDims, pa *packedA, x *dxPlan) {
 					mk.dx(dst, o, plane, pa.strip(s), x.dout, list[1:], n, ldb, cout, pa.kc)
 					continue
 				}
-				mk.dx(tile, 0, nr, pa.strip(s), x.dout, list[1:], n, ldb, cout, pa.kc)
-				storeTile(dst[o:], plane, tile, nr, rows, cols, false)
+				mk.dx(p.tile, 0, nr, pa.strip(s), x.dout, list[1:], n, ldb, cout, pa.kc)
+				storeTile(dst[o:], plane, p.tile, nr, rows, cols, false)
 			}
 		}
 	}
-	pool.Put(tile)
 }

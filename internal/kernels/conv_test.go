@@ -433,6 +433,86 @@ func TestConvAllocFree(t *testing.T) {
 	}
 }
 
+// TestConvPlanReuseBitwise drives one ConvPlan the way a layer's plan is
+// driven: across calls whose batch, geometry, stride, padding and kc change,
+// with a skipped dX or dW, across an ISA switch (a dX plan laid out for the
+// other tile shape), and with a backward handed a src other than its
+// forward's, which the plan must border again. Every call must equal a fresh
+// Conv2D/Conv2DBackward and the im2col spec bit for bit.
+func TestConvPlanReuseBitwise(t *testing.T) {
+	block := zooConvShapes[1].d // resnet50-block, batch 4
+	half := block
+	half.Batch = 2
+	stem := zooConvShapes[0].d
+	stem.PadH, stem.PadW = 0, 2
+	steps := []struct {
+		d                 ConvDims
+		kc                int
+		noDX, noDW        bool
+		otherSrc, swapISA bool
+	}{
+		{d: block, kc: 8},
+		{d: block, kc: 16},
+		{d: block, kc: 8, otherSrc: true},
+		{d: block, kc: 8, noDX: true},
+		{d: half, kc: 8},
+		{d: zooConvShapes[2].d, kc: 8, noDW: true}, // shufflenet-s2
+		{d: zooConvShapes[2].d, kc: 32, swapISA: true},
+		{d: stem, kc: 0, otherSrc: true},
+		{d: block, kc: 8, swapISA: true},
+		{d: block, kc: 64},
+	}
+	forEachISA(t, func(t *testing.T) {
+		var p ConvPlan
+		for i, st := range steps {
+			if st.swapISA {
+				for _, isa := range AvailableISAs() {
+					if isa != ActiveISA() {
+						if err := SetISA(isa); err != nil {
+							t.Fatal(err)
+						}
+						break
+					}
+				}
+			}
+			d, kc := st.d, st.kc
+			label := fmt.Sprintf("step %d (%s, %+v, kc %d)", i, ActiveISA(), d, kc)
+			src, weight, bias, gradOut := convOperands(d, uint64(3000+i), i%2 == 1)
+			bsrc := src
+			if st.otherSrc {
+				bsrc, _, _, _ = convOperands(d, uint64(4000+i), false)
+			}
+			wantOut, _, _, _ := convSpec(src, weight, bias, gradOut, d, kc)
+			_, wantSrc, wantW, wantB := convSpec(bsrc, weight, bias, gradOut, d, kc)
+			out, freshOut := make([]float32, len(wantOut)), make([]float32, len(wantOut))
+			p.Forward(out, src, weight, bias, d, kc)
+			Conv2D(freshOut, src, weight, bias, d, kc)
+			diffBits(t, label+"/out", out, wantOut)
+			diffBits(t, label+"/out vs Conv2D", out, freshOut)
+			var gradSrc, gradW, freshSrc, freshW []float32
+			if !st.noDX {
+				gradSrc, freshSrc = make([]float32, len(wantSrc)), make([]float32, len(wantSrc))
+			}
+			if !st.noDW {
+				gradW, freshW = make([]float32, len(wantW)), make([]float32, len(wantW))
+			}
+			gradB, freshB := make([]float32, len(wantB)), make([]float32, len(wantB))
+			p.Backward(gradSrc, gradW, gradB, bsrc, weight, gradOut, d, kc)
+			Conv2DBackward(freshSrc, freshW, freshB, bsrc, weight, gradOut, d, kc)
+			if !st.noDX {
+				diffBits(t, label+"/dX", gradSrc, wantSrc)
+				diffBits(t, label+"/dX vs Conv2DBackward", gradSrc, freshSrc)
+			}
+			if !st.noDW {
+				diffBits(t, label+"/dW", gradW, wantW)
+				diffBits(t, label+"/dW vs Conv2DBackward", gradW, freshW)
+			}
+			diffBits(t, label+"/db", gradB, wantB)
+			diffBits(t, label+"/db vs Conv2DBackward", gradB, freshB)
+		}
+	})
+}
+
 // TestConvDXMasksOffImageTaps puts +Inf, −Inf and NaN into every weight of
 // one edge tap — kh or kw at 0 or at KH−1/KW−1 — with finite dOut, at
 // resnet50's block and stem and shufflenetv2's stride-2 conv. dX must be

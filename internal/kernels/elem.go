@@ -108,7 +108,7 @@ func MaxZeroGradF32(dst, x []float32) {
 }
 
 // NormalizeF32 computes dst[i] = (src[i] - mean) * inv — the shared
-// normalization map of BatchNorm and LayerNorm.
+// normalization map of BatchNorm and LayerNorm. dst may alias src.
 //
 //easyscale:hotpath
 func NormalizeF32(dst, src []float32, mean, inv float32) {

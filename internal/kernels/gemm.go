@@ -89,7 +89,9 @@ func packA(a []float32, m, k, kc, rs, cs int) packedA {
 	return pa
 }
 
-// pack writes A(i,kk) = a[i·rs + kk·cs] into buf in pa's layout.
+// pack writes A(i,kk) = a[i·rs + kk·cs] into buf in pa's layout. A full
+// 8-row strip of unit column stride (the forward's weights, dW's dOut) reads
+// its eight rows as slices and stores eight floats per kk.
 //
 //easyscale:hotpath
 func (pa *packedA) pack(buf, a []float32, rs, cs int) {
@@ -98,6 +100,16 @@ func (pa *packedA) pack(buf, a []float32, rs, cs int) {
 	for s := 0; s < pa.mtiles; s++ {
 		i0 := s * mr
 		rows := min(mr, pa.m-i0)
+		if rows == 8 && cs == 1 {
+			r0, r1, r2, r3 := a[i0*rs:][:k], a[(i0+1)*rs:][:k], a[(i0+2)*rs:][:k], a[(i0+3)*rs:][:k]
+			r4, r5, r6, r7 := a[(i0+4)*rs:][:k], a[(i0+5)*rs:][:k], a[(i0+6)*rs:][:k], a[(i0+7)*rs:][:k]
+			for p, v := range r0 {
+				o := buf[off+8*p:][:8]
+				o[0], o[1], o[2], o[3], o[4], o[5], o[6], o[7] = v, r1[p], r2[p], r3[p], r4[p], r5[p], r6[p], r7[p]
+			}
+			off += 8 * k
+			continue
+		}
 		for p := 0; p < k; p++ {
 			base := p * cs
 			for r := 0; r < rows; r++ {
@@ -139,19 +151,17 @@ func storeTile(dst []float32, ldc int, tile []float32, nr, rows, cols int, add b
 // variant's conv tile straight from img. The forward conv passes output
 // positions as rowTab and taps as koff and the weight gradient swaps the
 // two; gemmDense passes a dense matrix's column and row offsets. Both tables
-// hold uint32 element offsets as float32 bits (offsetTables). Each tile is
+// hold uint32 element offsets as float32 bits (checkOffsets). Each tile is
 // one conv-tile call folding its kc blocks in the reference order. Each
 // tile's total overwrites dst (add=false) or is added into it, the dst value
-// first (add=true).
+// first (add=true). An edge tile is computed in tile, the caller's
+// maxMR·maxNR scratch: not a stack array, because it reaches the tile
+// through a func value and escape analysis would heap-allocate it per call.
 //
 //easyscale:hotpath
-func gemmConv(dst []float32, n int, pa *packedA, img, rowTab, koff []float32, add bool) {
+func gemmConv(dst []float32, n int, pa *packedA, img, rowTab, koff, tile []float32, add bool) {
 	mk := pa.mk
 	mr, nr := mk.mr, mk.nr
-	// Edge-tile scratch comes from the arena, not the stack: it is passed to
-	// the tile through a func value, and escape analysis would heap-allocate
-	// a stack array on every call through that indirection.
-	tile := pool.GetUninit(maxMR * maxNR)
 	var rows [maxNR]int
 	for j0 := 0; j0 < n; j0 += nr {
 		cols := min(nr, n-j0)
@@ -169,7 +179,6 @@ func gemmConv(dst []float32, n int, pa *packedA, img, rowTab, koff []float32, ad
 			storeTile(dst[i0*n+j0:], n, tile, nr, min(mr, pa.m-i0), cols, add)
 		}
 	}
-	pool.Put(tile)
 }
 
 // normKC normalizes the accumulation block: kc <= 0 or kc > k means a single
@@ -181,19 +190,14 @@ func normKC(kc, k int) int {
 	return kc
 }
 
-// offsetTables draws the two offset tables of a gathered B operand from the
-// arena in one buffer: n column entries, then k row entries. Each entry is a
-// uint32 element offset into an operand of span elements, stored as the
-// float32 with its bits (the arena holds only float32), so an operand a
-// uint32 cannot index panics here, before the draw, instead of wrapping. The
-// caller fills both tables and releases the buffer.
-//
-//easyscale:hotpath
-func offsetTables(n, k, span int) []float32 {
+// checkOffsets panics on an operand of span elements that the uint32 offset
+// tables of a gathered B cannot index, before anything is drawn, instead of
+// letting the offsets wrap. Each table entry is a uint32 element offset
+// stored as the float32 with its bits (the arena holds only float32).
+func checkOffsets(span int) {
 	if uint64(span) > 1<<32 {
 		panic(fmt.Sprintf("kernels: a gathered operand of %d elements is past the uint32 offset tables", span))
 	}
-	return pool.GetUninit(n + k)
 }
 
 // gemmDense computes C = A·B (m×n, row-major with stride n) from packed A and
@@ -206,15 +210,16 @@ func gemmDense(dst []float32, n int, pa *packedA, b []float32, cs, rs int) {
 	if pa.k == 0 {
 		zeroFill(dst[:pa.m*n]) // no k-partials: the reference zeroes the output
 	} else {
-		tabs := offsetTables(n, pa.k, n*pa.k)
-		col, row := tabs[:n], tabs[n:]
+		checkOffsets(n * pa.k)
+		tabs := pool.GetUninit(n + pa.k + maxMR*maxNR) // both tables, then the tile scratch
+		col, row := tabs[:n], tabs[n:][:pa.k]
 		for j := range col {
 			col[j] = math.Float32frombits(uint32(j * cs))
 		}
 		for kk := range row {
 			row[kk] = math.Float32frombits(uint32(kk * rs))
 		}
-		gemmConv(dst, n, pa, b, col, row, false)
+		gemmConv(dst, n, pa, b, col, row, tabs[n+pa.k:], false)
 		pool.Put(tabs)
 	}
 	pa.release()

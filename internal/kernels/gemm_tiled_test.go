@@ -5,8 +5,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-
-	"repro/internal/pool"
 )
 
 // The differential suite for the register-tiled GEMM: the tiled kernels
@@ -236,11 +234,11 @@ func TestGemmAllocFree(t *testing.T) {
 // before anything is drawn, instead of wrapping — checked from dimensions
 // alone, for a convolution's image and a dense GEMM's B.
 func TestOffsetTablesPanicPastUint32(t *testing.T) {
-	pool.Put(offsetTables(1, 1, 1<<32)) // the largest operand a uint32 offset indexes
+	checkOffsets(1 << 32) // the largest operand a uint32 offset indexes
 	for name, call := range map[string]func(){
-		"table": func() { offsetTables(1, 1, 1<<32+1) },
+		"table": func() { checkOffsets(1<<32 + 1) },
 		"conv": func() {
-			convOffsets(ConvDims{Batch: 1, CIn: 1 << 16, H: 1 << 8, W: 1<<8 + 1, COut: 1, KH: 1, KW: 1, StrideH: 1, StrideW: 1})
+			new(ConvPlan).layout(ConvDims{Batch: 1, CIn: 1 << 16, H: 1 << 8, W: 1<<8 + 1, COut: 1, KH: 1, KW: 1, StrideH: 1, StrideW: 1})
 		},
 		"gemm": func() { gemmDense(nil, 1<<16+1, &packedA{m: 1, k: 1 << 16}, nil, 1, 1<<16+1) },
 	} {

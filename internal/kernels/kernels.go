@@ -140,21 +140,52 @@ func SumAtomic(xs []float32, workers int) float32 {
 }
 
 // MeanVar returns the blocked-order mean and (biased) variance of xs, the
-// statistics BatchNorm tracks. Variance is computed in two passes so its
-// accumulation order is governed by the same block size.
+// statistics BatchNorm tracks. The variance sums float32((v−mean)²) in
+// SumBlocked's blocks and order, so the block size governs its accumulation
+// order too; no deviation buffer is formed. The conversions round each
+// product before its addition, here and in SumDotBlocked, so none can fuse
+// into a multiply-add.
+//
+//easyscale:hotpath
 func MeanVar(xs []float32, block int) (mean, variance float32) {
 	if len(xs) == 0 {
 		return 0, 0
 	}
 	mean = SumBlocked(xs, block) / float32(len(xs))
-	devs := pool.GetUninit(len(xs))
-	for i, v := range xs {
-		d := v - mean
-		devs[i] = d * d
+	if block <= 0 || block >= len(xs) {
+		block = len(xs) // one block: +0 plus the serial sum is the serial sum
 	}
-	variance = SumBlocked(devs, block) / float32(len(xs))
-	pool.Put(devs)
-	return mean, variance
+	for i := 0; i < len(xs); i += block {
+		var part float32
+		for _, v := range xs[i:min(i+block, len(xs))] {
+			d := v - mean
+			part += float32(d * d)
+		}
+		variance += part
+	}
+	return mean, variance / float32(len(xs))
+}
+
+// SumDotBlocked returns SumBlocked(a, block) and SumBlocked of the products
+// float32(a[i]·b[i]) in one pass over a and b, in SumBlocked's blocks and
+// order: the two sums of the norm layers' backward.
+//
+//easyscale:hotpath
+func SumDotBlocked(a, b []float32, block int) (sum, dot float32) {
+	if block <= 0 || block >= len(a) {
+		block = max(len(a), 1)
+	}
+	for i := 0; i < len(a); i += block {
+		ai := a[i:min(i+block, len(a))]
+		bi := b[i:][:len(ai)]
+		var s, p float32
+		for j, v := range ai {
+			s += v
+			p += float32(v * bi[j])
+		}
+		sum, dot = sum+s, dot+p
+	}
+	return sum, dot
 }
 
 // MeanVarAtomic is the non-deterministic counterpart of MeanVar.

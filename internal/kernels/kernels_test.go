@@ -149,6 +149,84 @@ func FuzzSumBlockedVsSpec(f *testing.F) {
 	})
 }
 
+// meanVarSpec is MeanVar's two-pass specification: the blocked mean, then
+// SumBlocked over a buffer of the squared deviations.
+func meanVarSpec(xs []float32, block int) (mean, variance float32) {
+	if len(xs) == 0 {
+		return 0, 0
+	}
+	mean = SumBlocked(xs, block) / float32(len(xs))
+	devs := make([]float32, len(xs))
+	for i, v := range xs {
+		d := v - mean
+		devs[i] = float32(d * d)
+	}
+	return mean, SumBlocked(devs, block) / float32(len(xs))
+}
+
+// FuzzFusedReductionsVsSpec feeds the one-pass reductions raw float32 bit
+// patterns (NaN payloads, infinities, signed zeros, denormals, every binade)
+// at the block sizes the devices and tests use, under every ISA: MeanVar
+// must equal its two-pass spec, and SumDotBlocked must equal SumBlocked(a)
+// and SumBlocked(MulIntoF32(a, b)).
+func FuzzFusedReductionsVsSpec(f *testing.F) {
+	bitsOf := func(xs ...float32) []byte {
+		out := make([]byte, 0, 4*len(xs))
+		for _, x := range xs {
+			b := math.Float32bits(x)
+			out = append(out, byte(b), byte(b>>8), byte(b>>16), byte(b>>24))
+		}
+		return out
+	}
+	nanPayload := math.Float32frombits(0x7fc00123)
+	f.Add(bitsOf(1, float32(math.Copysign(0, -1)), nanPayload, math.SmallestNonzeroFloat32, 3, -2, float32(math.Inf(1)), 0.5))
+	f.Add(bitsOf(1e38, -1e38, 1e38, 1e-40, -1e-45, 7, float32(math.Inf(-1)), 2, 1e20, -3))
+	f.Add(bitsOf(sumOperands(260, 1, false)...))
+	f.Add(bitsOf(sumOperands(130, 2, true)...))
+	f.Add([]byte("the quick brown fox jumps over the lazy dog, twice over and again and again"))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		n := len(raw) / 8
+		a, b := make([]float32, n), make([]float32, n)
+		for i := range 2 * n {
+			v := math.Float32frombits(uint32(raw[4*i]) | uint32(raw[4*i+1])<<8 | uint32(raw[4*i+2])<<16 | uint32(raw[4*i+3])<<24)
+			if i < n {
+				a[i] = v
+			} else {
+				b[i-n] = v
+			}
+		}
+		prev := ActiveISA()
+		defer func() {
+			if err := SetISA(prev); err != nil {
+				t.Fatal(err)
+			}
+		}()
+		ab := make([]float32, n)
+		for _, isa := range AvailableISAs() {
+			if err := SetISA(isa); err != nil {
+				t.Fatal(err)
+			}
+			MulIntoF32(ab, a, b)
+			for _, block := range []int{0, 1, 3, 8, 32, 64, 100} {
+				mean, variance := MeanVar(a, block)
+				wantMean, wantVar := meanVarSpec(a, block)
+				sum, dot := SumDotBlocked(a, b, block)
+				wantSum, wantDot := SumBlocked(a, block), SumBlocked(ab, block)
+				for _, c := range []struct {
+					what      string
+					got, want float32
+				}{{"MeanVar mean", mean, wantMean}, {"MeanVar variance", variance, wantVar},
+					{"SumDotBlocked sum", sum, wantSum}, {"SumDotBlocked dot", dot, wantDot}} {
+					if !sameBits(c.got, c.want) {
+						t.Fatalf("%s n %d block %d: %s got bits %#08x, want %#08x",
+							isa, n, block, c.what, math.Float32bits(c.got), math.Float32bits(c.want))
+					}
+				}
+			}
+		}
+	})
+}
+
 func TestSumAtomicCorrectAndNondeterministic(t *testing.T) {
 	xs := randSlice(rng.New(4), 1<<14)
 	ref := sum64(xs)

@@ -20,20 +20,16 @@ func NewResidual(body Layer) *Residual { return &Residual{Body: body} }
 func (r *Residual) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 	y := r.Body.Forward(ctx, x)
 	shapeCheck(tensor.SameShape(x, y), "Residual: body changed shape %v → %v", shapeOf{x}, shapeOf{y})
-	// Clone rather than mutate y: activations may cache their output tensor.
-	sum := ctx.clone(y)
-	sum.AddInPlace(x)
-	return sum
+	// A fresh tensor rather than y: activations may cache their output.
+	return ctx.add(y, x)
 }
 
 // Backward adds the skip gradient to the body gradient.
 //
 //easyscale:hotpath
 func (r *Residual) Backward(ctx *Context, grad *tensor.Tensor) *tensor.Tensor {
-	// Clone rather than mutate: the body may return a view of grad (Flatten).
-	dx := ctx.clone(r.Body.Backward(ctx, grad))
-	dx.AddInPlace(grad)
-	return dx
+	// A fresh tensor rather than the body's: it may be a view of grad (Flatten).
+	return ctx.add(r.Body.Backward(ctx, grad), grad)
 }
 
 // Params returns the body parameters.

@@ -100,3 +100,64 @@ func TestPatchEmbedRoundTripStructure(t *testing.T) {
 		}
 	}
 }
+
+// backwardSpy counts which backward a wrapped layer is asked for.
+type backwardSpy struct {
+	Layer
+	full, params int
+}
+
+func (s *backwardSpy) Backward(ctx *Context, grad *tensor.Tensor) *tensor.Tensor {
+	s.full++
+	return s.Layer.Backward(ctx, grad)
+}
+
+func (s *backwardSpy) BackwardParams(ctx *Context, grad *tensor.Tensor) {
+	s.params++
+	BackwardParams(s.Layer, ctx, grad)
+}
+
+// TestBackwardParamsMatchesBackward: a resnet-shaped net run through
+// BackwardParams, whose stem conv then skips its dX, accumulates every
+// parameter gradient bit for bit as the full Backward does. The convs inside
+// the Residual still compute their dX, through Backward: the stem's weight
+// gradient is made from it, and the gradcheck below pins that path to
+// finite differences.
+func TestBackwardParamsMatchesBackward(t *testing.T) {
+	build := func() (*Sequential, *backwardSpy, *backwardSpy) {
+		init := rng.New(31)
+		stem := &backwardSpy{Layer: NewConv2D(3, 4, 3, 1, 1, false, init)}
+		inner := &backwardSpy{Layer: NewConv2D(4, 4, 3, 1, 1, true, init)}
+		return NewSequential(
+			stem,
+			NewBatchNorm2D(4),
+			NewReLU(),
+			NewResidual(NewSequential(inner, NewReLU(), NewConv2D(4, 4, 3, 1, 1, false, init), NewBatchNorm2D(4))),
+			NewGlobalAvgPool(),
+			NewLinear(4, 5, true, init),
+		), stem, inner
+	}
+	x, g := randTensor(32, 2, 3, 6, 6), randTensor(33, 2, 5)
+	full, fullStem, _ := build()
+	skip, skipStem, skipInner := build()
+	ctx := detCtx()
+	full.Forward(ctx, x)
+	full.Backward(ctx, g)
+	skip.Forward(ctx, x)
+	BackwardParams(skip, ctx, g)
+	if fullStem.full != 1 || skipStem.full != 0 || skipStem.params != 1 || skipInner.full != 1 || skipInner.params != 0 {
+		t.Fatalf("backward calls: full stem %+v, skip stem %+v, skip residual conv %+v; want the skip only at the stem",
+			*fullStem, *skipStem, *skipInner)
+	}
+	fp, sp := full.Params(), skip.Params()
+	for i := range fp {
+		for j, v := range fp[i].Grad.Data {
+			if w := sp[i].Grad.Data[j]; math.Float32bits(v) != math.Float32bits(w) {
+				t.Fatalf("param %d (%s) grad[%d]: BackwardParams %v, Backward %v", i, fp[i].Name, j, w, v)
+			}
+		}
+	}
+	init := rng.New(34)
+	body := NewSequential(NewConv2D(2, 2, 3, 1, 1, true, init), NewConv2D(2, 2, 3, 1, 1, false, init))
+	checkLayerGrads(t, NewSequential(NewResidual(body)), randTensor(35, 2, 2, 5, 5), 1e-2, 3e-2)
+}

@@ -20,6 +20,7 @@ type Conv2D struct {
 
 	x    *tensor.Tensor
 	dims kernels.ConvDims
+	plan kernels.ConvPlan // laid out on first use; Backward reads the batch Forward bordered
 }
 
 // NewConv2D constructs a convolution layer with Kaiming init. A nil init
@@ -62,7 +63,7 @@ func (c *Conv2D) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 	if c.B != nil {
 		bias = c.B.Value.Data
 	}
-	kernels.Conv2D(y.Data, x.Data, c.W.Value.Data, bias, d, ctx.Dev.KernelBlock())
+	c.plan.Forward(y.Data, x.Data, c.W.Value.Data, bias, d, ctx.Dev.KernelBlock())
 	return y
 }
 
@@ -70,28 +71,39 @@ func (c *Conv2D) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 //
 //easyscale:hotpath
 func (c *Conv2D) Backward(ctx *Context, grad *tensor.Tensor) *tensor.Tensor {
+	dx := ctx.newTensorUninit(c.dims.Batch, c.dims.CIn, c.dims.H, c.dims.W)
+	c.backward(ctx, grad, dx.Data)
+	return dx
+}
+
+// BackwardParams accumulates the weight and bias gradients of Backward, bit
+// for bit, and skips the input gradient. The simulated device is charged the
+// full backward either way, so no modeled time moves.
+//
+//easyscale:hotpath
+func (c *Conv2D) BackwardParams(ctx *Context, grad *tensor.Tensor) { c.backward(ctx, grad, nil) }
+
+// backward writes the input gradient into dx unless it is nil and adds the
+// parameter gradients onto their accumulators.
+//
+//easyscale:hotpath
+func (c *Conv2D) backward(ctx *Context, grad *tensor.Tensor, dx []float32) {
 	shapeCheck(c.x != nil, "Conv2D backward without matching forward")
 	d := c.dims
 	ctx.Dev.ChargeFLOPs(2*c.flops(d), ctx.Dev.ConvEfficiency())
-	dx := ctx.newTensorUninit(d.Batch, d.CIn, d.H, d.W)
 	dw := pool.GetUninit(c.W.Value.Size())
 	var db []float32
 	if c.B != nil {
 		db = pool.GetUninit(d.COut)
 	}
-	kernels.Conv2DBackward(dx.Data, dw, db, c.x.Data, c.W.Value.Data, grad.Data, d, ctx.Dev.KernelBlock())
-	for i, v := range dw {
-		c.W.Grad.Data[i] += v
-	}
+	c.plan.Backward(dx, dw, db, c.x.Data, c.W.Value.Data, grad.Data, d, ctx.Dev.KernelBlock())
+	kernels.AddF32(c.W.Grad.Data, dw)
 	pool.Put(dw)
 	if db != nil {
-		for i, v := range db {
-			c.B.Grad.Data[i] += v
-		}
+		kernels.AddF32(c.B.Grad.Data, db)
 		pool.Put(db)
 	}
 	c.x = nil
-	return dx
 }
 
 // Params returns weight (and bias when present).

@@ -63,6 +63,14 @@ func (c *Context) clone(t *tensor.Tensor) *tensor.Tensor {
 	return t.CloneScoped(c.Scratch)
 }
 
+// add returns a + b in a fresh step-scoped tensor of a's shape, in one
+// pass; it writes neither operand. 1·b is b exactly, so a + 1·b is a + b.
+func (c *Context) add(a, b *tensor.Tensor) *tensor.Tensor {
+	sum := c.newTensorUninit(a.Shape()...)
+	kernels.AddScaledF32(sum.Data, a.Data, b.Data, 1)
+	return sum
+}
+
 // Parameter is a trainable tensor with its gradient accumulator.
 type Parameter struct {
 	Name  string
@@ -87,6 +95,26 @@ type Layer interface {
 	Backward(ctx *Context, grad *tensor.Tensor) *tensor.Tensor
 	// Params returns the trainable parameters (possibly empty).
 	Params() []*Parameter
+}
+
+// ParamsBackward is implemented by layers whose backward can skip the input
+// gradient: BackwardParams accumulates the parameter gradients Backward
+// would, bit for bit, and returns nothing.
+type ParamsBackward interface {
+	BackwardParams(ctx *Context, grad *tensor.Tensor)
+}
+
+// BackwardParams runs l's backward for its parameter gradients only, for a
+// caller that discards the input gradient, as a training step does for the
+// network's input. A layer without a ParamsBackward form runs Backward.
+//
+//easyscale:hotpath
+func BackwardParams(l Layer, ctx *Context, grad *tensor.Tensor) {
+	if pb, ok := l.(ParamsBackward); ok {
+		pb.BackwardParams(ctx, grad)
+		return
+	}
+	l.Backward(ctx, grad)
 }
 
 // Stateful is implemented by layers with non-trainable state that must be
@@ -123,6 +151,18 @@ func (s *Sequential) Backward(ctx *Context, grad *tensor.Tensor) *tensor.Tensor 
 		grad = s.Layers[i].Backward(ctx, grad)
 	}
 	return grad
+}
+
+// BackwardParams is Backward without the first layer's input gradient.
+//
+//easyscale:hotpath
+func (s *Sequential) BackwardParams(ctx *Context, grad *tensor.Tensor) {
+	for i := len(s.Layers) - 1; i > 0; i-- {
+		grad = s.Layers[i].Backward(ctx, grad)
+	}
+	if len(s.Layers) > 0 {
+		BackwardParams(s.Layers[0], ctx, grad)
+	}
 }
 
 // Params concatenates the parameters of all layers in order.
@@ -189,6 +229,20 @@ func reduceSum(ctx *Context, xs []float32) float32 {
 		return kernels.SumBlocked(xs, ctx.Dev.KernelBlock())
 	}
 	return kernels.SumAtomic(xs, ctx.Dev.AtomicWorkers())
+}
+
+// reduceSumDot returns (Σa, Σa⊙b) through the device policy: one fused
+// blocked pass when deterministic kernels are enforced, atomic sums of a and
+// of the products otherwise.
+func reduceSumDot(ctx *Context, a, b []float32) (sum, dot float32) {
+	if ctx.Dev.DeterministicKernels() {
+		return kernels.SumDotBlocked(a, b, ctx.Dev.KernelBlock())
+	}
+	ab := pool.GetUninit(len(a))
+	kernels.MulIntoF32(ab, a, b)
+	sum, dot = kernels.SumAtomic(a, ctx.Dev.AtomicWorkers()), kernels.SumAtomic(ab, ctx.Dev.AtomicWorkers())
+	pool.Put(ab)
+	return sum, dot
 }
 
 // reduceMeanVar routes BatchNorm statistics through the device policy.

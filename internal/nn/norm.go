@@ -23,7 +23,7 @@ type BatchNorm2D struct {
 	Gamma, Beta             *Parameter
 	RunningMean, RunningVar *tensor.Tensor
 
-	xhat   *tensor.Tensor
+	xhat   *tensor.Tensor // [C, N·H·W]: channel-major, one contiguous row per channel
 	invStd []float32
 }
 
@@ -52,19 +52,21 @@ func (bn *BatchNorm2D) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 
 	y := ctx.newTensorUninit(x.Shape()...)
 	if ctx.Training {
-		bn.xhat = ctx.newTensorUninit(x.Shape()...)
+		bn.xhat = ctx.newTensorUninit(c, n)
 		bn.invStd = resize(bn.invStd, c)
 	}
-	scratch := pool.GetUninit(n)
 	for ci := 0; ci < c; ci++ {
 		var mean, variance float32
+		var xh []float32
 		if ctx.Training {
-			// Gather the channel into a contiguous buffer so the reduction
-			// kernel's blocking applies exactly as on-device.
+			// Gather the channel into its contiguous row of x̂ so the
+			// reduction kernel's blocking applies exactly as on-device, then
+			// normalize it in place.
+			xh = bn.xhat.Data[ci*n : (ci+1)*n]
 			for bi := 0; bi < b; bi++ {
-				copy(scratch[bi*hw:(bi+1)*hw], x.Data[(bi*c+ci)*hw:(bi*c+ci+1)*hw])
+				copy(xh[bi*hw:(bi+1)*hw], x.Data[(bi*c+ci)*hw:(bi*c+ci+1)*hw])
 			}
-			mean, variance = reduceMeanVar(ctx, scratch)
+			mean, variance = reduceMeanVar(ctx, xh)
 			bn.RunningMean.Data[ci] = (1-bn.Momentum)*bn.RunningMean.Data[ci] + bn.Momentum*mean
 			bn.RunningVar.Data[ci] = (1-bn.Momentum)*bn.RunningVar.Data[ci] + bn.Momentum*variance
 		} else {
@@ -74,22 +76,19 @@ func (bn *BatchNorm2D) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 		g, be := bn.Gamma.Value.Data[ci], bn.Beta.Value.Data[ci]
 		if ctx.Training {
 			bn.invStd[ci] = inv
+			kernels.NormalizeF32(xh, xh, mean, inv)
 		}
 		for bi := 0; bi < b; bi++ {
 			off := (bi*c + ci) * hw
-			xrow := x.Data[off : off+hw]
 			yrow := y.Data[off : off+hw]
 			if ctx.Training {
-				xhrow := bn.xhat.Data[off : off+hw]
-				kernels.NormalizeF32(xhrow, xrow, mean, inv)
-				kernels.ScaleShiftF32(yrow, xhrow, g, be)
+				kernels.ScaleShiftF32(yrow, xh[bi*hw:(bi+1)*hw], g, be)
 			} else {
-				kernels.NormalizeF32(yrow, xrow, mean, inv)
+				kernels.NormalizeF32(yrow, x.Data[off:off+hw], mean, inv)
 				kernels.ScaleShiftF32(yrow, yrow, g, be)
 			}
 		}
 	}
-	pool.Put(scratch)
 	return y
 }
 
@@ -97,22 +96,21 @@ func (bn *BatchNorm2D) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 //
 //easyscale:hotpath
 func (bn *BatchNorm2D) Backward(ctx *Context, grad *tensor.Tensor) *tensor.Tensor {
-	shapeCheck(bn.xhat != nil && tensor.SameShape(bn.xhat, grad), "BatchNorm2D backward without matching forward")
+	shapeCheck(bn.xhat != nil && bn.xhat.Size() == grad.Size() && bn.xhat.Dim(0) == grad.Dim(1),
+		"BatchNorm2D backward without matching forward")
 	b, c := grad.Dim(0), grad.Dim(1)
 	hw := grad.Dim(2) * grad.Dim(3)
 	n := b * hw
 	ctx.Dev.ChargeFLOPs(10*float64(grad.Size()), 1)
 	dx := ctx.newTensorUninit(grad.Shape()...)
 	sdy := pool.GetUninit(n)
-	sdyxh := pool.GetUninit(n)
 	for ci := 0; ci < c; ci++ {
 		for bi := 0; bi < b; bi++ {
 			off := (bi*c + ci) * hw
 			copy(sdy[bi*hw:(bi+1)*hw], grad.Data[off:off+hw])
-			kernels.MulIntoF32(sdyxh[bi*hw:(bi+1)*hw], grad.Data[off:off+hw], bn.xhat.Data[off:off+hw])
 		}
-		sumDy := reduceSum(ctx, sdy)
-		sumDyXh := reduceSum(ctx, sdyxh)
+		xh := bn.xhat.Data[ci*n : (ci+1)*n]
+		sumDy, sumDyXh := reduceSumDot(ctx, sdy, xh)
 		bn.Beta.Grad.Data[ci] += sumDy
 		bn.Gamma.Grad.Data[ci] += sumDyXh
 		g := bn.Gamma.Value.Data[ci]
@@ -120,12 +118,11 @@ func (bn *BatchNorm2D) Backward(ctx *Context, grad *tensor.Tensor) *tensor.Tenso
 		scale := g * inv / float32(n)
 		for bi := 0; bi < b; bi++ {
 			off := (bi*c + ci) * hw
-			kernels.NormBackwardF32(dx.Data[off:off+hw], grad.Data[off:off+hw], bn.xhat.Data[off:off+hw],
+			kernels.NormBackwardF32(dx.Data[off:off+hw], sdy[bi*hw:(bi+1)*hw], xh[bi*hw:(bi+1)*hw],
 				float32(n), sumDy, sumDyXh, scale)
 		}
 	}
 	pool.Put(sdy)
-	pool.Put(sdyxh)
 	bn.xhat = nil
 	return dx
 }
@@ -196,28 +193,26 @@ func (ln *LayerNorm) Backward(ctx *Context, grad *tensor.Tensor) *tensor.Tensor 
 	dx := ctx.newTensorUninit(grad.Shape()...)
 	kb := ctx.Dev.KernelBlock()
 	dyg := pool.GetUninit(ln.D)
-	dygxh := pool.GetUninit(ln.D)
+	gxh := pool.GetUninit(ln.D)
 	for r := 0; r < rows; r++ {
 		off := r * ln.D
 		grow := grad.Data[off : off+ln.D]
 		xhrow := ln.xhat.Data[off : off+ln.D]
-		// Reuse dygxh as the g·xh scratch for the γ gradient before its
-		// final role; each per-element accumulation keeps the scalar order
-		// (rows ascending, product-then-add).
-		kernels.MulIntoF32(dygxh, grow, xhrow)
-		kernels.AddF32(ln.Gamma.Grad.Data, dygxh)
+		// The γ gradient adds g·xh per element, rows ascending,
+		// product-then-add: the scalar order.
+		kernels.MulIntoF32(gxh, grow, xhrow)
+		kernels.AddF32(ln.Gamma.Grad.Data, gxh)
 		kernels.AddF32(ln.Beta.Grad.Data, grow)
 		kernels.MulIntoF32(dyg, grow, ln.Gamma.Value.Data)
-		kernels.MulIntoF32(dygxh, dyg, xhrow)
-		meanDyg := kernels.SumBlocked(dyg, kb) / float32(ln.D)
-		meanDygXh := kernels.SumBlocked(dygxh, kb) / float32(ln.D)
+		sumDyg, sumDygXh := kernels.SumDotBlocked(dyg, xhrow, kb)
+		meanDyg, meanDygXh := sumDyg/float32(ln.D), sumDygXh/float32(ln.D)
 		inv := ln.invStd[r]
 		// inv·(dyg − mean − xh·mean) is the c0=1 case of the shared map;
 		// 1·g is bitwise-exact, so the scalar expression is unchanged.
 		kernels.NormBackwardF32(dx.Data[off:off+ln.D], dyg, xhrow, 1, meanDyg, meanDygXh, inv)
 	}
 	pool.Put(dyg)
-	pool.Put(dygxh)
+	pool.Put(gxh)
 	ln.xhat = nil
 	return dx
 }
