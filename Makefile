@@ -91,7 +91,8 @@ race:
 # paths, the eight-lane SumBlocked and the one-pass MeanVar and SumDotBlocked
 # must stay bitwise identical to the reference loops, the im2col spec, the
 # serial blocked sum and the two-pass reductions for arbitrary shapes, kc
-# blocks, and non-finite inputs
+# blocks, and non-finite inputs; the D0 atomic kernels must equal their
+# chunk-partial spec, combined in nondetPerm's order, for a fixed entropy state
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReadFrame -fuzztime $(FUZZTIME) ./internal/dist
 	$(GO) test -run '^$$' -fuzz FuzzDecodeGrads -fuzztime $(FUZZTIME) ./internal/dist
@@ -105,6 +106,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzConvVsSpec$$' -fuzztime $(FUZZTIME) ./internal/kernels
 	$(GO) test -run '^$$' -fuzz 'FuzzSumBlockedVsSpec$$' -fuzztime $(FUZZTIME) ./internal/kernels
 	$(GO) test -run '^$$' -fuzz 'FuzzFusedReductionsVsSpec$$' -fuzztime $(FUZZTIME) ./internal/kernels
+	$(GO) test -run '^$$' -fuzz 'FuzzAtomicVsSpec$$' -fuzztime $(FUZZTIME) ./internal/kernels
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodePredict$$' -fuzztime $(FUZZTIME) ./internal/dist
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodePredictReply$$' -fuzztime $(FUZZTIME) ./internal/dist
 	$(GO) test -run '^$$' -fuzz 'FuzzBatchEquivalence$$' -fuzztime $(FUZZTIME) ./internal/serve

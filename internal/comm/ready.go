@@ -1,36 +1,15 @@
 package comm
 
-import (
-	"sync/atomic"
-	"time"
-)
-
-// readyEntropy models the timing noise that decides in which order
-// near-simultaneous gradient tensors are observed "ready" by DDP's first
-// mini-batch. Like GPU stream timing, it varies per process run and per
-// invocation.
-var readyEntropy atomic.Uint64
-
-func init() {
-	//detlint:ignore walltime -- deliberate D1 entropy source: models gradient bucket arrival-order timing noise in DDP's first mini-batch (DESIGN.md); D1 fixes the divergence by checkpointing the bucket mapping
-	readyEntropy.Store(uint64(time.Now().UnixNano()) | 1)
-}
-
-// ObservedReadyOrder returns the gradient ready order the communication layer
-// observes during the first mini-batch. groups lists parameter indices layer
-// by layer in backward (gradient-derivation) order; parameters within a layer
-// finish nearly simultaneously, so their observed order is shuffled by timing
-// noise. With a single parameter per group the order is deterministic.
-func ObservedReadyOrder(groups [][]int) []int {
-	return ObservedReadyOrderSeeded(groups, readyEntropy.Add(0x9e3779b97f4a7c15))
-}
-
-// ObservedReadyOrderSeeded is the deterministic variant: the within-layer
-// order is a pure function of the salt. Under D0 the salt is the global step
-// at which the first-iteration rebuild runs, so identical runs observe
-// identical orders — but a job restarted mid-training rebuilds at a later
-// step, observes a different order, and silently changes the bucket mapping,
-// which is exactly the divergence D1 fixes by checkpointing the mapping.
+// ObservedReadyOrderSeeded returns the gradient ready order the communication
+// layer observes during the first mini-batch. groups lists parameter indices
+// layer by layer in backward (gradient-derivation) order; parameters within a
+// layer finish nearly simultaneously, so their observed order is shuffled —
+// here as a pure function of the salt. With a single parameter per group the
+// order is deterministic. The salt is the global step at which the
+// first-iteration rebuild runs, so identical runs observe identical orders —
+// but a job restarted mid-training rebuilds at a later step, observes a
+// different order, and silently changes the bucket mapping, which is exactly
+// the divergence D1 fixes by checkpointing the mapping.
 func ObservedReadyOrderSeeded(groups [][]int, salt uint64) []int {
 	var out []int
 	for _, g := range groups {
@@ -48,8 +27,8 @@ func ObservedReadyOrderSeeded(groups [][]int, salt uint64) []int {
 	return out
 }
 
-// BackwardGroups builds the layer groups of ObservedReadyOrder for a model
-// whose parameters are registered forward-layer by forward-layer:
+// BackwardGroups builds the layer groups of ObservedReadyOrderSeeded for a
+// model whose parameters are registered forward-layer by forward-layer:
 // paramsPerLayer[l] is the parameter count of forward layer l. Gradients are
 // derived in reverse layer order.
 func BackwardGroups(paramsPerLayer []int) [][]int {

@@ -367,21 +367,15 @@ func (j *Job) chargeSync() {
 }
 
 // maybeRebuild performs DDP's first-iteration bucket reconstruction
-// (disabled after a D1 restore). The ready order is timing-dependent under
-// DetNone and a pure function of the rebuild step under D0/D1 — which is why
-// identical runs agree but a restarted run rebuilds differently.
+// (disabled after a D1 restore). The ready order is a pure function of the
+// rebuild step at every level — which is why identical runs agree but a
+// restarted run rebuilds differently.
 func (j *Job) maybeRebuild() {
 	if j.ddp.Rebuilt() || !j.ddp.RebuildEnabled {
 		return
 	}
 	groups := comm.BackwardGroups(j.layerParamCounts())
-	var order []int
-	if j.Cfg.Level == DetNone {
-		order = comm.ObservedReadyOrder(groups)
-	} else {
-		order = comm.ObservedReadyOrderSeeded(groups, uint64(j.globalStep)+j.Cfg.Seed)
-	}
-	j.ddp.MaybeRebuild(order)
+	j.ddp.MaybeRebuild(comm.ObservedReadyOrderSeeded(groups, uint64(j.globalStep)+j.Cfg.Seed))
 }
 
 // advance applies the reduced gradients held in the parameters' Grad buffers

@@ -223,8 +223,9 @@ func (d *Device) KernelBlock() int {
 // DeterministicKernels reports whether fixed-order kernels are in force.
 func (d *Device) DeterministicKernels() bool { return d.cfg.DeterministicKernels }
 
-// AtomicWorkers returns the concurrency used by the atomics-based kernels,
-// derived from the SM count.
+// AtomicWorkers returns the chunk count of the atomics-based kernels — how
+// many partials they combine in an entropy-drawn order — derived from the SM
+// count.
 func (d *Device) AtomicWorkers() int {
 	w := d.Spec.SMCount / 10
 	if w < 2 {

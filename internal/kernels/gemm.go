@@ -42,13 +42,6 @@ import (
 // invisible to numerics; only kc (the accumulation block, chosen by the
 // device model) shows up in the bits.
 
-// tiledMinWork is the m·k·n product below which the dispatchers use the
-// reference loops: at MatMulABT 8×16×1 or 4×4×4 the reference takes 0.2 µs
-// and the pack, table fill and padded tile 0.4–0.6 µs (2-vCPU AVX2 Xeon).
-// Dispatch by size is invisible to numerics: the two paths are bitwise
-// identical.
-const tiledMinWork = 4096
-
 // packedA is operand A packed for the tiled GEMM: ceil(m/mr) row strips of
 // width mk.mr (zero-padded past m), strip-major, each contiguous over all of
 // K and kk-major, so strip s starts at s·k·mr. kc travels with the panel to
@@ -200,45 +193,31 @@ func checkOffsets(span int) {
 	}
 }
 
-// gemmDense computes C = A·B (m×n, row-major with stride n) from packed A and
-// a dense B(kk,j) = b[j·cs + kk·rs], gathered through gemmConv with col[j] =
-// j·cs and row[kk] = kk·rs as its offset tables: to the conv tile a dense
-// matrix is an image whose windows are its columns. It releases pa.
+// gemmDense computes C = A·B (m×n, row-major with stride n) for A(i,kk) =
+// a[i·ars + kk·acs], packed kc-blocked, and a dense B(kk,j) = b[j·bcs +
+// kk·brs], gathered through gemmConv with col[j] = j·bcs and row[kk] = kk·brs
+// as its offset tables: to the conv tile a dense matrix is an image whose
+// windows are its columns. One arena draw holds packed A, both tables and
+// the edge-tile scratch.
 //
 //easyscale:hotpath
-func gemmDense(dst []float32, n int, pa *packedA, b []float32, cs, rs int) {
-	if pa.k == 0 {
-		zeroFill(dst[:pa.m*n]) // no k-partials: the reference zeroes the output
-	} else {
-		checkOffsets(n * pa.k)
-		tabs := pool.GetUninit(n + pa.k + maxMR*maxNR) // both tables, then the tile scratch
-		col, row := tabs[:n], tabs[n:][:pa.k]
-		for j := range col {
-			col[j] = math.Float32frombits(uint32(j * cs))
-		}
-		for kk := range row {
-			row[kk] = math.Float32frombits(uint32(kk * rs))
-		}
-		gemmConv(dst, n, pa, b, col, row, tabs[n+pa.k:], false)
-		pool.Put(tabs)
+func gemmDense(dst, a, b []float32, m, k, n, kc, ars, acs, bcs, brs int) {
+	if k == 0 {
+		zeroFill(dst[:m*n]) // no k-partials: the reference zeroes the output
+		return
 	}
-	pa.release()
-}
-
-// matMulTiled is the blocked C = A·B, bitwise identical to matMulRef.
-func matMulTiled(dst, a, b []float32, m, k, n, kc int) {
-	pa := packA(a, m, k, normKC(kc, k), k, 1)
-	gemmDense(dst, n, &pa, b, 1, n)
-}
-
-// matMulATBTiled is the blocked C = Aᵀ·B, bitwise identical to matMulATBRef.
-func matMulATBTiled(dst, a, b []float32, m, k, n, kc int) {
-	pa := packA(a, m, k, normKC(kc, k), 1, m)
-	gemmDense(dst, n, &pa, b, 1, n)
-}
-
-// matMulABTTiled is the blocked C = A·Bᵀ, bitwise identical to matMulABTRef.
-func matMulABTTiled(dst, a, b []float32, m, k, n, kc int) {
-	pa := packA(a, m, k, normKC(kc, k), k, 1)
-	gemmDense(dst, n, &pa, b, k, 1)
+	checkOffsets(n * k)
+	pa := newPackedA(m, k, normKC(kc, k))
+	buf := pool.GetUninit(pa.size() + n + k + maxMR*maxNR)
+	pa.buf = buf[:pa.size()]
+	pa.pack(pa.buf, a, ars, acs)
+	col, row := buf[pa.size():][:n], buf[pa.size()+n:][:k]
+	for j := range col {
+		col[j] = math.Float32frombits(uint32(j * bcs))
+	}
+	for kk := range row {
+		row[kk] = math.Float32frombits(uint32(kk * brs))
+	}
+	gemmConv(dst, n, &pa, b, col, row, buf[pa.size()+n+k:], false)
+	pool.Put(buf)
 }

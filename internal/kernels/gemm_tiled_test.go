@@ -7,11 +7,10 @@ import (
 	"testing"
 )
 
-// The differential suite for the register-tiled GEMM: the tiled kernels
-// (gemm.go) must be bitwise identical to the unexported reference loops for
-// every shape, kc, and input — including non-finite values. The exported
-// entry points dispatch by problem size, so the tests call the tiled
-// implementations directly to exercise them even at tiny shapes.
+// The differential suite for the register-tiled GEMM: the exported entry
+// points, which run the tile (gemm.go) at every size, must be bitwise
+// identical to the reference loops (gemm_ref_test.go) for every shape, kc,
+// and input — including non-finite values.
 
 type gemmImpl struct {
 	name  string
@@ -22,11 +21,11 @@ type gemmImpl struct {
 }
 
 var gemmImpls = []gemmImpl{
-	{"MatMul", matMulRef, matMulTiled,
+	{"MatMul", matMulRef, MatMul,
 		func(m, k, n int) int { return m * k }, func(m, k, n int) int { return k * n }},
-	{"MatMulATB", matMulATBRef, matMulATBTiled,
+	{"MatMulATB", matMulATBRef, MatMulATB,
 		func(m, k, n int) int { return k * m }, func(m, k, n int) int { return k * n }},
-	{"MatMulABT", matMulABTRef, matMulABTTiled,
+	{"MatMulABT", matMulABTRef, MatMulABT,
 		func(m, k, n int) int { return m * k }, func(m, k, n int) int { return n * k }},
 }
 
@@ -178,12 +177,12 @@ func TestGemmTiledVsReferenceNonFinite(t *testing.T) {
 	})
 }
 
-// TestExportedGemmDispatchBitwise drives the exported entry points across the
-// tiledMinWork dispatch threshold and asserts they match the references —
-// the size-based dispatch must be invisible.
+// TestExportedGemmDispatchBitwise drives the exported entry points at the
+// smallest shapes the workloads run — bert's 8×8×8 attention and neumf's
+// 32×16×1 head among them — down to 1×1×1 and k = 0, as well as larger
+// ones, with specials sprinkled in, and asserts they match the references.
 func TestExportedGemmDispatchBitwise(t *testing.T) {
-	exported := []func(dst, a, b []float32, m, k, n, kc int){MatMul, MatMulATB, MatMulABT}
-	shapes := [][3]int{{4, 4, 4}, {8, 27, 64}, {16, 100, 40}} // below and above tiledMinWork
+	shapes := [][3]int{{1, 1, 1}, {4, 4, 4}, {8, 8, 8}, {32, 16, 1}, {5, 0, 3}, {8, 27, 64}, {16, 100, 40}}
 	forEachISA(t, func(t *testing.T) {
 		for vi, impl := range gemmImpls {
 			for _, sh := range shapes {
@@ -197,7 +196,7 @@ func TestExportedGemmDispatchBitwise(t *testing.T) {
 					want := make([]float32, m*n)
 					got := make([]float32, m*n)
 					impl.ref(want, a, b, m, k, n, kc)
-					exported[vi](got, a, b, m, k, n, kc)
+					impl.tiled(got, a, b, m, k, n, kc)
 					diffBits(t, impl.name+"/exported"+shapeLabel(m, k, n, kc), got, want)
 				}
 			}
@@ -207,21 +206,21 @@ func TestExportedGemmDispatchBitwise(t *testing.T) {
 
 // TestGemmAllocFree: after warm-up, the tiled GEMMs draw every buffer —
 // packed A, the offset tables and the edge tile — from the arena, so a call
-// allocates nothing: at bert's smallest tiled shape, at the widest serving
-// shape and at a tall one with many row strips.
+// allocates nothing: at bert's attention shape, at neumf's head, at bert's
+// smallest dense shape, at the widest serving shape and at a tall one with
+// many row strips.
 func TestGemmAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; counts are only meaningful uninstrumented")
 	}
-	exported := []func(dst, a, b []float32, m, k, n, kc int){MatMul, MatMulATB, MatMulABT}
-	for _, sh := range [][3]int{{32, 16, 16}, {32, 64, 192}, {512, 32, 32}} {
+	for _, sh := range [][3]int{{8, 8, 8}, {32, 16, 1}, {32, 16, 16}, {32, 64, 192}, {512, 32, 32}} {
 		m, k, n := sh[0], sh[1], sh[2]
 		forEachISA(t, func(t *testing.T) {
-			for vi, impl := range gemmImpls {
+			for _, impl := range gemmImpls {
 				a, b, dst := make([]float32, impl.aLen(m, k, n)), make([]float32, impl.bLen(m, k, n)), make([]float32, m*n)
 				fillRand(a, 1)
 				fillRand(b, 2)
-				if allocs := testing.AllocsPerRun(10, func() { exported[vi](dst, a, b, m, k, n, 8) }); allocs != 0 {
+				if allocs := testing.AllocsPerRun(10, func() { impl.tiled(dst, a, b, m, k, n, 8) }); allocs != 0 {
 					t.Fatalf("%s%s: %v allocs per call, want 0", impl.name, shapeLabel(m, k, n, 8), allocs)
 				}
 			}
@@ -240,7 +239,7 @@ func TestOffsetTablesPanicPastUint32(t *testing.T) {
 		"conv": func() {
 			new(ConvPlan).layout(ConvDims{Batch: 1, CIn: 1 << 16, H: 1 << 8, W: 1<<8 + 1, COut: 1, KH: 1, KW: 1, StrideH: 1, StrideW: 1})
 		},
-		"gemm": func() { gemmDense(nil, 1<<16+1, &packedA{m: 1, k: 1 << 16}, nil, 1, 1<<16+1) },
+		"gemm": func() { gemmDense(nil, nil, nil, 1, 1<<16, 1<<16+1, 0, 1<<16, 1, 1, 1<<16+1) },
 	} {
 		func() {
 			defer func() {
@@ -568,21 +567,22 @@ func checkDXTileFolds(t *testing.T, mk *mkDesc) {
 	checkTileBits(t, mk.name+"/dx/nan-payload", op.run(mk, 2, k, kc), op.o, op.ldc, mk.mr, mk.nr, nanBits(1))
 }
 
-// gemmTraffic lists the tiled GEMM shapes (m, k, n) the benchmark workloads
-// run, per variant: bert's EST pass at 4 ESTs × batch 4 and serving's
-// models at batch 8 and at MaxBatch 32. Every other GEMM they run falls under
-// tiledMinWork and takes the reference loops.
+// gemmTraffic lists GEMM shapes (m, k, n) the benchmark workloads run, per
+// variant: bert's EST pass at 4 ESTs × batch 4 with its 8×8×8 attention,
+// serving's models at batch 8 and at MaxBatch 32, and the model heads'
+// forward 8×16×4 and 32×16×1.
 var gemmTraffic = [][][3]int{
 	{{32, 16, 16}, {32, 16, 32}, {32, 32, 16}, {64, 16, 16}, {64, 16, 32}, {64, 32, 16},
-		{8, 16, 64}, {8, 32, 64}, {8, 64, 32}, {8, 64, 192}},
+		{8, 16, 64}, {8, 32, 64}, {8, 64, 32}, {8, 64, 192}, {8, 8, 8}},
 	{{16, 32, 16}, {16, 32, 32}, {16, 64, 16}, {16, 64, 32}, {32, 32, 16}, {32, 64, 16},
-		{16, 8, 64}, {32, 8, 64}, {64, 8, 32}, {64, 8, 192}},
+		{16, 8, 64}, {32, 8, 64}, {64, 8, 32}, {64, 8, 192}, {8, 8, 8}},
 	{{32, 16, 16}, {32, 16, 32}, {32, 32, 16}, {64, 16, 16}, {64, 16, 32}, {64, 32, 16},
 		{8, 32, 64}, {8, 64, 16}, {8, 64, 32}, {8, 192, 64},
-		{32, 32, 10}, {32, 32, 64}, {32, 64, 16}, {32, 64, 32}, {32, 192, 64}},
+		{32, 32, 10}, {32, 32, 64}, {32, 64, 16}, {32, 64, 32}, {32, 192, 64},
+		{8, 8, 8}, {8, 16, 4}, {32, 16, 1}},
 }
 
-// BenchmarkGemmTraffic times each tiled shape of gemmTraffic at kc 8 and 64
+// BenchmarkGemmTraffic times each shape of gemmTraffic at kc 8 and 64
 // on the active ISA (EASYSCALE_FORCE_GENERIC=1 for the generic tile):
 //
 //	go test -run '^$' -bench GemmTraffic ./internal/kernels

@@ -12,24 +12,24 @@
 //     "GPU types" that pick different block sizes produce bitwise-different
 //     (both individually deterministic) results, which is exactly the D2
 //     heterogeneity problem.
-//   - Atomic variants accumulate goroutine partial results in completion
-//     order, which the Go scheduler makes genuinely non-deterministic from
-//     run to run — the analog of CUDA atomics-based reductions.
+//   - Atomic variants form fixed-order chunk partials with the deterministic
+//     kernels and add them in an order drawn from a wall-clock-seeded
+//     entropy source (entropy.go), so the bits vary from call to call and
+//     from run to run — the analog of CUDA atomics-based reductions.
 //
 // Higher layers (internal/device) choose variants and block sizes according
 // to the configured determinism level.
 //
-// The GEMM entry points dispatch to register-tiled implementations (gemm.go)
-// that share one tile with the convolutions — A packed, B gathered in place
-// through offset tables — and are bitwise identical to the naive loops kept
-// here as unexported reference implementations (matMulRef and friends); the
+// The GEMM entry points run register-tiled implementations (gemm.go) that
+// share one tile with the convolutions — A packed, B gathered in place
+// through offset tables — at every size. The naive loops they are bitwise
+// identical to live in the tests as the spec (gemm_ref_test.go); the
 // differential tests and fuzzers assert the equivalence over shapes,
 // strides, and non-finite inputs.
 package kernels
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/pool"
 )
@@ -106,37 +106,43 @@ func SumBlocked(xs []float32, block int) float32 {
 	return total
 }
 
-// SumAtomic splits xs into `workers` chunks, sums each chunk concurrently,
-// and combines the partials in a non-deterministic order drawn from the
-// process entropy source. The per-chunk sums are deterministic; the combine
-// order varies per invocation and per run — the analog of an atomics-based
-// GPU reduction, where warp completion order decides the addition order.
+// chunking splits n items into contiguous chunks of ceil(n/parts) items, the
+// work split of the atomic kernels: the chunk size and the chunk count.
+func chunking(n, parts int) (size, count int) {
+	size = (n + parts - 1) / parts
+	return size, (n + size - 1) / size
+}
+
+// addNondet overwrites dst with the sum onto +0 of the count partials laid
+// end to end in parts, each len(dst) wide, added in an order drawn from the
+// process entropy source — the combine of every atomic kernel. The partials
+// are deterministic; the order varies per invocation and per run, as warp
+// completion order decides the addition order of an atomics-based GPU
+// reduction.
+func addNondet(dst, parts []float32, count int) {
+	zeroFill(dst)
+	for _, c := range nondetPerm(count) {
+		for i, v := range parts[c*len(dst):][:len(dst)] {
+			dst[i] += v
+		}
+	}
+}
+
+// SumAtomic splits xs into `workers` chunks, sums each left to right, and
+// combines the chunk sums through addNondet.
 func SumAtomic(xs []float32, workers int) float32 {
 	if workers <= 1 || len(xs) < 2*workers {
 		return SumSequential(xs)
 	}
-	chunk := (len(xs) + workers - 1) / workers
-	nchunks := (len(xs) + chunk - 1) / chunk
-	parts := make([]float32, nchunks)
-	var wg sync.WaitGroup
-	for c := 0; c < nchunks; c++ {
-		i := c * chunk
-		end := i + chunk
-		if end > len(xs) {
-			end = len(xs)
-		}
-		wg.Add(1)
-		go func(c int, part []float32) {
-			defer wg.Done()
-			parts[c] = SumSequential(part)
-		}(c, xs[i:end])
+	size, count := chunking(len(xs), workers)
+	parts := pool.GetUninit(count)
+	for c := range parts {
+		parts[c] = SumSequential(xs[c*size : min((c+1)*size, len(xs))])
 	}
-	wg.Wait()
-	var total float32
-	for _, c := range nondetPerm(nchunks) {
-		total += parts[c]
-	}
-	return total
+	var total [1]float32
+	addNondet(total[:], parts, count)
+	pool.Put(parts)
+	return total[0]
 }
 
 // MeanVar returns the blocked-order mean and (biased) variance of xs, the
@@ -217,169 +223,45 @@ func checkGemm(dst, a, b []float32, m, k, n int, aLen, bLen int, op string) {
 //
 // Inputs need not be finite: products are formed for every k index (there is
 // no skip of zero operands), so NaN and ±Inf propagate exactly per IEEE 754,
-// identically in the reference and tiled paths.
+// identically in the tile and in the reference loops the tests hold it to.
 func MatMul(dst, a, b []float32, m, k, n, kc int) {
 	checkGemm(dst, a, b, m, k, n, m*k, k*n, "MatMul")
-	if m*k*n < tiledMinWork {
-		matMulRef(dst, a, b, m, k, n, kc)
-		return
-	}
-	matMulTiled(dst, a, b, m, k, n, kc)
+	gemmDense(dst, a, b, m, k, n, kc, k, 1, 1, n)
 }
 
 // MatMulATB computes C = Aᵀ·B for row-major A[k×m], B[k×n] into dst[m×n],
 // blocked over k with block kc. Used for weight gradients (dW = Xᵀ·dY).
 func MatMulATB(dst, a, b []float32, m, k, n, kc int) {
 	checkGemm(dst, a, b, m, k, n, k*m, k*n, "MatMulATB")
-	if m*k*n < tiledMinWork {
-		matMulATBRef(dst, a, b, m, k, n, kc)
-		return
-	}
-	matMulATBTiled(dst, a, b, m, k, n, kc)
+	gemmDense(dst, a, b, m, k, n, kc, 1, m, 1, n)
 }
 
 // MatMulABT computes C = A·Bᵀ for row-major A[m×k], B[n×k] into dst[m×n],
 // blocked over k with block kc. Used for input gradients (dX = dY·Wᵀ).
 func MatMulABT(dst, a, b []float32, m, k, n, kc int) {
 	checkGemm(dst, a, b, m, k, n, m*k, n*k, "MatMulABT")
-	if m*k*n < tiledMinWork {
-		matMulABTRef(dst, a, b, m, k, n, kc)
-		return
-	}
-	matMulABTTiled(dst, a, b, m, k, n, kc)
-}
-
-// matMulRef is the naive triple loop the tiled kernels are proven against:
-// per output row, each kc block accumulates a partial row (products in
-// ascending kk order) that is then added to the row — the accumulation order
-// the whole determinism story pins.
-func matMulRef(dst, a, b []float32, m, k, n, kc int) {
-	kc = normKC(kc, k)
-	part := pool.GetUninit(n)
-	for i := 0; i < m; i++ {
-		row := dst[i*n : (i+1)*n]
-		zeroFill(row)
-		for k0 := 0; k0 < k; k0 += kc {
-			k1 := k0 + kc
-			if k1 > k {
-				k1 = k
-			}
-			zeroFill(part[:n])
-			for kk := k0; kk < k1; kk++ {
-				aik := a[i*k+kk]
-				brow := b[kk*n : (kk+1)*n]
-				for j, bv := range brow {
-					part[j] += aik * bv
-				}
-			}
-			for j := range row {
-				row[j] += part[j]
-			}
-		}
-	}
-	pool.Put(part)
-}
-
-// matMulATBRef is the reference C = Aᵀ·B loop.
-func matMulATBRef(dst, a, b []float32, m, k, n, kc int) {
-	kc = normKC(kc, k)
-	part := pool.GetUninit(n)
-	for i := 0; i < m; i++ {
-		row := dst[i*n : (i+1)*n]
-		zeroFill(row)
-		for k0 := 0; k0 < k; k0 += kc {
-			k1 := k0 + kc
-			if k1 > k {
-				k1 = k
-			}
-			zeroFill(part[:n])
-			for kk := k0; kk < k1; kk++ {
-				aik := a[kk*m+i]
-				brow := b[kk*n : (kk+1)*n]
-				for j, bv := range brow {
-					part[j] += aik * bv
-				}
-			}
-			for j := range row {
-				row[j] += part[j]
-			}
-		}
-	}
-	pool.Put(part)
-}
-
-// matMulABTRef is the reference C = A·Bᵀ loop.
-func matMulABTRef(dst, a, b []float32, m, k, n, kc int) {
-	kc = normKC(kc, k)
-	for i := 0; i < m; i++ {
-		arow := a[i*k : (i+1)*k]
-		for j := 0; j < n; j++ {
-			brow := b[j*k : (j+1)*k]
-			var total float32
-			for k0 := 0; k0 < k; k0 += kc {
-				k1 := k0 + kc
-				if k1 > k {
-					k1 = k
-				}
-				var part float32
-				for kk := k0; kk < k1; kk++ {
-					part += arow[kk] * brow[kk]
-				}
-				total += part
-			}
-			dst[i*n+j] = total
-		}
-	}
+	gemmDense(dst, a, b, m, k, n, kc, k, 1, k, 1)
 }
 
 // MatMulAtomicSplitK computes C = A·B by splitting the k dimension into
-// `splits` chunks, computing each chunk's partial C concurrently, and
-// accumulating the partials into dst in a non-deterministic order — the
-// analog of a split-K GPU GEMM that combines partials with atomics. The
-// result varies in the low-order bits from run to run.
+// `splits` chunks, computing each chunk's partial C with the tile in one kc
+// block, and combining the partials through addNondet — the analog of a
+// split-K GPU GEMM that combines partials with atomics. The result varies in
+// the low-order bits from run to run.
 func MatMulAtomicSplitK(dst, a, b []float32, m, k, n, splits int) {
 	checkGemm(dst, a, b, m, k, n, m*k, k*n, "MatMulAtomicSplitK")
 	if splits <= 1 || k < splits {
 		MatMul(dst, a, b, m, k, n, 0)
 		return
 	}
-	chunk := (k + splits - 1) / splits
-	nchunks := (k + chunk - 1) / chunk
-	parts := make([][]float32, nchunks)
-	var wg sync.WaitGroup
-	for c := 0; c < nchunks; c++ {
-		k0 := c * chunk
-		k1 := k0 + chunk
-		if k1 > k {
-			k1 = k
-		}
-		wg.Add(1)
-		go func(c, k0, k1 int) {
-			defer wg.Done()
-			part := pool.Get(m * n)
-			for i := 0; i < m; i++ {
-				prow := part[i*n : (i+1)*n]
-				for kk := k0; kk < k1; kk++ {
-					aik := a[i*k+kk]
-					brow := b[kk*n : (kk+1)*n]
-					for j, bv := range brow {
-						prow[j] += aik * bv
-					}
-				}
-			}
-			parts[c] = part
-		}(c, k0, k1)
+	size, count := chunking(k, splits)
+	parts := pool.GetUninit(count * m * n)
+	for c := 0; c < count && m > 0; c++ { // an empty A has no columns to slice
+		k0, kn := c*size, min(size, k-c*size)
+		gemmDense(parts[c*m*n:][:m*n], a[k0:], b[k0*n:], m, kn, n, kn, k, 1, 1, n)
 	}
-	wg.Wait()
-	zeroFill(dst)
-	for _, c := range nondetPerm(nchunks) {
-		for i, v := range parts[c] {
-			dst[i] += v
-		}
-	}
-	for _, p := range parts {
-		pool.Put(p)
-	}
+	addNondet(dst, parts, count)
+	pool.Put(parts)
 }
 
 // ColSumBlocked writes into dst[cols] the per-column sum of src[rows×cols],
@@ -412,8 +294,9 @@ func ColSumBlocked(dst, src []float32, rows, cols, block int) {
 	pool.Put(part)
 }
 
-// ColSumAtomic is the non-deterministic counterpart of ColSumBlocked: row
-// chunks are summed concurrently and combined in a non-deterministic order.
+// ColSumAtomic is the non-deterministic counterpart of ColSumBlocked: the
+// column sums of each row chunk, in one block, are combined through
+// addNondet.
 func ColSumAtomic(dst, src []float32, rows, cols, workers int) {
 	if len(dst) != cols || len(src) != rows*cols {
 		panic("kernels: ColSumAtomic dimension mismatch")
@@ -422,37 +305,12 @@ func ColSumAtomic(dst, src []float32, rows, cols, workers int) {
 		ColSumBlocked(dst, src, rows, cols, 0)
 		return
 	}
-	chunk := (rows + workers - 1) / workers
-	nchunks := (rows + chunk - 1) / chunk
-	parts := make([][]float32, nchunks)
-	var wg sync.WaitGroup
-	for c := 0; c < nchunks; c++ {
-		r0 := c * chunk
-		r1 := r0 + chunk
-		if r1 > rows {
-			r1 = rows
-		}
-		wg.Add(1)
-		go func(c, r0, r1 int) {
-			defer wg.Done()
-			part := pool.Get(cols)
-			for r := r0; r < r1; r++ {
-				row := src[r*cols : (r+1)*cols]
-				for j, v := range row {
-					part[j] += v
-				}
-			}
-			parts[c] = part
-		}(c, r0, r1)
+	size, count := chunking(rows, workers)
+	parts := pool.GetUninit(count * cols)
+	for c := 0; c < count; c++ {
+		r0, r1 := c*size, min((c+1)*size, rows)
+		ColSumBlocked(parts[c*cols:][:cols], src[r0*cols:r1*cols], r1-r0, cols, 0)
 	}
-	wg.Wait()
-	zeroFill(dst)
-	for _, c := range nondetPerm(nchunks) {
-		for j, v := range parts[c] {
-			dst[j] += v
-		}
-	}
-	for _, p := range parts {
-		pool.Put(p)
-	}
+	addNondet(dst, parts, count)
+	pool.Put(parts)
 }

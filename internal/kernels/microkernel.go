@@ -95,8 +95,8 @@ const (
 var mkGenericDesc = &mkDesc{name: ISAGeneric, mr: 4, nr: 4, conv: convTile4x4Go, dx: dxTile4x4Go}
 
 // curMK is the active variant. Atomic so tests may switch ISAs while the
-// race detector watches; a GEMM call snapshots it once (packA) and threads
-// the snapshot through, so a mid-call switch is harmless.
+// race detector watches; a GEMM call snapshots it once (newPackedA) and
+// threads the snapshot through, so a mid-call switch is harmless.
 var curMK atomic.Pointer[mkDesc]
 
 func activeMK() *mkDesc {

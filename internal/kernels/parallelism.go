@@ -5,11 +5,12 @@ import (
 	"sync/atomic"
 )
 
-// Every kernel in this package runs alone on its caller's goroutine. Host
-// parallelism lives where the paper has it — across GPUs: core.Job.RunStep
-// runs the workers of a placement concurrently, one model replica each. The
-// width of that fan-out is the one setting kept here, in the package the
-// benchmark has always set it through.
+// Every kernel in this package runs alone on its caller's goroutine, the D0
+// "atomic" variants included: their combine order is an entropy draw, not a
+// race between goroutines. Host parallelism lives where the paper has it —
+// across GPUs: core.Job.RunStep runs the workers of a placement concurrently,
+// one model replica each. The width of that fan-out is the one setting kept
+// here, in the package the benchmark has always set it through.
 
 // defaultWorkerCap bounds the fan-out when no explicit width is configured.
 const defaultWorkerCap = 8
