@@ -24,6 +24,9 @@
 #                  V100+P100, kc-8 D2 kernels) into prof/, printed as the top
 #                  40 lines by cumulative share, then the top 25 by flat
 #                  share; not part of check
+#   make prof-churn — the same two views for 300 churn_live ops (dist's
+#                  BenchmarkChurnLive: a live-migrating bert run over
+#                  loopback, five scale events per op); not part of check
 #   make examples-smoke — run the examples that check themselves (autoscale:
 #                  plane-driven scale-out, fallback and reclaim on a live job,
 #                  bitwise identical to fixed-DoP DDP); they exit non-zero on
@@ -32,7 +35,7 @@
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: check vet fmt lint lint-audit build test test-isa test-cpu race fuzz bench-check trace-smoke serve-smoke examples-smoke loc prof
+.PHONY: check vet fmt lint lint-audit build test test-isa test-cpu race fuzz bench-check trace-smoke serve-smoke examples-smoke loc prof prof-churn
 
 check: vet fmt lint build test test-isa test-cpu race fuzz bench-check trace-smoke serve-smoke examples-smoke
 
@@ -91,7 +94,8 @@ race:
 # paths, the eight-lane SumBlocked and the one-pass MeanVar and SumDotBlocked
 # must stay bitwise identical to the reference loops, the im2col spec, the
 # serial blocked sum and the two-pass reductions for arbitrary shapes, kc
-# blocks, and non-finite inputs; the D0 atomic kernels must equal their
+# blocks, and non-finite inputs, and the GELU kernels to their float64 spec
+# for arbitrary float32 bit patterns; the D0 atomic kernels must equal their
 # chunk-partial spec, combined in nondetPerm's order, for a fixed entropy state
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReadFrame -fuzztime $(FUZZTIME) ./internal/dist
@@ -103,6 +107,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzGemmTiledVsReferenceMatMulATB$$' -fuzztime $(FUZZTIME) ./internal/kernels
 	$(GO) test -run '^$$' -fuzz 'FuzzGemmTiledVsReferenceMatMulABT$$' -fuzztime $(FUZZTIME) ./internal/kernels
 	$(GO) test -run '^$$' -fuzz 'FuzzElemVsScalar$$' -fuzztime $(FUZZTIME) ./internal/kernels
+	$(GO) test -run '^$$' -fuzz 'FuzzGELUVsSpec$$' -fuzztime $(FUZZTIME) ./internal/kernels
 	$(GO) test -run '^$$' -fuzz 'FuzzConvVsSpec$$' -fuzztime $(FUZZTIME) ./internal/kernels
 	$(GO) test -run '^$$' -fuzz 'FuzzSumBlockedVsSpec$$' -fuzztime $(FUZZTIME) ./internal/kernels
 	$(GO) test -run '^$$' -fuzz 'FuzzFusedReductionsVsSpec$$' -fuzztime $(FUZZTIME) ./internal/kernels
@@ -139,6 +144,15 @@ prof:
 		-o prof/core.test -cpuprofile prof/train_conv.cpu ./internal/core
 	$(GO) tool pprof -top -cum prof/core.test prof/train_conv.cpu 2>/dev/null | head -40
 	$(GO) tool pprof -top prof/core.test prof/train_conv.cpu 2>/dev/null | sed -n '/flat%/,$$p' | head -26
+
+# CPU profile of 300 churn_live ops: dist's BenchmarkChurnLive (one warm-up
+# op outside the timer), printed like prof
+prof-churn:
+	@mkdir -p prof
+	$(GO) test -run '^$$' -bench '^BenchmarkChurnLive$$' -benchtime 300x \
+		-o prof/dist.test -cpuprofile prof/churn_live.cpu ./internal/dist
+	$(GO) tool pprof -top -cum prof/dist.test prof/churn_live.cpu 2>/dev/null | head -40
+	$(GO) tool pprof -top prof/dist.test prof/churn_live.cpu 2>/dev/null | sed -n '/flat%/,$$p' | head -26
 
 # serving smoke: checkpoint two models, drive ~1k requests at a batched and
 # an unbatched server, and require bitwise-equal outputs and zero drops

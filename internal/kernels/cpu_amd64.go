@@ -35,12 +35,18 @@ func detectAVX2() bool {
 // cpuHasAVX2 is the hardware capability, independent of any forced ISA.
 var cpuHasAVX2 = detectAVX2()
 
+// cpuHasFMA adds FMA (CPUID.1:ECX bit 12): with AVX it is math's useFMA.
+var cpuHasFMA = cpuHasAVX2 && func() bool { _, _, ecx1, _ := cpuid(1, 0); return ecx1&(1<<12) != 0 }()
+
 // cpuFeatures lists the detected ISA capabilities above the amd64 baseline
 // (SSE2 is unconditional), for observability and -version provenance.
 func cpuFeatures() []string {
 	fs := []string{"sse2"}
 	if cpuHasAVX2 {
 		fs = append(fs, "avx2")
+	}
+	if cpuHasFMA {
+		fs = append(fs, "fma")
 	}
 	return fs
 }

@@ -17,3 +17,5 @@ func elemScaleShift(dst, src []float32, g, b float32) int               { return
 func elemNormBackward(dst, g, xh []float32, c0, c1, c2, c3 float32) int { return 0 }
 func elemSgdMomentum(w, v, g []float32, lr, mu float32) int             { return 0 }
 func elemSgdPlain(w, g []float32, lr float32) int                       { return 0 }
+func elemGELUForward(dst []float32, th []float64, src []float32) int    { return 0 }
+func elemGELUBackward(grad, x []float32, th []float64) int              { return 0 }

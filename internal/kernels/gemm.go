@@ -82,36 +82,51 @@ func packA(a []float32, m, k, kc, rs, cs int) packedA {
 	return pa
 }
 
-// pack writes A(i,kk) = a[i·rs + kk·cs] into buf in pa's layout. A full
-// 8-row strip of unit column stride (the forward's weights, dW's dOut) reads
-// its eight rows as slices and stores eight floats per kk.
+// pack writes A(i,kk) = a[i·rs + kk·cs] into buf in pa's layout, rows past
+// m as zeros: unit row stride (MatMulATB's A) copies each kk's rows; unit
+// column stride reads rows as slices, storing eight floats per kk for a full
+// 8-row strip, scattering each live row for a short one; any other gathers.
 //
 //easyscale:hotpath
 func (pa *packedA) pack(buf, a []float32, rs, cs int) {
 	mr, k := pa.mk.mr, pa.k
-	off := 0
 	for s := 0; s < pa.mtiles; s++ {
 		i0 := s * mr
 		rows := min(mr, pa.m-i0)
-		if rows == 8 && cs == 1 {
+		out := buf[s*mr*k:][:mr*k]
+		switch {
+		case rs == 1 && rows == 8:
+			for p := range k {
+				*(*[8]float32)(out[8*p:]) = *(*[8]float32)(a[i0+p*cs:])
+			}
+		case rs == 1:
+			clear(out)
+			for p := range k {
+				copy(out[p*mr:], a[i0+p*cs:][:rows])
+			}
+		case cs == 1 && rows == 8:
 			r0, r1, r2, r3 := a[i0*rs:][:k], a[(i0+1)*rs:][:k], a[(i0+2)*rs:][:k], a[(i0+3)*rs:][:k]
 			r4, r5, r6, r7 := a[(i0+4)*rs:][:k], a[(i0+5)*rs:][:k], a[(i0+6)*rs:][:k], a[(i0+7)*rs:][:k]
 			for p, v := range r0 {
-				o := buf[off+8*p:][:8]
+				o := out[8*p:][:8]
 				o[0], o[1], o[2], o[3], o[4], o[5], o[6], o[7] = v, r1[p], r2[p], r3[p], r4[p], r5[p], r6[p], r7[p]
 			}
-			off += 8 * k
-			continue
-		}
-		for p := 0; p < k; p++ {
-			base := p * cs
-			for r := 0; r < rows; r++ {
-				buf[off] = a[(i0+r)*rs+base]
-				off++
+		case cs == 1 && rows < mr:
+			clear(out)
+			for r := range rows {
+				for p, v := range a[(i0+r)*rs:][:k] {
+					out[p*mr+r] = v
+				}
 			}
-			for r := rows; r < mr; r++ {
-				buf[off] = 0
-				off++
+		default:
+			if rows < mr {
+				clear(out)
+			}
+			for p := range k {
+				o := out[p*mr:][:rows]
+				for r := range o {
+					o[r] = a[(i0+r)*rs+p*cs]
+				}
 			}
 		}
 	}

@@ -1,8 +1,6 @@
 package nn
 
 import (
-	"math"
-
 	"repro/internal/kernels"
 	"repro/internal/tensor"
 )
@@ -49,16 +47,13 @@ func (r *ReLU) Params() []*Parameter { return nil }
 type GELU struct {
 	x *tensor.Tensor
 	// tanh holds the forward pass's tanh values for Backward, which needs the
-	// same ones: kept in float64, as computed, so reading one back gives the
-	// bits recomputing it would. Capacity is reused across steps, like
-	// Dropout's mask.
+	// same ones (kernels.GELUForwardF32). Capacity is reused across steps,
+	// like Dropout's mask.
 	tanh []float64
 }
 
 // NewGELU builds a GELU layer.
 func NewGELU() *GELU { return &GELU{} }
-
-const geluC = 0.7978845608028654 // sqrt(2/pi)
 
 // Forward computes 0.5x(1+tanh(c(x+0.044715x³))).
 //
@@ -67,13 +62,8 @@ func (g *GELU) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 	ctx.Dev.ChargeFLOPs(8*float64(x.Size()), 1)
 	g.x = x
 	g.tanh = resize(g.tanh, x.Size())
-	y := ctx.clone(x)
-	for i, v := range y.Data {
-		xv := float64(v)
-		th := math.Tanh(geluC * (xv + 0.044715*xv*xv*xv))
-		g.tanh[i] = th
-		y.Data[i] = float32(0.5 * xv * (1 + th))
-	}
+	y := ctx.newTensorUninit(x.Shape()...)
+	kernels.GELUForwardF32(y.Data, g.tanh, x.Data)
 	return y
 }
 
@@ -83,13 +73,7 @@ func (g *GELU) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 func (g *GELU) Backward(ctx *Context, grad *tensor.Tensor) *tensor.Tensor {
 	shapeCheck(g.x != nil && g.x.Size() == grad.Size(), "GELU backward without matching forward")
 	out := ctx.clone(grad)
-	for i := range out.Data {
-		xv := float64(g.x.Data[i])
-		th := g.tanh[i]
-		dInner := geluC * (1 + 3*0.044715*xv*xv)
-		d := 0.5*(1+th) + 0.5*xv*(1-th*th)*dInner
-		out.Data[i] *= float32(d)
-	}
+	kernels.GELUBackwardF32(out.Data, g.x.Data, g.tanh)
 	g.x = nil
 	return out
 }
