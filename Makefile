@@ -10,7 +10,8 @@
 #                  (the per-GPU fan-out of a training step and the loader
 #                  reads under it, the nn layers, whose conv plans carry
 #                  state from call to call on each replica's goroutine,
-#                  dist, serve and the tracer must stay race-clean)
+#                  dist, serve, the tracer and the arena's striped
+#                  counters must stay race-clean)
 #   make test-cpu — the placement / consistency / fan-out / loader tests and
 #                  the baselines' cross-engine table at GOMAXPROCS 1, 2 and 4:
 #                  the bitwise contract may not depend on how many cores the
@@ -27,6 +28,9 @@
 #   make prof-churn — the same two views for 300 churn_live ops (dist's
 #                  BenchmarkChurnLive: a live-migrating bert run over
 #                  loopback, five scale events per op); not part of check
+#   make prof-serve — the same two views for 3,000,000 serve_sat requests
+#                  (serve's BenchmarkServeSaturated: 64 closed-loop callers
+#                  on two tiny models, MaxBatch 32); not part of check
 #   make examples-smoke — run the examples that check themselves (autoscale:
 #                  plane-driven scale-out, fallback and reclaim on a live job,
 #                  bitwise identical to fixed-DoP DDP); they exit non-zero on
@@ -35,7 +39,7 @@
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: check vet fmt lint lint-audit build test test-isa test-cpu race fuzz bench-check trace-smoke serve-smoke examples-smoke loc prof prof-churn
+.PHONY: check vet fmt lint lint-audit build test test-isa test-cpu race fuzz bench-check trace-smoke serve-smoke examples-smoke loc prof prof-churn prof-serve
 
 check: vet fmt lint build test test-isa test-cpu race fuzz bench-check trace-smoke serve-smoke examples-smoke
 
@@ -87,7 +91,7 @@ test-cpu:
 	$(GO) test -count=1 -cpu 1,2,4 -run 'Consistency|Placement|Invariance|Invisible|FanOut|RunStepPanic|ScaleLive|Loader|Worlds|VirtualFlow|OneEngine' ./internal/core/... ./internal/data/... ./internal/elastic/...
 
 race:
-	$(GO) test -race ./internal/kernels/... ./internal/nn/... ./internal/comm/... ./internal/checkpoint/... ./internal/data/... ./internal/dist/... ./internal/faults/... ./internal/core/... ./internal/elastic/... ./internal/obs/... ./internal/serve/... ./internal/sched/... ./internal/controlplane/...
+	$(GO) test -race ./internal/kernels/... ./internal/nn/... ./internal/comm/... ./internal/checkpoint/... ./internal/data/... ./internal/dist/... ./internal/faults/... ./internal/core/... ./internal/elastic/... ./internal/obs/... ./internal/serve/... ./internal/sched/... ./internal/controlplane/... ./internal/pool/...
 
 # short fuzz smokes: the wire-frame, checkpoint and job-schema decoders must
 # never panic on corrupt input, and the tiled GEMM kernels, the fused conv
@@ -153,6 +157,16 @@ prof-churn:
 		-o prof/dist.test -cpuprofile prof/churn_live.cpu ./internal/dist
 	$(GO) tool pprof -top -cum prof/dist.test prof/churn_live.cpu 2>/dev/null | head -40
 	$(GO) tool pprof -top prof/dist.test prof/churn_live.cpu 2>/dev/null | sed -n '/flat%/,$$p' | head -26
+
+# CPU profile of 3,000,000 serve_sat requests: serve's
+# BenchmarkServeSaturated (one warm-up round outside the timer), printed like
+# prof
+prof-serve:
+	@mkdir -p prof
+	$(GO) test -run '^$$' -bench '^BenchmarkServeSaturated$$' -benchtime 3000000x \
+		-o prof/serve.test -cpuprofile prof/serve_sat.cpu ./internal/serve
+	$(GO) tool pprof -top -cum prof/serve.test prof/serve_sat.cpu 2>/dev/null | head -40
+	$(GO) tool pprof -top prof/serve.test prof/serve_sat.cpu 2>/dev/null | sed -n '/flat%/,$$p' | head -26
 
 # serving smoke: checkpoint two models, drive ~1k requests at a batched and
 # an unbatched server, and require bitwise-equal outputs and zero drops

@@ -35,9 +35,9 @@ func sameBits64(x, y float64) bool {
 }
 
 // geluInputs returns the float32 inputs TestGELUMatchesSpecBitwise sweeps:
-// every 1013th bit pattern, the specials, and the float32 neighbours of the
-// inputs where tanh's argument crosses math.tanh's branch points 0.625 and
-// 0.5·MAXLOG, on both signs.
+// every 1013th bit pattern, the specials, four inputs a split Taylor step
+// moves, and the float32 neighbours of the inputs where tanh's argument
+// crosses math.tanh's branch points 0.625 and 0.5·MAXLOG, on both signs.
 func geluInputs() []float32 {
 	var xs []float32
 	for b := uint64(0); b < 1<<32; b += 1013 {
@@ -52,6 +52,15 @@ func geluInputs() []float32 {
 		0x7f7fffff, 0xff7fffff, // ±MaxFloat32
 	} {
 		xs = append(xs, math.Float32frombits(b))
+	}
+	// the only float32 inputs in [0.5, 12), the Exp branch, whose th moves
+	// when the Taylor step with 1/2 is split into a multiply and an add
+	// (a dense sweep of that range): the stride misses them. With their
+	// neighbours, both signs.
+	for _, b := range []uint32{0x3f8060e2, 0x3fa91e99, 0x3fb01503, 0x4001b2af} {
+		for _, v := range []uint32{b - 1, b, b + 1} {
+			xs = append(xs, math.Float32frombits(v), -math.Float32frombits(v))
+		}
 	}
 	arg := func(v float32) float64 {
 		x := float64(v)

@@ -39,8 +39,8 @@ func (n *NeuMFNet) Forward(ctx *nn.Context, x *tensor.Tensor) *tensor.Tensor {
 	}
 	b := x.Dim(0)
 	n.batch = b
-	uIds := tensor.New(b, 1)
-	iIds := tensor.New(b, 1)
+	uIds := tensor.NewScopedUninit(ctx.Scratch, b, 1)
+	iIds := tensor.NewScopedUninit(ctx.Scratch, b, 1)
 	for i := 0; i < b; i++ {
 		uIds.Data[i] = x.At(i, 0)
 		iIds.Data[i] = x.At(i, 1)
@@ -48,7 +48,7 @@ func (n *NeuMFNet) Forward(ctx *nn.Context, x *tensor.Tensor) *tensor.Tensor {
 	d := n.UserEmb.D
 	ue := n.UserEmb.Forward(ctx, uIds).Reshape(b, d)
 	ie := n.ItemEmb.Forward(ctx, iIds).Reshape(b, d)
-	cat := tensor.New(b, 2*d)
+	cat := tensor.NewScopedUninit(ctx.Scratch, b, 2*d)
 	for i := 0; i < b; i++ {
 		copy(cat.Data[i*2*d:i*2*d+d], ue.Data[i*d:(i+1)*d])
 		copy(cat.Data[i*2*d+d:(i+1)*2*d], ie.Data[i*d:(i+1)*d])

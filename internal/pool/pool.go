@@ -28,6 +28,7 @@ import (
 	"math/bits"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 const (
@@ -40,18 +41,26 @@ const (
 	numClasses = maxBits - minBits + 1
 )
 
-// classes[i] holds *[]float32 buffers of capacity exactly 1<<(minBits+i).
+// classes[i] holds buffers of capacity exactly 1<<(minBits+i), each as a
+// pointer to its first element: a pointer converts to interface{} without
+// allocating, and unsafe.Slice rebuilds the buffer at the class capacity.
 var classes [numClasses]sync.Pool
-
-// holders recycles the *[]float32 boxes themselves so that a Get/Put cycle
-// performs no interface-boxing allocation in steady state (pointers convert
-// to interface{} without allocating).
-var holders = sync.Pool{New: func() any { return new([]float32) }}
 
 var disabled atomic.Bool
 
-// gets / puts / misses count arena traffic; see Stats.
-var gets, puts, misses atomic.Int64
+// stripe is one cache line of the traffic counters (see Stats). A buffer's
+// address picks its stripe, so goroutines cycling different buffers do not
+// bounce one line between cores; Stats sums the stripes.
+type stripe struct {
+	gets, puts, misses atomic.Int64
+	_                  [64 - 24]byte
+}
+
+var stripes [8]stripe
+
+func stripeOf(p *float32) *stripe {
+	return &stripes[uint64(uintptr(unsafe.Pointer(p)))*0x9E3779B97F4A7C15>>61]
+}
 
 // classIndex returns the size-class index for a request of n elements, or -1
 // when the request is outside the pooled range.
@@ -76,15 +85,15 @@ func GetUninit(n int) []float32 {
 	if ci < 0 || disabled.Load() {
 		return make([]float32, n)
 	}
-	gets.Add(1)
-	if h, ok := classes[ci].Get().(*[]float32); ok {
-		s := *h
-		*h = nil
-		holders.Put(h)
-		return s[:n]
+	if p, ok := classes[ci].Get().(*float32); ok {
+		stripeOf(p).gets.Add(1)
+		return unsafe.Slice(p, 1<<(minBits+ci))[:n]
 	}
-	misses.Add(1)
-	return make([]float32, n, 1<<(minBits+ci))
+	s := make([]float32, n, 1<<(minBits+ci))
+	st := stripeOf(unsafe.SliceData(s))
+	st.gets.Add(1)
+	st.misses.Add(1)
+	return s
 }
 
 // Get returns a zero-filled buffer of length n — the drop-in replacement for
@@ -111,10 +120,9 @@ func Put(buf []float32) {
 	if b < minBits || b > maxBits {
 		return
 	}
-	puts.Add(1)
-	h := holders.Get().(*[]float32)
-	*h = buf[:0:c]
-	classes[b-minBits].Put(h)
+	p := unsafe.SliceData(buf)
+	stripeOf(p).puts.Add(1)
+	classes[b-minBits].Put(p)
 }
 
 // Disable turns the arena off globally: Get degrades to make, Put to a no-op.
@@ -136,7 +144,14 @@ type Counters struct {
 
 // Stats returns the current traffic counters.
 func Stats() Counters {
-	return Counters{Gets: gets.Load(), Puts: puts.Load(), Misses: misses.Load()}
+	var c Counters
+	for i := range stripes {
+		st := &stripes[i]
+		c.Gets += st.gets.Load()
+		c.Puts += st.puts.Load()
+		c.Misses += st.misses.Load()
+	}
+	return c
 }
 
 // Scope tracks a set of borrowed buffers so they can be released together at

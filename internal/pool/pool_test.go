@@ -43,11 +43,13 @@ func TestGetReturnsZeroedRecycledBuffer(t *testing.T) {
 
 func TestGetLengthAndCapacityClass(t *testing.T) {
 	for _, n := range []int{1, 63, 64, 65, 1000, 1 << 20} {
-		b := GetUninit(n)
-		if len(b) != n {
-			t.Fatalf("GetUninit(%d) has len %d", n, len(b))
+		for round := 0; round < 2; round++ { // fresh, then (likely) recycled
+			b := GetUninit(n)
+			if len(b) != n || cap(b) != 1<<(minBits+classIndex(n)) {
+				t.Fatalf("GetUninit(%d) has len %d, cap %d", n, len(b), cap(b))
+			}
+			Put(b)
 		}
-		Put(b)
 	}
 	// Outside the pooled range: plain allocation, exact capacity.
 	big := GetUninit(1<<24 + 1)
@@ -119,6 +121,7 @@ func TestNilScopeDegradesToMake(t *testing.T) {
 }
 
 func TestConcurrentGetPut(t *testing.T) {
+	before := Stats()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -137,4 +140,9 @@ func TestConcurrentGetPut(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	// the striped counters sum exactly, whichever goroutine touched them
+	if after := Stats(); after.Gets-before.Gets != 8000 || after.Puts-before.Puts != 8000 {
+		t.Fatalf("8,000 Get/Put pairs counted as %d gets, %d puts",
+			after.Gets-before.Gets, after.Puts-before.Puts)
+	}
 }

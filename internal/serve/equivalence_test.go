@@ -6,11 +6,8 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/device"
 	"repro/internal/dist"
 	"repro/internal/kernels"
-	"repro/internal/models"
-	"repro/internal/nn"
 )
 
 // testContainers trains each model once per test binary (checkpoints are
@@ -34,17 +31,11 @@ func testContainers(t testing.TB) map[string][]byte {
 // bareReplica builds a replica without starting its loop, for direct
 // forward-path testing.
 func bareReplica(t testing.TB, name string, container []byte) *replica {
-	sv, err := models.Load(name, container)
+	r, err := newReplica(&deployment{name: name, container: container}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dev := device.New(device.V100, device.Config{DeterministicKernels: true, Selection: device.SelectHeuristic})
-	return &replica{
-		dep: &deployment{name: name},
-		sv:  sv,
-		dev: dev,
-		ctx: &nn.Context{Dev: dev, Training: false},
-	}
+	return r
 }
 
 func mkItems(inputs [][]float32) []*item {

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"sync"
 	"time"
 
 	"repro/internal/dist"
@@ -28,93 +29,107 @@ type item struct {
 // did not take stays queued for its peers.
 //
 // Determinism contract (detlint: serve is ordering-sensitive): items leave
-// in arrival order, batches are contiguous prefixes, and a collect wakes for
-// exactly three reasons — batch full, flush deadline reached, queue closed.
+// in arrival order and batches are contiguous prefixes. A parked collect
+// wakes for exactly three reasons — batch full, flush deadline reached,
+// queue closed — plus the two that arm its flush instant: the first push
+// into an empty queue, and a push whose own deadline falls before the
+// instant the collector's timer is armed for. Every other push leaves the
+// collectors parked, so a batch of n costs O(1) wake-ups, not n.
 type queue struct {
-	mu      chan struct{} // 1-token mutex; also guards cond below
+	mu      sync.Mutex
 	wake    chan struct{} // closed-and-replaced broadcast channel
-	waiters int           // collectors currently parked on wake
+	waiters int           // collectors parked on the current wake channel
+	// what the parked collectors wait for: the depth reaching need (1 on an
+	// empty queue, else the batch bound) or a deadline before flushAt
+	need    int
+	flushAt time.Time
+	wakes   int // broadcasts that found waiters; read only by tests
 	// items[head:] is the live queue; head advances as batches leave and
-	// the backing array is compacted only when the dead prefix dominates,
-	// so a collect is O(batch) instead of O(depth) and allocation-free.
+	// the dead prefix is reclaimed in place once it dominates, so a collect
+	// is O(batch) instead of O(depth) and allocation-free.
 	items  []*item
 	head   int
 	closed bool
 }
 
-func newQueue() *queue {
-	q := &queue{mu: make(chan struct{}, 1), wake: make(chan struct{})}
-	q.mu <- struct{}{}
-	return q
-}
+func newQueue() *queue { return &queue{wake: make(chan struct{})} }
 
-func (q *queue) lock()   { <-q.mu }
-func (q *queue) unlock() { q.mu <- struct{}{} }
+// newFlushTimer returns a stopped timer for collect to re-arm: each
+// collector owns one for its lifetime instead of one per wait.
+func newFlushTimer() *time.Timer {
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return t
+}
 
 // broadcast wakes every waiter by closing the current wake channel and
 // installing a fresh one. When no collector is parked — the saturated
 // steady state, where replicas always find work without waiting — it does
-// nothing, so the per-push cost is a counter check rather than a channel
-// allocation. Callers must hold the lock.
+// nothing. Callers must hold the lock.
 func (q *queue) broadcast() {
 	if q.waiters == 0 {
 		return
 	}
+	q.wakes++
+	q.waiters = 0 // everyone parked on the old channel is awake now
 	close(q.wake)
 	q.wake = make(chan struct{})
 }
 
-// push enqueues one item. Returns false when the queue is closed (the
-// caller replies with an error instead of dropping silently).
+// push enqueues one item, waking the parked collectors only when the item
+// completes what they wait for (see the queue's contract). Returns false
+// when the queue is closed (the caller replies with an error instead of
+// dropping silently).
 func (q *queue) push(it *item) bool {
-	q.lock()
+	q.mu.Lock()
+	defer q.mu.Unlock()
 	if q.closed {
-		q.unlock()
 		return false
 	}
 	q.items = append(q.items, it)
-	q.broadcast()
-	q.unlock()
+	if len(q.items)-q.head >= q.need || (!it.deadline.IsZero() && it.deadline.Before(q.flushAt)) {
+		q.broadcast()
+	}
 	return true
 }
 
 // depth reports the current queue length (autoscaler input).
 func (q *queue) depth() int {
-	q.lock()
-	n := len(q.items) - q.head
-	q.unlock()
-	return n
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return len(q.items) - q.head
 }
 
 // isClosed reports whether close has been called.
 func (q *queue) isClosed() bool {
-	q.lock()
-	c := q.closed
-	q.unlock()
-	return c
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.closed
 }
 
-// collect blocks until at least one item is queued, then gathers a batch:
-// it returns early with maxBatch items when the queue is that deep, and
-// otherwise waits until the earliest flush instant — the first item's
-// arrival plus maxWait, tightened by any queued request's own deadline —
-// before taking whatever is there. Returns nil when the queue is closed and
-// empty, or when stop fires first (queued items are left untouched for the
-// surviving collectors, so aborting a collect can never drop a request).
-func (q *queue) collect(maxBatch int, maxWait time.Duration, stop <-chan struct{}) []*item {
-	q.lock()
+// collect blocks until at least one item is queued, then gathers a batch
+// into dst: it returns early with maxBatch items when the queue is that
+// deep, and otherwise waits on timer, re-armed for the earliest flush
+// instant — the first item's arrival plus maxWait, tightened by any queued
+// request's own deadline — before taking whatever is there. Returns nil
+// when the queue is closed and empty, or when stop fires first (queued
+// items are left untouched for the surviving collectors, so aborting a
+// collect can never drop a request).
+func (q *queue) collect(dst []*item, maxBatch int, maxWait time.Duration, timer *time.Timer, stop <-chan struct{}) []*item {
+	q.mu.Lock()
+	defer q.mu.Unlock()
 	for {
-		if len(q.items)-q.head >= maxBatch || (q.closed && len(q.items)-q.head > 0) {
+		n := len(q.items) - q.head
+		if n >= maxBatch || (q.closed && n > 0) {
 			break
 		}
 		if q.closed {
-			q.unlock()
 			return nil
 		}
 		var timeout <-chan time.Time
-		var timer *time.Timer
-		if len(q.items)-q.head > 0 {
-			flushAt := q.items[q.head].enq.Add(maxWait)
+		need, flushAt := 1, time.Time{}
+		if n > 0 {
+			flushAt = q.items[q.head].enq.Add(maxWait)
 			for _, it := range q.items[q.head:] {
 				if !it.deadline.IsZero() && it.deadline.Before(flushAt) {
 					flushAt = it.deadline
@@ -124,72 +139,77 @@ func (q *queue) collect(maxBatch int, maxWait time.Duration, stop <-chan struct{
 			if d <= 0 {
 				break
 			}
-			timer = time.NewTimer(d)
+			need = maxBatch
+			timer.Reset(d)
 			timeout = timer.C
 		}
+		q.need, q.flushAt = need, flushAt
 		q.waiters++
 		wake := q.wake
-		q.unlock()
+		q.mu.Unlock()
+		stopped := false
 		select {
 		case <-wake:
 		case <-timeout:
+			timeout = nil
 		case <-stop:
-			if timer != nil {
-				timer.Stop()
+			stopped = true
+		}
+		if timeout != nil && !timer.Stop() {
+			// go.mod predates synchronous timer channels: a timer that
+			// fired while we woke for another reason holds a stale tick
+			select {
+			case <-timer.C:
+			default:
 			}
-			q.lock()
-			q.waiters--
-			q.unlock()
+		}
+		q.mu.Lock()
+		if q.wake == wake {
+			q.waiters-- // no broadcast counted us out
+		}
+		if stopped {
 			return nil
 		}
-		if timer != nil {
-			timer.Stop()
-		}
-		q.lock()
-		q.waiters--
 	}
-	n := len(q.items) - q.head
-	if n > maxBatch {
-		n = maxBatch
-	}
-	batch := q.items[q.head : q.head+n : q.head+n]
+	n := min(len(q.items)-q.head, maxBatch)
+	batch := append(dst[:0], q.items[q.head:q.head+n]...)
+	clear(q.items[q.head : q.head+n])
 	q.head += n
-	// returned batches alias this backing array, so compaction must move to
-	// a fresh one — reusing the prefix would let new pushes overwrite items
-	// a replica is still serving
+	// the batch is a copy, so the backing array is reused in place
 	if q.head == len(q.items) {
-		q.items = nil
+		q.items = q.items[:0]
 		q.head = 0
 	} else if q.head > 1024 && q.head*2 > len(q.items) {
-		q.items = append([]*item(nil), q.items[q.head:]...)
+		m := copy(q.items, q.items[q.head:])
+		clear(q.items[m:])
+		q.items = q.items[:m]
 		q.head = 0
 	}
 	if len(q.items)-q.head >= maxBatch {
 		// enough left for another full batch: wake a peer replica
 		q.broadcast()
 	}
-	q.unlock()
 	return batch
 }
 
 // drainAll removes and returns every queued item (shutdown path for a
 // deployment with no replicas left to answer them).
 func (q *queue) drainAll() []*item {
-	q.lock()
+	q.mu.Lock()
+	defer q.mu.Unlock()
 	items := q.items[q.head:]
 	q.items = nil
 	q.head = 0
-	q.unlock()
 	return items
 }
 
 // close marks the queue closed and wakes every collector; already-queued
 // items are still drained by collect so shutdown never drops work.
 func (q *queue) close() {
-	q.lock()
+	q.mu.Lock()
+	defer q.mu.Unlock()
 	if !q.closed {
 		q.closed = true
 		q.broadcast()
 	}
-	q.unlock()
 }

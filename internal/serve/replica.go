@@ -2,12 +2,14 @@ package serve
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/device"
 	"repro/internal/dist"
 	"repro/internal/models"
 	"repro/internal/nn"
 	"repro/internal/obs"
+	"repro/internal/pool"
 	"repro/internal/tensor"
 )
 
@@ -15,38 +17,43 @@ import (
 // implicit state, and layer scratch are private — nn layers cache
 // activations during Forward, so replicas must not share a net), its own
 // deterministic device, and a loop that drains the deployment's shared
-// queue in batches.
+// queue in batches. Its flush timer, batch slice and scratch scope live as
+// long as the replica, so the loop allocates nothing per batch.
 type replica struct {
-	idx  int
-	dep  *deployment
-	sv   *models.Servable
-	dev  *device.Device
-	ctx  *nn.Context
-	tr   *obs.Tracer
-	trk  int
-	stop chan struct{}
-	done chan struct{}
+	idx   int
+	dep   *deployment
+	sv    *models.Servable
+	dev   *device.Device
+	ctx   *nn.Context
+	tr    *obs.Tracer
+	trk   int
+	timer *time.Timer
+	batch []*item
+	shape []int
+	stop  chan struct{}
+	done  chan struct{}
 }
 
+// newReplica builds a replica; the caller starts its loop.
 func newReplica(dep *deployment, idx int, tr *obs.Tracer) (*replica, error) {
 	sv, err := models.Load(dep.name, dep.container)
 	if err != nil {
 		return nil, fmt.Errorf("serve: replica %d of %q: %w", idx, dep.name, err)
 	}
 	dev := device.New(device.V100, device.Config{DeterministicKernels: true, Selection: device.SelectHeuristic})
-	r := &replica{
-		idx:  idx,
-		dep:  dep,
-		sv:   sv,
-		dev:  dev,
-		ctx:  &nn.Context{Dev: dev, Training: false},
-		tr:   tr,
-		trk:  tr.Track(fmt.Sprintf("serve/%s/%d", dep.name, idx)),
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
-	}
-	go r.loop()
-	return r, nil
+	return &replica{
+		idx:   idx,
+		dep:   dep,
+		sv:    sv,
+		dev:   dev,
+		ctx:   &nn.Context{Dev: dev, Training: false, Scratch: pool.NewScope()},
+		tr:    tr,
+		trk:   tr.Track(fmt.Sprintf("serve/%s/%d", dep.name, idx)),
+		timer: newFlushTimer(),
+		batch: make([]*item, 0, dep.maxBatch),
+		stop:  make(chan struct{}),
+		done:  make(chan struct{}),
+	}, nil
 }
 
 // loop drains the deployment queue until stopped. A stop takes effect
@@ -61,7 +68,7 @@ func (r *replica) loop() {
 			return
 		default:
 		}
-		batch := r.dep.q.collect(r.dep.maxBatch, r.dep.maxWait, r.stop)
+		batch := r.dep.q.collect(r.batch, r.dep.maxBatch, r.dep.maxWait, r.timer, r.stop)
 		if batch == nil {
 			// stopped mid-wait (items stay queued for peers) or queue
 			// closed; either way the loop-head select decides
@@ -79,15 +86,18 @@ func (r *replica) loop() {
 // serveBatch coalesces the batch into one forward pass and splits the
 // output rows back into per-request replies. Row b of the output is bitwise
 // the prediction request b would get alone — see the package doc — so
-// coalescing here is invisible to clients.
+// coalescing here is invisible to clients. The forward passes' activations
+// go back to the arena once the replies hold their copies of the rows.
 func (r *replica) serveBatch(batch []*item) {
+	defer r.ctx.Scratch.ReleaseAll()
 	start := r.tr.Now()
 	for _, it := range batch {
 		// queue residency: from arrival to the moment a replica took it
 		r.tr.Span(r.trk, obs.CatServe, "serve.queue", it.enqClock, int64(it.req.ID), 0)
 	}
 	inDim := r.sv.InDim()
-	ok := batch[:0:0]
+	size := len(batch)
+	ok := batch[:0] // filtered in place: the batch slice is the replica's own
 	for _, it := range batch {
 		if len(it.req.Input) != inDim {
 			it.reply <- dist.PredictReply{ID: it.req.ID,
@@ -99,7 +109,7 @@ func (r *replica) serveBatch(batch []*item) {
 	if len(ok) == 0 {
 		// the whole batch was malformed; close the span so the trace still
 		// accounts for the pass
-		r.tr.Span(r.trk, obs.CatServe, "serve.batch.rejected", start, 0, int64(len(batch)))
+		r.tr.Span(r.trk, obs.CatServe, "serve.batch.rejected", start, 0, int64(size))
 		return
 	}
 	out, err := r.forward(ok)
@@ -107,8 +117,8 @@ func (r *replica) serveBatch(batch []*item) {
 		// one bad request can poison a coalesced pass (embedding ids probe
 		// vocabulary bounds inside the kernel); retry each alone so its
 		// batchmates still get answers
-		for _, it := range ok {
-			single, serr := r.forward([]*item{it})
+		for i, it := range ok {
+			single, serr := r.forward(ok[i : i+1])
 			if serr != nil {
 				it.reply <- dist.PredictReply{ID: it.req.ID, Err: serr.Error()}
 				continue
@@ -126,7 +136,7 @@ func (r *replica) serveBatch(batch []*item) {
 	for b, it := range ok {
 		it.reply <- dist.PredictReply{ID: it.req.ID, Output: out.row(b)}
 	}
-	r.tr.Span(r.trk, obs.CatServe, "serve.batch", start, int64(len(ok)), int64(len(batch)-len(ok)))
+	r.tr.Span(r.trk, obs.CatServe, "serve.batch", start, int64(len(ok)), int64(size-len(ok)))
 }
 
 // rows wraps a forward output for per-request row extraction.
@@ -147,7 +157,8 @@ func (r *replica) forward(batch []*item) (out rows, err error) {
 			err = fmt.Errorf("serve: model %q rejected input: %v", r.dep.name, p)
 		}
 	}()
-	x := tensor.New(append([]int{len(batch)}, r.sv.InShape...)...)
+	r.shape = append(append(r.shape[:0], len(batch)), r.sv.InShape...)
+	x := tensor.NewScopedUninit(r.ctx.Scratch, r.shape...)
 	inDim := r.sv.InDim()
 	for b, it := range batch {
 		copy(x.Data[b*inDim:(b+1)*inDim], it.req.Input)

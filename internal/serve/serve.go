@@ -3,12 +3,16 @@
 // reclaimed from it) run online model serving with a diurnal load curve
 // (Figures 1 and 16).
 //
-// The core mechanism is deadline-aware dynamic batching. Each model replica
-// owns a queue of predict requests; a batcher coalesces whatever is queued
-// into one forward pass, flushing when the batch reaches MaxBatch or when
-// the earliest deadline in the queue would otherwise be missed. Batching
-// multiplies throughput on the tiled GEMM path — the batch dimension simply
-// becomes M — at bounded latency cost.
+// The core mechanism is deadline-aware dynamic batching. Each deployment
+// owns one queue of predict requests that all its replicas collect from; a
+// replica coalesces whatever is queued into one forward pass, flushing when
+// the batch reaches MaxBatch or when the earliest deadline in the queue
+// would otherwise be missed. A parked replica is woken only when a batch is
+// due — the queue fills a batch, a push carries a deadline earlier than the
+// replica's flush timer, the queue closes — or when the first push into an
+// empty queue arms that timer, so a batch costs O(1) wake-ups however many
+// requests it holds. Batching multiplies throughput on the tiled GEMM path
+// — the batch dimension simply becomes M — at bounded latency cost.
 //
 // Why coalescing is safe: the serving counterpart of EasyScale's EST
 // numerics contract. Every output row of a forward pass depends only on the

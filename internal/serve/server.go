@@ -116,6 +116,7 @@ func (s *Server) setReplicasLocked(d *deployment, n int) error {
 		if err != nil {
 			return err
 		}
+		go r.loop()
 		d.nextIdx++
 		d.replicas = append(d.replicas, r)
 	}
@@ -129,40 +130,45 @@ func (s *Server) setReplicasLocked(d *deployment, n int) error {
 // Rejected reports requests answered with an error reply.
 func (s *Server) Rejected() int64 { return s.rejected.Load() }
 
+// dispatchItems recycles Dispatch's items with their reply channels. An
+// item goes back empty: every request gets exactly one reply, and Dispatch
+// has taken it, after which no replica touches the item again.
+var dispatchItems = sync.Pool{New: func() any { return &item{reply: make(chan dist.PredictReply, 1)} }}
+
 // Dispatch is the in-process entry point: it enqueues the request and
 // blocks until its reply. Unknown models and closed deployments get error
 // replies, never silence.
 func (s *Server) Dispatch(req dist.PredictRequest) dist.PredictReply {
-	reply := make(chan dist.PredictReply, 1)
-	s.enqueue(req, reply)
-	return <-reply
+	it := dispatchItems.Get().(*item)
+	it.req = req
+	s.enqueue(it)
+	rep := <-it.reply
+	*it = item{reply: it.reply}
+	dispatchItems.Put(it)
+	return rep
 }
 
-// enqueue routes a request to its deployment's queue with the given reply
-// channel (which may be shared by many requests — the connection handler
-// funnels a whole connection's replies through one channel). Exactly one
-// reply is always sent.
-func (s *Server) enqueue(req dist.PredictRequest, reply chan dist.PredictReply) {
+// enqueue stamps the item and routes it to its deployment's queue. The
+// item's reply channel may be shared by many requests — the connection
+// handler funnels a whole connection's replies through one channel.
+// Exactly one reply is always sent.
+func (s *Server) enqueue(it *item) {
+	req := it.req
 	s.mu.Lock()
 	d, ok := s.deps[req.Model]
 	s.mu.Unlock()
 	if !ok {
 		s.rejected.Add(1)
-		reply <- dist.PredictReply{ID: req.ID, Err: fmt.Sprintf("unknown model %q", req.Model)}
+		it.reply <- dist.PredictReply{ID: req.ID, Err: fmt.Sprintf("unknown model %q", req.Model)}
 		return
 	}
-	it := &item{
-		req:      req,
-		enq:      time.Now(),
-		enqClock: s.tr.Now(),
-		reply:    reply,
-	}
+	it.enq, it.enqClock = time.Now(), s.tr.Now()
 	if req.BudgetMicros > 0 {
 		it.deadline = it.enq.Add(time.Duration(req.BudgetMicros) * time.Microsecond)
 	}
 	if !d.q.push(it) {
 		s.rejected.Add(1)
-		reply <- dist.PredictReply{ID: req.ID, Err: fmt.Sprintf("model %q is shutting down", req.Model)}
+		it.reply <- dist.PredictReply{ID: req.ID, Err: fmt.Sprintf("model %q is shutting down", req.Model)}
 	}
 }
 
@@ -304,7 +310,7 @@ func (s *Server) handleConn(c net.Conn) {
 			break
 		}
 		pending.Add(1)
-		s.enqueue(req, replies)
+		s.enqueue(&item{req: req, reply: replies})
 	}
 	pending.Wait()
 	close(replies)

@@ -268,3 +268,85 @@ func replicas(s *Server, name string) int {
 	defer d.mu.Unlock()
 	return len(d.replicas)
 }
+
+// TestDispatchErrorPathsReplyOnce: Dispatch recycles its reply channels, so
+// every path must reply exactly once. Each error path runs twice back to
+// back on one goroutine: a second reply left in a recycled channel shows up
+// as the next call's reply (wrong ID) or blocks its send (timeout), and a
+// missing reply blocks the call.
+func TestDispatchErrorPathsReplyOnce(t *testing.T) {
+	containers := testContainers(t)
+	// batches flush only when full or at a request's own deadline: the
+	// poison request and its batchmate always share one coalesced pass
+	srv := NewServer(Options{MaxBatch: 2, MaxWait: time.Hour}, nil)
+	for _, name := range []string{"mlp", "neumf"} {
+		if err := srv.Deploy(name, containers[name], 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer srv.Close()
+	mlpRow, err := inputPool("mlp", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	neumfRow, err := inputPool("neumf", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// batchmate answers the request that shares the poison's batch
+	batchmate := func(id uint64) <-chan dist.PredictReply {
+		c := make(chan dist.PredictReply, 1)
+		go func() { c <- srv.Dispatch(dist.PredictRequest{ID: id, Model: "neumf", Input: neumfRow[0]}) }()
+		return c
+	}
+	type call struct {
+		path    string
+		req     dist.PredictRequest
+		wantErr string
+		before  func() // runs before the Dispatch, on the same goroutine
+	}
+	var mates []<-chan dist.PredictReply
+	calls := []call{
+		{path: "unknown model", req: dist.PredictRequest{Model: "bogus", Input: mlpRow[0]}, wantErr: "unknown model"},
+		{path: "malformed input", req: dist.PredictRequest{Model: "mlp", Input: []float32{1, 2, 3}, BudgetMicros: 1000}, wantErr: "input values"},
+		{path: "degraded retry", req: dist.PredictRequest{Model: "neumf", Input: []float32{9e9, 9e9}}, wantErr: "rejected input",
+			before: func() { mates = append(mates, batchmate(uint64(1000+len(mates)))) }},
+		{path: "shutting down", req: dist.PredictRequest{Model: "mlp", Input: mlpRow[0]}, wantErr: "shutting down",
+			before: srv.Close},
+	}
+	replies := make(chan dist.PredictReply)
+	go func() {
+		id := uint64(0)
+		for _, c := range calls {
+			for rep := 0; rep < 2; rep++ {
+				if c.before != nil {
+					c.before()
+				}
+				id++
+				req := c.req
+				req.ID = id
+				replies <- srv.Dispatch(req)
+			}
+		}
+	}()
+	id := uint64(0)
+	for _, c := range calls {
+		for rep := 0; rep < 2; rep++ {
+			id++
+			select {
+			case r := <-replies:
+				if r.ID != id || !strings.Contains(r.Err, c.wantErr) {
+					t.Fatalf("%s, call %d: reply {ID %d, Err %q}, want ID %d and an error containing %q",
+						c.path, rep+1, r.ID, r.Err, id, c.wantErr)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("%s, call %d: no reply after 10s", c.path, rep+1)
+			}
+		}
+	}
+	for i, m := range mates {
+		if r := <-m; r.Err != "" || r.ID != uint64(1000+i) || len(r.Output) == 0 {
+			t.Fatalf("the poison's batchmate %d got {ID %d, Err %q}", i, r.ID, r.Err)
+		}
+	}
+}

@@ -180,7 +180,8 @@ func (t *Tensor) offset(idx []int) int {
 	off := 0
 	for i, x := range idx {
 		if x < 0 || x >= t.shape[i] {
-			panic(fmt.Sprintf("tensor: index %v out of bounds for shape %v", idx, t.shape))
+			// a copy, so idx (the caller's variadic slice) does not escape
+			panic(fmt.Sprintf("tensor: index %v out of bounds for shape %v", append([]int(nil), idx...), t.shape))
 		}
 		off = off*t.shape[i] + x
 	}
