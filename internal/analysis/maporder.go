@@ -19,6 +19,9 @@ var orderSensitivePkgs = []string{
 	// controlplane: lease minting, sponsor choice, and preemption order all
 	// feed the byte-identical decision log the determinism test pins
 	"internal/controlplane",
+	// cluster: the trace experiment's averages are float sums, whose bits
+	// follow the order they are summed in
+	"internal/cluster",
 }
 
 // MapOrder returns the maporder analyzer: it flags `range` over a map in an

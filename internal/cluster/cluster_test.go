@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/controlplane"
@@ -53,6 +55,43 @@ func TestEmptyTrace(t *testing.T) {
 		}
 		if res.Finished != 0 || res.Unstarted != 0 || res.AvgJCT != 0 || res.Makespan != 0 || len(res.Timeline) != 0 {
 			t.Errorf("%s: empty trace produced %+v", m, res)
+		}
+	}
+}
+
+// TestSimulateIsDeterministic: a mode run again on the same trace returns
+// the same Result, its averages bit for bit. AvgJCT used to be summed over
+// the JCTs map, in Go's randomized iteration order, and its last bits moved
+// from run to run.
+func TestSimulateIsDeterministic(t *testing.T) {
+	jobs := workload.Generate(60, 30, 11)
+	for _, m := range []Mode{YARNCS, EasyScaleHomo, EasyScaleHeter} {
+		ref := Simulate(Config{Mode: m, Inventory: paperInventory()}, jobs)
+		for run := 1; run < 5; run++ {
+			r := Simulate(Config{Mode: m, Inventory: paperInventory()}, jobs)
+			if math.Float64bits(r.AvgJCT) != math.Float64bits(ref.AvgJCT) || math.Float64bits(r.AvgQueue) != math.Float64bits(ref.AvgQueue) {
+				t.Fatalf("%s run %d: AvgJCT %x AvgQueue %x, run 0 %x %x", m, run,
+					math.Float64bits(r.AvgJCT), math.Float64bits(r.AvgQueue), math.Float64bits(ref.AvgJCT), math.Float64bits(ref.AvgQueue))
+			}
+			if !reflect.DeepEqual(r, ref) {
+				t.Fatalf("%s run %d: Result differs from run 0", m, run)
+			}
+		}
+	}
+}
+
+// TestUnstartedMeansNeverStarted: on one GPU, of two jobs too long for the
+// 30-day cap, the first holds the GPU to the end and the second never gets
+// it. Every mode reports the running job as neither finished nor unstarted.
+func TestUnstartedMeansNeverStarted(t *testing.T) {
+	jobs := []workload.JobSpec{
+		{ID: "long", Model: "neumf", MaxP: 1, WorkSteps: 1e15, RequestedType: device.V100},
+		{ID: "behind", Model: "neumf", MaxP: 1, ArrivalSec: 10, WorkSteps: 1e15, RequestedType: device.V100},
+	}
+	for _, m := range []Mode{YARNCS, EasyScaleHomo, EasyScaleHeter} {
+		r := Simulate(Config{Mode: m, Inventory: sched.Resources{device.V100: 1}}, jobs)
+		if r.Finished != 0 || r.Unstarted != 1 {
+			t.Errorf("%s: finished %d, unstarted %d; want 0 and 1", m, r.Finished, r.Unstarted)
 		}
 	}
 }

@@ -1,8 +1,14 @@
-// Package cluster implements the discrete-event cluster simulator behind the
-// paper's trace experiment (§5.2: YARN-CS vs EasyScale-homo vs
-// EasyScale-heter on 64 GPUs) and the production co-location experiment
-// (§5.3: elastic training soaking the idle GPUs of a 3,000+ GPU online
-// serving cluster), plus the §2.1 motivation statistics.
+// Package cluster implements the cluster simulator behind the paper's trace
+// experiment (§5.2: YARN-CS vs EasyScale-homo vs EasyScale-heter on 64 GPUs)
+// and the production co-location experiment (§5.3: elastic training soaking
+// the idle GPUs of a 3,000+ GPU online serving cluster), plus the §2.1
+// motivation statistics.
+//
+// The trace experiment runs on one fixed-tick loop (Simulate) with two
+// policies beside each other: the control plane in single-tenant mode, every
+// job fully elastic, for the two EasyScale modes, and gangFIFO, a strict FIFO
+// gang scheduler, for YARN-CS. Both report per-job lifecycle stats in the
+// control plane's JobStat shape, from which the loop assembles one Result.
 package cluster
 
 import (
@@ -61,7 +67,9 @@ type AllocSample struct {
 	Allocated int
 }
 
-// Result summarizes a simulation.
+// Result summarizes a simulation. AvgJCT and AvgQueue average over the
+// finished jobs; Unstarted counts the jobs that never ran on a GPU, whether
+// queued or not yet arrived when the simulation stopped.
 type Result struct {
 	Mode      Mode
 	AvgJCT    float64
@@ -73,137 +81,121 @@ type Result struct {
 	Unstarted int
 }
 
-// simJob is the YARN-CS path's per-job state (the EasyScale path keeps its
-// state inside the control plane).
-type simJob struct {
-	spec      workload.JobSpec
-	remaining float64
-	startSec  float64
+// policy is what the simulation loop ticks and reads (see the package doc).
+type policy interface {
+	Tick(nowSec float64)
+	Allocated() int
+	FinishedCount() int
+	JobStats() []controlplane.JobStat
 }
 
 // Simulate runs the trace under the configured policy and returns metrics;
-// an empty trace yields the zero Result of that mode.
+// an empty trace yields the zero Result of that mode. One loop serves every
+// mode: each tick it submits the jobs that have arrived, ticks the policy and
+// samples the allocated GPUs, until every job has finished or 30 simulated
+// days have passed. The result is assembled from the policy's per-job stats
+// in submission order.
 func Simulate(cfg Config, jobs []workload.JobSpec) Result {
 	if len(jobs) == 0 {
 		return Result{Mode: cfg.Mode}
 	}
-	switch cfg.Mode {
-	case YARNCS:
-		return simulateYARN(cfg, jobs)
-	default:
-		return simulateEasyScale(cfg, jobs)
-	}
-}
-
-// simulateYARN: strict FIFO gang scheduling. Only the queue head may start,
-// and it needs MaxP GPUs of a single type simultaneously.
-func simulateYARN(cfg Config, jobs []workload.JobSpec) Result {
-	free := cfg.Inventory.Clone()
-	var queue []*simJob
-	pending := make([]*simJob, len(jobs))
-	for i := range jobs {
-		pending[i] = &simJob{spec: jobs[i], remaining: jobs[i].WorkSteps}
-	}
-	sort.SliceStable(pending, func(i, j int) bool { return pending[i].spec.ArrivalSec < pending[j].spec.ArrivalSec })
-	var running []*simJob
-	res := Result{Mode: cfg.Mode, JCTs: map[string]float64{}}
-	now := 0.0
-	nextArrival := 0
-	for ; now < maxSimSec; now += tickSec {
-		for nextArrival < len(pending) && pending[nextArrival].spec.ArrivalSec <= now {
-			queue = append(queue, pending[nextArrival])
-			nextArrival++
-		}
-		// FIFO head-of-line: start the head while its requested gang fits
-		for len(queue) > 0 {
-			j := queue[0]
-			t := j.spec.RequestedType
-			if free[t] < j.spec.MaxP {
-				break
-			}
-			free[t] -= j.spec.MaxP
-			j.startSec = now
-			running = append(running, j)
-			queue = queue[1:]
-		}
-		// progress
-		var still []*simJob
-		for _, j := range running {
-			t := j.spec.RequestedType // the gang is MaxP GPUs of this one type
-			rate := float64(j.spec.MaxP) * controlplane.CapabilityFor(j.spec.Model)[t]
-			j.remaining -= rate * tickSec
-			if j.remaining <= 0 {
-				free[t] += j.spec.MaxP
-				res.JCTs[j.spec.ID] = now + tickSec - j.spec.ArrivalSec
-				res.AvgQueue += j.startSec - j.spec.ArrivalSec
-				res.Finished++
-			} else {
-				still = append(still, j)
-			}
-		}
-		running = still
-		res.Timeline = append(res.Timeline, AllocSample{Sec: now, Allocated: cfg.Inventory.Total() - free.Total()})
-		if res.Finished == len(jobs) {
-			break
+	var pol policy
+	var submit func(workload.JobSpec)
+	if cfg.Mode == YARNCS {
+		g := &gangFIFO{inv: cfg.Inventory, free: cfg.Inventory.Clone()}
+		pol, submit = g, g.Submit
+	} else {
+		p := controlplane.New(controlplane.Config{Inventory: cfg.Inventory, HomogeneousOnly: cfg.Mode == EasyScaleHomo})
+		pol, submit = p, func(spec workload.JobSpec) {
+			spec.Team, spec.MinGPUs = "", 0 // single-tenant, fully elastic
+			p.Submit(spec)
 		}
 	}
-	finalize(&res, jobs, now)
-	res.Unstarted = len(queue) + (len(pending) - nextArrival)
-	return res
-}
-
-// simulateEasyScale: elastic jobs (min 0 GPUs) admitted through the
-// multi-tenant control plane in single-tenant mode, which drives the same
-// intra-job/inter-job passes the pre-plane simulator called directly (the
-// plane's shim-equivalence test pins that the plans are identical).
-func simulateEasyScale(cfg Config, jobs []workload.JobSpec) Result {
-	plane := controlplane.New(controlplane.Config{Inventory: cfg.Inventory, HomogeneousOnly: cfg.Mode == EasyScaleHomo})
 	pending := append([]workload.JobSpec(nil), jobs...)
 	sort.SliceStable(pending, func(i, j int) bool { return pending[i].ArrivalSec < pending[j].ArrivalSec })
 	res := Result{Mode: cfg.Mode, JCTs: map[string]float64{}}
-	now := 0.0
-	nextArrival := 0
+	now, next := 0.0, 0
 	for ; now < maxSimSec; now += tickSec {
-		for nextArrival < len(pending) && pending[nextArrival].ArrivalSec <= now {
-			spec := pending[nextArrival]
-			spec.Team, spec.MinGPUs = "", 0 // single-tenant, fully elastic
-			plane.Submit(spec)
-			nextArrival++
+		for next < len(pending) && pending[next].ArrivalSec <= now {
+			submit(pending[next])
+			next++
 		}
-		plane.Tick(now)
-		res.Timeline = append(res.Timeline, AllocSample{Sec: now, Allocated: plane.Allocated()})
-		if plane.FinishedCount() == len(jobs) && nextArrival == len(pending) {
+		pol.Tick(now)
+		res.Timeline = append(res.Timeline, AllocSample{Sec: now, Allocated: pol.Allocated()})
+		if pol.FinishedCount() == len(jobs) {
 			break
 		}
 	}
-	for _, st := range plane.JobStats() {
-		if st.Done {
+	res.Unstarted = len(pending) - next
+	for _, st := range pol.JobStats() {
+		switch {
+		case st.Done:
 			res.JCTs[st.ID] = st.FinishSec - st.ArrivalSec
+			res.AvgJCT += res.JCTs[st.ID]
 			res.AvgQueue += st.StartSec - st.ArrivalSec
 			res.Finished++
-		} else {
+		case !st.Started:
 			res.Unstarted++
 		}
 	}
-	res.Unstarted += len(pending) - nextArrival
-	finalize(&res, jobs, now)
+	if res.Finished > 0 {
+		res.AvgJCT /= float64(res.Finished)
+		res.AvgQueue /= float64(res.Finished)
+	}
+	res.Makespan = now - pending[0].ArrivalSec
 	return res
 }
 
-func finalize(res *Result, jobs []workload.JobSpec, now float64) {
-	if res.Finished > 0 {
-		sum := 0.0
-		for _, v := range res.JCTs {
-			sum += v
-		}
-		res.AvgJCT = sum / float64(res.Finished)
-		res.AvgQueue /= float64(res.Finished)
-	}
-	first := jobs[0].ArrivalSec
-	for _, j := range jobs {
-		if j.ArrivalSec < first {
-			first = j.ArrivalSec
-		}
-	}
-	res.Makespan = now - first
+// gangFIFO is YARN-CS as a policy: strict FIFO gang scheduling. Only the
+// queue head may start, and it needs MaxP GPUs of its requested type at once,
+// which it holds until it finishes; so jobs start in submission order.
+type gangFIFO struct {
+	inv, free sched.Resources
+	specs     []workload.JobSpec     // submission order
+	stats     []controlplane.JobStat // per spec
+	remaining []float64              // per spec: global steps left
+	started   int                    // specs[started:] are queued
+	running   []int                  // indices of the running gangs, in start order
 }
+
+// Submit queues spec behind every job submitted before it.
+func (g *gangFIFO) Submit(spec workload.JobSpec) {
+	g.specs = append(g.specs, spec)
+	g.stats = append(g.stats, controlplane.JobStat{ID: spec.ID, ArrivalSec: spec.ArrivalSec})
+	g.remaining = append(g.remaining, spec.WorkSteps)
+}
+
+// Tick starts the queue head while its gang fits, then advances every
+// running gang by one tick, releasing the GPUs of those that finish.
+func (g *gangFIFO) Tick(nowSec float64) {
+	for ; g.started < len(g.specs); g.started++ {
+		spec, st := &g.specs[g.started], &g.stats[g.started]
+		if g.free[spec.RequestedType] < spec.MaxP {
+			break
+		}
+		g.free[spec.RequestedType] -= spec.MaxP
+		st.Started, st.StartSec = true, nowSec
+		g.running = append(g.running, g.started)
+	}
+	still := g.running[:0]
+	for _, i := range g.running {
+		spec, t := &g.specs[i], g.specs[i].RequestedType // the gang is MaxP GPUs of this one type
+		g.remaining[i] -= float64(spec.MaxP) * controlplane.CapabilityFor(spec.Model)[t] * tickSec
+		if g.remaining[i] > 0 {
+			still = append(still, i)
+			continue
+		}
+		g.free[t] += spec.MaxP
+		g.stats[i].Done, g.stats[i].FinishSec = true, nowSec+tickSec
+	}
+	g.running = still
+}
+
+// Allocated returns the GPUs the running gangs hold.
+func (g *gangFIFO) Allocated() int { return g.inv.Total() - g.free.Total() }
+
+// FinishedCount returns how many jobs have finished.
+func (g *gangFIFO) FinishedCount() int { return g.started - len(g.running) }
+
+// JobStats lists every submitted job in submission order.
+func (g *gangFIFO) JobStats() []controlplane.JobStat { return g.stats }

@@ -1,9 +1,9 @@
 // Package controlplane is the multi-tenant front door to the EasyScale
-// scheduler: teams own budget envelopes (GPU-count quotas and GPU-hour
-// limits per device type), running jobs hold immutable leases funded by an
-// envelope, jobs that cannot be admitted receive a reservation carrying an
-// ETA, the capacity deficit, and concrete remedies, and idle capacity is
-// borrowable across teams with preemption-on-reclaim.
+// scheduler: teams own budget envelopes (GPU-count quotas per device type),
+// running jobs hold immutable leases funded by an envelope, jobs that cannot
+// be admitted receive a reservation carrying an ETA, the capacity deficit,
+// and concrete remedies, and idle capacity is borrowable across teams with
+// preemption-on-reclaim.
 //
 // The plane composes the existing sched passes rather than replacing them:
 // scale-out rides IntraJob.Proposals → RoundPass → IntraJob.Grant (so a
@@ -70,8 +70,6 @@ type Config struct {
 	Teams []TeamConfig
 	// TickSec is the simulation step fed to Tick (default 10 s).
 	TickSec float64
-	// ProposalTopK bounds proposals per job per round (default 3).
-	ProposalTopK int
 	// RestartSec is the reconfiguration pause a job pays on scale-out,
 	// admission, or preemption (default 5 s).
 	RestartSec float64
@@ -90,12 +88,12 @@ type Config struct {
 	Trace *obs.Tracer
 }
 
+// proposalTopK bounds proposals per job per round.
+const proposalTopK = 3
+
 func (c *Config) defaults() {
 	if c.TickSec <= 0 {
 		c.TickSec = 10
-	}
-	if c.ProposalTopK <= 0 {
-		c.ProposalTopK = 3
 	}
 	if c.RestartSec <= 0 {
 		c.RestartSec = 5
@@ -165,9 +163,9 @@ type Plane struct {
 	proposals            []sched.Proposal // Tick's scratch: one round's proposals
 	utilSum              float64
 	utilTicks            int
-	stats                struct {
-		borrows, reclaims, minted, finished, admitted, decisions int
-	}
+	// decisions is the one count the records cannot give: a refused grant
+	// and a reservation retry that changes nothing leave no record.
+	decisions int
 }
 
 // New builds a control plane over the configured inventory and envelopes.
@@ -235,7 +233,7 @@ func (p *Plane) Submit(spec workload.JobSpec) (*Lease, *Reservation) {
 	j.intra.Trace = p.cfg.Trace
 	p.jobs[spec.ID] = j
 	p.order = append(p.order, j)
-	p.stats.decisions++
+	p.decisions++
 	if spec.MinGPUs <= 0 {
 		p.admit(j)
 		p.emit(record{kind: kAdmitElastic, job: int32(j.submitSeq)})
@@ -255,7 +253,6 @@ func (p *Plane) Submit(spec workload.JobSpec) (*Lease, *Reservation) {
 // rank. A job leaves waiting where the caller walks it (Tick).
 func (p *Plane) admit(j *job) {
 	j.admitted, j.resv = true, nil
-	p.stats.admitted++
 	i := sort.Search(len(p.live), func(i int) bool { return p.live[i].submitSeq > j.submitSeq })
 	p.live = slices.Insert(p.live, i, j)
 }
@@ -322,7 +319,6 @@ func (p *Plane) reclaim(requester *job, t device.Type, n int) {
 		}
 		holder := p.jobs[l.JobID]
 		take := min(l.Count, n)
-		p.stats.reclaims++
 		p.emit(record{kind: kPreempt, typ: int8(t), sponsor: int16(p.teams[l.Sponsor].idx), count: int32(take),
 			job: int32(holder.submitSeq), lease: int32(l.seq), aux: int32(requester.submitSeq)})
 		released, fellIdle := holder.intra.Preempt(sched.Resources{t: take})
@@ -460,41 +456,32 @@ func (p *Plane) availFor(j *job, free sched.Resources) sched.Resources {
 	return p.avail
 }
 
-// Tick advances the plane to nowSec: accrue GPU-hours, retry reservations
-// (priority first, then submission order), run one scale-out round, advance
-// job progress, and sample utilization. The caller drives Tick once per
-// TickSec of simulated time.
+// Tick advances the plane to nowSec: retry reservations (priority first,
+// then submission order), run one scale-out round, advance job progress, and
+// sample utilization. The caller drives Tick once per TickSec of simulated
+// time.
 func (p *Plane) Tick(nowSec float64) {
-	dt := max(nowSec-p.nowSec, 0)
 	p.nowSec = nowSec
-	// 1. GPU-hour accrual; an exhausted envelope stops funding new leases
-	for _, e := range p.envs {
-		for _, t := range e.accrue(dt) {
-			p.emitText(record{kind: kExhaust, count: int32(e.inUse[t])}, fmt.Sprintf(
-				"team %s exhausted its %s GPU-hour budget (%.1fh): envelope stops funding new leases",
-				e.cfg.Name, t, e.cfg.GPUHourBudget[t]))
-		}
-	}
-	// 2. reservation retries; a job that gets in leaves the waiting list
+	// 1. reservation retries; a job that gets in leaves the waiting list
 	still := p.waiting[:0]
 	for _, j := range p.waiting {
-		p.stats.decisions++
+		p.decisions++
 		if p.tryAdmit(j) == nil {
 			p.updateReservation(j)
 			still = append(still, j)
 		}
 	}
 	p.waiting = still
-	// 3. scale-out round: proposals against one free-pool snapshot, decided
+	// 2. scale-out round: proposals against one free-pool snapshot, decided
 	// by the funded greedy pass, granted through the intra-job schedulers
 	freeSnap := p.free.Clone()
 	p.proposals = p.proposals[:0]
 	for _, j := range p.live {
-		p.proposals = append(p.proposals, j.intra.Proposals(p.availFor(j, freeSnap), p.cfg.ProposalTopK)...)
+		p.proposals = append(p.proposals, j.intra.Proposals(p.availFor(j, freeSnap), proposalTopK)...)
 	}
 	for _, pr := range sched.RoundPass(fundedPolicy{p}, p.free, p.proposals, p.cfg.Trace) {
 		j := p.jobs[pr.JobID]
-		p.stats.decisions++
+		p.decisions++
 		if _, ok := j.intra.Grant(pr); ok {
 			sponsor, ok := p.sponsorFor(j.env.idx, pr.Type, pr.Count)
 			if !ok {
@@ -518,36 +505,27 @@ func (p *Plane) Tick(nowSec float64) {
 			p.free[pr.Type] += pr.Count
 		}
 	}
-	// 4. progress and completion (same arithmetic as the pre-plane sim); a
+	// 3. progress and completion (same arithmetic as the pre-plane sim); a
 	// finished job leaves the live list
 	running := p.live[:0]
 	for _, j := range p.live {
-		plan := j.intra.CurrentPlan()
-		step := p.cfg.TickSec
-		if j.pausedUtil > 0 {
-			if j.pausedUtil >= step {
-				j.pausedUtil -= step
-				step = 0
-			} else {
-				step -= j.pausedUtil
-				j.pausedUtil = 0
-			}
-		}
-		j.remaining -= plan.Throughput * step
+		// the restart pause eats into the tick first
+		paused := min(j.pausedUtil, p.cfg.TickSec)
+		j.pausedUtil -= paused
+		j.remaining -= j.intra.CurrentPlan().Throughput * (p.cfg.TickSec - paused)
 		if !(j.remaining <= 0 && j.started) {
 			running = append(running, j)
 			continue
 		}
 		j.done = true
 		j.finishSec = nowSec + p.cfg.TickSec
-		p.stats.finished++
 		held := j.intra.Current()
 		p.releaseFromJob(j, held, finished, nil)
 		p.emitText(record{kind: kFinish, count: int32(held.Total()), job: int32(j.submitSeq)}, fmt.Sprintf(
 			"job %s finished at %.0fs releasing %s", j.spec.ID, j.finishSec, held.Key()))
 	}
 	p.live = running
-	// 5. utilization sample
+	// 4. utilization sample
 	total := p.cfg.Inventory.Total()
 	if total > 0 {
 		p.utilSum += float64(total-p.free.Total()) / float64(total)
@@ -631,17 +609,17 @@ func (p *Plane) Observe(jobID string, measured float64) sched.Resources {
 
 // Decisions counts admission decisions taken so far: submissions,
 // reservation retries, and scale-out grants.
-func (p *Plane) Decisions() int { return p.stats.decisions }
+func (p *Plane) Decisions() int { return p.decisions }
 
-// FinishedCount returns how many jobs have completed.
-func (p *Plane) FinishedCount() int { return p.stats.finished }
+// FinishedCount returns how many jobs have completed: every registered job is
+// waiting, live or done.
+func (p *Plane) FinishedCount() int { return len(p.order) - len(p.live) - len(p.waiting) }
 
 // JobStat is one job's lifecycle summary.
 type JobStat struct {
 	ID         string
 	Team       string
 	ArrivalSec float64
-	Admitted   bool
 	Started    bool
 	Done       bool
 	StartSec   float64
@@ -654,7 +632,7 @@ func (p *Plane) JobStats() []JobStat {
 	for i, j := range p.order {
 		out[i] = JobStat{
 			ID: j.spec.ID, Team: j.team, ArrivalSec: j.spec.ArrivalSec,
-			Admitted: j.admitted, Started: j.started, Done: j.done,
+			Started: j.started, Done: j.done,
 			StartSec: j.startSec, FinishSec: j.finishSec,
 		}
 	}
@@ -679,11 +657,12 @@ type TeamReport struct {
 	InUse    sched.Resources
 	Lent     sched.Resources
 	Borrowed sched.Resources
-	GPUHours map[device.Type]float64
 }
 
 // Report summarizes the plane: per-team envelopes, fragmentation and
-// consolidation per type, time-averaged utilization, and counters.
+// consolidation per type, time-averaged utilization, and counters. Admitted
+// and Finished are read off the job registries; LeasesMinted, Borrows and
+// Reclaims count the log's lease, borrow and preempt records.
 type Report struct {
 	Strategy         string
 	NowSec           float64
@@ -702,34 +681,28 @@ type Report struct {
 
 // Report builds the current report.
 func (p *Plane) Report() Report {
+	kinds := p.kindCounts()
 	r := Report{
-		Strategy:     p.cfg.Strategy.Name(),
-		NowSec:       p.nowSec,
-		Frag:         fragmentation(p.nodes),
-		LeasesMinted: p.stats.minted,
-		LeasesActive: len(p.activeLeases),
-		Admitted:     p.stats.admitted,
-		Finished:     p.stats.finished,
-		Borrows:      p.stats.borrows,
-		Reclaims:     p.stats.reclaims,
-		Log:          p.DecisionLog(),
+		Strategy:         p.cfg.Strategy.Name(),
+		NowSec:           p.nowSec,
+		Frag:             fragmentation(p.nodes),
+		LeasesMinted:     kinds[kLease],
+		LeasesActive:     len(p.activeLeases),
+		ReservationsOpen: len(p.OpenReservations()),
+		Admitted:         len(p.order) - len(p.waiting),
+		Finished:         p.FinishedCount(),
+		Borrows:          kinds[kBorrow],
+		Reclaims:         kinds[kPreempt],
+		Log:              p.DecisionLog(),
 	}
-	r.ReservationsOpen = len(p.OpenReservations())
 	if p.utilTicks > 0 {
 		r.Utilization = p.utilSum / float64(p.utilTicks)
 	}
 	for _, e := range p.envs {
-		hours := map[device.Type]float64{}
-		for _, t := range device.AllTypes() {
-			if e.hoursUsed[t] > 0 {
-				hours[t] = e.hoursUsed[t]
-			}
-		}
 		r.Teams = append(r.Teams, TeamReport{
 			Name:  e.cfg.Name,
 			Quota: e.quota.resources(), InUse: e.inUse.resources(),
 			Lent: e.lent.resources(), Borrowed: e.borrowed.resources(),
-			GPUHours: hours,
 		})
 	}
 	return r

@@ -13,10 +13,14 @@ import (
 )
 
 // checkInvariants asserts the plane's conservation laws after any sequence of
-// operations; see invariants.
+// operations, and that the decision log folds to the live state; see
+// invariants and foldLaw.
 func checkInvariants(t *testing.T, p *Plane) {
 	t.Helper()
 	if err := invariants(p); err != nil {
+		t.Fatal(err)
+	}
+	if err := foldLaw(p); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -359,38 +363,6 @@ func TestFragmentationReport(t *testing.T) {
 	// consolidating onto one node would move 3 of the 4 allocated GPUs
 	if f.ConsolidationMoves != 3 {
 		t.Fatalf("consolidation moves %d, want 3", f.ConsolidationMoves)
-	}
-}
-
-func TestGPUHourBudgetExhaustionStopsFunding(t *testing.T) {
-	p := New(Config{
-		Inventory: sched.Resources{device.V100: 8},
-		Teams: []TeamConfig{{
-			Name:  "team-a",
-			Quota: sched.Resources{device.V100: 8},
-			// ~one GPU-minute: exhausted within a few ticks of holding GPUs
-			GPUHourBudget: map[device.Type]float64{device.V100: 0.02},
-		}},
-	})
-	p.Submit(elasticJob("a1", "neumf", 8, 0, "team-a"))
-	for now, i := 0.0, 0; i < 30; i++ {
-		p.Tick(now)
-		checkInvariants(t, p)
-		now += 10
-	}
-	if !p.teams["team-a"].exhausted[device.V100] {
-		t.Fatal("hour budget never exhausted")
-	}
-	if !strings.Contains(strings.Join(p.DecisionLog(), "\n"), "plane.exhaust") {
-		t.Fatal("exhaustion not logged")
-	}
-	// an exhausted envelope cannot fund new admissions
-	l, resv := p.Submit(workload.JobSpec{
-		ID: "a2", Model: "resnet50", MaxP: 2, MinGPUs: 2, WorkSteps: 100,
-		RequestedType: device.V100, Team: "team-a",
-	})
-	if l != nil || resv == nil {
-		t.Fatal("exhausted envelope must not fund a new gang")
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 // runTenantScenario drives one full multi-team scenario: four teams, a
 // generated tenant trace with gangs and priorities, borrowing on. A non-nil
 // tracer receives the CatPlane mirror.
-func runTenantScenario(tr *obs.Tracer) (string, Report) {
+func runTenantScenario(tr *obs.Tracer) (*Plane, string, Report) {
 	teams := []TeamConfig{
 		{Name: "ads", Quota: sched.Resources{device.V100: 8, device.P100: 4, device.T4: 4}},
 		{Name: "nlp", Quota: sched.Resources{device.V100: 8, device.P100: 4, device.T4: 4}},
@@ -33,23 +33,31 @@ func runTenantScenario(tr *obs.Tracer) (string, Report) {
 		}
 		p.Tick(now)
 	}
-	return strings.Join(p.DecisionLog(), "\n"), p.Report()
+	return p, strings.Join(p.DecisionLog(), "\n"), p.Report()
 }
 
 // TestFiftyPassDeterminism pins the D0 contract on the control plane:
 // identical submissions produce byte-identical decision logs and identical
 // reports across 50 fresh planes — and that log is, byte for byte, the one
-// the plane wrote when each entry was still a formatted string.
+// the plane wrote when each entry was still a formatted string. The counts
+// are the ones the plane kept as separate tallies before Report read them off
+// the records and the job registries, and the log folds to the final state.
 func TestFiftyPassDeterminism(t *testing.T) {
-	refLog, refRep := runTenantScenario(nil)
+	p, refLog, refRep := runTenantScenario(nil)
 	if len(refRep.Log) != 869 || hashLog(refRep.Log) != "1a0725e95ba1c194" {
 		t.Fatalf("decision log: %d lines hashing to %s, want 869 and 1a0725e95ba1c194", len(refRep.Log), hashLog(refRep.Log))
 	}
 	if refRep.LeasesMinted != 261 || refRep.Borrows != 33 || refRep.Reclaims != 6 {
 		t.Fatalf("minted %d, borrows %d, reclaims %d; want 261, 33, 6", refRep.LeasesMinted, refRep.Borrows, refRep.Reclaims)
 	}
+	if refRep.Admitted != 55 || refRep.Finished != 7 || p.Decisions() != 1203 {
+		t.Fatalf("admitted %d, finished %d, decisions %d; want 55, 7, 1203", refRep.Admitted, refRep.Finished, p.Decisions())
+	}
+	if err := foldLaw(p); err != nil {
+		t.Fatal(err)
+	}
 	for pass := 1; pass < 50; pass++ {
-		log, rep := runTenantScenario(nil)
+		_, log, rep := runTenantScenario(nil)
 		if log != refLog {
 			t.Fatalf("pass %d: decision log diverged from pass 0", pass)
 		}
@@ -64,9 +72,9 @@ func TestFiftyPassDeterminism(t *testing.T) {
 // the line's kind and carrying exactly the line's message — the log and the
 // mirror are rendered by the same code.
 func TestTracedPlaneMirrorsLog(t *testing.T) {
-	refLog, refRep := runTenantScenario(nil)
+	_, refLog, refRep := runTenantScenario(nil)
 	tr := obs.New(obs.WithClock(&obs.FixedClock{}))
-	log, rep := runTenantScenario(tr)
+	_, log, rep := runTenantScenario(tr)
 	if log != refLog {
 		t.Fatal("traced plane's decision log differs from the untraced one")
 	}

@@ -6,14 +6,12 @@ import (
 )
 
 // TeamConfig is one team's budget envelope: how much capacity the team is
-// entitled to fund at once (Quota) and how many GPU-hours it may burn in
-// total (GPUHourBudget, 0 or absent = unlimited). Envelopes are entitlements,
-// not partitions — quotas may oversubscribe the inventory, and idle headroom
-// is borrowable by other teams when the plane allows it.
+// entitled to fund at once (Quota). Envelopes are entitlements, not
+// partitions — quotas may oversubscribe the inventory, and idle headroom is
+// borrowable by other teams when the plane allows it.
 type TeamConfig struct {
-	Name          string
-	Quota         sched.Resources
-	GPUHourBudget map[device.Type]float64
+	Name  string
+	Quota sched.Resources
 }
 
 // perType is a per-GPU-type vector in the plane's internal form: a fixed
@@ -36,14 +34,12 @@ func (v perType) resources() sched.Resources {
 // team's; lent is the subset held elsewhere; borrowed counts GPUs this
 // team's jobs hold on someone else's budget.
 type envelope struct {
-	cfg       TeamConfig
-	idx       int // position in Plane.envs
-	quota     perType
-	inUse     perType
-	lent      perType
-	borrowed  perType
-	hoursUsed [device.NumTypes]float64
-	exhausted [device.NumTypes]bool
+	cfg      TeamConfig
+	idx      int // position in Plane.envs
+	quota    perType
+	inUse    perType
+	lent     perType
+	borrowed perType
 }
 
 func newEnvelope(cfg TeamConfig) *envelope {
@@ -55,32 +51,11 @@ func newEnvelope(cfg TeamConfig) *envelope {
 }
 
 // headroom is the envelope's remaining funding capacity for one type: quota
-// minus funded leases, zero once the GPU-hour budget is spent.
+// minus funded leases.
 //
 //easyscale:hotpath
 func (e *envelope) headroom(t device.Type) int {
-	if e.exhausted[t] {
-		return 0
-	}
 	return max(e.quota[t]-e.inUse[t], 0)
-}
-
-// accrue charges dt seconds of every funded GPU against the hour budget and
-// reports whether the budget was newly exhausted for any type.
-func (e *envelope) accrue(dtSec float64) []device.Type {
-	var newly []device.Type
-	for _, t := range device.AllTypes() {
-		if e.inUse[t] == 0 {
-			continue
-		}
-		e.hoursUsed[t] += float64(e.inUse[t]) * dtSec / 3600
-		b := e.cfg.GPUHourBudget[t]
-		if b > 0 && e.hoursUsed[t] >= b && !e.exhausted[t] {
-			e.exhausted[t] = true
-			newly = append(newly, t)
-		}
-	}
-	return newly
 }
 
 // pickSponsor resolves which envelope funds a request of count GPUs of type

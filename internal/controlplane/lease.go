@@ -70,11 +70,9 @@ func (p *Plane) mintLease(j *job, t device.Type, count, sponsor int) *Lease {
 	if l.Borrowed() {
 		sp.lent[t] += count
 		j.env.borrowed[t] += count
-		p.stats.borrows++
 		r.kind = kBorrow
 		p.emit(r)
 	}
-	p.stats.minted++
 	r.kind, r.aux, r.n = kLease, int32(len(p.shares)), int32(len(l.Nodes))
 	for _, s := range l.Nodes {
 		p.shares = append(p.shares, share{int32(s.node.idx), int32(s.Count)})
@@ -164,7 +162,7 @@ func (p *Plane) releaseFromJob(j *job, released sched.Resources, why reason, pre
 				// released GPUs with no covering lease: accounting anomaly —
 				// return them to the pool and say so rather than leak
 				p.free[t] += m
-				p.emitText(record{kind: kAnomaly, count: int32(m)}, fmt.Sprintf(
+				p.emitText(record{kind: kUncovered, typ: int8(t), count: int32(m)}, fmt.Sprintf(
 					"job %s released %dx%s not covered by any lease (%s)", j.spec.ID, m, t, reasonText[why]))
 				break
 			}

@@ -19,7 +19,8 @@ import (
 // (a measured speedup over the plan, below the fallback tolerance or not, on
 // a running, idle or unknown job) over a small three-type fleet, borrowing
 // on and off, under each strategy, and checks the plane's invariants after
-// every call — plus, a few times per sequence, that the decision log only
+// every call, and that the fold of the decision log equals the live state
+// (foldLaw) — plus, a few times per sequence, that the decision log only
 // grows: every earlier rendering is a prefix of the next. A failing seed
 // prints the operations that led to it.
 //
@@ -48,8 +49,7 @@ func runOpSequence(seed uint64) (ops []string, err error) {
 		Inventory: sched.Resources{device.V100: 8, device.P100: 4, device.T4: 6},
 		Teams: []TeamConfig{
 			{Name: "ads", Quota: sched.Resources{device.V100: 2, device.P100: 4, device.T4: 2}},
-			{Name: "nlp", Quota: sched.Resources{device.V100: 6, device.T4: 2},
-				GPUHourBudget: map[device.Type]float64{device.T4: 0.02}},
+			{Name: "nlp", Quota: sched.Resources{device.V100: 6, device.T4: 2}},
 			{Name: "rec", Quota: sched.Resources{device.V100: 4, device.P100: 2, device.T4: 4}},
 		},
 		AllowBorrowing: g.Intn(2) == 0,
@@ -66,7 +66,10 @@ func runOpSequence(seed uint64) (ops []string, err error) {
 		if err := f(); err != nil {
 			return err
 		}
-		return invariants(p)
+		if err := invariants(p); err != nil {
+			return err
+		}
+		return foldLaw(p)
 	}
 	for n := 0; n < 40; n++ {
 		switch r := g.Intn(12); {

@@ -24,8 +24,10 @@ type kind uint8
 
 const (
 	kAnomaly kind = iota
+	// kUncovered is the anomaly that moves state: a job released GPUs no
+	// lease covers, and they went back to the free pool (typ, count).
+	kUncovered
 	kReserve
-	kExhaust
 	kFinish
 	kRelease
 	kAdmitElastic
@@ -39,7 +41,7 @@ const (
 )
 
 var kindNames = [...]string{
-	kAnomaly: "plane.anomaly", kReserve: "plane.reserve", kExhaust: "plane.exhaust",
+	kAnomaly: "plane.anomaly", kUncovered: "plane.anomaly", kReserve: "plane.reserve",
 	kFinish: "plane.finish", kRelease: "plane.release",
 	kAdmitElastic: "plane.admit", kAdmitGang: "plane.admit", kPreempt: "plane.preempt",
 	kPlace: "plane.place", kBorrow: "plane.borrow", kLease: "plane.lease",
@@ -160,6 +162,16 @@ func (p *Plane) appendMessage(b []byte, r *record) []byte {
 		b = fmt.Appendf(b, "split %s -> residual %s (%dx%s, job %s)", leaseID(int(r.aux)), id, r.count, t, j.spec.ID)
 	}
 	return b
+}
+
+// kindCounts tallies the log's records by kind.
+func (p *Plane) kindCounts() (n [len(kindNames)]int) {
+	for _, chunk := range p.recs {
+		for i := range chunk {
+			n[chunk[i].kind]++
+		}
+	}
+	return n
 }
 
 // DecisionLog renders the append-only decision log, one line per decision.

@@ -24,7 +24,7 @@ func TestSingleTenantBitwiseMatchesDeprecatedShim(t *testing.T) {
 	}
 
 	// new path: single-tenant plane
-	plane := New(Config{Inventory: inv, TickSec: 10, ProposalTopK: topK, RestartSec: 5})
+	plane := New(Config{Inventory: inv, TickSec: 10, RestartSec: 5})
 
 	// old path: the loop cluster/sim.go ran before the plane existed
 	free := inv.Clone()

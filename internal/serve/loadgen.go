@@ -20,7 +20,9 @@ import (
 // in vocabulary, and the request stream is a pure function of
 // (model, worker, i) — two runs against differently-configured servers see
 // bitwise-identical requests, which is what makes the output checksum a
-// batching-equivalence oracle.
+// batching-equivalence oracle. Each model's requests cycle through
+// loadInputPool dataset rows and carry no deadline budget, so the server's
+// default applies.
 type LoadGen struct {
 	// Addr is the serve server's TCP address.
 	Addr string
@@ -36,12 +38,11 @@ type LoadGen struct {
 	Workers int
 	// PerWorker is the request count per worker.
 	PerWorker int
-	// BudgetMicros is each request's deadline budget (0: server default).
-	BudgetMicros int64
-	// InputPool is how many distinct dataset rows each model's request
-	// stream cycles through (default 256).
-	InputPool int
 }
+
+// loadInputPool is how many distinct dataset rows each model's request stream
+// cycles through.
+const loadInputPool = 256
 
 // LoadReport summarizes one load-generation run.
 type LoadReport struct {
@@ -94,13 +95,9 @@ func (g LoadGen) Run() (LoadReport, error) {
 	if g.Workers <= 0 || g.PerWorker <= 0 || len(g.Models) == 0 {
 		return LoadReport{}, fmt.Errorf("serve: loadgen needs models, workers, and requests")
 	}
-	poolN := g.InputPool
-	if poolN <= 0 {
-		poolN = 256
-	}
 	pools := make([][][]float32, len(g.Models))
 	for m, name := range g.Models {
-		p, err := inputPool(name, poolN)
+		p, err := inputPool(name, loadInputPool)
 		if err != nil {
 			return LoadReport{}, err
 		}
@@ -127,7 +124,7 @@ func (g LoadGen) Run() (LoadReport, error) {
 				defer wg.Done()
 				wi := m*g.Workers + w
 				predict := func(model string, in []float32) ([]float32, error) {
-					rep := g.Direct.Dispatch(dist.PredictRequest{ID: 1, Model: model, Input: in, BudgetMicros: g.BudgetMicros})
+					rep := g.Direct.Dispatch(dist.PredictRequest{ID: 1, Model: model, Input: in})
 					if rep.Err != "" {
 						return nil, errors.New(rep.Err)
 					}
@@ -144,7 +141,7 @@ func (g LoadGen) Run() (LoadReport, error) {
 					}
 					defer cl.Close()
 					predict = func(model string, in []float32) ([]float32, error) {
-						return cl.Predict(model, in, g.BudgetMicros)
+						return cl.Predict(model, in, 0)
 					}
 				}
 				pool := pools[m]
