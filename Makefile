@@ -27,7 +27,8 @@
 #                  share; not part of check
 #   make prof-churn — the same two views for 300 churn_live ops (dist's
 #                  BenchmarkChurnLive: a live-migrating bert run over
-#                  loopback, five scale events per op); not part of check
+#                  loopback, five scale events per op), plus a memory
+#                  profile printed by objects allocated; not part of check
 #   make prof-serve — the same two views for 3,000,000 serve_sat requests
 #                  (serve's BenchmarkServeSaturated: 64 closed-loop callers
 #                  on two tiny models, MaxBatch 32); not part of check
@@ -93,8 +94,8 @@ test-cpu:
 race:
 	$(GO) test -race ./internal/kernels/... ./internal/nn/... ./internal/comm/... ./internal/checkpoint/... ./internal/data/... ./internal/dist/... ./internal/faults/... ./internal/core/... ./internal/elastic/... ./internal/obs/... ./internal/serve/... ./internal/sched/... ./internal/controlplane/... ./internal/pool/...
 
-# short fuzz smokes: the wire-frame, checkpoint and job-schema decoders must
-# never panic on corrupt input, and the tiled GEMM kernels, the fused conv
+# short fuzz smokes: the wire-frame, shard-dialog, checkpoint and job-schema
+# decoders must never panic on corrupt input, and the tiled GEMM kernels, the fused conv
 # paths, the eight-lane SumBlocked and the one-pass MeanVar and SumDotBlocked
 # must stay bitwise identical to the reference loops, the im2col spec, the
 # serial blocked sum and the two-pass reductions for arbitrary shapes, kc
@@ -104,6 +105,7 @@ race:
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReadFrame -fuzztime $(FUZZTIME) ./internal/dist
 	$(GO) test -run '^$$' -fuzz FuzzDecodeGrads -fuzztime $(FUZZTIME) ./internal/dist
+	$(GO) test -run '^$$' -fuzz FuzzDecodeShards -fuzztime $(FUZZTIME) ./internal/dist
 	$(GO) test -run '^$$' -fuzz FuzzReader -fuzztime $(FUZZTIME) ./internal/checkpoint
 	$(GO) test -run '^$$' -fuzz FuzzShardManifest -fuzztime $(FUZZTIME) ./internal/checkpoint
 	$(GO) test -run '^$$' -fuzz FuzzJobCheckpoint -fuzztime $(FUZZTIME) ./internal/core
@@ -149,14 +151,16 @@ prof:
 	$(GO) tool pprof -top -cum prof/core.test prof/train_conv.cpu 2>/dev/null | head -40
 	$(GO) tool pprof -top prof/core.test prof/train_conv.cpu 2>/dev/null | sed -n '/flat%/,$$p' | head -26
 
-# CPU profile of 300 churn_live ops: dist's BenchmarkChurnLive (one warm-up
-# op outside the timer), printed like prof
+# CPU and memory profile of 300 churn_live ops: dist's BenchmarkChurnLive
+# (one warm-up op outside the timer), printed like prof, then the top 25
+# allocation sites by objects allocated
 prof-churn:
 	@mkdir -p prof
-	$(GO) test -run '^$$' -bench '^BenchmarkChurnLive$$' -benchtime 300x \
-		-o prof/dist.test -cpuprofile prof/churn_live.cpu ./internal/dist
+	$(GO) test -run '^$$' -bench '^BenchmarkChurnLive$$' -benchtime 300x -benchmem \
+		-o prof/dist.test -cpuprofile prof/churn_live.cpu -memprofile prof/churn_live.mem ./internal/dist
 	$(GO) tool pprof -top -cum prof/dist.test prof/churn_live.cpu 2>/dev/null | head -40
 	$(GO) tool pprof -top prof/dist.test prof/churn_live.cpu 2>/dev/null | sed -n '/flat%/,$$p' | head -26
+	$(GO) tool pprof -sample_index=alloc_objects -top prof/dist.test prof/churn_live.mem 2>/dev/null | sed -n '/flat%/,$$p' | head -26
 
 # CPU profile of 3,000,000 serve_sat requests: serve's
 # BenchmarkServeSaturated (one warm-up round outside the timer), printed like

@@ -84,6 +84,9 @@ func (w *Writer) PutBytes(b []byte) {
 	w.buf = append(w.buf, b...)
 }
 
+// PutRaw appends b as it is, with no length prefix.
+func (w *Writer) PutRaw(b []byte) { w.buf = append(w.buf, b...) }
+
 // PutFloat32s appends a length-prefixed float32 slice by bit pattern. The
 // buffer is reserved once up front, so encoding a large tensor costs one
 // reallocation instead of O(log n) whole-buffer copies from per-element
@@ -105,10 +108,13 @@ func (w *Writer) PutInts(vs []int) {
 	}
 }
 
+// TensorLen returns the encoded size of a tensor: what PutTensor appends.
+func TensorLen(t *tensor.Tensor) int { return 8*(2+t.Rank()) + 4*t.Size() }
+
 // PutTensor appends shape and data of a tensor, reserving its exact encoded
 // size first: a Writer that encodes one tensor allocates once.
 func (w *Writer) PutTensor(t *tensor.Tensor) {
-	w.Grow(8*(2+t.Rank()) + 4*t.Size())
+	w.Grow(TensorLen(t))
 	w.PutInts(t.Shape())
 	w.PutFloat32s(t.Data)
 }

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"slices"
+	"strings"
 )
 
 // Container/manifest magics guard against foreign byte streams; the version
@@ -108,9 +109,10 @@ func (m Manifest) Encode() []byte {
 	return w.Bytes()
 }
 
-// checkedReader verifies the CRC trailer of an encoded manifest or container
-// and returns a Reader over the bytes in front of it.
-func checkedReader(data []byte, what string) (*Reader, error) {
+// checked verifies the CRC trailer of an encoded manifest or container and
+// returns the bytes in front of it, for the caller's Reader, which then stays
+// on its stack.
+func checked(data []byte, what string) ([]byte, error) {
 	if len(data) < 8 {
 		return nil, fmt.Errorf("%w: %s too short", ErrCorrupt, what)
 	}
@@ -118,7 +120,7 @@ func checkedReader(data []byte, what string) (*Reader, error) {
 	if sum, _ := NewReader(trailer).Uint64(); uint32(sum) != crc32.ChecksumIEEE(payload) {
 		return nil, fmt.Errorf("%w: %s checksum mismatch", ErrCorrupt, what)
 	}
-	return NewReader(payload), nil
+	return payload, nil
 }
 
 // DecodeManifest parses a manifest encoded by Encode. Every malformed input
@@ -127,7 +129,8 @@ func checkedReader(data []byte, what string) (*Reader, error) {
 // panics or allocates beyond its own length.
 func DecodeManifest(data []byte) (Manifest, error) {
 	var m Manifest
-	r, err := checkedReader(data, "manifest")
+	payload, err := checked(data, "manifest")
+	r := NewReader(payload)
 	if err != nil {
 		return m, err
 	}
@@ -146,20 +149,26 @@ func DecodeManifest(data []byte) (Manifest, error) {
 		return m, fmt.Errorf("%w: manifest entry count %d", ErrCorrupt, n)
 	}
 	m.Entries = make([]ManifestEntry, n)
+	// one string holds every ID: of a well-formed manifest, the bytes left
+	// less 24 per entry are exactly the ID bytes
+	var all strings.Builder
+	all.Grow(r.Remaining() - 24*n)
 	for i := range m.Entries {
 		e := &m.Entries[i]
-		e.ID, _ = r.String()
+		id, _ := r.Bytes()
 		e.Hash, _ = r.Uint64()
 		e.Len, _ = r.Int()
 		if err := r.Err(); err != nil {
 			return m, err
 		}
-		if len(e.ID) == 0 || len(e.ID) > maxShardID {
-			return m, fmt.Errorf("%w: manifest entry id length %d", ErrCorrupt, len(e.ID))
+		if len(id) == 0 || len(id) > maxShardID {
+			return m, fmt.Errorf("%w: manifest entry id length %d", ErrCorrupt, len(id))
 		}
 		if e.Len < 0 || e.Len > maxFrame {
 			return m, fmt.Errorf("%w: manifest entry length %d", ErrCorrupt, e.Len)
 		}
+		all.Write(id)
+		e.ID = all.String()[all.Len()-len(id):]
 	}
 	if r.Remaining() != 0 {
 		return m, fmt.Errorf("%w: %d trailing manifest bytes", ErrCorrupt, r.Remaining())
@@ -181,7 +190,9 @@ func NewShardSet(n int) *ShardSet {
 // a shard whose bytes do not hash to its claimed address is corrupt,
 // whichever peer it came from. Idempotent for identical content. Every shard
 // off a socket or out of a container comes in here; the store keeps data
-// itself, not a copy.
+// itself, not a copy. Stored shards may be capped views of one buffer — a
+// frame read off a socket, the buffer BuildShards encodes into — and that
+// buffer lives as long as any shard of it is held.
 func (s *ShardSet) Add(hash uint64, data []byte) error {
 	if HashBytes(data) != hash {
 		return fmt.Errorf("%w: shard content does not match address %016x", ErrCorrupt, hash)
@@ -281,7 +292,8 @@ func EncodeContainer(m Manifest, s *ShardSet) ([]byte, error) {
 // covers the manifest. Errors wrap ErrCorrupt.
 func DecodeContainer(data []byte) (Manifest, *ShardSet, error) {
 	var m Manifest
-	r, err := checkedReader(data, "container")
+	payload, err := checked(data, "container")
+	r := NewReader(payload)
 	if err != nil {
 		return m, nil, err
 	}

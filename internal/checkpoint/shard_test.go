@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"hash/fnv"
+	"reflect"
 	"testing"
 
 	"repro/internal/rng"
@@ -342,5 +343,28 @@ func BenchmarkPutTensor(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		w := NewWriter()
 		w.PutTensor(src)
+	}
+}
+
+// TestDecodeManifestAllocs: a decoded manifest holds its entries and one
+// string under every ID, whatever the entry count — two allocations for a
+// job's 75 groups, where one string per entry made 76.
+func TestDecodeManifestAllocs(t *testing.T) {
+	var m Manifest
+	for i := range 75 {
+		m.Entries = append(m.Entries, ManifestEntry{ID: ParamShardID(i), Hash: uint64(i) * 0x9E3779B97F4A7C15, Len: 100 + i})
+	}
+	enc := m.Encode()
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := DecodeManifest(enc); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Fatalf("DecodeManifest of %d entries allocates %v objects, want at most 2", len(m.Entries), allocs)
+	}
+	got, err := DecodeManifest(enc)
+	if err != nil || !reflect.DeepEqual(got, m) {
+		t.Fatalf("round trip: %+v, %v", got, err)
 	}
 }

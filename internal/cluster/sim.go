@@ -69,7 +69,9 @@ type AllocSample struct {
 
 // Result summarizes a simulation. AvgJCT and AvgQueue average over the
 // finished jobs; Unstarted counts the jobs that never ran on a GPU, whether
-// queued or not yet arrived when the simulation stopped.
+// queued or not yet arrived when the simulation stopped. Makespan runs from
+// the first arrival to the last finish, or to the tick the simulation
+// stopped on if a job never finished.
 type Result struct {
 	Mode      Mode
 	AvgJCT    float64
@@ -127,9 +129,11 @@ func Simulate(cfg Config, jobs []workload.JobSpec) Result {
 		}
 	}
 	res.Unstarted = len(pending) - next
+	end := 0.0 // the last finish, if every job finished
 	for _, st := range pol.JobStats() {
 		switch {
 		case st.Done:
+			end = max(end, st.FinishSec)
 			res.JCTs[st.ID] = st.FinishSec - st.ArrivalSec
 			res.AvgJCT += res.JCTs[st.ID]
 			res.AvgQueue += st.StartSec - st.ArrivalSec
@@ -142,7 +146,10 @@ func Simulate(cfg Config, jobs []workload.JobSpec) Result {
 		res.AvgJCT /= float64(res.Finished)
 		res.AvgQueue /= float64(res.Finished)
 	}
-	res.Makespan = now - pending[0].ArrivalSec
+	if res.Finished < len(jobs) {
+		end = now // the tick the simulation stopped on
+	}
+	res.Makespan = end - pending[0].ArrivalSec
 	return res
 }
 

@@ -74,3 +74,31 @@ func TestTrainStepAllocRegression(t *testing.T) {
 		})
 	}
 }
+
+// TestBuildShardsAllocsIndependentOfShardCount: BuildShards encodes every
+// group into one buffer, so what it allocates does not grow with the number
+// of shards — neumf's and bert's builds cost the same count, though bert has
+// several times the groups. Each group used to get a buffer of its own.
+func TestBuildShardsAllocsIndependentOfShardCount(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; counts are only meaningful uninstrumented")
+	}
+	allocs := map[string]float64{}
+	groups := map[string]int{}
+	for _, name := range []string{"neumf", "bert"} {
+		j := benchJob(t, name)
+		if err := j.RunSteps(1); err != nil {
+			t.Fatal(err)
+		}
+		m, _ := j.BuildShards()
+		groups[name] = len(m.Entries)
+		allocs[name] = testing.AllocsPerRun(20, func() { j.BuildShards() })
+	}
+	t.Logf("BuildShards allocations: %v for %v groups", allocs, groups)
+	if groups["bert"] < 2*groups["neumf"] {
+		t.Fatalf("bert has %d groups, neumf %d: the comparison needs a spread", groups["bert"], groups["neumf"])
+	}
+	if allocs["bert"] != allocs["neumf"] {
+		t.Fatalf("BuildShards allocates %v objects for neumf and %v for bert: the count grows with the shards", allocs["neumf"], allocs["bert"])
+	}
+}

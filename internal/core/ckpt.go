@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/checkpoint"
 	"repro/internal/comm"
@@ -33,37 +32,48 @@ func newGroupIDs(params, moments, ests int) groupIDs {
 // its bytes; the encoder is deterministic, so unchanged state yields an
 // identical manifest and a peer holding the previous shards needs only
 // Manifest.Diff — the job remembers nothing between calls.
+//
+// The groups fill one buffer of exactly their summed size, in manifest order,
+// and each shard is a capped view of it: the irregular meta and EST groups are
+// sized by encoding them into the job's scratch first.
 func (j *Job) BuildShards() (checkpoint.Manifest, *checkpoint.ShardSet) {
 	params, moments := j.replicas[0].params, j.opt.StateTensors()
-	groups := 1 + len(params) + len(moments) + len(j.ests)
-	set := checkpoint.NewShardSet(groups)
-	m := checkpoint.Manifest{Progress: int64(j.globalStep), Entries: make([]checkpoint.ManifestEntry, 0, groups)}
-	put := func(id string, data []byte) {
-		m.Entries = append(m.Entries, checkpoint.ManifestEntry{ID: id, Hash: set.Put(data), Len: len(data)})
-	}
-	// the store keeps each group's bytes, so each gets a buffer of exactly its
-	// size: PutTensor reserves a tensor's, the irregular meta and EST groups
-	// are encoded in scratch and cloned
-	addTensor := func(id string, t *tensor.Tensor) {
-		var w checkpoint.Writer
-		w.PutTensor(t)
-		put(id, w.Bytes())
-	}
-	var scratch checkpoint.Writer
-
-	j.encodeMetaGroup(&scratch)
-	put(checkpoint.MetaShardID, slices.Clone(scratch.Bytes()))
+	m := checkpoint.Manifest{Progress: int64(j.globalStep), Entries: make([]checkpoint.ManifestEntry, 0, 1+len(params)+len(moments)+len(j.ests))}
+	add := func(id string, n int) { m.Entries = append(m.Entries, checkpoint.ManifestEntry{ID: id, Len: n}) }
+	sc := &j.shardScratch
+	sc.Reset(0)
+	j.encodeMetaGroup(sc)
+	add(checkpoint.MetaShardID, sc.Len())
 	for i, p := range params {
-		addTensor(j.ids.param[i], p.Value)
+		add(j.ids.param[i], checkpoint.TensorLen(p.Value))
 	}
 	for i, mom := range moments {
-		addTensor(j.ids.moment[i], mom)
+		add(j.ids.moment[i], checkpoint.TensorLen(mom))
 	}
+	metaLen := sc.Len()
 	cursors := j.loader.State().NextStep
 	for r, est := range j.ests {
-		scratch.Reset(0)
-		encodeESTGroup(&scratch, est, cursors[r])
-		put(j.ids.est[r], slices.Clone(scratch.Bytes()))
+		start := sc.Len()
+		encodeESTGroup(sc, est, cursors[r])
+		add(j.ids.est[r], sc.Len()-start)
+	}
+
+	var w checkpoint.Writer
+	w.Grow(m.TotalLen())
+	w.PutRaw(sc.Bytes()[:metaLen])
+	for _, p := range params {
+		w.PutTensor(p.Value)
+	}
+	for _, mom := range moments {
+		w.PutTensor(mom)
+	}
+	w.PutRaw(sc.Bytes()[metaLen:])
+	set := checkpoint.NewShardSet(len(m.Entries))
+	buf := w.Bytes()
+	for i := range m.Entries {
+		e := &m.Entries[i]
+		e.Hash = set.Put(buf[:e.Len:e.Len])
+		buf = buf[e.Len:]
 	}
 	return m, set
 }

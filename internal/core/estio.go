@@ -43,22 +43,19 @@ func decodeESTGroup(r *checkpoint.Reader, h checkpoint.ESTHead, est *ESTContext)
 	return r.Int()
 }
 
-// ExportESTContext serializes EST rank's context — the payload of the
+// ExportESTContext appends EST rank's context to w — the payload of the
 // est/NNNN shard: RNG bundle, implicit model state, and data cursor.
-func (j *Job) ExportESTContext(rank int) []byte {
-	var w checkpoint.Writer
-	encodeESTGroup(&w, j.ests[rank], j.loader.State().NextStep[rank])
-	return w.Bytes()
+func (j *Job) ExportESTContext(w *checkpoint.Writer, rank int) {
+	encodeESTGroup(w, j.ests[rank], j.loader.State().NextStep[rank])
 }
 
 // ImportESTContext installs a context exported by the EST's hosting worker,
-// advancing this job's data-loader cursor for that rank to the exported
-// position (materialize-and-discard, bitwise what the host consumed). The
-// rank must match the shard's encoded rank, and the cursor may only move
-// forward.
-func (j *Job) ImportESTContext(data []byte) error {
+// read off r, advancing this job's data-loader cursor for that rank to the
+// exported position (materialize-and-discard, bitwise what the host
+// consumed). The rank must match the shard's encoded rank, and the cursor may
+// only move forward. r is left behind the context, where the next may start.
+func (j *Job) ImportESTContext(r *checkpoint.Reader) error {
 	// the head names the context the rest of the payload decodes into
-	r := checkpoint.NewReader(data)
 	h, err := checkpoint.ReadESTHead(r)
 	if err != nil {
 		return err

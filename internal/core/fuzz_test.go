@@ -65,12 +65,19 @@ func TestRestoreNeverPanicsOnCorruption(t *testing.T) {
 	}
 }
 
+// exportEST returns EST rank's context as ExportESTContext encodes it.
+func exportEST(j *Job, rank int) []byte {
+	var w checkpoint.Writer
+	j.ExportESTContext(&w, rank)
+	return w.Bytes()
+}
+
 // TestESTContextImportRejectsCorruption mirrors the fuzz for the distributed
 // EST-context path.
 func TestESTContextImportRejectsCorruption(t *testing.T) {
 	cfg := testCfg(D1, false, 2)
 	j := runSteps(t, cfg, "vgg19", EvenPlacement(2, device.V100), 2)
-	good := j.ExportESTContext(1)
+	good := exportEST(j, 1)
 
 	f := func(seed uint64) (ok bool) {
 		defer func() {
@@ -87,7 +94,7 @@ func TestESTContextImportRejectsCorruption(t *testing.T) {
 				data[s.Intn(len(data))] ^= byte(1 + s.Intn(255))
 			}
 		}
-		_ = j.ImportESTContext(data) // error or clean apply, never panic
+		_ = j.ImportESTContext(checkpoint.NewReader(data)) // error or clean apply, never panic
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -106,7 +113,7 @@ func TestESTContextRoundTrip(t *testing.T) {
 	for _, st := range b.ests[1].ModelState {
 		st.Fill(0)
 	}
-	if err := b.ImportESTContext(a.ExportESTContext(1)); err != nil {
+	if err := b.ImportESTContext(checkpoint.NewReader(exportEST(a, 1))); err != nil {
 		t.Fatal(err)
 	}
 	sa, sb := a.ests[1], b.ests[1]

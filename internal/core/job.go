@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/checkpoint"
 	"repro/internal/comm"
 	"repro/internal/data"
 	"repro/internal/device"
@@ -28,6 +29,8 @@ type Job struct {
 	sched   optim.LRScheduler
 	ests    []*ESTContext
 	ids     groupIDs // shard group identifiers, see ckpt.go
+	// shardScratch sizes BuildShards' irregular groups
+	shardScratch checkpoint.Writer
 
 	// grads[i] is parameter i's gradient tensor on replica 0 — what the
 	// optimizer reads, and where a step's averaged buckets land.

@@ -331,7 +331,7 @@ func TestCheckpointBytesGolden(t *testing.T) {
 	if h := checkpoint.HashBytes(ckpt); len(ckpt) != 51337 || h != 0x6d160bc802455c79 {
 		t.Fatalf("checkpoint is %d bytes hashing to %#x, want 51337 and 0x6d160bc802455c79", len(ckpt), h)
 	}
-	if h := checkpoint.HashBytes(j.ExportESTContext(0)); h != 0x8beaf6eb836fc9b2 {
+	if h := checkpoint.HashBytes(exportEST(j, 0)); h != 0x8beaf6eb836fc9b2 {
 		t.Fatalf("EST context hashes to %#x, want 0x8beaf6eb836fc9b2", h)
 	}
 }

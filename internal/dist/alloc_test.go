@@ -1,8 +1,10 @@
 package dist
 
 import (
+	"bytes"
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/device"
@@ -26,11 +28,11 @@ func churnSchedule() (core.Config, []Phase) {
 
 // TestChurnOpAllocBudget pins what one live-migrating churn op allocates —
 // objects and bytes, counted by the runtime, no clock involved — at 1.25× the
-// readings taken when the data plane got its per-connection buffers: 16,650
-// objects and 3.2 MB on go1.24 (43,400 and 8.73 MB before; a run in which the
-// collector empties the arena mid-op reads up to 3.35 MB). A frame, gradient
-// or shard path that goes back to allocating per step or per shard costs far
-// more than the margin.
+// readings taken when a boundary dialog got one frame and a shard set one
+// buffer: 5,800 objects and 2.70 MB on go1.24 (9,240 and 2.73 MB before, with
+// a frame and a buffer per shard; 43,400 and 8.73 MB before the data plane got
+// its per-connection buffers). A frame, gradient or shard path that goes back
+// to allocating per step or per shard costs far more than the margin.
 func TestChurnOpAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs seven six-phase elastic jobs")
@@ -39,8 +41,8 @@ func TestChurnOpAllocBudget(t *testing.T) {
 		t.Skip("race-detector instrumentation allocates; counts are only meaningful uninstrumented")
 	}
 	const (
-		maxMallocs = 16650 * 5 / 4
-		maxBytes   = 3200000 * 5 / 4
+		maxMallocs = 5800 * 5 / 4
+		maxBytes   = 2700000 * 5 / 4
 	)
 	cfg, phases := churnSchedule()
 	op := func() {
@@ -66,5 +68,29 @@ func TestChurnOpAllocBudget(t *testing.T) {
 		if leaked := (s.Gets - s.Puts) - (arena.Gets - arena.Puts); leaked != 0 {
 			t.Errorf("run %d: %d arena buffers outstanding after the run", i, leaked)
 		}
+	}
+}
+
+// TestConnFramesAllocateNothing: ReadFrame and WriteFrame on a conn keep the
+// header in the conn and the payload in its buffers, so a steady-state frame
+// allocates nothing. The header used to escape to the heap on every call.
+func TestConnFramesAllocateNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; counts are only meaningful uninstrumented")
+	}
+	loop := &byteConn{}
+	loop.r = &loop.w // what the conn writes, it reads back
+	c := withDeadline(loop, time.Second)
+	payload := bytes.Repeat([]byte{3}, 200)
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := WriteFrame(c, MsgGrads, payload); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := Expect(c, MsgGrads); err != nil || !bytes.Equal(got, payload) {
+			t.Fatalf("frame read back as %d bytes, err %v", len(got), err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a frame written and read on a conn allocates %v objects, want 0", allocs)
 	}
 }

@@ -32,14 +32,16 @@ func resolveTimeout(cfg time.Duration) time.Duration {
 // always does. And it owns the buffers its frames go through, which keep their
 // capacity across frames and phases: rbuf holds the payload of the frame read
 // last (ReadFrame), frame the one being built, header in front, so it leaves
-// in one Write. A steady-state frame costs no allocation and one copy per hop;
-// in return a payload read from a conn is valid only until the next read, and
-// its reader copies what must outlive that. One goroutine uses a conn at a time.
+// in one Write, hdr the header read last. A steady-state frame costs no
+// allocation and one copy per hop; in return a payload read from a conn is
+// valid only until the next read: its reader copies what must outlive that, or
+// adopts the buffer by dropping rbuf. One goroutine uses a conn at a time.
 type conn struct {
 	net.Conn
 	timeout time.Duration
 	rbuf    []byte
 	frame   checkpoint.Writer
+	hdr     [frameHeader]byte
 }
 
 // withDeadline wraps a connection so every Read/Write is bounded by timeout.
@@ -53,8 +55,6 @@ func (c *conn) Read(p []byte) (int, error) {
 	}
 	return c.Conn.Read(p)
 }
-
-func (c *conn) armWrite() error { return c.Conn.SetWriteDeadline(time.Now().Add(c.timeout)) }
 
 func (c *conn) Write(p []byte) (int, error) {
 	if err := c.Conn.SetWriteDeadline(time.Now().Add(c.timeout)); err != nil {

@@ -220,7 +220,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		t.Fatalf("frame round trip: %v %v %q", typ, err, payload)
 	}
 	go func() {
-		WriteFrame(a, MsgDone, nil)
+		WriteFrame(a, MsgShipDone, nil)
 	}()
 	if _, err := Expect(b, MsgGrads); err == nil {
 		t.Fatal("Expect must reject wrong frame type")

@@ -44,7 +44,7 @@ func frameBytes(t MsgType, payload []byte) []byte {
 // length or surface an error.
 func FuzzReadFrame(f *testing.F) {
 	f.Add(frameBytes(MsgHello, []byte("127.0.0.1:9")))
-	f.Add(frameBytes(MsgDone, nil))
+	f.Add(frameBytes(MsgShipDone, nil))
 	f.Add(frameBytes(MsgGrads, bytes.Repeat([]byte{0xAB}, 100)))
 	f.Add(frameBytes(MsgReduced, []byte("x"))[:3]) // truncated mid-header
 	oversize := make([]byte, 5)
@@ -175,6 +175,52 @@ func FuzzDecodeGrads(f *testing.F) {
 				lens[b] = len(bufs[b])
 			}
 			checkDecodeBuckets(t, data, lens)
+		}
+	})
+}
+
+// FuzzDecodeShards: the two shard-dialog payloads off the wire — a hash list
+// (MsgShardNeed, MsgShardGet) and a bulk MsgShard frame answering the seed's
+// list — are rejected with an error when corrupt, never panic, and never accept
+// a strict prefix of what they accept. Their counts are checked against the
+// bytes present before anything is allocated by them (boundeddecode).
+func FuzzDecodeShards(f *testing.F) {
+	set := checkpoint.NewShardSet(0)
+	var hashes []uint64
+	for _, b := range [][]byte{[]byte("meta"), bytes.Repeat([]byte{7}, 40), nil} {
+		hashes = append(hashes, set.Put(b))
+	}
+	var list, frame checkpoint.Writer
+	putHashes(&list, hashes)
+	frame.PutInt(len(hashes))
+	for _, h := range hashes {
+		b, _ := set.Get(h)
+		encodeShard(&frame, h, b)
+	}
+	f.Add(list.Bytes())
+	f.Add(frame.Bytes())
+	f.Add([]byte{})
+	read := func(payload []byte) error {
+		c := withDeadline(&byteConn{r: bytes.NewReader(frameBytes(MsgShard, payload))}, time.Second)
+		return readShards(c, hashes, checkpoint.NewShardSet(0).Add)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if got, err := decodeHashes(data); err == nil {
+			if len(got) > len(data)/8 {
+				t.Fatalf("%d hashes out of %d bytes", len(got), len(data))
+			}
+			for cut := range len(data) {
+				if _, err := decodeHashes(data[:cut]); err == nil {
+					t.Fatalf("hash list: a prefix of %d of %d bytes decoded", cut, len(data))
+				}
+			}
+		}
+		if read(data) == nil {
+			for cut := range len(data) {
+				if read(data[:cut]) == nil {
+					t.Fatalf("shard frame: a prefix of %d of %d bytes decoded", cut, len(data))
+				}
+			}
 		}
 	})
 }

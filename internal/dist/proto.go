@@ -43,11 +43,12 @@ const (
 	MsgGrads
 	// MsgReduced carries the averaged bucket buffers from the leader.
 	MsgReduced
-	// MsgCkpt carries one hosted EST context (follower → leader) for the
-	// end-of-phase checkpoint assembly.
+	// MsgCkpt carries a follower's hosted EST contexts to the leader for the
+	// end-of-phase checkpoint assembly: a count, then the contexts.
 	MsgCkpt
-	// MsgDone closes a follower's EST-context ship.
-	MsgDone
+	// Reserved (was MsgDone): a retired number stays taken, so the frames
+	// after it keep their wire values.
+	_
 	// MsgReject refuses a rendezvous hello (payload: reason string); the
 	// coordinator sends it to a worker whose epoch is stale.
 	MsgReject
@@ -76,11 +77,13 @@ const (
 	MsgManifest
 	// MsgShardNeed lists the content hashes the receiver lacks.
 	MsgShardNeed
-	// MsgShard carries one content-addressed shard: hash + bytes.
+	// MsgShard carries content-addressed shards: a count, then hash and bytes
+	// of each. One frame answers a need list or a MsgShardGet, see sendShards.
 	MsgShard
 	// MsgShipDone closes an incremental shard-ship dialog.
 	MsgShipDone
-	// MsgShardGet requests one shard by content hash from a peer.
+	// MsgShardGet requests shards by content hash from a peer: every hash
+	// that peer serves in one list, MsgShardNeed's layout.
 	MsgShardGet
 
 	// Inference-serving frames (client ↔ serve server, see predict.go).
@@ -112,21 +115,19 @@ func putFrameHeader(hdr []byte, t MsgType, payloadLen int) {
 // Header and payload go out as one net.Buffers, which a TCP connection sends
 // with a single writev: on the serving path a frame is a whole request, so two
 // writes would double the per-request syscall bill (and can emit a 5-byte TCP
-// segment ahead of each payload). A *conn would hide that writev, so its write
-// deadline is armed here, once, and the buffers go to the connection inside
-// it. Frames the runtime encodes itself go through conn.send instead.
+// segment ahead of each payload). A *conn would hide that writev, so its
+// (control-sized) payload is copied into its frame buffer and leaves through
+// conn.send: one deadline arm, one write, no allocation.
 func WriteFrame(c net.Conn, t MsgType, payload []byte) error {
 	if len(payload) > maxFrame {
 		return fmt.Errorf("dist: refusing to write frame of %d bytes (limit %d)", len(payload), maxFrame)
 	}
+	if dc, ok := c.(*conn); ok {
+		dc.begin().PutRaw(payload)
+		return dc.send(t)
+	}
 	var hdr [frameHeader]byte
 	putFrameHeader(hdr[:], t, len(payload))
-	if dc, ok := c.(*conn); ok {
-		if err := dc.armWrite(); err != nil {
-			return fmt.Errorf("dist: write frame: %w", err)
-		}
-		c = dc.Conn
-	}
 	bufs := net.Buffers{hdr[:], payload}
 	if len(payload) == 0 {
 		bufs = bufs[:1] // a write of nothing can block on an unbuffered pipe
@@ -145,7 +146,7 @@ func ReadFrame(c net.Conn) (MsgType, []byte, error) {
 	if !ok {
 		return ReadFrameFrom(c)
 	}
-	t, payload, err := readFrameInto(dc, dc.rbuf)
+	t, payload, err := readFrameInto(dc, dc.hdr[:], dc.rbuf)
 	if err == nil {
 		dc.rbuf = payload
 	}
@@ -156,17 +157,16 @@ func ReadFrame(c net.Conn) (MsgType, []byte, error) {
 // serving request loop) wrap the connection in a bufio.Reader and call this
 // so the 5-byte header read does not cost its own syscall.
 func ReadFrameFrom(c io.Reader) (MsgType, []byte, error) {
-	return readFrameInto(c, nil)
+	return readFrameInto(c, make([]byte, frameHeader), nil)
 }
 
-// readFrameInto receives one frame, using buf's capacity for the payload: a
-// frame that fits is read in place, allocates nothing and aliases buf. One that
-// does not gets a new buffer, grown in bounded chunks as bytes actually arrive,
-// so a corrupt or hostile length header cannot force a huge allocation for
-// data the peer never sends.
-func readFrameInto(c io.Reader, buf []byte) (MsgType, []byte, error) {
-	var hdr [frameHeader]byte
-	if _, err := io.ReadFull(c, hdr[:]); err != nil {
+// readFrameInto receives one frame, its header into hdr, using buf's capacity
+// for the payload: a frame that fits is read in place, allocates nothing and
+// aliases buf. One that does not gets a new buffer, grown in bounded chunks as
+// bytes actually arrive, so a corrupt or hostile length header cannot force a
+// huge allocation for data the peer never sends.
+func readFrameInto(c io.Reader, hdr, buf []byte) (MsgType, []byte, error) {
+	if _, err := io.ReadFull(c, hdr); err != nil {
 		return 0, nil, fmt.Errorf("dist: read header: %w", err)
 	}
 	n := int(binary.LittleEndian.Uint32(hdr[1:]))

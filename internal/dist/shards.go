@@ -1,8 +1,8 @@
 package dist
 
 import (
+	"errors"
 	"fmt"
-	"slices"
 
 	"repro/internal/checkpoint"
 	"repro/internal/core"
@@ -171,13 +171,20 @@ func decodeReconfig(data []byte) (reconfig, error) {
 	return rc, err
 }
 
-// decodeHashes decodes a need list (MsgShardNeed): the content hashes of the
-// manifest entries the receiver lacks.
+// putHashes / decodeHashes carry a hash list: a need list (MsgShardNeed), the
+// content hashes of the manifest entries the receiver lacks, or a MsgShardGet.
+func putHashes(w *checkpoint.Writer, hashes []uint64) {
+	w.PutInt(len(hashes))
+	for _, h := range hashes {
+		w.PutUint64(h)
+	}
+}
+
 func decodeHashes(data []byte) ([]uint64, error) {
 	r := checkpoint.NewReader(data)
 	n, err := r.Int()
-	if err != nil || n < 0 || n > r.Remaining()/8 {
-		return nil, fmt.Errorf("dist: need list declares %d hashes in %d bytes", n, r.Remaining())
+	if err != nil || n < 0 || n != r.Remaining()/8 || r.Remaining()%8 != 0 {
+		return nil, fmt.Errorf("%w: hash list declares %d hashes in %d bytes", checkpoint.ErrCorrupt, n, r.Remaining())
 	}
 	out := make([]uint64, n)
 	for i := range out {
@@ -186,25 +193,100 @@ func decodeHashes(data []byte) ([]uint64, error) {
 	return out, r.Err()
 }
 
-// encodeShard / decodeShard carry one content-addressed shard (MsgShard).
-// The encoder appends the shard to the frame under construction, the decoder
-// returns a view of the payload: neither makes a copy of its own.
+// encodeShard appends one record of a MsgShard frame: a shard's hash and its
+// length-prefixed bytes, copied straight into the frame under construction.
 func encodeShard(w *checkpoint.Writer, hash uint64, data []byte) {
 	w.PutUint64(hash)
 	w.PutBytes(data)
 }
 
-func decodeShard(payload []byte) (uint64, []byte, error) {
-	r := checkpoint.NewReader(payload)
-	h, _ := r.Uint64()
-	b, err := r.Bytes()
-	return h, b, err
+// errNotHeld marks a request for a shard the sender does not hold.
+var errNotHeld = errors.New("dist: shard not held")
+
+// sendShards answers a hash list with the shards of set, in its order, as
+// MsgShard frames of a count and encodeShard records. Each frame is built once,
+// at its exact size, in c's frame buffer; the list is split only where a frame
+// would pass limit (maxFrame).
+func sendShards(c *conn, hashes []uint64, set *checkpoint.ShardSet, limit int) error {
+	for len(hashes) > 0 {
+		n, size := 0, 8 // the count
+		for ; n < len(hashes); n++ {
+			b, ok := set.Get(hashes[n])
+			if !ok {
+				return fmt.Errorf("%w: %016x", errNotHeld, hashes[n])
+			}
+			if n > 0 && size+16+len(b) > limit {
+				break
+			}
+			size += 16 + len(b)
+		}
+		if cap(c.frame.Bytes()) < frameHeader+size { // replaced, not grown by doubling
+			c.frame = checkpoint.Writer{}
+			c.frame.Grow(frameHeader + size)
+		}
+		w := c.begin()
+		w.PutInt(n)
+		for _, h := range hashes[:n] {
+			b, _ := set.Get(h)
+			encodeShard(w, h, b)
+		}
+		if err := c.send(MsgShard); err != nil {
+			return err
+		}
+		hashes = hashes[n:]
+	}
+	return nil
+}
+
+// readShards reads the MsgShard frames answering a request for want and hands
+// each shard to add, in want's order. Counts are checked against the hashes
+// still wanted and the bytes present before any record is read. The shards are
+// capped views of the frames' read buffers, which they adopt: c reads its next
+// frame into a buffer of its own.
+func readShards(c *conn, want []uint64, add func(hash uint64, data []byte) error) error {
+	for got := 0; got < len(want); {
+		t, payload, err := ReadFrame(c)
+		switch {
+		case err != nil:
+			return err
+		case t == MsgReject:
+			return fmt.Errorf("dist: peer rejected shard request: %s", payload)
+		case t != MsgShard:
+			return fmt.Errorf("dist: expected shard frame, got %d", t)
+		}
+		c.rbuf = nil
+		r := checkpoint.NewReader(payload)
+		n, err := r.Int()
+		// a record is at least a hash and a length prefix
+		if err != nil || n < 1 || n > len(want)-got || n > r.Remaining()/16 {
+			return fmt.Errorf("%w: shard frame declares %d of %d shards in %d bytes", checkpoint.ErrCorrupt, n, len(want)-got, r.Remaining())
+		}
+		for range n {
+			h, _ := r.Uint64()
+			b, err := r.Bytes()
+			if err != nil {
+				return fmt.Errorf("dist: shard %016x: %w", h, err)
+			}
+			if h != want[got] { // shards arrive in the order they were asked for
+				return fmt.Errorf("dist: asked for shard %016x, got %016x", want[got], h)
+			}
+			if err := add(h, b); err != nil {
+				return err
+			}
+			got++
+		}
+		if r.Remaining() != 0 {
+			return fmt.Errorf("%w: %d bytes after the last shard", checkpoint.ErrCorrupt, r.Remaining())
+		}
+	}
+	return nil
 }
 
 // shipShards runs the sender side of an incremental shard-ship dialog on
 // conn: offer the manifest, receive the need list, upload exactly the needed
-// shards, close with MsgShipDone. The receiver's need list is what makes the
-// ship incremental — shards it already holds (by content hash) never travel.
+// shards, close with MsgShipDone — four frames, whatever the shard count. The
+// receiver's need list is what makes the ship incremental — shards it already
+// holds (by content hash) never travel.
 func shipShards(c *conn, m checkpoint.Manifest, set *checkpoint.ShardSet) (sent int, err error) {
 	if err := WriteFrame(c, MsgManifest, m.Encode()); err != nil {
 		return 0, err
@@ -217,18 +299,10 @@ func shipShards(c *conn, m checkpoint.Manifest, set *checkpoint.ShardSet) (sent 
 	if err != nil {
 		return 0, err
 	}
-	for _, h := range need {
-		b, ok := set.Get(h)
-		if !ok {
-			return sent, fmt.Errorf("dist: peer needs shard %016x the sender does not hold", h)
-		}
-		encodeShard(c.begin(), h, b)
-		if err := c.send(MsgShard); err != nil {
-			return sent, err
-		}
-		sent++
+	if err := sendShards(c, need, set, maxFrame); err != nil {
+		return 0, err
 	}
-	return sent, WriteFrame(c, MsgShipDone, nil)
+	return len(need), WriteFrame(c, MsgShipDone, nil)
 }
 
 // receiveShards runs the receiver side of an incremental shard-ship dialog:
@@ -236,33 +310,19 @@ func shipShards(c *conn, m checkpoint.Manifest, set *checkpoint.ShardSet) (sent 
 // admit each arriving shard. It returns how many shards it asked for.
 func receiveShards(c *conn, m checkpoint.Manifest, set *checkpoint.ShardSet) (requested int, err error) {
 	missing := set.Missing(m)
-	need := c.begin()
-	need.PutInt(len(missing))
-	for _, e := range missing {
-		need.PutUint64(e.Hash)
+	want := make([]uint64, len(missing))
+	for i, e := range missing {
+		want[i] = e.Hash
 	}
+	putHashes(c.begin(), want)
 	if err := c.send(MsgShardNeed); err != nil {
 		return 0, err
 	}
-	for _, e := range missing {
-		payload, err := Expect(c, MsgShard)
-		if err != nil {
-			return 0, err
-		}
-		h, b, err := decodeShard(payload)
-		if err != nil {
-			return 0, err
-		}
-		if h != e.Hash { // shards arrive in the order they were asked for
-			return 0, fmt.Errorf("dist: asked for shard %016x, got %016x", e.Hash, h)
-		}
-		// the store keeps the shard past the next read on c: its one copy on
-		// the way in, at its exact size, verified as it is admitted
-		if err := set.Add(h, slices.Clone(b)); err != nil {
-			return 0, err
-		}
+	// every shard asked for is in, verified as it was admitted: the store
+	// covers the manifest
+	if err := readShards(c, want, set.Add); err != nil {
+		return 0, err
 	}
-	// every shard asked for is in: the store covers the manifest
 	_, err = Expect(c, MsgShipDone)
-	return len(missing), err
+	return len(want), err
 }

@@ -287,25 +287,23 @@ func leaderSteps(job *core.Job, tr *obs.Tracer, inj *faults.Injector, p core.Pla
 }
 
 // leaderCollectContexts imports every follower's hosted EST contexts (one
-// MsgCkpt frame each, closed by MsgDone) and brings the data loader to the
-// canonical cursor — after it, the leader's job state is the full canonical
-// job state of the global step.
+// MsgCkpt frame each) and brings the data loader to the canonical cursor —
+// after it, the leader's job state is the full canonical job state of the
+// global step.
 func leaderCollectContexts(job *core.Job, followers []follower) error {
 	for _, f := range followers {
-		for {
-			t, payload, err := ReadFrame(f.conn)
-			if err != nil {
-				return err
-			}
-			if t == MsgDone {
-				break
-			}
-			if t != MsgCkpt {
-				return fmt.Errorf("dist: leader expected EST context, got %d", t)
-			}
+		payload, err := Expect(f.conn, MsgCkpt)
+		if err != nil {
+			return err
+		}
+		r := checkpoint.NewReader(payload)
+		if n, err := r.Int(); err != nil || n != len(f.ranks) {
+			return fmt.Errorf("dist: worker %d shipped %d EST contexts for its %d ranks", f.worker, n, len(f.ranks))
+		}
+		for range f.ranks {
 			// ImportESTContext decodes into the job's tensors and keeps
 			// nothing of payload: the read buffer needs no copy
-			if err := job.ImportESTContext(payload); err != nil {
+			if err := job.ImportESTContext(r); err != nil {
 				return err
 			}
 		}
@@ -361,12 +359,13 @@ func followerSteps(job *core.Job, tr *obs.Tracer, inj *faults.Injector, p core.P
 }
 
 // followerShipContexts ships the hosted EST contexts to the leader for
-// checkpoint assembly, closing with MsgDone.
+// checkpoint assembly: one MsgCkpt frame, a count and then the contexts back
+// to back, encoded in place.
 func followerShipContexts(job *core.Job, leader *conn, own []int) error {
+	w := leader.begin()
+	w.PutInt(len(own))
 	for _, r := range own {
-		if err := WriteFrame(leader, MsgCkpt, job.ExportESTContext(r)); err != nil {
-			return err
-		}
+		job.ExportESTContext(w, r)
 	}
-	return WriteFrame(leader, MsgDone, nil)
+	return leader.send(MsgCkpt)
 }

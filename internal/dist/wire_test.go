@@ -2,8 +2,13 @@ package dist
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"net"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -72,10 +77,9 @@ func (c *countingConn) SetWriteDeadline(t time.Time) error { c.arms++; return ni
 // TestFrameWritesArmOneDeadline: a frame is one deadline arm, and on the
 // runtime's own planes one write. WriteFrame used to hand net.Buffers a
 // deadline wrapper, which hides the TCP connection's writev: header and payload
-// went out as two deadline-armed writes. Now it arms once and gives the
-// buffers to the connection inside (one writev on TCP; a stub like this one
-// has no writev, so net.Buffers falls back to a write per buffer there), and
-// a conn sends a frame it built as one contiguous write.
+// went out as two deadline-armed writes. Now WriteFrame copies the payload
+// into the conn's frame buffer, and a conn sends a frame it built as one
+// contiguous write.
 func TestFrameWritesArmOneDeadline(t *testing.T) {
 	payload := bytes.Repeat([]byte{7}, 100)
 
@@ -83,8 +87,8 @@ func TestFrameWritesArmOneDeadline(t *testing.T) {
 	if err := WriteFrame(withDeadline(&a, time.Second), MsgGrads, payload); err != nil {
 		t.Fatal(err)
 	}
-	if a.arms != 1 {
-		t.Fatalf("WriteFrame armed %d write deadlines for one frame, want 1", a.arms)
+	if a.arms != 1 || a.writes != 1 {
+		t.Fatalf("WriteFrame: %d deadline arms and %d writes for one frame, want 1 and 1", a.arms, a.writes)
 	}
 
 	var b countingConn
@@ -107,23 +111,26 @@ func TestFrameWritesArmOneDeadline(t *testing.T) {
 
 // TestReusedFrameBuffersShareNoState: what the data plane decodes out of a
 // connection's read buffer must not change when the next frames overwrite
-// that buffer — gradients are decoded into arena buffers, a shard is copied
-// once into the store.
+// that buffer — gradients are decoded into arena buffers, and the shards of a
+// bulk MsgShard frame keep the buffer they were read into, which the
+// connection gives up. The frame read after the shards is smaller than theirs,
+// so a connection that read it into the same buffer would overwrite them.
 func TestReusedFrameBuffersShareNoState(t *testing.T) {
 	grads := map[int][][]float32{1: {{1, 2, 3}, {4}}, 2: {{5, 6, 7}, {8}}}
 	shards := [][]byte{bytes.Repeat([]byte("first shard "), 20), bytes.Repeat([]byte("second shard "), 20)}
 	var m checkpoint.Manifest
 	var stream bytes.Buffer
 	stream.Write(frameBytes(MsgGrads, gradsPayload(0, grads, []int{1, 2})))
+	var w checkpoint.Writer
+	w.PutInt(len(shards))
 	for i, b := range shards {
 		h := checkpoint.HashBytes(b)
 		m.Entries = append(m.Entries, checkpoint.ManifestEntry{ID: checkpoint.ESTShardID(i), Hash: h, Len: len(b)})
-		var w checkpoint.Writer
 		encodeShard(&w, h, b)
-		stream.Write(frameBytes(MsgShard, w.Bytes()))
 	}
+	stream.Write(frameBytes(MsgShard, w.Bytes()))
 	stream.Write(frameBytes(MsgShipDone, nil))
-	stream.Write(frameBytes(MsgCkpt, bytes.Repeat([]byte{0xFF}, 1024)))
+	stream.Write(frameBytes(MsgCkpt, bytes.Repeat([]byte{0xFF}, 64)))
 
 	fc := withDeadline(&byteConn{r: &stream}, time.Second)
 	payload, err := Expect(fc, MsgGrads)
@@ -154,8 +161,12 @@ func TestReusedFrameBuffersShareNoState(t *testing.T) {
 		}
 	}
 	for i, want := range shards {
-		if got, ok := set.Get(m.Entries[i].Hash); !ok || !bytes.Equal(got, want) {
+		got, ok := set.Get(m.Entries[i].Hash)
+		if !ok || !bytes.Equal(got, want) {
 			t.Fatalf("shard %d changed under the read buffer", i)
+		}
+		if cap(got) != len(got) {
+			t.Fatalf("shard %d is a view with %d bytes of room behind it; an append would reach the next shard", i, cap(got)-len(got))
 		}
 	}
 }
@@ -239,5 +250,226 @@ func TestReconfigCorruptionNeverPanics(t *testing.T) {
 			bad[s.Intn(len(bad))] ^= byte(1 + s.Intn(255))
 			decodeReconfig(bad)
 		}
+	}
+}
+
+// frameTypes parses a recorded byte stream back into its frames' types.
+func frameTypes(t *testing.T, stream []byte) []MsgType {
+	t.Helper()
+	var types []MsgType
+	for r := bytes.NewReader(stream); r.Len() > 0; {
+		typ, _, err := ReadFrameFrom(r)
+		if err != nil {
+			t.Fatalf("recorded stream: %v", err)
+		}
+		types = append(types, typ)
+	}
+	return types
+}
+
+// tapConn records every byte read from and written to a connection.
+type tapConn struct {
+	net.Conn
+	mu      sync.Mutex
+	in, out bytes.Buffer
+}
+
+func (c *tapConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.mu.Lock()
+	c.in.Write(p[:n])
+	c.mu.Unlock()
+	return n, err
+}
+
+func (c *tapConn) Write(p []byte) (int, error) {
+	c.mu.Lock()
+	c.out.Write(p)
+	c.mu.Unlock()
+	return c.Conn.Write(p)
+}
+
+// TestShipDialogIsFourFrames: a directory ship of a whole bert job — 75
+// groups, of which 28 distinct shards before the first step — is one
+// manifest, one need list, one shard frame and the close, where a frame per
+// shard made up to 78; the directory ends up holding every shard, each a
+// capped view.
+func TestShipDialogIsFourFrames(t *testing.T) {
+	job, err := core.NewJob(distCfg(4), "bert")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, set := job.BuildShards()
+	a, b := net.Pipe()
+	defer a.Close()
+	defer b.Close()
+	tap := &tapConn{Conn: a}
+	shipped := make(chan error, 1)
+	go func() {
+		_, err := shipShards(withDeadline(tap, 5*time.Second), m, set)
+		shipped <- err
+	}()
+	recv := withDeadline(b, 5*time.Second)
+	raw, err := Expect(recv, MsgManifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	offered, err := checkpoint.DecodeManifest(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := checkpoint.NewShardSet(0)
+	if n, err := receiveShards(recv, offered, dir); err != nil || n != set.Len() {
+		t.Fatalf("receiveShards asked for %d of %d shards, err %v", n, set.Len(), err)
+	}
+	if err := <-shipped; err != nil {
+		t.Fatal(err)
+	}
+	sent, got := frameTypes(t, tap.out.Bytes()), frameTypes(t, tap.in.Bytes())
+	if !slices.Equal(sent, []MsgType{MsgManifest, MsgShard, MsgShipDone}) || !slices.Equal(got, []MsgType{MsgShardNeed}) {
+		t.Fatalf("ship dialog sent frames %v and received %v", sent, got)
+	}
+	for _, e := range m.Entries {
+		if b, ok := dir.Get(e.Hash); !ok || len(b) != e.Len || cap(b) != e.Len {
+			t.Fatalf("directory holds shard %q as %d bytes of capacity %d, want %d", e.ID, len(b), cap(b), e.Len)
+		}
+	}
+}
+
+// TestShardFramesSplitOnlyAtTheLimit: a hash list is answered in as few
+// frames as the limit allows, in order, a shard larger than the limit
+// travelling alone, and what arrives is every shard asked for.
+func TestShardFramesSplitOnlyAtTheLimit(t *testing.T) {
+	set := checkpoint.NewShardSet(0)
+	var hashes []uint64
+	for _, n := range []int{10, 20, 30, 200, 5, 6} {
+		hashes = append(hashes, set.Put(bytes.Repeat([]byte{byte(n)}, n)))
+	}
+	// frames of at most 100 payload bytes: a count, then 16 + len per shard
+	var out byteConn
+	if err := sendShards(withDeadline(&out, time.Second), hashes, set, 100); err != nil {
+		t.Fatal(err)
+	}
+	var counts []int
+	for r := bytes.NewReader(out.w.Bytes()); r.Len() > 0; {
+		typ, payload, err := ReadFrameFrom(r)
+		if err != nil || typ != MsgShard {
+			t.Fatalf("frame %d: type %d, err %v", len(counts), typ, err)
+		}
+		n, _ := checkpoint.NewReader(payload).Int()
+		counts = append(counts, n)
+	}
+	// 8+26+36 = 70 leaves no room for the third (46); the 200-byte shard
+	// passes the limit on its own; the two small ones share the last frame
+	if want := []int{2, 1, 1, 2}; !slices.Equal(counts, want) {
+		t.Fatalf("shards per frame %v, want %v", counts, want)
+	}
+	in := withDeadline(&byteConn{r: bytes.NewReader(out.w.Bytes())}, time.Second)
+	got := checkpoint.NewShardSet(0)
+	if err := readShards(in, hashes, got.Add); err != nil || got.Len() != len(hashes) {
+		t.Fatalf("read back %d of %d shards, err %v", got.Len(), len(hashes), err)
+	}
+	if err := sendShards(withDeadline(&out, time.Second), []uint64{12345}, set, 100); !errors.Is(err, errNotHeld) {
+		t.Fatalf("asking for a shard the set lacks: %v, want errNotHeld", err)
+	}
+}
+
+// TestCorruptShardRecordNamesItsAddress: inside a bulk frame, a record whose
+// bytes were changed, or whose length runs past the frame, fails the receive
+// with checkpoint.ErrCorrupt and the address of that record.
+func TestCorruptShardRecordNamesItsAddress(t *testing.T) {
+	shards := [][]byte{[]byte("the first shard"), []byte("the second shard")}
+	var m checkpoint.Manifest
+	var w checkpoint.Writer
+	w.PutInt(len(shards))
+	for i, b := range shards {
+		h := checkpoint.HashBytes(b)
+		m.Entries = append(m.Entries, checkpoint.ManifestEntry{ID: checkpoint.ESTShardID(i), Hash: h, Len: len(b)})
+		encodeShard(&w, h, b)
+	}
+	good := w.Bytes()
+	second := m.Entries[1].Hash
+	flipped := slices.Clone(good)
+	flipped[len(flipped)-1] ^= 1
+	// the second record's length prefix sits 8 bytes behind its hash
+	overrun := slices.Clone(good)
+	binary.LittleEndian.PutUint64(overrun[8+16+len(shards[0])+8:], 1<<20)
+	for name, payload := range map[string][]byte{"flipped byte": flipped, "overrunning length": overrun} {
+		fc := withDeadline(&byteConn{r: bytes.NewReader(frameBytes(MsgShard, payload))}, time.Second)
+		_, err := receiveShards(fc, m, checkpoint.NewShardSet(0))
+		if !errors.Is(err, checkpoint.ErrCorrupt) || !strings.Contains(err.Error(), fmt.Sprintf("%016x", second)) {
+			t.Errorf("%s: %v, want checkpoint.ErrCorrupt naming shard %016x", name, err, second)
+		}
+	}
+}
+
+// tapListener records what the connections it accepts read.
+type tapListener struct {
+	net.Listener
+	mu    sync.Mutex
+	conns []*tapConn
+}
+
+func (l *tapListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	tc := &tapConn{Conn: c}
+	l.mu.Lock()
+	l.conns = append(l.conns, tc)
+	l.mu.Unlock()
+	return tc, nil
+}
+
+// TestJoinerFetchIsOneRequestPerPeer: a joiner restoring a whole bert job off
+// two peers sends each exactly one MsgShardGet, listing every hash that peer
+// serves, and assembles every shard of the manifest.
+func TestJoinerFetchIsOneRequestPerPeer(t *testing.T) {
+	job, err := core.NewJob(distCfg(4), "bert")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, set := job.BuildShards()
+	var addrs []string
+	var taps []*tapListener
+	for range 2 {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		tap := &tapListener{Listener: ln}
+		peer := &worker{ln: tap, timeout: 5 * time.Second, helloCh: make(chan helloConn, 1), pubSet: set}
+		go peer.serve()
+		addrs, taps = append(addrs, ln.Addr().String()), append(taps, tap)
+	}
+	sources := make([]int, len(m.Entries))
+	for i := range sources {
+		sources[i] = i % 2
+	}
+	joiner := &worker{timeout: 5 * time.Second}
+	got, err := joiner.fetchShards(m, sources, addrs, func(checkpoint.ManifestEntry) bool { return true }, 1)
+	joiner.closeDataPlane()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range m.Entries {
+		if b, ok := got.Get(e.Hash); !ok || len(b) != e.Len {
+			t.Fatalf("joiner lacks shard %q", e.ID)
+		}
+	}
+	for i, tap := range taps {
+		tap.mu.Lock()
+		if len(tap.conns) != 1 {
+			t.Fatalf("peer %d accepted %d connections, want 1", i, len(tap.conns))
+		}
+		c := tap.conns[0]
+		tap.mu.Unlock()
+		c.mu.Lock()
+		if types := frameTypes(t, c.in.Bytes()); !slices.Equal(types, []MsgType{MsgShardGet}) {
+			t.Errorf("peer %d received frames %v, want one MsgShardGet", i, types)
+		}
+		c.mu.Unlock()
 	}
 }

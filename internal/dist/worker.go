@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"slices"
@@ -147,16 +148,6 @@ func (w *worker) publish(set *checkpoint.ShardSet) {
 	w.mu.Unlock()
 }
 
-// lookup resolves a content hash against the published snapshot.
-func (w *worker) lookup(hash uint64) ([]byte, bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.pubSet == nil {
-		return nil, false
-	}
-	return w.pubSet.Get(hash)
-}
-
 // closeDataPlane shuts every kept gradient-plane and shard-fetch connection,
 // on worker exit.
 func (w *worker) closeDataPlane() {
@@ -208,23 +199,18 @@ func (w *worker) serveConn(c *conn) {
 			}
 			return
 		case MsgShardGet:
-			r := checkpoint.NewReader(payload)
-			hash, err := r.Uint64()
+			hashes, err := decodeHashes(payload)
 			if err != nil {
 				c.Close()
 				return
 			}
-			b, ok := w.lookup(hash)
-			if !ok {
-				if WriteFrame(c, MsgReject, []byte(fmt.Sprintf("shard %016x not held", hash))) != nil {
-					c.Close()
-					return
-				}
-				continue
-			}
-			// built straight from the published snapshot's immutable bytes
-			encodeShard(c.begin(), hash, b)
-			if c.send(MsgShard) != nil {
+			// built straight from the published snapshot's immutable bytes;
+			// nothing writes a published set, so it is read unlocked
+			w.mu.Lock()
+			set := w.pubSet
+			w.mu.Unlock()
+			err = sendShards(c, hashes, set, maxFrame)
+			if err != nil && (!errors.Is(err, errNotHeld) || WriteFrame(c, MsgReject, []byte(err.Error())) != nil) {
 				c.Close()
 				return
 			}
@@ -295,9 +281,9 @@ func (w *worker) adoptFollowers(p core.Placement, stayed bool) error {
 
 // fetchShards performs the parallel multi-peer fetch: the wanted manifest
 // entries, grouped by their source peer, are pulled over one connection per
-// peer concurrently, verified against their content addresses, and merged
-// into one store. want filters the manifest (joiners take everything,
-// stayers only their migrating EST shards).
+// peer concurrently — one request and one reply each — verified against their
+// content addresses, and merged into one store. want filters the manifest
+// (joiners take everything, stayers only their migrating EST shards).
 func (w *worker) fetchShards(m checkpoint.Manifest, sources []int, peers []string, want func(checkpoint.ManifestEntry) bool, jitterSeed uint64) (*checkpoint.ShardSet, error) {
 	perPeer := make([][]uint64, len(peers))
 	seen := map[uint64]bool{}
@@ -310,7 +296,7 @@ func (w *worker) fetchShards(m checkpoint.Manifest, sources []int, peers []strin
 	}
 
 	var wg sync.WaitGroup
-	shards, errs := make([]map[uint64][]byte, len(peers)), make([]error, len(peers))
+	shards, errs := make([][][]byte, len(peers)), make([]error, len(peers))
 	for pi, hashes := range perPeer {
 		if len(hashes) == 0 {
 			continue
@@ -323,13 +309,13 @@ func (w *worker) fetchShards(m checkpoint.Manifest, sources []int, peers []strin
 	}
 	wg.Wait()
 
-	set := checkpoint.NewShardSet(0)
+	set := checkpoint.NewShardSet(len(seen))
 	for pi, got := range shards {
 		if errs[pi] != nil {
 			return nil, fmt.Errorf("dist: fetch from peer %d (%s): %w", pi, peers[pi], errs[pi])
 		}
-		for h, b := range got {
-			if err := set.Add(h, b); err != nil {
+		for i, b := range got {
+			if err := set.Add(perPeer[pi][i], b); err != nil {
 				return nil, err
 			}
 		}
@@ -341,7 +327,7 @@ func (w *worker) fetchShards(m checkpoint.Manifest, sources []int, peers []strin
 // preferring a cached connection from an earlier boundary. A stale cached
 // connection (idle past the peer's serve deadline, or the peer departed)
 // fails fast and falls back to a fresh dial.
-func (w *worker) fetchFromPeer(addr string, hashes []uint64, jitterSeed uint64) (map[uint64][]byte, error) {
+func (w *worker) fetchFromPeer(addr string, hashes []uint64, jitterSeed uint64) ([][]byte, error) {
 	if c := w.peerConn(addr); c != nil {
 		out, err := requestShards(c, hashes)
 		if err == nil {
@@ -364,36 +350,19 @@ func (w *worker) fetchFromPeer(addr string, hashes []uint64, jitterSeed uint64) 
 }
 
 // requestShards runs the MsgShardGet dialog for a hash list on one
-// connection, verifying every answer against its content address.
-func requestShards(c *conn, hashes []uint64) (map[uint64][]byte, error) {
-	out := make(map[uint64][]byte, len(hashes))
-	for _, h := range hashes {
-		c.begin().PutUint64(h)
-		if err := c.send(MsgShardGet); err != nil {
-			return nil, err
-		}
-		t, payload, err := ReadFrame(c)
-		if err != nil {
-			return nil, err
-		}
-		if t == MsgReject {
-			return nil, fmt.Errorf("dist: peer rejected shard %016x: %s", h, payload)
-		}
-		if t != MsgShard {
-			return nil, fmt.Errorf("dist: expected shard frame, got %d", t)
-		}
-		gotHash, b, err := decodeShard(payload)
-		if err != nil {
-			return nil, err
-		}
-		if gotHash != h {
-			return nil, fmt.Errorf("dist: peer answered shard %016x with %016x", h, gotHash)
-		}
-		// the shard outlives the next read on c: its one copy on the way in,
-		// at its exact size (fetchShards verifies it against h)
-		out[h] = slices.Clone(b)
+// connection: one request, answered by the shards in the list's order, each a
+// view of the reply frame (fetchShards verifies them against their hashes).
+func requestShards(c *conn, hashes []uint64) ([][]byte, error) {
+	putHashes(c.begin(), hashes)
+	if err := c.send(MsgShardGet); err != nil {
+		return nil, err
 	}
-	return out, nil
+	out := make([][]byte, 0, len(hashes))
+	err := readShards(c, hashes, func(_ uint64, b []byte) error {
+		out = append(out, b)
+		return nil
+	})
+	return out, err
 }
 
 // RunWorker executes one worker process: rendezvous with the coordinator
@@ -425,6 +394,7 @@ func RunWorker(spec WorkerSpec) error {
 		ln:      ln,
 		timeout: timeout,
 		helloCh: make(chan helloConn, 64),
+		pubSet:  checkpoint.NewShardSet(0),
 	}
 	defer w.closeDataPlane()
 	go w.serve()
@@ -568,7 +538,7 @@ func (w *worker) reconfigure(job *core.Job, rc reconfig, inj *faults.Injector, c
 					if !ok {
 						return nil, fmt.Errorf("dist: migration fetch missed shard %q", e.ID)
 					}
-					if err := job.ImportESTContext(b); err != nil {
+					if err := job.ImportESTContext(checkpoint.NewReader(b)); err != nil {
 						return nil, err
 					}
 				}
@@ -629,7 +599,7 @@ func (w *worker) runPhase(job *core.Job, rc reconfig, inj *faults.Injector, ctrl
 	} else {
 		// reuse the kept leader connection when both endpoints survived the
 		// boundary: the previous phase drained it fully (the leader read
-		// through this follower's MsgDone), so the stream is at a frame
+		// this follower's MsgCkpt), so the stream is at a frame
 		// boundary and the first MsgGrads of the new phase is unambiguous.
 		// Only a real dial passes the Dial fault site.
 		leader := w.leaderConn

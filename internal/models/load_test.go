@@ -60,7 +60,9 @@ func TestServableMatchesTrainedJob(t *testing.T) {
 			if st, ok := s.Net.(nn.Stateful); ok {
 				// Load restores virtual rank 0's replica: the state tensors of
 				// the trained job's EST 0 context, bit for bit
-				r := checkpoint.NewReader(j.ExportESTContext(0))
+				var w checkpoint.Writer
+				j.ExportESTContext(&w, 0)
+				r := checkpoint.NewReader(w.Bytes())
 				h, err := checkpoint.ReadESTHead(r)
 				sts := st.StateTensors()
 				if err != nil || h.States != len(sts) {
