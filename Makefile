@@ -21,14 +21,14 @@
 #   make bench-check — vet and toy-size test the frozen benchmark module
 #                  (cmd/bench is its own module; nothing else compiles it)
 #   make loc     — non-test Go and assembly lines per package and in total
-#   make prof    — CPU profile of 3,000 train_conv steps (resnet50 on
-#                  V100+P100, kc-8 D2 kernels) into prof/, printed as the top
-#                  40 lines by cumulative share, then the top 25 by flat
-#                  share; not part of check
-#   make prof-churn — the same two views for 300 churn_live ops (dist's
+#   make prof    — CPU and memory profile of 3,000 train_conv steps
+#                  (resnet50 on V100+P100, kc-8 D2 kernels) into prof/,
+#                  printed as the top 40 lines by cumulative share, the top
+#                  25 by flat share, then the top 25 allocation sites by
+#                  objects allocated; not part of check
+#   make prof-churn — the same three views for 300 churn_live ops (dist's
 #                  BenchmarkChurnLive: a live-migrating bert run over
-#                  loopback, five scale events per op), plus a memory
-#                  profile printed by objects allocated; not part of check
+#                  loopback, five scale events per op); not part of check
 #   make prof-serve — the same two views for 3,000,000 serve_sat requests
 #                  (serve's BenchmarkServeSaturated: 64 closed-loop callers
 #                  on two tiny models, MaxBatch 32); not part of check
@@ -141,19 +141,22 @@ loc:
 		for (d in dirs) printf "%7d %6d  %s\n", g[d], asm[d], d | "sort -k3"; close("sort -k3"); \
 		printf "%7d %6d  total\n", tg, ta }'
 
-# CPU profile of 3,000 resnet50 steps: core's BenchmarkTrainConvStep (100
-# warm-up steps outside the timer) under -cpuprofile, with the test binary
-# kept beside it for pprof; the cumulative view, then the flat one
+# CPU and memory profile of 3,000 resnet50 steps: core's
+# BenchmarkTrainConvStep (100 warm-up steps outside the timer) under
+# -cpuprofile and -memprofile, with the test binary kept beside them for
+# pprof; the cumulative view, the flat one, then the top 25 allocation sites
+# by objects allocated (a steady-state step allocates none, so what shows is
+# the job's setup and warm-up)
 prof:
 	@mkdir -p prof
-	$(GO) test -run '^$$' -bench '^BenchmarkTrainConvStep$$' -benchtime 3000x \
-		-o prof/core.test -cpuprofile prof/train_conv.cpu ./internal/core
+	$(GO) test -run '^$$' -bench '^BenchmarkTrainConvStep$$' -benchtime 3000x -benchmem \
+		-o prof/core.test -cpuprofile prof/train_conv.cpu -memprofile prof/train_conv.mem ./internal/core
 	$(GO) tool pprof -top -cum prof/core.test prof/train_conv.cpu 2>/dev/null | head -40
 	$(GO) tool pprof -top prof/core.test prof/train_conv.cpu 2>/dev/null | sed -n '/flat%/,$$p' | head -26
+	$(GO) tool pprof -sample_index=alloc_objects -top prof/core.test prof/train_conv.mem 2>/dev/null | sed -n '/flat%/,$$p' | head -26
 
 # CPU and memory profile of 300 churn_live ops: dist's BenchmarkChurnLive
-# (one warm-up op outside the timer), printed like prof, then the top 25
-# allocation sites by objects allocated
+# (one warm-up op outside the timer), printed like prof
 prof-churn:
 	@mkdir -p prof
 	$(GO) test -run '^$$' -bench '^BenchmarkChurnLive$$' -benchtime 300x -benchmem \

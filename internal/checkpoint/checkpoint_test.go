@@ -149,7 +149,10 @@ func TestRNGStateRoundTrip(t *testing.T) {
 	if got != st {
 		t.Fatal("RNG state round trip mismatch")
 	}
-	if rng.Restore(got).Uint64() != rng.Restore(st).Uint64() {
+	var a, b rng.Stream
+	a.SetState(got)
+	b.SetState(st)
+	if a.Uint64() != b.Uint64() {
 		t.Fatal("restored streams diverge")
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/checkpoint"
 	"repro/internal/comm"
@@ -11,19 +12,34 @@ import (
 	"repro/internal/tensor"
 )
 
-// groupIDs is a job's table of indexed group identifiers, formatted once when
-// the job is built: BuildShards and restore name a hundred groups per call.
+// groupIDs is a job's table of indexed group identifiers: BuildShards and
+// restore name a hundred groups per call.
 type groupIDs struct{ param, moment, est []string }
 
+// idTables holds every group ID formatted so far, per kind. The i-th ID of a
+// kind is the same string in every job, so a job's table is a prefix of the
+// shared one and only the first job of a size formats anything.
+var idTables struct {
+	sync.Mutex
+	param, moment, est []string
+}
+
 func newGroupIDs(params, moments, ests int) groupIDs {
-	table := func(id func(int) string, n int) []string {
-		ids := make([]string, n)
-		for i := range ids {
-			ids[i] = id(i)
+	t := &idTables
+	t.Lock()
+	defer t.Unlock()
+	table := func(tbl *[]string, id func(int) string, n int) []string {
+		if have := len(*tbl); have < n {
+			grown := make([]string, n)
+			copy(grown, *tbl)
+			for i := have; i < n; i++ {
+				grown[i] = id(i)
+			}
+			*tbl = grown
 		}
-		return ids
+		return (*tbl)[:n:n]
 	}
-	return groupIDs{table(checkpoint.ParamShardID, params), table(checkpoint.MomentShardID, moments), table(checkpoint.ESTShardID, ests)}
+	return groupIDs{table(&t.param, checkpoint.ParamShardID, params), table(&t.moment, checkpoint.MomentShardID, moments), table(&t.est, checkpoint.ESTShardID, ests)}
 }
 
 // BuildShards cuts the job's full checkpoint state into content-addressed
@@ -51,10 +67,9 @@ func (j *Job) BuildShards() (checkpoint.Manifest, *checkpoint.ShardSet) {
 		add(j.ids.moment[i], checkpoint.TensorLen(mom))
 	}
 	metaLen := sc.Len()
-	cursors := j.loader.State().NextStep
 	for r, est := range j.ests {
 		start := sc.Len()
-		encodeESTGroup(sc, est, cursors[r])
+		encodeESTGroup(sc, est, j.loader.Cursor(r))
 		add(j.ids.est[r], sc.Len()-start)
 	}
 
@@ -98,15 +113,20 @@ func (j *Job) encodeMetaGroup(w *checkpoint.Writer) {
 		w.PutInt(-1)
 	}
 
-	// data loader extra state
-	ls := j.loader.State()
-	w.PutInt(ls.Epoch)
-	w.PutInts(ls.NextStep)
-	w.PutInt(len(ls.Streams))
-	for _, row := range ls.Streams {
-		w.PutInt(len(row))
-		for _, st := range row {
-			w.PutRNGState(st)
+	// data loader extra state, read off the loader as data.State lays it
+	// out: the epoch, the cursors (as PutInts writes them), then each EST's
+	// row of virtual worker streams
+	l := j.loader
+	w.PutInt(l.Epoch())
+	w.PutInt(len(j.ests))
+	for r := range j.ests {
+		w.PutInt(l.Cursor(r))
+	}
+	w.PutInt(len(j.ests))
+	for r := range j.ests {
+		w.PutInt(l.WorkersPerEST)
+		for k := range l.WorkersPerEST {
+			w.PutRNGState(l.StreamState(r, k))
 		}
 	}
 
@@ -325,7 +345,7 @@ func (j *Job) Scale(p Placement) error {
 	*j = *nj
 	j.SetTracer(tr)
 	j.bind(p, devs, allocMB)
-	j.obs.decision("core.scale", placementDetail(p), int64(len(p.Devices)), int64(j.globalStep))
+	j.obs.decision("core.scale", &p, int64(len(p.Devices)), int64(j.globalStep))
 	j.obs.runSpan(obs.CatPhase, "core.scale", t0, int64(len(p.Devices)), int64(j.globalStep))
 	return nil
 }
@@ -348,7 +368,7 @@ func (j *Job) ScaleLive(p Placement) error {
 	}
 	j.Detach()
 	j.bind(p, devs, allocMB)
-	j.obs.decision("core.scale-live", placementDetail(p), int64(len(p.Devices)), int64(j.globalStep))
+	j.obs.decision("core.scale-live", &p, int64(len(p.Devices)), int64(j.globalStep))
 	j.obs.runSpan(obs.CatPhase, "core.scale-live", t0, int64(len(p.Devices)), int64(j.globalStep))
 	return nil
 }

@@ -46,7 +46,7 @@ func decodeESTGroup(r *checkpoint.Reader, h checkpoint.ESTHead, est *ESTContext)
 // ExportESTContext appends EST rank's context to w — the payload of the
 // est/NNNN shard: RNG bundle, implicit model state, and data cursor.
 func (j *Job) ExportESTContext(w *checkpoint.Writer, rank int) {
-	encodeESTGroup(w, j.ests[rank], j.loader.State().NextStep[rank])
+	encodeESTGroup(w, j.ests[rank], j.loader.Cursor(rank))
 }
 
 // ImportESTContext installs a context exported by the EST's hosting worker,
@@ -75,7 +75,7 @@ func (j *Job) advanceCursor(rank, cursor int) error {
 	if cursor < 0 || cursor > j.sampler.StepsPerEpoch() {
 		return fmt.Errorf("core: EST %d cursor %d out of range", rank, cursor)
 	}
-	if have := j.loader.State().NextStep[rank]; cursor < have {
+	if have := j.loader.Cursor(rank); cursor < have {
 		return fmt.Errorf("core: EST %d cursor %d behind local position %d", rank, cursor, have)
 	}
 	j.loader.AdvanceTo(rank, cursor)

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/device"
 	"repro/internal/kernels"
@@ -136,5 +137,30 @@ func TestRunStepPanicReachesCaller(t *testing.T) {
 		if msg, _ := got.(string); !strings.Contains(msg, tc.wantEST+" consuming step") {
 			t.Fatalf("width %d, skewed %v: recovered %v, want the loader's %s panic", tc.width, tc.skewed, got, tc.wantEST)
 		}
+	}
+}
+
+// TestFanOutLeavesNoGoroutine: the fan-out's goroutines are started per step
+// and have all returned once RunStep has, so 50 width-2 steps leave the
+// goroutine count where it was. A goroutine that has signalled the join may
+// still be unwinding for an instant, so the count gets a second to settle;
+// a pool of workers kept alive between steps never would.
+func TestFanOutLeavesNoGoroutine(t *testing.T) {
+	defer kernels.SetParallelism(0)
+	kernels.SetParallelism(2)
+	j := mustJob(t, testCfg(D1, true, 4), "neumf", EvenPlacement(4, device.V100, device.P100))
+	if err := j.RunStep(); err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	if err := j.RunSteps(50); err != nil {
+		t.Fatal(err)
+	}
+	after := runtime.NumGoroutine()
+	for deadline := time.Now().Add(time.Second); after != before && time.Now().Before(deadline); after = runtime.NumGoroutine() {
+		time.Sleep(time.Millisecond)
+	}
+	if after != before {
+		t.Fatalf("%d goroutines before 50 width-2 steps, %d after", before, after)
 	}
 }

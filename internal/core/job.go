@@ -38,8 +38,12 @@ type Job struct {
 
 	// replicas[i] is what GPU i of a placement computes on; replicas[0]
 	// wraps Workload and always exists, the rest grow on demand and live as
-	// long as the job (see replica.go).
+	// long as the job (see replica.go). fan is what RunStep runs them on
+	// when they compute at once.
 	replicas []*replica
+	fan      *fanOut
+	// gradSets is RunStep's list of gradient sets, kept between steps
+	gradSets [][]*tensor.Tensor
 
 	// live physical attachment
 	placement Placement
@@ -81,7 +85,8 @@ func NewJob(cfg Config, workloadName string) (*Job, error) {
 	j.sampler = data.NewElasticSampler(w.Dataset.Len(), cfg.NumESTs, cfg.BatchPerEST, cfg.Seed)
 	j.loader = data.NewLoader(w.Dataset, j.sampler, cfg.DataWorkersPerEST, cfg.Seed)
 
-	j.replicas = []*replica{newReplica(w.Net, w.Loss)}
+	batch := append([]int{cfg.BatchPerEST}, w.Dataset.InputShape()...)
+	j.replicas = []*replica{newReplica(w.Net, w.Loss, batch, pool.NewScope())}
 	params := j.replicas[0].params
 	sizes := make([]int, len(params))
 	j.grads = make([]*tensor.Tensor, len(params))
@@ -212,7 +217,7 @@ func (j *Job) bind(p Placement, devs []*device.Device, allocMB []float64) {
 	j.devices = append([]*device.Device(nil), devs...)
 	j.allocMB = allocMB
 	j.attached = true
-	j.obs.decision("core.attach", placementDetail(p), int64(len(p.Devices)), int64(j.Cfg.NumESTs))
+	j.obs.decision("core.attach", &p, int64(len(p.Devices)), int64(j.Cfg.NumESTs))
 }
 
 // Detach releases the GPUs (the job state remains resumable).
@@ -220,7 +225,7 @@ func (j *Job) Detach() {
 	if !j.attached {
 		return
 	}
-	j.obs.decision("core.detach", "", int64(len(j.devices)), int64(j.globalStep))
+	j.obs.decision("core.detach", nil, int64(len(j.devices)), int64(j.globalStep))
 	for i, d := range j.devices {
 		d.Free(j.allocMB[i])
 	}
@@ -253,7 +258,8 @@ func (j *Job) localStep(rep *replica, est *ESTContext, dev *device.Device, lastO
 		o.countSwitch()
 	}
 
-	x, labels := j.loader.Batch(j.step, est.VirtualRank)
+	x, labels := tensor.NewScopedUninit(ctx.Scratch, rep.batch...), rep.labels
+	j.loader.BatchInto(x, labels, j.step, est.VirtualRank)
 
 	for _, p := range rep.params {
 		p.ZeroGrad()
@@ -451,19 +457,17 @@ func (j *Job) RunStep() error {
 	}
 
 	// gradient synchronization
-	var sets [][]*tensor.Tensor
+	sets := j.gradSets[:0]
 	if j.Cfg.Level >= D1 {
 		// constant virtual communication ranks: the ring is always the
 		// logical world, regardless of physical placement
-		sets = make([][]*tensor.Tensor, j.Cfg.NumESTs)
-		for r, est := range j.ests {
-			sets[r] = est.Gradients
+		for _, est := range j.ests {
+			sets = append(sets, est.Gradients)
 		}
 	} else {
 		// physical topology: each worker locally accumulates its ESTs'
 		// gradients in hosting order, then the ring spans the workers
-		sets = make([][]*tensor.Tensor, len(j.placement.Assignment))
-		for wi, ranks := range j.placement.Assignment {
+		for _, ranks := range j.placement.Assignment {
 			acc := make([]*tensor.Tensor, len(j.grads))
 			for pi := range acc {
 				acc[pi] = j.ests[ranks[0]].Gradients[pi].CloneScoped(j.stepScratch)
@@ -471,10 +475,12 @@ func (j *Job) RunStep() error {
 					acc[pi].AddInPlace(j.ests[r].Gradients[pi])
 				}
 			}
-			sets[wi] = acc
+			sets = append(sets, acc)
 		}
 	}
 	buckets := j.ddp.ReduceBuckets(sets, j.Cfg.NumESTs)
+	clear(sets) // drop the D0 accumulators, which ReleaseAll reclaims
+	j.gradSets = sets
 	j.stepScratch.ReleaseAll()
 	j.finishStep(buckets)
 	for _, buf := range buckets {

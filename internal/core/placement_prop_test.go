@@ -22,7 +22,8 @@ func TestPlacementInvarianceProperty(t *testing.T) {
 		workers := s.Intn(4) + 1
 		p := Placement{}
 		// arbitrary grouping: shuffled ranks dealt round-robin to workers
-		perm := s.Perm(4)
+		perm := []int{0, 1, 2, 3}
+		s.ShuffleInts(perm)
 		p.Assignment = make([][]int, workers)
 		for i, r := range perm {
 			w := i % workers

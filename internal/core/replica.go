@@ -27,11 +27,15 @@ type replica struct {
 	// ctx is the context of the replica's local steps: one replica runs on
 	// one goroutine, so localStep refreshes its device and RNG per EST.
 	ctx nn.Context
+	// batch is the shape of one EST's input, [BatchPerEST, item...], and
+	// labels its label buffer: localStep draws the input from ctx.Scratch.
+	batch  []int
+	labels []int
 }
 
-func newReplica(net nn.Layer, loss models.LossFn) *replica {
-	r := &replica{net: net, loss: loss, params: net.Params()}
-	r.ctx = nn.Context{Training: true, Scratch: pool.NewScope()}
+func newReplica(net nn.Layer, loss models.LossFn, batch []int, scratch *pool.Scope) *replica {
+	r := &replica{net: net, loss: loss, params: net.Params(), batch: batch, labels: make([]int, batch[0])}
+	r.ctx = nn.Context{Training: true, Scratch: scratch}
 	if st, ok := net.(nn.Stateful); ok {
 		r.state = st.StateTensors()
 	}
@@ -42,13 +46,22 @@ func newReplica(net nn.Layer, loss models.LossFn) *replica {
 // workload's network built again without its datasets, its weights then
 // aliased to replica 0's; whatever its own buffers were initialized to is
 // overwritten by the first EST switched into it.
+//
+// Replica 0 borrows its scratch from the arena and hands it back there, where
+// the next job or a distributed worker's successor finds it; it is the only
+// replica a one-GPU job or a distributed worker has. The replicas grown here
+// exist to compute beside it, and their scopes keep what a local step
+// released for the next: with one arena for all, a phase preempted while its
+// activations were out made the other draw a second set, so what a fanned-out
+// step allocated hung on how the phases interleaved on the Ps. Now only
+// replica 0 draws activations from the arena, the same every step.
 func (j *Job) growReplicas(n int) error {
 	for len(j.replicas) < n {
 		net, loss, err := models.BuildNet(j.Workload.Name, j.Cfg.Seed)
 		if err != nil {
 			return err
 		}
-		r := newReplica(net, loss)
+		r := newReplica(net, loss, j.replicas[0].batch, pool.NewKeepingScope())
 		for i, p := range r.params {
 			p.Value = j.replicas[0].params[i].Value
 		}
@@ -63,7 +76,8 @@ func (j *Job) growReplicas(n int) error {
 // always belongs to goroutine wi mod width, and every result lands in a slot
 // indexed by virtual rank (lastLosses, estTimes, est.Gradients), so neither
 // the width nor which GPU finishes first can reach the bits: the reduce that
-// follows the join reads the slots in constant rank order.
+// follows the join reads the slots in constant rank order. Every goroutine
+// has returned before runLocalPhases does.
 //
 // A panic inside a local phase is carried back to the caller: each goroutine
 // recovers, and the lowest worker index's value is re-raised after the join.
@@ -79,34 +93,70 @@ func (j *Job) runLocalPhases() error {
 			j.localPhase(wi, j.replicas[wi])
 		}
 	} else {
-		panics := make([]any, n)
-		share := func(g int) {
-			wi := g
-			defer func() {
-				if p := recover(); p != nil {
-					panics[wi] = p
-				}
-			}()
-			for ; wi < n; wi += width {
-				j.localPhase(wi, j.replicas[wi])
-			}
-		}
-		var wg sync.WaitGroup
-		wg.Add(width - 1)
+		f := j.fanOut(n, width)
+		f.wg.Add(width - 1)
 		for g := 1; g < width; g++ {
-			go func(g int) {
-				defer wg.Done()
-				share(g)
-			}(g)
+			go f.body[g]()
 		}
-		share(0)
-		wg.Wait()
-		for _, p := range panics {
+		f.share(0)
+		f.wg.Wait()
+		for wi, p := range f.panics {
 			if p != nil {
+				clear(f.panics[wi:])
 				panic(p)
 			}
 		}
 	}
 	j.obs.runSpan(obs.CatStep, "core.local-phases", t0, int64(n), int64(width))
 	return nil
+}
+
+// fanOut is what a fanned-out step runs on, built once per job, GPU count
+// and width, so that a step only starts its goroutines: body[g] runs
+// goroutine g's share and signals wg, and panics[wi] holds what worker wi's
+// local phase raised.
+type fanOut struct {
+	j        *Job
+	n, width int
+	wg       sync.WaitGroup
+	at       []int // at[g] is the worker goroutine g is running
+	panics   []any
+	body     []func()
+}
+
+// fanOut returns the job's fan-out for n GPUs at width, building it when the
+// placement or the width changed, or when it belongs to another Job value
+// (Scale overwrites *j), whose replicas its bodies would run.
+func (j *Job) fanOut(n, width int) *fanOut {
+	if f := j.fan; f != nil && f.j == j && f.n == n && f.width == width {
+		return f
+	}
+	f := &fanOut{j: j, n: n, width: width, at: make([]int, width), panics: make([]any, n), body: make([]func(), width)}
+	for g := range f.body {
+		f.body[g] = func() {
+			defer f.wg.Done()
+			f.share(g)
+		}
+	}
+	j.fan = f
+	return f
+}
+
+// share runs goroutine g's workers, g, g+width, …, in order, and stops at
+// the first that panics.
+//
+//easyscale:hotpath
+func (f *fanOut) share(g int) {
+	defer f.recover(g)
+	for wi := g; wi < f.n; wi += f.width {
+		f.at[g] = wi
+		f.j.localPhase(wi, f.j.replicas[wi])
+	}
+}
+
+// recover records a panic of goroutine g's current worker.
+func (f *fanOut) recover(g int) {
+	if p := recover(); p != nil {
+		f.panics[f.at[g]] = p
+	}
 }

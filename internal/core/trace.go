@@ -110,15 +110,15 @@ func (o *jobObs) countSwitch() {
 }
 
 // decision records a placement decision event on the scheduling track —
-// the "why this placement" log. Cold path: detail may allocate.
-func (o *jobObs) decision(name, detail string, a0, a1 int64) {
+// the "why this placement" log. Its detail renders p, if given, and only
+// when a tracer is attached.
+func (o *jobObs) decision(name string, p *Placement, a0, a1 int64) {
 	if o == nil {
 		return
 	}
+	detail := ""
+	if p != nil {
+		detail = fmt.Sprintf("devices=%v assignment=%v", p.Devices, p.Assignment)
+	}
 	o.tr.Event(o.schedTrack, obs.CatSched, name, detail, a0, a1)
-}
-
-// placementDetail renders a placement for the decision log.
-func placementDetail(p Placement) string {
-	return fmt.Sprintf("devices=%v assignment=%v", p.Devices, p.Assignment)
 }

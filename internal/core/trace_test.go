@@ -6,7 +6,6 @@ import (
 	"repro/internal/device"
 	"repro/internal/kernels"
 	"repro/internal/obs"
-	"repro/internal/pool"
 )
 
 // tracedElasticHash runs the same two-phase elastic schedule (2 V100 → 1
@@ -148,9 +147,9 @@ func TestSetTracerDetaches(t *testing.T) {
 }
 
 // TestTrainStepAllocRegressionTraced re-runs the steady-state allocation
-// bound of TestTrainStepAllocRegression with the job tracer attached and the
-// same bounds: the enabled hot path writes into pre-allocated rings and must
-// not add a single steady-state allocation.
+// bound of TestTrainStepAllocRegression with the job tracer attached, on the
+// same jobs and the same bound: the enabled hot path writes into
+// pre-allocated rings and must not add a single steady-state allocation.
 func TestTrainStepAllocRegressionTraced(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation regression needs steady-state warmup")
@@ -158,26 +157,15 @@ func TestTrainStepAllocRegressionTraced(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; counts are only meaningful uninstrumented")
 	}
-	for name, bound := range stepAllocBounds {
-		t.Run(name, func(t *testing.T) {
-			j := benchJob(t, name)
+	defer kernels.SetParallelism(0)
+	kernels.SetParallelism(2)
+	for _, tc := range stepAllocCases {
+		t.Run(tc.name, func(t *testing.T) {
+			j := benchJobOn(t, tc.model, tc.gpus...)
 			tr := obs.New(obs.WithRingCap(1 << 16))
 			j.SetTracer(tr)
-			if err := j.RunSteps(2); err != nil {
-				t.Fatal(err)
-			}
-			before := pool.Stats()
-			avg := testing.AllocsPerRun(3, func() {
-				if err := j.RunStep(); err != nil {
-					t.Fatal(err)
-				}
-			})
-			after := pool.Stats()
-			if avg > bound {
-				t.Fatalf("traced steady-state allocs/step = %.0f, want <= %.0f", avg, bound)
-			}
-			if leaked := (after.Gets - after.Puts) - (before.Gets - before.Puts); leaked != 0 {
-				t.Fatalf("arena leak: %d buffers outstanding", leaked)
+			if avg := stepAllocs(t, j); avg > stepAllocBound {
+				t.Fatalf("traced steady-state allocs/step = %.2f, want <= %d", avg, stepAllocBound)
 			}
 			// the run must actually have been traced
 			total := 0

@@ -184,6 +184,19 @@ func TestSamplerValidation(t *testing.T) {
 	}
 }
 
+// snapshot reads the loader's whole State, as a checkpoint does.
+func (l *Loader) snapshot() State {
+	st := State{Epoch: l.Epoch(), NextStep: make([]int, l.Sampler.World), Streams: make([][]rng.State, l.Sampler.World)}
+	for r := range st.Streams {
+		st.NextStep[r] = l.Cursor(r)
+		st.Streams[r] = make([]rng.State, l.WorkersPerEST)
+		for j := range st.Streams[r] {
+			st.Streams[r][j] = l.StreamState(r, j)
+		}
+	}
+	return st
+}
+
 func newLoader(world, batch, k int) *Loader {
 	ds := imgDS()
 	s := NewElasticSampler(ds.Len(), world, batch, 42)
@@ -291,8 +304,71 @@ func TestLoaderConcurrentRanksBitwiseEqualsSerial(t *testing.T) {
 			}
 		}
 	}
-	if !reflect.DeepEqual(l.State(), ref.State()) {
+	if !reflect.DeepEqual(l.snapshot(), ref.snapshot()) {
 		t.Fatal("loader state after concurrent consumption differs from serial")
+	}
+}
+
+// TestBatchIntoEqualsBatch: BatchInto fills a caller's tensor and labels
+// with the bits Batch returns — materialized in place, copied off the
+// prefetch queue, across an epoch rollover, and after a mid-epoch Restore
+// with batches still pending — and, with the epoch's permutation built,
+// allocates nothing when it materializes.
+func TestBatchIntoEqualsBatch(t *testing.T) {
+	const world, batch = 2, 4
+	ref, into := newLoader(world, batch, 2), newLoader(world, batch, 2)
+	x, labels := tensor.New(batch, 1, 6, 6), make([]int, batch)
+	steps := ref.Sampler.StepsPerEpoch()
+	for epoch := 0; epoch < 2; epoch++ {
+		if epoch > 0 {
+			ref.SetEpoch(epoch)
+			into.SetEpoch(epoch)
+		}
+		for step := 0; step < steps; step++ {
+			switch step {
+			case 2: // rank 0 of into draws off its queue, rank 1 of ref
+				into.Prefetch(0, 5)
+				ref.Prefetch(1, 3)
+			case steps / 2: // restore into from itself, rank 0's queue not yet drained
+				into.Prefetch(0, 3)
+				st := into.snapshot()
+				into = newLoader(world, batch, 2)
+				into.Restore(st)
+			}
+			for r := 0; r < world; r++ {
+				want, wantLabels := ref.Batch(step, r)
+				into.BatchInto(x, labels, step, r)
+				if !x.Equal(want) || !reflect.DeepEqual(labels, wantLabels) {
+					t.Fatalf("epoch %d step %d rank %d: BatchInto differs from Batch", epoch, step, r)
+				}
+			}
+		}
+	}
+	if !reflect.DeepEqual(into.snapshot(), ref.snapshot()) {
+		t.Fatal("loader state after BatchInto differs from Batch's")
+	}
+	into.SetEpoch(2)
+	step := 0
+	if a := testing.AllocsPerRun(5, func() {
+		into.BatchInto(x, labels, step, 0)
+		step++
+	}); a != 0 {
+		t.Fatalf("BatchInto allocates %v objects per batch, want 0", a)
+	}
+}
+
+// TestEpochRolloverInPlace: once a loader has rolled over twice, a rollover
+// reseeds the worker streams and reshuffles the sampler's permutation in the
+// memory the earlier epochs used.
+func TestEpochRolloverInPlace(t *testing.T) {
+	l := newLoader(4, 2, 3)
+	l.SetEpoch(1)
+	epoch := 2
+	if a := testing.AllocsPerRun(5, func() {
+		l.SetEpoch(epoch)
+		epoch++
+	}); a != 0 {
+		t.Fatalf("SetEpoch allocates %v objects, want 0", a)
 	}
 }
 
@@ -325,7 +401,7 @@ func TestLoaderStateRoundTripMidEpoch(t *testing.T) {
 	}
 	// run prefetches ahead, then checkpoints
 	run.Prefetch(0, 3)
-	st := run.State()
+	st := run.snapshot()
 
 	// reference continues uninterrupted
 	for step := 3; step < 6; step++ {
@@ -352,7 +428,7 @@ func TestLoaderStateRoundTripMidEpoch(t *testing.T) {
 
 func TestLoaderRestoreValidation(t *testing.T) {
 	l := newLoader(2, 4, 2)
-	st := l.State()
+	st := l.snapshot()
 	bad := newLoader(3, 4, 2)
 	defer func() {
 		if recover() == nil {

@@ -27,8 +27,9 @@ type Dataset interface {
 	InputShape() []int
 	// NumClasses returns the label arity.
 	NumClasses() int
-	// Sample materializes item i into dst (of InputShape size) and returns
-	// its label. If aug is non-nil, data augmentation draws from it.
+	// Sample materializes item i into dst (of InputShape size), writing
+	// every element, and returns its label. If aug is non-nil, data
+	// augmentation draws from it.
 	Sample(i int, dst []float32, aug *rng.Stream) int
 }
 
@@ -252,17 +253,28 @@ func (s *Slice) Sample(i int, dst []float32, aug *rng.Stream) int {
 	return s.Base.Sample(s.Start+i, dst, aug)
 }
 
-// MaterializeBatch fills a batch tensor and label slice from dataset indices,
-// drawing augmentation randomness from aug in index order. The draw order is
-// part of the training semantics: it must match across elastic restarts.
+// MaterializeBatch returns a new batch tensor and label slice filled from
+// dataset indices: MaterializeInto into memory of its own.
 func MaterializeBatch(ds Dataset, indices []int, aug *rng.Stream) (*tensor.Tensor, []int) {
 	var buf [4]int
-	shape := append(append(buf[:0], len(indices)), ds.InputShape()...)
-	x := tensor.New(shape...)
+	x := tensor.New(append(append(buf[:0], len(indices)), ds.InputShape()...)...)
 	labels := make([]int, len(indices))
-	itemSz := x.Size() / len(indices)
+	MaterializeInto(x, labels, ds, indices, aug)
+	return x, labels
+}
+
+// MaterializeInto fills x (one item per index, every element written) and
+// labels (one per index) from dataset indices, drawing augmentation
+// randomness from aug in index order. The draw order is part of the training
+// semantics: it must match across elastic restarts.
+//
+//easyscale:hotpath
+func MaterializeInto(x *tensor.Tensor, labels []int, ds Dataset, indices []int, aug *rng.Stream) {
+	itemSz := tensor.Numel(ds.InputShape())
+	if x.Size() != len(indices)*itemSz || len(labels) != len(indices) {
+		panic("data: MaterializeInto destination does not fit the batch")
+	}
 	for bi, idx := range indices {
 		labels[bi] = ds.Sample(idx, x.Data[bi*itemSz:(bi+1)*itemSz], aug)
 	}
-	return x, labels
 }

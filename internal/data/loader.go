@@ -20,10 +20,10 @@ import (
 //
 // Operationally, batches may be prefetched ahead of training; the queuing
 // buffer records each pending batch's pre-materialization RNG state so an
-// on-demand checkpoint can capture exactly the not-yet-consumed work. State()
-// returns, per virtual worker, the state as of the first pending batch (or
-// the live state when nothing is pending): restoring it and re-materializing
-// reproduces the same batches bitwise.
+// on-demand checkpoint can capture exactly the not-yet-consumed work.
+// StreamState returns, per virtual worker, the state as of the first pending
+// batch (or the live state when nothing is pending): restoring it and
+// re-materializing reproduces the same batches bitwise.
 type Loader struct {
 	DS            Dataset
 	Sampler       *ElasticSampler
@@ -37,8 +37,8 @@ type Loader struct {
 	// batches concurrently (core.Job.RunStep does). Everything else on a
 	// Loader wants the ranks quiescent.
 
-	// virtual worker streams: [world][K]
-	streams [][]*rng.Stream
+	// virtual worker streams: [world][K], reseeded in place every epoch
+	streams [][]rng.Stream
 	// queuing buffer: pending[r] holds EST r's prefetched, unconsumed
 	// batches in step order, starting at nextStep[r]
 	pending [][]*prepared
@@ -58,7 +58,12 @@ func NewLoader(ds Dataset, sampler *ElasticSampler, workersPerEST int, seed uint
 	if workersPerEST <= 0 {
 		panic("data: WorkersPerEST must be positive")
 	}
-	l := &Loader{DS: ds, Sampler: sampler, WorkersPerEST: workersPerEST, Seed: seed}
+	w := sampler.World
+	l := &Loader{DS: ds, Sampler: sampler, WorkersPerEST: workersPerEST, Seed: seed,
+		streams: make([][]rng.Stream, w), pending: make([][]*prepared, w), nextStep: make([]int, w)}
+	for r := range l.streams {
+		l.streams[r] = make([]rng.Stream, workersPerEST)
+	}
 	l.SetEpoch(0)
 	return l
 }
@@ -66,32 +71,45 @@ func NewLoader(ds Dataset, sampler *ElasticSampler, workersPerEST int, seed uint
 // SetEpoch reseeds all virtual worker streams for the epoch and resets the
 // consumption cursors, matching per-epoch DataLoader worker reseeding. It
 // also primes the sampler's epoch permutation, so every later Indices call
-// of the epoch is a pure read.
+// of the epoch is a pure read. Stream j of EST r is named
+// "dw-e<epoch>-r<r>-j<j>"; the name is hashed piece by piece, and every
+// stream is reseeded in place.
 func (l *Loader) SetEpoch(epoch int) {
-	l.epoch = epoch
-	l.Sampler.Prime(epoch)
-	w := l.Sampler.World
-	l.streams = make([][]*rng.Stream, w)
-	for r := 0; r < w; r++ {
-		l.streams[r] = make([]*rng.Stream, l.WorkersPerEST)
-		for j := 0; j < l.WorkersPerEST; j++ {
-			l.streams[r][j] = rng.NewNamed(l.Seed, fmt.Sprintf("dw-e%d-r%d-j%d", epoch, r, j))
+	l.reset(epoch)
+	dw := rng.NameOf("dw-e").Int(epoch).Str("-r")
+	for r, row := range l.streams {
+		wr := dw.Int(r).Str("-j")
+		for j := range row {
+			row[j] = wr.Int(j).Stream(l.Seed)
 		}
 	}
-	l.pending = make([][]*prepared, w)
-	l.nextStep = make([]int, w)
+	clear(l.nextStep)
+}
+
+// reset installs epoch and empties the queuing buffer.
+func (l *Loader) reset(epoch int) {
+	l.epoch = epoch
+	l.Sampler.Prime(epoch)
+	for r, q := range l.pending {
+		clear(q)
+		l.pending[r] = q[:0]
+	}
 }
 
 func (l *Loader) worker(step int) int { return step % l.WorkersPerEST }
 
-// materialize produces the batch for (step, rank), advancing the owning
-// virtual worker stream.
-func (l *Loader) materialize(step, rank int) *prepared {
-	s := l.streams[rank][l.worker(step)]
-	pre := s.State()
-	idx := l.Sampler.Indices(l.epoch, step, rank)
-	x, labels := MaterializeBatch(l.DS, idx, s)
-	return &prepared{x: x, labels: labels, preState: pre}
+// materializeInto fills x and labels with the batch for (step, rank),
+// advancing the owning virtual worker stream.
+//
+//easyscale:hotpath
+func (l *Loader) materializeInto(x *tensor.Tensor, labels []int, step, rank int) {
+	MaterializeInto(x, labels, l.DS, l.Sampler.Indices(l.epoch, step, rank), &l.streams[rank][l.worker(step)])
+}
+
+// newBatch allocates a batch and its labels for one EST.
+func (l *Loader) newBatch() (*tensor.Tensor, []int) {
+	var buf [4]int
+	return tensor.New(append(append(buf[:0], l.Sampler.Batch), l.DS.InputShape()...)...), make([]int, l.Sampler.Batch)
 }
 
 // Prefetch materializes batches for EST `rank` up to `ahead` steps beyond the
@@ -103,27 +121,47 @@ func (l *Loader) Prefetch(rank, ahead int) {
 		limit = max
 	}
 	for step := l.nextStep[rank] + len(l.pending[rank]); step < limit; step++ {
-		l.pending[rank] = append(l.pending[rank], l.materialize(step, rank))
+		p := &prepared{preState: l.streams[rank][l.worker(step)].State()}
+		p.x, p.labels = l.newBatch()
+		l.materializeInto(p.x, p.labels, step, rank)
+		l.pending[rank] = append(l.pending[rank], p)
 	}
 }
 
-// Batch returns the mini-batch of EST `rank` at `step`. ESTs consume their
-// steps strictly in order. Safe for concurrent calls on distinct ranks.
+// Batch returns the mini-batch of EST `rank` at `step` in a new tensor and
+// label slice: BatchInto into memory of its own.
 func (l *Loader) Batch(step, rank int) (*tensor.Tensor, []int) {
+	x, labels := l.newBatch()
+	l.BatchInto(x, labels, step, rank)
+	return x, labels
+}
+
+// BatchInto fills x (of shape [Batch, InputShape...]) and labels (of length
+// Batch) with the mini-batch of EST `rank` at `step`, copying a prefetched
+// batch or materializing it in place. ESTs consume their steps strictly in
+// order. Safe for concurrent calls on distinct ranks.
+//
+//easyscale:hotpath
+func (l *Loader) BatchInto(x *tensor.Tensor, labels []int, step, rank int) {
 	if step != l.nextStep[rank] {
 		panic(fmt.Sprintf("data: EST %d consuming step %d, expected %d (in-order consumption)", rank, step, l.nextStep[rank]))
 	}
-	var p *prepared
 	if len(l.pending[rank]) > 0 {
-		p = l.popPending(rank)
+		p := l.popPending(rank)
+		if x.Size() != p.x.Size() || len(labels) != len(p.labels) {
+			panic("data: BatchInto destination does not fit the batch")
+		}
+		copy(x.Data, p.x.Data)
+		copy(labels, p.labels)
 	} else {
-		p = l.materialize(step, rank)
+		l.materializeInto(x, labels, step, rank)
 	}
 	l.nextStep[rank]++
-	return p.x, p.labels
 }
 
 // popPending dequeues EST rank's oldest prefetched batch.
+//
+//easyscale:hotpath
 func (l *Loader) popPending(rank int) *prepared {
 	q := l.pending[rank]
 	p := q[0]
@@ -137,14 +175,20 @@ func (l *Loader) popPending(rank int) *prepared {
 // to the canonical position before checkpointing: materialization advances
 // the virtual worker streams exactly as the hosting worker's did.
 func (l *Loader) AdvanceTo(rank, step int) {
+	if l.nextStep[rank] >= step {
+		return
+	}
+	x, labels := l.newBatch()
 	for l.nextStep[rank] < step {
-		l.Batch(l.nextStep[rank], rank)
+		l.BatchInto(x, labels, l.nextStep[rank], rank)
 	}
 }
 
 // State is the checkpointable loader state: the paper's "extra states" —
 // epoch, per-EST consumption cursor, and the virtual worker RNG states rolled
-// back to the first pending (prefetched, unconsumed) batch.
+// back to the first pending (prefetched, unconsumed) batch. A checkpoint reads
+// it off the loader field by field, with Epoch, Cursor and StreamState, and
+// Restore installs it.
 type State struct {
 	Epoch    int
 	NextStep []int
@@ -152,28 +196,23 @@ type State struct {
 	Streams [][]rng.State
 }
 
-// State snapshots the loader, honoring the queuing buffer: a pending batch's
-// pre-materialization state supersedes the live stream state so that restore
-// re-produces the pending batches bitwise.
-func (l *Loader) State() State {
-	st := State{Epoch: l.epoch, NextStep: append([]int(nil), l.nextStep...)}
-	st.Streams = make([][]rng.State, len(l.streams))
-	for r := range l.streams {
-		st.Streams[r] = make([]rng.State, l.WorkersPerEST)
-		for j := range l.streams[r] {
-			st.Streams[r][j] = l.streams[r][j].State()
-		}
-		// The first pending step owned by each virtual worker carries the
-		// state to roll back to.
-		rolled := make([]bool, l.WorkersPerEST)
-		for i, p := range l.pending[r] {
-			if j := l.worker(l.nextStep[r] + i); !rolled[j] {
-				st.Streams[r][j] = p.preState
-				rolled[j] = true
-			}
-		}
+// Epoch returns State's Epoch: the epoch the loader draws from.
+func (l *Loader) Epoch() int { return l.epoch }
+
+// Cursor returns State's NextStep[rank]: the next step EST rank consumes.
+func (l *Loader) Cursor(rank int) int { return l.nextStep[rank] }
+
+// StreamState returns State's Streams[rank][j]: the state of virtual worker j
+// of EST rank before the first pending batch it owns, or its live state when
+// it owns none, so that a restore re-produces the pending batches bitwise.
+func (l *Loader) StreamState(rank, j int) rng.State {
+	// pending[rank][i] is step nextStep+i, so worker j's first is at the
+	// least i ≥ 0 with nextStep+i ≡ j (mod K)
+	k := l.WorkersPerEST
+	if i := ((j-l.nextStep[rank])%k + k) % k; i < len(l.pending[rank]) {
+		return l.pending[rank][i].preState
 	}
-	return st
+	return l.streams[rank][j].State()
 }
 
 // Restore rebuilds loader position from a snapshot; pending prefetches are
@@ -182,20 +221,18 @@ func (l *Loader) Restore(st State) {
 	if len(st.NextStep) != l.Sampler.World || len(st.Streams) != l.Sampler.World {
 		panic("data: Restore with mismatched world size")
 	}
-	l.epoch = st.Epoch
-	l.Sampler.Prime(st.Epoch)
-	l.nextStep = append([]int(nil), st.NextStep...)
-	l.streams = make([][]*rng.Stream, len(st.Streams))
 	for r := range st.Streams {
 		if len(st.Streams[r]) != l.WorkersPerEST {
 			panic("data: Restore with mismatched WorkersPerEST")
 		}
-		l.streams[r] = make([]*rng.Stream, l.WorkersPerEST)
-		for j := range st.Streams[r] {
-			l.streams[r][j] = rng.Restore(st.Streams[r][j])
+	}
+	l.reset(st.Epoch)
+	copy(l.nextStep, st.NextStep)
+	for r, row := range st.Streams {
+		for j, s := range row {
+			l.streams[r][j].SetState(s)
 		}
 	}
-	l.pending = make([][]*prepared, len(st.Streams))
 }
 
 // Worker-pool launch cost model for the data-worker sharing experiment

@@ -24,6 +24,9 @@ type ElasticSampler struct {
 
 	permEpoch int
 	perm      []int
+	// prev is the permutation before perm: the next epoch's is shuffled
+	// into it, so a view of the last epoch outlives one epoch change.
+	prev []int
 }
 
 // NewElasticSampler validates the geometry and builds the sampler.
@@ -40,11 +43,20 @@ func NewElasticSampler(n, world, batch int, seed uint64) *ElasticSampler {
 // StepsPerEpoch returns the number of global steps per epoch.
 func (s *ElasticSampler) StepsPerEpoch() int { return s.N / (s.World * s.Batch) }
 
-// permutation returns the cached epoch permutation.
+// permutation returns the cached epoch permutation. A new epoch's is the
+// identity shuffled by the epoch's stream, built in the older of the two
+// buffers.
 func (s *ElasticSampler) permutation(epoch int) []int {
 	if s.permEpoch != epoch {
+		s.perm, s.prev = s.prev, s.perm
+		if len(s.perm) != s.N {
+			s.perm = make([]int, s.N)
+		}
+		for i := range s.perm {
+			s.perm[i] = i
+		}
 		st := rng.Indexed(s.Seed, "sampler-epoch-", epoch)
-		s.perm = st.Perm(s.N)
+		st.ShuffleInts(s.perm)
 		s.permEpoch = epoch
 	}
 	return s.perm
@@ -57,8 +69,9 @@ func (s *ElasticSampler) Prime(epoch int) { s.permutation(epoch) }
 
 // Indices returns the dataset indices of EST `rank` at global step `step` of
 // `epoch`. The result is a pure function of its arguments. It is a read-only
-// view of the cached epoch permutation: callers must not write through it,
-// and its capacity is clipped, so appending to it copies.
+// view of the cached epoch permutation, valid until the permutations of two
+// other epochs have been built: callers must not write through it, and its
+// capacity is clipped, so appending to it copies.
 func (s *ElasticSampler) Indices(epoch, step, rank int) []int {
 	if rank < 0 || rank >= s.World {
 		panic(fmt.Sprintf("data: rank %d out of world %d", rank, s.World))

@@ -112,17 +112,27 @@ func Get(n int) []float32 {
 // classes, and all buffers while the arena is disabled, are dropped for the
 // garbage collector to reclaim.
 func Put(buf []float32) {
-	c := cap(buf)
-	if c == 0 || c&(c-1) != 0 || disabled.Load() {
-		return // not one of ours (classes are exact powers of two)
-	}
-	b := bits.Len(uint(c)) - 1
-	if b < minBits || b > maxBits {
+	ci := classOf(buf)
+	if ci < 0 || disabled.Load() {
 		return
 	}
 	p := unsafe.SliceData(buf)
 	stripeOf(p).puts.Add(1)
-	classes[b-minBits].Put(p)
+	classes[ci].Put(p)
+}
+
+// classOf returns the size-class index of a buffer the arena could have
+// handed out, or -1 for one it could not: classes are exact powers of two.
+func classOf(buf []float32) int {
+	c := cap(buf)
+	if c == 0 || c&(c-1) != 0 {
+		return -1
+	}
+	b := bits.Len(uint(c)) - 1
+	if b < minBits || b > maxBits {
+		return -1
+	}
+	return b - minBits
 }
 
 // Disable turns the arena off globally: Get degrades to make, Put to a no-op.
@@ -163,6 +173,9 @@ func Stats() Counters {
 // special-casing.
 type Scope struct {
 	bufs [][]float32
+	// kept, on a scope from NewKeepingScope, holds what ReleaseAll
+	// reclaimed, by size class, for the scope's next borrows.
+	kept *[numClasses][][]float32
 	// Headers is package tensor's slab of headers over this scope's buffers
 	// (an interface because tensor imports pool); ReleaseAll rewinds it.
 	Headers interface{ Rewind() }
@@ -171,10 +184,22 @@ type Scope struct {
 // NewScope returns an empty scope.
 func NewScope() *Scope { return &Scope{} }
 
+// NewKeepingScope returns an empty scope that keeps the buffers it releases
+// for its own next borrows instead of handing them back to the arena, the
+// way a GPU's caching allocator keeps a replica's memory: once a step has
+// run, a step that repeats its work draws nothing from the arena, whatever
+// other goroutines' steps interleave with it and however often the garbage
+// collector empties the arena. What it keeps lives as long as the scope.
+func NewKeepingScope() *Scope { return &Scope{kept: new([numClasses][][]float32)} }
+
 // Get borrows a zero-filled buffer of length n, released by ReleaseAll.
 func (s *Scope) Get(n int) []float32 {
 	if s == nil {
 		return make([]float32, n)
+	}
+	if b := s.reuse(n); b != nil {
+		clear(b)
+		return b
 	}
 	b := Get(n)
 	s.bufs = append(s.bufs, b)
@@ -186,20 +211,43 @@ func (s *Scope) GetUninit(n int) []float32 {
 	if s == nil {
 		return make([]float32, n)
 	}
+	if b := s.reuse(n); b != nil {
+		return b
+	}
 	b := GetUninit(n)
 	s.bufs = append(s.bufs, b)
 	return b
 }
 
-// ReleaseAll returns every tracked buffer to the arena and rewinds the
-// header slab. The caller must not use any buffer (or tensor wrapping one)
-// obtained from this scope afterwards.
+// reuse borrows a buffer of length n from what s kept, or returns nil.
+func (s *Scope) reuse(n int) []float32 {
+	ci := classIndex(n)
+	if s.kept == nil || ci < 0 || len(s.kept[ci]) == 0 || disabled.Load() {
+		return nil
+	}
+	k := s.kept[ci]
+	b := k[len(k)-1][:n]
+	s.kept[ci] = k[:len(k)-1]
+	stripeOf(unsafe.SliceData(b)).gets.Add(1)
+	s.bufs = append(s.bufs, b)
+	return b
+}
+
+// ReleaseAll returns every tracked buffer to the arena, or keeps it for the
+// scope's next borrows on a keeping scope, and rewinds the header slab. The
+// caller must not use any buffer (or tensor wrapping one) obtained from this
+// scope afterwards.
 func (s *Scope) ReleaseAll() {
 	if s == nil {
 		return
 	}
 	for i, b := range s.bufs {
-		Put(b)
+		if ci := classOf(b); s.kept != nil && ci >= 0 && !disabled.Load() {
+			stripeOf(unsafe.SliceData(b)).puts.Add(1)
+			s.kept[ci] = append(s.kept[ci], b)
+		} else {
+			Put(b)
+		}
 		s.bufs[i] = nil
 	}
 	s.bufs = s.bufs[:0]

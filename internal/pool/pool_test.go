@@ -1,8 +1,10 @@
 package pool
 
 import (
+	"runtime"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 func TestClassIndex(t *testing.T) {
@@ -96,6 +98,43 @@ func TestScopeReleasesAll(t *testing.T) {
 	}
 	if len(s.bufs) != 0 {
 		t.Fatal("scope not empty after ReleaseAll")
+	}
+}
+
+// TestKeepingScopeReusesItsBuffers: a keeping scope's second step borrows
+// the very buffers its first released, zero-filled where asked, without a
+// miss even after garbage collections have emptied the arena, and the
+// traffic counters still balance across each release.
+func TestKeepingScopeReusesItsBuffers(t *testing.T) {
+	s := NewKeepingScope()
+	step := func() (a, b []float32) {
+		a, b = s.Get(100), s.GetUninit(3000)
+		a[0], b[0] = 1, 1
+		return a, b
+	}
+	a1, b1 := step()
+	s.ReleaseAll()
+	runtime.GC()
+	runtime.GC()
+	before := Stats()
+	a2, b2 := step()
+	if unsafe.SliceData(a2) != unsafe.SliceData(a1) || unsafe.SliceData(b2) != unsafe.SliceData(b1) {
+		t.Fatal("the second step did not reuse the buffers the first released")
+	}
+	if len(a2) != 100 || len(b2) != 3000 {
+		t.Fatalf("reused buffers have lengths %d and %d, want 100 and 3000", len(a2), len(b2))
+	}
+	s.ReleaseAll()
+	if a3 := s.Get(100); a3[0] != 0 {
+		t.Fatal("Get on a keeping scope returned a dirty buffer")
+	}
+	s.ReleaseAll()
+	after := Stats()
+	if after.Misses != before.Misses {
+		t.Fatalf("keeping scope missed %d times after collection", after.Misses-before.Misses)
+	}
+	if after.Gets-before.Gets != 3 || after.Puts-before.Puts != 3 {
+		t.Fatalf("3 borrows counted as %d gets, %d puts", after.Gets-before.Gets, after.Puts-before.Puts)
 	}
 }
 

@@ -23,8 +23,8 @@ import (
 )
 
 // Stream is a deterministic PRNG (xoshiro256++ core seeded via SplitMix64)
-// whose entire state is exported. The zero value is not valid; use New or
-// Restore.
+// whose entire state is exported. The zero value is not valid; use New, or
+// SetState to a captured state.
 type Stream struct {
 	s [4]uint64
 }
@@ -63,15 +63,32 @@ func NewNamed(seed uint64, name string) *Stream {
 	return New(seed ^ fnv64a(fnvOffset, name))
 }
 
-// Indexed returns the stream NewNamed(seed, prefix+strconv.Itoa(i)) returns,
-// as a value, without building the name: the digits are hashed from a stack
-// buffer, and New inlines here, so deriving one stream per dataset item
-// allocates nothing.
-func Indexed(seed uint64, prefix string, i int) Stream {
+// Name is the hash NewNamed derives from a stream name, built piece by piece
+// so that a name with numbers in it is never formatted:
+// NameOf("dw-e").Int(3).Str("-r").Int(0).Stream(seed) is the stream
+// NewNamed(seed, "dw-e3-r0") returns.
+type Name uint64
+
+// NameOf starts a name with s.
+func NameOf(s string) Name { return Name(fnv64a(fnvOffset, s)) }
+
+// Str appends s to the name.
+func (n Name) Str(s string) Name { return Name(fnv64a(uint64(n), s)) }
+
+// Int appends the decimal digits of i to the name, hashed from a stack buffer.
+func (n Name) Int(i int) Name {
 	var digits [20]byte // len("-9223372036854775808")
-	h := fnv64a(fnv64a(fnvOffset, prefix), strconv.AppendInt(digits[:0], int64(i), 10))
-	return *New(seed ^ h)
+	return Name(fnv64a(uint64(n), strconv.AppendInt(digits[:0], int64(i), 10)))
 }
+
+// Stream returns the stream of that name under seed as a value; New inlines
+// here, so it allocates nothing.
+func (n Name) Stream(seed uint64) Stream { return *New(seed ^ uint64(n)) }
+
+// Indexed returns the stream NewNamed(seed, prefix+strconv.Itoa(i)) returns,
+// as a value, without building the name, so deriving one stream per dataset
+// item allocates nothing.
+func Indexed(seed uint64, prefix string, i int) Stream { return NameOf(prefix).Int(i).Stream(seed) }
 
 func splitmix64(x uint64) (next, out uint64) {
 	x += 0x9e3779b97f4a7c15
@@ -150,17 +167,7 @@ func (s *Stream) NormFloat64() float64 {
 // NormFloat32 returns a standard normal variate as float32.
 func (s *Stream) NormFloat32() float32 { return float32(s.NormFloat64()) }
 
-// Perm returns a random permutation of [0, n) using the Fisher-Yates shuffle.
-func (s *Stream) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	s.ShuffleInts(p)
-	return p
-}
-
-// ShuffleInts shuffles p in place.
+// ShuffleInts shuffles p in place (Fisher-Yates).
 func (s *Stream) ShuffleInts(p []int) {
 	for i := len(p) - 1; i > 0; i-- {
 		j := s.Intn(i + 1)
@@ -178,9 +185,6 @@ type State struct {
 
 // State returns a snapshot of the stream state.
 func (s *Stream) State() State { return State{S: s.s} }
-
-// Restore returns a Stream positioned exactly at st.
-func Restore(st State) *Stream { return &Stream{s: st.S} }
 
 // SetState rewinds/advances s to exactly st.
 func (s *Stream) SetState(st State) { s.s = st.S }

@@ -28,6 +28,13 @@ func TestDistinctSeedsDiffer(t *testing.T) {
 	}
 }
 
+// restore returns a stream positioned exactly at st.
+func restore(st State) *Stream {
+	s := new(Stream)
+	s.SetState(st)
+	return s
+}
+
 func TestStateRoundTrip(t *testing.T) {
 	s := New(7)
 	for i := 0; i < 37; i++ {
@@ -38,7 +45,7 @@ func TestStateRoundTrip(t *testing.T) {
 	for i := range want {
 		want[i] = s.Uint64()
 	}
-	r := Restore(st)
+	r := restore(st)
 	for i := range want {
 		if got := r.Uint64(); got != want[i] {
 			t.Fatalf("restored stream draw %d = %d, want %d", i, got, want[i])
@@ -54,7 +61,7 @@ func TestStateRoundTripProperty(t *testing.T) {
 		}
 		st := s.State()
 		a := s.Uint64()
-		return Restore(st).Uint64() == a
+		return restore(st).Uint64() == a
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -155,7 +162,11 @@ func TestPermIsPermutation(t *testing.T) {
 	s := New(13)
 	f := func(n uint8) bool {
 		m := int(n%64) + 1
-		p := s.Perm(m)
+		p := make([]int, m)
+		for i := range p {
+			p[i] = i
+		}
+		s.ShuffleInts(p)
 		seen := make([]bool, m)
 		for _, v := range p {
 			if v < 0 || v >= m || seen[v] {
