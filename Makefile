@@ -34,8 +34,10 @@
 #                  on two tiny models, MaxBatch 32); not part of check
 #   make examples-smoke — run the examples that check themselves (autoscale:
 #                  plane-driven scale-out, fallback and reclaim on a live job,
-#                  bitwise identical to fixed-DoP DDP); they exit non-zero on
-#                  divergence
+#                  bitwise identical to fixed-DoP DDP; cluster_colocation:
+#                  Figure 16's two days on the plane, day 2 allocating more
+#                  with no serving gang waiting); they exit non-zero when
+#                  their check fails
 
 GO ?= go
 FUZZTIME ?= 5s
@@ -193,3 +195,4 @@ trace-smoke:
 # run here
 examples-smoke:
 	$(GO) run ./examples/autoscale
+	$(GO) run ./examples/cluster_colocation

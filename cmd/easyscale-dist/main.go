@@ -68,7 +68,7 @@ func jobFlags(fs *flag.FlagSet) (model *string, epoch *uint64, config func() cor
 	batch := fs.Int("batch", 4, "per-EST mini-batch size")
 	seed := fs.Uint64("seed", 42, "job master seed")
 	epoch = fs.Uint64("epoch", 1, "rendezvous epoch; the coordinator rejects workers from any other epoch")
-	timeout := fs.Duration("timeout", 0, "network operation deadline (0: EASYSCALE_DIST_TIMEOUT or the built-in default)")
+	timeout := fs.Duration("timeout", 0, "network operation deadline (0: the built-in 30s)")
 	config = func() core.Config {
 		cfg := core.DefaultConfig(*ests)
 		cfg.BatchPerEST = *batch
@@ -187,7 +187,7 @@ func runElastic(args []string) {
 	ests := fs.Int("ests", 4, "number of logical workers (ESTs)")
 	batch := fs.Int("batch", 4, "per-EST mini-batch size")
 	seed := fs.Uint64("seed", 42, "job master seed")
-	timeout := fs.Duration("timeout", 0, "network operation deadline (0: EASYSCALE_DIST_TIMEOUT or the built-in default)")
+	timeout := fs.Duration("timeout", 0, "network operation deadline (0: the built-in 30s)")
 	phasesSpec := fs.String("phases", "V100:2@10;V100:1@10", "';'-separated phases, each PLACEMENT@STEPS")
 	live := fs.Bool("live", false, "migrate ESTs between phases instead of stop-restart (sharded multi-peer state handoff)")
 	retries := fs.Int("retries", 0, "retries per failed phase (crash recovery)")

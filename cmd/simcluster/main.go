@@ -1,6 +1,7 @@
-// Command simcluster runs the discrete-event cluster simulator: the 64-GPU
-// trace experiment comparing YARN-CS against EasyScale (§5.2), or the
-// production co-location scenario (§5.3).
+// Command simcluster runs the cluster simulator: the 64-GPU trace experiment
+// comparing YARN-CS against EasyScale (§5.2), or a multi-team trace on the
+// control plane. The production co-location experiment (§5.3) is
+// `experiments -exp fig16`.
 package main
 
 import (
@@ -16,29 +17,19 @@ import (
 )
 
 func main() {
-	mode := flag.String("mode", "compare", "yarn, homo, heter, compare, colocate, or tenants")
+	mode := flag.String("mode", "compare", "yarn, homo, heter, compare, or tenants")
 	jobs := flag.Int("jobs", 60, "number of trace jobs")
 	gap := flag.Float64("gap", 30, "mean inter-arrival seconds")
 	seed := flag.Uint64("seed", 11, "trace seed")
 	v100 := flag.Int("v100", 32, "V100 count")
 	p100 := flag.Int("p100", 16, "P100 count")
 	t4 := flag.Int("t4", 16, "T4 count")
-	totalGPUs := flag.Int("total", 3000, "fleet size for -mode colocate")
 	teams := flag.Int("teams", 4, "team count for -mode tenants")
 	strategy := flag.String("strategy", "bestfit", "bin-packing for -mode tenants: bestfit, firstfit, worstfit")
 	nodeGPUs := flag.Int("node-gpus", 8, "GPUs per node for -mode tenants")
 	ticks := flag.Int("ticks", 500, "10s simulation ticks for -mode tenants")
 	showLog := flag.Int("show-log", 12, "decision-log lines to print for -mode tenants")
 	flag.Parse()
-
-	if *mode == "colocate" {
-		day1, day2 := cluster.TwoDayComparison(*totalGPUs, *seed)
-		fmt.Printf("production co-location on %d GPUs:\n", *totalGPUs)
-		fmt.Printf("  day 1 (serving only):  alloc %.1f%%  util %.1f%%\n", day1.AvgAllocRatio*100, day1.AvgSMUtil*100)
-		fmt.Printf("  day 2 (with EasyScale): alloc %.1f%%  util %.1f%%  elastic GPUs avg %.0f  preemptions %d  max refill %dm\n",
-			day2.AvgAllocRatio*100, day2.AvgSMUtil*100, day2.AvgElasticGPUs, day2.Preemptions, day2.MaxRefillMin)
-		return
-	}
 
 	inv := sched.Resources{device.V100: *v100, device.P100: *p100, device.T4: *t4}
 

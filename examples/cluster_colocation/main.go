@@ -1,40 +1,35 @@
-// Cluster co-location: replay the production deployment of §5.3 — elastic
-// EasyScale training jobs opportunistically soaking the idle GPUs of a
-// 3,000-GPU online-serving cluster, scaling in within seconds when serving
-// traffic returns.
+// Cluster co-location: replay the production deployment of §5.3 on the
+// control plane — a serving team owns a 3,000-GPU fleet and holds its diurnal
+// demand as 8-GPU gangs, and elastic EasyScale training jobs borrow the idle
+// GPUs, preempted whenever a serving gang reclaims them. It exits non-zero
+// unless day 2 allocates more than day 1, day 1 has no elastic GPUs, and
+// every serving gang was admitted at once.
 package main
 
 import (
 	"fmt"
+	"os"
 
 	"repro/internal/cluster"
+	"repro/internal/device"
+	"repro/internal/sched"
 	"repro/internal/workload"
 )
 
 func main() {
-	const totalGPUs = 3000
-	load := workload.ServingLoad(2*1440, totalGPUs, 42)
-	st := workload.Stats(load)
-	fmt.Printf("serving fleet: %d GPUs, diurnal load min %d / max %d (gap %d — Figure 1)\n\n",
-		totalGPUs, st.Min, st.Max, st.Gap)
-
-	day1 := cluster.SimulateColocation(totalGPUs, load[:1440], false)
-	day2 := cluster.SimulateColocation(totalGPUs, load[1440:], true)
-
-	fmt.Println("                          day-1 (before)   day-2 (EasyScale)")
-	fmt.Printf("GPU allocation ratio      %13.1f%%  %16.1f%%\n", day1.AvgAllocRatio*100, day2.AvgAllocRatio*100)
-	fmt.Printf("avg SM utilization        %13.1f%%  %16.1f%%\n", day1.AvgSMUtil*100, day2.AvgSMUtil*100)
-	fmt.Printf("avg elastic GPUs          %14.0f  %17.0f\n", day1.AvgElasticGPUs, day2.AvgElasticGPUs)
-	fmt.Printf("preemptions (scale-ins)   %14d  %17d\n", day1.Preemptions, day2.Preemptions)
-	fmt.Printf("max refill after release  %14s  %16dm\n", "-", day2.MaxRefillMin)
-	fmt.Printf("\nutilization gain: +%.1f%% relative (paper: +62.1%%)\n",
-		(day2.AvgSMUtil-day1.AvgSMUtil)/day1.AvgSMUtil*100)
-
-	// hourly view of day 2
-	fmt.Println("\nday-2 hourly (serving / elastic GPUs):")
-	for h := 0; h < 24; h += 3 {
-		s := day2.Samples[h*60]
-		fmt.Printf("  %02d:00  serving %4d  elastic %4d  alloc %5.1f%%  util %5.1f%%\n",
-			h, s.ServingGPUs, s.ElasticGPUs, s.AllocRatio*100, s.SMUtil*100)
+	const total, day = 3000, 1440 // GPUs, minutes
+	cfg := cluster.Config{Mode: cluster.Colocation, Inventory: sched.Resources{device.V100: total}}
+	load := workload.ServingLoad(2*day, total, 42)
+	day1 := cluster.Simulate(cfg, workload.ServingGangs(load[:day]))
+	day2 := cluster.Simulate(cfg, append(workload.ServingGangs(load[day:]), workload.GenerateProduction(2000, 60*day/2000.0, 42)...))
+	alloc1, _, elastic1 := cluster.Means(day1.Timeline[:6*day], total)
+	alloc2, _, elastic2 := cluster.Means(day2.Timeline[:6*day], total)
+	fmt.Printf("day 1 (serving only): allocation %.1f%%, elastic GPUs %.0f, preemptions %d, serving gangs waited %d\n",
+		alloc1*100, elastic1, day1.Preemptions, day1.Waited)
+	fmt.Printf("day 2 (with EasyScale): allocation %.1f%%, elastic GPUs %.0f, preemptions %d, serving gangs waited %d\n",
+		alloc2*100, elastic2, day2.Preemptions, day2.Waited)
+	if alloc2 <= alloc1 || elastic1 != 0 || day1.Waited+day2.Waited != 0 {
+		fmt.Println("FAIL: want day-2 allocation above day 1, no elastic GPUs on day 1, and no serving gang waiting")
+		os.Exit(1)
 	}
 }

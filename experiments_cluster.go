@@ -1,6 +1,8 @@
 package easyscale
 
 import (
+	"fmt"
+
 	"repro/internal/cluster"
 	"repro/internal/device"
 	"repro/internal/metrics"
@@ -83,33 +85,46 @@ func Fig15AllocTimeline(jobs int, meanGapSec float64, seed uint64) Result {
 	return res
 }
 
-// Fig16Production regenerates Figure 16: one day before and one day after
-// deploying EasyScale on the 3,000+ GPU serving cluster.
+// Fig16Production regenerates Figure 16 on the control plane: a day of
+// serving gangs alone on totalGPUs V100s, then a day on which §2.1's
+// production mix of training jobs, two per three GPUs arriving evenly, borrow
+// what serving leaves idle (EXPERIMENTS.md says why this trace).
 func Fig16Production(totalGPUs int, seed uint64) Result {
 	res := Result{ID: "fig16", Title: "Production co-location: day 1 (before) vs day 2 (with EasyScale)"}
-	day1, day2 := cluster.TwoDayComparison(totalGPUs, seed)
+	const day = 1440 // minutes; the timeline samples every 10 s
+	cfg := cluster.Config{Mode: cluster.Colocation, Inventory: sched.Resources{device.V100: totalGPUs}}
+	load := workload.ServingLoad(2*day, totalGPUs, seed)
+	n := totalGPUs * 2 / 3
+	jobs := [2][]workload.JobSpec{workload.ServingGangs(load[:day]),
+		append(workload.ServingGangs(load[day:]), workload.GenerateProduction(n, 60*day/float64(n), seed)...)}
+	res.Rows = append(res.Rows, row("%-24s %10s %10s  %s", "", "day-1", "day-2", "source"))
+	var alloc, util, elastic [2]float64
+	var r [2]cluster.Result
+	for d := range r {
+		r[d] = cluster.Simulate(cfg, jobs[d])
+		// day 2's training may run past midnight; the figure reads the day
+		alloc[d], util[d], elastic[d] = cluster.Means(r[d].Timeline[:6*day], totalGPUs)
+		s := Series{Name: fmt.Sprintf("day%d alloc%%", d+1)}
+		for i := 0; i < 6*day; i += 360 {
+			s.X = append(s.X, float64(d*day+i/6))
+			s.Y = append(s.Y, float64(r[d].Timeline[i].Allocated)/float64(totalGPUs))
+		}
+		res.Series = append(res.Series, s)
+	}
+	refill := metrics.Summarize(cluster.Refills(r[1].Timeline[:6*day], totalGPUs))
 	res.Rows = append(res.Rows,
-		row("%-22s %10s %10s", "", "day-1", "day-2"),
-		row("%-22s %9.1f%% %9.1f%%", "GPU allocation ratio", day1.AvgAllocRatio*100, day2.AvgAllocRatio*100),
-		row("%-22s %9.1f%% %9.1f%%", "avg SM utilization", day1.AvgSMUtil*100, day2.AvgSMUtil*100),
-		row("%-22s %10.0f %10.0f", "avg elastic GPUs", day1.AvgElasticGPUs, day2.AvgElasticGPUs),
-		row("%-22s %10d %10d", "preemptions", day1.Preemptions, day2.Preemptions),
-		row("%-22s %10s %9dm", "max refill time", "-", day2.MaxRefillMin),
+		row("%-24s %9.1f%% %9.1f%%  plane", "GPU allocation ratio", alloc[0]*100, alloc[1]*100),
+		row("%-24s %9.1f%% %9.1f%%  device-model duty cycles", "avg SM utilization", util[0]*100, util[1]*100),
+		row("%-24s %10.0f %10.0f  plane", "avg elastic GPUs", elastic[0], elastic[1]),
+		row("%-24s %10d %10d  plane", "serving gangs waited", r[0].Waited, r[1].Waited),
+		row("%-24s %10d %10d  plane", "preemptions", r[0].Preemptions, r[1].Preemptions),
+		row("%-24s %10d %10d  plane", "jobs unfinished", len(jobs[0])-r[0].Finished, len(jobs[1])-r[1].Finished),
+		row("%-24s %10s %4.0fs/%3.0fs  plane (p50/max of %d refills)", "refill after release", "-", refill.P50, refill.Max, refill.Count),
 		row("allocation ratio gain: +%.1f points; SM utilization gain: +%.1f%% relative",
-			(day2.AvgAllocRatio-day1.AvgAllocRatio)*100,
-			(day2.AvgSMUtil-day1.AvgSMUtil)/day1.AvgSMUtil*100),
+			(alloc[1]-alloc[0])*100, (util[1]-util[0])/util[0]*100),
 		row("(paper: +17.1%% allocation ratio, +62.1%% utilization, scale-in in seconds,"),
 		row(" refill ≤5 min, 362 preemptions, 0 job failures)"),
 	)
-	s1 := Series{Name: "day1 alloc%"}
-	s2 := Series{Name: "day2 alloc%"}
-	for i := 0; i < len(day1.Samples); i += 60 {
-		s1.X = append(s1.X, float64(i))
-		s1.Y = append(s1.Y, day1.Samples[i].AllocRatio)
-		s2.X = append(s2.X, float64(i+1440))
-		s2.Y = append(s2.Y, day2.Samples[i].AllocRatio)
-	}
-	res.Series = []Series{s1, s2}
 	return res
 }
 

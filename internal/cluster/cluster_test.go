@@ -3,6 +3,7 @@ package cluster
 import (
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/controlplane"
@@ -37,7 +38,7 @@ func TestCapabilityOrdering(t *testing.T) {
 }
 
 func TestModeNames(t *testing.T) {
-	if YARNCS.String() != "YARN-CS" || EasyScaleHomo.String() != "EasyScale-homo" || EasyScaleHeter.String() != "EasyScale-heter" {
+	if YARNCS.String() != "YARN-CS" || EasyScaleHomo.String() != "EasyScale-homo" || EasyScaleHeter.String() != "EasyScale-heter" || Colocation.String() != "co-location" {
 		t.Fatal("mode names")
 	}
 	if Mode(9).String() == "" {
@@ -48,7 +49,7 @@ func TestModeNames(t *testing.T) {
 // TestEmptyTrace: nothing to schedule is a result, not a panic — every mode
 // returns its zero Result, which is what `simcluster -jobs 0` prints.
 func TestEmptyTrace(t *testing.T) {
-	for _, m := range []Mode{YARNCS, EasyScaleHomo, EasyScaleHeter} {
+	for _, m := range []Mode{YARNCS, EasyScaleHomo, EasyScaleHeter, Colocation} {
 		res := Simulate(Config{Mode: m, Inventory: paperInventory()}, nil)
 		if res.Mode != m {
 			t.Errorf("%s: result carries mode %s", m, res.Mode)
@@ -199,42 +200,81 @@ func TestEasyScaleEliminatesQueueing(t *testing.T) {
 	}
 }
 
+// TestColocationTwoDays is Figure 16 on the control plane at 3,000 V100s:
+// day 1 runs the serving gangs alone, day 2 adds 2,000 production-mix
+// training jobs over the day. Serving never waits: at every tick its gangs
+// hold exactly ⌈demand/8⌉·8 GPUs. Day 1 has no elastic GPUs and no
+// preemptions; on day 2 allocation and utilisation rise, serving reclaims
+// from training, training refills within minutes, and every job finishes.
 func TestColocationTwoDays(t *testing.T) {
-	day1, day2 := TwoDayComparison(3000, 42)
-	if day2.AvgAllocRatio <= day1.AvgAllocRatio {
-		t.Fatal("EasyScale must raise the allocation ratio")
+	const total, day = 3000, 1440
+	cfg := Config{Mode: Colocation, Inventory: sched.Resources{device.V100: total}}
+	load := workload.ServingLoad(2*day, total, 42)
+	jobs1 := workload.ServingGangs(load[:day])
+	jobs2 := append(workload.ServingGangs(load[day:]), workload.GenerateProduction(2000, 60*day/2000.0, 42)...)
+	day1, day2 := Simulate(cfg, jobs1), Simulate(cfg, jobs2)
+	for d, r := range []Result{day1, day2} {
+		if r.Waited != 0 {
+			t.Errorf("day %d: %d serving gangs waited", d+1, r.Waited)
+		}
+		for i, s := range r.Timeline[:6*day] {
+			if want := (load[d*day+i/6] + 7) / 8 * 8; s.Serving != want {
+				t.Fatalf("day %d at %.0fs: serving holds %d GPUs, demand needs %d", d+1, s.Sec, s.Serving, want)
+			}
+		}
 	}
-	if day2.AvgSMUtil <= day1.AvgSMUtil {
-		t.Fatal("EasyScale must raise SM utilization")
+	if day1.Finished != len(jobs1) || day2.Finished != len(jobs2) {
+		t.Errorf("finished %d/%d on day 1 and %d/%d on day 2", day1.Finished, len(jobs1), day2.Finished, len(jobs2))
 	}
-	relUtil := (day2.AvgSMUtil - day1.AvgSMUtil) / day1.AvgSMUtil
-	if relUtil < 0.3 {
-		t.Fatalf("utilization gain %.2f too small (paper: +62.1%% relative)", relUtil)
+	alloc1, util1, elastic1 := Means(day1.Timeline[:6*day], total)
+	alloc2, util2, elastic2 := Means(day2.Timeline[:6*day], total)
+	if elastic1 != 0 || day1.Preemptions != 0 {
+		t.Fatalf("day 1 has %.0f elastic GPUs and %d preemptions, want none", elastic1, day1.Preemptions)
+	}
+	if alloc2 <= alloc1 || util2 <= util1 || elastic2 <= 0 {
+		t.Fatalf("day 2 must raise allocation (%.3f → %.3f) and utilisation (%.3f → %.3f) with elastic GPUs (%.0f)",
+			alloc1, alloc2, util1, util2, elastic2)
+	}
+	if rel := (util2 - util1) / util1; rel < 0.3 {
+		t.Fatalf("utilisation gain %.2f too small (paper: +62.1%% relative)", rel)
 	}
 	if day2.Preemptions == 0 {
-		t.Fatal("serving bursts should preempt elastic jobs")
+		t.Fatal("serving must reclaim borrowed GPUs on day 2")
 	}
-	if day2.MaxRefillMin > 6 {
-		t.Fatalf("refill took %d min, want ≤ ~5", day2.MaxRefillMin)
-	}
-	if day2.AvgElasticGPUs <= 0 {
-		t.Fatal("elastic jobs should hold GPUs on average")
-	}
-	if day1.Preemptions != 0 || day1.AvgElasticGPUs != 0 {
-		t.Fatal("day 1 has no elastic jobs")
+	refills := Refills(day2.Timeline[:6*day], total)
+	if len(refills) == 0 || slices.Max(refills) > 6*60 {
+		t.Fatalf("refills %v: want some, each within 6 minutes", refills)
 	}
 }
 
+// TestColocationScaleInImmediate: serving demand jumps from 16 to 88 GPUs of
+// a 96-GPU fleet while a training job borrows 64. The nine new serving gangs
+// are admitted on the tick they arrive, preempting the borrower down to the
+// 8 GPUs left, and training is back at its MaxP one tick after serving ends.
 func TestColocationScaleInImmediate(t *testing.T) {
-	// serving load jumps from 20 to 90: elastic must drop within the minute
-	load := []int{20, 20, 20, 90, 90}
-	res := SimulateColocation(100, load, true)
-	last := res.Samples[len(res.Samples)-1]
-	if last.ServingGPUs+last.ElasticGPUs > 100 {
-		t.Fatal("co-location must never exceed the fleet")
+	const total = 96
+	rate := 64 * controlplane.CapabilityFor("neumf")[device.V100]
+	jobs := append(workload.ServingGangs([]int{16, 16, 16, 88, 88}),
+		workload.JobSpec{ID: "train", Model: "neumf", MaxP: 64, WorkSteps: 600 * rate, RequestedType: device.V100})
+	r := Simulate(Config{Mode: Colocation, Inventory: sched.Resources{device.V100: total}}, jobs)
+	if r.Waited != 0 || r.Finished != len(jobs) {
+		t.Fatalf("%d gangs waited, %d of %d jobs finished", r.Waited, r.Finished, len(jobs))
 	}
-	if !res.Samples[3].ScaleInEvent {
-		t.Fatal("scale-in event expected when serving load returns")
+	before, at := r.Timeline[17], r.Timeline[18] // 170 s and 180 s: the jump
+	if before.Serving != 16 || before.Allocated-before.Serving != 64 {
+		t.Fatalf("before the jump: serving %d, elastic %d; want 16 and 64", before.Serving, before.Allocated-before.Serving)
+	}
+	if at.Serving != 88 || at.Allocated != total {
+		t.Fatalf("on the jump's tick: serving %d of %d allocated; want 88 of %d", at.Serving, at.Allocated, total)
+	}
+	if r.Preemptions == 0 {
+		t.Fatal("the jump must preempt the borrower")
+	}
+	if s := r.Timeline[31]; s.Serving != 0 || s.Allocated != 64 {
+		t.Fatalf("after serving ends: serving %d, elastic %d; want 0 and 64", s.Serving, s.Allocated-s.Serving)
+	}
+	if got := Refills(r.Timeline, total); !slices.Equal(got, []float64{10}) {
+		t.Fatalf("refills %v, want one of 10 s: serving's release at 300 s, training at its MaxP by 310 s", got)
 	}
 }
 

@@ -4,15 +4,15 @@
 // the idle GPUs of a 3,000+ GPU online serving cluster), plus the §2.1
 // motivation statistics.
 //
-// The trace experiment runs on one fixed-tick loop (Simulate) with two
-// policies beside each other: the control plane in single-tenant mode, every
-// job fully elastic, for the two EasyScale modes, and gangFIFO, a strict FIFO
-// gang scheduler, for YARN-CS. Both report per-job lifecycle stats in the
-// control plane's JobStat shape, from which the loop assembles one Result.
+// Both run on one fixed-tick loop (Simulate) over two policies: the control
+// plane, for the two EasyScale modes and co-location, and gangFIFO, a strict
+// FIFO gang scheduler, for YARN-CS. Both report per-job lifecycle stats in
+// the control plane's JobStat shape, from which the loop assembles one Result.
 package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/controlplane"
@@ -32,6 +32,11 @@ const (
 	// EasyScaleHeter is EasyScale with heterogeneous plans for D2-capable
 	// jobs (vendor-kernel jobs remain homogeneous, per the paper's policy).
 	EasyScaleHeter
+	// Colocation is §5.3's production fleet on the control plane: quota-backed
+	// jobs (MinGPUs > 0) serve for a team whose quota is the inventory, and
+	// fully elastic ones train for a team with none, borrowing the serving
+	// team's idle GPUs until a serving gang reclaims them.
+	Colocation
 )
 
 // String names the mode.
@@ -43,6 +48,8 @@ func (m Mode) String() string {
 		return "EasyScale-homo"
 	case EasyScaleHeter:
 		return "EasyScale-heter"
+	case Colocation:
+		return "co-location"
 	}
 	return fmt.Sprintf("Mode(%d)", int(m))
 }
@@ -61,26 +68,34 @@ const (
 	maxSimSec = 30 * 24 * 3600
 )
 
-// AllocSample is one timeline point of allocated GPUs.
+// AllocSample is one timeline point of allocated GPUs. Under Colocation,
+// Serving is the part the serving gangs hold (the rest is training's), and
+// Wanted what the training jobs not yet finished would hold at their MaxP.
 type AllocSample struct {
 	Sec       float64
 	Allocated int
+	Serving   int
+	Wanted    int
 }
 
 // Result summarizes a simulation. AvgJCT and AvgQueue average over the
 // finished jobs; Unstarted counts the jobs that never ran on a GPU, whether
 // queued or not yet arrived when the simulation stopped. Makespan runs from
 // the first arrival to the last finish, or to the tick the simulation
-// stopped on if a job never finished.
+// stopped on if a job never finished. Under Colocation, Waited counts the
+// serving gangs Submit did not lease at once, and Preemptions the borrowed
+// leases the plane cut on reclaim (its preempt records).
 type Result struct {
-	Mode      Mode
-	AvgJCT    float64
-	AvgQueue  float64
-	Makespan  float64
-	JCTs      map[string]float64
-	Timeline  []AllocSample
-	Finished  int
-	Unstarted int
+	Mode        Mode
+	AvgJCT      float64
+	AvgQueue    float64
+	Makespan    float64
+	JCTs        map[string]float64
+	Timeline    []AllocSample
+	Finished    int
+	Unstarted   int
+	Waited      int
+	Preemptions int
 }
 
 // policy is what the simulation loop ticks and reads (see the package doc).
@@ -101,21 +116,37 @@ func Simulate(cfg Config, jobs []workload.JobSpec) Result {
 	if len(jobs) == 0 {
 		return Result{Mode: cfg.Mode}
 	}
+	res := Result{Mode: cfg.Mode, JCTs: map[string]float64{}}
 	var pol policy
 	var submit func(workload.JobSpec)
-	if cfg.Mode == YARNCS {
+	var plane *controlplane.Plane
+	var coloc []workload.JobSpec // Colocation: the jobs submitted and not finished
+	switch cfg.Mode {
+	case YARNCS:
 		g := &gangFIFO{inv: cfg.Inventory, free: cfg.Inventory.Clone()}
 		pol, submit = g, g.Submit
-	} else {
-		p := controlplane.New(controlplane.Config{Inventory: cfg.Inventory, HomogeneousOnly: cfg.Mode == EasyScaleHomo})
-		pol, submit = p, func(spec workload.JobSpec) {
+	case Colocation:
+		plane = controlplane.New(controlplane.Config{Inventory: cfg.Inventory, AllowBorrowing: true,
+			Teams: []controlplane.TeamConfig{{Name: "serving", Quota: cfg.Inventory.Clone()}, {Name: "training"}}})
+		pol, submit = plane, func(spec workload.JobSpec) {
+			spec.Team = "training"
+			if spec.MinGPUs > 0 {
+				spec.Team = "serving"
+			}
+			coloc = append(coloc, spec)
+			if l, _ := plane.Submit(spec); l == nil {
+				res.Waited++
+			}
+		}
+	default:
+		plane = controlplane.New(controlplane.Config{Inventory: cfg.Inventory, HomogeneousOnly: cfg.Mode == EasyScaleHomo})
+		pol, submit = plane, func(spec workload.JobSpec) {
 			spec.Team, spec.MinGPUs = "", 0 // single-tenant, fully elastic
-			p.Submit(spec)
+			plane.Submit(spec)
 		}
 	}
 	pending := append([]workload.JobSpec(nil), jobs...)
 	sort.SliceStable(pending, func(i, j int) bool { return pending[i].ArrivalSec < pending[j].ArrivalSec })
-	res := Result{Mode: cfg.Mode, JCTs: map[string]float64{}}
 	now, next := 0.0, 0
 	for ; now < maxSimSec; now += tickSec {
 		for next < len(pending) && pending[next].ArrivalSec <= now {
@@ -123,10 +154,22 @@ func Simulate(cfg Config, jobs []workload.JobSpec) Result {
 			next++
 		}
 		pol.Tick(now)
-		res.Timeline = append(res.Timeline, AllocSample{Sec: now, Allocated: pol.Allocated()})
+		sample := AllocSample{Sec: now, Allocated: pol.Allocated()}
+		coloc = slices.DeleteFunc(coloc, func(j workload.JobSpec) bool { _, done := plane.Progress(j.ID); return done })
+		for _, j := range coloc {
+			if j.MinGPUs > 0 {
+				sample.Serving += plane.Held(j.ID).Total()
+			} else {
+				sample.Wanted += j.MaxP
+			}
+		}
+		res.Timeline = append(res.Timeline, sample)
 		if pol.FinishedCount() == len(jobs) {
 			break
 		}
+	}
+	if cfg.Mode == Colocation {
+		res.Preemptions = plane.Report().Reclaims
 	}
 	res.Unstarted = len(pending) - next
 	end := 0.0 // the last finish, if every job finished
@@ -206,3 +249,42 @@ func (g *gangFIFO) FinishedCount() int { return g.started - len(g.running) }
 
 // JobStats lists every submitted job in submission order.
 func (g *gangFIFO) JobStats() []controlplane.JobStat { return g.stats }
+
+// servingUtil and trainingUtil are device-model constants, not plane
+// decisions: the average share of its SMs a GPU keeps busy serving bursty
+// inference, and training.
+const servingUtil, trainingUtil = 0.50, 0.92
+
+// Means averages a Colocation timeline on a fleet of total GPUs: the
+// allocation ratio, the SM utilisation under the device model, and the GPUs
+// elastic training holds.
+func Means(tl []AllocSample, total int) (alloc, util, elastic float64) {
+	for _, s := range tl {
+		e := float64(s.Allocated - s.Serving)
+		alloc += float64(s.Allocated)
+		util += servingUtil*float64(s.Serving) + trainingUtil*e
+		elastic += e
+	}
+	n := float64(len(tl) * total)
+	return alloc / n, util / n, elastic / float64(len(tl))
+}
+
+// Refills reads a Colocation timeline on a fleet of total GPUs: for every
+// sample at which the serving gangs released GPUs while training wanted more
+// than it held, the seconds until training had borrowed them back, that is,
+// until no GPU stood idle or training held all it wanted. A refill still
+// open at the last sample counts up to it.
+func Refills(tl []AllocSample, total int) (out []float64) {
+	short := func(s AllocSample) bool { return s.Allocated < total && s.Allocated-s.Serving < s.Wanted }
+	for i := 1; i < len(tl); i++ {
+		if tl[i].Serving >= tl[i-1].Serving || !short(tl[i]) {
+			continue
+		}
+		k := i + 1
+		for k < len(tl) && short(tl[k]) {
+			k++
+		}
+		out = append(out, tl[min(k, len(tl)-1)].Sec-tl[i].Sec)
+	}
+	return out
+}

@@ -98,9 +98,8 @@ type Config struct {
 	// DistTimeout bounds every blocking network operation of the
 	// distributed runtime (dial, accept, frame read/write), so a hung peer
 	// surfaces as a deadline error instead of wedging a generation. Zero
-	// falls back to the EASYSCALE_DIST_TIMEOUT environment variable, then
-	// to the dist package's default. It does not participate in checkpoint
-	// identity: timeouts never affect numerics.
+	// falls back to the dist package's default. It does not participate in
+	// checkpoint identity: timeouts never affect numerics.
 	DistTimeout time.Duration
 }
 

@@ -39,15 +39,15 @@ func NewCoordinatorAddr(addr string) (*Coordinator, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Coordinator{ln: ln, timeout: resolveTimeout(0)}, nil
+	return &Coordinator{ln: ln, timeout: DefaultTimeout}, nil
 }
 
 // Addr returns the rendezvous address workers dial.
 func (c *Coordinator) Addr() string { return c.ln.Addr().String() }
 
 // SetTimeout overrides the per-operation deadline (accept, frame
-// read/write). The constructor default comes from EASYSCALE_DIST_TIMEOUT or
-// DefaultTimeout.
+// read/write); d <= 0 keeps the current one, DefaultTimeout from the
+// constructor.
 func (c *Coordinator) SetTimeout(d time.Duration) {
 	if d > 0 {
 		c.timeout = d

@@ -6,22 +6,19 @@ import (
 	"time"
 
 	"repro/internal/checkpoint"
-	"repro/internal/core"
 	"repro/internal/rng"
 )
 
 // DefaultTimeout bounds every blocking network operation (dial, accept,
-// frame read/write) when neither core.Config.DistTimeout nor the
-// EASYSCALE_DIST_TIMEOUT environment variable overrides it. A hung peer
-// therefore surfaces as a deadline error instead of wedging the runtime.
+// frame read/write) when core.Config.DistTimeout does not override it. A hung
+// peer therefore surfaces as a deadline error instead of wedging the runtime.
 const DefaultTimeout = 30 * time.Second
 
-// resolveTimeout picks the operation timeout: an explicit config value wins,
-// then EASYSCALE_DIST_TIMEOUT (resolved through core.ConfigFromEnv, the
-// single environment-override point), then DefaultTimeout.
+// resolveTimeout picks the operation timeout: a positive config value, else
+// DefaultTimeout.
 func resolveTimeout(cfg time.Duration) time.Duration {
-	if d := core.ConfigFromEnv(core.Config{DistTimeout: cfg}).DistTimeout; d > 0 {
-		return d
+	if cfg > 0 {
+		return cfg
 	}
 	return DefaultTimeout
 }

@@ -371,7 +371,7 @@ func requestShards(c *conn, hashes []uint64) ([][]byte, error) {
 // driver sends MsgDepart.
 //
 // Every network operation is bounded by the configured timeout
-// (core.Config.DistTimeout / EASYSCALE_DIST_TIMEOUT / DefaultTimeout): dials
+// (core.Config.DistTimeout, else DefaultTimeout): dials
 // retry with jittered exponential backoff until the deadline, and reads and
 // writes arm per-operation deadlines, so a dead or hung peer surfaces as an
 // error instead of hanging the worker forever.

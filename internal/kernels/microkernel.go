@@ -31,7 +31,7 @@ import (
 // tiles everywhere else — spec, fallback and kill switch in one.
 //
 // The environment variable is read here at package init rather than in
-// core.ConfigFromEnv: the kernels package's own test binary (and the
+// core's init: the kernels package's own test binary (and the
 // forced-ISA `make check` lane that runs it) must honour it without
 // importing core, which would be an import cycle. core/env.go documents it
 // alongside the other EASYSCALE_* overrides.

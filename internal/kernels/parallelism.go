@@ -19,8 +19,8 @@ const defaultWorkerCap = 8
 var cfgWorkers atomic.Int32
 
 // SetParallelism sets how many simulated GPUs compute at once (also settable
-// via the EASYSCALE_KERNEL_WORKERS environment variable, resolved by
-// core.ConfigFromEnv at process start). workers <= 0 restores the default
+// via the EASYSCALE_KERNEL_WORKERS environment variable, which core's init
+// applies at process start). workers <= 0 restores the default
 // min(GOMAXPROCS, 8). The setting never affects numerics: which GPU finishes
 // first cannot change the virtual-rank reduce order.
 func SetParallelism(workers int) {

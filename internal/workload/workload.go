@@ -1,7 +1,8 @@
 // Package workload generates the synthetic workload traces behind the paper's
 // cluster experiments: Philly-style job arrivals with a production-like
-// runtime distribution (the 64-GPU trace experiment, §5.2), and the diurnal
-// online-serving GPU load of the production cluster (Figures 1 and 16).
+// runtime distribution (the 64-GPU trace experiment, §5.2), the diurnal
+// online-serving GPU load of the production cluster (Figures 1 and 16), and
+// the 8-GPU serving gangs that hold that load on the control plane.
 package workload
 
 import (
@@ -195,6 +196,36 @@ func ServingLoad(minutes, totalGPUs int, seed uint64) []int {
 		out[m] = int(v)
 	}
 	return out
+}
+
+// servingGang is the GPUs of one serving gang: one 8-GPU node.
+const servingGang = 8
+
+// ServingGangs turns a per-minute serving demand into the quota-backed jobs
+// that hold it: a minute needs ⌈load/8⌉ 8-V100 gangs, and gang level k is one
+// job for each maximal run of minutes in which at least k gangs are needed.
+// Each job arrives at its run's first minute, pins MinGPUs = MaxP = 8 V100s,
+// and carries 8 V100s' worth of resnet50 steps for the run's length, so a
+// plane that admits it at once finishes it on the tick its run ends. Its ID
+// is serve-<first minute>-<level>.
+func ServingGangs(load []int) []JobSpec {
+	rate := servingGang * models.MustBuild("resnet50", 0).StepRate(device.SpecOf(device.V100).PeakGFLOPS)
+	var jobs []JobSpec
+	var open []int // open[k]: the first minute of level k+1's current run
+	// a 0 past the end closes every run
+	for m, d := range append(load[:len(load):len(load)], 0) {
+		need := (d + servingGang - 1) / servingGang
+		for k := len(open) - 1; k >= need; k-- {
+			jobs = append(jobs, JobSpec{ID: fmt.Sprintf("serve-%d-%d", open[k], k+1), Model: "resnet50",
+				MaxP: servingGang, MinGPUs: servingGang, RequestedType: device.V100,
+				ArrivalSec: float64(60 * open[k]), WorkSteps: rate * float64(60*(m-open[k]))})
+		}
+		open = open[:min(len(open), need)]
+		for len(open) < need {
+			open = append(open, m)
+		}
+	}
+	return jobs
 }
 
 // LoadStats summarizes a serving-load series.

@@ -1,9 +1,13 @@
 package workload
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
+	"repro/internal/device"
 	"repro/internal/models"
+	"repro/internal/rng"
 )
 
 func TestGenerateDeterministic(t *testing.T) {
@@ -86,6 +90,56 @@ func TestServingLoadDeterministic(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("serving load must be deterministic per seed")
+		}
+	}
+}
+
+// TestServingGangsLevelSplit: at every minute the live gangs hold exactly
+// ⌈demand/8⌉·8 GPUs, and each gang is one maximal run of minutes in which its
+// level is needed, on hand-made, random-walk and diurnal demand.
+func TestServingGangsLevelSplit(t *testing.T) {
+	perMin := 60 * servingGang * models.MustBuild("resnet50", 0).StepRate(device.SpecOf(device.V100).PeakGFLOPS)
+	loads := [][]int{nil, {0, 0}, {1, 8, 9, 0, 17, 16, 3}, ServingLoad(1440, 3000, 42)}
+	s := rng.NewNamed(7, "levels")
+	for range 20 {
+		load, v := make([]int, 200), 0
+		for m := range load {
+			v = max(0, min(100, v+s.Intn(41)-20))
+			load[m] = v
+		}
+		loads = append(loads, load)
+	}
+	for li, load := range loads {
+		need := func(m int) int {
+			if m < 0 || m >= len(load) {
+				return 0
+			}
+			return (load[m] + servingGang - 1) / servingGang
+		}
+		held := make([]int, len(load))
+		for _, g := range ServingGangs(load) {
+			var a, k int
+			if _, err := fmt.Sscanf(g.ID, "serve-%d-%d", &a, &k); err != nil {
+				t.Fatalf("load %d: gang ID %q: %v", li, g.ID, err)
+			}
+			b := a + int(math.Round(g.WorkSteps/perMin))
+			if g.ArrivalSec != float64(60*a) || g.MinGPUs != servingGang || g.MaxP != servingGang || g.RequestedType != device.V100 {
+				t.Fatalf("load %d: gang %+v is not an 8-V100 gang arriving at minute %d", li, g, a)
+			}
+			if b <= a || need(a-1) >= k || need(b) >= k {
+				t.Fatalf("load %d: gang %s covers minutes [%d, %d), not a maximal run of level %d", li, g.ID, a, b, k)
+			}
+			for m := a; m < b; m++ {
+				if need(m) < k {
+					t.Fatalf("load %d: gang %s holds level %d at minute %d, which needs %d gangs", li, g.ID, k, m, need(m))
+				}
+				held[m] += g.MaxP
+			}
+		}
+		for m := range load {
+			if held[m] != need(m)*servingGang {
+				t.Fatalf("load %d minute %d: gangs hold %d GPUs for demand %d", li, m, held[m], load[m])
+			}
 		}
 	}
 }
