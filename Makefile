@@ -32,6 +32,10 @@
 #   make prof-serve — the same two views for 3,000,000 serve_sat requests
 #                  (serve's BenchmarkServeSaturated: 64 closed-loop callers
 #                  on two tiny models, MaxBatch 32); not part of check
+#   make prof-plane — the same three views for 20 plane_replay ops
+#                  (controlplane's BenchmarkPlaneReplay: the 3,072-GPU
+#                  four-team fleet replaying a 1,000-job tenant trace for
+#                  750 ticks per op); not part of check
 #   make examples-smoke — run the examples that check themselves (autoscale:
 #                  plane-driven scale-out, fallback and reclaim on a live job,
 #                  bitwise identical to fixed-DoP DDP; cluster_colocation:
@@ -42,7 +46,7 @@
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: check vet fmt lint lint-audit build test test-isa test-cpu race fuzz bench-check trace-smoke serve-smoke examples-smoke loc prof prof-churn prof-serve
+.PHONY: check vet fmt lint lint-audit build test test-isa test-cpu race fuzz bench-check trace-smoke serve-smoke examples-smoke loc prof prof-churn prof-serve prof-plane
 
 check: vet fmt lint build test test-isa test-cpu race fuzz bench-check trace-smoke serve-smoke examples-smoke
 
@@ -176,6 +180,17 @@ prof-serve:
 		-o prof/serve.test -cpuprofile prof/serve_sat.cpu ./internal/serve
 	$(GO) tool pprof -top -cum prof/serve.test prof/serve_sat.cpu 2>/dev/null | head -40
 	$(GO) tool pprof -top prof/serve.test prof/serve_sat.cpu 2>/dev/null | sed -n '/flat%/,$$p' | head -26
+
+# CPU and memory profile of 20 plane_replay ops: controlplane's
+# BenchmarkPlaneReplay (one warm-up replay outside the timer), printed like
+# prof
+prof-plane:
+	@mkdir -p prof
+	$(GO) test -run '^$$' -bench '^BenchmarkPlaneReplay$$' -benchtime 20x -benchmem \
+		-o prof/controlplane.test -cpuprofile prof/plane_replay.cpu -memprofile prof/plane_replay.mem ./internal/controlplane
+	$(GO) tool pprof -top -cum prof/controlplane.test prof/plane_replay.cpu 2>/dev/null | head -40
+	$(GO) tool pprof -top prof/controlplane.test prof/plane_replay.cpu 2>/dev/null | sed -n '/flat%/,$$p' | head -26
+	$(GO) tool pprof -sample_index=alloc_objects -top prof/controlplane.test prof/plane_replay.mem 2>/dev/null | sed -n '/flat%/,$$p' | head -26
 
 # serving smoke: checkpoint two models, drive ~1k requests at a batched and
 # an unbatched server, and require bitwise-equal outputs and zero drops

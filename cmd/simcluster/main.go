@@ -130,7 +130,7 @@ func runTenants(inv sched.Resources, nTeams int, strategyName string, nodeGPUs, 
 	fmt.Printf("\nper-team envelopes (borrowing run, t=%.0fs):\n", borrow.NowSec)
 	for _, tr := range borrow.Teams {
 		fmt.Printf("  %-8s quota %-24s inUse %-24s lent %-16s borrowed %s\n",
-			tr.Name, tr.Quota.Key(), tr.InUse.Key(), tr.Lent.Key(), tr.Borrowed.Key())
+			tr.Name, tr.Quota, tr.InUse, tr.Lent, tr.Borrowed)
 	}
 
 	fmt.Printf("\nfragmentation (borrowing run):\n")

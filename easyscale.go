@@ -101,7 +101,9 @@ func NewTracer() *Tracer { return obs.New() }
 
 // Scheduler types re-exported for cluster-level use.
 type (
-	// Resources counts GPUs per type.
+	// Counts is a per-GPU-type vector: held GPUs, a plan's ESTs per GPU.
+	Counts = sched.Counts
+	// Resources counts GPUs per type in the keyed form an inventory takes.
 	Resources = sched.Resources
 	// Capability is a per-GPU-type throughput model.
 	Capability = sched.Capability

@@ -33,7 +33,7 @@ func ExampleNewCompanion() {
 	caps := easyscale.Capability{easyscale.V100: 1.0, easyscale.P100: 0.5}
 	cp := easyscale.NewCompanion(4, caps) // maxP = 4 ESTs
 	intra := easyscale.NewIntraJob("job-0", cp, false)
-	plan, _ := intra.Apply(easyscale.Resources{easyscale.V100: 1, easyscale.P100: 1})
+	plan, _ := intra.Apply(easyscale.Counts{easyscale.V100: 1, easyscale.P100: 1})
 	fmt.Printf("ESTs per V100: %d, per P100: %d, throughput %.2f steps/s\n",
 		plan.ESTsPerGPU[easyscale.V100], plan.ESTsPerGPU[easyscale.P100], plan.Throughput)
 	// Output: ESTs per V100: 3, per P100: 1, throughput 1.33 steps/s

@@ -67,7 +67,7 @@ func main() {
 				kind = "placed"
 			}
 			seen[kind]++
-			fmt.Printf("tick %3d  %-19s %-20s -> %-20s at step %d\n", i, kind, ev.From.Key(), ev.To.Key(), job.GlobalStep())
+			fmt.Printf("tick %3d  %-19s %-20s -> %-20s at step %d\n", i, kind, ev.From, ev.To, job.GlobalStep())
 		}
 		if len(b.Events) > printed && job.Attached() {
 			fmt.Printf("%10s ESTs by GPU: %v on %v\n", "", job.Placement().Assignment, job.Placement().Devices)

@@ -27,7 +27,7 @@ func main() {
 
 		cp := easyscale.NewCompanion(maxP, controlplane.CapabilityFor(name))
 		intra := easyscale.NewIntraJob(name, cp, !d2OK)
-		candidates := []easyscale.Resources{
+		candidates := []easyscale.Counts{
 			{easyscale.V100: 2},
 			{easyscale.V100: 1, easyscale.P100: 2},
 			{easyscale.V100: 2, easyscale.P100: 2, easyscale.T4: 2},
@@ -35,11 +35,11 @@ func main() {
 		for _, r := range candidates {
 			plan, ok := intra.Apply(r)
 			if !ok {
-				fmt.Printf("  %-30s rejected (homogeneity policy)\n", r.Key())
+				fmt.Printf("  %-30s rejected (homogeneity policy)\n", r)
 				continue
 			}
 			fmt.Printf("  %-30s ESTs/GPU %v, est. throughput %.2f steps/s, waste %.2f\n",
-				r.Key(), plan.ESTsPerGPU, plan.Throughput, plan.Waste)
+				r, perGPU(plan.ESTsPerGPU), plan.Throughput, plan.Waste)
 		}
 	}
 
@@ -81,4 +81,15 @@ func main() {
 	} else {
 		log.Fatal("  diverged — unexpected under D1+D2")
 	}
+}
+
+// perGPU keys a plan's ESTs per GPU by the types it uses.
+func perGPU(a easyscale.Counts) map[easyscale.GPUType]int {
+	m := map[easyscale.GPUType]int{}
+	for t, n := range a {
+		if n > 0 {
+			m[easyscale.GPUType(t)] = n
+		}
+	}
+	return m
 }

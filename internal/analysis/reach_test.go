@@ -30,12 +30,11 @@ var reachAllow = []struct{ name, reason string }{
 	{"obs.FixedClock", "seam: the deterministic clock WithClock installs for golden exports"},
 	{"analysis.LoadDir", "seam: analyzer tests load one fixture directory from testdata, outside the module walk"},
 	{"data.Loader.Prefetch", "seam: fills the queuing buffer whose roll-back TestLoaderStateRoundTripMidEpoch checkpoints"},
-	{"sched.Companion.PlanFor", "seam: plan tests read the companion database for one exact resource vector"},
 	{"tensor.FromData", "seam: tests wrap literal values in a tensor of a given shape (its one non-test caller, checkpoint.Reader.Tensor, was itself test-only and is gone)"},
 }
 
 // reachAllowCap is the ratchet: the allowlist may shrink, never grow.
-const reachAllowCap = 16
+const reachAllowCap = 15
 
 // TestExportsReachedFromNonTestCode is the ratchet behind the dead-export
 // sweep: every exported func, method and type declared in a non-test file

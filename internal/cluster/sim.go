@@ -123,7 +123,7 @@ func Simulate(cfg Config, jobs []workload.JobSpec) Result {
 	var coloc []workload.JobSpec // Colocation: the jobs submitted and not finished
 	switch cfg.Mode {
 	case YARNCS:
-		g := &gangFIFO{inv: cfg.Inventory, free: cfg.Inventory.Clone()}
+		g := &gangFIFO{inv: cfg.Inventory.Counts(), free: cfg.Inventory.Counts()}
 		pol, submit = g, g.Submit
 	case Colocation:
 		plane = controlplane.New(controlplane.Config{Inventory: cfg.Inventory, AllowBorrowing: true,
@@ -200,7 +200,7 @@ func Simulate(cfg Config, jobs []workload.JobSpec) Result {
 // queue head may start, and it needs MaxP GPUs of its requested type at once,
 // which it holds until it finishes; so jobs start in submission order.
 type gangFIFO struct {
-	inv, free sched.Resources
+	inv, free sched.Counts
 	specs     []workload.JobSpec     // submission order
 	stats     []controlplane.JobStat // per spec
 	remaining []float64              // per spec: global steps left

@@ -52,7 +52,7 @@ func CapabilityFor(model string) sched.Capability {
 		return c
 	}
 	w := models.MustBuild(model, 0)
-	c := sched.Capability{}
+	var c sched.Capability
 	for _, t := range device.AllTypes() {
 		c[t] = w.StepRate(device.SpecOf(t).PeakGFLOPS)
 	}
@@ -158,7 +158,7 @@ type Plane struct {
 	nrecs                int
 	spill                []string         // messages of the spilled kinds
 	shares               []share          // node shares of every minted lease
-	head                 []perType        // sponsorFor's scratch: the live headroom view
+	head                 []sched.Counts   // sponsorFor's and the funded pass's scratch: a headroom view
 	avail                sched.Resources  // availFor's scratch
 	proposals            []sched.Proposal // Tick's scratch: one round's proposals
 	utilSum              float64
@@ -189,8 +189,8 @@ func New(cfg Config) *Plane {
 	for i, e := range p.envs {
 		e.idx = i
 	}
-	p.head = make([]perType, len(p.envs))
-	p.nodes = buildNodes(cfg.Inventory, cfg.NodeGPUs)
+	p.head = make([]sched.Counts, len(p.envs))
+	p.nodes = buildNodes(cfg.Inventory.Counts(), cfg.NodeGPUs)
 	for _, n := range p.nodes {
 		p.typeNodes[n.Type] = append(p.typeNodes[n.Type], n)
 	}
@@ -279,7 +279,9 @@ func (p *Plane) tryAdmit(j *job) *Lease {
 	if !ok {
 		return nil
 	}
-	if _, applied := j.intra.Apply(sched.Resources{t: need}); !applied {
+	var floor sched.Counts
+	floor[t] = need
+	if _, applied := j.intra.Apply(floor); !applied {
 		return nil
 	}
 	p.free[t] -= need
@@ -318,10 +320,11 @@ func (p *Plane) reclaim(requester *job, t device.Type, n int) {
 			return
 		}
 		holder := p.jobs[l.JobID]
-		take := min(l.Count, n)
-		p.emit(record{kind: kPreempt, typ: int8(t), sponsor: int16(p.teams[l.Sponsor].idx), count: int32(take),
+		var take sched.Counts
+		take[t] = min(l.Count, n)
+		p.emit(record{kind: kPreempt, typ: int8(t), sponsor: int16(p.teams[l.Sponsor].idx), count: int32(take[t]),
 			job: int32(holder.submitSeq), lease: int32(l.seq), aux: int32(requester.submitSeq)})
-		released, fellIdle := holder.intra.Preempt(sched.Resources{t: take})
+		released, fellIdle := holder.intra.Preempt(take)
 		freedT := released[t]
 		p.releaseFromJob(holder, released, preempted, l)
 		if fellIdle {
@@ -409,12 +412,10 @@ func (fp fundedPolicy) Decide(free sched.Resources, proposals []sched.Proposal) 
 	// nobody reads afterwards
 	slices.SortStableFunc(proposals, sched.CompareProposals)
 	// the funding snapshot the pass debits hypothetically before any lease is
-	// minted, so one round cannot oversubscribe an envelope across several jobs
-	var pool perType
-	for t := range pool {
-		pool[t] = free[device.Type(t)]
-	}
-	head := make([]perType, len(p.envs))
+	// minted, so one round cannot oversubscribe an envelope across several
+	// jobs. It is sponsorFor's scratch: RoundPass returns before the first
+	// sponsorFor, which refreshes the column it reads.
+	pool, head := free.Counts(), p.head
 	for i, e := range p.envs {
 		for t := range head[i] {
 			head[i][t] = e.headroom(device.Type(t))
@@ -443,7 +444,7 @@ func (fp fundedPolicy) Decide(free sched.Resources, proposals []sched.Proposal) 
 // pool capped by the best envelope headroom that could fund the job (its
 // own, or — with borrowing — the most idle sponsor's). The returned map is
 // the plane's scratch, overwritten by the next call.
-func (p *Plane) availFor(j *job, free sched.Resources) sched.Resources {
+func (p *Plane) availFor(j *job) sched.Resources {
 	for _, t := range device.AllTypes() {
 		h := j.env.headroom(t)
 		if p.cfg.AllowBorrowing {
@@ -451,7 +452,7 @@ func (p *Plane) availFor(j *job, free sched.Resources) sched.Resources {
 				h = max(h, e.headroom(t))
 			}
 		}
-		p.avail[t] = min(free[t], h)
+		p.avail[t] = min(p.free[t], h)
 	}
 	return p.avail
 }
@@ -472,12 +473,12 @@ func (p *Plane) Tick(nowSec float64) {
 		}
 	}
 	p.waiting = still
-	// 2. scale-out round: proposals against one free-pool snapshot, decided
-	// by the funded greedy pass, granted through the intra-job schedulers
-	freeSnap := p.free.Clone()
+	// 2. scale-out round: proposals against the free pool as it stands (no
+	// grant moves it before the pass), decided by the funded greedy pass,
+	// granted through the intra-job schedulers
 	p.proposals = p.proposals[:0]
 	for _, j := range p.live {
-		p.proposals = append(p.proposals, j.intra.Proposals(p.availFor(j, freeSnap), proposalTopK)...)
+		p.proposals = append(p.proposals, j.intra.Proposals(p.availFor(j), proposalTopK)...)
 	}
 	for _, pr := range sched.RoundPass(fundedPolicy{p}, p.free, p.proposals, p.cfg.Trace) {
 		j := p.jobs[pr.JobID]
@@ -494,7 +495,7 @@ func (p *Plane) Tick(nowSec float64) {
 			l := p.mintLease(j, pr.Type, pr.Count, sponsor)
 			p.emit(record{kind: kPlace, typ: int8(pr.Type), sponsor: int16(sponsor), count: int32(pr.Count),
 				job: int32(j.submitSeq), lease: int32(l.seq), f0: pr.SpeedupTotal, f1: pr.SpeedupPerGPU})
-			if unused := j.intra.TrimUnused(); unused != nil {
+			if unused := j.intra.TrimUnused(); unused.Total() > 0 {
 				p.releaseFromJob(j, unused, trimmed, nil)
 			}
 			j.pausedUtil = p.cfg.RestartSec
@@ -522,7 +523,7 @@ func (p *Plane) Tick(nowSec float64) {
 		held := j.intra.Current()
 		p.releaseFromJob(j, held, finished, nil)
 		p.emitText(record{kind: kFinish, count: int32(held.Total()), job: int32(j.submitSeq)}, fmt.Sprintf(
-			"job %s finished at %.0fs releasing %s", j.spec.ID, j.finishSec, held.Key()))
+			"job %s finished at %.0fs releasing %s", j.spec.ID, j.finishSec, held))
 	}
 	p.live = running
 	// 4. utilization sample
@@ -544,7 +545,9 @@ func (p *Plane) Release(leaseID string) error {
 	}
 	l := p.activeLeases[i]
 	j := p.jobs[l.JobID]
-	released, fellIdle := j.intra.Preempt(sched.Resources{l.Type: l.Count})
+	var take sched.Counts
+	take[l.Type] = l.Count
+	released, fellIdle := j.intra.Preempt(take)
 	p.emitText(record{kind: kRelease, count: int32(l.Count), lease: int32(l.seq)}, fmt.Sprintf(
 		"manual release of lease %s (%dx%s, job %s)", l.ID, l.Count, l.Type, l.JobID))
 	p.releaseFromJob(j, released, manual, l)
@@ -560,12 +563,13 @@ func (p *Plane) Free() sched.Resources { return p.free.Clone() }
 // Allocated returns the number of GPUs currently leased.
 func (p *Plane) Allocated() int { return p.cfg.Inventory.Total() - p.free.Total() }
 
-// Held returns the resources a job currently holds (nil job → empty).
-func (p *Plane) Held(jobID string) sched.Resources {
+// Held returns the resources a job currently holds (none for an unknown or
+// finished job).
+func (p *Plane) Held(jobID string) sched.Counts {
 	if j, ok := p.jobs[jobID]; ok && !j.done {
 		return j.intra.Current()
 	}
-	return sched.Resources{}
+	return sched.Counts{}
 }
 
 // Placement renders a job's active plan (one a finished job finished on) as
@@ -591,20 +595,20 @@ func (p *Plane) Progress(jobID string) (steps float64, done bool) {
 // Observe feeds a job's measured throughput, in the plan's units, to its
 // intra-job scheduler (Role-3 of §3.4). A job that scaled out since and
 // misses the plan falls back to its previous GPUs and pays a restart pause;
-// the GPUs it gives up are retired from its leases and returned (nil when it
-// keeps them).
-func (p *Plane) Observe(jobID string, measured float64) sched.Resources {
+// the GPUs it gives up are retired from its leases and returned. fell
+// reports the fallback, which may release nothing.
+func (p *Plane) Observe(jobID string, measured float64) (released sched.Counts, fell bool) {
 	j, ok := p.jobs[jobID]
 	if !ok || j.done {
-		return nil
+		return sched.Counts{}, false
 	}
-	released, fell := j.intra.ObserveThroughput(measured)
+	released, fell = j.intra.ObserveThroughput(measured)
 	if !fell {
-		return nil
+		return sched.Counts{}, false
 	}
 	p.releaseFromJob(j, released, fellBack, nil)
 	j.pausedUtil = p.cfg.RestartSec
-	return released
+	return released, true
 }
 
 // Decisions counts admission decisions taken so far: submissions,
@@ -653,10 +657,10 @@ func (p *Plane) OpenReservations() []Reservation {
 // TeamReport is one envelope's utilization summary.
 type TeamReport struct {
 	Name     string
-	Quota    sched.Resources
-	InUse    sched.Resources
-	Lent     sched.Resources
-	Borrowed sched.Resources
+	Quota    sched.Counts
+	InUse    sched.Counts
+	Lent     sched.Counts
+	Borrowed sched.Counts
 }
 
 // Report summarizes the plane: per-team envelopes, fragmentation and
@@ -699,11 +703,7 @@ func (p *Plane) Report() Report {
 		r.Utilization = p.utilSum / float64(p.utilTicks)
 	}
 	for _, e := range p.envs {
-		r.Teams = append(r.Teams, TeamReport{
-			Name:  e.cfg.Name,
-			Quota: e.quota.resources(), InUse: e.inUse.resources(),
-			Lent: e.lent.resources(), Borrowed: e.borrowed.resources(),
-		})
+		r.Teams = append(r.Teams, TeamReport{Name: e.cfg.Name, Quota: e.quota, InUse: e.inUse, Lent: e.lent, Borrowed: e.borrowed})
 	}
 	return r
 }

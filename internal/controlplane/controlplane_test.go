@@ -33,8 +33,8 @@ func checkInvariants(t *testing.T, p *Plane) {
 // Tick walks are what they claim to be — live is {admitted, not done} in
 // submission order, waiting is {not admitted} by (priority desc, submission).
 func invariants(p *Plane) error {
-	var leased perType
-	type books struct{ inUse, lent, borrowed perType }
+	var leased sched.Counts
+	type books struct{ inUse, lent, borrowed sched.Counts }
 	funds := map[string]*books{}
 	for _, e := range p.envs {
 		funds[e.cfg.Name] = &books{}
@@ -77,7 +77,7 @@ func invariants(p *Plane) error {
 		if j.admitted {
 			live = append(live, j)
 		}
-		var held perType
+		var held sched.Counts
 		for _, l := range j.leases {
 			held[l.Type] += l.Count
 		}
@@ -93,7 +93,7 @@ func invariants(p *Plane) error {
 		return fmt.Errorf("tick lists drifted: live has %d jobs, want %d; waiting has %d, want %d (or their order differs)",
 			len(p.live), len(live), len(p.waiting), len(waiting))
 	}
-	var nodeUsed perType
+	var nodeUsed sched.Counts
 	for _, n := range p.nodes {
 		if n.Used < 0 || n.Used > n.Cap {
 			return fmt.Errorf("node %s used %d out of [0,%d]", n.ID, n.Used, n.Cap)
@@ -419,7 +419,7 @@ func TestThroughputFeedbackStaysWithItsJob(t *testing.T) {
 	// a healthy measurement first ends the check of the grant from zero GPUs,
 	// so the biased one refreshes the model without also falling back to them
 	for _, ratio := range []float64{1, 0.1} {
-		if released := p.Observe("a", est*ratio); released != nil {
+		if _, fell := p.Observe("a", est*ratio); fell {
 			t.Fatalf("setup: fell back at %v of the estimate", ratio)
 		}
 	}

@@ -14,21 +14,6 @@ type TeamConfig struct {
 	Quota sched.Resources
 }
 
-// perType is a per-GPU-type vector in the plane's internal form: a fixed
-// array, so reading it is an index and copying it is a clone. It becomes a
-// sched.Resources at the exported boundary (Report).
-type perType [device.NumTypes]int
-
-func (v perType) resources() sched.Resources {
-	out := sched.Resources{}
-	for t, n := range v {
-		if n != 0 {
-			out[device.Type(t)] = n
-		}
-	}
-	return out
-}
-
 // envelope is a team's live funding state. inUse counts every GPU funded by
 // this envelope, whether held by the team's own jobs or lent to another
 // team's; lent is the subset held elsewhere; borrowed counts GPUs this
@@ -36,18 +21,14 @@ func (v perType) resources() sched.Resources {
 type envelope struct {
 	cfg      TeamConfig
 	idx      int // position in Plane.envs
-	quota    perType
-	inUse    perType
-	lent     perType
-	borrowed perType
+	quota    sched.Counts
+	inUse    sched.Counts
+	lent     sched.Counts
+	borrowed sched.Counts
 }
 
 func newEnvelope(cfg TeamConfig) *envelope {
-	e := &envelope{cfg: cfg}
-	for t := range e.quota {
-		e.quota[t] = cfg.Quota[device.Type(t)]
-	}
-	return e
+	return &envelope{cfg: cfg, quota: cfg.Quota.Counts()}
 }
 
 // headroom is the envelope's remaining funding capacity for one type: quota
@@ -67,7 +48,7 @@ func (e *envelope) headroom(t device.Type) int {
 // function, so they cannot disagree.
 //
 //easyscale:hotpath
-func pickSponsor(head []perType, t device.Type, own, count int, borrow bool) (int, bool) {
+func pickSponsor(head []sched.Counts, t device.Type, own, count int, borrow bool) (int, bool) {
 	if head[own][t] >= count {
 		return own, true
 	}

@@ -5,14 +5,15 @@ import (
 	"reflect"
 
 	"repro/internal/device"
+	"repro/internal/sched"
 )
 
 // folded is the plane's state as its decision records tell it.
 type folded struct {
-	leases                []*Lease  // active, in the order they were minted or split off
-	inUse, lent, borrowed []perType // per envelope, indexed like Plane.envs
-	used                  []int     // per node, indexed like Plane.nodes
-	free                  perType
+	leases                []*Lease       // active, in the order they were minted or split off
+	inUse, lent, borrowed []sched.Counts // per envelope, indexed like Plane.envs
+	used                  []int          // per node, indexed like Plane.nodes
+	free                  sched.Counts
 	// admitted and finished count admission and finish records; borrows
 	// counts the minted leases a foreign envelope funds
 	minted, borrows, reclaims, admitted, finished int
@@ -23,8 +24,8 @@ type folded struct {
 // registries, so fold reads those and nothing that a record changes.
 func fold(p *Plane) (folded, error) {
 	f := folded{
-		inUse: make([]perType, len(p.envs)), lent: make([]perType, len(p.envs)),
-		borrowed: make([]perType, len(p.envs)), used: make([]int, len(p.nodes)),
+		inUse: make([]sched.Counts, len(p.envs)), lent: make([]sched.Counts, len(p.envs)),
+		borrowed: make([]sched.Counts, len(p.envs)), used: make([]int, len(p.nodes)),
 	}
 	for t := range f.free {
 		f.free[t] = p.cfg.Inventory[device.Type(t)]

@@ -143,7 +143,7 @@ func without(list []*Lease, l *Lease) []*Lease {
 // scheduler (trim, fallback, preemption, completion) against the job's
 // leases, retiring newest-first; prefer, when non-nil and matching, is
 // retired ahead of the LIFO order (the manual Release path).
-func (p *Plane) releaseFromJob(j *job, released sched.Resources, why reason, prefer *Lease) {
+func (p *Plane) releaseFromJob(j *job, released sched.Counts, why reason, prefer *Lease) {
 	for _, t := range device.AllTypes() {
 		m := released[t]
 		for m > 0 {

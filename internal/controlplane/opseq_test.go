@@ -129,13 +129,13 @@ func runOpSequence(seed uint64) (ops []string, err error) {
 			err = step(fmt.Sprintf("Observe(%q, %v x estimate)", id, speedup), func() error {
 				_, est := p.Placement(id, 1)
 				held, free := p.Held(id), p.Free()
-				released := p.Observe(id, est*speedup)
+				released, fell := p.Observe(id, est*speedup)
 				for _, ty := range device.AllTypes() {
 					if released[ty] < 0 || released[ty] > held[ty] || p.Free()[ty] != free[ty]+released[ty] {
 						return fmt.Errorf("Observe released %v of %v held; free went %v -> %v", released, held, free, p.Free())
 					}
 				}
-				if released != nil && speedup >= 0.8 {
+				if fell && speedup >= 0.8 {
 					return fmt.Errorf("fell back at %v of the estimate", speedup)
 				}
 				return nil

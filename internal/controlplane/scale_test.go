@@ -26,12 +26,18 @@ func benchTeams() []TeamConfig {
 // runScaleScenario drives a dense multi-team workload over the 3072-GPU
 // fleet and returns the plane for inspection.
 func runScaleScenario(ticks int) *Plane {
+	return replayTenants(workload.GenerateTenants(400, []string{"ads", "nlp", "rec", "vis"}, 5, 17), ticks)
+}
+
+// replayTenants replays jobs for ticks 10-s ticks on the 3072-GPU fleet with
+// borrowing on and the plane's default best-fit packing: every job that has
+// arrived is submitted, then the plane ticks.
+func replayTenants(jobs []workload.JobSpec, ticks int) *Plane {
 	p := New(Config{
 		Inventory:      benchInventory,
 		Teams:          benchTeams(),
 		AllowBorrowing: true,
 	})
-	jobs := workload.GenerateTenants(400, []string{"ads", "nlp", "rec", "vis"}, 5, 17)
 	next := 0
 	for tick := 0; tick < ticks; tick++ {
 		now := float64(tick) * 10
@@ -87,7 +93,7 @@ func TestSchedulerThroughputAtScale(t *testing.T) {
 
 // TestTickAllocRegression is the tripwire for the tick's allocation count,
 // which a timer on a shared box cannot be: heap allocations per op of the
-// scale scenario (an op is one tick with its Submits). Measured 783 on
+// scale scenario (an op is one tick with its Submits). Measured 489 on
 // go1.24 (the same scenario allocated 9,151 per tick while the log was
 // strings and plans were keyed by rendered text); the bound is 1.5x that.
 func TestTickAllocRegression(t *testing.T) {
@@ -97,7 +103,7 @@ func TestTickAllocRegression(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; counts are only meaningful uninstrumented")
 	}
-	const ticks, bound = 300, 1175
+	const ticks, bound = 300, 735
 	runScaleScenario(ticks / 10) // fills the process-wide capability cache
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
@@ -107,5 +113,20 @@ func TestTickAllocRegression(t *testing.T) {
 		t.Fatalf("%.0f allocations per tick, want <= %d", got, bound)
 	} else {
 		t.Logf("%.0f allocations per tick over %d decisions", got, p.Decisions())
+	}
+}
+
+// BenchmarkPlaneReplay is the plane_replay workload's op as a Go benchmark,
+// for profiling (make prof-plane): the 3072-GPU four-team fleet replaying a
+// 1,000-job tenant trace for 750 ticks, one op per whole replay. The first
+// replay, outside the timer, fills the process-wide capability cache.
+func BenchmarkPlaneReplay(b *testing.B) {
+	const ticks = 750
+	jobs := workload.GenerateTenants(1000, []string{"ads", "nlp", "rec", "vis"}, 5, 1)
+	replayTenants(jobs, ticks)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		replayTenants(jobs, ticks)
 	}
 }

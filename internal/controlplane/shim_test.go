@@ -50,18 +50,18 @@ func TestSingleTenantBitwiseMatchesDeprecatedShim(t *testing.T) {
 		for _, pr := range sched.RoundPass(sched.GreedyPolicy{}, free, proposals, nil) {
 			if _, ok := intras[pr.JobID].Grant(pr); ok {
 				for typ, n := range intras[pr.JobID].TrimUnused() {
-					free[typ] += n
+					free[device.Type(typ)] += n
 				}
 			} else {
 				free[pr.Type] += pr.Count
 			}
 		}
 
-		if got, want := plane.Free().Key(), free.Key(); got != want {
+		if got, want := plane.Free().Counts(), free.Counts(); got != want {
 			t.Fatalf("tick %d: plane free %s != shim free %s", tick, got, want)
 		}
 		for _, id := range active {
-			if got, want := plane.Held(id).Key(), intras[id].Current().Key(); got != want {
+			if got, want := plane.Held(id), intras[id].Current(); got != want {
 				t.Fatalf("tick %d: job %s plane holds %s, shim holds %s", tick, id, got, want)
 			}
 			gp, sp := plane.jobs[id].intra.CurrentPlan(), intras[id].CurrentPlan()

@@ -117,12 +117,12 @@ func fragmentation(nodes []*Node) []TypeFrag {
 		var f TypeFrag
 		f.Type = t
 		var used, capTotal int
-		var perType []*Node
+		var ofType []*Node
 		for _, n := range nodes {
 			if n.Type != t {
 				continue
 			}
-			perType = append(perType, n)
+			ofType = append(ofType, n)
 			f.Nodes++
 			used += n.Used
 			capTotal += n.Cap
@@ -145,9 +145,9 @@ func fragmentation(nodes []*Node) []TypeFrag {
 		}
 		// fewest nodes that could host the allocated GPUs: fill the
 		// most-utilized nodes first; everything on the remainder must move
-		sort.SliceStable(perType, func(i, j int) bool { return BestFit{}.Less(perType[i], perType[j]) })
+		sort.SliceStable(ofType, func(i, j int) bool { return BestFit{}.Less(ofType[i], ofType[j]) })
 		remaining := used
-		for _, n := range perType {
+		for _, n := range ofType {
 			if remaining <= 0 {
 				f.ConsolidationMoves += n.Used
 				continue
@@ -161,7 +161,7 @@ func fragmentation(nodes []*Node) []TypeFrag {
 
 // buildNodes splits the inventory into NodeGPUs-sized nodes per type, in
 // device.AllTypes order.
-func buildNodes(inv sched.Resources, nodeGPUs int) []*Node {
+func buildNodes(inv sched.Counts, nodeGPUs int) []*Node {
 	var out []*Node
 	for _, t := range device.AllTypes() {
 		left := inv[t]

@@ -347,6 +347,9 @@ func TestBatchIntoEqualsBatch(t *testing.T) {
 	if !reflect.DeepEqual(into.snapshot(), ref.snapshot()) {
 		t.Fatal("loader state after BatchInto differs from Batch's")
 	}
+	if raceEnabled {
+		return // the race build's sync.Pool drops puts at random, so the arena misses
+	}
 	into.SetEpoch(2)
 	step := 0
 	if a := testing.AllocsPerRun(5, func() {

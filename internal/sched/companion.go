@@ -3,20 +3,52 @@
 // model (Equations 1a–1d), the intra-job scheduler that maps ESTs onto the
 // currently held GPUs and proposes scale-outs, and the inter-job cluster
 // scheduler that greedily grants proposals by speedup-per-GPU.
+//
+// A GPU vector is a Counts, one count per device type, wherever the
+// scheduler takes or returns one: plans, holdings, trims, preemptions and
+// fallbacks. Resources, the same vector as a map keyed by type, is the form
+// a caller hands a free pool in (IntraJob.Proposals, RoundPass,
+// Policy.Decide) and is converted with Resources.Counts.
 package sched
 
 import (
 	"fmt"
-	"maps"
 	"sort"
 
 	"repro/internal/device"
 )
 
-// Resources counts GPUs per type.
+// Counts is the scheduler's per-type GPU vector — N_i GPUs (or, in a plan,
+// A_i ESTs per GPU) of each type i, indexed by device.Type. It is a map key
+// without rendering a string, and copying it is a clone.
+type Counts [device.NumTypes]int
+
+// Total returns the sum over types.
+func (c Counts) Total() int {
+	n := 0
+	for _, k := range c {
+		n += k
+	}
+	return n
+}
+
+// String renders the positive entries in type order ("V100:4;P100:2;"), the
+// form the decision logs print.
+func (c Counts) String() string {
+	var b []byte
+	for t, n := range c {
+		if n > 0 {
+			b = fmt.Appendf(b, "%s:%d;", device.Type(t), n)
+		}
+	}
+	return string(b)
+}
+
+// Resources is a per-type GPU count keyed by type: the form of an inventory,
+// a quota and a free pool where callers hand them in.
 type Resources map[device.Type]int
 
-// Clone deep-copies a resource vector.
+// Clone copies a resource vector, dropping zero entries.
 func (r Resources) Clone() Resources {
 	out := Resources{}
 	for t, n := range r {
@@ -36,58 +68,25 @@ func (r Resources) Total() int {
 	return n
 }
 
-// Key renders a canonical string for use as a map key.
-func (r Resources) Key() string {
-	s := ""
-	for _, t := range device.AllTypes() {
-		if n := r[t]; n > 0 {
-			s += fmt.Sprintf("%s:%d;", t, n)
-		}
-	}
-	return s
-}
-
-// counts is the scheduler's internal form of Resources: a fixed per-type
-// array, so it is a map key without rendering a string and copying it is a
-// clone. Resources stays the exported type, converted at the boundary.
-type counts [device.NumTypes]int
-
-func countsOf(r Resources) counts {
-	var c counts
+// Counts converts r to the vector form.
+func (r Resources) Counts() Counts {
+	var c Counts
 	for t := range c {
 		c[t] = r[device.Type(t)]
 	}
 	return c
 }
 
-func (c counts) resources() Resources {
-	out := Resources{}
-	for t, n := range c {
-		if n != 0 {
-			out[device.Type(t)] = n
-		}
-	}
-	return out
-}
-
-func (c counts) total() int {
-	n := 0
-	for _, k := range c {
-		n += k
-	}
-	return n
-}
-
 // Capability is the workload-specific compute capability C_i: mini-batches
 // per second one EST achieves on one GPU of each type.
-type Capability map[device.Type]float64
+type Capability [device.NumTypes]float64
 
 // Plan is one entry of the companion module's database: a GPU quantity per
 // type, the EST-to-GPU mapping (A_i ESTs on each GPU of type i), and the
 // model-estimated throughput.
 type Plan struct {
-	GPUs       Resources
-	ESTsPerGPU map[device.Type]int
+	GPUs       Counts
+	ESTsPerGPU Counts
 	NEST       int     // Σ N_i·A_i (≥ maxP, Eq. 1a)
 	Overload   float64 // f_overload (Eq. 1b)
 	Waste      float64 // Eq. 1c
@@ -102,20 +101,20 @@ type Companion struct {
 	MaxP int
 	Caps Capability
 
-	plans map[counts]Plan
+	plans map[Counts]Plan
 	// gen counts capability updates: whatever remembers an answer derived
 	// from the performance model (IntraJob.Proposals) keys it on gen.
 	gen uint64
 }
 
 // NewCompanion builds a companion module for a job with maxP ESTs. The
-// companion owns its performance model: caps is copied, so feedback one job
-// measures never reaches another job's companion or the caller's map.
+// companion owns its performance model: caps is a value, so feedback one job
+// measures never reaches another job's companion or the caller's.
 func NewCompanion(maxP int, caps Capability) *Companion {
 	if maxP <= 0 {
 		panic("sched: maxP must be positive")
 	}
-	return &Companion{MaxP: maxP, Caps: maps.Clone(caps), plans: map[counts]Plan{}}
+	return &Companion{MaxP: maxP, Caps: caps, plans: map[Counts]Plan{}}
 }
 
 // assign computes the EST-to-GPU mapping for a resource vector by greedy
@@ -123,12 +122,12 @@ func NewCompanion(maxP int, caps Capability) *Companion {
 // per-EST slowdown (A_i+1)/C_i is smallest, until Σ N_i·A_i ≥ maxP — the
 // quantum property (integer ESTs) over consecutive computing capabilities.
 // ok is false when the vector holds no usable GPUs.
-func (cp *Companion) assign(gpus counts) (a counts, nEST int, ok bool) {
+func (cp *Companion) assign(gpus Counts) (a Counts, nEST int, ok bool) {
 	for nEST < cp.MaxP {
 		best := -1
 		bestCost := 0.0
 		for t, n := range gpus {
-			c := cp.Caps[device.Type(t)]
+			c := cp.Caps[t]
 			if n == 0 || c <= 0 {
 				continue
 			}
@@ -147,13 +146,13 @@ func (cp *Companion) assign(gpus counts) (a counts, nEST int, ok bool) {
 }
 
 // evaluate applies the waste model (Eq. 1a–1d) to a mapping.
-func (cp *Companion) evaluate(gpus, a counts, nEST int) Plan {
+func (cp *Companion) evaluate(gpus, a Counts, nEST int) Plan {
 	// fixed type order: the float max over a map range would let Go's
 	// randomized iteration order pick between ±0-style ties run to run
 	f := 0.0
 	for t, ai := range a {
 		if ai > 0 {
-			if v := float64(ai) / cp.Caps[device.Type(t)]; v > f {
+			if v := float64(ai) / cp.Caps[t]; v > f {
 				f = v
 			}
 		}
@@ -164,14 +163,14 @@ func (cp *Companion) evaluate(gpus, a counts, nEST int) Plan {
 		if n == 0 {
 			continue
 		}
-		c := cp.Caps[device.Type(t)]
+		c := cp.Caps[t]
 		sumCap += float64(n) * c
 		waste += float64(n) * (c - float64(a[t])/f)
 	}
 	waste += float64(nEST-cp.MaxP) / f
 	return Plan{
-		GPUs:       gpus.resources(),
-		ESTsPerGPU: a.resources(),
+		GPUs:       gpus,
+		ESTsPerGPU: a,
 		NEST:       nEST,
 		Overload:   f,
 		Waste:      waste,
@@ -180,19 +179,13 @@ func (cp *Companion) evaluate(gpus, a counts, nEST int) Plan {
 }
 
 // PlanFor returns the database plan for an exact resource vector, computing
-// and memoizing it on first use. ok is false when the vector cannot host the
-// job (no usable GPUs).
-func (cp *Companion) PlanFor(gpus Resources) (Plan, bool) {
-	return cp.planAt(countsOf(gpus))
-}
-
-// planAt is PlanFor on the internal vector: a database hit is one map probe
-// on an integer key.
-func (cp *Companion) planAt(gpus counts) (Plan, bool) {
+// and memoizing it on first use: a hit is one map probe on an array key. ok
+// is false when the vector cannot host the job (no usable GPUs).
+func (cp *Companion) PlanFor(gpus Counts) (Plan, bool) {
 	if p, ok := cp.plans[gpus]; ok {
 		return p, true
 	}
-	if gpus.total() == 0 {
+	if gpus.Total() == 0 {
 		return Plan{}, false
 	}
 	a, nEST, ok := cp.assign(gpus)
@@ -212,7 +205,7 @@ func (cp *Companion) UpdateCapability(t device.Type, observed float64) {
 		return
 	}
 	cp.Caps[t] = observed
-	cp.plans = map[counts]Plan{}
+	cp.plans = map[Counts]Plan{}
 	cp.gen++
 }
 

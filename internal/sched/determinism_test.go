@@ -13,23 +13,23 @@ import (
 // deliberately heavy on heterogeneous resource vectors: those are the inputs
 // where a stray map-range would let Go's randomized iteration order leak
 // into plans and tie-breaks.
-func schedulingPass() ([]Plan, [][]Proposal, []Resources) {
+func schedulingPass() ([]Plan, [][]Proposal, []Counts) {
 	var plans []Plan
 	var rounds [][]Proposal
-	var pools []Resources
+	var pools []Counts
 
 	jobs := []*IntraJob{
 		NewIntraJob("job-a", NewCompanion(8, caps()), false),
 		NewIntraJob("job-b", NewCompanion(4, Capability{device.V100: 1.0, device.P100: 0.5, device.T4: 0.35}), false),
 		NewIntraJob("job-c", NewCompanion(2, Capability{device.V100: 1.0, device.P100: 1.0, device.T4: 0.35}), true),
 	}
-	if p, ok := jobs[0].Apply(Resources{device.V100: 2, device.P100: 1, device.T4: 1}); ok {
+	if p, ok := jobs[0].Apply(Counts{device.V100: 2, device.P100: 1, device.T4: 1}); ok {
 		plans = append(plans, p)
 	}
-	if p, ok := jobs[1].Apply(Resources{device.P100: 2}); ok {
+	if p, ok := jobs[1].Apply(Counts{device.P100: 2}); ok {
 		plans = append(plans, p)
 	}
-	if p, ok := jobs[2].Apply(Resources{device.V100: 1}); ok {
+	if p, ok := jobs[2].Apply(Counts{device.V100: 1}); ok {
 		plans = append(plans, p)
 	}
 
@@ -50,15 +50,15 @@ func schedulingPass() ([]Plan, [][]Proposal, []Resources) {
 				}
 			}
 		}
-		pools = append(pools, free.Clone())
+		pools = append(pools, free.Counts())
 	}
 
-	// trim, preemption, and fallback all exercise the map paths
+	// trim, preemption, and fallback
 	for t, n := range jobs[0].TrimUnused() {
-		free[t] += n
+		free[device.Type(t)] += n
 	}
-	pools = append(pools, free.Clone())
-	rel, _ := jobs[0].Preempt(Resources{device.V100: 1, device.P100: 1, device.T4: 2})
+	pools = append(pools, free.Counts())
+	rel, _ := jobs[0].Preempt(Counts{device.V100: 1, device.P100: 1, device.T4: 2})
 	pools = append(pools, rel)
 	if rel, fell := jobs[1].ObserveThroughput(jobs[1].CurrentPlan().Throughput * 0.1); fell {
 		pools = append(pools, rel)
@@ -99,7 +99,7 @@ func TestSchedulingPassesAreIdentical(t *testing.T) {
 func TestRenderPlacementDeterministic(t *testing.T) {
 	mk := func() *IntraJob {
 		j := NewIntraJob("job", NewCompanion(6, Capability{device.V100: 1.0, device.P100: 0.5, device.T4: 0.35}), false)
-		j.Apply(Resources{device.V100: 1, device.P100: 2, device.T4: 1})
+		j.Apply(Counts{device.V100: 1, device.P100: 2, device.T4: 1})
 		return j
 	}
 	ref := mk().RenderPlacement(6)

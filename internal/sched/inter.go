@@ -38,7 +38,7 @@ func CompareProposals(a, b Proposal) int {
 func (GreedyPolicy) Decide(free Resources, proposals []Proposal) []Proposal {
 	sorted := append([]Proposal(nil), proposals...)
 	slices.SortStableFunc(sorted, CompareProposals)
-	pool := free.Clone()
+	pool := free.Counts()
 	granted := map[string]bool{}
 	var out []Proposal
 	for _, pr := range sorted {
@@ -68,7 +68,7 @@ func RoundPass(policy Policy, free Resources, proposals []Proposal, trace *obs.T
 		logDecision(trace, "sched.accept", int64(pr.Count), 0, func() string { return proposalDetail(pr) })
 	}
 	logDecision(trace, "sched.round", int64(len(accepted)), int64(len(proposals)), func() string {
-		return fmt.Sprintf("accepted %d of %d proposals; free=%s", len(accepted), len(proposals), free.Key())
+		return fmt.Sprintf("accepted %d of %d proposals; free=%s", len(accepted), len(proposals), free.Counts())
 	})
 	return accepted
 }

@@ -34,17 +34,17 @@ type IntraJob struct {
 	// trace.go). Decisions never depend on it.
 	Trace *obs.Tracer
 
-	cur     counts
+	cur     Counts
 	curPlan Plan
 	// prev remembers the pre-scale-out state for the slowdown fallback.
-	prev      counts
+	prev      Counts
 	prevPlan  Plan
 	scaledOut bool
 	// fellFrom is the vector the last fallback left, and fellGen the model
 	// generation it was measured under: explore skips exactly that step while
 	// neither the holdings (any apply clears it) nor the model has moved, so a
 	// fallback is not re-proposed and re-granted on the next round.
-	fellFrom counts
+	fellFrom Counts
 	fellGen  uint64
 
 	// memo is the last Proposals answer and memoKey everything it is a
@@ -63,7 +63,7 @@ type proposalKey struct {
 	cp                  *Companion
 	gen                 uint64
 	jobID               string
-	held, addable, skip counts
+	held, addable, skip Counts
 	curThr              float64
 	k                   int
 }
@@ -78,13 +78,13 @@ func NewIntraJob(jobID string, cp *Companion, homogeneousOnly bool) *IntraJob {
 }
 
 // Current returns the held resources.
-func (s *IntraJob) Current() Resources { return s.cur.resources() }
+func (s *IntraJob) Current() Counts { return s.cur }
 
 // CurrentPlan returns the active plan.
 func (s *IntraJob) CurrentPlan() Plan { return s.curPlan }
 
 // admissible filters a resource vector through the homogeneity policy.
-func (s *IntraJob) admissible(r counts) bool {
+func (s *IntraJob) admissible(r Counts) bool {
 	if !s.HomogeneousOnly {
 		return true
 	}
@@ -100,55 +100,53 @@ func (s *IntraJob) admissible(r counts) bool {
 // Apply is Role-1/Role-3: accept a (possibly changed) resource allocation
 // and select the best EST-to-GPU configuration for it. Returns false when
 // the job cannot run on the given resources (it then holds zero GPUs).
-func (s *IntraJob) Apply(r Resources) (Plan, bool) { return s.apply(countsOf(r)) }
-
-func (s *IntraJob) apply(r counts) (Plan, bool) {
+func (s *IntraJob) Apply(r Counts) (Plan, bool) {
 	if !s.admissible(r) {
-		logDecision(s.Trace, "sched.reject", int64(r.total()), 0, func() string {
-			return fmt.Sprintf("job=%s res=%s violates homogeneity policy", s.JobID, r.resources().Key())
+		logDecision(s.Trace, "sched.reject", int64(r.Total()), 0, func() string {
+			return fmt.Sprintf("job=%s res=%s violates homogeneity policy", s.JobID, r)
 		})
 		return Plan{}, false
 	}
-	s.fellFrom = counts{}
-	p, ok := s.Companion.planAt(r)
+	s.fellFrom = Counts{}
+	p, ok := s.Companion.PlanFor(r)
 	if !ok {
-		s.cur, s.curPlan = counts{}, Plan{}
-		logDecision(s.Trace, "sched.reject", int64(r.total()), 0, func() string {
-			return fmt.Sprintf("job=%s res=%s has no feasible plan", s.JobID, r.resources().Key())
+		s.cur, s.curPlan = Counts{}, Plan{}
+		logDecision(s.Trace, "sched.reject", int64(r.Total()), 0, func() string {
+			return fmt.Sprintf("job=%s res=%s has no feasible plan", s.JobID, r)
 		})
 		return Plan{}, false
 	}
 	s.cur, s.curPlan = r, p
-	logDecision(s.Trace, "sched.apply", int64(r.total()), int64(p.NEST), func() string {
-		return fmt.Sprintf("job=%s res=%s est-throughput=%.3f", s.JobID, r.resources().Key(), p.Throughput)
+	logDecision(s.Trace, "sched.apply", int64(r.Total()), int64(p.NEST), func() string {
+		return fmt.Sprintf("job=%s res=%s est-throughput=%.3f", s.JobID, r, p.Throughput)
 	})
 	return p, true
 }
 
 // TrimUnused drops GPU types the active plan assigns no ESTs to (their
 // capability would be pure waste) and returns them for release to the
-// cluster pool.
-func (s *IntraJob) TrimUnused() Resources {
-	var released counts
+// cluster pool (none: the zero vector).
+func (s *IntraJob) TrimUnused() Counts {
+	var released Counts
 	next := s.cur
 	for t, n := range s.cur {
-		if n > 0 && s.curPlan.ESTsPerGPU[device.Type(t)] == 0 {
+		if n > 0 && s.curPlan.ESTsPerGPU[t] == 0 {
 			released[t], next[t] = n, 0
 		}
 	}
-	if released.total() == 0 {
-		return nil
+	if released.Total() == 0 {
+		return Counts{}
 	}
-	logDecision(s.Trace, "sched.trim", int64(released.total()), 0, func() string {
-		return fmt.Sprintf("job=%s releasing unused %s", s.JobID, released.resources().Key())
+	logDecision(s.Trace, "sched.trim", int64(released.Total()), 0, func() string {
+		return fmt.Sprintf("job=%s releasing unused %s", s.JobID, released)
 	})
 	// a trim of a type the fallback snapshot holds leaves that snapshot
 	// describing GPUs the job no longer has, as a preemption does
 	for t, n := range released {
 		s.scaledOut = s.scaledOut && (n == 0 || s.prev[t] == 0)
 	}
-	s.apply(next)
-	return released.resources()
+	s.Apply(next)
+	return released
 }
 
 // Proposals is Role-2: explore incremental homogeneous scale-outs against
@@ -166,7 +164,7 @@ func (s *IntraJob) Proposals(free Resources, k int) []Proposal {
 	if s.fellGen == s.Companion.gen {
 		key.skip = s.fellFrom
 	}
-	idle := s.cur.total() == 0
+	idle := s.cur.Total() == 0
 	for t := range key.addable {
 		// homogeneous-only: the type we already hold (or any single type if idle)
 		if s.HomogeneousOnly && !idle && s.cur[t] == 0 {
@@ -192,7 +190,7 @@ func (s *IntraJob) Proposals(free Resources, k int) []Proposal {
 // explore evaluates every add of 1..addable[t] GPUs of each type against the
 // plan database, except the one that reaches skip, and ranks the ones that
 // speed the job up.
-func (s *IntraJob) explore(addable, skip counts, k int) []Proposal {
+func (s *IntraJob) explore(addable, skip Counts, k int) []Proposal {
 	var out []Proposal
 	curThr := s.curPlan.Throughput
 	for t, maxAdd := range addable {
@@ -202,7 +200,7 @@ func (s *IntraJob) explore(addable, skip counts, k int) []Proposal {
 			if next == skip {
 				continue
 			}
-			p, ok := s.Companion.planAt(next)
+			p, ok := s.Companion.PlanFor(next)
 			if !ok || p.Throughput <= 0 {
 				continue
 			}
@@ -247,7 +245,7 @@ func (s *IntraJob) Grant(pr Proposal) (Plan, bool) {
 	s.prev, s.prevPlan = s.cur, s.curPlan
 	next := s.cur
 	next[pr.Type] += pr.Count
-	p, ok := s.apply(next)
+	p, ok := s.Apply(next)
 	if ok {
 		s.scaledOut = true
 		logDecision(s.Trace, "sched.grant", int64(pr.Count), 1, func() string { return proposalDetail(pr) })
@@ -266,11 +264,11 @@ func (s *IntraJob) Grant(pr Proposal) (Plan, bool) {
 // The returned release is everything the job no longer holds: the preempted
 // GPUs, plus the whole remainder when no feasible plan survives on it (the
 // job then falls idle and fellIdle is true).
-func (s *IntraJob) Preempt(take Resources) (release Resources, fellIdle bool) {
-	var rel counts
+func (s *IntraJob) Preempt(take Counts) (release Counts, fellIdle bool) {
+	var rel Counts
 	next := s.cur
 	for t := range next {
-		if n := min(take[device.Type(t)], next[t]); n > 0 {
+		if n := min(take[t], next[t]); n > 0 {
 			rel[t] = n
 			next[t] -= n
 		}
@@ -278,55 +276,55 @@ func (s *IntraJob) Preempt(take Resources) (release Resources, fellIdle bool) {
 	// a preemption invalidates the fallback snapshot even when it takes
 	// nothing the job holds — the caller has decided the old state is gone
 	s.scaledOut = false
-	if rel.total() == 0 {
-		return Resources{}, false
+	if rel.Total() == 0 {
+		return Counts{}, false
 	}
-	logDecision(s.Trace, "sched.preempt", int64(rel.total()), int64(next.total()), func() string {
-		return fmt.Sprintf("job=%s reclaimed %s keeping %s", s.JobID, rel.resources().Key(), next.resources().Key())
+	logDecision(s.Trace, "sched.preempt", int64(rel.Total()), int64(next.Total()), func() string {
+		return fmt.Sprintf("job=%s reclaimed %s keeping %s", s.JobID, rel, next)
 	})
-	if next.total() == 0 {
-		s.cur, s.curPlan = counts{}, Plan{}
-		return rel.resources(), true
+	if next.Total() == 0 {
+		s.cur, s.curPlan = Counts{}, Plan{}
+		return rel, true
 	}
-	if _, ok := s.apply(next); !ok {
+	if _, ok := s.Apply(next); !ok {
 		// the remainder cannot host the job: everything comes back
 		for t, n := range next {
 			if n > 0 {
 				rel[t] += n
 			}
 		}
-		s.cur, s.curPlan = counts{}, Plan{}
-		return rel.resources(), true
+		s.cur, s.curPlan = Counts{}, Plan{}
+		return rel, true
 	}
-	return rel.resources(), false
+	return rel, false
 }
 
 // ObserveThroughput feeds a measured aggregate throughput back. If the job
 // recently scaled out and the measurement falls short of the estimate, the
 // job falls back to its previous resources and reports the GPUs to release;
 // the measurement also refreshes the companion's database when it biases.
-func (s *IntraJob) ObserveThroughput(measured float64) (release Resources, fellBack bool) {
+func (s *IntraJob) ObserveThroughput(measured float64) (release Counts, fellBack bool) {
 	if s.curPlan.Throughput > 0 && measured > 0 {
 		ratio := measured / s.curPlan.Throughput
 		if ratio < 0.5 || ratio > 2 {
 			// significant bias: refresh the dominant type's capability
-			for _, t := range device.AllTypes() {
-				if s.cur[t] > 0 && s.curPlan.ESTsPerGPU[t] > 0 {
-					s.Companion.UpdateCapability(t, s.Companion.Caps[t]*ratio)
+			for t, n := range s.cur {
+				if n > 0 && s.curPlan.ESTsPerGPU[t] > 0 {
+					s.Companion.UpdateCapability(device.Type(t), s.Companion.Caps[t]*ratio)
 					break
 				}
 			}
 		}
 	}
 	if s.scaledOut && s.curPlan.Throughput > 0 && measured < s.curPlan.Throughput*fallbackTol {
-		logDecision(s.Trace, "sched.fallback", int64(s.cur.total()), int64(s.prev.total()), func() string {
+		logDecision(s.Trace, "sched.fallback", int64(s.cur.Total()), int64(s.prev.Total()), func() string {
 			return fmt.Sprintf("job=%s measured=%.3f below %.0f%% of estimate %.3f: reverting to %s",
-				s.JobID, measured, fallbackTol*100, s.curPlan.Throughput, s.prev.resources().Key())
+				s.JobID, measured, fallbackTol*100, s.curPlan.Throughput, s.prev)
 		})
 		// clamp at zero per type: after an intervening preemption (which
 		// clears scaledOut, so this is defensive) cur can be below prev, and
 		// a negative release would corrupt the caller's pool accounting
-		var rel counts
+		var rel Counts
 		for t := range rel {
 			if d := s.cur[t] - s.prev[t]; d > 0 {
 				rel[t] = d
@@ -335,10 +333,10 @@ func (s *IntraJob) ObserveThroughput(measured float64) (release Resources, fellB
 		s.fellFrom, s.fellGen = s.cur, s.Companion.gen
 		s.cur, s.curPlan = s.prev, s.prevPlan
 		s.scaledOut = false
-		return rel.resources(), true
+		return rel, true
 	}
 	s.scaledOut = false
-	return nil, false
+	return Counts{}, false
 }
 
 // RenderPlacement converts the active plan into a core.Placement: GPUs

@@ -10,10 +10,10 @@ import (
 // come back to the caller and the job re-plans on the remainder.
 func TestPreemptReleasesAndReplans(t *testing.T) {
 	s := NewIntraJob("j", NewCompanion(4, caps()), false)
-	if _, ok := s.Apply(Resources{device.V100: 4}); !ok {
+	if _, ok := s.Apply(Counts{device.V100: 4}); !ok {
 		t.Fatal("apply failed")
 	}
-	release, idle := s.Preempt(Resources{device.V100: 2})
+	release, idle := s.Preempt(Counts{device.V100: 2})
 	if idle {
 		t.Fatal("job should keep running on the remainder")
 	}
@@ -32,8 +32,8 @@ func TestPreemptReleasesAndReplans(t *testing.T) {
 // it holds and the job falls idle.
 func TestPreemptClampsToHeld(t *testing.T) {
 	s := NewIntraJob("j", NewCompanion(4, caps()), false)
-	s.Apply(Resources{device.V100: 2})
-	release, idle := s.Preempt(Resources{device.V100: 5, device.T4: 3})
+	s.Apply(Counts{device.V100: 2})
+	release, idle := s.Preempt(Counts{device.V100: 5, device.T4: 3})
 	if !idle {
 		t.Fatal("job should fall idle")
 	}
@@ -53,7 +53,7 @@ func TestPreemptClampsToHeld(t *testing.T) {
 // (and a negative per-type delta), corrupting lease accounting.
 func TestPreemptThenFallbackNeverDoubleReleases(t *testing.T) {
 	s := NewIntraJob("j", NewCompanion(8, caps()), false)
-	if _, ok := s.Apply(Resources{device.V100: 2}); !ok {
+	if _, ok := s.Apply(Counts{device.V100: 2}); !ok {
 		t.Fatal("apply failed")
 	}
 	if _, ok := s.Grant(Proposal{JobID: "j", Type: device.V100, Count: 2}); !ok {
@@ -61,11 +61,7 @@ func TestPreemptThenFallbackNeverDoubleReleases(t *testing.T) {
 	}
 	// pool-side ledger: the job holds 4; everything released must sum with
 	// the final holding back to exactly 4
-	released := Resources{}
-	take, _ := s.Preempt(Resources{device.V100: 3})
-	for t2, n := range take {
-		released[t2] += n
-	}
+	released, _ := s.Preempt(Counts{device.V100: 3})
 	// low measurement right after the preemption: without the fix this
 	// falls back to prev={V100:2} and "releases" cur-prev = 1-2 = -1
 	fb, fellBack := s.ObserveThroughput(0.01)
@@ -75,9 +71,9 @@ func TestPreemptThenFallbackNeverDoubleReleases(t *testing.T) {
 	for t2, n := range fb {
 		released[t2] += n
 	}
-	for _, ty := range device.AllTypes() {
-		if released[ty] < 0 {
-			t.Fatalf("negative release for %v: %v", ty, released)
+	for ty, n := range released {
+		if n < 0 {
+			t.Fatalf("negative release for %v: %v", device.Type(ty), released)
 		}
 	}
 	if got := released.Total() + s.Current().Total(); got != 4 {
@@ -93,7 +89,7 @@ func TestPreemptThenFallbackNeverDoubleReleases(t *testing.T) {
 // legitimate slowdown fallback.
 func TestFallbackStillWorksWithoutPreemption(t *testing.T) {
 	s := NewIntraJob("j", NewCompanion(8, caps()), false)
-	s.Apply(Resources{device.V100: 2})
+	s.Apply(Counts{device.V100: 2})
 	s.Grant(Proposal{JobID: "j", Type: device.V100, Count: 2})
 	release, fellBack := s.ObserveThroughput(0.01)
 	if !fellBack {

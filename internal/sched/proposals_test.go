@@ -40,7 +40,9 @@ func TestRememberedProposalsArePure(t *testing.T) {
 			var op func(*IntraJob)
 			switch g.Intn(7) {
 			case 0:
-				r := Resources{device.Type(g.Intn(3)): g.Intn(5), device.Type(g.Intn(3)): g.Intn(3)}
+				var r Counts
+				r[g.Intn(3)] = g.Intn(5)
+				r[g.Intn(3)] = g.Intn(3)
 				op = func(s *IntraJob) { s.Apply(r) }
 			case 1:
 				if len(last) > 0 {
@@ -50,7 +52,8 @@ func TestRememberedProposalsArePure(t *testing.T) {
 			case 2:
 				op = func(s *IntraJob) { s.TrimUnused() }
 			case 3:
-				take := Resources{device.Type(g.Intn(3)): 1 + g.Intn(3)}
+				var take Counts
+				take[g.Intn(3)] = 1 + g.Intn(3)
 				op = func(s *IntraJob) { s.Preempt(take) }
 			case 4:
 				measured := live.CurrentPlan().Throughput * []float64{0.1, 0.6, 1, 3}[g.Intn(4)]
@@ -97,9 +100,9 @@ func TestRememberedProposalsArePure(t *testing.T) {
 func TestCompanionOwnsItsCapabilities(t *testing.T) {
 	shared := caps()
 	a, b := NewCompanion(4, shared), NewCompanion(4, shared)
-	before, _ := b.PlanFor(Resources{device.V100: 2})
+	before, _ := b.PlanFor(Counts{device.V100: 2})
 	s := NewIntraJob("a", a, false)
-	s.Apply(Resources{device.V100: 2})
+	s.Apply(Counts{device.V100: 2})
 	s.ObserveThroughput(s.CurrentPlan().Throughput * 0.1) // biased enough to refresh a's model
 	if a.Caps[device.V100] == caps()[device.V100] {
 		t.Fatal("setup: the measurement did not trip UpdateCapability")
@@ -108,7 +111,7 @@ func TestCompanionOwnsItsCapabilities(t *testing.T) {
 		t.Fatalf("the caller's capability map was rewritten: %v", shared)
 	}
 	b.UpdateCapability(device.T4, b.Caps[device.T4]) // drop b's memoized plans, keep its model
-	if after, _ := b.PlanFor(Resources{device.V100: 2}); after.Throughput != before.Throughput {
+	if after, _ := b.PlanFor(Counts{device.V100: 2}); after.Throughput != before.Throughput {
 		t.Fatalf("sibling companion's plan moved from %v to %v", before.Throughput, after.Throughput)
 	}
 }

@@ -1,0 +1,7 @@
+//go:build race
+
+package sched
+
+// raceEnabled reports whether the race detector instruments this build; its
+// instrumentation allocates, so allocation-count assertions are meaningless.
+const raceEnabled = true

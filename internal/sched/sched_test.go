@@ -22,14 +22,73 @@ func TestResourcesBasics(t *testing.T) {
 	if r[device.V100] != 2 {
 		t.Fatal("Clone must be deep")
 	}
-	if r.Key() == "" || r.Key() != r.Clone().Key() {
-		t.Fatal("Key must be stable")
+	if r.Counts() != (Counts{device.V100: 2, device.T4: 1}) {
+		t.Fatal("Counts must keep every entry")
+	}
+}
+
+// TestCountsString pins the rendering every decision log prints a vector in.
+func TestCountsString(t *testing.T) {
+	for _, c := range []struct {
+		c    Counts
+		want string
+	}{
+		{Counts{}, ""},
+		{Counts{device.P100: 2}, "P100:2;"},
+		{Counts{device.V100: 4, device.T4: 1}, "V100:4;T4:1;"},
+		{Counts{device.V100: 4, device.P100: 2, device.T4: 1}, "V100:4;P100:2;T4:1;"},
+	} {
+		if got := c.c.String(); got != c.want {
+			t.Errorf("%v renders %q, want %q", [device.NumTypes]int(c.c), got, c.want)
+		}
+	}
+}
+
+// TestVectorPassesAllocateNothing: the passes that hand a GPU vector in or
+// out of an intra-job scheduler, and a plan-database hit, allocate nothing.
+func TestVectorPassesAllocateNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; counts are only meaningful uninstrumented")
+	}
+	var trimmed, released Counts
+	var fell bool
+	trim := NewIntraJob("trim", NewCompanion(1, caps()), false)
+	preempt := NewIntraJob("preempt", NewCompanion(4, caps()), false)
+	fallback := NewIntraJob("fallback", NewCompanion(4, caps()), false)
+	cp := NewCompanion(4, caps())
+	for _, c := range []struct {
+		name string
+		op   func()
+	}{
+		{"TrimUnused", func() {
+			trim.Apply(Counts{device.V100: 1, device.T4: 1}) // maxP 1: the T4 runs no EST
+			trimmed = trim.TrimUnused()
+		}},
+		{"Preempt", func() {
+			preempt.Apply(Counts{device.V100: 4})
+			released, _ = preempt.Preempt(Counts{device.V100: 2})
+		}},
+		{"ObserveThroughput", func() {
+			fallback.Apply(Counts{device.V100: 2})
+			fallback.Grant(Proposal{JobID: "fallback", Type: device.V100, Count: 2})
+			// below the fallback tolerance, short of the bias that refreshes the model
+			_, fell = fallback.ObserveThroughput(fallback.CurrentPlan().Throughput * 0.6)
+		}},
+		{"Current", func() { _ = preempt.Current() }},
+		{"PlanFor", func() { cp.PlanFor(Counts{device.V100: 2, device.P100: 1}) }},
+	} {
+		if a := testing.AllocsPerRun(20, c.op); a != 0 {
+			t.Errorf("%s allocates %v objects, want 0", c.name, a)
+		}
+	}
+	if trimmed != (Counts{device.T4: 1}) || released != (Counts{device.V100: 2}) || !fell {
+		t.Fatalf("vacuous: trimmed %v, preempted %v, fell back %v", trimmed, released, fell)
 	}
 }
 
 func TestPlanBalancedHomogeneous(t *testing.T) {
 	cp := NewCompanion(4, caps())
-	p, ok := cp.PlanFor(Resources{device.V100: 4})
+	p, ok := cp.PlanFor(Counts{device.V100: 4})
 	if !ok {
 		t.Fatal("plan expected")
 	}
@@ -46,7 +105,7 @@ func TestPlanBalancedHomogeneous(t *testing.T) {
 
 func TestPlanTimeSlicingOneGPU(t *testing.T) {
 	cp := NewCompanion(4, caps())
-	p, ok := cp.PlanFor(Resources{device.V100: 1})
+	p, ok := cp.PlanFor(Counts{device.V100: 1})
 	if !ok {
 		t.Fatal("plan expected")
 	}
@@ -60,7 +119,7 @@ func TestPlanTimeSlicingOneGPU(t *testing.T) {
 
 func TestPlanHeterogeneousLoadBalance(t *testing.T) {
 	cp := NewCompanion(4, caps())
-	p, ok := cp.PlanFor(Resources{device.V100: 1, device.P100: 1})
+	p, ok := cp.PlanFor(Counts{device.V100: 1, device.P100: 1})
 	if !ok {
 		t.Fatal("plan expected")
 	}
@@ -77,7 +136,7 @@ func TestPlanHeterogeneousLoadBalance(t *testing.T) {
 func TestPlanOverProvisionWaste(t *testing.T) {
 	// 3 GPUs, maxP=4: nEST=6 (A=2 each) or nEST=... greedy: A=1→3, A=2→6 ≥ 4
 	cp := NewCompanion(4, caps())
-	p, ok := cp.PlanFor(Resources{device.V100: 3})
+	p, ok := cp.PlanFor(Counts{device.V100: 3})
 	if !ok {
 		t.Fatal("plan expected")
 	}
@@ -95,7 +154,7 @@ func TestPlanOverProvisionWaste(t *testing.T) {
 func TestPlanPropertiesQuick(t *testing.T) {
 	cp := NewCompanion(8, caps())
 	f := func(v, pq, t4 uint8) bool {
-		r := Resources{device.V100: int(v % 5), device.P100: int(pq % 5), device.T4: int(t4 % 5)}
+		r := Counts{device.V100: int(v % 5), device.P100: int(pq % 5), device.T4: int(t4 % 5)}
 		if r.Total() == 0 {
 			_, ok := cp.PlanFor(r)
 			return !ok
@@ -119,7 +178,7 @@ func TestThroughputMonotoneInHomogeneousGPUs(t *testing.T) {
 	cp := NewCompanion(8, caps())
 	prev := 0.0
 	for n := 1; n <= 8; n++ {
-		p, _ := cp.PlanFor(Resources{device.V100: n})
+		p, _ := cp.PlanFor(Counts{device.V100: n})
 		if p.Throughput < prev-1e-9 {
 			t.Fatalf("throughput decreased at %d GPUs: %v < %v", n, p.Throughput, prev)
 		}
@@ -132,9 +191,9 @@ func TestThroughputMonotoneInHomogeneousGPUs(t *testing.T) {
 
 func TestUpdateCapabilityInvalidatesPlans(t *testing.T) {
 	cp := NewCompanion(4, caps())
-	p1, _ := cp.PlanFor(Resources{device.V100: 2})
+	p1, _ := cp.PlanFor(Counts{device.V100: 2})
 	cp.UpdateCapability(device.V100, 2.0)
-	p2, _ := cp.PlanFor(Resources{device.V100: 2})
+	p2, _ := cp.PlanFor(Counts{device.V100: 2})
 	if p2.Throughput <= p1.Throughput {
 		t.Fatal("capability update should raise estimated throughput")
 	}
@@ -146,7 +205,7 @@ func TestUpdateCapabilityInvalidatesPlans(t *testing.T) {
 
 func TestIntraJobApplyAndRender(t *testing.T) {
 	s := NewIntraJob("job-0", NewCompanion(4, caps()), false)
-	_, ok := s.Apply(Resources{device.V100: 1, device.P100: 2})
+	_, ok := s.Apply(Counts{device.V100: 1, device.P100: 2})
 	if !ok {
 		t.Fatal("apply failed")
 	}
@@ -158,17 +217,17 @@ func TestIntraJobApplyAndRender(t *testing.T) {
 	if p.Devices[0] != device.V100 {
 		t.Fatalf("placement order %v", p.Devices)
 	}
-	if _, ok := s.Apply(Resources{}); ok {
+	if _, ok := s.Apply(Counts{}); ok {
 		t.Fatal("empty resources must not apply")
 	}
 }
 
 func TestIntraJobHomogeneousOnly(t *testing.T) {
 	s := NewIntraJob("job-0", NewCompanion(4, caps()), true)
-	if _, ok := s.Apply(Resources{device.V100: 1, device.P100: 1}); ok {
+	if _, ok := s.Apply(Counts{device.V100: 1, device.P100: 1}); ok {
 		t.Fatal("homogeneous-only job must reject mixed resources")
 	}
-	if _, ok := s.Apply(Resources{device.V100: 2}); !ok {
+	if _, ok := s.Apply(Counts{device.V100: 2}); !ok {
 		t.Fatal("single-type resources must apply")
 	}
 	// proposals must stay on the held type
@@ -182,7 +241,7 @@ func TestIntraJobHomogeneousOnly(t *testing.T) {
 
 func TestProposalsRankedBySpeedupPerGPU(t *testing.T) {
 	s := NewIntraJob("job-0", NewCompanion(8, caps()), false)
-	s.Apply(Resources{device.V100: 1})
+	s.Apply(Counts{device.V100: 1})
 	props := s.Proposals(Resources{device.V100: 4, device.T4: 2}, 20)
 	if len(props) == 0 {
 		t.Fatal("expected proposals")
@@ -209,7 +268,7 @@ func TestIdleJobProposes(t *testing.T) {
 
 func TestGrantAndFallback(t *testing.T) {
 	s := NewIntraJob("job-0", NewCompanion(8, caps()), false)
-	s.Apply(Resources{device.V100: 2})
+	s.Apply(Counts{device.V100: 2})
 	base := s.CurrentPlan().Throughput
 	props := s.Proposals(Resources{device.V100: 2}, 1)
 	if len(props) == 0 {
@@ -244,7 +303,7 @@ func TestGrantAndFallback(t *testing.T) {
 // from stays off the list until the job's inputs move.
 func TestFallbackIsNotReproposed(t *testing.T) {
 	s := NewIntraJob("job-0", NewCompanion(8, caps()), false)
-	s.Apply(Resources{device.V100: 2})
+	s.Apply(Counts{device.V100: 2})
 	free := Resources{device.V100: 4}
 	props := s.Proposals(free, 3)
 	if len(props) < 2 {

@@ -28,7 +28,7 @@ func TestDecisionLogRecordsWhy(t *testing.T) {
 	s := NewIntraJob("job-0", NewCompanion(8, caps()), false)
 	s.Trace = tr
 
-	if _, ok := s.Apply(Resources{device.V100: 2}); !ok {
+	if _, ok := s.Apply(Counts{device.V100: 2}); !ok {
 		t.Fatal("apply failed")
 	}
 	base := s.CurrentPlan().Throughput
@@ -45,7 +45,7 @@ func TestDecisionLogRecordsWhy(t *testing.T) {
 	// a homogeneity rejection also logs
 	hom := NewIntraJob("job-1", NewCompanion(4, caps()), true)
 	hom.Trace = tr
-	if _, ok := hom.Apply(Resources{device.V100: 1, device.P100: 1}); ok {
+	if _, ok := hom.Apply(Counts{device.V100: 1, device.P100: 1}); ok {
 		t.Fatal("mixed apply should fail for homogeneous-only job")
 	}
 
@@ -73,7 +73,7 @@ func TestRoundPassLogsAccepts(t *testing.T) {
 	tr := obs.New()
 	free := Resources{device.V100: 4}
 	s := NewIntraJob("job-0", NewCompanion(8, caps()), false)
-	s.Apply(Resources{device.V100: 1})
+	s.Apply(Counts{device.V100: 1})
 	props := s.Proposals(free, 4)
 	if len(props) == 0 {
 		t.Fatal("expected proposals")
@@ -104,11 +104,11 @@ func TestRoundPassLogsAccepts(t *testing.T) {
 // TestDecisionLogDoesNotSteer: the same scheduling sequence with and without
 // a tracer must make identical decisions — the log observes, never steers.
 func TestDecisionLogDoesNotSteer(t *testing.T) {
-	run := func(tr *obs.Tracer) (Resources, []Proposal) {
+	run := func(tr *obs.Tracer) (Counts, []Proposal) {
 		s := NewIntraJob("job-0", NewCompanion(8, caps()), false)
 		s.Trace = tr
 		free := Resources{device.V100: 3, device.P100: 2}
-		s.Apply(Resources{device.V100: 1})
+		s.Apply(Counts{device.V100: 1})
 		props := s.Proposals(free, 8)
 		accepted := RoundPass(GreedyPolicy{}, free, props, tr)
 		for _, pr := range accepted {
@@ -119,8 +119,8 @@ func TestDecisionLogDoesNotSteer(t *testing.T) {
 	}
 	plainRes, plainAcc := run(nil)
 	tracedRes, tracedAcc := run(obs.New())
-	if plainRes.Key() != tracedRes.Key() {
-		t.Fatalf("tracing changed the held resources: %s vs %s", plainRes.Key(), tracedRes.Key())
+	if plainRes != tracedRes {
+		t.Fatalf("tracing changed the held resources: %s vs %s", plainRes, tracedRes)
 	}
 	if len(plainAcc) != len(tracedAcc) {
 		t.Fatalf("tracing changed accepted proposals: %d vs %d", len(plainAcc), len(tracedAcc))

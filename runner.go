@@ -31,8 +31,8 @@ type Binding struct {
 	job  *Job
 	base int // the job's global step when it was bound
 	done bool
-	held Resources // the GPUs the job's placement was rendered from
-	est  float64   // the plan's estimate on them
+	held Counts  // the GPUs the job's placement was rendered from
+	est  float64 // the plan's estimate on them
 	// steps and dev measure the job on held; baseRate and baseEst are the
 	// placement a pending scale-out is checked against
 	steps             int
@@ -44,7 +44,7 @@ type Binding struct {
 // moved to, and whether it was a Role-3 fallback.
 type ScaleEvent struct {
 	AtSec    float64
-	From, To Resources
+	From, To Counts
 	Fallback bool
 }
 
@@ -62,7 +62,7 @@ func (d *Driver) Submit(spec workload.JobSpec, job *Job) (*Binding, error) {
 	}
 	spec.HomogeneousOnly = spec.HomogeneousOnly || !job.Cfg.D2
 	d.plane.Submit(spec)
-	b := &Binding{id: spec.ID, job: job, base: job.GlobalStep(), held: Resources{}}
+	b := &Binding{id: spec.ID, job: job, base: job.GlobalStep()}
 	d.bound = append(d.bound, b)
 	return b, nil
 }
@@ -134,7 +134,7 @@ func (d *Driver) sync(b *Binding, now float64) error {
 	// scaled by the speedup the job measured since
 	measured := b.baseEst * float64(b.steps) / b.dev.Seconds() / b.baseRate
 	b.baseRate = 0
-	if d.plane.Observe(b.id, measured) == nil {
+	if _, fell := d.plane.Observe(b.id, measured); !fell {
 		return nil
 	}
 	return d.apply(b, now, true)
@@ -143,12 +143,12 @@ func (d *Driver) sync(b *Binding, now float64) error {
 // apply moves the job onto the GPUs the plane holds for it, if they changed.
 func (d *Driver) apply(b *Binding, now float64, fallback bool) error {
 	held := d.plane.Held(b.id)
-	if held.Key() == b.held.Key() {
+	if held == b.held {
 		return nil
 	}
-	for t := range held {
-		if !b.job.Cfg.D2 && len(b.Events) > 0 && b.Events[0].To[t] == 0 {
-			return fmt.Errorf("placed on %s after %s: without D2 another GPU type changes the bits", held.Key(), b.Events[0].To.Key())
+	for t, n := range held {
+		if n > 0 && !b.job.Cfg.D2 && len(b.Events) > 0 && b.Events[0].To[t] == 0 {
+			return fmt.Errorf("placed on %s after %s: without D2 another GPU type changes the bits", held, b.Events[0].To)
 		}
 	}
 	p, est := d.plane.Placement(b.id, b.job.Cfg.NumESTs)

@@ -127,11 +127,11 @@ func TestTitleInOneRun(t *testing.T) {
 					if ev.To.Total() < ev.From.Total() {
 						ins++
 					}
-					mixed = mixed || len(ev.To) > 1
+					mixed = mixed || len(gpuTypes(ev.To)) > 1
 					if ev.Fallback {
 						fallbacks++
-						if i+1 < len(b.Events) && b.Events[i+1].To.Key() == ev.From.Key() {
-							t.Errorf("%s was handed %s again right after falling back from it", id, ev.From.Key())
+						if i+1 < len(b.Events) && b.Events[i+1].To == ev.From {
+							t.Errorf("%s was handed %s again right after falling back from it", id, ev.From)
 						}
 					}
 				}
@@ -155,7 +155,7 @@ func TestTitleInOneRun(t *testing.T) {
 				}
 				gpu := V100
 				if !b.job.Cfg.D2 {
-					for ty := range b.Events[0].To {
+					for _, ty := range gpuTypes(b.Events[0].To) {
 						gpu = ty
 					}
 				}
