@@ -17,7 +17,7 @@ const hotpathDirective = "//easyscale:hotpath"
 // constructors that take a tensor's header from the heap.
 const tensorImportPath = "repro/internal/tensor"
 
-var heapTensorCtors = map[string]bool{"New": true, "Full": true, "FromData": true}
+var heapTensorCtors = map[string]bool{"New": true, "NewBlock": true, "Full": true, "FromData": true}
 
 // HotAlloc returns the hotalloc analyzer: a function annotated
 // //easyscale:hotpath must not allocate. Flagged inside such a function:
@@ -32,8 +32,8 @@ var heapTensorCtors = map[string]bool{"New": true, "Full": true, "FromData": tru
 //   - boxing: a concrete value converted to an interface type, or landing
 //     in an interface-typed argument, assignment or return (constants and
 //     pointer-shaped values fit the interface word and are exempt)
-//   - the heap tensor constructors tensor.New, Full and FromData, whose
-//     header (and data) come from the heap
+//   - the heap tensor constructors tensor.New, NewBlock, Full and FromData,
+//     whose headers (and data) come from the heap
 //
 // A block that ends in a call of panic is the crash-out path and is not
 // checked. pool.Get / pool.GetUninit are the sanctioned amortized-allocation

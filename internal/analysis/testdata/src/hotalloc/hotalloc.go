@@ -48,6 +48,9 @@ func scoped(s *pool.Scope, x *tensor.Tensor) *tensor.Tensor {
 	return y.CloneScoped(s).Reshape(-1)
 }
 
+// rowShape is the shape of every tensor of heapTensors' block.
+func rowShape(int) []int { return []int{3} }
+
 // heapTensors builds its tensors on the heap.
 //
 //easyscale:hotpath
@@ -55,7 +58,8 @@ func heapTensors(buf []float32) {
 	a := tensor.New(2, 3)               // want `hot path allocates: tensor\.New`
 	b := tensor.Full(1, 4)              // want `hot path allocates: tensor\.Full`
 	c := tensor.FromData(buf, len(buf)) // want `hot path allocates: tensor\.FromData`
-	_, _, _ = a, b, c
+	d := tensor.NewBlock(2, rowShape)   // want `hot path allocates: tensor\.NewBlock`
+	_, _, _, _ = a, b, c, d
 }
 
 // allocating trips every forbidden construct.

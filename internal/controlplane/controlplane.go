@@ -478,7 +478,7 @@ func (p *Plane) Tick(nowSec float64) {
 	// granted through the intra-job schedulers
 	p.proposals = p.proposals[:0]
 	for _, j := range p.live {
-		p.proposals = append(p.proposals, j.intra.Proposals(p.availFor(j), proposalTopK)...)
+		p.proposals = j.intra.AppendProposals(p.proposals, p.availFor(j), proposalTopK)
 	}
 	for _, pr := range sched.RoundPass(fundedPolicy{p}, p.free, p.proposals, p.cfg.Trace) {
 		j := p.jobs[pr.JobID]

@@ -1,6 +1,7 @@
 package controlplane
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -97,6 +98,16 @@ func TestTracedPlaneMirrorsLog(t *testing.T) {
 		kind, msg := strings.TrimRight(line[11:24], " "), line[25:]
 		if events[i].Name != kind || events[i].Detail != msg {
 			t.Fatalf("line %d: event %q %q, log says %q %q", i, events[i].Name, events[i].Detail, kind, msg)
+		}
+	}
+}
+
+// TestLeaseIDMatchesSprintf: a lease's ID spells its sequence number as
+// fmt's "L%04d" does, across the widths the padding changes at.
+func TestLeaseIDMatchesSprintf(t *testing.T) {
+	for seq := 0; seq <= 120_000; seq++ {
+		if got, want := leaseID(seq), fmt.Sprintf("L%04d", seq); got != want {
+			t.Fatalf("leaseID(%d) = %q, want %q", seq, got, want)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package controlplane
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/device"
 	"repro/internal/obs"
@@ -87,8 +88,16 @@ type record struct {
 // share is one NodeShare of a minted lease, by node index.
 type share struct{ node, count int32 }
 
-// leaseID renders a lease sequence number as the lease's ID.
-func leaseID(seq int) string { return fmt.Sprintf("L%04d", seq) }
+// leaseID renders a lease sequence number as the lease's ID, "L%04d" as
+// fmt spells it (a sequence number is never negative).
+func leaseID(seq int) string {
+	var buf [24]byte
+	b := append(buf[:0], 'L')
+	for d := 1000; d > 1 && seq < d; d /= 10 {
+		b = append(b, '0')
+	}
+	return string(strconv.AppendInt(b, int64(seq), 10))
+}
 
 // recChunk is the records per chunk of the log. Growing by whole chunks never
 // copies what is already there; regrowing one flat slice was 15 % of a replay,

@@ -2,10 +2,12 @@ package core
 
 import (
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/device"
 	"repro/internal/kernels"
+	"repro/internal/optim"
 	"repro/internal/pool"
 )
 
@@ -139,5 +141,48 @@ func TestBuildShardsAllocsIndependentOfShardCount(t *testing.T) {
 	}
 	if allocs["bert"] != allocs["neumf"] {
 		t.Fatalf("BuildShards allocates %v objects for neumf and %v for bert: the count grows with the shards", allocs["neumf"], allocs["bert"])
+	}
+}
+
+// TestPerParamSetsAllocIndependentOfParamCount: an EST's gradient set, which
+// its first local step allocates, and the optimizer's moments are one block
+// each, so what they cost does not grow with the parameter tensors — neumf's
+// and bert's cost the same count, though bert has several times the tensors.
+// Each tensor used to be a buffer and a header of its own.
+func TestPerParamSetsAllocIndependentOfParamCount(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; counts are only meaningful uninstrumented")
+	}
+	// a collection would empty the arena's pools, and refilling them would
+	// count as the step's
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	first, moments, params := map[string]float64{}, map[string]float64{}, map[string]int{}
+	for _, name := range []string{"neumf", "bert"} {
+		j := benchJob(t, name)
+		if err := j.RunSteps(2); err != nil {
+			t.Fatal(err)
+		}
+		params[name] = len(j.grads)
+		// a steady-state step allocates nothing, so what a step whose ESTs
+		// all start without gradient sets allocates is their four first steps'
+		first[name] = testing.AllocsPerRun(20, func() {
+			for _, est := range j.ests {
+				est.Gradients = nil
+			}
+			if err := j.RunStep(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		moments[name] = testing.AllocsPerRun(20, func() { optim.NewSGD(j.replicas[0].params, 0.1, 0.9, 0) })
+	}
+	t.Logf("first local steps %v, NewSGD %v allocations for %v parameter tensors", first, moments, params)
+	if params["bert"] < 2*params["neumf"] {
+		t.Fatalf("bert has %d parameter tensors, neumf %d: the comparison needs a spread", params["bert"], params["neumf"])
+	}
+	if first["bert"] != first["neumf"] {
+		t.Fatalf("the ESTs' first local steps allocate %v objects for neumf and %v for bert: the count grows with the tensors", first["neumf"], first["bert"])
+	}
+	if moments["bert"] != moments["neumf"] {
+		t.Fatalf("NewSGD allocates %v objects for neumf and %v for bert: the count grows with the tensors", moments["neumf"], moments["bert"])
 	}
 }

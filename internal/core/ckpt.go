@@ -7,6 +7,7 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/comm"
 	"repro/internal/data"
+	"repro/internal/models"
 	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/tensor"
@@ -177,7 +178,9 @@ func RestoreJob(cfg Config, ckpt []byte) (*Job, error) {
 // covers it — the multi-peer restore path, where the store was assembled
 // from shards fetched off several peers in arbitrary order. Decoding walks
 // the manifest in canonical group order, so the result is independent of how
-// the store was filled.
+// the store was filled. The job's net is built without weight init: every
+// parameter, moment and EST context is overwritten from the shards, whose
+// group counts are checked against the model's.
 func RestoreJobShards(cfg Config, m checkpoint.Manifest, set *checkpoint.ShardSet) (*Job, error) {
 	groups := checkpoint.NewJobGroups(m, set)
 	meta, r, err := groups.Meta()
@@ -188,7 +191,7 @@ func RestoreJobShards(cfg Config, m checkpoint.Manifest, set *checkpoint.ShardSe
 		return nil, fmt.Errorf("core: checkpoint identity mismatch (ckpt %+v, config %+v)", meta.JobConfig, cfg.recorded())
 	}
 
-	j, err := NewJob(cfg, meta.Name)
+	j, err := newJob(cfg, meta.Name, models.BuildBlank)
 	if err != nil {
 		return nil, err
 	}

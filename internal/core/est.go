@@ -26,8 +26,8 @@ type ESTContext struct {
 	ModelState []*tensor.Tensor
 	// Gradients is the EST's last local-step gradient set, swapped to host
 	// memory between the local step and the global synchronization; allocated
-	// by the EST's first local step here, so a distributed worker holds
-	// gradient sets only for the ESTs it has hosted.
+	// as one block by the EST's first local step here, so a distributed worker
+	// holds gradient sets only for the ESTs it has hosted.
 	Gradients []*tensor.Tensor
 }
 
@@ -38,9 +38,9 @@ func newESTContext(seed uint64, rank int, modelState []*tensor.Tensor) *ESTConte
 		VirtualRank: rank,
 		RNG:         rng.NewBundle(seed ^ (uint64(rank)+1)*0x9e3779b97f4a7c15),
 	}
-	c.ModelState = make([]*tensor.Tensor, len(modelState))
+	c.ModelState = tensor.NewBlock(len(modelState), func(i int) []int { return modelState[i].Shape() })
 	for i, st := range modelState {
-		c.ModelState[i] = st.Clone()
+		c.ModelState[i].CopyFrom(st)
 	}
 	return c
 }

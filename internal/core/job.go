@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/checkpoint"
@@ -74,10 +75,16 @@ type Job struct {
 // NewJob builds a job for the named workload. The model, data order, and all
 // RNG streams derive deterministically from cfg.Seed.
 func NewJob(cfg Config, workloadName string) (*Job, error) {
+	return newJob(cfg, workloadName, models.Build)
+}
+
+// newJob is NewJob over the given workload builder: a restore passes
+// models.BuildBlank, whose zero weights it overwrites.
+func newJob(cfg Config, workloadName string, build func(string, uint64) (*models.Workload, error)) (*Job, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	w, err := models.Build(workloadName, cfg.Seed)
+	w, err := build(workloadName, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -290,10 +297,7 @@ func (j *Job) localStep(rep *replica, est *ESTContext, dev *device.Device, lastO
 		}
 	}
 	if est.Gradients == nil {
-		est.Gradients = make([]*tensor.Tensor, len(rep.params))
-		for i, p := range rep.params {
-			est.Gradients[i] = tensor.New(p.Grad.Shape()...)
-		}
+		est.Gradients = tensor.NewBlock(len(rep.params), func(i int) []int { return rep.params[i].Grad.Shape() })
 	}
 	for i, p := range rep.params {
 		est.Gradients[i].CopyFrom(p.Grad)
@@ -317,17 +321,25 @@ func (j *Job) localStep(rep *replica, est *ESTContext, dev *device.Device, lastO
 		int64(j.estTimes[est.VirtualRank]), int64(est.VirtualRank))
 }
 
-// layerParamCounts groups parameters by forward layer for the bucket-rebuild
-// ready order.
-func (j *Job) layerParamCounts() []int {
-	if seq, ok := j.Workload.Net.(*nn.Sequential); ok {
-		out := make([]int, len(seq.Layers))
-		for i, l := range seq.Layers {
-			out[i] = len(l.Params())
-		}
-		return out
+// layerGroups maps a model name to backwardGroups' answer, which depends
+// only on the layer graph the name fixes: only a model's first job walks it.
+var layerGroups sync.Map
+
+// backwardGroups groups parameters by forward layer, in backward order, for
+// the bucket-rebuild ready order. The result is shared and read-only.
+func (j *Job) backwardGroups() [][]int {
+	if g, ok := layerGroups.Load(j.Workload.Name); ok {
+		return g.([][]int)
 	}
-	return []int{len(j.Workload.Params())}
+	counts := []int{len(j.Workload.Params())}
+	if seq, ok := j.Workload.Net.(*nn.Sequential); ok {
+		counts = make([]int, len(seq.Layers))
+		for i, l := range seq.Layers {
+			counts[i] = len(l.Params())
+		}
+	}
+	g, _ := layerGroups.LoadOrStore(j.Workload.Name, comm.BackwardGroups(counts))
+	return g.([][]int)
 }
 
 // RunLocalPhase executes the local steps of the ESTs hosted by placement
@@ -383,8 +395,7 @@ func (j *Job) maybeRebuild() {
 	if j.ddp.Rebuilt() || !j.ddp.RebuildEnabled {
 		return
 	}
-	groups := comm.BackwardGroups(j.layerParamCounts())
-	j.ddp.MaybeRebuild(comm.ObservedReadyOrderSeeded(groups, uint64(j.globalStep)+j.Cfg.Seed))
+	j.ddp.MaybeRebuild(comm.ObservedReadyOrderSeeded(j.backwardGroups(), uint64(j.globalStep)+j.Cfg.Seed))
 }
 
 // advance applies the reduced gradients held in the parameters' Grad buffers

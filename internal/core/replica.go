@@ -43,9 +43,9 @@ func newReplica(net nn.Layer, loss models.LossFn, batch []int, scratch *pool.Sco
 }
 
 // growReplicas makes sure replicas[0:n] exist. A new replica is the
-// workload's network built again without its datasets, its weights then
-// aliased to replica 0's; whatever its own buffers were initialized to is
-// overwritten by the first EST switched into it.
+// workload's network built again without its datasets or weight init, its
+// weights then aliased to replica 0's; whatever its own buffers were
+// initialized to is overwritten by the first EST switched into it.
 //
 // Replica 0 borrows its scratch from the arena and hands it back there, where
 // the next job or a distributed worker's successor finds it; it is the only
@@ -57,7 +57,7 @@ func newReplica(net nn.Layer, loss models.LossFn, batch []int, scratch *pool.Sco
 // replica 0 draws activations from the arena, the same every step.
 func (j *Job) growReplicas(n int) error {
 	for len(j.replicas) < n {
-		net, loss, err := models.BuildNet(j.Workload.Name, j.Cfg.Seed)
+		net, loss, err := models.BuildNet(j.Workload.Name, nil)
 		if err != nil {
 			return err
 		}

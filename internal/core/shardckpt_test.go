@@ -1,11 +1,14 @@
 package core
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/checkpoint"
 	"repro/internal/device"
+	"repro/internal/models"
 )
 
 // TestBuildShardsDeltaReuse pins the incremental-write contract: rebuilding
@@ -126,28 +129,57 @@ func TestBuildShardsSharesNoState(t *testing.T) {
 
 // TestShardRestoreMatchesBlobRestore: the sharded restore path and the
 // monolithic container path decode to bitwise-identical jobs — the manifest,
-// not the transport, defines the state.
+// not the transport, defines the state — and a job restored from BuildShards
+// trains on bitwise with the job it was cut from: its parameters, moments and
+// EST contexts after two more steps are the original's. A restore builds its
+// net without weight init, so a group it failed to overwrite would show as
+// zeros. Every model of the zoo, on one GPU and on two, where the second GPU
+// grows a replica.
 func TestShardRestoreMatchesBlobRestore(t *testing.T) {
 	cfg := testCfg(D1, false, 4)
-	j := mustJob(t, cfg, "resnet50", EvenPlacement(4, device.V100, device.P100))
-	if err := j.RunSteps(consistencySteps); err != nil {
-		t.Fatal(err)
-	}
-
-	m, set := j.BuildShards()
-	fromShards, err := RestoreJobShards(cfg, m, set)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromBlob, err := RestoreJob(cfg, j.Checkpoint())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ParamsEqual(fromShards, fromBlob) {
-		t.Fatal("shard restore and blob restore decode different parameters")
-	}
-	if fromShards.GlobalStep() != fromBlob.GlobalStep() {
-		t.Fatal("shard restore and blob restore disagree on progress")
+	for _, name := range models.Names() {
+		for _, p := range []Placement{EvenPlacement(4, device.V100), EvenPlacement(4, device.V100, device.P100)} {
+			t.Run(fmt.Sprintf("%s/%dgpu", name, len(p.Devices)), func(t *testing.T) {
+				j := runSteps(t, cfg, name, p, consistencySteps)
+				m, set := j.BuildShards()
+				fromShards, err := RestoreJobShards(cfg, m, set)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fromBlob, err := RestoreJob(cfg, j.Checkpoint())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !ParamsEqual(fromShards, fromBlob) {
+					t.Fatal("shard restore and blob restore decode different parameters")
+				}
+				if fromShards.GlobalStep() != fromBlob.GlobalStep() {
+					t.Fatal("shard restore and blob restore disagree on progress")
+				}
+				if err := fromShards.Attach(p); err != nil {
+					t.Fatal(err)
+				}
+				for _, job := range []*Job{j, fromShards} {
+					if err := job.RunSteps(2); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if !ParamsEqual(j, fromShards) {
+					t.Fatal("restored job's parameters diverge from the original's")
+				}
+				want, got := j.opt.StateTensors(), fromShards.opt.StateTensors()
+				for i := range want {
+					if !want[i].Equal(got[i]) {
+						t.Fatalf("restored job's moment %d diverges from the original's", i)
+					}
+				}
+				for r := range j.ests {
+					if !bytes.Equal(exportEST(j, r), exportEST(fromShards, r)) {
+						t.Fatalf("restored job's EST %d context diverges from the original's", r)
+					}
+				}
+			})
+		}
 	}
 }
 

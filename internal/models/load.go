@@ -79,7 +79,7 @@ func Load(name string, container []byte) (*Servable, error) {
 	if meta.Name != name {
 		return nil, fmt.Errorf("models: checkpoint holds model %q, not %q: %w", meta.Name, name, ErrNotFound)
 	}
-	w, err := Build(name, meta.Seed)
+	w, err := BuildBlank(name, meta.Seed)
 	if err != nil {
 		return nil, err
 	}

@@ -60,8 +60,8 @@ func (n *NeuMFNet) Forward(ctx *nn.Context, x *tensor.Tensor) *tensor.Tensor {
 func (n *NeuMFNet) Backward(ctx *nn.Context, grad *tensor.Tensor) *tensor.Tensor {
 	b, d := n.batch, n.UserEmb.D
 	dcat := n.MLP.Backward(ctx, grad)
-	du := tensor.New(b, 1, d)
-	di := tensor.New(b, 1, d)
+	du := tensor.NewScopedUninit(ctx.Scratch, b, 1, d)
+	di := tensor.NewScopedUninit(ctx.Scratch, b, 1, d)
 	for i := 0; i < b; i++ {
 		copy(du.Data[i*d:(i+1)*d], dcat.Data[i*2*d:i*2*d+d])
 		copy(di.Data[i*d:(i+1)*d], dcat.Data[i*2*d+d:(i+1)*2*d])
@@ -69,7 +69,7 @@ func (n *NeuMFNet) Backward(ctx *nn.Context, grad *tensor.Tensor) *tensor.Tensor
 	n.UserEmb.Backward(ctx, du)
 	n.ItemEmb.Backward(ctx, di)
 	// id inputs carry no gradient
-	return tensor.New(b, 2)
+	return tensor.NewScoped(ctx.Scratch, b, 2)
 }
 
 // Params returns all trainable parameters.

@@ -242,15 +242,16 @@ func TableNames() []string {
 	return []string{"bert", "electra", "neumf", "resnet50", "shufflenetv2", "swintransformer", "vgg19", "yolov3"}
 }
 
-// BuildNet instantiates only a workload's network and loss, with the same
-// seed-derived initialization as Build and none of its datasets — what a
-// per-GPU model replica needs (core.Job), at a cost of microseconds.
-func BuildNet(name string, seed uint64) (nn.Layer, LossFn, error) {
+// BuildNet instantiates only a workload's network and loss, none of its
+// datasets, at a cost of microseconds, drawing its weights from init (Build
+// draws from rng.NewNamed(seed, name)). A nil init leaves them zero, for a
+// net whose weights are overwritten at once, as core.Job's replicas are.
+func BuildNet(name string, init *rng.Stream) (nn.Layer, LossFn, error) {
 	b, ok := registry[name]
 	if !ok {
 		return nil, nil, fmt.Errorf("models: unknown workload %q (have %v)", name, Names())
 	}
-	net, loss := b.net(rng.NewNamed(seed, name))
+	net, loss := b.net(init)
 	return net, loss, nil
 }
 
@@ -258,7 +259,15 @@ func BuildNet(name string, seed uint64) (nn.Layer, LossFn, error) {
 // initialization: two Build calls with the same (name, seed) produce
 // bitwise-identical parameters.
 func Build(name string, seed uint64) (*Workload, error) {
-	net, loss, err := BuildNet(name, seed)
+	return build(name, seed, rng.NewNamed(seed, name))
+}
+
+// BuildBlank is Build with every weight left zero, for a workload whose
+// parameters a checkpoint restore overwrites at once.
+func BuildBlank(name string, seed uint64) (*Workload, error) { return build(name, seed, nil) }
+
+func build(name string, seed uint64, init *rng.Stream) (*Workload, error) {
+	net, loss, err := BuildNet(name, init)
 	if err != nil {
 		return nil, err
 	}

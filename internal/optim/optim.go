@@ -48,10 +48,7 @@ type SGD struct {
 func NewSGD(params []*nn.Parameter, lr, momentum, weightDecay float64) *SGD {
 	s := &SGD{Params: params, Momentum: momentum, WeightDecay: weightDecay, lr: lr}
 	if momentum != 0 {
-		s.velocity = make([]*tensor.Tensor, len(params))
-		for i, p := range params {
-			s.velocity[i] = tensor.New(p.Value.Shape()...)
-		}
+		s.velocity = tensor.NewBlock(len(params), func(i int) []int { return params[i].Value.Shape() })
 	}
 	return s
 }

@@ -157,6 +157,12 @@ func (s *IntraJob) TrimUnused() Counts {
 // the key is unchanged. Nothing invalidates it: every input is in the key.
 // The caller owns the returned slice.
 func (s *IntraJob) Proposals(free Resources, k int) []Proposal {
+	return s.AppendProposals(nil, free, k) // nil when there are none
+}
+
+// AppendProposals is Proposals appending its answer to dst, for a caller
+// that gathers every job's proposals into one buffer of its own.
+func (s *IntraJob) AppendProposals(dst []Proposal, free Resources, k int) []Proposal {
 	key := proposalKey{
 		cp: s.Companion, gen: s.Companion.gen, jobID: s.JobID,
 		held: s.cur, curThr: s.curPlan.Throughput, k: k,
@@ -184,7 +190,7 @@ func (s *IntraJob) Proposals(free Resources, k int) []Proposal {
 	if key != s.memoKey {
 		s.memoKey, s.memo = key, s.explore(key.addable, key.skip, k)
 	}
-	return append([]Proposal(nil), s.memo...) // nil when there are none
+	return append(dst, s.memo...)
 }
 
 // explore evaluates every add of 1..addable[t] GPUs of each type against the

@@ -122,6 +122,24 @@ func (sl *slab) Rewind() {
 // New allocates a zero-filled tensor of the given shape.
 func New(shape ...int) *Tensor { return NewScoped(nil, shape...) }
 
+// NewBlock allocates n zero-filled heap tensors, the i-th of shape(i), as
+// capped views of one buffer with their headers in one array: a set of
+// tensors that live and die together costs three allocations, not 2n.
+func NewBlock(n int, shape func(i int) []int) []*Tensor {
+	total := 0
+	for i := range n {
+		total += Numel(shape(i))
+	}
+	data, hs, out := make([]float32, total), make([]header, n), make([]*Tensor, n)
+	for i := range hs {
+		h, sz := &hs[i], Numel(shape(i))
+		h.Data, data = data[:sz:sz], data[sz:]
+		h.shape = append(h.inline[:0], shape(i)...)
+		out[i] = &h.Tensor
+	}
+	return out
+}
+
 // NewScoped returns a zero-filled tensor whose data buffer and header are
 // borrowed from the scope and reclaimed by its ReleaseAll — the hot-path
 // variant of New for step-scoped activations and gradients. A nil scope

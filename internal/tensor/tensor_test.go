@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -242,5 +243,34 @@ func TestScopedHeadersReusedAcrossSteps(t *testing.T) {
 	}
 	if a := testing.AllocsPerRun(10, func() { NewScopedUninit(nil, 4).Reshape(2, 2) }); a != 3 {
 		t.Errorf("nil scope: %v allocations for a tensor and a view, want 3 (a buffer and two headers)", a)
+	}
+}
+
+// TestNewBlock: a block's tensors have their shapes, start zero, and are
+// capped views that do not overlap, so writing or growing one cannot reach
+// another.
+func TestNewBlock(t *testing.T) {
+	shapes := [][]int{{2, 3}, {4}, {1, 2, 1, 2, 2}, {}}
+	ts := NewBlock(len(shapes), func(i int) []int { return shapes[i] })
+	for i, x := range ts {
+		if !reflect.DeepEqual(x.Shape(), shapes[i]) {
+			t.Fatalf("tensor %d has shape %v, want %v", i, x.Shape(), shapes[i])
+		}
+		if x.Size() != Numel(shapes[i]) || cap(x.Data) != x.Size() {
+			t.Fatalf("tensor %d: %d elements in a view of capacity %d, want %d", i, x.Size(), cap(x.Data), Numel(shapes[i]))
+		}
+		for _, v := range x.Data {
+			if v != 0 {
+				t.Fatalf("tensor %d is not zero-filled", i)
+			}
+		}
+		x.Fill(float32(i + 1))
+	}
+	for i, x := range ts {
+		for _, v := range x.Data {
+			if v != float32(i+1) {
+				t.Fatalf("tensor %d holds %v after the block was filled per tensor: views overlap", i, v)
+			}
+		}
 	}
 }
