@@ -26,9 +26,10 @@
 #                  printed as the top 40 lines by cumulative share, the top
 #                  25 by flat share, then the top 25 allocation sites by
 #                  objects allocated; not part of check
-#   make prof-churn — the same three views for 300 churn_live ops (dist's
+#   make prof-churn — the same three views for churn_live (dist's
 #                  BenchmarkChurnLive: a live-migrating bert run over
-#                  loopback, five scale events per op); not part of check
+#                  loopback, five scale events per op): CPU over 300 ops,
+#                  allocations counted exactly over 40; not part of check
 #   make prof-serve — the same two views for 3,000,000 serve_sat requests
 #                  (serve's BenchmarkServeSaturated: 64 closed-loop callers
 #                  on two tiny models, MaxBatch 32); not part of check
@@ -161,12 +162,17 @@ prof:
 	$(GO) tool pprof -top prof/core.test prof/train_conv.cpu 2>/dev/null | sed -n '/flat%/,$$p' | head -26
 	$(GO) tool pprof -sample_index=alloc_objects -top prof/core.test prof/train_conv.mem 2>/dev/null | sed -n '/flat%/,$$p' | head -26
 
-# CPU and memory profile of 300 churn_live ops: dist's BenchmarkChurnLive
-# (one warm-up op outside the timer), printed like prof
+# CPU profile of 300 churn_live ops: dist's BenchmarkChurnLive (one warm-up
+# op outside the timer), printed like prof; the memory view is exact, from a
+# second run of 40 ops that records every allocation (-memprofilerate 1), so
+# its counts divided by about 43 (40 ops, the warm-up and the benchmark's
+# probe runs) are objects per op
 prof-churn:
 	@mkdir -p prof
 	$(GO) test -run '^$$' -bench '^BenchmarkChurnLive$$' -benchtime 300x -benchmem \
-		-o prof/dist.test -cpuprofile prof/churn_live.cpu -memprofile prof/churn_live.mem ./internal/dist
+		-o prof/dist.test -cpuprofile prof/churn_live.cpu ./internal/dist
+	$(GO) test -run '^$$' -bench '^BenchmarkChurnLive$$' -benchtime 40x -benchmem -memprofilerate 1 \
+		-o prof/dist.test -memprofile prof/churn_live.mem ./internal/dist
 	$(GO) tool pprof -top -cum prof/dist.test prof/churn_live.cpu 2>/dev/null | head -40
 	$(GO) tool pprof -top prof/dist.test prof/churn_live.cpu 2>/dev/null | sed -n '/flat%/,$$p' | head -26
 	$(GO) tool pprof -sample_index=alloc_objects -top prof/dist.test prof/churn_live.mem 2>/dev/null | sed -n '/flat%/,$$p' | head -26

@@ -13,11 +13,13 @@ import (
 // analyzer is its path-insensitive enforcement.
 const hotpathDirective = "//easyscale:hotpath"
 
-// tensorImportPath is the tensor package, and heapTensorCtors its
-// constructors that take a tensor's header from the heap.
-const tensorImportPath = "repro/internal/tensor"
-
-var heapTensorCtors = map[string]bool{"New": true, "NewBlock": true, "Full": true, "FromData": true}
+// heapTensorCtors are the constructors, by package, that take tensors'
+// headers and data from the heap: the tensor package's, and nn's parameter
+// builder, which carves a net's blocks.
+var heapTensorCtors = map[string]map[string]bool{
+	"repro/internal/tensor": {"New": true, "NewBlock": true, "NewCarver": true, "FromData": true},
+	"repro/internal/nn":     {"NewBuilder": true},
+}
 
 // HotAlloc returns the hotalloc analyzer: a function annotated
 // //easyscale:hotpath must not allocate. Flagged inside such a function:
@@ -32,8 +34,8 @@ var heapTensorCtors = map[string]bool{"New": true, "NewBlock": true, "Full": tru
 //   - boxing: a concrete value converted to an interface type, or landing
 //     in an interface-typed argument, assignment or return (constants and
 //     pointer-shaped values fit the interface word and are exempt)
-//   - the heap tensor constructors tensor.New, NewBlock, Full and FromData,
-//     whose headers (and data) come from the heap
+//   - the heap tensor constructors tensor.New, NewBlock, NewCarver and
+//     FromData and nn.NewBuilder, whose headers (and data) come from the heap
 //
 // A block that ends in a call of panic is the crash-out path and is not
 // checked. pool.Get / pool.GetUninit are the sanctioned amortized-allocation
@@ -103,8 +105,8 @@ func checkHotAlloc(pass *Pass, fd *ast.FuncDecl) {
 			case isPkgFunc(fn, "fmt"):
 				pass.Report(n.Pos(), "hot path allocates: fmt.%s formats and boxes every operand", fn.Name())
 				return true
-			case isPkgFunc(fn, tensorImportPath) && heapTensorCtors[fn.Name()]:
-				pass.Report(n.Pos(), "hot path allocates: tensor.%s takes its header from the heap (use the scoped constructor)", fn.Name())
+			case fn != nil && fn.Pkg() != nil && heapTensorCtors[fn.Pkg().Path()][fn.Name()] && isPkgFunc(fn, fn.Pkg().Path()):
+				pass.Report(n.Pos(), "hot path allocates: %s.%s takes its header from the heap (use the scoped constructor)", fn.Pkg().Name(), fn.Name())
 			}
 			if sig, ok := info.TypeOf(n.Fun).Underlying().(*types.Signature); ok {
 				params := sig.Params()

@@ -5,6 +5,7 @@ package hotalloc
 import (
 	"fmt"
 
+	"repro/internal/nn"
 	"repro/internal/pool"
 	"repro/internal/tensor"
 )
@@ -55,11 +56,12 @@ func rowShape(int) []int { return []int{3} }
 //
 //easyscale:hotpath
 func heapTensors(buf []float32) {
-	a := tensor.New(2, 3)               // want `hot path allocates: tensor\.New`
-	b := tensor.Full(1, 4)              // want `hot path allocates: tensor\.Full`
-	c := tensor.FromData(buf, len(buf)) // want `hot path allocates: tensor\.FromData`
-	d := tensor.NewBlock(2, rowShape)   // want `hot path allocates: tensor\.NewBlock`
-	_, _, _, _ = a, b, c, d
+	a := tensor.New(2, 3)                    // want `hot path allocates: tensor\.New`
+	c := tensor.FromData(buf, len(buf))      // want `hot path allocates: tensor\.FromData`
+	d := tensor.NewBlock(2, rowShape)        // want `hot path allocates: tensor\.NewBlock`
+	e := tensor.NewCarver(6, 2)              // want `hot path allocates: tensor\.NewCarver`
+	f := nn.NewBuilder(nil, nil, nn.Sizes{}) // want `hot path allocates: nn\.NewBuilder`
+	_, _, _, _, _ = a, c, d, e, f
 }
 
 // allocating trips every forbidden construct.

@@ -159,7 +159,9 @@ func TestRNGStateRoundTrip(t *testing.T) {
 
 func TestTruncationErrors(t *testing.T) {
 	w := NewWriter()
-	w.PutTensor(tensor.Full(1, 8))
+	ones := tensor.New(8)
+	ones.Fill(1)
+	w.PutTensor(ones)
 	full := w.Bytes()
 	for cut := 0; cut < len(full); cut += 5 {
 		r := NewReader(full[:cut])

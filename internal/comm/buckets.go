@@ -11,12 +11,12 @@ import (
 // ring, and unflattens the reduced result.
 
 // NumBuckets returns the bucket count of the current plan.
-func (d *ElasticDDP) NumBuckets() int { return len(d.plan.Buckets) }
+func (d *ElasticDDP) NumBuckets() int { return len(d.Plan().Buckets) }
 
 // BucketLen returns the element count of bucket b.
 func (d *ElasticDDP) BucketLen(b int) int {
 	n := 0
-	for _, pi := range d.plan.Buckets[b] {
+	for _, pi := range d.Plan().Buckets[b] {
 		n += d.Sizes[pi]
 	}
 	return n
@@ -29,7 +29,7 @@ func (d *ElasticDDP) BucketLen(b int) int {
 //
 //easyscale:hotpath
 func (d *ElasticDDP) FlattenBucket(b int, grads []*tensor.Tensor) []float32 {
-	bucket := d.plan.Buckets[b]
+	bucket := d.Plan().Buckets[b]
 	start := d.tr.Now()
 	buf := pool.GetUninit(d.BucketLen(b))
 	d.flatten(buf, grads, bucket)
@@ -42,7 +42,7 @@ func (d *ElasticDDP) FlattenBucket(b int, grads []*tensor.Tensor) []float32 {
 //easyscale:hotpath
 func (d *ElasticDDP) UnflattenBucket(b int, grads []*tensor.Tensor, buf []float32) {
 	off := 0
-	for _, pi := range d.plan.Buckets[b] {
+	for _, pi := range d.Plan().Buckets[b] {
 		copy(grads[pi].Data, buf[off:off+d.Sizes[pi]])
 		off += d.Sizes[pi]
 	}

@@ -60,27 +60,27 @@ func (p Plan) Equal(o Plan) bool {
 }
 
 // buildFromOrder packs parameters into buckets of at most capElems elements,
-// walking the given order.
+// walking the given order. The buckets are capped windows of one array.
 func buildFromOrder(sizes []int, order []int, capElems int) Plan {
 	if capElems <= 0 {
 		panic("comm: bucket capacity must be positive")
 	}
 	var plan Plan
-	var cur []int
-	used := 0
+	all := make([]int, 0, len(order))
+	start, used := 0, 0
 	for _, idx := range order {
 		if idx < 0 || idx >= len(sizes) {
 			panic(fmt.Sprintf("comm: parameter index %d out of range", idx))
 		}
 		if used > 0 && used+sizes[idx] > capElems {
-			plan.Buckets = append(plan.Buckets, cur)
-			cur, used = nil, 0
+			plan.Buckets = append(plan.Buckets, all[start:len(all):len(all)])
+			start, used = len(all), 0
 		}
-		cur = append(cur, idx)
+		all = append(all, idx)
 		used += sizes[idx]
 	}
-	if len(cur) > 0 {
-		plan.Buckets = append(plan.Buckets, cur)
+	if len(all) > start {
+		plan.Buckets = append(plan.Buckets, all[start:len(all):len(all)])
 	}
 	return plan
 }
@@ -194,12 +194,12 @@ type ElasticDDP struct {
 	tr *obs.Tracer
 }
 
-// NewElasticDDP builds the communicator with the static initial plan.
+// NewElasticDDP builds the communicator. The static initial plan is built on
+// first use, so a restore that reinstates a recorded plan never builds it.
 func NewElasticDDP(sizes []int, capElems int) *ElasticDDP {
 	return &ElasticDDP{
 		Sizes:          append([]int(nil), sizes...),
 		CapElems:       capElems,
-		plan:           BuildInitialPlan(sizes, capElems),
 		RebuildEnabled: true,
 	}
 }
@@ -208,8 +208,15 @@ func NewElasticDDP(sizes []int, capElems int) *ElasticDDP {
 // flatten and all-reduce spans on the runtime track.
 func (d *ElasticDDP) SetTracer(tr *obs.Tracer) { d.tr = tr }
 
-// Plan returns the current bucket plan (for checkpointing under D1).
-func (d *ElasticDDP) Plan() Plan { return d.plan.Clone() }
+// Plan returns the current bucket plan (for checkpointing under D1), building
+// the initial plan if there is none yet. It is the communicator's own: do not
+// modify it.
+func (d *ElasticDDP) Plan() Plan {
+	if d.plan.Buckets == nil && len(d.Sizes) > 0 {
+		d.plan = BuildInitialPlan(d.Sizes, d.CapElems)
+	}
+	return d.plan
+}
 
 // RestorePlan reinstates a recorded plan and disables reconstruction — the
 // D1 restart path.
@@ -277,7 +284,7 @@ func (d *ElasticDDP) ReduceBuckets(gradSets [][]*tensor.Tensor, divisor int) [][
 	contribs := d.contribs[:len(gradSets)]
 	d.reduced = d.reduced[:0]
 	tAll := d.tr.Now()
-	for b, bucket := range d.plan.Buckets {
+	for b, bucket := range d.Plan().Buckets {
 		blen := d.BucketLen(b)
 		tFlat := d.tr.Now()
 		for i, gs := range gradSets {
@@ -293,7 +300,7 @@ func (d *ElasticDDP) ReduceBuckets(gradSets [][]*tensor.Tensor, divisor int) [][
 		}
 		d.tr.Span(obs.RuntimeTrack, obs.CatComm, "comm.reduce-bucket", tRed, int64(blen), int64(len(gradSets)))
 	}
-	d.tr.Span(obs.RuntimeTrack, obs.CatComm, "comm.allreduce", tAll, int64(len(d.plan.Buckets)), int64(divisor))
+	d.tr.Span(obs.RuntimeTrack, obs.CatComm, "comm.allreduce", tAll, int64(d.NumBuckets()), int64(divisor))
 	return d.reduced
 }
 

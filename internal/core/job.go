@@ -93,7 +93,7 @@ func newJob(cfg Config, workloadName string, build func(string, uint64) (*models
 	j.loader = data.NewLoader(w.Dataset, j.sampler, cfg.DataWorkersPerEST, cfg.Seed)
 
 	batch := append([]int{cfg.BatchPerEST}, w.Dataset.InputShape()...)
-	j.replicas = []*replica{newReplica(w.Net, w.Loss, batch, pool.NewScope())}
+	j.replicas = []*replica{newReplica(w.Net, w.Params(), w.Loss, batch, pool.NewScope())}
 	params := j.replicas[0].params
 	sizes := make([]int, len(params))
 	j.grads = make([]*tensor.Tensor, len(params))

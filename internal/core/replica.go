@@ -14,9 +14,10 @@ import (
 // replica is what one simulated GPU owns of the model: a network of its own
 // (layer caches, gradient accumulators, and the implicit-state buffers EST
 // contexts switch in and out of), its loss, and the layer context whose
-// scratch scope one EST's local step borrows from. params and state are the
-// network's Params() and StateTensors(), computed once. The weights are not
-// owned: every replica's Parameter.Value is replica 0's tensor — one set of weights and one
+// scratch scope one EST's local step borrows from. params are the
+// network's Params() as its build handed them out, and state its
+// StateTensors(), computed once. The weights are not owned: every replica's
+// Parameter.Value is replica 0's tensor — one set of weights and one
 // optimizer, read-only while local phases run and updated once after the
 // reduce, which is also what perDeviceMB charges each GPU for.
 type replica struct {
@@ -33,8 +34,8 @@ type replica struct {
 	labels []int
 }
 
-func newReplica(net nn.Layer, loss models.LossFn, batch []int, scratch *pool.Scope) *replica {
-	r := &replica{net: net, loss: loss, params: net.Params(), batch: batch, labels: make([]int, batch[0])}
+func newReplica(net nn.Layer, params []*nn.Parameter, loss models.LossFn, batch []int, scratch *pool.Scope) *replica {
+	r := &replica{net: net, loss: loss, params: params, batch: batch, labels: make([]int, batch[0])}
 	r.ctx = nn.Context{Training: true, Scratch: scratch}
 	if st, ok := net.(nn.Stateful); ok {
 		r.state = st.StateTensors()
@@ -43,9 +44,9 @@ func newReplica(net nn.Layer, loss models.LossFn, batch []int, scratch *pool.Sco
 }
 
 // growReplicas makes sure replicas[0:n] exist. A new replica is the
-// workload's network built again without its datasets or weight init, its
-// weights then aliased to replica 0's; whatever its own buffers were
-// initialized to is overwritten by the first EST switched into it.
+// workload's network built again without its datasets, on replica 0's
+// weights; whatever its state buffers were initialized to is overwritten by
+// the first EST switched into it.
 //
 // Replica 0 borrows its scratch from the arena and hands it back there, where
 // the next job or a distributed worker's successor finds it; it is the only
@@ -57,15 +58,11 @@ func newReplica(net nn.Layer, loss models.LossFn, batch []int, scratch *pool.Sco
 // replica 0 draws activations from the arena, the same every step.
 func (j *Job) growReplicas(n int) error {
 	for len(j.replicas) < n {
-		net, loss, err := models.BuildNet(j.Workload.Name, nil)
+		net, params, loss, err := models.BuildNet(j.Workload.Name, nil, j.replicas[0].params)
 		if err != nil {
 			return err
 		}
-		r := newReplica(net, loss, j.replicas[0].batch, pool.NewKeepingScope())
-		for i, p := range r.params {
-			p.Value = j.replicas[0].params[i].Value
-		}
-		j.replicas = append(j.replicas, r)
+		j.replicas = append(j.replicas, newReplica(net, params, loss, j.replicas[0].batch, pool.NewKeepingScope()))
 	}
 	return nil
 }

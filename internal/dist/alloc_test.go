@@ -28,12 +28,14 @@ func churnSchedule() (core.Config, []Phase) {
 
 // TestChurnOpAllocBudget pins what one live-migrating churn op allocates —
 // objects and bytes, counted by the runtime, no clock involved — at 1.25× the
-// readings taken when a training step stopped allocating and a job stopped
-// copying its loader's state and formatting its group IDs: 4,310 objects and
-// 2.64 MB on go1.24 (5,800 and 2.70 MB before; 9,240 and 2.73 MB with a frame
+// readings taken when a net's parameters became two blocks: 2,390 objects
+// and 2.64 MB on go1.24 (3,300 with a tensor per parameter and gradient;
+// 4,310 before a job's per-parameter sets were blocks; 5,800 and 2.70 MB
+// before a training step stopped allocating; 9,240 and 2.73 MB with a frame
 // and a buffer per shard; 43,400 and 8.73 MB before the data plane got its
-// per-connection buffers). A frame, gradient or shard path that goes back to
-// allocating per step or per shard costs far more than the margin.
+// per-connection buffers). A frame, gradient, shard or parameter path that
+// goes back to allocating per step, per shard or per tensor costs more than
+// the margin.
 func TestChurnOpAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs seven six-phase elastic jobs")
@@ -42,7 +44,7 @@ func TestChurnOpAllocBudget(t *testing.T) {
 		t.Skip("race-detector instrumentation allocates; counts are only meaningful uninstrumented")
 	}
 	const (
-		maxMallocs = 4310 * 5 / 4
+		maxMallocs = 2390 * 5 / 4
 		maxBytes   = 2640000 * 5 / 4
 	)
 	cfg, phases := churnSchedule()

@@ -266,6 +266,8 @@ func MatMulAtomicSplitK(dst, a, b []float32, m, k, n, splits int) {
 
 // ColSumBlocked writes into dst[cols] the per-column sum of src[rows×cols],
 // accumulating rows in blocks of the given size. Used for bias gradients.
+// Each row is added into the block's partial sums, and each partial into
+// dst, through AddF32: per column that is the serial loop's order exactly.
 func ColSumBlocked(dst, src []float32, rows, cols, block int) {
 	if len(dst) != cols || len(src) != rows*cols {
 		panic("kernels: ColSumBlocked dimension mismatch")
@@ -276,20 +278,11 @@ func ColSumBlocked(dst, src []float32, rows, cols, block int) {
 	zeroFill(dst)
 	part := pool.GetUninit(cols)
 	for r0 := 0; r0 < rows; r0 += block {
-		r1 := r0 + block
-		if r1 > rows {
-			r1 = rows
-		}
 		zeroFill(part)
-		for r := r0; r < r1; r++ {
-			row := src[r*cols : (r+1)*cols]
-			for j, v := range row {
-				part[j] += v
-			}
+		for r := r0; r < min(r0+block, rows); r++ {
+			AddF32(part, src[r*cols:(r+1)*cols])
 		}
-		for j := range dst {
-			dst[j] += part[j]
-		}
+		AddF32(dst, part)
 	}
 	pool.Put(part)
 }

@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -419,6 +420,55 @@ func TestColSumBlocked(t *testing.T) {
 	if dst[0] != 9 || dst[1] != 12 {
 		t.Fatalf("ColSumBlocked block=2: %v", dst)
 	}
+}
+
+// colSumSpec is ColSumBlocked's serial loop: per column, each block's rows
+// are summed from +0 in row order, and the block sums into dst in block
+// order.
+func colSumSpec(dst, src []float32, rows, cols, block int) {
+	if block <= 0 || block > rows {
+		block = rows
+	}
+	clear(dst)
+	part := make([]float32, cols)
+	for r0 := 0; r0 < rows; r0 += block {
+		clear(part)
+		for r := r0; r < min(r0+block, rows); r++ {
+			for j, v := range src[r*cols : (r+1)*cols] {
+				part[j] += v
+			}
+		}
+		for j := range dst {
+			dst[j] += part[j]
+		}
+	}
+}
+
+// TestColSumBlockedMatchesSpec: the vector adds keep every column's order, so
+// ColSumBlocked equals its serial loop under the bitwise contract (sameBits)
+// under every ISA, on widths around the eight-lane body and with NaN, ±Inf
+// and −0 in the input.
+func TestColSumBlockedMatchesSpec(t *testing.T) {
+	specials := []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.Copysign(0, -1)), 1e30, -1e30}
+	s := rng.New(12)
+	forEachISA(t, func(t *testing.T) {
+		for _, rows := range []int{1, 3, 16, 37} {
+			for _, cols := range []int{1, 7, 8, 9, 24, 33} {
+				src := randSlice(s, rows*cols)
+				for i := range src {
+					if s.Intn(5) == 0 {
+						src[i] = specials[s.Intn(len(specials))]
+					}
+				}
+				for _, block := range []int{0, 1, 4, 8, rows} {
+					want, got := make([]float32, cols), make([]float32, cols)
+					colSumSpec(want, src, rows, cols, block)
+					ColSumBlocked(got, src, rows, cols, block)
+					diffBits(t, fmt.Sprintf("rows %d cols %d block %d", rows, cols, block), got, want)
+				}
+			}
+		}
+	})
 }
 
 func TestColSumAtomicClose(t *testing.T) {

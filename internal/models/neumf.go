@@ -2,7 +2,6 @@ package models
 
 import (
 	"repro/internal/nn"
-	"repro/internal/rng"
 	"repro/internal/tensor"
 )
 
@@ -16,18 +15,18 @@ type NeuMFNet struct {
 	batch int
 }
 
-// NewNeuMF constructs the network.
-func NewNeuMF(users, items, dim int, init *rng.Stream) *NeuMFNet {
+// NewNeuMF constructs the network from b.
+func NewNeuMF(users, items, dim int, b *nn.Builder) *NeuMFNet {
 	return &NeuMFNet{
-		UserEmb: nn.NewEmbedding(users, dim, init),
-		ItemEmb: nn.NewEmbedding(items, dim, init),
+		UserEmb: nn.NewEmbedding(users, dim, b),
+		ItemEmb: nn.NewEmbedding(items, dim, b),
 		MLP: nn.NewSequential(
-			nn.NewLinear(2*dim, 4*dim, true, init),
+			nn.NewLinear(2*dim, 4*dim, true, b),
 			nn.NewReLU(),
 			nn.NewDropout(0.1),
-			nn.NewLinear(4*dim, dim, true, init),
+			nn.NewLinear(4*dim, dim, true, b),
 			nn.NewReLU(),
-			nn.NewLinear(dim, 1, true, init),
+			nn.NewLinear(dim, 1, true, b),
 		),
 	}
 }

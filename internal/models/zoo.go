@@ -3,6 +3,7 @@ package models
 import (
 	"fmt"
 	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/data"
@@ -31,10 +32,13 @@ type Workload struct {
 	// EvalDataset is a held-out set drawn from the same distribution with a
 	// shifted seed, used for validation accuracy (Figures 2 and 3).
 	EvalDataset data.Dataset
+
+	params []*nn.Parameter
 }
 
-// Params returns the trainable parameters of the network.
-func (w *Workload) Params() []*nn.Parameter { return w.Net.Params() }
+// Params returns the trainable parameters of the network, Net.Params() as
+// its build handed them out: shared, not to be modified.
+func (w *Workload) Params() []*nn.Parameter { return w.params }
 
 // StateTensors returns the network's implicit-state buffers (BatchNorm
 // running statistics), empty for stateless nets.
@@ -64,7 +68,7 @@ type builder struct {
 	task, dataset  string
 	vendor         bool
 	classes, batch int
-	net            func(init *rng.Stream) (nn.Layer, LossFn)
+	net            func(b *nn.Builder) (nn.Layer, LossFn)
 	data           func(seed uint64) data.Dataset
 }
 
@@ -78,17 +82,17 @@ func tokenDataset(seed uint64) data.Dataset {
 
 // transformerBlock is a pre-norm transformer block: x += MHA(LN(x));
 // x += FFN(LN(x)).
-func transformerBlock(d, heads int, init *rng.Stream) []nn.Layer {
+func transformerBlock(d, heads int, b *nn.Builder) []nn.Layer {
 	return []nn.Layer{
 		nn.NewResidual(nn.NewSequential(
-			nn.NewLayerNorm(d),
-			nn.NewMultiHeadAttention(d, heads, init),
+			nn.NewLayerNorm(d, b),
+			nn.NewMultiHeadAttention(d, heads, b),
 		)),
 		nn.NewResidual(nn.NewSequential(
-			nn.NewLayerNorm(d),
-			nn.NewLinear(d, 2*d, true, init),
+			nn.NewLayerNorm(d, b),
+			nn.NewLinear(d, 2*d, true, b),
 			nn.NewGELU(),
-			nn.NewLinear(2*d, d, true, init),
+			nn.NewLinear(2*d, d, true, b),
 			nn.NewDropout(0.1),
 		)),
 	}
@@ -97,90 +101,90 @@ func transformerBlock(d, heads int, init *rng.Stream) []nn.Layer {
 var registry = map[string]builder{
 	"shufflenetv2": {task: "Image Classification", dataset: "ImageNet(synthetic)", vendor: true,
 		classes: imgClasses, batch: 8, data: imgDataset,
-		net: func(init *rng.Stream) (nn.Layer, LossFn) {
+		net: func(b *nn.Builder) (nn.Layer, LossFn) {
 			net := nn.NewSequential(
-				nn.NewConv2D(imgC, 8, 3, 1, 1, false, init),
-				nn.NewBatchNorm2D(8),
+				nn.NewConv2D(imgC, 8, 3, 1, 1, false, b),
+				nn.NewBatchNorm2D(8, b),
 				nn.NewReLU(),
-				nn.NewConv2D(8, 16, 3, 2, 1, false, init),
-				nn.NewBatchNorm2D(16),
+				nn.NewConv2D(8, 16, 3, 2, 1, false, b),
+				nn.NewBatchNorm2D(16, b),
 				nn.NewReLU(),
 				nn.NewGlobalAvgPool(),
-				nn.NewLinear(16, imgClasses, true, init),
+				nn.NewLinear(16, imgClasses, true, b),
 			)
 			return net, NewCrossEntropyLoss()
 		}},
 	"resnet50": {task: "Image Classification", dataset: "ImageNet(synthetic)", vendor: true,
 		classes: imgClasses, batch: 8, data: imgDataset,
-		net: func(init *rng.Stream) (nn.Layer, LossFn) {
+		net: func(b *nn.Builder) (nn.Layer, LossFn) {
 			block := func() nn.Layer {
 				return nn.NewResidual(nn.NewSequential(
-					nn.NewConv2D(8, 8, 3, 1, 1, false, init),
-					nn.NewBatchNorm2D(8),
+					nn.NewConv2D(8, 8, 3, 1, 1, false, b),
+					nn.NewBatchNorm2D(8, b),
 					nn.NewReLU(),
-					nn.NewConv2D(8, 8, 3, 1, 1, false, init),
-					nn.NewBatchNorm2D(8),
+					nn.NewConv2D(8, 8, 3, 1, 1, false, b),
+					nn.NewBatchNorm2D(8, b),
 				))
 			}
 			net := nn.NewSequential(
-				nn.NewConv2D(imgC, 8, 3, 1, 1, false, init),
-				nn.NewBatchNorm2D(8),
+				nn.NewConv2D(imgC, 8, 3, 1, 1, false, b),
+				nn.NewBatchNorm2D(8, b),
 				nn.NewReLU(),
 				block(),
 				nn.NewReLU(),
 				block(),
 				nn.NewReLU(),
 				nn.NewGlobalAvgPool(),
-				nn.NewLinear(8, imgClasses, true, init),
+				nn.NewLinear(8, imgClasses, true, b),
 			)
 			return net, NewCrossEntropyLoss()
 		}},
 	"vgg19": {task: "Image Classification", dataset: "ImageNet(synthetic)", vendor: true,
 		classes: imgClasses, batch: 8, data: imgDataset,
-		net: func(init *rng.Stream) (nn.Layer, LossFn) {
+		net: func(b *nn.Builder) (nn.Layer, LossFn) {
 			net := nn.NewSequential(
-				nn.NewConv2D(imgC, 8, 3, 1, 1, true, init),
+				nn.NewConv2D(imgC, 8, 3, 1, 1, true, b),
 				nn.NewReLU(),
 				nn.NewMaxPool2D(2, 2),
-				nn.NewConv2D(8, 16, 3, 1, 1, true, init),
+				nn.NewConv2D(8, 16, 3, 1, 1, true, b),
 				nn.NewReLU(),
 				nn.NewMaxPool2D(2, 2),
 				nn.NewFlatten(),
-				nn.NewLinear(16*2*2, 32, true, init),
+				nn.NewLinear(16*2*2, 32, true, b),
 				nn.NewReLU(),
 				nn.NewDropout(0.5),
-				nn.NewLinear(32, imgClasses, true, init),
+				nn.NewLinear(32, imgClasses, true, b),
 			)
 			return net, NewCrossEntropyLoss()
 		}},
 	"yolov3": {task: "Object Detection", dataset: "PASCAL(synthetic)", vendor: true,
 		classes: imgClasses, batch: 8, data: imgDataset,
-		net: func(init *rng.Stream) (nn.Layer, LossFn) {
+		net: func(b *nn.Builder) (nn.Layer, LossFn) {
 			net := nn.NewSequential(
-				nn.NewConv2D(imgC, 8, 3, 1, 1, false, init),
-				nn.NewBatchNorm2D(8),
+				nn.NewConv2D(imgC, 8, 3, 1, 1, false, b),
+				nn.NewBatchNorm2D(8, b),
 				nn.NewReLU(),
-				nn.NewConv2D(8, 16, 3, 2, 1, false, init),
-				nn.NewBatchNorm2D(16),
+				nn.NewConv2D(8, 16, 3, 2, 1, false, b),
+				nn.NewBatchNorm2D(16, b),
 				nn.NewReLU(),
-				nn.NewConv2D(16, 16, 3, 1, 1, false, init),
-				nn.NewBatchNorm2D(16),
+				nn.NewConv2D(16, 16, 3, 1, 1, false, b),
+				nn.NewBatchNorm2D(16, b),
 				nn.NewReLU(),
 				nn.NewGlobalAvgPool(),
-				nn.NewLinear(16, imgClasses, true, init),
+				nn.NewLinear(16, imgClasses, true, b),
 			)
 			return net, NewCrossEntropyLoss()
 		}},
 	"mlp": {task: "Image Classification", dataset: "ImageNet(synthetic)", vendor: false,
 		classes: imgClasses, batch: 8, data: imgDataset,
-		net: func(init *rng.Stream) (nn.Layer, LossFn) {
+		net: func(b *nn.Builder) (nn.Layer, LossFn) {
 			net := nn.NewSequential(
 				nn.NewFlatten(),
-				nn.NewLinear(imgC*imgH*imgW, 64, true, init),
+				nn.NewLinear(imgC*imgH*imgW, 64, true, b),
 				nn.NewReLU(),
-				nn.NewLinear(64, 32, true, init),
+				nn.NewLinear(64, 32, true, b),
 				nn.NewReLU(),
-				nn.NewLinear(32, imgClasses, true, init),
+				nn.NewLinear(32, imgClasses, true, b),
 			)
 			return net, NewCrossEntropyLoss()
 		}},
@@ -189,36 +193,36 @@ var registry = map[string]builder{
 		data: func(seed uint64) data.Dataset {
 			return data.NewSyntheticInteractions(datasetSize, neumfUsers, neumfItems, seed)
 		},
-		net: func(init *rng.Stream) (nn.Layer, LossFn) {
-			return NewNeuMF(neumfUsers, neumfItems, 16, init), NewBCELoss()
+		net: func(b *nn.Builder) (nn.Layer, LossFn) {
+			return NewNeuMF(neumfUsers, neumfItems, 16, b), NewBCELoss()
 		}},
 	"bert": {task: "Question Answering", dataset: "SQuAD(synthetic)", vendor: false,
 		classes: tokClasses, batch: 8, data: tokenDataset,
-		net: func(init *rng.Stream) (nn.Layer, LossFn) {
+		net: func(b *nn.Builder) (nn.Layer, LossFn) {
 			const d = 16
-			layers := []nn.Layer{nn.NewEmbedding(tokVocab, d, init)}
-			layers = append(layers, transformerBlock(d, 2, init)...)
-			layers = append(layers, transformerBlock(d, 2, init)...)
-			layers = append(layers, nn.NewMeanPool(), nn.NewLinear(d, tokClasses, true, init))
+			layers := []nn.Layer{nn.NewEmbedding(tokVocab, d, b)}
+			layers = append(layers, transformerBlock(d, 2, b)...)
+			layers = append(layers, transformerBlock(d, 2, b)...)
+			layers = append(layers, nn.NewMeanPool(), nn.NewLinear(d, tokClasses, true, b))
 			return nn.NewSequential(layers...), NewCrossEntropyLoss()
 		}},
 	"electra": {task: "Question Answering", dataset: "SQuAD(synthetic)", vendor: false,
 		classes: tokClasses, batch: 8, data: tokenDataset,
-		net: func(init *rng.Stream) (nn.Layer, LossFn) {
+		net: func(b *nn.Builder) (nn.Layer, LossFn) {
 			const d = 12
-			layers := []nn.Layer{nn.NewEmbedding(tokVocab, d, init)}
-			layers = append(layers, transformerBlock(d, 2, init)...)
-			layers = append(layers, nn.NewMeanPool(), nn.NewLinear(d, tokClasses, true, init))
+			layers := []nn.Layer{nn.NewEmbedding(tokVocab, d, b)}
+			layers = append(layers, transformerBlock(d, 2, b)...)
+			layers = append(layers, nn.NewMeanPool(), nn.NewLinear(d, tokClasses, true, b))
 			return nn.NewSequential(layers...), NewCrossEntropyLoss()
 		}},
 	"swintransformer": {task: "Image Classification", dataset: "ImageNet(synthetic)", vendor: false,
 		classes: imgClasses, batch: 8, data: imgDataset,
-		net: func(init *rng.Stream) (nn.Layer, LossFn) {
+		net: func(b *nn.Builder) (nn.Layer, LossFn) {
 			const d = 16
-			layers := []nn.Layer{nn.NewPatchEmbed(imgC, 2, d, init)}
-			layers = append(layers, transformerBlock(d, 2, init)...)
-			layers = append(layers, transformerBlock(d, 2, init)...)
-			layers = append(layers, nn.NewMeanPool(), nn.NewLinear(d, imgClasses, true, init))
+			layers := []nn.Layer{nn.NewPatchEmbed(imgC, 2, d, b)}
+			layers = append(layers, transformerBlock(d, 2, b)...)
+			layers = append(layers, transformerBlock(d, 2, b)...)
+			layers = append(layers, nn.NewMeanPool(), nn.NewLinear(d, imgClasses, true, b))
 			return nn.NewSequential(layers...), NewCrossEntropyLoss()
 		}},
 }
@@ -242,17 +246,31 @@ func TableNames() []string {
 	return []string{"bert", "electra", "neumf", "resnet50", "shufflenetv2", "swintransformer", "vgg19", "yolov3"}
 }
 
+// netSizes maps a workload name to its net's nn.Sizes, recorded by its first
+// build: every later build sizes its blocks exactly.
+var netSizes sync.Map
+
 // BuildNet instantiates only a workload's network and loss, none of its
-// datasets, at a cost of microseconds, drawing its weights from init (Build
-// draws from rng.NewNamed(seed, name)). A nil init leaves them zero, for a
-// net whose weights are overwritten at once, as core.Job's replicas are.
-func BuildNet(name string, init *rng.Stream) (nn.Layer, LossFn, error) {
-	b, ok := registry[name]
+// datasets, at a cost of microseconds, and returns the net's parameters in
+// construction order (its Params()). Weights are drawn from init (Build
+// draws from rng.NewNamed(seed, name)); a nil init leaves them zero, for a
+// net whose weights are overwritten at once. A net built with like, the
+// parameters of another build of the workload, takes its parameter values
+// from them and allocates only its gradients and state: a replica sharing
+// one set of weights.
+func BuildNet(name string, init *rng.Stream, like []*nn.Parameter) (nn.Layer, []*nn.Parameter, LossFn, error) {
+	reg, ok := registry[name]
 	if !ok {
-		return nil, nil, fmt.Errorf("models: unknown workload %q (have %v)", name, Names())
+		return nil, nil, nil, fmt.Errorf("models: unknown workload %q (have %v)", name, Names())
 	}
-	net, loss := b.net(init)
-	return net, loss, nil
+	recorded, _ := netSizes.Load(name)
+	size, sized := recorded.(nn.Sizes)
+	b := nn.NewBuilder(init, like, size)
+	net, loss := reg.net(b)
+	if !sized {
+		netSizes.Store(name, b.Sizes())
+	}
+	return net, b.Params(), loss, nil
 }
 
 // Build instantiates a workload with deterministic, seed-derived
@@ -267,7 +285,7 @@ func Build(name string, seed uint64) (*Workload, error) {
 func BuildBlank(name string, seed uint64) (*Workload, error) { return build(name, seed, nil) }
 
 func build(name string, seed uint64, init *rng.Stream) (*Workload, error) {
-	net, loss, err := BuildNet(name, init)
+	net, params, loss, err := BuildNet(name, init, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -278,6 +296,7 @@ func build(name string, seed uint64, init *rng.Stream) (*Workload, error) {
 		Classes:           b.classes, DefaultBatch: b.batch,
 		Net: net, Loss: loss, Dataset: b.data(seed),
 		EvalDataset: evalDataset(name, seed),
+		params:      params,
 	}, nil
 }
 

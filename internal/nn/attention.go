@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/kernels"
 	"repro/internal/pool"
-	"repro/internal/rng"
 	"repro/internal/tensor"
 )
 
@@ -23,17 +22,17 @@ type MultiHeadAttention struct {
 	batch, seq    int
 }
 
-// NewMultiHeadAttention constructs the four projections.
-func NewMultiHeadAttention(d, heads int, init *rng.Stream) *MultiHeadAttention {
+// NewMultiHeadAttention constructs the four projections from b.
+func NewMultiHeadAttention(d, heads int, b *Builder) *MultiHeadAttention {
 	if d%heads != 0 {
 		panic("nn: attention dim must be divisible by heads")
 	}
 	return &MultiHeadAttention{
 		D: d, Heads: heads,
-		Wq: NewLinear(d, d, true, init),
-		Wk: NewLinear(d, d, true, init),
-		Wv: NewLinear(d, d, true, init),
-		Wo: NewLinear(d, d, true, init),
+		Wq: NewLinear(d, d, true, b),
+		Wk: NewLinear(d, d, true, b),
+		Wv: NewLinear(d, d, true, b),
+		Wo: NewLinear(d, d, true, b),
 	}
 }
 

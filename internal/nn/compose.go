@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"repro/internal/rng"
 	"repro/internal/tensor"
 )
 
@@ -106,8 +105,8 @@ type PatchEmbed struct {
 }
 
 // NewPatchEmbed constructs the patch embedding.
-func NewPatchEmbed(c, p, d int, init *rng.Stream) *PatchEmbed {
-	return &PatchEmbed{C: c, P: p, D: d, Proj: NewLinear(c*p*p, d, true, init)}
+func NewPatchEmbed(c, p, d int, b *Builder) *PatchEmbed {
+	return &PatchEmbed{C: c, P: p, D: d, Proj: NewLinear(c*p*p, d, true, b)}
 }
 
 // patchify rearranges [B,C,H,W] into [B·L, C·P·P] rows.

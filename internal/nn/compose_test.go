@@ -10,7 +10,7 @@ import (
 
 func TestResidualForwardAddsSkip(t *testing.T) {
 	// body = identity-ish: Linear initialized to zero weight → body(x)=bias=0
-	body := NewLinear(4, 4, true, nil)
+	body := NewLinear(4, 4, true, bld(nil))
 	body.W.Value.Zero()
 	r := NewResidual(body)
 	x := randTensor(40, 3, 4)
@@ -21,7 +21,7 @@ func TestResidualForwardAddsSkip(t *testing.T) {
 }
 
 func TestResidualGradients(t *testing.T) {
-	init := rng.New(41)
+	init := bld(rng.New(41))
 	body := NewSequential(NewLinear(5, 5, true, init), NewGELU())
 	checkLayerGrads(t, NewResidual(body), randTensor(42, 3, 5), 1e-2, 3e-2)
 }
@@ -32,11 +32,11 @@ func TestResidualShapeMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewResidual(NewLinear(4, 3, true, rng.New(1))).Forward(detCtx(), randTensor(43, 2, 4))
+	NewResidual(NewLinear(4, 3, true, bld(rng.New(1)))).Forward(detCtx(), randTensor(43, 2, 4))
 }
 
 func TestResidualStateTensors(t *testing.T) {
-	r := NewResidual(NewSequential(NewConv2D(2, 2, 3, 1, 1, false, rng.New(1)), NewBatchNorm2D(2)))
+	r := NewResidual(NewSequential(NewConv2D(2, 2, 3, 1, 1, false, bld(rng.New(1))), NewBatchNorm2D(2, bld(nil))))
 	if len(r.StateTensors()) != 2 {
 		t.Fatal("residual should surface body state tensors")
 	}
@@ -59,7 +59,7 @@ func TestMeanPoolGradients(t *testing.T) {
 }
 
 func TestPatchEmbedShapes(t *testing.T) {
-	pe := NewPatchEmbed(3, 2, 8, rng.New(45))
+	pe := NewPatchEmbed(3, 2, 8, bld(rng.New(45)))
 	y := pe.Forward(detCtx(), randTensor(46, 2, 3, 4, 4))
 	if y.Dim(0) != 2 || y.Dim(1) != 4 || y.Dim(2) != 8 {
 		t.Fatalf("patch embed shape %v", y.Shape())
@@ -67,14 +67,14 @@ func TestPatchEmbedShapes(t *testing.T) {
 }
 
 func TestPatchEmbedGradients(t *testing.T) {
-	pe := NewPatchEmbed(2, 2, 4, rng.New(47))
+	pe := NewPatchEmbed(2, 2, 4, bld(rng.New(47)))
 	checkLayerGrads(t, pe, randTensor(48, 2, 2, 4, 4), 1e-2, 3e-2)
 }
 
 func TestPatchEmbedRoundTripStructure(t *testing.T) {
 	// With an identity-like projection (square, identity matrix), patchify
 	// then backward of ones must scatter gradients to every input pixel once.
-	pe := NewPatchEmbed(1, 2, 4, nil)
+	pe := NewPatchEmbed(1, 2, 4, bld(nil))
 	pe.Proj.W.Value.Zero()
 	for i := 0; i < 4; i++ {
 		pe.Proj.W.Value.Set(1, i, i)
@@ -93,7 +93,9 @@ func TestPatchEmbedRoundTripStructure(t *testing.T) {
 	if math.Abs(sumIn-sumOut) > 1e-4 {
 		t.Fatalf("identity patch embed should conserve sum: %v vs %v", sumIn, sumOut)
 	}
-	dx := pe.Backward(ctx, tensor.Full(1, 1, 4, 4))
+	ones := tensor.New(1, 4, 4)
+	ones.Fill(1)
+	dx := pe.Backward(ctx, ones)
 	for _, v := range dx.Data {
 		if v != 1 {
 			t.Fatalf("each pixel should receive exactly one unit of gradient, got %v", v)
@@ -125,14 +127,14 @@ func (s *backwardSpy) BackwardParams(ctx *Context, grad *tensor.Tensor) {
 // finite differences.
 func TestBackwardParamsMatchesBackward(t *testing.T) {
 	build := func() (*Sequential, *backwardSpy, *backwardSpy) {
-		init := rng.New(31)
+		init := bld(rng.New(31))
 		stem := &backwardSpy{Layer: NewConv2D(3, 4, 3, 1, 1, false, init)}
 		inner := &backwardSpy{Layer: NewConv2D(4, 4, 3, 1, 1, true, init)}
 		return NewSequential(
 			stem,
-			NewBatchNorm2D(4),
+			NewBatchNorm2D(4, init),
 			NewReLU(),
-			NewResidual(NewSequential(inner, NewReLU(), NewConv2D(4, 4, 3, 1, 1, false, init), NewBatchNorm2D(4))),
+			NewResidual(NewSequential(inner, NewReLU(), NewConv2D(4, 4, 3, 1, 1, false, init), NewBatchNorm2D(4, init))),
 			NewGlobalAvgPool(),
 			NewLinear(4, 5, true, init),
 		), stem, inner
@@ -157,7 +159,7 @@ func TestBackwardParamsMatchesBackward(t *testing.T) {
 			}
 		}
 	}
-	init := rng.New(34)
+	init := bld(rng.New(34))
 	body := NewSequential(NewConv2D(2, 2, 3, 1, 1, true, init), NewConv2D(2, 2, 3, 1, 1, false, init))
 	checkLayerGrads(t, NewSequential(NewResidual(body)), randTensor(35, 2, 2, 5, 5), 1e-2, 3e-2)
 }

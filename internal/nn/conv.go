@@ -3,7 +3,6 @@ package nn
 import (
 	"repro/internal/kernels"
 	"repro/internal/pool"
-	"repro/internal/rng"
 	"repro/internal/tensor"
 )
 
@@ -23,17 +22,16 @@ type Conv2D struct {
 	plan kernels.ConvPlan // laid out on first use; Backward reads the batch Forward bordered
 }
 
-// NewConv2D constructs a convolution layer with Kaiming init. A nil init
-// leaves weights zero (useful in tests).
-func NewConv2D(cin, cout, k, stride, pad int, bias bool, init *rng.Stream) *Conv2D {
-	c := &Conv2D{CIn: cin, COut: cout, KH: k, KW: k, StrideH: stride, StrideW: stride, PadH: pad, PadW: pad}
-	w := tensor.New(cout, cin, k, k)
-	if init != nil {
-		KaimingInit(w, cin*k*k, init)
+// NewConv2D constructs a convolution layer from b, with Kaiming init drawn
+// from b's init.
+func NewConv2D(cin, cout, k, stride, pad int, bias bool, b *Builder) *Conv2D {
+	c := &Conv2D{CIn: cin, COut: cout, KH: k, KW: k, StrideH: stride, StrideW: stride, PadH: pad, PadW: pad,
+		W: b.Param("weight", cout, cin, k, k)}
+	if b.init != nil {
+		KaimingInit(c.W.Value, cin*k*k, b.init)
 	}
-	c.W = NewParameter("weight", w)
 	if bias {
-		c.B = NewParameter("bias", tensor.New(cout))
+		c.B = b.Param("bias", cout)
 	}
 	return c
 }

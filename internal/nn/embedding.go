@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"repro/internal/rng"
 	"repro/internal/tensor"
 )
 
@@ -15,16 +14,15 @@ type Embedding struct {
 	ids []int
 }
 
-// NewEmbedding constructs an embedding table with normal(0, 0.02) init.
-func NewEmbedding(vocab, d int, init *rng.Stream) *Embedding {
-	e := &Embedding{Vocab: vocab, D: d}
-	w := tensor.New(vocab, d)
-	if init != nil {
-		for i := range w.Data {
-			w.Data[i] = init.NormFloat32() * 0.02
+// NewEmbedding constructs an embedding table from b, with normal(0, 0.02)
+// init drawn from b's init.
+func NewEmbedding(vocab, d int, b *Builder) *Embedding {
+	e := &Embedding{Vocab: vocab, D: d, W: b.Param("weight", vocab, d)}
+	if b.init != nil {
+		for i := range e.W.Value.Data {
+			e.W.Value.Data[i] = b.init.NormFloat32() * 0.02
 		}
 	}
-	e.W = NewParameter("weight", w)
 	return e
 }
 

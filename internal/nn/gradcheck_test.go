@@ -80,17 +80,17 @@ func randTensor(seed uint64, shape ...int) *tensor.Tensor {
 }
 
 func TestLinearGradients(t *testing.T) {
-	l := NewLinear(7, 5, true, rng.New(2))
+	l := NewLinear(7, 5, true, bld(rng.New(2)))
 	checkLayerGrads(t, l, randTensor(3, 4, 7), 1e-2, 2e-2)
 }
 
 func TestLinearNoBiasGradients(t *testing.T) {
-	l := NewLinear(4, 3, false, rng.New(2))
+	l := NewLinear(4, 3, false, bld(rng.New(2)))
 	checkLayerGrads(t, l, randTensor(4, 2, 4), 1e-2, 2e-2)
 }
 
 func TestConv2DGradients(t *testing.T) {
-	c := NewConv2D(2, 3, 3, 1, 1, true, rng.New(5))
+	c := NewConv2D(2, 3, 3, 1, 1, true, bld(rng.New(5)))
 	checkLayerGrads(t, c, randTensor(6, 2, 2, 5, 5), 1e-2, 3e-2)
 }
 
@@ -114,11 +114,11 @@ func TestDropoutGradients(t *testing.T) {
 }
 
 func TestBatchNorm2DGradients(t *testing.T) {
-	checkLayerGrads(t, NewBatchNorm2D(3), randTensor(12, 4, 3, 3, 3), 1e-2, 5e-2)
+	checkLayerGrads(t, NewBatchNorm2D(3, bld(nil)), randTensor(12, 4, 3, 3, 3), 1e-2, 5e-2)
 }
 
 func TestLayerNormGradients(t *testing.T) {
-	checkLayerGrads(t, NewLayerNorm(6), randTensor(13, 5, 6), 1e-2, 5e-2)
+	checkLayerGrads(t, NewLayerNorm(6, bld(nil)), randTensor(13, 5, 6), 1e-2, 5e-2)
 }
 
 func TestMaxPoolGradients(t *testing.T) {
@@ -130,12 +130,12 @@ func TestGlobalAvgPoolGradients(t *testing.T) {
 }
 
 func TestAttentionGradients(t *testing.T) {
-	a := NewMultiHeadAttention(8, 2, rng.New(16))
+	a := NewMultiHeadAttention(8, 2, bld(rng.New(16)))
 	checkLayerGrads(t, a, randTensor(17, 2, 4, 8), 1e-2, 6e-2)
 }
 
 func TestSequentialGradients(t *testing.T) {
-	init := rng.New(18)
+	init := bld(rng.New(18))
 	net := NewSequential(
 		NewLinear(6, 8, true, init),
 		NewReLU(),
@@ -169,14 +169,15 @@ func TestFlattenRoundTrip(t *testing.T) {
 }
 
 func TestEmbeddingGradients(t *testing.T) {
-	e := NewEmbedding(10, 4, rng.New(21))
+	e := NewEmbedding(10, 4, bld(rng.New(21)))
 	ctx := detCtx()
 	ids := tensor.FromData([]float32{1, 3, 3, 7, 0, 9}, 2, 3)
 	y := e.Forward(ctx, ids)
 	if y.Dim(0) != 2 || y.Dim(1) != 3 || y.Dim(2) != 4 {
 		t.Fatalf("Embedding shape %v", y.Shape())
 	}
-	g := tensor.Full(1, 2, 3, 4)
+	g := tensor.New(2, 3, 4)
+	g.Fill(1)
 	e.Backward(ctx, g)
 	// row 3 referenced twice → grad 2 per element; row 2 never → 0
 	if e.W.Grad.At(3, 0) != 2 {

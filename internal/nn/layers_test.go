@@ -9,6 +9,9 @@ import (
 	"repro/internal/tensor"
 )
 
+// bld returns a builder without sizes: the constructors' argument in tests.
+func bld(init *rng.Stream) *Builder { return NewBuilder(init, nil, Sizes{}) }
+
 func ctxOn(typ device.Type, det bool, sel device.Selection) *Context {
 	return &Context{
 		Dev:      device.New(typ, device.Config{DeterministicKernels: det, Selection: sel}),
@@ -22,10 +25,10 @@ func ctxOn(typ device.Type, det bool, sel device.Selection) *Context {
 // property at the layer level).
 func TestForwardBitwiseDeterministicSameDevice(t *testing.T) {
 	build := func() *Sequential {
-		init := rng.New(7)
+		init := bld(rng.New(7))
 		return NewSequential(
 			NewConv2D(3, 8, 3, 1, 1, true, init),
-			NewBatchNorm2D(8),
+			NewBatchNorm2D(8, init),
 			NewReLU(),
 			NewGlobalAvgPool(),
 			NewLinear(8, 4, true, init),
@@ -42,7 +45,7 @@ func TestForwardBitwiseDeterministicSameDevice(t *testing.T) {
 // TestForwardDiffersAcrossGPUTypes: heuristic (vendor) kernels on different
 // GPU types produce bitwise-different outputs — the D2 problem.
 func TestForwardDiffersAcrossGPUTypes(t *testing.T) {
-	build := func() *Linear { return NewLinear(512, 4, true, rng.New(7)) }
+	build := func() *Linear { return NewLinear(512, 4, true, bld(rng.New(7))) }
 	x := randTensor(3, 2, 512)
 	yv := build().Forward(ctxOn(device.V100, true, device.SelectHeuristic), x)
 	yt := build().Forward(ctxOn(device.T4, true, device.SelectHeuristic), x)
@@ -60,10 +63,10 @@ func TestForwardDiffersAcrossGPUTypes(t *testing.T) {
 // hardware-agnostic kernels make types bitwise identical.
 func TestForwardIdenticalAcrossGPUTypesWithFixedAlgo(t *testing.T) {
 	build := func() *Sequential {
-		init := rng.New(7)
+		init := bld(rng.New(7))
 		return NewSequential(
 			NewConv2D(3, 4, 3, 1, 1, true, init),
-			NewBatchNorm2D(4),
+			NewBatchNorm2D(4, init),
 			NewReLU(),
 			NewGlobalAvgPool(),
 			NewLinear(4, 3, true, init),
@@ -86,7 +89,7 @@ func TestNonDeterministicKernelsVary(t *testing.T) {
 	g := randTensor(7, 64, 16)
 	hashes := map[uint64]bool{}
 	for i := 0; i < 30; i++ {
-		l := NewLinear(32, 16, true, rng.New(9))
+		l := NewLinear(32, 16, true, bld(rng.New(9)))
 		ctx := ctxOn(device.V100, false, device.SelectHeuristic)
 		l.Forward(ctx, x)
 		dx := l.Backward(ctx, g)
@@ -114,7 +117,8 @@ func TestDropoutRNGStateControlsMask(t *testing.T) {
 	d := NewDropout(0.5)
 	ctx := detCtx()
 	st := ctx.RNG.State()
-	x := tensor.Full(1, 100)
+	x := tensor.New(100)
+	x.Fill(1)
 	y1 := d.Forward(ctx, x)
 	ctx.RNG.SetState(st)
 	y2 := d.Forward(ctx, x)
@@ -137,7 +141,7 @@ func TestDropoutBadProbabilityPanics(t *testing.T) {
 }
 
 func TestBatchNormRunningStats(t *testing.T) {
-	bn := NewBatchNorm2D(2)
+	bn := NewBatchNorm2D(2, bld(nil))
 	ctx := detCtx()
 	x := randTensor(9, 8, 2, 4, 4)
 	for i := range x.Data {
@@ -164,7 +168,7 @@ func TestBatchNormRunningStats(t *testing.T) {
 }
 
 func TestBatchNormNormalizesBatch(t *testing.T) {
-	bn := NewBatchNorm2D(1)
+	bn := NewBatchNorm2D(1, bld(nil))
 	ctx := detCtx()
 	x := randTensor(10, 16, 1, 2, 2)
 	y := bn.Forward(ctx, x)
@@ -184,7 +188,7 @@ func TestBatchNormNormalizesBatch(t *testing.T) {
 }
 
 func TestLayerNormNormalizesRows(t *testing.T) {
-	ln := NewLayerNorm(32)
+	ln := NewLayerNorm(32, bld(nil))
 	ctx := detCtx()
 	x := randTensor(11, 4, 32)
 	y := ln.Forward(ctx, x)
@@ -229,7 +233,7 @@ func TestGlobalAvgPoolForward(t *testing.T) {
 }
 
 func TestAttentionShapes(t *testing.T) {
-	a := NewMultiHeadAttention(8, 4, rng.New(12))
+	a := NewMultiHeadAttention(8, 4, bld(rng.New(12)))
 	ctx := detCtx()
 	x := randTensor(13, 2, 5, 8)
 	y := a.Forward(ctx, x)
@@ -242,7 +246,7 @@ func TestAttentionShapes(t *testing.T) {
 }
 
 func TestAttentionRowsSumToOne(t *testing.T) {
-	a := NewMultiHeadAttention(4, 1, rng.New(14))
+	a := NewMultiHeadAttention(4, 1, bld(rng.New(14)))
 	ctx := detCtx()
 	a.Forward(ctx, randTensor(15, 1, 3, 4))
 	for r := 0; r < 3; r++ {
@@ -262,14 +266,14 @@ func TestAttentionBadHeadsPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewMultiHeadAttention(7, 2, rng.New(1))
+	NewMultiHeadAttention(7, 2, bld(rng.New(1)))
 }
 
 func TestSequentialParamAndStateCollection(t *testing.T) {
-	init := rng.New(16)
+	init := bld(rng.New(16))
 	net := NewSequential(
 		NewConv2D(1, 2, 3, 1, 1, true, init),
-		NewBatchNorm2D(2),
+		NewBatchNorm2D(2, init),
 		NewReLU(),
 	)
 	if n := len(net.Params()); n != 4 { // conv w,b + bn γ,β
@@ -298,7 +302,7 @@ func TestKaimingInitStats(t *testing.T) {
 }
 
 func TestParameterZeroGrad(t *testing.T) {
-	p := NewParameter("w", tensor.Full(1, 3))
+	p := bld(nil).Param("w", 3)
 	p.Grad.Fill(5)
 	p.ZeroGrad()
 	for _, v := range p.Grad.Data {
@@ -314,12 +318,12 @@ func TestLinearShapeMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewLinear(5, 3, true, rng.New(1)).Forward(detCtx(), tensor.New(2, 4))
+	NewLinear(5, 3, true, bld(rng.New(1))).Forward(detCtx(), tensor.New(2, 4))
 }
 
 func TestChargeAccumulatesSimulatedTime(t *testing.T) {
 	ctx := detCtx()
-	l := NewLinear(64, 64, true, rng.New(19))
+	l := NewLinear(64, 64, true, bld(rng.New(19)))
 	before := ctx.Dev.Now()
 	l.Forward(ctx, randTensor(20, 8, 64))
 	if ctx.Dev.Now() <= before {

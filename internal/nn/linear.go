@@ -3,7 +3,6 @@ package nn
 import (
 	"repro/internal/kernels"
 	"repro/internal/pool"
-	"repro/internal/rng"
 	"repro/internal/tensor"
 )
 
@@ -17,18 +16,16 @@ type Linear struct {
 	x *tensor.Tensor // cached input (flattened to [rows, in])
 }
 
-// NewLinear constructs a Linear layer with Kaiming-initialized weights drawn
-// from init (bias zero); a nil init leaves weights zero. bias toggles the
-// additive bias term.
-func NewLinear(in, out int, bias bool, init *rng.Stream) *Linear {
-	l := &Linear{In: in, Out: out}
-	w := tensor.New(out, in)
-	if init != nil {
-		KaimingInit(w, in, init)
+// NewLinear constructs a Linear layer from b, with Kaiming-initialized
+// weights drawn from b's init (bias zero). bias toggles the additive bias
+// term.
+func NewLinear(in, out int, bias bool, b *Builder) *Linear {
+	l := &Linear{In: in, Out: out, W: b.Param("weight", out, in)}
+	if b.init != nil {
+		KaimingInit(l.W.Value, in, b.init)
 	}
-	l.W = NewParameter("weight", w)
 	if bias {
-		l.B = NewParameter("bias", tensor.New(out))
+		l.B = b.Param("bias", out)
 	}
 	return l
 }

@@ -78,10 +78,77 @@ type Parameter struct {
 	Grad  *tensor.Tensor
 }
 
-// NewParameter allocates a parameter and its zeroed gradient.
-func NewParameter(name string, value *tensor.Tensor) *Parameter {
-	return &Parameter{Name: name, Value: value, Grad: tensor.New(value.Shape()...)}
+// Sizes counts what a net's build takes from its Builder: parameters and
+// their floats, state tensors (BatchNorm's running statistics) and theirs.
+type Sizes struct{ Params, ParamFloats, States, StateFloats int }
+
+// Builder is where a net's layers take their parameters and state, in
+// construction order: values and state from one block, gradients from
+// another, Parameter structs from one array, each sized by the net's Sizes
+// (a zero Sizes grows them in chunks). Each constructor draws its weights
+// from init itself, in call order; a nil init leaves them zero (γ one). A
+// builder given like, another build's parameters, takes parameter i's value
+// from like[i] and carves only gradients and state; its init must be nil.
+type Builder struct {
+	init          *rng.Stream
+	like          []*Parameter
+	values, grads tensor.Carver
+	structs       []Parameter
+	params        []*Parameter
+	built         Sizes
 }
+
+// NewBuilder returns a builder whose blocks hold size.
+func NewBuilder(init *rng.Stream, like []*Parameter, size Sizes) *Builder {
+	floats, tensors := size.ParamFloats+size.StateFloats, size.Params+size.States
+	if like != nil {
+		floats, tensors = size.StateFloats, size.States
+	}
+	return &Builder{init: init, like: like, values: tensor.NewCarver(floats, tensors), grads: tensor.NewCarver(size.ParamFloats, size.Params),
+		structs: make([]Parameter, size.Params), params: make([]*Parameter, 0, size.Params)}
+}
+
+// Param returns the builder's next parameter, of the given shape, with a zero
+// gradient. Its value is zero, or like's.
+func (b *Builder) Param(name string, shape ...int) *Parameter {
+	if len(b.structs) == 0 {
+		b.structs = make([]Parameter, 16)
+	}
+	p := &b.structs[0]
+	p.Name, p.Grad = name, b.grads.Next(shape...)
+	if b.like == nil {
+		p.Value = b.values.Next(shape...)
+	} else if p.Value = b.like[len(b.params)].Value; p.Value.Size() != p.Grad.Size() {
+		panic("nn: a shared parameter does not fit the net built on it")
+	}
+	b.structs, b.params = b.structs[1:], append(b.params, p)
+	b.built.Params, b.built.ParamFloats = b.built.Params+1, b.built.ParamFloats+p.Grad.Size()
+	return p
+}
+
+// state returns the builder's next state tensor, zero-filled.
+func (b *Builder) state(shape ...int) *tensor.Tensor {
+	t := b.values.Next(shape...)
+	b.built.States, b.built.StateFloats = b.built.States+1, b.built.StateFloats+t.Size()
+	return t
+}
+
+// ones sets p's value to one, where a normalization's γ starts, unless it is
+// like's.
+func (b *Builder) ones(p *Parameter) *Parameter {
+	if b.like == nil {
+		p.Value.Fill(1)
+	}
+	return p
+}
+
+// Params returns the parameters built so far in construction order: for a
+// whole net, its Params().
+func (b *Builder) Params() []*Parameter { return b.params }
+
+// Sizes returns what the builder has handed out, the size a later build of
+// the same net needs.
+func (b *Builder) Sizes() Sizes { return b.built }
 
 // ZeroGrad clears the gradient accumulator.
 func (p *Parameter) ZeroGrad() { p.Grad.Zero() }

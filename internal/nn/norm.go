@@ -27,14 +27,13 @@ type BatchNorm2D struct {
 	invStd []float32
 }
 
-// NewBatchNorm2D constructs a BatchNorm layer with γ=1, β=0, PyTorch-default
-// eps and momentum.
-func NewBatchNorm2D(c int) *BatchNorm2D {
-	bn := &BatchNorm2D{C: c, Eps: 1e-5, Momentum: 0.1}
-	bn.Gamma = NewParameter("gamma", tensor.Full(1, c))
-	bn.Beta = NewParameter("beta", tensor.New(c))
-	bn.RunningMean = tensor.New(c)
-	bn.RunningVar = tensor.Full(1, c)
+// NewBatchNorm2D constructs a BatchNorm layer from b with γ=1, β=0,
+// PyTorch-default eps and momentum, and running statistics 0 and 1.
+func NewBatchNorm2D(c int, b *Builder) *BatchNorm2D {
+	bn := &BatchNorm2D{C: c, Eps: 1e-5, Momentum: 0.1,
+		Gamma: b.ones(b.Param("gamma", c)), Beta: b.Param("beta", c),
+		RunningMean: b.state(c), RunningVar: b.state(c)}
+	bn.RunningVar.Fill(1)
 	return bn
 }
 
@@ -147,12 +146,10 @@ type LayerNorm struct {
 	invStd []float32
 }
 
-// NewLayerNorm constructs a LayerNorm over vectors of size d.
-func NewLayerNorm(d int) *LayerNorm {
-	ln := &LayerNorm{D: d, Eps: 1e-5}
-	ln.Gamma = NewParameter("gamma", tensor.Full(1, d))
-	ln.Beta = NewParameter("beta", tensor.New(d))
-	return ln
+// NewLayerNorm constructs a LayerNorm over vectors of size d from b, with
+// γ=1 and β=0.
+func NewLayerNorm(d int, b *Builder) *LayerNorm {
+	return &LayerNorm{D: d, Eps: 1e-5, Gamma: b.ones(b.Param("gamma", d)), Beta: b.Param("beta", d)}
 }
 
 // Forward normalizes each trailing-dimension vector.

@@ -6,11 +6,14 @@ import (
 
 	"repro/internal/kernels"
 	"repro/internal/nn"
-	"repro/internal/tensor"
 )
 
+// param returns a zero parameter of n elements.
+func param(n int) *nn.Parameter { return nn.NewBuilder(nil, nil, nn.Sizes{}).Param("w", n) }
+
 func paramWithGrad(val, grad float32, n int) *nn.Parameter {
-	p := nn.NewParameter("w", tensor.Full(val, n))
+	p := param(n)
+	p.Value.Fill(val)
 	p.Grad.Fill(grad)
 	return p
 }
@@ -60,7 +63,7 @@ func TestSGDNoMomentumHasNoState(t *testing.T) {
 }
 
 func TestSGDConvergesOnQuadratic(t *testing.T) {
-	p := nn.NewParameter("w", tensor.New(1))
+	p := param(1)
 	opt := NewSGD([]*nn.Parameter{p}, 0.1, 0.9, 0)
 	for i := 0; i < 200; i++ {
 		p.ZeroGrad()
@@ -168,7 +171,7 @@ func TestSGDStepBitwiseMatchesScalarRef(t *testing.T) {
 		}
 		for ci, cfg := range cfgs {
 			for _, n := range []int{1, 7, 8, 9, 17, 33, 100} {
-				p := nn.NewParameter("w", tensor.New(n))
+				p := param(n)
 				for i := range p.Value.Data {
 					p.Value.Data[i] = float32(i%13) * 0.25
 					p.Grad.Data[i] = float32(i%7) * 0.5

@@ -130,14 +130,41 @@ func NewBlock(n int, shape func(i int) []int) []*Tensor {
 	for i := range n {
 		total += Numel(shape(i))
 	}
-	data, hs, out := make([]float32, total), make([]header, n), make([]*Tensor, n)
-	for i := range hs {
-		h, sz := &hs[i], Numel(shape(i))
-		h.Data, data = data[:sz:sz], data[sz:]
-		h.shape = append(h.inline[:0], shape(i)...)
-		out[i] = &h.Tensor
+	c, out := NewCarver(total, n), make([]*Tensor, n)
+	for i := range out {
+		out[i] = c.Next(shape(i)...)
 	}
 	return out
+}
+
+// Carver hands out zero-filled heap tensors in call order, as capped views of
+// one buffer with their headers from one array. Sized exactly by NewCarver it
+// allocates nothing more; one that runs out, the zero Carver included, takes
+// a chunk at a time, never one tensor. A Carver that has carved must not be
+// copied.
+type Carver struct {
+	data []float32
+	hs   []header
+}
+
+// NewCarver returns a carver holding floats elements and tensors headers.
+func NewCarver(floats, tensors int) Carver {
+	return Carver{data: make([]float32, floats), hs: make([]header, tensors)}
+}
+
+// Next returns the carver's next tensor, of the given shape.
+func (c *Carver) Next(shape ...int) *Tensor {
+	sz := Numel(shape)
+	if len(c.data) < sz {
+		c.data = make([]float32, max(sz, 1024))
+	}
+	if len(c.hs) == 0 {
+		c.hs = make([]header, 32)
+	}
+	h := &c.hs[0]
+	h.Data, c.data, c.hs = c.data[:sz:sz], c.data[sz:], c.hs[1:]
+	h.shape = append(h.inline[:0], shape...)
+	return &h.Tensor
 }
 
 // NewScoped returns a zero-filled tensor whose data buffer and header are
@@ -169,13 +196,6 @@ func FromData(data []float32, shape ...int) *Tensor {
 		panic(fmt.Sprintf("tensor: data length %d does not match shape %s", len(data), dims(shape)))
 	}
 	return (*slab)(nil).wrap(data, shape)
-}
-
-// Full returns a tensor of the given shape with every element set to v.
-func Full(v float32, shape ...int) *Tensor {
-	t := New(shape...)
-	t.Fill(v)
-	return t
 }
 
 // Shape returns the tensor shape. The returned slice must not be mutated.

@@ -73,7 +73,8 @@ func TestReshapeBadPanics(t *testing.T) {
 }
 
 func TestCloneIndependent(t *testing.T) {
-	x := Full(7, 3)
+	x := New(3)
+	x.Fill(7)
 	y := x.Clone()
 	y.Data[0] = 1
 	if x.Data[0] != 7 {
@@ -270,6 +271,56 @@ func TestNewBlock(t *testing.T) {
 		for _, v := range x.Data {
 			if v != float32(i+1) {
 				t.Fatalf("tensor %d holds %v after the block was filled per tensor: views overlap", i, v)
+			}
+		}
+	}
+}
+
+// TestCarver: a carver sized exactly carves from its own buffer, and one that
+// runs out, the zero Carver included, takes chunks whose views are still
+// capped, zero-filled and disjoint, a tensor larger than a 1024-float chunk
+// included.
+func TestCarver(t *testing.T) {
+	shapes := [][]int{{2, 3}, {1025}, {4}, {}, {1, 2, 1, 2, 2}}
+	total := 0
+	for _, s := range shapes {
+		total += Numel(s)
+	}
+	sized := NewCarver(total, len(shapes))
+	buf, off := sized.data, 0
+	for _, s := range shapes {
+		x := sized.Next(s...)
+		if x.Size() > 0 && &x.Data[0] != &buf[off] {
+			t.Fatalf("a carver sized for its tensors took new storage for shape %v", s)
+		}
+		off += x.Size()
+	}
+	if len(sized.data) != 0 || len(sized.hs) != 0 {
+		t.Fatalf("a carver sized exactly has %d floats and %d headers left", len(sized.data), len(sized.hs))
+	}
+	var grown Carver
+	var ts []*Tensor
+	for range 100 {
+		for _, s := range shapes {
+			ts = append(ts, grown.Next(s...))
+		}
+	}
+	for i, x := range ts {
+		want := shapes[i%len(shapes)]
+		if !reflect.DeepEqual(x.Shape(), want) || x.Size() != Numel(want) || cap(x.Data) != x.Size() {
+			t.Fatalf("tensor %d: shape %v, %d elements, capacity %d; want shape %v", i, x.Shape(), x.Size(), cap(x.Data), want)
+		}
+		for _, v := range x.Data {
+			if v != 0 {
+				t.Fatalf("tensor %d is not zero-filled", i)
+			}
+		}
+		x.Fill(float32(i + 1))
+	}
+	for i, x := range ts {
+		for _, v := range x.Data {
+			if v != float32(i+1) {
+				t.Fatalf("tensor %d holds %v after each tensor was filled: views overlap", i, v)
 			}
 		}
 	}
